@@ -10,33 +10,109 @@
 //!   critical-path estimate with its parallelism bound.
 //!
 //! Usage: `cargo run --release -p kdr-bench --bin observability`
+//!
+//! `--ci-counts` runs the count-only gate on compiled traces instead
+//! (no event log, no timing, nothing written): twelve CG solves of
+//! lap2d 96² in 16 pieces on one planner must never run an analyzed
+//! step, and from the second solve on must schedule at most 56 tasks
+//! per iteration — 53 fused nodes for the step's 101 task bodies,
+//! plus the convergence check's reads.
 
 use std::sync::Arc;
 
 use kdr_core::{
-    solve_traced, CgSolver, ExecBackend, ExecMetrics, PhaseSplit, Planner, SolveControl,
+    solve, solve_traced, CgSolver, ExecBackend, ExecMetrics, PhaseSplit, Planner, SolveControl,
+    RHS,
 };
 use kdr_index::Partition;
 use kdr_runtime::{chrome_trace_json, critical_path, phase_summary, TaskSpan};
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
 
-fn main() {
-    let nx = 128;
-    let pieces = 16;
+/// The exec backend's counters behind a planner.
+fn exec_metrics(planner: &mut Planner<f64>) -> ExecMetrics {
+    planner.with_backend(|b| {
+        b.as_any()
+            .downcast_mut::<ExecBackend<f64>>()
+            .expect("exec backend")
+            .metrics()
+    })
+}
+
+/// A planner for CG on the `nx`² 2-D Laplacian in `pieces` pieces,
+/// right-hand side set; returns it with the solution component's id
+/// and the unknown count.
+fn lap2d_planner(nx: u64, pieces: usize, backend: ExecBackend<f64>) -> (Planner<f64>, usize, u64) {
     let stencil = Stencil::lap2d(nx, nx);
     let n = stencil.unknowns();
     let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u32>());
-
-    let backend = ExecBackend::<f64>::with_default_workers();
-    backend.set_event_logging(true);
-    let workers = backend.runtime().num_workers();
     let mut planner = Planner::new(Box::new(backend));
     let part = Partition::equal_blocks(n, pieces);
     let d = planner.add_sol_vector(n, Some(part.clone()));
     let r = planner.add_rhs_vector(n, Some(part));
     planner.add_operator(matrix, d, r);
     planner.set_rhs_data(r, &rhs_vector::<f64>(n, 42));
+    (planner, d, n)
+}
+
+/// The `--ci-counts` leg; every figure it checks is an exact count.
+fn ci_counts() {
+    const SOLVES: u64 = 12;
+    const MAX_TASKS_PER_ITER: f64 = 56.0;
+    let (mut planner, d, n) = lap2d_planner(96, 16, ExecBackend::new(1));
+    let zeros = vec![0.0; n as usize];
+    let mut after_first = None;
+    for k in 0..SOLVES {
+        planner.set_sol_data(d, &zeros);
+        let mark = planner.workspace_mark();
+        let mut solver = CgSolver::new(&mut planner);
+        let report = solve(
+            &mut planner,
+            &mut solver,
+            SolveControl::to_tolerance(1e-10, 2000),
+        )
+        .expect("CG on a Laplacian does not break down");
+        assert!(report.converged, "solve {k} did not converge");
+        drop(solver);
+        planner.release_workspace_from(mark.max(RHS + 1));
+        if k == 0 {
+            after_first = Some(exec_metrics(&mut planner));
+        }
+    }
+    let first = after_first.expect("the first solve ran");
+    let last = exec_metrics(&mut planner);
+    assert_eq!(last.steps_analyzed, 0, "a step ran analyzed: {last:?}");
+    assert_eq!(
+        last.steps_captured, first.steps_captured,
+        "a warm solve captured a new step shape"
+    );
+    let steps = last.steps_replayed - first.steps_replayed;
+    let scheduled = last.runtime.tasks_submitted - first.runtime.tasks_submitted;
+    let fused = last.runtime.tasks_fused - first.runtime.tasks_fused;
+    let per_iter = scheduled as f64 / steps as f64;
+    println!(
+        "ci-counts: {SOLVES} solves, {steps} warm iterations: {per_iter:.2} scheduled tasks \
+         and {:.2} task bodies per iteration, {} cached traces, 0 analyzed steps",
+        (scheduled + fused) as f64 / steps as f64,
+        last.trace_cache_len
+    );
+    assert!(
+        per_iter <= MAX_TASKS_PER_ITER,
+        "{per_iter:.2} scheduled tasks per iteration, at most {MAX_TASKS_PER_ITER} allowed"
+    );
+}
+
+fn main() {
+    if std::env::args().any(|a| a == "--ci-counts") {
+        ci_counts();
+        return;
+    }
+    let nx = 128;
+    let pieces = 16;
+    let backend = ExecBackend::<f64>::with_default_workers();
+    backend.set_event_logging(true);
+    let workers = backend.runtime().num_workers();
+    let (mut planner, _, _) = lap2d_planner(nx, pieces, backend);
 
     let mut solver = CgSolver::new(&mut planner);
     let control = SolveControl {
@@ -69,11 +145,12 @@ fn main() {
         100.0 * metrics.trace_hit_rate()
     );
     println!(
-        "tasks: submitted={} analyzed={} replayed={} stolen={} | \
+        "tasks: scheduled={} (analyzed={} replayed={}) fused into them={} stolen={} | \
          scalar arena {}/{} slots live | events recorded={} dropped={}",
         metrics.runtime.tasks_submitted,
         metrics.runtime.tasks_analyzed,
         metrics.runtime.tasks_replayed,
+        metrics.runtime.tasks_fused,
         metrics.runtime.tasks_stolen,
         metrics.scalar_slots - metrics.scalar_free,
         metrics.scalar_slots,

@@ -28,23 +28,43 @@
 //! backend *defers* every generated task instead of submitting it.
 //! At `step_end` the collected list's shape signature (task names
 //! plus declared accesses) is looked up in a trace cache: a hit
-//! replays the recorded dependence graph — skipping analysis
-//! entirely — while a miss runs the step analyzed and (cache
-//! permitting) captures its trace for next time. Forcing operations
+//! replays the step's *compiled trace* — skipping analysis entirely
+//! — while a miss runs the step analyzed and (cache permitting)
+//! captures and compiles its trace for next time. Forcing operations
 //! (`scalar_get`, `fence`, component reads/writes) inside a step
 //! flush the deferred tasks and downgrade the step to analyzed
 //! submission, so tracing is never a correctness hazard.
 //!
+//! A compiled trace (see [`kdr_runtime::trace`]) fuses the step's
+//! tasks per piece colour: the colours this backend stamps for
+//! affinity — one per `(component, piece)`, shared by the tile task
+//! writing a piece and every vector task on it — are exactly what the
+//! runtime merges by, so a replayed CG step is scheduled as
+//! `[spmv + dot_partial]`, `[axpy + axpy + dot_partial]` and `[xpay]`
+//! per piece plus its five scalar tasks: 53 scheduled nodes for 101
+//! task bodies. Bodies run in submission order inside a node, so a
+//! replay changes no bit of any vector. [`ExecMetrics::runtime`]
+//! counts nodes in `tasks_submitted` / `tasks_replayed` /
+//! `tasks_executed` and the folded bodies in `tasks_fused`; per-name
+//! counts, per-name execute time and spans stay per body.
+//!
 //! Shape stability across iterations is what makes the cache hit:
 //! scalars live in a refcounted slot arena (released slots are
 //! reused lowest-first, so a solver's per-iteration allocation
-//! pattern settles into a short cycle), and `dot` partial buffers
-//! are pooled per step position rather than freshly allocated.
+//! pattern settles into a short cycle), `dot` partial buffers are
+//! pooled per step position rather than freshly allocated, and the
+//! planner's workspace pool hands a rebuilt solver the vectors its
+//! predecessor used. Pieces, tile footprints and partial slots are
+//! held as shared `Arc<IntervalSet>`s made once, so building a step's
+//! tasks copies no interval set and a rebuilt step's signature
+//! matches its cached one by pointer.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use kdr_index::{IntervalSet, Partition};
+use kdr_index::IntervalSet;
+#[cfg(test)]
+use kdr_index::Partition;
 use kdr_runtime::{
     promise, Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, ShapeSig,
     TaskBuilder, TaskMeta, TaskSpan, TraceCache, WriteView,
@@ -176,7 +196,11 @@ impl ExecMetrics {
 
 struct ExecComp<T> {
     buf: Buffer<T>,
-    part: Partition,
+    /// The canonical partition's pieces by colour, shared with every
+    /// task that declares one: a requirement costs a reference count,
+    /// and a rebuilt step's signature matches its cached one by
+    /// pointer.
+    pieces: Vec<Arc<IntervalSet>>,
 }
 
 struct ExecVec<T> {
@@ -222,8 +246,8 @@ impl<T: Scalar> VecOut<T> for WV<T> {
 struct ExecTile<T> {
     rhs_comp: usize,
     sol_comp: usize,
-    out_subset: IntervalSet,
-    in_union: IntervalSet,
+    out_subset: Arc<IntervalSet>,
+    in_union: Arc<IntervalSet>,
     /// Affinity color: `piece_color(rhs_comp, range_color)`.
     color: usize,
     /// Affinity color of the tile's *dominant input piece*
@@ -239,7 +263,7 @@ struct ExecTile<T> {
 
 impl<T> ExecTile<T> {
     /// (output component, write subset, read subset) for a direction.
-    fn direction(&self, transpose: bool) -> (usize, &IntervalSet, &IntervalSet) {
+    fn direction(&self, transpose: bool) -> (usize, &Arc<IntervalSet>, &Arc<IntervalSet>) {
         if transpose {
             (self.sol_comp, &self.in_union, &self.out_subset)
         } else {
@@ -249,15 +273,21 @@ impl<T> ExecTile<T> {
 }
 
 /// Zero-fill fusion plan for one apply direction: which tiles zero
-/// their write subset before accumulating, and what each destination
-/// component's fused tiles cover (the complement still needs a
-/// standalone zero task).
+/// their write subset before accumulating, and, per destination
+/// component whose tiles do, what they leave uncovered (that residual
+/// still needs a standalone zero task; a component without an entry
+/// is zeroed whole).
 struct ApplyPlan {
     zero_first: Vec<bool>,
-    covered: Vec<(usize, IntervalSet)>,
+    residual: Vec<(usize, Arc<IntervalSet>)>,
 }
 
-fn build_apply_plan<T>(tiles: &[ExecTile<T>], transpose: bool) -> ApplyPlan {
+/// `comp_len(c)` is the length of destination component `c`.
+fn build_apply_plan<T>(
+    tiles: &[ExecTile<T>],
+    transpose: bool,
+    comp_len: impl Fn(usize) -> u64,
+) -> ApplyPlan {
     // Registration drops structurally empty tiles, so every tile here
     // stores entries; the plan's residual zeroing covers whatever the
     // dropped tiles would have written.
@@ -271,7 +301,7 @@ fn build_apply_plan<T>(tiles: &[ExecTile<T>], transpose: bool) -> ApplyPlan {
         }
     }
     comps.sort_unstable();
-    let mut covered = Vec::new();
+    let mut residual = Vec::new();
     for &comp in &comps {
         // Group the component's tiles by equal write subset, first
         // appearance order.
@@ -279,6 +309,7 @@ fn build_apply_plan<T>(tiles: &[ExecTile<T>], transpose: bool) -> ApplyPlan {
         let mut fusable = true;
         for (i, t) in tiles.iter().enumerate() {
             let (dcomp, ws, _) = t.direction(transpose);
+            let ws: &IntervalSet = ws;
             if dcomp != comp {
                 continue;
             }
@@ -296,14 +327,15 @@ fn build_apply_plan<T>(tiles: &[ExecTile<T>], transpose: bool) -> ApplyPlan {
                 zero_first[*first] = true;
                 union = union.union(ws);
             }
-            covered.push((comp, union));
+            let full = IntervalSet::full(comp_len(comp));
+            residual.push((comp, Arc::new(full.difference(&union))));
         }
         // Not fusable: no tile zeroes, the whole component is zeroed
-        // by the standalone task (covered entry absent).
+        // by the standalone task (residual entry absent).
     }
     ApplyPlan {
         zero_first,
-        covered,
+        residual,
     }
 }
 
@@ -311,6 +343,25 @@ struct ExecOpSet<T> {
     tiles: Vec<ExecTile<T>>,
     /// Fusion plans indexed by `transpose as usize`.
     plans: [ApplyPlan; 2],
+}
+
+/// A `dot` partials buffer with the one-element subset of each slot,
+/// made once so the partial tasks of a pooled buffer share them.
+#[derive(Clone)]
+struct Partials<T> {
+    buf: Buffer<T>,
+    slots: Arc<[Arc<IntervalSet>]>,
+}
+
+impl<T: Scalar> Partials<T> {
+    fn new(total_slots: usize) -> Self {
+        Partials {
+            buf: Buffer::filled(total_slots, T::ZERO),
+            slots: (0..total_slots as u64)
+                .map(|s| Arc::new(IntervalSet::from_range(s, s + 1)))
+                .collect(),
+        }
+    }
 }
 
 /// Threaded execution backend over `kdr-runtime`.
@@ -335,7 +386,7 @@ pub struct ExecBackend<T: Scalar> {
     scalar_free: BTreeSet<usize>,
     /// Pooled `dot` partial buffers, keyed by call position within a
     /// deferred step.
-    dot_partials: Vec<Buffer<T>>,
+    dot_partials: Vec<Partials<T>>,
     dot_seq: usize,
     /// Whether `step_begin` defers tasks for trace lookup.
     tracing: bool,
@@ -636,21 +687,66 @@ impl<T: Scalar> ExecBackend<T> {
     /// The partials buffer for the `dot` at the current step
     /// position: pooled under deferral (stable buffer ids keep the
     /// step shape repeatable), fresh otherwise.
-    fn dot_partials_buffer(&mut self, total_slots: usize) -> Buffer<T> {
+    fn dot_partials_buffer(&mut self, total_slots: usize) -> Partials<T> {
         if !self.deferring {
-            return Buffer::filled(total_slots, T::ZERO);
+            return Partials::new(total_slots);
         }
         let idx = self.dot_seq;
         self.dot_seq += 1;
         if idx < self.dot_partials.len() {
-            if self.dot_partials[idx].len() != total_slots {
-                self.dot_partials[idx] = Buffer::filled(total_slots, T::ZERO);
+            if self.dot_partials[idx].buf.len() != total_slots {
+                self.dot_partials[idx] = Partials::new(total_slots);
             }
         } else {
             debug_assert_eq!(idx, self.dot_partials.len());
-            self.dot_partials.push(Buffer::filled(total_slots, T::ZERO));
+            self.dot_partials.push(Partials::new(total_slots));
         }
         self.dot_partials[idx].clone()
+    }
+
+    /// One `dot_partial` task per non-empty piece of `a · b`, writing
+    /// the slots of `partials` from `first_slot` on (one slot per
+    /// piece, empty ones included, in component-then-colour order).
+    fn dot_partial_tasks(
+        &self,
+        a: BVec,
+        b: BVec,
+        partials: &Partials<T>,
+        first_slot: usize,
+        tasks: &mut Vec<TaskBuilder>,
+    ) {
+        let (av, bv) = (&self.vectors[a], &self.vectors[b]);
+        let mut slot = first_slot;
+        for (ci, ac) in av.comps.iter().enumerate() {
+            let bc = &bv.comps[ci];
+            assert_eq!(ac.buf.len(), bc.buf.len(), "dot component {ci} mismatch");
+            for (color, subset) in ac.pieces.iter().enumerate() {
+                let my_slot = slot;
+                slot += 1;
+                if subset.is_empty() {
+                    continue;
+                }
+                tasks.push(
+                    TaskBuilder::new("dot_partial")
+                        .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
+                        .read(&ac.buf, Arc::clone(subset))
+                        .read(&bc.buf, Arc::clone(subset))
+                        .write(&partials.buf, Arc::clone(&partials.slots[my_slot]))
+                        .body(move |ctx| {
+                            let x = ctx.read::<T>(0);
+                            let y = ctx.read::<T>(1);
+                            let out = ctx.write::<T>(2);
+                            let mut acc = T::ZERO;
+                            for run in ctx.subset(0).runs() {
+                                for i in run.lo as usize..run.hi as usize {
+                                    acc = x.get(i).mul_add(y.get(i), acc);
+                                }
+                            }
+                            out.set(my_slot, acc);
+                        }),
+                );
+            }
+        }
     }
 
     /// Build one `(component, color)` point task per piece for an
@@ -675,8 +771,7 @@ impl<T: Scalar> ExecBackend<T> {
                     "component {ci} length mismatch"
                 );
             }
-            for color in 0..dcomp.part.num_colors() {
-                let subset = dcomp.part.piece(color).clone();
+            for (color, subset) in dcomp.pieces.iter().enumerate() {
                 if subset.is_empty() {
                     continue;
                 }
@@ -688,14 +783,14 @@ impl<T: Scalar> ExecBackend<T> {
                 let mut idx_src = None;
                 if let Some(a) = alpha {
                     idx_alpha = Some(0usize);
-                    tb = tb.read(&self.scalars[a], IntervalSet::full(1));
+                    tb = tb.read_all(&self.scalars[a]);
                 }
                 if let Some(sc) = scomp {
                     idx_src = Some(idx_alpha.map_or(0, |_| 1));
-                    tb = tb.read(&sc.buf, subset.clone());
+                    tb = tb.read(&sc.buf, Arc::clone(subset));
                 }
                 let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
-                tb = tb.write(&dcomp.buf, subset);
+                tb = tb.write(&dcomp.buf, Arc::clone(subset));
                 tasks.push(tb.body(move |ctx| {
                     let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
                     let sview = idx_src.map(|i| ctx.read::<T>(i));
@@ -720,7 +815,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 .iter()
                 .map(|c| ExecComp {
                     buf: Buffer::filled(c.len as usize, T::ZERO),
-                    part: c.partition.clone(),
+                    pieces: c.partition.pieces().iter().cloned().map(Arc::new).collect(),
                 })
                 .collect(),
         };
@@ -780,8 +875,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                             desc.kind.points() as usize,
                             t.out_subset.cardinality(),
                         ),
-                        out_subset: t.out_subset.clone(),
-                        in_union: t.in_union.clone(),
+                        out_subset: Arc::new(t.out_subset.clone()),
+                        in_union: Arc::new(t.in_union.clone()),
                         color: piece_color(t.rhs_comp, t.range_color),
                         in_color: piece_color(t.sol_comp, in_color),
                         kernel: Arc::new(TileKernel::Stencil(st)),
@@ -824,17 +919,29 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                     rhs_comp: t.rhs_comp,
                     sol_comp: t.sol_comp,
                     key: TileStructure::analyze(&rows, &cols, &vals).key(),
-                    out_subset: t.out_subset.clone(),
-                    in_union: t.in_union.clone(),
+                    out_subset: Arc::new(t.out_subset.clone()),
+                    in_union: Arc::new(t.in_union.clone()),
                     color: piece_color(t.rhs_comp, t.range_color),
                     in_color: piece_color(t.sol_comp, in_color),
                     kernel: Arc::new(kernel),
                 });
             }
         }
+        // A spec's matrices map its sol components to its rhs
+        // components, so they give every tiled component's length.
+        let comp_len = |transpose: bool, comp: usize| {
+            spec.components
+                .iter()
+                .find_map(|c| match transpose {
+                    false if c.rhs_comp == comp => Some(c.matrix.range_space().size()),
+                    true if c.sol_comp == comp => Some(c.matrix.domain_space().size()),
+                    _ => None,
+                })
+                .expect("a tiled component belongs to an operator component")
+        };
         let plans = [
-            build_apply_plan(&tiles, false),
-            build_apply_plan(&tiles, true),
+            build_apply_plan(&tiles, false, |c| comp_len(false, c)),
+            build_apply_plan(&tiles, true, |c| comp_len(true, c)),
         ];
         self.opsets.push(ExecOpSet { tiles, plans });
         self.opsets.len() - 1
@@ -876,60 +983,20 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        {
-            let av = &self.vectors[a];
-            let bv = &self.vectors[b];
-            assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
-        }
-        let total_slots: usize = self.vectors[a]
-            .comps
-            .iter()
-            .map(|c| c.part.num_colors())
-            .sum();
+        assert_eq!(
+            self.vectors[a].comps.len(),
+            self.vectors[b].comps.len(),
+            "dot structure mismatch"
+        );
+        let total_slots: usize = self.vectors[a].comps.iter().map(|c| c.pieces.len()).sum();
         let partials = self.dot_partials_buffer(total_slots);
         let sref = self.alloc_slot();
         let mut tasks = Vec::new();
-        let av = &self.vectors[a];
-        let bv = &self.vectors[b];
-        let mut slot = 0usize;
-        for (ci, ac) in av.comps.iter().enumerate() {
-            let bc = &bv.comps[ci];
-            assert_eq!(ac.buf.len(), bc.buf.len(), "dot component {ci} mismatch");
-            for color in 0..ac.part.num_colors() {
-                let subset = ac.part.piece(color).clone();
-                let my_slot = slot;
-                slot += 1;
-                if subset.is_empty() {
-                    continue;
-                }
-                tasks.push(
-                    TaskBuilder::new("dot_partial")
-                        .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
-                        .read(&ac.buf, subset.clone())
-                        .read(&bc.buf, subset.clone())
-                        .write(
-                            &partials,
-                            IntervalSet::from_range(my_slot as u64, my_slot as u64 + 1),
-                        )
-                        .body(move |ctx| {
-                            let x = ctx.read::<T>(0);
-                            let y = ctx.read::<T>(1);
-                            let out = ctx.write::<T>(2);
-                            let mut acc = T::ZERO;
-                            for run in ctx.subset(0).runs() {
-                                for i in run.lo as usize..run.hi as usize {
-                                    acc = x.get(i).mul_add(y.get(i), acc);
-                                }
-                            }
-                            out.set(my_slot, acc);
-                        }),
-                );
-            }
-        }
+        self.dot_partial_tasks(a, b, &partials, 0, &mut tasks);
         let n = total_slots;
         tasks.push(
             TaskBuilder::new("dot_reduce")
-                .read_all(&partials)
+                .read_all(&partials.buf)
                 .write_all(&self.scalars[sref])
                 .body(move |ctx| {
                     let p = ctx.read::<T>(0);
@@ -965,55 +1032,19 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             let bv = &self.vectors[b];
             assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
             offsets.push(total_slots);
-            total_slots += av.comps.iter().map(|c| c.part.num_colors()).sum::<usize>();
+            total_slots += av.comps.iter().map(|c| c.pieces.len()).sum::<usize>();
         }
         offsets.push(total_slots);
         let partials = self.dot_partials_buffer(total_slots);
         let srefs: Vec<SRef> = pairs.iter().map(|_| self.alloc_slot()).collect();
         let mut tasks = Vec::new();
         for (j, &(a, b)) in pairs.iter().enumerate() {
-            let av = &self.vectors[a];
-            let bv = &self.vectors[b];
-            let mut slot = offsets[j];
-            for (ci, ac) in av.comps.iter().enumerate() {
-                let bc = &bv.comps[ci];
-                assert_eq!(ac.buf.len(), bc.buf.len(), "dot component {ci} mismatch");
-                for color in 0..ac.part.num_colors() {
-                    let subset = ac.part.piece(color).clone();
-                    let my_slot = slot;
-                    slot += 1;
-                    if subset.is_empty() {
-                        continue;
-                    }
-                    tasks.push(
-                        TaskBuilder::new("dot_partial")
-                            .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
-                            .read(&ac.buf, subset.clone())
-                            .read(&bc.buf, subset.clone())
-                            .write(
-                                &partials,
-                                IntervalSet::from_range(my_slot as u64, my_slot as u64 + 1),
-                            )
-                            .body(move |ctx| {
-                                let x = ctx.read::<T>(0);
-                                let y = ctx.read::<T>(1);
-                                let out = ctx.write::<T>(2);
-                                let mut acc = T::ZERO;
-                                for run in ctx.subset(0).runs() {
-                                    for i in run.lo as usize..run.hi as usize {
-                                        acc = x.get(i).mul_add(y.get(i), acc);
-                                    }
-                                }
-                                out.set(my_slot, acc);
-                            }),
-                    );
-                }
-            }
+            self.dot_partial_tasks(a, b, &partials, offsets[j], &mut tasks);
         }
         let ranges: Vec<(usize, usize)> = (0..pairs.len())
             .map(|j| (offsets[j], offsets[j + 1]))
             .collect();
-        let mut combine = TaskBuilder::new("dot_reduce_many").read_all(&partials);
+        let mut combine = TaskBuilder::new("dot_reduce_many").read_all(&partials.buf);
         for &s in &srefs {
             combine = combine.write_all(&self.scalars[s]);
         }
@@ -1126,26 +1157,20 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             // components as empty sums): whatever the fused tiles do
             // not cover, per destination component.
             for (ci, comp) in self.vectors[dst].comps.iter().enumerate() {
-                let full = IntervalSet::full(comp.buf.len() as u64);
-                let residual = match plan.covered.iter().find(|(c, _)| *c == ci) {
-                    Some((_, covered)) => full.difference(covered),
-                    None => full,
+                let zero = TaskBuilder::new("apply_zero");
+                let zero = match plan.residual.iter().find(|(c, _)| *c == ci) {
+                    Some((_, residual)) if residual.is_empty() => continue,
+                    Some((_, residual)) => zero.write(&comp.buf, Arc::clone(residual)),
+                    None => zero.write_all(&comp.buf),
                 };
-                if residual.is_empty() {
-                    continue;
-                }
-                tasks.push(
-                    TaskBuilder::new("apply_zero")
-                        .write(&comp.buf, residual)
-                        .body(move |ctx| {
-                            let d = ctx.write::<T>(0);
-                            for run in ctx.subset(0).runs() {
-                                for i in run.lo as usize..run.hi as usize {
-                                    d.set(i, T::ZERO);
-                                }
-                            }
-                        }),
-                );
+                tasks.push(zero.body(move |ctx| {
+                    let d = ctx.write::<T>(0);
+                    for run in ctx.subset(0).runs() {
+                        for i in run.lo as usize..run.hi as usize {
+                            d.set(i, T::ZERO);
+                        }
+                    }
+                }));
             }
             for (ti, tile) in opset.tiles.iter().enumerate() {
                 let (dcomp, wsubset, rsubset) = tile.direction(transpose);
@@ -1169,8 +1194,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 );
                 tasks.push(
                     TaskBuilder::new(name)
-                        .read(sbuf, rsubset.clone())
-                        .write(dbuf, wsubset.clone())
+                        .read(sbuf, Arc::clone(rsubset))
+                        .write(dbuf, Arc::clone(wsubset))
                         .meta(TaskMeta::new(name).with_color(tile.color).with_cost(
                             2 * data.nnz() as u64,
                             (data.nnz() * std::mem::size_of::<T>()) as u64,
@@ -1472,6 +1497,74 @@ mod tests {
             outcomes[1..].iter().all(|&o| o == StepOutcome::Replayed),
             "fused-dot steps must be shape-stable: {outcomes:?}"
         );
+    }
+
+    /// Step a solver on lap2d 24² in 16 pieces, check every compiled
+    /// trace it left behind (each captured edge inside a node or from
+    /// an earlier node to a later one, which also makes the node
+    /// graph acyclic), and return their `(tasks, nodes)` sizes.
+    fn compiled_step_sizes(
+        preconditioned: bool,
+        build: fn(&mut crate::Planner<f64>) -> Box<dyn crate::Solver<f64>>,
+    ) -> Vec<(usize, usize)> {
+        let s = Stencil::lap2d(24, 24);
+        let n = s.unknowns();
+        let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>() as Csr<f64, u64>);
+        let mut planner = crate::Planner::new(Box::new(ExecBackend::<f64>::new(2)));
+        let part = Partition::equal_blocks(n, 16);
+        let d = planner.add_sol_vector(n, Some(part.clone()));
+        let r = planner.add_rhs_vector(n, Some(part));
+        planner.add_operator(Arc::clone(&m), d, r);
+        if preconditioned {
+            planner.add_preconditioner(Arc::new(crate::precond::jacobi(m.as_ref())), d, r);
+        }
+        planner.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 3));
+        let mut solver = build(&mut planner);
+        // BiCGStab cycles through nine step shapes, one more than the
+        // cache holds: twenty steps replay under every solver here.
+        crate::solve(&mut planner, solver.as_mut(), crate::SolveControl::fixed(20))
+            .expect("twenty steps on a Laplacian do not break down");
+        planner.with_backend(|b| {
+            let exec = b
+                .as_any()
+                .downcast_mut::<ExecBackend<f64>>()
+                .expect("built on the exec backend");
+            let (_, _, replayed) = exec.step_counters();
+            assert!(replayed >= 4, "steady state must replay");
+            exec.trace_cache
+                .traces()
+                .map(|t| {
+                    for i in 0..t.len() {
+                        for &dep in t.deps_of(i) {
+                            assert!(dep < i && t.node_of(dep) <= t.node_of(i), "edge {dep} -> {i}");
+                        }
+                    }
+                    (t.len(), t.num_nodes())
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn solver_steps_compile_to_three_nodes_per_piece() {
+        // CG: per piece [spmv + dot_partial], [axpy + axpy +
+        // dot_partial], [xpay]; dot_reduce, alpha, -alpha, dot_reduce,
+        // beta stay on their own.
+        let cg = compiled_step_sizes(false, |p| Box::new(crate::CgSolver::new(p)));
+        assert!(!cg.is_empty());
+        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 16 * 3 + 5)), "{cg:?}");
+        // PCG adds the Jacobi apply and a second partial per piece,
+        // both inside the middle node.
+        let pcg = compiled_step_sizes(true, |p| Box::new(crate::PcgSolver::new(p)));
+        assert!(!pcg.is_empty());
+        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 16 * 3 + 5)), "{pcg:?}");
+        // BiCGStab: two SpMVs and three reduction stages per step cut
+        // each piece's chain four times.
+        let bicgstab = compiled_step_sizes(false, |p| Box::new(crate::BiCgStabSolver::new(p)));
+        assert!(!bicgstab.is_empty());
+        for &(tasks, nodes) in &bicgstab {
+            assert!(nodes * 2 < tasks, "{bicgstab:?}");
+        }
     }
 
     #[test]

@@ -405,11 +405,26 @@ impl<T: Scalar> Planner<T> {
         Some(pool.swap_remove(i))
     }
 
-    /// Snapshot the current vector-id high-water mark. Pass to
+    /// The lowest vector id a following workspace allocation could
+    /// hand out: the lowest pooled id, or the next fresh one when the
+    /// pools are empty. Pass it to
     /// [`Planner::release_workspace_from`] after a solve to return
-    /// every workspace vector allocated since the mark to the reuse
-    /// pool.
+    /// every workspace vector allocated since, pooled or fresh, to the
+    /// reuse pool.
+    ///
+    /// The release takes every id at or above the mark, so a vector
+    /// that was in use when the mark was taken keeps out of it only by
+    /// having a lower id. Lowest-first reuse gives that unless a lower
+    /// id of the *other* structure was still pooled at the mark.
     pub fn workspace_mark(&self) -> usize {
+        let pooled = self.ws_free_sol.iter().chain(&self.ws_free_rhs).min();
+        pooled.map_or(self.vectors.len(), |&v| v)
+    }
+
+    /// Vectors this planner has ever allocated from its backend,
+    /// `SOL` and `RHS` included. Constant from solve to solve once
+    /// the workspace pool serves every solver rebuild.
+    pub fn num_vectors(&self) -> usize {
         self.vectors.len()
     }
 

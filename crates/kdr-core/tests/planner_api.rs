@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use kdr_core::{CgSolver, ExecBackend, Planner, RHS, SOL};
+use kdr_core::{solve_traced, CgSolver, ExecBackend, Planner, SolveControl, RHS, SOL};
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
 
@@ -170,4 +170,90 @@ fn cyclic_canonical_partition_solves() {
         .sum::<f64>()
         .sqrt();
     assert!(res < 1e-8);
+}
+
+/// Build, run and drop one CG solver inside a workspace mark, the way
+/// sessions and the benchmark do; `(residual history bits, analyzed
+/// steps so far, cached traces, vectors allocated)`.
+fn marked_cg_solve(p: &mut Planner<f64>, d: usize) -> (Vec<(usize, u64)>, u64, usize, usize) {
+    let n = p.sol_partition(d).space_size();
+    p.set_sol_data(d, &vec![0.0; n as usize]);
+    let mark = p.workspace_mark();
+    let mut solver = CgSolver::new(p);
+    let (report, trace) = solve_traced(p, &mut solver, SolveControl::to_tolerance(1e-10, 400));
+    assert!(report.expect("CG on a Laplacian does not break down").converged);
+    drop(solver);
+    p.release_workspace_from(mark.max(RHS + 1));
+    let (analyzed, cached) = p.with_backend(|b| {
+        let exec = b
+            .as_any()
+            .downcast_mut::<ExecBackend<f64>>()
+            .expect("the planner runs on the exec backend");
+        (exec.step_counters().0, exec.trace_cache_len())
+    });
+    let history = trace
+        .residual_history
+        .iter()
+        .map(|&(i, r)| (i, r.to_bits()))
+        .collect();
+    (history, analyzed, cached, p.num_vectors())
+}
+
+#[test]
+fn twelve_solves_on_one_planner_do_not_age() {
+    // Every solve takes its mark with the previous solver's vectors in
+    // the pool. The mark used to sit above them, so every second
+    // release returned nothing, the next solver allocated fresh
+    // vectors with new buffer ids — new step shapes — and once the
+    // trace cache was full every step ran analyzed.
+    let s = Stencil::lap2d(16, 16);
+    let n = s.unknowns();
+    let mut p = planner();
+    let part = Partition::equal_blocks(n, 4);
+    let d = p.add_sol_vector(n, Some(part.clone()));
+    let r = p.add_rhs_vector(n, Some(part));
+    p.add_operator(Arc::new(s.to_csr::<f64, u64>()), d, r);
+    p.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 5));
+
+    let first = marked_cg_solve(&mut p, d);
+    assert!(first.0.len() > 2, "the solve checks its residual as it goes");
+    assert_eq!(first.1, 0, "CG steps are captured or replayed");
+    let second = marked_cg_solve(&mut p, d);
+    for solve in 3..=12 {
+        let again = marked_cg_solve(&mut p, d);
+        assert_eq!(again.0, first.0, "solve {solve}: residual history");
+        assert_eq!(again.1, 0, "solve {solve}: analyzed steps");
+        assert_eq!(again.2, second.2, "solve {solve}: cached traces");
+        assert_eq!(again.3, second.3, "solve {solve}: vectors allocated");
+    }
+    assert_eq!(second.0, first.0);
+    assert_eq!(second.3, first.3, "the pool serves the second solver already");
+}
+
+#[test]
+fn workspace_mark_release_returns_pooled_and_fresh_vectors() {
+    let mut p = planner();
+    let d = p.add_sol_vector(8, None);
+    let r = p.add_rhs_vector(8, None);
+    p.add_operator(small_matrix(8), d, r);
+    p.finalize();
+    let held = p.allocate_workspace_vector();
+    let outer = p.workspace_mark();
+    let a = p.allocate_workspace_vector();
+    p.release_workspace_from(outer);
+    // One pooled vector at the mark; the next round takes it and a
+    // fresh one, and the release must return both.
+    let mark = p.workspace_mark();
+    assert_eq!(mark, a);
+    let again = p.allocate_workspace_vector();
+    let fresh = p.allocate_workspace_vector();
+    assert_eq!(again, a);
+    p.release_workspace_from(mark);
+    assert_eq!(p.workspace_mark(), a, "pooled and fresh are both back");
+    assert_eq!(p.allocate_workspace_vector(), a);
+    assert_eq!(p.allocate_workspace_vector(), fresh);
+    assert_eq!(p.num_vectors(), fresh + 1);
+    // The vector held since before the marks was never released.
+    assert!(held < a);
+    assert_ne!(p.allocate_workspace_vector(), held);
 }

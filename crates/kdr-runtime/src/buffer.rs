@@ -3,8 +3,9 @@
 //! A [`Buffer`] is the runtime's physical storage unit (one field of
 //! one logical region, in Legion terms). Tasks never hold `&[T]` or
 //! `&mut [T]` into a buffer; they hold [`ReadView`]/[`WriteView`]
-//! accessors that perform raw-pointer element accesses. This is the
-//! *only* module in the crate containing `unsafe`.
+//! accessors that perform raw-pointer element accesses. This module
+//! and the event log's span ring ([`crate::events`]) contain all of
+//! the crate's `unsafe`.
 //!
 //! # Safety argument
 //!
@@ -22,9 +23,10 @@
 //! * Debug builds assert each access lies inside the declared subset,
 //!   catching tasks that under-declare their footprint.
 
+use std::any::Any;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kdr_index::IntervalSet;
 
@@ -35,6 +37,9 @@ pub(crate) struct BufferInner<T> {
     /// `UnsafeCell` per element: the slice metadata is freely
     /// shareable, only element contents are interior-mutable.
     data: Box<[UnsafeCell<T>]>,
+    /// The whole-buffer subset, made on the first `read_all` /
+    /// `write_all` and shared by every later one.
+    full: OnceLock<Arc<IntervalSet>>,
 }
 
 // SAFETY: concurrent access to the UnsafeCell contents is mediated by
@@ -67,6 +72,7 @@ impl<T: Copy + Send + 'static> Buffer<T> {
             inner: Arc::new(BufferInner {
                 id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
                 data,
+                full: OnceLock::new(),
             }),
         }
     }
@@ -95,6 +101,32 @@ impl<T: Copy + Send + 'static> Buffer<T> {
         // UnsafeCell<T> is repr(transparent); the slice base doubles
         // as the element base.
         self.inner.data.as_ptr() as *mut T
+    }
+
+    /// The whole-buffer subset `[0, len)`, shared by every
+    /// `read_all` / `write_all` of this buffer.
+    pub(crate) fn full_subset(&self) -> Arc<IntervalSet> {
+        Arc::clone(
+            self.inner
+                .full
+                .get_or_init(|| Arc::new(IntervalSet::full(self.len() as u64))),
+        )
+    }
+
+    /// The buffer as the type-erased handle a task requirement
+    /// carries: the buffer's own allocation, so handing one out is a
+    /// reference-count increment.
+    pub(crate) fn erased(&self) -> Arc<dyn Any + Send + Sync> {
+        Arc::clone(&self.inner) as Arc<dyn Any + Send + Sync>
+    }
+
+    /// The typed buffer behind an erased handle, or `None` when the
+    /// handle holds another element type.
+    pub(crate) fn from_erased(handle: &Arc<dyn Any + Send + Sync>) -> Option<Self> {
+        Arc::clone(handle)
+            .downcast::<BufferInner<T>>()
+            .ok()
+            .map(|inner| Buffer { inner })
     }
 
     /// Overwrite element `i` with an all-ones bit pattern (NaN for
@@ -146,21 +178,32 @@ impl<T: Copy + Send + 'static> Buffer<T> {
     /// the runtime contract in the module docs. Prefer obtaining views
     /// through [`TaskContext`](crate::task::TaskContext).
     pub fn read_view(&self, subset: Arc<IntervalSet>) -> ReadView<T> {
-        ReadView {
-            ptr: self.base_ptr(),
-            len: self.len(),
-            subset,
-            _keep: Arc::clone(&self.inner),
-        }
+        self.clone().into_read_view(subset)
     }
 
     /// Create a write view over `subset` (see [`Buffer::read_view`]).
     pub fn write_view(&self, subset: Arc<IntervalSet>) -> WriteView<T> {
+        self.clone().into_write_view(subset)
+    }
+
+    /// [`Buffer::read_view`] that keeps this handle as the view's
+    /// keep-alive instead of cloning another.
+    pub(crate) fn into_read_view(self, subset: Arc<IntervalSet>) -> ReadView<T> {
+        ReadView {
+            ptr: self.base_ptr(),
+            len: self.len(),
+            subset,
+            _keep: self.inner,
+        }
+    }
+
+    /// [`Buffer::write_view`], consuming the handle likewise.
+    pub(crate) fn into_write_view(self, subset: Arc<IntervalSet>) -> WriteView<T> {
         WriteView {
             ptr: self.base_ptr(),
             len: self.len(),
             subset,
-            _keep: Arc::clone(&self.inner),
+            _keep: self.inner,
         }
     }
 }

@@ -1,13 +1,21 @@
 //! Structured task-event log: per-task spans with lock-free recording.
 //!
 //! When enabled (see [`Runtime::enable_events`](crate::Runtime::enable_events)),
-//! the runtime records one [`TaskSpan`] per executed task covering the
-//! full lifecycle — **submit** (dependence analysis or trace replay) →
-//! **ready** (all predecessors retired, pushed onto a ready queue) →
-//! **start** / **end** (body execution on a worker) → **retire**
-//! (successors released). Spans carry the task name, the worker that
-//! ran it, and whether its dependences were *analyzed* or *replayed*
-//! from a captured trace ([`Provenance`]).
+//! the runtime records one [`TaskSpan`] per executed task body covering
+//! the full lifecycle — **submit** (dependence analysis or trace
+//! replay) → **ready** (all predecessors retired, pushed onto a ready
+//! queue) → **start** / **end** (body execution on a worker) →
+//! **retire** (successors released). Spans carry the task name, the
+//! worker that ran it, and whether its dependences were *analyzed* or
+//! *replayed* from a captured trace ([`Provenance`]).
+//!
+//! A replayed step runs as fused nodes (see [`crate::trace`]), but the
+//! log stays per body: every member of a node gets a span of its own,
+//! with its own id, name, captured dependences and start/end stamps.
+//! A member behind the first is **ready** when the member before it
+//! returns, and all members of a node share its **retire** stamp — so
+//! the Chrome export, [`critical_path`](crate::critical_path) and any
+//! span-derived metric read the same with fusion as without.
 //!
 //! # Hot-path design
 //!
@@ -23,8 +31,8 @@
 //! so the drain never races a writer.
 //!
 //! When event logging is disabled, the only cost on the execute path
-//! is one relaxed atomic load per task, preserving the traced-replay
-//! fast path's advantage (see `BENCH_tracing.json`).
+//! is one relaxed atomic load per scheduled node, preserving the
+//! traced-replay fast path's advantage.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

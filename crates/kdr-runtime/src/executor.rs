@@ -1,35 +1,55 @@
-//! The DAG executor: a work-stealing worker pool that runs tasks as
-//! their dependences resolve.
+//! The DAG executor: a work-stealing worker pool that runs scheduled
+//! nodes as their dependences resolve.
 //!
-//! Tasks arrive with a precomputed dependence list (from the analyzer
-//! or from a trace replay). Ready tasks are routed by an optional
-//! [`Mapper`]: a task mapped to worker `w` goes to
-//! `w`'s own queue (processor affinity — data lives where its piece's
-//! tasks run); unmapped tasks go to a global injector. Each worker
-//! prefers its own queue, then the injector, then steals from peers,
-//! so affinity is a locality *hint*, never a throughput constraint.
-//! A fence blocks until no task is outstanding. Execution is *eager* —
+//! What the executor schedules is a *node*: one or more task bodies
+//! that run back to back, in submission order, on one worker. An
+//! analyzed submission is a node with one member; a trace replay
+//! arrives as a whole compiled step graph whose nodes may hold several
+//! (see [`crate::trace`]). Both go through the same dependence state,
+//! the same queues and the same retirement.
+//!
+//! Nodes arrive with their dependences already known (from the
+//! analyzer or from the compiled trace). Ready nodes are routed by an
+//! optional [`Mapper`]: a node mapped to worker `w` goes to `w`'s own
+//! queue (processor affinity — data lives where its piece's tasks
+//! run); unmapped nodes go to a global injector. Each worker prefers
+//! its own queue, then the injector, then steals from peers, so
+//! affinity is a locality *hint*, never a throughput constraint.
+//! A fence blocks until no node is outstanding. Execution is *eager* —
 //! there is no separate "flush" step — so blocking on a
 //! [`Future`](crate::Future) from the application thread always makes
 //! progress.
 //!
+//! # Dependence state
+//!
+//! Task ids are handed out in submission order, so the nodes that are
+//! still in flight always lie in one id interval. The executor keeps
+//! that interval as a sliding window of slots indexed by `id − base`:
+//! a slot holds its node's unmet-dependence count, the parked node
+//! while that count is positive, and the successors that registered
+//! on it. Retirement clears the slot and the window's front advances
+//! past everything retired. An id below the window, or a slot no node
+//! was scheduled under (the id of a fused member, which belongs to its
+//! node's first member's slot), reads as "already finished".
+//!
 //! # Fault tolerance
 //!
 //! Task bodies run under `catch_unwind`. A panic does not abort the
-//! process: the task completes as *poisoned*, its transitive
-//! successors are retired without running (their bodies are dropped,
-//! which poisons any [`Promise`](crate::Promise) they captured), and
-//! the first failure is recorded as a [`TaskError`] that
-//! `Executor::fence` keeps returning until
-//! `Executor::take_failure` clears it. A seeded `FaultInjector`
+//! process: the node completes as *failed*, the members after the
+//! panicking one are dropped unrun, its transitive successors are
+//! retired without running (dropping a body poisons any
+//! [`Promise`](crate::Promise) it captured), and the first failure is
+//! recorded as a [`TaskError`] that `Executor::fence` keeps returning
+//! until `Executor::take_failure` clears it. A seeded `FaultInjector`
 //! can plant deterministic panic / stall / corrupted-write faults at
-//! submission time, and an optional watchdog thread flags tasks that
+//! submission time — one decision per body, in submission order,
+//! fused or not — and an optional watchdog thread flags bodies that
 //! exceed a configurable stall budget. All of it is pay-as-you-go:
 //! with no plan armed and no budget set, the fault layer costs one
-//! relaxed atomic load on the submit path and one on the execute
-//! path.
+//! relaxed atomic load per body on the submit path and one on the
+//! execute path.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,51 +61,111 @@ use parking_lot::{Condvar, Mutex};
 use crate::events::{EventSink, TaskOutcome, DEFAULT_RING_CAPACITY};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TaskError, TaskErrorKind};
 use crate::mapper::Mapper;
-use crate::task::{Requirement, TaskContext, TaskId, TaskMetaLite};
+use crate::task::{Privilege, TaskBody, TaskContext, TaskId, TaskMetaLite};
+use crate::trace::StepGraph;
 
-pub(crate) struct Runnable {
+/// One task body of a scheduled node.
+pub(crate) struct Member {
     pub id: TaskId,
     /// Kernel name; keys the per-kernel execution counts.
     pub name: &'static str,
-    pub body: Box<dyn FnOnce(&TaskContext) + Send>,
-    pub reqs: Arc<Vec<Requirement>>,
-    /// Scheduling metadata (mapper input).
+    pub body: TaskBody,
+    /// The task's declared requirements, as its body will see them.
+    pub ctx: TaskContext,
+    /// Scheduling metadata (mapper input); a node is routed by its
+    /// first member's.
     pub meta: TaskMetaLite,
-    /// Event-log timestamp: when this task became ready (all
-    /// predecessors retired). Zero while event logging is off.
-    pub ready_ns: u64,
     /// Fault planted by the injector at submission, if any.
     pub fault: Option<FaultKind>,
-    /// Born poisoned: a dependence named a task that had already
-    /// retired failed, so the body must be dropped, not run.
-    pub poisoned: bool,
 }
 
-struct Pending {
-    unmet: usize,
-    /// Set when a (transitive) predecessor failed: once ready, the
-    /// task is retired without running instead of enqueued.
+/// A scheduled node: member bodies run in order on one worker.
+pub(crate) struct Runnable {
+    /// Never empty; the first member's id is the node's id.
+    members: Vec<Member>,
+    /// Event-log timestamp: when this node became ready (all
+    /// predecessors retired). Zero while event logging is off.
+    ready_ns: u64,
+    /// Born poisoned: a dependence named a node that had already
+    /// retired failed, so the bodies must be dropped, not run.
     poisoned: bool,
-    runnable: Option<Runnable>,
+}
+
+impl Runnable {
+    /// A node of one task.
+    pub fn single(member: Member) -> Self {
+        Runnable {
+            members: vec![member],
+            ready_ns: 0,
+            poisoned: false,
+        }
+    }
+
+    fn id(&self) -> TaskId {
+        self.members[0].id
+    }
+
+    fn meta(&self) -> &TaskMetaLite {
+        &self.members[0].meta
+    }
+}
+
+/// `Slot::graph_node` of a node that is not part of a replayed graph.
+const NO_NODE: u32 = u32::MAX;
+
+/// One id of the in-flight window.
+struct Slot {
+    /// Submitted and not yet retired. A slot that is not live stands
+    /// for a retired node or for an id no node was scheduled under.
+    live: bool,
+    /// Set when a (transitive) predecessor failed: once ready, the
+    /// node is retired without running instead of enqueued.
+    poisoned: bool,
+    unmet: u32,
+    /// The node itself while `unmet > 0`.
+    parked: Option<Runnable>,
+    /// Successors that registered at their own (analyzed) submission.
+    succs: Vec<TaskId>,
+    /// This node's index in the replayed step graph, whose successor
+    /// list applies on top of `succs`; [`NO_NODE`] otherwise.
+    graph_node: u32,
+}
+
+impl Slot {
+    fn vacant() -> Self {
+        Slot {
+            live: false,
+            poisoned: false,
+            unmet: 0,
+            parked: None,
+            succs: Vec::new(),
+            graph_node: NO_NODE,
+        }
+    }
 }
 
 #[derive(Default)]
 struct DepState {
-    pending: HashMap<TaskId, Pending>,
-    successors: HashMap<TaskId, Vec<TaskId>>,
-    live: HashSet<TaskId>,
+    /// Id of `slots[0]`.
+    base: TaskId,
+    /// The in-flight window (see the module docs).
+    slots: VecDeque<Slot>,
+    /// The compiled step most recently replayed and the id of its
+    /// first task. Slots with a `graph_node` index into it; they are
+    /// all retired before the next replay replaces it.
+    batch: Option<(TaskId, Arc<StepGraph>)>,
     outstanding: usize,
     shutdown: bool,
     /// First task failure since the last [`Executor::take_failure`];
     /// fences keep reporting it until taken.
     failure: Option<TaskError>,
-    /// Tasks that retired failed or poisoned since the last
-    /// [`Executor::take_failure`]. A newly submitted task naming one
+    /// Nodes that retired failed or poisoned since the last
+    /// [`Executor::take_failure`]. A newly submitted node naming one
     /// of these as a dependence is born poisoned — without this,
     /// poison would leak whenever a predecessor finished (panicked)
     /// before its dependent was submitted. Cleared with the failure.
     poisoned_retired: HashSet<TaskId>,
-    /// Executed-task tallies keyed by kernel name, bumped under this
+    /// Executed-body tallies keyed by kernel name, bumped under this
     /// lock on the completion path (which already holds it).
     counts: BTreeMap<&'static str, u64>,
     /// Accumulated execution nanoseconds per kernel name; only grows
@@ -94,7 +174,16 @@ struct DepState {
     exec_ns: BTreeMap<&'static str, u64>,
 }
 
-/// Per-worker watchdog slot: the task currently executing (id + 1;
+impl DepState {
+    /// The slot of `id` if a node scheduled under it is still in
+    /// flight.
+    fn live_slot(&mut self, id: TaskId) -> Option<&mut Slot> {
+        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(idx).filter(|s| s.live)
+    }
+}
+
+/// Per-worker watchdog slot: the body currently executing (id + 1;
 /// 0 = idle) and when it started. Published only while a stall budget
 /// is armed.
 struct WatchSlot {
@@ -108,11 +197,11 @@ struct ExecShared {
     /// completion releases successors, so affinity survives into
     /// steady state instead of decaying to the injector.
     mapper: Option<Arc<dyn Mapper>>,
-    /// Unpinned ready tasks.
+    /// Unpinned ready nodes.
     injector: SegQueue<Runnable>,
     /// Per-worker affinity queues.
     pinned: Vec<SegQueue<Runnable>>,
-    /// Express lane for unpinned tasks with `priority > 0`; drained
+    /// Express lane for unpinned nodes with `priority > 0`; drained
     /// before every normal-lane queue.
     injector_hi: SegQueue<Runnable>,
     /// Express-lane affinity queues, one per worker.
@@ -125,16 +214,16 @@ struct ExecShared {
     stolen: AtomicU64,
     sleepers: AtomicUsize,
     /// Structured event log (spans + latency histograms). Checked
-    /// with one relaxed load per task when disabled.
+    /// with one relaxed load per node when disabled.
     events: EventSink,
     /// Deterministic fault injector. Checked with one relaxed load
-    /// per task at submission when disarmed.
+    /// per body at submission when disarmed.
     faults: FaultInjector,
     /// Per-kernel execution timing without the full event log: when
-    /// set, workers stamp task start/end even with logging off, and
-    /// retirement accumulates per-kernel-name execute nanoseconds
-    /// (the cost catalogue's online observation feed). One relaxed
-    /// load per task when off.
+    /// set, workers stamp every body's start/end even with logging
+    /// off, and retirement accumulates per-kernel-name execute
+    /// nanoseconds (the cost catalogue's online observation feed). One
+    /// relaxed load per node when off.
     kernel_timing: AtomicBool,
     /// Watchdog stall budget in nanoseconds (0 = watchdog off).
     stall_budget_ns: AtomicU64,
@@ -142,9 +231,9 @@ struct ExecShared {
     watch: Vec<WatchSlot>,
     /// Task bodies that panicked.
     task_failures: AtomicU64,
-    /// Tasks retired-as-poisoned without running.
+    /// Nodes retired-as-poisoned without running.
     tasks_poisoned: AtomicU64,
-    /// Tasks the watchdog flagged as exceeding the stall budget.
+    /// Bodies the watchdog flagged as exceeding the stall budget.
     tasks_stalled: AtomicU64,
 }
 
@@ -159,7 +248,7 @@ impl Executor {
         Self::with_mapper(workers, None)
     }
 
-    /// Create with an optional mapper routing tasks to workers.
+    /// Create with an optional mapper routing nodes to workers.
     pub fn with_mapper(workers: usize, mapper: Option<Arc<dyn Mapper>>) -> Self {
         Self::with_config(workers, mapper, DEFAULT_RING_CAPACITY)
     }
@@ -215,59 +304,103 @@ impl Executor {
         }
     }
 
-    fn enqueue(&self, mut runnable: Runnable) {
-        if self.shared.events.enabled() {
-            runnable.ready_ns = self.shared.events.now_ns();
-        }
-        route(&self.shared, runnable);
-        // Wake one parked worker if any.
-        if self.shared.sleepers.load(Ordering::Acquire) > 0 {
-            let _g = self.shared.sleep_lock.lock();
-            self.shared.wake_cv.notify_one();
-        }
-    }
-
-    /// Enqueue a task whose dependence list has already been computed.
-    /// Dependences on tasks that have already finished are ignored.
+    /// Enqueue one node whose dependence list has already been
+    /// computed. Ids must increase from one submission to the next.
+    /// Dependences on nodes that have already finished are ignored.
     pub fn submit(&self, mut runnable: Runnable, deps: &[TaskId]) {
         // Fault decisions happen here, at submission: the runtime
         // serializes submissions, so a seeded plan reproduces the
         // same injections regardless of worker interleaving.
-        runnable.fault = self.shared.faults.decide(runnable.name);
-        let mut st = self.shared.state.lock();
-        let id = runnable.id;
-        let live_deps: Vec<TaskId> = deps
-            .iter()
-            .copied()
-            .filter(|d| st.live.contains(d))
-            .collect();
-        // A dependence on a task that already retired failed poisons
-        // this one at birth; live failed predecessors are handled by
-        // the retirement cascade instead.
-        let born_poisoned =
-            !st.poisoned_retired.is_empty() && deps.iter().any(|d| st.poisoned_retired.contains(d));
-        st.live.insert(id);
-        st.outstanding += 1;
-        if live_deps.is_empty() {
-            runnable.poisoned = born_poisoned;
-            drop(st);
-            self.enqueue(runnable);
-        } else {
-            for &d in &live_deps {
-                st.successors.entry(d).or_default().push(id);
-            }
-            st.pending.insert(
-                id,
-                Pending {
-                    unmet: live_deps.len(),
-                    poisoned: born_poisoned,
-                    runnable: Some(runnable),
-                },
-            );
+        for m in &mut runnable.members {
+            m.fault = self.shared.faults.decide(m.name);
         }
+        let id = runnable.id();
+        let mut st = self.shared.state.lock();
+        if st.slots.is_empty() {
+            st.base = id;
+        }
+        let idx = id
+            .checked_sub(st.base)
+            .map(|off| off as usize)
+            .filter(|&off| off >= st.slots.len())
+            .expect("task ids must increase from one submission to the next");
+        let mut slot = Slot::vacant();
+        slot.live = true;
+        for &d in deps {
+            match st.live_slot(d) {
+                Some(pred) => {
+                    pred.succs.push(id);
+                    slot.unmet += 1;
+                }
+                // A dependence on a node that already retired failed
+                // poisons this one at birth; live failed predecessors
+                // are handled by the retirement cascade instead.
+                None => slot.poisoned |= st.poisoned_retired.contains(&d),
+            }
+        }
+        st.outstanding += 1;
+        let ready = if slot.unmet == 0 {
+            runnable.poisoned = slot.poisoned;
+            Some(runnable)
+        } else {
+            slot.parked = Some(runnable);
+            None
+        };
+        st.slots.resize_with(idx, Slot::vacant);
+        st.slots.push_back(slot);
+        drop(st);
+        release_ready(&self.shared, ready.into_iter());
     }
 
-    /// Block until every submitted task has finished. If any task
+    /// Enqueue one replayed step: `members[i]` is the body of the
+    /// `i`-th captured task and gets the id `base + i`; `graph` says
+    /// which node each belongs to and how the nodes depend on one
+    /// another. The executor must be quiescent (the runtime fences
+    /// before a replay), so the step has no outside dependences and
+    /// the whole graph is installed under one lock acquisition, with
+    /// one round of wake-ups for its initially ready nodes.
+    pub fn submit_graph(&self, base: TaskId, graph: Arc<StepGraph>, members: Vec<Member>) {
+        debug_assert_eq!(members.len(), graph.node_of.len());
+        let mut nodes: Vec<Runnable> = graph
+            .nodes
+            .iter()
+            .map(|n| Runnable {
+                members: Vec::with_capacity(n.len as usize),
+                ready_ns: 0,
+                poisoned: false,
+            })
+            .collect();
+        // One fault decision per body in submission order, exactly as
+        // task-by-task submission makes them.
+        for (mut m, &node) in members.into_iter().zip(&graph.node_of) {
+            m.fault = self.shared.faults.decide(m.name);
+            nodes[node as usize].members.push(m);
+        }
+        let mut ready = Vec::new();
+        {
+            let mut st = self.shared.state.lock();
+            assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
+            st.base = base;
+            st.slots.clear();
+            st.slots.resize_with(graph.node_of.len(), Slot::vacant);
+            for (k, (node, run)) in graph.nodes.iter().zip(nodes).enumerate() {
+                let slot = &mut st.slots[node.leader as usize];
+                slot.live = true;
+                slot.graph_node = k as u32;
+                slot.unmet = node.indegree;
+                if node.indegree == 0 {
+                    ready.push(run);
+                } else {
+                    slot.parked = Some(run);
+                }
+            }
+            st.outstanding = graph.nodes.len();
+            st.batch = Some((base, graph));
+        }
+        release_ready(&self.shared, ready.into_iter());
+    }
+
+    /// Block until every submitted node has finished. If any task
     /// failed since the last [`Executor::take_failure`], returns the
     /// first failure (and keeps returning it until taken).
     pub fn fence(&self) -> Result<(), TaskError> {
@@ -317,12 +450,12 @@ impl Executor {
         }
     }
 
-    /// Total task bodies executed.
+    /// Total nodes executed (a node whose body panicked included).
     pub fn executed(&self) -> u64 {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Tasks a worker executed from another worker's affinity queue.
+    /// Nodes a worker executed from another worker's affinity queue.
     pub fn stolen(&self) -> u64 {
         self.shared.stolen.load(Ordering::Relaxed)
     }
@@ -332,12 +465,12 @@ impl Executor {
         self.shared.task_failures.load(Ordering::Relaxed)
     }
 
-    /// Tasks retired-as-poisoned without running.
+    /// Nodes retired-as-poisoned without running.
     pub fn tasks_poisoned(&self) -> u64 {
         self.shared.tasks_poisoned.load(Ordering::Relaxed)
     }
 
-    /// Tasks the watchdog flagged for exceeding the stall budget.
+    /// Bodies the watchdog flagged for exceeding the stall budget.
     pub fn tasks_stalled(&self) -> u64 {
         self.shared.tasks_stalled.load(Ordering::Relaxed)
     }
@@ -352,7 +485,7 @@ impl Executor {
         self.workers.len()
     }
 
-    /// Tasks submitted but not yet retired. A snapshot: racing
+    /// Nodes submitted but not yet retired. A snapshot: racing
     /// submitters can change it immediately, so callers needing a
     /// stable answer must hold their own serialization (the runtime's
     /// state lock serializes submissions).
@@ -360,7 +493,7 @@ impl Executor {
         self.shared.state.lock().outstanding
     }
 
-    /// Executed-task tallies keyed by kernel name.
+    /// Executed-body tallies keyed by kernel name.
     pub fn task_counts(&self) -> BTreeMap<&'static str, u64> {
         self.shared.state.lock().counts.clone()
     }
@@ -403,14 +536,14 @@ impl Drop for Executor {
     }
 }
 
-/// Push a ready runnable to its mapped worker's affinity queue, or to
-/// the injector when no mapper is installed. Tasks with `priority > 0`
+/// Push a ready node to its mapped worker's affinity queue, or to
+/// the injector when no mapper is installed. Nodes with `priority > 0`
 /// go to the express-lane twins of those queues instead.
 fn route(shared: &ExecShared, runnable: Runnable) {
-    let express = runnable.meta.priority > 0;
+    let express = runnable.meta().priority > 0;
     match &shared.mapper {
         Some(m) => {
-            let w = m.map_task(&runnable.meta.to_meta()) % shared.pinned.len();
+            let w = m.map_task(&runnable.meta().to_meta()) % shared.pinned.len();
             if express {
                 shared.pinned_hi[w].push(runnable);
             } else {
@@ -422,7 +555,7 @@ fn route(shared: &ExecShared, runnable: Runnable) {
     }
 }
 
-/// Pop the next runnable for worker `me`: the express lanes first
+/// Pop the next node for worker `me`: the express lanes first
 /// (own queue, injector, then steal), then the same order through the
 /// normal lanes.
 fn find_work(shared: &ExecShared, me: usize) -> Option<(Runnable, bool)> {
@@ -463,10 +596,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One retirement to process under the state lock: either a task a
-/// worker just finished (completed or panicked) or a poisoned task
-/// being retired without running.
-struct Retirement {
+/// What became of one body of a retiring node.
+struct BodyRecord {
     id: TaskId,
     name: &'static str,
     outcome: TaskOutcome,
@@ -475,96 +606,143 @@ struct Retirement {
     end_ns: u64,
 }
 
-/// Retire `first` and cascade poison through the DAG: successors of a
-/// failed task are marked poisoned; any that become ready while
+/// What a worker hands to [`retire_locked`].
+enum Retiring<'a> {
+    /// Node `id` ran; its bodies ended as `bodies` say.
+    Ran { id: TaskId, bodies: &'a [BodyRecord] },
+    /// The node was born poisoned and is retired without running.
+    Unrun(Runnable),
+}
+
+/// Retire a node and cascade poison through the DAG: successors of a
+/// failed node are marked poisoned; any that become ready while
 /// poisoned are retired in turn (their bodies dropped, not run, which
-/// poisons any promise the body captured). Runs entirely under the
+/// poisons any promise a body captured). Runs entirely under the
 /// state lock, so fences observing `outstanding == 0` see every span
 /// and counter of the cascade.
 fn retire_locked(
     shared: &ExecShared,
     st: &mut DepState,
-    first: Retirement,
+    first: Retiring<'_>,
     ready: &mut Vec<Runnable>,
     me: usize,
     logging: bool,
 ) {
-    let mut work = vec![first];
-    while let Some(rec) = work.pop() {
-        let poison = rec.outcome != TaskOutcome::Completed;
-        if poison {
-            st.poisoned_retired.insert(rec.id);
+    // Nodes to retire without running.
+    let mut unrun: Vec<Runnable> = Vec::new();
+    match first {
+        Retiring::Ran { id, bodies } => {
+            retire_one(shared, st, id, bodies, ready, &mut unrun, me, logging)
         }
-        if let Some(succs) = st.successors.remove(&rec.id) {
-            for s in succs {
-                let done = {
-                    let p = st.pending.get_mut(&s).expect("successor must be pending");
-                    if poison {
-                        p.poisoned = true;
-                    }
-                    p.unmet -= 1;
-                    p.unmet == 0
-                };
-                if done {
-                    let p = st.pending.remove(&s).unwrap();
-                    let r = p.runnable.expect("pending task must hold its runnable");
-                    if p.poisoned {
-                        shared.tasks_poisoned.fetch_add(1, Ordering::Relaxed);
-                        let now = if logging { shared.events.now_ns() } else { 0 };
-                        work.push(Retirement {
-                            id: r.id,
-                            name: r.name,
-                            outcome: TaskOutcome::Poisoned,
-                            ready_ns: now,
-                            start_ns: now,
-                            end_ns: now,
-                        });
-                        // Dropping the runnable drops its body; any
-                        // captured Promise poisons its Future here.
-                        drop(r);
-                    } else {
-                        ready.push(r);
-                    }
-                }
+        Retiring::Unrun(run) => unrun.push(run),
+    }
+    while let Some(run) = unrun.pop() {
+        shared.tasks_poisoned.fetch_add(1, Ordering::Relaxed);
+        let now = if logging { shared.events.now_ns() } else { 0 };
+        let records: Vec<BodyRecord> = run
+            .members
+            .iter()
+            .map(|m| BodyRecord {
+                id: m.id,
+                name: m.name,
+                outcome: TaskOutcome::Poisoned,
+                ready_ns: now,
+                start_ns: now,
+                end_ns: now,
+            })
+            .collect();
+        let id = run.id();
+        // Dropping the node drops its bodies; any captured Promise
+        // poisons its Future here.
+        drop(run);
+        retire_one(shared, st, id, &records, ready, &mut unrun, me, logging);
+    }
+    while st.slots.front().is_some_and(|s| !s.live) {
+        st.slots.pop_front();
+        st.base += 1;
+    }
+}
+
+/// One step of [`retire_locked`]: release (or poison) the successors
+/// of node `id`, account its bodies, and count it finished.
+#[allow(clippy::too_many_arguments)]
+fn retire_one(
+    shared: &ExecShared,
+    st: &mut DepState,
+    id: TaskId,
+    bodies: &[BodyRecord],
+    ready: &mut Vec<Runnable>,
+    unrun: &mut Vec<Runnable>,
+    me: usize,
+    logging: bool,
+) {
+    let poison = bodies.iter().any(|b| b.outcome != TaskOutcome::Completed);
+    if poison {
+        st.poisoned_retired.insert(id);
+    }
+    let DepState {
+        base, slots, batch, ..
+    } = st;
+    let slot = &mut slots[(id - *base) as usize];
+    slot.live = false;
+    let succs = std::mem::take(&mut slot.succs);
+    let graph_succs = match (slot.graph_node, batch.as_ref()) {
+        (NO_NODE, _) | (_, None) => None,
+        (node, Some((first, graph))) => {
+            let first = *first;
+            Some(
+                graph.nodes[node as usize]
+                    .succs
+                    .iter()
+                    .map(move |&s| first + TaskId::from(graph.nodes[s as usize].leader)),
+            )
+        }
+    };
+    for s in succs.into_iter().chain(graph_succs.into_iter().flatten()) {
+        let succ = &mut slots[(s - *base) as usize];
+        succ.poisoned |= poison;
+        succ.unmet -= 1;
+        if succ.unmet == 0 {
+            let run = succ.parked.take().expect("a waiting node is parked");
+            if succ.poisoned {
+                unrun.push(run);
+            } else {
+                ready.push(run);
             }
         }
-        st.live.remove(&rec.id);
-        if rec.outcome != TaskOutcome::Poisoned {
-            *st.counts.entry(rec.name).or_insert(0) += 1;
+    }
+    // Record the spans while the node still counts as outstanding: a
+    // fence observing `outstanding == 0` then implies every executed
+    // body's span has landed, so fence-then-snapshot sequences
+    // (take_spans, metrics) never see a straggler.
+    let retire_ns = if logging { shared.events.now_ns() } else { 0 };
+    for b in bodies {
+        if b.outcome != TaskOutcome::Poisoned {
+            *st.counts.entry(b.name).or_insert(0) += 1;
         }
-        if rec.outcome == TaskOutcome::Completed {
+        if b.outcome == TaskOutcome::Completed {
             // Zero when neither logging nor kernel timing stamped the
-            // task, so the map stays cost-free on the disabled path.
-            let dt = rec.end_ns.saturating_sub(rec.start_ns);
+            // body, so the map stays cost-free on the disabled path.
+            let dt = b.end_ns.saturating_sub(b.start_ns);
             if dt > 0 {
-                *st.exec_ns.entry(rec.name).or_insert(0) += dt;
+                *st.exec_ns.entry(b.name).or_insert(0) += dt;
             }
         }
-        // Record the span while the task still counts as
-        // outstanding: a fence observing `outstanding == 0` then
-        // implies every executed task's span has landed, so
-        // fence-then-snapshot sequences (take_spans, metrics)
-        // never see a straggler.
         if logging {
-            let retire_ns = shared.events.now_ns();
             shared.events.record_exec(
-                me,
-                rec.id,
-                rec.ready_ns,
-                rec.start_ns,
-                rec.end_ns,
-                retire_ns,
-                rec.outcome,
+                me, b.id, b.ready_ns, b.start_ns, b.end_ns, retire_ns, b.outcome,
             );
         }
-        st.outstanding -= 1;
-        if st.outstanding == 0 {
-            shared.idle_cv.notify_all();
-        }
+    }
+    st.outstanding -= 1;
+    if st.outstanding == 0 {
+        shared.idle_cv.notify_all();
     }
 }
 
 fn worker_loop(shared: Arc<ExecShared>, me: usize) {
+    // The bodies of the node in hand, reused from node to node.
+    let mut records: Vec<BodyRecord> = Vec::new();
     loop {
         let runnable = loop {
             if let Some((r, was_steal)) = find_work(&shared, me) {
@@ -603,146 +781,154 @@ fn worker_loop(shared: Arc<ExecShared>, me: usize) {
         let logging = shared.events.enabled();
         let timing = logging || shared.kernel_timing.load(Ordering::Relaxed);
         if runnable.poisoned {
-            // Born poisoned (a dependence had already retired
-            // failed): retire without running. Dropping the body
-            // poisons any Promise it captured.
-            shared.tasks_poisoned.fetch_add(1, Ordering::Relaxed);
-            let now = if logging { shared.events.now_ns() } else { 0 };
+            // Born poisoned: a dependence had already retired failed.
             let mut ready = Vec::new();
             {
                 let mut st = shared.state.lock();
-                retire_locked(
-                    &shared,
-                    &mut st,
-                    Retirement {
-                        id: runnable.id,
-                        name: runnable.name,
-                        outcome: TaskOutcome::Poisoned,
-                        ready_ns: runnable.ready_ns,
-                        start_ns: now,
-                        end_ns: now,
-                    },
-                    &mut ready,
-                    me,
-                    logging,
-                );
+                let first = Retiring::Unrun(runnable);
+                retire_locked(&shared, &mut st, first, &mut ready, me, logging);
             }
-            drop(runnable);
-            release_ready(&shared, ready, logging);
+            release_ready(&shared, ready.into_iter());
             continue;
         }
-        let ctx = TaskContext {
-            reqs: Arc::clone(&runnable.reqs),
-        };
-        let start_ns = if timing { shared.events.now_ns() } else { 0 };
+        let node_id = runnable.id();
+        records.clear();
+        let mut failure = None;
         // One relaxed load when the watchdog is off — the fault
         // layer's entire cost on the disabled execute path (the
         // injected-fault check below is a plain field read).
         let budget = shared.stall_budget_ns.load(Ordering::Relaxed);
-        if budget > 0 {
-            let slot = &shared.watch[me];
-            slot.since_ns
-                .store(shared.events.now_ns(), Ordering::Relaxed);
-            slot.task.store(runnable.id + 1, Ordering::Release);
+        // A fused member is ready the moment the one before it
+        // returns.
+        let mut ready_ns = runnable.ready_ns;
+        let mut members = runnable.members.into_iter();
+        for m in members.by_ref() {
+            let Member {
+                id,
+                name,
+                body,
+                ctx,
+                fault,
+                ..
+            } = m;
+            let start_ns = if timing { shared.events.now_ns() } else { 0 };
+            if budget > 0 {
+                let slot = &shared.watch[me];
+                slot.since_ns
+                    .store(shared.events.now_ns(), Ordering::Relaxed);
+                slot.task.store(id + 1, Ordering::Release);
+            }
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match fault {
+                    Some(FaultKind::Panic) => {
+                        panic!("injected fault: forced panic in '{name}'")
+                    }
+                    Some(FaultKind::Stall { millis }) => {
+                        std::thread::sleep(Duration::from_millis(millis));
+                        body(&ctx)
+                    }
+                    _ => body(&ctx),
+                }));
+            if budget > 0 {
+                shared.watch[me].task.store(0, Ordering::Release);
+            }
+            if result.is_ok() && fault == Some(FaultKind::CorruptWrite) {
+                // Silent corruption: flip the first element of the
+                // first writable requirement to an all-ones pattern
+                // (NaN for floats) after the body completed
+                // normally.
+                if let Some(req) = ctx.reqs.iter().find(|r| r.privilege == Privilege::Write) {
+                    (req.corrupt)(req);
+                }
+            }
+            let end_ns = if timing { shared.events.now_ns() } else { 0 };
+            records.push(BodyRecord {
+                id,
+                name,
+                outcome: match result {
+                    Ok(()) => TaskOutcome::Completed,
+                    Err(_) => TaskOutcome::Panicked,
+                },
+                ready_ns,
+                start_ns,
+                end_ns,
+            });
+            ready_ns = end_ns;
+            if let Err(payload) = result {
+                shared.task_failures.fetch_add(1, Ordering::Relaxed);
+                failure = Some(TaskError {
+                    task: id,
+                    name,
+                    kind: TaskErrorKind::Panicked(panic_message(payload.as_ref())),
+                });
+                break;
+            }
         }
-        let fault = runnable.fault;
-        let name = runnable.name;
-        let body = runnable.body;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || match fault {
-            Some(FaultKind::Panic) => {
-                panic!("injected fault: forced panic in '{name}'")
-            }
-            Some(FaultKind::Stall { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-                body(&ctx)
-            }
-            _ => body(&ctx),
-        }));
-        if budget > 0 {
-            shared.watch[me].task.store(0, Ordering::Release);
-        }
-        if result.is_ok() && fault == Some(FaultKind::CorruptWrite) {
-            // Silent corruption: flip the first element of the first
-            // writable requirement to an all-ones pattern (NaN for
-            // floats) after the body completed normally.
-            if let Some(req) = runnable
-                .reqs
-                .iter()
-                .find(|r| r.privilege == crate::task::Privilege::Write)
-            {
-                (req.corrupt)(req);
-            }
+        // Bodies behind a panicking one never run; dropping them
+        // poisons their promises like any poisoned task's.
+        for m in members {
+            records.push(BodyRecord {
+                id: m.id,
+                name: m.name,
+                outcome: TaskOutcome::Poisoned,
+                ready_ns,
+                start_ns: ready_ns,
+                end_ns: ready_ns,
+            });
         }
         shared.executed.fetch_add(1, Ordering::Relaxed);
-        let end_ns = if timing { shared.events.now_ns() } else { 0 };
 
         // Retire: record any failure, then release (or poison)
         // successors.
         let mut ready = Vec::new();
         {
             let mut st = shared.state.lock();
-            let outcome = match &result {
-                Ok(()) => TaskOutcome::Completed,
-                Err(payload) => {
-                    shared.task_failures.fetch_add(1, Ordering::Relaxed);
-                    if st.failure.is_none() {
-                        st.failure = Some(TaskError {
-                            task: runnable.id,
-                            name: runnable.name,
-                            kind: TaskErrorKind::Panicked(panic_message(payload.as_ref())),
-                        });
-                    }
-                    TaskOutcome::Panicked
-                }
+            if let Some(e) = failure {
+                st.failure.get_or_insert(e);
+            }
+            let first = Retiring::Ran {
+                id: node_id,
+                bodies: &records,
             };
-            retire_locked(
-                &shared,
-                &mut st,
-                Retirement {
-                    id: runnable.id,
-                    name: runnable.name,
-                    outcome,
-                    ready_ns: runnable.ready_ns,
-                    start_ns,
-                    end_ns,
-                },
-                &mut ready,
-                me,
-                logging,
-            );
+            retire_locked(&shared, &mut st, first, &mut ready, me, logging);
         }
-        release_ready(&shared, ready, logging);
+        release_ready(&shared, ready.into_iter());
     }
 }
 
-/// Route tasks a retirement made ready and wake parked workers.
-fn release_ready(shared: &Arc<ExecShared>, ready: Vec<Runnable>, logging: bool) {
+/// Stamp and route nodes that just became ready, then wake as many
+/// parked workers as there are nodes for.
+fn release_ready(shared: &ExecShared, ready: impl ExactSizeIterator<Item = Runnable>) {
     let n_ready = ready.len();
-    let ready_stamp = if logging && n_ready > 0 {
+    if n_ready == 0 {
+        return;
+    }
+    let ready_stamp = if shared.events.enabled() {
         shared.events.now_ns()
     } else {
         0
     };
     for mut r in ready {
         // Successors route through the mapper too — otherwise
-        // affinity only applies to tasks that were ready at
+        // affinity only applies to nodes that were ready at
         // submit time, and steady-state iterations (where almost
-        // every task waits on a predecessor) lose all locality.
+        // every node waits on a predecessor) lose all locality.
         r.ready_ns = ready_stamp;
         route(shared, r);
     }
-    if n_ready > 0 && shared.sleepers.load(Ordering::Acquire) > 0 {
+    let sleepers = shared.sleepers.load(Ordering::Acquire);
+    if sleepers > 0 {
         let _g = shared.sleep_lock.lock();
-        for _ in 0..n_ready {
+        for _ in 0..n_ready.min(sleepers) {
             shared.wake_cv.notify_one();
         }
     }
 }
 
 /// The watchdog: periodically scans every worker's watch slot and
-/// counts tasks that have been executing longer than the stall
+/// counts bodies that have been executing longer than the stall
 /// budget. Exits when the budget is cleared or the executor shuts
-/// down. Each (worker, task) pair is flagged at most once.
+/// down. Each (worker, body) pair is flagged at most once.
 fn watchdog_loop(shared: Arc<ExecShared>) {
     let mut flagged: HashMap<usize, u64> = HashMap::new();
     loop {
@@ -788,33 +974,27 @@ mod tests {
     use crate::fault::{FaultSpec, FireSchedule};
     use crate::mapper::RoundRobinMapper;
 
-    fn runnable(id: TaskId, f: impl FnOnce() + Send + 'static) -> Runnable {
-        Runnable {
+    fn member(id: TaskId, meta: TaskMetaLite, f: impl FnOnce() + Send + 'static) -> Member {
+        Member {
             id,
             name: "test",
             body: Box::new(move |_| f()),
-            reqs: Arc::new(Vec::new()),
-            meta: TaskMetaLite::default(),
-            ready_ns: 0,
+            ctx: TaskContext { reqs: Vec::new() },
+            meta,
             fault: None,
-            poisoned: false,
         }
     }
 
+    fn runnable(id: TaskId, f: impl FnOnce() + Send + 'static) -> Runnable {
+        Runnable::single(member(id, TaskMetaLite::default(), f))
+    }
+
     fn runnable_colored(id: TaskId, color: usize, f: impl FnOnce() + Send + 'static) -> Runnable {
-        Runnable {
-            id,
-            name: "test",
-            body: Box::new(move |_| f()),
-            reqs: Arc::new(Vec::new()),
-            meta: TaskMetaLite {
-                color: Some(color),
-                ..TaskMetaLite::default()
-            },
-            ready_ns: 0,
-            fault: None,
-            poisoned: false,
-        }
+        let meta = TaskMetaLite {
+            color: Some(color),
+            ..TaskMetaLite::default()
+        };
+        Runnable::single(member(id, meta, f))
     }
 
     #[test]
@@ -1092,10 +1272,13 @@ mod tests {
             );
         }
         let o = Arc::clone(&order);
-        let mut hi = runnable(99, move || {
+        let express = TaskMetaLite {
+            priority: 1,
+            ..TaskMetaLite::default()
+        };
+        let hi = Runnable::single(member(99, express, move || {
             o.lock().push(99);
-        });
-        hi.meta.priority = 1;
+        }));
         ex.submit(hi, &[]);
         gate.store(1, Ordering::Release);
         ex.fence().unwrap();

@@ -87,7 +87,8 @@ pub enum RuntimeError {
         /// Name of the body-less task.
         task: &'static str,
     },
-    /// `begin_trace` was called while another capture was active.
+    /// `begin_trace` or `replay` was called while the calling thread
+    /// had a capture open.
     NestedTrace,
     /// `end_trace` was called with no capture active.
     NoActiveTrace,
@@ -109,7 +110,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::MissingBody { task } => {
                 write!(f, "task '{task}' submitted without a body; call .body(..)")
             }
-            RuntimeError::NestedTrace => write!(f, "begin_trace while a capture is active"),
+            RuntimeError::NestedTrace => {
+                write!(f, "begin_trace or replay while a capture is active")
+            }
             RuntimeError::NoActiveTrace => write!(f, "end_trace without begin_trace"),
             RuntimeError::ReplayLengthMismatch { expected, got } => write!(
                 f,

@@ -46,7 +46,11 @@ impl Analyzer {
         for req in reqs {
             let frontier = self.frontiers.entry(req.buffer_id).or_default();
             for e in &frontier.entries {
-                let conflict = (req.write || e.write) && !e.subset.is_disjoint(&req.subset);
+                // An entry of this very task is an earlier requirement
+                // of its own on the same buffer, not a dependence.
+                let conflict = e.task != task
+                    && (req.write || e.write)
+                    && !e.subset.is_disjoint(&req.subset);
                 if conflict {
                     deps.push(e.task);
                 }
@@ -169,6 +173,16 @@ mod tests {
         a.analyze(1, &[req(10, 0, 4, true), req(11, 0, 4, true)]);
         let deps = a.analyze(2, &[req(10, 0, 4, false), req(11, 0, 4, false)]);
         assert_eq!(deps, vec![1], "duplicate deps deduplicated");
+    }
+
+    #[test]
+    fn own_requirements_are_not_dependences() {
+        let mut a = Analyzer::new();
+        a.analyze(1, &[req(10, 0, 8, true)]);
+        // Reads and writes overlapping parts of one buffer: waits on
+        // task 1 only, never on itself.
+        let deps = a.analyze(2, &[req(10, 0, 4, false), req(10, 2, 6, true)]);
+        assert_eq!(deps, vec![1]);
     }
 
     #[test]

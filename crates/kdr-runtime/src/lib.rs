@@ -14,7 +14,8 @@
 //! through [`Future`]s, *index launches* spray one task per color of a
 //! partition, and *dynamic tracing* memoizes the dependence analysis
 //! of a repeated task sequence (after Lee et al., SC'18, which the
-//! paper cites for exactly this purpose).
+//! paper cites for exactly this purpose) and compiles it into a step
+//! graph whose same-colour tasks replay fused ([`trace`]).
 //!
 //! ## Safety model
 //!
@@ -26,7 +27,8 @@
 //! enforces — which makes the raw accesses data-race free. Debug
 //! builds additionally assert that every access stays inside the
 //! subset the task declared. All `unsafe` in this crate lives in
-//! [`buffer`].
+//! [`buffer`], apart from the event log's per-worker span ring in
+//! [`events`].
 //!
 //! ## Observability
 //!

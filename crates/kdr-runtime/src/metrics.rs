@@ -154,15 +154,26 @@ impl HistogramSnapshot {
 /// [`Runtime::enable_events`](crate::Runtime::enable_events)).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Tasks submitted (analyzed or replayed).
+    /// Scheduled nodes submitted (analyzed or replayed). A node is
+    /// what the executor queues, runs and retires as one unit: a task
+    /// submitted through analysis is a node of its own, and a replayed
+    /// step's tasks are fused into the nodes of its compiled trace
+    /// (see [`crate::trace`]). `tasks_submitted + tasks_fused` is the
+    /// number of task bodies submitted.
     pub tasks_submitted: u64,
-    /// Task bodies actually executed.
+    /// Scheduled nodes executed (a node whose body panicked included,
+    /// nodes retired as poisoned not).
     pub tasks_executed: u64,
     /// Tasks that went through dependence analysis (not replayed).
     pub tasks_analyzed: u64,
-    /// Tasks submitted through trace replay (analysis skipped).
+    /// Scheduled nodes submitted through trace replay (analysis
+    /// skipped).
     pub tasks_replayed: u64,
-    /// Tasks executed by a worker other than their affinity target.
+    /// Task bodies folded into a replayed node behind its first
+    /// member: submitted, run and logged, but never scheduled on
+    /// their own.
+    pub tasks_fused: u64,
+    /// Nodes executed by a worker other than their affinity target.
     pub tasks_stolen: u64,
     /// Dependence edges created by analysis.
     pub edges_created: u64,
@@ -194,9 +205,11 @@ pub struct MetricsSnapshot {
     pub queue_wait_ns: HistogramSnapshot,
     /// Distribution of task execution times (start → end), ns.
     pub execute_ns: HistogramSnapshot,
-    /// Executed-task tallies keyed by kernel name (e.g.
+    /// Executed-body tallies keyed by kernel name (e.g.
     /// `spmv_dia` vs `spmv_csr`), so backends can report which
-    /// specialized kernels actually ran.
+    /// specialized kernels actually ran. Per body, fused or not:
+    /// this and [`MetricsSnapshot::task_execute_ns`] are the cost
+    /// catalogue's input.
     pub task_counts: BTreeMap<&'static str, u64>,
     /// Accumulated execution nanoseconds per kernel name — the
     /// per-kernel companion of [`MetricsSnapshot::execute_ns`]. Only

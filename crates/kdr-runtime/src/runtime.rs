@@ -8,7 +8,6 @@
 //! stall watchdog are armed through [`Runtime::set_fault_plan`] and
 //! [`Runtime::set_stall_budget`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,17 +15,23 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::events::{Provenance, SubmitRecord, TaskSpan};
-use crate::executor::{Executor, Runnable};
+use crate::executor::{Executor, Member, Runnable};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
 use crate::mapper::Mapper;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{TaskBuilder, TaskId, TaskMetaLite};
+use crate::task::{TaskBuilder, TaskContext, TaskId, TaskMetaLite};
 use crate::trace::Trace;
 
+/// A capture in progress. Only the owning thread submits while it is
+/// open, so the captured tasks' ids are `first_id, first_id + 1, …`
+/// and a task's trace-local index is its id minus `first_id`.
 struct TraceCapture {
-    id_to_local: HashMap<TaskId, usize>,
+    first_id: TaskId,
     deps: Vec<Vec<usize>>,
+    /// Affinity colour of each captured task: what the compile step
+    /// fuses by.
+    colors: Vec<Option<usize>>,
 }
 
 struct RtState {
@@ -42,6 +47,7 @@ struct RtState {
     tasks_submitted: u64,
     tasks_replayed: u64,
     tasks_analyzed: u64,
+    tasks_fused: u64,
 }
 
 /// A task-oriented runtime instance owning a worker pool.
@@ -104,6 +110,7 @@ impl Runtime {
                 tasks_submitted: 0,
                 tasks_replayed: 0,
                 tasks_analyzed: 0,
+                tasks_fused: 0,
             }),
             capture_cv: Condvar::new(),
             reduction_stages: AtomicU64::new(0),
@@ -181,7 +188,6 @@ impl Runtime {
             Some(b) => b,
             None => return Err(RuntimeError::MissingBody { task: task.name }),
         };
-        let reqs = Arc::new(task.reqs);
 
         let mut st = self.lock_past_foreign_capture();
         let id = st.next_id;
@@ -192,13 +198,12 @@ impl Runtime {
         let deps = st.analyzer.analyze(id, &lites);
         st.analysis_ns += t0.elapsed().as_nanos() as u64;
         if let Some(cap) = &mut st.capture {
-            let local = cap.deps.len();
-            let local_deps = deps
-                .iter()
-                .filter_map(|d| cap.id_to_local.get(d).copied())
-                .collect();
-            cap.id_to_local.insert(id, local);
-            cap.deps.push(local_deps);
+            // The capture began from a cleared analyzer, so every
+            // dependence is on a task of this capture.
+            let first = cap.first_id;
+            cap.deps
+                .push(deps.iter().map(|d| (d - first) as usize).collect());
+            cap.colors.push(task.meta.color);
         }
         if self.exec.events().enabled() {
             self.exec.events().record_submit(SubmitRecord {
@@ -213,16 +218,14 @@ impl Runtime {
         // enter the executor in analysis order (which also keeps
         // fault-injection decisions deterministic).
         self.exec.submit(
-            Runnable {
+            Runnable::single(Member {
                 id,
                 name: task.name,
                 body,
-                reqs,
+                ctx: TaskContext { reqs: task.reqs },
                 meta: TaskMetaLite::from_meta(&task.meta),
-                ready_ns: 0,
                 fault: None,
-                poisoned: false,
-            },
+            }),
             &deps,
         );
         drop(st);
@@ -305,16 +308,18 @@ impl Runtime {
             }
             st.analyzer.clear();
             st.capture = Some(TraceCapture {
-                id_to_local: HashMap::new(),
+                first_id: st.next_id,
                 deps: Vec::new(),
+                colors: Vec::new(),
             });
             st.capture_owner = Some(std::thread::current().id());
             return Ok(());
         }
     }
 
-    /// Finish capturing; returns the trace. Fences so the recorded
-    /// frontier is final.
+    /// Finish capturing; returns the trace, compiled into the step
+    /// graph its replays are scheduled as (see [`crate::trace`]).
+    /// Fences so the recorded frontier is final.
     ///
     /// The capture closes even when the fence reports a task failure
     /// (the trace is void and the failure is returned) — a capture
@@ -338,31 +343,24 @@ impl Runtime {
         if let Err(e) = fenced {
             return Err(RuntimeError::TaskFailed(e));
         }
-        let frontier = st
-            .analyzer
-            .snapshot()
-            .into_iter()
-            .map(|(buf, mut f)| {
-                for e in &mut f.entries {
-                    e.task = *cap
-                        .id_to_local
-                        .get(&e.task)
-                        .expect("frontier task must be intra-trace")
-                        as TaskId;
-                }
-                (buf, f)
-            })
-            .collect();
-        Ok(Trace {
-            deps: cap.deps,
-            frontier,
-        })
+        let mut frontier = st.analyzer.snapshot();
+        drop(st);
+        for (_, f) in &mut frontier {
+            for e in &mut f.entries {
+                e.task -= cap.first_id;
+            }
+        }
+        Ok(Trace::compile(cap.deps, &cap.colors, frontier))
     }
 
     /// Replay a captured trace with a fresh, same-shaped task list:
     /// `tasks[i]` must declare the same accesses as the `i`-th
-    /// captured task. Dependence analysis is skipped; the recorded
-    /// edges and final frontier are installed instead.
+    /// captured task. Dependence analysis is skipped; the bodies are
+    /// grouped into the trace's compiled nodes and the whole step
+    /// graph is handed to the executor at once, then the recorded
+    /// final frontier is installed. Returns the id of every task, in
+    /// order; a fused task runs under its node, whose id is its first
+    /// member's.
     pub fn replay(
         &self,
         trace: &Trace,
@@ -377,45 +375,60 @@ impl Runtime {
         if let Some(t) = tasks.iter().find(|t| t.body.is_none()) {
             return Err(RuntimeError::MissingBody { task: t.name });
         }
-        self.exec.fence().map_err(RuntimeError::TaskFailed)?;
-        let mut st = self.lock_past_foreign_capture();
-        let base = st.next_id;
-        st.next_id += tasks.len() as TaskId;
-        st.tasks_submitted += tasks.len() as u64;
-        st.tasks_replayed += tasks.len() as u64;
-        let mut ids = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.into_iter().enumerate() {
-            let id = base + i as TaskId;
-            let body = task.body.expect("bodies were checked above");
-            let reqs = Arc::new(task.reqs);
-            let deps: Vec<TaskId> = trace.deps[i].iter().map(|&l| base + l as TaskId).collect();
-            if self.exec.events().enabled() {
-                self.exec.events().record_submit(SubmitRecord {
-                    id,
-                    name: task.name,
-                    provenance: Provenance::Replayed,
-                    submit_ns: self.exec.events().now_ns(),
-                    deps: deps.clone(),
-                });
+        // The recorded graph has no edges to anything outside it and
+        // the recorded frontier replaces the analyzer's, so the step
+        // must start from a quiescent runtime. Submissions hold the
+        // state lock, so quiescence observed under it holds until the
+        // step is in (same protocol as `begin_trace`).
+        let mut st = loop {
+            self.exec.fence().map_err(RuntimeError::TaskFailed)?;
+            let st = self.lock_past_foreign_capture();
+            if st.capture.is_some() {
+                // This thread's own capture: a replay would replace
+                // the frontier the capture is recording.
+                return Err(RuntimeError::NestedTrace);
             }
-            self.exec.submit(
-                Runnable {
+            if self.exec.outstanding() == 0 {
+                break st;
+            }
+        };
+        let base = st.next_id;
+        let end = base + tasks.len() as TaskId;
+        let nodes = trace.num_nodes() as u64;
+        st.next_id = end;
+        st.tasks_submitted += nodes;
+        st.tasks_replayed += nodes;
+        st.tasks_fused += tasks.len() as u64 - nodes;
+        let logging = self.exec.events().enabled();
+        let members = tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, task)| {
+                let id = base + i as TaskId;
+                if logging {
+                    self.exec.events().record_submit(SubmitRecord {
+                        id,
+                        name: task.name,
+                        provenance: Provenance::Replayed,
+                        submit_ns: self.exec.events().now_ns(),
+                        deps: trace.deps[i].iter().map(|&l| base + l as TaskId).collect(),
+                    });
+                }
+                Member {
                     id,
                     name: task.name,
-                    body,
-                    reqs,
+                    body: task.body.expect("bodies were checked above"),
+                    ctx: TaskContext { reqs: task.reqs },
                     meta: TaskMetaLite::from_meta(&task.meta),
-                    ready_ns: 0,
                     fault: None,
-                    poisoned: false,
-                },
-                &deps,
-            );
-            ids.push(id);
-        }
+                }
+            })
+            .collect();
+        self.exec
+            .submit_graph(base, Arc::clone(&trace.graph), members);
         st.analyzer.install(&trace.frontier, |local| base + local);
         drop(st);
-        Ok(ids)
+        Ok((base..end).collect())
     }
 
     /// Enable or disable structured event logging. Off by default;
@@ -454,6 +467,7 @@ impl Runtime {
             tasks_executed: self.exec.executed(),
             tasks_analyzed: st.tasks_analyzed,
             tasks_replayed: st.tasks_replayed,
+            tasks_fused: st.tasks_fused,
             tasks_stolen: self.exec.stolen(),
             edges_created: st.analyzer.edges_created,
             analysis_ns: st.analysis_ns,
@@ -628,6 +642,14 @@ mod tests {
         assert_eq!(rt.end_trace().unwrap_err(), RuntimeError::NoActiveTrace);
         rt.begin_trace().unwrap();
         assert_eq!(rt.begin_trace().unwrap_err(), RuntimeError::NestedTrace);
+        let empty = rt.end_trace().unwrap();
+        // A replay inside a capture would overwrite the frontier the
+        // capture records.
+        rt.begin_trace().unwrap();
+        assert_eq!(
+            rt.replay(&empty, Vec::new()).unwrap_err(),
+            RuntimeError::NestedTrace
+        );
         let _ = rt.end_trace().unwrap();
     }
 

@@ -66,7 +66,8 @@ pub enum Privilege {
 /// One declared access of a task.
 pub(crate) struct Requirement {
     pub buffer_id: u64,
-    /// Type-erased `Buffer<T>` for view construction.
+    /// The buffer, type-erased (see `Buffer::erased`), for view
+    /// construction.
     pub handle: Arc<dyn Any + Send + Sync>,
     pub subset: Arc<IntervalSet>,
     pub privilege: Privilege,
@@ -79,7 +80,7 @@ pub(crate) struct Requirement {
 
 /// The monomorphized body of [`Requirement::corrupt`].
 fn corrupt_requirement<T: Copy + Send + 'static>(req: &Requirement) {
-    if let (Some(buf), Some(i)) = (req.handle.downcast_ref::<Buffer<T>>(), req.subset.min()) {
+    if let (Some(buf), Some(i)) = (Buffer::<T>::from_erased(&req.handle), req.subset.min()) {
         buf.corrupt_element(i as usize);
     }
 }
@@ -114,14 +115,17 @@ impl TaskBuilder {
         }
     }
 
-    /// Declare a read of `subset` of `buffer`. Returns the requirement
-    /// index used with [`TaskContext::read`].
+    /// Declare a read of `subset` of `buffer`; the requirement's
+    /// index (declaration order) is what [`TaskContext::read`] takes.
+    /// A caller that declares the same subset every iteration passes
+    /// a shared `Arc<IntervalSet>` and pays a reference count, not a
+    /// copy; an `IntervalSet` by value works too.
     pub fn read<T: Copy + Send + 'static>(
         mut self,
         buffer: &Buffer<T>,
-        subset: IntervalSet,
+        subset: impl Into<Arc<IntervalSet>>,
     ) -> Self {
-        self.push(buffer, subset, Privilege::Read);
+        self.push(buffer, subset.into(), Privilege::Read);
         self
     }
 
@@ -129,34 +133,32 @@ impl TaskBuilder {
     pub fn write<T: Copy + Send + 'static>(
         mut self,
         buffer: &Buffer<T>,
-        subset: IntervalSet,
+        subset: impl Into<Arc<IntervalSet>>,
     ) -> Self {
-        self.push(buffer, subset, Privilege::Write);
+        self.push(buffer, subset.into(), Privilege::Write);
         self
     }
 
     /// Declare a read of the whole buffer.
     pub fn read_all<T: Copy + Send + 'static>(self, buffer: &Buffer<T>) -> Self {
-        let s = IntervalSet::full(buffer.len() as u64);
-        self.read(buffer, s)
+        self.read(buffer, buffer.full_subset())
     }
 
     /// Declare a read-write of the whole buffer.
     pub fn write_all<T: Copy + Send + 'static>(self, buffer: &Buffer<T>) -> Self {
-        let s = IntervalSet::full(buffer.len() as u64);
-        self.write(buffer, s)
+        self.write(buffer, buffer.full_subset())
     }
 
     fn push<T: Copy + Send + 'static>(
         &mut self,
         buffer: &Buffer<T>,
-        subset: IntervalSet,
+        subset: Arc<IntervalSet>,
         privilege: Privilege,
     ) {
         self.reqs.push(Requirement {
             buffer_id: buffer.id(),
-            handle: Arc::new(buffer.clone()),
-            subset: Arc::new(subset),
+            handle: buffer.erased(),
+            subset,
             privilege,
             corrupt: corrupt_requirement::<T>,
         });
@@ -197,7 +199,7 @@ impl TaskBuilder {
 /// Handed to a running task body: resolves requirement indices to
 /// typed views.
 pub struct TaskContext {
-    pub(crate) reqs: Arc<Vec<Requirement>>,
+    pub(crate) reqs: Vec<Requirement>,
 }
 
 impl TaskContext {
@@ -205,11 +207,9 @@ impl TaskContext {
     /// mismatch.
     pub fn read<T: Copy + Send + 'static>(&self, idx: usize) -> ReadView<T> {
         let req = &self.reqs[idx];
-        let buf = req
-            .handle
-            .downcast_ref::<Buffer<T>>()
-            .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"));
-        buf.read_view(Arc::clone(&req.subset))
+        Buffer::<T>::from_erased(&req.handle)
+            .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"))
+            .into_read_view(Arc::clone(&req.subset))
     }
 
     /// A write view of requirement `idx`; panics unless the
@@ -221,11 +221,9 @@ impl TaskContext {
             Privilege::Write,
             "requirement {idx} was not declared writable"
         );
-        let buf = req
-            .handle
-            .downcast_ref::<Buffer<T>>()
-            .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"));
-        buf.write_view(Arc::clone(&req.subset))
+        Buffer::<T>::from_erased(&req.handle)
+            .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"))
+            .into_write_view(Arc::clone(&req.subset))
     }
 
     /// The declared subset of requirement `idx`.
@@ -263,7 +261,7 @@ mod tests {
         let a = Buffer::from_vec(vec![1.0f64, 2.0]);
         let t = TaskBuilder::new("t").write_all(&a);
         let ctx = TaskContext {
-            reqs: Arc::new(t.reqs),
+            reqs: t.reqs,
         };
         let w = ctx.write::<f64>(0);
         w.set(0, 9.0);
@@ -277,7 +275,7 @@ mod tests {
         let a = Buffer::filled(2, 0.0f64);
         let t = TaskBuilder::new("t").read_all(&a);
         let ctx = TaskContext {
-            reqs: Arc::new(t.reqs),
+            reqs: t.reqs,
         };
         let _ = ctx.write::<f64>(0);
     }
@@ -288,7 +286,7 @@ mod tests {
         let a = Buffer::filled(2, 0.0f64);
         let t = TaskBuilder::new("t").read_all(&a);
         let ctx = TaskContext {
-            reqs: Arc::new(t.reqs),
+            reqs: t.reqs,
         };
         let _ = ctx.read::<f32>(0);
     }

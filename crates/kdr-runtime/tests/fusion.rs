@@ -1,0 +1,443 @@
+//! Compiled traces: a replayed step runs as fused nodes, and nothing
+//! observable may tell.
+//!
+//! * Random task programs (random buffers, subsets, colours and
+//!   privileges) leave every buffer bitwise as a sequential in-order
+//!   oracle leaves it, whether submitted through analysis or captured
+//!   once and replayed, and their compiled graphs keep every captured
+//!   edge inside a node or pointing from an earlier node to a later
+//!   one.
+//! * A failing body fails its node: earlier members have run, later
+//!   ones are dropped, successors are poisoned, and the runtime works
+//!   again once the failure is taken.
+//! * Fault-plan decisions, task counts and spans stay per body.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use kdr_index::IntervalSet;
+use kdr_runtime::{
+    promise, Buffer, ColorAffinityMapper, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
+    TaskBuilder, TaskErrorKind, TaskMeta, TaskOutcome, Trace,
+};
+use proptest::prelude::*;
+
+const BUFLEN: u64 = 24;
+
+#[derive(Clone, Debug)]
+struct Req {
+    buf: usize,
+    lo: u64,
+    hi: u64,
+    write: bool,
+}
+
+/// One random task: its declared accesses, colour and a constant.
+#[derive(Clone, Debug)]
+struct Op {
+    reqs: Vec<Req>,
+    color: Option<usize>,
+    c: f64,
+}
+
+/// What an op does, over any way of reaching requirement `k`'s
+/// element `i`. Order-sensitive in every step, so two conflicting ops
+/// run in the wrong order, or one run twice, change bits.
+fn apply(op: &Op, get: impl Fn(usize, usize) -> f64, mut set: impl FnMut(usize, usize, f64)) {
+    let mut s = op.c;
+    for (k, r) in op.reqs.iter().enumerate() {
+        for i in r.lo as usize..r.hi as usize {
+            s = s * 0.25 + get(k, i) * 0.125;
+        }
+    }
+    for (k, r) in op.reqs.iter().enumerate().filter(|(_, r)| r.write) {
+        for i in r.lo as usize..r.hi as usize {
+            let v = get(k, i) * 0.5 + s + i as f64 * 1e-3;
+            set(k, i, v);
+            s = s * 0.5 + v * 0.25;
+        }
+    }
+}
+
+fn initial(nbuf: usize) -> Vec<Vec<f64>> {
+    (0..nbuf)
+        .map(|b| (0..BUFLEN).map(|i| (b + 1) as f64 + i as f64 * 0.5).collect())
+        .collect()
+}
+
+/// The oracle: `rounds` passes over the program, in order, on plain
+/// vectors.
+fn run_sequential(ops: &[Op], nbuf: usize, rounds: usize) -> Vec<Vec<u64>> {
+    let mut bufs = initial(nbuf);
+    for _ in 0..rounds {
+        for op in ops {
+            // The borrow of `bufs` is split by going through a cell
+            // per call: reads see every earlier write of this op.
+            let cell = std::cell::RefCell::new(&mut bufs);
+            apply(
+                op,
+                |k, i| cell.borrow()[op.reqs[k].buf][i],
+                |k, i, v| cell.borrow_mut()[op.reqs[k].buf][i] = v,
+            );
+        }
+    }
+    bits(&bufs)
+}
+
+fn bits(bufs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    bufs.iter()
+        .map(|b| b.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+fn task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
+    let mut t = TaskBuilder::new("op");
+    if let Some(c) = op.color {
+        t = t.meta(TaskMeta::new("op").with_color(c));
+    }
+    for r in &op.reqs {
+        let subset = IntervalSet::from_range(r.lo, r.hi);
+        t = if r.write {
+            t.write(&bufs[r.buf], subset)
+        } else {
+            t.read(&bufs[r.buf], subset)
+        };
+    }
+    let op = op.clone();
+    t.body(move |ctx| {
+        apply(
+            &op,
+            |k, i| {
+                if op.reqs[k].write {
+                    ctx.write::<f64>(k).get(i)
+                } else {
+                    ctx.read::<f64>(k).get(i)
+                }
+            },
+            |k, i, v| ctx.write::<f64>(k).set(i, v),
+        );
+    })
+}
+
+fn runtime(workers: usize) -> Runtime {
+    Runtime::with_mapper(workers, Arc::new(ColorAffinityMapper::new(workers)))
+}
+
+fn buffers(nbuf: usize) -> Vec<Buffer<f64>> {
+    initial(nbuf).into_iter().map(Buffer::from_vec).collect()
+}
+
+fn snapshot(bufs: &[Buffer<f64>]) -> Vec<Vec<u64>> {
+    bits(&bufs.iter().map(Buffer::snapshot).collect::<Vec<_>>())
+}
+
+/// Every captured edge is inside a node or goes from an earlier node
+/// to a later one — which also says the node graph is acyclic.
+fn assert_compiled_graph_is_sound(trace: &Trace) {
+    assert!(trace.num_nodes() <= trace.len());
+    for i in 0..trace.len() {
+        assert!(trace.node_of(i) < trace.num_nodes());
+        for &d in trace.deps_of(i) {
+            assert!(d < i, "captured edges point backwards");
+            assert!(
+                trace.node_of(d) <= trace.node_of(i),
+                "edge {d} -> {i} runs from node {} back to node {}",
+                trace.node_of(d),
+                trace.node_of(i)
+            );
+        }
+    }
+}
+
+fn arb_req(nbuf: usize) -> impl Strategy<Value = Req> {
+    (0..nbuf, 0..BUFLEN - 1, 1..9u64, 0..3u8).prop_map(|(buf, lo, len, kind)| Req {
+        buf,
+        lo,
+        hi: (lo + len).min(BUFLEN),
+        write: kind != 0,
+    })
+}
+
+fn arb_op(nbuf: usize) -> impl Strategy<Value = Op> {
+    (
+        prop::collection::vec(arb_req(nbuf), 1..4),
+        0..6usize,
+        -4i32..5,
+    )
+        .prop_map(|(reqs, color, c)| Op {
+            reqs,
+            // Two in six tasks carry no colour and never fuse.
+            color: (color < 4).then_some(color),
+            c: f64::from(c) * 0.375,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn random_programs_match_the_sequential_oracle(
+        nbuf in 2usize..5,
+        seed_ops in prop::collection::vec(arb_op(4), 1..48),
+        workers in 1usize..5,
+    ) {
+        let ops: Vec<Op> = seed_ops
+            .into_iter()
+            .map(|mut op| {
+                for r in &mut op.reqs {
+                    r.buf %= nbuf;
+                }
+                op
+            })
+            .collect();
+        const ROUNDS: usize = 4;
+        let expect = run_sequential(&ops, nbuf, ROUNDS);
+
+        // Analyzed submission, round after round.
+        let rt = runtime(workers);
+        let bufs = buffers(nbuf);
+        for _ in 0..ROUNDS {
+            for op in &ops {
+                rt.submit(task(op, &bufs)).unwrap();
+            }
+        }
+        rt.fence().unwrap();
+        prop_assert_eq!(snapshot(&bufs), expect.clone());
+
+        // Captured once, replayed three times.
+        let rt = runtime(workers);
+        let bufs = buffers(nbuf);
+        rt.begin_trace().unwrap();
+        for op in &ops {
+            rt.submit(task(op, &bufs)).unwrap();
+        }
+        let trace = rt.end_trace().unwrap();
+        prop_assert_eq!(trace.len(), ops.len());
+        assert_compiled_graph_is_sound(&trace);
+        for _ in 1..ROUNDS {
+            let ids = rt
+                .replay(&trace, ops.iter().map(|op| task(op, &bufs)).collect())
+                .unwrap();
+            prop_assert_eq!(ids.len(), ops.len());
+        }
+        rt.fence().unwrap();
+        prop_assert_eq!(snapshot(&bufs), expect);
+        let m = rt.metrics();
+        let replayed_bodies = ((ROUNDS - 1) * ops.len()) as u64;
+        prop_assert_eq!(m.tasks_replayed + m.tasks_fused, replayed_bodies);
+        prop_assert_eq!(m.tasks_executed, m.tasks_submitted);
+    }
+}
+
+/// One cell per task: `a`, `b`, `c` written by three tasks of one
+/// colour (one node), `c` read by a colourless successor that writes
+/// `d`, and `e` written by an independent colourless task.
+struct Cells {
+    a: Buffer<f64>,
+    b: Buffer<f64>,
+    c: Buffer<f64>,
+    d: Buffer<f64>,
+    e: Buffer<f64>,
+}
+
+fn bump(name: &'static str, color: Option<usize>, buf: &Buffer<f64>) -> TaskBuilder {
+    let mut t = TaskBuilder::new(name);
+    if let Some(c) = color {
+        t = t.meta(TaskMeta::new(name).with_color(c));
+    }
+    t.write_all(buf).body(|ctx| {
+        let w = ctx.write::<f64>(0);
+        w.set(0, w.get(0) + 1.0);
+    })
+}
+
+/// The five-task step over `cells`. `t1` panics while `explode` is
+/// set; `t2` fulfils `done` when given one.
+fn step(
+    cells: &Cells,
+    explode: &Arc<AtomicBool>,
+    done: Option<kdr_runtime::Promise<f64>>,
+) -> Vec<TaskBuilder> {
+    let explode = Arc::clone(explode);
+    vec![
+        bump("t0", Some(7), &cells.a),
+        TaskBuilder::new("t1")
+            .meta(TaskMeta::new("t1").with_color(7))
+            .write_all(&cells.b)
+            .body(move |ctx| {
+                assert!(!explode.load(Ordering::SeqCst), "t1 exploded");
+                let w = ctx.write::<f64>(0);
+                w.set(0, w.get(0) + 1.0);
+            }),
+        TaskBuilder::new("t2")
+            .meta(TaskMeta::new("t2").with_color(7))
+            .write_all(&cells.c)
+            .body(move |ctx| {
+                let w = ctx.write::<f64>(0);
+                w.set(0, w.get(0) + 1.0);
+                if let Some(p) = done {
+                    p.set(w.get(0));
+                }
+            }),
+        TaskBuilder::new("t3")
+            .read_all(&cells.c)
+            .write_all(&cells.d)
+            .body(|ctx| {
+                let c = ctx.read::<f64>(0).get(0);
+                ctx.write::<f64>(1).set(0, c * 10.0);
+            }),
+        bump("t4", None, &cells.e),
+    ]
+}
+
+fn values(cells: &Cells) -> [f64; 5] {
+    [&cells.a, &cells.b, &cells.c, &cells.d, &cells.e].map(|b| b.snapshot()[0])
+}
+
+#[test]
+fn a_panicking_member_fails_its_node_and_the_runtime_recovers() {
+    let rt = Runtime::new(2);
+    let cells = Cells {
+        a: Buffer::filled(1, 0.0),
+        b: Buffer::filled(1, 0.0),
+        c: Buffer::filled(1, 0.0),
+        d: Buffer::filled(1, 0.0),
+        e: Buffer::filled(1, 0.0),
+    };
+    let explode = Arc::new(AtomicBool::new(false));
+    rt.begin_trace().unwrap();
+    for t in step(&cells, &explode, None) {
+        rt.submit(t).unwrap();
+    }
+    let trace = rt.end_trace().unwrap();
+    assert_eq!(trace.len(), 5);
+    assert_eq!(trace.num_nodes(), 3, "t0 + t1 + t2 fuse, t3 and t4 do not");
+    assert_eq!(trace.node_of(0), trace.node_of(2));
+    assert_eq!(values(&cells), [1.0, 1.0, 1.0, 10.0, 1.0]);
+
+    // The second member of the fused node panics.
+    explode.store(true, Ordering::SeqCst);
+    let (p, f) = promise::<f64>();
+    let ids = rt.replay(&trace, step(&cells, &explode, Some(p))).unwrap();
+    let err = rt.fence().unwrap_err();
+    assert_eq!((err.task, err.name), (ids[1], "t1"));
+    assert!(matches!(&err.kind, TaskErrorKind::Panicked(m) if m.contains("t1 exploded")));
+    // t0 ran, t1 failed before writing, t2 was dropped (its promise
+    // poisons), t3 was poisoned, t4 is independent.
+    assert_eq!(values(&cells), [2.0, 1.0, 1.0, 10.0, 2.0]);
+    assert!(f.wait().is_err(), "a dropped member poisons its promise");
+    let m = rt.metrics();
+    assert_eq!(m.task_failures, 1);
+    assert_eq!(m.tasks_poisoned, 1, "t3, as one node");
+    // The failure sticks until taken, and poisons what depends on it.
+    assert!(rt.fence().is_err());
+    rt.submit(bump("late", None, &cells.c)).unwrap();
+    let _ = rt.fence();
+    assert_eq!(rt.metrics().tasks_poisoned, 2, "born poisoned");
+    assert_eq!(rt.take_failure().unwrap().name, "t1");
+    rt.fence().unwrap();
+
+    // Reusable: the same trace replays cleanly afterwards.
+    explode.store(false, Ordering::SeqCst);
+    let (p, f) = promise::<f64>();
+    rt.replay(&trace, step(&cells, &explode, Some(p))).unwrap();
+    assert_eq!(f.get(), 2.0);
+    rt.fence().unwrap();
+    assert_eq!(values(&cells), [3.0, 2.0, 2.0, 20.0, 3.0]);
+}
+
+/// `n` tasks named `w` on private cells, colours alternating between
+/// two, so the compiled order (all of colour 0, then all of colour 1)
+/// differs from submission order.
+fn alternating(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, b)| bump("w", Some(i % 2), b))
+        .collect()
+}
+
+#[test]
+fn fault_plan_decisions_follow_submission_order_when_fused() {
+    let plan = || {
+        FaultPlan::seeded(11).with(FaultSpec {
+            name_contains: "w".into(),
+            kind: FaultKind::Panic,
+            schedule: FireSchedule::Nth(4),
+            max_fires: 1,
+        })
+    };
+    // Analyzed: the fourth submitted task panics.
+    let rt = Runtime::new(2);
+    let cells: Vec<Buffer<f64>> = (0..8).map(|_| Buffer::filled(1, 0.0)).collect();
+    rt.set_fault_plan(Some(plan()));
+    let first = rt.submit(bump("w", Some(0), &cells[0])).unwrap();
+    for (i, b) in cells.iter().enumerate().skip(1) {
+        rt.submit(bump("w", Some(i % 2), b)).unwrap();
+    }
+    let analyzed = rt.fence().unwrap_err().task - first;
+    assert_eq!(analyzed, 3);
+
+    // Replayed as two fused nodes: still the fourth submitted body,
+    // although it is the second member of the second node.
+    let rt = Runtime::new(2);
+    rt.begin_trace().unwrap();
+    for t in alternating(&cells) {
+        rt.submit(t).unwrap();
+    }
+    let trace = rt.end_trace().unwrap();
+    assert_eq!(trace.num_nodes(), 2);
+    assert_eq!(trace.node_of(3), 1);
+    rt.set_fault_plan(Some(plan()));
+    let ids = rt.replay(&trace, alternating(&cells)).unwrap();
+    let err = rt.fence().unwrap_err();
+    assert_eq!(err.task - ids[0], analyzed);
+    assert_eq!(rt.metrics().faults_injected, 1);
+}
+
+#[test]
+fn accounting_counts_nodes_and_logs_bodies() {
+    let rt = Runtime::new(1);
+    rt.enable_events(true);
+    let cells: Vec<Buffer<f64>> = (0..8).map(|_| Buffer::filled(1, 0.0)).collect();
+    rt.begin_trace().unwrap();
+    for t in alternating(&cells) {
+        rt.submit(t).unwrap();
+    }
+    let trace = rt.end_trace().unwrap();
+    let ids = rt.replay(&trace, alternating(&cells)).unwrap();
+    rt.fence().unwrap();
+
+    let m = rt.metrics();
+    assert_eq!(m.tasks_analyzed, 8);
+    assert_eq!(m.tasks_replayed, 2, "two scheduled nodes");
+    assert_eq!(m.tasks_fused, 6, "six bodies folded into them");
+    assert_eq!(m.tasks_submitted, 8 + 2);
+    assert_eq!(m.tasks_executed, 8 + 2);
+    assert_eq!(m.task_counts.get("w"), Some(&16), "counts stay per body");
+    assert!(m.task_execute_ns.get("w").is_some_and(|&ns| ns > 0));
+    assert_eq!(m.execute_ns.count, 16);
+
+    // One span per body, replayed ones included, each with its own
+    // id, name and captured dependences.
+    let spans = rt.take_spans();
+    assert_eq!(spans.len(), 16);
+    let replayed: Vec<_> = spans.iter().filter(|s| s.id >= ids[0]).collect();
+    assert_eq!(
+        replayed.iter().map(|s| s.id).collect::<Vec<_>>(),
+        ids,
+        "spans come back id-sorted, one per replayed body"
+    );
+    for s in &replayed {
+        assert_eq!(s.name, "w");
+        assert_eq!(s.outcome, TaskOutcome::Completed);
+        assert!(s.deps.is_empty());
+        assert!(s.ready_ns <= s.start_ns && s.start_ns <= s.end_ns && s.end_ns <= s.retire_ns);
+    }
+    // A fused member is ready when the member before it returns.
+    let node0: Vec<_> = replayed.iter().filter(|s| (s.id - ids[0]) % 2 == 0).collect();
+    for pair in node0.windows(2) {
+        assert_eq!(pair[1].ready_ns, pair[0].end_ns);
+        assert_eq!(pair[1].retire_ns, pair[0].retire_ns);
+    }
+}

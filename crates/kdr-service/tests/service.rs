@@ -400,3 +400,53 @@ fn stencil_session_matches_assembled_bitwise() {
     assert!(!implicit.is_empty());
     assert_eq!(implicit, assembled, "residual histories diverge");
 }
+
+/// Twelve jobs' worth of solves against one session, driven the way
+/// the service drives them (`begin_solve` … `end_solve`): the session
+/// must not age. Every job replays the traces the first one captured,
+/// on the vectors the first one allocated, and walks the same
+/// residual history bit for bit.
+#[test]
+fn twelve_jobs_on_one_session_do_not_age() {
+    use kdr_core::{solve_traced, ExecBackend};
+    use kdr_runtime::{ColorAffinityMapper, Runtime};
+    use kdr_service::Session;
+
+    let mapper = Arc::new(ColorAffinityMapper::new(2));
+    let rt = Arc::new(Runtime::with_mapper(2, mapper.clone()));
+    let mut session = Session::new(rt, mapper, 1, spec(16, 16, 4, SolverKind::Cg));
+    let rhs = rhs_vector::<f64>(16 * 16, 42);
+    let job = |session: &mut Session| {
+        let (mut solver, mark) = session.begin_solve(&rhs, 0);
+        let (report, trace) = solve_traced(session.planner_mut(), solver.as_mut(), control());
+        assert!(report.expect("CG on a Laplacian does not break down").converged);
+        drop(solver);
+        session.end_solve(mark);
+        let history: Vec<(usize, u64)> = trace
+            .residual_history
+            .iter()
+            .map(|&(i, r)| (i, r.to_bits()))
+            .collect();
+        let vectors = session.planner_mut().num_vectors();
+        let (analyzed, cached) = session.planner_mut().with_backend(|b| {
+            let exec = b
+                .as_any()
+                .downcast_mut::<ExecBackend<f64>>()
+                .expect("sessions run on the exec backend");
+            (exec.step_counters().0, exec.trace_cache_len())
+        });
+        (history, analyzed, cached, vectors)
+    };
+    let first = job(&mut session);
+    assert_eq!(first.1, 0, "CG steps are captured or replayed");
+    let second = job(&mut session);
+    assert_eq!(second.0, first.0);
+    for n in 3..=12 {
+        let again = job(&mut session);
+        assert_eq!(again.0, first.0, "job {n}: residual history");
+        assert_eq!(again.1, 0, "job {n}: analyzed steps");
+        assert_eq!(again.2, second.2, "job {n}: cached traces");
+        assert_eq!(again.3, second.3, "job {n}: vectors allocated");
+    }
+    assert_eq!(session.jobs_completed(), 12);
+}

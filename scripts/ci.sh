@@ -80,3 +80,16 @@ cargo run -p kdr-bench --bin service_stress -- --ci-store
 # classic-CG solution. Structural contracts only — no timing
 # assertions in CI.
 cargo run --release -p kdr-bench --bin pipelined_bench -- --ci
+
+# Compiled-trace count leg: twelve CG solves of lap2d 96^2 in 16
+# pieces on one planner. Asserts zero analyzed steps (the workspace
+# pool hands every rebuilt solver the same buffers, so its steps keep
+# replaying) and at most 56 scheduled tasks per warm iteration (the
+# step's 101 task bodies fused into 53 nodes, plus the convergence
+# check). Exact counts only, no timings, so the leg is deterministic.
+cargo run --release -p kdr-bench --bin observability -- --ci-counts
+
+# The benchmark harness is a package of its own that this workspace's
+# build and tests never compile: keep it building, and its unit tests
+# passing, against the crates' public API.
+cargo test --offline --manifest-path perf_ledger/Cargo.toml

@@ -443,16 +443,24 @@ fn metrics_agree_with_traced_stepping_contract() {
     assert!(metrics.trace_cache_len >= 1);
     assert!(metrics.trace_cache_len <= metrics.trace_cache_cap);
 
-    // Every executed task got a span (no drops at default capacity),
-    // and the latency histograms saw them all.
+    // Replayed steps are fused: fewer nodes were scheduled than bodies
+    // ran, and every node submitted was executed.
+    assert!(metrics.runtime.tasks_fused > 0, "{metrics:?}");
     assert_eq!(
-        metrics.runtime.events_recorded,
-        metrics.runtime.tasks_executed
+        metrics.runtime.tasks_executed,
+        metrics.runtime.tasks_submitted
     );
+    // Every executed body got a span of its own, fused or not (no
+    // drops at default capacity), and the latency histograms saw them
+    // all.
+    let bodies = metrics.runtime.tasks_executed + metrics.runtime.tasks_fused;
+    assert_eq!(metrics.runtime.events_recorded, bodies);
     assert_eq!(metrics.runtime.events_dropped, 0);
+    assert_eq!(metrics.runtime.execute_ns.count, bodies);
     assert_eq!(
-        metrics.runtime.execute_ns.count,
-        metrics.runtime.tasks_executed
+        metrics.runtime.task_counts.values().sum::<u64>(),
+        bodies,
+        "per-name counts stay per body"
     );
 }
 
