@@ -93,12 +93,8 @@ impl<T: Scalar> SharedVec<T> {
     /// Publish `data` into `[lo, lo + data.len())`. Caller must own
     /// that slab in the current phase.
     pub fn publish(&self, lo: u64, data: &[T]) {
-        let view = self
-            .buf
-            .write_view(std::sync::Arc::new(kdr_index::IntervalSet::from_range(
-                lo,
-                lo + data.len() as u64,
-            )));
+        let slab = kdr_index::IntervalSet::from_range(lo, lo + data.len() as u64);
+        let view = self.buf.write_view(&slab);
         for (k, &v) in data.iter().enumerate() {
             view.set(lo as usize + k, v);
         }
@@ -108,11 +104,8 @@ impl<T: Scalar> SharedVec<T> {
     /// have barriered after the publishing phase.
     pub fn read_window(&self, lo: u64, hi: u64, out: &mut Vec<T>) {
         out.clear();
-        let view = self
-            .buf
-            .read_view(std::sync::Arc::new(kdr_index::IntervalSet::from_range(
-                lo, hi,
-            )));
+        let window = kdr_index::IntervalSet::from_range(lo, hi);
+        let view = self.buf.read_view(&window);
         out.reserve((hi - lo) as usize);
         for i in lo..hi {
             out.push(view.get(i as usize));

@@ -30,8 +30,10 @@
 //! [`kdr_store::SharedCatalogue`] and lowering re-runs through its
 //! snapshot advisor — the never-slower contract (advised within 5% of
 //! the structure heuristic, every workload). Results go to
-//! stdout and `BENCH_spmv.json` at the repo root. Under `--ci` the
-//! run additionally asserts the regression gates: `random_scatter`
+//! stdout and `BENCH_spmv.json` at the repo root — the tracked copy,
+//! which only a deliberate run without `--ci` rewrites. Under `--ci`
+//! the JSON goes to the git-ignored `results/ci/BENCH_spmv.json`
+//! instead and the run asserts the regression gates: `random_scatter`
 //! auto within 1% of forced CSR, catalogue-advised never slower than
 //! the heuristic (≤ 1.05× on every workload), matrix-free ≥ 1.5×
 //! assembled-auto on the large 3D leg, zero operator value bytes for
@@ -557,7 +559,15 @@ fn main() {
         matfree_json.join(",\n"),
         metrics.operator_value_bytes
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spmv.json");
-    std::fs::write(path, json).expect("write BENCH_spmv.json");
+    // A CI run must leave the work tree clean: its numbers go under
+    // the ignored results/ci/, never over the tracked file.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let path = if ci {
+        std::fs::create_dir_all(format!("{root}/results/ci")).expect("create results/ci");
+        format!("{root}/results/ci/BENCH_spmv.json")
+    } else {
+        format!("{root}/BENCH_spmv.json")
+    };
+    std::fs::write(&path, json).expect("write BENCH_spmv.json");
     println!("wrote {path}");
 }

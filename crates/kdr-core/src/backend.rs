@@ -278,6 +278,14 @@ pub trait Backend<T: Scalar>: Send {
     /// simulation backend, whose graphs are value-independent).
     fn scalar_get(&mut self, s: SRef) -> T;
 
+    /// Force several scalars at once, values in argument order. The
+    /// default forces them one by one; the execution backend reads
+    /// them all in a single task, so the driver blocks once however
+    /// many it asks for.
+    fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
+        scalars.iter().map(|&s| self.scalar_get(s)).collect()
+    }
+
     /// `dst ← A(src)` (or `Aᵀ` when `transpose`), where `A` is the
     /// registered operator set: zero-fill then accumulate every tile.
     fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool);
@@ -394,6 +402,10 @@ impl<T: Scalar> Backend<T> for Box<dyn Backend<T>> {
 
     fn scalar_get(&mut self, s: SRef) -> T {
         (**self).scalar_get(s)
+    }
+
+    fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
+        (**self).scalar_get_many(scalars)
     }
 
     fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {

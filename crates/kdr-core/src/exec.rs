@@ -16,6 +16,18 @@
 //! reference order, so kernel selection never changes a bit of any
 //! solve.
 //!
+//! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
+//! `dot_partial`, the zero-fills of `apply`) run one
+//! [`kdr_sparse::vecops`] slice kernel per contiguous run of their
+//! piece. The elementwise kernels write the bits of their per-element
+//! expression; a dot partial is reduced in `vecops::dot`'s fixed
+//! eight-lane order by whichever worker runs it and the partials are
+//! added in piece order, so no result depends on the worker count,
+//! on stealing, or on whether the step was replayed. An operation
+//! whose source is its destination declares the vector once and
+//! updates it in place — a body never holds a shared and a mutable
+//! slice of the same elements.
+//!
 //! Task placement uses the runtime's
 //! [`ColorAffinityMapper`]: tile
 //! tasks and the vector tasks touching the same piece carry one piece
@@ -72,8 +84,8 @@ use kdr_runtime::{
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
 use kdr_sparse::{
-    KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel, TileStructure, VecIn,
-    VecOut,
+    vecops, KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel,
+    TileStructure, VecIn, VecOut,
 };
 
 use crate::backend::{
@@ -125,8 +137,11 @@ fn kernel_task_name(kind: KernelKind, transpose: bool, zero: bool) -> &'static s
 }
 
 /// Captured traces kept per backend; steps whose shape keeps changing
-/// after this many variants run analyzed.
-const TRACE_CACHE_CAP: usize = 8;
+/// after this many variants run analyzed. Sized for the longest shape
+/// cycle a solver here settles into: BiCGStab's nine (lowest-first
+/// scalar-slot reuse against handles it retains across iterations,
+/// DESIGN §6), with room for a second solver on the same planner.
+const TRACE_CACHE_CAP: usize = 16;
 
 /// A [`MetricsSnapshot`] extended with the backend's own state:
 /// scalar-arena occupancy, trace-cache fill, and step-level
@@ -207,10 +222,26 @@ struct ExecVec<T> {
     comps: Vec<ExecComp<T>>,
 }
 
-/// Adapter giving tile kernels read access to a runtime buffer view.
-struct RV<T>(ReadView<T>);
+/// The runs of a declared subset as `(first element, length)`, the
+/// arguments of [`ReadView::range`] / [`WriteView::range_mut`]: a
+/// vector task body runs one slice kernel per run.
+fn runs_of(subset: &IntervalSet) -> impl Iterator<Item = (usize, usize)> + '_ {
+    subset
+        .runs()
+        .iter()
+        .map(|run| (run.lo as usize, (run.hi - run.lo) as usize))
+}
 
-impl<T: Scalar> VecIn<T> for RV<T> {
+/// Sum of `partials` in ascending slot order from `+0` — the one
+/// combine order behind `dot` and `dot_many`.
+fn sum_in_order<T: Scalar>(partials: &[T]) -> T {
+    partials.iter().fold(T::ZERO, |acc, &p| acc + p)
+}
+
+/// Adapter giving tile kernels read access to a runtime buffer view.
+struct RV<'a, T>(ReadView<'a, T>);
+
+impl<T: Scalar> VecIn<T> for RV<'_, T> {
     #[inline(always)]
     fn load(&self, i: usize) -> T {
         self.0.get(i)
@@ -223,9 +254,9 @@ impl<T: Scalar> VecIn<T> for RV<T> {
 
 /// Adapter giving tile kernels read-modify-write access to a runtime
 /// buffer view.
-struct WV<T>(WriteView<T>);
+struct WV<'a, T>(WriteView<'a, T>);
 
-impl<T: Scalar> VecOut<T> for WV<T> {
+impl<T: Scalar> VecOut<T> for WV<'_, T> {
     #[inline(always)]
     fn load(&self, i: usize) -> T {
         self.0.get(i)
@@ -707,6 +738,10 @@ impl<T: Scalar> ExecBackend<T> {
     /// One `dot_partial` task per non-empty piece of `a · b`, writing
     /// the slots of `partials` from `first_slot` on (one slot per
     /// piece, empty ones included, in component-then-colour order).
+    /// A piece's partial is its runs' [`vecops::dot`]s added in run
+    /// order from `+0`; this is the only place the backend multiplies
+    /// two vectors, so `dot`, `dot_many` and every replayed, stolen
+    /// or re-run copy of either agree bit for bit.
     fn dot_partial_tasks(
         &self,
         a: BVec,
@@ -735,14 +770,11 @@ impl<T: Scalar> ExecBackend<T> {
                         .body(move |ctx| {
                             let x = ctx.read::<T>(0);
                             let y = ctx.read::<T>(1);
-                            let out = ctx.write::<T>(2);
                             let mut acc = T::ZERO;
-                            for run in ctx.subset(0).runs() {
-                                for i in run.lo as usize..run.hi as usize {
-                                    acc = x.get(i).mul_add(y.get(i), acc);
-                                }
+                            for (lo, n) in runs_of(ctx.subset(0)) {
+                                acc += vecops::dot(x.range(lo, n), y.range(lo, n));
                             }
-                            out.set(my_slot, acc);
+                            ctx.write::<T>(2).set(my_slot, acc);
                         }),
                 );
             }
@@ -751,15 +783,22 @@ impl<T: Scalar> ExecBackend<T> {
 
     /// Build one `(component, color)` point task per piece for an
     /// elementwise operation on `dst` (optionally reading `src` at the
-    /// same subset and a scalar coefficient).
+    /// same subset and a scalar coefficient): the body calls `kernel`
+    /// once per run of the piece with that run of `dst`, the
+    /// coefficient (`0` without one) and the same run of `src`.
+    ///
+    /// `src == dst` is an in-place update: the task declares the
+    /// vector once, writable, and `kernel` gets no source slice — a
+    /// body never holds `&mut [T]` and `&[T]` over the same elements.
     fn elementwise(
         &self,
         name: &'static str,
         dst: BVec,
         src: Option<BVec>,
         alpha: Option<SRef>,
-        kernel: impl Fn(/*alpha*/ T, /*src*/ T, /*dst*/ T) -> T + Copy + Send + 'static,
+        kernel: fn(/*dst*/ &mut [T], /*alpha*/ T, /*src*/ Option<&[T]>),
     ) -> Vec<TaskBuilder> {
+        let src = src.filter(|&s| s != dst);
         let mut tasks = Vec::new();
         let dvec = &self.vectors[dst];
         for (ci, dcomp) in dvec.comps.iter().enumerate() {
@@ -793,13 +832,10 @@ impl<T: Scalar> ExecBackend<T> {
                 tb = tb.write(&dcomp.buf, Arc::clone(subset));
                 tasks.push(tb.body(move |ctx| {
                     let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
-                    let sview = idx_src.map(|i| ctx.read::<T>(i));
-                    let d = ctx.write::<T>(idx_dst);
-                    for run in ctx.subset(idx_dst).runs() {
-                        for i in run.lo as usize..run.hi as usize {
-                            let s = sview.as_ref().map_or(T::ZERO, |v| v.get(i));
-                            d.set(i, kernel(a, s, d.get(i)));
-                        }
+                    let s = idx_src.map(|i| ctx.read::<T>(i));
+                    let mut d = ctx.write::<T>(idx_dst);
+                    for (lo, n) in runs_of(ctx.subset(idx_dst)) {
+                        kernel(d.range_mut(lo, n), a, s.as_ref().map(|s| s.range(lo, n)));
                     }
                 }));
             }
@@ -948,12 +984,19 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn copy(&mut self, dst: BVec, src: BVec) {
-        let tasks = self.elementwise("copy", dst, Some(src), None, |_, s, _| s);
+        let tasks = self.elementwise("copy", dst, Some(src), None, |d, _, s| {
+            // A vector copied onto itself already holds the result.
+            if let Some(s) = s {
+                vecops::copy(d, s);
+            }
+        });
         self.dispatch_all(tasks);
     }
 
     fn set_zero(&mut self, dst: BVec) {
-        let tasks = self.elementwise("set_zero", dst, None, None, |_, _, _| T::ZERO);
+        let tasks = self.elementwise("set_zero", dst, None, None, |d, _, _| {
+            vecops::fill(d, T::ZERO)
+        });
         self.dispatch_all(tasks);
     }
 
@@ -968,17 +1011,23 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn scal(&mut self, dst: BVec, alpha: SRef) {
-        let tasks = self.elementwise("scal", dst, None, Some(alpha), |a, _, d| a * d);
+        let tasks = self.elementwise("scal", dst, None, Some(alpha), |d, a, _| vecops::scal(d, a));
         self.dispatch_all(tasks);
     }
 
     fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        let tasks = self.elementwise("axpy", dst, Some(src), Some(alpha), |a, s, d| d + a * s);
+        let tasks = self.elementwise("axpy", dst, Some(src), Some(alpha), |d, a, s| match s {
+            Some(s) => vecops::axpy(d, a, s),
+            None => vecops::axpy_in_place(d, a),
+        });
         self.dispatch_all(tasks);
     }
 
     fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        let tasks = self.elementwise("xpay", dst, Some(src), Some(alpha), |a, s, d| s + a * d);
+        let tasks = self.elementwise("xpay", dst, Some(src), Some(alpha), |d, a, s| match s {
+            Some(s) => vecops::xpay(d, a, s),
+            None => vecops::axpy_in_place(d, a),
+        });
         self.dispatch_all(tasks);
     }
 
@@ -999,13 +1048,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 .read_all(&partials.buf)
                 .write_all(&self.scalars[sref])
                 .body(move |ctx| {
-                    let p = ctx.read::<T>(0);
-                    let out = ctx.write::<T>(1);
-                    let mut acc = T::ZERO;
-                    for i in 0..n {
-                        acc += p.get(i);
-                    }
-                    out.set(0, acc);
+                    let sum = sum_in_order(ctx.read::<T>(0).range(0, n));
+                    ctx.write::<T>(1).set(0, sum);
                 }),
         );
         self.note_reduction();
@@ -1051,11 +1095,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         tasks.push(combine.body(move |ctx| {
             let p = ctx.read::<T>(0);
             for (j, &(lo, hi)) in ranges.iter().enumerate() {
-                let mut acc = T::ZERO;
-                for i in lo..hi {
-                    acc += p.get(i);
-                }
-                ctx.write::<T>(j + 1).set(0, acc);
+                let sum = sum_in_order(p.range(lo, hi - lo));
+                ctx.write::<T>(j + 1).set(0, sum);
             }
         }));
         self.note_reduction();
@@ -1107,16 +1148,27 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn scalar_get(&mut self, s: SRef) -> T {
+        self.scalar_get_many(&[s])[0]
+    }
+
+    /// One `scalar_get` task reads every slot and fulfils one
+    /// promise: a single driver↔worker round trip, timed as one
+    /// reduction stall, whatever `scalars.len()` is.
+    fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
+        if scalars.is_empty() {
+            return Vec::new();
+        }
         self.flush_pending();
-        let (p, f) = promise::<T>();
-        let tb = TaskBuilder::new("scalar_get")
-            .read_all(&self.scalars[s])
-            .priority(self.priority)
-            .body(move |ctx| {
-                p.set(ctx.read::<T>(0).get(0));
-            });
+        let (p, f) = promise::<Vec<T>>();
+        let n = scalars.len();
+        let mut tb = TaskBuilder::new("scalar_get").priority(self.priority);
+        for &s in scalars {
+            tb = tb.read_all(&self.scalars[s]);
+        }
         self.rt
-            .submit(tb)
+            .submit(tb.body(move |ctx| {
+                p.set((0..n).map(|i| ctx.read::<T>(i).get(0)).collect());
+            }))
             .expect("backend tasks always carry a body");
         let t0 = std::time::Instant::now();
         let waited = f.wait();
@@ -1124,14 +1176,14 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.reduction_stall_ns += stall;
         self.rt.record_reduction_stall_ns(stall);
         match waited {
-            Ok(v) => v,
+            Ok(values) => values,
             Err(_) => {
                 // The read task (or a predecessor) failed: record the
-                // failure and hand the driver a NaN placeholder — its
+                // failure and hand the driver NaN placeholders — its
                 // health checks turn that into a structured error.
                 let _ = self.rt.fence();
                 self.record_rt_failure();
-                T::from_f64(f64::NAN)
+                vec![T::from_f64(f64::NAN); n]
             }
         }
     }
@@ -1149,6 +1201,10 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
+        // A tile body slices its input and its output; in place they
+        // would be the same elements (and the fused zero-fill would
+        // wipe the input first).
+        assert_ne!(dst, src, "apply cannot run in place");
         let mut tasks = Vec::new();
         {
             let opset = &self.opsets[op];
@@ -1164,11 +1220,9 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                     None => zero.write_all(&comp.buf),
                 };
                 tasks.push(zero.body(move |ctx| {
-                    let d = ctx.write::<T>(0);
-                    for run in ctx.subset(0).runs() {
-                        for i in run.lo as usize..run.hi as usize {
-                            d.set(i, T::ZERO);
-                        }
+                    let mut d = ctx.write::<T>(0);
+                    for (lo, n) in runs_of(ctx.subset(0)) {
+                        vecops::fill(d.range_mut(lo, n), T::ZERO);
                     }
                 }));
             }
@@ -1204,10 +1258,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                             let x = RV(ctx.read::<T>(0));
                             let mut y = WV(ctx.write::<T>(1));
                             if zero {
-                                for run in ctx.subset(1).runs() {
-                                    for i in run.lo as usize..run.hi as usize {
-                                        y.store(i, T::ZERO);
-                                    }
+                                for (lo, n) in runs_of(ctx.subset(1)) {
+                                    vecops::fill(y.0.range_mut(lo, n), T::ZERO);
                                 }
                             }
                             data.apply(&x, &mut y, t);
@@ -1376,6 +1428,23 @@ mod tests {
     }
 
     #[test]
+    fn scalar_get_many_forces_every_slot_with_one_task() {
+        let mut b = backend();
+        let x = b.scalar_const(9.0);
+        let y = b.scalar_const(2.0);
+        let q = b.scalar_binop(ScalarOp::Div, x, y);
+        let gets = |b: &ExecBackend<f64>| {
+            let counts = b.metrics().runtime.task_counts;
+            counts.get("scalar_get").copied().unwrap_or(0)
+        };
+        let before = gets(&b);
+        assert_eq!(b.scalar_get_many(&[q, x, y, q]), vec![4.5, 9.0, 2.0, 4.5]);
+        assert_eq!(gets(&b) - before, 1, "one read task, one wait");
+        assert!(b.scalar_get_many(&[]).is_empty());
+        assert_eq!(gets(&b) - before, 1, "nothing to force, nothing submitted");
+    }
+
+    #[test]
     fn scalar_slots_are_reused_lowest_first() {
         let mut b = backend();
         let x = b.scalar_const(1.0);
@@ -1425,30 +1494,126 @@ mod tests {
         assert_eq!(direct, traced, "traced steps must be bitwise identical");
     }
 
+    /// One component of `n` elements dealt to three pieces in blocks
+    /// of 19: every piece is several runs (two full lane blocks and a
+    /// tail each, the last one ragged).
+    fn striped(n: u64) -> CompSpec {
+        CompSpec {
+            len: n,
+            partition: Partition::block_cyclic(n, 3, 19),
+        }
+    }
+
     #[test]
     fn dot_many_matches_separate_dots_bitwise() {
-        let n = 23u64;
-        let xv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
-        let yv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos() - 0.25).collect();
-        let zv: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let mut b = backend();
-        let x = b.alloc_vector(&[spec(n, 3)]);
-        let y = b.alloc_vector(&[spec(n, 3)]);
-        let z = b.alloc_vector(&[spec(n, 3)]);
-        b.fill_component(x, 0, &xv);
-        b.fill_component(y, 0, &yv);
-        b.fill_component(z, 0, &zv);
-        let separate = [b.dot(x, y), b.dot(x, z), b.dot(z, z)].map(|s| b.scalar_get(s));
-        let fused = b.dot_many(&[(x, y), (x, z), (z, z)]);
-        let fused = [fused[0], fused[1], fused[2]].map(|s| b.scalar_get(s));
-        for (f, s) in fused.iter().zip(&separate) {
-            assert_eq!(
-                f.to_bits(),
-                s.to_bits(),
-                "fused dot must be bitwise identical to standalone"
-            );
+        // Pieces of one short run, of one run of several lane blocks
+        // plus a tail, and of several runs.
+        for cs in [spec(23, 3), spec(203, 3), striped(203)] {
+            let n = cs.len;
+            let xv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
+            let yv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos() - 0.25).collect();
+            let zv: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+            let mut b = backend();
+            let x = b.alloc_vector(std::slice::from_ref(&cs));
+            let y = b.alloc_vector(std::slice::from_ref(&cs));
+            let z = b.alloc_vector(std::slice::from_ref(&cs));
+            b.fill_component(x, 0, &xv);
+            b.fill_component(y, 0, &yv);
+            b.fill_component(z, 0, &zv);
+            let separate = [b.dot(x, y), b.dot(x, z), b.dot(z, z)].map(|s| b.scalar_get(s));
+            let fused = b.dot_many(&[(x, y), (x, z), (z, z)]);
+            let fused = [fused[0], fused[1], fused[2]].map(|s| b.scalar_get(s));
+            for (f, s) in fused.iter().zip(&separate) {
+                assert_eq!(
+                    f.to_bits(),
+                    s.to_bits(),
+                    "fused dot must be bitwise identical to standalone (n = {n})"
+                );
+            }
+            assert!(b.dot_many(&[]).is_empty());
         }
-        assert!(b.dot_many(&[]).is_empty());
+    }
+
+    /// `vecops::dot`'s documented order, one element at a time.
+    fn lane_dot(x: &[f64], y: &[f64]) -> f64 {
+        let blocked = x.len() / 8 * 8;
+        let mut lane = [0.0f64; 8];
+        for i in 0..blocked {
+            lane[i % 8] = x[i].mul_add(y[i], lane[i % 8]);
+        }
+        let mut acc =
+            ((lane[0] + lane[4]) + (lane[2] + lane[6])) + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+        for i in blocked..x.len() {
+            acc = x[i].mul_add(y[i], acc);
+        }
+        acc
+    }
+
+    /// What `dot` must return over `cs`: per piece the runs'
+    /// [`lane_dot`]s added in run order, the partials in piece order.
+    fn dot_oracle(cs: &CompSpec, x: &[f64], y: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for piece in cs.partition.pieces() {
+            let mut partial = 0.0;
+            for run in piece.runs() {
+                let (lo, hi) = (run.lo as usize, run.hi as usize);
+                partial += lane_dot(&x[lo..hi], &y[lo..hi]);
+            }
+            total += partial;
+        }
+        total
+    }
+
+    /// Every vector kernel, source distinct from and equal to the
+    /// destination, on single-run and multi-run pieces, against the
+    /// per-element expression. A dev-profile test: the views' subset
+    /// and aliasing assertions are armed, so a body slicing one vector
+    /// twice would panic here.
+    #[test]
+    fn vector_kernels_match_the_per_element_oracle_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cs in [spec(61, 3), striped(203)] {
+            let n = cs.len as usize;
+            let sv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).sin() * 3.0).collect();
+            let dv: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 - 30.5)).collect();
+            let a = 0.3f64;
+            let mut b = backend();
+            let s = b.alloc_vector(std::slice::from_ref(&cs));
+            let d = b.alloc_vector(std::slice::from_ref(&cs));
+            b.fill_component(s, 0, &sv);
+            let alpha = b.scalar_const(a);
+            type Op = fn(&mut ExecBackend<f64>, BVec, SRef, BVec);
+            type Expr = fn(/*alpha*/ f64, /*src*/ f64, /*dst*/ f64) -> f64;
+            let cases: [(&str, Op, Expr); 5] = [
+                ("axpy", |b, d, a, s| b.axpy(d, a, s), |a, s, d| d + a * s),
+                ("xpay", |b, d, a, s| b.xpay(d, a, s), |a, s, d| s + a * d),
+                ("scal", |b, d, a, _| b.scal(d, a), |a, _, d| a * d),
+                ("copy", |b, d, _, s| b.copy(d, s), |_, s, _| s),
+                ("set_zero", |b, d, _, _| b.set_zero(d), |_, _, _| 0.0),
+            ];
+            for (name, op, expr) in cases {
+                // Distinct source and destination.
+                b.fill_component(d, 0, &dv);
+                op(&mut b, d, alpha, s);
+                let want: Vec<f64> = (0..n).map(|i| expr(a, sv[i], dv[i])).collect();
+                assert_eq!(bits(&b.read_component(d, 0)), bits(&want), "{name}");
+                assert_eq!(bits(&b.read_component(s, 0)), bits(&sv), "{name} wrote its source");
+                // Source is the destination.
+                b.fill_component(d, 0, &dv);
+                op(&mut b, d, alpha, d);
+                let want: Vec<f64> = (0..n).map(|i| expr(a, dv[i], dv[i])).collect();
+                assert_eq!(bits(&b.read_component(d, 0)), bits(&want), "{name} in place");
+            }
+            b.fill_component(d, 0, &dv);
+            for (name, x, y, xv, yv) in [("dot", s, d, &sv, &dv), ("dot(v, v)", d, d, &dv, &dv)] {
+                let got = b.dot(x, y);
+                assert_eq!(
+                    b.scalar_get(got).to_bits(),
+                    dot_oracle(&cs, xv, yv).to_bits(),
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1520,8 +1685,8 @@ mod tests {
         }
         planner.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 3));
         let mut solver = build(&mut planner);
-        // BiCGStab cycles through nine step shapes, one more than the
-        // cache holds: twenty steps replay under every solver here.
+        // BiCGStab cycles through nine step shapes, the longest
+        // cycle here: twenty steps replay under every solver.
         crate::solve(&mut planner, solver.as_mut(), crate::SolveControl::fixed(20))
             .expect("twenty steps on a Laplacian do not break down");
         planner.with_backend(|b| {

@@ -62,6 +62,21 @@ impl<T: Scalar> ScalarHandle<T> {
         self.backend.lock().scalar_get(self.sref)
     }
 
+    /// Force several scalars of one planner in a single blocking
+    /// call, values in argument order — one wait where a
+    /// [`ScalarHandle::get`] per handle would be one each.
+    pub fn get_many(handles: &[&Self]) -> Vec<T> {
+        let Some(first) = handles.first() else {
+            return Vec::new();
+        };
+        assert!(
+            handles.iter().all(|h| Arc::ptr_eq(&h.backend, &first.backend)),
+            "scalars from different planners cannot be forced together"
+        );
+        let srefs: Vec<SRef> = handles.iter().map(|h| h.sref).collect();
+        first.backend.lock().scalar_get_many(&srefs)
+    }
+
     /// Deferred square root.
     pub fn sqrt(&self) -> Self {
         self.unop(ScalarUnop::Sqrt)

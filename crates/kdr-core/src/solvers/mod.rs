@@ -652,11 +652,22 @@ impl StepDriver {
             });
         }
         if control.check_every > 0 && iters % control.check_every == 0 {
+            // The convergence measure and every breakdown guard are
+            // forced together — one wait on the backend, not one per
+            // scalar; the checks below then run on the values in the
+            // documented order.
+            let measure = solver.convergence_measure();
+            let guards = solver.breakdown_guards();
+            let forced = ScalarHandle::get_many(
+                &measure
+                    .iter()
+                    .chain(guards.iter().map(|g| &g.value))
+                    .collect::<Vec<_>>(),
+            );
+            let (measured, guard_values) = forced.split_at(measure.iter().count());
             let mut r = f64::NAN;
-            let mut has_measure = false;
-            if let Some(m) = solver.convergence_measure() {
-                has_measure = true;
-                r = m.get().to_f64().abs().sqrt();
+            if let Some(m) = measured.first() {
+                r = m.to_f64().abs().sqrt();
                 self.final_residual = r;
                 if let Some(t) = trace {
                     t.residual_history.push((iters, r));
@@ -675,11 +686,11 @@ impl StepDriver {
                     message: f.message,
                 });
             }
-            if has_measure && !r.is_finite() {
+            if measure.is_some() && !r.is_finite() {
                 return Err(SolveError::NonFinite { iteration: iters });
             }
-            for g in solver.breakdown_guards() {
-                let v = g.value.get().to_f64();
+            for (g, v) in guards.iter().zip(guard_values) {
+                let v = v.to_f64();
                 if !v.is_finite() {
                     return Err(SolveError::NonFinite { iteration: iters });
                 }

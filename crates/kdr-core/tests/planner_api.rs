@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use kdr_core::{solve_traced, CgSolver, ExecBackend, Planner, SolveControl, RHS, SOL};
+use kdr_core::{
+    solve_traced, BiCgStabSolver, CgSolver, ExecBackend, Planner, SolveControl, StepOutcome, RHS, SOL,
+};
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
 
@@ -228,6 +230,49 @@ fn twelve_solves_on_one_planner_do_not_age() {
     }
     assert_eq!(second.0, first.0);
     assert_eq!(second.3, first.3, "the pool serves the second solver already");
+}
+
+#[test]
+fn bicgstab_shape_cycle_fits_the_trace_cache() {
+    // BiCGStab holds four scalars from one iteration into the next
+    // (rho, the residual norm, the last (r0hat, v) and omega) while
+    // each step allocates and frees a dozen more, lowest free slot
+    // first, so the slots a step lands on — part of its shape — walk
+    // through a cycle of nine. With room for eight, the ninth shape
+    // was analysed every time it came round.
+    let s = Stencil::lap2d(48, 48);
+    let n = s.unknowns();
+    let mut p = planner();
+    let part = Partition::equal_blocks(n, 4);
+    let d = p.add_sol_vector(n, Some(part.clone()));
+    let r = p.add_rhs_vector(n, Some(part));
+    p.add_operator(Arc::new(s.to_csr::<f64, u64>()), d, r);
+    p.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 5));
+    let mut solver = BiCgStabSolver::new(&mut p);
+    // Residual checked after every step, never met: 36 steps.
+    let control = SolveControl {
+        max_iters: 36,
+        check_every: 1,
+        ..SolveControl::default()
+    };
+    let (report, trace) = solve_traced(&mut p, &mut solver, control);
+    assert_eq!(report.expect("36 steps do not break down").iters, 36);
+    let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();
+    assert!(
+        outcomes[..9].iter().all(|&o| o == StepOutcome::Captured),
+        "nine shapes, each captured once: {outcomes:?}"
+    );
+    assert!(
+        outcomes[9..].iter().all(|&o| o == StepOutcome::Replayed),
+        "no step is analysed again: {outcomes:?}"
+    );
+    let cached = p.with_backend(|b| {
+        b.as_any()
+            .downcast_mut::<ExecBackend<f64>>()
+            .expect("the planner runs on the exec backend")
+            .trace_cache_len()
+    });
+    assert_eq!(cached, 9);
 }
 
 #[test]

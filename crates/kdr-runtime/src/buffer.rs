@@ -1,11 +1,14 @@
 //! Typed shared buffers and subset-scoped views.
 //!
 //! A [`Buffer`] is the runtime's physical storage unit (one field of
-//! one logical region, in Legion terms). Tasks never hold `&[T]` or
-//! `&mut [T]` into a buffer; they hold [`ReadView`]/[`WriteView`]
-//! accessors that perform raw-pointer element accesses. This module
-//! and the event log's span ring ([`crate::events`]) contain all of
-//! the crate's `unsafe`.
+//! one logical region, in Legion terms). A task reaches its data
+//! through [`ReadView`]/[`WriteView`] accessors, which *borrow* the
+//! buffer and the declared subset (building one costs a pointer copy,
+//! no reference count): element access is raw-pointer
+//! `ptr::read`/`ptr::write`, and [`ReadView::range`] /
+//! [`WriteView::range_mut`] lend a contiguous run as a slice for the
+//! vectorised kernels. This module and the event log's span ring
+//! ([`crate::events`]) contain all of the crate's `unsafe`.
 //!
 //! # Safety argument
 //!
@@ -17,14 +20,24 @@
 //!   [`Privilege::Write`](crate::task::Privilege). Hence at any
 //!   instant, for each buffer element, either all live accessors are
 //!   reads, or exactly one running task may touch it — no data race.
-//! * Views never create references into the buffer, so no aliasing
-//!   invariants of `&`/`&mut` are asserted; all element traffic is
-//!   `ptr::read`/`ptr::write` on `Copy` data.
+//! * Element accessors (`get`/`set`) never create references into the
+//!   buffer, so they assert no aliasing invariant of `&`/`&mut`; all
+//!   their traffic is `ptr::read`/`ptr::write` on `Copy` data.
+//! * Slice accessors do create references, so the task itself must
+//!   keep them apart: while a `&mut [T]` from `range_mut` lives, the
+//!   body may reach the same elements through nothing else. One task
+//!   may name one buffer in several requirements; slicing is legal
+//!   only for a requirement that shares no element with a *write*
+//!   requirement of the same task (a body that updates a vector in
+//!   place declares it once, writable). [`TaskContext`](crate::task::TaskContext)
+//!   works that out per requirement and debug builds assert it in
+//!   `range`/`range_mut`.
 //! * Debug builds assert each access lies inside the declared subset,
 //!   catching tasks that under-declare their footprint.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -97,12 +110,6 @@ impl<T: Copy + Send + 'static> Buffer<T> {
         self.len() == 0
     }
 
-    fn base_ptr(&self) -> *mut T {
-        // UnsafeCell<T> is repr(transparent); the slice base doubles
-        // as the element base.
-        self.inner.data.as_ptr() as *mut T
-    }
-
     /// The whole-buffer subset `[0, len)`, shared by every
     /// `read_all` / `write_all` of this buffer.
     pub(crate) fn full_subset(&self) -> Arc<IntervalSet> {
@@ -120,30 +127,6 @@ impl<T: Copy + Send + 'static> Buffer<T> {
         Arc::clone(&self.inner) as Arc<dyn Any + Send + Sync>
     }
 
-    /// The typed buffer behind an erased handle, or `None` when the
-    /// handle holds another element type.
-    pub(crate) fn from_erased(handle: &Arc<dyn Any + Send + Sync>) -> Option<Self> {
-        Arc::clone(handle)
-            .downcast::<BufferInner<T>>()
-            .ok()
-            .map(|inner| Buffer { inner })
-    }
-
-    /// Overwrite element `i` with an all-ones bit pattern (NaN for
-    /// IEEE floats) — the fault injector's silent-corruption
-    /// primitive. Called by the worker that just finished the task
-    /// declaring this element writable, so exclusivity holds exactly
-    /// as it did for the body's own writes.
-    pub(crate) fn corrupt_element(&self, i: usize) {
-        if i >= self.len() {
-            return;
-        }
-        // SAFETY: in bounds; T is Copy (no drop) and any bit pattern
-        // is tolerable for the numeric payload types the runtime
-        // stores; exclusivity per the dependence discipline.
-        unsafe { std::ptr::write_bytes(self.base_ptr().add(i), 0xFF, 1) };
-    }
-
     /// Copy out the entire contents.
     ///
     /// Must only be called when no task writing this buffer is in
@@ -151,7 +134,7 @@ impl<T: Copy + Send + 'static> Buffer<T> {
     pub fn snapshot(&self) -> Vec<T> {
         let len = self.len();
         let mut out = Vec::with_capacity(len);
-        let ptr = self.base_ptr();
+        let ptr = self.inner.base_ptr();
         for i in 0..len {
             // SAFETY: in bounds; caller guarantees quiescence.
             out.push(unsafe { std::ptr::read(ptr.add(i)) });
@@ -165,7 +148,7 @@ impl<T: Copy + Send + 'static> Buffer<T> {
     /// [`Buffer::snapshot`]).
     pub fn fill_from(&self, src: &[T]) {
         assert_eq!(src.len(), self.len());
-        let ptr = self.base_ptr();
+        let ptr = self.inner.base_ptr();
         for (i, &v) in src.iter().enumerate() {
             // SAFETY: in bounds; caller guarantees quiescence.
             unsafe { std::ptr::write(ptr.add(i), v) };
@@ -174,56 +157,95 @@ impl<T: Copy + Send + 'static> Buffer<T> {
 
     /// Create a read view over `subset`.
     ///
-    /// Safe to *create*; soundness of subsequent `get` calls relies on
+    /// Safe to *create*; soundness of subsequent accesses relies on
     /// the runtime contract in the module docs. Prefer obtaining views
     /// through [`TaskContext`](crate::task::TaskContext).
-    pub fn read_view(&self, subset: Arc<IntervalSet>) -> ReadView<T> {
-        self.clone().into_read_view(subset)
+    pub fn read_view<'a>(&'a self, subset: &'a IntervalSet) -> ReadView<'a, T> {
+        self.inner.read_view(subset, false)
     }
 
     /// Create a write view over `subset` (see [`Buffer::read_view`]).
-    pub fn write_view(&self, subset: Arc<IntervalSet>) -> WriteView<T> {
-        self.clone().into_write_view(subset)
+    pub fn write_view<'a>(&'a self, subset: &'a IntervalSet) -> WriteView<'a, T> {
+        self.inner.write_view(subset, false)
+    }
+}
+
+impl<T: Copy + Send + 'static> BufferInner<T> {
+    /// The typed buffer behind a requirement's erased handle, or
+    /// `None` when the handle holds another element type.
+    pub(crate) fn from_erased(handle: &(dyn Any + Send + Sync)) -> Option<&Self> {
+        handle.downcast_ref()
     }
 
-    /// [`Buffer::read_view`] that keeps this handle as the view's
-    /// keep-alive instead of cloning another.
-    pub(crate) fn into_read_view(self, subset: Arc<IntervalSet>) -> ReadView<T> {
+    fn base_ptr(&self) -> *mut T {
+        // UnsafeCell<T> is repr(transparent); the slice base doubles
+        // as the element base.
+        self.data.as_ptr() as *mut T
+    }
+
+    /// A read view borrowing this buffer and `subset`. `aliased`
+    /// marks a requirement that shares elements with a write
+    /// requirement of the same task: its view must not be sliced.
+    pub(crate) fn read_view<'a>(&'a self, subset: &'a IntervalSet, aliased: bool) -> ReadView<'a, T> {
         ReadView {
             ptr: self.base_ptr(),
-            len: self.len(),
+            len: self.data.len(),
             subset,
-            _keep: self.inner,
+            aliased,
+            _buffer: PhantomData,
         }
     }
 
-    /// [`Buffer::write_view`], consuming the handle likewise.
-    pub(crate) fn into_write_view(self, subset: Arc<IntervalSet>) -> WriteView<T> {
+    /// The write counterpart of [`BufferInner::read_view`].
+    pub(crate) fn write_view<'a>(
+        &'a self,
+        subset: &'a IntervalSet,
+        aliased: bool,
+    ) -> WriteView<'a, T> {
         WriteView {
             ptr: self.base_ptr(),
-            len: self.len(),
+            len: self.data.len(),
             subset,
-            _keep: self.inner,
+            aliased,
+            _buffer: PhantomData,
         }
+    }
+
+    /// Overwrite element `i` with an all-ones bit pattern (NaN for
+    /// IEEE floats) — the fault injector's silent-corruption
+    /// primitive. Called by the worker that just finished the task
+    /// declaring this element writable, so exclusivity holds exactly
+    /// as it did for the body's own writes.
+    pub(crate) fn corrupt_element(&self, i: usize) {
+        if i >= self.data.len() {
+            return;
+        }
+        // SAFETY: in bounds; T is Copy (no drop) and any bit pattern
+        // is tolerable for the numeric payload types the runtime
+        // stores; exclusivity per the dependence discipline.
+        unsafe { std::ptr::write_bytes(self.base_ptr().add(i), 0xFF, 1) };
     }
 }
 
 /// Read-only element access into a buffer, scoped to a declared
-/// subset.
-pub struct ReadView<T> {
+/// subset; borrows both.
+pub struct ReadView<'a, T> {
     ptr: *const T,
     len: usize,
-    subset: Arc<IntervalSet>,
-    _keep: Arc<BufferInner<T>>,
+    subset: &'a IntervalSet,
+    /// The requirement shares elements with a write requirement of
+    /// the same task, so no slice may be taken of it.
+    aliased: bool,
+    _buffer: PhantomData<&'a BufferInner<T>>,
 }
 
-// SAFETY: views carry a raw pointer plus a keep-alive Arc; sending
-// them between threads is safe because all element access is mediated
-// by the runtime discipline.
-unsafe impl<T: Send> Send for ReadView<T> {}
-unsafe impl<T: Send> Sync for ReadView<T> {}
+// SAFETY: a view is a raw pointer into a buffer it borrows; sending
+// or sharing it between threads is safe because all element access is
+// mediated by the runtime discipline.
+unsafe impl<T: Send> Send for ReadView<'_, T> {}
+unsafe impl<T: Send> Sync for ReadView<'_, T> {}
 
-impl<T: Copy> ReadView<T> {
+impl<T: Copy> ReadView<'_, T> {
     /// Read element `i`.
     #[inline]
     pub fn get(&self, i: usize) -> T {
@@ -253,13 +275,19 @@ impl<T: Copy> ReadView<T> {
             "read of undeclared range [{lo}, {})",
             lo + n
         );
-        // SAFETY: in bounds; data-race freedom per module docs.
+        debug_assert!(
+            !self.aliased,
+            "slice of a requirement the same task also writes"
+        );
+        // SAFETY: in bounds; no other task writes the range (module
+        // docs), and this task holds no `&mut` into it: its write
+        // requirements are disjoint from this one (`aliased`).
         unsafe { std::slice::from_raw_parts(self.ptr.add(lo), n) }
     }
 
     /// The declared subset of this view.
     pub fn subset(&self) -> &IntervalSet {
-        &self.subset
+        self.subset
     }
 
     /// Buffer length (not subset cardinality).
@@ -281,19 +309,21 @@ impl<T: Copy> ReadView<T> {
 }
 
 /// Read-write element access into a buffer, scoped to a declared
-/// subset.
-pub struct WriteView<T> {
+/// subset; borrows both.
+pub struct WriteView<'a, T> {
     ptr: *mut T,
     len: usize,
-    subset: Arc<IntervalSet>,
-    _keep: Arc<BufferInner<T>>,
+    subset: &'a IntervalSet,
+    /// See [`ReadView`]'s field of the same name.
+    aliased: bool,
+    _buffer: PhantomData<&'a BufferInner<T>>,
 }
 
 // SAFETY: see ReadView.
-unsafe impl<T: Send> Send for WriteView<T> {}
-unsafe impl<T: Send> Sync for WriteView<T> {}
+unsafe impl<T: Send> Send for WriteView<'_, T> {}
+unsafe impl<T: Send> Sync for WriteView<'_, T> {}
 
-impl<T: Copy> WriteView<T> {
+impl<T: Copy> WriteView<'_, T> {
     /// Read element `i`.
     #[inline]
     pub fn get(&self, i: usize) -> T {
@@ -335,15 +365,20 @@ impl<T: Copy> WriteView<T> {
             "write of undeclared range [{lo}, {})",
             lo + n
         );
-        // SAFETY: in bounds; exclusivity per module docs (the runtime
-        // hands each task disjoint write subsets, so no two slices
-        // returned here alias live mutable access).
+        debug_assert!(
+            !self.aliased,
+            "mutable slice of a requirement the same task names twice"
+        );
+        // SAFETY: in bounds; no other task touches the range (module
+        // docs), this task reaches it through no other requirement
+        // (`aliased`), and the `&mut self` borrow keeps this view
+        // from lending it twice.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), n) }
     }
 
     /// The declared subset of this view.
     pub fn subset(&self) -> &IntervalSet {
-        &self.subset
+        self.subset
     }
 
     /// Buffer length (not subset cardinality).
@@ -361,10 +396,6 @@ impl<T: Copy> WriteView<T> {
 mod tests {
     use super::*;
 
-    fn whole(n: u64) -> Arc<IntervalSet> {
-        Arc::new(IntervalSet::full(n))
-    }
-
     #[test]
     fn snapshot_roundtrip() {
         let b = Buffer::from_vec(vec![1.0f64, 2.0, 3.0]);
@@ -377,11 +408,12 @@ mod tests {
     #[test]
     fn views_read_and_write() {
         let b = Buffer::filled(4, 0.0f64);
-        let w = b.write_view(whole(4));
+        let all = IntervalSet::full(4);
+        let w = b.write_view(&all);
         w.set(1, 7.5);
         w.set(3, -2.0);
         assert_eq!(w.get(1), 7.5);
-        let r = b.read_view(whole(4));
+        let r = b.read_view(&all);
         assert_eq!(r.get(0), 0.0);
         assert_eq!(r.get(3), -2.0);
     }
@@ -398,7 +430,8 @@ mod tests {
     #[test]
     fn copy_range() {
         let b = Buffer::from_vec((0..10).map(|i| i as f64).collect());
-        let r = b.read_view(whole(10));
+        let all = IntervalSet::full(10);
+        let r = b.read_view(&all);
         let mut dst = [0.0; 4];
         r.copy_range(3, &mut dst);
         assert_eq!(dst, [3.0, 4.0, 5.0, 6.0]);
@@ -409,7 +442,8 @@ mod tests {
     #[should_panic(expected = "undeclared element")]
     fn subset_violation_caught_in_debug() {
         let b = Buffer::filled(8, 0.0f64);
-        let r = b.read_view(Arc::new(IntervalSet::from_range(0, 4)));
+        let declared = IntervalSet::from_range(0, 4);
+        let r = b.read_view(&declared);
         r.get(5);
     }
 }

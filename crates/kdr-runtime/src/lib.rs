@@ -19,13 +19,16 @@
 //!
 //! ## Safety model
 //!
-//! Buffers hand out [`ReadView`]/[`WriteView`] accessors that perform
-//! raw-pointer element reads and writes rather than materializing
-//! `&[T]`/`&mut [T]`. Dependence analysis guarantees that no two
-//! *concurrently running* tasks hold overlapping views of the same
-//! buffer with a writer among them — the same discipline Legion
-//! enforces — which makes the raw accesses data-race free. Debug
-//! builds additionally assert that every access stays inside the
+//! Buffers hand out [`ReadView`]/[`WriteView`] accessors, borrowed
+//! from the running task's context, that perform raw-pointer element
+//! reads and writes and lend a contiguous run as a slice
+//! (`range`/`range_mut`) for vectorised kernels. Dependence analysis
+//! guarantees that no two *concurrently running* tasks hold
+//! overlapping views of the same buffer with a writer among them —
+//! the same discipline Legion enforces — which makes the accesses
+//! data-race free; within one task, a requirement may be sliced only
+//! if it shares no element with a write requirement of the same task.
+//! Debug builds assert that, and that every access stays inside the
 //! subset the task declared. All `unsafe` in this crate lives in
 //! [`buffer`], apart from the event log's per-worker span ring in
 //! [`events`].

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use kdr_index::IntervalSet;
 
-use crate::buffer::{Buffer, ReadView, WriteView};
+use crate::buffer::{Buffer, BufferInner, ReadView, WriteView};
 use crate::mapper::TaskMeta;
 
 /// Copyable scheduling metadata carried into the executor (the
@@ -80,7 +80,7 @@ pub(crate) struct Requirement {
 
 /// The monomorphized body of [`Requirement::corrupt`].
 fn corrupt_requirement<T: Copy + Send + 'static>(req: &Requirement) {
-    if let (Some(buf), Some(i)) = (Buffer::<T>::from_erased(&req.handle), req.subset.min()) {
+    if let (Some(buf), Some(i)) = (BufferInner::<T>::from_erased(&*req.handle), req.subset.min()) {
         buf.corrupt_element(i as usize);
     }
 }
@@ -197,33 +197,57 @@ impl TaskBuilder {
 }
 
 /// Handed to a running task body: resolves requirement indices to
-/// typed views.
+/// typed views. The context owns the task's requirements for the
+/// body's lifetime and the views borrow from it, so a body pays a
+/// type check and a pointer copy per view — no reference counts.
 pub struct TaskContext {
     pub(crate) reqs: Vec<Requirement>,
 }
 
 impl TaskContext {
-    /// A read view of requirement `idx`; panics on privilege or type
-    /// mismatch.
-    pub fn read<T: Copy + Send + 'static>(&self, idx: usize) -> ReadView<T> {
+    /// A read view of requirement `idx`; panics on type mismatch.
+    pub fn read<T: Copy + Send + 'static>(&self, idx: usize) -> ReadView<'_, T> {
         let req = &self.reqs[idx];
-        Buffer::<T>::from_erased(&req.handle)
-            .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"))
-            .into_read_view(Arc::clone(&req.subset))
+        self.buffer::<T>(idx)
+            .read_view(&req.subset, self.shares_written_elements(idx))
     }
 
-    /// A write view of requirement `idx`; panics unless the
-    /// requirement was declared with write privilege.
-    pub fn write<T: Copy + Send + 'static>(&self, idx: usize) -> WriteView<T> {
+    /// A write view of requirement `idx`; panics on type mismatch or
+    /// unless the requirement was declared with write privilege.
+    ///
+    /// Slices lent by the view ([`WriteView::range_mut`]) are
+    /// exclusive only if the body takes **one** write view per
+    /// requirement; the requirements themselves are checked against
+    /// each other (see [`crate::buffer`]'s safety argument).
+    pub fn write<T: Copy + Send + 'static>(&self, idx: usize) -> WriteView<'_, T> {
         let req = &self.reqs[idx];
         assert_eq!(
             req.privilege,
             Privilege::Write,
             "requirement {idx} was not declared writable"
         );
-        Buffer::<T>::from_erased(&req.handle)
+        self.buffer::<T>(idx)
+            .write_view(&req.subset, self.shares_written_elements(idx))
+    }
+
+    fn buffer<T: Copy + Send + 'static>(&self, idx: usize) -> &BufferInner<T> {
+        BufferInner::<T>::from_erased(&*self.reqs[idx].handle)
             .unwrap_or_else(|| panic!("requirement {idx}: type mismatch"))
-            .into_write_view(Arc::clone(&req.subset))
+    }
+
+    /// Whether requirement `idx` shares an element with another
+    /// requirement of this task while either may write it — the
+    /// condition under which its view must not lend slices. Worked
+    /// out in debug builds only, where the views assert it.
+    fn shares_written_elements(&self, idx: usize) -> bool {
+        let me = &self.reqs[idx];
+        cfg!(debug_assertions)
+            && self.reqs.iter().enumerate().any(|(j, other)| {
+                j != idx
+                    && other.buffer_id == me.buffer_id
+                    && (me.privilege == Privilege::Write || other.privilege == Privilege::Write)
+                    && !other.subset.is_disjoint(&me.subset)
+            })
     }
 
     /// The declared subset of requirement `idx`.
@@ -267,6 +291,68 @@ mod tests {
         w.set(0, 9.0);
         assert_eq!(ctx.read::<f64>(0).get(0), 9.0);
         assert_eq!(ctx.num_requirements(), 1);
+    }
+
+    #[test]
+    fn views_lend_each_run_as_a_slice() {
+        let a = Buffer::from_vec(vec![1.0f64, 2.0, 3.0, 4.0]);
+        let b = Buffer::filled(4, 0.0f64);
+        let runs = IntervalSet::from_range(0, 1).union(&IntervalSet::from_range(2, 4));
+        let t = TaskBuilder::new("t").read(&a, runs.clone()).write(&b, runs);
+        let ctx = TaskContext { reqs: t.reqs };
+        let src = ctx.read::<f64>(0);
+        let mut dst = ctx.write::<f64>(1);
+        for run in ctx.subset(1).runs() {
+            let (lo, n) = (run.lo as usize, (run.hi - run.lo) as usize);
+            dst.range_mut(lo, n).copy_from_slice(src.range(lo, n));
+        }
+        assert_eq!(b.snapshot(), vec![1.0, 0.0, 3.0, 4.0]);
+    }
+
+    /// One buffer named twice, once writable, over shared elements:
+    /// legal to declare (element access is raw-pointer), but neither
+    /// requirement may be sliced.
+    fn read_and_write_of_one_buffer() -> TaskContext {
+        let a = Buffer::filled(8, 0.0f64);
+        let t = TaskBuilder::new("t")
+            .read(&a, IntervalSet::from_range(2, 6))
+            .write(&a, IntervalSet::from_range(0, 4));
+        TaskContext { reqs: t.reqs }
+    }
+
+    #[test]
+    fn overlapping_requirements_keep_element_access() {
+        let ctx = read_and_write_of_one_buffer();
+        ctx.write::<f64>(1).set(3, 5.0);
+        assert_eq!(ctx.read::<f64>(0).get(3), 5.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the same task also writes")]
+    fn slicing_a_read_the_task_also_writes_is_caught_in_debug() {
+        let ctx = read_and_write_of_one_buffer();
+        let _ = ctx.read::<f64>(0).range(4, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names twice")]
+    fn slicing_a_write_the_task_also_reads_is_caught_in_debug() {
+        let ctx = read_and_write_of_one_buffer();
+        let _ = ctx.write::<f64>(1).range_mut(0, 2);
+    }
+
+    #[test]
+    fn disjoint_requirements_on_one_buffer_may_be_sliced() {
+        let a = Buffer::from_vec(vec![1.0f64, 2.0, 3.0, 4.0]);
+        let t = TaskBuilder::new("t")
+            .read(&a, IntervalSet::from_range(0, 2))
+            .write(&a, IntervalSet::from_range(2, 4));
+        let ctx = TaskContext { reqs: t.reqs };
+        let src = ctx.read::<f64>(0);
+        ctx.write::<f64>(1).range_mut(2, 2).copy_from_slice(src.range(0, 2));
+        assert_eq!(a.snapshot(), vec![1.0, 2.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -29,6 +29,11 @@
 //! [`kdr_index::Relation`] trait objects, the universal co-partitioning
 //! operators in `kdr-index` apply to all of them — including formats
 //! defined *outside* this crate (see the `custom_format` example).
+//!
+//! Execution-side kernels live beside the formats: [`tile`] lowers a
+//! partitioned operator's tiles into format-specialised SpMV kernels,
+//! and [`vecops`] holds the BLAS-1 slice kernels (`axpy`, `xpay`,
+//! `scal`, `copy`, `fill`, `dot`) every vector task body runs.
 
 pub mod convert;
 pub mod formats;
@@ -39,6 +44,7 @@ pub mod scalar;
 pub mod stencil;
 pub mod tile;
 pub mod triples;
+pub mod vecops;
 
 pub use formats::bcsr::{Bcsc, Bcsr};
 pub use formats::coo::{Coo, CooAos};

@@ -23,10 +23,20 @@ cargo test -q -p kdr-core --test fault_tolerance
 cargo test -q -p kdr-runtime -- fault poison panic
 cargo test -q --release -p kdr-core --test fault_tolerance
 
-# Kernel-dispatch benchmark: regenerates BENCH_spmv.json (kernel x
-# structure grid vs. the forced-CSR baseline, plus the matrix-free
-# stencil legs) and asserts bitwise agreement between every
-# specialized kernel and the CSR lowering. `--ci` arms the regression
+# Vector-kernel property tests (kdr-sparse::vecops), both profiles:
+# dev keeps the debug assertions armed, --release is the vectorised
+# code the solvers execute — elementwise kernels bitwise equal to
+# their per-element expressions, `dot` bitwise equal to the
+# documented eight-lane order, for f32 and f64.
+cargo test -q -p kdr-sparse --test vecops_prop
+cargo test -q --release -p kdr-sparse --test vecops_prop
+
+# Kernel-dispatch benchmark (kernel x structure grid vs. the
+# forced-CSR baseline, plus the matrix-free stencil legs); asserts
+# bitwise agreement between every specialized kernel and the CSR
+# lowering. Under `--ci` its JSON goes to the git-ignored
+# results/ci/BENCH_spmv.json — only a deliberate run without the flag
+# rewrites the tracked BENCH_spmv.json. `--ci` arms the regression
 # gates: auto-selection within 1% of forced CSR on random_scatter,
 # matrix-free >= 1.5x assembled-auto on the large 3D grid, zero
 # stored operator value bytes for stencil-described registration, a
@@ -84,9 +94,10 @@ cargo run --release -p kdr-bench --bin pipelined_bench -- --ci
 # Compiled-trace count leg: twelve CG solves of lap2d 96^2 in 16
 # pieces on one planner. Asserts zero analyzed steps (the workspace
 # pool hands every rebuilt solver the same buffers, so its steps keep
-# replaying) and at most 56 scheduled tasks per warm iteration (the
-# step's 101 task bodies fused into 53 nodes, plus the convergence
-# check). Exact counts only, no timings, so the leg is deterministic.
+# replaying) and at most 55 scheduled tasks per warm iteration (the
+# step's 101 task bodies fused into 53 nodes, plus one task forcing
+# the convergence measure and the breakdown guard together). Exact
+# counts only, no timings, so the leg is deterministic.
 cargo run --release -p kdr-bench --bin observability -- --ci-counts
 
 # The benchmark harness is a package of its own that this workspace's

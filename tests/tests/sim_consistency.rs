@@ -148,9 +148,13 @@ fn gmres_graph_structure() {
 // executes* — residual sequences must be bitwise identical.
 
 fn exec_planner(s: Stencil, pieces: usize, traced: bool) -> Planner<f64> {
+    exec_planner_on(s, pieces, traced, 4)
+}
+
+fn exec_planner_on(s: Stencil, pieces: usize, traced: bool, workers: usize) -> Planner<f64> {
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
-    let mut backend = ExecBackend::<f64>::new(4);
+    let mut backend = ExecBackend::<f64>::new(workers);
     backend.set_tracing(traced);
     let mut planner = Planner::new(Box::new(backend));
     let part = Partition::equal_blocks(n, pieces);
@@ -181,13 +185,16 @@ fn residual_bits(
 }
 
 /// Replayed CG produces the *bitwise identical* residual sequence of
-/// the analyzed run: tracing memoizes analysis, not arithmetic.
+/// the analyzed run: tracing memoizes analysis, not arithmetic. Nor
+/// does the worker count reach a bit: a piece's dot partial is
+/// reduced in a fixed order by whichever worker runs it, and the
+/// partials are combined in piece order.
 #[test]
 fn traced_cg_residuals_bitwise_match_analyzed() {
     let s = Stencil::lap2d(24, 24);
     let steps = 30;
-    let run = |traced: bool| {
-        let mut planner = exec_planner(s, 4, traced);
+    let run_on = |traced: bool, workers: usize| {
+        let mut planner = exec_planner_on(s, 4, traced, workers);
         let mut solver = CgSolver::new(&mut planner);
         let out = residual_bits(&mut planner, &mut solver, steps);
         drop(solver);
@@ -200,9 +207,14 @@ fn traced_cg_residuals_bitwise_match_analyzed() {
         });
         (out, stats)
     };
+    let run = |traced: bool| run_on(traced, 4);
     let ((bits_a, outcomes_a), stats_a) = run(false);
     let ((bits_t, outcomes_t), stats_t) = run(true);
     assert_eq!(bits_a, bits_t, "replay must not change a single bit");
+    for traced in [false, true] {
+        let ((bits_1, _), _) = run_on(traced, 1);
+        assert_eq!(bits_1, bits_a, "one worker vs four, traced = {traced}");
+    }
     assert!(outcomes_a.iter().all(|&o| o == StepOutcome::Analyzed));
     // After warmup (slot-cycle variants get captured once each), every
     // CG step replays.
