@@ -1,19 +1,22 @@
 //! # kdr-bench
 //!
-//! The benchmark harness that regenerates every table and figure of
-//! the paper's evaluation section:
+//! The paper's evaluation, regenerated, plus the two scaling curves
+//! this repository can only model. The tables and figures are
+//! `kdr-machine` simulations — deterministic, no clock:
 //!
-//! | Binary | Paper element |
-//! |--------|---------------|
+//! | Binary | What it regenerates |
+//! |--------|---------------------|
 //! | `table3`   | Figure 3 — format/relation table, verified |
 //! | `figure8`  | Figure 8 — CG/BiCGStab/GMRES × four stencils × sizes, LegionSolvers vs PETSc vs Trilinos |
 //! | `figure9`  | Figure 9 — single- vs multi-operator BiCGStab |
 //! | `figure10` | Figure 10 — dynamic load balancing time series |
+//! | `benchmark_stencil` | the artifact's driver: one stencil × solver × size, threaded (wall-clock) or `--sim` |
+//! | `modeled_scaling` | fence-minimal CG at 256 simulated nodes; sharded front door at 1–16 simulated shard groups |
 //!
-//! Criterion benches (`cargo bench`) cover the measured substrate:
-//! SpMV per storage format, dependent-partitioning projections,
-//! dependence analysis vs. trace replay, planner operation overhead,
-//! and real (threaded) single- vs multi-operator execution.
+//! Measured performance is not here: wall-clock numbers come from the
+//! `perf_ledger` package at the repository root (end-to-end metrics,
+//! and with `--trace 1` the per-layer ledger), and contracts are
+//! asserted by `cargo test`.
 
 use kdr_sparse::{Stencil, StencilKind};
 

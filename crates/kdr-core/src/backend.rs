@@ -250,19 +250,20 @@ pub trait Backend<T: Scalar>: Send {
     /// `dst ← src + alpha · dst`.
     fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec);
 
-    /// Inner product across all components.
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef;
+    /// Inner product across all components: the one-pair case of
+    /// [`Backend::dot_many`], so both share one partial order and one
+    /// combine task.
+    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
+        self.dot_many(&[(a, b)])[0]
+    }
 
     /// Fused multi-reduction: all pairs' inner products launched as
     /// one DAG stage with a single combine, returning one scalar per
-    /// pair (in order). Backends that can fuse override this to count
-    /// the whole batch as one reduction stage — and must preserve the
-    /// per-pair partial accumulation order so each result is bitwise
-    /// identical to a standalone [`Backend::dot`]. The default lowers
-    /// to sequential `dot` calls.
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
-        pairs.iter().map(|&(a, b)| self.dot(a, b)).collect()
-    }
+    /// pair (in order). The whole batch counts as one reduction
+    /// stage, and a pair's partials are accumulated in the same order
+    /// whatever else is in the batch, so each result is bitwise
+    /// independent of its batch-mates.
+    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef>;
 
     /// Materialize a scalar constant.
     fn scalar_const(&mut self, v: T) -> SRef;
@@ -378,10 +379,6 @@ impl<T: Scalar> Backend<T> for Box<dyn Backend<T>> {
 
     fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
         (**self).xpay(dst, alpha, src)
-    }
-
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        (**self).dot(a, b)
     }
 
     fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {

@@ -84,8 +84,8 @@ use kdr_runtime::{
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
 use kdr_sparse::{
-    vecops, KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel,
-    TileStructure, VecIn, VecOut,
+    vecops, KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel, VecIn,
+    VecOut,
 };
 
 use crate::backend::{
@@ -182,7 +182,8 @@ pub struct ExecMetrics {
     /// Bytes of operator *value* storage across all registered
     /// opsets, format padding included. Matrix-free stencil tiles
     /// contribute zero — this is the storage side of the matrix-free
-    /// win, next to the apply-time side in BENCH_spmv.json.
+    /// win, next to the apply-time side (`sparse.spmv_stencil_us` on
+    /// the perf ledger).
     pub operator_value_bytes: u64,
 }
 
@@ -931,7 +932,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             let trips = extract_tile_triplets(comp.matrix.as_ref(), &comp.tiles);
             let pieces = comp.tiles.len();
             for (t, (rows, cols, vals)) in comp.tiles.iter().zip(trips) {
-                let kernel = TileKernel::lower_advised(
+                let (kernel, structure) = TileKernel::lower_advised(
                     &rows,
                     &cols,
                     &vals,
@@ -954,7 +955,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 tiles.push(ExecTile {
                     rhs_comp: t.rhs_comp,
                     sol_comp: t.sol_comp,
-                    key: TileStructure::analyze(&rows, &cols, &vals).key(),
+                    key: structure.key(),
                     out_subset: Arc::new(t.out_subset.clone()),
                     in_union: Arc::new(t.in_union.clone()),
                     color: piece_color(t.rhs_comp, t.range_color),
@@ -1031,39 +1032,12 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.dispatch_all(tasks);
     }
 
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        assert_eq!(
-            self.vectors[a].comps.len(),
-            self.vectors[b].comps.len(),
-            "dot structure mismatch"
-        );
-        let total_slots: usize = self.vectors[a].comps.iter().map(|c| c.pieces.len()).sum();
-        let partials = self.dot_partials_buffer(total_slots);
-        let sref = self.alloc_slot();
-        let mut tasks = Vec::new();
-        self.dot_partial_tasks(a, b, &partials, 0, &mut tasks);
-        let n = total_slots;
-        tasks.push(
-            TaskBuilder::new("dot_reduce")
-                .read_all(&partials.buf)
-                .write_all(&self.scalars[sref])
-                .body(move |ctx| {
-                    let sum = sum_in_order(ctx.read::<T>(0).range(0, n));
-                    ctx.write::<T>(1).set(0, sum);
-                }),
-        );
-        self.note_reduction();
-        self.dispatch_all(tasks);
-        sref
-    }
-
-    /// Fused multi-dot: every pair's partial tasks launch as one DAG
-    /// stage sharing one pooled partials buffer, and a single
-    /// `dot_reduce_many` combine task produces all result scalars —
-    /// one reduction stage for the whole batch. Each pair's partials
-    /// occupy a contiguous slot range and are summed in ascending
-    /// slot order, so every result is bitwise identical to a
-    /// standalone [`Backend::dot`] of the same pair.
+    /// Every pair's partial tasks launch as one DAG stage sharing one
+    /// pooled partials buffer, and a single `dot_reduce` combine task
+    /// produces all result scalars — one reduction stage for the
+    /// whole batch. Each pair's partials occupy a contiguous slot
+    /// range and are summed in ascending slot order, so a result does
+    /// not depend on which other pairs share its batch.
     fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
         if pairs.is_empty() {
             return Vec::new();
@@ -1085,17 +1059,14 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         for (j, &(a, b)) in pairs.iter().enumerate() {
             self.dot_partial_tasks(a, b, &partials, offsets[j], &mut tasks);
         }
-        let ranges: Vec<(usize, usize)> = (0..pairs.len())
-            .map(|j| (offsets[j], offsets[j + 1]))
-            .collect();
-        let mut combine = TaskBuilder::new("dot_reduce_many").read_all(&partials.buf);
+        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials.buf);
         for &s in &srefs {
             combine = combine.write_all(&self.scalars[s]);
         }
         tasks.push(combine.body(move |ctx| {
             let p = ctx.read::<T>(0);
-            for (j, &(lo, hi)) in ranges.iter().enumerate() {
-                let sum = sum_in_order(p.range(lo, hi - lo));
+            for (j, w) in offsets.windows(2).enumerate() {
+                let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
                 ctx.write::<T>(j + 1).set(0, sum);
             }
         }));
@@ -1504,6 +1475,9 @@ mod tests {
         }
     }
 
+    /// `dot` is the one-pair `dot_many`, so what this checks is the
+    /// slot offsets of a batch: a pair's sum reads its own partials
+    /// wherever they sit in the shared buffer.
     #[test]
     fn dot_many_matches_separate_dots_bitwise() {
         // Pieces of one short run, of one run of several lane blocks
@@ -1527,7 +1501,7 @@ mod tests {
                 assert_eq!(
                     f.to_bits(),
                     s.to_bits(),
-                    "fused dot must be bitwise identical to standalone (n = {n})"
+                    "a batched dot must not depend on its slot offset (n = {n})"
                 );
             }
             assert!(b.dot_many(&[]).is_empty());

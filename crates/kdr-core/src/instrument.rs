@@ -23,7 +23,7 @@ pub enum SolverPhase {
     SpMV,
     /// Inner products: `dot_partial` / `dot_reduce`.
     Dot,
-    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`.
+    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`, `set_zero`.
     VectorUpdate,
     /// Scalar arithmetic tasks (`scalar_*`).
     Scalar,
@@ -39,7 +39,7 @@ impl SolverPhase {
             "apply_zero" => SolverPhase::SpMV,
             n if n.starts_with("spmv_") => SolverPhase::SpMV,
             "dot_partial" | "dot_reduce" => SolverPhase::Dot,
-            "axpy" | "xpay" | "scal" | "copy" => SolverPhase::VectorUpdate,
+            "axpy" | "xpay" | "scal" | "copy" | "set_zero" => SolverPhase::VectorUpdate,
             n if n.starts_with("scalar_") => SolverPhase::Scalar,
             _ => SolverPhase::Other,
         }
@@ -54,7 +54,7 @@ pub struct PhaseSplit {
     pub spmv_ns: u64,
     /// Inner-product time (partials + reductions).
     pub dot_ns: u64,
-    /// Vector-update time (axpy/xpay/scal/copy).
+    /// Vector-update time (axpy/xpay/scal/copy/set_zero).
     pub vector_update_ns: u64,
     /// Scalar-task time.
     pub scalar_ns: u64,
@@ -194,13 +194,76 @@ mod tests {
         }
         assert_eq!(SolverPhase::of_task("dot_partial"), SolverPhase::Dot);
         assert_eq!(SolverPhase::of_task("dot_reduce"), SolverPhase::Dot);
-        for n in ["axpy", "xpay", "scal", "copy"] {
+        for n in ["axpy", "xpay", "scal", "copy", "set_zero"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
         }
         for n in ["scalar_set", "scalar_binop", "scalar_unop", "scalar_get"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::Scalar, "{n}");
         }
         assert_eq!(SolverPhase::of_task("my_app_task"), SolverPhase::Other);
+    }
+
+    /// One checked step of each of the twelve solvers on the
+    /// execution backend: every span the step records has a phase.
+    #[test]
+    fn no_solver_step_span_classifies_as_other() {
+        use crate::solvers::*;
+        use crate::{ExecBackend, Planner};
+        use kdr_sparse::{SparseMatrix, Stencil};
+        use std::sync::Arc;
+
+        type Build = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
+        let solvers: [(&str, Build); 12] = [
+            ("cg", |p| Box::new(CgSolver::new(p))),
+            ("bicg", |p| Box::new(BiCgSolver::new(p))),
+            ("bicgstab", |p| Box::new(BiCgStabSolver::new(p))),
+            ("cgs", |p| Box::new(CgsSolver::new(p))),
+            ("minres", |p| Box::new(MinresSolver::new(p))),
+            ("gmres", |p| Box::new(GmresSolver::with_restart(p, 4))),
+            ("tfqmr", |p| Box::new(TfqmrSolver::new(p))),
+            ("fusedcg", |p| Box::new(FusedCgSolver::new(p))),
+            ("pipelinedcg", |p| Box::new(PipelinedCgSolver::new(p))),
+            ("pipelinedcr", |p| Box::new(PipelinedCrSolver::new(p))),
+            ("sstepcg", |p| Box::new(SStepCgSolver::with_s(p, 2))),
+            ("chebyshev", |p| {
+                Box::new(ChebyshevSolver::with_bounds(p, 0.1, 8.0))
+            }),
+        ];
+        let stencil = Stencil::lap2d(8, 8);
+        let n = stencil.unknowns();
+        let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u64>());
+        for (name, build) in solvers {
+            let backend = ExecBackend::<f64>::new(2);
+            backend.set_event_logging(true);
+            let mut planner = Planner::new(Box::new(backend));
+            let part = kdr_index::Partition::equal_blocks(n, 2);
+            let d = planner.add_sol_vector(n, Some(part.clone()));
+            let r = planner.add_rhs_vector(n, Some(part));
+            planner.add_operator(Arc::clone(&matrix), d, r);
+            planner.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 5));
+            let mut solver = build(&mut planner);
+            solve(
+                &mut planner,
+                solver.as_mut(),
+                SolveControl::to_tolerance(1e-300, 1),
+            )
+            .expect("one step on a Laplacian does not break down");
+            let spans = planner.with_backend(|b| {
+                b.as_any()
+                    .downcast_mut::<ExecBackend<f64>>()
+                    .expect("built on the exec backend")
+                    .take_spans()
+            });
+            assert!(!spans.is_empty(), "{name}: no spans recorded");
+            for s in &spans {
+                assert_ne!(
+                    SolverPhase::of_task(s.name),
+                    SolverPhase::Other,
+                    "{name}: task `{}` has no phase",
+                    s.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -362,48 +362,6 @@ impl<T: Scalar> Backend<T> for SimBackend<T> {
         self.elementwise("xpay", dst, Some(src), Some(alpha), 2.0, 3.0);
     }
 
-    fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        let eb = self.elem_bytes();
-        let mut partials = Vec::new();
-        let ncomps = self.vectors[a].comps.len();
-        for ci in 0..ncomps {
-            let ncolors = self.vectors[a].comps[ci].piece_lens.len();
-            for color in 0..ncolors {
-                let len = self.vectors[a].comps[ci].piece_lens[color];
-                if len == 0 {
-                    continue;
-                }
-                let owner = self.vectors[a].comps[ci].owners[color];
-                let mut deps = Self::read_deps(&self.vectors[a].comps[ci].state[color]);
-                deps.extend(Self::read_deps(&self.vectors[b].comps[ci].state[color]));
-                deps.extend(self.phase_deps());
-                deps.sort_unstable();
-                deps.dedup();
-                let node = self.graph.compute(
-                    owner,
-                    2.0 * len as f64,
-                    2.0 * eb * len as f64,
-                    "dot_partial",
-                    deps,
-                );
-                self.vectors[a].comps[ci].state[color].readers.push(node);
-                self.vectors[b].comps[ci].state[color].readers.push(node);
-                partials.push(node);
-            }
-        }
-        let col = self
-            .graph
-            .collective(self.machine.nodes, eb, "dot_allreduce", partials);
-        // In bulk-sync mode the blocking all-reduce *is* the phase
-        // boundary: everything after the dot waits for it.
-        if self.bulk_sync {
-            self.phase_nodes.clear();
-            self.phase_barrier = Some(col);
-        }
-        self.scalars.push(Some(col));
-        self.scalars.len() - 1
-    }
-
     fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
         if pairs.is_empty() {
             return Vec::new();
@@ -449,6 +407,8 @@ impl<T: Scalar> Backend<T> for SimBackend<T> {
             "dot_allreduce",
             partials,
         );
+        // In bulk-sync mode the blocking all-reduce *is* the phase
+        // boundary: everything after the dot waits for it.
         if self.bulk_sync {
             self.phase_nodes.clear();
             self.phase_barrier = Some(col);

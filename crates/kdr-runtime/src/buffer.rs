@@ -32,6 +32,12 @@
 //!   place declares it once, writable). [`TaskContext`](crate::task::TaskContext)
 //!   works that out per requirement and debug builds assert it in
 //!   `range`/`range_mut`.
+//! * A declared subset lies inside its buffer in every profile: the
+//!   bound is checked once where the subset is declared
+//!   ([`TaskBuilder`](crate::task::TaskBuilder)'s `read`/`write`,
+//!   [`Buffer::read_view`]/[`Buffer::write_view`]), so a body that
+//!   slices the runs of its declared subset stays in bounds in
+//!   `--release` too.
 //! * Debug builds assert each access lies inside the declared subset,
 //!   catching tasks that under-declare their footprint.
 
@@ -155,17 +161,36 @@ impl<T: Copy + Send + 'static> Buffer<T> {
         }
     }
 
-    /// Create a read view over `subset`.
+    /// Panic unless `subset` lies inside `[0, len)`. Every declared
+    /// subset passes through here once, in every profile; the views'
+    /// slice accessors rely on it.
+    pub(crate) fn assert_in_bounds(&self, subset: &IntervalSet) {
+        if let Some(last) = subset.runs().last() {
+            assert!(
+                last.hi <= self.len() as u64,
+                "subset run [{}, {}) reaches past buffer {} of length {}",
+                last.lo,
+                last.hi,
+                self.id(),
+                self.len()
+            );
+        }
+    }
+
+    /// Create a read view over `subset`; panics if `subset` reaches
+    /// past the buffer.
     ///
     /// Safe to *create*; soundness of subsequent accesses relies on
     /// the runtime contract in the module docs. Prefer obtaining views
     /// through [`TaskContext`](crate::task::TaskContext).
     pub fn read_view<'a>(&'a self, subset: &'a IntervalSet) -> ReadView<'a, T> {
+        self.assert_in_bounds(subset);
         self.inner.read_view(subset, false)
     }
 
     /// Create a write view over `subset` (see [`Buffer::read_view`]).
     pub fn write_view<'a>(&'a self, subset: &'a IntervalSet) -> WriteView<'a, T> {
+        self.assert_in_bounds(subset);
         self.inner.write_view(subset, false)
     }
 }
@@ -279,9 +304,11 @@ impl<T: Copy> ReadView<'_, T> {
             !self.aliased,
             "slice of a requirement the same task also writes"
         );
-        // SAFETY: in bounds; no other task writes the range (module
-        // docs), and this task holds no `&mut` into it: its write
-        // requirements are disjoint from this one (`aliased`).
+        // SAFETY: a run of the declared subset is in bounds in every
+        // profile (checked at declaration, module docs), any other
+        // range in debug builds; no other task writes the range, and
+        // this task holds no `&mut` into it: its write requirements
+        // are disjoint from this one (`aliased`).
         unsafe { std::slice::from_raw_parts(self.ptr.add(lo), n) }
     }
 
@@ -369,8 +396,10 @@ impl<T: Copy> WriteView<'_, T> {
             !self.aliased,
             "mutable slice of a requirement the same task names twice"
         );
-        // SAFETY: in bounds; no other task touches the range (module
-        // docs), this task reaches it through no other requirement
+        // SAFETY: a run of the declared subset is in bounds in every
+        // profile (checked at declaration, module docs), any other
+        // range in debug builds; no other task touches the range,
+        // this task reaches it through no other requirement
         // (`aliased`), and the `&mut self` borrow keeps this view
         // from lending it twice.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), n) }

@@ -117,6 +117,7 @@ impl TaskBuilder {
 
     /// Declare a read of `subset` of `buffer`; the requirement's
     /// index (declaration order) is what [`TaskContext::read`] takes.
+    /// Panics if `subset` reaches past the end of `buffer`.
     /// A caller that declares the same subset every iteration passes
     /// a shared `Arc<IntervalSet>` and pays a reference count, not a
     /// copy; an `IntervalSet` by value works too.
@@ -129,7 +130,8 @@ impl TaskBuilder {
         self
     }
 
-    /// Declare a read-write of `subset` of `buffer`.
+    /// Declare a read-write of `subset` of `buffer`. Panics if
+    /// `subset` reaches past the end of `buffer`.
     pub fn write<T: Copy + Send + 'static>(
         mut self,
         buffer: &Buffer<T>,
@@ -155,6 +157,9 @@ impl TaskBuilder {
         subset: Arc<IntervalSet>,
         privilege: Privilege,
     ) {
+        // Bodies slice the runs of their declared subsets; this is
+        // the one bound check those slices have in `--release`.
+        buffer.assert_in_bounds(&subset);
         self.reqs.push(Requirement {
             buffer_id: buffer.id(),
             handle: buffer.erased(),
@@ -278,6 +283,26 @@ mod tests {
         assert!(!lites[0].write);
         assert!(lites[1].write);
         assert_eq!(lites[1].subset.cardinality(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "run [6, 9) reaches past buffer")]
+    fn subset_past_the_buffer_is_rejected_at_declaration() {
+        let a = Buffer::filled(8, 0.0f64);
+        let subset = IntervalSet::from_range(0, 2).union(&IntervalSet::from_range(6, 9));
+        let _ = TaskBuilder::new("t").read(&a, subset);
+    }
+
+    #[test]
+    fn subsets_up_to_the_last_element_and_empty_ones_are_accepted() {
+        let a = Buffer::filled(8, 0.0f64);
+        let none = Buffer::filled(0, 0.0f64);
+        let t = TaskBuilder::new("t")
+            .write(&a, IntervalSet::from_range(5, 8))
+            .read(&a, IntervalSet::empty())
+            .read(&none, IntervalSet::empty())
+            .read_all(&none);
+        assert_eq!(t.reqs.len(), 4);
     }
 
     #[test]

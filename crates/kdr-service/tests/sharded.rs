@@ -233,44 +233,73 @@ fn submit_racing_cutover_is_typed_never_lost() {
 
 #[test]
 fn four_shards_same_seed_bitwise_rerun() {
+    // Per tenant one fixed-budget job (tol = 0: exactly CAP
+    // iterations, equal known work) then one run to tolerance, at
+    // equal weights. The fairness window is WINDOW slices per
+    // resident tenant, all of them still inside the first job, so
+    // every tenant is runnable throughout: stride scheduling keeps
+    // them within one slice, a ratio of at most (WINDOW + 1) / WINDOW.
+    const CAP: usize = 128;
+    const WINDOW: usize = 26;
     let fingerprint = || {
         let svc = sharded(4);
         let n = 12 * 12;
-        let mut sids = Vec::new();
-        for t in 0..12u32 {
-            svc.register_tenant(t, u64::from(t % 3) + 1);
-            sids.push(
-                svc.create_session(t, spec(12, 12, 2, SolverKind::Cg)).unwrap(),
-            );
+        let mut residents = vec![Vec::new(); 4];
+        for t in 0..16u32 {
+            svc.register_tenant(t, 1);
+            residents[svc.shard_of(t).unwrap()].push(t);
+            let sid = svc.create_session(t, spec(12, 12, 2, SolverKind::Cg)).unwrap();
+            let fixed = SolveControl {
+                tol: 0.0,
+                check_every: 0,
+                max_iters: CAP,
+                ..SolveControl::default()
+            };
+            for (j, control) in [fixed, SolveControl::to_tolerance(1e-10, 1000)]
+                .into_iter()
+                .enumerate()
+            {
+                let rhs = rhs_vector::<f64>(n, u64::from(t) * 10 + j as u64);
+                svc.submit(t, SolveRequest::new(sid, rhs, control)).unwrap();
+            }
         }
-        for t in 0..12u32 {
-            for j in 0..2u64 {
-                svc.submit(
-                    t,
-                    SolveRequest::new(
-                        sids[t as usize],
-                        rhs_vector::<f64>(n, u64::from(t) * 10 + j),
-                        SolveControl::to_tolerance(1e-10, 1000),
-                    ),
-                )
-                .unwrap();
+        for (i, tenants) in residents.iter().enumerate() {
+            let slices = WINDOW * tenants.len();
+            assert_eq!(svc.shard(i).run_slices(slices), slices);
+            let m = svc.shard(i).metrics();
+            let counts: Vec<u64> = tenants.iter().map(|t| m[t].iterations).collect();
+            if let (Some(&min), Some(&max)) = (counts.iter().min(), counts.iter().max()) {
+                assert!(
+                    max as f64 <= 1.05 * min as f64,
+                    "shard {i}: fairness over the window exceeds 1.05: {counts:?}"
+                );
             }
         }
         svc.run_until_idle();
+        let mut capped = 0;
         let mut fp: Vec<(u64, u32, u64, u64)> = svc
             .take_responses()
             .iter()
             .map(|r| {
                 let bits = match r.outcome {
+                    kdr_service::JobOutcome::Capped { final_residual } => {
+                        assert_eq!(r.iterations, CAP as u64, "job {} missed its budget", r.job);
+                        capped += 1;
+                        final_residual.to_bits()
+                    }
                     kdr_service::JobOutcome::Converged { final_residual } => {
                         final_residual.to_bits()
                     }
-                    ref o => panic!("expected convergence, got {o:?}"),
+                    ref o => panic!("expected a finished job, got {o:?}"),
                 };
                 (r.job, r.tenant, r.iterations, bits)
             })
             .collect();
         fp.sort_unstable();
+        let mut jobs: Vec<u64> = fp.iter().map(|f| f.0).collect();
+        jobs.dedup();
+        assert_eq!(jobs.len(), 32, "zero lost, zero duplicated");
+        assert_eq!(capped, 16, "one exact-budget job per tenant");
         fp
     };
     assert_eq!(

@@ -1,7 +1,8 @@
 //! Shard-supervision tests: retry-with-backoff, health-budget
 //! quarantine + evacuation, crash recovery (kill_shard) with
-//! bit-identical replays, typed cancellation, live elasticity
-//! (add_shard/remove_shard), and degradation observability.
+//! bit-identical replays, all of those at once (the chaos pair),
+//! typed cancellation, live elasticity (add_shard/remove_shard), and
+//! degradation observability.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,6 +32,15 @@ fn spec(nx: u64, ny: u64, pieces: usize, solver: SolverKind) -> SessionSpec {
 }
 
 fn fleet(shards: usize, supervisor: SupervisorConfig) -> ShardedService {
+    watched_fleet(shards, supervisor, None)
+}
+
+/// [`fleet`] whose shards run a stall watchdog with this budget.
+fn watched_fleet(
+    shards: usize,
+    supervisor: SupervisorConfig,
+    stall_budget: Option<Duration>,
+) -> ShardedService {
     ShardedService::new(ShardConfig {
         shards,
         supervisor,
@@ -38,6 +48,7 @@ fn fleet(shards: usize, supervisor: SupervisorConfig) -> ShardedService {
             workers: 2,
             slice_iters: 4,
             queue_capacity: 1024,
+            stall_budget,
             ..ServiceConfig::default()
         },
         ..ShardConfig::default()
@@ -64,13 +75,17 @@ fn history_req(sid: usize, n: u64, rhs_seed: u64) -> SolveRequest {
     req
 }
 
-fn panic_on(name: &str, schedule: FireSchedule, max_fires: u64) -> FaultPlan {
+fn fault_on(name: &str, kind: FaultKind, schedule: FireSchedule, max_fires: u64) -> FaultPlan {
     FaultPlan::seeded(42).with(FaultSpec {
         name_contains: name.to_string(),
-        kind: FaultKind::Panic,
+        kind,
         schedule,
         max_fires,
     })
+}
+
+fn panic_on(name: &str, schedule: FireSchedule, max_fires: u64) -> FaultPlan {
+    fault_on(name, FaultKind::Panic, schedule, max_fires)
 }
 
 fn bits(h: &[(usize, f64)]) -> Vec<(usize, u64)> {
@@ -295,6 +310,88 @@ fn kill_shard_recovery_is_bit_identical_to_fault_free() {
 }
 
 #[test]
+fn chaos_fleet_delivers_the_fault_free_results_exactly_once() {
+    // Every recovery path at once: 3 shards x 16 tenants x 2 jobs,
+    // one failure mode armed per shard — task panics (retry), stalls
+    // past the 5 ms watchdog (two trips blow the health budget:
+    // quarantine + evacuation), one silent NaN write (caught by the
+    // non-finite residual check, so the attempt fails instead of
+    // shipping wrong bits) — plus a crash of the shard hosting
+    // tenant 1 after one supervision round. Fire counts stay inside
+    // the three-attempt retry budget.
+    let run = |chaos: bool| {
+        let supervisor = SupervisorConfig {
+            budget: HealthBudget {
+                max_tasks_stalled: Some(1),
+                ..HealthBudget::default()
+            },
+            ..retrying(3)
+        };
+        let svc = watched_fleet(3, supervisor, Some(Duration::from_millis(5)));
+        let mut submitted = Vec::new();
+        for t in 1..=16u32 {
+            svc.register_tenant(t, 1);
+            let sid = svc.create_session(t, spec(12, 12, 2, SolverKind::Cg)).unwrap();
+            for j in 0..2u64 {
+                let req = history_req(sid, 12 * 12, u64::from(t) * 1000 + j);
+                submitted.push(svc.submit(t, req).unwrap());
+            }
+        }
+        if chaos {
+            let plans = [
+                panic_on("spmv", FireSchedule::EveryNth(700), 2),
+                fault_on(
+                    "axpy",
+                    FaultKind::Stall { millis: 60 },
+                    FireSchedule::EveryNth(900),
+                    2,
+                ),
+                fault_on(
+                    "dot_partial",
+                    FaultKind::CorruptWrite,
+                    FireSchedule::EveryNth(1100),
+                    1,
+                ),
+            ];
+            for (i, plan) in plans.into_iter().enumerate() {
+                svc.shard(i).runtime().set_fault_plan(Some(plan));
+            }
+            svc.run_rounds(1, 2);
+            assert!(svc.kill_shard(svc.shard_of(1).unwrap()));
+        }
+        svc.run_until_idle();
+        let mut fp: Vec<Fingerprint> = svc
+            .take_responses()
+            .iter()
+            .map(|r| {
+                assert!(r.outcome.is_converged(), "job {}: {:?}", r.job, r.outcome);
+                (r.job, r.tenant, r.iterations, bits(&r.residual_history))
+            })
+            .collect();
+        fp.sort();
+        submitted.sort_unstable();
+        assert_eq!(
+            fp.iter().map(|f| f.0).collect::<Vec<_>>(),
+            submitted,
+            "chaos={chaos}: every job delivered, none twice"
+        );
+        let faults: u64 = svc.metrics().values().map(|m| m.faults_injected).sum();
+        (fp, svc.supervisor_stats(), faults)
+    };
+    let (chaos, stats, faults) = run(true);
+    let (oracle, _, _) = run(false);
+    assert_eq!(stats.kills, 1);
+    assert!(stats.jobs_resubmitted >= 1, "the crash had work in flight");
+    assert!(faults >= 1, "no armed fault fired");
+    assert!(stats.retries_scheduled >= 1, "no failed attempt was retried");
+    assert!(stats.quarantines >= 1, "the stalling shard kept its health");
+    assert_eq!(
+        chaos, oracle,
+        "recovered fleet must replay the fault-free results bit for bit"
+    );
+}
+
+#[test]
 fn evacuation_preserves_deadlines_and_iteration_budgets() {
     // Queued deadline-bearing jobs and a capped-budget job survive a
     // quarantine evacuation intact: the deadline still applies (and
@@ -473,26 +570,16 @@ fn add_shard_migrates_live_backlog_and_loses_nothing() {
 
 #[test]
 fn watchdog_trips_surface_in_tenant_metrics_and_health() {
-    let svc = ShardedService::new(ShardConfig {
-        shards: 1,
-        base: ServiceConfig {
-            workers: 2,
-            slice_iters: 4,
-            stall_budget: Some(Duration::from_millis(5)),
-            ..ServiceConfig::default()
-        },
-        ..ShardConfig::default()
-    });
+    let budget = Some(Duration::from_millis(5));
+    let svc = watched_fleet(1, SupervisorConfig::default(), budget);
     svc.register_tenant(1, 1);
     let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
-    svc.shard(0).runtime().set_fault_plan(Some(
-        FaultPlan::seeded(42).with(FaultSpec {
-            name_contains: "spmv".to_string(),
-            kind: FaultKind::Stall { millis: 60 },
-            schedule: FireSchedule::Nth(1),
-            max_fires: 1,
-        }),
-    ));
+    svc.shard(0).runtime().set_fault_plan(Some(fault_on(
+        "spmv",
+        FaultKind::Stall { millis: 60 },
+        FireSchedule::Nth(1),
+        1,
+    )));
     svc.submit(
         1,
         SolveRequest::new(sid, rhs_vector::<f64>(64, 9), SolveControl::to_tolerance(1e-10, 500)),

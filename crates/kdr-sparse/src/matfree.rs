@@ -4,8 +4,9 @@
 //! tile's values (CSR/ELL/BCSR exactly, DIA with dense padding). For
 //! the paper's Laplacian workloads those values are a pure function
 //! of the grid coordinate, so the big-grid regime — bandwidth-bound
-//! per BENCH_spmv.json — spends most of its memory traffic streaming
-//! numbers that could be recomputed for free. A [`StencilTile`]
+//! per the ledger's `sparse.spmv_dia_roof_frac` — spends most of its
+//! memory traffic streaming numbers that could be recomputed for
+//! free. A [`StencilTile`]
 //! stores *nothing per entry*: just the [`Stencil`] descriptor and
 //! the tile's global row runs. Its apply walks the grid geometry
 //! directly — each grid line's interior is swept *offset-major* (one

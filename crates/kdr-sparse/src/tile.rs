@@ -574,7 +574,7 @@ impl<T: Scalar> TileKernel<T> {
     /// representable (falling back to CSR otherwise, so forcing can
     /// never change results or lose entries).
     pub fn lower(rows: &[u64], cols: &[u64], vals: &[T], choice: KernelChoice) -> Self {
-        Self::lower_advised(rows, cols, vals, choice, 1, None)
+        Self::lower_advised(rows, cols, vals, choice, 1, None).0
     }
 
     /// [`TileKernel::lower`] with a cost-model hook: under
@@ -583,7 +583,10 @@ impl<T: Scalar> TileKernel<T> {
     /// part of the advisor's cost key). Advice of `Stencil` is
     /// ignored — assembled triplets are never reinterpreted — and any
     /// unrepresentable advice falls back to CSR exactly like a
-    /// forced kind, so advice can never change results.
+    /// forced kind, so advice can never change results. Returns the
+    /// kernel with the structure analysis it was chosen from, so a
+    /// caller that also needs the tile's [`StructureKey`] does not
+    /// analyze the triplets a second time.
     pub fn lower_advised(
         rows: &[u64],
         cols: &[u64],
@@ -591,13 +594,13 @@ impl<T: Scalar> TileKernel<T> {
         choice: KernelChoice,
         pieces: usize,
         advisor: Option<&dyn KernelAdvisor>,
-    ) -> Self {
+    ) -> (Self, TileStructure) {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
-        if rows.is_empty() {
-            return TileKernel::Empty;
-        }
         let structure = TileStructure::analyze(rows, cols, vals);
+        if rows.is_empty() {
+            return (TileKernel::Empty, structure);
+        }
         let kind = match choice {
             KernelChoice::Auto => advisor
                 .and_then(|a| a.advise(&structure, pieces))
@@ -605,7 +608,7 @@ impl<T: Scalar> TileKernel<T> {
                 .unwrap_or_else(|| structure.select()),
             KernelChoice::Force(k) => k,
         };
-        match kind {
+        let kernel = match kind {
             KernelKind::Bcsr => Self::lower_bcsr(rows, cols, vals, &structure)
                 .unwrap_or_else(|| TileKernel::Csr(Self::lower_csr(rows, cols, vals))),
             KernelKind::Dia => Self::lower_dia(rows, cols, vals, &structure)
@@ -618,7 +621,8 @@ impl<T: Scalar> TileKernel<T> {
             // via a stencil descriptor is the only route to the
             // matrix-free kernel.
             KernelKind::Stencil => TileKernel::Csr(Self::lower_csr(rows, cols, vals)),
-        }
+        };
+        (kernel, structure)
     }
 
     fn lower_csr(rows: &[u64], cols: &[u64], vals: &[T]) -> CsrTile<T> {
@@ -1203,6 +1207,28 @@ mod tests {
         let s = TileStructure::analyze(&r, &c, &v);
         assert_eq!(s.select(), KernelKind::Ell);
         check_all_kinds(&r, &c, &v, 31);
+    }
+
+    #[test]
+    fn seeded_random_scatter_selects_csr() {
+        // Irregular row lengths (1..=16) at seeded random columns, no
+        // repeated coordinate: nothing banded, padded or blocked pays.
+        let n = 1u64 << 10;
+        let mut next = crate::triples::xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut coords = Vec::new();
+        for i in 0..n {
+            for _ in 0..1 + next() % 16 {
+                coords.push((i, next() % n));
+            }
+        }
+        coords.sort_unstable();
+        coords.dedup();
+        let (r, c): (Vec<u64>, Vec<u64>) = coords.into_iter().unzip();
+        let v: Vec<f64> = r.iter().map(|_| 1.0 + (next() % 8) as f64 * 0.25).collect();
+        let s = TileStructure::analyze(&r, &c, &v);
+        assert!(!s.has_duplicates);
+        assert_eq!(s.select(), KernelKind::Csr);
+        check_all_kinds(&r, &c, &v, n as usize);
     }
 
     #[test]

@@ -466,8 +466,8 @@ fn metrics_agree_with_traced_stepping_contract() {
 
 // ----- overhead regression ------------------------------------------
 
-/// Median per-iteration wall time of a CG solve configured like the
-/// BENCH_tracing.json run (but smaller for test budgets).
+/// Median per-iteration wall time of a traced or analyzed CG solve
+/// (small, for test budgets).
 fn cg_ns_per_iter(traced: bool, events: bool, steps: usize) -> u64 {
     let mut planner = exec_planner(Stencil::lap2d(64, 64), 8, events);
     with_exec(&mut planner, |b| b.set_tracing(traced));
@@ -489,14 +489,12 @@ fn cg_ns_per_iter(traced: bool, events: bool, steps: usize) -> u64 {
 }
 
 /// The event layer, *disabled*, must not erode the traced fast path:
-/// traced replay stays faster than analyzed submission (the PR 1
-/// BENCH_tracing.json property re-verified in-process), and enabling
+/// traced replay stays faster than analyzed submission, and enabling
 /// events costs at most a small multiple.
 #[test]
 fn events_disabled_overhead_within_noise() {
-    // The headline property BENCH_tracing.json records is a 3.3-3.9x
-    // traced speedup; "within noise" here means the win survives at
-    // all (generous: timing in CI containers is coarse, and the full
+    // "Within noise" here means the traced win survives at all
+    // (generous: timing in CI containers is coarse, and the full
     // suite runs many test binaries concurrently, so one measurement
     // can land on a scheduling hiccup — hence up to three attempts).
     let steps = 24;
