@@ -340,108 +340,6 @@ pub trait Backend<T: Scalar>: Send {
     fn as_any(&mut self) -> &mut dyn std::any::Any;
 }
 
-impl<T: Scalar> Backend<T> for Box<dyn Backend<T>> {
-    fn alloc_vector(&mut self, comps: &[CompSpec]) -> BVec {
-        (**self).alloc_vector(comps)
-    }
-
-    fn fill_component(&mut self, v: BVec, comp: usize, data: &[T]) {
-        (**self).fill_component(v, comp, data)
-    }
-
-    fn read_component(&mut self, v: BVec, comp: usize) -> Vec<T> {
-        (**self).read_component(v, comp)
-    }
-
-    fn register_operator(&mut self, spec: OpSetSpec<T>) -> OpHandle {
-        (**self).register_operator(spec)
-    }
-
-    fn copy(&mut self, dst: BVec, src: BVec) {
-        (**self).copy(dst, src)
-    }
-
-    fn set_zero(&mut self, dst: BVec) {
-        (**self).set_zero(dst)
-    }
-
-    fn set_task_priority(&mut self, priority: u8) {
-        (**self).set_task_priority(priority)
-    }
-
-    fn scal(&mut self, dst: BVec, alpha: SRef) {
-        (**self).scal(dst, alpha)
-    }
-
-    fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        (**self).axpy(dst, alpha, src)
-    }
-
-    fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        (**self).xpay(dst, alpha, src)
-    }
-
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
-        (**self).dot_many(pairs)
-    }
-
-    fn scalar_const(&mut self, v: T) -> SRef {
-        (**self).scalar_const(v)
-    }
-
-    fn scalar_binop(&mut self, op: ScalarOp, a: SRef, b: SRef) -> SRef {
-        (**self).scalar_binop(op, a, b)
-    }
-
-    fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef {
-        (**self).scalar_unop(op, a)
-    }
-
-    fn scalar_get(&mut self, s: SRef) -> T {
-        (**self).scalar_get(s)
-    }
-
-    fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
-        (**self).scalar_get_many(scalars)
-    }
-
-    fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
-        (**self).apply(op, dst, src, transpose)
-    }
-
-    fn step_begin(&mut self) {
-        (**self).step_begin()
-    }
-
-    fn step_end(&mut self) -> StepOutcome {
-        (**self).step_end()
-    }
-
-    fn scalar_retain(&mut self, s: SRef) {
-        (**self).scalar_retain(s)
-    }
-
-    fn scalar_release(&mut self, s: SRef) {
-        (**self).scalar_release(s)
-    }
-
-    fn fence(&mut self) {
-        (**self).fence()
-    }
-
-    fn take_fault(&mut self) -> Option<BackendFault> {
-        (**self).take_fault()
-    }
-
-    fn set_step_tracing(&mut self, on: bool) {
-        (**self).set_step_tracing(on)
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        (**self).as_any()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

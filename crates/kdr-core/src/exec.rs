@@ -107,35 +107,6 @@ fn piece_color(comp: usize, color: usize) -> usize {
     comp * COLOR_STRIDE + color
 }
 
-/// Static task name for one `(kernel kind, transpose, fused zero)`
-/// combination — kind so metrics can count specialized-kernel
-/// launches, transpose/zero because both change what the task body
-/// does and must be part of the traced step's shape signature.
-fn kernel_task_name(kind: KernelKind, transpose: bool, zero: bool) -> &'static str {
-    match (kind, transpose, zero) {
-        (KernelKind::Csr, false, false) => "spmv_csr",
-        (KernelKind::Csr, false, true) => "spmv_csr_z",
-        (KernelKind::Csr, true, false) => "spmv_t_csr",
-        (KernelKind::Csr, true, true) => "spmv_t_csr_z",
-        (KernelKind::Dia, false, false) => "spmv_dia",
-        (KernelKind::Dia, false, true) => "spmv_dia_z",
-        (KernelKind::Dia, true, false) => "spmv_t_dia",
-        (KernelKind::Dia, true, true) => "spmv_t_dia_z",
-        (KernelKind::Ell, false, false) => "spmv_ell",
-        (KernelKind::Ell, false, true) => "spmv_ell_z",
-        (KernelKind::Ell, true, false) => "spmv_t_ell",
-        (KernelKind::Ell, true, true) => "spmv_t_ell_z",
-        (KernelKind::Bcsr, false, false) => "spmv_bcsr",
-        (KernelKind::Bcsr, false, true) => "spmv_bcsr_z",
-        (KernelKind::Bcsr, true, false) => "spmv_t_bcsr",
-        (KernelKind::Bcsr, true, true) => "spmv_t_bcsr_z",
-        (KernelKind::Stencil, false, false) => "spmv_stencil",
-        (KernelKind::Stencil, false, true) => "spmv_stencil_z",
-        (KernelKind::Stencil, true, false) => "spmv_t_stencil",
-        (KernelKind::Stencil, true, true) => "spmv_t_stencil_z",
-    }
-}
-
 /// Captured traces kept per backend; steps whose shape keeps changing
 /// after this many variants run analyzed. Sized for the longest shape
 /// cycle a solver here settles into: BiCGStab's nine (lowest-first
@@ -1212,11 +1183,10 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 // Task names carry the lowered kind (metrics report
                 // which kernels actually ran) and the zero/transpose
                 // flags (part of the step's shape signature).
-                let name = kernel_task_name(
-                    data.kind().expect("registered tiles are non-empty"),
-                    t,
-                    zero,
-                );
+                let name = data
+                    .kind()
+                    .expect("registered tiles are non-empty")
+                    .task_name(t, zero);
                 tasks.push(
                     TaskBuilder::new(name)
                         .read(sbuf, Arc::clone(rsubset))

@@ -87,7 +87,7 @@ impl<T: Scalar> Planner<T> {
     /// Create a planner over a backend.
     pub fn new(backend: Box<dyn Backend<T>>) -> Self {
         Planner {
-            backend: Arc::new(Mutex::new(backend)) as SharedBackend<T>,
+            backend: Arc::new(Mutex::new(backend)),
             sol_comps: Vec::new(),
             rhs_comps: Vec::new(),
             ops: Vec::new(),
@@ -631,7 +631,6 @@ impl<T: Scalar> Planner<T> {
     /// statistics): `planner.with_backend(|b| { let sim = b.as_any()
     /// .downcast_mut::<SimBackend<f64>>()...; })`.
     pub fn with_backend<R>(&mut self, f: impl FnOnce(&mut dyn Backend<T>) -> R) -> R {
-        let mut b = self.backend.lock();
-        f(&mut *b)
+        f(&mut **self.backend.lock())
     }
 }

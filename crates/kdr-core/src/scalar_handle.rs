@@ -16,7 +16,7 @@ use kdr_sparse::Scalar;
 use crate::backend::{Backend, SRef, ScalarOp, ScalarUnop};
 
 /// Shared backend handle used by planner, scalars, and solvers.
-pub type SharedBackend<T> = Arc<Mutex<dyn Backend<T>>>;
+pub type SharedBackend<T> = Arc<Mutex<Box<dyn Backend<T>>>>;
 
 /// A deferred scalar living in backend-managed storage.
 pub struct ScalarHandle<T: Scalar> {

@@ -1,18 +1,27 @@
 #![warn(missing_docs)]
 //! # kdr-service
 //!
-//! A multi-tenant solve service over one shared KDRSolvers runtime.
+//! A multi-tenant solve service over shared KDRSolvers runtimes.
 //!
 //! The paper's runtime executes one application's solves; this crate
 //! turns it into a *service*: many tenants submit [`SolveRequest`]s
-//! against long-lived, plan-cached [`Session`]s, and the service
-//! executes them over a single shared worker pool with
+//! against long-lived, plan-cached [`Session`]s. There is one service
+//! type, [`ShardedService`]: N shard engines — each a runtime, a
+//! worker pool, a fair scheduler, and the sessions of its resident
+//! tenants — behind one admission front door. The single-runtime
+//! service is `ShardConfig { shards: 1, .. }`. The front door owns
+//! what clients name (tenants and their weights, session specs, job
+//! and session ids, the ledger of admitted jobs) and hands a shard
+//! everything it runs as one bundle per tenant (see the [`sharded`]
+//! module docs); a [`ShardEngine`], reached through
+//! [`ShardedService::shard`], only drives and observes. Together they
+//! give
 //!
-//! - **admission control** — a bounded queue with immediate, typed
-//!   backpressure ([`RejectReason::QueueFull`]) and deadline
-//!   screening ([`RejectReason::DeadlineUnmeetable`]);
+//! - **admission control** — a bounded queue per shard with
+//!   immediate, typed backpressure ([`RejectReason::QueueFull`]) and
+//!   deadline screening ([`RejectReason::DeadlineUnmeetable`]);
 //! - **weighted fair-share scheduling** — a deterministic, seeded
-//!   stride scheduler time-slicing the pool across tenants at
+//!   stride scheduler time-slicing each pool across its tenants at
 //!   iteration granularity (a slice is `slice_iters` iterations of
 //!   one tenant's [`kdr_core::StepDriver`]);
 //! - **plan-cached sessions** — operator registration, dependent
@@ -21,15 +30,13 @@
 //!   prologue (measured as time-to-first-iteration, cold vs warm);
 //! - **cooperative cancellation** — per-job [`kdr_core::CancelToken`]
 //!   combining request deadlines with explicit
-//!   [`SolveService::cancel_job`], honored at iteration boundaries
+//!   [`ShardedService::cancel_job`], honored at iteration boundaries
 //!   by every solver family;
 //! - **per-tenant observability** — metrics-counter slices
 //!   ([`TenantMetrics`]) and tenant-tagged Chrome-trace export (one
 //!   Perfetto process per tenant);
-//! - **scale-out** — [`ShardedService`] runs N independent service
-//!   runtimes behind one admission front door, with consistent-hash
-//!   tenant placement and live cross-shard migration built on the
-//!   checkpoint/restart machinery (see the [`sharded`] module docs);
+//! - **scale-out** — consistent-hash tenant placement and live
+//!   cross-shard migration built on the checkpoint/restart machinery;
 //! - **supervision and self-healing** — the front door watches every
 //!   shard's health (task failures, poison cascades, watchdog trips,
 //!   injected faults, queue staleness), quarantines shards that blow
@@ -45,19 +52,19 @@
 //!   prices jobs by operator structure for admission screening,
 //!   opt-in cost-proportional fair-share weights
 //!   ([`ServiceConfig::cost_weights`]), and measured-sample kernel
-//!   advice to the planner; [`SolveService::save_store`] /
-//!   [`SolveService::open_store`] (and their [`ShardedService`]
-//!   counterparts) persist catalogue + tenants + sessions in a
-//!   versioned, checksummed on-disk store so a restarted service
-//!   starts warm with bit-identical residual histories.
+//!   advice to the planner; [`ShardedService::save_store`] /
+//!   [`ShardedService::open_store`] persist catalogue + tenants +
+//!   sessions in a versioned, checksummed on-disk store so a
+//!   restarted service starts warm with bit-identical residual
+//!   histories.
 //!
 //! ```
 //! use kdr_core::SolveControl;
-//! use kdr_service::{ServiceConfig, SessionSpec, SolveRequest, SolveService, SolverKind};
+//! use kdr_service::{SessionSpec, ShardConfig, ShardedService, SolveRequest, SolverKind};
 //! use kdr_sparse::Stencil;
 //! use kdr_sparse::stencil::rhs_vector;
 //!
-//! let svc = SolveService::new(ServiceConfig::default());
+//! let svc = ShardedService::new(ShardConfig { shards: 1, ..ShardConfig::default() });
 //! svc.register_tenant(1, 1);
 //! let s = Stencil::lap2d(8, 8);
 //! let n = s.unknowns();
@@ -65,7 +72,9 @@
 //! // every tile applies matrix-free from the descriptor. Assembled
 //! // operators instead construct the spec literally with
 //! // `matrix: ..., stencil: None`.
-//! let sid = svc.create_session(1, SessionSpec::stencil(s, 2, SolverKind::Cg));
+//! let sid = svc
+//!     .create_session(1, SessionSpec::stencil(s, 2, SolverKind::Cg))
+//!     .unwrap();
 //! let job = svc
 //!     .submit(1, SolveRequest::new(sid, rhs_vector::<f64>(n, 7),
 //!         SolveControl::to_tolerance(1e-10, 500)))
@@ -94,7 +103,7 @@ pub use request::{
     TenantId,
 };
 pub use scheduler::FairScheduler;
-pub use service::{ServiceConfig, ShardLoad, SolveService, TenantBundle};
+pub use service::{ServiceConfig, ShardEngine, ShardLoad};
 pub use session::{Session, SessionSpec, SessionTuning, SolverKind};
 pub use sharded::{Placement, ShardConfig, ShardedService};
 pub use supervision::{

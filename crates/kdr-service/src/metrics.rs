@@ -6,10 +6,10 @@
 //! the attribution is exact; in the default unfenced mode, tasks
 //! still in flight at the boundary retire under a later slice, so
 //! per-tenant deltas are approximate (totals across tenants remain
-//! exact). Spans accumulate per tenant and export through
-//! [`kdr_runtime::chrome_trace_json_grouped`] — one Perfetto process
-//! per tenant, workers as threads — and counter deltas accumulate
-//! into one [`TenantMetrics`] slice per tenant.
+//! exact). Spans accumulate per tenant — the fleet's `chrome_trace`
+//! merges them across shards into one Perfetto process per tenant,
+//! workers as threads — and counter deltas accumulate into one
+//! [`TenantMetrics`] slice per tenant.
 
 use std::collections::BTreeMap;
 
@@ -179,29 +179,6 @@ impl ServiceMetrics {
             .map(|(&t, spans)| (t, spans.clone()))
             .collect()
     }
-
-    /// Render every tenant's retained spans as Chrome `trace_event`
-    /// JSON: one process (`pid`) per tenant, named `tenant-{id}`,
-    /// workers as named threads. Loadable in Perfetto.
-    pub fn chrome_trace(&self) -> String {
-        let groups: Vec<(String, Vec<TaskSpan>)> = self
-            .spans
-            .iter()
-            .map(|(t, spans)| (format!("tenant-{t}"), spans.clone()))
-            .collect();
-        kdr_runtime::chrome_trace_json_grouped(&groups)
-    }
-
-    /// [`ServiceMetrics::chrome_trace`] plus service-wide counter
-    /// events (Chrome `"ph": "C"`) appended to the stream.
-    pub fn chrome_trace_with_counters(&self, counters: &[(&str, f64)]) -> String {
-        let groups: Vec<(String, Vec<TaskSpan>)> = self
-            .spans
-            .iter()
-            .map(|(t, spans)| (format!("tenant-{t}"), spans.clone()))
-            .collect();
-        kdr_runtime::chrome_trace_json_with_counters(&groups, counters)
-    }
 }
 
 #[cfg(test)]
@@ -270,11 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_groups_by_tenant() {
+    fn empty_span_sets_are_dropped() {
         let mut m = ServiceMetrics::default();
-        m.record_spans(1, Vec::new()); // empty: dropped
-        let json = m.chrome_trace();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(!json.contains("tenant-1"), "empty span sets are dropped");
+        m.record_spans(1, Vec::new());
+        assert!(m.span_groups().is_empty());
     }
 }

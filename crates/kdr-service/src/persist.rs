@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
-use kdr_sparse::{Coo, SparseMatrix, Stencil, StencilKind, Triples};
+use kdr_sparse::{Coo, KernelKind, SparseMatrix, Stencil, StencilKind, Triples};
 use kdr_store::{StoreError, StoreOperator, StoreSession};
 
+use crate::request::{SessionId, TenantId};
 use crate::session::{SessionSpec, SolverKind};
 
 /// Encode a [`SolverKind`] as `(code, p0, f0, f1)` wire fields.
@@ -88,6 +89,35 @@ pub(crate) fn operator_to_store(spec: &SessionSpec) -> StoreOperator {
                 entries,
             }
         }
+    }
+}
+
+/// One session as a store record: its front-door spec plus what its
+/// shard knows of it — the kernel its tiles lowered to (`None`
+/// re-decides on restart), jobs completed, and steps captured (both
+/// zero for a cold session).
+pub(crate) fn session_to_store(
+    id: SessionId,
+    tenant: TenantId,
+    spec: &SessionSpec,
+    kernel: Option<KernelKind>,
+    jobs_completed: u64,
+    steps_captured: u64,
+) -> StoreSession {
+    let (solver_code, solver_p0, solver_f0, solver_f1) = solver_wire(spec.solver);
+    StoreSession {
+        session: id as u64,
+        tenant: u64::from(tenant),
+        unknowns: spec.unknowns,
+        pieces: spec.pieces as u64,
+        solver_code,
+        solver_p0,
+        solver_f0,
+        solver_f1,
+        kernel_code: StoreSession::kernel_code_for(kernel),
+        jobs_completed,
+        steps_captured,
+        operator: operator_to_store(spec),
     }
 }
 
@@ -185,21 +215,7 @@ mod tests {
             solver: SolverKind::Cg,
             stencil: None,
         };
-        let op = operator_to_store(&spec);
-        let stored = StoreSession {
-            session: 0,
-            tenant: 0,
-            unknowns: 3,
-            pieces: 1,
-            solver_code: 0,
-            solver_p0: 0,
-            solver_f0: 0.0,
-            solver_f1: 0.0,
-            kernel_code: 255,
-            jobs_completed: 0,
-            steps_captured: 0,
-            operator: op,
-        };
+        let stored = session_to_store(0, 0, &spec, None, 0, 0);
         let back = spec_from_store(&stored).unwrap();
         let mut orig = Vec::new();
         spec.matrix
@@ -212,25 +228,9 @@ mod tests {
 
     #[test]
     fn malformed_store_sessions_are_typed_errors() {
-        let base = StoreSession {
-            session: 0,
-            tenant: 0,
-            unknowns: 8,
-            pieces: 2,
-            solver_code: 0,
-            solver_p0: 0,
-            solver_f0: 0.0,
-            solver_f1: 0.0,
-            kernel_code: 255,
-            jobs_completed: 0,
-            steps_captured: 0,
-            operator: StoreOperator::Stencil {
-                kind: 0,
-                nx: 8,
-                ny: 1,
-                nz: 1,
-            },
-        };
+        let line = Stencil::new(StencilKind::from_code(0).unwrap(), 8, 1, 1);
+        let spec = SessionSpec::stencil(line, 2, SolverKind::Cg);
+        let base = session_to_store(0, 0, &spec, None, 0, 0);
         // Unknown stencil code.
         let mut s = base.clone();
         s.operator = StoreOperator::Stencil {

@@ -29,7 +29,7 @@ pub struct SolveRequest {
     /// request deadline with explicit [`cancel_job`]); a token
     /// already present in the control is honored too.
     ///
-    /// [`cancel_job`]: crate::SolveService::cancel_job
+    /// [`cancel_job`]: crate::ShardedService::cancel_job
     pub control: SolveControl,
     /// Scheduling priority (`0` = normal; `>0` additionally routes
     /// the job's runtime tasks through the executor's express lanes).
@@ -208,7 +208,11 @@ pub struct SolveResponse {
     pub outcome: JobOutcome,
     /// Iterations executed across the whole batch.
     pub iterations: u64,
-    /// Admission → first scheduling.
+    /// Admission → first scheduling of the execution that produced
+    /// this response. A retried or crash-resubmitted job keeps its
+    /// admission instant, so its failed attempts and backoff count
+    /// here and `queue_wait + turnaround` is the job's whole life at
+    /// the service.
     pub queue_wait: Duration,
     /// First scheduling → first completed iteration. Cold sessions
     /// pay operator registration, tile lowering, and dependence
@@ -226,13 +230,35 @@ pub struct SolveResponse {
     /// set.
     pub residual_history: Vec<(usize, f64)>,
     /// How many times the job was migrated between shards while in
-    /// flight (always `0` on an unsharded [`SolveService`]).
-    ///
-    /// [`SolveService`]: crate::SolveService
+    /// flight.
     pub migrations: u32,
     /// How many extra executions the front door gave this job: failed
     /// attempts consumed by retry-with-backoff plus from-scratch
-    /// resubmissions after a shard crash. `0` everywhere except under
-    /// the sharded supervisor.
+    /// resubmissions after a shard crash.
     pub retries: u32,
+}
+
+impl SolveResponse {
+    /// The response of a job cancelled before it ever ran.
+    pub(crate) fn cancelled_unstarted(
+        job: JobId,
+        tenant: TenantId,
+        session: SessionId,
+        queue_wait: Duration,
+    ) -> Self {
+        SolveResponse {
+            job,
+            tenant,
+            session,
+            outcome: JobOutcome::Cancelled { iteration: 0 },
+            iterations: 0,
+            queue_wait,
+            time_to_first_iteration: None,
+            turnaround: Duration::ZERO,
+            warm: false,
+            residual_history: Vec::new(),
+            migrations: 0,
+            retries: 0,
+        }
+    }
 }

@@ -33,8 +33,8 @@ struct TenantSched {
 }
 
 /// SplitMix64: a tiny, high-quality deterministic hash for seeded
-/// tie-breaking.
-fn splitmix64(mut x: u64) -> u64 {
+/// tie-breaking here and for the front door's hash ring.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

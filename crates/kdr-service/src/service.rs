@@ -1,49 +1,42 @@
-//! The solve service: one shared runtime, many tenants.
+//! The shard engine: one runtime, the tenants placed on it.
 //!
-//! Clients register tenants (with fair-share weights), create
-//! plan-cached [`Session`]s, and submit [`SolveRequest`]s from any
-//! thread. A single *driver* (any thread calling
-//! [`SolveService::run_until_idle`]) executes admitted jobs by
-//! time-slicing the shared worker pool across tenants at iteration
-//! granularity: each scheduler pick runs at most `slice_iters`
-//! iterations of one tenant's job through a [`StepDriver`],
-//! attributes the slice's runtime spans and counter deltas to the
-//! tenant, and yields back to the scheduler (fencing at the boundary
-//! only when [`ServiceConfig::fence_slices`] or span capture asks
-//! for it). Parallelism lives
-//! *inside* a slice (the runtime's workers execute each iteration's
-//! task DAG concurrently); determinism across runs comes from the
-//! single driver plus the seeded stride scheduler.
+//! A [`ShardEngine`] is one shard of a [`ShardedService`]: a worker
+//! pool, a fair scheduler, an admission queue and the plan-cached
+//! [`Session`]s of its resident tenants. Clients never talk to it —
+//! tenants, sessions and jobs reach it through the front door, as
+//! per-tenant bundles handed to `attach_tenant` and jobs handed to
+//! `submit` — so what it offers publicly is *drive and observe*.
 //!
-//! One `SolveService` is also the *shard engine* of the scaled-out
-//! [`ShardedService`](crate::ShardedService): N independent
-//! `SolveService`s (each with its own runtime, driver, scheduler, and
-//! sessions) behind one admission front door, with
-//! [`SolveService::detach_tenant`] / [`SolveService::attach_tenant`]
-//! moving a tenant — sessions, queued jobs, and checkpointed
-//! in-flight jobs — between shards.
+//! A single *driver* (any thread calling
+//! [`ShardEngine::run_until_idle`] or [`ShardEngine::run_slices`])
+//! executes admitted jobs by time-slicing the worker pool across
+//! tenants at iteration granularity: each scheduler pick runs at most
+//! `slice_iters` iterations of one tenant's job through a
+//! [`StepDriver`], attributes the slice's runtime spans and counter
+//! deltas to the tenant, and yields back to the scheduler (fencing at
+//! the boundary only when [`ServiceConfig::fence_slices`] or span
+//! capture asks for it). Parallelism lives *inside* a slice (the
+//! runtime's workers execute each iteration's task DAG concurrently);
+//! determinism across runs comes from the single driver plus the
+//! seeded stride scheduler.
+//!
+//! [`ShardedService`]: crate::ShardedService
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
-use kdr_machine::MachineConfig;
 use kdr_runtime::{ColorAffinityMapper, MetricsSnapshot, Runtime, TaskSpan};
 use kdr_sparse::{KernelAdvisor, KernelKind};
-use kdr_store::{
-    CatalogueKey, SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant,
-};
+use kdr_store::{CatalogueKey, SharedCatalogue};
 
-use crate::metrics::ServiceMetrics;
-use crate::persist;
+use crate::metrics::{ServiceMetrics, TenantMetrics};
 use crate::queue::{AdmissionQueue, QueuedJob};
 use crate::request::{
-    CancelOutcome, JobId, JobOutcome, RejectReason, SessionId, SolveRequest, SolveResponse,
-    TenantId,
+    JobId, JobOutcome, RejectReason, SessionId, SolveRequest, SolveResponse, TenantId,
 };
 use crate::scheduler::FairScheduler;
 use crate::session::{Session, SessionSpec, SessionTuning};
@@ -67,7 +60,8 @@ pub struct ServiceConfig {
     /// → same schedule.
     pub seed: u64,
     /// Record runtime task spans and attribute them per tenant (for
-    /// [`SolveService::chrome_trace`]). Costs one atomic per task.
+    /// [`ShardedService::chrome_trace`](crate::ShardedService::chrome_trace)).
+    /// Costs one atomic per task.
     pub capture_events: bool,
     /// Fence the shared runtime at every slice boundary.
     ///
@@ -90,7 +84,9 @@ pub struct ServiceConfig {
     /// ```
     /// use std::sync::Arc;
     /// use kdr_core::SolveControl;
-    /// use kdr_service::{ServiceConfig, SessionSpec, SolveRequest, SolveService, SolverKind};
+    /// use kdr_service::{
+    ///     ServiceConfig, SessionSpec, ShardConfig, ShardedService, SolveRequest, SolverKind,
+    /// };
     /// use kdr_sparse::{stencil::rhs_vector, SparseMatrix, Stencil};
     ///
     /// let stencil = Stencil::lap2d(8, 8);
@@ -99,17 +95,17 @@ pub struct ServiceConfig {
     ///
     /// // Same two-tenant workload under both settings.
     /// for fence_slices in [false, true] {
-    ///     let svc = SolveService::new(ServiceConfig {
-    ///         workers: 2,
-    ///         fence_slices,
-    ///         ..ServiceConfig::default()
+    ///     let svc = ShardedService::new(ShardConfig {
+    ///         shards: 1,
+    ///         base: ServiceConfig { workers: 2, fence_slices, ..ServiceConfig::default() },
+    ///         ..ShardConfig::default()
     ///     });
     ///     for t in [1, 2] {
     ///         svc.register_tenant(t, 1);
     ///         let sid = svc.create_session(t, SessionSpec {
     ///             matrix: Arc::clone(&matrix), unknowns: n, pieces: 2,
     ///             solver: SolverKind::Cg, stencil: None,
-    ///         });
+    ///         }).unwrap();
     ///         svc.submit(t, SolveRequest::new(sid, rhs_vector::<f64>(n, t as u64),
     ///             SolveControl::to_tolerance(1e-10, 500))).unwrap();
     ///     }
@@ -205,59 +201,64 @@ struct ActiveJob {
     last_residual: f64,
 }
 
-/// A job checkpointed mid-flight for migration: everything needed to
-/// resume it on another shard's runtime.
-struct JobSnapshot {
-    job: JobId,
-    session: SessionId,
-    request: Arc<SolveRequest>,
-    token: CancelToken,
-    rhs_idx: usize,
-    iterations: u64,
-    rhs_done: usize,
-    sol: Option<Vec<Vec<f64>>>,
-    migrations: u32,
-    trace: Option<SolveTrace>,
-    submitted_at: Instant,
-    started_at: Option<Instant>,
-    ttfi: Option<Duration>,
-    warm: bool,
-    last_residual: f64,
+/// One session of a [`TenantBundle`].
+pub(crate) struct BundleSession {
+    pub(crate) id: SessionId,
+    pub(crate) spec: SessionSpec,
+    /// Pin every tile of the operator to this kernel (a store's
+    /// persisted choice, replayed deterministically); `None` lets the
+    /// catalogue advisor or the structure heuristic pick.
+    pub(crate) kernel: Option<KernelKind>,
+    /// Finalize the plan and capture the iteration trace at install
+    /// time, so the session's first real job is warm.
+    pub(crate) prewarm: bool,
 }
 
-/// One tenant's complete detachable state: fair-share weight,
-/// sessions (as rebuildable specs), queued jobs, and checkpointed
-/// in-flight jobs. Produced by [`SolveService::detach_tenant`] on the
-/// source shard, consumed by [`SolveService::attach_tenant`] on the
-/// destination. Opaque: the bundle must be attached exactly once or
-/// its jobs are lost.
-pub struct TenantBundle {
-    tenant: TenantId,
-    weight: u64,
-    sessions: Vec<(SessionId, SessionSpec)>,
-    queued: Vec<QueuedJob>,
-    in_flight: Vec<JobSnapshot>,
+impl BundleSession {
+    /// A session built from its spec alone: kernel re-decided, plan
+    /// finalized by its first job.
+    pub(crate) fn cold(id: SessionId, spec: SessionSpec) -> Self {
+        BundleSession {
+            id,
+            spec,
+            kernel: None,
+            prewarm: false,
+        }
+    }
+}
+
+/// What only its shard knows about a session: the kernel its tiles
+/// actually lowered to (when the plan is finalized and unanimous;
+/// `None` otherwise, so a restart re-decides), jobs completed, and
+/// steps captured. All-default for a cold session.
+pub(crate) type SessionWarmth = (Option<KernelKind>, u64, u64);
+
+/// Everything of one tenant that reaches a shard in one step:
+/// fair-share weight, sessions to build, queued jobs, and in-flight
+/// jobs checkpointed at their current iterate (driver and solver
+/// dropped, `resume_sol` holding the `SOL` snapshot). The front door
+/// builds one from a live [`ShardEngine::detach_tenant`], from its own
+/// tenant record and job ledger, or from a store file;
+/// [`ShardEngine::attach_tenant`] is the only consumer. A bundle must
+/// be attached exactly once or its jobs are lost.
+pub(crate) struct TenantBundle {
+    pub(crate) tenant: TenantId,
+    pub(crate) weight: u64,
+    pub(crate) sessions: Vec<BundleSession>,
+    pub(crate) queued: Vec<QueuedJob>,
+    in_flight: Vec<ActiveJob>,
 }
 
 impl TenantBundle {
-    /// The tenant this bundle detached.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// Sessions carried (id + rebuildable spec).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Queued (not yet started) jobs carried.
-    pub fn queued_count(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Checkpointed in-flight jobs carried.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
+    /// A bundle that only (re-)registers the tenant at `weight`.
+    pub(crate) fn new(tenant: TenantId, weight: u64) -> Self {
+        TenantBundle {
+            tenant,
+            weight,
+            sessions: Vec::new(),
+            queued: Vec::new(),
+            in_flight: Vec::new(),
+        }
     }
 
     /// Downgrade every checkpointed in-flight job to a queued job
@@ -272,13 +273,13 @@ impl TenantBundle {
     /// order (job ids are allocated in submission order).
     ///
     /// [`InFlightRecovery::Restart`]: crate::supervision::InFlightRecovery::Restart
-    pub fn restart_in_flight(&mut self) {
-        for snap in self.in_flight.drain(..) {
+    pub(crate) fn restart_in_flight(&mut self) {
+        for a in self.in_flight.drain(..) {
             self.queued.push(QueuedJob {
-                job: snap.job,
-                tenant: self.tenant,
-                request: snap.request,
-                submitted_at: snap.submitted_at,
+                job: a.job,
+                tenant: a.tenant,
+                request: a.request,
+                submitted_at: a.submitted_at,
                 predicted_seconds: None,
             });
         }
@@ -320,33 +321,34 @@ impl ShardLoad {
     }
 }
 
-struct ServiceState {
+struct EngineState {
     queue: AdmissionQueue,
     scheduler: FairScheduler,
-    sessions: std::collections::BTreeMap<SessionId, Session>,
+    sessions: BTreeMap<SessionId, Session>,
     active: Vec<ActiveJob>,
     responses: Vec<SolveResponse>,
     metrics: ServiceMetrics,
-    next_job: JobId,
-    next_session: SessionId,
-    /// Registered fair-share weights as the caller gave them. The
+    /// Fair-share weights as the front door registered them. The
     /// scheduler may hold cost-scaled *effective* weights (with
-    /// [`ServiceConfig::cost_weights`]); migration and the durable
-    /// store always carry the base weight.
+    /// [`ServiceConfig::cost_weights`]).
     base_weights: BTreeMap<TenantId, u64>,
 }
 
-/// The multi-tenant solve service.
-pub struct SolveService {
+/// One shard of a [`ShardedService`](crate::ShardedService): a
+/// runtime and the tenants placed on it. Reached through
+/// [`ShardedService::shard`](crate::ShardedService::shard) to drive a
+/// shard by hand, arm fault injection on its runtime, or read its
+/// per-shard counters.
+pub struct ShardEngine {
     rt: Arc<Runtime>,
     mapper: Arc<ColorAffinityMapper>,
     cfg: ServiceConfig,
-    state: Mutex<ServiceState>,
+    state: Mutex<EngineState>,
 }
 
-impl SolveService {
-    /// Spin up the shared runtime and an empty service.
-    pub fn new(cfg: ServiceConfig) -> Self {
+impl ShardEngine {
+    /// Spin up the shard's runtime with no tenants on it.
+    pub(crate) fn new(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers.max(1);
         let mapper = Arc::new(ColorAffinityMapper::new(workers));
         let rt = Arc::new(Runtime::with_mapper(workers, mapper.clone()));
@@ -361,172 +363,78 @@ impl SolveService {
             // online refinement.
             rt.enable_kernel_timing(true);
         }
-        SolveService {
+        ShardEngine {
             rt,
             mapper,
-            state: Mutex::new(ServiceState {
+            state: Mutex::new(EngineState {
                 queue: AdmissionQueue::new(cfg.queue_capacity),
                 scheduler: FairScheduler::new(cfg.seed),
-                sessions: std::collections::BTreeMap::new(),
+                sessions: BTreeMap::new(),
                 active: Vec::new(),
                 responses: Vec::new(),
                 metrics: ServiceMetrics::default(),
-                next_job: 0,
-                next_session: 0,
                 base_weights: BTreeMap::new(),
             }),
             cfg,
         }
     }
 
-    /// The shared runtime (e.g. to arm fault injection in tests).
+    /// The shard's runtime (e.g. to arm fault injection in tests).
     pub fn runtime(&self) -> Arc<Runtime> {
         Arc::clone(&self.rt)
     }
 
-    /// The live color-affinity mapper (e.g. to attach a
-    /// [`kdr_core::Rebalancer`]).
-    pub fn mapper(&self) -> Arc<ColorAffinityMapper> {
-        Arc::clone(&self.mapper)
-    }
-
-    /// Register (or re-weight) a tenant with a fair-share weight.
-    pub fn register_tenant(&self, tenant: TenantId, weight: u64) {
-        let mut st = self.state.lock();
-        st.base_weights.insert(tenant, weight);
-        st.scheduler.register(tenant, weight);
-        self.refresh_cost_weights(&mut st);
-    }
-
     /// The weight the scheduler is currently striding a tenant at:
     /// the registered weight, or the cost-scaled effective weight
-    /// when [`ServiceConfig::cost_weights`] is on. `None` for an
-    /// unregistered tenant.
+    /// when [`ServiceConfig::cost_weights`] is on. `None` for a
+    /// tenant that does not live on this shard.
     pub fn effective_weight(&self, tenant: TenantId) -> Option<u64> {
         self.state.lock().scheduler.weight(tenant)
     }
 
-    /// Create a plan-cached session for a tenant. Cheap; the
-    /// expensive plan construction happens on the session's first
-    /// job (cold) and is skipped thereafter (warm).
-    pub fn create_session(&self, tenant: TenantId, spec: SessionSpec) -> SessionId {
-        let mut st = self.state.lock();
-        let id = st.next_session;
-        st.next_session += 1;
-        drop(st);
-        self.create_session_with_id(id, tenant, spec, None);
-        id
-    }
-
-    /// Install a session under a caller-chosen id (the sharded front
-    /// door allocates globally unique ids so a session keeps its id
-    /// across migrations). `forced_kernel` pins every tile of the
-    /// session's operator to one kernel — the store's warm-restart
-    /// replay; `None` lets the catalogue advisor (when configured)
-    /// or the structure heuristic pick.
-    pub(crate) fn create_session_with_id(
-        &self,
-        id: SessionId,
-        tenant: TenantId,
-        spec: SessionSpec,
-        forced_kernel: Option<KernelKind>,
-    ) {
-        let sess = Session::with_tuning(
-            Arc::clone(&self.rt),
-            Arc::clone(&self.mapper),
-            tenant,
-            spec,
-            self.session_tuning(forced_kernel),
-        );
-        let mut st = self.state.lock();
-        st.sessions.insert(id, sess);
-        st.next_session = st.next_session.max(id + 1);
-        self.refresh_cost_weights(&mut st);
-    }
-
-    /// Kernel tuning for a new session: the catalogue advisor when a
-    /// catalogue is configured (snapshotted here, so the session's
-    /// lowering decision is deterministic no matter when its first
-    /// job finalizes the plan), plus an optional forced kernel.
-    fn session_tuning(&self, forced_kernel: Option<KernelKind>) -> SessionTuning {
-        SessionTuning {
-            advisor: self
-                .cfg
-                .catalogue
-                .as_ref()
-                .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>),
-            forced_kernel,
-        }
-    }
-
-    /// Submit a request. Returns the admitted job id, or a typed
-    /// rejection ([`RejectReason::QueueFull`] /
+    /// Admit a job the front door routed here (it has checked that
+    /// the tenant lives on this shard and owns the session) or reject
+    /// it with a typed reason ([`RejectReason::QueueFull`] /
     /// [`RejectReason::DeadlineUnmeetable`] are the backpressure
-    /// signals). Callable from any thread.
-    pub fn submit(&self, tenant: TenantId, request: SolveRequest) -> Result<JobId, RejectReason> {
-        let job = self.state.lock().next_job;
-        self.submit_with_id(job, tenant, Arc::new(request))
-            .map(|()| job)
-    }
-
-    /// Submit under a caller-chosen job id (the sharded front door
-    /// allocates ids across shards). `job` must be `>=` every id this
-    /// shard has seen; on success the shard's own counter advances
-    /// past it.
-    pub(crate) fn submit_with_id(
+    /// signals). `now` is the admission instant the front door keeps
+    /// in its ledger.
+    pub(crate) fn submit(
         &self,
         job: JobId,
         tenant: TenantId,
         request: Arc<SolveRequest>,
+        now: Instant,
     ) -> Result<(), RejectReason> {
-        let mut st = self.state.lock();
-        if !st.scheduler.is_registered(tenant) {
-            return Err(RejectReason::UnknownTenant { tenant });
-        }
-        let session = request.session;
-        let predicted: Option<(f64, bool)> = match st.sessions.get(&session) {
-            None => {
-                st.metrics.tenant_mut(tenant).jobs_rejected += 1;
-                return Err(RejectReason::UnknownSession { session });
-            }
-            Some(s) if s.tenant() != tenant => {
-                st.metrics.tenant_mut(tenant).jobs_rejected += 1;
-                return Err(RejectReason::UnknownSession { session });
-            }
-            Some(s) => {
-                if request.rhs_batch.is_empty() {
-                    st.metrics.tenant_mut(tenant).jobs_rejected += 1;
-                    return Err(RejectReason::EmptyBatch);
-                }
-                let expected = s.unknowns();
-                if let Some(bad) = request
-                    .rhs_batch
-                    .iter()
-                    .find(|r| r.len() as u64 != expected)
-                {
-                    st.metrics.tenant_mut(tenant).jobs_rejected += 1;
-                    return Err(RejectReason::BadRhsLength {
-                        expected,
-                        got: bad.len(),
-                    });
-                }
-                self.predict_job_seconds(s, &request)
-            }
+        let st = &mut *self.state.lock();
+        let sess = st
+            .sessions
+            .get(&request.session)
+            .expect("the front door routes a job to the shard holding its session");
+        let expected = sess.unknowns();
+        let admitted = if request.rhs_batch.is_empty() {
+            Err(RejectReason::EmptyBatch)
+        } else if let Some(bad) = request
+            .rhs_batch
+            .iter()
+            .find(|r| r.len() as u64 != expected)
+        {
+            Err(RejectReason::BadRhsLength {
+                expected,
+                got: bad.len(),
+            })
+        } else {
+            let predicted = self.predict_job_seconds(sess, &request);
+            st.queue
+                .try_admit(job, tenant, request, now, predicted.map(|(seconds, _)| seconds))
+                .map(|()| predicted)
         };
-        match st.queue.try_admit(
-            job,
-            tenant,
-            request,
-            Instant::now(),
-            predicted.map(|(seconds, _)| seconds),
-        ) {
-            Ok(()) => {
-                st.next_job = st.next_job.max(job + 1);
+        let m = st.metrics.tenant_mut(tenant);
+        match admitted {
+            Ok(predicted) => {
                 // Hit/miss accounting covers *admitted* jobs only, so
                 // `catalogue_hits + catalogue_misses` reconciles with
                 // the admitted-job count.
                 if let Some((_, observed)) = predicted {
-                    let m = st.metrics.tenant_mut(tenant);
                     if observed {
                         m.catalogue_hits += 1;
                     } else {
@@ -537,7 +445,7 @@ impl SolveService {
                 Ok(())
             }
             Err(e) => {
-                st.metrics.tenant_mut(tenant).jobs_rejected += 1;
+                m.jobs_rejected += 1;
                 Err(e)
             }
         }
@@ -563,54 +471,39 @@ impl SolveService {
         ))
     }
 
-    /// Cooperatively cancel a job, queued or running. Queued jobs
-    /// complete immediately with [`JobOutcome::Cancelled`]; running
-    /// jobs stop at their next iteration boundary. Returns what the
-    /// cancel did: [`CancelOutcome::AlreadyDone`] distinguishes a job
-    /// that already completed (its id is below this service's
-    /// allocation watermark) from an id never admitted here
-    /// ([`CancelOutcome::UnknownJob`]). On a shard inside a
-    /// [`ShardedService`](crate::ShardedService) the watermark spans
-    /// ids routed to *other* shards too — the sharded front door's
-    /// `cancel_job` consults its job ledger instead of trusting a
-    /// single shard's answer.
-    pub fn cancel_job(&self, job: JobId) -> CancelOutcome {
+    /// Cooperatively cancel a job if it is queued or running here. A
+    /// queued job completes immediately with
+    /// [`JobOutcome::Cancelled`]; a running job stops at its next
+    /// iteration boundary. `false` means the job is not on this shard
+    /// any more (it finished; the front door's ledger says whether
+    /// its response was delivered).
+    pub(crate) fn cancel_job(&self, job: JobId) -> bool {
         let mut st = self.state.lock();
         if let Some(q) = st.queue.remove_job(job) {
-            st.responses.push(SolveResponse {
-                job: q.job,
-                tenant: q.tenant,
-                session: q.request.session,
-                outcome: JobOutcome::Cancelled { iteration: 0 },
-                iterations: 0,
-                queue_wait: q.submitted_at.elapsed(),
-                time_to_first_iteration: None,
-                turnaround: Duration::ZERO,
-                warm: false,
-                residual_history: Vec::new(),
-                migrations: 0,
-                retries: 0,
-            });
-            return CancelOutcome::Cancelled;
+            st.responses.push(SolveResponse::cancelled_unstarted(
+                job,
+                q.tenant,
+                q.request.session,
+                q.submitted_at.elapsed(),
+            ));
+            return true;
         }
-        if let Some(a) = st.active.iter().find(|a| a.job == job) {
-            a.token.cancel();
-            return CancelOutcome::Cancelled;
-        }
-        if job < st.next_job {
-            CancelOutcome::AlreadyDone
-        } else {
-            CancelOutcome::UnknownJob
+        match st.active.iter().find(|a| a.job == job) {
+            Some(a) => {
+                a.token.cancel();
+                true
+            }
+            None => false,
         }
     }
 
     /// Completed responses accumulated since the last call.
-    pub fn take_responses(&self) -> Vec<SolveResponse> {
+    pub(crate) fn take_responses(&self) -> Vec<SolveResponse> {
         std::mem::take(&mut self.state.lock().responses)
     }
 
-    /// Per-tenant metrics slices.
-    pub fn metrics(&self) -> std::collections::BTreeMap<TenantId, crate::metrics::TenantMetrics> {
+    /// Per-tenant metrics slices of the work done on this shard.
+    pub fn metrics(&self) -> BTreeMap<TenantId, TenantMetrics> {
         self.state.lock().metrics.all()
     }
 
@@ -620,32 +513,20 @@ impl SolveService {
     }
 
     /// Whether any job is queued or in flight.
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         let st = self.state.lock();
         !st.queue.is_empty() || !st.active.is_empty()
     }
 
-    /// Re-admit an already-admitted job, bypassing the capacity bound
-    /// and deadline screen (it passed admission once). The sharded
-    /// front door uses this to requeue a job after a failed attempt
-    /// (retry-with-backoff) or a shard crash; the shard's id
-    /// watermark advances past the job so a later cancel of a
-    /// genuinely unknown id still reports `UnknownJob` correctly.
-    pub(crate) fn restore_job(&self, q: QueuedJob) {
-        let mut st = self.state.lock();
-        st.next_job = st.next_job.max(q.job + 1);
-        st.queue.restore(q);
-    }
-
     /// Age of the oldest queued job (`None` when the queue is empty).
     /// The shard supervisor's queue-staleness health signal.
-    pub fn oldest_queue_wait(&self) -> Option<Duration> {
+    pub(crate) fn oldest_queue_wait(&self) -> Option<Duration> {
         self.state.lock().queue.oldest_wait(Instant::now())
     }
 
     /// This shard's instantaneous load signal (queue depth, active
     /// jobs, turnaround EWMA).
-    pub fn load(&self) -> ShardLoad {
+    pub(crate) fn load(&self) -> ShardLoad {
         let st = self.state.lock();
         ShardLoad {
             queued: st.queue.len(),
@@ -655,369 +536,146 @@ impl SolveService {
     }
 
     /// The owning tenant of every queued job, duplicates preserved —
-    /// the sharded rebalancer's backlog signal.
-    pub fn queued_tenants(&self) -> Vec<TenantId> {
+    /// the rebalancer's backlog signal.
+    pub(crate) fn queued_tenants(&self) -> Vec<TenantId> {
         self.state.lock().queue.queued_tenants()
     }
 
-    /// Every tenant's retained task spans, cloned out (the sharded
-    /// service merges these across shards before rendering one
-    /// combined trace).
+    /// Every tenant's retained task spans, cloned out (the fleet's
+    /// `chrome_trace` merges these across shards).
     pub fn span_groups(&self) -> Vec<(TenantId, Vec<TaskSpan>)> {
         self.state.lock().metrics.span_groups()
     }
 
-    /// Tenant-tagged Chrome trace JSON (one process per tenant),
-    /// with service-wide reduction-fence counters (`reduction_stages`,
-    /// `reduction_stall_ms`) and degradation counters
-    /// (`task_failures`, `tasks_poisoned`, `tasks_stalled`,
-    /// `faults_injected`) appended as Perfetto counter events, so a
-    /// degrading shard is visible on its own counter track.
-    /// Meaningful only with [`ServiceConfig::capture_events`] on.
-    pub fn chrome_trace(&self) -> String {
-        let snap = self.rt.metrics();
-        let st = self.state.lock();
-        let (err_sum, err_n) = st
-            .metrics
-            .all()
-            .values()
-            .fold((0.0f64, 0u64), |(s, n), m| {
-                (s + m.prediction_err_pct_sum, n + m.prediction_samples)
-            });
-        let counters = [
-            ("reduction_stages", snap.reduction_stages as f64),
-            (
-                "reduction_stall_ms",
-                snap.reduction_stall_ns as f64 / 1.0e6,
-            ),
-            ("task_failures", snap.task_failures as f64),
-            ("tasks_poisoned", snap.tasks_poisoned as f64),
-            ("tasks_stalled", snap.tasks_stalled as f64),
-            ("faults_injected", snap.faults_injected as f64),
-            ("catalogue_hits", snap.catalogue_hits as f64),
-            ("catalogue_misses", snap.catalogue_misses as f64),
-            (
-                "prediction_error_pct",
-                if err_n > 0 { err_sum / err_n as f64 } else { 0.0 },
-            ),
-        ];
-        st.metrics.chrome_trace_with_counters(&counters)
-    }
-
-    /// Detach a tenant for migration: its scheduler entry, sessions
-    /// (reduced to rebuildable specs — the cached plan stays behind),
-    /// queued jobs, and in-flight jobs checkpointed at their current
-    /// iterate (`SOL` snapshot after a fence, the same checkpoint
-    /// [`kdr_core::solve_recoverable`] takes). Returns `None` for an
-    /// unregistered tenant. The tenant stops existing on this shard;
-    /// a submit racing the cutover is rejected with a typed
-    /// [`RejectReason::UnknownTenant`] / `UnknownSession`, never
-    /// lost or crashed.
-    pub fn detach_tenant(&self, tenant: TenantId) -> Option<TenantBundle> {
-        let mut st = self.state.lock();
-        let effective = st.scheduler.unregister(tenant)?;
-        // The bundle carries the *base* weight: effective weights are
-        // cost-scaled against this shard's catalogue view and would
-        // compound on re-registration.
-        let weight = st.base_weights.remove(&tenant).unwrap_or(effective);
-        let queued = st.queue.remove_tenant(tenant);
-        let mut in_flight = Vec::new();
-        let mut i = 0;
-        while i < st.active.len() {
-            if st.active[i].tenant != tenant {
-                i += 1;
-                continue;
-            }
-            let mut a = st.active.remove(i);
+    /// Detach a tenant: its scheduler entry, sessions (reduced to
+    /// rebuildable specs — the cached plan stays behind), queued
+    /// jobs, and in-flight jobs checkpointed at their current iterate
+    /// (`SOL` snapshot after a fence, the same checkpoint
+    /// [`kdr_core::solve_recoverable`] takes). `None` if the tenant
+    /// does not live here; otherwise it stops existing on this shard.
+    pub(crate) fn detach_tenant(&self, tenant: TenantId) -> Option<TenantBundle> {
+        let st = &mut *self.state.lock();
+        st.scheduler.unregister(tenant)?;
+        // The *base* weight: effective weights are cost-scaled against
+        // this shard's catalogue view and would compound on
+        // re-registration.
+        let weight = st
+            .base_weights
+            .remove(&tenant)
+            .expect("attach_tenant records a base weight for every tenant");
+        let mut bundle = TenantBundle::new(tenant, weight);
+        bundle.queued = st.queue.remove_tenant(tenant);
+        let (mine, others) = std::mem::take(&mut st.active)
+            .into_iter()
+            .partition(|a| a.tenant == tenant);
+        st.active = others;
+        bundle.in_flight = mine;
+        for a in &mut bundle.in_flight {
             // Checkpoint a mid-RHS job at its current iterate. The
             // fence inside snapshot_sol drains the job's in-flight
             // tasks first; a between-RHS job has nothing to snapshot
-            // (the next RHS starts from zero anyway).
-            let (sol, segment_iters) = match a.driver.as_ref() {
-                Some(d) => {
-                    let iters = d.iters();
-                    let sess = st
-                        .sessions
-                        .get_mut(&a.session)
-                        .expect("active job references a live session");
-                    (Some(sess.snapshot_sol()), iters)
-                }
-                None => (a.resume_sol.take(), 0),
-            };
-            // Drop the driver/solver *before* the session: their
+            // (the next RHS starts from zero anyway, or from the
+            // checkpoint it was attached with).
+            if let Some(d) = a.driver.take() {
+                let sess = st
+                    .sessions
+                    .get_mut(&a.session)
+                    .expect("active job references a live session");
+                a.resume_sol = Some(sess.snapshot_sol());
+                a.rhs_done += d.iters();
+            }
+            // The solver goes *before* the session: its
             // deferred-scalar handles release arena slots into the
             // still-live backend.
-            a.driver = None;
             a.solver = None;
-            in_flight.push(JobSnapshot {
-                job: a.job,
-                session: a.session,
-                request: a.request,
-                token: a.token,
-                rhs_idx: a.rhs_idx,
-                iterations: a.iterations,
-                rhs_done: a.rhs_done + segment_iters,
-                sol,
-                migrations: a.migrations,
-                trace: a.trace,
-                submitted_at: a.submitted_at,
-                started_at: a.started_at,
-                ttfi: a.ttfi,
-                warm: a.warm,
-                last_residual: a.last_residual,
-            });
+            a.predicted_seconds = None;
+            a.migrations += 1;
         }
-        let session_ids: Vec<SessionId> = st
+        let ids: Vec<SessionId> = st
             .sessions
             .iter()
             .filter(|(_, s)| s.tenant() == tenant)
             .map(|(&id, _)| id)
             .collect();
-        let sessions = session_ids
-            .into_iter()
-            .map(|id| {
-                let sess = st.sessions.remove(&id).expect("collected above");
-                (id, sess.spec().clone())
-            })
-            .collect();
-        Some(TenantBundle {
-            tenant,
-            weight,
-            sessions,
-            queued,
-            in_flight,
-        })
+        for id in ids {
+            let sess = st.sessions.remove(&id).expect("collected above");
+            bundle
+                .sessions
+                .push(BundleSession::cold(id, sess.spec().clone()));
+        }
+        Some(bundle)
     }
 
-    /// Attach a detached tenant to this shard: re-register it in the
-    /// fair scheduler (joining at minimum pass, the late-joiner
-    /// rule), rebuild its sessions over this shard's runtime, restore
-    /// its queued jobs (capacity-exempt: they were admitted once),
-    /// and install its checkpointed in-flight jobs for resumption.
-    /// Each resumed job rebuilds its solver from the checkpointed
-    /// iterate on first activation — restart semantics, identical to
-    /// a local checkpoint/restart at the same iteration.
-    pub fn attach_tenant(&self, bundle: TenantBundle) {
-        // Build sessions outside the state lock: construction touches
-        // only this shard's runtime handles.
-        let rebuilt: Vec<(SessionId, Session)> = bundle
+    /// The one way anything of a tenant reaches this shard: register
+    /// it in the fair scheduler at the bundle's weight (a new tenant
+    /// joins at minimum pass, the late-joiner rule; a resident one is
+    /// re-weighted in place), build the bundle's sessions over this
+    /// shard's runtime — pinning a persisted kernel and pre-warming
+    /// where the bundle says so — restore its queued jobs
+    /// (capacity-exempt: they were admitted once), and take over its
+    /// checkpointed in-flight jobs. Each of those rebuilds its solver
+    /// from the checkpointed iterate on first activation — restart
+    /// semantics, identical to a local checkpoint/restart at the same
+    /// iteration.
+    pub(crate) fn attach_tenant(&self, bundle: TenantBundle) {
+        // Sessions are built outside the state lock: construction and
+        // pre-warming touch only this shard's runtime handles. The
+        // catalogue advisor is snapshotted here, so a session's
+        // lowering decision is deterministic no matter when its first
+        // job finalizes the plan.
+        let sessions: Vec<(SessionId, Session)> = bundle
             .sessions
             .into_iter()
-            .map(|(id, spec)| {
-                (
-                    id,
-                    Session::with_tuning(
-                        Arc::clone(&self.rt),
-                        Arc::clone(&self.mapper),
-                        bundle.tenant,
-                        spec,
-                        self.session_tuning(None),
-                    ),
-                )
+            .map(|s| {
+                let tuning = SessionTuning {
+                    advisor: self
+                        .cfg
+                        .catalogue
+                        .as_ref()
+                        .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>),
+                    forced_kernel: s.kernel,
+                };
+                let mut sess = Session::with_tuning(
+                    Arc::clone(&self.rt),
+                    Arc::clone(&self.mapper),
+                    bundle.tenant,
+                    s.spec,
+                    tuning,
+                );
+                if s.prewarm {
+                    prewarm_session(&mut sess);
+                }
+                (s.id, sess)
             })
             .collect();
         let mut st = self.state.lock();
         st.base_weights.insert(bundle.tenant, bundle.weight);
         st.scheduler.register(bundle.tenant, bundle.weight);
-        for (id, sess) in rebuilt {
-            st.sessions.insert(id, sess);
-            st.next_session = st.next_session.max(id + 1);
-        }
-        for snap in bundle.in_flight {
-            st.active.push(ActiveJob {
-                job: snap.job,
-                tenant: bundle.tenant,
-                session: snap.session,
-                request: snap.request,
-                token: snap.token,
-                predicted_seconds: None,
-                rhs_idx: snap.rhs_idx,
-                driver: None,
-                solver: None,
-                ws_mark: 0,
-                preflighted: false,
-                iterations: snap.iterations,
-                rhs_done: snap.rhs_done,
-                resume_sol: snap.sol,
-                migrations: snap.migrations + 1,
-                trace: snap.trace,
-                submitted_at: snap.submitted_at,
-                started_at: snap.started_at,
-                ttfi: snap.ttfi,
-                warm: snap.warm,
-                last_residual: snap.last_residual,
-            });
-        }
+        st.sessions.extend(sessions);
+        st.active.extend(bundle.in_flight);
         for q in bundle.queued {
             st.queue.restore(q);
         }
         self.refresh_cost_weights(&mut st);
     }
 
-    /// Persist the service's durable state to `path`: the cost
-    /// catalogue (when configured), every registered tenant with its
-    /// base weight, and every session — operator, solver, piece
-    /// count, and the kernel its tiles actually lowered to (when the
-    /// plan is finalized and unanimous; `Auto` otherwise). Queued and
-    /// in-flight jobs are *not* persisted: requests are transient,
-    /// and a restarted service re-runs them bitwise-identically
-    /// anyway. The write is atomic (temp file + rename).
-    pub fn save_store(&self, path: &Path) -> Result<(), StoreError> {
-        let bundle = StoreBundle {
-            catalogue: self
-                .cfg
-                .catalogue
-                .as_ref()
-                .map(|c| c.export())
-                .unwrap_or_default(),
-            tenants: self.export_tenants(),
-            sessions: self.export_sessions(),
-        };
-        kdr_store::store::save(path, &bundle)
-    }
-
-    /// Rebuild a service from a store written by
-    /// [`SolveService::save_store`]: tenants re-register at their
-    /// saved base weights, sessions rebuild with their persisted
-    /// kernel choices pinned, the catalogue re-seeds from the saved
-    /// entries (merged into `cfg.catalogue` if the caller supplies
-    /// one; a fresh shared catalogue is created otherwise), and every
-    /// session that was warm at save time is pre-warmed — its plan
-    /// finalized and iteration trace captured — so the first real job
-    /// lands on the warm path. Corrupted, truncated, or semantically
-    /// invalid stores fail with a typed [`StoreError`], never a
-    /// panic.
-    pub fn open_store(path: &Path, mut cfg: ServiceConfig) -> Result<SolveService, StoreError> {
-        let bundle = kdr_store::store::load(path)?;
-        let catalogue = cfg
-            .catalogue
-            .take()
-            .unwrap_or_else(|| SharedCatalogue::new(MachineConfig::lassen(1)));
-        for &(key, samples, mean) in &bundle.catalogue {
-            catalogue.insert_entry(key, samples, mean);
-        }
-        cfg.catalogue = Some(catalogue);
-        let svc = SolveService::new(cfg);
-        svc.install_store_bundle(&bundle)?;
-        Ok(svc)
-    }
-
-    /// Install a loaded bundle's tenants and sessions into this
-    /// (fresh) service. Split from [`SolveService::open_store`] so
-    /// the sharded service can reuse the per-shard half.
-    pub(crate) fn install_store_bundle(&self, bundle: &StoreBundle) -> Result<(), StoreError> {
-        let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
-        for t in &bundle.tenants {
-            let tenant =
-                TenantId::try_from(t.tenant).map_err(|_| malformed("tenant id out of range"))?;
-            self.register_tenant(tenant, u64::from(t.weight));
-        }
-        let mut sessions: Vec<&StoreSession> = bundle.sessions.iter().collect();
-        sessions.sort_by_key(|s| s.session);
-        for s in sessions {
-            self.install_store_session(s)?;
-        }
-        Ok(())
-    }
-
-    /// Install one stored session: rebuild its spec, pin its
-    /// persisted kernel choice, and pre-warm it if it was warm at
-    /// save time. The owning tenant must already be registered.
-    pub(crate) fn install_store_session(&self, s: &StoreSession) -> Result<(), StoreError> {
-        let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
-        let id =
-            SessionId::try_from(s.session).map_err(|_| malformed("session id out of range"))?;
-        let tenant =
-            TenantId::try_from(s.tenant).map_err(|_| malformed("tenant id out of range"))?;
-        if !self.state.lock().scheduler.is_registered(tenant) {
-            return Err(malformed("session references an unregistered tenant"));
-        }
-        let spec = persist::spec_from_store(s)?;
-        let forced = s.forced_kernel()?;
-        self.create_session_with_id(id, tenant, spec, forced);
-        if s.jobs_completed > 0 {
-            self.prewarm_session(id);
-        }
-        Ok(())
-    }
-
-    /// Registered tenants with their base weights, as store records.
-    pub(crate) fn export_tenants(&self) -> Vec<StoreTenant> {
-        self.state
-            .lock()
-            .base_weights
-            .iter()
-            .map(|(&tenant, &weight)| StoreTenant {
-                tenant: u64::from(tenant),
-                weight: u32::try_from(weight).unwrap_or(u32::MAX),
+    /// Every session's [`SessionWarmth`], for the durable store.
+    pub(crate) fn session_warmth(&self) -> Vec<(SessionId, SessionWarmth)> {
+        let mut st = self.state.lock();
+        st.sessions
+            .iter_mut()
+            .map(|(&id, sess)| {
+                // A cold session has an empty manifest.
+                let manifest = sess.operator_manifest();
+                let kernel = match manifest.first() {
+                    Some(&(_, first, _)) if manifest.iter().all(|&(_, k, _)| k == first) => {
+                        Some(first)
+                    }
+                    _ => None,
+                };
+                (id, (kernel, sess.jobs_completed(), sess.steps_captured()))
             })
             .collect()
-    }
-
-    /// Every session as a store record (the sharded service merges
-    /// these across shards into one bundle).
-    pub(crate) fn export_sessions(&self) -> Vec<StoreSession> {
-        let mut st = self.state.lock();
-        let ids: Vec<SessionId> = st.sessions.keys().copied().collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let sess = st.sessions.get_mut(&id).expect("collected above");
-            let manifest = sess.operator_manifest();
-            // Persist a concrete kernel only when the plan finalized
-            // and every tile agrees; otherwise the restart re-decides
-            // (Auto). A cold session has an empty manifest.
-            let kernel = match manifest.first() {
-                Some(&(_, first, _)) if manifest.iter().all(|&(_, k, _)| k == first) => {
-                    Some(first)
-                }
-                _ => None,
-            };
-            let (solver_code, solver_p0, solver_f0, solver_f1) =
-                persist::solver_wire(sess.spec().solver);
-            out.push(StoreSession {
-                session: id as u64,
-                tenant: u64::from(sess.tenant()),
-                unknowns: sess.unknowns(),
-                pieces: sess.spec().pieces as u64,
-                solver_code,
-                solver_p0,
-                solver_f0,
-                solver_f1,
-                kernel_code: StoreSession::kernel_code_for(kernel),
-                jobs_completed: sess.jobs_completed(),
-                steps_captured: sess.steps_captured(),
-                operator: persist::operator_to_store(sess.spec()),
-            });
-        }
-        out
-    }
-
-    /// Replay the expensive solve prologue for a restored session:
-    /// run a two-iteration throwaway solve so the plan finalizes,
-    /// tiles lower (through the pinned kernel), and the iteration
-    /// trace is captured. The session comes out `warm()`; numerics of
-    /// later jobs are untouched because every job re-zeroes the
-    /// iterate (or installs its own) in `begin_solve`.
-    pub(crate) fn prewarm_session(&self, session: SessionId) {
-        let mut st = self.state.lock();
-        let Some(sess) = st.sessions.get_mut(&session) else {
-            return;
-        };
-        let rhs = vec![1.0; sess.unknowns() as usize];
-        let control = kdr_core::SolveControl::fixed(2);
-        let (mut solver, mark) = sess.begin_solve(&rhs, 0);
-        let mut driver = StepDriver::new();
-        if let Ok(None) = driver.preflight(sess.planner_mut(), solver.as_mut(), &control, None) {
-            while matches!(
-                driver.step(sess.planner_mut(), solver.as_mut(), &control, None),
-                Ok(StepStatus::Running)
-            ) {}
-            let _ = driver.finish(sess.planner_mut(), solver.as_mut(), &control, None);
-        }
-        // The solver holds deferred-scalar handles into the backend;
-        // drop it before releasing the workspace.
-        drop(solver);
-        sess.end_solve(mark);
     }
 
     /// Drive admitted work to completion: loop { pick tenant, run
@@ -1067,7 +725,7 @@ impl SolveService {
 
     /// Run one scheduling quantum for a tenant: find (or admit) its
     /// active job, step it, then attribute the slice.
-    fn run_slice(&self, st: &mut ServiceState, tenant: TenantId) {
+    fn run_slice(&self, st: &mut EngineState, tenant: TenantId) {
         let slice_start = Instant::now();
         let before = self.rt.metrics();
         st.metrics.tenant_mut(tenant).slices += 1;
@@ -1189,7 +847,7 @@ impl SolveService {
     /// already are, and the EWMA absorbs the noise.
     fn observe_kernel_costs(
         &self,
-        st: &mut ServiceState,
+        st: &mut EngineState,
         session: SessionId,
         before: &MetricsSnapshot,
         after: &MetricsSnapshot,
@@ -1214,7 +872,7 @@ impl SolveService {
             if count == 0 {
                 continue;
             }
-            let Some(kind) = kernel_kind_of_task(name) else {
+            let Some(kind) = KernelKind::from_task_name(name) else {
                 continue;
             };
             let mean_seconds = ns as f64 / count as f64 / 1.0e9;
@@ -1234,7 +892,7 @@ impl SolveService {
     /// at ×1, i.e. at most a 16× swing). Tenants without sessions
     /// keep their base ratio. No-op unless both a catalogue and
     /// `cost_weights` are configured.
-    fn refresh_cost_weights(&self, st: &mut ServiceState) {
+    fn refresh_cost_weights(&self, st: &mut EngineState) {
         if !self.cfg.cost_weights {
             return;
         }
@@ -1283,7 +941,7 @@ impl SolveService {
     /// whole job (all RHS) finished.
     fn step_slice(
         a: &mut ActiveJob,
-        sessions: &mut std::collections::BTreeMap<SessionId, Session>,
+        sessions: &mut BTreeMap<SessionId, Session>,
         budget: usize,
     ) -> (u64, Option<JobOutcome>) {
         let session = sessions
@@ -1400,22 +1058,28 @@ impl SolveService {
     }
 }
 
-/// Map an executed task's name back to the spmv kernel that ran it
-/// (`None` for non-kernel tasks such as axpy/dot bodies). Names
-/// follow `kdr_core`'s `kernel_task_name` scheme:
-/// `spmv_[t_]<kind>[_z]`.
-fn kernel_kind_of_task(name: &str) -> Option<KernelKind> {
-    let rest = name.strip_prefix("spmv_")?;
-    let rest = rest.strip_prefix("t_").unwrap_or(rest);
-    let rest = rest.strip_suffix("_z").unwrap_or(rest);
-    match rest {
-        "csr" => Some(KernelKind::Csr),
-        "dia" => Some(KernelKind::Dia),
-        "ell" => Some(KernelKind::Ell),
-        "bcsr" => Some(KernelKind::Bcsr),
-        "stencil" => Some(KernelKind::Stencil),
-        _ => None,
+/// Replay the expensive solve prologue on a freshly built session:
+/// run a two-iteration throwaway solve so the plan finalizes, tiles
+/// lower (through the pinned kernel), and the iteration trace is
+/// captured. The session comes out `warm()`; numerics of later jobs
+/// are untouched because every job re-zeroes the iterate (or installs
+/// its own) in `begin_solve`.
+fn prewarm_session(sess: &mut Session) {
+    let rhs = vec![1.0; sess.unknowns() as usize];
+    let control = kdr_core::SolveControl::fixed(2);
+    let (mut solver, mark) = sess.begin_solve(&rhs, 0);
+    let mut driver = StepDriver::new();
+    if let Ok(None) = driver.preflight(sess.planner_mut(), solver.as_mut(), &control, None) {
+        while matches!(
+            driver.step(sess.planner_mut(), solver.as_mut(), &control, None),
+            Ok(StepStatus::Running)
+        ) {}
+        let _ = driver.finish(sess.planner_mut(), solver.as_mut(), &control, None);
     }
+    // The solver holds deferred-scalar handles into the backend;
+    // drop it before releasing the workspace.
+    drop(solver);
+    sess.end_solve(mark);
 }
 
 fn error_outcome(e: SolveError) -> JobOutcome {

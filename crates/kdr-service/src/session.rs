@@ -153,7 +153,6 @@ pub struct Session {
     spec: SessionSpec,
     planner: Planner<f64>,
     jobs_completed: u64,
-    started_jobs: u64,
     /// Cost-catalogue key of the session's operator, computed once at
     /// construction: structure key, the kernel admission predictions
     /// are made against, and the piece count.
@@ -225,7 +224,6 @@ impl Session {
             spec,
             planner,
             jobs_completed: 0,
-            started_jobs: 0,
             cost_key,
         }
     }
@@ -304,7 +302,6 @@ impl Session {
     /// Returns the solver and the workspace mark to release in
     /// [`Session::end_solve`].
     pub fn begin_solve(&mut self, rhs: &[f64], priority: u8) -> (Box<dyn Solver<f64>>, usize) {
-        self.started_jobs += 1;
         self.planner.set_rhs_data(0, rhs);
         self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
@@ -333,7 +330,6 @@ impl Session {
         priority: u8,
         sol: &[Vec<f64>],
     ) -> (Box<dyn Solver<f64>>, usize) {
-        self.started_jobs += 1;
         self.planner.set_rhs_data(0, rhs);
         self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
@@ -360,12 +356,6 @@ impl Session {
         (0..self.planner.num_sol_components())
             .map(|c| self.planner.read_component(SOL, c))
             .collect()
-    }
-
-    /// Whether any job ever started against this session (if not, it
-    /// can migrate as pure spec, with no snapshot to carry).
-    pub fn ever_started(&self) -> bool {
-        self.started_jobs > 0
     }
 
     fn solver_kind(&self) -> SolverKind {

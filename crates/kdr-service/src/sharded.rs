@@ -1,11 +1,25 @@
-//! Scale-out: N independent shard runtimes behind one front door.
+//! The solve service: N shard runtimes behind one front door.
 //!
-//! One [`SolveService`] scales *within* a worker pool; past that, the
-//! single driver thread and the single runtime's reduction tree
-//! become the ceiling. [`ShardedService`] runs N complete
-//! `SolveService`s — each with its own runtime, worker pool, planner
-//! sessions, and fair scheduler — and one shared **admission front
-//! door** that owns tenant placement and global id allocation.
+//! A [`ShardedService`] is the crate's one client-facing service. It
+//! runs N complete [`ShardEngine`]s — each with its own runtime,
+//! worker pool, planner sessions, and fair scheduler — behind one
+//! **admission front door**, and the single-runtime service is simply
+//! `ShardConfig { shards: 1, .. }`. One shard scales *within* a worker
+//! pool; past that, the single driver thread and the single runtime's
+//! reduction tree become the ceiling, and more shards lift it.
+//!
+//! The front door is the source of truth for everything a client can
+//! name: a `TenantRecord` per tenant (the shard it lives on, its
+//! fair-share weight, the spec of every session it owns), session- and
+//! job-id allocation, and the ledger of admitted jobs. A shard holds
+//! only what it needs to *run* its residents, and gets all of it one
+//! way: the front door builds a `TenantBundle` — from a live
+//! `detach_tenant` (migration, evacuation, removal), from the tenant
+//! record plus the ledger (crash recovery), from a store file
+//! (`open_store`), or holding just a new weight, a new session or a
+//! job due for another execution — and the destination's
+//! `attach_tenant` registers the tenant, builds and pre-warms the
+//! sessions, and restores the jobs.
 //!
 //! Placement is **consistent-hash** by default (a splitmix64 ring
 //! with virtual nodes: adding a shard moves `~1/N` of tenants,
@@ -22,7 +36,9 @@
 //! jobs checkpointed at their current iterate via a fenced `SOL`
 //! snapshot), attach on the destination (sessions rebuilt from spec,
 //! solver rebuilt from the checkpoint on next activation — restart
-//! semantics, `r = b − A·x` recomputed). Because every kernel is
+//! semantics, `r = b − A·x` recomputed), at the weight the front door
+//! holds — so a re-weight issued while the tenant was stranded on a
+//! quarantined shard takes effect when it lands. Because every kernel is
 //! bitwise deterministic, a migrated job's numerical trajectory is
 //! *identical* to a local checkpoint/restart at the same iteration.
 //! The front-door lock makes the cutover atomic: a submit racing a
@@ -43,17 +59,19 @@
 //! never silent loss. [`ShardedService::kill_shard`] simulates a
 //! crash (the runtime is dropped, nothing is read from it); resident
 //! tenants are rebuilt from front-door state and their outstanding
-//! jobs resubmitted from the ledger.
+//! jobs resubmitted from the ledger. A job the front door runs again
+//! keeps its ledgered admission instant, so its response's
+//! `queue_wait + turnaround` covers the failed attempt and the backoff.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use kdr_machine::MachineConfig;
-use kdr_runtime::TaskSpan;
+use kdr_runtime::{MetricsSnapshot, TaskSpan};
 use kdr_store::{SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant};
 
 use crate::metrics::TenantMetrics;
@@ -63,7 +81,10 @@ use crate::request::{
     CancelOutcome, JobId, JobOutcome, RejectReason, SessionId, SolveRequest, SolveResponse,
     TenantId,
 };
-use crate::service::{ServiceConfig, ShardLoad, SolveService};
+use crate::scheduler::splitmix64;
+use crate::service::{
+    BundleSession, ServiceConfig, SessionWarmth, ShardEngine, ShardLoad, TenantBundle,
+};
 use crate::session::SessionSpec;
 use crate::supervision::{
     EvacuationPolicy, HealthBudget, HealthReport, HealthWindow, InFlightRecovery, RetryPolicy,
@@ -73,13 +94,6 @@ use crate::supervision::{
 /// Virtual nodes per shard on the consistent-hash ring. More points
 /// → smoother split at the cost of a larger (still tiny) ring.
 const VNODES_PER_SHARD: u64 = 64;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// How the front door places a newly seen tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,12 +151,12 @@ impl Default for ShardConfig {
 /// unambiguous for the fleet's lifetime.
 struct ShardSlot {
     /// The live engine; `None` once killed or removed.
-    svc: Option<Arc<SolveService>>,
+    svc: Option<Arc<ShardEngine>>,
     status: ShardStatus,
 }
 
 impl ShardSlot {
-    fn live(&self) -> Option<&Arc<SolveService>> {
+    fn live(&self) -> Option<&Arc<ShardEngine>> {
         self.svc.as_ref()
     }
 }
@@ -154,6 +168,9 @@ struct JobEntry {
     tenant: TenantId,
     /// `None` once terminal (the request is only needed to re-run).
     request: Option<Arc<SolveRequest>>,
+    /// When the job was admitted; every execution of it is queued
+    /// with this instant.
+    admitted_at: Instant,
     /// Completed failed attempts so far.
     attempts: u32,
     /// From-scratch resubmissions after shard kills.
@@ -163,22 +180,26 @@ struct JobEntry {
     terminal: bool,
 }
 
+/// What the front door holds about one registered tenant — the source
+/// of truth a shard's copy is (re)built from.
+struct TenantRecord {
+    /// The slot the tenant lives on (it may be quarantined or dead
+    /// while the tenant is stranded).
+    shard: usize,
+    /// Fair-share weight as last registered; every bundle built here
+    /// carries it.
+    weight: u64,
+    /// Every session the tenant owns, as a rebuildable spec. Sessions
+    /// follow their tenant across shards.
+    sessions: BTreeMap<SessionId, SessionSpec>,
+}
+
 /// Front-door bookkeeping: placement, global id allocation, the
 /// migration cutover lock, and the supervisor's ledger + health
 /// state.
 struct FrontDoor {
     slots: Vec<ShardSlot>,
-    /// Where each registered tenant currently lives.
-    placements: BTreeMap<TenantId, usize>,
-    /// Fair-share weight of each registered tenant (re-applied on the
-    /// destination shard when the tenant migrates or is rebuilt).
-    weights: BTreeMap<TenantId, u64>,
-    /// Which tenant owns each session. Sessions follow their tenant
-    /// across shards, so a session's shard is `placements[owner]`.
-    session_owner: BTreeMap<SessionId, TenantId>,
-    /// Every session's rebuildable spec — the crash-recovery source
-    /// when a killed shard's sessions must be rebuilt elsewhere.
-    session_specs: BTreeMap<SessionId, SessionSpec>,
+    tenants: BTreeMap<TenantId, TenantRecord>,
     /// Consistent-hash ring: sorted `(point, shard)` pairs. Only
     /// healthy shards keep their points.
     ring: Vec<(u64, usize)>,
@@ -221,11 +242,63 @@ impl FrontDoor {
 
     /// Tenants currently placed on `shard`, ascending.
     fn residents(&self, shard: usize) -> Vec<TenantId> {
-        self.placements
+        self.tenants
             .iter()
-            .filter(|&(_, &s)| s == shard)
+            .filter(|(_, rec)| rec.shard == shard)
             .map(|(&t, _)| t)
             .collect()
+    }
+
+    /// An empty bundle for a registered tenant, at its recorded
+    /// weight: attached as is it (re-)registers the tenant; callers
+    /// add the sessions and jobs that should land with it.
+    fn bundle(&self, tenant: TenantId) -> TenantBundle {
+        TenantBundle::new(tenant, self.tenants[&tenant].weight)
+    }
+
+    /// A ledgered job as a queue entry for one more execution, from
+    /// scratch: same id, same request, the instant it was admitted.
+    fn requeue(&self, job: JobId) -> QueuedJob {
+        let entry = &self.ledger[&job];
+        QueuedJob {
+            job,
+            tenant: entry.tenant,
+            request: Arc::clone(
+                entry
+                    .request
+                    .as_ref()
+                    .expect("non-terminal entries keep the request"),
+            ),
+            submitted_at: entry.admitted_at,
+            predicted_seconds: None,
+        }
+    }
+
+    /// Hand a bundle to the shard in slot `dst` and record that the
+    /// tenant lives there. Every registration, session, and job
+    /// re-execution reaches a shard through here.
+    fn install(&mut self, dst: usize, bundle: TenantBundle) {
+        self.tenants
+            .get_mut(&bundle.tenant)
+            .expect("bundles are built for registered tenants")
+            .shard = dst;
+        self.slots[dst]
+            .live()
+            .expect("bundles are installed on live shards")
+            .attach_tenant(bundle);
+    }
+
+    /// The healthy shard a tenant's new sessions and jobs go to, or
+    /// the typed reason there is none.
+    fn routable_shard(&self, tenant: TenantId) -> Result<usize, RejectReason> {
+        let Some(rec) = self.tenants.get(&tenant) else {
+            return Err(RejectReason::UnknownTenant { tenant });
+        };
+        if self.slots[rec.shard].status.is_healthy() {
+            Ok(rec.shard)
+        } else {
+            Err(RejectReason::ShardDegraded { shard: rec.shard })
+        }
     }
 
     /// Whether `job` is parked in the front-door retry queue.
@@ -246,8 +319,9 @@ impl FrontDoor {
     }
 }
 
-/// N independent solve-service shards behind one admission front
-/// door. See the [module docs](self) for the architecture.
+/// The solve service: N shard engines behind one admission front
+/// door (`shards: 1` is the single-runtime service). See the
+/// [module docs](self) for the architecture.
 ///
 /// All front-door operations (`register_tenant`, `create_session`,
 /// `submit`, `migrate_tenant`, `supervise`, `kill_shard`, …)
@@ -264,28 +338,11 @@ impl ShardedService {
     /// Spin up `cfg.shards` independent runtimes and an empty front
     /// door.
     pub fn new(cfg: ShardConfig) -> Self {
-        let n = cfg.shards.max(1);
-        let slots: Vec<ShardSlot> = (0..n)
-            .map(|i| ShardSlot {
-                svc: Some(Arc::new(Self::build_shard(&cfg.base, i))),
-                status: ShardStatus::Healthy,
-            })
-            .collect();
-        let mut ring: Vec<(u64, usize)> = (0..n as u64)
-            .flat_map(|s| {
-                (0..VNODES_PER_SHARD)
-                    .map(move |v| (splitmix64((s << 20) | v), s as usize))
-            })
-            .collect();
-        ring.sort_unstable();
-        ShardedService {
+        let svc = ShardedService {
             front: Mutex::new(FrontDoor {
-                slots,
-                placements: BTreeMap::new(),
-                weights: BTreeMap::new(),
-                session_owner: BTreeMap::new(),
-                session_specs: BTreeMap::new(),
-                ring,
+                slots: Vec::new(),
+                tenants: BTreeMap::new(),
+                ring: Vec::new(),
                 next_session: 0,
                 next_job: 0,
                 migrations: 0,
@@ -293,18 +350,15 @@ impl ShardedService {
                 ledger: BTreeMap::new(),
                 retry_queue: Vec::new(),
                 done: Vec::new(),
-                health: vec![HealthWindow::default(); n],
+                health: Vec::new(),
                 stats: SupervisorStats::default(),
             }),
             cfg,
+        };
+        for _ in 0..svc.cfg.shards.max(1) {
+            svc.add_shard_slot(&mut svc.front.lock());
         }
-    }
-
-    /// One shard engine with the slot-salted scheduler seed.
-    fn build_shard(base: &ServiceConfig, slot: usize) -> SolveService {
-        let mut cfg = base.clone();
-        cfg.seed = splitmix64(base.seed ^ ((slot as u64) << 32));
-        SolveService::new(cfg)
+        svc
     }
 
     /// Number of shard slots ever created (including quarantined,
@@ -323,11 +377,12 @@ impl ShardedService {
             .count()
     }
 
-    /// Direct access to one shard engine (tests use this to arm fault
-    /// injection or inspect per-shard state). Panics if the slot was
-    /// killed or removed — check [`ShardedService::shard_status`]
-    /// first when the fleet may have retired shards.
-    pub fn shard(&self, idx: usize) -> Arc<SolveService> {
+    /// Direct access to one shard engine, to drive it by hand, arm
+    /// fault injection on its runtime, or read per-shard counters.
+    /// Panics if the slot was killed or removed — check
+    /// [`ShardedService::shard_status`] first when the fleet may have
+    /// retired shards.
+    pub fn shard(&self, idx: usize) -> Arc<ShardEngine> {
         self.front.lock().slots[idx]
             .svc
             .clone()
@@ -342,7 +397,7 @@ impl ShardedService {
     /// The shard a tenant currently lives on (`None` if
     /// unregistered).
     pub fn shard_of(&self, tenant: TenantId) -> Option<usize> {
-        self.front.lock().placements.get(&tenant).copied()
+        self.front.lock().tenants.get(&tenant).map(|rec| rec.shard)
     }
 
     /// Completed cross-shard migrations so far (self-migrations are
@@ -366,7 +421,7 @@ impl ShardedService {
         Some(Self::window_report(svc, &front.health[idx]))
     }
 
-    fn window_report(svc: &SolveService, w: &HealthWindow) -> HealthReport {
+    fn window_report(svc: &ShardEngine, w: &HealthWindow) -> HealthReport {
         let snap = svc.runtime().metrics();
         HealthReport {
             task_failures: snap.task_failures.saturating_sub(w.base_task_failures),
@@ -379,22 +434,31 @@ impl ShardedService {
 
     /// Register (or re-weight) a tenant. First registration places
     /// the tenant per the configured [`Placement`] policy;
-    /// re-registration only updates the weight, in place.
+    /// re-registration only updates the weight — in place, or, while
+    /// the tenant is stranded on a quarantined or dead shard, when it
+    /// is next evacuated.
     pub fn register_tenant(&self, tenant: TenantId, weight: u64) {
         let mut front = self.front.lock();
-        let shard = match front.placements.get(&tenant) {
-            Some(&s) => s,
+        let weight = weight.max(1);
+        let shard = match front.tenants.get_mut(&tenant) {
+            Some(rec) => {
+                rec.weight = weight;
+                rec.shard
+            }
             None => {
-                let s = self.place(&front, tenant);
-                front.placements.insert(tenant, s);
-                s
+                let shard = self.place(&front, tenant);
+                let rec = TenantRecord {
+                    shard,
+                    weight,
+                    sessions: BTreeMap::new(),
+                };
+                front.tenants.insert(tenant, rec);
+                shard
             }
         };
-        front.weights.insert(tenant, weight.max(1));
-        if let Some(svc) = front.slots[shard].live() {
-            if front.slots[shard].status.is_healthy() {
-                svc.register_tenant(tenant, weight);
-            }
+        if front.slots[shard].status.is_healthy() {
+            let bundle = front.bundle(tenant);
+            front.install(shard, bundle);
         }
     }
 
@@ -438,8 +502,10 @@ impl ShardedService {
     }
 
     /// Create a plan-cached session for a registered tenant on its
-    /// current shard. Returns `Err(UnknownTenant)` for unregistered
-    /// tenants and `Err(ShardDegraded)` while the tenant's shard is
+    /// current shard. Cheap: the expensive plan construction happens
+    /// on the session's first job (cold) and is skipped thereafter
+    /// (warm). Returns `Err(UnknownTenant)` for unregistered tenants
+    /// and `Err(ShardDegraded)` while the tenant's shard is
     /// quarantined (transient: retry after evacuation).
     pub fn create_session(
         &self,
@@ -447,65 +513,55 @@ impl ShardedService {
         spec: SessionSpec,
     ) -> Result<SessionId, RejectReason> {
         let mut front = self.front.lock();
-        let Some(&shard) = front.placements.get(&tenant) else {
-            return Err(RejectReason::UnknownTenant { tenant });
-        };
-        if !front.slots[shard].status.is_healthy() {
-            return Err(RejectReason::ShardDegraded { shard });
-        }
+        let shard = front.routable_shard(tenant)?;
         let id = front.next_session;
         front.next_session += 1;
-        front.session_owner.insert(id, tenant);
-        front.session_specs.insert(id, spec.clone());
-        front.slots[shard]
-            .live()
-            .expect("healthy slots have a runtime")
-            .create_session_with_id(id, tenant, spec, None);
+        let rec = front.tenants.get_mut(&tenant).expect("routable");
+        rec.sessions.insert(id, spec.clone());
+        let mut bundle = front.bundle(tenant);
+        bundle.sessions.push(BundleSession::cold(id, spec));
+        front.install(shard, bundle);
         Ok(id)
     }
 
     /// Submit a request, routing it to the shard its session lives
-    /// on. Job ids are globally unique across shards, and every
-    /// admitted job is recorded in the front-door ledger until its
-    /// response is delivered. The routing decision holds the
-    /// front-door lock, so a submit racing a migration or evacuation
-    /// cutover serializes against it: it either lands before detach
-    /// (the job moves with its tenant) or after attach (it routes to
-    /// the new shard) — never in between. A submit aimed at a
-    /// quarantined shard gets typed [`RejectReason::ShardDegraded`]
-    /// backpressure.
+    /// on. Callable from any thread. Job ids are allocated here in
+    /// admission order, and every admitted job is recorded in the
+    /// front-door ledger until its response is delivered. The routing
+    /// decision holds the front-door lock, so a submit racing a
+    /// migration or evacuation cutover serializes against it: it
+    /// either lands before detach (the job moves with its tenant) or
+    /// after attach (it routes to the new shard) — never in between.
+    /// Rejections are typed: [`RejectReason::QueueFull`] and
+    /// [`RejectReason::DeadlineUnmeetable`] are the shard's
+    /// backpressure signals, and a submit aimed at a quarantined shard
+    /// gets [`RejectReason::ShardDegraded`].
     pub fn submit(
         &self,
         tenant: TenantId,
         request: SolveRequest,
     ) -> Result<JobId, RejectReason> {
         let mut front = self.front.lock();
-        let Some(&shard) = front.placements.get(&tenant) else {
-            return Err(RejectReason::UnknownTenant { tenant });
-        };
-        if !front.slots[shard].status.is_healthy() {
-            return Err(RejectReason::ShardDegraded { shard });
-        }
-        match front.session_owner.get(&request.session) {
-            Some(&owner) if owner == tenant => {}
-            _ => {
-                return Err(RejectReason::UnknownSession {
-                    session: request.session,
-                });
-            }
+        let shard = front.routable_shard(tenant)?;
+        if !front.tenants[&tenant].sessions.contains_key(&request.session) {
+            return Err(RejectReason::UnknownSession {
+                session: request.session,
+            });
         }
         let job = front.next_job;
         let request = Arc::new(request);
+        let admitted_at = Instant::now();
         front.slots[shard]
             .live()
             .expect("healthy slots have a runtime")
-            .submit_with_id(job, tenant, Arc::clone(&request))?;
+            .submit(job, tenant, Arc::clone(&request), admitted_at)?;
         front.next_job += 1;
         front.ledger.insert(
             job,
             JobEntry {
                 tenant,
                 request: Some(request),
+                admitted_at,
                 attempts: 0,
                 resubmits: 0,
                 terminal: false,
@@ -536,15 +592,10 @@ impl ShardedService {
             self.synthesize_cancel(&mut front, job);
             return CancelOutcome::Cancelled;
         }
-        let entry = front.ledger.get(&job).expect("checked above");
-        let tenant = entry.tenant;
-        let shard = *front
-            .placements
-            .get(&tenant)
-            .expect("ledgered jobs belong to placed tenants");
+        let shard = front.tenants[&front.ledger[&job].tenant].shard;
         match front.slots[shard].live().map(|svc| svc.cancel_job(job)) {
-            Some(CancelOutcome::Cancelled) => CancelOutcome::Cancelled,
-            Some(_) => {
+            Some(true) => CancelOutcome::Cancelled,
+            Some(false) => {
                 // The shard already finished it; the response is in
                 // flight to the front door.
                 CancelOutcome::AlreadyDone
@@ -569,22 +620,14 @@ impl ShardedService {
             .take()
             .expect("non-terminal entries keep the request");
         entry.terminal = true;
-        let retries = FrontDoor::retries_of(entry, false);
-        let tenant = entry.tenant;
-        front.done.push(SolveResponse {
+        let mut response = SolveResponse::cancelled_unstarted(
             job,
-            tenant,
-            session: request.session,
-            outcome: JobOutcome::Cancelled { iteration: 0 },
-            iterations: 0,
-            queue_wait: Duration::ZERO,
-            time_to_first_iteration: None,
-            turnaround: Duration::ZERO,
-            warm: false,
-            residual_history: Vec::new(),
-            migrations: 0,
-            retries,
-        });
+            entry.tenant,
+            request.session,
+            entry.admitted_at.elapsed(),
+        );
+        response.retries = FrontDoor::retries_of(entry, false);
+        front.done.push(response);
     }
 
     /// Migrate a tenant — scheduler entry, sessions, queued jobs, and
@@ -611,23 +654,23 @@ impl ShardedService {
         if dst >= front.slots.len() || !front.slots[dst].status.is_healthy() {
             return false;
         }
-        let Some(&src) = front.placements.get(&tenant) else {
+        let Some(rec) = front.tenants.get(&tenant) else {
             return false;
         };
-        let Some(src_svc) = front.slots[src].live().cloned() else {
+        let (src, weight) = (rec.shard, rec.weight);
+        let Some(mut bundle) = front.slots[src]
+            .live()
+            .and_then(|svc| svc.detach_tenant(tenant))
+        else {
             return false;
         };
-        let Some(mut bundle) = src_svc.detach_tenant(tenant) else {
-            return false;
-        };
+        // The record's weight, not the source shard's: a re-weight
+        // issued while the tenant was stranded never reached the shard.
+        bundle.weight = weight;
         if recovery == InFlightRecovery::Restart {
             bundle.restart_in_flight();
         }
-        front.slots[dst]
-            .live()
-            .expect("healthy destination")
-            .attach_tenant(bundle);
-        front.placements.insert(tenant, dst);
+        front.install(dst, bundle);
         if src != dst {
             front.migrations += 1;
         }
@@ -697,12 +740,13 @@ impl ShardedService {
     pub fn add_shard(&self) -> usize {
         let mut front = self.front.lock();
         let idx = self.add_shard_slot(&mut front);
+        front.stats.shards_added += 1;
         let movers: Vec<TenantId> = front
-            .placements
+            .tenants
             .iter()
-            .filter(|&(&t, &s)| {
-                s != idx
-                    && front.slots[s].status.is_healthy()
+            .filter(|&(&t, rec)| {
+                rec.shard != idx
+                    && front.slots[rec.shard].status.is_healthy()
                     && front.ring_place_healthy(t) == Some(idx)
             })
             .map(|(&t, _)| t)
@@ -717,8 +761,11 @@ impl ShardedService {
     /// without moving any tenant.
     fn add_shard_slot(&self, front: &mut FrontDoor) -> usize {
         let idx = front.slots.len();
+        // The scheduler seed is salted with the slot index.
+        let mut cfg = self.cfg.base.clone();
+        cfg.seed = splitmix64(cfg.seed ^ ((idx as u64) << 32));
         front.slots.push(ShardSlot {
-            svc: Some(Arc::new(Self::build_shard(&self.cfg.base, idx))),
+            svc: Some(Arc::new(ShardEngine::new(cfg))),
             status: ShardStatus::Healthy,
         });
         front.health.push(HealthWindow {
@@ -730,7 +777,6 @@ impl ShardedService {
             let at = front.ring.partition_point(|&(p, _)| p < point);
             front.ring.insert(at, (point, idx));
         }
-        front.stats.shards_added += 1;
         idx
     }
 
@@ -749,24 +795,13 @@ impl ShardedService {
         if !matches!(prev_status, ShardStatus::Healthy | ShardStatus::Quarantined) {
             return false;
         }
-        // Take the slot off the ring first so successors are computed
+        // Take the slot out of routing first so successors are computed
         // without it.
         front.slots[idx].status = ShardStatus::Quarantined;
-        let residents = front.residents(idx);
-        if !residents.is_empty()
-            && !front.slots.iter().any(|s| s.status.is_healthy())
-        {
+        self.evacuate_residents(&mut front, idx, InFlightRecovery::Resume);
+        if !front.residents(idx).is_empty() {
             front.slots[idx].status = prev_status;
             return false;
-        }
-        for t in residents {
-            let Some(dst) = front.ring_place_healthy(t) else {
-                front.slots[idx].status = prev_status;
-                return false;
-            };
-            if self.migrate_tenant_locked(&mut front, t, dst, InFlightRecovery::Resume) {
-                front.stats.tenants_evacuated += 1;
-            }
         }
         front.slots[idx].svc = None;
         front.slots[idx].status = ShardStatus::Removed;
@@ -806,67 +841,34 @@ impl ShardedService {
         // bodies finish or panic; nothing is read back).
         drop(svc);
 
-        let residents = front.residents(idx);
-        let mut rescued: Vec<TenantId> = Vec::new();
-        for t in residents {
+        for t in front.residents(idx) {
             let Some(dst) = front.ring_place_healthy(t) else {
                 continue;
             };
-            let weight = front.weights.get(&t).copied().unwrap_or(1);
-            let dst_svc = front.slots[dst]
-                .live()
-                .cloned()
-                .expect("healthy slots have a runtime");
-            dst_svc.register_tenant(t, weight);
-            let sessions: Vec<SessionId> = front
-                .session_owner
+            let mut bundle = front.bundle(t);
+            bundle.sessions = front.tenants[&t]
+                .sessions
                 .iter()
-                .filter(|&(_, &owner)| owner == t)
-                .map(|(&sid, _)| sid)
+                .map(|(&id, spec)| BundleSession::cold(id, spec.clone()))
                 .collect();
-            for sid in sessions {
-                let spec = front.session_specs[&sid].clone();
-                dst_svc.create_session_with_id(sid, t, spec, None);
+            // Every outstanding job of the tenant, in admission order.
+            // Jobs parked in the retry queue are *not* resubmitted
+            // here — their backoff release will route them to the
+            // tenant's new shard.
+            let outstanding: Vec<JobId> = front
+                .ledger
+                .iter()
+                .filter(|(job, e)| !e.terminal && e.tenant == t && !front.retry_pending(**job))
+                .map(|(&job, _)| job)
+                .collect();
+            for job in outstanding {
+                front.ledger.get_mut(&job).expect("collected above").resubmits += 1;
+                bundle.queued.push(front.requeue(job));
+                front.stats.jobs_resubmitted += 1;
             }
-            front.placements.insert(t, dst);
+            front.install(dst, bundle);
             front.migrations += 1;
             front.stats.tenants_evacuated += 1;
-            rescued.push(t);
-        }
-        // Resubmit every outstanding job of the rescued tenants in
-        // admission order. Jobs parked in the retry queue are *not*
-        // resubmitted here — their backoff release will route them to
-        // the tenant's new shard.
-        let outstanding: Vec<JobId> = front
-            .ledger
-            .iter()
-            .filter(|(job, e)| {
-                !e.terminal && rescued.contains(&e.tenant) && !front.retry_pending(**job)
-            })
-            .map(|(&job, _)| job)
-            .collect();
-        for job in outstanding {
-            let entry = front.ledger.get_mut(&job).expect("collected above");
-            entry.resubmits += 1;
-            let tenant = entry.tenant;
-            let request = Arc::clone(
-                entry
-                    .request
-                    .as_ref()
-                    .expect("non-terminal entries keep the request"),
-            );
-            let dst = front.placements[&tenant];
-            front.slots[dst]
-                .live()
-                .expect("rescued tenants land on healthy shards")
-                .restore_job(QueuedJob {
-                    job,
-                    tenant,
-                    request,
-                    submitted_at: Instant::now(),
-                    predicted_seconds: None,
-                });
-            front.stats.jobs_resubmitted += 1;
         }
         true
     }
@@ -891,22 +893,23 @@ impl ShardedService {
             && !front.residents(idx).is_empty()
         {
             self.add_shard_slot(front);
+            front.stats.shards_added += 1;
         }
-        self.evacuate_residents(front, idx);
+        self.evacuate_residents(front, idx, self.cfg.supervisor.in_flight);
     }
 
-    /// Move every tenant still placed on a quarantined slot to its
+    /// Move every tenant still placed on an unroutable slot to its
     /// healthy ring successor. Tenants with no healthy destination
     /// stay put (submits get [`RejectReason::ShardDegraded`]) and are
     /// retried on every later supervision tick, so they recover as
     /// soon as capacity returns (e.g. after an
     /// [`ShardedService::add_shard`]).
-    fn evacuate_residents(&self, front: &mut FrontDoor, idx: usize) {
+    fn evacuate_residents(&self, front: &mut FrontDoor, idx: usize, recovery: InFlightRecovery) {
         for t in front.residents(idx) {
             let Some(dst) = front.ring_place_healthy(t) else {
                 continue;
             };
-            if self.migrate_tenant_locked(front, t, dst, self.cfg.supervisor.in_flight) {
+            if self.migrate_tenant_locked(front, t, dst, recovery) {
                 front.stats.tenants_evacuated += 1;
             }
         }
@@ -934,7 +937,7 @@ impl ShardedService {
             if front.slots[idx].status == ShardStatus::Quarantined
                 && front.slots[idx].svc.is_some()
             {
-                self.evacuate_residents(&mut front, idx);
+                self.evacuate_residents(&mut front, idx, self.cfg.supervisor.in_flight);
             }
         }
         self.release_due_retries(&mut front);
@@ -952,12 +955,10 @@ impl ShardedService {
                 continue;
             };
             for mut r in svc.take_responses() {
-                let Some(entry) = front.ledger.get_mut(&r.job) else {
-                    // Submitted around the front door (not possible
-                    // through the public API); pass through.
-                    front.done.push(r);
-                    continue;
-                };
+                let entry = front
+                    .ledger
+                    .get_mut(&r.job)
+                    .expect("shards only run jobs the front door ledgered");
                 if entry.terminal {
                     // A stale attempt finishing after its job was
                     // already resolved (e.g. cancelled while parked
@@ -1043,82 +1044,58 @@ impl ShardedService {
         });
         due.sort_unstable();
         for job in due {
-            let Some(entry) = front.ledger.get(&job) else {
-                continue;
-            };
+            let entry = &front.ledger[&job];
             if entry.terminal {
                 continue;
             }
             let tenant = entry.tenant;
-            let request = Arc::clone(
-                entry
-                    .request
-                    .as_ref()
-                    .expect("non-terminal entries keep the request"),
-            );
-            let Some(&shard) = front.placements.get(&tenant) else {
-                continue;
-            };
-            let Some(svc) = front.slots[shard].live().cloned() else {
-                // Stranded (tenant's shard died with no successor);
-                // the job stays in the ledger, cancellable.
-                continue;
-            };
+            let shard = front.tenants[&tenant].shard;
             if !front.slots[shard].status.is_healthy() {
+                // Stranded (the tenant's shard is quarantined or dead
+                // with no successor); the job stays in the ledger,
+                // cancellable.
                 continue;
             }
-            svc.restore_job(QueuedJob {
-                job,
-                tenant,
-                request,
-                submitted_at: Instant::now(),
-                predicted_seconds: None,
-            });
+            let mut bundle = front.bundle(tenant);
+            bundle.queued.push(front.requeue(job));
+            front.install(shard, bundle);
         }
     }
 
-    /// Live slots (healthy or quarantined-but-draining) that still
-    /// have queued or active work.
-    fn busy_shards(&self) -> Vec<Arc<SolveService>> {
+    /// Every live shard engine (healthy or quarantined-but-draining).
+    fn live_shards(&self) -> Vec<Arc<ShardEngine>> {
         let front = self.front.lock();
-        front
-            .slots
-            .iter()
-            .filter_map(|s| s.live())
-            .filter(|svc| svc.has_work())
-            .cloned()
-            .collect()
+        front.slots.iter().filter_map(|s| s.live()).cloned().collect()
     }
 
-    /// Whether the front door holds undone work beyond the shards:
-    /// retry jobs waiting out their backoff.
-    fn pending_retries(&self) -> bool {
-        !self.front.lock().retry_queue.is_empty()
-    }
-
-    /// Drive every shard to completion: each round spawns one driver
-    /// thread per shard that has work, joins them, runs a rebalance
-    /// pass and a supervision tick, and repeats until the whole fleet
-    /// is idle *and* no retry is pending. With the rebalancer and
-    /// supervisor passive a single round suffices; with them active,
-    /// later rounds drain migrated, evacuated, and retried work.
-    pub fn run_until_idle(&self) {
-        loop {
-            let busy = self.busy_shards();
-            if busy.is_empty() && !self.pending_retries() {
-                return;
-            }
-            std::thread::scope(|scope| {
-                for svc in &busy {
-                    let svc = Arc::clone(svc);
-                    scope.spawn(move || {
-                        svc.run_until_idle();
-                    });
-                }
-            });
-            self.rebalance();
-            self.supervise();
+    /// One scheduling round: `drive` every shard that has work, each
+    /// on its own thread, then run a rebalance pass and a supervision
+    /// tick. Returns `false`, having done nothing, once the whole
+    /// fleet is idle *and* no retry is waiting out its backoff.
+    fn round(&self, drive: impl Fn(&ShardEngine) + Sync) -> bool {
+        let mut busy = self.live_shards();
+        busy.retain(|svc| svc.has_work());
+        if busy.is_empty() && self.front.lock().retry_queue.is_empty() {
+            return false;
         }
+        std::thread::scope(|scope| {
+            for svc in &busy {
+                scope.spawn(|| drive(svc));
+            }
+        });
+        self.rebalance();
+        self.supervise();
+        true
+    }
+
+    /// Drive every shard to completion, round after round (one driver
+    /// thread per shard with work, then a rebalance pass and a
+    /// supervision tick), until the fleet is idle. With the rebalancer
+    /// and supervisor passive a single round suffices; with them
+    /// active, later rounds drain migrated, evacuated, and retried
+    /// work.
+    pub fn run_until_idle(&self) {
+        while self.round(|svc| svc.run_until_idle()) {}
     }
 
     /// Drive at most `rounds` rounds of `slices_per_shard` scheduler
@@ -1129,21 +1106,10 @@ impl ShardedService {
     /// flavor of [`ShardedService::run_until_idle`], giving the
     /// rebalancer and the health model a deterministic cadence.
     pub fn run_rounds(&self, rounds: usize, slices_per_shard: usize) -> usize {
-        for k in 0..rounds {
-            let busy = self.busy_shards();
-            if busy.is_empty() && !self.pending_retries() {
-                return k;
-            }
-            std::thread::scope(|scope| {
-                for svc in &busy {
-                    let svc = Arc::clone(svc);
-                    scope.spawn(move || svc.run_slices(slices_per_shard));
-                }
-            });
-            self.rebalance();
-            self.supervise();
-        }
-        rounds
+        let drive = |svc: &ShardEngine| {
+            svc.run_slices(slices_per_shard);
+        };
+        (0..rounds).take_while(|_| self.round(drive)).count()
     }
 
     /// Completed responses accumulated since the last call: absorbed
@@ -1162,12 +1128,8 @@ impl ShardedService {
     /// here. (A killed shard's unmerged counters die with it — crash
     /// semantics.)
     pub fn metrics(&self) -> BTreeMap<TenantId, TenantMetrics> {
-        let shards: Vec<Arc<SolveService>> = {
-            let front = self.front.lock();
-            front.slots.iter().filter_map(|s| s.live()).cloned().collect()
-        };
         let mut merged: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
-        for shard in shards {
+        for shard in self.live_shards() {
             for (tenant, m) in shard.metrics() {
                 merged.entry(tenant).or_default().merge(&m);
             }
@@ -1194,10 +1156,7 @@ impl ShardedService {
     /// as Perfetto counter tracks. Meaningful only with
     /// [`ServiceConfig::capture_events`] on in the base config.
     pub fn chrome_trace(&self) -> String {
-        let shards: Vec<Arc<SolveService>> = {
-            let front = self.front.lock();
-            front.slots.iter().filter_map(|s| s.live()).cloned().collect()
-        };
+        let shards = self.live_shards();
         let mut per_tenant: BTreeMap<TenantId, Vec<TaskSpan>> = BTreeMap::new();
         for shard in &shards {
             for (tenant, spans) in shard.span_groups() {
@@ -1208,34 +1167,23 @@ impl ShardedService {
             .into_iter()
             .map(|(t, spans)| (format!("tenant-{t}"), spans))
             .collect();
-        let (mut stages, mut stall_ns) = (0u64, 0u64);
-        let (mut failures, mut poisoned, mut stalled, mut injected) = (0u64, 0u64, 0u64, 0u64);
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut err_sum, mut err_n) = (0.0f64, 0u64);
-        for shard in &shards {
-            let snap = shard.runtime().metrics();
-            stages += snap.reduction_stages;
-            stall_ns += snap.reduction_stall_ns;
-            failures += snap.task_failures;
-            poisoned += snap.tasks_poisoned;
-            stalled += snap.tasks_stalled;
-            injected += snap.faults_injected;
-            hits += snap.catalogue_hits;
-            misses += snap.catalogue_misses;
-            for m in shard.metrics().values() {
-                err_sum += m.prediction_err_pct_sum;
-                err_n += m.prediction_samples;
-            }
-        }
+        let snaps: Vec<MetricsSnapshot> = shards.iter().map(|s| s.runtime().metrics()).collect();
+        let total = |f: fn(&MetricsSnapshot) -> u64| snaps.iter().map(f).sum::<u64>() as f64;
+        let (err_sum, err_n) = self
+            .metrics()
+            .values()
+            .fold((0.0, 0u64), |(sum, n), m| {
+                (sum + m.prediction_err_pct_sum, n + m.prediction_samples)
+            });
         let counters = [
-            ("reduction_stages", stages as f64),
-            ("reduction_stall_ms", stall_ns as f64 / 1.0e6),
-            ("task_failures", failures as f64),
-            ("tasks_poisoned", poisoned as f64),
-            ("tasks_stalled", stalled as f64),
-            ("faults_injected", injected as f64),
-            ("catalogue_hits", hits as f64),
-            ("catalogue_misses", misses as f64),
+            ("reduction_stages", total(|s| s.reduction_stages)),
+            ("reduction_stall_ms", total(|s| s.reduction_stall_ns) / 1.0e6),
+            ("task_failures", total(|s| s.task_failures)),
+            ("tasks_poisoned", total(|s| s.tasks_poisoned)),
+            ("tasks_stalled", total(|s| s.tasks_stalled)),
+            ("faults_injected", total(|s| s.faults_injected)),
+            ("catalogue_hits", total(|s| s.catalogue_hits)),
+            ("catalogue_misses", total(|s| s.catalogue_misses)),
             (
                 "prediction_error_pct",
                 if err_n > 0 { err_sum / err_n as f64 } else { 0.0 },
@@ -1247,47 +1195,34 @@ impl ShardedService {
     /// Persist the fleet's durable state to `path` as one bundle: the
     /// shared cost catalogue (every shard refines the same
     /// [`SharedCatalogue`] from `base.catalogue`), every registered
-    /// tenant at its front-door base weight, and every session. Live
-    /// shards export their sessions warm (pinned kernel, completed-job
-    /// counts); a session stranded on a killed or removed shard is
-    /// exported *cold* from its front-door spec — its warm plan died
-    /// with the shard, which is exactly crash semantics. Queued and
-    /// in-flight jobs are not persisted. The write is atomic (temp
-    /// file + rename).
+    /// tenant at its front-door weight, and every session — operator,
+    /// solver, piece count from the front-door record, plus what its
+    /// live shard knows of it: the kernel its tiles actually lowered
+    /// to and how warm it is. A session stranded on a killed or
+    /// removed shard is exported *cold* — its warm plan died with the
+    /// shard, which is exactly crash semantics. Queued and in-flight
+    /// jobs are *not* persisted: requests are transient, and a
+    /// restarted service re-runs them bitwise-identically anyway. The
+    /// write is atomic (temp file + rename).
     pub fn save_store(&self, path: &Path) -> Result<(), StoreError> {
         let front = self.front.lock();
-        let mut sessions = Vec::new();
-        for slot in &front.slots {
-            if let Some(svc) = slot.live() {
-                sessions.extend(svc.export_sessions());
-            }
-        }
-        for (&sid, &tenant) in &front.session_owner {
-            let on_live_shard = front
-                .placements
-                .get(&tenant)
-                .is_some_and(|&s| front.slots[s].live().is_some());
-            if on_live_shard {
-                continue;
-            }
-            let Some(spec) = front.session_specs.get(&sid) else {
-                continue;
-            };
-            let (solver_code, solver_p0, solver_f0, solver_f1) = persist::solver_wire(spec.solver);
-            sessions.push(StoreSession {
-                session: sid as u64,
+        let warmth: BTreeMap<SessionId, SessionWarmth> = front
+            .slots
+            .iter()
+            .filter_map(|slot| slot.live())
+            .flat_map(|svc| svc.session_warmth())
+            .collect();
+        let mut sessions: Vec<StoreSession> = Vec::new();
+        let mut tenants = Vec::with_capacity(front.tenants.len());
+        for (&tenant, rec) in &front.tenants {
+            tenants.push(StoreTenant {
                 tenant: u64::from(tenant),
-                unknowns: spec.unknowns,
-                pieces: spec.pieces as u64,
-                solver_code,
-                solver_p0,
-                solver_f0,
-                solver_f1,
-                kernel_code: StoreSession::kernel_code_for(None),
-                jobs_completed: 0,
-                steps_captured: 0,
-                operator: persist::operator_to_store(spec),
+                weight: u32::try_from(rec.weight).unwrap_or(u32::MAX),
             });
+            for (&id, spec) in &rec.sessions {
+                let (kernel, jobs, steps) = warmth.get(&id).copied().unwrap_or_default();
+                sessions.push(persist::session_to_store(id, tenant, spec, kernel, jobs, steps));
+            }
         }
         sessions.sort_by_key(|s| s.session);
         let bundle = StoreBundle {
@@ -1298,14 +1233,7 @@ impl ShardedService {
                 .as_ref()
                 .map(|c| c.export())
                 .unwrap_or_default(),
-            tenants: front
-                .weights
-                .iter()
-                .map(|(&t, &w)| StoreTenant {
-                    tenant: u64::from(t),
-                    weight: u32::try_from(w).unwrap_or(u32::MAX),
-                })
-                .collect(),
+            tenants,
             sessions,
         };
         drop(front);
@@ -1313,60 +1241,70 @@ impl ShardedService {
     }
 
     /// Rebuild a fleet from a store written by
-    /// [`ShardedService::save_store`] (or by
-    /// [`SolveService::save_store`] — the bundle format is shared).
-    /// The catalogue re-seeds into `cfg.base.catalogue` (merged if the
-    /// caller supplies one, fresh otherwise) and is shared by every
-    /// shard; tenants re-register at their saved base weights and are
-    /// re-placed by the configured [`Placement`] policy (consistent
-    /// hashing puts them back on the same shard when the shard count
-    /// is unchanged); sessions rebuild on their owner's shard with
-    /// persisted kernel choices pinned, and sessions that were warm at
-    /// save time are pre-warmed. Corrupted, truncated, or semantically
-    /// invalid stores fail with a typed [`StoreError`], never a panic.
+    /// [`ShardedService::save_store`]. The catalogue re-seeds into
+    /// `cfg.base.catalogue` (merged if the caller supplies one, fresh
+    /// otherwise) and is shared by every shard; tenants come back at
+    /// their saved weights and are re-placed by the configured
+    /// [`Placement`] policy (consistent hashing puts them back on the
+    /// same shard when the shard count is unchanged); sessions rebuild
+    /// on their owner's shard with persisted kernel choices pinned,
+    /// and every session that was warm at save time is pre-warmed —
+    /// its plan finalized and iteration trace captured — so the first
+    /// real job lands on the warm path. Corrupted, truncated, or
+    /// semantically invalid stores fail with a typed [`StoreError`],
+    /// never a panic.
     pub fn open_store(path: &Path, mut cfg: ShardConfig) -> Result<ShardedService, StoreError> {
-        let bundle = kdr_store::store::load(path)?;
+        let stored = kdr_store::store::load(path)?;
         let catalogue = cfg
             .base
             .catalogue
             .take()
             .unwrap_or_else(|| SharedCatalogue::new(MachineConfig::lassen(1)));
-        for &(key, samples, mean) in &bundle.catalogue {
+        for &(key, samples, mean) in &stored.catalogue {
             catalogue.insert_entry(key, samples, mean);
         }
         cfg.base.catalogue = Some(catalogue);
         let svc = ShardedService::new(cfg);
         let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
-        for t in &bundle.tenants {
-            let tenant =
-                TenantId::try_from(t.tenant).map_err(|_| malformed("tenant id out of range"))?;
-            svc.register_tenant(tenant, u64::from(t.weight));
-        }
-        let mut stored: Vec<&StoreSession> = bundle.sessions.iter().collect();
-        stored.sort_by_key(|s| s.session);
         {
             let mut front = svc.front.lock();
-            for s in stored {
+            let mut bundles: BTreeMap<TenantId, TenantBundle> = BTreeMap::new();
+            for t in &stored.tenants {
+                let tenant = TenantId::try_from(t.tenant)
+                    .map_err(|_| malformed("tenant id out of range"))?;
+                let rec = TenantRecord {
+                    shard: svc.place(&front, tenant),
+                    weight: u64::from(t.weight).max(1),
+                    sessions: BTreeMap::new(),
+                };
+                front.tenants.insert(tenant, rec);
+                bundles.insert(tenant, front.bundle(tenant));
+            }
+            let mut sessions: Vec<&StoreSession> = stored.sessions.iter().collect();
+            sessions.sort_by_key(|s| s.session);
+            for s in sessions {
                 let id = SessionId::try_from(s.session)
                     .map_err(|_| malformed("session id out of range"))?;
                 let tenant = TenantId::try_from(s.tenant)
                     .map_err(|_| malformed("tenant id out of range"))?;
-                let Some(&shard) = front.placements.get(&tenant) else {
+                let (Some(rec), Some(bundle)) =
+                    (front.tenants.get_mut(&tenant), bundles.get_mut(&tenant))
+                else {
                     return Err(malformed("session references an unregistered tenant"));
                 };
                 let spec = persist::spec_from_store(s)?;
-                let forced = s.forced_kernel()?;
-                front.session_owner.insert(id, tenant);
-                front.session_specs.insert(id, spec.clone());
+                rec.sessions.insert(id, spec.clone());
+                bundle.sessions.push(BundleSession {
+                    id,
+                    spec,
+                    kernel: s.forced_kernel()?,
+                    prewarm: s.jobs_completed > 0,
+                });
                 front.next_session = front.next_session.max(id.saturating_add(1));
-                let engine = front.slots[shard]
-                    .live()
-                    .expect("a fresh fleet's shards are all live")
-                    .clone();
-                engine.create_session_with_id(id, tenant, spec, forced);
-                if s.jobs_completed > 0 {
-                    engine.prewarm_session(id);
-                }
+            }
+            for (tenant, bundle) in bundles {
+                let shard = front.tenants[&tenant].shard;
+                front.install(shard, bundle);
             }
         }
         Ok(svc)

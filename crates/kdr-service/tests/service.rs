@@ -7,7 +7,8 @@ use std::time::{Duration, Instant};
 
 use kdr_core::SolveControl;
 use kdr_service::{
-    JobOutcome, RejectReason, ServiceConfig, SessionSpec, SolveRequest, SolveService, SolverKind,
+    JobOutcome, RejectReason, ServiceConfig, SessionSpec, ShardConfig, ShardedService,
+    SolveRequest, SolverKind,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
@@ -25,21 +26,30 @@ fn spec(nx: u64, ny: u64, pieces: usize, solver: SolverKind) -> SessionSpec {
     }
 }
 
+/// The single-runtime service: a one-shard fleet.
+fn service(base: ServiceConfig) -> ShardedService {
+    ShardedService::new(ShardConfig {
+        shards: 1,
+        base,
+        ..ShardConfig::default()
+    })
+}
+
 fn control() -> SolveControl {
     SolveControl::to_tolerance(1e-10, 1000)
 }
 
 #[test]
 fn two_tenants_interleave_and_both_converge() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         slice_iters: 4,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
     svc.register_tenant(2, 1);
-    let s1 = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg));
-    let s2 = svc.create_session(2, spec(12, 12, 3, SolverKind::BiCgStab));
+    let s1 = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg)).unwrap();
+    let s2 = svc.create_session(2, spec(12, 12, 3, SolverKind::BiCgStab)).unwrap();
     let n1 = 16 * 16;
     let n2 = 12 * 12;
     let j1 = svc
@@ -61,40 +71,48 @@ fn two_tenants_interleave_and_both_converge() {
     // Interleaving proof: with slice_iters = 4 and both jobs needing
     // many more iterations than one slice, both tenants were granted
     // multiple slices.
-    assert!(svc.slices(1) >= 2, "tenant 1 slices: {}", svc.slices(1));
-    assert!(svc.slices(2) >= 2, "tenant 2 slices: {}", svc.slices(2));
+    assert!(svc.shard(0).slices(1) >= 2, "tenant 1 slices: {}", svc.shard(0).slices(1));
+    assert!(svc.shard(0).slices(2) >= 2, "tenant 2 slices: {}", svc.shard(0).slices(2));
 }
 
 #[test]
 fn warm_session_skips_the_cold_prologue() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         slice_iters: 64,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(24, 24, 4, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(24, 24, 4, SolverKind::Cg)).unwrap();
     let n = 24 * 24;
+    // Step shapes in the session's trace cache, as the store records
+    // them.
+    let path = std::env::temp_dir()
+        .join(format!("kdr_warm_session_{}.kdrstore", std::process::id()));
+    let mut captured = Vec::new();
     for seed in [1u64, 2, 3] {
         svc.submit(1, SolveRequest::new(sid, rhs_vector::<f64>(n, seed), control()))
             .unwrap();
+        svc.run_until_idle();
+        svc.save_store(&path).unwrap();
+        captured.push(kdr_store::store::load(&path).unwrap().sessions[0].steps_captured);
     }
-    svc.run_until_idle();
+    std::fs::remove_file(&path).unwrap();
+    assert!(captured[0] > 0, "the cold job captures CG's step shapes");
+    assert_eq!(
+        captured[1..],
+        [captured[0]; 2],
+        "warm jobs replay what the cold job captured: no new step shapes"
+    );
     let responses = svc.take_responses();
     assert_eq!(responses.len(), 3);
-    let cold = &responses[0];
-    assert!(!cold.warm, "first job on a session is cold");
-    assert!(cold.outcome.is_converged());
-    let cold_ttfi = cold.time_to_first_iteration.expect("iterated");
+    assert!(!responses[0].warm, "first job on a session is cold");
+    for r in &responses {
+        assert!(r.outcome.is_converged());
+        assert!(r.time_to_first_iteration.is_some(), "iterated");
+    }
     for warm in &responses[1..] {
         assert!(warm.warm, "later jobs are warm");
-        assert!(warm.outcome.is_converged());
-        let warm_ttfi = warm.time_to_first_iteration.expect("iterated");
-        assert!(
-            warm_ttfi < cold_ttfi,
-            "warm TTFI {warm_ttfi:?} must beat cold {cold_ttfi:?} \
-             (plan cache skipped registration + analysis)"
-        );
     }
     // The warm path must actually hit the trace cache.
     let m = svc.metrics();
@@ -107,13 +125,13 @@ fn warm_session_skips_the_cold_prologue() {
 
 #[test]
 fn queue_full_backpressure_is_typed_and_immediate() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 1,
         queue_capacity: 2,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
     let n = 8 * 8;
     let mk = || SolveRequest::new(sid, rhs_vector::<f64>(n, 1), control());
     assert!(svc.submit(1, mk()).is_ok());
@@ -130,9 +148,9 @@ fn queue_full_backpressure_is_typed_and_immediate() {
 
 #[test]
 fn hopeless_deadlines_rejected_at_admission() {
-    let svc = SolveService::new(ServiceConfig::default());
+    let svc = service(ServiceConfig::default());
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
     let n = 8 * 8;
     let mut r = SolveRequest::new(sid, rhs_vector::<f64>(n, 1), control());
     r.deadline = Some(Instant::now() - Duration::from_millis(1));
@@ -144,9 +162,9 @@ fn hopeless_deadlines_rejected_at_admission() {
 
 #[test]
 fn malformed_requests_rejected_with_types() {
-    let svc = SolveService::new(ServiceConfig::default());
+    let svc = service(ServiceConfig::default());
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
     let n = 8 * 8;
     // Unregistered tenant.
     assert!(matches!(
@@ -177,13 +195,13 @@ fn malformed_requests_rejected_with_types() {
 
 #[test]
 fn queued_job_cancels_immediately_running_job_cooperatively() {
-    let svc = Arc::new(SolveService::new(ServiceConfig {
+    let svc = Arc::new(service(ServiceConfig {
         workers: 2,
         slice_iters: 4,
         ..ServiceConfig::default()
     }));
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg)).unwrap();
     let n = 16 * 16;
     // Queued cancellation: cancel before any driver runs.
     let j0 = svc
@@ -224,13 +242,13 @@ fn queued_job_cancels_immediately_running_job_cooperatively() {
 
 #[test]
 fn deadline_cancels_admitted_job_mid_run() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         slice_iters: 4,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(16, 16, 4, SolverKind::Cg)).unwrap();
     let n = 16 * 16;
     let mut r = SolveRequest::new(
         sid,
@@ -256,12 +274,12 @@ fn deadline_cancels_admitted_job_mid_run() {
 
 #[test]
 fn rhs_batches_solve_sequentially_in_one_job() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg)).unwrap();
     let n = 12 * 12;
     let mut r = SolveRequest::new(sid, rhs_vector::<f64>(n, 1), control());
     r.rhs_batch.push(rhs_vector::<f64>(n, 2));
@@ -277,12 +295,12 @@ fn rhs_batches_solve_sequentially_in_one_job() {
 
 #[test]
 fn priority_jobs_route_through_express_lanes() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg));
+    let sid = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg)).unwrap();
     let n = 12 * 12;
     let mut r = SolveRequest::new(sid, rhs_vector::<f64>(n, 1), control());
     r.priority = 1;
@@ -294,7 +312,7 @@ fn priority_jobs_route_through_express_lanes() {
 
 #[test]
 fn chrome_trace_tags_spans_per_tenant() {
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         slice_iters: 8,
         capture_events: true,
@@ -302,8 +320,8 @@ fn chrome_trace_tags_spans_per_tenant() {
     });
     svc.register_tenant(1, 1);
     svc.register_tenant(2, 1);
-    let s1 = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg));
-    let s2 = svc.create_session(2, spec(12, 12, 3, SolverKind::Cg));
+    let s1 = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg)).unwrap();
+    let s2 = svc.create_session(2, spec(12, 12, 3, SolverKind::Cg)).unwrap();
     let n = 12 * 12;
     svc.submit(1, SolveRequest::new(s1, rhs_vector::<f64>(n, 1), control()))
         .unwrap();
@@ -336,14 +354,14 @@ fn every_solver_kind_runs_as_a_session() {
             lmax: 8.0,
         },
     ];
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
     let n = 10 * 10;
     for kind in kinds {
-        let sid = svc.create_session(1, spec(10, 10, 2, kind));
+        let sid = svc.create_session(1, spec(10, 10, 2, kind)).unwrap();
         let ctl = match kind {
             // Chebyshev's rate is bound-limited; give it headroom.
             SolverKind::Chebyshev { .. } => SolveControl::to_tolerance(1e-8, 4000),
@@ -370,12 +388,12 @@ fn stencil_session_matches_assembled_bitwise() {
     let s = Stencil::lap3d7(8, 8, 8);
     let n = s.unknowns();
     let run = |spec: SessionSpec| -> Vec<(usize, u64)> {
-        let svc = SolveService::new(ServiceConfig {
+        let svc = service(ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         });
         svc.register_tenant(1, 1);
-        let sid = svc.create_session(1, spec);
+        let sid = svc.create_session(1, spec).unwrap();
         let mut req = SolveRequest::new(sid, rhs_vector::<f64>(n, 9), control());
         req.capture_history = true;
         svc.submit(1, req).unwrap();

@@ -1,7 +1,7 @@
 //! Cost-catalogue and durable-store integration tests: cold-tenant
 //! deadline screening, hit/miss reconciliation, cost-proportional
-//! weights, and warm restarts (unsharded and sharded) with
-//! bit-identical replay.
+//! weights, and warm restarts (one shard and two) with bit-identical
+//! replay.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use kdr_core::SolveControl;
 use kdr_machine::MachineConfig;
 use kdr_service::{
     RejectReason, ServiceConfig, SessionSpec, ShardConfig, ShardedService, SolveRequest,
-    SolveService, SolverKind,
+    SolverKind,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{KernelKind, SparseMatrix, Stencil, StructureKey};
@@ -21,6 +21,15 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("kdr_service_store_tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// The single-runtime service: a one-shard fleet.
+fn service(base: ServiceConfig) -> ShardedService {
+    ShardedService::new(ShardConfig {
+        shards: 1,
+        base,
+        ..ShardConfig::default()
+    })
 }
 
 fn catalogue() -> SharedCatalogue {
@@ -52,13 +61,13 @@ fn cold_tenant_first_job_screens_against_catalogue_prediction() {
     // 10 s/kernel-apply: far beyond any near deadline once scaled by
     // the admission iteration horizon.
     cat.insert_entry(stencil_key(&s, 2), 4, 10.0);
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         catalogue: Some(cat),
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, SessionSpec::stencil(s, 2, SolverKind::Cg));
+    let sid = svc.create_session(1, SessionSpec::stencil(s, 2, SolverKind::Cg)).unwrap();
     let control = SolveControl::to_tolerance(1e-10, 1000);
 
     let mut req = SolveRequest::new(sid, rhs_vector::<f64>(64, 3), control.clone());
@@ -83,7 +92,7 @@ fn catalogue_hits_and_misses_reconcile_with_admissions() {
     let cat = catalogue();
     let warm_stencil = Stencil::lap2d(8, 8);
     cat.insert_entry(stencil_key(&warm_stencil, 2), 4, 1.0e-6);
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         catalogue: Some(cat),
         ..ServiceConfig::default()
@@ -92,8 +101,10 @@ fn catalogue_hits_and_misses_reconcile_with_admissions() {
     svc.register_tenant(2, 1);
     // Tenant 1's session has an observed entry (hits); tenant 2's
     // (different shape, no entry) predicts from the prior (misses).
-    let s1 = svc.create_session(1, SessionSpec::stencil(warm_stencil, 2, SolverKind::Cg));
-    let s2 = svc.create_session(2, SessionSpec::stencil(Stencil::lap2d(12, 12), 2, SolverKind::Cg));
+    let s1 = svc.create_session(1, SessionSpec::stencil(warm_stencil, 2, SolverKind::Cg)).unwrap();
+    let s2 = svc
+        .create_session(2, SessionSpec::stencil(Stencil::lap2d(12, 12), 2, SolverKind::Cg))
+        .unwrap();
     let control = SolveControl::to_tolerance(1e-10, 1000);
 
     svc.submit(1, SolveRequest::new(s1, rhs_vector::<f64>(64, 1), control.clone()))
@@ -116,7 +127,7 @@ fn catalogue_hits_and_misses_reconcile_with_admissions() {
     assert_eq!(metrics[&1].catalogue_hits, 1);
     assert_eq!(metrics[&1].catalogue_misses, 0);
     assert_eq!(metrics[&2].catalogue_misses, 2);
-    let snap = svc.runtime().metrics();
+    let snap = svc.shard(0).runtime().metrics();
     assert_eq!(snap.catalogue_hits, hits);
     assert_eq!(snap.catalogue_misses, misses);
     // Completed jobs also feed the prediction-error gauge.
@@ -133,7 +144,7 @@ fn cost_proportional_weights_order_by_catalogue_cost() {
     let pricey = Stencil::lap2d(12, 12);
     cat.insert_entry(stencil_key(&cheap, 2), 8, 1.0e-6);
     cat.insert_entry(stencil_key(&pricey, 2), 8, 1.0e-3);
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         catalogue: Some(cat),
         cost_weights: true,
@@ -141,10 +152,10 @@ fn cost_proportional_weights_order_by_catalogue_cost() {
     });
     svc.register_tenant(1, 1);
     svc.register_tenant(2, 1);
-    svc.create_session(1, SessionSpec::stencil(cheap, 2, SolverKind::Cg));
-    svc.create_session(2, SessionSpec::stencil(pricey, 2, SolverKind::Cg));
-    let w_cheap = svc.effective_weight(1).unwrap();
-    let w_pricey = svc.effective_weight(2).unwrap();
+    svc.create_session(1, SessionSpec::stencil(cheap, 2, SolverKind::Cg)).unwrap();
+    svc.create_session(2, SessionSpec::stencil(pricey, 2, SolverKind::Cg)).unwrap();
+    let w_cheap = svc.shard(0).effective_weight(1).unwrap();
+    let w_pricey = svc.shard(0).effective_weight(2).unwrap();
     assert!(
         w_cheap > w_pricey,
         "cheap tenant must outweigh expensive one: {w_cheap} vs {w_pricey}"
@@ -156,72 +167,20 @@ fn cost_proportional_weights_order_by_catalogue_cost() {
     assert_eq!(w_pricey, 1);
 }
 
-/// Warm restart, unsharded: save a service after real work, reopen
-/// the store, and re-run the same request. The replayed residual
-/// history is bit-identical and the restored session starts warm
-/// (plan finalized and trace captured before the first real job).
+/// Warm restart: a fleet with one stencil and one assembled session
+/// round-trips through one store file. Consistent hashing puts tenants
+/// back on their shards, sessions come back warm (plan finalized and
+/// trace captured before the first real job) under their old ids, and
+/// both tenants replay bit-identically.
 #[test]
 fn open_store_warm_starts_with_bit_identical_replay() {
-    let path = tmp("warm_restart_unsharded.kdrstore");
-    let control = SolveControl::to_tolerance(1e-10, 1000);
-    let rhs = rhs_vector::<f64>(256, 9);
-
-    let cold_history;
-    {
-        let svc = SolveService::new(ServiceConfig {
-            workers: 2,
-            catalogue: Some(catalogue()),
-            ..ServiceConfig::default()
-        });
-        svc.register_tenant(7, 3);
-        let sid =
-            svc.create_session(7, SessionSpec::stencil(Stencil::lap2d(16, 16), 4, SolverKind::Cg));
-        let mut req = SolveRequest::new(sid, rhs.clone(), control.clone());
-        req.capture_history = true;
-        svc.submit(7, req).unwrap();
-        svc.run_until_idle();
-        let r = &svc.take_responses()[0];
-        assert!(r.outcome.is_converged());
-        assert!(!r.warm, "first job on a fresh service is cold");
-        cold_history = history_bits(&r.residual_history);
-        assert!(!cold_history.is_empty());
-        svc.save_store(&path).unwrap();
-        // Restored session ids continue where the saved service left
-        // off: sid was persisted, so the reopened service must not
-        // reuse it.
-        assert_eq!(sid, 0);
+    for shards in [1, 2] {
+        warm_restart_replays_bit_identically(shards);
     }
-
-    let svc = SolveService::open_store(
-        &path,
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let mut req = SolveRequest::new(0, rhs, control);
-    req.capture_history = true;
-    svc.submit(7, req).unwrap();
-    svc.run_until_idle();
-    let r = &svc.take_responses()[0];
-    assert!(r.outcome.is_converged());
-    assert!(r.warm, "restored session must start warm");
-    assert_eq!(
-        history_bits(&r.residual_history),
-        cold_history,
-        "replay across a save/open cycle must be bit-identical"
-    );
-    std::fs::remove_file(&path).unwrap();
 }
 
-/// Warm restart, sharded: a two-shard fleet with one stencil and one
-/// assembled session round-trips through one store file; consistent
-/// hashing puts tenants back on their shards, and both tenants replay
-/// bit-identically from warm sessions.
-#[test]
-fn sharded_open_store_replays_bit_identically() {
-    let path = tmp("warm_restart_sharded.kdrstore");
+fn warm_restart_replays_bit_identically(shards: usize) {
+    let path = tmp(&format!("warm_restart_{shards}.kdrstore"));
     let control = SolveControl::to_tolerance(1e-10, 1000);
     let assembled = || -> SessionSpec {
         let s = Stencil::lap2d(12, 12);
@@ -235,7 +194,7 @@ fn sharded_open_store_replays_bit_identically() {
         }
     };
     let cfg = || ShardConfig {
-        shards: 2,
+        shards,
         base: ServiceConfig {
             workers: 2,
             catalogue: Some(catalogue()),
@@ -266,6 +225,7 @@ fn sharded_open_store_replays_bit_identically() {
         assert_eq!(rs.len(), 2);
         for r in &rs {
             assert!(r.outcome.is_converged());
+            assert!(!r.warm, "first job on a fresh service is cold");
             cold.push((r.session, history_bits(&r.residual_history)));
         }
         placements = (fleet.shard_of(1), fleet.shard_of(2));
@@ -287,13 +247,16 @@ fn sharded_open_store_replays_bit_identically() {
     assert_eq!(rs.len(), 2);
     for (r, (sid, history)) in rs.iter().zip(cold.iter()) {
         assert_eq!(r.session, *sid);
-        assert!(r.warm, "restored sharded session must start warm");
+        assert!(r.warm, "restored session must start warm");
         assert_eq!(
             &history_bits(&r.residual_history),
             history,
-            "sharded replay across a save/open cycle must be bit-identical"
+            "replay across a save/open cycle must be bit-identical"
         );
     }
+    // Session ids continue where the saved fleet left off.
+    let fresh = fleet.create_session(2, assembled()).unwrap();
+    assert!(cold.iter().all(|&(sid, _)| sid != fresh));
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -304,12 +267,12 @@ fn sharded_open_store_replays_bit_identically() {
 fn corrupted_stores_are_typed_errors_at_the_service_level() {
     let path = tmp("corrupt.kdrstore");
     // A valid store, then flip a payload byte.
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         catalogue: Some(catalogue()),
         ..ServiceConfig::default()
     });
     svc.register_tenant(1, 1);
-    svc.create_session(1, SessionSpec::stencil(Stencil::lap2d(8, 8), 2, SolverKind::Cg));
+    svc.create_session(1, SessionSpec::stencil(Stencil::lap2d(8, 8), 2, SolverKind::Cg)).unwrap();
     svc.save_store(&path).unwrap();
 
     let mut bytes = std::fs::read(&path).unwrap();
@@ -317,7 +280,7 @@ fn corrupted_stores_are_typed_errors_at_the_service_level() {
     bytes[mid] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        SolveService::open_store(&path, ServiceConfig::default()),
+        ShardedService::open_store(&path, ShardConfig::default()),
         Err(StoreError::ChecksumMismatch { .. } | StoreError::Malformed { .. })
     ));
 
@@ -329,10 +292,9 @@ fn corrupted_stores_are_typed_errors_at_the_service_level() {
     for cut in [0, 1, good.len() / 3, good.len() - 1] {
         std::fs::write(&path, &good[..cut]).unwrap();
         assert!(
-            SolveService::open_store(&path, ServiceConfig::default()).is_err(),
+            ShardedService::open_store(&path, ShardConfig::default()).is_err(),
             "truncation at {cut} must not open"
         );
-        assert!(ShardedService::open_store(&path, ShardConfig::default()).is_err());
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use kdr_core::SolveControl;
 use kdr_service::{
-    JobId, JobOutcome, RejectReason, ServiceConfig, SessionSpec, SolveRequest, SolveService,
-    SolverKind, TenantId,
+    JobId, JobOutcome, RejectReason, ServiceConfig, SessionSpec, ShardConfig, ShardedService,
+    SolveRequest, SolverKind, TenantId,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
@@ -28,6 +28,15 @@ fn spec(nx: u64, ny: u64, pieces: usize) -> SessionSpec {
     }
 }
 
+/// The single-runtime service: a one-shard fleet.
+fn service(base: ServiceConfig) -> ShardedService {
+    ShardedService::new(ShardConfig {
+        shards: 1,
+        base,
+        ..ShardConfig::default()
+    })
+}
+
 /// Fixed-work control: tol = 0 never converges, so the job runs
 /// exactly `iters` iterations and finishes `Capped`.
 fn fixed_work(iters: usize) -> SolveControl {
@@ -42,7 +51,7 @@ fn sixteen_tenants_zero_lost_zero_duplicated() {
     const TENANTS: u32 = 16;
     const JOBS_PER_TENANT: usize = 3;
     const ITERS: usize = 25;
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 4,
         queue_capacity: 1024,
         slice_iters: 8,
@@ -53,7 +62,7 @@ fn sixteen_tenants_zero_lost_zero_duplicated() {
     let mut submitted: Vec<(JobId, TenantId)> = Vec::new();
     for t in 1..=TENANTS {
         svc.register_tenant(t, 1);
-        let sid = svc.create_session(t, spec(10, 10, 2));
+        let sid = svc.create_session(t, spec(10, 10, 2)).unwrap();
         for j in 0..JOBS_PER_TENANT {
             let rhs = rhs_vector::<f64>(n, (t as u64) * 100 + j as u64);
             let job = svc
@@ -100,7 +109,7 @@ fn equal_weight_fairness_ratio_within_bound_mid_run() {
     const TENANTS: u32 = 8;
     const SLICE: usize = 8;
     const ROUNDS: usize = 5;
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         queue_capacity: 256,
         slice_iters: SLICE,
@@ -111,7 +120,7 @@ fn equal_weight_fairness_ratio_within_bound_mid_run() {
     let mut jobs = Vec::new();
     for t in 1..=TENANTS {
         svc.register_tenant(t, 1);
-        let sid = svc.create_session(t, spec(12, 12, 2));
+        let sid = svc.create_session(t, spec(12, 12, 2)).unwrap();
         let rhs = rhs_vector::<f64>(n, t as u64);
         // A budget no job reaches during the sampled window.
         jobs.push(
@@ -120,7 +129,7 @@ fn equal_weight_fairness_ratio_within_bound_mid_run() {
         );
     }
     // Exactly ROUNDS slices per tenant; everyone still saturated.
-    let ran = svc.run_slices(TENANTS as usize * ROUNDS);
+    let ran = svc.shard(0).run_slices(TENANTS as usize * ROUNDS);
     assert_eq!(ran, TENANTS as usize * ROUNDS, "no tenant went idle");
     let m = svc.metrics();
     let counts: Vec<u64> = (1..=TENANTS)
@@ -136,7 +145,7 @@ fn equal_weight_fairness_ratio_within_bound_mid_run() {
     );
     // Stride scheduling keeps per-tenant slice counts within 1 at
     // every prefix of the schedule.
-    let slices: Vec<u64> = (1..=TENANTS).map(|t| svc.slices(t)).collect();
+    let slices: Vec<u64> = (1..=TENANTS).map(|t| svc.shard(0).slices(t)).collect();
     let smin = *slices.iter().min().unwrap();
     let smax = *slices.iter().max().unwrap();
     assert!(
@@ -159,7 +168,7 @@ fn equal_weight_fairness_ratio_within_bound_mid_run() {
 fn weighted_tenants_progress_proportionally() {
     // A weight-3 tenant gets ~3x the slices of weight-1 tenants
     // while all are runnable.
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 2,
         slice_iters: 4,
         seed: 3,
@@ -169,7 +178,7 @@ fn weighted_tenants_progress_proportionally() {
     let mut jobs = Vec::new();
     for (t, w) in [(1u32, 3u64), (2, 1), (3, 1)] {
         svc.register_tenant(t, w);
-        let sid = svc.create_session(t, spec(12, 12, 2));
+        let sid = svc.create_session(t, spec(12, 12, 2)).unwrap();
         jobs.push(
             svc.submit(
                 t,
@@ -179,10 +188,10 @@ fn weighted_tenants_progress_proportionally() {
         );
     }
     // 40 slices across weights 3:1:1 => expected split 24:8:8.
-    let ran = svc.run_slices(40);
+    let ran = svc.shard(0).run_slices(40);
     assert_eq!(ran, 40);
-    let heavy = svc.slices(1);
-    let light = svc.slices(2).max(svc.slices(3));
+    let heavy = svc.shard(0).slices(1);
+    let light = svc.shard(0).slices(2).max(svc.shard(0).slices(3));
     assert!(
         heavy as f64 >= 2.5 * light as f64,
         "weight-3 tenant should lead weight-1 tenants ~3:1, got {heavy} vs {light}"
@@ -206,7 +215,7 @@ fn weighted_tenants_progress_proportionally() {
 /// iterations, slices-per-tenant) trace.
 fn seeded_run(seed: u64) -> (Vec<(JobId, TenantId, u64)>, Vec<u64>) {
     const TENANTS: u32 = 6;
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 3,
         queue_capacity: 256,
         slice_iters: 8,
@@ -216,7 +225,7 @@ fn seeded_run(seed: u64) -> (Vec<(JobId, TenantId, u64)>, Vec<u64>) {
     let n = 10 * 10;
     for t in 1..=TENANTS {
         svc.register_tenant(t, if t % 3 == 0 { 2 } else { 1 });
-        let sid = svc.create_session(t, spec(10, 10, 2));
+        let sid = svc.create_session(t, spec(10, 10, 2)).unwrap();
         for j in 0..2u64 {
             let rhs = rhs_vector::<f64>(n, t as u64 * 10 + j);
             svc.submit(t, SolveRequest::new(sid, rhs, fixed_work(20 + 5 * j as usize)))
@@ -229,7 +238,7 @@ fn seeded_run(seed: u64) -> (Vec<(JobId, TenantId, u64)>, Vec<u64>) {
         .iter()
         .map(|r| (r.job, r.tenant, r.iterations))
         .collect();
-    let slices = (1..=TENANTS).map(|t| svc.slices(t)).collect();
+    let slices = (1..=TENANTS).map(|t| svc.shard(0).slices(t)).collect();
     (trace, slices)
 }
 
@@ -251,7 +260,7 @@ fn concurrent_submitters_lose_nothing() {
     // must produce exactly one response.
     const CLIENTS: u32 = 4;
     const JOBS_PER_CLIENT: usize = 5;
-    let svc = Arc::new(SolveService::new(ServiceConfig {
+    let svc = Arc::new(service(ServiceConfig {
         workers: 2,
         queue_capacity: 8, // small on purpose: submitters see backpressure
         slice_iters: 16,
@@ -262,7 +271,7 @@ fn concurrent_submitters_lose_nothing() {
     let mut sessions = Vec::new();
     for t in 1..=CLIENTS {
         svc.register_tenant(t, 1);
-        sessions.push(svc.create_session(t, spec(8, 8, 2)));
+        sessions.push(svc.create_session(t, spec(8, 8, 2)).unwrap());
     }
     let mut clients = Vec::new();
     for t in 1..=CLIENTS {
@@ -330,7 +339,7 @@ fn sixty_four_tenants_sustained() {
     // The acceptance scale: 64 tenants, one shared runtime, zero
     // lost responses.
     const TENANTS: u32 = 64;
-    let svc = SolveService::new(ServiceConfig {
+    let svc = service(ServiceConfig {
         workers: 4,
         queue_capacity: 256,
         slice_iters: 8,
@@ -341,7 +350,7 @@ fn sixty_four_tenants_sustained() {
     let mut jobs = Vec::new();
     for t in 1..=TENANTS {
         svc.register_tenant(t, 1);
-        let sid = svc.create_session(t, spec(8, 8, 2));
+        let sid = svc.create_session(t, spec(8, 8, 2)).unwrap();
         let rhs = rhs_vector::<f64>(n, t as u64);
         jobs.push(svc.submit(t, SolveRequest::new(sid, rhs, fixed_work(12))).unwrap());
     }

@@ -13,7 +13,7 @@ use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
 use kdr_service::{
     CancelOutcome, EvacuationPolicy, HealthBudget, InFlightRecovery, JobOutcome, RejectReason,
     RetryPolicy, ServiceConfig, SessionSpec, ShardConfig, ShardStatus, ShardedService,
-    SolveRequest, SolveService, SolverKind, SupervisorConfig,
+    SolveRequest, SolverKind, SupervisorConfig,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
@@ -259,6 +259,66 @@ fn submit_against_a_quarantined_shard_is_typed_backpressure() {
 }
 
 #[test]
+fn reweight_while_stranded_survives_evacuation_and_the_store() {
+    // A re-weight issued while the tenant's only shard is quarantined
+    // cannot reach a shard; the front door holds it, the evacuation
+    // bundle carries it, and the store agrees.
+    let svc = fleet(1, SupervisorConfig::default());
+    svc.register_tenant(1, 1);
+    svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
+    assert!(svc.quarantine_shard(0));
+    svc.register_tenant(1, 5);
+    let fresh = svc.add_shard();
+    svc.supervise();
+    assert_eq!(svc.shard_of(1), Some(fresh));
+    assert_eq!(svc.shard(fresh).effective_weight(1), Some(5));
+
+    let path = std::env::temp_dir().join(format!("kdr_reweight_{}.kdrstore", std::process::id()));
+    svc.save_store(&path).unwrap();
+    let reopened = ShardedService::open_store(
+        &path,
+        ShardConfig {
+            shards: 1,
+            ..ShardConfig::default()
+        },
+    )
+    .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(reopened.shard(0).effective_weight(1), Some(5));
+}
+
+#[test]
+fn retried_job_reports_its_whole_life() {
+    // Attempt 1 dies to a one-shot fault and waits out a backoff; the
+    // execution that delivers is queued with the job's admission
+    // instant, so the response's clocks cover the failed attempt too.
+    let svc = fleet(1, retrying(2));
+    svc.register_tenant(1, 1);
+    let sid = svc.create_session(1, spec(16, 16, 2, SolverKind::Cg)).unwrap();
+    svc.shard(0)
+        .runtime()
+        .set_fault_plan(Some(panic_on("spmv", FireSchedule::Nth(3), 1)));
+    let job = svc.submit(1, history_req(sid, 256, 7)).unwrap();
+    let submitted = Instant::now();
+    svc.shard(0).run_until_idle(); // attempt 1 dies to the fault
+    let t_fail = submitted.elapsed();
+    svc.supervise(); // absorbed → parked for retry
+    svc.run_until_idle();
+    let rs = svc.take_responses();
+    assert_eq!(rs.len(), 1);
+    assert_eq!(rs[0].job, job);
+    assert!(rs[0].outcome.is_converged(), "{:?}", rs[0].outcome);
+    assert_eq!(rs[0].retries, 1);
+    // Admitted before `submitted`, rescheduled after `t_fail` was read.
+    assert!(
+        rs[0].queue_wait >= t_fail,
+        "queue_wait {:?} hides a failed attempt that took {t_fail:?}",
+        rs[0].queue_wait
+    );
+    assert!(rs[0].queue_wait + rs[0].turnaround >= t_fail);
+}
+
+#[test]
 fn kill_shard_recovery_is_bit_identical_to_fault_free() {
     // Crash a shard mid-fleet: nothing is read from the dying
     // runtime. Sessions are rebuilt from front-door specs and every
@@ -447,13 +507,10 @@ fn evacuation_preserves_deadlines_and_iteration_budgets() {
 
 #[test]
 fn cancellation_is_typed_everywhere_a_job_can_be() {
-    // Unsharded service first: queued, done, unknown.
-    let local = SolveService::new(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    });
+    // One healthy shard first: queued, done, unknown.
+    let local = fleet(1, SupervisorConfig::default());
     local.register_tenant(1, 1);
-    let sid = local.create_session(1, spec(8, 8, 2, SolverKind::Cg));
+    let sid = local.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
     let queued = local
         .submit(
             1,
@@ -468,7 +525,7 @@ fn cancellation_is_typed_everywhere_a_job_can_be() {
     assert!(matches!(rs[0].outcome, JobOutcome::Cancelled { .. }));
     assert_eq!(local.cancel_job(queued), CancelOutcome::AlreadyDone);
 
-    // Sharded: same matrix, plus the retry-parked state. A job
+    // Same matrix, plus the retry-parked state. A job
     // waiting out its backoff at the front door cancels locally and
     // its stale shard attempts can never resurface as duplicates.
     let svc = fleet(1, SupervisorConfig {

@@ -105,7 +105,33 @@ impl KernelKind {
             _ => return None,
         })
     }
+
+    /// Static name of the SpMV task that runs this kernel:
+    /// `spmv_[t_]<kind>[_z]`. The kind is in the name so metrics can
+    /// count specialized-kernel launches; transpose and fused-zero
+    /// are because both change what the task body does and must be
+    /// part of a traced step's shape signature.
+    pub fn task_name(self, transpose: bool, zero: bool) -> &'static str {
+        TASK_NAMES[self.code() as usize][2 * usize::from(transpose) + usize::from(zero)]
+    }
+
+    /// Inverse of [`KernelKind::task_name`]: the kernel an executed
+    /// task ran (`None` for non-kernel tasks such as axpy/dot bodies).
+    pub fn from_task_name(name: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|k| TASK_NAMES[k.code() as usize].contains(&name))
+    }
 }
+
+/// SpMV task names, indexed `[code()][2·transpose + zero]`.
+const TASK_NAMES: [[&str; 4]; 5] = [
+    ["spmv_csr", "spmv_csr_z", "spmv_t_csr", "spmv_t_csr_z"],
+    ["spmv_dia", "spmv_dia_z", "spmv_t_dia", "spmv_t_dia_z"],
+    ["spmv_ell", "spmv_ell_z", "spmv_t_ell", "spmv_t_ell_z"],
+    ["spmv_bcsr", "spmv_bcsr_z", "spmv_t_bcsr", "spmv_t_bcsr_z"],
+    ["spmv_stencil", "spmv_stencil_z", "spmv_t_stencil", "spmv_t_stencil_z"],
+];
 
 /// How a tile chooses its kernel at lowering time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -1096,6 +1122,30 @@ mod tests {
                 (rows[k] as usize, cols[k] as usize)
             };
             y[i] = vals[k].mul_add(x[j], y[i]);
+        }
+    }
+
+    #[test]
+    fn task_names_round_trip_every_kind_and_flag() {
+        let mut seen = std::collections::BTreeSet::new();
+        for kind in KernelKind::ALL {
+            for transpose in [false, true] {
+                for zero in [false, true] {
+                    let name = kind.task_name(transpose, zero);
+                    let flags = format!(
+                        "spmv_{}{}{}",
+                        if transpose { "t_" } else { "" },
+                        kind.name(),
+                        if zero { "_z" } else { "" }
+                    );
+                    assert_eq!(name, flags);
+                    assert_eq!(KernelKind::from_task_name(name), Some(kind));
+                    assert!(seen.insert(name), "{name} names two kernels");
+                }
+            }
+        }
+        for other in ["axpy", "dot_partial", "spmv_", "spmv_csr_zz", ""] {
+            assert_eq!(KernelKind::from_task_name(other), None, "{other:?}");
         }
     }
 

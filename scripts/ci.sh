@@ -34,12 +34,14 @@ cargo test -q --release -p kdr-runtime --lib task::
 cargo test -q -p kdr-sparse --test vecops_prop
 cargo test -q --release -p kdr-sparse --test vecops_prop
 
-# Service chaos test, again under optimized codegen (the dev run is
-# part of `cargo test` above and keeps debug assertions armed on the
-# evacuation/resubmission paths): seeded per-shard fault plans plus a
+# The three service suites that share the one tenant-install path
+# (`attach_tenant`: evacuation and crash recovery, migration, warm
+# restart), again under optimized codegen — the dev run is part of
+# `cargo test` above and keeps debug assertions armed on these paths.
+# The chaos test is in the first: seeded per-shard fault plans plus a
 # forced shard kill must deliver every job exactly once, bitwise equal
 # to the fault-free run.
-cargo test -q --release -p kdr-service --test supervision
+cargo test -q --release -p kdr-service --test supervision --test sharded --test store
 
 # Modeled scaling: pipelined CG at 256 simulated nodes (>= 1.2x over
 # classic) and the sharded front door at 1-16 simulated shard groups
