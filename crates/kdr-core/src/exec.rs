@@ -1380,6 +1380,9 @@ mod tests {
         };
         let before = gets(&b);
         assert_eq!(b.scalar_get_many(&[q, x, y, q]), vec![4.5, 9.0, 2.0, 4.5]);
+        // A body's count lands when its node retires, which is after
+        // the future the read waited on resolves.
+        b.fence();
         assert_eq!(gets(&b) - before, 1, "one read task, one wait");
         assert!(b.scalar_get_many(&[]).is_empty());
         assert_eq!(gets(&b) - before, 1, "nothing to force, nothing submitted");

@@ -11,10 +11,11 @@
 //! as the paper prescribes.
 
 use kdr_index::{
-    ComposedRelation, FnRelation, IndexSpace, IntervalMapRelation, IntervalSet, ProjectionAxis,
+    ComposedRelation, FnRelation, IndexSpace, IntervalMapRelation, ProjectionAxis,
     ProjectionRelation, Relation, TransposedRelation,
 };
 
+use super::mirror::Mirror;
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
 use crate::triples::Triples;
@@ -165,218 +166,26 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
             }
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bi = (self.block_rowptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bj = self.block_colidx[k0 as usize].to_u64();
-                y[(bi * self.br + r) as usize] +=
-                    self.blocks[k as usize] * x[(bj * self.bd + c) as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bi = (self.block_rowptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bj = self.block_colidx[k0 as usize].to_u64();
-                y[(bj * self.bd + c) as usize] +=
-                    self.blocks[k as usize] * x[(bi * self.br + r) as usize];
-            }
-        }
-    }
-
-    fn spmv_add(&self, x: &[T], y: &mut [T]) {
-        // Fast whole-matrix path: iterate blocks without per-point
-        // decoding.
-        let bs = self.block_size() as usize;
-        for bi in 0..self.block_rowptr.len() - 1 {
-            for k0 in self.block_rowptr[bi] as usize..self.block_rowptr[bi + 1] as usize {
-                let bj = self.block_colidx[k0].to_usize();
-                let block = &self.blocks[k0 * bs..(k0 + 1) * bs];
-                for r in 0..self.br as usize {
-                    let mut acc = T::ZERO;
-                    for c in 0..self.bd as usize {
-                        acc = block[r * self.bd as usize + c]
-                            .mul_add(x[bj * self.bd as usize + c], acc);
-                    }
-                    y[bi * self.br as usize + r] += acc;
-                }
-            }
-        }
-    }
 }
 
-/// Block CSC: dense blocks compressed by block column.
-#[derive(Clone, Debug)]
-pub struct Bcsc<T, I = u64> {
-    block_colptr: Vec<u64>,
-    block_rowidx: Vec<I>,
-    blocks: Vec<T>,
-    br: u64,
-    bd: u64,
-    rows: u64,
-    cols: u64,
-}
+/// Block CSC: dense blocks compressed by block column — the [`Bcsr`]
+/// of `Aᵀ` (block shape `bd × br`) behind the [`Mirror`] adapter, so a
+/// block is laid out column-major in `A`'s coordinates.
+pub type Bcsc<T, I = u64> = Mirror<Bcsr<T, I>>;
 
 impl<T: Scalar, I: IndexInt> Bcsc<T, I> {
     /// Build from a coordinate list with the given block shape.
     pub fn from_triples(t: Triples<T>, br: u64, bd: u64) -> Self {
+        // Checked here so a failure names `A`'s dimension, not `Aᵀ`'s.
         assert!(br > 0 && bd > 0, "degenerate block shape");
         assert_eq!(t.rows() % br, 0, "rows not a multiple of block rows");
         assert_eq!(t.cols() % bd, 0, "cols not a multiple of block cols");
-        let rows = t.rows();
-        let cols = t.cols();
-        let d0 = cols / bd;
-        let t = t.canonicalize();
-        let mut coords: Vec<(u64, u64)> = t
-            .entries()
-            .iter()
-            .map(|&(i, j, _)| (j / bd, i / br)) // (block col, block row)
-            .collect();
-        coords.sort_unstable();
-        coords.dedup();
-        let mut block_colptr = vec![0u64; d0 as usize + 1];
-        for &(bj, _) in &coords {
-            block_colptr[bj as usize + 1] += 1;
-        }
-        for i in 1..block_colptr.len() {
-            block_colptr[i] += block_colptr[i - 1];
-        }
-        let block_rowidx: Vec<I> = coords.iter().map(|&(_, bi)| I::from_u64(bi)).collect();
-        let mut blocks = vec![T::ZERO; coords.len() * (br * bd) as usize];
-        for &(i, j, v) in t.entries() {
-            let key = (j / bd, i / br);
-            let k0 = coords.binary_search(&key).expect("block must exist");
-            let (r, c) = (i % br, j % bd);
-            blocks[k0 * (br * bd) as usize + (r * bd + c) as usize] += v;
-        }
-        Bcsc {
-            block_colptr,
-            block_rowidx,
-            blocks,
-            br,
-            bd,
-            rows,
-            cols,
-        }
+        Mirror(Bcsr::from_triples(t.transposed(), bd, br))
     }
 
     /// Number of stored blocks (`|K0|`).
     pub fn num_blocks(&self) -> u64 {
-        self.block_rowidx.len() as u64
-    }
-
-    fn block_size(&self) -> u64 {
-        self.br * self.bd
-    }
-}
-
-impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsc<T, I> {
-    fn kernel_space(&self) -> IndexSpace {
-        IndexSpace::grid3(self.num_blocks(), self.br, self.bd)
-    }
-
-    fn domain_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.cols)
-    }
-
-    fn range_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.rows)
-    }
-
-    fn col_relation(&self) -> Box<dyn Relation> {
-        let to_block = ProjectionRelation::new(
-            self.num_blocks().max(1),
-            self.block_size(),
-            ProjectionAxis::Outer,
-        );
-        let col0 = TransposedRelation::new(Box::new(IntervalMapRelation::from_offsets(
-            &self.block_colptr,
-            self.num_blocks(),
-        )));
-        let expand = IntervalMapRelation::uniform_blocks(self.cols / self.bd, self.bd);
-        Box::new(ComposedRelation::new(
-            Box::new(ComposedRelation::new(Box::new(to_block), Box::new(col0))),
-            Box::new(expand),
-        ))
-    }
-
-    fn row_relation(&self) -> Box<dyn Relation> {
-        let to_block = ProjectionRelation::new(
-            self.num_blocks().max(1),
-            self.block_size(),
-            ProjectionAxis::Outer,
-        );
-        let row0 = FnRelation::new(
-            self.block_rowidx.iter().map(|&i| i.to_u64()).collect(),
-            self.rows / self.br,
-        );
-        let expand = IntervalMapRelation::uniform_blocks(self.rows / self.br, self.br);
-        Box::new(ComposedRelation::new(
-            Box::new(ComposedRelation::new(Box::new(to_block), Box::new(row0))),
-            Box::new(expand),
-        ))
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
-        let bs = self.block_size();
-        for bj in 0..self.block_colptr.len() - 1 {
-            for k0 in self.block_colptr[bj]..self.block_colptr[bj + 1] {
-                let bi = self.block_rowidx[k0 as usize].to_u64();
-                for r in 0..self.br {
-                    for c in 0..self.bd {
-                        let k = k0 * bs + r * self.bd + c;
-                        f(
-                            k,
-                            bi * self.br + r,
-                            bj as u64 * self.bd + c,
-                            self.blocks[k as usize],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bj = (self.block_colptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bi = self.block_rowidx[k0 as usize].to_u64();
-                y[(bi * self.br + r) as usize] +=
-                    self.blocks[k as usize] * x[(bj * self.bd + c) as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let bs = self.block_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let k0 = k / bs;
-                let within = k % bs;
-                let (r, c) = (within / self.bd, within % self.bd);
-                let bj = (self.block_colptr.partition_point(|&p| p <= k0) - 1) as u64;
-                let bi = self.block_rowidx[k0 as usize].to_u64();
-                y[(bj * self.bd + c) as usize] +=
-                    self.blocks[k as usize] * x[(bi * self.br + r) as usize];
-            }
-        }
+        self.0.num_blocks()
     }
 }
 

@@ -8,7 +8,7 @@
 //! out SoA or AoS — so this module provides both ([`Coo`] and
 //! [`CooAos`]) behind the same trait.
 
-use kdr_index::{FnRelation, IndexSpace, IntervalSet, Relation};
+use kdr_index::{FnRelation, IndexSpace, Relation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
@@ -95,22 +95,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Coo<T, I> {
             );
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo as usize..run.hi as usize {
-                y[self.rowidx[k].to_usize()] += self.values[k] * x[self.colidx[k].to_usize()];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo as usize..run.hi as usize {
-                y[self.colidx[k].to_usize()] += self.values[k] * x[self.rowidx[k].to_usize()];
-            }
-        }
-    }
 }
 
 /// One COO record: entry plus its grid coordinates.
@@ -191,27 +175,12 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for CooAos<T, I> {
             f(k as u64, r.row.to_u64(), r.col.to_u64(), r.value);
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for r in &self.records[run.lo as usize..run.hi as usize] {
-                y[r.row.to_usize()] += r.value * x[r.col.to_usize()];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for r in &self.records[run.lo as usize..run.hi as usize] {
-                y[r.col.to_usize()] += r.value * x[r.row.to_usize()];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdr_index::IntervalSet;
 
     fn t() -> Triples<f64> {
         Triples::from_entries(

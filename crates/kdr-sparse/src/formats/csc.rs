@@ -3,156 +3,44 @@
 //! Structural assumption: `K` is totally ordered so that each
 //! *column's* entries form a contiguous interval. Metadata:
 //! `colptr : D -> [K, K]` and `row : K -> R`. CSC is CSR's mirror
-//! image; its adjoint SpMV is the fast direction.
+//! image, and is implemented as exactly that: the [`Csr`] of `Aᵀ`
+//! behind the [`Mirror`] adapter, whose `rowptr` is this format's
+//! `colptr`.
 
-use kdr_index::{
-    FnRelation, IndexSpace, IntervalMapRelation, IntervalSet, Relation, TransposedRelation,
-};
-
-use crate::matrix::SparseMatrix;
+use super::csr::Csr;
+use super::mirror::Mirror;
 use crate::scalar::{IndexInt, Scalar};
 use crate::triples::Triples;
 
 /// A CSC matrix generic over entry type `T` and stored index type `I`.
-#[derive(Clone, Debug)]
-pub struct Csc<T, I = u64> {
-    colptr: Vec<u64>,
-    rowidx: Vec<I>,
-    values: Vec<T>,
-    rows: u64,
-}
+pub type Csc<T, I = u64> = Mirror<Csr<T, I>>;
 
 impl<T: Scalar, I: IndexInt> Csc<T, I> {
     /// Build from a coordinate list (duplicates summed).
     pub fn from_triples(t: Triples<T>) -> Self {
-        let rows = t.rows();
-        let cols = t.cols();
-        // Canonicalize in transposed order: sort by (col, row).
-        let tt = t.transposed().canonicalize();
-        let mut colptr = vec![0u64; cols as usize + 1];
-        for &(j, _, _) in tt.entries() {
-            colptr[j as usize + 1] += 1;
-        }
-        for c in 1..colptr.len() {
-            colptr[c] += colptr[c - 1];
-        }
-        let mut rowidx = Vec::with_capacity(tt.len());
-        let mut values = Vec::with_capacity(tt.len());
-        for &(_, i, v) in tt.entries() {
-            rowidx.push(I::from_u64(i));
-            values.push(v);
-        }
-        Csc {
-            colptr,
-            rowidx,
-            values,
-            rows,
-        }
+        Mirror(Csr::from_triples(t.transposed()))
     }
 
     /// Row count.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.0.cols()
     }
 
     /// Column count.
     pub fn cols(&self) -> u64 {
-        self.colptr.len() as u64 - 1
+        self.0.rows()
     }
 
     /// Column-pointer array (`cols + 1` entries).
     pub fn colptr(&self) -> &[u64] {
-        &self.colptr
-    }
-
-    /// Column owning kernel point `k`.
-    #[inline]
-    fn col_of(&self, k: u64) -> u64 {
-        (self.colptr.partition_point(|&p| p <= k) - 1) as u64
-    }
-}
-
-impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csc<T, I> {
-    fn kernel_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.values.len() as u64)
-    }
-
-    fn domain_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.cols())
-    }
-
-    fn range_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.rows)
-    }
-
-    fn col_relation(&self) -> Box<dyn Relation> {
-        Box::new(TransposedRelation::new(Box::new(
-            IntervalMapRelation::from_offsets(&self.colptr, self.values.len() as u64),
-        )))
-    }
-
-    fn row_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.rowidx.iter().map(|&i| i.to_u64()).collect(),
-            self.rows,
-        ))
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
-        for j in 0..self.cols() {
-            let (lo, hi) = (self.colptr[j as usize], self.colptr[j as usize + 1]);
-            for k in lo..hi {
-                f(
-                    k,
-                    self.rowidx[k as usize].to_u64(),
-                    j,
-                    self.values[k as usize],
-                );
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.cols());
-        debug_assert_eq!(y.len() as u64, self.rows);
-        for run in piece.runs() {
-            let mut col = self.col_of(run.lo);
-            let mut col_end = self.colptr[col as usize + 1];
-            for k in run.lo..run.hi {
-                while k >= col_end {
-                    col += 1;
-                    col_end = self.colptr[col as usize + 1];
-                }
-                y[self.rowidx[k as usize].to_usize()] += self.values[k as usize] * x[col as usize];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.rows);
-        debug_assert_eq!(y.len() as u64, self.cols());
-        for run in piece.runs() {
-            let mut col = self.col_of(run.lo);
-            let mut col_end = self.colptr[col as usize + 1];
-            let mut acc = T::ZERO;
-            for k in run.lo..run.hi {
-                while k >= col_end {
-                    y[col as usize] += acc;
-                    acc = T::ZERO;
-                    col += 1;
-                    col_end = self.colptr[col as usize + 1];
-                }
-                acc = self.values[k as usize].mul_add(x[self.rowidx[k as usize].to_usize()], acc);
-            }
-            y[col as usize] += acc;
-        }
+        self.0.rowptr()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::csr::Csr;
+    use crate::matrix::SparseMatrix;
 
     fn t() -> Triples<f64> {
         Triples::from_entries(

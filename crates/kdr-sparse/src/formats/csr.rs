@@ -54,6 +54,7 @@ impl<T: Scalar, I: IndexInt> Csr<T, I> {
     /// Build from raw CSR arrays. Panics on malformed inputs.
     pub fn from_raw(rowptr: Vec<u64>, colidx: Vec<I>, values: Vec<T>, cols: u64) -> Self {
         assert!(!rowptr.is_empty(), "rowptr must have at least one entry");
+        assert_eq!(rowptr[0], 0, "rowptr must start at 0");
         assert!(
             rowptr.windows(2).all(|w| w[0] <= w[1]),
             "rowptr not monotone"
@@ -144,6 +145,12 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
         }
     }
 
+    // The one override of the provided piece kernels in the workspace,
+    // kept on purpose: solver tests, examples and the benchmark harness
+    // compute true residuals `b − A x` with `Csr::spmv`, and a loop
+    // that walks `rowptr` with a per-row accumulator — not the
+    // entry-wise provided loop, not a tile kernel — is what makes that
+    // check independent of the code under test.
     fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len() as u64, self.cols);
         debug_assert_eq!(y.len() as u64, self.rows());
@@ -297,6 +304,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "not monotone")]
     fn from_raw_validates() {
+        // A rowptr that starts past 0 would leave kernel points that
+        // `kernel_space` counts and `for_each_entry` never visits.
+        let offset_start = std::panic::catch_unwind(|| {
+            Csr::<f64, u32>::from_raw(vec![2, 3], vec![0, 0, 0], vec![1.0; 3], 2)
+        });
+        assert!(offset_start.is_err(), "rowptr[0] != 0 accepted");
         Csr::<f64, u32>::from_raw(vec![0, 2, 1], vec![0, 0], vec![1.0, 1.0], 2);
     }
 }

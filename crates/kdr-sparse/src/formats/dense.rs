@@ -5,9 +5,9 @@
 //! dense matrix is "a structural assumption paired with an empty data
 //! structure": no metadata is stored at all.
 
+use kdr_index::{IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 #[cfg(test)]
-use kdr_index::Shape;
-use kdr_index::{IndexSpace, IntervalSet, ProjectionAxis, ProjectionRelation, Relation};
+use kdr_index::{IntervalSet, Shape};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::Scalar;
@@ -105,54 +105,6 @@ impl<T: Scalar> SparseMatrix<T> for Dense<T> {
                 f(k, i, j, self.data[k as usize]);
             }
         }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.cols);
-        debug_assert_eq!(y.len() as u64, self.rows);
-        let cols = self.cols as usize;
-        for run in piece.runs() {
-            let mut k = run.lo;
-            while k < run.hi {
-                let i = (k / self.cols) as usize;
-                let j0 = (k % self.cols) as usize;
-                // Process the remainder of this row within the run.
-                let row_end = ((i as u64 + 1) * self.cols).min(run.hi);
-                let j1 = j0 + (row_end - k) as usize;
-                let base = i * cols;
-                let mut acc = T::ZERO;
-                for (j, &xj) in x.iter().enumerate().take(j1).skip(j0) {
-                    acc = self.data[base + j].mul_add(xj, acc);
-                }
-                y[i] += acc;
-                k = row_end;
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.rows);
-        debug_assert_eq!(y.len() as u64, self.cols);
-        let cols = self.cols as usize;
-        for run in piece.runs() {
-            let mut k = run.lo;
-            while k < run.hi {
-                let i = (k / self.cols) as usize;
-                let j0 = (k % self.cols) as usize;
-                let row_end = ((i as u64 + 1) * self.cols).min(run.hi);
-                let j1 = j0 + (row_end - k) as usize;
-                let base = i * cols;
-                let xi = x[i];
-                for (j, yj) in y.iter_mut().enumerate().take(j1).skip(j0) {
-                    *yj += self.data[base + j] * xi;
-                }
-                k = row_end;
-            }
-        }
-    }
-
-    fn nnz(&self) -> u64 {
-        self.rows * self.cols
     }
 }
 

@@ -9,9 +9,7 @@
 //! table, making it the most compact format for banded stencil
 //! matrices.
 
-use kdr_index::{
-    DiagonalRelation, IndexSpace, IntervalSet, ProjectionAxis, ProjectionRelation, Relation,
-};
+use kdr_index::{DiagonalRelation, IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::Scalar;
@@ -128,42 +126,6 @@ impl<T: Scalar> SparseMatrix<T> for Dia<T> {
             for i in lo..hi {
                 let k = k0 as u64 * self.cols + i;
                 f(k, (i as i64 - off) as u64, i, self.data[k as usize]);
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.cols);
-        debug_assert_eq!(y.len() as u64, self.rows);
-        for k0 in 0..self.offsets.len() {
-            let off = self.offsets[k0];
-            let base = k0 as u64 * self.cols;
-            let (lo, hi) = self.valid_cols(k0);
-            let slab = piece.intersect(&IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = (i as i64 - off) as usize;
-                    y[row] += self.data[k as usize] * x[i as usize];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len() as u64, self.rows);
-        debug_assert_eq!(y.len() as u64, self.cols);
-        for k0 in 0..self.offsets.len() {
-            let off = self.offsets[k0];
-            let base = k0 as u64 * self.cols;
-            let (lo, hi) = self.valid_cols(k0);
-            let slab = piece.intersect(&IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = (i as i64 - off) as usize;
-                    y[i as usize] += self.data[k as usize] * x[row];
-                }
             }
         }
     }

@@ -10,10 +10,9 @@
 //! coordinate (or 0 for empty rows), so the stored relations stay
 //! total without introducing artificial dependencies on column 0.
 
-use kdr_index::{
-    FnRelation, IndexSpace, IntervalSet, ProjectionAxis, ProjectionRelation, Relation,
-};
+use kdr_index::{FnRelation, IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 
+use super::mirror::Mirror;
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
 use crate::triples::Triples;
@@ -124,138 +123,24 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Ell<T, I> {
             );
         }
     }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let i = (k / self.width) as usize;
-                y[i] += self.values[k as usize] * x[self.colidx[k as usize].to_usize()];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let i = (k / self.width) as usize;
-                y[self.colidx[k as usize].to_usize()] += self.values[k as usize] * x[i];
-            }
-        }
-    }
 }
 
 /// Column-major ELLPACK (the paper's ELL'): kernel point
 /// `k = j * width + s` is slot `s` of *column* `j`; the column
-/// relation is implicit and row indices are stored.
-#[derive(Clone, Debug)]
-pub struct EllT<T, I = u64> {
-    rowidx: Vec<I>,
-    values: Vec<T>,
-    rows: u64,
-    cols: u64,
-    width: u64,
-}
+/// relation is implicit and row indices are stored — the [`Ell`] of
+/// `Aᵀ` behind the [`Mirror`] adapter.
+pub type EllT<T, I = u64> = Mirror<Ell<T, I>>;
 
 impl<T: Scalar, I: IndexInt> EllT<T, I> {
     /// Build from a coordinate list; the slot width is the maximum
     /// *column* population.
     pub fn from_triples(t: Triples<T>) -> Self {
-        let rows = t.rows();
-        let cols = t.cols();
-        let tt = t.transposed().canonicalize();
-        let width = tt.max_row_nnz().max(1);
-        let mut rowidx = vec![I::from_u64(0); (cols * width) as usize];
-        let mut values = vec![T::ZERO; (cols * width) as usize];
-        let mut fill = vec![0u64; cols as usize];
-        for &(j, i, v) in tt.entries() {
-            let s = fill[j as usize];
-            let k = (j * width + s) as usize;
-            rowidx[k] = I::from_u64(i);
-            values[k] = v;
-            fill[j as usize] = s + 1;
-        }
-        for j in 0..cols as usize {
-            let f = fill[j];
-            if f == 0 {
-                continue;
-            }
-            let last = rowidx[(j as u64 * width + f - 1) as usize];
-            for s in f..width {
-                rowidx[(j as u64 * width + s) as usize] = last;
-            }
-        }
-        EllT {
-            rowidx,
-            values,
-            rows,
-            cols,
-            width,
-        }
+        Mirror(Ell::from_triples(t.transposed()))
     }
 
     /// Slots per column (`K0`).
     pub fn width(&self) -> u64 {
-        self.width
-    }
-}
-
-impl<T: Scalar, I: IndexInt> SparseMatrix<T> for EllT<T, I> {
-    fn kernel_space(&self) -> IndexSpace {
-        // Structural assumption K = D × K0.
-        IndexSpace::grid2(self.cols, self.width)
-    }
-
-    fn domain_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.cols)
-    }
-
-    fn range_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.rows)
-    }
-
-    fn col_relation(&self) -> Box<dyn Relation> {
-        // Implicit π1 : D × K0 -> D.
-        Box::new(ProjectionRelation::new(
-            self.cols,
-            self.width,
-            ProjectionAxis::Outer,
-        ))
-    }
-
-    fn row_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.rowidx.iter().map(|&i| i.to_u64()).collect(),
-            self.rows,
-        ))
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
-        for k in 0..self.values.len() as u64 {
-            f(
-                k,
-                self.rowidx[k as usize].to_u64(),
-                k / self.width,
-                self.values[k as usize],
-            );
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let j = (k / self.width) as usize;
-                y[self.rowidx[k as usize].to_usize()] += self.values[k as usize] * x[j];
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                let j = (k / self.width) as usize;
-                y[j] += self.values[k as usize] * x[self.rowidx[k as usize].to_usize()];
-            }
-        }
+        self.0.width()
     }
 }
 
@@ -263,6 +148,7 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for EllT<T, I> {
 mod tests {
     use super::*;
     use crate::formats::csr::Csr;
+    use kdr_index::IntervalSet;
 
     fn t() -> Triples<f64> {
         Triples::from_entries(

@@ -12,7 +12,7 @@
 //! combined space — composing formats at the relation level, exactly
 //! as the paper anticipates.
 
-use kdr_index::{DiagonalRelation, FnRelation, IndexSpace, IntervalSet, Relation, UnionRelation};
+use kdr_index::{FnRelation, IndexSpace, IntervalSet, Relation, UnionRelation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
@@ -130,31 +130,20 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
     }
 
     fn row_relation(&self) -> Box<dyn Relation> {
-        // ELL part: implicit π1 over K_ell, extended with padding over
-        // the COO tail (a zero-width diagonal trick won't fit here, so
-        // the ELL projection is expressed as a diagonal-style partial
-        // relation over the full K and united with the stored COO
-        // rows).
-        //
-        // Simpler and exact: a stored function for the COO part and
-        // the implicit division for the ELL part, both expressed as
-        // one FnRelation — but that would materialize the implicit
-        // part. To honor the format's structure we keep the union:
-        // the ELL sub-relation is implicit (computed), the COO
-        // sub-relation stored.
+        // Kept as a union — implicit (computed) rows for the ELL body,
+        // stored rows for the COO tail — because that composition of
+        // two parts' relations is the format's K/D/R description; one
+        // stored function over all of K would materialize the implicit
+        // half.
         let ell = EllRowsPartial {
             rows: self.rows,
             width: self.width,
             total: self.ell_size() + self.coo_vals.len() as u64,
         };
-        let mut table: Vec<u64> = vec![0; self.ell_size() as usize];
         // The stored part must be total over K; point the ELL half at
         // the row it belongs to (duplicating the implicit relation is
         // harmless under union).
-        for k in 0..self.ell_size() {
-            table[k as usize] = k / self.width;
-        }
-        let mut full = table;
+        let mut full: Vec<u64> = (0..self.ell_size()).map(|k| k / self.width).collect();
         full.extend(self.coo_rows.iter().map(|&i| i.to_u64()));
         let coo = FnRelation::new(full, self.rows);
         Box::new(UnionRelation::new(vec![Box::new(ell), Box::new(coo)]))
@@ -177,38 +166,6 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
                 self.coo_cols[i].to_u64(),
                 self.coo_vals[i],
             );
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let base = self.ell_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < base {
-                    let i = (k / self.width) as usize;
-                    y[i] += self.ell_vals[k as usize] * x[self.ell_cols[k as usize].to_usize()];
-                } else {
-                    let i = (k - base) as usize;
-                    y[self.coo_rows[i].to_usize()] +=
-                        self.coo_vals[i] * x[self.coo_cols[i].to_usize()];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let base = self.ell_size();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < base {
-                    let i = (k / self.width) as usize;
-                    y[self.ell_cols[k as usize].to_usize()] += self.ell_vals[k as usize] * x[i];
-                } else {
-                    let i = (k - base) as usize;
-                    y[self.coo_cols[i].to_usize()] +=
-                        self.coo_vals[i] * x[self.coo_rows[i].to_usize()];
-                }
-            }
         }
     }
 }
@@ -255,11 +212,6 @@ impl Relation for EllRowsPartial {
         proj.preimage(set)
     }
 }
-
-// Quiet the unused-import warning for DiagonalRelation referenced in
-// docs.
-#[allow(unused_imports)]
-use DiagonalRelation as _DocOnly;
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,9 @@
 //! type implementing [`crate::SparseMatrix`]: the format's structural
 //! assumptions determine its kernel-space shape, and its stored
 //! metadata (or lack thereof) determines its row/column relations.
+//! The three column-oriented rows (CSC, ELL', BCSC) share one
+//! implementation, the [`mirror`] adapter over their row-oriented
+//! counterparts.
 
 pub mod bcsr;
 pub mod coo;
@@ -13,3 +16,4 @@ pub mod dense;
 pub mod dia;
 pub mod ell;
 pub mod hyb;
+pub mod mirror;

@@ -76,6 +76,12 @@ pub fn read_matrix_market<T: Scalar, R: BufRead>(reader: R) -> Result<Triples<T>
     let rows: u64 = parse(it.next(), "rows")?;
     let cols: u64 = parse(it.next(), "cols")?;
     let nnz: usize = parse(it.next(), "nnz")?;
+    if symmetric && rows != cols {
+        // A mirrored `(j, i)` would land outside a non-square matrix.
+        return Err(MmError::Parse(format!(
+            "symmetric matrix must be square, got {rows} x {cols}"
+        )));
+    }
 
     let mut t = Triples::new(rows, cols);
     let mut seen = 0usize;
@@ -171,6 +177,13 @@ mod tests {
     fn rejects_out_of_range() {
         let src = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
         assert!(read_matrix_market::<f64, _>(BufReader::new(src.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn rejects_symmetric_non_square() {
+        let src = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n";
+        let got = read_matrix_market::<f64, _>(BufReader::new(src.as_bytes()));
+        assert!(matches!(got, Err(MmError::Parse(_))));
     }
 
     #[test]

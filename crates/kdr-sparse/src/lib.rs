@@ -7,9 +7,15 @@
 //! indexed collection of entries over a *kernel space* `K` together
 //! with a *column relation* `col ⊆ K × D` and a *row relation*
 //! `row ⊆ K × R`. Every format in this crate implements the
-//! [`SparseMatrix`] trait, which exposes exactly those three pieces
-//! plus computational kernels (SpMV, adjoint SpMV, and
-//! piece-restricted variants used by partitioned execution).
+//! [`SparseMatrix`] trait, whose six *required* methods are exactly
+//! that description: the spaces `K`, `D`, `R`, the two relations, and
+//! an enumeration of the stored entries. Everything else on the trait
+//! is *provided* from the enumeration — entry-wise reference products
+//! (`spmv`, `spmv_transpose` and their piece-restricted forms),
+//! `diagonal`, `to_triples` — and no solve runs any of it: execution
+//! lowers the enumerated entries into the tile kernels of [`tile`].
+//! [`Csr`] alone overrides the reference product, as the independent
+//! check solver tests compute true residuals with.
 //!
 //! Formats implemented (the paper's Figure 3):
 //!
@@ -18,17 +24,23 @@
 //! | Dense  | [`formats::dense`] | `K = R × D`, both relations implicit |
 //! | COO    | [`formats::coo`]   | none (SoA and AoS layouts) |
 //! | CSR    | [`formats::csr`]   | `K` totally ordered, `rowptr : R → [K,K]` |
-//! | CSC    | [`formats::csc`]   | `K` totally ordered, `colptr : D → [K,K]` |
+//! | CSC    | [`formats::csc`]   | mirror of CSR: `colptr : D → [K,K]` |
 //! | ELL    | [`formats::ell`]   | `K = R × K0`, row relation implicit |
-//! | ELL'   | [`formats::ell`]   | `K = D × K0`, column relation implicit |
+//! | ELL'   | [`formats::ell`]   | mirror of ELL: `K = D × K0`, column relation implicit |
 //! | DIA    | [`formats::dia`]   | `K = K0 × D`, both relations implicit |
 //! | BCSR   | [`formats::bcsr`]  | `K = K0 × B_R × B_D`, block relations |
-//! | BCSC   | [`formats::bcsr`]  | `K = K0 × B_R × B_D`, block relations |
+//! | BCSC   | [`formats::bcsr`]  | mirror of BCSR, same `K` |
+//! | HYB    | [`formats::hyb`]   | `K = (R × K0) ⊔ K_coo`, union of relations |
+//!
+//! The three mirrors are one adapter, [`formats::mirror::Mirror`],
+//! over the row-oriented format of `Aᵀ`: swap `D`/`R`, swap the two
+//! relations, swap `(i, j)` in the enumeration.
 //!
 //! Because every format hands back its relations as
 //! [`kdr_index::Relation`] trait objects, the universal co-partitioning
 //! operators in `kdr-index` apply to all of them — including formats
-//! defined *outside* this crate (see the `custom_format` example).
+//! defined *outside* this crate, which need only the six required
+//! methods (see the `custom_format` example).
 //!
 //! Execution-side kernels live beside the formats: [`tile`] lowers a
 //! partitioned operator's tiles into format-specialised SpMV kernels,

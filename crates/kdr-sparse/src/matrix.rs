@@ -1,22 +1,36 @@
-//! The [`SparseMatrix`] trait: a matrix *is* its K/D/R description
-//! plus kernels.
+//! The [`SparseMatrix`] trait: a matrix *is* its K/D/R description.
 //!
 //! This is the library boundary the paper argues for: a format
 //! participates in KDRSolvers by exposing its kernel space and its
 //! row/column relations — nothing else. Co-partitioning, dependence
-//! analysis and solver code never look inside the format; only the
-//! computational kernels do.
+//! analysis and solver code never look inside the format, and neither
+//! does execution: a solve enumerates the format's entries once
+//! ([`SparseMatrix::for_each_entry`]) and runs the tile kernels of
+//! [`crate::tile`] on them. The format *describes*; a separate kernel
+//! family *executes*.
 
 use kdr_index::{IndexSpace, IntervalSet, Relation};
 
 use crate::scalar::Scalar;
 
 /// A sparse (or dense) matrix described by kernel/domain/range spaces,
-/// row and column relations, and matrix-vector kernels.
+/// row and column relations, and an enumeration of its entries.
 ///
-/// Kernels use *add* semantics (`y += A x`) because multi-operator
+/// Six methods are required — the three spaces, the two relations and
+/// [`SparseMatrix::for_each_entry`]; everything else is provided. The
+/// provided products are entry-wise reference loops over
+/// `for_each_entry`: no solve, simulator run or baseline calls them
+/// (those execute [`crate::tile::TileKernel`]s lowered from the same
+/// enumeration), they exist so any format can check a result. [`Csr`]
+/// alone overrides the two piece kernels, with a row-accumulating loop
+/// that shares no code with the tile kernels: it is the independent
+/// reference the solver tests compute true residuals with.
+///
+/// Products use *add* semantics (`y += A x`) because multi-operator
 /// systems accumulate several components into one output vector
 /// (paper §4.1); plain `y = A x` is a zero-fill followed by an add.
+///
+/// [`Csr`]: crate::formats::csr::Csr
 pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// The kernel space `K` indexing stored entries.
     fn kernel_space(&self) -> IndexSpace;
@@ -47,13 +61,24 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// `y += A x` restricted to the kernel points in `piece`.
     ///
     /// `x` spans the full domain space and `y` the full range space;
-    /// only entries in `piece` contribute. This is the kernel launched
-    /// per color after co-partitioning.
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]);
+    /// only entries in `piece` contribute, in enumeration order.
+    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
+        self.for_each_entry(&mut |k, i, j, v| {
+            if piece.contains(k) {
+                y[i as usize] += v * x[j as usize];
+            }
+        });
+    }
 
     /// `y += Aᵀ x` restricted to the kernel points in `piece`
     /// (`x` over `R`, `y` over `D`).
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]);
+    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
+        self.for_each_entry(&mut |k, i, j, v| {
+            if piece.contains(k) {
+                y[j as usize] += v * x[i as usize];
+            }
+        });
+    }
 
     /// `y += A x` over the whole kernel space.
     fn spmv_add(&self, x: &[T], y: &mut [T]) {
@@ -101,16 +126,6 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
             crate::triples::Triples::new(self.range_space().size(), self.domain_space().size());
         self.for_each_entry(&mut |_, i, j, v| t.push(i, j, v));
         t
-    }
-
-    /// Fallback entry-wise piece kernel used by formats without a
-    /// faster override; provided for implementors.
-    fn generic_spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        self.for_each_entry(&mut |k, i, j, v| {
-            if piece.contains(k) {
-                y[i as usize] += v * x[j as usize];
-            }
-        });
     }
 }
 

@@ -503,10 +503,6 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
         ))
     }
 
-    fn nnz(&self) -> u64 {
-        self.num_diagonals() * self.n()
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
         let n = self.n();
         for k0 in 0..self.offsets.len() {
@@ -519,50 +515,6 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
                 let v = self.value_at(k0, i);
                 if v != T::ZERO {
                     f(k0 as u64 * n + i, row as u64, i, v);
-                }
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * n;
-            let off = self.offsets[k0];
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base, base + n));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = i as i64 - off;
-                    if row < 0 || row as u64 >= n {
-                        continue;
-                    }
-                    let v = self.value_at(k0, i);
-                    if v != T::ZERO {
-                        y[row as usize] += v * x[i as usize];
-                    }
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * n;
-            let off = self.offsets[k0];
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base, base + n));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    let row = i as i64 - off;
-                    if row < 0 || row as u64 >= n {
-                        continue;
-                    }
-                    let v = self.value_at(k0, i);
-                    if v != T::ZERO {
-                        y[i as usize] += v * x[row as usize];
-                    }
                 }
             }
         }
@@ -653,10 +605,6 @@ impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
         ))
     }
 
-    fn nnz(&self) -> u64 {
-        self.offsets.len() as u64 * self.cols
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
         for k0 in 0..self.offsets.len() {
             let off = self.offsets[k0];
@@ -668,38 +616,6 @@ impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
                     i,
                     self.weights[k0],
                 );
-            }
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * self.cols;
-            let off = self.offsets[k0];
-            let w = self.weights[k0];
-            let (lo, hi) = self.valid_range(k0);
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    y[(i as i64 - off) as usize] += w * x[i as usize];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &kdr_index::IntervalSet, x: &[T], y: &mut [T]) {
-        for k0 in 0..self.offsets.len() {
-            let base = k0 as u64 * self.cols;
-            let off = self.offsets[k0];
-            let w = self.weights[k0];
-            let (lo, hi) = self.valid_range(k0);
-            let slab = piece.intersect(&kdr_index::IntervalSet::from_range(base + lo, base + hi));
-            for run in slab.runs() {
-                for k in run.lo..run.hi {
-                    let i = k - base;
-                    y[i as usize] += w * x[(i as i64 - off) as usize];
-                }
             }
         }
     }

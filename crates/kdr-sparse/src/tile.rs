@@ -14,6 +14,18 @@
 //! [`VecIn`]/[`VecOut`] accessor traits, so the same kernels run over
 //! plain slices (tests, benchmarks) and over runtime buffer views.
 //!
+//! # One canonical order, one pass
+//!
+//! [`TileKernel::lower_advised`] sorts a tile's triplets exactly once,
+//! into the `(row, col)` order (stable in input order for duplicates)
+//! that a [`CsrTile`] stores. Everything else reads that canonical
+//! tile: the structure analysis walks its rows (row lengths,
+//! duplicates, dense-block coverage, and the tile's distinct diagonal
+//! offsets — the only other sort), the CSR lowering *is* it, ELL pads
+//! its rows, DIA scatters its entries onto the analysed offsets, and
+//! BCSR cuts its rows into blocks. No lowering re-sorts, re-scans for
+//! the row span or re-counts blocks.
+//!
 //! # Bitwise-reproducibility contract
 //!
 //! Every kernel in the family accumulates each output element's
@@ -279,78 +291,57 @@ impl TileStructure {
 
     /// Analyze raw triplets (any order).
     pub fn analyze<T>(rows: &[u64], cols: &[u64], _vals: &[T]) -> Self {
-        let nnz = rows.len();
+        // Structure is a property of the coordinates alone.
+        Self::of(&CsrTile::canonical(rows, cols, &vec![(); rows.len()])).0
+    }
+
+    /// Summarize a tile already in canonical order, in one pass over
+    /// its rows. Also returns the tile's distinct diagonal offsets
+    /// (`col − row`, ascending) — the one sort the summary needs, and
+    /// the DIA lowering's first ingredient.
+    fn of<T>(tile: &CsrTile<T>) -> (Self, Vec<i64>) {
+        let nnz = tile.cols.len();
         if nnz == 0 {
-            return TileStructure::default();
+            return (TileStructure::default(), Vec::new());
         }
-        let row_lo = rows.iter().copied().min().unwrap();
-        let row_hi = rows.iter().copied().max().unwrap();
-
-        // Per-row entry counts and duplicate detection via a sorted
-        // coordinate pass.
-        let mut coords: Vec<(u64, u64)> = rows.iter().zip(cols).map(|(&r, &c)| (r, c)).collect();
-        coords.sort_unstable();
-        let has_duplicates = coords.windows(2).any(|w| w[0] == w[1]);
-        let mut nonempty_rows = 0usize;
-        let mut max_row_len = 0usize;
-        let mut row_lens: Vec<usize> = Vec::new();
-        let mut i = 0;
-        while i < coords.len() {
-            let r = coords[i].0;
-            let mut j = i;
-            while j < coords.len() && coords[j].0 == r {
-                j += 1;
-            }
-            nonempty_rows += 1;
-            max_row_len = max_row_len.max(j - i);
-            row_lens.push(j - i);
-            i = j;
-        }
+        let nonempty_rows = tile.row_ids.len();
         let mean = nnz as f64 / nonempty_rows as f64;
-        let row_len_variance = row_lens
-            .iter()
-            .map(|&l| (l as f64 - mean) * (l as f64 - mean))
-            .sum::<f64>()
-            / nonempty_rows as f64;
-
-        // Distinct diagonals.
-        let mut diags: Vec<i64> = rows
-            .iter()
-            .zip(cols)
-            .map(|(&r, &c)| c as i64 - r as i64)
-            .collect();
-        diags.sort_unstable();
-        diags.dedup();
+        let mut max_row_len = 0usize;
+        let mut sq_dev = 0.0f64;
+        let mut has_duplicates = false;
+        let mut offsets: Vec<i64> = Vec::with_capacity(nnz);
+        for (row, span) in tile.row_spans() {
+            let cols = &tile.cols[span];
+            max_row_len = max_row_len.max(cols.len());
+            sq_dev += (cols.len() as f64 - mean) * (cols.len() as f64 - mean);
+            has_duplicates |= cols.windows(2).any(|w| w[0] == w[1]);
+            offsets.extend(cols.iter().map(|&c| c as i64 - row as i64));
+        }
+        offsets.sort_unstable();
+        offsets.dedup();
 
         // Dense-block coverage: largest b where every touched aligned
         // b×b block holds exactly b² (distinct) entries.
-        let mut dense_block = None;
-        if !has_duplicates {
-            for &bs in &BCSR_BLOCK_SIZES {
-                if nnz % (bs * bs) != 0 {
-                    continue;
-                }
-                let mut blocks: HashMap<(u64, u64), usize> = HashMap::new();
-                for (&r, &c) in rows.iter().zip(cols) {
-                    *blocks.entry((r / bs as u64, c / bs as u64)).or_insert(0) += 1;
-                }
-                if blocks.values().all(|&n| n == bs * bs) {
-                    dense_block = Some(bs);
-                    break;
-                }
-            }
-        }
+        let dense_block = if has_duplicates {
+            None
+        } else {
+            BCSR_BLOCK_SIZES
+                .iter()
+                .copied()
+                .find(|&bs| tile.blocks_dense(bs))
+        };
 
-        TileStructure {
+        let structure = TileStructure {
             nnz,
-            row_span: (row_hi - row_lo + 1) as usize,
+            row_span: (tile.row_ids[nonempty_rows - 1] - tile.row_ids[0] + 1) as usize,
             nonempty_rows,
-            diag_count: diags.len(),
+            diag_count: offsets.len(),
             max_row_len,
-            row_len_variance,
+            row_len_variance: sq_dev / nonempty_rows as f64,
             has_duplicates,
             dense_block,
-        }
+        };
+        (structure, offsets)
     }
 
     /// The kernel the auto heuristic selects for this structure.
@@ -493,7 +484,9 @@ pub trait KernelAdvisor: Send + Sync {
 /// Row-sorted CSR payload (the reference kernel). `row_ids` lists
 /// only rows with entries; row `r` spans
 /// `cols/vals[row_ptr[r]..row_ptr[r+1]]`, sorted by column (stable
-/// for duplicates).
+/// for duplicates). This is also the family's canonical form: lowering
+/// builds it first and derives the analysis and every other layout
+/// from it.
 #[derive(Clone, Debug)]
 pub struct CsrTile<T> {
     /// Component-local row coordinates, ascending, nonempty rows only.
@@ -583,12 +576,57 @@ pub enum TileKernel<T> {
     Stencil(crate::matfree::StencilTile<T>),
 }
 
-/// Order triplet indices by `(row, col)`, stable in input order for
-/// duplicates — the canonical accumulation order of the whole family.
-fn sorted_order(rows: &[u64], cols: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by_key(|&k| (rows[k], cols[k]));
-    order
+impl<T: Copy> CsrTile<T> {
+    /// Put a tile's triplets (any order) in the canonical accumulation
+    /// order of the whole family: by `(row, col)`, stable in input
+    /// order for duplicates. This is the only sort of a tile's entries
+    /// a lowering performs.
+    fn canonical(rows: &[u64], cols: &[u64], vals: &[T]) -> Self {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&k| (rows[k], cols[k]));
+        let mut row_ids = Vec::new();
+        let mut row_ptr = Vec::new();
+        let mut cs = Vec::with_capacity(order.len());
+        let mut vs = Vec::with_capacity(order.len());
+        for &k in &order {
+            if row_ids.last().copied() != Some(rows[k]) {
+                row_ids.push(rows[k]);
+                row_ptr.push(cs.len());
+            }
+            cs.push(cols[k]);
+            vs.push(vals[k]);
+        }
+        row_ptr.push(cs.len());
+        CsrTile {
+            row_ids,
+            row_ptr,
+            cols: cs,
+            vals: vs,
+        }
+    }
+}
+
+impl<T> CsrTile<T> {
+    /// Each stored row with its entry range in `cols`/`vals`.
+    fn row_spans(&self) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> + '_ {
+        let spans = self.row_ptr.windows(2).map(|w| w[0]..w[1]);
+        self.row_ids.iter().copied().zip(spans)
+    }
+
+    /// Whether every touched grid-aligned `bs × bs` block holds exactly
+    /// `bs²` entries.
+    fn blocks_dense(&self, bs: usize) -> bool {
+        if self.cols.len() % (bs * bs) != 0 {
+            return false;
+        }
+        let mut blocks: HashMap<(u64, u64), usize> = HashMap::new();
+        for (row, span) in self.row_spans() {
+            for &c in &self.cols[span] {
+                *blocks.entry((row / bs as u64, c / bs as u64)).or_insert(0) += 1;
+            }
+        }
+        blocks.values().all(|&n| n == bs * bs)
+    }
 }
 
 impl<T: Scalar> TileKernel<T> {
@@ -623,7 +661,8 @@ impl<T: Scalar> TileKernel<T> {
     ) -> (Self, TileStructure) {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
-        let structure = TileStructure::analyze(rows, cols, vals);
+        let canon = CsrTile::canonical(rows, cols, vals);
+        let (structure, offsets) = TileStructure::of(&canon);
         if rows.is_empty() {
             return (TileKernel::Empty, structure);
         }
@@ -634,47 +673,22 @@ impl<T: Scalar> TileKernel<T> {
                 .unwrap_or_else(|| structure.select()),
             KernelChoice::Force(k) => k,
         };
-        let kernel = match kind {
-            KernelKind::Bcsr => Self::lower_bcsr(rows, cols, vals, &structure)
-                .unwrap_or_else(|| TileKernel::Csr(Self::lower_csr(rows, cols, vals))),
-            KernelKind::Dia => Self::lower_dia(rows, cols, vals, &structure)
-                .unwrap_or_else(|| TileKernel::Csr(Self::lower_csr(rows, cols, vals))),
-            KernelKind::Ell => Self::lower_ell(rows, cols, vals, &structure)
-                .unwrap_or_else(|| TileKernel::Csr(Self::lower_csr(rows, cols, vals))),
-            KernelKind::Csr => TileKernel::Csr(Self::lower_csr(rows, cols, vals)),
+        let specialized = match kind {
+            KernelKind::Bcsr => Self::lower_bcsr(&canon, &structure),
+            KernelKind::Dia => Self::lower_dia(&canon, &structure, offsets),
+            KernelKind::Ell => Self::lower_ell(&canon, &structure),
             // Assembled triplets carry no grid geometry; honoring the
             // bitwise contract means never guessing one. Registering
             // via a stencil descriptor is the only route to the
             // matrix-free kernel.
-            KernelKind::Stencil => TileKernel::Csr(Self::lower_csr(rows, cols, vals)),
+            KernelKind::Csr | KernelKind::Stencil => None,
         };
-        (kernel, structure)
+        // The canonical form is the CSR payload, and the fallback of
+        // every layout that cannot represent the tile.
+        (specialized.unwrap_or(TileKernel::Csr(canon)), structure)
     }
 
-    fn lower_csr(rows: &[u64], cols: &[u64], vals: &[T]) -> CsrTile<T> {
-        let order = sorted_order(rows, cols);
-        let mut row_ids = Vec::new();
-        let mut row_ptr = Vec::new();
-        let mut cs = Vec::with_capacity(order.len());
-        let mut vs = Vec::with_capacity(order.len());
-        for &k in &order {
-            if row_ids.last().copied() != Some(rows[k]) {
-                row_ids.push(rows[k]);
-                row_ptr.push(cs.len());
-            }
-            cs.push(cols[k]);
-            vs.push(vals[k]);
-        }
-        row_ptr.push(cs.len());
-        CsrTile {
-            row_ids,
-            row_ptr,
-            cols: cs,
-            vals: vs,
-        }
-    }
-
-    fn lower_dia(rows: &[u64], cols: &[u64], vals: &[T], s: &TileStructure) -> Option<Self> {
+    fn lower_dia(t: &CsrTile<T>, s: &TileStructure, offsets: Vec<i64>) -> Option<Self> {
         if s.has_duplicates {
             return None;
         }
@@ -682,22 +696,19 @@ impl<T: Scalar> TileKernel<T> {
         if slots > DIA_MAX_EXPANSION * s.nnz + 1024 {
             return None; // forced-DIA memory guard
         }
-        let row_lo = rows.iter().copied().min().unwrap();
+        let row_lo = t.row_ids[0];
         let nrows = s.row_span;
-        let mut offsets: Vec<i64> = rows
-            .iter()
-            .zip(cols)
-            .map(|(&r, &c)| c as i64 - r as i64)
-            .collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        let mut dense = vec![T::ZERO; offsets.len() * nrows];
-        let mut present = vec![false; offsets.len() * nrows];
-        for ((&r, &c), &v) in rows.iter().zip(cols).zip(vals) {
-            let d = offsets.binary_search(&(c as i64 - r as i64)).unwrap();
-            let lr = (r - row_lo) as usize;
-            dense[d * nrows + lr] = v;
-            present[d * nrows + lr] = true;
+        let mut dense = vec![T::ZERO; slots];
+        let mut present = vec![false; slots];
+        for (row, span) in t.row_spans() {
+            let lr = (row - row_lo) as usize;
+            for idx in span {
+                let d = offsets
+                    .binary_search(&(t.cols[idx] as i64 - row as i64))
+                    .unwrap();
+                dense[d * nrows + lr] = t.vals[idx];
+                present[d * nrows + lr] = true;
+            }
         }
         let mut run_ptr = Vec::with_capacity(offsets.len() + 1);
         let mut runs = Vec::new();
@@ -728,23 +739,21 @@ impl<T: Scalar> TileKernel<T> {
         }))
     }
 
-    fn lower_ell(rows: &[u64], cols: &[u64], vals: &[T], s: &TileStructure) -> Option<Self> {
+    fn lower_ell(t: &CsrTile<T>, s: &TileStructure) -> Option<Self> {
         if s.has_duplicates {
             return None;
         }
-        let csr = Self::lower_csr(rows, cols, vals);
-        let nrows = csr.row_ids.len();
+        let nrows = t.row_ids.len();
         let width = s.max_row_len;
         let mut pcols = vec![0u64; nrows * width];
         let mut pvals = vec![T::ZERO; nrows * width];
         let mut row_len = Vec::with_capacity(nrows);
-        for r in 0..nrows {
-            let span = csr.row_ptr[r]..csr.row_ptr[r + 1];
+        for (r, (_, span)) in t.row_spans().enumerate() {
             let len = span.len();
             row_len.push(len as u32);
             let base = r * width;
-            pcols[base..base + len].copy_from_slice(&csr.cols[span.clone()]);
-            pvals[base..base + len].copy_from_slice(&csr.vals[span]);
+            pcols[base..base + len].copy_from_slice(&t.cols[span.clone()]);
+            pvals[base..base + len].copy_from_slice(&t.vals[span]);
             // Pad lane columns with the last valid column so even an
             // (unreached) padded load would stay in bounds.
             let last = pcols[base + len - 1];
@@ -753,7 +762,7 @@ impl<T: Scalar> TileKernel<T> {
             }
         }
         Some(TileKernel::Ell(EllTile {
-            row_ids: csr.row_ids,
+            row_ids: t.row_ids.clone(),
             width,
             row_len,
             cols: pcols,
@@ -761,41 +770,30 @@ impl<T: Scalar> TileKernel<T> {
         }))
     }
 
-    fn lower_bcsr(rows: &[u64], cols: &[u64], vals: &[T], s: &TileStructure) -> Option<Self> {
-        let bs = s.dense_block.or_else(|| {
-            // Forced BCSR on a structure the analysis did not flag:
-            // retry the coverage check directly.
-            if s.has_duplicates {
-                return None;
-            }
-            BCSR_BLOCK_SIZES
-                .iter()
-                .copied()
-                .find(|&bs| Self::bcsr_blocks_dense(rows, cols, bs))
-        })?;
-        let b64 = bs as u64;
-        // Sort entries by (block row, block col, local row, local col)
-        // — identical per-row column order to CSR.
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_unstable_by_key(|&k| {
-            (rows[k] / b64, cols[k] / b64, rows[k] % b64, cols[k] % b64)
-        });
+    fn lower_bcsr(t: &CsrTile<T>, s: &TileStructure) -> Option<Self> {
+        let bs = s.dense_block?;
+        // Every touched block is fully dense, so the stored rows come
+        // in aligned groups of `bs` sharing one column list, itself a
+        // sequence of aligned `bs`-runs: block `b` of a group is
+        // columns `[b·bs, (b+1)·bs)` of each of its rows, already in
+        // the CSR per-row column order.
         let mut brow_ids = Vec::new();
         let mut bptr = Vec::new();
         let mut bcols = Vec::new();
-        let mut bvals = Vec::with_capacity(rows.len());
-        for chunk in order.chunks(bs * bs) {
-            let br = rows[chunk[0]] / b64;
-            let bc = cols[chunk[0]] / b64;
-            if brow_ids.last().copied() != Some(br) {
-                brow_ids.push(br);
-                bptr.push(bcols.len());
-            }
-            bcols.push(bc);
-            for &k in chunk {
-                debug_assert_eq!(rows[k] / b64, br);
-                debug_assert_eq!(cols[k] / b64, bc);
-                bvals.push(vals[k]);
+        let mut bvals = Vec::with_capacity(s.nnz);
+        for (g, group) in t.row_ids.chunks(bs).enumerate() {
+            debug_assert!(group.len() == bs && group[0] % bs as u64 == 0);
+            brow_ids.push(group[0] / bs as u64);
+            bptr.push(bcols.len());
+            // Entry offsets of the group's `bs` rows (plus one past).
+            let starts = &t.row_ptr[g * bs..=(g + 1) * bs];
+            for b in 0..(starts[1] - starts[0]) / bs {
+                bcols.push(t.cols[starts[0] + b * bs] / bs as u64);
+                for &start in &starts[..bs] {
+                    let at = start + b * bs;
+                    debug_assert_eq!(t.cols[at], t.cols[starts[0] + b * bs]);
+                    bvals.extend_from_slice(&t.vals[at..at + bs]);
+                }
             }
         }
         bptr.push(bcols.len());
@@ -806,17 +804,6 @@ impl<T: Scalar> TileKernel<T> {
             bcols,
             vals: bvals,
         }))
-    }
-
-    fn bcsr_blocks_dense(rows: &[u64], cols: &[u64], bs: usize) -> bool {
-        if rows.len() % (bs * bs) != 0 {
-            return false;
-        }
-        let mut blocks: HashMap<(u64, u64), usize> = HashMap::new();
-        for (&r, &c) in rows.iter().zip(cols) {
-            *blocks.entry((r / bs as u64, c / bs as u64)).or_insert(0) += 1;
-        }
-        blocks.values().all(|&n| n == bs * bs)
     }
 
     /// The lowered kind (`None` for [`TileKernel::Empty`]).

@@ -3,19 +3,20 @@
 //!
 //! The format: "diagonal + sparse corrections" — the main diagonal in
 //! a dense array plus off-diagonal entries in COO arrays. It lives
-//! entirely in this example file; by implementing `SparseMatrix`
-//! (i.e., by *stating its row and column relations*), it gains
-//! format-independent co-partitioning, tiling, and every solver —
-//! none of which know it exists.
+//! entirely in this example file and implements the six required
+//! methods of `SparseMatrix` — its three spaces, its row and column
+//! relations, and an enumeration of its entries — and nothing else.
+//! From that description it gains format-independent co-partitioning
+//! and every solver; the solve runs the library's tile kernels on the
+//! entries the format enumerates, so it writes no kernel of its own
+//! (the final residual check uses the trait's provided product).
 //!
 //! Run: `cargo run --release -p kdr-examples --example custom_format`
 
 use std::sync::Arc;
 
 use kdr_core::{solve, CgSolver, ExecBackend, Planner, SolveControl, SOL};
-use kdr_index::{
-    DiagonalRelation, FnRelation, IndexSpace, IntervalSet, Partition, Relation, UnionRelation,
-};
+use kdr_index::{DiagonalRelation, FnRelation, IndexSpace, Partition, Relation, UnionRelation};
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{Scalar, SparseMatrix, Stencil};
 
@@ -33,6 +34,27 @@ impl<T: Scalar> DiagPlusCoo<T> {
     fn n(&self) -> u64 {
         self.diag.len() as u64
     }
+
+    /// The row or column relation, from the COO part's stored row or
+    /// column coordinates: a union of two relations over the same
+    /// spaces. Diagonal part: identity on the first n kernel points (a
+    /// zero-offset diagonal relation over the full K handles the
+    /// out-of-range tail as padding); COO part: the stored coordinates.
+    fn relation(&self, stored: &[u64]) -> Box<dyn Relation> {
+        let n = self.n();
+        let total = n + stored.len() as u64;
+        // k ↦ k for k < n
+        let diag_part = DiagonalRelation::new(vec![0], total, n);
+        // FnRelation is total, so point the diagonal half at its own
+        // diagonal coordinate to avoid spurious edges.
+        let mut table: Vec<u64> = (0..n).collect();
+        table.extend_from_slice(stored);
+        let coo_part = FnRelation::new(table, n);
+        Box::new(UnionRelation::new(vec![
+            Box::new(diag_part),
+            Box::new(coo_part),
+        ]))
+    }
 }
 
 impl<T: Scalar> SparseMatrix<T> for DiagPlusCoo<T> {
@@ -49,47 +71,11 @@ impl<T: Scalar> SparseMatrix<T> for DiagPlusCoo<T> {
     }
 
     fn col_relation(&self) -> Box<dyn Relation> {
-        // Diagonal part: identity on the first n kernel points (a
-        // zero-offset diagonal relation over the full K handles the
-        // out-of-range tail as padding); COO part: stored columns.
-        // Expressed as a union of two relations over the same spaces.
-        let n = self.n();
-        let total = n + self.vals.len() as u64;
-        let diag_part = DiagonalRelation::new(vec![0], total, n); // k ↦ k for k < n
-        let mut table = vec![0u64; total as usize];
-        // Map COO kernel points to their columns; diagonal kernel
-        // points map to column 0 in this table but contribute through
-        // diag_part (FnRelation is total, so point the unused half at
-        // its own diagonal column to avoid spurious edges).
-        for k in 0..n {
-            table[k as usize] = k.min(n - 1);
-        }
-        for (i, &c) in self.cols.iter().enumerate() {
-            table[(n as usize) + i] = c;
-        }
-        let coo_part = FnRelation::new(table, n);
-        Box::new(UnionRelation::new(vec![
-            Box::new(diag_part),
-            Box::new(coo_part),
-        ]))
+        self.relation(&self.cols)
     }
 
     fn row_relation(&self) -> Box<dyn Relation> {
-        let n = self.n();
-        let total = n + self.vals.len() as u64;
-        let diag_part = DiagonalRelation::new(vec![0], total, n);
-        let mut table = vec![0u64; total as usize];
-        for k in 0..n {
-            table[k as usize] = k.min(n - 1);
-        }
-        for (i, &r) in self.rows.iter().enumerate() {
-            table[(n as usize) + i] = r;
-        }
-        let coo_part = FnRelation::new(table, n);
-        Box::new(UnionRelation::new(vec![
-            Box::new(diag_part),
-            Box::new(coo_part),
-        ]))
+        self.relation(&self.rows)
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
@@ -99,34 +85,6 @@ impl<T: Scalar> SparseMatrix<T> for DiagPlusCoo<T> {
         let n = self.n();
         for i in 0..self.vals.len() {
             f(n + i as u64, self.rows[i], self.cols[i], self.vals[i]);
-        }
-    }
-
-    fn spmv_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < n {
-                    y[k as usize] += self.diag[k as usize] * x[k as usize];
-                } else {
-                    let i = (k - n) as usize;
-                    y[self.rows[i] as usize] += self.vals[i] * x[self.cols[i] as usize];
-                }
-            }
-        }
-    }
-
-    fn spmv_transpose_add_piece(&self, piece: &IntervalSet, x: &[T], y: &mut [T]) {
-        let n = self.n();
-        for run in piece.runs() {
-            for k in run.lo..run.hi {
-                if k < n {
-                    y[k as usize] += self.diag[k as usize] * x[k as usize];
-                } else {
-                    let i = (k - n) as usize;
-                    y[self.cols[i] as usize] += self.vals[i] * x[self.rows[i] as usize];
-                }
-            }
         }
     }
 }

@@ -33,6 +33,11 @@ cargo test -q --release -p kdr-runtime --lib task::
 # documented eight-lane order, for f32 and f64.
 cargo test -q -p kdr-sparse --test vecops_prop
 cargo test -q --release -p kdr-sparse --test vecops_prop
+# Tile lowering and the formats' descriptions, under the optimized
+# codegen solves execute (the dev run is part of `cargo test` above):
+# every kernel kind bitwise equal to the CSR order, every format's
+# enumeration and relations against a dense reference.
+cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
 
 # The three service suites that share the one tenant-install path
 # (`attach_tenant`: evacuation and crash recovery, migration, warm
@@ -48,6 +53,14 @@ cargo test -q --release -p kdr-service --test supervision --test sharded --test 
 # (>= 2.5x at 4). Deterministic models, no clock; rewrites
 # results/modeled_scaling.txt with the same bytes.
 cargo run --release -p kdr-bench --bin modeled_scaling
+
+# Figure 3: the thirteen-row format table, every row verified by the
+# binary itself (it asserts), its stdout pinned to the stored file.
+cargo run --release -q -p kdr-bench --bin table3 | diff - results/table3.txt
+
+# A format is its six-method description: the example defines one
+# outside the library, solves on it and asserts convergence.
+cargo run --release -p kdr-examples --example custom_format
 
 # The benchmark harness is a package of its own that this workspace's
 # build and tests never compile: keep it building, and its unit tests

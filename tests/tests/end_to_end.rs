@@ -79,8 +79,45 @@ fn kdr_and_spmd_agree() {
     }
 }
 
+/// A format that is nothing but its description: the six required
+/// `SparseMatrix` methods over a coordinate list, and not one kernel.
+struct DescriptionOnly(kdr_sparse::Triples<f64>);
+
+impl SparseMatrix<f64> for DescriptionOnly {
+    fn kernel_space(&self) -> kdr_index::IndexSpace {
+        kdr_index::IndexSpace::flat(self.0.len() as u64)
+    }
+
+    fn domain_space(&self) -> kdr_index::IndexSpace {
+        kdr_index::IndexSpace::flat(self.0.cols())
+    }
+
+    fn range_space(&self) -> kdr_index::IndexSpace {
+        kdr_index::IndexSpace::flat(self.0.rows())
+    }
+
+    fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+        let cols = self.0.entries().iter().map(|e| e.1).collect();
+        Box::new(kdr_index::FnRelation::new(cols, self.0.cols()))
+    }
+
+    fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+        let rows = self.0.entries().iter().map(|e| e.0).collect();
+        Box::new(kdr_index::FnRelation::new(rows, self.0.rows()))
+    }
+
+    fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, f64)) {
+        for (k, &(i, j, v)) in self.0.entries().iter().enumerate() {
+            f(k as u64, i, j, v);
+        }
+    }
+}
+
 /// Every storage format can serve as the planner's operator and
-/// produce the same solution.
+/// produce the same solution. The formats that store exactly CSR's
+/// entries (no padding) must reproduce the CSR run bit for bit: same
+/// entries in, same canonical tile order, same tile kernel — which is
+/// why no format needs a kernel of its own.
 #[test]
 fn every_format_solves_through_the_planner() {
     use kdr_sparse::convert;
@@ -90,19 +127,7 @@ fn every_format_solves_through_the_planner() {
     let base = s.to_csr::<f64, u32>();
     let reference = kdr_solution(s, &b, |p| Box::new(CgSolver::new(p)), 1e-11);
 
-    let formats: Vec<(&str, Arc<dyn SparseMatrix<f64>>)> = vec![
-        ("csc", Arc::new(convert::to_csc::<f64, u32>(&base))),
-        ("coo", Arc::new(convert::to_coo::<f64, u64>(&base))),
-        ("ell", Arc::new(convert::to_ell::<f64, u32>(&base))),
-        ("dia", Arc::new(convert::to_dia::<f64>(&base))),
-        ("bcsr", Arc::new(convert::to_bcsr::<f64, u32>(&base, 2, 2))),
-        ("dense", Arc::new(convert::to_dense::<f64>(&base))),
-        (
-            "stencil_mf",
-            Arc::new(kdr_sparse::StencilOperator::<f64>::new(s)),
-        ),
-    ];
-    for (name, m) in formats {
+    let run = |name: &str, m: Arc<dyn SparseMatrix<f64>>| {
         let mut planner = Planner::new(Box::new(ExecBackend::<f64>::new(3)));
         let part = Partition::equal_blocks(n, 3);
         let d = planner.add_sol_vector(n, Some(part.clone()));
@@ -125,6 +150,56 @@ fn every_format_solves_through_the_planner() {
                 x[i],
                 reference[i]
             );
+        }
+        let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        (report.iters, bits)
+    };
+    let csr_run = run("csr", Arc::new(base.clone()));
+
+    // CSR's entries last-first: an enumeration order no library format has.
+    let mut entries = base.to_triples().entries().to_vec();
+    entries.reverse();
+    let last_first = kdr_sparse::Triples::from_entries(n, n, entries);
+
+    // (name, matrix, stores exactly CSR's entries)
+    let formats: Vec<(&str, Arc<dyn SparseMatrix<f64>>, bool)> = vec![
+        ("csc", Arc::new(convert::to_csc::<f64, u32>(&base)), true),
+        ("coo", Arc::new(convert::to_coo::<f64, u64>(&base)), true),
+        (
+            "coo_aos",
+            Arc::new(convert::to_coo_aos::<f64, u32>(&base)),
+            true,
+        ),
+        (
+            "description_only",
+            Arc::new(DescriptionOnly(last_first)),
+            true,
+        ),
+        ("ell", Arc::new(convert::to_ell::<f64, u32>(&base)), false),
+        ("ellt", Arc::new(convert::to_ellt::<f64, u32>(&base)), false),
+        ("hyb", Arc::new(convert::to_hyb::<f64, u32>(&base)), false),
+        ("dia", Arc::new(convert::to_dia::<f64>(&base)), false),
+        (
+            "bcsr",
+            Arc::new(convert::to_bcsr::<f64, u32>(&base, 2, 2)),
+            false,
+        ),
+        (
+            "bcsc",
+            Arc::new(convert::to_bcsc::<f64, u32>(&base, 2, 2)),
+            false,
+        ),
+        ("dense", Arc::new(convert::to_dense::<f64>(&base)), false),
+        (
+            "stencil_mf",
+            Arc::new(kdr_sparse::StencilOperator::<f64>::new(s)),
+            false,
+        ),
+    ];
+    for (name, m, same_entries) in formats {
+        let got = run(name, m);
+        if same_entries {
+            assert!(got == csr_run, "{name} differs from the csr run");
         }
     }
 }
