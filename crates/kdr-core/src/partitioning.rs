@@ -102,6 +102,11 @@ pub type TileTriplets<T> = (Vec<u64>, Vec<u64>, Vec<T>);
 /// ([`kdr_sparse::TileKernel::lower`]) — extraction is still fully
 /// format-independent, only the *lowering* that follows is
 /// format-specialized.
+///
+/// The pass remembers the kernel run it last hit: an enumeration in
+/// kernel order — every library format's — searches once per run it
+/// enters, not once per entry. Any other order is still placed
+/// correctly, by the search.
 pub fn extract_tile_triplets<T: Scalar>(
     matrix: &dyn SparseMatrix<T>,
     tiles: &[TileSpec],
@@ -114,23 +119,32 @@ pub fn extract_tile_triplets<T: Scalar>(
         }
     }
     lookup.sort_unstable();
-    let mut out: Vec<TileTriplets<T>> = (0..tiles.len())
-        .map(|_| (Vec::new(), Vec::new(), Vec::new()))
+    // A piece's point count bounds its entries (padding is skipped).
+    let mut out: Vec<TileTriplets<T>> = tiles
+        .iter()
+        .map(|t| {
+            let n = t.nnz as usize;
+            (
+                Vec::with_capacity(n),
+                Vec::with_capacity(n),
+                Vec::with_capacity(n),
+            )
+        })
         .collect();
+    let (mut lo, mut hi, mut ti) = (0, 0, 0); // the run last hit; none yet
     matrix.for_each_entry(&mut |k, i, j, v| {
-        // Binary search the owning kernel run.
-        let idx = lookup.partition_point(|&(lo, _, _)| lo <= k);
-        if idx == 0 {
-            return; // point before the first piece
+        if k < lo || k >= hi {
+            // Binary search the last run starting at or before `k`.
+            let idx = lookup.partition_point(|&(lo, _, _)| lo <= k);
+            if idx == 0 || k >= lookup[idx - 1].1 {
+                return; // before the first piece, or in a gap
+            }
+            (lo, hi, ti) = lookup[idx - 1];
         }
-        let (lo, hi, ti) = lookup[idx - 1];
-        debug_assert!(k >= lo);
-        if k < hi {
-            let (rows, cols, vals) = &mut out[ti];
-            rows.push(i);
-            cols.push(j);
-            vals.push(v);
-        }
+        let (rows, cols, vals) = &mut out[ti];
+        rows.push(i);
+        cols.push(j);
+        vals.push(v);
     });
     out
 }
@@ -222,6 +236,62 @@ mod tests {
         for (t, (rows, _, _)) in tiles.iter().zip(&trips) {
             // Every extracted row lies in the tile's output footprint.
             assert!(rows.iter().all(|&r| t.out_subset.contains(r)));
+        }
+    }
+
+    /// A format described by the six required methods only, whose
+    /// enumeration runs in *descending* kernel order.
+    struct Backwards(Csr<f64>);
+
+    impl SparseMatrix<f64> for Backwards {
+        fn kernel_space(&self) -> kdr_index::IndexSpace {
+            self.0.kernel_space()
+        }
+        fn domain_space(&self) -> kdr_index::IndexSpace {
+            self.0.domain_space()
+        }
+        fn range_space(&self) -> kdr_index::IndexSpace {
+            self.0.range_space()
+        }
+        fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+            self.0.col_relation()
+        }
+        fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+            self.0.row_relation()
+        }
+        fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, f64)) {
+            let mut entries = Vec::new();
+            self.0
+                .for_each_entry(&mut |k, i, j, v| entries.push((k, i, j, v)));
+            for &(k, i, j, v) in entries.iter().rev() {
+                f(k, i, j, v);
+            }
+        }
+    }
+
+    #[test]
+    fn extraction_does_not_assume_kernel_order() {
+        let m: Csr<f64> = Stencil::lap2d(6, 6).to_csr();
+        let part = Partition::equal_blocks(36, 3);
+        let tiles = compute_tiles(&m, &part, &part, 0, 0);
+        // Values are not unique on a Laplacian; coordinates are.
+        let sorted = |(rows, cols, vals): TileTriplets<f64>| {
+            let mut es: Vec<(u64, u64, u64)> = rows
+                .into_iter()
+                .zip(cols)
+                .zip(vals)
+                .map(|((i, j), v)| (i, j, v.to_bits()))
+                .collect();
+            es.sort_unstable();
+            es
+        };
+        let forwards = extract_tile_triplets(&m, &tiles);
+        let backwards = extract_tile_triplets(&Backwards(m), &tiles);
+        assert_eq!(forwards.len(), backwards.len());
+        for (t, (f, b)) in tiles.iter().zip(forwards.into_iter().zip(backwards)) {
+            assert_eq!(f.0.len() as u64, t.nnz);
+            assert_ne!(f.0, b.0, "the enumeration order did not change");
+            assert_eq!(sorted(f), sorted(b), "color {}", t.range_color);
         }
     }
 

@@ -1,0 +1,262 @@
+//! The registration result, pinned.
+//!
+//! Registering an operator is `compute_tiles` → `extract_tile_triplets`
+//! → `TileKernel::lower_advised`. Every later layer — task footprints,
+//! traces, catalogue keys, stored plans, the bits of a solve — is a
+//! function of what those three return, so this test pins it: per tile
+//! the lowered kind, entry count, value bytes, `StructureKey` bytes,
+//! the run counts of the output / input footprints with an FNV-1a of
+//! their runs, an FNV-1a of the `Auto` payload's arrays and one over
+//! the four forced payloads. The constants were captured at d548998
+//! (before registration was made linear-time); a change that makes
+//! registration cheaper must leave every one of them alone.
+//!
+//! On a mismatch the failure message is the full table in source form.
+
+use kdr_core::partitioning::{compute_tiles, extract_tile_triplets};
+use kdr_index::{IntervalSet, Partition};
+use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, TileKernel, Triples};
+
+/// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// A length-prefixed array, so adjacent arrays cannot trade
+    /// elements without changing the hash.
+    fn array(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        self.word(words.len() as u64);
+        words.for_each(|w| self.word(w));
+    }
+
+    fn runs(&mut self, set: &IntervalSet) {
+        self.array(
+            set.runs()
+                .iter()
+                .flat_map(|r| [r.lo, r.hi])
+                .collect::<Vec<_>>()
+                .into_iter(),
+        );
+    }
+}
+
+/// Every field of a lowered payload, in declaration order.
+fn payload(h: &mut Fnv, k: &TileKernel<f64>) {
+    let f64s = |h: &mut Fnv, v: &[f64]| h.array(v.iter().map(|x| x.to_bits()));
+    let u64s = |h: &mut Fnv, v: &[u64]| h.array(v.iter().copied());
+    let usizes = |h: &mut Fnv, v: &[usize]| h.array(v.iter().map(|&x| x as u64));
+    h.word(k.kind().map_or(u64::MAX, |kind| u64::from(kind.code())));
+    match k {
+        TileKernel::Empty => {}
+        TileKernel::Csr(t) => {
+            u64s(h, &t.row_ids);
+            usizes(h, &t.row_ptr);
+            u64s(h, &t.cols);
+            f64s(h, &t.vals);
+        }
+        TileKernel::Dia(t) => {
+            h.word(t.row_lo);
+            h.word(t.nrows as u64);
+            h.array(t.offsets.iter().map(|&o| o as u64));
+            usizes(h, &t.run_ptr);
+            h.array(
+                t.runs
+                    .iter()
+                    .map(|&(lo, hi)| u64::from(lo) << 32 | u64::from(hi)),
+            );
+            f64s(h, &t.vals);
+        }
+        TileKernel::Ell(t) => {
+            u64s(h, &t.row_ids);
+            h.word(t.width as u64);
+            h.array(t.row_len.iter().map(|&l| u64::from(l)));
+            u64s(h, &t.cols);
+            f64s(h, &t.vals);
+        }
+        TileKernel::Bcsr(t) => {
+            h.word(t.bs as u64);
+            u64s(h, &t.brow_ids);
+            usizes(h, &t.bptr);
+            u64s(h, &t.bcols);
+            f64s(h, &t.vals);
+        }
+        TileKernel::Stencil(_) => unreachable!("assembled triplets never lower to a stencil"),
+    }
+}
+
+/// What is pinned per tile.
+#[derive(PartialEq, Eq)]
+struct Pin {
+    kind: &'static str,
+    nnz: usize,
+    value_bytes: usize,
+    key: [u8; 5],
+    out_runs: usize,
+    in_runs: usize,
+    footprint_fnv: u64,
+    auto_fnv: u64,
+    forced_fnv: u64,
+}
+
+/// One table row, as the source spells it.
+#[allow(clippy::too_many_arguments)]
+const fn pin(
+    kind: &'static str,
+    nnz: usize,
+    value_bytes: usize,
+    key: [u8; 5],
+    out_runs: usize,
+    in_runs: usize,
+    footprint_fnv: u64,
+    auto_fnv: u64,
+    forced_fnv: u64,
+) -> Pin {
+    Pin {
+        kind,
+        nnz,
+        value_bytes,
+        key,
+        out_runs,
+        in_runs,
+        footprint_fnv,
+        auto_fnv,
+        forced_fnv,
+    }
+}
+
+impl std::fmt::Debug for Pin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "pin({:?}, {}, {}, {:?}, {}, {}, {:#018x}, {:#018x}, {:#018x}),",
+            self.kind,
+            self.nnz,
+            self.value_bytes,
+            self.key,
+            self.out_runs,
+            self.in_runs,
+            self.footprint_fnv,
+            self.auto_fnv,
+            self.forced_fnv
+        )
+    }
+}
+
+fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
+    let part = Partition::equal_blocks(m.range_space().size(), pieces);
+    let tiles = compute_tiles(m, &part, &part, 0, 0);
+    let trips = extract_tile_triplets(m, &tiles);
+    assert_eq!(tiles.len(), pieces);
+    tiles
+        .iter()
+        .zip(&trips)
+        .map(|(t, (rows, cols, vals))| {
+            assert_eq!(rows.len() as u64, t.nnz);
+            let (kernel, structure) =
+                TileKernel::lower_advised(rows, cols, vals, KernelChoice::Auto, pieces, None);
+            let mut footprint = Fnv::new();
+            footprint.runs(&t.kernel_piece);
+            footprint.runs(&t.out_subset);
+            footprint.runs(&t.in_union);
+            for (color, ghost) in &t.in_by_color {
+                footprint.word(*color as u64);
+                footprint.runs(ghost);
+            }
+            let mut auto = Fnv::new();
+            payload(&mut auto, &kernel);
+            let mut forced = Fnv::new();
+            for kind in [
+                KernelKind::Csr,
+                KernelKind::Dia,
+                KernelKind::Ell,
+                KernelKind::Bcsr,
+            ] {
+                let k = TileKernel::lower(rows, cols, vals, KernelChoice::Force(kind));
+                payload(&mut forced, &k);
+            }
+            Pin {
+                kind: kernel.kind().expect("no empty tile").name(),
+                nnz: kernel.nnz(),
+                value_bytes: kernel.value_bytes(),
+                key: structure.key().to_bytes(),
+                out_runs: t.out_subset.runs().len(),
+                in_runs: t.in_union.runs().len(),
+                footprint_fnv: footprint.0,
+                auto_fnv: auto.0,
+                forced_fnv: forced.0,
+            }
+        })
+        .collect()
+}
+
+/// The matrix of `tile.rs::seeded_random_scatter_selects_csr`:
+/// 1..=16 entries per row at seeded random columns, no repeats.
+fn scatter(n: u64) -> Csr<f64> {
+    let mut next = kdr_sparse::triples::xorshift(0x9e37_79b9_7f4a_7c15);
+    let mut coords = Vec::new();
+    for i in 0..n {
+        for _ in 0..1 + next() % 16 {
+            coords.push((i, next() % n));
+        }
+    }
+    coords.sort_unstable();
+    coords.dedup();
+    let entries = coords
+        .into_iter()
+        .map(|(i, j)| (i, j, 1.0 + (next() % 8) as f64 * 0.25))
+        .collect();
+    Csr::from_triples(Triples::from_entries(n, n, entries))
+}
+
+fn check(name: &str, got: Vec<Pin>, want: &[Pin]) {
+    let table: String = got.iter().map(|p| format!("    {p:?}\n")).collect();
+    assert!(
+        got == want,
+        "{name}: registration result moved; it is now\n{table}"
+    );
+}
+
+#[test]
+fn lap3d27_in_four_pieces_registers_as_at_d548998() {
+    let m: Csr<f64> = Stencil::lap3d27(12, 12, 12).to_csr();
+    check("lap3d27 12^3 / 4", pins(&m, 4), &LAP3D27_PINS);
+}
+
+#[test]
+fn seeded_scatter_in_eight_pieces_registers_as_at_d548998() {
+    check(
+        "scatter 1024 / 8",
+        pins(&scatter(1 << 10), 8),
+        &SCATTER_PINS,
+    );
+}
+
+// One row per tile, as a failure prints them.
+#[rustfmt::skip]
+const LAP3D27_PINS: [Pin; 4] = [
+    pin("dia", 9248, 93312, [14, 5, 3, 0, 0], 1, 1, 0x39688f7fb9a918c9, 0x64c3f093aef7ecc0, 0x210e03f8512be6d5),
+    pin("dia", 10404, 93312, [14, 5, 3, 0, 0], 1, 1, 0x6ef5239f0a94c504, 0xf1d11f0f752df4e9, 0x4785a7cee729e198),
+    pin("dia", 10404, 93312, [14, 5, 3, 0, 0], 1, 1, 0xfc06255977855f2c, 0xf6b6b22e9be52747, 0x22893f9789ca84e1),
+    pin("dia", 9248, 93312, [14, 5, 3, 0, 0], 1, 1, 0x2cd47d18710adf7b, 0x162fdff220f84d05, 0x6c120894e63d9a27),
+];
+
+#[rustfmt::skip]
+const SCATTER_PINS: [Pin; 8] = [
+    pin("csr", 1012, 8096, [10, 10, 3, 0, 0], 1, 247, 0x04652c3815b5b571, 0x9d4d03afc372aff2, 0xa786fc8d218486da),
+    pin("csr", 1036, 8288, [11, 10, 3, 0, 0], 1, 234, 0x6f945683fbbde570, 0xcc087220fbbe4375, 0x666323d22002c2b9),
+    pin("csr", 1052, 8416, [11, 10, 3, 0, 0], 1, 243, 0xe23fe0dbb83ca6da, 0x57f09a21e1fbd026, 0x97221f86bc89ada8),
+    pin("csr", 1103, 8824, [11, 10, 3, 0, 0], 1, 232, 0x31639c669295809c, 0x72f9d9e5819ee898, 0x0784e07e8a9437de),
+    pin("csr", 1104, 8832, [11, 10, 3, 0, 0], 1, 231, 0x4ed745e1a33a7e2e, 0xed35ea720436d21f, 0x31cb7cebcab5e102),
+    pin("csr", 1139, 9112, [11, 10, 3, 0, 0], 1, 242, 0xd5394d4997e1d3c7, 0xbf62624ce73a873a, 0x74c616c47060c862),
+    pin("csr", 1049, 8392, [11, 10, 3, 0, 0], 1, 223, 0x528e6998ba2a811d, 0x440977e10a2569ee, 0x257313d41619fce0),
+    pin("csr", 937, 7496, [10, 10, 3, 0, 0], 1, 260, 0x4b9d474f27f78fce, 0xe225aac44af49514, 0x3dcc00d0a7af868e),
+];

@@ -24,6 +24,25 @@
 //!
 //! Relations may be partial (DIA) and many-to-many (unions, interval
 //! maps); images and preimages are always well-defined.
+//!
+//! # What a projection costs
+//!
+//! Co-partitioning calls `image` and `preimage` once per piece, so a
+//! relation's cost is what registering an operator pays before its
+//! first task. The run-structured relations map runs to runs. The
+//! table-backed [`FnRelation`] is linear in the set it is given:
+//!
+//! * `image` of a set of at least `target_size / 64` points marks the
+//!   targets on a bitmap of the target space and reads the runs off
+//!   it — `O(|set| + target_size / 64)`, no sort; a smaller set (the
+//!   bitmap would be larger than the points it stands in for)
+//!   collects, sorts and dedups its target points instead.
+//! * `preimage` needs the inverse index (sources counting-sorted by
+//!   target, `O(|S| + |T|)` to build). Nothing builds it until the
+//!   first `preimage` call; it is then kept for the relation's life.
+//!   Construction only range-checks the table.
+
+use std::sync::OnceLock;
 
 use crate::interval::{IntervalSet, Run};
 
@@ -75,51 +94,72 @@ pub trait Relation: Send + Sync {
 /// An array-backed total function `S -> T`: source point `s` relates
 /// to exactly `map[s]`.
 ///
-/// An inverse index is built at construction so that preimages run in
-/// `O(|T ∩ set| + runs)` rather than `O(|S|)`.
+/// Construction only checks the table. The inverse index that makes
+/// preimages run in `O(|T ∩ set| + runs)` rather than `O(|S|)` is a
+/// counting sort of the sources by target, built by the first
+/// [`Relation::preimage`] call and kept; a relation that is only ever
+/// projected forward (a CSR `col` under a row partition) never pays
+/// for it.
 pub struct FnRelation {
     map: Vec<u64>,
     target_size: u64,
-    /// Source points sorted by target, with `inv_off[t]..inv_off[t+1]`
-    /// giving the sources mapping to target `t` (a counting sort).
-    inv_sources: Vec<u64>,
-    inv_off: Vec<u64>,
+    inverse: OnceLock<InverseIndex>,
 }
+
+/// Source points sorted by target: `sources[off[t]..off[t + 1]]` are
+/// the sources mapping to target `t`, ascending.
+struct InverseIndex {
+    sources: Vec<u64>,
+    off: Vec<u64>,
+}
+
+/// [`FnRelation::image`] marks targets on a bitmap of the target space
+/// when that bitmap is no larger than the list of target points it
+/// stands in for — 64 targets per 8-byte word against 8 bytes per
+/// source point — and collects, sorts and dedups the points otherwise
+/// (a set that is tiny against the target space).
+const IMAGE_BITMAP_TARGETS_PER_POINT: u64 = 64;
 
 impl FnRelation {
     /// Build from the function table `map : S -> T`. Panics if any
     /// entry is out of range.
     pub fn new(map: Vec<u64>, target_size: u64) -> Self {
-        // Counting sort of sources by target.
-        let mut counts = vec![0u64; target_size as usize + 1];
         for &t in &map {
             assert!(
                 t < target_size,
                 "FnRelation target {t} out of range {target_size}"
             );
-            counts[t as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let inv_off = counts.clone();
-        let mut cursor = counts;
-        let mut inv_sources = vec![0u64; map.len()];
-        for (s, &t) in map.iter().enumerate() {
-            inv_sources[cursor[t as usize] as usize] = s as u64;
-            cursor[t as usize] += 1;
         }
         FnRelation {
             map,
             target_size,
-            inv_sources,
-            inv_off,
+            inverse: OnceLock::new(),
         }
     }
 
     /// The raw function table.
     pub fn table(&self) -> &[u64] {
         &self.map
+    }
+
+    /// Counting sort of the sources by target.
+    fn inverse(&self) -> &InverseIndex {
+        self.inverse.get_or_init(|| {
+            let mut cursor = vec![0u64; self.target_size as usize + 1];
+            for &t in &self.map {
+                cursor[t as usize + 1] += 1;
+            }
+            for i in 1..cursor.len() {
+                cursor[i] += cursor[i - 1];
+            }
+            let off = cursor.clone();
+            let mut sources = vec![0u64; self.map.len()];
+            for (s, &t) in self.map.iter().enumerate() {
+                sources[cursor[t as usize] as usize] = s as u64;
+                cursor[t as usize] += 1;
+            }
+            InverseIndex { sources, off }
+        })
     }
 }
 
@@ -137,15 +177,52 @@ impl Relation for FnRelation {
     }
 
     fn image(&self, set: &IntervalSet) -> IntervalSet {
-        IntervalSet::from_points(set.iter_points().map(|s| self.map[s as usize]))
+        let targets = set.iter_points().map(|s| self.map[s as usize]);
+        let points = set.cardinality();
+        if points.saturating_mul(IMAGE_BITMAP_TARGETS_PER_POINT) < self.target_size {
+            return IntervalSet::from_points(targets);
+        }
+        // One spare bit past the target space closes the last run.
+        let mut marks = vec![0u64; self.target_size as usize / 64 + 1];
+        for t in targets {
+            marks[t as usize / 64] |= 1 << (t % 64);
+        }
+        // Read the runs off the bitmap: alternately skip to the next
+        // set bit (a run opens) and to the next clear bit (it closes).
+        let mut runs = Vec::new();
+        let mut open = None;
+        for (w, &word) in marks.iter().enumerate() {
+            let base = w as u64 * 64;
+            let mut bit = 0u32;
+            while bit < 64 {
+                let rest = word >> bit;
+                match open {
+                    None if rest == 0 => break,
+                    None => {
+                        bit += rest.trailing_zeros();
+                        open = Some(base + u64::from(bit));
+                    }
+                    Some(lo) => {
+                        // Bits shifted in from above are clear.
+                        bit += rest.trailing_ones();
+                        if bit < 64 {
+                            runs.push(Run::new(lo, base + u64::from(bit)));
+                            open = None;
+                        }
+                    }
+                }
+            }
+        }
+        IntervalSet::from_runs(runs)
     }
 
     fn preimage(&self, set: &IntervalSet) -> IntervalSet {
+        let inv = self.inverse();
         let mut pts = Vec::new();
         for r in set.runs() {
-            let lo = self.inv_off[r.lo as usize] as usize;
-            let hi = self.inv_off[r.hi as usize] as usize;
-            pts.extend_from_slice(&self.inv_sources[lo..hi]);
+            let lo = inv.off[r.lo as usize] as usize;
+            let hi = inv.off[r.hi as usize] as usize;
+            pts.extend_from_slice(&inv.sources[lo..hi]);
         }
         IntervalSet::from_points(pts)
     }

@@ -224,6 +224,105 @@ proptest! {
     }
 }
 
+/// An [`FnRelation`] seen through `targets_of` alone, so `image` and
+/// `preimage` are the trait's point-wise defaults.
+struct Pointwise<'a>(&'a FnRelation);
+
+impl Relation for Pointwise<'_> {
+    fn source_size(&self) -> u64 {
+        self.0.source_size()
+    }
+    fn target_size(&self) -> u64 {
+        self.0.target_size()
+    }
+    fn targets_of(&self, s: u64, out: &mut Vec<u64>) {
+        self.0.targets_of(s, out);
+    }
+}
+
+/// A function table with source sets sized around `target_size / 64`
+/// points — where `FnRelation::image` changes from sorting the target
+/// points to marking a bitmap — plus the empty and the full set.
+fn arb_table_and_sets() -> impl Strategy<Value = (Vec<u64>, u64, Vec<IntervalSet>, Vec<IntervalSet>)>
+{
+    (0usize..6, 1usize..160).prop_flat_map(|(size, len)| {
+        let target_size = [1u64, 63, 64, 65, 640, 4096][size];
+        let threshold = (target_size / 64) as usize;
+        let src = prop::collection::btree_set(0..len as u64, 0..len.min(2 * threshold + 2) + 1);
+        let dst = prop::collection::btree_set(0..target_size, 0..40);
+        (
+            prop::collection::vec(0..target_size, len),
+            Just(target_size),
+            prop::collection::vec(src, 1..4),
+            prop::collection::vec(dst, 1..4),
+        )
+            .prop_map(move |(map, target_size, srcs, dsts)| {
+                let mut srcs: Vec<IntervalSet> = srcs.iter().map(to_iset).collect();
+                srcs.push(IntervalSet::empty());
+                srcs.push(IntervalSet::full(len as u64));
+                let mut dsts: Vec<IntervalSet> = dsts.iter().map(to_iset).collect();
+                dsts.push(IntervalSet::empty());
+                dsts.push(IntervalSet::full(target_size));
+                (map, target_size, srcs, dsts)
+            })
+    })
+}
+
+proptest! {
+    #[test]
+    fn fn_relation_fast_paths_match_the_pointwise_defaults(
+        (map, target_size, srcs, dsts) in arb_table_and_sets(),
+    ) {
+        // The inverse index is built by the first `preimage`: ask for
+        // preimages before any image on one relation, after on another,
+        // and again once the index exists.
+        let pre_first = FnRelation::new(map.clone(), target_size);
+        let img_first = FnRelation::new(map, target_size);
+        let model = Pointwise(&img_first);
+        for dst in &dsts {
+            prop_assert_eq!(pre_first.preimage(dst), model.preimage(dst));
+        }
+        for src in &srcs {
+            let want = model.image(src);
+            prop_assert_eq!(&img_first.image(src), &want);
+            prop_assert_eq!(&pre_first.image(src), &want);
+        }
+        for dst in &dsts {
+            let want = model.preimage(dst);
+            prop_assert_eq!(&img_first.preimage(dst), &want);
+            prop_assert_eq!(&pre_first.preimage(dst), &want);
+        }
+    }
+}
+
+#[test]
+fn fn_relation_image_agrees_across_the_bitmap_threshold() {
+    // 4096 targets: 63 source points sort their targets, 64 mark a
+    // bitmap. Both must give the same set as one point at a time, for
+    // runs that end on word boundaries and on the last target.
+    let map: Vec<u64> = (0..512u64)
+        .map(|s| [s * 8 % 4096, 4095, 63, 64, 127][s as usize % 5])
+        .collect();
+    let rel = FnRelation::new(map, 4096);
+    let model = Pointwise(&rel);
+    for n in [1, 62, 63, 64, 65, 300, 512] {
+        for lo in [0, 3.min(512 - n), 512 - n] {
+            let set = IntervalSet::from_range(lo, lo + n);
+            assert_eq!(rel.image(&set), model.image(&set), "{n} points from {lo}");
+        }
+    }
+    // A table onto every target: the image of everything is one run.
+    let onto = FnRelation::new((0..4096).rev().collect(), 4096);
+    assert_eq!(
+        onto.image(&IntervalSet::full(4096)),
+        IntervalSet::full(4096)
+    );
+    assert_eq!(
+        onto.image(&IntervalSet::from_range(0, 128)),
+        IntervalSet::from_range(3968, 4096)
+    );
+}
+
 #[test]
 fn runs_are_public_and_usable() {
     let s = IntervalSet::from_runs([Run::new(0, 2), Run::new(4, 6)]);

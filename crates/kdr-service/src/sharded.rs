@@ -782,10 +782,11 @@ impl ShardedService {
 
     /// Gracefully retire a shard: evacuate its tenants to their ring
     /// successors (checkpoint migration — in-flight jobs resume
-    /// bit-identically), drop its runtime, and remove its ring
-    /// points. Returns `false` for out-of-range or already-retired
-    /// slots, or when residents exist but no healthy destination
-    /// remains (the shard is left untouched).
+    /// bit-identically), absorb the responses it still holds, drop its
+    /// runtime, and remove its ring points. Returns `false` for
+    /// out-of-range or already-retired slots, or when residents exist
+    /// but no healthy destination remains (the shard is left
+    /// untouched).
     pub fn remove_shard(&self, idx: usize) -> bool {
         let mut front = self.front.lock();
         if idx >= front.slots.len() || front.slots[idx].svc.is_none() {
@@ -803,6 +804,9 @@ impl ShardedService {
             front.slots[idx].status = prev_status;
             return false;
         }
+        // Responses the engine has produced since the last supervision
+        // tick leave with it unless they are taken now.
+        self.absorb_responses(&mut front);
         front.slots[idx].svc = None;
         front.slots[idx].status = ShardStatus::Removed;
         front.ring.retain(|&(_, s)| s != idx);

@@ -596,6 +596,31 @@ fn add_and_remove_shard_move_about_one_nth_of_tenants() {
 }
 
 #[test]
+fn remove_shard_delivers_pending_responses() {
+    let svc = fleet(2, SupervisorConfig::default());
+    svc.register_tenant(1, 1);
+    let sid = svc.create_session(1, spec(8, 8, 2, SolverKind::Cg)).unwrap();
+    let home = svc.shard_of(1).unwrap();
+    let job = svc
+        .submit(
+            1,
+            SolveRequest::new(sid, rhs_vector::<f64>(64, 3), SolveControl::to_tolerance(1e-10, 500)),
+        )
+        .unwrap();
+    // The `Cancelled` response now sits in the home shard's engine,
+    // and no supervision tick runs before that shard is retired.
+    assert_eq!(svc.cancel_job(job), CancelOutcome::Cancelled);
+    assert!(svc.remove_shard(home));
+    assert_eq!(svc.shard_status(home), Some(ShardStatus::Removed));
+    svc.run_until_idle();
+    let rs = svc.take_responses();
+    assert_eq!(rs.len(), 1, "the retired shard's response is delivered");
+    assert_eq!(rs[0].job, job);
+    assert!(matches!(rs[0].outcome, JobOutcome::Cancelled { .. }));
+    assert_eq!(svc.cancel_job(job), CancelOutcome::AlreadyDone, "ledger entry is terminal");
+}
+
+#[test]
 fn add_shard_migrates_live_backlog_and_loses_nothing() {
     let svc = fleet(2, SupervisorConfig::default());
     let n = 12 * 12;

@@ -19,12 +19,15 @@
 //! [`TileKernel::lower_advised`] sorts a tile's triplets exactly once,
 //! into the `(row, col)` order (stable in input order for duplicates)
 //! that a [`CsrTile`] stores. Everything else reads that canonical
-//! tile: the structure analysis walks its rows (row lengths,
-//! duplicates, dense-block coverage, and the tile's distinct diagonal
-//! offsets — the only other sort), the CSR lowering *is* it, ELL pads
-//! its rows, DIA scatters its entries onto the analysed offsets, and
-//! BCSR cuts its rows into blocks. No lowering re-sorts, re-scans for
-//! the row span or re-counts blocks.
+//! tile in passes linear in its entries: the structure analysis walks
+//! its rows (row lengths, duplicates, the distinct diagonal offsets
+//! marked on a bitmap over the offset span, dense-block coverage read
+//! off the aligned row groups and their shared column list — no
+//! hashing, first failure exits), the CSR lowering *is* it, ELL pads
+//! its rows, DIA walks each row's ascending columns along the ascending
+//! offset table, and BCSR cuts its rows into blocks. No lowering
+//! re-sorts, searches per entry, re-scans for the row span or
+//! re-counts blocks.
 //!
 //! # Bitwise-reproducibility contract
 //!
@@ -40,8 +43,6 @@
 //! padding), so switching kernels can never change a single bit of a
 //! solve. Property tests in `tests/kernel_prop.rs` enforce this for
 //! every kind, both directions, and degenerate shapes.
-
-use std::collections::HashMap;
 
 use crate::scalar::Scalar;
 
@@ -297,8 +298,7 @@ impl TileStructure {
 
     /// Summarize a tile already in canonical order, in one pass over
     /// its rows. Also returns the tile's distinct diagonal offsets
-    /// (`col − row`, ascending) — the one sort the summary needs, and
-    /// the DIA lowering's first ingredient.
+    /// (`col − row`, ascending) — the DIA lowering's first ingredient.
     fn of<T>(tile: &CsrTile<T>) -> (Self, Vec<i64>) {
         let nnz = tile.cols.len();
         if nnz == 0 {
@@ -309,16 +309,12 @@ impl TileStructure {
         let mut max_row_len = 0usize;
         let mut sq_dev = 0.0f64;
         let mut has_duplicates = false;
-        let mut offsets: Vec<i64> = Vec::with_capacity(nnz);
-        for (row, span) in tile.row_spans() {
+        for (_, span) in tile.row_spans() {
             let cols = &tile.cols[span];
             max_row_len = max_row_len.max(cols.len());
             sq_dev += (cols.len() as f64 - mean) * (cols.len() as f64 - mean);
             has_duplicates |= cols.windows(2).any(|w| w[0] == w[1]);
-            offsets.extend(cols.iter().map(|&c| c as i64 - row as i64));
         }
-        offsets.sort_unstable();
-        offsets.dedup();
 
         // Dense-block coverage: largest b where every touched aligned
         // b×b block holds exactly b² (distinct) entries.
@@ -331,6 +327,7 @@ impl TileStructure {
                 .find(|&bs| tile.blocks_dense(bs))
         };
 
+        let offsets = tile.diagonal_offsets();
         let structure = TileStructure {
             nnz,
             row_span: (tile.row_ids[nonempty_rows - 1] - tile.row_ids[0] + 1) as usize,
@@ -576,6 +573,18 @@ pub enum TileKernel<T> {
     Stencil(crate::matfree::StencilTile<T>),
 }
 
+/// [`CsrTile::diagonal_offsets`] marks offsets on a bitmap while the
+/// bitmap is at most one word per entry plus this many; past that the
+/// bitmap would be the larger array and the offsets are sorted instead.
+/// A tile of an `n × n` component spans under `2n` offsets, `n / 32`
+/// words, so every tile with a few entries per row marks: all of
+/// `perf_ledger`'s do (lap3d27 40³ in 4 pieces: 52 words against
+/// 410 k entries; the `cold_irregular` scatter matrix, `n` = 16 384:
+/// at most 512, under the slack alone). Only a hyper-sparse tile of a
+/// huge component sorts, and only `lowering_is_blind_to_input_order`
+/// builds one.
+const OFFSET_BITMAP_SLACK_WORDS: u64 = 1024;
+
 impl<T: Copy> CsrTile<T> {
     /// Put a tile's triplets (any order) in the canonical accumulation
     /// order of the whole family: by `(row, col)`, stable in input
@@ -614,18 +623,73 @@ impl<T> CsrTile<T> {
     }
 
     /// Whether every touched grid-aligned `bs × bs` block holds exactly
-    /// `bs²` entries.
+    /// `bs²` entries, for a tile without duplicate coordinates. Read
+    /// off the canonical order: the stored rows must come in aligned
+    /// groups of `bs` consecutive rows that share one column list, and
+    /// that list must be a sequence of aligned `bs`-runs. Returns at
+    /// the first group that is not.
     fn blocks_dense(&self, bs: usize) -> bool {
-        if self.cols.len() % (bs * bs) != 0 {
-            return false;
+        // Strictly ascending coordinates: `bs` of them are one aligned
+        // run iff the first is aligned and the last is `bs − 1` on.
+        let aligned_run =
+            |run: &[u64]| run[0] % bs as u64 == 0 && run[bs - 1] == run[0] + (bs as u64 - 1);
+        let mut groups = self.row_ids.chunks_exact(bs).enumerate();
+        self.row_ids.len() % bs == 0
+            && groups.all(|(g, group)| {
+                let starts = &self.row_ptr[g * bs..=(g + 1) * bs];
+                let first = &self.cols[starts[0]..starts[1]];
+                aligned_run(group)
+                    && first.len() % bs == 0
+                    && first.chunks_exact(bs).all(aligned_run)
+                    && (1..bs).all(|r| self.cols[starts[r]..starts[r + 1]] == *first)
+            })
+    }
+
+    /// The tile's distinct diagonal offsets (`col − row`), ascending.
+    /// Columns ascend within a row, so the offsets lie between
+    /// `first col − row` and `last col − row` over the stored rows;
+    /// each entry marks its offset on a bitmap over that span and the
+    /// offsets are read back off it in order, with no `nnz`-long offset
+    /// vector and no sort. A span past [`OFFSET_BITMAP_SLACK_WORDS`]
+    /// is collected, sorted and deduplicated instead.
+    fn diagonal_offsets(&self) -> Vec<i64> {
+        let offset = |row: u64, col: u64| col as i64 - row as i64;
+        let mut bounds = self.row_spans().map(|(row, span)| {
+            (
+                offset(row, self.cols[span.start]),
+                offset(row, self.cols[span.end - 1]),
+            )
+        });
+        let Some(first) = bounds.next() else {
+            return Vec::new();
+        };
+        let (lo, hi) = bounds.fold(first, |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+        let words = (hi - lo) as u64 / 64 + 1;
+        if words > self.cols.len() as u64 + OFFSET_BITMAP_SLACK_WORDS {
+            let mut offsets: Vec<i64> = self
+                .row_spans()
+                .flat_map(|(row, span)| self.cols[span].iter().map(move |&c| offset(row, c)))
+                .collect();
+            offsets.sort_unstable();
+            offsets.dedup();
+            return offsets;
         }
-        let mut blocks: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut marks = vec![0u64; words as usize];
         for (row, span) in self.row_spans() {
             for &c in &self.cols[span] {
-                *blocks.entry((row / bs as u64, c / bs as u64)).or_insert(0) += 1;
+                let bit = (offset(row, c) - lo) as usize;
+                marks[bit / 64] |= 1 << (bit % 64);
             }
         }
-        blocks.values().all(|&n| n == bs * bs)
+        let mut offsets = Vec::new();
+        for (w, &word) in marks.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                offsets.push(lo + (w * 64) as i64 + i64::from(rest.trailing_zeros()));
+                rest &= rest - 1;
+            }
+        }
+        offsets
     }
 }
 
@@ -699,34 +763,33 @@ impl<T: Scalar> TileKernel<T> {
         let row_lo = t.row_ids[0];
         let nrows = s.row_span;
         let mut dense = vec![T::ZERO; slots];
-        let mut present = vec![false; slots];
+        // Per diagonal, its runs of consecutive local rows so far.
+        // Rows arrive ascending, so an entry either extends its
+        // diagonal's last run or opens the next.
+        let mut diag_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); offsets.len()];
         for (row, span) in t.row_spans() {
-            let lr = (row - row_lo) as usize;
+            let lr = (row - row_lo) as u32;
+            // Columns ascend within the row, so its offsets ascend
+            // along the offset table: one forward walk per row.
+            let mut d = 0usize;
             for idx in span {
-                let d = offsets
-                    .binary_search(&(t.cols[idx] as i64 - row as i64))
-                    .unwrap();
-                dense[d * nrows + lr] = t.vals[idx];
-                present[d * nrows + lr] = true;
+                let off = t.cols[idx] as i64 - row as i64;
+                while offsets[d] < off {
+                    d += 1;
+                }
+                debug_assert_eq!(offsets[d], off);
+                dense[d * nrows + lr as usize] = t.vals[idx];
+                match diag_runs[d].last_mut() {
+                    Some(run) if run.1 == lr => run.1 += 1,
+                    _ => diag_runs[d].push((lr, lr + 1)),
+                }
             }
         }
         let mut run_ptr = Vec::with_capacity(offsets.len() + 1);
         let mut runs = Vec::new();
-        for d in 0..offsets.len() {
+        for of_diag in &diag_runs {
             run_ptr.push(runs.len());
-            let base = d * nrows;
-            let mut lr = 0usize;
-            while lr < nrows {
-                if present[base + lr] {
-                    let lo = lr;
-                    while lr < nrows && present[base + lr] {
-                        lr += 1;
-                    }
-                    runs.push((lo as u32, lr as u32));
-                } else {
-                    lr += 1;
-                }
-            }
+            runs.extend_from_slice(of_diag);
         }
         run_ptr.push(runs.len());
         Some(TileKernel::Dia(DiaTile {
@@ -1266,6 +1329,207 @@ mod tests {
         assert!(!s.has_duplicates);
         assert_eq!(s.select(), KernelKind::Csr);
         check_all_kinds(&r, &c, &v, n as usize);
+    }
+
+    /// The dense-block rule as first implemented — count the entries
+    /// of every touched aligned block in a hash map — kept as the
+    /// oracle for the hash-free scan of the canonical order.
+    fn dense_block_oracle(rows: &[u64], cols: &[u64]) -> Option<usize> {
+        use std::collections::{HashMap, HashSet};
+        let distinct: HashSet<(u64, u64)> =
+            rows.iter().copied().zip(cols.iter().copied()).collect();
+        if rows.is_empty() || distinct.len() != rows.len() {
+            return None;
+        }
+        BCSR_BLOCK_SIZES.into_iter().find(|&bs| {
+            let mut blocks: HashMap<(u64, u64), usize> = HashMap::new();
+            for (&r, &c) in rows.iter().zip(cols) {
+                *blocks.entry((r / bs as u64, c / bs as u64)).or_insert(0) += 1;
+            }
+            rows.len() % (bs * bs) == 0 && blocks.values().all(|&n| n == bs * bs)
+        })
+    }
+
+    /// Coordinates of full `bs × bs` blocks with their top-left corners
+    /// at `corners` (aligned or not).
+    fn filled_blocks(bs: u64, corners: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let cell = |&(r0, c0): &(u64, u64)| (0..bs * bs).map(move |k| (r0 + k / bs, c0 + k % bs));
+        corners.iter().flat_map(cell).collect()
+    }
+
+    fn assert_dense_block_matches_oracle(coords: &[(u64, u64)], what: &str) -> Option<usize> {
+        let (r, c): (Vec<u64>, Vec<u64>) = coords.iter().copied().unzip();
+        let got = TileStructure::analyze(&r, &c, &r).dense_block;
+        assert_eq!(got, dense_block_oracle(&r, &c), "{what}: {coords:?}");
+        got
+    }
+
+    #[test]
+    fn dense_block_scan_matches_the_block_counting_oracle() {
+        for bs in [8u64, 4, 2] {
+            let grid = [
+                (0, bs),
+                (0, 3 * bs),
+                (bs, 0),
+                (2 * bs, 2 * bs),
+                (2 * bs, 3 * bs),
+            ];
+            let blocked = filled_blocks(bs, &grid);
+            assert_eq!(
+                assert_dense_block_matches_oracle(&blocked, "blocked"),
+                Some(bs as usize)
+            );
+
+            let mut missing = blocked.clone();
+            missing.remove(blocked.len() / 2);
+            assert_dense_block_matches_oracle(&missing, "one entry missing");
+
+            let mut shifted = grid;
+            shifted[3].1 += 1;
+            assert_dense_block_matches_oracle(&filled_blocks(bs, &shifted), "block off the grid");
+            shifted[3] = (2 * bs + 1, 2 * bs);
+            assert_dense_block_matches_oracle(&filled_blocks(bs, &shifted), "block off the grid");
+
+            // The last row group stops one row short; a full block's
+            // worth of entries elsewhere keeps `nnz` a multiple of bs².
+            let mut partial = filled_blocks(bs, &[(0, 0), (bs, 0), (bs, bs)]);
+            partial.retain(|&(r, c)| !(r == 2 * bs - 1 && c >= bs));
+            partial.extend((0..bs).map(|k| (4 * bs, k)));
+            assert_eq!(partial.len() as u64 % (bs * bs), 0);
+            assert_dense_block_matches_oracle(&partial, "partial last row group");
+
+            // bs² entries, every row group complete, nothing blocked.
+            let diagonal: Vec<(u64, u64)> = (0..bs * bs).map(|k| (k, k)).collect();
+            assert_dense_block_matches_oracle(&diagonal, "divisible but not blocked");
+
+            // Same rows per group, different column lists.
+            let mut ragged = filled_blocks(bs, &[(0, 0)]);
+            ragged[0].1 = bs;
+            assert_dense_block_matches_oracle(&ragged, "rows of a group differ");
+
+            let mut dup = blocked.clone();
+            dup.push(blocked[3]);
+            assert_eq!(assert_dense_block_matches_oracle(&dup, "duplicate"), None);
+        }
+        // An 8-blocked tile is 4- and 2-blocked too; the largest wins.
+        let nested = filled_blocks(8, &[(8, 0), (8, 16)]);
+        assert_eq!(
+            assert_dense_block_matches_oracle(&nested, "nested"),
+            Some(8)
+        );
+
+        // Random unions of blocks, perturbed half the time, arriving
+        // in scrambled order.
+        let mut next = crate::triples::xorshift(0x5eed_b10c);
+        let mut blocked_seen = 0;
+        for round in 0..600 {
+            let bs = [2u64, 4, 8][round % 3];
+            let corners: Vec<(u64, u64)> = (0..1 + next() % 5)
+                .map(|_| (next() % 4 * bs, next() % 4 * bs))
+                .collect();
+            let mut coords = filled_blocks(bs, &corners);
+            coords.sort_unstable();
+            coords.dedup();
+            match next() % 4 {
+                0 => {
+                    coords.remove((next() % coords.len() as u64) as usize);
+                }
+                1 => coords.push((next() % (4 * bs), next() % (4 * bs))),
+                _ => {}
+            }
+            for k in (1..coords.len()).rev() {
+                coords.swap(k, (next() % (k as u64 + 1)) as usize);
+            }
+            if !coords.is_empty() {
+                blocked_seen +=
+                    usize::from(assert_dense_block_matches_oracle(&coords, "random").is_some());
+            }
+        }
+        assert!(
+            blocked_seen > 100,
+            "only {blocked_seen} random tiles were blocked"
+        );
+    }
+
+    /// `entries` in canonical order, and a scramble of them that keeps
+    /// entries of equal coordinates in their relative order.
+    fn sorted_and_scrambled(
+        mut entries: Vec<(u64, u64, f64)>,
+        seed: u64,
+    ) -> [(Vec<u64>, Vec<u64>, Vec<f64>); 2] {
+        entries.sort_by_key(|&(r, c, _)| (r, c));
+        let mut next = crate::triples::xorshift(seed);
+        let mut keys: Vec<u64> = entries.iter().map(|_| next()).collect();
+        // Equal coordinates are adjacent: give each such group its own
+        // keys in ascending order, so sorting by key keeps its order.
+        let mut lo = 0;
+        while lo < entries.len() {
+            let same = |e: &(u64, u64, f64)| (e.0, e.1) == (entries[lo].0, entries[lo].1);
+            let hi = lo + entries[lo..].iter().take_while(|e| same(e)).count();
+            keys[lo..hi].sort_unstable();
+            lo = hi;
+        }
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by_key(|&k| keys[k]);
+        let split = |es: &mut dyn Iterator<Item = (u64, u64, f64)>| {
+            let mut out = (Vec::new(), Vec::new(), Vec::new());
+            for (r, c, v) in es {
+                out.0.push(r);
+                out.1.push(c);
+                out.2.push(v);
+            }
+            out
+        };
+        [
+            split(&mut entries.iter().copied()),
+            split(&mut order.iter().map(|&k| entries[k])),
+        ]
+    }
+
+    #[test]
+    fn lowering_is_blind_to_input_order() {
+        let numbered = |coords: Vec<(u64, u64)>| -> Vec<(u64, u64, f64)> {
+            let value = |k: usize| 0.5 + k as f64 * 0.125;
+            coords
+                .into_iter()
+                .enumerate()
+                .map(|(k, (r, c))| (r, c, value(k)))
+                .collect()
+        };
+        let (tr, tc, _) = tridiag(24);
+        let banded: Vec<(u64, u64)> = tr.into_iter().zip(tc).collect();
+        let mut next = crate::triples::xorshift(0xd1ce);
+        let scatter: Vec<(u64, u64)> = (0..200).map(|_| (next() % 12, next() % 12)).collect();
+        let mut long_row: Vec<(u64, u64)> = (0..300).map(|k| (7, k % 100)).collect();
+        long_row.push((2, 5));
+        let cases = [
+            ("banded", banded),
+            ("blocked", filled_blocks(4, &[(0, 4), (4, 0), (4, 8)])),
+            ("scatter with duplicates", scatter),
+            ("one long row with duplicates", long_row),
+            (
+                "hyper-sparse rows",
+                vec![(1 << 40, 3), (5, 9), (1 << 40, 1), (5, 9), (77, 0)],
+            ),
+            // Diagonals far apart: offsets sorted, not marked.
+            (
+                "hyper-sparse columns",
+                vec![(0, 1 << 41), (1, 0), (0, 2), (1, 1 << 41)],
+            ),
+        ];
+        let choices = std::iter::once(KernelChoice::Auto)
+            .chain(KernelKind::ALL.into_iter().map(KernelChoice::Force));
+        for choice in choices {
+            for (what, coords) in &cases {
+                let [sorted, scrambled] = sorted_and_scrambled(numbered(coords.clone()), 0xfeed);
+                assert_ne!(sorted.2, scrambled.2, "{what}: the scramble moved nothing");
+                let lower = |t: &(Vec<u64>, Vec<u64>, Vec<f64>)| {
+                    let (k, s) = TileKernel::lower_advised(&t.0, &t.1, &t.2, choice, 1, None);
+                    format!("{k:?} {s:?}")
+                };
+                assert_eq!(lower(&sorted), lower(&scrambled), "{what} under {choice:?}");
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,13 @@ cargo test -q --release -p kdr-sparse --test vecops_prop
 # every kernel kind bitwise equal to the CSR order, every format's
 # enumeration and relations against a dense reference.
 cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
+# Registration under the same codegen: the relation and offset bitmaps
+# and the block scan are the optimized code `add_operator` executes.
+# `FnRelation` against the point-wise defaults, and the per-tile
+# registration result (footprints, kinds, keys, payload hashes) held
+# to the constants captured before it was made linear-time.
+cargo test -q --release -p kdr-index --test prop
+cargo test -q --release -p kdr-core --test registration_pin
 
 # The three service suites that share the one tenant-install path
 # (`attach_tenant`: evacuation and crash recovery, migration, warm
