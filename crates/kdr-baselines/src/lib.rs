@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-baselines
 //!
 //! The comparison libraries of the paper's §6.1, rebuilt as the
@@ -27,6 +28,7 @@ pub mod spmd;
 
 pub use ksm::{solve_spmd, BaselineKsm, SpmdSolveResult};
 pub use simsetup::{
-    build_iteration_graph, per_iteration_seconds, sim_planner, KsmKind, LibraryProfile,
+    build_iteration_graph, per_iteration_seconds, sim_planner, steady_state_seconds,
+    stencil_planner, stepped_graph, KsmKind, LibraryProfile,
 };
 pub use spmd::{run_spmd, SharedVec, SpmdContext};

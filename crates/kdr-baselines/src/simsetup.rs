@@ -78,6 +78,15 @@ impl KsmKind {
             KsmKind::Gmres => "gmres",
         }
     }
+
+    /// The method's solver on `planner`.
+    pub fn solver(&self, planner: &mut Planner<f64>) -> Box<dyn Solver<f64>> {
+        match self {
+            KsmKind::Cg => Box::new(CgSolver::new(planner)),
+            KsmKind::BiCgStab => Box::new(BiCgStabSolver::new(planner)),
+            KsmKind::Gmres => Box::new(GmresSolver::with_restart(planner, 10)),
+        }
+    }
 }
 
 /// Build a simulated single-operator planner for a stencil problem:
@@ -96,6 +105,13 @@ pub fn sim_planner(
     if profile.is_bulk_sync() {
         backend = backend.bulk_synchronous();
     }
+    stencil_planner(backend, stencil, pieces)
+}
+
+/// A single-operator planner on `backend` for a stencil problem:
+/// matrix-free stencil operator, row-based partition with `pieces`
+/// pieces, so nothing of size O(n) is materialized.
+pub fn stencil_planner(backend: SimBackend<f64>, stencil: Stencil, pieces: usize) -> Planner<f64> {
     let n = stencil.unknowns();
     let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(stencil));
     let mut planner = Planner::new(Box::new(backend));
@@ -104,6 +120,42 @@ pub fn sim_planner(
     let r = planner.add_rhs_vector(n, Some(part));
     planner.add_operator(op, d, r);
     planner
+}
+
+/// Build a solver on a sim-backed planner, take `steps` driver steps
+/// with it, and return the task graph the backend recorded.
+pub fn stepped_graph(
+    planner: &mut Planner<f64>,
+    make: impl FnOnce(&mut Planner<f64>) -> Box<dyn Solver<f64>>,
+    steps: usize,
+) -> TaskGraph {
+    let mut solver = make(planner);
+    for _ in 0..steps {
+        solver.step(planner);
+    }
+    drop(solver);
+    planner.with_backend(|b| {
+        b.as_any()
+            .downcast_mut::<SimBackend<f64>>()
+            .expect("the planner runs on the sim backend")
+            .take_graph()
+            .0
+    })
+}
+
+/// Simulated steady-state seconds per step of whatever `graph(steps)`
+/// builds: simulate `warmup` and `warmup + timed` steps on `machine`
+/// and difference the makespans (this cancels setup cost and captures
+/// cross-iteration pipelining).
+pub fn steady_state_seconds(
+    machine: &MachineConfig,
+    warmup: usize,
+    timed: usize,
+    graph: impl Fn(usize) -> TaskGraph,
+) -> f64 {
+    let t_warm = simulate(&graph(warmup), machine, None).makespan;
+    let t_full = simulate(&graph(warmup + timed), machine, None).makespan;
+    (t_full - t_warm) / timed as f64
 }
 
 /// Run `iters` solver iterations on a simulated planner and return
@@ -117,27 +169,10 @@ pub fn build_iteration_graph(
     iters: usize,
 ) -> TaskGraph {
     let mut planner = sim_planner(stencil, pieces, profile, nodes);
-    let mut solver: Box<dyn Solver<f64>> = match ksm {
-        KsmKind::Cg => Box::new(CgSolver::new(&mut planner)),
-        KsmKind::BiCgStab => Box::new(BiCgStabSolver::new(&mut planner)),
-        KsmKind::Gmres => Box::new(GmresSolver::with_restart(&mut planner, 10)),
-    };
-    for _ in 0..iters {
-        solver.step(&mut planner);
-    }
-    drop(solver);
-    planner.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<SimBackend<f64>>()
-            .expect("sim backend")
-            .take_graph()
-            .0
-    })
+    stepped_graph(&mut planner, |p| ksm.solver(p), iters)
 }
 
-/// Simulated steady-state time per iteration: simulate `warmup` and
-/// `warmup + timed` iterations and difference the makespans (this
-/// cancels setup cost and captures cross-iteration pipelining).
+/// Simulated steady-state time per iteration of one library profile.
 pub fn per_iteration_seconds(
     stencil: Stencil,
     ksm: KsmKind,
@@ -147,12 +182,9 @@ pub fn per_iteration_seconds(
     warmup: usize,
     timed: usize,
 ) -> f64 {
-    let machine = profile.machine(nodes);
-    let g_warm = build_iteration_graph(stencil, ksm, pieces, profile, nodes, warmup);
-    let g_full = build_iteration_graph(stencil, ksm, pieces, profile, nodes, warmup + timed);
-    let t_warm = simulate(&g_warm, &machine, None).makespan;
-    let t_full = simulate(&g_full, &machine, None).makespan;
-    (t_full - t_warm) / timed as f64
+    steady_state_seconds(&profile.machine(nodes), warmup, timed, |iters| {
+        build_iteration_graph(stencil, ksm, pieces, profile, nodes, iters)
+    })
 }
 
 #[cfg(test)]

@@ -21,14 +21,12 @@
 
 use std::sync::Arc;
 
-use kdr_baselines::{KsmKind, LibraryProfile};
-use kdr_core::simbackend::SimBackend;
-use kdr_core::solvers::{BiCgStabSolver, CgSolver, GmresSolver, Solver};
+use kdr_baselines::{sim_planner, stepped_graph, KsmKind, LibraryProfile};
 use kdr_core::{ExecBackend, Planner};
 use kdr_index::Partition;
 use kdr_machine::simulate;
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::{SparseMatrix, Stencil, StencilOperator};
+use kdr_sparse::{SparseMatrix, Stencil};
 
 struct Args {
     dim: u32,
@@ -98,15 +96,6 @@ fn stencil_for(a: &Args) -> Stencil {
     }
 }
 
-fn make_solver<'a>(which: u32, planner: &mut Planner<f64>) -> Box<dyn Solver<f64> + 'a> {
-    match which {
-        1 => Box::new(CgSolver::new(planner)),
-        2 => Box::new(BiCgStabSolver::new(planner)),
-        3 => Box::new(GmresSolver::with_restart(planner, 10)),
-        s => panic!("bad -solver {s}"),
-    }
-}
-
 fn main() {
     let a = parse_args();
     let stencil = stencil_for(&a);
@@ -114,7 +103,8 @@ fn main() {
     let ksm = match a.solver {
         1 => KsmKind::Cg,
         2 => KsmKind::BiCgStab,
-        _ => KsmKind::Gmres,
+        3 => KsmKind::Gmres,
+        s => panic!("bad -solver {s}"),
     };
     println!(
         "BenchmarkStencil: dim={} ({} unknowns, {} nonzeros), solver={}, it={}, vp={}",
@@ -131,25 +121,8 @@ fn main() {
             // Simulated run at cluster scale: matrix-free operator so
             // nothing of size O(n) is materialized.
             let machine = LibraryProfile::LegionSolvers.machine(nodes);
-            let backend = SimBackend::<f64>::new(machine.clone()).with_index_bytes(4.0);
-            let mut planner = Planner::new(Box::new(backend));
-            let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(stencil));
-            let part = Partition::equal_blocks(n, a.vp);
-            let d = planner.add_sol_vector(n, Some(part.clone()));
-            let r = planner.add_rhs_vector(n, Some(part));
-            planner.add_operator(op, d, r);
-            let mut solver = make_solver(a.solver, &mut planner);
-            for _ in 0..a.it {
-                solver.step(&mut planner);
-            }
-            drop(solver);
-            let graph = planner.with_backend(|b| {
-                b.as_any()
-                    .downcast_mut::<SimBackend<f64>>()
-                    .unwrap()
-                    .take_graph()
-                    .0
-            });
+            let mut planner = sim_planner(stencil, a.vp, LibraryProfile::LegionSolvers, nodes);
+            let graph = stepped_graph(&mut planner, |p| ksm.solver(p), a.it);
             let result = simulate(&graph, &machine, None);
             println!(
                 "simulated on {} nodes ({} GPUs): total {:.3} s, {:.3} ms/iteration, utilization {:.0}%",
@@ -169,7 +142,7 @@ fn main() {
             let r = planner.add_rhs_vector(n, Some(part));
             planner.add_operator(matrix, d, r);
             planner.set_rhs_data(r, &rhs_vector::<f64>(n, 0xC0FFEE));
-            let mut solver = make_solver(a.solver, &mut planner);
+            let mut solver = ksm.solver(&mut planner);
             planner.fence();
             let t0 = std::time::Instant::now();
             for _ in 0..a.it {

@@ -127,43 +127,16 @@ fn ablation_no_overlap(
     warmup: usize,
     timed: usize,
 ) -> f64 {
+    use kdr_baselines::{steady_state_seconds, stencil_planner, stepped_graph};
     use kdr_core::simbackend::SimBackend;
-    use kdr_core::solvers::{BiCgStabSolver, CgSolver, GmresSolver, Solver};
-    use kdr_core::Planner;
-    use kdr_machine::{simulate, MachineConfig};
-    use kdr_sparse::{SparseMatrix, StencilOperator};
-    use std::sync::Arc;
+    use kdr_machine::MachineConfig;
 
     let machine = MachineConfig::lassen(nodes).legion_profile();
-    let build = |iters: usize| {
+    steady_state_seconds(&machine, warmup, timed, |iters| {
         let backend = SimBackend::<f64>::new(machine.clone())
             .with_index_bytes(4.0)
             .bulk_synchronous();
-        let n = stencil.unknowns();
-        let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(stencil));
-        let mut planner = Planner::new(Box::new(backend));
-        let part = kdr_index::Partition::equal_blocks(n, pieces);
-        let d = planner.add_sol_vector(n, Some(part.clone()));
-        let r = planner.add_rhs_vector(n, Some(part));
-        planner.add_operator(op, d, r);
-        let mut solver: Box<dyn Solver<f64>> = match ksm {
-            KsmKind::Cg => Box::new(CgSolver::new(&mut planner)),
-            KsmKind::BiCgStab => Box::new(BiCgStabSolver::new(&mut planner)),
-            KsmKind::Gmres => Box::new(GmresSolver::with_restart(&mut planner, 10)),
-        };
-        for _ in 0..iters {
-            solver.step(&mut planner);
-        }
-        drop(solver);
-        planner.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<SimBackend<f64>>()
-                .unwrap()
-                .take_graph()
-                .0
-        })
-    };
-    let t_w = simulate(&build(warmup), &machine, None).makespan;
-    let t_f = simulate(&build(warmup + timed), &machine, None).makespan;
-    (t_f - t_w) / timed as f64
+        let mut planner = stencil_planner(backend, stencil, pieces);
+        stepped_graph(&mut planner, |p| ksm.solver(p), iters)
+    })
 }

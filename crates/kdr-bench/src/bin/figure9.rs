@@ -18,11 +18,12 @@
 
 use std::sync::Arc;
 
+use kdr_baselines::{steady_state_seconds, stepped_graph};
 use kdr_core::simbackend::SimBackend;
-use kdr_core::solvers::{BiCgStabSolver, Solver};
+use kdr_core::solvers::BiCgStabSolver;
 use kdr_core::Planner;
 use kdr_index::Partition;
-use kdr_machine::{simulate, MachineConfig};
+use kdr_machine::MachineConfig;
 use kdr_sparse::{SparseMatrix, Stencil, StencilOperator, VirtualBanded};
 
 const NODES: usize = 16;
@@ -68,26 +69,11 @@ fn build_graph(n_exp: u32, multi: bool, iters: usize) -> kdr_machine::TaskGraph 
         planner.add_operator(a21, d1, r2);
         planner.add_operator(a22, d2, r2);
     }
-    let mut solver = BiCgStabSolver::new(&mut planner);
-    for _ in 0..iters {
-        solver.step(&mut planner);
-    }
-    drop(solver);
-    planner.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<SimBackend<f64>>()
-            .unwrap()
-            .take_graph()
-            .0
-    })
+    stepped_graph(&mut planner, |p| Box::new(BiCgStabSolver::new(p)), iters)
 }
 
 fn per_iteration(n_exp: u32, multi: bool) -> f64 {
-    let (warmup, timed) = (3usize, 5usize);
-    let m = machine();
-    let t_w = simulate(&build_graph(n_exp, multi, warmup), &m, None).makespan;
-    let t_f = simulate(&build_graph(n_exp, multi, warmup + timed), &m, None).makespan;
-    (t_f - t_w) / timed as f64
+    steady_state_seconds(&machine(), 3, 5, |iters| build_graph(n_exp, multi, iters))
 }
 
 fn main() {

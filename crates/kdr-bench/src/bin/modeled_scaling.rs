@@ -20,14 +20,13 @@
 //! Output: both tables on stdout and in `results/modeled_scaling.txt`.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
+use kdr_baselines::{steady_state_seconds, stencil_planner, stepped_graph};
 use kdr_core::{
     CgSolver, FusedCgSolver, PipelinedCgSolver, Planner, SStepCgSolver, SimBackend, Solver,
 };
-use kdr_index::Partition;
 use kdr_machine::{simulate, MachineConfig, ProcId, TaskGraph};
-use kdr_sparse::{SparseMatrix, Stencil, StencilOperator};
+use kdr_sparse::Stencil;
 
 /// Simulated nodes of the CG table, and pieces: one piece per node.
 const CG_NODES: usize = 256;
@@ -44,37 +43,16 @@ type Build = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
 /// priced sim backend (figure9's idiom: matrix-free stencil pricing,
 /// 4-byte indices).
 fn cg_graph(machine: &MachineConfig, build: Build, steps: usize) -> TaskGraph {
-    let s = Stencil::lap2d(CG_SIDE, CG_SIDE);
-    let n = s.unknowns();
-    let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(s));
     let backend = SimBackend::<f64>::new(machine.clone()).with_index_bytes(4.0);
-    let mut planner = Planner::new(Box::new(backend));
-    let part = Partition::equal_blocks(n, CG_NODES);
-    let d = planner.add_sol_vector(n, Some(part.clone()));
-    let r = planner.add_rhs_vector(n, Some(part));
-    planner.add_operator(op, d, r);
-    let mut solver = build(&mut planner);
-    for _ in 0..steps {
-        solver.step(&mut planner);
-    }
-    drop(solver);
-    planner.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<SimBackend<f64>>()
-            .expect("built on the sim backend")
-            .take_graph()
-            .0
-    })
+    let mut planner = stencil_planner(backend, Stencil::lap2d(CG_SIDE, CG_SIDE), CG_NODES);
+    stepped_graph(&mut planner, build, steps)
 }
 
 /// Modeled steady-state microseconds per CG iteration (figure9's
 /// warmup-subtraction protocol: 3 warmup + 5 timed steps).
 fn cg_us_per_iter(build: Build, iters_per_step: usize) -> f64 {
-    let (warmup, timed) = (3, 5);
     let m = MachineConfig::lassen(CG_NODES).legion_profile();
-    let t_w = simulate(&cg_graph(&m, build, warmup), &m, None).makespan;
-    let t_f = simulate(&cg_graph(&m, build, warmup + timed), &m, None).makespan;
-    (t_f - t_w) / (timed * iters_per_step) as f64 * 1e6
+    steady_state_seconds(&m, 3, 5, |steps| cg_graph(&m, build, steps)) / iters_per_step as f64 * 1e6
 }
 
 /// Modeled aggregate jobs/s of a `shards`-shard fleet: 64 tenants

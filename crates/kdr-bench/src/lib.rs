@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # kdr-bench
 //!
 //! The paper's evaluation, regenerated, plus the two scaling curves

@@ -1191,10 +1191,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                     TaskBuilder::new(name)
                         .read(sbuf, Arc::clone(rsubset))
                         .write(dbuf, Arc::clone(wsubset))
-                        .meta(TaskMeta::new(name).with_color(tile.color).with_cost(
-                            2 * data.nnz() as u64,
-                            (data.nnz() * std::mem::size_of::<T>()) as u64,
-                        ))
+                        .meta(TaskMeta::new(name).with_color(tile.color))
                         .body(move |ctx| {
                             let x = RV(ctx.read::<T>(0));
                             let mut y = WV(ctx.write::<T>(1));

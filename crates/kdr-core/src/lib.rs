@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-core
 //!
 //! The KDRSolvers framework: scalable, flexible, task-oriented Krylov

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-index
 //!
 //! Index spaces, partitions, and *dependent partitioning* for the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-machine
 //!
 //! A discrete-event simulator of a GPU cluster, standing in for the

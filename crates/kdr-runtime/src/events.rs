@@ -1,4 +1,5 @@
-//! Structured task-event log: per-task spans with lock-free recording.
+//! Structured task-event log: per-task spans, recorded under the
+//! scheduler lock.
 //!
 //! When enabled (see [`Runtime::enable_events`](crate::Runtime::enable_events)),
 //! the runtime records one [`TaskSpan`] per executed task body covering
@@ -17,28 +18,28 @@
 //! the Chrome export, [`critical_path`](crate::critical_path) and any
 //! span-derived metric read the same with fusion as without.
 //!
-//! # Hot-path design
+//! # Where the records live
 //!
-//! Workers write fixed-size execution records into a private ring buffer
-//! (one per worker, single producer) guarded only by an atomic head
-//! index: no locks, no allocation, overwrite-on-wrap. A full ring
+//! The span log (`SpanLog`) is part of the executor's scheduling state and is
+//! only ever touched with the scheduler lock held: the submit half of
+//! a span is appended by the acquisition that installs the node, the
+//! execution half by the acquisition that retires it (into the retiring
+//! worker's bounded ring — fixed-size records, no allocation,
+//! overwrite-on-wrap), and a drain takes the same lock. A full ring
 //! therefore **never blocks** task execution — the oldest records are
 //! dropped instead, and the drop count is surfaced in
-//! [`MetricsSnapshot::events_dropped`](crate::MetricsSnapshot::events_dropped).
-//! Submit-side records are appended under a mutex, which is free of
-//! contention because submission is already serialized by the runtime
-//! state lock. Rings are drained only at quiescence (after a fence),
-//! so the drain never races a writer.
+//! [`MetricsSnapshot::events_dropped`](crate::MetricsSnapshot::events_dropped)
+//! — and a drain is safe against concurrent submitters and running
+//! workers: a submit half whose task is still in flight stays in the
+//! log for the next drain.
 //!
 //! When event logging is disabled, the only cost on the execute path
 //! is one relaxed atomic load per scheduled node, preserving the
 //! traced-replay fast path's advantage.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::metrics::AtomicHistogram;
 use crate::task::TaskId;
@@ -87,7 +88,8 @@ pub struct TaskSpan {
     pub start_ns: u64,
     /// When the body returned.
     pub end_ns: u64,
-    /// When successors had been released (task fully retired).
+    /// When the task retired — the stamp the successors it released
+    /// carry as their `ready_ns`.
     pub retire_ns: u64,
     /// How the task's lifecycle ended (completed / panicked /
     /// poisoned). Poisoned tasks never ran: their start/end stamps
@@ -109,9 +111,8 @@ impl TaskSpan {
     }
 }
 
-/// Submission-side half of a span, recorded under the runtime state
-/// lock (submission is already serialized there, so this adds no new
-/// contention).
+/// Submission-side half of a span, appended by the executor when it
+/// installs the task's node.
 #[derive(Clone, Debug)]
 pub(crate) struct SubmitRecord {
     pub id: TaskId,
@@ -121,104 +122,146 @@ pub(crate) struct SubmitRecord {
     pub deps: Vec<TaskId>,
 }
 
-/// Execution-side half of a span, written by exactly one worker into
-/// its private ring.
+/// Execution-side half of a span, pushed into the ring of the worker
+/// that retired the task.
 #[derive(Clone, Copy, Debug, Default)]
-struct ExecRecord {
-    id: TaskId,
-    ready_ns: u64,
-    start_ns: u64,
-    end_ns: u64,
-    retire_ns: u64,
-    outcome: TaskOutcome,
+pub(crate) struct ExecRecord {
+    pub id: TaskId,
+    pub ready_ns: u64,
+    pub start_ns: u64,
+    pub end_ns: u64,
+    pub retire_ns: u64,
+    pub outcome: TaskOutcome,
 }
 
-/// A single-producer ring of `ExecRecord`s. The owning worker is
-/// the only writer; readers drain only at quiescence (no concurrent
-/// writer), so the `UnsafeCell` access is race-free by protocol.
-struct WorkerRing {
-    slots: Box<[UnsafeCell<ExecRecord>]>,
-    /// Monotone count of records ever written; slot = head % capacity.
-    head: AtomicUsize,
+/// A bounded FIFO of `ExecRecord`s that overwrites its oldest entry
+/// when full. The storage is reserved up front, so a push never
+/// allocates.
+struct Ring {
+    records: VecDeque<ExecRecord>,
+    capacity: usize,
+    /// Records overwritten since the last drain.
+    dropped: u64,
 }
 
-// Safety: writes happen only from the owning worker thread; reads
-// happen only after a fence guarantees that worker is idle. The
-// Release store on `head` publishes the slot contents to the
-// Acquire-loading drainer.
-unsafe impl Sync for WorkerRing {}
-
-impl WorkerRing {
+impl Ring {
     fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(ExecRecord::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        WorkerRing {
-            slots,
-            head: AtomicUsize::new(0),
+        let capacity = capacity.max(1);
+        Ring {
+            records: VecDeque::with_capacity(capacity),
+            capacity,
+            dropped: 0,
         }
     }
 
-    /// Push one record, overwriting the oldest if full. Wait-free.
+    /// Push one record, overwriting the oldest if full.
     #[inline]
-    fn push(&self, rec: ExecRecord) {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = head % self.slots.len();
-        // Safety: single producer — only the owning worker calls push.
-        unsafe { *self.slots[slot].get() = rec };
-        self.head.store(head + 1, Ordering::Release);
+    fn push(&mut self, rec: ExecRecord) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(rec);
     }
 
-    /// Copy out all retained records (oldest first) and the number of
-    /// records lost to wraparound, then reset. Caller must guarantee
-    /// the producer is quiescent.
-    fn drain(&self) -> (Vec<ExecRecord>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len();
-        let retained = head.min(cap);
-        let dropped = (head - retained) as u64;
-        let mut out = Vec::with_capacity(retained);
-        for i in (head - retained)..head {
-            // Safety: producer is quiescent (post-fence) by contract.
-            out.push(unsafe { *self.slots[i % cap].get() });
-        }
-        self.head.store(0, Ordering::Release);
-        (out, dropped)
+    /// Hand out the retained records (oldest first) and the number
+    /// lost to wraparound, and start afresh.
+    fn drain(&mut self) -> (impl Iterator<Item = ExecRecord> + '_, u64) {
+        let dropped = std::mem::take(&mut self.dropped);
+        (self.records.drain(..), dropped)
     }
 }
 
-/// Default per-worker ring capacity (records). At ~40 bytes per
-/// record this is ~2.6 MB per worker — enough for tens of CG steps
-/// between drains on the benchmark problems.
+/// Default per-worker ring capacity (records). At ~48 bytes per
+/// record this reserves ~3 MB of address space per worker (touched
+/// only as records arrive) — enough for tens of CG steps between
+/// drains on the benchmark problems.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// The shared event sink: one ring per worker, a submit log, the
-/// enable flag, and the latency histograms workers feed directly (so
-/// metrics survive ring wraparound).
+/// The span log: the submit halves in submission order and one ring of
+/// execution halves per worker. Plain data — it lives inside the
+/// executor's scheduling state and every method is called with the
+/// scheduler lock held.
+pub(crate) struct SpanLog {
+    rings: Vec<Ring>,
+    submits: Vec<SubmitRecord>,
+}
+
+impl SpanLog {
+    pub(crate) fn new(workers: usize, ring_capacity: usize) -> Self {
+        SpanLog {
+            rings: (0..workers).map(|_| Ring::new(ring_capacity)).collect(),
+            submits: Vec::new(),
+        }
+    }
+
+    /// Record the submission halves of the spans of tasks submitted
+    /// together.
+    pub(crate) fn record_submits(&mut self, recs: impl IntoIterator<Item = SubmitRecord>) {
+        self.submits.extend(recs);
+    }
+
+    /// Record the execution half of a span in `worker`'s ring.
+    #[inline]
+    pub(crate) fn record_exec(&mut self, worker: usize, rec: ExecRecord) {
+        self.rings[worker].push(rec);
+    }
+
+    /// Join submit records with per-worker exec records into complete
+    /// spans, sorted by task id, and count the execution halves the
+    /// rings overwrote since the last drain. A submit record with no
+    /// execution half is kept for the next drain while its task may
+    /// still be in flight (`id >= in_flight_from`, the front of the
+    /// executor's window) and discarded otherwise (the execution half
+    /// was lost to ring wraparound).
+    pub(crate) fn drain(&mut self, in_flight_from: TaskId) -> (Vec<TaskSpan>, u64) {
+        let mut execs: HashMap<TaskId, (usize, ExecRecord)> = HashMap::new();
+        let mut lost = 0;
+        for (worker, ring) in self.rings.iter_mut().enumerate() {
+            let (recs, dropped) = ring.drain();
+            execs.extend(recs.map(|r| (r.id, (worker, r))));
+            lost += dropped;
+        }
+        let mut spans = Vec::with_capacity(execs.len());
+        for s in std::mem::take(&mut self.submits) {
+            match execs.get(&s.id) {
+                Some(&(worker, e)) => spans.push(TaskSpan {
+                    id: s.id,
+                    name: s.name,
+                    provenance: s.provenance,
+                    worker,
+                    submit_ns: s.submit_ns,
+                    ready_ns: e.ready_ns,
+                    start_ns: e.start_ns,
+                    end_ns: e.end_ns,
+                    retire_ns: e.retire_ns,
+                    outcome: e.outcome,
+                    deps: s.deps,
+                }),
+                None if s.id >= in_flight_from => self.submits.push(s),
+                None => {}
+            }
+        }
+        spans.sort_by_key(|s| s.id);
+        (spans, lost)
+    }
+}
+
+/// The part of the event layer that is shared without a lock: the
+/// enable flag, the clock, and the latency histograms workers feed
+/// directly (so metrics survive ring wraparound).
 pub(crate) struct EventSink {
     enabled: AtomicBool,
     epoch: Instant,
-    rings: Vec<WorkerRing>,
-    submits: Mutex<Vec<SubmitRecord>>,
-    dropped: AtomicU64,
-    recorded: AtomicU64,
     pub(crate) queue_wait_ns: AtomicHistogram,
     pub(crate) execute_ns: AtomicHistogram,
 }
 
 impl EventSink {
-    pub(crate) fn new(workers: usize, ring_capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         EventSink {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
-            rings: (0..workers)
-                .map(|_| WorkerRing::new(ring_capacity))
-                .collect(),
-            submits: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
             queue_wait_ns: AtomicHistogram::new(),
             execute_ns: AtomicHistogram::new(),
         }
@@ -239,87 +282,17 @@ impl EventSink {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Record the submission half of a span (called under the runtime
-    /// state lock).
-    pub(crate) fn record_submit(&self, rec: SubmitRecord) {
-        self.submits.lock().push(rec);
-    }
-
-    /// Record the execution half of a span into `worker`'s ring and
-    /// feed the latency histograms. Lock-free.
+    /// Feed one executed body's latencies to the histograms.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_exec(
-        &self,
-        worker: usize,
-        id: TaskId,
-        ready_ns: u64,
-        start_ns: u64,
-        end_ns: u64,
-        retire_ns: u64,
-        outcome: TaskOutcome,
-    ) {
+    pub(crate) fn observe(&self, rec: &ExecRecord) {
         // Poisoned tasks never executed; keep their zero-length
         // "execution" out of the latency distributions.
-        if outcome != TaskOutcome::Poisoned {
-            self.queue_wait_ns.record(start_ns.saturating_sub(ready_ns));
-            self.execute_ns.record(end_ns.saturating_sub(start_ns));
+        if rec.outcome != TaskOutcome::Poisoned {
+            self.queue_wait_ns
+                .record(rec.start_ns.saturating_sub(rec.ready_ns));
+            self.execute_ns
+                .record(rec.end_ns.saturating_sub(rec.start_ns));
         }
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.rings[worker].push(ExecRecord {
-            id,
-            ready_ns,
-            start_ns,
-            end_ns,
-            retire_ns,
-            outcome,
-        });
-    }
-
-    pub(crate) fn events_recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn events_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Join submit records with per-worker exec records into complete
-    /// spans, sorted by task id. Caller must have fenced: every
-    /// worker must be idle so ring drains don't race producers.
-    /// Records whose other half is missing (dropped to wraparound, or
-    /// submitted but not yet executed) are discarded.
-    pub(crate) fn drain_spans(&self) -> Vec<TaskSpan> {
-        let submits = std::mem::take(&mut *self.submits.lock());
-        let mut spans = Vec::new();
-        let mut execs: std::collections::HashMap<TaskId, (usize, ExecRecord)> =
-            std::collections::HashMap::new();
-        for (worker, ring) in self.rings.iter().enumerate() {
-            let (recs, dropped) = ring.drain();
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-            for r in recs {
-                execs.insert(r.id, (worker, r));
-            }
-        }
-        for s in submits {
-            if let Some(&(worker, e)) = execs.get(&s.id) {
-                spans.push(TaskSpan {
-                    id: s.id,
-                    name: s.name,
-                    provenance: s.provenance,
-                    worker,
-                    submit_ns: s.submit_ns,
-                    ready_ns: e.ready_ns,
-                    start_ns: e.start_ns,
-                    end_ns: e.end_ns,
-                    retire_ns: e.retire_ns,
-                    outcome: e.outcome,
-                    deps: s.deps,
-                });
-            }
-        }
-        spans.sort_by_key(|s| s.id);
-        spans
     }
 }
 
@@ -329,7 +302,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_without_blocking() {
-        let ring = WorkerRing::new(4);
+        let mut ring = Ring::new(4);
         for i in 0..10u64 {
             ring.push(ExecRecord {
                 id: i,
@@ -337,34 +310,39 @@ mod tests {
             });
         }
         let (recs, dropped) = ring.drain();
+        let ids: Vec<u64> = recs.map(|r| r.id).collect();
         assert_eq!(dropped, 6);
-        assert_eq!(recs.len(), 4);
-        let ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
         // Drained ring starts fresh.
-        let (recs, dropped) = ring.drain();
-        assert!(recs.is_empty());
+        let (mut recs, dropped) = ring.drain();
+        assert!(recs.next().is_none());
         assert_eq!(dropped, 0);
     }
 
     #[test]
     fn sink_joins_submit_and_exec_halves() {
-        let sink = EventSink::new(2, 16);
-        sink.set_enabled(true);
-        for id in 0..3u64 {
-            sink.record_submit(SubmitRecord {
-                id,
-                name: "t",
-                provenance: Provenance::Analyzed,
-                submit_ns: id * 10,
-                deps: if id == 0 { vec![] } else { vec![id - 1] },
-            });
-        }
-        // Task 2 never executes: its span must be discarded.
-        sink.record_exec(0, 0, 11, 12, 13, 14, TaskOutcome::Completed);
-        sink.record_exec(1, 1, 21, 22, 23, 24, TaskOutcome::Panicked);
-        let spans = sink.drain_spans();
-        assert_eq!(spans.len(), 2);
+        let mut log = SpanLog::new(2, 16);
+        log.record_submits((0..3u64).map(|id| SubmitRecord {
+            id,
+            name: "t",
+            provenance: Provenance::Analyzed,
+            submit_ns: id * 10,
+            deps: if id == 0 { vec![] } else { vec![id - 1] },
+        }));
+        let exec = |id, t0: u64, outcome| ExecRecord {
+            id,
+            ready_ns: t0 + 1,
+            start_ns: t0 + 2,
+            end_ns: t0 + 3,
+            retire_ns: t0 + 4,
+            outcome,
+        };
+        log.record_exec(0, exec(0, 10, TaskOutcome::Completed));
+        log.record_exec(1, exec(1, 20, TaskOutcome::Panicked));
+        // Task 2 has not executed: no span yet, but its submit half
+        // waits for the execution half while it is in flight...
+        let (spans, lost) = log.drain(2);
+        assert_eq!((spans.len(), lost), (2, 0));
         assert_eq!(spans[0].id, 0);
         assert_eq!(spans[0].outcome, TaskOutcome::Completed);
         assert_eq!(spans[1].outcome, TaskOutcome::Panicked);
@@ -373,6 +351,21 @@ mod tests {
         assert_eq!(spans[1].deps, vec![0]);
         assert_eq!(spans[1].queue_wait_ns(), 1);
         assert_eq!(spans[1].execute_ns(), 1);
+        log.record_exec(0, exec(2, 30, TaskOutcome::Completed));
+        let (late, _) = log.drain(3);
+        assert_eq!(late.len(), 1);
+        assert_eq!((late[0].id, late[0].submit_ns), (2, 20));
+        // ...and is discarded once the task is known to have retired
+        // (its execution half was overwritten).
+        log.record_submits([SubmitRecord {
+            id: 3,
+            name: "t",
+            provenance: Provenance::Analyzed,
+            submit_ns: 30,
+            deps: vec![],
+        }]);
+        assert!(log.drain(4).0.is_empty());
+        assert!(log.drain(0).0.is_empty());
     }
 
     #[test]

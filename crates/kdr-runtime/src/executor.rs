@@ -20,7 +20,19 @@
 //! [`Future`](crate::Future) from the application thread always makes
 //! progress.
 //!
-//! # Dependence state
+//! # Scheduling state
+//!
+//! Everything the scheduler decides with — the dependence window, the
+//! ready queues, the count of parked workers, the span log and the
+//! execution tallies — is one structure (`DepState`) under one mutex.
+//! A submitter installs its node, queues it if ready and wakes a
+//! parked worker under one acquisition; a worker retires the node it
+//! ran, queues the successors that released, and takes its next node
+//! under one acquisition, and parks on a condition variable *with that
+//! mutex* when there is nothing to take. A node can therefore not be
+//! queued between a worker's last look at the queues and its going to
+//! sleep, which is why no wait in this file has a timeout. Task bodies
+//! run with the lock released.
 //!
 //! Task ids are handed out in submission order, so the nodes that are
 //! still in flight always lie in one id interval. The executor keeps
@@ -31,6 +43,12 @@
 //! past everything retired. An id below the window, or a slot no node
 //! was scheduled under (the id of a fused member, which belongs to its
 //! node's first member's slot), reads as "already finished".
+//!
+//! Ready nodes wait in two priority lanes — express (`priority > 0`)
+//! and normal — each an injector queue plus one affinity queue per
+//! worker, all FIFO. A worker takes from the express lane before the
+//! normal one, and within a lane from its own queue, then the
+//! injector, then its peers' queues in ring order.
 //!
 //! # Fault tolerance
 //!
@@ -50,31 +68,32 @@
 //! execute path.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::queue::SegQueue;
 use parking_lot::{Condvar, Mutex};
 
-use crate::events::{EventSink, TaskOutcome, DEFAULT_RING_CAPACITY};
+use crate::events::{
+    EventSink, ExecRecord, Provenance, SpanLog, SubmitRecord, TaskOutcome, TaskSpan,
+    DEFAULT_RING_CAPACITY,
+};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TaskError, TaskErrorKind};
-use crate::mapper::Mapper;
-use crate::task::{Privilege, TaskBody, TaskContext, TaskId, TaskMetaLite};
-use crate::trace::StepGraph;
+use crate::mapper::{Mapper, TaskMeta};
+use crate::task::{Privilege, TaskBody, TaskContext, TaskId};
+use crate::trace::{StepGraph, Trace};
 
 /// One task body of a scheduled node.
 pub(crate) struct Member {
     pub id: TaskId,
-    /// Kernel name; keys the per-kernel execution counts.
-    pub name: &'static str,
     pub body: TaskBody,
     /// The task's declared requirements, as its body will see them.
     pub ctx: TaskContext,
-    /// Scheduling metadata (mapper input); a node is routed by its
+    /// Kernel name (keys the per-kernel execution counts) and
+    /// scheduling metadata (mapper input); a node is routed by its
     /// first member's.
-    pub meta: TaskMetaLite,
+    pub meta: TaskMeta,
     /// Fault planted by the injector at submission, if any.
     pub fault: Option<FaultKind>,
 }
@@ -103,10 +122,6 @@ impl Runnable {
 
     fn id(&self) -> TaskId {
         self.members[0].id
-    }
-
-    fn meta(&self) -> &TaskMetaLite {
-        &self.members[0].meta
     }
 }
 
@@ -144,16 +159,118 @@ impl Slot {
     }
 }
 
-#[derive(Default)]
+/// One priority class of ready nodes.
+struct Lane {
+    /// Unpinned nodes.
+    injector: VecDeque<Runnable>,
+    /// Per-worker affinity queues.
+    pinned: Vec<VecDeque<Runnable>>,
+}
+
+/// The ready nodes: the express lane (`priority > 0`), drained before
+/// everything else, and the normal lane.
+struct ReadyQueues {
+    lanes: [Lane; 2],
+    /// Routing policy. It is called with the scheduler lock held, so
+    /// it must not call back into the runtime.
+    mapper: Option<Arc<dyn Mapper>>,
+}
+
+impl ReadyQueues {
+    fn new(workers: usize, mapper: Option<Arc<dyn Mapper>>) -> Self {
+        let lane = || Lane {
+            injector: VecDeque::new(),
+            pinned: (0..workers).map(|_| VecDeque::new()).collect(),
+        };
+        ReadyQueues {
+            lanes: [lane(), lane()],
+            mapper,
+        }
+    }
+
+    /// Queue a node that just became ready, stamped `ready_ns` (zero
+    /// while logging is off): on its mapped worker's affinity queue,
+    /// or on the injector when no mapper is installed. The mapper is
+    /// consulted here, when the node becomes ready — at submission for
+    /// a node with nothing to wait for, at its last predecessor's
+    /// retirement otherwise — so affinity survives into steady state
+    /// instead of decaying to the injector.
+    fn push(&mut self, mut node: Runnable, ready_ns: u64) {
+        node.ready_ns = ready_ns;
+        let meta = &node.members[0].meta;
+        let lane = &mut self.lanes[usize::from(meta.priority == 0)];
+        match &self.mapper {
+            Some(m) => {
+                let w = m.map_task(meta) % lane.pinned.len();
+                lane.pinned[w].push_back(node);
+            }
+            None => lane.injector.push_back(node),
+        }
+    }
+
+    /// Take the next node for worker `me`, and whether it came off a
+    /// peer's affinity queue: the express lane first (own queue,
+    /// injector, then steal), then the same order through the normal
+    /// lane.
+    fn pop(&mut self, me: usize) -> Option<(Runnable, bool)> {
+        for lane in &mut self.lanes {
+            if let Some(r) = lane.pinned[me].pop_front() {
+                return Some((r, false));
+            }
+            if let Some(r) = lane.injector.pop_front() {
+                return Some((r, false));
+            }
+            let n = lane.pinned.len();
+            for off in 1..n {
+                if let Some(r) = lane.pinned[(me + off) % n].pop_front() {
+                    return Some((r, true));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Execution tallies, read in one lock acquisition by
+/// [`Executor::tallies`].
+#[derive(Clone, Default)]
+pub(crate) struct Tallies {
+    /// Nodes executed (a node whose body panicked included).
+    pub executed: u64,
+    /// Nodes a worker executed from another worker's affinity queue.
+    pub stolen: u64,
+    /// Task bodies that panicked (caught, not process aborts).
+    pub task_failures: u64,
+    /// Nodes retired-as-poisoned without running.
+    pub tasks_poisoned: u64,
+    /// Execution halves of spans ever recorded.
+    pub events_recorded: u64,
+    /// Of those, lost to ring wraparound, as of the last drain.
+    pub events_dropped: u64,
+    /// Executed-body tallies keyed by kernel name.
+    pub task_counts: BTreeMap<&'static str, u64>,
+    /// Accumulated execution nanoseconds per kernel name; only grows
+    /// while event logging or per-kernel timing is enabled (timestamps
+    /// are zero otherwise, contributing nothing).
+    pub task_execute_ns: BTreeMap<&'static str, u64>,
+}
+
+/// The scheduling state (see the module docs): everything below is
+/// read and written with `ExecShared::state` held.
 struct DepState {
     /// Id of `slots[0]`.
     base: TaskId,
-    /// The in-flight window (see the module docs).
+    /// The in-flight window.
     slots: VecDeque<Slot>,
     /// The compiled step most recently replayed and the id of its
     /// first task. Slots with a `graph_node` index into it; they are
     /// all retired before the next replay replaces it.
     batch: Option<(TaskId, Arc<StepGraph>)>,
+    /// Nodes whose dependences are met and that no worker has taken.
+    ready: ReadyQueues,
+    /// Workers parked on `ExecShared::wake_cv` (one that has been
+    /// notified counts until it holds the lock again).
+    idle: usize,
     outstanding: usize,
     shutdown: bool,
     /// First task failure since the last [`Executor::take_failure`];
@@ -165,13 +282,9 @@ struct DepState {
     /// poison would leak whenever a predecessor finished (panicked)
     /// before its dependent was submitted. Cleared with the failure.
     poisoned_retired: HashSet<TaskId>,
-    /// Executed-body tallies keyed by kernel name, bumped under this
-    /// lock on the completion path (which already holds it).
-    counts: BTreeMap<&'static str, u64>,
-    /// Accumulated execution nanoseconds per kernel name; only grows
-    /// while event logging or per-kernel timing is enabled (timestamps
-    /// are zero otherwise, contributing nothing).
-    exec_ns: BTreeMap<&'static str, u64>,
+    /// The event log's records (filled only while logging is on).
+    spans: SpanLog,
+    tallies: Tallies,
 }
 
 impl DepState {
@@ -193,28 +306,12 @@ struct WatchSlot {
 
 struct ExecShared {
     state: Mutex<DepState>,
-    /// Routing policy; consulted at submit time *and* when a
-    /// completion releases successors, so affinity survives into
-    /// steady state instead of decaying to the injector.
-    mapper: Option<Arc<dyn Mapper>>,
-    /// Unpinned ready nodes.
-    injector: SegQueue<Runnable>,
-    /// Per-worker affinity queues.
-    pinned: Vec<SegQueue<Runnable>>,
-    /// Express lane for unpinned nodes with `priority > 0`; drained
-    /// before every normal-lane queue.
-    injector_hi: SegQueue<Runnable>,
-    /// Express-lane affinity queues, one per worker.
-    pinned_hi: Vec<SegQueue<Runnable>>,
-    /// Parking for idle workers.
-    sleep_lock: Mutex<()>,
+    /// Where idle workers park; always waited on with `state`.
     wake_cv: Condvar,
+    /// Where fences wait for `outstanding == 0`; likewise.
     idle_cv: Condvar,
-    executed: AtomicU64,
-    stolen: AtomicU64,
-    sleepers: AtomicUsize,
-    /// Structured event log (spans + latency histograms). Checked
-    /// with one relaxed load per node when disabled.
+    /// The event layer's enable flag, clock and latency histograms.
+    /// Checked with one relaxed load per node when disabled.
     events: EventSink,
     /// Deterministic fault injector. Checked with one relaxed load
     /// per body at submission when disarmed.
@@ -229,12 +326,26 @@ struct ExecShared {
     stall_budget_ns: AtomicU64,
     /// One slot per worker for the watchdog to observe.
     watch: Vec<WatchSlot>,
-    /// Task bodies that panicked.
-    task_failures: AtomicU64,
-    /// Nodes retired-as-poisoned without running.
-    tasks_poisoned: AtomicU64,
     /// Bodies the watchdog flagged as exceeding the stall budget.
     tasks_stalled: AtomicU64,
+}
+
+impl ExecShared {
+    /// Wake a parked worker for each of `nodes` newly queued nodes.
+    fn wake(&self, st: &DepState, nodes: usize) {
+        for _ in 0..nodes.min(st.idle) {
+            self.wake_cv.notify_one();
+        }
+    }
+
+    /// The event clock if logging is on, zero otherwise.
+    fn stamp(&self, logging: bool) -> u64 {
+        if logging {
+            self.events.now_ns()
+        } else {
+            0
+        }
+    }
 }
 
 pub(crate) struct Executor {
@@ -262,19 +373,22 @@ impl Executor {
     ) -> Self {
         assert!(workers > 0, "executor needs at least one worker");
         let shared = Arc::new(ExecShared {
-            state: Mutex::new(DepState::default()),
-            mapper,
-            injector: SegQueue::new(),
-            pinned: (0..workers).map(|_| SegQueue::new()).collect(),
-            injector_hi: SegQueue::new(),
-            pinned_hi: (0..workers).map(|_| SegQueue::new()).collect(),
-            sleep_lock: Mutex::new(()),
+            state: Mutex::new(DepState {
+                base: 0,
+                slots: VecDeque::new(),
+                batch: None,
+                ready: ReadyQueues::new(workers, mapper),
+                idle: 0,
+                outstanding: 0,
+                shutdown: false,
+                failure: None,
+                poisoned_retired: HashSet::new(),
+                spans: SpanLog::new(workers, ring_capacity),
+                tallies: Tallies::default(),
+            }),
             wake_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            sleepers: AtomicUsize::new(0),
-            events: EventSink::new(workers, ring_capacity),
+            events: EventSink::new(),
             faults: FaultInjector::new(),
             kernel_timing: AtomicBool::new(false),
             stall_budget_ns: AtomicU64::new(0),
@@ -284,8 +398,6 @@ impl Executor {
                     since_ns: AtomicU64::new(0),
                 })
                 .collect(),
-            task_failures: AtomicU64::new(0),
-            tasks_poisoned: AtomicU64::new(0),
             tasks_stalled: AtomicU64::new(0),
         });
         let handles = (0..workers)
@@ -293,7 +405,7 @@ impl Executor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("kdr-worker-{w}"))
-                    .spawn(move || worker_loop(shared, w))
+                    .spawn(move || worker_loop(&shared, w))
                     .expect("failed to spawn worker")
             })
             .collect();
@@ -308,14 +420,26 @@ impl Executor {
     /// computed. Ids must increase from one submission to the next.
     /// Dependences on nodes that have already finished are ignored.
     pub fn submit(&self, mut runnable: Runnable, deps: &[TaskId]) {
+        let shared = &*self.shared;
         // Fault decisions happen here, at submission: the runtime
         // serializes submissions, so a seeded plan reproduces the
         // same injections regardless of worker interleaving.
         for m in &mut runnable.members {
-            m.fault = self.shared.faults.decide(m.name);
+            m.fault = shared.faults.decide(m.meta.name);
         }
         let id = runnable.id();
-        let mut st = self.shared.state.lock();
+        let logging = shared.events.enabled();
+        let now_ns = shared.stamp(logging);
+        let mut st = shared.state.lock();
+        if logging {
+            st.spans.record_submits([SubmitRecord {
+                id,
+                name: runnable.members[0].meta.name,
+                provenance: Provenance::Analyzed,
+                submit_ns: now_ns,
+                deps: deps.to_vec(),
+            }]);
+        }
         if st.slots.is_empty() {
             st.base = id;
         }
@@ -348,18 +472,24 @@ impl Executor {
         };
         st.slots.resize_with(idx, Slot::vacant);
         st.slots.push_back(slot);
-        drop(st);
-        release_ready(&self.shared, ready.into_iter());
+        // Last, so a worker woken here finds the lock about to be free.
+        if let Some(node) = ready {
+            st.ready.push(node, now_ns);
+            shared.wake(&st, 1);
+        }
     }
 
     /// Enqueue one replayed step: `members[i]` is the body of the
-    /// `i`-th captured task and gets the id `base + i`; `graph` says
-    /// which node each belongs to and how the nodes depend on one
-    /// another. The executor must be quiescent (the runtime fences
-    /// before a replay), so the step has no outside dependences and
-    /// the whole graph is installed under one lock acquisition, with
-    /// one round of wake-ups for its initially ready nodes.
-    pub fn submit_graph(&self, base: TaskId, graph: Arc<StepGraph>, members: Vec<Member>) {
+    /// `i`-th task of `trace` and gets the id `base + i`; the trace's
+    /// compiled graph says which node each belongs to and how the
+    /// nodes depend on one another. The executor must be quiescent
+    /// (the runtime fences before a replay), so the step has no
+    /// outside dependences and the whole graph is installed under one
+    /// lock acquisition, with one round of wake-ups for its initially
+    /// ready nodes.
+    pub fn submit_graph(&self, base: TaskId, trace: &Trace, members: Vec<Member>) {
+        let shared = &*self.shared;
+        let graph = &trace.graph;
         debug_assert_eq!(members.len(), graph.node_of.len());
         let mut nodes: Vec<Runnable> = graph
             .nodes
@@ -370,34 +500,50 @@ impl Executor {
                 poisoned: false,
             })
             .collect();
+        let logging = shared.events.enabled();
+        let now_ns = shared.stamp(logging);
+        let mut submits = Vec::new();
         // One fault decision per body in submission order, exactly as
         // task-by-task submission makes them.
         for (mut m, &node) in members.into_iter().zip(&graph.node_of) {
-            m.fault = self.shared.faults.decide(m.name);
+            m.fault = shared.faults.decide(m.meta.name);
+            if logging {
+                let local = (m.id - base) as usize;
+                submits.push(SubmitRecord {
+                    id: m.id,
+                    name: m.meta.name,
+                    provenance: Provenance::Replayed,
+                    submit_ns: now_ns,
+                    deps: trace.deps[local]
+                        .iter()
+                        .map(|&l| base + l as TaskId)
+                        .collect(),
+                });
+            }
             nodes[node as usize].members.push(m);
         }
-        let mut ready = Vec::new();
-        {
-            let mut st = self.shared.state.lock();
-            assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
-            st.base = base;
-            st.slots.clear();
-            st.slots.resize_with(graph.node_of.len(), Slot::vacant);
-            for (k, (node, run)) in graph.nodes.iter().zip(nodes).enumerate() {
-                let slot = &mut st.slots[node.leader as usize];
-                slot.live = true;
-                slot.graph_node = k as u32;
-                slot.unmet = node.indegree;
-                if node.indegree == 0 {
-                    ready.push(run);
-                } else {
-                    slot.parked = Some(run);
-                }
+        let mut st = shared.state.lock();
+        assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
+        st.spans.record_submits(submits);
+        st.base = base;
+        st.slots.clear();
+        st.slots.resize_with(graph.node_of.len(), Slot::vacant);
+        let mut ready = 0;
+        for (k, (node, run)) in graph.nodes.iter().zip(nodes).enumerate() {
+            let slot = &mut st.slots[node.leader as usize];
+            slot.live = true;
+            slot.graph_node = k as u32;
+            slot.unmet = node.indegree;
+            if node.indegree == 0 {
+                st.ready.push(run, now_ns);
+                ready += 1;
+            } else {
+                slot.parked = Some(run);
             }
-            st.outstanding = graph.nodes.len();
-            st.batch = Some((base, graph));
         }
-        release_ready(&self.shared, ready.into_iter());
+        st.outstanding = graph.nodes.len();
+        st.batch = Some((base, Arc::clone(graph)));
+        shared.wake(&st, ready);
     }
 
     /// Block until every submitted node has finished. If any task
@@ -450,24 +596,9 @@ impl Executor {
         }
     }
 
-    /// Total nodes executed (a node whose body panicked included).
-    pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
-    /// Nodes a worker executed from another worker's affinity queue.
-    pub fn stolen(&self) -> u64 {
-        self.shared.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Task bodies that panicked (caught, not process aborts).
-    pub fn task_failures(&self) -> u64 {
-        self.shared.task_failures.load(Ordering::Relaxed)
-    }
-
-    /// Nodes retired-as-poisoned without running.
-    pub fn tasks_poisoned(&self) -> u64 {
-        self.shared.tasks_poisoned.load(Ordering::Relaxed)
+    /// The execution tallies as of now.
+    pub fn tallies(&self) -> Tallies {
+        self.shared.state.lock().tallies.clone()
     }
 
     /// Bodies the watchdog flagged for exceeding the stall budget.
@@ -493,26 +624,26 @@ impl Executor {
         self.shared.state.lock().outstanding
     }
 
-    /// Executed-body tallies keyed by kernel name.
-    pub fn task_counts(&self) -> BTreeMap<&'static str, u64> {
-        self.shared.state.lock().counts.clone()
-    }
-
-    /// Accumulated execution nanoseconds per kernel name (only grows
-    /// while event logging or per-kernel timing is on).
-    pub fn task_execute_ns(&self) -> BTreeMap<&'static str, u64> {
-        self.shared.state.lock().exec_ns.clone()
-    }
-
     /// Enable or disable per-kernel execution timing independently of
     /// the event log.
     pub fn set_kernel_timing(&self, on: bool) {
         self.shared.kernel_timing.store(on, Ordering::Relaxed);
     }
 
-    /// The executor's event sink (spans, histograms, enable flag).
+    /// The event layer's enable flag, clock and histograms.
     pub fn events(&self) -> &EventSink {
         &self.shared.events
+    }
+
+    /// Drain the span log into complete spans, sorted by task id. The
+    /// span of a task that has not retired yet is left for the next
+    /// drain.
+    pub fn drain_spans(&self) -> Vec<TaskSpan> {
+        let mut st = self.shared.state.lock();
+        let in_flight_from = st.base;
+        let (spans, lost) = st.spans.drain(in_flight_from);
+        st.tallies.events_dropped += lost;
+        spans
     }
 }
 
@@ -521,9 +652,6 @@ impl Drop for Executor {
         {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-        }
-        {
-            let _g = self.shared.sleep_lock.lock();
             self.shared.wake_cv.notify_all();
         }
         for h in self.workers.drain(..) {
@@ -534,55 +662,6 @@ impl Drop for Executor {
             let _ = h.join();
         }
     }
-}
-
-/// Push a ready node to its mapped worker's affinity queue, or to
-/// the injector when no mapper is installed. Nodes with `priority > 0`
-/// go to the express-lane twins of those queues instead.
-fn route(shared: &ExecShared, runnable: Runnable) {
-    let express = runnable.meta().priority > 0;
-    match &shared.mapper {
-        Some(m) => {
-            let w = m.map_task(&runnable.meta().to_meta()) % shared.pinned.len();
-            if express {
-                shared.pinned_hi[w].push(runnable);
-            } else {
-                shared.pinned[w].push(runnable);
-            }
-        }
-        None if express => shared.injector_hi.push(runnable),
-        None => shared.injector.push(runnable),
-    }
-}
-
-/// Pop the next node for worker `me`: the express lanes first
-/// (own queue, injector, then steal), then the same order through the
-/// normal lanes.
-fn find_work(shared: &ExecShared, me: usize) -> Option<(Runnable, bool)> {
-    let n = shared.pinned.len();
-    if let Some(r) = shared.pinned_hi[me].pop() {
-        return Some((r, false));
-    }
-    if let Some(r) = shared.injector_hi.pop() {
-        return Some((r, false));
-    }
-    for off in 1..n {
-        if let Some(r) = shared.pinned_hi[(me + off) % n].pop() {
-            return Some((r, true));
-        }
-    }
-    if let Some(r) = shared.pinned[me].pop() {
-        return Some((r, false));
-    }
-    if let Some(r) = shared.injector.pop() {
-        return Some((r, false));
-    }
-    for off in 1..n {
-        if let Some(r) = shared.pinned[(me + off) % n].pop() {
-            return Some((r, true));
-        }
-    }
-    None
 }
 
 /// Extract a readable message from a `catch_unwind` payload.
@@ -617,34 +696,35 @@ enum Retiring<'a> {
 /// Retire a node and cascade poison through the DAG: successors of a
 /// failed node are marked poisoned; any that become ready while
 /// poisoned are retired in turn (their bodies dropped, not run, which
-/// poisons any promise a body captured). Runs entirely under the
-/// state lock, so fences observing `outstanding == 0` see every span
-/// and counter of the cascade.
+/// poisons any promise a body captured). Successors that become ready
+/// unpoisoned are queued; returns how many were. Runs entirely under
+/// the state lock, so fences observing `outstanding == 0` see every
+/// span and counter of the cascade.
 fn retire_locked(
     shared: &ExecShared,
     st: &mut DepState,
     first: Retiring<'_>,
-    ready: &mut Vec<Runnable>,
     me: usize,
     logging: bool,
-) {
+) -> usize {
     // Nodes to retire without running.
     let mut unrun: Vec<Runnable> = Vec::new();
+    let mut released = 0;
     match first {
         Retiring::Ran { id, bodies } => {
-            retire_one(shared, st, id, bodies, ready, &mut unrun, me, logging)
+            released += retire_one(shared, st, id, bodies, &mut unrun, me, logging)
         }
         Retiring::Unrun(run) => unrun.push(run),
     }
     while let Some(run) = unrun.pop() {
-        shared.tasks_poisoned.fetch_add(1, Ordering::Relaxed);
-        let now = if logging { shared.events.now_ns() } else { 0 };
+        st.tallies.tasks_poisoned += 1;
+        let now = shared.stamp(logging);
         let records: Vec<BodyRecord> = run
             .members
             .iter()
             .map(|m| BodyRecord {
                 id: m.id,
-                name: m.name,
+                name: m.meta.name,
                 outcome: TaskOutcome::Poisoned,
                 ready_ns: now,
                 start_ns: now,
@@ -655,33 +735,40 @@ fn retire_locked(
         // Dropping the node drops its bodies; any captured Promise
         // poisons its Future here.
         drop(run);
-        retire_one(shared, st, id, &records, ready, &mut unrun, me, logging);
+        released += retire_one(shared, st, id, &records, &mut unrun, me, logging);
     }
     while st.slots.front().is_some_and(|s| !s.live) {
         st.slots.pop_front();
         st.base += 1;
     }
+    released
 }
 
 /// One step of [`retire_locked`]: release (or poison) the successors
-/// of node `id`, account its bodies, and count it finished.
-#[allow(clippy::too_many_arguments)]
+/// of node `id`, account its bodies, and count it finished. Returns
+/// the number of successors queued.
 fn retire_one(
     shared: &ExecShared,
     st: &mut DepState,
     id: TaskId,
     bodies: &[BodyRecord],
-    ready: &mut Vec<Runnable>,
     unrun: &mut Vec<Runnable>,
     me: usize,
     logging: bool,
-) {
+) -> usize {
     let poison = bodies.iter().any(|b| b.outcome != TaskOutcome::Completed);
     if poison {
         st.poisoned_retired.insert(id);
     }
+    // The node's retire stamp is its successors' ready stamp.
+    let retire_ns = shared.stamp(logging);
+    let mut released = 0;
     let DepState {
-        base, slots, batch, ..
+        base,
+        slots,
+        batch,
+        ready,
+        ..
     } = st;
     let slot = &mut slots[(id - *base) as usize];
     slot.live = false;
@@ -707,7 +794,8 @@ fn retire_one(
             if succ.poisoned {
                 unrun.push(run);
             } else {
-                ready.push(run);
+                ready.push(run, retire_ns);
+                released += 1;
             }
         }
     }
@@ -715,213 +803,187 @@ fn retire_one(
     // fence observing `outstanding == 0` then implies every executed
     // body's span has landed, so fence-then-snapshot sequences
     // (take_spans, metrics) never see a straggler.
-    let retire_ns = if logging { shared.events.now_ns() } else { 0 };
     for b in bodies {
         if b.outcome != TaskOutcome::Poisoned {
-            *st.counts.entry(b.name).or_insert(0) += 1;
+            *st.tallies.task_counts.entry(b.name).or_insert(0) += 1;
         }
         if b.outcome == TaskOutcome::Completed {
             // Zero when neither logging nor kernel timing stamped the
             // body, so the map stays cost-free on the disabled path.
             let dt = b.end_ns.saturating_sub(b.start_ns);
             if dt > 0 {
-                *st.exec_ns.entry(b.name).or_insert(0) += dt;
+                *st.tallies.task_execute_ns.entry(b.name).or_insert(0) += dt;
             }
         }
         if logging {
-            shared.events.record_exec(
-                me, b.id, b.ready_ns, b.start_ns, b.end_ns, retire_ns, b.outcome,
-            );
+            let rec = ExecRecord {
+                id: b.id,
+                ready_ns: b.ready_ns,
+                start_ns: b.start_ns,
+                end_ns: b.end_ns,
+                retire_ns,
+                outcome: b.outcome,
+            };
+            shared.events.observe(&rec);
+            st.spans.record_exec(me, rec);
+            st.tallies.events_recorded += 1;
         }
     }
     st.outstanding -= 1;
     if st.outstanding == 0 {
         shared.idle_cv.notify_all();
     }
+    released
 }
 
-fn worker_loop(shared: Arc<ExecShared>, me: usize) {
+/// Run the bodies of `node` in order, with the scheduler lock
+/// released, filling `records` with what became of each. Returns the
+/// failure of the body that panicked, if one did; the bodies behind
+/// it are dropped unrun.
+fn run_node(
+    shared: &ExecShared,
+    me: usize,
+    node: Runnable,
+    timing: bool,
+    records: &mut Vec<BodyRecord>,
+) -> Option<TaskError> {
+    records.clear();
+    let mut failure = None;
+    // One relaxed load when the watchdog is off — the fault layer's
+    // entire cost on the disabled execute path (the injected-fault
+    // check below is a plain field read).
+    let budget = shared.stall_budget_ns.load(Ordering::Relaxed);
+    // A fused member is ready the moment the one before it returns.
+    let mut ready_ns = node.ready_ns;
+    let mut members = node.members.into_iter();
+    for m in members.by_ref() {
+        let Member {
+            id,
+            body,
+            ctx,
+            meta,
+            fault,
+        } = m;
+        let name = meta.name;
+        let start_ns = shared.stamp(timing);
+        if budget > 0 {
+            let slot = &shared.watch[me];
+            slot.since_ns
+                .store(shared.events.now_ns(), Ordering::Relaxed);
+            slot.task.store(id + 1, Ordering::Release);
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match fault {
+            Some(FaultKind::Panic) => {
+                panic!("injected fault: forced panic in '{name}'")
+            }
+            Some(FaultKind::Stall { millis }) => {
+                std::thread::sleep(Duration::from_millis(millis));
+                body(&ctx)
+            }
+            _ => body(&ctx),
+        }));
+        if budget > 0 {
+            shared.watch[me].task.store(0, Ordering::Release);
+        }
+        if result.is_ok() && fault == Some(FaultKind::CorruptWrite) {
+            // Silent corruption: flip the first element of the first
+            // writable requirement to an all-ones pattern (NaN for
+            // floats) after the body completed normally.
+            if let Some(req) = ctx.reqs.iter().find(|r| r.privilege == Privilege::Write) {
+                (req.corrupt)(req);
+            }
+        }
+        let end_ns = shared.stamp(timing);
+        records.push(BodyRecord {
+            id,
+            name,
+            outcome: match result {
+                Ok(()) => TaskOutcome::Completed,
+                Err(_) => TaskOutcome::Panicked,
+            },
+            ready_ns,
+            start_ns,
+            end_ns,
+        });
+        ready_ns = end_ns;
+        if let Err(payload) = result {
+            failure = Some(TaskError {
+                task: id,
+                name,
+                kind: TaskErrorKind::Panicked(panic_message(payload.as_ref())),
+            });
+            break;
+        }
+    }
+    // Bodies behind a panicking one never run; dropping them poisons
+    // their promises like any poisoned task's.
+    for m in members {
+        records.push(BodyRecord {
+            id: m.id,
+            name: m.meta.name,
+            outcome: TaskOutcome::Poisoned,
+            ready_ns,
+            start_ns: ready_ns,
+            end_ns: ready_ns,
+        });
+    }
+    failure
+}
+
+fn worker_loop(shared: &ExecShared, me: usize) {
     // The bodies of the node in hand, reused from node to node.
     let mut records: Vec<BodyRecord> = Vec::new();
+    // Successors this worker queued in the critical section it is
+    // still in.
+    let mut released = 0usize;
+    let mut st = shared.state.lock();
     loop {
-        let runnable = loop {
-            if let Some((r, was_steal)) = find_work(&shared, me) {
-                if was_steal {
-                    shared.stolen.fetch_add(1, Ordering::Relaxed);
-                }
-                break r;
+        let next = st.ready.pop(me);
+        // This worker takes one of the nodes it just queued itself;
+        // each of the others gets a parked worker, if there is one.
+        shared.wake(&st, released.saturating_sub(1));
+        released = 0;
+        let Some((node, stolen)) = next else {
+            if st.shutdown {
+                return;
             }
-            // Park until woken; re-check shutdown under the state
-            // lock to avoid missing the final wakeup.
-            {
-                let st = shared.state.lock();
-                if st.shutdown {
-                    return;
-                }
-            }
-            shared.sleepers.fetch_add(1, Ordering::AcqRel);
-            {
-                let mut g = shared.sleep_lock.lock();
-                // Double-check: work may have arrived between the
-                // last probe and parking.
-                if find_probe(&shared) {
-                    shared.sleepers.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                shared
-                    .wake_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(5));
-            }
-            shared.sleepers.fetch_sub(1, Ordering::AcqRel);
+            // Parking releases the lock this worker found the queues
+            // empty under, so whoever queues a node next sees it in
+            // `idle` and wakes it.
+            st.idle += 1;
+            shared.wake_cv.wait(&mut st);
+            st.idle -= 1;
+            continue;
         };
-
+        st.tallies.stolen += u64::from(stolen);
         // One relaxed load each when logging and kernel timing are
         // off — the entire cost those layers add to the disabled
         // execute path.
         let logging = shared.events.enabled();
-        let timing = logging || shared.kernel_timing.load(Ordering::Relaxed);
-        if runnable.poisoned {
+        if node.poisoned {
             // Born poisoned: a dependence had already retired failed.
-            let mut ready = Vec::new();
-            {
-                let mut st = shared.state.lock();
-                let first = Retiring::Unrun(runnable);
-                retire_locked(&shared, &mut st, first, &mut ready, me, logging);
-            }
-            release_ready(&shared, ready.into_iter());
+            released = retire_locked(shared, &mut st, Retiring::Unrun(node), me, logging);
             continue;
         }
-        let node_id = runnable.id();
-        records.clear();
-        let mut failure = None;
-        // One relaxed load when the watchdog is off — the fault
-        // layer's entire cost on the disabled execute path (the
-        // injected-fault check below is a plain field read).
-        let budget = shared.stall_budget_ns.load(Ordering::Relaxed);
-        // A fused member is ready the moment the one before it
-        // returns.
-        let mut ready_ns = runnable.ready_ns;
-        let mut members = runnable.members.into_iter();
-        for m in members.by_ref() {
-            let Member {
-                id,
-                name,
-                body,
-                ctx,
-                fault,
-                ..
-            } = m;
-            let start_ns = if timing { shared.events.now_ns() } else { 0 };
-            if budget > 0 {
-                let slot = &shared.watch[me];
-                slot.since_ns
-                    .store(shared.events.now_ns(), Ordering::Relaxed);
-                slot.task.store(id + 1, Ordering::Release);
-            }
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match fault {
-                    Some(FaultKind::Panic) => {
-                        panic!("injected fault: forced panic in '{name}'")
-                    }
-                    Some(FaultKind::Stall { millis }) => {
-                        std::thread::sleep(Duration::from_millis(millis));
-                        body(&ctx)
-                    }
-                    _ => body(&ctx),
-                }));
-            if budget > 0 {
-                shared.watch[me].task.store(0, Ordering::Release);
-            }
-            if result.is_ok() && fault == Some(FaultKind::CorruptWrite) {
-                // Silent corruption: flip the first element of the
-                // first writable requirement to an all-ones pattern
-                // (NaN for floats) after the body completed
-                // normally.
-                if let Some(req) = ctx.reqs.iter().find(|r| r.privilege == Privilege::Write) {
-                    (req.corrupt)(req);
-                }
-            }
-            let end_ns = if timing { shared.events.now_ns() } else { 0 };
-            records.push(BodyRecord {
-                id,
-                name,
-                outcome: match result {
-                    Ok(()) => TaskOutcome::Completed,
-                    Err(_) => TaskOutcome::Panicked,
-                },
-                ready_ns,
-                start_ns,
-                end_ns,
-            });
-            ready_ns = end_ns;
-            if let Err(payload) = result {
-                shared.task_failures.fetch_add(1, Ordering::Relaxed);
-                failure = Some(TaskError {
-                    task: id,
-                    name,
-                    kind: TaskErrorKind::Panicked(panic_message(payload.as_ref())),
-                });
-                break;
-            }
-        }
-        // Bodies behind a panicking one never run; dropping them
-        // poisons their promises like any poisoned task's.
-        for m in members {
-            records.push(BodyRecord {
-                id: m.id,
-                name: m.name,
-                outcome: TaskOutcome::Poisoned,
-                ready_ns,
-                start_ns: ready_ns,
-                end_ns: ready_ns,
-            });
-        }
-        shared.executed.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        let timing = logging || shared.kernel_timing.load(Ordering::Relaxed);
+        let id = node.id();
+        let failure = run_node(shared, me, node, timing, &mut records);
 
-        // Retire: record any failure, then release (or poison)
-        // successors.
-        let mut ready = Vec::new();
-        {
-            let mut st = shared.state.lock();
-            if let Some(e) = failure {
-                st.failure.get_or_insert(e);
-            }
-            let first = Retiring::Ran {
-                id: node_id,
-                bodies: &records,
-            };
-            retire_locked(&shared, &mut st, first, &mut ready, me, logging);
+        // Retire: record any failure, release (or poison) successors,
+        // and go round to take the next node, all under one
+        // acquisition.
+        st = shared.state.lock();
+        st.tallies.executed += 1;
+        if let Some(e) = failure {
+            st.tallies.task_failures += 1;
+            st.failure.get_or_insert(e);
         }
-        release_ready(&shared, ready.into_iter());
-    }
-}
-
-/// Stamp and route nodes that just became ready, then wake as many
-/// parked workers as there are nodes for.
-fn release_ready(shared: &ExecShared, ready: impl ExactSizeIterator<Item = Runnable>) {
-    let n_ready = ready.len();
-    if n_ready == 0 {
-        return;
-    }
-    let ready_stamp = if shared.events.enabled() {
-        shared.events.now_ns()
-    } else {
-        0
-    };
-    for mut r in ready {
-        // Successors route through the mapper too — otherwise
-        // affinity only applies to nodes that were ready at
-        // submit time, and steady-state iterations (where almost
-        // every node waits on a predecessor) lose all locality.
-        r.ready_ns = ready_stamp;
-        route(shared, r);
-    }
-    let sleepers = shared.sleepers.load(Ordering::Acquire);
-    if sleepers > 0 {
-        let _g = shared.sleep_lock.lock();
-        for _ in 0..n_ready.min(sleepers) {
-            shared.wake_cv.notify_one();
-        }
+        let ran = Retiring::Ran {
+            id,
+            bodies: &records,
+        };
+        released = retire_locked(shared, &mut st, ran, me, logging);
     }
 }
 
@@ -936,11 +998,8 @@ fn watchdog_loop(shared: Arc<ExecShared>) {
         if budget == 0 {
             return;
         }
-        {
-            let st = shared.state.lock();
-            if st.shutdown {
-                return;
-            }
+        if shared.state.lock().shutdown {
+            return;
         }
         let poll_ns = (budget / 4).clamp(1_000_000, 50_000_000);
         std::thread::sleep(Duration::from_nanos(poll_ns));
@@ -960,24 +1019,16 @@ fn watchdog_loop(shared: Arc<ExecShared>) {
     }
 }
 
-/// Cheap emptiness probe across all queues.
-fn find_probe(shared: &ExecShared) -> bool {
-    if !shared.injector.is_empty() || !shared.injector_hi.is_empty() {
-        return true;
-    }
-    shared.pinned.iter().any(|q| !q.is_empty()) || shared.pinned_hi.iter().any(|q| !q.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultSpec, FireSchedule};
     use crate::mapper::RoundRobinMapper;
+    use std::sync::atomic::AtomicUsize;
 
-    fn member(id: TaskId, meta: TaskMetaLite, f: impl FnOnce() + Send + 'static) -> Member {
+    fn member(id: TaskId, meta: TaskMeta, f: impl FnOnce() + Send + 'static) -> Member {
         Member {
             id,
-            name: "test",
             body: Box::new(move |_| f()),
             ctx: TaskContext { reqs: Vec::new() },
             meta,
@@ -986,15 +1037,11 @@ mod tests {
     }
 
     fn runnable(id: TaskId, f: impl FnOnce() + Send + 'static) -> Runnable {
-        Runnable::single(member(id, TaskMetaLite::default(), f))
+        Runnable::single(member(id, TaskMeta::new("test"), f))
     }
 
     fn runnable_colored(id: TaskId, color: usize, f: impl FnOnce() + Send + 'static) -> Runnable {
-        let meta = TaskMetaLite {
-            color: Some(color),
-            ..TaskMetaLite::default()
-        };
-        Runnable::single(member(id, meta, f))
+        Runnable::single(member(id, TaskMeta::new("test").with_color(color), f))
     }
 
     #[test]
@@ -1012,7 +1059,7 @@ mod tests {
         }
         ex.fence().unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 32);
-        assert_eq!(ex.executed(), 32);
+        assert_eq!(ex.tallies().executed, 32);
     }
 
     #[test]
@@ -1061,7 +1108,7 @@ mod tests {
         ex.fence().unwrap();
         ex.submit(runnable(1, || {}), &[0]);
         ex.fence().unwrap();
-        assert_eq!(ex.executed(), 2);
+        assert_eq!(ex.tallies().executed, 2);
     }
 
     #[test]
@@ -1085,8 +1132,8 @@ mod tests {
         // ...and the executor keeps working afterwards.
         ex.submit(runnable(1, || {}), &[]);
         ex.fence().unwrap();
-        assert_eq!(ex.executed(), 2);
-        assert_eq!(ex.task_failures(), 1);
+        assert_eq!(ex.tallies().executed, 2);
+        assert_eq!(ex.tallies().task_failures, 1);
     }
 
     #[test]
@@ -1114,10 +1161,10 @@ mod tests {
         let err = ex.fence().unwrap_err();
         assert_eq!(err.task, 0);
         assert_eq!(ran.load(Ordering::SeqCst), 100, "successors must not run");
-        assert_eq!(ex.tasks_poisoned(), 3);
-        assert_eq!(ex.task_failures(), 1);
+        assert_eq!(ex.tallies().tasks_poisoned, 3);
+        assert_eq!(ex.tallies().task_failures, 1);
         // Only the root body and the independent task executed.
-        assert_eq!(ex.executed(), 2);
+        assert_eq!(ex.tallies().executed, 2);
     }
 
     #[test]
@@ -1137,7 +1184,7 @@ mod tests {
         );
         assert!(ex.fence().is_err());
         assert_eq!(ran.load(Ordering::SeqCst), 0);
-        assert_eq!(ex.tasks_poisoned(), 1);
+        assert_eq!(ex.tallies().tasks_poisoned, 1);
     }
 
     #[test]
@@ -1154,7 +1201,7 @@ mod tests {
                 ex.submit(runnable(id, || {}), &[]);
             }
             let err = ex.fence().unwrap_err();
-            (err.task, ex.faults_injected(), ex.task_failures())
+            (err.task, ex.faults_injected(), ex.tallies().task_failures)
         };
         assert_eq!(run(), (4, 1, 1), "5th submitted task must panic");
         assert_eq!(run(), run(), "identical plans give identical failures");
@@ -1205,7 +1252,7 @@ mod tests {
             );
         }
         ex.fence().unwrap();
-        assert_eq!(ex.executed(), 200);
+        assert_eq!(ex.tallies().executed, 200);
         let local = hits[0].load(Ordering::Relaxed) + hits[1].load(Ordering::Relaxed);
         assert!(local > 0, "affinity must route at least some tasks home");
     }
@@ -1229,20 +1276,6 @@ mod tests {
             ex.fence().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 1000);
-    }
-
-    #[test]
-    fn meta_lite_roundtrip() {
-        let lite = TaskMetaLite {
-            color: Some(3),
-            flops: 10,
-            bytes: 20,
-            priority: 1,
-        };
-        let m = lite.to_meta();
-        assert_eq!(m.color, Some(3));
-        assert_eq!(m.flops, 10);
-        assert_eq!(m.priority, 1);
     }
 
     #[test]
@@ -1272,10 +1305,7 @@ mod tests {
             );
         }
         let o = Arc::clone(&order);
-        let express = TaskMetaLite {
-            priority: 1,
-            ..TaskMetaLite::default()
-        };
+        let express = TaskMeta::new("test").with_priority(1);
         let hi = Runnable::single(member(99, express, move || {
             o.lock().push(99);
         }));

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # kdr-runtime
 //!
 //! A task-oriented runtime in the mold of Legion, built from scratch
@@ -30,13 +31,13 @@
 //! if it shares no element with a write requirement of the same task.
 //! Debug builds assert that, and that every access stays inside the
 //! subset the task declared. All `unsafe` in this crate lives in
-//! [`buffer`], apart from the event log's per-worker span ring in
-//! [`events`].
+//! [`buffer`], and the compiler holds it there: the crate denies
+//! `unsafe_code` and `buffer` is the one module allowed it.
 //!
 //! ## Observability
 //!
 //! The runtime can explain where time goes: [`Runtime::enable_events`]
-//! turns on a lock-free structured event log ([`events`]) recording
+//! turns on a structured event log ([`events`]) recording
 //! one [`TaskSpan`] per task (submit → ready → execute → retire, with
 //! analyzed-vs-replayed [`Provenance`]); [`Runtime::metrics`] returns
 //! a [`MetricsSnapshot`] of counters and latency histograms
@@ -60,6 +61,7 @@
 //! the submit and execute paths — the same contract as the event
 //! log.
 
+#[allow(unsafe_code)]
 pub mod buffer;
 pub mod events;
 pub mod executor;
@@ -87,5 +89,5 @@ pub use future::{promise, Future, Promise, PromiseDropped};
 pub use mapper::{ColorAffinityMapper, Mapper, RoundRobinMapper, TaskMeta};
 pub use metrics::{AtomicHistogram, HistogramSnapshot, MetricsSnapshot};
 pub use runtime::Runtime;
-pub use task::{Privilege, TaskBuilder, TaskContext, TaskId, TaskMetaLite};
+pub use task::{Privilege, TaskBuilder, TaskContext, TaskId};
 pub use trace::{ShapeSig, Trace, TraceCache};

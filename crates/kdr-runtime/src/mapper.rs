@@ -8,17 +8,15 @@
 //! (paper §6.3) is implemented as a custom mapper that migrates
 //! matrix tiles between nodes.
 
-/// Scheduling metadata attached to a task.
-#[derive(Clone, Debug)]
+/// Scheduling metadata attached to a task: what a [`Mapper`] sees and
+/// what the executor carries with the task's body.
+#[derive(Clone, Copy, Debug)]
 pub struct TaskMeta {
     /// Human-readable kernel name.
     pub name: &'static str,
-    /// Color within an index launch, if any.
+    /// Partition color the task belongs to, if it is a point task of
+    /// an index launch (the mapper's affinity key).
     pub color: Option<usize>,
-    /// Estimated floating-point operations.
-    pub flops: u64,
-    /// Estimated bytes of memory traffic.
-    pub bytes: u64,
     /// Scheduling priority: 0 is the normal lane, anything greater
     /// routes the task through the executor's express lane, which
     /// workers drain before normal work.
@@ -26,14 +24,12 @@ pub struct TaskMeta {
 }
 
 impl TaskMeta {
-    /// Metadata with the given kernel name and no color or cost
-    /// estimates.
+    /// Metadata with the given kernel name, no color and normal
+    /// priority.
     pub fn new(name: &'static str) -> Self {
         TaskMeta {
             name,
             color: None,
-            flops: 0,
-            bytes: 0,
             priority: 0,
         }
     }
@@ -41,13 +37,6 @@ impl TaskMeta {
     /// Attach an index-launch color.
     pub fn with_color(mut self, color: usize) -> Self {
         self.color = Some(color);
-        self
-    }
-
-    /// Attach cost estimates (used by simulators and mappers).
-    pub fn with_cost(mut self, flops: u64, bytes: u64) -> Self {
-        self.flops = flops;
-        self.bytes = bytes;
         self
     }
 
@@ -235,14 +224,9 @@ mod tests {
 
     #[test]
     fn meta_builders() {
-        let m = TaskMeta::new("spmv")
-            .with_color(3)
-            .with_cost(100, 800)
-            .with_priority(2);
+        let m = TaskMeta::new("spmv").with_color(3).with_priority(2);
         assert_eq!(m.name, "spmv");
         assert_eq!(m.color, Some(3));
-        assert_eq!(m.flops, 100);
-        assert_eq!(m.bytes, 800);
         assert_eq!(m.priority, 2);
     }
 

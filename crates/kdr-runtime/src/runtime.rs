@@ -9,18 +9,17 @@
 //! [`Runtime::set_stall_budget`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::events::{Provenance, SubmitRecord, TaskSpan};
+use crate::events::TaskSpan;
 use crate::executor::{Executor, Member, Runnable};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
 use crate::mapper::Mapper;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{TaskBuilder, TaskContext, TaskId, TaskMetaLite};
+use crate::task::{TaskBuilder, TaskContext, TaskId};
 use crate::trace::Trace;
 
 /// A capture in progress. Only the owning thread submits while it is
@@ -205,25 +204,15 @@ impl Runtime {
                 .push(deps.iter().map(|d| (d - first) as usize).collect());
             cap.colors.push(task.meta.color);
         }
-        if self.exec.events().enabled() {
-            self.exec.events().record_submit(SubmitRecord {
-                id,
-                name: task.name,
-                provenance: Provenance::Analyzed,
-                submit_ns: self.exec.events().now_ns(),
-                deps: deps.clone(),
-            });
-        }
         // Hold the state lock across executor submission so tasks
         // enter the executor in analysis order (which also keeps
         // fault-injection decisions deterministic).
         self.exec.submit(
             Runnable::single(Member {
                 id,
-                name: task.name,
                 body,
                 ctx: TaskContext { reqs: task.reqs },
-                meta: TaskMetaLite::from_meta(&task.meta),
+                meta: task.meta,
                 fault: None,
             }),
             &deps,
@@ -399,33 +388,18 @@ impl Runtime {
         st.tasks_submitted += nodes;
         st.tasks_replayed += nodes;
         st.tasks_fused += tasks.len() as u64 - nodes;
-        let logging = self.exec.events().enabled();
         let members = tasks
             .into_iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let id = base + i as TaskId;
-                if logging {
-                    self.exec.events().record_submit(SubmitRecord {
-                        id,
-                        name: task.name,
-                        provenance: Provenance::Replayed,
-                        submit_ns: self.exec.events().now_ns(),
-                        deps: trace.deps[i].iter().map(|&l| base + l as TaskId).collect(),
-                    });
-                }
-                Member {
-                    id,
-                    name: task.name,
-                    body: task.body.expect("bodies were checked above"),
-                    ctx: TaskContext { reqs: task.reqs },
-                    meta: TaskMetaLite::from_meta(&task.meta),
-                    fault: None,
-                }
+            .zip(base..)
+            .map(|(task, id)| Member {
+                id,
+                body: task.body.expect("bodies were checked above"),
+                ctx: TaskContext { reqs: task.reqs },
+                meta: task.meta,
+                fault: None,
             })
             .collect();
-        self.exec
-            .submit_graph(base, Arc::clone(&trace.graph), members);
+        self.exec.submit_graph(base, trace, members);
         st.analyzer.install(&trace.frontier, |local| base + local);
         drop(st);
         Ok((base..end).collect())
@@ -444,15 +418,17 @@ impl Runtime {
     }
 
     /// Drain the event log into complete [`TaskSpan`]s, sorted by
-    /// task id. Fences first so every recorded task has retired and
-    /// no worker is concurrently writing its ring (a recorded task
+    /// task id. Fences first so every task submitted before the call
+    /// has retired and its span is in the result (a recorded task
     /// failure does not block the drain — it stays available through
-    /// [`Runtime::take_failure`]). Spans whose execution record was
-    /// overwritten by ring wraparound are omitted (counted in
-    /// [`MetricsSnapshot::events_dropped`]).
+    /// [`Runtime::take_failure`]). Safe to call while other threads
+    /// submit: the drain takes the scheduler lock, and the span of a
+    /// task still in flight is returned by a later call. Spans whose
+    /// execution record was overwritten by ring wraparound are omitted
+    /// (counted in [`MetricsSnapshot::events_dropped`]).
     pub fn take_spans(&self) -> Vec<TaskSpan> {
         let _ = self.exec.fence();
-        self.exec.events().drain_spans()
+        self.exec.drain_spans()
     }
 
     /// A full metrics snapshot: activity counters plus queue-wait /
@@ -462,27 +438,28 @@ impl Runtime {
     pub fn metrics(&self) -> MetricsSnapshot {
         let st = self.state.lock();
         let events = self.exec.events();
+        let exec = self.exec.tallies();
         MetricsSnapshot {
             tasks_submitted: st.tasks_submitted,
-            tasks_executed: self.exec.executed(),
+            tasks_executed: exec.executed,
             tasks_analyzed: st.tasks_analyzed,
             tasks_replayed: st.tasks_replayed,
             tasks_fused: st.tasks_fused,
-            tasks_stolen: self.exec.stolen(),
+            tasks_stolen: exec.stolen,
             edges_created: st.analyzer.edges_created,
             analysis_ns: st.analysis_ns,
-            task_failures: self.exec.task_failures(),
-            tasks_poisoned: self.exec.tasks_poisoned(),
+            task_failures: exec.task_failures,
+            tasks_poisoned: exec.tasks_poisoned,
             tasks_stalled: self.exec.tasks_stalled(),
             faults_injected: self.exec.faults_injected(),
-            events_recorded: events.events_recorded(),
-            events_dropped: events.events_dropped(),
+            events_recorded: exec.events_recorded,
+            events_dropped: exec.events_dropped,
             reduction_stages: self.reduction_stages.load(Ordering::Relaxed),
             reduction_stall_ns: self.reduction_stall_ns.load(Ordering::Relaxed),
             queue_wait_ns: events.queue_wait_ns.snapshot(),
             execute_ns: events.execute_ns.snapshot(),
-            task_counts: self.exec.task_counts(),
-            task_execute_ns: self.exec.task_execute_ns(),
+            task_counts: exec.task_counts,
+            task_execute_ns: exec.task_execute_ns,
             catalogue_hits: self.catalogue_hits.load(Ordering::Relaxed),
             catalogue_misses: self.catalogue_misses.load(Ordering::Relaxed),
         }

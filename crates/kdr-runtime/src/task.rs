@@ -9,43 +9,6 @@ use kdr_index::IntervalSet;
 use crate::buffer::{Buffer, BufferInner, ReadView, WriteView};
 use crate::mapper::TaskMeta;
 
-/// Copyable scheduling metadata carried into the executor (the
-/// name-free core of [`TaskMeta`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TaskMetaLite {
-    /// Partition color the task belongs to, if it is a point task of
-    /// an index launch (the mapper's affinity key).
-    pub color: Option<usize>,
-    /// Estimated floating-point work, for cost-aware mappers.
-    pub flops: u64,
-    /// Estimated bytes moved, for cost-aware mappers.
-    pub bytes: u64,
-    /// Scheduling priority (0 = normal lane, >0 = express lane).
-    pub priority: u8,
-}
-
-impl TaskMetaLite {
-    /// Re-expand for mapper calls.
-    pub fn to_meta(self) -> TaskMeta {
-        TaskMeta {
-            name: "",
-            color: self.color,
-            flops: self.flops,
-            bytes: self.bytes,
-            priority: self.priority,
-        }
-    }
-
-    pub(crate) fn from_meta(m: &TaskMeta) -> Self {
-        TaskMetaLite {
-            color: m.color,
-            flops: m.flops,
-            bytes: m.bytes,
-            priority: m.priority,
-        }
-    }
-}
-
 /// Unique task identifier, in submission order.
 pub type TaskId = u64;
 
@@ -169,9 +132,13 @@ impl TaskBuilder {
         });
     }
 
-    /// Attach scheduling metadata (cost estimates, color).
+    /// Attach scheduling metadata (color, priority). The task keeps
+    /// the name it was built with.
     pub fn meta(mut self, meta: TaskMeta) -> Self {
-        self.meta = meta;
+        self.meta = TaskMeta {
+            name: self.name,
+            ..meta
+        };
         self
     }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-service
 //!
 //! A multi-tenant solve service over shared KDRSolvers runtimes.

@@ -306,6 +306,70 @@ impl FrontDoor {
         self.retry_queue.iter().any(|&(_, j)| j == job)
     }
 
+    /// The healthy shard the tenant of ledgered `job` lives on; `None`
+    /// while the tenant is stranded.
+    fn healthy_home(&self, job: JobId) -> Option<usize> {
+        let shard = self.tenants[&self.ledger[&job].tenant].shard;
+        self.slots[shard].status.is_healthy().then_some(shard)
+    }
+
+    /// Whether a parked retry can still be released. (The retry of a
+    /// stranded tenant waits for capacity to return; driving rounds
+    /// meanwhile would not help it.)
+    fn retry_releasable(&self) -> bool {
+        self.retry_queue
+            .iter()
+            .any(|&(_, job)| self.healthy_home(job).is_some())
+    }
+
+    /// Rebuild `tenant` on the healthy shard `dst` from front-door
+    /// state alone (nothing is read from the slot it lived on):
+    /// re-registered at its recorded weight, its sessions built cold
+    /// from the stashed specs, and every outstanding ledger job of its
+    /// resubmitted **from scratch** in admission order. Jobs parked in
+    /// the retry queue are *not* resubmitted here — their backoff
+    /// release routes them to the tenant's new shard.
+    fn rehome_from_ledger(&mut self, tenant: TenantId, dst: usize) {
+        let mut bundle = self.bundle(tenant);
+        bundle.sessions = self.tenants[&tenant]
+            .sessions
+            .iter()
+            .map(|(&id, spec)| BundleSession::cold(id, spec.clone()))
+            .collect();
+        let outstanding: Vec<JobId> = self
+            .ledger
+            .iter()
+            .filter(|(job, e)| !e.terminal && e.tenant == tenant && !self.retry_pending(**job))
+            .map(|(&job, _)| job)
+            .collect();
+        for job in outstanding {
+            self.ledger
+                .get_mut(&job)
+                .expect("collected above")
+                .resubmits += 1;
+            bundle.queued.push(self.requeue(job));
+            self.stats.jobs_resubmitted += 1;
+        }
+        self.install(dst, bundle);
+        self.migrations += 1;
+        self.stats.tenants_evacuated += 1;
+    }
+
+    /// Re-home every tenant still placed on a killed slot that has a
+    /// healthy ring successor (now, or since capacity returned).
+    fn rehome_stranded(&mut self) {
+        for idx in 0..self.slots.len() {
+            if self.slots[idx].status != ShardStatus::Killed {
+                continue;
+            }
+            for t in self.residents(idx) {
+                if let Some(dst) = self.ring_place_healthy(t) {
+                    self.rehome_from_ledger(t, dst);
+                }
+            }
+        }
+    }
+
     /// Delivered-retry count for a ledger entry: extra executions the
     /// front door granted (failed attempts that got a re-run, plus
     /// crash resubmissions).
@@ -736,11 +800,13 @@ impl ShardedService {
     /// Grow the fleet by one freshly spawned shard, then migrate
     /// every tenant whose consistent-hash placement lands on it
     /// (~`1/N` of tenants — the ring guarantee) via graceful
-    /// checkpoint migration. Returns the new shard's index.
+    /// checkpoint migration, and re-home the tenants a crash left
+    /// stranded on a killed slot. Returns the new shard's index.
     pub fn add_shard(&self) -> usize {
         let mut front = self.front.lock();
         let idx = self.add_shard_slot(&mut front);
         front.stats.shards_added += 1;
+        front.rehome_stranded();
         let movers: Vec<TenantId> = front
             .tenants
             .iter()
@@ -828,8 +894,10 @@ impl ShardedService {
     /// If no healthy shard remains, affected tenants are stranded:
     /// their placements keep pointing at the dead slot (submits get
     /// [`RejectReason::ShardDegraded`]) and their outstanding jobs
-    /// stay in the ledger, resolvable only by
-    /// [`ShardedService::cancel_job`].
+    /// stay in the ledger, cancellable through
+    /// [`ShardedService::cancel_job`], until capacity returns —
+    /// [`ShardedService::add_shard`] and every supervision tick re-home
+    /// them the same way.
     pub fn kill_shard(&self, idx: usize) -> bool {
         let mut front = self.front.lock();
         if idx >= front.slots.len() {
@@ -844,36 +912,7 @@ impl ShardedService {
         // Dropping the runtime joins its workers (in-flight task
         // bodies finish or panic; nothing is read back).
         drop(svc);
-
-        for t in front.residents(idx) {
-            let Some(dst) = front.ring_place_healthy(t) else {
-                continue;
-            };
-            let mut bundle = front.bundle(t);
-            bundle.sessions = front.tenants[&t]
-                .sessions
-                .iter()
-                .map(|(&id, spec)| BundleSession::cold(id, spec.clone()))
-                .collect();
-            // Every outstanding job of the tenant, in admission order.
-            // Jobs parked in the retry queue are *not* resubmitted
-            // here — their backoff release will route them to the
-            // tenant's new shard.
-            let outstanding: Vec<JobId> = front
-                .ledger
-                .iter()
-                .filter(|(job, e)| !e.terminal && e.tenant == t && !front.retry_pending(**job))
-                .map(|(&job, _)| job)
-                .collect();
-            for job in outstanding {
-                front.ledger.get_mut(&job).expect("collected above").resubmits += 1;
-                bundle.queued.push(front.requeue(job));
-                front.stats.jobs_resubmitted += 1;
-            }
-            front.install(dst, bundle);
-            front.migrations += 1;
-            front.stats.tenants_evacuated += 1;
-        }
+        front.rehome_stranded();
         true
     }
 
@@ -902,7 +941,7 @@ impl ShardedService {
         self.evacuate_residents(front, idx, self.cfg.supervisor.in_flight);
     }
 
-    /// Move every tenant still placed on an unroutable slot to its
+    /// Move every tenant still placed on an unroutable live slot to its
     /// healthy ring successor. Tenants with no healthy destination
     /// stay put (submits get [`RejectReason::ShardDegraded`]) and are
     /// retried on every later supervision tick, so they recover as
@@ -936,7 +975,9 @@ impl ShardedService {
             self.quarantine_and_evacuate(&mut front, idx);
         }
         // Re-attempt evacuations that previously found no healthy
-        // destination (capacity may have returned since).
+        // destination (capacity may have returned since): checkpoint
+        // migration off a quarantined slot, a rebuild from the ledger
+        // off a killed one.
         for idx in 0..front.slots.len() {
             if front.slots[idx].status == ShardStatus::Quarantined
                 && front.slots[idx].svc.is_some()
@@ -944,6 +985,7 @@ impl ShardedService {
                 self.evacuate_residents(&mut front, idx, self.cfg.supervisor.in_flight);
             }
         }
+        front.rehome_stranded();
         self.release_due_retries(&mut front);
     }
 
@@ -1034,33 +1076,25 @@ impl ShardedService {
 
     /// Requeue retry jobs whose backoff round arrived, in job-id
     /// order, on their tenant's *current* shard (which may differ
-    /// from where they failed, after an evacuation).
+    /// from where they failed, after an evacuation). A due retry whose
+    /// tenant is stranded (its shard quarantined or dead with no
+    /// successor) stays parked, cancellable, and is released by the
+    /// first tick after the tenant has a healthy home again.
     fn release_due_retries(&self, front: &mut FrontDoor) {
         let round = front.round;
-        let mut due: Vec<JobId> = Vec::new();
-        front.retry_queue.retain(|&(ready, job)| {
-            if ready <= round {
-                due.push(job);
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_unstable();
-        for job in due {
+        let parked = std::mem::take(&mut front.retry_queue);
+        let (mut due, waiting): (Vec<_>, Vec<_>) = parked
+            .into_iter()
+            .partition(|&(ready, job)| ready <= round && front.healthy_home(job).is_some());
+        front.retry_queue = waiting;
+        due.sort_unstable_by_key(|&(_, job)| job);
+        for (_, job) in due {
             let entry = &front.ledger[&job];
             if entry.terminal {
                 continue;
             }
-            let tenant = entry.tenant;
-            let shard = front.tenants[&tenant].shard;
-            if !front.slots[shard].status.is_healthy() {
-                // Stranded (the tenant's shard is quarantined or dead
-                // with no successor); the job stays in the ledger,
-                // cancellable.
-                continue;
-            }
-            let mut bundle = front.bundle(tenant);
+            let shard = front.healthy_home(job).expect("partitioned above");
+            let mut bundle = front.bundle(entry.tenant);
             bundle.queued.push(front.requeue(job));
             front.install(shard, bundle);
         }
@@ -1075,11 +1109,12 @@ impl ShardedService {
     /// One scheduling round: `drive` every shard that has work, each
     /// on its own thread, then run a rebalance pass and a supervision
     /// tick. Returns `false`, having done nothing, once the whole
-    /// fleet is idle *and* no retry is waiting out its backoff.
+    /// fleet is idle *and* no retry that a tick could release is
+    /// waiting out its backoff.
     fn round(&self, drive: impl Fn(&ShardEngine) + Sync) -> bool {
         let mut busy = self.live_shards();
         busy.retain(|svc| svc.has_work());
-        if busy.is_empty() && self.front.lock().retry_queue.is_empty() {
+        if busy.is_empty() && !self.front.lock().retry_releasable() {
             return false;
         }
         std::thread::scope(|scope| {

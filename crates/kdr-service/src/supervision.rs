@@ -20,8 +20,12 @@
 //!    is **evacuated** through the checkpoint/restart migration
 //!    machinery onto healthy shards (or onto a freshly spawned
 //!    replacement shard, per [`EvacuationPolicy`]);
-//! 4. **releases** retry jobs whose backoff expired, requeueing them
-//!    from scratch on their tenant's current shard.
+//! 4. **re-homes** tenants a crash left stranded on a killed slot,
+//!    rebuilt from the front door's record and ledger, once a healthy
+//!    shard exists again;
+//! 5. **releases** retry jobs whose backoff expired, requeueing them
+//!    from scratch on their tenant's current shard (a retry whose
+//!    tenant is stranded waits for step 4).
 //!
 //! ## Determinism: what is and is not bit-identical
 //!
@@ -72,8 +76,9 @@ pub enum ShardStatus {
     Quarantined,
     /// Forcibly killed ([`ShardedService::kill_shard`]): the runtime
     /// was dropped without a checkpoint, simulating a crash. Resident
-    /// tenants were rebuilt on healthy shards from front-door state
-    /// and their outstanding jobs resubmitted from the ledger.
+    /// tenants are rebuilt on healthy shards from front-door state
+    /// and their outstanding jobs resubmitted from the ledger — at the
+    /// crash, or as soon as a healthy shard exists.
     ///
     /// [`ShardedService::kill_shard`]: crate::ShardedService::kill_shard
     Killed,

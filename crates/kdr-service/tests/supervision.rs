@@ -370,6 +370,107 @@ fn kill_shard_recovery_is_bit_identical_to_fault_free() {
 }
 
 #[test]
+fn stranded_tenants_recover_when_a_shard_is_added() {
+    // Kill the only shard of a fleet while it has jobs outstanding and
+    // one waiting out a retry backoff: nobody can take the tenants, so
+    // they are stranded — and the retry comes due while they are.
+    // Capacity returning (`add_shard`) must re-home them from the
+    // ledger and deliver every job exactly once, bit for bit the
+    // fault-free results.
+    let run = |chaos: bool| {
+        let supervisor = SupervisorConfig {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_backoff_rounds: 2,
+            },
+            ..SupervisorConfig::default()
+        };
+        let svc = fleet(1, supervisor);
+        let n = 16 * 16;
+        for t in [1u32, 2] {
+            svc.register_tenant(t, 1);
+            let sid = svc
+                .create_session(t, spec(16, 16, 2, SolverKind::Cg))
+                .unwrap();
+            for j in 0..3u64 {
+                svc.submit(t, history_req(sid, n, u64::from(t) * 10 + j))
+                    .unwrap();
+            }
+        }
+        let mut delivered = Vec::new();
+        if chaos {
+            svc.shard(0)
+                .runtime()
+                .set_fault_plan(Some(panic_on("spmv", FireSchedule::Nth(3), 1)));
+            // Drive until the failed attempt is parked for its retry.
+            for _ in 0..50 {
+                svc.shard(0).run_slices(1);
+                svc.supervise();
+                if svc.supervisor_stats().retries_scheduled == 1 {
+                    break;
+                }
+            }
+            assert_eq!(svc.supervisor_stats().retries_scheduled, 1);
+            delivered = svc.take_responses();
+            assert!(delivered.len() < 5, "jobs must be outstanding at the crash");
+
+            assert!(svc.kill_shard(0));
+            assert_eq!(svc.healthy_shard_count(), 0);
+            assert_eq!(svc.shard_of(1), Some(0), "stranded on the dead slot");
+            // The backoff expires with nowhere to run the retry...
+            for _ in 0..4 {
+                svc.supervise();
+            }
+            // ...and driving a fleet with no capacity terminates.
+            svc.run_until_idle();
+            assert!(svc.take_responses().is_empty());
+            assert_eq!(
+                svc.submit(1, history_req(0, n, 99)).unwrap_err(),
+                RejectReason::ShardDegraded { shard: 0 }
+            );
+
+            let fresh = svc.add_shard();
+            assert_eq!(svc.shard_of(1), Some(fresh));
+            assert_eq!(svc.shard_of(2), Some(fresh));
+        }
+        svc.run_until_idle();
+        delivered.extend(svc.take_responses());
+        let retries: u32 = delivered.iter().map(|r| r.retries).sum();
+        let mut fp: Vec<Fingerprint> = delivered
+            .iter()
+            .map(|r| {
+                assert!(r.outcome.is_converged(), "{:?}", r.outcome);
+                (r.job, r.tenant, r.iterations, bits(&r.residual_history))
+            })
+            .collect();
+        fp.sort();
+        (fp, retries, svc.supervisor_stats())
+    };
+    let (crashed, retries, stats) = run(true);
+    let (clean, _, _) = run(false);
+    assert_eq!(clean.len(), 6);
+    assert_eq!(
+        crashed.iter().map(|f| f.0).collect::<Vec<_>>(),
+        clean.iter().map(|f| f.0).collect::<Vec<_>>(),
+        "zero lost, zero duplicated"
+    );
+    assert_eq!(stats.kills, 1);
+    assert!(
+        stats.jobs_resubmitted >= 1,
+        "the crash had work outstanding"
+    );
+    assert_eq!(stats.retries_exhausted, 0);
+    assert!(
+        retries > stats.jobs_resubmitted as u32,
+        "the parked retry ran"
+    );
+    assert_eq!(
+        crashed, clean,
+        "re-homed tenants must replay the fault-free results bit for bit"
+    );
+}
+
+#[test]
 fn chaos_fleet_delivers_the_fault_free_results_exactly_once() {
     // Every recovery path at once: 3 shards x 16 tenants x 2 jobs,
     // one failure mode armed per shard — task panics (retry), stalls

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-sparse
 //!
 //! Sparse matrix storage formats for the KDRSolvers framework.

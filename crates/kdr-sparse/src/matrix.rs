@@ -128,34 +128,3 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
         t
     }
 }
-
-/// Estimate of the memory traffic (bytes) of one `y += A x` with a
-/// given format, used by the machine cost model. Counts entry loads,
-/// index metadata loads, vector reads and output writes.
-pub fn spmv_bytes(nnz: u64, rows: u64, cols: u64, entry_bytes: u64, index_bytes: u64) -> u64 {
-    // entries + column indices per nonzero, rowptr per row, x read,
-    // y read+write.
-    nnz * (entry_bytes + index_bytes)
-        + rows * index_bytes
-        + cols * entry_bytes
-        + 2 * rows * entry_bytes
-}
-
-/// Flop count of one `y += A x` (one multiply + one add per stored
-/// entry).
-pub fn spmv_flops(nnz: u64) -> u64 {
-    2 * nnz
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cost_helpers() {
-        assert_eq!(spmv_flops(10), 20);
-        // 10 nnz, 4 rows, 4 cols, f64 + u32 indices.
-        let b = spmv_bytes(10, 4, 4, 8, 4);
-        assert_eq!(b, 10 * 12 + 4 * 4 + 4 * 8 + 2 * 4 * 8);
-    }
-}

@@ -157,11 +157,6 @@ impl Stencil {
         }
     }
 
-    /// Average row width (used by cost models).
-    pub fn avg_row_nnz(&self) -> f64 {
-        self.nnz() as f64 / self.unknowns() as f64
-    }
-
     /// The stencil's points as coordinate displacements
     /// `(dx, dy, dz)`, in lexicographic order, plus the live count.
     /// Lexicographic displacement order is ascending *column* order

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # kdr-store
 //!
 //! The cost catalogue and the durable plan/session store for the

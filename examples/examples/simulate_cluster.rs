@@ -11,8 +11,9 @@
 
 use std::sync::Arc;
 
+use kdr_baselines::stepped_graph;
 use kdr_core::simbackend::SimBackend;
-use kdr_core::solvers::{CgSolver, Solver};
+use kdr_core::solvers::CgSolver;
 use kdr_core::Planner;
 use kdr_index::Partition;
 use kdr_machine::{simulate, MachineConfig};
@@ -40,20 +41,9 @@ fn main() {
     let r = planner.add_rhs_vector(n, Some(part));
     planner.add_operator(op, d, r);
 
-    // Ten CG iterations, exactly the code a real solve would run.
-    let mut solver = CgSolver::new(&mut planner);
-    for _ in 0..10 {
-        solver.step(&mut planner);
-    }
-    drop(solver);
-
-    let graph = planner.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<SimBackend<f64>>()
-            .unwrap()
-            .take_graph()
-            .0
-    });
+    // Ten CG iterations, exactly the code a real solve would run;
+    // the backend hands back the task graph it recorded for them.
+    let graph = stepped_graph(&mut planner, |p| Box::new(CgSolver::new(p)), 10);
     let result = simulate(&graph, &machine, None);
     println!(
         "simulated {} tasks on {} GPUs: makespan {:.2} ms ({:.1} ms/iteration), utilization {:.0}%",

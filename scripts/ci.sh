@@ -22,9 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q -p kdr-core --test fault_tolerance
 cargo test -q -p kdr-runtime -- fault poison panic
 cargo test -q --release -p kdr-core --test fault_tolerance
-# A declared subset's bound check is the one release builds rely on
-# (debug builds also assert every access): run it where it matters.
-cargo test -q --release -p kdr-runtime --lib task::
+# The scheduler under the codegen solves run on: its unit tests, the
+# lost-wake-up and span-log tests (`tests/scheduler.rs`), and the
+# `stress` / `fusion` fuzzers at 1-8 workers. This also covers the
+# release-only bound check of a declared subset (`task::` tests; debug
+# builds assert every access as well).
+cargo test -q --release -p kdr-runtime
 
 # Vector-kernel property tests (kdr-sparse::vecops), both profiles:
 # dev keeps the debug assertions armed, --release is the vectorised

@@ -4,40 +4,26 @@
 
 use std::sync::Arc;
 
-use kdr_baselines::{build_iteration_graph, per_iteration_seconds, KsmKind, LibraryProfile};
+use kdr_baselines::{
+    build_iteration_graph, per_iteration_seconds, stencil_planner, stepped_graph, KsmKind,
+    LibraryProfile,
+};
 use kdr_core::simbackend::SimBackend;
 use kdr_core::solvers::{BiCgStabSolver, CgSolver, GmresSolver, Solver};
 use kdr_core::{solve, ExecBackend, Planner, SolveControl, StepOutcome, SOL};
 use kdr_index::Partition;
 use kdr_machine::{simulate, MachineConfig};
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::{SparseMatrix, Stencil, StencilOperator};
+use kdr_sparse::{SparseMatrix, Stencil};
 
 /// The identical solver type runs on the simulation backend without
 /// modification (the backend split is invisible to solvers).
 #[test]
 fn same_solver_code_runs_on_sim_backend() {
     let s = Stencil::lap2d(1 << 8, 1 << 8);
-    let n = s.unknowns();
-    let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(s));
     let machine = MachineConfig::lassen(4).legion_profile();
-    let mut planner = Planner::new(Box::new(SimBackend::<f64>::new(machine.clone())));
-    let part = Partition::equal_blocks(n, 16);
-    let d = planner.add_sol_vector(n, Some(part.clone()));
-    let r = planner.add_rhs_vector(n, Some(part));
-    planner.add_operator(op, d, r);
-    let mut solver = CgSolver::new(&mut planner);
-    for _ in 0..3 {
-        solver.step(&mut planner);
-    }
-    drop(solver);
-    let graph = planner.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<SimBackend<f64>>()
-            .unwrap()
-            .take_graph()
-            .0
-    });
+    let mut planner = stencil_planner(SimBackend::<f64>::new(machine.clone()), s, 16);
+    let graph = stepped_graph(&mut planner, |p| Box::new(CgSolver::new(p)), 3);
     assert!(graph.len() > 100, "three CG iterations must emit real work");
     let result = simulate(&graph, &machine, None);
     assert!(result.makespan > 0.0);
@@ -83,29 +69,12 @@ fn bulk_sync_never_beats_task_oriented_on_identical_profiles() {
     let s = Stencil::lap2d(1 << 12, 1 << 12);
     let machine = MachineConfig::lassen(4).legion_profile();
     let build = |bulk: bool| {
-        let n = s.unknowns();
-        let op: Arc<dyn SparseMatrix<f64>> = Arc::new(StencilOperator::<f64>::new(s));
         let mut backend = SimBackend::<f64>::new(machine.clone());
         if bulk {
             backend = backend.bulk_synchronous();
         }
-        let mut planner = Planner::new(Box::new(backend));
-        let part = Partition::equal_blocks(n, 16);
-        let d = planner.add_sol_vector(n, Some(part.clone()));
-        let r = planner.add_rhs_vector(n, Some(part));
-        planner.add_operator(op, d, r);
-        let mut solver = CgSolver::new(&mut planner);
-        for _ in 0..4 {
-            solver.step(&mut planner);
-        }
-        drop(solver);
-        planner.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<SimBackend<f64>>()
-                .unwrap()
-                .take_graph()
-                .0
-        })
+        let mut planner = stencil_planner(backend, s, 16);
+        stepped_graph(&mut planner, |p| Box::new(CgSolver::new(p)), 4)
     };
     let t_async = simulate(&build(false), &machine, None).makespan;
     let t_sync = simulate(&build(true), &machine, None).makespan;
