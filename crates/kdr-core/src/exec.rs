@@ -34,20 +34,51 @@
 //! color, so a tile's kernel payload and its vector piece stay hot in
 //! a single worker's cache across traced iterations.
 //!
-//! ## Traced stepping
+//! ## Traced stepping: step programs
 //!
-//! Between [`Backend::step_begin`] and [`Backend::step_end`] the
-//! backend *defers* every generated task instead of submitting it.
-//! At `step_end` the collected list's shape signature (task names
-//! plus declared accesses) is looked up in a trace cache: a hit
-//! replays the step's *compiled trace* — skipping analysis entirely
-//! — while a miss runs the step analyzed and (cache permitting)
-//! captures and compiles its trace for next time. Forcing operations
-//! (`scalar_get`, `fence`, component reads/writes) inside a step
-//! flush the deferred tasks and downgrade the step to analyzed
-//! submission, so tracing is never a correctness hazard.
+//! Every task-generating backend call — `copy` … `xpay`, `dot_many`,
+//! the scalar operations, `apply` — is first *recorded* as a small
+//! `StepOp` (an opcode and the handles it was called with) and then
+//! *lowered* into tasks by one function, `ExecBackend::lower`. Outside
+//! a step the two happen back to back and the tasks are submitted
+//! through dependence analysis. Between [`Backend::step_begin`] and
+//! [`Backend::step_end`] the backend only records, and `step_end`
+//! looks the recorded list up — nine entries for a CG step, whatever
+//! the piece count — in a cache of *step programs*:
 //!
-//! A compiled trace (see [`kdr_runtime::trace`]) fuses the step's
+//! * a **hit** hands the program to the runtime
+//!   ([`Runtime::run_program`]), which schedules the step's compiled
+//!   graph with the task bodies and requirement lists the program
+//!   already owns. Nothing is lowered, no task is built, no signature
+//!   is computed; only the step's `scalar_const` values, which are
+//!   *parameters* of a program and not part of what it is looked up
+//!   by, are stored where its `scalar_set` bodies read them;
+//! * a **miss** lowers the record, runs the tasks analyzed inside a
+//!   capture ([`Runtime::capture_program`]) and — cache permitting —
+//!   keeps them, with the compiled capture, as the record's program;
+//! * forcing operations (`scalar_get`, `fence`, component reads and
+//!   writes) inside a step lower and submit what was recorded so far
+//!   and the rest of the step runs direct; a refused capture or replay
+//!   (a task failure is pending) also falls back to lowering and
+//!   analyzed submission. Tracing is never a correctness hazard.
+//!
+//! **Why the record is a sound key.** The tasks of a step are a
+//! function of its record and of what each call's lowering reads from
+//! the backend: the pieces and buffers of the vectors named, the
+//! scalar slots named, the tiles and apply plans of the operator
+//! named, the pooled partials buffer of each `dot_many` position, and
+//! the priority recorded with each call. All of those are reached
+//! through the handles in the record, and none is ever *replaced*
+//! under a handle without ending the cache's **epoch** — dropping
+//! every program (`ExecBackend::new_epoch`: `register_operator`, and a
+//! pooled partials buffer re-made for another slot count). Equal
+//! records within an epoch therefore lower to equal task lists, which
+//! is the signature equality the runtime's replay requires. Debug
+//! builds check exactly that on every hit: the record is lowered
+//! again and its [`kdr_runtime::ShapeSig`] must equal the
+//! captured step's.
+//!
+//! A compiled step (see [`kdr_runtime::trace`]) fuses the step's
 //! tasks per piece colour: the colours this backend stamps for
 //! affinity — one per `(component, piece)`, shared by the tile task
 //! writing a piece and every vector task on it — are exactly what the
@@ -60,16 +91,15 @@
 //! `tasks_executed` and the folded bodies in `tasks_fused`; per-name
 //! counts, per-name execute time and spans stay per body.
 //!
-//! Shape stability across iterations is what makes the cache hit:
+//! Record stability across iterations is what makes the cache hit:
 //! scalars live in a refcounted slot arena (released slots are
 //! reused lowest-first, so a solver's per-iteration allocation
-//! pattern settles into a short cycle), `dot` partial buffers are
-//! pooled per step position rather than freshly allocated, and the
-//! planner's workspace pool hands a rebuilt solver the vectors its
-//! predecessor used. Pieces, tile footprints and partial slots are
-//! held as shared `Arc<IntervalSet>`s made once, so building a step's
-//! tasks copies no interval set and a rebuilt step's signature
-//! matches its cached one by pointer.
+//! pattern settles into a short cycle of result slots), `dot` partial
+//! buffers are pooled per step position rather than freshly
+//! allocated, and the planner's workspace pool hands a rebuilt solver
+//! the vectors its predecessor used. Pieces, tile footprints and
+//! partial slots are held as shared `Arc<IntervalSet>`s made once, so
+//! lowering a step copies no interval set.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -77,9 +107,11 @@ use std::sync::Arc;
 use kdr_index::IntervalSet;
 #[cfg(test)]
 use kdr_index::Partition;
+#[cfg(debug_assertions)]
+use kdr_runtime::ShapeSig;
 use kdr_runtime::{
-    promise, Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, ShapeSig,
-    TaskBuilder, TaskMeta, TaskSpan, TraceCache, WriteView,
+    promise, Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, StepProgram,
+    TaskBuilder, TaskMeta, TaskSpan, WriteView,
 };
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
@@ -87,6 +119,7 @@ use kdr_sparse::{
     vecops, KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel, VecIn,
     VecOut,
 };
+use parking_lot::Mutex;
 
 use crate::backend::{
     BVec, Backend, BackendFault, CompSpec, OpHandle, OpSetSpec, SRef, ScalarOp, ScalarUnop,
@@ -107,9 +140,9 @@ fn piece_color(comp: usize, color: usize) -> usize {
     comp * COLOR_STRIDE + color
 }
 
-/// Captured traces kept per backend; steps whose shape keeps changing
-/// after this many variants run analyzed. Sized for the longest shape
-/// cycle a solver here settles into: BiCGStab's nine (lowest-first
+/// Step programs kept per backend; steps whose op list keeps changing
+/// after this many variants run analyzed. Sized for the longest cycle
+/// a solver here settles into: BiCGStab's nine (lowest-first
 /// scalar-slot reuse against handles it retains across iterations,
 /// DESIGN §6), with room for a second solver on the same planner.
 const TRACE_CACHE_CAP: usize = 16;
@@ -126,7 +159,7 @@ pub struct ExecMetrics {
     pub scalar_slots: usize,
     /// Scalar slots currently free (zero refcount).
     pub scalar_free: usize,
-    /// Distinct step shapes captured in the trace cache.
+    /// Step programs in the trace cache.
     pub trace_cache_len: usize,
     /// Trace cache capacity.
     pub trace_cache_cap: usize,
@@ -136,6 +169,10 @@ pub struct ExecMetrics {
     pub steps_captured: u64,
     /// Steps replayed from the trace cache.
     pub steps_replayed: u64,
+    /// Tasks built from the operations of solver steps: every step
+    /// that ran analyzed or was captured lowers its operations into
+    /// tasks, a replayed step lowers none.
+    pub step_tasks_lowered: u64,
     /// Global reduction stages this backend launched (each
     /// `dot`/`dot_many` call counts once, however many scalars it
     /// fuses).
@@ -367,6 +404,154 @@ impl<T: Scalar> Partials<T> {
     }
 }
 
+/// The elementwise vector operations: one task per destination piece.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum VecOp {
+    Copy,
+    SetZero,
+    Scal,
+    Axpy,
+    Xpay,
+}
+
+impl VecOp {
+    fn name(self) -> &'static str {
+        match self {
+            VecOp::Copy => "copy",
+            VecOp::SetZero => "set_zero",
+            VecOp::Scal => "scal",
+            VecOp::Axpy => "axpy",
+            VecOp::Xpay => "xpay",
+        }
+    }
+
+    /// The slice kernel a task body calls once per run of its piece:
+    /// that run of the destination, the coefficient (`0` without one)
+    /// and the same run of the source — `None` when the source is the
+    /// destination, updated in place.
+    fn kernel<T: Scalar>(self) -> fn(/*dst*/ &mut [T], /*alpha*/ T, /*src*/ Option<&[T]>) {
+        match self {
+            // A vector copied onto itself already holds the result.
+            VecOp::Copy => |d, _, s| {
+                if let Some(s) = s {
+                    vecops::copy(d, s);
+                }
+            },
+            VecOp::SetZero => |d, _, _| vecops::fill(d, T::ZERO),
+            VecOp::Scal => |d, a, _| vecops::scal(d, a),
+            VecOp::Axpy => |d, a, s| match s {
+                Some(s) => vecops::axpy(d, a, s),
+                None => vecops::axpy_in_place(d, a),
+            },
+            VecOp::Xpay => |d, a, s| match s {
+                Some(s) => vecops::xpay(d, a, s),
+                None => vecops::axpy_in_place(d, a),
+            },
+        }
+    }
+}
+
+/// One task-generating backend call, as its handles: everything its
+/// tasks are a function of, given the backend's registered vectors,
+/// operators, scalar slots and pooled partials buffers. A scalar
+/// result's slot is allocated when the call is recorded, so it is part
+/// of the record.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum StepOp {
+    Vector {
+        op: VecOp,
+        dst: BVec,
+        src: Option<BVec>,
+        alpha: Option<SRef>,
+    },
+    /// A `dot_many` over the next `pairs` entries of
+    /// [`StepKey::dots`], its partials in pooled buffer `pool` (in a
+    /// fresh one when `None`: a call outside a deferred step).
+    Dots {
+        pairs: usize,
+        pool: Option<usize>,
+    },
+    /// A `scalar_const`; the value is the next entry of
+    /// [`StepRecord::consts`].
+    Const {
+        out: SRef,
+    },
+    Binop {
+        op: ScalarOp,
+        a: SRef,
+        b: SRef,
+        out: SRef,
+    },
+    Unop {
+        op: ScalarUnop,
+        a: SRef,
+        out: SRef,
+    },
+    Apply {
+        op: OpHandle,
+        dst: BVec,
+        src: BVec,
+        transpose: bool,
+    },
+}
+
+/// What a step program is looked up by: the task-generating backend
+/// calls of the step, in order.
+#[derive(Clone, Default, PartialEq)]
+struct StepKey {
+    /// Each call with the task priority current when it was made.
+    ops: Vec<(u8, StepOp)>,
+    /// `(a, b, result slot)` of every `dot_many` pair, in call order.
+    dots: Vec<(BVec, BVec, SRef)>,
+}
+
+/// The backend calls recorded since the last lowering: the key, and
+/// the value of every `scalar_const` in call order — the step's
+/// parameters, bound into its program at replay.
+struct StepRecord<T> {
+    key: StepKey,
+    consts: Vec<T>,
+}
+
+impl<T> StepRecord<T> {
+    fn clear(&mut self) {
+        self.key.ops.clear();
+        self.key.dots.clear();
+        self.consts.clear();
+    }
+}
+
+/// Where the `scalar_set` bodies of one lowering read their values:
+/// entry `k` belongs to the `k`-th `scalar_const` of the record.
+type ConstCells<T> = Arc<Mutex<Vec<T>>>;
+
+/// A recorded step lowered into tasks.
+struct Lowered<T> {
+    tasks: Vec<TaskBuilder>,
+    /// Present when the record had a `scalar_const`.
+    consts: Option<ConstCells<T>>,
+    /// Stamped on every task pushed: the priority of the call being
+    /// lowered.
+    priority: u8,
+}
+
+impl<T> Lowered<T> {
+    fn push(&mut self, task: TaskBuilder) {
+        self.tasks.push(task.priority(self.priority));
+    }
+}
+
+/// A cached step: its key and the program a hit replays.
+struct CachedStep<T> {
+    key: StepKey,
+    program: StepProgram,
+    consts: Option<ConstCells<T>>,
+    /// Signature of the tasks the program was captured from: what a
+    /// hit's record must lower to again (checked in debug builds).
+    #[cfg(debug_assertions)]
+    sig: ShapeSig,
+}
+
 /// Threaded execution backend over `kdr-runtime`.
 pub struct ExecBackend<T: Scalar> {
     rt: Arc<Runtime>,
@@ -376,8 +561,7 @@ pub struct ExecBackend<T: Scalar> {
     affinity: Option<Arc<ColorAffinityMapper>>,
     /// Priority stamped on every task this backend dispatches
     /// (0 = normal lane; >0 routes through the executor's express
-    /// lane). Constant between steps, so it never perturbs a step's
-    /// shape signature.
+    /// lane), recorded with each call.
     priority: u8,
     vectors: Vec<ExecVec<T>>,
     opsets: Vec<ExecOpSet<T>>,
@@ -391,15 +575,19 @@ pub struct ExecBackend<T: Scalar> {
     /// deferred step.
     dot_partials: Vec<Partials<T>>,
     dot_seq: usize,
-    /// Whether `step_begin` defers tasks for trace lookup.
+    /// Whether `step_begin` defers the step for program lookup.
     tracing: bool,
+    /// Recording a step: calls accumulate in `step` until `step_end`
+    /// (or a forcing operation) instead of being lowered one by one.
     deferring: bool,
-    step_flushed: bool,
-    pending: Vec<TaskBuilder>,
-    trace_cache: TraceCache,
+    step: StepRecord<T>,
+    /// The step programs of the current epoch (see
+    /// [`ExecBackend::new_epoch`]), at most [`TRACE_CACHE_CAP`].
+    programs: Vec<CachedStep<T>>,
     steps_analyzed: u64,
     steps_captured: u64,
     steps_replayed: u64,
+    step_tasks_lowered: u64,
     /// Inside a `step_begin`/`step_end` bracket (regardless of
     /// whether tracing defers tasks) — attributes reduction stages to
     /// iterations for the fences-per-iteration metric.
@@ -458,12 +646,15 @@ impl<T: Scalar> ExecBackend<T> {
             dot_seq: 0,
             tracing: true,
             deferring: false,
-            step_flushed: false,
-            pending: Vec::new(),
-            trace_cache: TraceCache::new(TRACE_CACHE_CAP),
+            step: StepRecord {
+                key: StepKey::default(),
+                consts: Vec::new(),
+            },
+            programs: Vec::new(),
             steps_analyzed: 0,
             steps_captured: 0,
             steps_replayed: 0,
+            step_tasks_lowered: 0,
             in_step: false,
             reduction_stages: 0,
             reductions_in_steps: 0,
@@ -555,9 +746,9 @@ impl<T: Scalar> ExecBackend<T> {
         self.scalars.len()
     }
 
-    /// Number of distinct step shapes captured so far.
+    /// Number of step programs cached.
     pub fn trace_cache_len(&self) -> usize {
-        self.trace_cache.len()
+        self.programs.len()
     }
 
     /// `(analyzed, captured, replayed)` step counts.
@@ -604,11 +795,12 @@ impl<T: Scalar> ExecBackend<T> {
             runtime: self.rt.metrics(),
             scalar_slots: self.scalars.len(),
             scalar_free: self.scalar_free.len(),
-            trace_cache_len: self.trace_cache.len(),
+            trace_cache_len: self.programs.len(),
             trace_cache_cap: TRACE_CACHE_CAP,
             steps_analyzed: self.steps_analyzed,
             steps_captured: self.steps_captured,
             steps_replayed: self.steps_replayed,
+            step_tasks_lowered: self.step_tasks_lowered,
             reduction_stages: self.reduction_stages,
             fences_per_iteration: {
                 let steps = self.steps_analyzed + self.steps_captured + self.steps_replayed;
@@ -641,35 +833,128 @@ impl<T: Scalar> ExecBackend<T> {
         out
     }
 
-    fn dispatch(&mut self, tb: TaskBuilder) {
-        let tb = tb.priority(self.priority);
-        if self.deferring {
-            self.pending.push(tb);
-        } else {
+    /// Run the step recorded since `step_begin`: replay its program
+    /// if one is cached, else lower it, run it analyzed and — cache
+    /// permitting — keep the capture as its program.
+    fn finish_step(&mut self) -> StepOutcome {
+        let deferred = std::mem::replace(&mut self.deferring, false);
+        if !deferred || self.step.key.ops.is_empty() {
+            // Tracing disabled, the step was flushed by a forcing
+            // operation, or it made no task.
+            return StepOutcome::Analyzed;
+        }
+        let step = &self.step;
+        if let Some(cached) = self.programs.iter().find(|p| p.key == step.key) {
+            // The invariant the lookup rests on: an equal record
+            // lowers to the tasks the program holds.
+            #[cfg(debug_assertions)]
+            assert!(
+                ShapeSig::of_tasks(&self.lower(step).tasks) == cached.sig,
+                "a cached step's record no longer lowers to its program's tasks: \
+                 something its lowering reads was replaced without ending the epoch"
+            );
+            let bind = || {
+                if let Some(cells) = &cached.consts {
+                    cells.lock().copy_from_slice(&step.consts);
+                }
+            };
+            // The only replay error reachable from here is a pending
+            // task failure at the pre-replay fence.
+            if self.rt.run_program(&cached.program, bind).is_ok() {
+                self.step.clear();
+                return StepOutcome::Replayed;
+            }
+        } else if self.programs.len() < TRACE_CACHE_CAP {
+            let key = step.key.clone();
+            let lowered = self.lower_recorded();
+            #[cfg(debug_assertions)]
+            let sig = ShapeSig::of_tasks(&lowered.tasks);
+            return match self.rt.capture_program(lowered.tasks) {
+                Ok(program) => {
+                    self.programs.push(CachedStep {
+                        key,
+                        program,
+                        consts: lowered.consts,
+                        #[cfg(debug_assertions)]
+                        sig,
+                    });
+                    StepOutcome::Captured
+                }
+                Err(_) => {
+                    // The tasks ran, but the capture was refused
+                    // (pending failure) or is void (a task of the
+                    // step failed).
+                    self.record_rt_failure();
+                    StepOutcome::Analyzed
+                }
+            };
+        }
+        // Cache full, or the replay was refused.
+        self.record_rt_failure();
+        self.submit_recorded();
+        StepOutcome::Analyzed
+    }
+
+    /// Every task-generating backend call comes through here. Inside
+    /// a deferred step the call is only recorded; anywhere else it is
+    /// lowered and submitted at once.
+    fn emit(&mut self, op: StepOp) {
+        self.step.key.ops.push((self.priority, op));
+        if !self.deferring {
+            self.submit_recorded();
+        }
+    }
+
+    fn emit_vector(&mut self, op: VecOp, dst: BVec, src: Option<BVec>, alpha: Option<SRef>) {
+        self.emit(StepOp::Vector {
+            op,
+            dst,
+            src,
+            alpha,
+        });
+    }
+
+    /// Lower what has been recorded and submit it through dependence
+    /// analysis.
+    fn submit_recorded(&mut self) {
+        for task in self.lower_recorded().tasks {
             self.rt
-                .submit(tb)
+                .submit(task)
                 .expect("backend tasks always carry a body");
         }
     }
 
-    fn dispatch_all(&mut self, tasks: Vec<TaskBuilder>) {
-        for tb in tasks {
-            self.dispatch(tb);
+    /// Lower the record into the tasks that will run for it, and
+    /// clear it.
+    fn lower_recorded(&mut self) -> Lowered<T> {
+        let lowered = self.lower(&self.step);
+        self.step.clear();
+        if self.in_step {
+            self.step_tasks_lowered += lowered.tasks.len() as u64;
         }
+        lowered
     }
 
     /// A forcing operation inside a deferred step: submit what was
-    /// collected (analyzed) and run the rest of the step direct.
+    /// recorded (analyzed) and run the rest of the step direct.
     fn flush_pending(&mut self) {
         if self.deferring {
             self.deferring = false;
-            self.step_flushed = true;
-            for tb in std::mem::take(&mut self.pending) {
-                self.rt
-                    .submit(tb)
-                    .expect("backend tasks always carry a body");
-            }
+            self.submit_recorded();
         }
+    }
+
+    /// End the current *epoch*: drop every cached step program. A
+    /// program is looked up by its recorded calls alone, which is
+    /// sound as long as nothing a call's lowering reads from this
+    /// backend is replaced; whatever replaces such a thing calls this.
+    /// Today that is `register_operator` (tiles and apply plans) and
+    /// the re-making of a pooled partials buffer for a different slot
+    /// count. Vectors, scalar slots and pool entries are only ever
+    /// *added* otherwise, and a handle that did not exist when a
+    /// program was recorded cannot occur in its key.
+    fn new_epoch(&mut self) {
+        self.programs.clear();
     }
 
     /// Allocate a scalar slot with refcount 1, reusing the
@@ -687,24 +972,26 @@ impl<T: Scalar> ExecBackend<T> {
         }
     }
 
-    /// The partials buffer for the `dot` at the current step
-    /// position: pooled under deferral (stable buffer ids keep the
-    /// step shape repeatable), fresh otherwise.
-    fn dot_partials_buffer(&mut self, total_slots: usize) -> Partials<T> {
-        if !self.deferring {
-            return Partials::new(total_slots);
-        }
+    /// Partial slots one operand of a `dot` takes: one per piece,
+    /// empty ones included.
+    fn dot_slots(&self, v: BVec) -> usize {
+        self.vectors[v].comps.iter().map(|c| c.pieces.len()).sum()
+    }
+
+    /// The pool entry for the `dot_many` at the current position of a
+    /// deferred step, holding `total_slots` partials: the buffer every
+    /// step with a `dot_many` of that size at that position shares
+    /// (stable buffer ids keep the step repeatable).
+    fn pooled_partials(&mut self, total_slots: usize) -> usize {
         let idx = self.dot_seq;
         self.dot_seq += 1;
-        if idx < self.dot_partials.len() {
-            if self.dot_partials[idx].buf.len() != total_slots {
-                self.dot_partials[idx] = Partials::new(total_slots);
-            }
-        } else {
-            debug_assert_eq!(idx, self.dot_partials.len());
+        if idx == self.dot_partials.len() {
             self.dot_partials.push(Partials::new(total_slots));
+        } else if self.dot_partials[idx].buf.len() != total_slots {
+            self.dot_partials[idx] = Partials::new(total_slots);
+            self.new_epoch();
         }
-        self.dot_partials[idx].clone()
+        idx
     }
 
     /// One `dot_partial` task per non-empty piece of `a · b`, writing
@@ -720,9 +1007,10 @@ impl<T: Scalar> ExecBackend<T> {
         b: BVec,
         partials: &Partials<T>,
         first_slot: usize,
-        tasks: &mut Vec<TaskBuilder>,
+        out: &mut Lowered<T>,
     ) {
         let (av, bv) = (&self.vectors[a], &self.vectors[b]);
+        assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
         let mut slot = first_slot;
         for (ci, ac) in av.comps.iter().enumerate() {
             let bc = &bv.comps[ci];
@@ -733,13 +1021,13 @@ impl<T: Scalar> ExecBackend<T> {
                 if subset.is_empty() {
                     continue;
                 }
-                tasks.push(
+                out.push(
                     TaskBuilder::new("dot_partial")
                         .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
                         .read(&ac.buf, Arc::clone(subset))
                         .read(&bc.buf, Arc::clone(subset))
                         .write(&partials.buf, Arc::clone(&partials.slots[my_slot]))
-                        .body(move |ctx| {
+                        .shared_body(move |ctx| {
                             let x = ctx.read::<T>(0);
                             let y = ctx.read::<T>(1);
                             let mut acc = T::ZERO;
@@ -753,25 +1041,24 @@ impl<T: Scalar> ExecBackend<T> {
         }
     }
 
-    /// Build one `(component, color)` point task per piece for an
+    /// One `(component, color)` point task per piece for an
     /// elementwise operation on `dst` (optionally reading `src` at the
-    /// same subset and a scalar coefficient): the body calls `kernel`
-    /// once per run of the piece with that run of `dst`, the
-    /// coefficient (`0` without one) and the same run of `src`.
+    /// same subset and a scalar coefficient): the body calls the
+    /// operation's [`VecOp::kernel`] once per run of the piece.
     ///
     /// `src == dst` is an in-place update: the task declares the
-    /// vector once, writable, and `kernel` gets no source slice — a
+    /// vector once, writable, and the kernel gets no source slice — a
     /// body never holds `&mut [T]` and `&[T]` over the same elements.
     fn elementwise(
         &self,
-        name: &'static str,
+        op: VecOp,
         dst: BVec,
         src: Option<BVec>,
         alpha: Option<SRef>,
-        kernel: fn(/*dst*/ &mut [T], /*alpha*/ T, /*src*/ Option<&[T]>),
-    ) -> Vec<TaskBuilder> {
+        out: &mut Lowered<T>,
+    ) {
+        let (name, kernel) = (op.name(), op.kernel::<T>());
         let src = src.filter(|&s| s != dst);
-        let mut tasks = Vec::new();
         let dvec = &self.vectors[dst];
         for (ci, dcomp) in dvec.comps.iter().enumerate() {
             let scomp = src.map(|s| &self.vectors[s].comps[ci]);
@@ -802,7 +1089,7 @@ impl<T: Scalar> ExecBackend<T> {
                 }
                 let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
                 tb = tb.write(&dcomp.buf, Arc::clone(subset));
-                tasks.push(tb.body(move |ctx| {
+                out.push(tb.shared_body(move |ctx| {
                     let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
                     let s = idx_src.map(|i| ctx.read::<T>(i));
                     let mut d = ctx.write::<T>(idx_dst);
@@ -812,7 +1099,188 @@ impl<T: Scalar> ExecBackend<T> {
                 }));
             }
         }
-        tasks
+    }
+
+    /// Every pair's partial tasks as one DAG stage sharing one
+    /// partials buffer, and a single `dot_reduce` combine task that
+    /// produces all result scalars — one reduction stage for the
+    /// whole batch. Each pair's partials occupy a contiguous slot
+    /// range and are summed in ascending slot order, so a result does
+    /// not depend on which other pairs share its batch.
+    fn dots(&self, batch: &[(BVec, BVec, SRef)], pool: Option<usize>, out: &mut Lowered<T>) {
+        // Per-pair slot offsets into the shared partials buffer.
+        let mut offsets = Vec::with_capacity(batch.len() + 1);
+        let mut total_slots = 0usize;
+        for &(a, _, _) in batch {
+            offsets.push(total_slots);
+            total_slots += self.dot_slots(a);
+        }
+        offsets.push(total_slots);
+        let partials = match pool {
+            Some(idx) => self.dot_partials[idx].clone(),
+            None => Partials::new(total_slots),
+        };
+        for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
+            self.dot_partial_tasks(a, b, &partials, first_slot, out);
+        }
+        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials.buf);
+        for &(_, _, result) in batch {
+            combine = combine.write_all(&self.scalars[result]);
+        }
+        out.push(combine.shared_body(move |ctx| {
+            let p = ctx.read::<T>(0);
+            for (j, w) in offsets.windows(2).enumerate() {
+                let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
+                ctx.write::<T>(j + 1).set(0, sum);
+            }
+        }));
+    }
+
+    /// `dst ← A(src)` (or `Aᵀ`): the standalone zero tasks, then one
+    /// task per registered tile.
+    fn apply_tasks(
+        &self,
+        op: OpHandle,
+        dst: BVec,
+        src: BVec,
+        transpose: bool,
+        out: &mut Lowered<T>,
+    ) {
+        let opset = &self.opsets[op];
+        let plan = &opset.plans[transpose as usize];
+        // Standalone zero tasks first (eq. 8 treats missing
+        // components as empty sums): whatever the fused tiles do
+        // not cover, per destination component.
+        for (ci, comp) in self.vectors[dst].comps.iter().enumerate() {
+            let zero = TaskBuilder::new("apply_zero");
+            let zero = match plan.residual.iter().find(|(c, _)| *c == ci) {
+                Some((_, residual)) if residual.is_empty() => continue,
+                Some((_, residual)) => zero.write(&comp.buf, Arc::clone(residual)),
+                None => zero.write_all(&comp.buf),
+            };
+            out.push(zero.shared_body(move |ctx| {
+                let mut d = ctx.write::<T>(0);
+                for (lo, n) in runs_of(ctx.subset(0)) {
+                    vecops::fill(d.range_mut(lo, n), T::ZERO);
+                }
+            }));
+        }
+        for (ti, tile) in opset.tiles.iter().enumerate() {
+            let (dcomp, wsubset, rsubset) = tile.direction(transpose);
+            let scomp = if transpose {
+                tile.rhs_comp
+            } else {
+                tile.sol_comp
+            };
+            let dbuf = &self.vectors[dst].comps[dcomp].buf;
+            let sbuf = &self.vectors[src].comps[scomp].buf;
+            let data = Arc::clone(&tile.kernel);
+            let zero = plan.zero_first[ti];
+            let t = transpose;
+            // Task names carry the lowered kind (metrics report
+            // which kernels actually ran) and the zero/transpose
+            // flags.
+            let name = data
+                .kind()
+                .expect("registered tiles are non-empty")
+                .task_name(t, zero);
+            out.push(
+                TaskBuilder::new(name)
+                    .read(sbuf, Arc::clone(rsubset))
+                    .write(dbuf, Arc::clone(wsubset))
+                    .meta(TaskMeta::new(name).with_color(tile.color))
+                    .shared_body(move |ctx| {
+                        let x = RV(ctx.read::<T>(0));
+                        let mut y = WV(ctx.write::<T>(1));
+                        if zero {
+                            for (lo, n) in runs_of(ctx.subset(1)) {
+                                vecops::fill(y.0.range_mut(lo, n), T::ZERO);
+                            }
+                        }
+                        data.apply(&x, &mut y, t);
+                    }),
+            );
+        }
+    }
+
+    /// Lower a record into its tasks, in call order: the one place a
+    /// backend call becomes tasks. Every body is a shared one, so the
+    /// result can be submitted as it is or kept as a step program.
+    fn lower(&self, step: &StepRecord<T>) -> Lowered<T> {
+        let mut out = Lowered {
+            tasks: Vec::new(),
+            consts: None,
+            priority: 0,
+        };
+        let (mut dots_at, mut consts_at) = (0, 0);
+        for &(priority, op) in &step.key.ops {
+            out.priority = priority;
+            match op {
+                StepOp::Vector {
+                    op,
+                    dst,
+                    src,
+                    alpha,
+                } => self.elementwise(op, dst, src, alpha, &mut out),
+                StepOp::Dots { pairs, pool } => {
+                    self.dots(&step.key.dots[dots_at..dots_at + pairs], pool, &mut out);
+                    dots_at += pairs;
+                }
+                StepOp::Const { out: slot } => {
+                    // Reused slots may have in-flight readers, so the
+                    // store is a task (ordered after them), not a
+                    // direct buffer write. The value is read from the
+                    // lowering's cells when the body runs: a program
+                    // replays with this step's constants, whatever
+                    // they were when it was captured.
+                    let cells = out
+                        .consts
+                        .get_or_insert_with(|| Arc::new(Mutex::new(step.consts.clone())));
+                    let (cells, k) = (Arc::clone(cells), consts_at);
+                    consts_at += 1;
+                    out.push(
+                        TaskBuilder::new("scalar_set")
+                            .write_all(&self.scalars[slot])
+                            .shared_body(move |ctx| {
+                                let v = cells.lock()[k];
+                                ctx.write::<T>(0).set(0, v);
+                            }),
+                    );
+                }
+                StepOp::Binop {
+                    op,
+                    a,
+                    b,
+                    out: slot,
+                } => out.push(
+                    TaskBuilder::new("scalar_binop")
+                        .read_all(&self.scalars[a])
+                        .read_all(&self.scalars[b])
+                        .write_all(&self.scalars[slot])
+                        .shared_body(move |ctx| {
+                            let x = ctx.read::<T>(0).get(0);
+                            let y = ctx.read::<T>(1).get(0);
+                            ctx.write::<T>(2).set(0, op.eval(x, y));
+                        }),
+                ),
+                StepOp::Unop { op, a, out: slot } => out.push(
+                    TaskBuilder::new("scalar_unop")
+                        .read_all(&self.scalars[a])
+                        .write_all(&self.scalars[slot])
+                        .shared_body(move |ctx| {
+                            let x = ctx.read::<T>(0).get(0);
+                            ctx.write::<T>(1).set(0, op.eval(x));
+                        }),
+                ),
+                StepOp::Apply {
+                    op,
+                    dst,
+                    src,
+                    transpose,
+                } => self.apply_tasks(op, dst, src, transpose, &mut out),
+            }
+        }
+        out
     }
 }
 
@@ -952,140 +1420,78 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             build_apply_plan(&tiles, true, |c| comp_len(true, c)),
         ];
         self.opsets.push(ExecOpSet { tiles, plans });
+        self.new_epoch();
         self.opsets.len() - 1
     }
 
     fn copy(&mut self, dst: BVec, src: BVec) {
-        let tasks = self.elementwise("copy", dst, Some(src), None, |d, _, s| {
-            // A vector copied onto itself already holds the result.
-            if let Some(s) = s {
-                vecops::copy(d, s);
-            }
-        });
-        self.dispatch_all(tasks);
+        self.emit_vector(VecOp::Copy, dst, Some(src), None);
     }
 
     fn set_zero(&mut self, dst: BVec) {
-        let tasks = self.elementwise("set_zero", dst, None, None, |d, _, _| {
-            vecops::fill(d, T::ZERO)
-        });
-        self.dispatch_all(tasks);
+        self.emit_vector(VecOp::SetZero, dst, None, None);
     }
 
     /// Stamp every task this backend dispatches from now on with a
     /// scheduling priority (0 = normal, >0 = the executor's express
-    /// lane). The priority is not part of a step's shape signature,
-    /// so changing it between solves does not invalidate cached
-    /// traces — but tasks replayed from a trace still carry the
-    /// priority current at dispatch time.
+    /// lane). A step program keeps the priorities it was recorded
+    /// with, so a step recorded under a new priority is a new program;
+    /// going back to an earlier priority finds the earlier programs.
     fn set_task_priority(&mut self, priority: u8) {
         self.priority = priority;
     }
 
     fn scal(&mut self, dst: BVec, alpha: SRef) {
-        let tasks = self.elementwise("scal", dst, None, Some(alpha), |d, a, _| vecops::scal(d, a));
-        self.dispatch_all(tasks);
+        self.emit_vector(VecOp::Scal, dst, None, Some(alpha));
     }
 
     fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        let tasks = self.elementwise("axpy", dst, Some(src), Some(alpha), |d, a, s| match s {
-            Some(s) => vecops::axpy(d, a, s),
-            None => vecops::axpy_in_place(d, a),
-        });
-        self.dispatch_all(tasks);
+        self.emit_vector(VecOp::Axpy, dst, Some(src), Some(alpha));
     }
 
     fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        let tasks = self.elementwise("xpay", dst, Some(src), Some(alpha), |d, a, s| match s {
-            Some(s) => vecops::xpay(d, a, s),
-            None => vecops::axpy_in_place(d, a),
-        });
-        self.dispatch_all(tasks);
+        self.emit_vector(VecOp::Xpay, dst, Some(src), Some(alpha));
     }
 
-    /// Every pair's partial tasks launch as one DAG stage sharing one
-    /// pooled partials buffer, and a single `dot_reduce` combine task
-    /// produces all result scalars — one reduction stage for the
-    /// whole batch. Each pair's partials occupy a contiguous slot
-    /// range and are summed in ascending slot order, so a result does
-    /// not depend on which other pairs share its batch.
+    /// One reduction stage for the whole batch: every pair's partial
+    /// tasks share one pooled partials buffer and a single
+    /// `dot_reduce` task combines them all.
     fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        // Per-pair slot offsets into the shared partials buffer.
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
-        let mut total_slots = 0usize;
-        for &(a, b) in pairs {
-            let av = &self.vectors[a];
-            let bv = &self.vectors[b];
-            assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
-            offsets.push(total_slots);
-            total_slots += av.comps.iter().map(|c| c.pieces.len()).sum::<usize>();
-        }
-        offsets.push(total_slots);
-        let partials = self.dot_partials_buffer(total_slots);
+        let pool = self.deferring.then(|| {
+            let total_slots = pairs.iter().map(|&(a, _)| self.dot_slots(a)).sum();
+            self.pooled_partials(total_slots)
+        });
         let srefs: Vec<SRef> = pairs.iter().map(|_| self.alloc_slot()).collect();
-        let mut tasks = Vec::new();
-        for (j, &(a, b)) in pairs.iter().enumerate() {
-            self.dot_partial_tasks(a, b, &partials, offsets[j], &mut tasks);
-        }
-        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials.buf);
-        for &s in &srefs {
-            combine = combine.write_all(&self.scalars[s]);
-        }
-        tasks.push(combine.body(move |ctx| {
-            let p = ctx.read::<T>(0);
-            for (j, w) in offsets.windows(2).enumerate() {
-                let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
-                ctx.write::<T>(j + 1).set(0, sum);
-            }
-        }));
+        let results = pairs.iter().zip(&srefs);
+        let dots = &mut self.step.key.dots;
+        dots.extend(results.map(|(&(a, b), &s)| (a, b, s)));
         self.note_reduction();
-        self.dispatch_all(tasks);
+        self.emit(StepOp::Dots {
+            pairs: pairs.len(),
+            pool,
+        });
         srefs
     }
 
     fn scalar_const(&mut self, v: T) -> SRef {
-        let sref = self.alloc_slot();
-        // Reused slots may have in-flight readers, so the store is a
-        // task (ordered after them), not a direct buffer write. The
-        // value lives in the body, not the shape: differing constants
-        // across iterations still replay.
-        let tb = TaskBuilder::new("scalar_set")
-            .write_all(&self.scalars[sref])
-            .body(move |ctx| {
-                ctx.write::<T>(0).set(0, v);
-            });
-        self.dispatch(tb);
-        sref
+        let out = self.alloc_slot();
+        self.step.consts.push(v);
+        self.emit(StepOp::Const { out });
+        out
     }
 
     fn scalar_binop(&mut self, op: ScalarOp, a: SRef, b: SRef) -> SRef {
         let out = self.alloc_slot();
-        let tb = TaskBuilder::new("scalar_binop")
-            .read_all(&self.scalars[a])
-            .read_all(&self.scalars[b])
-            .write_all(&self.scalars[out])
-            .body(move |ctx| {
-                let x = ctx.read::<T>(0).get(0);
-                let y = ctx.read::<T>(1).get(0);
-                ctx.write::<T>(2).set(0, op.eval(x, y));
-            });
-        self.dispatch(tb);
+        self.emit(StepOp::Binop { op, a, b, out });
         out
     }
 
     fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef {
         let out = self.alloc_slot();
-        let tb = TaskBuilder::new("scalar_unop")
-            .read_all(&self.scalars[a])
-            .write_all(&self.scalars[out])
-            .body(move |ctx| {
-                let x = ctx.read::<T>(0).get(0);
-                ctx.write::<T>(1).set(0, op.eval(x));
-            });
-        self.dispatch(tb);
+        self.emit(StepOp::Unop { op, a, out });
         out
     }
 
@@ -1147,65 +1553,12 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         // would be the same elements (and the fused zero-fill would
         // wipe the input first).
         assert_ne!(dst, src, "apply cannot run in place");
-        let mut tasks = Vec::new();
-        {
-            let opset = &self.opsets[op];
-            let plan = &opset.plans[transpose as usize];
-            // Standalone zero tasks first (eq. 8 treats missing
-            // components as empty sums): whatever the fused tiles do
-            // not cover, per destination component.
-            for (ci, comp) in self.vectors[dst].comps.iter().enumerate() {
-                let zero = TaskBuilder::new("apply_zero");
-                let zero = match plan.residual.iter().find(|(c, _)| *c == ci) {
-                    Some((_, residual)) if residual.is_empty() => continue,
-                    Some((_, residual)) => zero.write(&comp.buf, Arc::clone(residual)),
-                    None => zero.write_all(&comp.buf),
-                };
-                tasks.push(zero.body(move |ctx| {
-                    let mut d = ctx.write::<T>(0);
-                    for (lo, n) in runs_of(ctx.subset(0)) {
-                        vecops::fill(d.range_mut(lo, n), T::ZERO);
-                    }
-                }));
-            }
-            for (ti, tile) in opset.tiles.iter().enumerate() {
-                let (dcomp, wsubset, rsubset) = tile.direction(transpose);
-                let scomp = if transpose {
-                    tile.rhs_comp
-                } else {
-                    tile.sol_comp
-                };
-                let dbuf = &self.vectors[dst].comps[dcomp].buf;
-                let sbuf = &self.vectors[src].comps[scomp].buf;
-                let data = Arc::clone(&tile.kernel);
-                let zero = plan.zero_first[ti];
-                let t = transpose;
-                // Task names carry the lowered kind (metrics report
-                // which kernels actually ran) and the zero/transpose
-                // flags (part of the step's shape signature).
-                let name = data
-                    .kind()
-                    .expect("registered tiles are non-empty")
-                    .task_name(t, zero);
-                tasks.push(
-                    TaskBuilder::new(name)
-                        .read(sbuf, Arc::clone(rsubset))
-                        .write(dbuf, Arc::clone(wsubset))
-                        .meta(TaskMeta::new(name).with_color(tile.color))
-                        .body(move |ctx| {
-                            let x = RV(ctx.read::<T>(0));
-                            let mut y = WV(ctx.write::<T>(1));
-                            if zero {
-                                for (lo, n) in runs_of(ctx.subset(1)) {
-                                    vecops::fill(y.0.range_mut(lo, n), T::ZERO);
-                                }
-                            }
-                            data.apply(&x, &mut y, t);
-                        }),
-                );
-            }
-        }
-        self.dispatch_all(tasks);
+        self.emit(StepOp::Apply {
+            op,
+            dst,
+            src,
+            transpose,
+        });
     }
 
     fn step_begin(&mut self) {
@@ -1215,74 +1568,19 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         }
         assert!(!self.deferring, "nested step_begin");
         self.deferring = true;
-        self.step_flushed = false;
         self.dot_seq = 0;
-        debug_assert!(self.pending.is_empty());
+        debug_assert!(self.step.key.ops.is_empty());
     }
 
     fn step_end(&mut self) -> StepOutcome {
+        let outcome = self.finish_step();
         self.in_step = false;
-        if !self.deferring {
-            // Tracing disabled, or the step was flushed by a forcing
-            // operation.
-            self.step_flushed = false;
-            self.steps_analyzed += 1;
-            return StepOutcome::Analyzed;
+        match outcome {
+            StepOutcome::Analyzed => self.steps_analyzed += 1,
+            StepOutcome::Captured => self.steps_captured += 1,
+            StepOutcome::Replayed => self.steps_replayed += 1,
         }
-        self.deferring = false;
-        let tasks = std::mem::take(&mut self.pending);
-        if tasks.is_empty() {
-            self.steps_analyzed += 1;
-            return StepOutcome::Analyzed;
-        }
-        let sig = ShapeSig::of_tasks(&tasks);
-        if let Some(trace) = self.trace_cache.get(&sig) {
-            // Shape-signature equality guarantees the length matches
-            // and backend tasks always carry bodies, so the only
-            // reachable replay error is a pending task failure from
-            // the pre-replay fence.
-            match self.rt.replay(trace, tasks) {
-                Ok(_) => {
-                    self.steps_replayed += 1;
-                    StepOutcome::Replayed
-                }
-                Err(_) => {
-                    self.record_rt_failure();
-                    self.steps_analyzed += 1;
-                    StepOutcome::Analyzed
-                }
-            }
-        } else if self.trace_cache.has_room() && self.rt.begin_trace().is_ok() {
-            for tb in tasks {
-                self.rt
-                    .submit(tb)
-                    .expect("backend tasks always carry a body");
-            }
-            match self.rt.end_trace() {
-                Ok(trace) => {
-                    self.trace_cache.insert(sig, trace);
-                    self.steps_captured += 1;
-                    StepOutcome::Captured
-                }
-                Err(_) => {
-                    // A task of the step failed: the tasks ran, but
-                    // the capture is void.
-                    self.record_rt_failure();
-                    self.steps_analyzed += 1;
-                    StepOutcome::Analyzed
-                }
-            }
-        } else {
-            // Cache full, or begin_trace refused (pending failure).
-            self.record_rt_failure();
-            for tb in tasks {
-                self.rt
-                    .submit(tb)
-                    .expect("backend tasks always carry a body");
-            }
-            self.steps_analyzed += 1;
-            StepOutcome::Analyzed
-        }
+        outcome
     }
 
     fn fence(&mut self) {
@@ -1640,9 +1938,10 @@ mod tests {
                 .expect("built on the exec backend");
             let (_, _, replayed) = exec.step_counters();
             assert!(replayed >= 4, "steady state must replay");
-            exec.trace_cache
-                .traces()
-                .map(|t| {
+            exec.programs
+                .iter()
+                .map(|cached| {
+                    let t = cached.program.trace();
                     for i in 0..t.len() {
                         for &dep in t.deps_of(i) {
                             assert!(dep < i && t.node_of(dep) <= t.node_of(i), "edge {dep} -> {i}");

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use kdr_core::{
     solve, solve_recoverable, BiCgSolver, BiCgStabSolver, BreakdownKind, CgSolver, CgsSolver,
     ExecBackend, GmresSolver, MinresSolver, Planner, RecoveryPolicy, SolveControl, SolveError,
-    Solver, TfqmrSolver, RHS, SOL,
+    Solver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
@@ -223,6 +223,88 @@ fn traced_replay_panic_falls_back_analyzed() {
     assert!(res < 1e-8, "true residual {res}");
 }
 
+/// An injected panic that lands in a *replayed* step of a cached step
+/// program. The replay goes in (the failure only exists once the body
+/// runs); the next step finds the failure pending at its pre-replay
+/// fence and degrades to analyzed submission of the operations it
+/// recorded; `take_fault` names the tile task; and afterwards the same
+/// programs replay again, through a solve that converges. Twice over,
+/// identically.
+#[test]
+fn panic_in_a_replayed_program_degrades_a_step_and_the_program_survives() {
+    fn exec_metrics(planner: &mut Planner<f64>) -> kdr_core::ExecMetrics {
+        planner.with_backend(|b| {
+            b.as_any()
+                .downcast_mut::<ExecBackend<f64>>()
+                .expect("the planner runs on the exec backend")
+                .metrics()
+        })
+    }
+    let run = || {
+        // CG's constructor applies the operator once and every step
+        // once, four tile tasks each: the 30th `spmv` body is the
+        // second tile of step 7, which replays.
+        let plan = FaultPlan::seeded(5).with(FaultSpec {
+            name_contains: "spmv".into(),
+            kind: FaultKind::Panic,
+            schedule: FireSchedule::Nth(4 + 6 * 4 + 2),
+            max_fires: 1,
+        });
+        let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 2, Some(plan), true);
+        let mut solver = CgSolver::new(&mut planner);
+        let workspace = planner.workspace_mark() - 3;
+        let mut step = |planner: &mut Planner<f64>| {
+            planner.step_begin();
+            solver.step(planner);
+            planner.step_end()
+        };
+        let mut outcomes: Vec<StepOutcome> = (0..7).map(|_| step(&mut planner)).collect();
+        assert_eq!(outcomes[6], StepOutcome::Replayed, "{outcomes:?}");
+        let before = exec_metrics(&mut planner);
+        assert_eq!(before.runtime.faults_injected, 1);
+
+        // Step 8 waits for step 7 at its pre-replay fence (a backend
+        // fence here would absorb the failure first): the replay is
+        // refused, the recorded operations run analyzed — 6 tasks per
+        // piece and 5 scalar ones.
+        outcomes.push(step(&mut planner));
+        assert_eq!(outcomes[7], StepOutcome::Analyzed);
+        let after = exec_metrics(&mut planner);
+        assert_eq!(after.runtime.task_failures, 1);
+        assert_eq!(after.steps_analyzed, before.steps_analyzed + 1);
+        assert_eq!(after.step_tasks_lowered, before.step_tasks_lowered + 4 * 6 + 5);
+        assert_eq!(after.trace_cache_len, before.trace_cache_len);
+        let fault = planner.take_fault().expect("the panic was absorbed");
+        assert!(fault.task.contains("spmv"), "{fault:?}");
+        assert!(fault.message.contains("injected fault"), "{fault:?}");
+        assert!(planner.take_fault().is_none());
+
+        // The cached programs are intact: a fresh solve over the same
+        // workspace vectors replays them — nothing is captured — and
+        // converges.
+        let n = planner.read_component(SOL, 0).len();
+        planner.set_sol_data(0, &vec![0.0; n]);
+        drop(solver);
+        planner.release_workspace_from(workspace);
+        let mut solver = CgSolver::new(&mut planner);
+        let report = solve(
+            &mut planner,
+            &mut solver,
+            SolveControl::to_tolerance(1e-10, 2000),
+        )
+        .expect("post-fault solve failed");
+        assert!(report.converged);
+        let res = true_residual(&mut planner, &s, &b);
+        assert!(res < 1e-8, "true residual {res}");
+        let end = exec_metrics(&mut planner);
+        assert!(end.steps_replayed > after.steps_replayed + report.iters as u64 / 2);
+        assert_eq!(end.steps_analyzed, after.steps_analyzed, "no step degrades again");
+        assert_eq!(end.steps_captured, after.steps_captured, "no step is captured again");
+        (outcomes, fault, report.iters, res.to_bits())
+    };
+    assert_eq!(run(), run(), "the fault path through a program is deterministic");
+}
+
 /// The same seeded fault plan produces byte-identical failures across
 /// runs and across every solver: fault injection is deterministic, and
 /// no injected panic ever aborts the process.
@@ -238,7 +320,9 @@ fn fault_injection_is_deterministic_across_solvers() {
         ("minres", |p| Box::new(MinresSolver::new(p))),
         ("tfqmr", |p| Box::new(TfqmrSolver::new(p))),
     ];
-    for (name, make) in makes {
+    // Analyzed, and with step programs capturing and replaying around
+    // the fault.
+    for ((name, make), traced) in makes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
         let run = |make: Make| -> Result<_, SolveError> {
             let plan = FaultPlan::seeded(2026).with(FaultSpec {
                 name_contains: "dot_partial".into(),
@@ -246,7 +330,7 @@ fn fault_injection_is_deterministic_across_solvers() {
                 schedule: FireSchedule::Nth(30),
                 max_fires: 1,
             });
-            let (mut planner, _, _) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan), false);
+            let (mut planner, _, _) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan), traced);
             let mut solver = make(&mut planner);
             solve(
                 &mut planner,

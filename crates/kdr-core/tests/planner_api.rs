@@ -3,7 +3,8 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    solve_traced, BiCgStabSolver, CgSolver, ExecBackend, Planner, SolveControl, StepOutcome, RHS, SOL,
+    solve_traced, BiCgStabSolver, CgSolver, ExecBackend, ExecMetrics, Planner, SolveControl,
+    SolveTrace, StepDriver, StepOutcome, RHS, SOL,
 };
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
@@ -174,10 +175,20 @@ fn cyclic_canonical_partition_solves() {
     assert!(res < 1e-8);
 }
 
+fn exec_metrics(p: &mut Planner<f64>) -> ExecMetrics {
+    p.with_backend(|b| {
+        b.as_any()
+            .downcast_mut::<ExecBackend<f64>>()
+            .expect("the planner runs on the exec backend")
+            .metrics()
+    })
+}
+
 /// Build, run and drop one CG solver inside a workspace mark, the way
 /// sessions and the benchmark do; `(residual history bits, analyzed
-/// steps so far, cached traces, vectors allocated)`.
-fn marked_cg_solve(p: &mut Planner<f64>, d: usize) -> (Vec<(usize, u64)>, u64, usize, usize) {
+/// steps so far, cached traces, vectors allocated, tasks lowered from
+/// step operations so far)`.
+fn marked_cg_solve(p: &mut Planner<f64>, d: usize) -> (Vec<(usize, u64)>, u64, usize, usize, u64) {
     let n = p.sol_partition(d).space_size();
     p.set_sol_data(d, &vec![0.0; n as usize]);
     let mark = p.workspace_mark();
@@ -186,19 +197,14 @@ fn marked_cg_solve(p: &mut Planner<f64>, d: usize) -> (Vec<(usize, u64)>, u64, u
     assert!(report.expect("CG on a Laplacian does not break down").converged);
     drop(solver);
     p.release_workspace_from(mark.max(RHS + 1));
-    let (analyzed, cached) = p.with_backend(|b| {
-        let exec = b
-            .as_any()
-            .downcast_mut::<ExecBackend<f64>>()
-            .expect("the planner runs on the exec backend");
-        (exec.step_counters().0, exec.trace_cache_len())
-    });
+    let m = exec_metrics(p);
+    let (analyzed, cached, lowered) = (m.steps_analyzed, m.trace_cache_len, m.step_tasks_lowered);
     let history = trace
         .residual_history
         .iter()
         .map(|&(i, r)| (i, r.to_bits()))
         .collect();
-    (history, analyzed, cached, p.num_vectors())
+    (history, analyzed, cached, p.num_vectors(), lowered)
 }
 
 #[test]
@@ -227,9 +233,15 @@ fn twelve_solves_on_one_planner_do_not_age() {
         assert_eq!(again.1, 0, "solve {solve}: analyzed steps");
         assert_eq!(again.2, second.2, "solve {solve}: cached traces");
         assert_eq!(again.3, second.3, "solve {solve}: vectors allocated");
+        // Every step replays its program: no task is built for it.
+        assert_eq!(again.4, second.4, "solve {solve}: step tasks lowered");
     }
     assert_eq!(second.0, first.0);
     assert_eq!(second.3, first.3, "the pool serves the second solver already");
+    // Tasks were built for the steps the first solve captured — 6 per
+    // piece and 5 scalar ones each — and for no step since.
+    assert_eq!(first.4, first.2 as u64 * (4 * 6 + 5));
+    assert_eq!(second.4, first.4, "the second solve replays every step");
 }
 
 #[test]
@@ -255,8 +267,17 @@ fn bicgstab_shape_cycle_fits_the_trace_cache() {
         check_every: 1,
         ..SolveControl::default()
     };
-    let (report, trace) = solve_traced(&mut p, &mut solver, control);
-    assert_eq!(report.expect("36 steps do not break down").iters, 36);
+    // `solve_traced`, one iteration at a time: tasks lowered from step
+    // operations so far, after each.
+    let (mut driver, mut trace) = (StepDriver::new(), SolveTrace::new());
+    let mut lowered = Vec::new();
+    for _ in 0..36 {
+        driver
+            .step(&mut p, &mut solver, &control, Some(&mut trace))
+            .expect("36 steps do not break down");
+        lowered.push(exec_metrics(&mut p));
+    }
+    assert_eq!(driver.iters(), 36);
     let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();
     assert!(
         outcomes[..9].iter().all(|&o| o == StepOutcome::Captured),
@@ -266,13 +287,11 @@ fn bicgstab_shape_cycle_fits_the_trace_cache() {
         outcomes[9..].iter().all(|&o| o == StepOutcome::Replayed),
         "no step is analysed again: {outcomes:?}"
     );
-    let cached = p.with_backend(|b| {
-        b.as_any()
-            .downcast_mut::<ExecBackend<f64>>()
-            .expect("the planner runs on the exec backend")
-            .trace_cache_len()
-    });
-    assert_eq!(cached, 9);
+    assert_eq!(lowered[35].trace_cache_len, 9);
+    // Tasks are built for the nine captured steps and for none after.
+    let lowered: Vec<u64> = lowered.iter().map(|m| m.step_tasks_lowered).collect();
+    assert!(lowered[..9].windows(2).all(|w| w[0] < w[1]), "{lowered:?}");
+    assert!(lowered[8..].iter().all(|&l| l == lowered[8]), "{lowered:?}");
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! analyzed submission is a node with one member; a trace replay
 //! arrives as a whole compiled step graph whose nodes may hold several
 //! (see [`crate::trace`]). Both go through the same dependence state,
-//! the same queues and the same retirement.
+//! the same queues and the same retirement. A node either owns bodies
+//! built for it, each consumed by its run, or points into a step
+//! program's bodies, which stay with the program (`Work`).
 //!
 //! Nodes arrive with their dependences already known (from the
 //! analyzer or from the compiled trace). Ready nodes are routed by an
@@ -82,9 +84,9 @@ use crate::events::{
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TaskError, TaskErrorKind};
 use crate::mapper::{Mapper, TaskMeta};
 use crate::task::{Privilege, TaskBody, TaskContext, TaskId};
-use crate::trace::{StepGraph, Trace};
+use crate::trace::{ProgramBody, StepGraph, Trace};
 
-/// One task body of a scheduled node.
+/// One task body of a node built for a single submission.
 pub(crate) struct Member {
     pub id: TaskId,
     pub body: TaskBody,
@@ -98,10 +100,53 @@ pub(crate) struct Member {
     pub fault: Option<FaultKind>,
 }
 
+/// One run of a step program's bodies: the capture run, where every
+/// body is a node of its own, or a replay as the compiled graph. The
+/// nodes of the run share it, so scheduling the step builds nothing
+/// per body.
+pub(crate) struct ProgramRun {
+    bodies: Arc<[ProgramBody]>,
+    /// Id of body 0; body `i` runs as task `base + i`.
+    base: TaskId,
+    /// The compiled step a replay is scheduled as; `None` for the
+    /// capture run.
+    graph: Option<Arc<StepGraph>>,
+    /// The injector's decision per body, taken in body order when the
+    /// run was made; empty when it was disarmed.
+    faults: Vec<Option<FaultKind>>,
+}
+
+impl ProgramRun {
+    /// The bodies of node `at`, in running order: the members of that
+    /// node of the graph, or body `at` itself in a capture run.
+    fn locals<'a>(&'a self, at: &'a u32) -> &'a [u32] {
+        match &self.graph {
+            Some(graph) => &graph.nodes[*at as usize].members,
+            None => std::slice::from_ref(at),
+        }
+    }
+
+    /// Body `local` of the program: the id it runs under in this run,
+    /// the body, and the fault planted in it.
+    fn body(&self, local: u32) -> (TaskId, &ProgramBody, Option<FaultKind>) {
+        let fault = self.faults.get(local as usize).copied().flatten();
+        let id = self.base + TaskId::from(local);
+        (id, &self.bodies[local as usize], fault)
+    }
+}
+
+/// What a node runs.
+enum Work {
+    /// Bodies built for this submission, each consumed by its run.
+    Once(Vec<Member>),
+    /// Node `at` of a program run ([`ProgramRun::locals`]).
+    Program { run: Arc<ProgramRun>, at: u32 },
+}
+
 /// A scheduled node: member bodies run in order on one worker.
 pub(crate) struct Runnable {
     /// Never empty; the first member's id is the node's id.
-    members: Vec<Member>,
+    work: Work,
     /// Event-log timestamp: when this node became ready (all
     /// predecessors retired). Zero while event logging is off.
     ready_ns: u64,
@@ -111,18 +156,64 @@ pub(crate) struct Runnable {
 }
 
 impl Runnable {
-    /// A node of one task.
-    pub fn single(member: Member) -> Self {
+    fn new(work: Work) -> Self {
         Runnable {
-            members: vec![member],
+            work,
             ready_ns: 0,
             poisoned: false,
         }
     }
 
-    fn id(&self) -> TaskId {
-        self.members[0].id
+    /// A node of one task.
+    pub fn single(member: Member) -> Self {
+        Self::new(Work::Once(vec![member]))
     }
+
+    /// Body `at` of a capture run, as a node of its own.
+    pub fn captured(run: &Arc<ProgramRun>, at: u32) -> Self {
+        debug_assert!(run.graph.is_none());
+        Self::new(Work::Program {
+            run: Arc::clone(run),
+            at,
+        })
+    }
+
+    /// The node's id and the metadata it is routed by: its first
+    /// body's.
+    fn head(&self) -> (TaskId, &TaskMeta) {
+        match &self.work {
+            Work::Once(members) => (members[0].id, &members[0].meta),
+            Work::Program { run, at } => {
+                let (id, first, _) = run.body(run.locals(at)[0]);
+                (id, &first.meta)
+            }
+        }
+    }
+
+    fn id(&self) -> TaskId {
+        self.head().0
+    }
+
+    /// Id and kernel name of every body, in running order.
+    fn for_each_body(&self, mut f: impl FnMut(TaskId, &'static str)) {
+        match &self.work {
+            Work::Once(members) => members.iter().for_each(|m| f(m.id, m.meta.name)),
+            Work::Program { run, at } => {
+                for &l in run.locals(at) {
+                    let (id, body, _) = run.body(l);
+                    f(id, body.meta.name);
+                }
+            }
+        }
+    }
+}
+
+/// The bodies of a replayed step, in the trace's task order.
+pub(crate) enum StepBodies {
+    /// Built for this replay; `members[i].id` is `base + i`.
+    Once(Vec<Member>),
+    /// The program's own.
+    Program(Arc<[ProgramBody]>),
 }
 
 /// `Slot::graph_node` of a node that is not part of a replayed graph.
@@ -197,7 +288,7 @@ impl ReadyQueues {
     /// instead of decaying to the injector.
     fn push(&mut self, mut node: Runnable, ready_ns: u64) {
         node.ready_ns = ready_ns;
-        let meta = &node.members[0].meta;
+        let meta = node.head().1;
         let lane = &mut self.lanes[usize::from(meta.priority == 0)];
         match &self.mapper {
             Some(m) => {
@@ -423,18 +514,27 @@ impl Executor {
         let shared = &*self.shared;
         // Fault decisions happen here, at submission: the runtime
         // serializes submissions, so a seeded plan reproduces the
-        // same injections regardless of worker interleaving.
-        for m in &mut runnable.members {
-            m.fault = shared.faults.decide(m.meta.name);
+        // same injections regardless of worker interleaving. (A
+        // program run took its bodies' when it was made.)
+        if let Work::Once(members) = &mut runnable.work {
+            for m in members {
+                m.fault = shared.faults.decide(m.meta.name);
+            }
         }
-        let id = runnable.id();
+        let (id, name) = {
+            let (id, meta) = runnable.head();
+            (id, meta.name)
+        };
         let logging = shared.events.enabled();
-        let now_ns = shared.stamp(logging);
         let mut st = shared.state.lock();
+        // Stamped under the lock: a dependence that retired before this
+        // acquisition has an end stamp no later than this node's
+        // submit (and ready) stamp.
+        let now_ns = shared.stamp(logging);
         if logging {
             st.spans.record_submits([SubmitRecord {
                 id,
-                name: runnable.members[0].meta.name,
+                name,
                 provenance: Provenance::Analyzed,
                 submit_ns: now_ns,
                 deps: deps.to_vec(),
@@ -479,49 +579,87 @@ impl Executor {
         }
     }
 
-    /// Enqueue one replayed step: `members[i]` is the body of the
-    /// `i`-th task of `trace` and gets the id `base + i`; the trace's
+    /// The bodies of a step program as one run starting at id `base`:
+    /// the capture run (`graph` is `None`; the caller submits body `i`
+    /// as [`Runnable::captured`]) or a replay of the compiled `graph`.
+    /// Takes the injector's decision for every body here, in body
+    /// order — the order task-by-task submission would take them in,
+    /// since nothing else is submitted while the run goes in.
+    pub fn program_run(
+        &self,
+        bodies: Arc<[ProgramBody]>,
+        base: TaskId,
+        graph: Option<Arc<StepGraph>>,
+    ) -> Arc<ProgramRun> {
+        let faults = &self.shared.faults;
+        Arc::new(ProgramRun {
+            faults: faults.decide_all(bodies.iter().map(|b| b.meta.name)),
+            bodies,
+            base,
+            graph,
+        })
+    }
+
+    /// Enqueue one replayed step: body `i` of `bodies` is the `i`-th
+    /// task of `trace` and gets the id `base + i`; the trace's
     /// compiled graph says which node each belongs to and how the
     /// nodes depend on one another. The executor must be quiescent
     /// (the runtime fences before a replay), so the step has no
     /// outside dependences and the whole graph is installed under one
     /// lock acquisition, with one round of wake-ups for its initially
     /// ready nodes.
-    pub fn submit_graph(&self, base: TaskId, trace: &Trace, members: Vec<Member>) {
+    pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: StepBodies) {
         let shared = &*self.shared;
         let graph = &trace.graph;
-        debug_assert_eq!(members.len(), graph.node_of.len());
-        let mut nodes: Vec<Runnable> = graph
-            .nodes
-            .iter()
-            .map(|n| Runnable {
-                members: Vec::with_capacity(n.len as usize),
-                ready_ns: 0,
-                poisoned: false,
-            })
-            .collect();
         let logging = shared.events.enabled();
         let now_ns = shared.stamp(logging);
         let mut submits = Vec::new();
+        let mut log_submit = |local: usize, name: &'static str| {
+            submits.push(SubmitRecord {
+                id: base + local as TaskId,
+                name,
+                provenance: Provenance::Replayed,
+                submit_ns: now_ns,
+                deps: trace.deps[local]
+                    .iter()
+                    .map(|&l| base + l as TaskId)
+                    .collect(),
+            });
+        };
+        /// Where the work of the graph's nodes comes from, node by node.
+        enum Nodes {
+            Once(std::vec::IntoIter<Vec<Member>>),
+            Program(Arc<ProgramRun>),
+        }
         // One fault decision per body in submission order, exactly as
         // task-by-task submission makes them.
-        for (mut m, &node) in members.into_iter().zip(&graph.node_of) {
-            m.fault = shared.faults.decide(m.meta.name);
-            if logging {
-                let local = (m.id - base) as usize;
-                submits.push(SubmitRecord {
-                    id: m.id,
-                    name: m.meta.name,
-                    provenance: Provenance::Replayed,
-                    submit_ns: now_ns,
-                    deps: trace.deps[local]
-                        .iter()
-                        .map(|&l| base + l as TaskId)
-                        .collect(),
-                });
+        let mut nodes = match bodies {
+            StepBodies::Once(members) => {
+                debug_assert_eq!(members.len(), graph.node_of.len());
+                let mut of_node: Vec<Vec<Member>> = graph
+                    .nodes
+                    .iter()
+                    .map(|n| Vec::with_capacity(n.members.len()))
+                    .collect();
+                for (local, (mut m, &node)) in members.into_iter().zip(&graph.node_of).enumerate() {
+                    m.fault = shared.faults.decide(m.meta.name);
+                    if logging {
+                        log_submit(local, m.meta.name);
+                    }
+                    of_node[node as usize].push(m);
+                }
+                Nodes::Once(of_node.into_iter())
             }
-            nodes[node as usize].members.push(m);
-        }
+            StepBodies::Program(bodies) => {
+                debug_assert_eq!(bodies.len(), graph.node_of.len());
+                if logging {
+                    for (local, b) in bodies.iter().enumerate() {
+                        log_submit(local, b.meta.name);
+                    }
+                }
+                Nodes::Program(self.program_run(bodies, base, Some(Arc::clone(graph))))
+            }
+        };
         let mut st = shared.state.lock();
         assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
         st.spans.record_submits(submits);
@@ -529,8 +667,15 @@ impl Executor {
         st.slots.clear();
         st.slots.resize_with(graph.node_of.len(), Slot::vacant);
         let mut ready = 0;
-        for (k, (node, run)) in graph.nodes.iter().zip(nodes).enumerate() {
-            let slot = &mut st.slots[node.leader as usize];
+        for (k, node) in graph.nodes.iter().enumerate() {
+            let run = Runnable::new(match &mut nodes {
+                Nodes::Once(of_node) => Work::Once(of_node.next().expect("one list per node")),
+                Nodes::Program(run) => Work::Program {
+                    run: Arc::clone(run),
+                    at: k as u32,
+                },
+            });
+            let slot = &mut st.slots[node.leader() as usize];
             slot.live = true;
             slot.graph_node = k as u32;
             slot.unmet = node.indegree;
@@ -685,6 +830,20 @@ struct BodyRecord {
     end_ns: u64,
 }
 
+impl BodyRecord {
+    /// A body dropped without running at `now_ns`.
+    fn unrun(id: TaskId, name: &'static str, now_ns: u64) -> Self {
+        BodyRecord {
+            id,
+            name,
+            outcome: TaskOutcome::Poisoned,
+            ready_ns: now_ns,
+            start_ns: now_ns,
+            end_ns: now_ns,
+        }
+    }
+}
+
 /// What a worker hands to [`retire_locked`].
 enum Retiring<'a> {
     /// Node `id` ran; its bodies ended as `bodies` say.
@@ -719,18 +878,8 @@ fn retire_locked(
     while let Some(run) = unrun.pop() {
         st.tallies.tasks_poisoned += 1;
         let now = shared.stamp(logging);
-        let records: Vec<BodyRecord> = run
-            .members
-            .iter()
-            .map(|m| BodyRecord {
-                id: m.id,
-                name: m.meta.name,
-                outcome: TaskOutcome::Poisoned,
-                ready_ns: now,
-                start_ns: now,
-                end_ns: now,
-            })
-            .collect();
+        let mut records = Vec::new();
+        run.for_each_body(|id, name| records.push(BodyRecord::unrun(id, name, now)));
         let id = run.id();
         // Dropping the node drops its bodies; any captured Promise
         // poisons its Future here.
@@ -781,7 +930,7 @@ fn retire_one(
                 graph.nodes[node as usize]
                     .succs
                     .iter()
-                    .map(move |&s| first + TaskId::from(graph.nodes[s as usize].leader)),
+                    .map(move |&s| first + TaskId::from(graph.nodes[s as usize].leader())),
             )
         }
     };
@@ -836,37 +985,42 @@ fn retire_one(
     released
 }
 
-/// Run the bodies of `node` in order, with the scheduler lock
-/// released, filling `records` with what became of each. Returns the
-/// failure of the body that panicked, if one did; the bodies behind
-/// it are dropped unrun.
-fn run_node(
-    shared: &ExecShared,
+/// The bodies of one node as a worker runs them: what became of each
+/// so far, and the failure of the one that panicked.
+struct NodeRun<'a> {
+    shared: &'a ExecShared,
     me: usize,
-    node: Runnable,
     timing: bool,
-    records: &mut Vec<BodyRecord>,
-) -> Option<TaskError> {
-    records.clear();
-    let mut failure = None;
-    // One relaxed load when the watchdog is off — the fault layer's
-    // entire cost on the disabled execute path (the injected-fault
-    // check below is a plain field read).
-    let budget = shared.stall_budget_ns.load(Ordering::Relaxed);
-    // A fused member is ready the moment the one before it returns.
-    let mut ready_ns = node.ready_ns;
-    let mut members = node.members.into_iter();
-    for m in members.by_ref() {
-        let Member {
-            id,
-            body,
-            ctx,
-            meta,
-            fault,
-        } = m;
-        let name = meta.name;
-        let start_ns = shared.stamp(timing);
-        if budget > 0 {
+    /// The watchdog's stall budget; one relaxed load per node when it
+    /// is off — the fault layer's entire cost on the disabled execute
+    /// path (the injected-fault check is a plain field read).
+    budget: u64,
+    /// A fused member is ready the moment the one before it returns.
+    ready_ns: u64,
+    records: &'a mut Vec<BodyRecord>,
+    failure: Option<TaskError>,
+}
+
+impl NodeRun<'_> {
+    /// Run the next body of the node through `call` — or, once a body
+    /// of the node has panicked, record it as poisoned and drop `call`
+    /// unrun, which poisons any promise it captured.
+    fn body(
+        &mut self,
+        id: TaskId,
+        name: &'static str,
+        fault: Option<FaultKind>,
+        ctx: &TaskContext,
+        call: impl FnOnce(&TaskContext),
+    ) {
+        if self.failure.is_some() {
+            self.records
+                .push(BodyRecord::unrun(id, name, self.ready_ns));
+            return;
+        }
+        let (shared, me) = (self.shared, self.me);
+        let start_ns = shared.stamp(self.timing);
+        if self.budget > 0 {
             let slot = &shared.watch[me];
             slot.since_ns
                 .store(shared.events.now_ns(), Ordering::Relaxed);
@@ -878,11 +1032,11 @@ fn run_node(
             }
             Some(FaultKind::Stall { millis }) => {
                 std::thread::sleep(Duration::from_millis(millis));
-                body(&ctx)
+                call(ctx)
             }
-            _ => body(&ctx),
+            _ => call(ctx),
         }));
-        if budget > 0 {
+        if self.budget > 0 {
             shared.watch[me].task.store(0, Ordering::Release);
         }
         if result.is_ok() && fault == Some(FaultKind::CorruptWrite) {
@@ -893,41 +1047,64 @@ fn run_node(
                 (req.corrupt)(req);
             }
         }
-        let end_ns = shared.stamp(timing);
-        records.push(BodyRecord {
+        let end_ns = shared.stamp(self.timing);
+        self.records.push(BodyRecord {
             id,
             name,
             outcome: match result {
                 Ok(()) => TaskOutcome::Completed,
                 Err(_) => TaskOutcome::Panicked,
             },
-            ready_ns,
+            ready_ns: self.ready_ns,
             start_ns,
             end_ns,
         });
-        ready_ns = end_ns;
+        self.ready_ns = end_ns;
         if let Err(payload) = result {
-            failure = Some(TaskError {
+            self.failure = Some(TaskError {
                 task: id,
                 name,
                 kind: TaskErrorKind::Panicked(panic_message(payload.as_ref())),
             });
-            break;
         }
     }
-    // Bodies behind a panicking one never run; dropping them poisons
-    // their promises like any poisoned task's.
-    for m in members {
-        records.push(BodyRecord {
-            id: m.id,
-            name: m.meta.name,
-            outcome: TaskOutcome::Poisoned,
-            ready_ns,
-            start_ns: ready_ns,
-            end_ns: ready_ns,
-        });
+}
+
+/// Run the bodies of `node` in order, with the scheduler lock
+/// released, filling `records` with what became of each. Returns the
+/// failure of the body that panicked, if one did; the bodies behind
+/// it do not run.
+fn run_node(
+    shared: &ExecShared,
+    me: usize,
+    node: Runnable,
+    timing: bool,
+    records: &mut Vec<BodyRecord>,
+) -> Option<TaskError> {
+    records.clear();
+    let mut run = NodeRun {
+        shared,
+        me,
+        timing,
+        budget: shared.stall_budget_ns.load(Ordering::Relaxed),
+        ready_ns: node.ready_ns,
+        records,
+        failure: None,
+    };
+    match node.work {
+        Work::Once(members) => {
+            for m in members {
+                run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx));
+            }
+        }
+        Work::Program { run: program, at } => {
+            for &l in program.locals(&at) {
+                let (id, b, fault) = program.body(l);
+                run.body(id, b.meta.name, fault, &b.ctx, |ctx| (b.body)(ctx));
+            }
+        }
     }
-    failure
+    run.failure
 }
 
 fn worker_loop(shared: &ExecShared, me: usize) {
@@ -1029,7 +1206,7 @@ mod tests {
     fn member(id: TaskId, meta: TaskMeta, f: impl FnOnce() + Send + 'static) -> Member {
         Member {
             id,
-            body: Box::new(move |_| f()),
+            body: TaskBody::Once(Box::new(move |_| f())),
             ctx: TaskContext { reqs: Vec::new() },
             meta,
             fault: None,

@@ -87,6 +87,13 @@ pub enum RuntimeError {
         /// Name of the body-less task.
         task: &'static str,
     },
+    /// `capture_program` was handed a task whose body runs once
+    /// (`TaskBuilder::body`); a program runs its bodies on every
+    /// replay, so they must be `TaskBuilder::shared_body` ones.
+    BodyRunsOnce {
+        /// Name of the task.
+        task: &'static str,
+    },
     /// `begin_trace` or `replay` was called while the calling thread
     /// had a capture open.
     NestedTrace,
@@ -110,6 +117,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::MissingBody { task } => {
                 write!(f, "task '{task}' submitted without a body; call .body(..)")
             }
+            RuntimeError::BodyRunsOnce { task } => write!(
+                f,
+                "task '{task}' of a step program has a run-once body; use .shared_body(..)"
+            ),
             RuntimeError::NestedTrace => {
                 write!(f, "begin_trace or replay while a capture is active")
             }
@@ -296,6 +307,19 @@ impl FaultInjector {
             return None;
         }
         None
+    }
+
+    /// [`FaultInjector::decide`] for every body of a step program, in
+    /// body order. Empty while disarmed: one relaxed load for the
+    /// whole step.
+    pub(crate) fn decide_all<'a>(
+        &self,
+        names: impl Iterator<Item = &'a str>,
+    ) -> Vec<Option<FaultKind>> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
+        names.map(|name| self.decide(name)).collect()
     }
 }
 

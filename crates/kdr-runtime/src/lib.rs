@@ -90,4 +90,4 @@ pub use mapper::{ColorAffinityMapper, Mapper, RoundRobinMapper, TaskMeta};
 pub use metrics::{AtomicHistogram, HistogramSnapshot, MetricsSnapshot};
 pub use runtime::Runtime;
 pub use task::{Privilege, TaskBuilder, TaskContext, TaskId};
-pub use trace::{ShapeSig, Trace, TraceCache};
+pub use trace::{ShapeSig, StepProgram, Trace};

@@ -9,18 +9,19 @@
 //! [`Runtime::set_stall_budget`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::events::TaskSpan;
-use crate::executor::{Executor, Member, Runnable};
+use crate::executor::{Executor, Member, Runnable, StepBodies};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
 use crate::mapper::Mapper;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{TaskBuilder, TaskContext, TaskId};
-use crate::trace::Trace;
+use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId};
+use crate::trace::{ProgramBody, StepProgram, Trace};
 
 /// A capture in progress. Only the owning thread submits while it is
 /// open, so the captured tasks' ids are `first_id, first_id + 1, …`
@@ -84,7 +85,7 @@ impl Runtime {
     /// Create a runtime whose ready tasks are routed to workers by a
     /// [`Mapper`] (processor-affinity scheduling; idle workers still
     /// steal).
-    pub fn with_mapper(workers: usize, mapper: std::sync::Arc<dyn Mapper>) -> Self {
+    pub fn with_mapper(workers: usize, mapper: Arc<dyn Mapper>) -> Self {
         Self::build(Executor::with_mapper(workers, Some(mapper)))
     }
 
@@ -182,19 +183,40 @@ impl Runtime {
     /// with [`RuntimeError::MissingBody`] if `TaskBuilder::body` was
     /// never called.
     pub fn submit(&self, task: TaskBuilder) -> Result<TaskId, RuntimeError> {
-        let lites = task.req_lites();
+        let lites = req_lites(&task.reqs);
         let body = match task.body {
             Some(b) => b,
             None => return Err(RuntimeError::MissingBody { task: task.name }),
         };
-
         let mut st = self.lock_past_foreign_capture();
+        let color = task.meta.color;
+        Ok(self.submit_analyzed(&mut st, &lites, color, |id| {
+            Runnable::single(Member {
+                id,
+                body,
+                ctx: TaskContext { reqs: task.reqs },
+                meta: task.meta,
+                fault: None,
+            })
+        }))
+    }
+
+    /// Analyze one task against the frontier, record it in the open
+    /// capture if there is one, and hand the node `node(id)` to the
+    /// executor with the dependences found.
+    fn submit_analyzed(
+        &self,
+        st: &mut RtState,
+        lites: &[ReqLite],
+        color: Option<usize>,
+        node: impl FnOnce(TaskId) -> Runnable,
+    ) -> TaskId {
         let id = st.next_id;
         st.next_id += 1;
         st.tasks_submitted += 1;
         st.tasks_analyzed += 1;
         let t0 = Instant::now();
-        let deps = st.analyzer.analyze(id, &lites);
+        let deps = st.analyzer.analyze(id, lites);
         st.analysis_ns += t0.elapsed().as_nanos() as u64;
         if let Some(cap) = &mut st.capture {
             // The capture began from a cleared analyzer, so every
@@ -202,23 +224,13 @@ impl Runtime {
             let first = cap.first_id;
             cap.deps
                 .push(deps.iter().map(|d| (d - first) as usize).collect());
-            cap.colors.push(task.meta.color);
+            cap.colors.push(color);
         }
-        // Hold the state lock across executor submission so tasks
-        // enter the executor in analysis order (which also keeps
-        // fault-injection decisions deterministic).
-        self.exec.submit(
-            Runnable::single(Member {
-                id,
-                body,
-                ctx: TaskContext { reqs: task.reqs },
-                meta: task.meta,
-                fault: None,
-            }),
-            &deps,
-        );
-        drop(st);
-        Ok(id)
+        // The caller holds the state lock across executor submission,
+        // so tasks enter the executor in analysis order (which also
+        // keeps fault-injection decisions deterministic).
+        self.exec.submit(node(id), &deps);
+        id
     }
 
     /// Launch one task per color in `0..colors` (Legion's index task
@@ -364,6 +376,86 @@ impl Runtime {
         if let Some(t) = tasks.iter().find(|t| t.body.is_none()) {
             return Err(RuntimeError::MissingBody { task: t.name });
         }
+        let base = self.submit_step(trace, |base| {
+            let members = tasks.into_iter().zip(base..).map(|(task, id)| Member {
+                id,
+                body: task.body.expect("bodies were checked above"),
+                ctx: TaskContext { reqs: task.reqs },
+                meta: task.meta,
+                fault: None,
+            });
+            StepBodies::Once(members.collect())
+        })?;
+        Ok((base..base + trace.len() as TaskId).collect())
+    }
+
+    /// Submit `tasks` — every one of them, in order, through dependence
+    /// analysis — and keep them, with the capture of that run, as a
+    /// [`StepProgram`]. Every body must be a
+    /// [`TaskBuilder::shared_body`] one; otherwise the call returns
+    /// [`RuntimeError::BodyRunsOnce`] (or
+    /// [`RuntimeError::MissingBody`]) and submits nothing.
+    ///
+    /// Any other error means the tasks were submitted but there is no
+    /// program: the capture was refused because a task failure is
+    /// pending (the tasks then ran as plain analyzed submissions), or
+    /// a task of the step failed. The capture itself is
+    /// [`Runtime::begin_trace`] … [`Runtime::end_trace`], with their
+    /// fences and their gate against other threads' submissions.
+    pub fn capture_program(&self, tasks: Vec<TaskBuilder>) -> Result<StepProgram, RuntimeError> {
+        let bodies = tasks
+            .into_iter()
+            .map(ProgramBody::try_from)
+            .collect::<Result<Arc<[ProgramBody]>, _>>()?;
+        let capturing = self.begin_trace();
+        {
+            // One acquisition for the whole step: the ids are
+            // consecutive, as a program run numbers its bodies.
+            let mut st = self.lock_past_foreign_capture();
+            let run = self.exec.program_run(Arc::clone(&bodies), st.next_id, None);
+            for (i, b) in bodies.iter().enumerate() {
+                let lites = req_lites(&b.ctx.reqs);
+                self.submit_analyzed(&mut st, &lites, b.meta.color, |_| {
+                    Runnable::captured(&run, i as u32)
+                });
+            }
+        }
+        capturing?;
+        Ok(StepProgram {
+            trace: self.end_trace()?,
+            bodies,
+        })
+    }
+
+    /// Replay a program: the step it was captured from, scheduled as
+    /// its compiled graph with the bodies and requirement lists the
+    /// program already owns. `bind` runs once the runtime is quiescent
+    /// and before any body of the step can start — the place to store
+    /// what this run's bodies should read differently from the last
+    /// run's. Fails, with nothing submitted and `bind` not called, if
+    /// a task failure is pending at the quiescing fence.
+    pub fn run_program(
+        &self,
+        program: &StepProgram,
+        bind: impl FnOnce(),
+    ) -> Result<(), RuntimeError> {
+        self.submit_step(&program.trace, |_| {
+            bind();
+            StepBodies::Program(Arc::clone(&program.bodies))
+        })?;
+        Ok(())
+    }
+
+    /// The replay routine behind [`Runtime::replay`] and
+    /// [`Runtime::run_program`]: quiesce, give the step the next
+    /// `trace.len()` ids, hand `bodies(first id)` to the executor as
+    /// the compiled graph and install the recorded frontier. Returns
+    /// the first id.
+    fn submit_step(
+        &self,
+        trace: &Trace,
+        bodies: impl FnOnce(TaskId) -> StepBodies,
+    ) -> Result<TaskId, RuntimeError> {
         // The recorded graph has no edges to anything outside it and
         // the recorded frontier replaces the analyzer's, so the step
         // must start from a quiescent runtime. Submissions hold the
@@ -382,27 +474,14 @@ impl Runtime {
             }
         };
         let base = st.next_id;
-        let end = base + tasks.len() as TaskId;
-        let nodes = trace.num_nodes() as u64;
-        st.next_id = end;
+        let (tasks, nodes) = (trace.len() as u64, trace.num_nodes() as u64);
+        st.next_id = base + tasks;
         st.tasks_submitted += nodes;
         st.tasks_replayed += nodes;
-        st.tasks_fused += tasks.len() as u64 - nodes;
-        let members = tasks
-            .into_iter()
-            .zip(base..)
-            .map(|(task, id)| Member {
-                id,
-                body: task.body.expect("bodies were checked above"),
-                ctx: TaskContext { reqs: task.reqs },
-                meta: task.meta,
-                fault: None,
-            })
-            .collect();
-        self.exec.submit_graph(base, trace, members);
+        st.tasks_fused += tasks - nodes;
+        self.exec.submit_graph(base, trace, bodies(base));
         st.analyzer.install(&trace.frontier, |local| base + local);
-        drop(st);
-        Ok((base..end).collect())
+        Ok(base)
     }
 
     /// Enable or disable structured event logging. Off by default;
@@ -652,6 +731,93 @@ mod tests {
         .unwrap();
         rt.fence().unwrap();
         assert_eq!(v.snapshot(), vec![20.0]);
+    }
+
+    #[test]
+    fn program_replays_its_own_bodies_with_rebound_state() {
+        let rt = Runtime::new(4);
+        let v = Buffer::filled(4, 0.0f64);
+        // What a body adds: state outside the buffers, rebound per run.
+        let step = Arc::new(AtomicU64::new(1));
+        let add = |v: &Buffer<f64>| {
+            let step = Arc::clone(&step);
+            TaskBuilder::new("add")
+                .write_all(v)
+                .shared_body(move |ctx| {
+                    let w = ctx.write::<f64>(0);
+                    for i in 0..4 {
+                        w.set(i, w.get(i) + step.load(Ordering::Relaxed) as f64);
+                    }
+                })
+        };
+        let program = rt.capture_program(vec![add(&v), add(&v)]).unwrap();
+        assert_eq!(program.trace().len(), 2);
+        assert_eq!(program.trace().num_edges(), 1);
+        rt.fence().unwrap();
+        assert_eq!(v.snapshot(), vec![2.0; 4], "the capture runs the tasks");
+        // Back to back: `bind` runs after the previous run's bodies.
+        for k in 2..=4 {
+            rt.run_program(&program, || step.store(k, Ordering::Relaxed))
+                .unwrap();
+        }
+        rt.fence().unwrap();
+        assert_eq!(v.snapshot(), vec![2.0 + 2.0 * (2 + 3 + 4) as f64; 4]);
+        let s = rt.metrics();
+        assert_eq!(s.tasks_analyzed, 2);
+        assert_eq!(s.tasks_replayed, 6);
+        assert_eq!(s.tasks_executed, 8);
+        // Analysis after a program run sees what it wrote.
+        rt.submit(TaskBuilder::new("dbl").write_all(&v).body(|ctx| {
+            let w = ctx.write::<f64>(0);
+            w.set(0, w.get(0) * 2.0);
+        }))
+        .unwrap();
+        rt.fence().unwrap();
+        assert_eq!(v.snapshot()[0], 40.0);
+    }
+
+    #[test]
+    fn program_capture_takes_shared_bodies_only_and_survives_a_refusal() {
+        let rt = Runtime::new(2);
+        let (x, y) = (Buffer::filled(1, 0.0f64), Buffer::filled(1, 0.0f64));
+        let inc = |b: &Buffer<f64>| {
+            TaskBuilder::new("inc").write_all(b).shared_body(|ctx| {
+                let w = ctx.write::<f64>(0);
+                w.set(0, w.get(0) + 1.0);
+            })
+        };
+        // A run-once body cannot be kept: nothing is submitted.
+        let once = TaskBuilder::new("once").write_all(&y).body(|_| {});
+        let err = rt.capture_program(vec![inc(&y), once]).err();
+        assert_eq!(err, Some(RuntimeError::BodyRunsOnce { task: "once" }));
+        let headless = TaskBuilder::new("headless").write_all(&y);
+        let err = rt.capture_program(vec![headless]).err();
+        assert_eq!(err, Some(RuntimeError::MissingBody { task: "headless" }));
+        assert_eq!(rt.metrics().tasks_submitted, 0);
+
+        // A pending failure refuses a capture (the tasks still run)
+        // and a replay (nothing is bound, nothing runs).
+        let kept = rt.capture_program(vec![inc(&x)]).unwrap();
+        rt.submit(
+            TaskBuilder::new("explode")
+                .write_all(&x)
+                .body(|_| panic!("kaboom")),
+        )
+        .unwrap();
+        let err = rt.capture_program(vec![inc(&y)]).err();
+        assert!(matches!(err, Some(RuntimeError::TaskFailed(_))), "{err:?}");
+        assert!(rt.fence().is_err());
+        assert_eq!(y.snapshot(), vec![1.0]);
+        let refused = rt.run_program(&kept, || panic!("bound a refused replay"));
+        assert!(matches!(refused, Err(RuntimeError::TaskFailed(_))));
+        assert_eq!(x.snapshot(), vec![1.0]);
+
+        // Once the failure is taken, capture and replay work.
+        rt.take_failure().unwrap();
+        let program = rt.capture_program(vec![inc(&y)]).unwrap();
+        rt.run_program(&program, || {}).unwrap();
+        rt.fence().unwrap();
+        assert_eq!(y.snapshot(), vec![3.0]);
     }
 
     #[test]

@@ -57,7 +57,26 @@ pub(crate) struct ReqLite {
 }
 
 /// A task's executable payload.
-pub(crate) type TaskBody = Box<dyn FnOnce(&TaskContext) + Send>;
+pub(crate) enum TaskBody {
+    /// Runs once and is consumed by the run, so it may give away what
+    /// it captured (fulfil a promise).
+    Once(Box<dyn FnOnce(&TaskContext) + Send>),
+    /// Runs any number of times, on any worker: the kind of body a
+    /// [`StepProgram`](crate::StepProgram) keeps.
+    Shared(SharedBody),
+}
+
+/// A body that may run any number of times.
+pub(crate) type SharedBody = Box<dyn Fn(&TaskContext) + Send + Sync>;
+
+impl TaskBody {
+    pub(crate) fn run(self, ctx: &TaskContext) {
+        match self {
+            TaskBody::Once(f) => f(ctx),
+            TaskBody::Shared(f) => f(ctx),
+        }
+    }
+}
 
 /// Builder for a task: name, declared accesses, metadata and body.
 pub struct TaskBuilder {
@@ -152,20 +171,30 @@ impl TaskBuilder {
     /// Provide the task body. The closure receives a [`TaskContext`]
     /// from which it obtains views onto its declared requirements.
     pub fn body(mut self, f: impl FnOnce(&TaskContext) + Send + 'static) -> Self {
-        self.body = Some(Box::new(f));
+        self.body = Some(TaskBody::Once(Box::new(f)));
         self
     }
 
-    pub(crate) fn req_lites(&self) -> Vec<ReqLite> {
-        self.reqs
-            .iter()
-            .map(|r| ReqLite {
-                buffer_id: r.buffer_id,
-                subset: Arc::clone(&r.subset),
-                write: r.privilege == Privilege::Write,
-            })
-            .collect()
+    /// Provide a body that may run any number of times. Such a task
+    /// submits and replays like any other, and it is the only kind
+    /// [`Runtime::capture_program`](crate::Runtime::capture_program)
+    /// accepts, because a program runs the bodies it was captured with
+    /// again on every replay.
+    pub fn shared_body(mut self, f: impl Fn(&TaskContext) + Send + Sync + 'static) -> Self {
+        self.body = Some(TaskBody::Shared(Box::new(f)));
+        self
     }
+}
+
+/// The dependence analyzer's copy of a requirement list.
+pub(crate) fn req_lites(reqs: &[Requirement]) -> Vec<ReqLite> {
+    reqs.iter()
+        .map(|r| ReqLite {
+            buffer_id: r.buffer_id,
+            subset: Arc::clone(&r.subset),
+            write: r.privilege == Privilege::Write,
+        })
+        .collect()
 }
 
 /// Handed to a running task body: resolves requirement indices to
@@ -246,7 +275,7 @@ mod tests {
             .write(&b, IntervalSet::from_range(0, 2))
             .body(|_| {});
         assert_eq!(t.reqs.len(), 2);
-        let lites = t.req_lites();
+        let lites = req_lites(&t.reqs);
         assert!(!lites[0].write);
         assert!(lites[1].write);
         assert_eq!(lites[1].subset.cardinality(), 2);

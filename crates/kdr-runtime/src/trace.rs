@@ -1,5 +1,6 @@
-//! Dynamic tracing: memoization of dependence analysis, and the
-//! compiled step graph a memoized step replays as.
+//! Dynamic tracing: memoization of dependence analysis, the compiled
+//! step graph a memoized step replays as, and the step program that
+//! replays it without rebuilding a task.
 //!
 //! Iterative solvers submit the same task sequence every iteration.
 //! Capturing one iteration as a [`Trace`] records the intra-trace
@@ -8,6 +9,19 @@
 //! skipping interval-set intersection work entirely. This reproduces
 //! the dynamic-tracing optimization of Lee et al. (SC '18) that the
 //! paper's implementation relies on.
+//!
+//! There are two ways to replay. [`Runtime::replay`](crate::Runtime::replay)
+//! takes a [`Trace`] and a freshly built, same-shaped task list — for a
+//! caller whose bodies differ from run to run (a [`ShapeSig`] compares
+//! the shapes). A [`StepProgram`] goes one step further for a caller
+//! whose step is *the same tasks* every time: it keeps the captured
+//! tasks themselves — bodies that may run any number of times
+//! ([`TaskBuilder::shared_body`]) and their requirement lists — next to
+//! the trace, so [`Runtime::run_program`](crate::Runtime::run_program)
+//! builds nothing per task: the executor's nodes point into the
+//! program. Both entry points install the step through one routine
+//! (`Executor::submit_graph`), so fault decisions, spans, accounting
+//! and failure semantics are the same.
 //!
 //! Both capture and replay begin from a quiescent runtime (the
 //! runtime fences internally), so a trace's first tasks have no
@@ -53,23 +67,31 @@ use std::sync::Arc;
 
 use kdr_index::IntervalSet;
 
+use crate::fault::RuntimeError;
 use crate::graph::Frontier;
-use crate::task::{Privilege, TaskBuilder};
+use crate::mapper::TaskMeta;
+use crate::task::{Privilege, SharedBody, TaskBody, TaskBuilder, TaskContext};
 
 /// One scheduled node of a compiled step: the captured tasks that run
 /// as one unit.
 #[derive(Debug)]
 pub(crate) struct GraphNode {
-    /// Trace-local index of the first member. A replayed node is
-    /// scheduled under the id `base + leader`.
-    pub leader: u32,
-    /// Number of member tasks.
-    pub len: u32,
+    /// Trace-local indices of the member tasks, in submission order;
+    /// never empty. A replayed node is scheduled under the id `base +
+    /// members[0]`.
+    pub members: Vec<u32>,
     /// Nodes that must retire before this one may start.
     pub indegree: u32,
     /// Nodes (indices into [`StepGraph::nodes`], all later than this
     /// one) that wait on this one.
     pub succs: Vec<u32>,
+}
+
+impl GraphNode {
+    /// Trace-local index of the first member.
+    pub(crate) fn leader(&self) -> u32 {
+        self.members[0]
+    }
 }
 
 /// A captured step compiled for replay: nodes in a topological order,
@@ -173,8 +195,7 @@ impl StepGraph {
         let nodes = order
             .iter()
             .map(|&g| GraphNode {
-                leader: groups[g].members[0] as u32,
-                len: groups[g].members.len() as u32,
+                members: groups[g].members.iter().map(|&m| m as u32).collect(),
                 indegree: groups[g].preds.len() as u32,
                 succs: succs[g].iter().map(|&s| position[s]).collect(),
             })
@@ -213,7 +234,7 @@ impl Trace {
         for (_, f) in &mut frontier {
             for e in &mut f.entries {
                 let node = graph.node_of[e.task as usize] as usize;
-                e.task = u64::from(graph.nodes[node].leader);
+                e.task = u64::from(graph.nodes[node].leader());
             }
         }
         Trace {
@@ -256,6 +277,54 @@ impl Trace {
     }
 }
 
+/// One task of a [`StepProgram`]: a body that may run any number of
+/// times, the requirements it sees when it does, and how it is named
+/// and routed.
+pub(crate) struct ProgramBody {
+    pub body: SharedBody,
+    pub ctx: TaskContext,
+    pub meta: TaskMeta,
+}
+
+impl TryFrom<TaskBuilder> for ProgramBody {
+    type Error = RuntimeError;
+
+    fn try_from(task: TaskBuilder) -> Result<Self, RuntimeError> {
+        match task.body {
+            Some(TaskBody::Shared(body)) => Ok(ProgramBody {
+                body,
+                ctx: TaskContext { reqs: task.reqs },
+                meta: task.meta,
+            }),
+            Some(TaskBody::Once(_)) => Err(RuntimeError::BodyRunsOnce { task: task.name }),
+            None => Err(RuntimeError::MissingBody { task: task.name }),
+        }
+    }
+}
+
+/// A captured step that owns what a replay needs: the compiled
+/// [`Trace`] and the tasks it was captured from, bodies and
+/// requirement lists included. Made by
+/// [`Runtime::capture_program`](crate::Runtime::capture_program);
+/// [`Runtime::run_program`](crate::Runtime::run_program) schedules it
+/// again without building a task.
+///
+/// A program runs the *same* bodies every time. What differs from one
+/// run to the next has to live where the bodies read it: in the
+/// buffers they declare, or in state they captured that the caller
+/// rewrites from `run_program`'s `bind` callback.
+pub struct StepProgram {
+    pub(crate) trace: Trace,
+    pub(crate) bodies: Arc<[ProgramBody]>,
+}
+
+impl StepProgram {
+    /// The compiled capture the program replays as.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+}
+
 /// A multiply-rotate hasher for shape signatures. The keys are this
 /// program's own task lists, never outside input, and a signature is
 /// hashed on every step, so SipHash's collision resistance buys
@@ -285,10 +354,11 @@ impl Hasher for ShapeHasher {
     }
 }
 
-/// Shape signature of one step's task list; the key under which its
-/// captured trace is cached. Two steps with equal signatures declare
-/// identical access patterns, so dependence analysis of one is valid
-/// for the other.
+/// Shape signature of one step's task list: task names and declared
+/// accesses. Two steps with equal signatures declare identical access
+/// patterns, so dependence analysis of one is valid for the other — a
+/// caller that replays a trace with rebuilt tasks can check them
+/// against the captured ones with it.
 #[derive(Clone)]
 pub struct ShapeSig {
     hash: u64,
@@ -350,61 +420,6 @@ impl PartialEq for ShapeSig {
 
 impl Eq for ShapeSig {}
 
-/// A small signature-keyed store of captured traces.
-///
-/// Solvers whose step shape cycles through a few variants (e.g. a
-/// carried scalar slot alternating between two pool slots, or GMRES
-/// growing its basis) get one trace per variant. The cache never
-/// evicts: once full, unknown shapes simply run analyzed, which
-/// bounds capture overhead for genuinely non-repeating workloads.
-pub struct TraceCache {
-    entries: Vec<(ShapeSig, Trace)>,
-    cap: usize,
-}
-
-impl TraceCache {
-    /// A cache holding at most `cap` traces.
-    pub fn new(cap: usize) -> Self {
-        TraceCache {
-            entries: Vec::new(),
-            cap,
-        }
-    }
-
-    /// Look up the trace captured for `sig`, if any.
-    pub fn get(&self, sig: &ShapeSig) -> Option<&Trace> {
-        self.entries.iter().find(|(s, _)| s == sig).map(|(_, t)| t)
-    }
-
-    /// True while a new signature can still be captured.
-    pub fn has_room(&self) -> bool {
-        self.entries.len() < self.cap
-    }
-
-    /// Store the trace captured for `sig`. No-op when full or when
-    /// the signature is already present.
-    pub fn insert(&mut self, sig: ShapeSig, trace: Trace) {
-        if self.has_room() && self.get(&sig).is_none() {
-            self.entries.push((sig, trace));
-        }
-    }
-
-    /// Number of cached traces.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The cached traces, in capture order.
-    pub fn traces(&self) -> impl Iterator<Item = &Trace> {
-        self.entries.iter().map(|(_, t)| t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,31 +461,5 @@ mod tests {
             TaskBuilder::new("other").write(&b, IntervalSet::from_range(0, 8))
         ]);
         assert!(base != renamed, "name");
-    }
-
-    #[test]
-    fn cache_is_keyed_and_bounded() {
-        let b = Buffer::filled(64, 0.0f64);
-        let mut cache = TraceCache::new(2);
-        let s1 = sig_of(&[(0, 8)], &b, true);
-        let s2 = sig_of(&[(8, 16)], &b, true);
-        let s3 = sig_of(&[(16, 24)], &b, true);
-        cache.insert(
-            s1.clone(),
-            Trace::compile(vec![vec![]], &[None], Vec::new()),
-        );
-        assert!(cache.get(&s1).is_some());
-        assert!(cache.get(&s2).is_none());
-        cache.insert(
-            s2.clone(),
-            Trace::compile(vec![vec![]], &[None], Vec::new()),
-        );
-        assert!(!cache.has_room());
-        cache.insert(
-            s3.clone(),
-            Trace::compile(vec![vec![]], &[None], Vec::new()),
-        );
-        assert!(cache.get(&s3).is_none(), "full cache must not evict");
-        assert_eq!(cache.len(), 2);
     }
 }

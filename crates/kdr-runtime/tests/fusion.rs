@@ -3,10 +3,11 @@
 //!
 //! * Random task programs (random buffers, subsets, colours and
 //!   privileges) leave every buffer bitwise as a sequential in-order
-//!   oracle leaves it, whether submitted through analysis or captured
-//!   once and replayed, and their compiled graphs keep every captured
-//!   edge inside a node or pointing from an earlier node to a later
-//!   one.
+//!   oracle leaves it, whether submitted through analysis, captured
+//!   once and replayed with rebuilt tasks, or captured as a step
+//!   program and run again with the bodies it holds, and their compiled
+//!   graphs keep every captured edge inside a node or pointing from an
+//!   earlier node to a later one.
 //! * A failing body fails its node: earlier members have run, later
 //!   ones are dropped, successors are poisoned, and the runtime works
 //!   again once the failure is taken.
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use kdr_index::IntervalSet;
 use kdr_runtime::{
     promise, Buffer, ColorAffinityMapper, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
-    TaskBuilder, TaskErrorKind, TaskMeta, TaskOutcome, Trace,
+    RuntimeError, TaskBuilder, TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, Trace,
 };
 use proptest::prelude::*;
 
@@ -90,7 +91,8 @@ fn bits(bufs: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
+/// `op` with its accesses declared, body still to come.
+fn declared(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
     let mut t = TaskBuilder::new("op");
     if let Some(c) = op.color {
         t = t.meta(TaskMeta::new("op").with_color(c));
@@ -103,8 +105,12 @@ fn task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
             t.read(&bufs[r.buf], subset)
         };
     }
+    t
+}
+
+fn body(op: &Op) -> impl Fn(&TaskContext) + Send + Sync + 'static {
     let op = op.clone();
-    t.body(move |ctx| {
+    move |ctx| {
         apply(
             &op,
             |k, i| {
@@ -116,7 +122,17 @@ fn task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
             },
             |k, i, v| ctx.write::<f64>(k).set(i, v),
         );
-    })
+    }
+}
+
+/// `op` as a task built for one submission.
+fn task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
+    declared(op, bufs).body(body(op))
+}
+
+/// `op` as a task a step program can keep.
+fn program_task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
+    declared(op, bufs).shared_body(body(op))
 }
 
 fn runtime(workers: usize) -> Runtime {
@@ -221,9 +237,28 @@ proptest! {
             prop_assert_eq!(ids.len(), ops.len());
         }
         rt.fence().unwrap();
-        prop_assert_eq!(snapshot(&bufs), expect);
+        prop_assert_eq!(snapshot(&bufs), expect.clone());
         let m = rt.metrics();
         let replayed_bodies = ((ROUNDS - 1) * ops.len()) as u64;
+        prop_assert_eq!(m.tasks_replayed + m.tasks_fused, replayed_bodies);
+        prop_assert_eq!(m.tasks_executed, m.tasks_submitted);
+
+        // Captured once as a step program, which then runs the bodies
+        // it holds three more times.
+        let rt = runtime(workers);
+        let bufs = buffers(nbuf);
+        let program = rt
+            .capture_program(ops.iter().map(|op| program_task(op, &bufs)).collect())
+            .unwrap();
+        prop_assert_eq!(program.trace().len(), ops.len());
+        assert_compiled_graph_is_sound(program.trace());
+        for _ in 1..ROUNDS {
+            rt.run_program(&program, || {}).unwrap();
+        }
+        rt.fence().unwrap();
+        prop_assert_eq!(snapshot(&bufs), expect);
+        let m = rt.metrics();
+        prop_assert_eq!(m.tasks_analyzed, ops.len() as u64);
         prop_assert_eq!(m.tasks_replayed + m.tasks_fused, replayed_bodies);
         prop_assert_eq!(m.tasks_executed, m.tasks_submitted);
     }
@@ -393,6 +428,45 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
     let err = rt.fence().unwrap_err();
     assert_eq!(err.task - ids[0], analyzed);
     assert_eq!(rt.metrics().faults_injected, 1);
+
+    // As a step program: the fourth body of the capture run when the
+    // plan is armed for it (the capture is void, the tasks still ran)…
+    let shared = |cells: &[Buffer<f64>]| -> Vec<TaskBuilder> {
+        let bump = |ctx: &TaskContext| {
+            let w = ctx.write::<f64>(0);
+            w.set(0, w.get(0) + 1.0);
+        };
+        let colored = |i: usize| TaskBuilder::new("w").meta(TaskMeta::new("w").with_color(i % 2));
+        let tasks = cells.iter().enumerate();
+        tasks.map(|(i, b)| colored(i).write_all(b).shared_body(bump)).collect()
+    };
+    let rt = Runtime::new(2);
+    rt.set_fault_plan(Some(plan()));
+    match rt.capture_program(shared(&cells)) {
+        Err(RuntimeError::TaskFailed(err)) => assert_eq!(err.task, analyzed),
+        other => panic!("a failed capture is void: {:?}", other.map(|p| p.trace().len())),
+    }
+    assert_eq!(rt.metrics().tasks_submitted, 8);
+    // …and the fourth body of a replay of it, although the program
+    // schedules it as the second member of its second node.
+    let rt = Runtime::new(2);
+    let program = rt.capture_program(shared(&cells)).unwrap();
+    assert_eq!(program.trace().num_nodes(), 2);
+    rt.set_fault_plan(Some(plan()));
+    rt.run_program(&program, || {}).unwrap();
+    let err = rt.fence().unwrap_err();
+    assert_eq!(err.task - program.trace().len() as u64, analyzed);
+    assert_eq!(rt.metrics().faults_injected, 1);
+    // The program holds its bodies: it runs again once the failure is
+    // taken.
+    assert!(rt.run_program(&program, || {}).is_err(), "a pending failure refuses the replay");
+    rt.take_failure().unwrap();
+    let before: Vec<f64> = cells.iter().map(|b| b.snapshot()[0]).collect();
+    rt.run_program(&program, || {}).unwrap();
+    rt.fence().unwrap();
+    for (b, was) in cells.iter().zip(before) {
+        assert_eq!(b.snapshot()[0], was + 1.0);
+    }
 }
 
 #[test]

@@ -48,6 +48,11 @@ cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
 # to the constants captured before it was made linear-time.
 cargo test -q --release -p kdr-index --test prop
 cargo test -q --release -p kdr-core --test registration_pin
+# Step programs in both profiles: the dev run (part of `cargo test`
+# above) carries the signature oracle — every program hit re-lowers
+# its record and asserts it still matches the captured step — and
+# --release is the path solves run on, where no signature is computed.
+cargo test -q --release -p kdr-core --test step_program --test planner_api
 
 # The three service suites that share the one tenant-install path
 # (`attach_tenant`: evacuation and crash recovery, migration, warm
