@@ -274,15 +274,16 @@ pub trait Backend<T: Scalar>: Send {
     /// Deferred unary scalar arithmetic.
     fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef;
 
-    /// Force a scalar to a concrete value (blocks the driver on the
-    /// execution backend; returns a placeholder `1.0` on the
-    /// simulation backend, whose graphs are value-independent).
+    /// Force a scalar to a concrete value (the driver waits for it on
+    /// the execution backend, running ready tasks meanwhile; returns
+    /// a placeholder `1.0` on the simulation backend, whose graphs
+    /// are value-independent).
     fn scalar_get(&mut self, s: SRef) -> T;
 
     /// Force several scalars at once, values in argument order. The
-    /// default forces them one by one; the execution backend reads
-    /// them all in a single task, so the driver blocks once however
-    /// many it asks for.
+    /// default forces them one by one; the execution backend waits
+    /// once for the tasks writing any of them and reads them where
+    /// they are, however many it is asked for.
     fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
         scalars.iter().map(|&s| self.scalar_get(s)).collect()
     }

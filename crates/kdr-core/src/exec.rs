@@ -110,7 +110,7 @@ use kdr_index::Partition;
 #[cfg(debug_assertions)]
 use kdr_runtime::ShapeSig;
 use kdr_runtime::{
-    promise, Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, StepProgram,
+    Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, StepProgram,
     TaskBuilder, TaskMeta, TaskSpan, WriteView,
 };
 #[cfg(test)]
@@ -180,8 +180,9 @@ pub struct ExecMetrics {
     /// Reduction stages launched inside `step_begin`/`step_end`
     /// brackets, i.e. per solver iteration.
     pub fences_per_iteration: f64,
-    /// Nanoseconds the driver spent blocked in `scalar_get` waiting
-    /// for reduction results — the fence tax, directly.
+    /// Nanoseconds the driver spent parked in `scalar_get`, with no
+    /// ready task to run, waiting for reduction results — the fence
+    /// tax, directly. What it spent running tasks there is not stall.
     pub reduction_stall_ns: u64,
     /// Registered tiles per lowered kernel kind (`"csr"`, `"dia"`,
     /// `"ell"`, `"bcsr"`, `"stencil"`), across all opsets. Empty
@@ -595,7 +596,7 @@ pub struct ExecBackend<T: Scalar> {
     /// Reduction stages launched, total and within steps.
     reduction_stages: u64,
     reductions_in_steps: u64,
-    /// Nanoseconds spent blocked in `scalar_get`.
+    /// Nanoseconds spent parked in `scalar_get`.
     reduction_stall_ns: u64,
     /// First task failure absorbed since the last
     /// [`Backend::take_fault`]. Task panics never abort the backend;
@@ -1499,39 +1500,34 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.scalar_get_many(&[s])[0]
     }
 
-    /// One `scalar_get` task reads every slot and fulfils one
-    /// promise: a single driver↔worker round trip, timed as one
-    /// reduction stall, whatever `scalars.len()` is.
+    /// No task, no promise: one wait until the tasks writing the
+    /// slots have retired — during which this thread runs ready tasks
+    /// ([`Runtime::wait_written`]) — then every slot is read where it
+    /// is. The part of the wait spent parked is timed as one reduction
+    /// stall, whatever `scalars.len()` is.
     fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
         if scalars.is_empty() {
             return Vec::new();
         }
         self.flush_pending();
-        let (p, f) = promise::<Vec<T>>();
-        let n = scalars.len();
-        let mut tb = TaskBuilder::new("scalar_get").priority(self.priority);
-        for &s in scalars {
-            tb = tb.read_all(&self.scalars[s]);
-        }
-        self.rt
-            .submit(tb.body(move |ctx| {
-                p.set((0..n).map(|i| ctx.read::<T>(i).get(0)).collect());
-            }))
-            .expect("backend tasks always carry a body");
-        let t0 = std::time::Instant::now();
-        let waited = f.wait();
-        let stall = t0.elapsed().as_nanos() as u64;
-        self.reduction_stall_ns += stall;
-        self.rt.record_reduction_stall_ns(stall);
-        match waited {
-            Ok(values) => values,
+        let slots = scalars.iter().map(|&s| &self.scalars[s]);
+        match self.rt.wait_written(slots.clone().map(Buffer::id)) {
+            Ok(parked) => {
+                let stall = parked.as_nanos() as u64;
+                self.reduction_stall_ns += stall;
+                self.rt.record_reduction_stall_ns(stall);
+                // Only this backend submits writers of its slots, and
+                // it is in here: nothing writes them until it returns.
+                slots.map(|slot| slot.peek(0)).collect()
+            }
             Err(_) => {
-                // The read task (or a predecessor) failed: record the
-                // failure and hand the driver NaN placeholders — its
-                // health checks turn that into a structured error.
+                // A writer of a slot (or a predecessor of one) failed:
+                // record the failure and hand the driver NaN
+                // placeholders — its health checks turn that into a
+                // structured error.
                 let _ = self.rt.fence();
                 self.record_rt_failure();
-                vec![T::from_f64(f64::NAN); n]
+                vec![T::from_f64(f64::NAN); scalars.len()]
             }
         }
     }
@@ -1664,23 +1660,22 @@ mod tests {
     }
 
     #[test]
-    fn scalar_get_many_forces_every_slot_with_one_task() {
+    fn scalar_get_many_forces_every_slot_with_zero_tasks() {
         let mut b = backend();
         let x = b.scalar_const(9.0);
         let y = b.scalar_const(2.0);
         let q = b.scalar_binop(ScalarOp::Div, x, y);
-        let gets = |b: &ExecBackend<f64>| {
-            let counts = b.metrics().runtime.task_counts;
-            counts.get("scalar_get").copied().unwrap_or(0)
-        };
-        let before = gets(&b);
+        let submitted = |b: &ExecBackend<f64>| b.metrics().runtime.tasks_submitted;
+        let before = submitted(&b);
+        assert_eq!(before, 3, "two stores and a division");
         assert_eq!(b.scalar_get_many(&[q, x, y, q]), vec![4.5, 9.0, 2.0, 4.5]);
-        // A body's count lands when its node retires, which is after
-        // the future the read waited on resolves.
-        b.fence();
-        assert_eq!(gets(&b) - before, 1, "one read task, one wait");
+        assert_eq!(submitted(&b), before, "no read task: one wait, then the slots");
         assert!(b.scalar_get_many(&[]).is_empty());
-        assert_eq!(gets(&b) - before, 1, "nothing to force, nothing submitted");
+        assert_eq!(submitted(&b), before, "nothing to force, nothing submitted");
+        // The read waited for the writers of the slots and only them.
+        let m = b.metrics().runtime;
+        assert_eq!(m.tasks_executed, 3);
+        assert_eq!(m.task_counts.keys().copied().collect::<Vec<_>>(), ["scalar_binop", "scalar_set"]);
     }
 
     #[test]
@@ -1875,7 +1870,11 @@ mod tests {
         assert_eq!(b.scalar_get(d[0]), 32.0);
         assert_eq!(b.scalar_get(d[1]), 16.0);
         assert_eq!(b.scalar_get(d[2]), 64.0);
-        assert!(b.metrics().reduction_stall_ns > 0, "waits were timed");
+        // Stall is the time a read spent parked, booked here and on
+        // the runtime alike; these reads follow a captured step, whose
+        // capture fenced, so they found their writers retired.
+        let m = b.metrics();
+        assert_eq!(m.reduction_stall_ns, m.runtime.reduction_stall_ns);
         for s in d {
             b.scalar_release(s);
         }

@@ -168,6 +168,7 @@ mod tests {
             name,
             provenance: Provenance::Analyzed,
             worker: 0,
+            by_driver: false,
             submit_ns: 0,
             ready_ns: 0,
             start_ns: 0,
@@ -197,7 +198,7 @@ mod tests {
         for n in ["axpy", "xpay", "scal", "copy", "set_zero"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
         }
-        for n in ["scalar_set", "scalar_binop", "scalar_unop", "scalar_get"] {
+        for n in ["scalar_set", "scalar_binop", "scalar_unop"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::Scalar, "{n}");
         }
         assert_eq!(SolverPhase::of_task("my_app_task"), SolverPhase::Other);

@@ -420,3 +420,57 @@ fn recovery_reports_zero_restarts_when_healthy() {
     let rhs = planner.read_component(RHS, 0);
     assert_eq!(rhs, b);
 }
+
+/// A scalar is read where it landed: no read task can be poisoned and
+/// no promise dropped, so it is the executor's poison set that tells
+/// the read a slot's writer failed. A panicking `dot_partial` poisons
+/// the `dot_reduce` that writes the slot: the read returns NaN
+/// placeholders (for the slots that do hold their values too — the
+/// read is one wait) and records a fault, on 1 and 4 workers, inside
+/// a deferred step and outside — never a hang. A failure the scalars
+/// do not depend on leaves them readable and the fault for later.
+#[test]
+fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
+    use kdr_core::ScalarHandle;
+    let plan = |name: &str| {
+        FaultPlan::seeded(5).with(FaultSpec {
+            name_contains: name.into(),
+            kind: FaultKind::Panic,
+            schedule: FireSchedule::Nth(2),
+            max_fires: 1,
+        })
+    };
+    for (workers, in_step) in [(1, false), (1, true), (4, false), (4, true)] {
+        let (mut planner, _, b) =
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("dot_partial")), true);
+        let expect: f64 = b.iter().map(|v| v * v).sum();
+        if in_step {
+            planner.step_begin();
+        }
+        let healthy = planner.scalar(3.0);
+        let failed = planner.dot(RHS, RHS);
+        let got = ScalarHandle::get_many(&[&healthy, &failed]);
+        assert!(got.iter().all(|v| v.is_nan()), "{workers} workers: {got:?}");
+        if in_step {
+            assert_eq!(planner.step_end(), StepOutcome::Analyzed, "the read flushed the step");
+        }
+        let fault = planner.take_fault().expect("the panic was absorbed");
+        assert_eq!(fault.task, "dot_partial");
+        assert!(planner.take_fault().is_none());
+        // The plan is spent and the failure taken: the same slots'
+        // successors read true values.
+        let again = planner.dot(RHS, RHS);
+        assert!((again.get() - expect).abs() <= 1e-12 * expect);
+        assert_eq!(healthy.get(), 3.0);
+
+        // A failed task off the scalars' chain: an `axpy` into SOL.
+        let (mut planner, _, _) =
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
+        let one = planner.scalar(1.0);
+        planner.axpy(SOL, &one, RHS);
+        let d = planner.dot(RHS, RHS);
+        assert!((d.get() - expect).abs() <= 1e-12 * expect, "an unrelated failure is not the read's");
+        planner.fence();
+        assert_eq!(planner.take_fault().expect("found at the fence").task, "axpy");
+    }
+}

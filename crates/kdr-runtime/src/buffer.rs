@@ -7,14 +7,15 @@
 //! no reference count): element access is raw-pointer
 //! `ptr::read`/`ptr::write`, and [`ReadView::range`] /
 //! [`WriteView::range_mut`] lend a contiguous run as a slice for the
-//! vectorised kernels. This module and the event log's span ring
-//! ([`crate::events`]) contain all of the crate's `unsafe`.
+//! vectorised kernels. This module contains all of the crate's
+//! `unsafe`.
 //!
 //! # Safety argument
 //!
 //! * Every view is created by the executor from a task's declared
 //!   requirements (or by [`Buffer::snapshot`]/[`Buffer::fill_from`] on a
-//!   quiesced runtime).
+//!   quiesced runtime; [`Buffer::peek`] reads one element once the
+//!   tasks writing it have retired).
 //! * Dependence analysis serializes any two tasks whose declared
 //!   subsets of a buffer overlap when at least one holds
 //!   [`Privilege::Write`](crate::task::Privilege). Hence at any
@@ -146,6 +147,20 @@ impl<T: Copy + Send + 'static> Buffer<T> {
             out.push(unsafe { std::ptr::read(ptr.add(i)) });
         }
         out
+    }
+
+    /// Read element `i` from outside a task.
+    ///
+    /// Same precondition as [`Buffer::snapshot`], for the one element:
+    /// no task writing it may be in flight — which is what
+    /// [`Runtime::wait_written`](crate::Runtime::wait_written)
+    /// establishes for a buffer nobody else is submitting writers of.
+    /// Tasks *reading* the element may be running; concurrent reads
+    /// are not a race. Panics if `i` is out of bounds.
+    pub fn peek(&self, i: usize) -> T {
+        assert!(i < self.len(), "index {i} out of bounds {}", self.len());
+        // SAFETY: in bounds; caller guarantees no writer in flight.
+        unsafe { std::ptr::read(self.inner.base_ptr().add(i)) }
     }
 
     /// Overwrite the entire contents from a slice.
@@ -432,6 +447,7 @@ mod tests {
         assert_eq!(b.snapshot(), vec![1.0, 2.0, 3.0]);
         b.fill_from(&[4.0, 5.0, 6.0]);
         assert_eq!(b.snapshot(), vec![4.0, 5.0, 6.0]);
+        assert_eq!(b.peek(2), 6.0);
     }
 
     #[test]

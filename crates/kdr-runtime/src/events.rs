@@ -7,8 +7,10 @@
 //! replay) → **ready** (all predecessors retired, pushed onto a ready
 //! queue) → **start** / **end** (body execution on a worker) →
 //! **retire** (successors released). Spans carry the task name, the
-//! worker that ran it, and whether its dependences were *analyzed* or
-//! *replayed* from a captured trace ([`Provenance`]).
+//! lane that ran it — a worker, or the one lane of the driver threads
+//! that ran bodies while they waited (see [`TaskSpan::worker`]) — and
+//! whether its dependences were *analyzed* or *replayed* from a
+//! captured trace ([`Provenance`]).
 //!
 //! A replayed step runs as fused nodes (see [`crate::trace`]), but the
 //! log stays per body: every member of a node gets a span of its own,
@@ -24,7 +26,7 @@
 //! only ever touched with the scheduler lock held: the submit half of
 //! a span is appended by the acquisition that installs the node, the
 //! execution half by the acquisition that retires it (into the retiring
-//! worker's bounded ring — fixed-size records, no allocation,
+//! lane's bounded ring — fixed-size records, no allocation,
 //! overwrite-on-wrap), and a drain takes the same lock. A full ring
 //! therefore **never blocks** task execution — the oldest records are
 //! dropped instead, and the drop count is surfaced in
@@ -78,8 +80,15 @@ pub struct TaskSpan {
     pub name: &'static str,
     /// Analyzed vs. replayed dependence provenance.
     pub provenance: Provenance,
-    /// Worker that executed the body.
+    /// Lane that executed the body: the index of a worker thread, or
+    /// — when [`TaskSpan::by_driver`] is set — the runtime's worker
+    /// count, the one lane shared by every thread that ran bodies
+    /// while it waited in a fence or a
+    /// [`Runtime::wait_written`](crate::Runtime::wait_written). Always
+    /// `<= num_workers`.
     pub worker: usize,
+    /// The body was run by a waiting driver thread, not by a worker.
+    pub by_driver: bool,
     /// When the task was submitted (analysis/replay happened here).
     pub submit_ns: u64,
     /// When the last predecessor retired and the task became ready.
@@ -122,7 +131,7 @@ pub(crate) struct SubmitRecord {
     pub deps: Vec<TaskId>,
 }
 
-/// Execution-side half of a span, pushed into the ring of the worker
+/// Execution-side half of a span, pushed into the ring of the lane
 /// that retired the task.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ExecRecord {
@@ -172,14 +181,15 @@ impl Ring {
     }
 }
 
-/// Default per-worker ring capacity (records). At ~48 bytes per
-/// record this reserves ~3 MB of address space per worker (touched
+/// Default per-lane ring capacity (records). At ~48 bytes per
+/// record this reserves ~3 MB of address space per lane (touched
 /// only as records arrive) — enough for tens of CG steps between
 /// drains on the benchmark problems.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// The span log: the submit halves in submission order and one ring of
-/// execution halves per worker. Plain data — it lives inside the
+/// execution halves per lane — the workers', then the drivers'. Plain
+/// data — it lives inside the
 /// executor's scheduling state and every method is called with the
 /// scheduler lock held.
 pub(crate) struct SpanLog {
@@ -188,9 +198,10 @@ pub(crate) struct SpanLog {
 }
 
 impl SpanLog {
-    pub(crate) fn new(workers: usize, ring_capacity: usize) -> Self {
+    /// A log of `lanes` rings, the last of them the driver lane's.
+    pub(crate) fn new(lanes: usize, ring_capacity: usize) -> Self {
         SpanLog {
-            rings: (0..workers).map(|_| Ring::new(ring_capacity)).collect(),
+            rings: (0..lanes).map(|_| Ring::new(ring_capacity)).collect(),
             submits: Vec::new(),
         }
     }
@@ -201,13 +212,13 @@ impl SpanLog {
         self.submits.extend(recs);
     }
 
-    /// Record the execution half of a span in `worker`'s ring.
+    /// Record the execution half of a span in `lane`'s ring.
     #[inline]
-    pub(crate) fn record_exec(&mut self, worker: usize, rec: ExecRecord) {
-        self.rings[worker].push(rec);
+    pub(crate) fn record_exec(&mut self, lane: usize, rec: ExecRecord) {
+        self.rings[lane].push(rec);
     }
 
-    /// Join submit records with per-worker exec records into complete
+    /// Join submit records with per-lane exec records into complete
     /// spans, sorted by task id, and count the execution halves the
     /// rings overwrote since the last drain. A submit record with no
     /// execution half is kept for the next drain while its task may
@@ -222,6 +233,7 @@ impl SpanLog {
             execs.extend(recs.map(|r| (r.id, (worker, r))));
             lost += dropped;
         }
+        let driver_lane = self.rings.len() - 1;
         let mut spans = Vec::with_capacity(execs.len());
         for s in std::mem::take(&mut self.submits) {
             match execs.get(&s.id) {
@@ -230,6 +242,7 @@ impl SpanLog {
                     name: s.name,
                     provenance: s.provenance,
                     worker,
+                    by_driver: worker == driver_lane,
                     submit_ns: s.submit_ns,
                     ready_ns: e.ready_ns,
                     start_ns: e.start_ns,
@@ -321,7 +334,7 @@ mod tests {
 
     #[test]
     fn sink_joins_submit_and_exec_halves() {
-        let mut log = SpanLog::new(2, 16);
+        let mut log = SpanLog::new(3, 16);
         log.record_submits((0..3u64).map(|id| SubmitRecord {
             id,
             name: "t",
@@ -346,15 +359,17 @@ mod tests {
         assert_eq!(spans[0].id, 0);
         assert_eq!(spans[0].outcome, TaskOutcome::Completed);
         assert_eq!(spans[1].outcome, TaskOutcome::Panicked);
-        assert_eq!(spans[0].worker, 0);
-        assert_eq!(spans[1].worker, 1);
+        assert_eq!((spans[0].worker, spans[0].by_driver), (0, false));
+        assert_eq!((spans[1].worker, spans[1].by_driver), (1, false));
         assert_eq!(spans[1].deps, vec![0]);
         assert_eq!(spans[1].queue_wait_ns(), 1);
         assert_eq!(spans[1].execute_ns(), 1);
-        log.record_exec(0, exec(2, 30, TaskOutcome::Completed));
+        // The last ring is the driver lane's.
+        log.record_exec(2, exec(2, 30, TaskOutcome::Completed));
         let (late, _) = log.drain(3);
         assert_eq!(late.len(), 1);
         assert_eq!((late[0].id, late[0].submit_ns), (2, 20));
+        assert_eq!((late[0].worker, late[0].by_driver), (2, true));
         // ...and is discarded once the task is known to have retired
         // (its execution half was overwritten).
         log.record_submits([SubmitRecord {
@@ -375,6 +390,7 @@ mod tests {
             name: "t",
             provenance: Provenance::Replayed,
             worker: 0,
+            by_driver: false,
             submit_ns: 0,
             ready_ns: 100,
             start_ns: 50, // clock skew shouldn't underflow

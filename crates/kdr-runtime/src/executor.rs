@@ -17,16 +17,46 @@
 //! run); unmapped nodes go to a global injector. Each worker prefers
 //! its own queue, then the injector, then steals from peers, so
 //! affinity is a locality *hint*, never a throughput constraint.
-//! A fence blocks until no node is outstanding. Execution is *eager* —
-//! there is no separate "flush" step — so blocking on a
-//! [`Future`](crate::Future) from the application thread always makes
-//! progress.
+//! Execution is *eager* — there is no separate "flush" step — so
+//! blocking on a [`Future`](crate::Future) from the application thread
+//! always makes progress.
+//!
+//! # Waits that work
+//!
+//! A thread that waits on the executor — a fence (until no node is
+//! outstanding) or a wait for particular nodes to retire
+//! (`Executor::wait_retired`, behind
+//! [`Runtime::wait_written`](crate::Runtime::wait_written)) — is a
+//! worker for as long as it waits. There is one scheduling loop,
+//! `run_nodes`: take a ready node, run its bodies unlocked, retire it,
+//! queue what it released. Pool threads run it until shutdown and park
+//! on `wake_cv` when nothing is ready; a waiting *driver* runs it until
+//! its condition holds (checked before every take, so it returns at
+//! most one node late), takes from the injector and then from any
+//! affinity queue, and parks on `idle_cv`, which every retirement
+//! notifies while a driver is parked there. Only a retirement can make
+//! a driver's condition true, and it happens under the lock the driver
+//! checked its condition and parked with, so that wake-up cannot be
+//! lost either. A node queued by a *submission* while a driver is
+//! parked does not wake it: a pool thread takes the node, and the
+//! driver hears of its retirement.
+//!
+//! Bodies a driver runs are bodies like any other: same `catch_unwind`,
+//! same fault decision (taken at submission), same spans, tallies and
+//! per-kernel timing, recorded under one extra lane, `worker ==
+//! num_workers`, which all drivers share (as they share its watchdog
+//! slot: with two drivers inside long bodies at once the watchdog sees
+//! the one that started last). Which thread runs a body is not an
+//! input to any body, so results do not depend on it. What a caller
+//! must not do is wait while holding a lock one of the queued bodies
+//! takes — it may be handed that body.
 //!
 //! # Scheduling state
 //!
 //! Everything the scheduler decides with — the dependence window, the
-//! ready queues, the count of parked workers, the span log and the
-//! execution tallies — is one structure (`DepState`) under one mutex.
+//! ready queues, the counts of parked workers and parked drivers, the
+//! span log and the execution tallies — is one structure (`DepState`)
+//! under one mutex.
 //! A submitter installs its node, queues it if ready and wakes a
 //! parked worker under one acquisition; a worker retires the node it
 //! ran, queues the successors that released, and takes its next node
@@ -50,7 +80,8 @@
 //! and normal — each an injector queue plus one affinity queue per
 //! worker, all FIFO. A worker takes from the express lane before the
 //! normal one, and within a lane from its own queue, then the
-//! injector, then its peers' queues in ring order.
+//! injector, then its peers' queues in ring order; a waiting driver
+//! has no queue of its own and takes in the same order from there on.
 //!
 //! # Fault tolerance
 //!
@@ -73,9 +104,9 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::events::{
     EventSink, ExecRecord, Provenance, SpanLog, SubmitRecord, TaskOutcome, TaskSpan,
@@ -299,21 +330,22 @@ impl ReadyQueues {
         }
     }
 
-    /// Take the next node for worker `me`, and whether it came off a
-    /// peer's affinity queue: the express lane first (own queue,
-    /// injector, then steal), then the same order through the normal
-    /// lane.
+    /// Take the next node for lane `me` — a worker, or the driver
+    /// lane one past the last worker, which has no queue of its own —
+    /// and whether it came off another lane's affinity queue: the
+    /// express lane first (own queue, injector, then the others' in
+    /// ring order), then the same order through the normal lane.
     fn pop(&mut self, me: usize) -> Option<(Runnable, bool)> {
         for lane in &mut self.lanes {
-            if let Some(r) = lane.pinned[me].pop_front() {
+            if let Some(r) = lane.pinned.get_mut(me).and_then(VecDeque::pop_front) {
                 return Some((r, false));
             }
             if let Some(r) = lane.injector.pop_front() {
                 return Some((r, false));
             }
             let n = lane.pinned.len();
-            for off in 1..n {
-                if let Some(r) = lane.pinned[(me + off) % n].pop_front() {
+            for other in (1..=n).map(|off| (me + off) % n).filter(|&w| w != me) {
+                if let Some(r) = lane.pinned[other].pop_front() {
                     return Some((r, true));
                 }
             }
@@ -330,6 +362,10 @@ pub(crate) struct Tallies {
     pub executed: u64,
     /// Nodes a worker executed from another worker's affinity queue.
     pub stolen: u64,
+    /// Nodes executed by a driver thread while it waited (a fence or
+    /// `Executor::wait_retired`), whatever queue they came off; not
+    /// counted in `stolen`.
+    pub run_by_drivers: u64,
     /// Task bodies that panicked (caught, not process aborts).
     pub task_failures: u64,
     /// Nodes retired-as-poisoned without running.
@@ -362,6 +398,8 @@ struct DepState {
     /// Workers parked on `ExecShared::wake_cv` (one that has been
     /// notified counts until it holds the lock again).
     idle: usize,
+    /// Waiting drivers parked on `ExecShared::idle_cv`, likewise.
+    drivers_parked: usize,
     outstanding: usize,
     shutdown: bool,
     /// First task failure since the last [`Executor::take_failure`];
@@ -379,15 +417,26 @@ struct DepState {
 }
 
 impl DepState {
+    /// Where `id` sits in the window, if it is not below it.
+    fn index_of(&self, id: TaskId) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
+    }
+
     /// The slot of `id` if a node scheduled under it is still in
     /// flight.
     fn live_slot(&mut self, id: TaskId) -> Option<&mut Slot> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let idx = self.index_of(id)?;
         self.slots.get_mut(idx).filter(|s| s.live)
+    }
+
+    /// Whether a node scheduled under `id` is still in flight.
+    fn is_live(&self, id: TaskId) -> bool {
+        let slot = self.index_of(id).and_then(|idx| self.slots.get(idx));
+        slot.is_some_and(|s| s.live)
     }
 }
 
-/// Per-worker watchdog slot: the body currently executing (id + 1;
+/// Per-lane watchdog slot: the body currently executing (id + 1;
 /// 0 = idle) and when it started. Published only while a stall budget
 /// is armed.
 struct WatchSlot {
@@ -399,7 +448,8 @@ struct ExecShared {
     state: Mutex<DepState>,
     /// Where idle workers park; always waited on with `state`.
     wake_cv: Condvar,
-    /// Where fences wait for `outstanding == 0`; likewise.
+    /// Where waiting drivers park when nothing is ready; likewise.
+    /// Notified by every retirement while `drivers_parked > 0`.
     idle_cv: Condvar,
     /// The event layer's enable flag, clock and latency histograms.
     /// Checked with one relaxed load per node when disabled.
@@ -415,7 +465,8 @@ struct ExecShared {
     kernel_timing: AtomicBool,
     /// Watchdog stall budget in nanoseconds (0 = watchdog off).
     stall_budget_ns: AtomicU64,
-    /// One slot per worker for the watchdog to observe.
+    /// One slot per worker for the watchdog to observe, and a last
+    /// one for the driver lane.
     watch: Vec<WatchSlot>,
     /// Bodies the watchdog flagged as exceeding the stall budget.
     tasks_stalled: AtomicU64,
@@ -427,6 +478,12 @@ impl ExecShared {
         for _ in 0..nodes.min(st.idle) {
             self.wake_cv.notify_one();
         }
+    }
+
+    /// The lane bodies run by waiting drivers are recorded under: one
+    /// past the last worker.
+    fn driver_lane(&self) -> usize {
+        self.watch.len() - 1
     }
 
     /// The event clock if logging is on, zero otherwise.
@@ -470,11 +527,12 @@ impl Executor {
                 batch: None,
                 ready: ReadyQueues::new(workers, mapper),
                 idle: 0,
+                drivers_parked: 0,
                 outstanding: 0,
                 shutdown: false,
                 failure: None,
                 poisoned_retired: HashSet::new(),
-                spans: SpanLog::new(workers, ring_capacity),
+                spans: SpanLog::new(workers + 1, ring_capacity),
                 tallies: Tallies::default(),
             }),
             wake_cv: Condvar::new(),
@@ -483,7 +541,7 @@ impl Executor {
             faults: FaultInjector::new(),
             kernel_timing: AtomicBool::new(false),
             stall_budget_ns: AtomicU64::new(0),
-            watch: (0..workers)
+            watch: (0..=workers)
                 .map(|_| WatchSlot {
                     task: AtomicU64::new(0),
                     since_ns: AtomicU64::new(0),
@@ -496,7 +554,10 @@ impl Executor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("kdr-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || {
+                        // Back at shutdown, with the lock.
+                        drop(run_nodes(&shared, shared.state.lock(), Role::Worker(w)));
+                    })
                     .expect("failed to spawn worker")
             })
             .collect();
@@ -691,17 +752,38 @@ impl Executor {
         shared.wake(&st, ready);
     }
 
-    /// Block until every submitted node has finished. If any task
-    /// failed since the last [`Executor::take_failure`], returns the
-    /// first failure (and keeps returning it until taken).
+    /// Wait until `done` holds of the scheduling state, as a driver
+    /// of the scheduling loop (`run_nodes`): running ready nodes while
+    /// there are any, parked while there are none. Returns the lock
+    /// `done` was seen to hold under, and the time spent parked.
+    fn wait_until(&self, done: impl Fn(&DepState) -> bool) -> (MutexGuard<'_, DepState>, Duration) {
+        let shared = &*self.shared;
+        run_nodes(shared, shared.state.lock(), Role::Driver(&done))
+    }
+
+    /// Wait until every submitted node has finished, running ready
+    /// nodes meanwhile. If any task failed since the last
+    /// [`Executor::take_failure`], returns the first failure (and
+    /// keeps returning it until taken).
     pub fn fence(&self) -> Result<(), TaskError> {
-        let mut st = self.shared.state.lock();
-        while st.outstanding > 0 {
-            self.shared.idle_cv.wait(&mut st);
-        }
-        match &st.failure {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
+        let (st, _) = self.wait_until(|st| st.outstanding == 0);
+        st.failure.clone().map_or(Ok(()), Err)
+    }
+
+    /// Wait until none of the nodes `ids` is in flight, running ready
+    /// nodes meanwhile; an id no node was scheduled under (a fused
+    /// member's) reads as finished. Returns the time
+    /// the caller had nothing to run and was parked — or, if one of
+    /// the nodes retired failed or poisoned since the last
+    /// [`Executor::take_failure`], the recorded failure.
+    pub fn wait_retired(&self, ids: &[TaskId]) -> Result<Duration, TaskError> {
+        let (st, parked) = self.wait_until(|st| !ids.iter().any(|&id| st.is_live(id)));
+        if ids.iter().any(|id| st.poisoned_retired.contains(id)) {
+            // A node retires poisoned under the acquisition that
+            // recorded the failure, and the two are cleared together.
+            Err(st.failure.clone().expect("a poisoned node has a recorded failure"))
+        } else {
+            Ok(parked)
         }
     }
 
@@ -756,7 +838,8 @@ impl Executor {
         self.shared.faults.injected()
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads; also the lane bodies run by waiting
+    /// drivers are recorded under.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
     }
@@ -844,7 +927,7 @@ impl BodyRecord {
     }
 }
 
-/// What a worker hands to [`retire_locked`].
+/// What the scheduling loop hands to [`retire_locked`].
 enum Retiring<'a> {
     /// Node `id` ran; its bodies ended as `bodies` say.
     Ran { id: TaskId, bodies: &'a [BodyRecord] },
@@ -858,7 +941,9 @@ enum Retiring<'a> {
 /// poisons any promise a body captured). Successors that become ready
 /// unpoisoned are queued; returns how many were. Runs entirely under
 /// the state lock, so fences observing `outstanding == 0` see every
-/// span and counter of the cascade.
+/// span and counter of the cascade. Drivers parked for want of a ready
+/// node are woken to look again: for what was released, and at the
+/// condition they wait for, which only a retirement makes true.
 fn retire_locked(
     shared: &ExecShared,
     st: &mut DepState,
@@ -889,6 +974,9 @@ fn retire_locked(
     while st.slots.front().is_some_and(|s| !s.live) {
         st.slots.pop_front();
         st.base += 1;
+    }
+    if st.drivers_parked > 0 {
+        shared.idle_cv.notify_all();
     }
     released
 }
@@ -979,13 +1067,10 @@ fn retire_one(
         }
     }
     st.outstanding -= 1;
-    if st.outstanding == 0 {
-        shared.idle_cv.notify_all();
-    }
     released
 }
 
-/// The bodies of one node as a worker runs them: what became of each
+/// The bodies of one node as lane `me` runs them: what became of each
 /// so far, and the failure of the one that panicked.
 struct NodeRun<'a> {
     shared: &'a ExecShared,
@@ -1107,32 +1192,72 @@ fn run_node(
     run.failure
 }
 
-fn worker_loop(shared: &ExecShared, me: usize) {
+/// Who is in the scheduling loop: decides the lane its bodies are
+/// recorded under, when the loop returns and where it parks.
+enum Role<'a> {
+    /// Pool thread `w`: returns when shutdown finds nothing ready;
+    /// parks on `wake_cv`, counted in `DepState::idle`.
+    Worker(usize),
+    /// A thread waiting on the executor: returns as soon as the
+    /// condition holds; parks on `idle_cv`, counted in
+    /// `DepState::drivers_parked`.
+    Driver(&'a dyn Fn(&DepState) -> bool),
+}
+
+/// The scheduling loop, for pool threads and waiting drivers alike
+/// (module docs, "Waits that work"): take a ready node, run its bodies
+/// with the lock released, retire it and queue what it released, all
+/// but the running under the acquisition `st` — and park, with that
+/// lock, when nothing is ready. Returns the lock the role's exit
+/// condition was seen under and the time spent parked as a driver.
+fn run_nodes<'a>(
+    shared: &'a ExecShared,
+    mut st: MutexGuard<'a, DepState>,
+    role: Role<'_>,
+) -> (MutexGuard<'a, DepState>, Duration) {
+    let (me, by_driver) = match role {
+        Role::Worker(w) => (w, false),
+        Role::Driver(_) => (shared.driver_lane(), true),
+    };
     // The bodies of the node in hand, reused from node to node.
     let mut records: Vec<BodyRecord> = Vec::new();
-    // Successors this worker queued in the critical section it is
+    // Successors this thread queued in the critical section it is
     // still in.
     let mut released = 0usize;
-    let mut st = shared.state.lock();
+    let mut parked = Duration::ZERO;
     loop {
+        if matches!(role, Role::Driver(done) if done(&st)) {
+            shared.wake(&st, released);
+            return (st, parked);
+        }
         let next = st.ready.pop(me);
-        // This worker takes one of the nodes it just queued itself;
+        // This thread takes one of the nodes it just queued itself;
         // each of the others gets a parked worker, if there is one.
         shared.wake(&st, released.saturating_sub(1));
         released = 0;
         let Some((node, stolen)) = next else {
-            if st.shutdown {
-                return;
+            // Parking releases the lock this thread found the queues
+            // empty under, so whoever queues a node next sees a worker
+            // in `idle` and wakes it, and whoever retires one next
+            // sees a driver in `drivers_parked` and wakes it.
+            match role {
+                Role::Worker(_) if st.shutdown => return (st, parked),
+                Role::Worker(_) => {
+                    st.idle += 1;
+                    shared.wake_cv.wait(&mut st);
+                    st.idle -= 1;
+                }
+                Role::Driver(_) => {
+                    st.drivers_parked += 1;
+                    let since = Instant::now();
+                    shared.idle_cv.wait(&mut st);
+                    parked += since.elapsed();
+                    st.drivers_parked -= 1;
+                }
             }
-            // Parking releases the lock this worker found the queues
-            // empty under, so whoever queues a node next sees it in
-            // `idle` and wakes it.
-            st.idle += 1;
-            shared.wake_cv.wait(&mut st);
-            st.idle -= 1;
             continue;
         };
-        st.tallies.stolen += u64::from(stolen);
+        st.tallies.stolen += u64::from(stolen && !by_driver);
         // One relaxed load each when logging and kernel timing are
         // off — the entire cost those layers add to the disabled
         // execute path.
@@ -1152,6 +1277,7 @@ fn worker_loop(shared: &ExecShared, me: usize) {
         // acquisition.
         st = shared.state.lock();
         st.tallies.executed += 1;
+        st.tallies.run_by_drivers += u64::from(by_driver);
         if let Some(e) = failure {
             st.tallies.task_failures += 1;
             st.failure.get_or_insert(e);
@@ -1164,10 +1290,10 @@ fn worker_loop(shared: &ExecShared, me: usize) {
     }
 }
 
-/// The watchdog: periodically scans every worker's watch slot and
+/// The watchdog: periodically scans every lane's watch slot and
 /// counts bodies that have been executing longer than the stall
 /// budget. Exits when the budget is cleared or the executor shuts
-/// down. Each (worker, body) pair is flagged at most once.
+/// down. Each (lane, body) pair is flagged at most once.
 fn watchdog_loop(shared: Arc<ExecShared>) {
     let mut flagged: HashMap<usize, u64> = HashMap::new();
     loop {
@@ -1409,29 +1535,65 @@ mod tests {
         // Two workers, tasks pinned by color; with balanced load, the
         // pinned worker should execute most of its own tasks. We only
         // assert functional completion plus *some* locality (stealing
-        // keeps this from being deterministic).
+        // keeps this from being deterministic). The fencing thread
+        // takes nodes too, off either queue: those are counted apart.
         let ex = Executor::with_mapper(2, Some(Arc::new(RoundRobinMapper::new(2))));
-        let hits: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        for id in 0..200u64 {
-            let hits = Arc::clone(&hits);
+        let hits = Arc::new(AtomicUsize::new(0));
+        let by_driver = Arc::new(AtomicUsize::new(0));
+        // Both workers are held until every task is queued and the
+        // fencing thread has taken one, which it keeps until a worker
+        // has run a task of its own color.
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(AtomicUsize::new(0));
+        for id in 0..2u64 {
+            let (gate, held) = (Arc::clone(&gate), Arc::clone(&held));
+            ex.submit(
+                runnable(id, move || {
+                    held.fetch_add(1, Ordering::Release);
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }),
+                &[],
+            );
+        }
+        while held.load(Ordering::Acquire) < 2 {
+            std::thread::yield_now();
+        }
+        for id in 2..202u64 {
+            let (hits, by_driver, gate) = (Arc::clone(&hits), Arc::clone(&by_driver), Arc::clone(&gate));
             let color = (id % 2) as usize;
             ex.submit(
                 runnable_colored(id, color, move || {
                     let name = std::thread::current().name().unwrap_or("").to_string();
-                    let me: usize = name.trim_start_matches("kdr-worker-").parse().unwrap();
-                    if me == color {
-                        hits[color].fetch_add(1, Ordering::Relaxed);
+                    match name.strip_prefix("kdr-worker-") {
+                        Some(w) => {
+                            if w.parse() == Ok(color) {
+                                hits.fetch_add(1, Ordering::Release);
+                            }
+                        }
+                        None => {
+                            by_driver.fetch_add(1, Ordering::Relaxed);
+                            gate.store(true, Ordering::Release);
+                            while hits.load(Ordering::Acquire) == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                     }
-                    // A little work so queues actually fill.
-                    std::hint::black_box((0..100).sum::<u64>());
                 }),
                 &[],
             );
         }
         ex.fence().unwrap();
-        assert_eq!(ex.tallies().executed, 200);
-        let local = hits[0].load(Ordering::Relaxed) + hits[1].load(Ordering::Relaxed);
-        assert!(local > 0, "affinity must route at least some tasks home");
+        let t = ex.tallies();
+        assert_eq!(t.executed, 202);
+        let by_driver = by_driver.load(Ordering::Relaxed) as u64;
+        assert!(by_driver >= 1, "the fencing thread runs ready nodes");
+        assert_eq!(t.run_by_drivers, by_driver);
+        assert!(
+            hits.load(Ordering::Relaxed) > 0,
+            "affinity must route at least some tasks home"
+        );
     }
 
     #[test]

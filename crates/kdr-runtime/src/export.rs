@@ -4,9 +4,10 @@
 //! The JSON produced by [`chrome_trace_json`] follows the Trace Event
 //! Format's "X" (complete) events and loads directly in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`: each task span
-//! becomes one slice on the track of the worker that executed it,
-//! with `args` carrying the provenance and queue-wait so slices can
-//! be queried in the UI.
+//! becomes one slice on the track of the lane that executed it — a
+//! `worker N` track, or the `driver` track for bodies a waiting driver
+//! thread ran — with `args` carrying the provenance and queue-wait so
+//! slices can be queried in the UI.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -18,18 +19,15 @@ use crate::events::{Provenance, TaskSpan};
 ///
 /// One `"X"` (complete) event per span: `ts`/`dur` are microseconds
 /// (the format's unit) with three decimal places to retain the
-/// underlying nanosecond resolution, `pid` is 0, `tid` is the worker
-/// id. `"M"` metadata events name each worker track. Events are
-/// emitted in span (task-id) order.
+/// underlying nanosecond resolution, `pid` is 0, `tid` is the lane
+/// ([`TaskSpan::worker`]). `"M"` metadata events name each track:
+/// `worker N`, or `driver` for the lane of waiting driver threads.
+/// Events are emitted in span (task-id) order.
 pub fn chrome_trace_json(spans: &[TaskSpan]) -> String {
-    let mut workers: Vec<usize> = spans.iter().map(|s| s.worker).collect();
-    workers.sort_unstable();
-    workers.dedup();
-
     let mut out = String::with_capacity(128 + spans.len() * 160);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
-    for w in &workers {
+    for (w, name) in lanes(spans) {
         if !first {
             out.push(',');
         }
@@ -37,7 +35,7 @@ pub fn chrome_trace_json(spans: &[TaskSpan]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{w},\
-             \"args\":{{\"name\":\"worker {w}\"}}}}"
+             \"args\":{{\"name\":\"{name}\"}}}}"
         );
     }
     for s in spans {
@@ -70,6 +68,18 @@ pub fn chrome_trace_json(spans: &[TaskSpan]) -> String {
     out
 }
 
+/// The lanes `spans` ran on, ascending, with their track names.
+fn lanes(spans: &[TaskSpan]) -> Vec<(usize, String)> {
+    let mut lanes: Vec<(usize, bool)> = spans.iter().map(|s| (s.worker, s.by_driver)).collect();
+    lanes.sort_unstable();
+    lanes.dedup();
+    let name = |(w, by_driver)| match by_driver {
+        true => (w, "driver".to_string()),
+        false => (w, format!("worker {w}")),
+    };
+    lanes.into_iter().map(name).collect()
+}
+
 /// Render labeled span groups as Chrome `trace_event` JSON, one
 /// *process* per group.
 ///
@@ -95,14 +105,11 @@ pub fn chrome_trace_json_grouped(groups: &[(String, Vec<TaskSpan>)]) -> String {
              \"args\":{{\"name\":\"{}\"}}}}",
             escape_json(label)
         );
-        let mut workers: Vec<usize> = spans.iter().map(|s| s.worker).collect();
-        workers.sort_unstable();
-        workers.dedup();
-        for w in &workers {
+        for (w, name) in lanes(spans) {
             let _ = write!(
                 out,
                 ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{w},\
-                 \"args\":{{\"name\":\"worker {w}\"}}}}"
+                 \"args\":{{\"name\":\"{name}\"}}}}"
             );
         }
         for s in spans {
@@ -344,6 +351,7 @@ mod tests {
                 Provenance::Replayed
             },
             worker: (id % 2) as usize,
+            by_driver: false,
             submit_ns: 0,
             ready_ns: start,
             start_ns: start,
@@ -369,6 +377,14 @@ mod tests {
         assert!(json.contains("\"provenance\":\"replayed\""));
         // ts is µs with ns fraction: 1000 ns -> 1.000 µs.
         assert!(json.contains("\"ts\":1.000"), "{json}");
+        assert!(json.contains("\"tid\":1,\"args\":{\"name\":\"worker 1\"}"));
+        assert!(!json.contains("\"driver\""));
+        // A body a waiting driver ran sits on the `driver` track.
+        let mut by_driver = span(2, "axpy", 4000, 5000, vec![1]);
+        (by_driver.worker, by_driver.by_driver) = (2, true);
+        let json = chrome_trace_json(&[by_driver]);
+        assert!(json.contains("\"tid\":2,\"args\":{\"name\":\"driver\"}"), "{json}");
+        assert!(json.contains("\"name\":\"axpy\",\"ph\":\"X\",\"pid\":0,\"tid\":2"));
     }
 
     #[test]

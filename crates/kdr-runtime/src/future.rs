@@ -7,6 +7,14 @@
 //! executor runs continuously on worker threads, blocking on a future
 //! from the application thread cannot deadlock.
 //!
+//! Futures are for applications that hand a value out of a task of
+//! their own. **They are not on a solve path**: the execution backend
+//! reads a reduction where it landed
+//! ([`Runtime::wait_written`](crate::Runtime::wait_written) +
+//! [`Buffer::peek`](crate::Buffer::peek)) — no task, no promise — and a
+//! thread parked in `get()` does not run ready tasks the way a thread
+//! waiting in a fence or in `wait_written` does.
+//!
 //! # Poisoning
 //!
 //! If a promise is dropped without being fulfilled — the producing

@@ -6,6 +6,20 @@
 //! RAW/WAR/WAW rules at interval-set granularity. Writers prune
 //! dominated entries, keeping the frontier small for the streaming
 //! access patterns of iterative solvers.
+//!
+//! # A replayed step's frontier
+//!
+//! A trace replay replaces the frontier with the one its capture
+//! recorded. The analyzer does not copy that in at the replay: it holds
+//! the recorded frontier — shared with the trace — and the id the step
+//! started at as *pending*, and builds the frontier from them when
+//! something reads it: `Analyzer::analyze` and
+//! `Analyzer::snapshot` first, `Analyzer::clear` drops it unbuilt,
+//! and `Analyzer::writers` reads it where it is. A loop that only
+//! replays and reads scalars never builds one. Pending and built are
+//! the same frontier — entry for entry, the recorded one with the
+//! step's first id added to every task — so no answer depends on which
+//! of the two the analyzer happens to hold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,10 +41,18 @@ pub(crate) struct Frontier {
     pub entries: Vec<FrontierEntry>,
 }
 
+/// A frontier as a capture recorded it: per buffer, ascending in
+/// buffer id, with tasks numbered from the start of the step.
+pub(crate) type RecordedFrontier = Arc<[(u64, Frontier)]>;
+
 /// The analyzer: buffer id → frontier.
 #[derive(Default)]
 pub(crate) struct Analyzer {
+    /// The frontier, unless one is `pending`, when this is empty.
     frontiers: HashMap<u64, Frontier>,
+    /// The frontier a replay left and the id of the step's first task
+    /// (module docs).
+    pending: Option<(RecordedFrontier, TaskId)>,
     pub edges_created: u64,
 }
 
@@ -42,6 +64,7 @@ impl Analyzer {
     /// Analyze one task's requirements; returns the set of earlier
     /// tasks it must wait for (deduplicated, unordered).
     pub fn analyze(&mut self, task: TaskId, reqs: &[ReqLite]) -> Vec<TaskId> {
+        self.build_pending();
         let mut deps: Vec<TaskId> = Vec::new();
         for req in reqs {
             let frontier = self.frontiers.entry(req.buffer_id).or_default();
@@ -73,37 +96,71 @@ impl Analyzer {
         deps
     }
 
-    /// Drop every frontier (used at trace-replay fences, where the
-    /// runtime is quiescent and recorded frontiers are installed
-    /// instead).
+    /// Drop every frontier, a pending one unbuilt (used where a
+    /// capture begins: the runtime is quiescent, so every entry names
+    /// a finished task).
     pub fn clear(&mut self) {
         self.frontiers.clear();
+        self.pending = None;
     }
 
     /// Snapshot the current frontiers (trace capture).
-    pub fn snapshot(&self) -> Vec<(u64, Frontier)> {
+    pub fn snapshot(&mut self) -> Vec<(u64, Frontier)> {
+        self.build_pending();
         self.frontiers
             .iter()
             .map(|(&id, f)| (id, f.clone()))
             .collect()
     }
 
-    /// Install previously captured frontiers with task ids remapped by
-    /// `remap` (trace replay).
-    pub fn install(&mut self, snap: &[(u64, Frontier)], remap: impl Fn(TaskId) -> TaskId) {
+    /// Replace the frontier with the one a replay leaves: `recorded`,
+    /// with `base` — the id of the step's first task — added to every
+    /// task. Nothing is built until something reads it.
+    pub fn set_pending(&mut self, recorded: &RecordedFrontier, base: TaskId) {
         self.frontiers.clear();
-        for (id, f) in snap {
+        self.pending = Some((Arc::clone(recorded), base));
+    }
+
+    /// Build the pending frontier, if there is one.
+    fn build_pending(&mut self) {
+        if let Some((recorded, base)) = self.pending.take() {
+            self.install(&recorded, base);
+        }
+    }
+
+    /// Replace the frontier with `recorded`, `base` added to every
+    /// task.
+    fn install(&mut self, recorded: &[(u64, Frontier)], base: TaskId) {
+        self.frontiers.clear();
+        for (id, f) in recorded {
             let entries = f
                 .entries
                 .iter()
                 .map(|e| FrontierEntry {
-                    task: remap(e.task),
+                    task: base + e.task,
                     subset: Arc::clone(&e.subset),
                     write: e.write,
                 })
                 .collect();
             self.frontiers.insert(*id, Frontier { entries });
         }
+    }
+
+    /// Append to `out` the tasks whose writes are on `buffer`'s
+    /// frontier. Every write to the buffer still in flight is one of
+    /// them or ordered before one of them: a write leaves the frontier
+    /// only when a later writer covers its subset, and that writer
+    /// depends on it. A pending frontier is read where it is.
+    pub fn writers(&self, buffer: u64, out: &mut Vec<TaskId>) {
+        let (frontier, base) = match &self.pending {
+            Some((recorded, base)) => {
+                let at = recorded.binary_search_by_key(&buffer, |(id, _)| *id);
+                (at.ok().map(|at| &recorded[at].1), *base)
+            }
+            None => (self.frontiers.get(&buffer), 0),
+        };
+        let entries = frontier.map_or(&[][..], |f| &f.entries);
+        out.extend(entries.iter().filter(|e| e.write).map(|e| base + e.task));
     }
 }
 
@@ -191,7 +248,111 @@ mod tests {
         a.analyze(7, &[req(10, 0, 4, true)]);
         let snap = a.snapshot();
         let mut b = Analyzer::new();
-        b.install(&snap, |t| t + 100);
+        b.install(&snap, 100);
         assert_eq!(b.analyze(200, &[req(10, 0, 4, false)]), vec![107]);
+    }
+
+    /// xorshift64, for the random frontiers below.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn random_req(rng: &mut u64) -> ReqLite {
+        let (buf, lo) = (10 + next(rng) % 5, next(rng) % 12);
+        req(buf, lo, lo + 1 + next(rng) % 6, next(rng) % 3 != 0)
+    }
+
+    /// What a capture records of the tasks `a` analyzed: the frontier
+    /// they left, ascending in buffer id.
+    fn recorded(a: &mut Analyzer) -> RecordedFrontier {
+        let mut recorded = a.snapshot();
+        recorded.sort_unstable_by_key(|(id, _)| *id);
+        recorded.into()
+    }
+
+    /// The record of `tasks` random tasks, numbered from 0.
+    fn record(rng: &mut u64, tasks: u64) -> RecordedFrontier {
+        let mut a = Analyzer::new();
+        for t in 0..tasks {
+            let reqs: Vec<ReqLite> = (0..1 + next(rng) % 3).map(|_| random_req(rng)).collect();
+            a.analyze(t, &reqs);
+        }
+        recorded(&mut a)
+    }
+
+    fn writers_of(a: &Analyzer, buffers: std::ops::Range<u64>) -> Vec<Vec<TaskId>> {
+        let of = |b| {
+            let mut w = Vec::new();
+            a.writers(b, &mut w);
+            w.sort_unstable();
+            w
+        };
+        buffers.map(of).collect()
+    }
+
+    #[test]
+    fn a_pending_frontier_is_the_installed_one() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..200u64 {
+            let recorded = record(&mut rng, 1 + case % 24);
+            let base = 1000 + next(&mut rng) % 1000;
+            let (mut pending, mut installed) = (Analyzer::new(), Analyzer::new());
+            // Whatever either held before is replaced.
+            pending.analyze(1, &[req(10, 0, 16, true)]);
+            pending.set_pending(&recorded, base);
+            installed.install(&recorded, base);
+            // Read in place ≡ read built, absent buffers included.
+            assert_eq!(writers_of(&pending, 8..17), writers_of(&installed, 8..17));
+            assert!(pending.frontiers.is_empty(), "reading writers builds nothing");
+            // Analysis after either finds the same dependences, task
+            // after task, and leaves the same frontier.
+            for t in 0..8 {
+                let reqs = [random_req(&mut rng), random_req(&mut rng)];
+                let id = base + 100 + t;
+                assert_eq!(pending.analyze(id, &reqs), installed.analyze(id, &reqs));
+            }
+            assert!(pending.pending.is_none());
+            assert_eq!(writers_of(&pending, 8..17), writers_of(&installed, 8..17));
+            assert_eq!(pending.edges_created, installed.edges_created);
+        }
+    }
+
+    #[test]
+    fn clear_after_pending_leaves_nothing() {
+        let mut rng = 7u64;
+        let recorded = record(&mut rng, 12);
+        let mut a = Analyzer::new();
+        a.set_pending(&recorded, 50);
+        a.clear();
+        assert!(a.snapshot().is_empty());
+        assert!(a.analyze(99, &[req(10, 0, 16, true), req(12, 0, 16, false)]).is_empty());
+        assert_eq!(writers_of(&a, 10..15), [vec![99], vec![], vec![], vec![], vec![]]);
+    }
+
+    #[test]
+    fn replays_and_analysed_submissions_depend_on_the_right_writers() {
+        // One step: task 0 writes buffer 10, task 1 reads it and
+        // writes buffer 11.
+        let mut a = Analyzer::new();
+        a.analyze(0, &[req(10, 0, 4, true)]);
+        a.analyze(1, &[req(10, 0, 4, false), req(11, 0, 1, true)]);
+        let recorded = recorded(&mut a);
+
+        // Replay at 100: buffer 11 was last written by task 101.
+        a.set_pending(&recorded, 100);
+        assert_eq!(writers_of(&a, 10..12), [vec![100], vec![101]]);
+        // An analysed reader of 11 waits for it, and a writer of 10
+        // for the replayed writer and reader of 10.
+        assert_eq!(a.analyze(102, &[req(11, 0, 1, false)]), vec![101]);
+        assert_eq!(a.analyze(103, &[req(10, 0, 4, true)]), vec![100, 101]);
+        assert_eq!(writers_of(&a, 10..12), [vec![103], vec![101]]);
+        // The next replay replaces all of that, built or not.
+        a.set_pending(&recorded, 200);
+        assert_eq!(writers_of(&a, 10..12), [vec![200], vec![201]]);
+        a.set_pending(&recorded, 300);
+        assert_eq!(a.analyze(302, &[req(10, 0, 4, true)]), vec![300, 301]);
     }
 }

@@ -11,8 +11,11 @@
 //! tasks conflict when their declared subsets of the same buffer
 //! overlap and at least one writes — and executes the resulting DAG on
 //! a pool of worker threads, overlapping everything the analysis
-//! proves independent. Scalars flow between tasks and the main thread
-//! through [`Future`]s, *index launches* spray one task per color of a
+//! proves independent. A thread that waits on the runtime — at a
+//! [`Runtime::fence`], or in [`Runtime::wait_written`] for the tasks
+//! writing a buffer it wants to read — runs ready tasks while it
+//! waits. Scalars can also flow from a task to the main thread through
+//! [`Future`]s, *index launches* spray one task per color of a
 //! partition, and *dynamic tracing* memoizes the dependence analysis
 //! of a repeated task sequence (after Lee et al., SC'18, which the
 //! paper cites for exactly this purpose) and compiles it into a step

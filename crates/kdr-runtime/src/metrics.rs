@@ -175,6 +175,12 @@ pub struct MetricsSnapshot {
     pub tasks_fused: u64,
     /// Nodes executed by a worker other than their affinity target.
     pub tasks_stolen: u64,
+    /// Nodes executed by a driver thread while it waited — in a fence
+    /// or a [`Runtime::wait_written`](crate::Runtime::wait_written) —
+    /// instead of sleeping through the wait. Counted under the
+    /// scheduler lock, like `tasks_stolen`, and apart from it: a
+    /// driver has no affinity queue, so nothing it takes is "stolen".
+    pub nodes_run_by_drivers: u64,
     /// Dependence edges created by analysis.
     pub edges_created: u64,
     /// Nanoseconds spent in dependence analysis.
@@ -198,8 +204,9 @@ pub struct MetricsSnapshot {
     /// Global reduction stages launched (each `dot`/`dot_many` call
     /// counts as one stage regardless of how many scalars it fuses).
     pub reduction_stages: u64,
-    /// Nanoseconds the driver spent blocked waiting for a reduction
-    /// result (`scalar_get` wait time) — the fence tax.
+    /// Nanoseconds drivers spent *parked* waiting for a reduction
+    /// result, with no ready task to run meanwhile — the fence tax.
+    /// The part of a wait a driver spent running tasks is not in here.
     pub reduction_stall_ns: u64,
     /// Distribution of ready-queue wait times (ready → start), ns.
     pub queue_wait_ns: HistogramSnapshot,

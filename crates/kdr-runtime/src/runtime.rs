@@ -1,6 +1,13 @@
 //! The user-facing runtime: submission, fencing, index launches, and
 //! trace capture/replay.
 //!
+//! A thread that waits here — [`Runtime::fence`],
+//! [`Runtime::wait_written`], the quiescing fences of capture and
+//! replay — runs ready tasks while it waits (see [`crate::executor`]).
+//! Every such wait is taken with this module's state lock released, so
+//! a body the waiting thread is handed can never need a lock its own
+//! thread holds here.
+//!
 //! Failures never abort the process: user-reachable entry points
 //! return typed [`RuntimeError`]s, task panics surface as
 //! [`TaskError`]s at fences (see [`Runtime::fence`] /
@@ -66,7 +73,8 @@ pub struct Runtime {
     /// Reduction stages launched (one per fused multi-dot, however
     /// many scalars it combines).
     reduction_stages: AtomicU64,
-    /// Nanoseconds callers spent blocked on reduction results.
+    /// Nanoseconds callers spent parked, with nothing to run, waiting
+    /// for reduction results.
     reduction_stall_ns: AtomicU64,
     /// Cost-catalogue predictions served from observed samples
     /// (bumped by the service layer via
@@ -149,8 +157,10 @@ impl Runtime {
         self.reduction_stages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Account nanoseconds a caller spent blocked waiting for a
-    /// reduction result to materialize.
+    /// Account nanoseconds a caller spent *parked* waiting for a
+    /// reduction result: what [`Runtime::wait_written`] returns. Time
+    /// the caller spent running tasks while it waited is work, not
+    /// stall, and is not counted.
     pub fn record_reduction_stall_ns(&self, ns: u64) {
         self.reduction_stall_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -243,13 +253,46 @@ impl Runtime {
         (0..colors).map(|c| self.submit(make(c))).collect()
     }
 
-    /// Block until all submitted tasks have completed. If any task
-    /// failed since the last [`Runtime::take_failure`], returns the
-    /// first [`TaskError`] — and keeps returning it on subsequent
-    /// fences until the failure is taken, so a failure cannot be
-    /// silently lost between fences.
+    /// Wait until all submitted tasks have completed; the calling
+    /// thread runs ready tasks while it waits. If any task failed
+    /// since the last [`Runtime::take_failure`], returns the first
+    /// [`TaskError`] — and keeps returning it on subsequent fences
+    /// until the failure is taken, so a failure cannot be silently
+    /// lost between fences.
     pub fn fence(&self) -> Result<(), TaskError> {
         self.exec.fence()
+    }
+
+    /// Wait until no task that writes one of `buffers` (by
+    /// [`Buffer::id`](crate::Buffer::id)) is in flight, so that the
+    /// caller may read them where they are
+    /// ([`Buffer::peek`](crate::Buffer::peek)): no task is submitted,
+    /// nothing is allocated per value, and nothing else is waited for.
+    /// The calling thread runs ready tasks while it waits; the time it
+    /// had none to run and was parked is returned.
+    ///
+    /// The tasks waited for are the writers on the buffers' access
+    /// frontiers as of this call — every submitted write that has not
+    /// retired is one of them or ordered before one — so the caller
+    /// must be the only one submitting writers of these buffers, as
+    /// for [`Buffer::snapshot`](crate::Buffer::snapshot).
+    ///
+    /// If one of those tasks failed, or was retired unrun because a
+    /// predecessor had, since the last [`Runtime::take_failure`], the
+    /// buffers do not hold what the program computes and the recorded
+    /// [`TaskError`] is returned instead.
+    pub fn wait_written(
+        &self,
+        buffers: impl IntoIterator<Item = u64>,
+    ) -> Result<Duration, TaskError> {
+        let mut writers = Vec::new();
+        {
+            let st = self.state.lock();
+            for buffer in buffers {
+                st.analyzer.writers(buffer, &mut writers);
+            }
+        }
+        self.exec.wait_retired(&writers)
     }
 
     /// Remove and return the recorded task failure, if any, re-arming
@@ -359,9 +402,10 @@ impl Runtime {
     /// captured task. Dependence analysis is skipped; the bodies are
     /// grouped into the trace's compiled nodes and the whole step
     /// graph is handed to the executor at once, then the recorded
-    /// final frontier is installed. Returns the id of every task, in
-    /// order; a fused task runs under its node, whose id is its first
-    /// member's.
+    /// final frontier replaces the analyzer's (by reference: it is
+    /// copied only if an analyzed submission follows). Returns the id
+    /// of every task, in order; a fused task runs under its node,
+    /// whose id is its first member's.
     pub fn replay(
         &self,
         trace: &Trace,
@@ -449,8 +493,8 @@ impl Runtime {
     /// The replay routine behind [`Runtime::replay`] and
     /// [`Runtime::run_program`]: quiesce, give the step the next
     /// `trace.len()` ids, hand `bodies(first id)` to the executor as
-    /// the compiled graph and install the recorded frontier. Returns
-    /// the first id.
+    /// the compiled graph and leave the recorded frontier pending with
+    /// the analyzer. Returns the first id.
     fn submit_step(
         &self,
         trace: &Trace,
@@ -480,7 +524,7 @@ impl Runtime {
         st.tasks_replayed += nodes;
         st.tasks_fused += tasks - nodes;
         self.exec.submit_graph(base, trace, bodies(base));
-        st.analyzer.install(&trace.frontier, |local| base + local);
+        st.analyzer.set_pending(&trace.frontier, base);
         Ok(base)
     }
 
@@ -525,6 +569,7 @@ impl Runtime {
             tasks_replayed: st.tasks_replayed,
             tasks_fused: st.tasks_fused,
             tasks_stolen: exec.stolen,
+            nodes_run_by_drivers: exec.run_by_drivers,
             edges_created: st.analyzer.edges_created,
             analysis_ns: st.analysis_ns,
             task_failures: exec.task_failures,

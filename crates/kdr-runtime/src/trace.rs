@@ -26,7 +26,9 @@
 //! Both capture and replay begin from a quiescent runtime (the
 //! runtime fences internally), so a trace's first tasks have no
 //! external dependences and the recorded frontier fully describes the
-//! post-trace access state.
+//! post-trace access state. A replay hands that frontier to the
+//! analyzer by reference ([`crate::graph`]): nothing is copied unless
+//! an analyzed submission follows the replay.
 //!
 //! # Compiled traces
 //!
@@ -68,7 +70,7 @@ use std::sync::Arc;
 use kdr_index::IntervalSet;
 
 use crate::fault::RuntimeError;
-use crate::graph::Frontier;
+use crate::graph::{Frontier, RecordedFrontier};
 use crate::mapper::TaskMeta;
 use crate::task::{Privilege, SharedBody, TaskBody, TaskBuilder, TaskContext};
 
@@ -219,7 +221,9 @@ pub struct Trace {
     pub(crate) graph: Arc<StepGraph>,
     /// Final analyzer frontiers; an entry's task is the trace-local
     /// index of the *leader* of the node holding the recorded access.
-    pub(crate) frontier: Vec<(u64, Frontier)>,
+    /// Shared with the analyzer after a replay, which reads it in
+    /// place until an analysis needs a frontier of its own.
+    pub(crate) frontier: RecordedFrontier,
 }
 
 impl Trace {
@@ -231,6 +235,7 @@ impl Trace {
         mut frontier: Vec<(u64, Frontier)>,
     ) -> Trace {
         let graph = StepGraph::compile(&deps, colors);
+        frontier.sort_unstable_by_key(|(buffer, _)| *buffer);
         for (_, f) in &mut frontier {
             for e in &mut f.entries {
                 let node = graph.node_of[e.task as usize] as usize;
@@ -240,7 +245,7 @@ impl Trace {
         Trace {
             deps,
             graph: Arc::new(graph),
-            frontier,
+            frontier: frontier.into(),
         }
     }
 

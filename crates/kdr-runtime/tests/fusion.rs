@@ -7,7 +7,10 @@
 //!   once and replayed with rebuilt tasks, or captured as a step
 //!   program and run again with the bodies it holds, and their compiled
 //!   graphs keep every captured edge inside a node or pointing from an
-//!   earlier node to a later one.
+//!   earlier node to a later one. The submitting thread fences at
+//!   seeded points of each program — after some tasks of an analyzed
+//!   round, after some replays — and so runs nodes itself, fused ones
+//!   included, in an order no worker would have.
 //! * A failing body fails its node: earlier members have run, later
 //!   ones are dropped, successors are poisoned, and the runtime works
 //!   again once the failure is taken.
@@ -196,6 +199,7 @@ proptest! {
         nbuf in 2usize..5,
         seed_ops in prop::collection::vec(arb_op(4), 1..48),
         workers in 1usize..5,
+        fence_at in prop::collection::vec(0usize..4 * 48, 0..6),
     ) {
         let ops: Vec<Op> = seed_ops
             .into_iter()
@@ -208,13 +212,19 @@ proptest! {
             .collect();
         const ROUNDS: usize = 4;
         let expect = run_sequential(&ops, nbuf, ROUNDS);
+        // Where the submitting thread fences — and runs what is ready:
+        // after task `i` of the analyzed run, after replay `i`.
+        let fences_after = |i: usize, of: usize| fence_at.iter().any(|&at| at % of == i);
 
         // Analyzed submission, round after round.
         let rt = runtime(workers);
         let bufs = buffers(nbuf);
-        for _ in 0..ROUNDS {
-            for op in &ops {
+        for round in 0..ROUNDS {
+            for (i, op) in ops.iter().enumerate() {
                 rt.submit(task(op, &bufs)).unwrap();
+                if fences_after(round * ops.len() + i, ROUNDS * ops.len()) {
+                    rt.fence().unwrap();
+                }
             }
         }
         rt.fence().unwrap();
@@ -230,11 +240,14 @@ proptest! {
         let trace = rt.end_trace().unwrap();
         prop_assert_eq!(trace.len(), ops.len());
         assert_compiled_graph_is_sound(&trace);
-        for _ in 1..ROUNDS {
+        for round in 1..ROUNDS {
             let ids = rt
                 .replay(&trace, ops.iter().map(|op| task(op, &bufs)).collect())
                 .unwrap();
             prop_assert_eq!(ids.len(), ops.len());
+            if fences_after(round, ROUNDS) {
+                rt.fence().unwrap();
+            }
         }
         rt.fence().unwrap();
         prop_assert_eq!(snapshot(&bufs), expect.clone());
@@ -252,8 +265,11 @@ proptest! {
             .unwrap();
         prop_assert_eq!(program.trace().len(), ops.len());
         assert_compiled_graph_is_sound(program.trace());
-        for _ in 1..ROUNDS {
+        for round in 1..ROUNDS {
             rt.run_program(&program, || {}).unwrap();
+            if fences_after(round, ROUNDS) {
+                rt.fence().unwrap();
+            }
         }
         rt.fence().unwrap();
         prop_assert_eq!(snapshot(&bufs), expect);

@@ -1111,6 +1111,16 @@ impl ShardedService {
     /// tick. Returns `false`, having done nothing, once the whole
     /// fleet is idle *and* no retry that a tick could release is
     /// waiting out its backoff.
+    ///
+    /// The driver threads are joined by handle, not left to the scope:
+    /// a scope returns when its count of *running* threads reaches
+    /// zero, which is before the OS threads have exited, so on a busy
+    /// CPU the dying drivers of one round are still alive when the
+    /// next round spawns. Each of them holds a malloc arena that is
+    /// therefore not free for reuse, the new drivers get new arenas,
+    /// and the process's resident size climbs round over round
+    /// (EXPERIMENTS.md, "What a wait costs"). `join` waits for the
+    /// thread itself.
     fn round(&self, drive: impl Fn(&ShardEngine) + Sync) -> bool {
         let mut busy = self.live_shards();
         busy.retain(|svc| svc.has_work());
@@ -1118,8 +1128,15 @@ impl ShardedService {
             return false;
         }
         std::thread::scope(|scope| {
-            for svc in &busy {
-                scope.spawn(|| drive(svc));
+            let drive = &drive;
+            let drivers: Vec<_> = busy
+                .iter()
+                .map(|svc| scope.spawn(move || drive(svc)))
+                .collect();
+            for driver in drivers {
+                if let Err(panic) = driver.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         self.rebalance();

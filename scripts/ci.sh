@@ -28,6 +28,16 @@ cargo test -q --release -p kdr-core --test fault_tolerance
 # release-only bound check of a declared subset (`task::` tests; debug
 # builds assert every access as well).
 cargo test -q --release -p kdr-runtime
+# The same three suites pinned to one CPU — the configuration the perf
+# ledger measures. A thread that waits on the runtime runs ready nodes
+# and parks only when there are none (DESIGN §6); with a second core a
+# lost wake-up there is papered over by whoever runs next, on one CPU
+# it hangs (and the suites' progress watchdogs say where).
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test -q --release -p kdr-runtime --test scheduler --test fusion --test stress
+else
+    echo "ci.sh: taskset not found, skipping the one-CPU scheduler leg"
+fi
 
 # Vector-kernel property tests (kdr-sparse::vecops), both profiles:
 # dev keeps the debug assertions armed, --release is the vectorised

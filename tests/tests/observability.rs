@@ -3,6 +3,7 @@
 //! consistency with the traced-stepping contract, and what the event
 //! layer adds to a replayed step, off and on.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use kdr_core::{solve_traced, CgSolver, ExecBackend, PhaseSplit, Planner, SolveControl, Solver};
@@ -198,10 +199,27 @@ fn canonicalize(json: &str, keys: &[&str]) -> String {
 /// Regenerate with `BLESS=1 cargo test -p kdr-integration chrome_trace_schema`.
 #[test]
 fn chrome_trace_schema_matches_golden() {
-    // One worker => tid 0 for every event, deterministic execution
-    // order for a chain, deterministic task ids.
+    // One worker, held inside `hold` (task 0) until the DAG behind it
+    // has run: the thread draining the log fences first, finds the
+    // DAG ready and the worker busy, and runs it itself, in order. So
+    // the export has both kinds of track — `worker 0` with one slice
+    // and `driver` (tid 1, one past the last worker) with four — and
+    // deterministic lanes, order and task ids.
     let rt = Runtime::new(1);
     rt.enable_events(true);
+    let held = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (arrived, gate) = (Arc::clone(&held), Arc::clone(&release));
+    rt.submit(TaskBuilder::new("hold").body(move |_| {
+        arrived.store(true, Ordering::Release);
+        while !gate.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }))
+    .unwrap();
+    while !held.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
     let a = Buffer::filled(8, 0.0f64);
     let b = Buffer::filled(8, 0.0f64);
     rt.submit(TaskBuilder::new("load").write_all(&a).body(|_| {}))
@@ -220,10 +238,14 @@ fn chrome_trace_schema_matches_golden() {
             .body(|_| {}),
     )
     .unwrap();
-    rt.submit(TaskBuilder::new("store").read_all(&b).body(|_| {}))
-        .unwrap();
+    rt.submit(
+        TaskBuilder::new("store")
+            .read_all(&b)
+            .body(move |_| release.store(true, Ordering::Release)),
+    )
+    .unwrap();
     let spans = rt.take_spans();
-    assert_eq!(spans.len(), 4);
+    assert_eq!(spans.len(), 5);
     let json = chrome_trace_json(&spans);
     let canon = canonicalize(&json, &["ts", "dur", "queue_wait_us"]);
 
