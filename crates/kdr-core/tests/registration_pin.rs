@@ -11,10 +11,24 @@
 //! (before registration was made linear-time); a change that makes
 //! registration cheaper must leave every one of them alone.
 //!
+//! One payload has changed by design since: PR 23 gave [`DiaTile`] a
+//! value per constant diagonal in place of a dense column, and a
+//! segment table. What a DIA payload *holds* was re-captured at that
+//! commit — `value_bytes` and `auto_fnv` of the rows that lower to
+//! `dia`, and `forced_fnv` wherever the forced DIA is representable
+//! (every lap3d27 row; no scatter row, whose forced DIA falls back to
+//! CSR). What registration *decides* was not: `kind`, `nnz`, `key`,
+//! `out_runs`, `in_runs` and `footprint_fnv` of every row, and every
+//! column of every row that does not lower to `dia`, are still the
+//! d548998 constants.
+//!
+//! [`DiaTile`]: kdr_sparse::tile::DiaTile
+//!
 //! On a mismatch the failure message is the full table in source form.
 
 use kdr_core::partitioning::{compute_tiles, extract_tile_triplets};
 use kdr_index::{IntervalSet, Partition};
+use kdr_sparse::tile::DiaCoef;
 use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, TileKernel, Triples};
 
 /// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
@@ -68,12 +82,25 @@ fn payload(h: &mut Fnv, k: &TileKernel<f64>) {
             h.word(t.nrows as u64);
             h.array(t.offsets.iter().map(|&o| o as u64));
             usizes(h, &t.run_ptr);
-            h.array(
-                t.runs
-                    .iter()
-                    .map(|&(lo, hi)| u64::from(lo) << 32 | u64::from(hi)),
-            );
+            let ranges = |h: &mut Fnv, v: &[(u32, u32)]| {
+                h.array(v.iter().map(|&(lo, hi)| u64::from(lo) << 32 | u64::from(hi)))
+            };
+            ranges(h, &t.runs);
+            // A constant as its bits, a dense column as its start,
+            // each behind a tag so neither reads as the other.
+            h.word(t.coefs.len() as u64);
+            for coef in &t.coefs {
+                match *coef {
+                    DiaCoef::Const(c) => [0, c.to_bits()],
+                    DiaCoef::Dense(start) => [1, start as u64],
+                }
+                .into_iter()
+                .for_each(|w| h.word(w));
+            }
             f64s(h, &t.vals);
+            ranges(h, &t.seg_rows);
+            usizes(h, &t.seg_ptr);
+            h.array(t.seg_diags.iter().map(|&d| u64::from(d)));
         }
         TileKernel::Ell(t) => {
             u64s(h, &t.row_ids);
@@ -243,10 +270,10 @@ fn seeded_scatter_in_eight_pieces_registers_as_at_d548998() {
 // One row per tile, as a failure prints them.
 #[rustfmt::skip]
 const LAP3D27_PINS: [Pin; 4] = [
-    pin("dia", 9248, 93312, [14, 5, 3, 0, 0], 1, 1, 0x39688f7fb9a918c9, 0x64c3f093aef7ecc0, 0x210e03f8512be6d5),
-    pin("dia", 10404, 93312, [14, 5, 3, 0, 0], 1, 1, 0x6ef5239f0a94c504, 0xf1d11f0f752df4e9, 0x4785a7cee729e198),
-    pin("dia", 10404, 93312, [14, 5, 3, 0, 0], 1, 1, 0xfc06255977855f2c, 0xf6b6b22e9be52747, 0x22893f9789ca84e1),
-    pin("dia", 9248, 93312, [14, 5, 3, 0, 0], 1, 1, 0x2cd47d18710adf7b, 0x162fdff220f84d05, 0x6c120894e63d9a27),
+    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x39688f7fb9a918c9, 0xa796c8030bd72a90, 0x23b0ca3b8ca046a9),
+    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0x6ef5239f0a94c504, 0x073ad010c4a12b3e, 0xe83aaec080d32517),
+    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0xfc06255977855f2c, 0x68f369ba3a9305c8, 0x3da2d9d811e95a22),
+    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x2cd47d18710adf7b, 0x942c766ba38f21fe, 0x8ab660c8dc0d2ad4),
 ];
 
 #[rustfmt::skip]

@@ -1,20 +1,23 @@
 //! Matrix-free stencil tile kernels: zero-storage operator apply.
 //!
-//! Every other member of the [`crate::tile`] kernel family stores the
-//! tile's values (CSR/ELL/BCSR exactly, DIA with dense padding). For
-//! the paper's Laplacian workloads those values are a pure function
-//! of the grid coordinate, so the big-grid regime — bandwidth-bound
-//! per the ledger's `sparse.spmv_dia_roof_frac` — spends most of its
-//! memory traffic streaming numbers that could be recomputed for
-//! free. A [`StencilTile`]
-//! stores *nothing per entry*: just the [`Stencil`] descriptor and
-//! the tile's global row runs. Its apply walks the grid geometry
-//! directly — each grid line's interior is swept *offset-major* (one
-//! stride-1 fused-`mul_add` sweep per stencil point surviving the
-//! line's outer-boundary clip, the DIA loop shape minus the value
-//! loads), and the remaining inner-boundary rows delegate to
-//! [`Stencil::row_entries`], the single canonical Dirichlet
-//! boundary-clipping implementation shared with every assembled path.
+//! Every other member of the [`crate::tile`] kernel family is lowered
+//! from a tile's assembled entries and holds what it needs of them:
+//! CSR/ELL/BCSR every value, DIA a dense column per diagonal — or, for
+//! a diagonal whose entries are all the same bits, that one value. For
+//! the paper's Laplacian workloads the values are a pure function of
+//! the grid coordinate, so an assembled constant-coefficient band
+//! already streams none of them through a product; what it still pays
+//! is assembly — generating, extracting, sorting and lowering the
+//! entries — and the tables that say where entries are. A
+//! [`StencilTile`] stores *nothing per entry*: just the [`Stencil`]
+//! descriptor and the tile's global row runs. Its apply walks the grid
+//! geometry directly — each grid line's interior is swept
+//! *offset-major* (one stride-1 fused-`mul_add` sweep per stencil
+//! point surviving the line's outer-boundary clip, the weight in a
+//! register, `y` read and written once per point), and the remaining
+//! inner-boundary rows delegate to [`Stencil::row_entries`], the
+//! single canonical Dirichlet boundary-clipping implementation shared
+//! with every assembled path.
 //!
 //! # Bitwise contract
 //!
@@ -210,14 +213,13 @@ impl<T: Scalar> StencilTile<T> {
         }
     }
 
-    /// Interior forward rows, swept offset-major — the DIA loop
-    /// shape, minus the value loads. Per output row the contributions
-    /// still land in ascending-offset = ascending-column order, so
-    /// the FP accumulation sequence is exactly the CSR chain; but
-    /// where a row-major loop is a serial `mul_add` dependency chain
-    /// (latency-bound at ~4–5 cycles per entry), each offset sweep
-    /// here is an independent stride-1 loop with the weight in a
-    /// register, so the hardware overlaps rows freely.
+    /// Interior forward rows, swept offset-major. Per output row the
+    /// contributions still land in ascending-offset = ascending-column
+    /// order, so the FP accumulation sequence is exactly the CSR
+    /// chain; but where a row-at-a-time loop is a serial `mul_add`
+    /// dependency chain (latency-bound at ~4–5 cycles per entry), each
+    /// offset sweep here is an independent stride-1 loop with the
+    /// weight in a register, so the hardware overlaps rows freely.
     #[inline]
     fn interior_fwd<X: VecIn<T>, Y: VecOut<T>>(
         lo: u64,

@@ -1,18 +1,20 @@
 //! Format-specialized tile kernels and structure-driven lowering.
 //!
 //! Co-partitioning (the K/D/R machinery) is format-independent, but
-//! *execution* should not be: a banded tile wants a padded
-//! diagonal-major layout with stride-1 inner loops, a block-structured
-//! tile wants register-blocked dense micro-kernels, and a tile with
-//! uniform row lengths wants ELL-style padded lanes. This module is
-//! the lowering stage between the two worlds. An execution backend
-//! hands each tile's extracted triplets (in component-local
-//! coordinates) to [`TileKernel::lower`]; the structure analysis in
-//! [`TileStructure`] picks the best member of a small kernel family —
-//! or the caller forces one via [`KernelChoice`] — and the returned
-//! payload executes `y += A x` / `y += Aᵀ x` through the
-//! [`VecIn`]/[`VecOut`] accessor traits, so the same kernels run over
-//! plain slices (tests, benchmarks) and over runtime buffer views.
+//! *execution* should not be: a banded tile wants its diagonals
+//! addressed by offset — no column indices, gather-free stride-1
+//! loads, a diagonal of one repeated value held once — a
+//! block-structured tile wants register-blocked dense micro-kernels,
+//! and a tile with uniform row lengths wants ELL-style padded lanes.
+//! This module is the lowering stage between the two worlds. An
+//! execution backend hands each tile's extracted triplets (in
+//! component-local coordinates) to [`TileKernel::lower`]; the
+//! structure analysis in [`TileStructure`] picks the best member of a
+//! small kernel family — or the caller forces one via [`KernelChoice`]
+//! — and the returned payload executes `y += A x` / `y += Aᵀ x`
+//! through the [`VecIn`]/[`VecOut`] accessor traits, so the same
+//! kernels run over plain slices (tests, benchmarks) and over runtime
+//! buffer views.
 //!
 //! # One canonical order, one pass
 //!
@@ -25,7 +27,9 @@
 //! off the aligned row groups and their shared column list — no
 //! hashing, first failure exits), the CSR lowering *is* it, ELL pads
 //! its rows, DIA walks each row's ascending columns along the ascending
-//! offset table, and BCSR cuts its rows into blocks. No lowering
+//! offset table (noting per diagonal whether every value so far is the
+//! same bits, and cutting the rows into segments of equal diagonal
+//! sets as it goes), and BCSR cuts its rows into blocks. No lowering
 //! re-sorts, searches per entry, re-scans for the row span or
 //! re-counts blocks.
 //!
@@ -53,8 +57,12 @@ pub enum KernelKind {
     /// (including duplicate coordinates) and is the reference for the
     /// bitwise contract.
     Csr,
-    /// Diagonal-major banded layout with per-diagonal valid-row runs;
-    /// stride-1, gather-free inner loops.
+    /// Banded layout addressed by diagonal offset: a diagonal whose
+    /// values are all the same bits holds that value once, any other a
+    /// dense column; the forward product takes blocks of rows with the
+    /// accumulators in registers and writes each row once, the
+    /// transpose walks per-diagonal valid-row runs. Stride-1,
+    /// gather-free loads either way.
     Dia,
     /// Padded row-major lanes (ELLPACK) with per-row entry counts;
     /// uniform trip counts and a dense layout.
@@ -161,9 +169,9 @@ pub enum KernelChoice {
 /// Block sizes the BCSR lowering tries, largest first.
 const BCSR_BLOCK_SIZES: [usize; 3] = [8, 4, 2];
 
-/// DIA is rejected when the padded diagonal storage would exceed this
-/// multiple of the actual entry count (guards `Force(Dia)` on
-/// unstructured tiles).
+/// DIA is rejected when the padded diagonal storage — were every
+/// diagonal dense — would exceed this multiple of the actual entry
+/// count (guards `Force(Dia)` on unstructured tiles).
 const DIA_MAX_EXPANSION: usize = 16;
 
 /// Auto-selection: maximum distinct diagonals for DIA.
@@ -496,15 +504,29 @@ pub struct CsrTile<T> {
     pub vals: Vec<T>,
 }
 
-/// Diagonal-major banded payload. Values are stored dense per
-/// diagonal (`vals[d · nrows + local_row]`); `runs` lists, per
-/// diagonal, the local-row ranges actually holding entries, so
-/// padding is skipped structurally.
+/// Where one diagonal of a [`DiaTile`] keeps its coefficients.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum DiaCoef<T> {
+    /// Every stored entry of the diagonal has these bits (by the
+    /// lowering's `same_bits`); the value is held once.
+    Const(T),
+    /// The diagonal's `nrows` values start at this index of
+    /// [`DiaTile::vals`] (`vals[start + local_row]`).
+    Dense(usize),
+}
+
+/// Banded payload: per diagonal, either the one value all its entries
+/// share or a dense column of `nrows` values, and two views of where
+/// entries are — `runs`, per diagonal the local-row ranges holding
+/// entries (the transpose product walks these), and the *segment
+/// table*, the row span cut into maximal row ranges over which the set
+/// of present diagonals is fixed (the forward product walks these).
+/// Either way padding is skipped structurally.
 #[derive(Clone, Debug)]
 pub struct DiaTile<T> {
     /// First (lowest) row of the tile's row span.
     pub row_lo: u64,
-    /// Rows in the span (dense extent of every diagonal).
+    /// Rows in the span (extent of a dense diagonal).
     pub nrows: usize,
     /// Stored diagonal offsets (`col − row`), ascending.
     pub offsets: Vec<i64>,
@@ -513,9 +535,34 @@ pub struct DiaTile<T> {
     pub run_ptr: Vec<usize>,
     /// Valid local-row ranges, concatenated per diagonal.
     pub runs: Vec<(u32, u32)>,
-    /// Dense diagonal-major values (`offsets.len() · nrows`), zero
-    /// in padding slots.
+    /// Per diagonal, where its coefficients are.
+    pub coefs: Vec<DiaCoef<T>>,
+    /// The dense columns of the [`DiaCoef::Dense`] diagonals, `nrows`
+    /// values each, zero in padding slots.
     pub vals: Vec<T>,
+    /// Segment local-row ranges `(lo, hi)`, ascending and disjoint;
+    /// together they are the rows holding entries.
+    pub seg_rows: Vec<(u32, u32)>,
+    /// `seg_diags[seg_ptr[s]..seg_ptr[s+1]]` are the diagonals
+    /// (indices into `offsets`, ascending) present in every row of
+    /// segment `s`.
+    pub seg_ptr: Vec<usize>,
+    /// Present diagonals, concatenated per segment. A (segment,
+    /// diagonal) pair stands for at least one entry, so this is never
+    /// longer than the tile has entries.
+    pub seg_diags: Vec<u32>,
+}
+
+/// Whether two scalars are the same bits, for the types [`Scalar`]
+/// covers (IEEE floats), using only what the trait offers: equal
+/// non-zero values have one representation, the two zeros are told
+/// apart by the sign of their reciprocal, and a NaN equals nothing —
+/// itself included, which only costs a diagonal of NaNs its compression.
+/// This is the test for holding a diagonal's value once: a product with
+/// the same bits is the same bits, which `==` alone would not give
+/// (`-0.0 == 0.0`, and `-0.0 · x` is not `0.0 · x`).
+fn same_bits<T: Scalar>(a: T, b: T) -> bool {
+    a == b && (a != T::ZERO || T::ONE / a == T::ONE / b)
 }
 
 /// Padded-lane (ELLPACK) payload: `width` slots per stored row,
@@ -762,13 +809,19 @@ impl<T: Scalar> TileKernel<T> {
         }
         let row_lo = t.row_ids[0];
         let nrows = s.row_span;
-        let mut dense = vec![T::ZERO; slots];
         // Per diagonal, its runs of consecutive local rows so far.
         // Rows arrive ascending, so an entry either extends its
         // diagonal's last run or opens the next.
         let mut diag_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); offsets.len()];
+        // A diagonal is constant from its first entry until one
+        // differs; the dense columns are placed after the walk.
+        let mut coefs = vec![DiaCoef::Dense(0); offsets.len()];
+        let mut seg_rows: Vec<(u32, u32)> = Vec::new();
+        let mut seg_ptr = Vec::new();
+        let mut seg_diags: Vec<u32> = Vec::new();
         for (row, span) in t.row_spans() {
             let lr = (row - row_lo) as u32;
+            let row_start = seg_diags.len();
             // Columns ascend within the row, so its offsets ascend
             // along the offset table: one forward walk per row.
             let mut d = 0usize;
@@ -778,13 +831,34 @@ impl<T: Scalar> TileKernel<T> {
                     d += 1;
                 }
                 debug_assert_eq!(offsets[d], off);
-                dense[d * nrows + lr as usize] = t.vals[idx];
+                coefs[d] = match coefs[d] {
+                    _ if diag_runs[d].is_empty() => DiaCoef::Const(t.vals[idx]),
+                    DiaCoef::Const(c) if same_bits(c, t.vals[idx]) => DiaCoef::Const(c),
+                    _ => DiaCoef::Dense(0),
+                };
                 match diag_runs[d].last_mut() {
                     Some(run) if run.1 == lr => run.1 += 1,
                     _ => diag_runs[d].push((lr, lr + 1)),
                 }
+                seg_diags.push(d as u32);
+            }
+            // The row's diagonals are on the end of `seg_diags`: the
+            // row joins the last segment when it follows it directly
+            // with the same list, and opens the next otherwise.
+            let (before, of_row) = seg_diags.split_at(row_start);
+            match seg_rows.last_mut() {
+                Some(seg) if seg.1 == lr && before[seg_ptr[seg_ptr.len() - 1]..] == *of_row => {
+                    seg.1 += 1;
+                    seg_diags.truncate(row_start);
+                }
+                _ => {
+                    seg_ptr.push(row_start);
+                    seg_rows.push((lr, lr + 1));
+                }
             }
         }
+        seg_ptr.push(seg_diags.len());
+
         let mut run_ptr = Vec::with_capacity(offsets.len() + 1);
         let mut runs = Vec::new();
         for of_diag in &diag_runs {
@@ -792,13 +866,44 @@ impl<T: Scalar> TileKernel<T> {
             runs.extend_from_slice(of_diag);
         }
         run_ptr.push(runs.len());
+
+        // Dense columns for the diagonals that turned out not to be
+        // constant, and only for those. The segments are the stored
+        // rows in order, and a row's entries are its segment's
+        // diagonals in order.
+        let mut dense_len = 0usize;
+        for coef in &mut coefs {
+            if let DiaCoef::Dense(start) = coef {
+                *start = dense_len;
+                dense_len += nrows;
+            }
+        }
+        let mut vals = vec![T::ZERO; dense_len];
+        if dense_len > 0 {
+            let mut stored = t.row_spans();
+            for (s, &(lo, hi)) in seg_rows.iter().enumerate() {
+                let diags = &seg_diags[seg_ptr[s]..seg_ptr[s + 1]];
+                for lr in lo..hi {
+                    let (_, span) = stored.next().expect("a segment row is a stored row");
+                    for (&d, &v) in diags.iter().zip(&t.vals[span]) {
+                        if let DiaCoef::Dense(start) = coefs[d as usize] {
+                            vals[start + lr as usize] = v;
+                        }
+                    }
+                }
+            }
+        }
         Some(TileKernel::Dia(DiaTile {
             row_lo,
             nrows,
             offsets,
             run_ptr,
             runs,
-            vals: dense,
+            coefs,
+            vals,
+            seg_rows,
+            seg_ptr,
+            seg_diags,
         }))
     }
 
@@ -896,16 +1001,20 @@ impl<T: Scalar> TileKernel<T> {
         }
     }
 
-    /// Bytes of *value* storage this kernel holds, padding included —
-    /// the memory-traffic side of the matrix-free story. DIA and ELL
-    /// count their dense padding slots (they are streamed); the
-    /// stencil kernel counts zero.
+    /// Bytes of *value* storage this kernel holds — every `T` in the
+    /// payload, which is what a product streams. ELL counts its padding
+    /// slots; DIA counts one value per constant diagonal and the dense
+    /// column (padding included) of every other; the stencil kernel
+    /// counts zero.
     pub fn value_bytes(&self) -> usize {
         let w = std::mem::size_of::<T>();
         match self {
             TileKernel::Empty => 0,
             TileKernel::Csr(t) => t.vals.len() * w,
-            TileKernel::Dia(t) => t.vals.len() * w,
+            TileKernel::Dia(t) => {
+                let constants = t.coefs.iter().filter(|c| matches!(c, DiaCoef::Const(_)));
+                (constants.count() + t.vals.len()) * w
+            }
             TileKernel::Ell(t) => t.vals.len() * w,
             TileKernel::Bcsr(t) => t.vals.len() * w,
             TileKernel::Stencil(_) => 0,
@@ -992,43 +1101,192 @@ impl<T: Scalar> CsrTile<T> {
     }
 }
 
+/// `W` consecutive elements of `x` from `lo`: one slice copy when the
+/// view lends slices, element loads otherwise.
+#[inline(always)]
+fn load_block<T: Scalar, X: VecIn<T>, const W: usize>(x: &X, lo: usize) -> [T; W] {
+    match x.range(lo, W) {
+        Some(xs) => xs.try_into().expect("a range of W elements"),
+        None => std::array::from_fn(|k| x.load(lo + k)),
+    }
+}
+
+/// One diagonal's term of a row block: `acc[k] += coef(k) · xs[k]`,
+/// each a single `mul_add`.
+#[inline(always)]
+fn fold<T: Scalar, const W: usize>(acc: &mut [T; W], coef: impl Fn(usize) -> T, xs: &[T; W]) {
+    for k in 0..W {
+        acc[k] = coef(k).mul_add(xs[k], acc[k]);
+    }
+}
+
 impl<T: Scalar> DiaTile<T> {
-    /// `y += A x`: diagonals ascending; every run is a stride-1,
-    /// gather-free `mul_add` loop over contiguous rows. Per output
-    /// row, ascending diagonal offset equals ascending column — the
-    /// CSR order.
+    /// `y += A x`, row-segment-major: a segment's rows are taken in
+    /// blocks; a block of `y` is loaded into accumulators once, the
+    /// segment's diagonals are folded in ascending as
+    /// `coef.mul_add(x[row + offset], acc)`, and the block is stored
+    /// once. Per output row that is ascending diagonal offset, which
+    /// equals ascending column — the CSR chain; blocking only reorders
+    /// *between* rows.
+    ///
+    /// A segment is whole 32-row blocks laid back from its end, before
+    /// them 16-row blocks for the rows short of one more, before those
+    /// 8-row blocks, and so on down to single rows — so the narrow
+    /// blocks run first. At each width, when the rows short of one more
+    /// block are more than half of one and the segment is at least a
+    /// block long, they are not handed down: they are the *kept* rows
+    /// of one more block of that width, which reads on into the rows
+    /// after them, computes all of its rows and stores only its own.
+    /// The rows it drops are stored by the blocks that follow, from the
+    /// `y` they find untouched. A tail cut ever narrower instead pays
+    /// the per-term bookkeeping once per width; and a block that
+    /// recomputed rows *behind* it would reload `y` the block before
+    /// has just stored, a load that waits for that store.
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
-        for d in 0..self.offsets.len() {
-            let off = self.offsets[d];
-            let base = d * self.nrows;
-            for &(lo, hi) in &self.runs[self.run_ptr[d]..self.run_ptr[d + 1]] {
-                let row0 = self.row_lo + lo as u64;
-                let col0 = (row0 as i64 + off) as u64;
-                for k in 0..(hi - lo) as usize {
-                    let i = row0 as usize + k;
-                    let v = self.vals[base + lo as usize + k];
-                    y.store(i, v.mul_add(x.load(col0 as usize + k), y.load(i)));
+        // Of `n` leading rows of a `len`-row segment, what blocks of
+        // `w` rows leave over: (rows kept by one more block of `w`,
+        // rows handed down to narrower blocks) — one of them 0.
+        let split = |w: usize, n: usize, len: usize| match n % w {
+            r if 2 * r > w && len >= w => (r, 0),
+            r => (0, r),
+        };
+        let spans = self.seg_ptr.windows(2).map(|w| w[0]..w[1]);
+        for (&(lo, hi), span) in self.seg_rows.iter().zip(spans) {
+            let diags = &self.seg_diags[span];
+            let (lo, hi) = (lo as usize, hi as usize);
+            let len = hi - lo;
+            if len == 1 {
+                // A row alone — the first and last of every grid line
+                // of a stencil — has nothing to block: one chain,
+                // without the block's slices.
+                let row = self.row_lo as usize + lo;
+                let mut acc = y.load(row);
+                for &d in diags {
+                    let coef = match self.coefs[d as usize] {
+                        DiaCoef::Const(c) => c,
+                        DiaCoef::Dense(start) => self.vals[start + lo],
+                    };
+                    let col = (row as i64 + self.offsets[d as usize]) as usize;
+                    acc = coef.mul_add(x.load(col), acc);
                 }
+                y.store(row, acc);
+                continue;
             }
+            let (k32, n32) = split(32, len, len);
+            let (k16, n16) = split(16, n32, len);
+            let (k8, n8) = split(8, n16, len);
+            let (k4, n4) = split(4, n8, len);
+            let (k2, n2) = split(2, n4, len);
+            let lr = self.blocks::<X, Y, 1>(diags, lo, 0, lo + n2, x, y);
+            let lr = self.blocks::<X, Y, 2>(diags, lr, k2, lo + n4, x, y);
+            let lr = self.blocks::<X, Y, 4>(diags, lr, k4, lo + n8, x, y);
+            let lr = self.blocks::<X, Y, 8>(diags, lr, k8, lo + n16, x, y);
+            let lr = self.blocks::<X, Y, 16>(diags, lr, k16, lo + n32, x, y);
+            self.blocks::<X, Y, 32>(diags, lr, k32, hi, x, y);
+        }
+    }
+
+    /// `W`-row blocks over local rows `[lr, end)`, the first keeping
+    /// only `first` rows when that is not 0; returns `end`.
+    #[inline(always)]
+    fn blocks<X: VecIn<T>, Y: VecOut<T>, const W: usize>(
+        &self,
+        diags: &[u32],
+        mut lr: usize,
+        first: usize,
+        end: usize,
+        x: &X,
+        y: &mut Y,
+    ) -> usize {
+        let mut keep = if first > 0 { first } else { W };
+        while lr < end {
+            self.block::<X, Y, W>(diags, lr, keep, x, y);
+            lr += keep;
+            keep = W;
+        }
+        lr
+    }
+
+    /// One block: local rows `[lr, lr + W)` of a segment holding
+    /// `diags`, of which the first `keep` — all of them, or more than
+    /// half — are stored. Every row of the segment holds every diagonal
+    /// in `diags`, so the `W` inputs of a term are `W` consecutive
+    /// columns each of which an entry reads: a slice of them stays
+    /// inside the tile's declared footprint.
+    ///
+    /// The diagonals are taken in runs of one kind, constants then dense
+    /// columns then constants again, so that neither inner loop carries
+    /// a per-term branch on the kind: with one, the accumulators meet
+    /// at a three-way join and come out of the vectoriser as seven
+    /// vectors, a pair and two scalars instead of eight vectors.
+    #[inline(always)]
+    fn block<X: VecIn<T>, Y: VecOut<T>, const W: usize>(
+        &self,
+        diags: &[u32],
+        lr: usize,
+        keep: usize,
+        x: &X,
+        y: &mut Y,
+    ) {
+        let row0 = self.row_lo as usize + lr;
+        let mut acc: [T; W] = match y.range_mut(row0, W) {
+            Some(ys) => (&*ys).try_into().expect("a range of W elements"),
+            None => std::array::from_fn(|k| y.load(row0 + k)),
+        };
+        let xs = |d: u32| {
+            let col0 = (row0 as i64 + self.offsets[d as usize]) as usize;
+            load_block::<T, X, W>(x, col0)
+        };
+        let mut rest = diags;
+        while !rest.is_empty() {
+            while let Some((&d, tail)) = rest.split_first() {
+                let DiaCoef::Const(c) = self.coefs[d as usize] else { break };
+                fold(&mut acc, |_| c, &xs(d));
+                rest = tail;
+            }
+            while let Some((&d, tail)) = rest.split_first() {
+                let DiaCoef::Dense(start) = self.coefs[d as usize] else { break };
+                let vs = &self.vals[start + lr..][..W];
+                fold(&mut acc, |k| vs[k], &xs(d));
+                rest = tail;
+            }
+        }
+        match y.range_mut(row0, keep) {
+            Some(ys) if keep == W => ys.copy_from_slice(&acc),
+            Some(ys) => {
+                // More than half a block, as two fixed-length copies:
+                // its first half, and the half that ends where it ends.
+                let (out, half) = (acc, W / 2);
+                ys[..half].copy_from_slice(&out[..half]);
+                ys[keep - half..].copy_from_slice(&out[keep - half..keep]);
+            }
+            None => (0..keep).for_each(|k| y.store(row0 + k, acc[k])),
         }
     }
 
     /// `y += Aᵀ x`: diagonals **descending** so each output column
-    /// receives its contributions in ascending-row (CSR) order; the
-    /// inner loops stay stride-1.
+    /// receives its contributions in ascending-row (CSR) order; every
+    /// run is a stride-1, gather-free loop over contiguous rows, with
+    /// the diagonal's coefficient — its constant, or its dense column —
+    /// settled before the loop.
     #[inline]
     pub fn apply_t<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
         for d in (0..self.offsets.len()).rev() {
             let off = self.offsets[d];
-            let base = d * self.nrows;
             for &(lo, hi) in &self.runs[self.run_ptr[d]..self.run_ptr[d + 1]] {
-                let row0 = self.row_lo + lo as u64;
-                let col0 = (row0 as i64 + off) as u64;
-                for k in 0..(hi - lo) as usize {
-                    let j = col0 as usize + k;
-                    let v = self.vals[base + lo as usize + k];
-                    y.store(j, v.mul_add(x.load(row0 as usize + k), y.load(j)));
+                let (lo, n) = (lo as usize, (hi - lo) as usize);
+                let row0 = self.row_lo as usize + lo;
+                let col0 = (row0 as i64 + off) as usize;
+                let mut term = |k: usize, v: T| {
+                    y.store(col0 + k, v.mul_add(x.load(row0 + k), y.load(col0 + k)));
+                };
+                match self.coefs[d] {
+                    DiaCoef::Const(c) => (0..n).for_each(|k| term(k, c)),
+                    DiaCoef::Dense(start) => {
+                        let vs = &self.vals[start + lo..][..n];
+                        (0..n).for_each(|k| term(k, vs[k]))
+                    }
                 }
             }
         }
@@ -1530,6 +1788,62 @@ mod tests {
                 assert_eq!(lower(&sorted), lower(&scrambled), "{what} under {choice:?}");
             }
         }
+    }
+
+    #[test]
+    fn same_bits_tells_zeros_apart_and_nan_from_everything() {
+        for (a, b) in [(1.5, 1.5), (0.0, 0.0), (-0.0, -0.0), (f64::INFINITY, f64::INFINITY)] {
+            assert!(same_bits(a, b), "{a} {b}");
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0), (1.5, -1.5), (1.0, 1.0 + f64::EPSILON)] {
+            assert!(!same_bits(a, b), "{a} {b}");
+        }
+        assert!(!same_bits(f64::NAN, f64::NAN));
+        assert!(!same_bits(f64::NAN, 1.0));
+        assert!(same_bits(-0.0f32, -0.0f32) && !same_bits(0.0f32, -0.0f32));
+    }
+
+    #[test]
+    fn dia_holds_a_constant_diagonal_once() {
+        // Tridiagonal, 20 rows: the sub-diagonal constant, the main
+        // diagonal constant but for one entry, the super-diagonal
+        // `+0.0` with one `-0.0`.
+        let n = 20u64;
+        let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            let main = if i == 7 { 2.5 } else { 2.0 };
+            let sup = if i == 3 { -0.0 } else { 0.0 };
+            for (j, val) in [(i.wrapping_sub(1), -1.0), (i, main), (i + 1, sup)] {
+                if j < n {
+                    r.push(i);
+                    c.push(j);
+                    v.push(val);
+                }
+            }
+        }
+        let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+        let TileKernel::Dia(t) = &k else {
+            panic!("lowered to {:?}", k.kind())
+        };
+        assert_eq!(
+            t.coefs,
+            [DiaCoef::Const(-1.0), DiaCoef::Dense(0), DiaCoef::Dense(n as usize)]
+        );
+        assert_eq!(t.vals.len(), 2 * n as usize);
+        assert_eq!(k.value_bytes(), std::mem::size_of::<f64>() * (1 + 2 * n as usize));
+        assert_eq!(k.nnz(), v.len());
+        // Rows 0, 1..19 and 19 differ in their diagonals: three
+        // segments, 2 + 3 + 2 (segment, diagonal) pairs.
+        assert_eq!(t.seg_rows, [(0, 1), (1, 19), (19, 20)]);
+        assert_eq!(t.seg_diags, [1, 2, 0, 1, 2, 0, 1]);
+        check_all_kinds(&r, &c, &v, n as usize);
+
+        // All three constant: three values, no dense column.
+        let ones = vec![1.0f32; v.len()];
+        let k = TileKernel::lower(&r, &c, &ones, KernelChoice::Force(KernelKind::Dia));
+        assert_eq!(k.value_bytes(), 3 * std::mem::size_of::<f32>());
+        assert_eq!(k.nnz(), v.len());
     }
 
     #[test]

@@ -8,9 +8,36 @@
 //! agree with the reference *to the bit*, not merely to a tolerance,
 //! on every structure the generators can produce: random scatter
 //! (with duplicates), banded, blocked, uniform-row, empty, singleton.
+//! Each kernel runs twice, over slices and over views that lend none,
+//! so a kernel's slice path and its elementwise path are both held to
+//! the reference.
 
-use kdr_sparse::{KernelChoice, KernelKind, Stencil, StencilTile, TileKernel, TileStructure};
+use kdr_sparse::{
+    KernelChoice, KernelKind, Stencil, StencilTile, TileKernel, TileStructure, VecIn, VecOut,
+};
 use proptest::prelude::*;
+
+/// A read view that lends no slices: [`VecIn::range`] keeps its
+/// default, so kernels take their elementwise path.
+struct Elementwise<'a>(&'a [f64]);
+
+impl VecIn<f64> for Elementwise<'_> {
+    fn load(&self, i: usize) -> f64 {
+        self.0[i]
+    }
+}
+
+/// The write-side counterpart of [`Elementwise`].
+struct ElementwiseMut<'a>(&'a mut [f64]);
+
+impl VecOut<f64> for ElementwiseMut<'_> {
+    fn load(&self, i: usize) -> f64 {
+        self.0[i]
+    }
+    fn store(&mut self, i: usize, v: f64) {
+        self.0[i] = v;
+    }
+}
 
 /// The accumulation-order reference every kernel must reproduce
 /// bitwise: entries sorted by `(row, col)` (stable), each applied via
@@ -33,6 +60,13 @@ fn reference(rows: &[u64], cols: &[u64], vals: &[f64], x: &[f64], y: &mut [f64],
 /// destination starts non-zero so kernels that scribbled on rows they
 /// do not own would be caught too.
 fn check_all_lowerings(rows: &[u64], cols: &[u64], vals: &[f64]) {
+    check_all_lowerings_onto(rows, cols, vals, 0.125);
+}
+
+/// [`check_all_lowerings`] with the destination starting at `fill`.
+/// From `-0.0` a row whose products are all zeros keeps their sign,
+/// so a `-0.0` coefficient taken for a `+0.0` shows.
+fn check_all_lowerings_onto(rows: &[u64], cols: &[u64], vals: &[f64], fill: f64) {
     let span = rows
         .iter()
         .chain(cols.iter())
@@ -51,20 +85,31 @@ fn check_all_lowerings(rows: &[u64], cols: &[u64], vals: &[f64]) {
         KernelChoice::Force(KernelKind::Stencil),
     ];
     for transpose in [false, true] {
-        let mut want = vec![0.125; span];
+        let mut want = vec![fill; span];
         reference(rows, cols, vals, &x, &mut want, transpose);
         let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
         for choice in choices {
             let k = TileKernel::lower(rows, cols, vals, choice);
             assert_eq!(k.nnz(), vals.len(), "{choice:?} lost entries");
             assert_eq!(k.is_empty(), vals.is_empty());
-            let mut got = vec![0.125; span];
+            let mut got = vec![fill; span];
             k.apply_slices(&x, &mut got, transpose);
             let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 got_bits,
                 want_bits,
                 "{:?} (lowered to {:?}) transpose {} diverges from reference order",
+                choice,
+                k.kind(),
+                transpose
+            );
+            let mut got = vec![fill; span];
+            k.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), transpose);
+            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got_bits,
+                want_bits,
+                "{:?} (lowered to {:?}) transpose {} diverges on views that lend no slices",
                 choice,
                 k.kind(),
                 transpose
@@ -128,6 +173,67 @@ fn arb_banded() -> impl Strategy<Value = Trip> {
             }
             (r, c, v)
         })
+}
+
+/// What the values along one diagonal look like — the cases the DIA
+/// lowering has to tell apart when it decides whether to hold a
+/// diagonal's value once. `k` counts the diagonal's entries, `odd` is
+/// the position of the one that differs (where one does).
+fn diagonal_value(pattern: u8, d: i64, k: u64, odd: u64) -> f64 {
+    let base = 1.5 + d as f64;
+    match (pattern, k == odd) {
+        (0, _) | (2 | 4, false) => base, // all equal
+        (1, _) => base + 0.125 * k as f64, // all different
+        (2, true) => base + 0.5,          // equal but for one entry
+        (3, odd_one) => {
+            if odd_one {
+                -0.0 // `+0.0` with one `-0.0`: equal as numbers, not as bits
+            } else {
+                0.0
+            }
+        }
+        (4, true) => f64::NAN, // equal with one NaN
+        _ => unreachable!("five patterns"),
+    }
+}
+
+/// One diagonal of the band: offset, value pattern, which entry is the
+/// odd one out, and the holes punched in it (`0` none; `m` drops every
+/// row with `i % m == 0`, so `2` leaves single rows and `3` pairs —
+/// one- and two-row segments once the other diagonals run through).
+type BandDiagonal = (i64, u8, u64, u64);
+
+fn band_triplets(n: u64, base: u64, diagonals: &[BandDiagonal]) -> Trip {
+    let mut by_offset: Vec<BandDiagonal> = diagonals.to_vec();
+    by_offset.sort_unstable_by_key(|&(d, ..)| d);
+    by_offset.dedup_by_key(|&mut (d, ..)| d);
+    let mut r = Vec::new();
+    let mut c = Vec::new();
+    let mut v = Vec::new();
+    for (d, pattern, odd, holes) in by_offset {
+        let mut k = 0;
+        for i in 0..n {
+            let j = i as i64 + d;
+            if j < 0 || j as u64 >= n || (holes > 0 && i % holes == 0) {
+                continue;
+            }
+            r.push(base + i);
+            c.push(base + j as u64);
+            v.push(diagonal_value(pattern, d, k, odd));
+            k += 1;
+        }
+    }
+    (r, c, v)
+}
+
+/// A band of 4–300 rows — long enough for every block width of the
+/// DIA forward product and, over the cases, every tail length — whose
+/// diagonals each draw one of the value patterns of
+/// [`diagonal_value`], so constant, dense and mixed tiles all occur.
+fn arb_coefficient_band() -> impl Strategy<Value = Trip> {
+    let diagonal = (-6i64..6, 0u8..5, 0u64..40, prop_oneof![Just(0u64), 2u64..6]);
+    (4u64..=300, 0u64..64, prop::collection::vec(diagonal, 1..6))
+        .prop_map(|(n, base, diagonals)| band_triplets(n, base, &diagonals))
 }
 
 /// Block structure: a random subset of an aligned block grid, every
@@ -255,6 +361,15 @@ proptest! {
     }
 
     #[test]
+    fn coefficient_bands_all_lowerings_bitwise_match((r, c, v) in arb_coefficient_band()) {
+        check_all_lowerings(&r, &c, &v);
+        check_all_lowerings_onto(&r, &c, &v, -0.0);
+        let s = TileStructure::analyze(&r, &c, &v);
+        prop_assert!(!s.has_duplicates);
+        prop_assert!(s.diag_count <= 5, "diag_count {}", s.diag_count);
+    }
+
+    #[test]
     fn blocked_all_lowerings_bitwise_match((r, c, v) in arb_blocked()) {
         check_all_lowerings(&r, &c, &v);
         let s = TileStructure::analyze(&r, &c, &v);
@@ -339,5 +454,80 @@ fn signed_zero_products_stay_bitwise_identical() {
     let r = vec![0, 0, 1, 2, 2];
     let c = vec![0, 2, 1, 0, 2];
     let v = vec![-0.0, 1.0, -0.0, -1.0, 1.0];
+    check_all_lowerings(&r, &c, &v);
+}
+
+#[test]
+fn every_block_width_and_tail_length_matches_everywhere() {
+    // Interior runs of every length from 1 to 99 rows: zero to three
+    // 32-row blocks of the DIA forward product behind every head
+    // length, the narrow blocks and the ones that keep only part of
+    // their rows included. One diagonal of each value pattern, so every
+    // segment mixes constant and dense terms; a second pass with all of
+    // them constant.
+    for n in 3..=100 {
+        let mixed: Vec<BandDiagonal> = (0..5).map(|p| (p as i64 - 2, p, n / 2, 0)).collect();
+        let (r, c, v) = band_triplets(n, 7, &mixed);
+        check_all_lowerings(&r, &c, &v);
+        let constant: Vec<BandDiagonal> = (0..5).map(|p| (p - 2, 0, 0, 0)).collect();
+        let (r, c, v) = band_triplets(n, 7, &constant);
+        check_all_lowerings(&r, &c, &v);
+    }
+}
+
+#[test]
+fn a_negative_zero_among_positive_zeros_is_not_a_constant() {
+    // One diagonal of `+0.0` with a single `-0.0`, onto a destination
+    // of `-0.0`: the odd row must come out `-0.0`, every other `+0.0`.
+    // `==` calls the diagonal constant; its bits do not.
+    let (r, c, v) = band_triplets(40, 3, &[(1, 3, 17, 0)]);
+    assert_eq!(v.iter().filter(|z| z.is_sign_negative()).count(), 1);
+    let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+    assert_eq!(k.kind(), Some(KernelKind::Dia));
+    assert_eq!(k.value_bytes(), v.len() * 8, "the diagonal is stored dense");
+    check_all_lowerings_onto(&r, &c, &v, -0.0);
+}
+
+#[test]
+fn one_and_two_row_segments_match_everywhere() {
+    // A full main diagonal under two punched ones: every hole and
+    // every stretch between holes is a segment of its own, one row
+    // (`i % 2`) or one and two rows (`i % 3`) long.
+    for n in [9, 33, 64, 131] {
+        for holes in [2, 3] {
+            let (r, c, v) = band_triplets(n, 0, &[(-1, 0, 0, holes), (0, 1, 0, 0), (2, 2, 5, holes)]);
+            let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+            let TileKernel::Dia(t) = &k else {
+                panic!("lowered to {:?}", k.kind())
+            };
+            let longest = t.seg_rows.iter().map(|&(lo, hi)| hi - lo).max();
+            assert_eq!(longest, Some(holes as u32 - 1), "n {n} holes {holes}");
+            check_all_lowerings(&r, &c, &v);
+        }
+    }
+}
+
+#[test]
+fn single_entry_runs_give_one_segment_pair_per_entry() {
+    // Even rows hold diagonals {0, 2}, odd rows {1, 3}: no diagonal
+    // has two consecutive rows, no two consecutive rows share their
+    // diagonals, so every run is one entry, every row a segment, and
+    // the segment table reaches its bound — one pair per entry.
+    let n = 61u64;
+    let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..n {
+        for d in [i % 2, i % 2 + 2] {
+            r.push(i);
+            c.push(i + d);
+            v.push(if d == 2 { -1.0 } else { 0.5 + i as f64 });
+        }
+    }
+    let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+    let TileKernel::Dia(t) = &k else {
+        panic!("lowered to {:?}", k.kind())
+    };
+    assert_eq!(t.runs.len(), v.len());
+    assert_eq!(t.seg_rows.len(), n as usize);
+    assert_eq!(t.seg_diags.len(), v.len());
     check_all_lowerings(&r, &c, &v);
 }

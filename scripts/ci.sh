@@ -51,6 +51,12 @@ cargo test -q --release -p kdr-sparse --test vecops_prop
 # every kernel kind bitwise equal to the CSR order, every format's
 # enumeration and relations against a dense reference.
 cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
+# The same contract one level up, under the same codegen: the banded
+# kernel's block loop is vector code only in --release, so assembled ≡
+# matrix-free ≡ forced-CSR — per apply and over whole residual
+# histories, bit for bit — is checked there too (dev is `cargo test`).
+cargo test -q --release -p kdr-core --test matfree --test solvers
+cargo test -q --release -p kdr-integration --test end_to_end
 # Registration under the same codegen: the relation and offset bitmaps
 # and the block scan are the optimized code `add_operator` executes.
 # `FnRelation` against the point-wise defaults, and the per-tile
