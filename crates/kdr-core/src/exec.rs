@@ -10,11 +10,15 @@
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
 //! register-blocked BCSR, or the row-sorted CSR fallback (see
 //! [`kdr_sparse::tile`]), overridable per opset through
-//! [`OpSetSpec::kernel_choice`]. Structurally empty tiles are dropped
-//! at registration — they launch no tasks, and the zero-fill plan
-//! covers their output rows. Every kernel accumulates in the CSR
-//! reference order, so kernel selection never changes a bit of any
-//! solve.
+//! [`OpSetSpec::kernel_choice`]. A component registered by stencil
+//! *descriptor* is not extracted at all: each of its tiles is the
+//! banded layout with every diagonal a constant, built from the grid's
+//! geometry in time linear in the tile's grid lines and run by the
+//! same banded kernel ([`kdr_sparse::matfree`]). Structurally empty
+//! tiles are dropped at registration — they launch no tasks, and the
+//! zero-fill plan covers their output rows. Every kernel accumulates
+//! in the CSR reference order, so kernel selection never changes a bit
+//! of any solve.
 //!
 //! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
 //! `dot_partial`, the zero-fills of `apply`) run one
@@ -123,7 +127,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{
     BVec, Backend, BackendFault, CompSpec, OpHandle, OpSetSpec, SRef, ScalarOp, ScalarUnop,
-    StepOutcome,
+    StepOutcome, TileSpec,
 };
 use crate::partitioning::extract_tile_triplets;
 
@@ -190,9 +194,14 @@ pub struct ExecMetrics {
     pub tiles_by_kernel: BTreeMap<&'static str, usize>,
     /// Bytes of operator *value* storage across all registered
     /// opsets, format padding included. Matrix-free stencil tiles
-    /// contribute zero — this is the storage side of the matrix-free
-    /// win, next to the apply-time side (`sparse.spmv_stencil_us` on
-    /// the perf ledger).
+    /// contribute zero: they hold no value array, only the tables that
+    /// say which diagonals each grid line has, and the constants on
+    /// those diagonals are the descriptor's weights. An assembled
+    /// constant band contributes one value per diagonal, so the
+    /// matrix-free win is registration (nothing generated, extracted,
+    /// sorted or lowered); the product is the same kernel
+    /// (`sparse.spmv_stencil_us` next to `sparse.spmv_dia_us` on the
+    /// perf ledger).
     pub operator_value_bytes: u64,
 }
 
@@ -303,6 +312,29 @@ struct ExecTile<T> {
 }
 
 impl<T> ExecTile<T> {
+    /// The registered form of tile `t` running `kernel`: the one place
+    /// footprints and affinity colors are taken off a [`TileSpec`],
+    /// whether the kernel was lowered from entries or built from a
+    /// stencil descriptor.
+    fn new(t: &TileSpec, kernel: TileKernel<T>, key: StructureKey) -> Self {
+        let in_color = t
+            .in_by_color
+            .iter()
+            .max_by_key(|(_, ghost)| ghost.cardinality())
+            .map(|(c, _)| *c)
+            .unwrap_or(t.range_color);
+        ExecTile {
+            rhs_comp: t.rhs_comp,
+            sol_comp: t.sol_comp,
+            key,
+            out_subset: Arc::new(t.out_subset.clone()),
+            in_union: Arc::new(t.in_union.clone()),
+            color: piece_color(t.rhs_comp, t.range_color),
+            in_color: piece_color(t.sol_comp, in_color),
+            kernel: Arc::new(kernel),
+        }
+    }
+
     /// (output component, write subset, read subset) for a direction.
     fn direction(&self, transpose: bool) -> (usize, &Arc<IntervalSet>, &Arc<IntervalSet>) {
         if transpose {
@@ -1327,7 +1359,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         for comp in &spec.components {
             if let (Some(desc), false) = (comp.stencil, forced_assembled) {
                 // Implicit component: the descriptor plus each tile's
-                // out-subset row runs fully determine the kernel — no
+                // out-subset row runs fully determine the kernel, a
+                // band of constants built from the geometry — no
                 // triplet extraction, no value arrays, no COO→CSR
                 // conversion. The zero-fill plan below still sees the
                 // exact out/in footprints from dependent partitioning.
@@ -1338,26 +1371,12 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                     if st.nnz() == 0 {
                         continue;
                     }
-                    let in_color = t
-                        .in_by_color
-                        .iter()
-                        .max_by_key(|(_, ghost)| ghost.cardinality())
-                        .map(|(c, _)| *c)
-                        .unwrap_or(t.range_color);
-                    tiles.push(ExecTile {
-                        rhs_comp: t.rhs_comp,
-                        sol_comp: t.sol_comp,
-                        key: StructureKey::for_stencil(
-                            desc.kind.code(),
-                            desc.kind.points() as usize,
-                            t.out_subset.cardinality(),
-                        ),
-                        out_subset: Arc::new(t.out_subset.clone()),
-                        in_union: Arc::new(t.in_union.clone()),
-                        color: piece_color(t.rhs_comp, t.range_color),
-                        in_color: piece_color(t.sol_comp, in_color),
-                        kernel: Arc::new(TileKernel::Stencil(st)),
-                    });
+                    let key = StructureKey::for_stencil(
+                        desc.kind.code(),
+                        desc.kind.points() as usize,
+                        t.out_subset.cardinality(),
+                    );
+                    tiles.push(ExecTile::new(t, TileKernel::Stencil(st), key));
                 }
                 continue;
             }
@@ -1386,22 +1405,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                     // residual zero task.
                     continue;
                 }
-                let in_color = t
-                    .in_by_color
-                    .iter()
-                    .max_by_key(|(_, ghost)| ghost.cardinality())
-                    .map(|(c, _)| *c)
-                    .unwrap_or(t.range_color);
-                tiles.push(ExecTile {
-                    rhs_comp: t.rhs_comp,
-                    sol_comp: t.sol_comp,
-                    key: structure.key(),
-                    out_subset: Arc::new(t.out_subset.clone()),
-                    in_union: Arc::new(t.in_union.clone()),
-                    color: piece_color(t.rhs_comp, t.range_color),
-                    in_color: piece_color(t.sol_comp, in_color),
-                    kernel: Arc::new(kernel),
-                });
+                tiles.push(ExecTile::new(t, kernel, structure.key()));
             }
         }
         // A spec's matrices map its sol components to its rhs

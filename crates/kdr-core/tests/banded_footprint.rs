@@ -11,12 +11,18 @@
 //! only columns some entry of the block reads — would step into one.
 //! Results are held bit for bit to the forced-CSR lowering, per apply,
 //! per transpose apply and over a CG solve.
+//!
+//! A matrix-free stencil tile runs the same kernel over a band built
+//! from geometry, inside footprints dependent partitioning derived from
+//! the operator's relations — two descriptions of one set of entries
+//! that nothing else holds together at this level. The second test is
+//! that check, on pieces that cut grid lines and planes.
 
 use std::sync::Arc;
 
 use kdr_core::{solve_traced, CgSolver, ExecBackend, Planner, SolveControl, SOL};
 use kdr_index::Partition;
-use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Triples};
+use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, Triples};
 
 /// The Laplacian of an `nx × ny` torus (`ny == 1`: a ring of `nx`),
 /// row-major, with the diagonal raised by one so it is positive
@@ -38,16 +44,36 @@ fn periodic_laplacian(nx: u64, ny: u64) -> Csr<f64> {
     Csr::from_triples(Triples::from_entries(n, n, entries))
 }
 
-fn planner(m: &Csr<f64>, pieces: usize, choice: KernelChoice) -> Planner<f64> {
-    let n = m.range_space().size();
+/// A planner over `n` unknowns in `pieces` equal blocks, its one
+/// operator registered by `add` on the (sol, rhs) vector pair.
+fn planner_with(
+    n: u64,
+    pieces: usize,
+    choice: KernelChoice,
+    add: impl FnOnce(&mut Planner<f64>, usize, usize),
+) -> Planner<f64> {
     let mut p = Planner::new(Box::new(ExecBackend::<f64>::new(2)));
     p.set_kernel_choice(choice);
     let part = Partition::equal_blocks(n, pieces);
     let d = p.add_sol_vector(n, Some(part.clone()));
     let r = p.add_rhs_vector(n, Some(part));
-    let m: Arc<dyn SparseMatrix<f64>> = Arc::new(m.clone());
-    p.add_operator(m, d, r);
+    add(&mut p, d, r);
     p
+}
+
+fn planner(m: &Csr<f64>, pieces: usize, choice: KernelChoice) -> Planner<f64> {
+    planner_with(m.range_space().size(), pieces, choice, |p, d, r| {
+        let m: Arc<dyn SparseMatrix<f64>> = Arc::new(m.clone());
+        p.add_operator(m, d, r);
+    })
+}
+
+/// The stencil registered by descriptor: matrix-free under `Auto`,
+/// assembled from the same descriptor under a forced assembled kind.
+fn stencil_planner(s: Stencil, pieces: usize, choice: KernelChoice) -> Planner<f64> {
+    planner_with(s.unknowns(), pieces, choice, |p, d, r| {
+        p.add_stencil_operator(s, d, r);
+    })
 }
 
 fn tiles_by_kernel(p: &mut Planner<f64>) -> std::collections::BTreeMap<&'static str, usize> {
@@ -124,6 +150,33 @@ fn periodic_bands_stay_inside_their_footprint_and_match_csr() {
             assert!(dia_history.len() > 5, "{what}: {} residuals", dia_history.len());
             assert_eq!(dia_history, csr_history, "{what}: residual histories");
             assert_eq!(dia_x, csr_x, "{what}: solutions");
+        }
+    }
+}
+
+#[test]
+fn matrix_free_bands_stay_inside_their_footprint_and_match_csr() {
+    for s in [Stencil::lap2d(13, 11), Stencil::lap3d27(7, 6, 5)] {
+        let n = s.unknowns() as usize;
+        let x: Vec<f64> = (0..n).map(|i| 0.25 + ((i * 7 + 3) % 17) as f64 * 0.125).collect();
+        for pieces in [4, 7] {
+            let what = format!("{s:?} in {pieces} pieces");
+            let mut free = stencil_planner(s, pieces, KernelChoice::Auto);
+            let mut csr = stencil_planner(s, pieces, KernelChoice::Force(KernelKind::Csr));
+            for transpose in [false, true] {
+                assert_eq!(
+                    apply_bits(&mut free, &x, transpose),
+                    apply_bits(&mut csr, &x, transpose),
+                    "{what}, transpose {transpose}"
+                );
+            }
+            let built = tiles_by_kernel(&mut free);
+            assert_eq!(built.get("stencil"), Some(&pieces), "{what}: {built:?}");
+            let (free_history, free_x) = cg_bits(&mut free, n);
+            let (csr_history, csr_x) = cg_bits(&mut csr, n);
+            assert!(free_history.len() > 5, "{what}: {} residuals", free_history.len());
+            assert_eq!(free_history, csr_history, "{what}: residual histories");
+            assert_eq!(free_x, csr_x, "{what}: solutions");
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Matrix-free stencil tile kernels: zero-storage operator apply.
+//! Matrix-free stencil tiles: the banded kernel over a band that was
+//! never assembled.
 //!
 //! Every other member of the [`crate::tile`] kernel family is lowered
 //! from a tile's assembled entries and holds what it needs of them:
@@ -8,45 +9,70 @@
 //! the grid coordinate, so an assembled constant-coefficient band
 //! already streams none of them through a product; what it still pays
 //! is assembly — generating, extracting, sorting and lowering the
-//! entries — and the tables that say where entries are. A
-//! [`StencilTile`] stores *nothing per entry*: just the [`Stencil`]
-//! descriptor and the tile's global row runs. Its apply walks the grid
-//! geometry directly — each grid line's interior is swept
-//! *offset-major* (one stride-1 fused-`mul_add` sweep per stencil
-//! point surviving the line's outer-boundary clip, the weight in a
-//! register, `y` read and written once per point), and the remaining
-//! inner-boundary rows delegate to [`Stencil::row_entries`], the
-//! single canonical Dirichlet boundary-clipping implementation shared
-//! with every assembled path.
+//! entries. A [`StencilTile`] skips that and arrives at the same place:
+//! it is the [`Stencil`] descriptor, the tile's global row runs, and
+//! the [`DiaTile`] those two stand for — every diagonal a
+//! [`crate::tile::DiaCoef::Const`], no value array — built from the grid's geometry
+//! in time linear in the tile's *grid lines*, never per entry. Its
+//! product is [`DiaTile::apply`] / [`DiaTile::apply_t`]; there is no
+//! second kernel.
+//!
+//! # What a tile holds
+//!
+//! Nothing per entry and no operator value: the at most 27 constants on
+//! the band's diagonals are the descriptor's weights. What it does hold
+//! is where entries are — the tables an assembled constant band keeps,
+//! bit for bit the same ones: per diagonal its runs of rows, and the
+//! segment table, which for a stencil is up to three segments per grid
+//! line (first row, interior, last row) each listing the diagonals
+//! present. That is at most about 22 bytes × stencil points per grid
+//! line: 1.1 KB for a 512-row lap2d piece, 176 KB for a 16 000-row
+//! lap3d27 piece (1 200 segments, 24 780 segment–diagonal pairs, 7 143
+//! runs) next to 128 KB for one of its vector pieces.
+//!
+//! # Building it
+//!
+//! Each row run is cut at grid-line boundaries (a *line* is a stretch
+//! of rows sharing all but the innermost coordinate) and each piece of
+//! a line into its first row, its interior and its last row. Within
+//! such a group every row holds the entries of the group's first row,
+//! shifted: the outer coordinates are the line's, and the innermost one
+//! is at neither end or at the same end. So [`Stencil::row_entries`] of
+//! a group's first row — the single canonical Dirichlet
+//! boundary-clipping implementation shared with every assembled path,
+//! so the implicit path cannot drift from what assembly stores — gives
+//! the group's diagonals and their weights. The weights are the
+//! entries', not [`Stencil::offset_table`]'s: on a grid with an axis of
+//! extent 1 or 2 several points share an offset and only the in-grid
+//! one is right. The groups are walked twice, once for the offsets
+//! present and once for the tables, which follow by the extend-or-open
+//! rule the assembled lowering applies row by row
+//! (`tile::BandBuilder`, the one implementation of it).
 //!
 //! # Bitwise contract
 //!
-//! The module honors the family-wide reproducibility contract of
-//! [`crate::tile`]: each output element accumulates its contributions
-//! in exactly the CSR reference order. The offset table is sorted
-//! ascending, and on a row-major grid ascending linear offset *is*
-//! ascending column for interior rows — so per output row the forward
-//! sweeps land contributions in exactly the order of the
-//! [`crate::tile::CsrTile::apply`] `mul_add` chain (sweeping
-//! temporally reorders *between* rows, never within one, and masking
-//! only removes entries the assembled row never stored). The
-//! transpose sweeps offsets **descending**, so each output column
-//! receives its contributions in ascending source-row order,
-//! matching [`crate::tile::CsrTile::apply_t`] — the same trick as
-//! [`crate::tile::DiaTile::apply_t`]. Boundary rows replay
-//! [`Stencil::row_entries`], which emits ascending columns with
-//! off-grid neighbors dropped — identical to what the assembled CSR
-//! stored in the first place. Property tests in
-//! `tests/kernel_prop.rs` enforce bit-equality against forced-CSR
-//! lowering across random grid shapes, all four stencils, both
-//! directions, and tile boundaries straddling grid planes.
+//! The band is field for field what [`crate::tile::TileKernel::lower`]
+//! with `Force(Dia)` makes of the same rows' assembled entries, so the
+//! family-wide reproducibility contract of [`crate::tile`] holds by
+//! construction: the forward product accumulates each row in ascending
+//! diagonal offset, which is ascending column — the
+//! [`crate::tile::CsrTile::apply`] chain — and the transpose takes
+//! diagonals descending, so each output column receives its
+//! contributions in ascending source-row order. Property tests in
+//! `tests/kernel_prop.rs` enforce the structural equality and
+//! bit-equality against forced-CSR lowering across random grid shapes,
+//! all four stencils, both directions, and tile boundaries straddling
+//! grid planes.
+
+use std::collections::BTreeSet;
 
 use crate::scalar::Scalar;
 use crate::stencil::Stencil;
-use crate::tile::{VecIn, VecOut};
+use crate::tile::{BandBuilder, DiaTile, VecIn, VecOut};
 
 /// A matrix-free tile over a row slab of a [`Stencil`] operator: the
-/// descriptor plus global row runs, zero stored values.
+/// descriptor, the global row runs, and the constant band they stand
+/// for — no stored operator value.
 ///
 /// The tile covers rows `rows` × *all* columns of the stencil's
 /// square operator (a row-slab tile of a single-component system, the
@@ -57,14 +83,46 @@ pub struct StencilTile<T> {
     stencil: Stencil,
     /// Global row runs `[lo, hi)`, ascending and disjoint.
     rows: Vec<(u64, u64)>,
-    /// Exact stored-entry count of the assembled equivalent.
-    nnz: usize,
-    _marker: std::marker::PhantomData<T>,
+    /// The rows' entries as a band of constants.
+    band: DiaTile<T>,
+}
+
+/// Visit the row groups `[lo, hi)` of `rows`, ascending: each run cut
+/// at grid-line boundaries, each piece of a line into first row /
+/// interior / last row. Lines of extent 1 and 2 have no interior and
+/// fall out of the same two clamps.
+fn for_each_group(stencil: &Stencil, rows: &[(u64, u64)], mut f: impl FnMut(u64, u64)) {
+    // The innermost (fastest-varying) axis; a "line" is one contiguous
+    // stretch of rows sharing all outer coordinates.
+    let inner_n = match stencil.kind.dims() {
+        1 => stencil.nx,
+        2 => stencil.ny,
+        _ => stencil.nz,
+    };
+    for &(lo, hi) in rows {
+        let mut r = lo;
+        while r < hi {
+            let line_lo = r / inner_n * inner_n;
+            let line_hi = line_lo + inner_n;
+            let piece_hi = hi.min(line_hi);
+            let w0 = (line_lo + 1).clamp(r, piece_hi);
+            let w1 = (line_hi - 1).clamp(w0, piece_hi);
+            for (from, to) in [(r, w0), (w0, w1), (w1, piece_hi)] {
+                if from < to {
+                    f(from, to);
+                }
+            }
+            r = piece_hi;
+        }
+    }
 }
 
 impl<T: Scalar> StencilTile<T> {
     /// A matrix-free tile applying `stencil` over the given global
     /// row runs (ascending, disjoint, within `stencil.unknowns()`).
+    /// Builds the tile's band in time linear in the grid lines the
+    /// runs touch. Panics when the runs span more rows than the band's
+    /// `u32` local row indices reach.
     pub fn new(stencil: Stencil, rows: Vec<(u64, u64)>) -> Self {
         let n = stencil.unknowns();
         let mut prev = 0u64;
@@ -73,15 +131,32 @@ impl<T: Scalar> StencilTile<T> {
             assert!(lo >= prev, "row runs must be ascending and disjoint");
             prev = hi;
         }
-        let nnz = rows
-            .iter()
-            .map(|&(lo, hi)| stencil.slab_nnz(lo, hi))
-            .sum::<u64>() as usize;
+        let mut held = rows.iter().filter(|&&(lo, hi)| lo < hi);
+        let (row_lo, first_hi) = held.next().copied().unwrap_or((0, 0));
+        let nrows = held.next_back().map_or(first_hi, |&(_, hi)| hi) - row_lo;
+        assert!(
+            nrows <= u64::from(u32::MAX),
+            "a stencil tile spanning {nrows} rows exceeds the band's u32 local rows (at most {})",
+            u32::MAX
+        );
+        // The offsets present, then the tables: two walks over the
+        // groups, the first row of each standing for all of its rows.
+        let mut entries: Vec<(u64, T)> = Vec::new();
+        let mut present = BTreeSet::new();
+        for_each_group(&stencil, &rows, |lo, _| {
+            stencil.row_entries(lo, &mut entries);
+            present.extend(entries.iter().map(|&(col, _)| col as i64 - lo as i64));
+        });
+        let mut band = BandBuilder::new(row_lo, nrows as usize, present.into_iter().collect());
+        for_each_group(&stencil, &rows, |lo, hi| {
+            stencil.row_entries(lo, &mut entries);
+            let shifted = entries.iter().map(|&(col, weight)| (col as i64 - lo as i64, weight));
+            band.group(((lo - row_lo) as u32, (hi - row_lo) as u32), shifted);
+        });
         StencilTile {
             stencil,
             rows,
-            nnz,
-            _marker: std::marker::PhantomData,
+            band: band.finish(),
         }
     }
 
@@ -95,227 +170,26 @@ impl<T: Scalar> StencilTile<T> {
         &self.rows
     }
 
-    /// Entry count of the assembled equivalent (nothing is stored).
+    /// The band of constants the tile's product runs: what
+    /// `Force(Dia)` lowering makes of the same rows' assembled entries.
+    pub fn band(&self) -> &DiaTile<T> {
+        &self.band
+    }
+
+    /// Entry count of the assembled equivalent (no entry is stored),
+    /// off the band's runs.
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.band.nnz()
     }
 
     /// Execute `y += A x` (or `y += Aᵀ x` when `transpose`), bitwise
     /// identical to the forced-CSR lowering of the same rows.
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y, transpose: bool) {
-        let table = self.stencil.offset_table();
-        let w = table.len();
-        let mut offs = [0i64; 27];
-        let mut wts = [T::ZERO; 27];
-        let mut disp = [(0i64, 0i64, 0i64); 27];
-        for (k, &(o, d)) in table.iter().enumerate() {
-            offs[k] = o;
-            wts[k] = self.stencil.point_weight(d);
-            disp[k] = d;
-        }
-        let mut scratch: Vec<(u64, T)> = Vec::with_capacity(w);
-        for &(lo, hi) in &self.rows {
-            self.apply_run(
-                lo,
-                hi,
-                &offs[..w],
-                &wts[..w],
-                &disp[..w],
-                x,
-                y,
-                transpose,
-                &mut scratch,
-            );
-        }
-    }
-
-    /// One row run, decomposed along innermost-axis grid lines. Each
-    /// line keeps the stencil points whose *outer* coordinates stay
-    /// in-grid (constant along the line); the line's inner-axis
-    /// interior is then swept offset-major over that masked table,
-    /// and only the ≤ 2 inner-boundary rows replay
-    /// [`Stencil::row_entries`]. Lines are visited strictly
-    /// ascending, which the transpose contract requires (each output
-    /// column must see ascending source rows).
-    #[allow(clippy::too_many_arguments)]
-    fn apply_run<X: VecIn<T>, Y: VecOut<T>>(
-        &self,
-        lo: u64,
-        hi: u64,
-        offs: &[i64],
-        wts: &[T],
-        disp: &[(i64, i64, i64)],
-        x: &X,
-        y: &mut Y,
-        transpose: bool,
-        scratch: &mut Vec<(u64, T)>,
-    ) {
-        let s = &self.stencil;
-        let dims = s.kind.dims();
-        // The innermost (fastest-varying) axis; a "line" is one
-        // contiguous stretch of rows sharing all outer coordinates.
-        let inner_n = match dims {
-            1 => s.nx,
-            2 => s.ny,
-            _ => s.nz,
-        };
-        let mut m_offs = [0i64; 27];
-        let mut m_wts = [T::ZERO; 27];
-        let mut r = lo;
-        while r < hi {
-            let line = r / inner_n;
-            let line_lo = line * inner_n;
-            let line_hi = line_lo + inner_n;
-            let seg_hi = hi.min(line_hi);
-            if inner_n >= 3 {
-                // Outer-coordinate clip for this line: keep the points
-                // whose x/y displacement stays in-grid (the inner
-                // displacement is covered by the inner-interior split
-                // below). Masking preserves ascending-offset order, so
-                // the surviving contributions accumulate exactly as
-                // the assembled row stores them.
-                let (lx, ly) = match dims {
-                    1 => (0i64, 0i64),
-                    2 => (line as i64, 0),
-                    _ => ((line / s.ny) as i64, (line % s.ny) as i64),
-                };
-                let mut m = 0usize;
-                for (k, &(dx, dy, _)) in disp.iter().enumerate() {
-                    let ok = match dims {
-                        1 => true,
-                        2 => (0..s.nx as i64).contains(&(lx + dx)),
-                        _ => {
-                            (0..s.nx as i64).contains(&(lx + dx))
-                                && (0..s.ny as i64).contains(&(ly + dy))
-                        }
-                    };
-                    if ok {
-                        m_offs[m] = offs[k];
-                        m_wts[m] = wts[k];
-                        m += 1;
-                    }
-                }
-                let w0 = (line_lo + 1).clamp(r, seg_hi);
-                let w1 = (line_hi - 1).clamp(r, seg_hi);
-                self.boundary_rows(r, w0, x, y, transpose, scratch);
-                if transpose {
-                    Self::interior_t(w0, w1, &m_offs[..m], &m_wts[..m], x, y);
-                } else {
-                    Self::interior_fwd(w0, w1, &m_offs[..m], &m_wts[..m], x, y);
-                }
-                self.boundary_rows(w1, seg_hi, x, y, transpose, scratch);
-            } else {
-                // Degenerate inner axis: every row clips.
-                self.boundary_rows(r, seg_hi, x, y, transpose, scratch);
-            }
-            r = seg_hi;
-        }
-    }
-
-    /// Interior forward rows, swept offset-major. Per output row the
-    /// contributions still land in ascending-offset = ascending-column
-    /// order, so the FP accumulation sequence is exactly the CSR
-    /// chain; but where a row-at-a-time loop is a serial `mul_add`
-    /// dependency chain (latency-bound at ~4–5 cycles per entry), each
-    /// offset sweep here is an independent stride-1 loop with the
-    /// weight in a register, so the hardware overlaps rows freely.
-    #[inline]
-    fn interior_fwd<X: VecIn<T>, Y: VecOut<T>>(
-        lo: u64,
-        hi: u64,
-        offs: &[i64],
-        wts: &[T],
-        x: &X,
-        y: &mut Y,
-    ) {
-        let n = (hi - lo) as usize;
-        if n == 0 {
-            return;
-        }
-        let row0 = lo as usize;
-        for (k, &w) in wts.iter().enumerate() {
-            let col0 = (lo as i64 + offs[k]) as usize;
-            // Slice fast path: equal-length subslices let the
-            // compiler drop per-element bounds checks and vectorize
-            // the fused multiply-adds (packed FMA is the same
-            // operation per element, so bit-equality is unaffected).
-            if let Some(xs) = x.range(col0, n) {
-                if let Some(ys) = y.range_mut(row0, n) {
-                    for (yi, &xi) in ys.iter_mut().zip(xs) {
-                        *yi = w.mul_add(xi, *yi);
-                    }
-                    continue;
-                }
-            }
-            for i in 0..n {
-                let r = row0 + i;
-                y.store(r, w.mul_add(x.load(col0 + i), y.load(r)));
-            }
-        }
-    }
-
-    /// Interior transpose rows: offset sweeps **descending**, so each
-    /// output column receives its contributions in ascending source
-    /// row order — the CSR-transpose contract, same trick as
-    /// [`crate::tile::DiaTile::apply_t`].
-    #[inline]
-    fn interior_t<X: VecIn<T>, Y: VecOut<T>>(
-        lo: u64,
-        hi: u64,
-        offs: &[i64],
-        wts: &[T],
-        x: &X,
-        y: &mut Y,
-    ) {
-        let n = (hi - lo) as usize;
-        if n == 0 {
-            return;
-        }
-        let row0 = lo as usize;
-        for (k, &w) in wts.iter().enumerate().rev() {
-            let col0 = (lo as i64 + offs[k]) as usize;
-            if let Some(xs) = x.range(row0, n) {
-                if let Some(ys) = y.range_mut(col0, n) {
-                    for (yj, &xi) in ys.iter_mut().zip(xs) {
-                        *yj = w.mul_add(xi, *yj);
-                    }
-                    continue;
-                }
-            }
-            for i in 0..n {
-                let j = col0 + i;
-                y.store(j, w.mul_add(x.load(row0 + i), y.load(j)));
-            }
-        }
-    }
-
-    /// Boundary rows: replay [`Stencil::row_entries`] — the one
-    /// canonical Dirichlet clipping implementation — so the implicit
-    /// path cannot drift from what assembly would have stored.
-    fn boundary_rows<X: VecIn<T>, Y: VecOut<T>>(
-        &self,
-        lo: u64,
-        hi: u64,
-        x: &X,
-        y: &mut Y,
-        transpose: bool,
-        scratch: &mut Vec<(u64, T)>,
-    ) {
-        for r in lo..hi {
-            self.stencil.row_entries(r, scratch);
-            if transpose {
-                let xv = x.load(r as usize);
-                for &(j, v) in scratch.iter() {
-                    y.store(j as usize, v.mul_add(xv, y.load(j as usize)));
-                }
-            } else {
-                let mut acc = y.load(r as usize);
-                for &(j, v) in scratch.iter() {
-                    acc = v.mul_add(x.load(j as usize), acc);
-                }
-                y.store(r as usize, acc);
-            }
+        if transpose {
+            self.band.apply_t(x, y)
+        } else {
+            self.band.apply(x, y)
         }
     }
 }
@@ -324,7 +198,7 @@ impl<T: Scalar> StencilTile<T> {
 mod tests {
     use super::*;
     use crate::stencil::rhs_vector;
-    use crate::tile::{KernelChoice, KernelKind, TileKernel};
+    use crate::tile::{DiaCoef, KernelChoice, KernelKind, TileKernel};
 
     /// Forced-CSR lowering of the stencil's assembled rows restricted
     /// to `runs` — the bitwise ground truth.
@@ -392,9 +266,9 @@ mod tests {
 
     #[test]
     fn degenerate_extents_take_boundary_path() {
-        // Axes of extent 1 or 2 leave no interior rows; everything
-        // must flow through the row_entries boundary path and still
-        // match bitwise.
+        // Axes of extent 1 or 2 leave no interior rows: every group is
+        // a line's first or last row, and on such grids several stencil
+        // points can share one offset. Still bitwise.
         for s in [
             Stencil::lap1d(2),
             Stencil::lap2d(1, 8),
@@ -425,5 +299,39 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_run_rejected() {
         StencilTile::<f64>::new(Stencil::lap1d(4), vec![(0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the band's u32 local rows (at most 4294967295)")]
+    fn row_span_past_u32_rejected() {
+        // Two rows, 2^32 + 1 apart: the second has no u32 local index.
+        let far = 1u64 << 32;
+        StencilTile::<f64>::new(Stencil::lap1d(1 << 33), vec![(0, 1), (far + 1, far + 2)]);
+    }
+
+    #[test]
+    fn band_grows_with_grid_lines_not_rows() {
+        // What the tile holds is per grid line: at most three segments
+        // a line and a run per stencil point a line, no value array.
+        let s = Stencil::lap3d27(40, 40, 40);
+        let piece = StencilTile::<f64>::new(s, vec![(16_000, 32_000)]);
+        let (band, lines) = (piece.band(), 16_000 / 40);
+        assert_eq!(piece.nnz() as u64, s.slab_nnz(16_000, 32_000));
+        assert!(band.seg_rows.len() <= 3 * lines, "{} segments", band.seg_rows.len());
+        assert!(band.runs.len() <= 27 * lines, "{} runs", band.runs.len());
+        assert!(band.vals.is_empty());
+        assert!(band.coefs.iter().all(|c| matches!(c, DiaCoef::Const(_))));
+
+        // 128³ whole stands for 56 M entries over 2 M rows; building it
+        // visits its 16 384 lines, and the tables show it.
+        let s = Stencil::lap3d27(128, 128, 128);
+        let whole = StencilTile::<f64>::new(s, vec![(0, s.unknowns())]);
+        let (band, lines) = (whole.band(), 128 * 128);
+        assert_eq!(whole.nnz() as u64, s.nnz());
+        assert_eq!(band.offsets.len(), 27);
+        assert!(band.seg_rows.len() <= 3 * lines, "{} segments", band.seg_rows.len());
+        assert!(band.seg_diags.len() <= 27 * 3 * lines, "{} pairs", band.seg_diags.len());
+        assert!(band.runs.len() <= 27 * lines, "{} runs", band.runs.len());
+        assert!(band.vals.is_empty());
     }
 }

@@ -213,7 +213,8 @@ impl Stencil {
     /// ascending column order. This is the one boundary-clipping
     /// implementation every materialization shares — `tile_csr`,
     /// `slab_nnz`, [`StencilOperator`] extraction, and the matrix-free
-    /// kernel's boundary rows all route through here.
+    /// tile's band (asked of one row per stretch of a grid line whose
+    /// rows clip alike, see [`crate::matfree`]) all route through here.
     pub fn row_entries<T: Scalar>(&self, row: u64, out: &mut Vec<(u64, T)>) {
         out.clear();
         let (ny, nz) = (self.ny, self.nz);
@@ -292,10 +293,14 @@ impl Stencil {
     /// linear offset. Because the grid is linearized row-major
     /// (x-major, z-fastest), ascending linear offset is exactly
     /// ascending column order for an interior row — the same order
-    /// [`Stencil::row_entries`] emits — so every consumer of this
-    /// table (the matrix-free [`StencilOperator`] kernel space, the
-    /// [`crate::matfree::StencilTile`] interior fast path) shares one
-    /// accumulation order with the assembled CSR reference.
+    /// [`Stencil::row_entries`] emits — so the matrix-free
+    /// [`StencilOperator`] kernel space, which is laid out by this
+    /// table, shares one accumulation order with the assembled CSR
+    /// reference. On a grid with an axis of extent 1 or 2 several
+    /// points can share one linear offset while at most one of them is
+    /// in-grid for any row; a consumer that needs the entries of a
+    /// *row* (as [`crate::matfree::StencilTile`] does) asks
+    /// [`Stencil::row_entries`], not this table.
     pub fn offset_table(&self) -> Vec<(i64, (i64, i64, i64))> {
         let (ny, nz) = (self.ny, self.nz);
         let (pts, k) = self.points();

@@ -71,11 +71,13 @@ pub enum KernelKind {
     /// `b × b` blocks; the block's input slice is loaded once per
     /// block and reused across its rows.
     Bcsr,
-    /// Matrix-free stencil apply from grid geometry alone — zero
-    /// stored values (see [`crate::matfree::StencilTile`]). Only
-    /// reachable through an explicit stencil *descriptor*; lowering
-    /// assembled triplets with `Force(Stencil)` falls back to CSR, so
-    /// assembled input is never silently reinterpreted as a stencil.
+    /// Matrix-free stencil tile: the banded layout with every diagonal
+    /// a constant, built from grid geometry alone and run by the `Dia`
+    /// kernel — nothing assembled, no value array (see
+    /// [`crate::matfree::StencilTile`]). Only reachable through an
+    /// explicit stencil *descriptor*; lowering assembled triplets with
+    /// `Force(Stencil)` falls back to CSR, so assembled input is never
+    /// silently reinterpreted as a stencil.
     Stencil,
 }
 
@@ -196,12 +198,12 @@ pub trait VecIn<T> {
     fn load(&self, i: usize) -> T;
 
     /// Borrow the contiguous elements `[lo, lo + n)` as a slice, if
-    /// the backing storage is contiguous. Kernels with long stride-1
-    /// sweeps (the matrix-free stencil interior) use this to run over
-    /// real slices — the compiler can then elide per-element bounds
-    /// checks and vectorize — and fall back to [`VecIn::load`] when it
-    /// returns `None`. The default is `None`; the values observed must
-    /// match `load` exactly.
+    /// the backing storage is contiguous. Kernels that take blocks of
+    /// consecutive elements (the banded forward product, hence every
+    /// stencil tile) use this to run over real slices — the compiler
+    /// can then elide per-element bounds checks and vectorize — and
+    /// fall back to [`VecIn::load`] when it returns `None`. The default
+    /// is `None`; the values observed must match `load` exactly.
     #[inline(always)]
     fn range(&self, _lo: usize, _n: usize) -> Option<&[T]> {
         None
@@ -565,6 +567,98 @@ fn same_bits<T: Scalar>(a: T, b: T) -> bool {
     a == b && (a != T::ZERO || T::ONE / a == T::ONE / b)
 }
 
+/// A [`DiaTile`] while its tables are built, by one rule: *groups* of
+/// consecutive local rows holding the same diagonals arrive ascending,
+/// and each either extends what directly precedes it — its diagonals'
+/// last runs, the last segment — or opens the next. The assembled
+/// lowering feeds it one row at a time, a matrix-free tile one stretch
+/// of a grid line.
+pub(crate) struct BandBuilder<T> {
+    band: DiaTile<T>,
+    /// Per diagonal, its runs of consecutive local rows so far.
+    diag_runs: Vec<Vec<(u32, u32)>>,
+}
+
+impl<T: Scalar> BandBuilder<T> {
+    /// An empty band over local rows `[0, nrows)` from `row_lo` with
+    /// the given diagonal offsets, ascending.
+    pub(crate) fn new(row_lo: u64, nrows: usize, offsets: Vec<i64>) -> Self {
+        BandBuilder {
+            diag_runs: vec![Vec::new(); offsets.len()],
+            band: DiaTile {
+                row_lo,
+                nrows,
+                // A diagonal is constant from its first entry until one
+                // differs; dense columns are placed by the caller.
+                coefs: vec![DiaCoef::Dense(0); offsets.len()],
+                offsets,
+                run_ptr: Vec::new(),
+                runs: Vec::new(),
+                vals: Vec::new(),
+                seg_rows: Vec::new(),
+                seg_ptr: Vec::new(),
+                seg_diags: Vec::new(),
+            },
+        }
+    }
+
+    /// Every row of the group `rows` holds `entries`: `(offset, value)`
+    /// by ascending offset, the value the same in each of the rows.
+    #[inline]
+    pub(crate) fn group(&mut self, rows: (u32, u32), entries: impl Iterator<Item = (i64, T)>) {
+        let band = &mut self.band;
+        let group_start = band.seg_diags.len();
+        // The offsets ascend along the offset table: one forward walk.
+        let mut d = 0usize;
+        for (off, v) in entries {
+            while band.offsets[d] < off {
+                d += 1;
+            }
+            debug_assert_eq!(band.offsets[d], off);
+            let runs = &mut self.diag_runs[d];
+            band.coefs[d] = match band.coefs[d] {
+                _ if runs.is_empty() => DiaCoef::Const(v),
+                DiaCoef::Const(c) if same_bits(c, v) => DiaCoef::Const(c),
+                _ => DiaCoef::Dense(0),
+            };
+            match runs.last_mut() {
+                Some(run) if run.1 == rows.0 => run.1 = rows.1,
+                _ => runs.push(rows),
+            }
+            band.seg_diags.push(d as u32);
+        }
+        // The group's diagonals are on the end of `seg_diags`: it joins
+        // the last segment when it follows it directly with the same
+        // list, and opens the next otherwise.
+        let (before, of_group) = band.seg_diags.split_at(group_start);
+        match band.seg_rows.last_mut() {
+            Some(seg)
+                if seg.1 == rows.0
+                    && before[band.seg_ptr[band.seg_ptr.len() - 1]..] == *of_group =>
+            {
+                seg.1 = rows.1;
+                band.seg_diags.truncate(group_start);
+            }
+            _ => {
+                band.seg_ptr.push(group_start);
+                band.seg_rows.push(rows);
+            }
+        }
+    }
+
+    /// The band, with no dense column placed yet.
+    pub(crate) fn finish(self) -> DiaTile<T> {
+        let mut band = self.band;
+        band.seg_ptr.push(band.seg_diags.len());
+        for of_diag in &self.diag_runs {
+            band.run_ptr.push(band.runs.len());
+            band.runs.extend_from_slice(of_diag);
+        }
+        band.run_ptr.push(band.runs.len());
+        band
+    }
+}
+
 /// Padded-lane (ELLPACK) payload: `width` slots per stored row,
 /// row-major; slots past `row_len[r]` are padding and never read.
 #[derive(Clone, Debug)]
@@ -614,9 +708,10 @@ pub enum TileKernel<T> {
     Ell(EllTile<T>),
     /// See [`BcsrTile`].
     Bcsr(BcsrTile<T>),
-    /// Matrix-free: see [`crate::matfree::StencilTile`]. Never
-    /// produced by [`TileKernel::lower`]; built directly from a
-    /// stencil descriptor by the execution backend.
+    /// Matrix-free: a [`DiaTile`] of constants built from a stencil
+    /// descriptor's geometry, see [`crate::matfree::StencilTile`].
+    /// Never produced by [`TileKernel::lower`]; built directly from the
+    /// descriptor by the execution backend.
     Stencil(crate::matfree::StencilTile<T>),
 }
 
@@ -809,102 +904,41 @@ impl<T: Scalar> TileKernel<T> {
         }
         let row_lo = t.row_ids[0];
         let nrows = s.row_span;
-        // Per diagonal, its runs of consecutive local rows so far.
-        // Rows arrive ascending, so an entry either extends its
-        // diagonal's last run or opens the next.
-        let mut diag_runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); offsets.len()];
-        // A diagonal is constant from its first entry until one
-        // differs; the dense columns are placed after the walk.
-        let mut coefs = vec![DiaCoef::Dense(0); offsets.len()];
-        let mut seg_rows: Vec<(u32, u32)> = Vec::new();
-        let mut seg_ptr = Vec::new();
-        let mut seg_diags: Vec<u32> = Vec::new();
+        let mut band = BandBuilder::new(row_lo, nrows, offsets);
         for (row, span) in t.row_spans() {
             let lr = (row - row_lo) as u32;
-            let row_start = seg_diags.len();
-            // Columns ascend within the row, so its offsets ascend
-            // along the offset table: one forward walk per row.
-            let mut d = 0usize;
-            for idx in span {
-                let off = t.cols[idx] as i64 - row as i64;
-                while offsets[d] < off {
-                    d += 1;
-                }
-                debug_assert_eq!(offsets[d], off);
-                coefs[d] = match coefs[d] {
-                    _ if diag_runs[d].is_empty() => DiaCoef::Const(t.vals[idx]),
-                    DiaCoef::Const(c) if same_bits(c, t.vals[idx]) => DiaCoef::Const(c),
-                    _ => DiaCoef::Dense(0),
-                };
-                match diag_runs[d].last_mut() {
-                    Some(run) if run.1 == lr => run.1 += 1,
-                    _ => diag_runs[d].push((lr, lr + 1)),
-                }
-                seg_diags.push(d as u32);
-            }
-            // The row's diagonals are on the end of `seg_diags`: the
-            // row joins the last segment when it follows it directly
-            // with the same list, and opens the next otherwise.
-            let (before, of_row) = seg_diags.split_at(row_start);
-            match seg_rows.last_mut() {
-                Some(seg) if seg.1 == lr && before[seg_ptr[seg_ptr.len() - 1]..] == *of_row => {
-                    seg.1 += 1;
-                    seg_diags.truncate(row_start);
-                }
-                _ => {
-                    seg_ptr.push(row_start);
-                    seg_rows.push((lr, lr + 1));
-                }
-            }
+            let entries = span.map(|idx| (t.cols[idx] as i64 - row as i64, t.vals[idx]));
+            band.group((lr, lr + 1), entries);
         }
-        seg_ptr.push(seg_diags.len());
-
-        let mut run_ptr = Vec::with_capacity(offsets.len() + 1);
-        let mut runs = Vec::new();
-        for of_diag in &diag_runs {
-            run_ptr.push(runs.len());
-            runs.extend_from_slice(of_diag);
-        }
-        run_ptr.push(runs.len());
+        let mut tile = band.finish();
 
         // Dense columns for the diagonals that turned out not to be
         // constant, and only for those. The segments are the stored
         // rows in order, and a row's entries are its segment's
         // diagonals in order.
         let mut dense_len = 0usize;
-        for coef in &mut coefs {
+        for coef in &mut tile.coefs {
             if let DiaCoef::Dense(start) = coef {
                 *start = dense_len;
                 dense_len += nrows;
             }
         }
-        let mut vals = vec![T::ZERO; dense_len];
+        tile.vals = vec![T::ZERO; dense_len];
         if dense_len > 0 {
             let mut stored = t.row_spans();
-            for (s, &(lo, hi)) in seg_rows.iter().enumerate() {
-                let diags = &seg_diags[seg_ptr[s]..seg_ptr[s + 1]];
+            for (s, &(lo, hi)) in tile.seg_rows.iter().enumerate() {
+                let diags = &tile.seg_diags[tile.seg_ptr[s]..tile.seg_ptr[s + 1]];
                 for lr in lo..hi {
                     let (_, span) = stored.next().expect("a segment row is a stored row");
                     for (&d, &v) in diags.iter().zip(&t.vals[span]) {
-                        if let DiaCoef::Dense(start) = coefs[d as usize] {
-                            vals[start + lr as usize] = v;
+                        if let DiaCoef::Dense(start) = tile.coefs[d as usize] {
+                            tile.vals[start + lr as usize] = v;
                         }
                     }
                 }
             }
         }
-        Some(TileKernel::Dia(DiaTile {
-            row_lo,
-            nrows,
-            offsets,
-            run_ptr,
-            runs,
-            coefs,
-            vals,
-            seg_rows,
-            seg_ptr,
-            seg_diags,
-        }))
+        Some(TileKernel::Dia(tile))
     }
 
     fn lower_ell(t: &CsrTile<T>, s: &TileStructure) -> Option<Self> {
@@ -987,14 +1021,15 @@ impl<T: Scalar> TileKernel<T> {
     }
 
     /// Stored entries (padding excluded). For the matrix-free kernel
-    /// this is the entry count of the assembled *equivalent* — what
-    /// the apply computes, not what memory holds (which is zero; see
+    /// this is the entry count of the assembled *equivalent*, read off
+    /// its band's runs like a `Dia` tile's — what the apply computes,
+    /// not what memory holds (no entry is; see
     /// [`TileKernel::value_bytes`]).
     pub fn nnz(&self) -> usize {
         match self {
             TileKernel::Empty => 0,
             TileKernel::Csr(t) => t.vals.len(),
-            TileKernel::Dia(t) => t.runs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum(),
+            TileKernel::Dia(t) => t.nnz(),
             TileKernel::Ell(t) => t.row_len.iter().map(|&l| l as usize).sum(),
             TileKernel::Bcsr(t) => t.vals.len(),
             TileKernel::Stencil(t) => t.nnz(),
@@ -1005,7 +1040,9 @@ impl<T: Scalar> TileKernel<T> {
     /// payload, which is what a product streams. ELL counts its padding
     /// slots; DIA counts one value per constant diagonal and the dense
     /// column (padding included) of every other; the stencil kernel
-    /// counts zero.
+    /// counts zero: it stores no operator value — its band has no value
+    /// array, and the at most 27 constants on its diagonals are the
+    /// descriptor's weights, a function of the stencil kind alone.
     pub fn value_bytes(&self) -> usize {
         let w = std::mem::size_of::<T>();
         match self {
@@ -1117,6 +1154,13 @@ fn load_block<T: Scalar, X: VecIn<T>, const W: usize>(x: &X, lo: usize) -> [T; W
 fn fold<T: Scalar, const W: usize>(acc: &mut [T; W], coef: impl Fn(usize) -> T, xs: &[T; W]) {
     for k in 0..W {
         acc[k] = coef(k).mul_add(xs[k], acc[k]);
+    }
+}
+
+impl<T> DiaTile<T> {
+    /// Entries the band stands for: the rows of its runs.
+    pub(crate) fn nnz(&self) -> usize {
+        self.runs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum()
     }
 }
 

@@ -308,7 +308,10 @@ fn arb_stencil_tile() -> impl Strategy<Value = (Stencil, Vec<(u64, u64)>)> {
 }
 
 /// Bitwise-check a [`StencilTile`] against the forced-CSR lowering of
-/// the same rows' generated entries, both directions.
+/// the same rows' generated entries, both directions, over slices and
+/// over views that lend none; and hold its band, field for field, to
+/// the forced-DIA lowering of those entries wherever that lowering is
+/// representable (rows scattered too far apart fall back to CSR).
 fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
     let n = s.unknowns() as usize;
     let mut tr = Vec::new();
@@ -326,7 +329,23 @@ fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
         }
     }
     let csr = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Csr));
-    let matfree = TileKernel::Stencil(StencilTile::new(s, rows.to_vec()));
+    let tile = StencilTile::new(s, rows.to_vec());
+    let dia = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Dia));
+    if let TileKernel::Dia(want) = dia {
+        let band = tile.band();
+        let what = format!("{s:?} rows {rows:?}: band differs from the forced-DIA lowering in");
+        assert_eq!(band.row_lo, want.row_lo, "{what} row_lo");
+        assert_eq!(band.nrows, want.nrows, "{what} nrows");
+        assert_eq!(band.offsets, want.offsets, "{what} offsets");
+        assert_eq!(band.coefs, want.coefs, "{what} coefs");
+        assert_eq!(band.run_ptr, want.run_ptr, "{what} run_ptr");
+        assert_eq!(band.runs, want.runs, "{what} runs");
+        assert_eq!(band.seg_rows, want.seg_rows, "{what} seg_rows");
+        assert_eq!(band.seg_ptr, want.seg_ptr, "{what} seg_ptr");
+        assert_eq!(band.seg_diags, want.seg_diags, "{what} seg_diags");
+        assert!(band.vals.is_empty() && want.vals.is_empty(), "{what} vals");
+    }
+    let matfree = TileKernel::Stencil(tile);
     assert_eq!(matfree.nnz(), tv.len(), "descriptor nnz disagrees with generator");
     let x: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * i as f64).collect();
     for transpose in [false, true] {
@@ -339,6 +358,13 @@ fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
         assert_eq!(
             got_bits, want_bits,
             "{s:?} rows {rows:?} transpose {transpose}: matrix-free diverges from CSR"
+        );
+        let mut got = vec![0.125; n];
+        matfree.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), transpose);
+        let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            got_bits, want_bits,
+            "{s:?} rows {rows:?} transpose {transpose}: matrix-free diverges on views that lend no slices"
         );
     }
 }

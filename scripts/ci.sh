@@ -39,6 +39,25 @@ else
     echo "ci.sh: taskset not found, skipping the one-CPU scheduler leg"
 fi
 
+# The span rings under a waiting driver: `ring_overflow_drops_instead_
+# of_blocking` bounds what three rings retain (two workers and the
+# driver lane, which a thread waiting in `take_spans` records into).
+# It failed 13 runs in 1 000 while its bound counted two rings, so one
+# pass says little: run the dev binary 200 times (about two seconds).
+ring_bin=$(cargo test -p kdr-integration --test observability --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*\/observability-[^"]*\)".*/\1/p' | tail -1)
+for _ in $(seq 200); do
+    "$ring_bin" -q --exact ring_overflow_drops_instead_of_blocking >/dev/null
+done
+
+# One constant-band kernel: a matrix-free tile is a `DiaTile` built
+# from geometry (DESIGN §7b). The sweeps `StencilTile` once had beside
+# it must not come back.
+if grep -rnE 'fn (apply_run|interior_fwd|interior_t|boundary_rows)\b' crates/kdr-sparse/src; then
+    echo "ci.sh: kdr-sparse has a second stencil kernel again (see above)" >&2
+    exit 1
+fi
+
 # Vector-kernel property tests (kdr-sparse::vecops), both profiles:
 # dev keeps the debug assertions armed, --release is the vectorised
 # code the solvers execute — elementwise kernels bitwise equal to

@@ -121,10 +121,13 @@ fn replayed_spans_carry_provenance() {
 /// reported as a drop count.
 #[test]
 fn ring_overflow_drops_instead_of_blocking() {
-    let rt = Runtime::with_event_capacity(2, 8);
+    const WORKERS: usize = 2;
+    const CAPACITY: usize = 8;
+    const TASKS: usize = 300;
+    let rt = Runtime::with_event_capacity(WORKERS, CAPACITY);
     rt.enable_events(true);
     let v = Buffer::filled(1, 0.0f64);
-    for _ in 0..300 {
+    for _ in 0..TASKS {
         rt.submit(TaskBuilder::new("inc").write_all(&v).body(|ctx| {
             let w = ctx.write::<f64>(0);
             w.set(0, w.get(0) + 1.0);
@@ -134,13 +137,17 @@ fn ring_overflow_drops_instead_of_blocking() {
     let spans = rt.take_spans();
     // Nothing blocked: all 300 bodies ran.
     assert_eq!(v.snapshot(), vec![300.0]);
-    // Retention is bounded by ring capacity (8 per worker).
-    assert!(spans.len() <= 16, "retained {} spans", spans.len());
+    // Retention is bounded by ring capacity: one ring per worker, and
+    // a third for the driver lane — the thread waiting in `take_spans`
+    // runs ready bodies itself and records them there (`SpanLog`'s
+    // last lane, `worker == num_workers`).
+    let retained = (WORKERS + 1) * CAPACITY;
+    assert!(spans.len() <= retained, "retained {} spans", spans.len());
     let m = rt.metrics();
     assert_eq!(m.tasks_executed, 300);
     assert_eq!(m.events_recorded, 300);
     assert_eq!(m.events_dropped + spans.len() as u64, 300);
-    assert!(m.events_dropped >= 284);
+    assert!(m.events_dropped >= (TASKS - retained) as u64);
     // Histograms saw every task even though spans wrapped.
     assert_eq!(m.execute_ns.count, 300);
     assert_eq!(m.queue_wait_ns.count, 300);
