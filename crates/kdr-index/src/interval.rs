@@ -261,26 +261,41 @@ impl IntervalSet {
     }
 
     /// True if the two sets share no points.
+    ///
+    /// Walks the set with fewer runs and binary-searches the other for
+    /// each of them: `O(s · log l)` for `s` runs on the smaller side
+    /// and `l` on the larger, whatever the points, and no allocation.
     pub fn is_disjoint(&self, other: &IntervalSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            let a = self.runs[i];
-            let b = other.runs[j];
-            if !a.intersect(&b).is_empty() {
-                return false;
-            }
-            if a.hi <= b.hi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        true
+        let (small, large) = if self.runs.len() <= other.runs.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        each_found(small.runs.iter().copied(), &large.runs, misses)
     }
 
     /// True if every point of `self` is in `other`.
+    ///
+    /// Walks the side with fewer runs and binary-searches the other:
+    /// either each run of `self` must lie inside one run of `other`
+    /// (runs are maximal, so a run is covered only that way), or —
+    /// when `other` has fewer runs — `self` must miss each gap between
+    /// them. `O(s · log l)` as for [`IntervalSet::is_disjoint`], and no
+    /// allocation: no set is built.
     pub fn is_subset_of(&self, other: &IntervalSet) -> bool {
-        self.difference(other).is_empty()
+        if self.runs.len() <= other.runs.len() {
+            let inside =
+                |r: Run, hit: Option<&Run>| hit.is_some_and(|h| h.lo <= r.lo && r.hi <= h.hi);
+            each_found(self.runs.iter().copied(), &other.runs, inside)
+        } else {
+            // The gaps: before the first run, between runs, after the
+            // last. Only the first and last can be empty, and an empty
+            // one misses everything.
+            let los = [0].into_iter().chain(other.runs.iter().map(|r| r.hi));
+            let his = other.runs.iter().map(|r| r.lo).chain([u64::MAX]);
+            let gaps = los.zip(his).map(|(lo, hi)| Run::new(lo, hi));
+            each_found(gaps, &self.runs, misses)
+        }
     }
 
     /// Translate every point by a signed offset, dropping points that
@@ -330,6 +345,29 @@ impl IntervalSet {
         }
         out
     }
+}
+
+/// The search both predicates are made of: for each of `walked`'s runs,
+/// in ascending order, the first run of `searched` that ends after it
+/// starts (`None` past the last) — a binary search over the part of
+/// `searched` not yet passed — and true iff `keep` holds for every
+/// pair.
+fn each_found(
+    mut walked: impl Iterator<Item = Run>,
+    searched: &[Run],
+    keep: impl Fn(Run, Option<&Run>) -> bool,
+) -> bool {
+    let mut at = 0;
+    walked.all(|r| {
+        at += searched[at..].partition_point(|s| s.hi <= r.lo);
+        keep(r, searched.get(at))
+    })
+}
+
+/// `r` shares no point with the run [`each_found`] found for it, nor
+/// with any later one.
+fn misses(r: Run, hit: Option<&Run>) -> bool {
+    hit.is_none_or(|h| r.hi <= h.lo)
 }
 
 impl FromIterator<u64> for IntervalSet {

@@ -96,6 +96,111 @@ proptest! {
     }
 }
 
+/// The space of the skewed cases below: what the dependence analyzer
+/// meets is a scatter tile's footprint of thousands of runs against a
+/// piece writer's one.
+const WIDE: u64 = 16_384;
+
+/// Every `period`-th block of `width` points from `start`.
+fn stride(start: u64, period: u64, width: u64) -> IntervalSet {
+    let runs = (start..WIDE).step_by(period as usize);
+    IntervalSet::from_runs(runs.map(|lo| Run::new(lo, (lo + width).min(WIDE))))
+}
+
+/// A stride (256 to 4 096 runs) or a scatter (hundreds to thousands of
+/// points) over `0..WIDE`.
+fn arb_pattern() -> BoxedStrategy<IntervalSet> {
+    let stride = (0..16u64, 4..64u64)
+        .prop_flat_map(|(start, period)| (Just(start), Just(period), 1..period))
+        .prop_map(|(start, period, width)| stride(start, period, width));
+    let scatter = prop::collection::btree_set(0..WIDE, 300..3_000).prop_map(|s| to_iset(&s));
+    prop_oneof![stride, scatter].boxed()
+}
+
+/// A fragmented set made by one of the public constructors: a pattern
+/// as `from_runs` / `from_points` made it, or put through `split_equal`,
+/// `shift_clamped`, `union`, `intersect`, `difference` or `complement`.
+fn arb_fragmented() -> impl Strategy<Value = IntervalSet> {
+    (arb_pattern(), arb_pattern(), 0..7u8, 1..5usize, 0..WIDE).prop_map(
+        |(p, q, how, pieces, at)| match how {
+            0 => p,
+            1 => p.split_equal(pieces).swap_remove(at as usize % pieces),
+            2 => p.shift_clamped(at as i64 - (WIDE / 2) as i64, WIDE),
+            3 => p.union(&q),
+            4 => p.intersect(&q),
+            5 => IntervalSet::full(WIDE).difference(&p),
+            _ => p.complement(WIDE),
+        },
+    )
+}
+
+/// Up to three runs placed against `large`'s runs — the first, the
+/// last or any — so the skewed cases hit shared endpoints (`a.hi ==
+/// b.lo` and `b.hi == a.lo`), exact and partial cover, and gaps.
+fn small_against(large: &IntervalSet, picks: &[(u8, u8, u64, u64)]) -> IntervalSet {
+    let runs = large.runs();
+    let (first, last) = (large.min().unwrap_or(0), large.max().map_or(0, |m| m + 1));
+    IntervalSet::from_runs(picks.iter().map(|&(shape, which, r, len)| {
+        let k = match (runs.len(), which) {
+            (0, _) => Run::new(r, r + 1),
+            (_, 0) => runs[0],
+            (n, 1) => runs[n - 1],
+            (n, _) => runs[r as usize % n],
+        };
+        match shape {
+            // Starts where `k` ends; ends where it starts.
+            0 => Run::new(k.hi, k.hi + len),
+            1 => Run::new(k.lo.saturating_sub(len), k.lo),
+            // `k` itself, its tail, `k` and past its end.
+            2 => k,
+            3 => Run::new(k.lo + len % k.len(), k.hi),
+            4 => Run::new(k.lo, k.hi + len),
+            // All of `large` in one run; anywhere.
+            5 => Run::new(first, last),
+            _ => Run::new(r, r + len),
+        }
+    }))
+}
+
+/// `is_disjoint` and `is_subset_of` against their definitions — a
+/// built intersection or difference tested for emptiness — and against
+/// the point-set model, both argument orders.
+fn check_predicates(a: &IntervalSet, b: &IntervalSet) {
+    let (ma, mb) = (to_points(a), to_points(b));
+    for (x, y, mx, my) in [(a, b, &ma, &mb), (b, a, &mb, &ma)] {
+        assert_eq!(
+            x.is_disjoint(y),
+            x.intersect(y).is_empty(),
+            "{x:?} disjoint {y:?}"
+        );
+        assert_eq!(x.is_disjoint(y), y.is_disjoint(x), "{x:?} disjoint {y:?}");
+        assert_eq!(x.is_disjoint(y), mx.is_disjoint(my), "{x:?} disjoint {y:?}");
+        assert_eq!(
+            x.is_subset_of(y),
+            x.difference(y).is_empty(),
+            "{x:?} within {y:?}"
+        );
+        assert_eq!(x.is_subset_of(y), mx.is_subset(my), "{x:?} within {y:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn predicates_match_their_definitions_on_skewed_sets(
+        large in arb_fragmented(),
+        picks in prop::collection::vec((0..7u8, 0..3u8, 0..WIDE, 1..48u64), 0..4),
+    ) {
+        for w in large.runs().windows(2) {
+            prop_assert!(w[0].hi < w[1].lo, "runs sorted and never adjacent");
+        }
+        let small = small_against(&large, &picks);
+        check_predicates(&small, &large);
+        check_predicates(&large, &IntervalSet::empty());
+        check_predicates(&small, &IntervalSet::empty());
+        check_predicates(&large, &large);
+    }
+}
+
 /// Naive image/preimage through `targets_of` only.
 fn naive_image(rel: &dyn Relation, set: &IntervalSet) -> IntervalSet {
     let mut pts = Vec::new();

@@ -207,10 +207,8 @@ mod tests {
         a.analyze(1, &[req(10, 0, 8, true)]);
         assert_eq!(a.analyze(2, &[req(10, 0, 4, false)]), vec![1]);
         assert_eq!(a.analyze(3, &[req(10, 2, 6, false)]), vec![1]);
-        // A later writer waits on both readers (and the dominated
-        // writer entry was pruned when... it wasn't: subset 0..8 not
-        // inside 0..8? it is; pruned at task 3? task 3 is a reader;
-        // entry pruning happens only on writers).
+        // Readers prune nothing, so task 1's entry is still on the
+        // frontier: a later writer waits on it and on both readers.
         let deps = a.analyze(4, &[req(10, 0, 8, true)]);
         assert_eq!(deps, vec![1, 2, 3]);
     }
@@ -222,6 +220,53 @@ mod tests {
         a.analyze(2, &[req(10, 0, 8, true)]); // dominates task 1's entry
         let deps = a.analyze(3, &[req(10, 0, 2, false)]);
         assert_eq!(deps, vec![2], "pruned entry must not generate edges");
+    }
+
+    /// Every `stride`-th point of `lo..hi`: one run per point.
+    fn strided(buf: u64, lo: u64, hi: u64, stride: usize) -> ReqLite {
+        ReqLite {
+            buffer_id: buf,
+            subset: Arc::new(IntervalSet::from_points((lo..hi).step_by(stride))),
+            write: false,
+        }
+    }
+
+    fn on_frontier(a: &Analyzer, buf: u64) -> Vec<TaskId> {
+        a.frontiers[&buf].entries.iter().map(|e| e.task).collect()
+    }
+
+    #[test]
+    fn scatter_readers_then_piece_writers() {
+        // What an SpMV tile of a scatter matrix leaves on `x`: readers
+        // of 4 000 single-point runs each. 1 and 2 spread over all of
+        // 0..32 000 (points ≡ 0 and ≡ 2 mod 8); 3 and 4 hold the odd
+        // points of 0..8 000 and of 16 000..24 000.
+        let mut a = Analyzer::new();
+        let readers = [
+            strided(10, 0, 32_000, 8),
+            strided(10, 2, 32_000, 8),
+            strided(10, 1, 8_000, 2),
+            strided(10, 16_001, 24_000, 2),
+        ];
+        for (t, r) in (1..).zip(&readers) {
+            assert_eq!(r.subset.runs().len(), 4_000);
+            assert!(a.analyze(t, std::slice::from_ref(r)).is_empty());
+        }
+        // Single-run piece writers wait on exactly the readers they
+        // overlap, and remove those they cover.
+        assert_eq!(a.analyze(5, &[req(10, 0, 8_000, true)]), vec![1, 2, 3]);
+        assert_eq!(on_frontier(&a, 10), vec![1, 2, 4, 5], "5 covers 3");
+        assert_eq!(a.analyze(6, &[req(10, 8_000, 16_000, true)]), vec![1, 2]);
+        assert_eq!(a.analyze(7, &[req(10, 16_000, 20_000, true)]), vec![1, 2, 4]);
+        assert_eq!(on_frontier(&a, 10), vec![1, 2, 4, 5, 6, 7], "7 covers part of 4");
+        // Between the runs of every reader: no dependence at all.
+        assert!(a.analyze(8, &[req(10, 24_003, 24_008, true)]).is_empty());
+        assert_eq!(a.analyze(9, &[req(10, 16_000, 24_000, true)]), vec![1, 2, 4, 7]);
+        assert_eq!(on_frontier(&a, 10), vec![1, 2, 5, 6, 8, 9], "9 covers 4 and 7");
+        // A later reader waits on the writers that remain, and the
+        // next writer no longer sees the readers removed.
+        assert_eq!(a.analyze(10, &[req(10, 0, 32_000, false)]), vec![5, 6, 8, 9]);
+        assert_eq!(a.analyze(11, &[req(10, 0, 8_000, true)]), vec![1, 2, 5, 10]);
     }
 
     #[test]

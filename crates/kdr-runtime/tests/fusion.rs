@@ -1,8 +1,10 @@
 //! Compiled traces: a replayed step runs as fused nodes, and nothing
 //! observable may tell.
 //!
-//! * Random task programs (random buffers, subsets, colours and
-//!   privileges) leave every buffer bitwise as a sequential in-order
+//! * Random task programs (random buffers, colours and privileges,
+//!   subsets that are whole ranges or gappy like a scatter tile's
+//!   footprint, so dominance pruning and overlap see several runs a
+//!   side) leave every buffer bitwise as a sequential in-order
 //!   oracle leaves it, whether submitted through analysis, captured
 //!   once and replayed with rebuilt tasks, or captured as a step
 //!   program and run again with the bodies it holds, and their compiled
@@ -31,8 +33,7 @@ const BUFLEN: u64 = 24;
 #[derive(Clone, Debug)]
 struct Req {
     buf: usize,
-    lo: u64,
-    hi: u64,
+    subset: IntervalSet,
     write: bool,
 }
 
@@ -50,12 +51,12 @@ struct Op {
 fn apply(op: &Op, get: impl Fn(usize, usize) -> f64, mut set: impl FnMut(usize, usize, f64)) {
     let mut s = op.c;
     for (k, r) in op.reqs.iter().enumerate() {
-        for i in r.lo as usize..r.hi as usize {
+        for i in r.subset.iter_points().map(|i| i as usize) {
             s = s * 0.25 + get(k, i) * 0.125;
         }
     }
     for (k, r) in op.reqs.iter().enumerate().filter(|(_, r)| r.write) {
-        for i in r.lo as usize..r.hi as usize {
+        for i in r.subset.iter_points().map(|i| i as usize) {
             let v = get(k, i) * 0.5 + s + i as f64 * 1e-3;
             set(k, i, v);
             s = s * 0.5 + v * 0.25;
@@ -101,11 +102,10 @@ fn declared(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
         t = t.meta(TaskMeta::new("op").with_color(c));
     }
     for r in &op.reqs {
-        let subset = IntervalSet::from_range(r.lo, r.hi);
         t = if r.write {
-            t.write(&bufs[r.buf], subset)
+            t.write(&bufs[r.buf], r.subset.clone())
         } else {
-            t.read(&bufs[r.buf], subset)
+            t.read(&bufs[r.buf], r.subset.clone())
         };
     }
     t
@@ -168,11 +168,23 @@ fn assert_compiled_graph_is_sound(trace: &Trace) {
     }
 }
 
+/// A footprint inside `lo..lo + len`, shaped like a scatter tile's
+/// where `shape` says so: the whole range, every second or third point,
+/// or the points `mask` keeps (the first always) — up to eight runs.
+fn footprint(lo: u64, len: u64, shape: u8, mask: u32) -> IntervalSet {
+    let keep = |i: u64| match shape {
+        0 => true,
+        1 => i % (2 + u64::from(mask & 1)) == 0,
+        _ => i == 0 || mask >> i & 1 == 1,
+    };
+    IntervalSet::from_points((0..len).filter(|&i| keep(i)).map(|i| lo + i))
+}
+
 fn arb_req(nbuf: usize) -> impl Strategy<Value = Req> {
-    (0..nbuf, 0..BUFLEN - 1, 1..9u64, 0..3u8).prop_map(|(buf, lo, len, kind)| Req {
+    let shape = (0..BUFLEN - 1, 1..17u64, 0..3u8, 0..u32::MAX);
+    (0..nbuf, shape, 0..3u8).prop_map(|(buf, (lo, len, shape, mask), kind)| Req {
         buf,
-        lo,
-        hi: (lo + len).min(BUFLEN),
+        subset: footprint(lo, len.min(BUFLEN - lo), shape, mask),
         write: kind != 0,
     })
 }

@@ -58,6 +58,25 @@ if grep -rnE 'fn (apply_run|interior_fwd|interior_t|boundary_rows)\b' crates/kdr
     exit 1
 fi
 
+# `is_subset_of` is a search over the side with fewer runs (DESIGN §6):
+# it builds no set. It must not go back to testing a built
+# `difference` for emptiness, which cost the analyzer a `Vec` per
+# frontier entry per writer.
+if sed -n '/fn is_subset_of/,/^    }$/p' crates/kdr-index/src/interval.rs | grep -n 'difference'; then
+    echo "ci.sh: IntervalSet::is_subset_of builds a difference again (see above)" >&2
+    exit 1
+fi
+
+# The scheduler fuzzer on fragmented footprints (gappy subsets of up to
+# eight runs): analysed, captured-then-replayed and step-program runs
+# against the sequential oracle, 20 times with fresh inputs. A failing
+# seed is printed; `PROPTEST_RNG_SEED=<seed>` repeats it.
+for _ in $(seq 20); do
+    seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+    PROPTEST_RNG_SEED=$seed cargo test -q --release -p kdr-runtime --test fusion ||
+        { echo "ci.sh: fusion failed with PROPTEST_RNG_SEED=$seed" >&2; exit 1; }
+done
+
 # Vector-kernel property tests (kdr-sparse::vecops), both profiles:
 # dev keeps the debug assertions armed, --release is the vectorised
 # code the solvers execute — elementwise kernels bitwise equal to
@@ -80,7 +99,11 @@ cargo test -q --release -p kdr-integration --test end_to_end
 # and the block scan are the optimized code `add_operator` executes.
 # `FnRelation` against the point-wise defaults, and the per-tile
 # registration result (footprints, kinds, keys, payload hashes) held
-# to the constants captured before it was made linear-time.
+# to the constants captured before it was made linear-time. The same
+# `prop` run holds the predicates dependence analysis calls per
+# frontier entry — `is_disjoint` and `is_subset_of`, searches since
+# PR 25 — to a built intersection / difference and to the point-set
+# model, on a few runs against thousands (a scatter tile's footprint).
 cargo test -q --release -p kdr-index --test prop
 cargo test -q --release -p kdr-core --test registration_pin
 # Step programs in both profiles: the dev run (part of `cargo test`

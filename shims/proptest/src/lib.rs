@@ -10,7 +10,8 @@
 //!
 //! Unlike real proptest there is no shrinking and no failure
 //! persistence: each test runs `cases` deterministic random inputs
-//! (seeded from the test's module path and name) and plain
+//! (seeded from the test's module path and name, and from
+//! `PROPTEST_RNG_SEED` when set) and plain
 //! `assert!` reports the first failing input. That keeps the
 //! random-input coverage of the original tests while staying fully
 //! self-contained.
@@ -24,9 +25,18 @@ pub struct TestRng {
 }
 
 impl TestRng {
-    /// Seed from a test name (FNV-1a over the bytes, never zero).
+    /// Seed from a test name (FNV-1a over the bytes, never zero), and
+    /// from `PROPTEST_RNG_SEED` when that is set to a number — as in
+    /// real proptest, a run with fresh inputs is a run with a fresh
+    /// seed, and the same seed repeats it. Unset or `0` gives the
+    /// fixed per-name inputs.
     pub fn from_name(name: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let seed = std::env::var("PROPTEST_RNG_SEED").ok();
+        Self::seeded(name, seed.and_then(|s| s.parse().ok()))
+    }
+
+    fn seeded(name: &str, seed: Option<u64>) -> Self {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.unwrap_or(0);
         for &b in name.as_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -469,6 +479,10 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+        let draw = |seed| TestRng::seeded("x", seed).next_u64();
+        assert_eq!(draw(Some(5)), draw(Some(5)));
+        assert_ne!(draw(Some(5)), draw(Some(6)));
+        assert_ne!(draw(Some(5)), draw(None));
     }
 
     #[test]
