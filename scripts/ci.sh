@@ -124,8 +124,29 @@ cargo test -q --release -p kdr-service --test supervision --test sharded --test 
 # Modeled scaling: pipelined CG at 256 simulated nodes (>= 1.2x over
 # classic) and the sharded front door at 1-16 simulated shard groups
 # (>= 2.5x at 4). Deterministic models, no clock; rewrites
-# results/modeled_scaling.txt with the same bytes.
+# results/modeled_scaling.txt, which must come out with the same bytes.
 cargo run --release -p kdr-bench --bin modeled_scaling
+git diff --exit-code results/modeled_scaling.txt
+
+# The simulator, pinned byte for byte: every priced graph below is a
+# function of the solver's operation stream and the machine model
+# alone, so any change to how `SimBackend` prices an operation shows
+# up here. Each run takes well under a second in --release.
+cargo build --release -q -p kdr-bench -p kdr-examples --bins --examples
+pin() {
+    local file=$1
+    shift
+    "$@" | diff - "results/$file" ||
+        { echo "ci.sh: \`$*\` no longer prints results/$file" >&2; exit 1; }
+}
+pin figure8_quick.txt target/release/figure8 --quick
+pin figure8_quick_no_overlap.txt target/release/figure8 --quick --no-overlap
+pin figure9_quick.txt target/release/figure9 --quick
+for s in 1 2 3; do
+    pin "benchmark_stencil_sim_solver$s.txt" target/release/benchmark_stencil \
+        -dim 2 -nx 1024 -it 20 -vp 64 --sim 16 -solver "$s"
+done
+pin simulate_cluster.txt target/release/examples/simulate_cluster
 
 # Figure 3: the thirteen-row format table, every row verified by the
 # binary itself (it asserts), its stdout pinned to the stored file.
