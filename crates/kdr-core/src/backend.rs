@@ -4,15 +4,27 @@
 //! "written with no awareness of storage formats, multiple operators,
 //! or data movement" (§5). We push the same split one level further:
 //! the [`Planner`](crate::Planner) lowers every mathematical operation
-//! onto this `Backend` trait, and two backends implement it —
+//! onto this `Backend` trait, and the trait turns every task-generating
+//! call into data — one [`StepOp`] — before any backend sees it.
 //!
-//! * [`ExecBackend`](crate::exec::ExecBackend): real execution on the
-//!   `kdr-runtime` task runtime (shared-memory threads stand in for
-//!   cluster nodes), used for correctness and small-scale benchmarks;
-//! * [`SimBackend`](crate::simbackend::SimBackend): lowers the same
-//!   operation stream into a `kdr-machine` task graph with flop/byte
-//!   costs, used to reproduce the paper's 64–1,024 GPU experiments at
-//!   full problem scale.
+//! **One op stream, two lowerings.** The per-op entry points (`copy` …
+//! `xpay`, `dot_many`, the scalar operations, `apply`, and scalar
+//! retain/release) are provided methods, written once here: they check
+//! operand structure against [`Handles`], take result slots from its
+//! one lowest-first scalar slot arena, build the `StepOp` and hand it
+//! to [`Backend::emit`]. A backend lowers that stream and nothing else:
+//!
+//! * [`ExecBackend`](crate::exec::ExecBackend) records each op and
+//!   lowers it into `kdr-runtime` tasks (shared-memory threads stand in
+//!   for cluster nodes), replaying a repeated step as a compiled
+//!   program; used for correctness and small-scale benchmarks;
+//! * [`SimBackend`](crate::simbackend::SimBackend) prices each op into
+//!   a `kdr-machine` task graph with flop/byte costs, used to reproduce
+//!   the paper's 64–1,024 GPU experiments at full problem scale.
+//!
+//! A new backend implements `emit` (one `match` over `StepOp`),
+//! `handles`, and the non-stream half: allocation, component I/O,
+//! operator registration, `scalar_get`, `fence` and `as_any`.
 //!
 //! Scalars are *futures in dataflow form*: every scalar lives in a
 //! backend-managed cell, scalar arithmetic is itself a (tiny) task,
@@ -20,6 +32,7 @@
 //! solver iteration therefore never blocks the driving thread — the
 //! same property Legion futures give the paper's CG in Figure 7.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kdr_index::{IntervalSet, Partition};
@@ -99,6 +112,183 @@ impl ScalarUnop {
             ScalarUnop::Recip => T::ONE / a,
         }
     }
+}
+
+/// The elementwise vector operations: one task (or priced node) per
+/// destination piece.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VecOp {
+    /// `dst ← src`.
+    Copy,
+    /// `dst ← 0`.
+    SetZero,
+    /// `dst ← alpha · dst`.
+    Scal,
+    /// `dst ← dst + alpha · src`.
+    Axpy,
+    /// `dst ← src + alpha · dst`.
+    Xpay,
+}
+
+impl VecOp {
+    /// The operation's task name, and its node label in a priced graph.
+    pub fn name(self) -> &'static str {
+        match self {
+            VecOp::Copy => "copy",
+            VecOp::SetZero => "set_zero",
+            VecOp::Scal => "scal",
+            VecOp::Axpy => "axpy",
+            VecOp::Xpay => "xpay",
+        }
+    }
+}
+
+/// One task-generating backend call, as its handles: what the provided
+/// op methods of [`Backend`] build and hand to [`Backend::emit`]. A
+/// scalar result's slot is taken when the op is built, so it is part
+/// of the op.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StepOp {
+    /// An elementwise operation on `dst`.
+    Vector {
+        /// Which operation.
+        op: VecOp,
+        /// The vector written.
+        dst: BVec,
+        /// The vector read at the same pieces (`copy`, `axpy`,
+        /// `xpay`); it may be `dst` itself.
+        src: Option<BVec>,
+        /// The coefficient (`scal`, `axpy`, `xpay`).
+        alpha: Option<SRef>,
+    },
+    /// A `dot_many` of `pairs` pairs, handed to `emit` beside the op
+    /// with their result slots.
+    Dots {
+        /// Number of pairs.
+        pairs: usize,
+    },
+    /// A `scalar_const`, its value handed to `emit` beside the op.
+    Const {
+        /// Result slot.
+        out: SRef,
+    },
+    /// `out ← a op b`.
+    Binop {
+        /// The operation.
+        op: ScalarOp,
+        /// Left operand.
+        a: SRef,
+        /// Right operand.
+        b: SRef,
+        /// Result slot.
+        out: SRef,
+    },
+    /// `out ← op a`.
+    Unop {
+        /// The operation.
+        op: ScalarUnop,
+        /// Operand.
+        a: SRef,
+        /// Result slot.
+        out: SRef,
+    },
+    /// `dst ← A(src)`, or `Aᵀ` when `transpose`.
+    Apply {
+        /// The registered operator set.
+        op: OpHandle,
+        /// The vector written.
+        dst: BVec,
+        /// The vector read.
+        src: BVec,
+        /// Apply the adjoint.
+        transpose: bool,
+    },
+}
+
+/// What the provided op methods know about a backend's handles: each
+/// vector's component lengths, for the operand checks, and the scalar
+/// slot arena. A slot is refcounted by the handles that own it, and a
+/// released one is reused lowest-first, so a solver's per-iteration
+/// allocation pattern settles into a short cycle of result slots and
+/// the arena stays as large as the peak number of live scalars.
+#[derive(Default, Debug)]
+pub struct Handles {
+    vectors: Vec<Vec<u64>>,
+    refs: Vec<usize>,
+    free: BTreeSet<SRef>,
+}
+
+impl Handles {
+    /// Register a vector of `comps`, returning its handle: the
+    /// backend's vectors are numbered in allocation order from 0.
+    pub fn add_vector(&mut self, comps: &[CompSpec]) -> BVec {
+        self.vectors.push(comps.iter().map(|c| c.len).collect());
+        self.vectors.len() - 1
+    }
+
+    /// Scalar slots ever made (the arena's size).
+    pub fn slots(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Scalar slots currently free (no owner left).
+    pub(crate) fn free_slots(&self) -> usize {
+        self.free.len()
+    }
+
+    /// A slot with one owner: the lowest free one, else a new one.
+    fn alloc_slot(&mut self) -> SRef {
+        if let Some(slot) = self.free.pop_first() {
+            self.refs[slot] = 1;
+            slot
+        } else {
+            self.refs.push(1);
+            self.refs.len() - 1
+        }
+    }
+
+    /// Operations that pair pieces positionally need operands with the
+    /// same components.
+    fn check_same_shape(&self, a: BVec, b: BVec, what: &str) {
+        assert_eq!(
+            self.vectors[a], self.vectors[b],
+            "{what} across vectors of different component lengths"
+        );
+    }
+}
+
+/// The one elementwise entry point behind `copy` … `xpay`.
+fn emit_vector<T: Scalar, B: Backend<T> + ?Sized>(
+    b: &mut B,
+    op: VecOp,
+    dst: BVec,
+    src: Option<BVec>,
+    alpha: Option<SRef>,
+) {
+    if let Some(s) = src.filter(|&s| s != dst) {
+        b.handles().check_same_shape(dst, s, op.name());
+    }
+    b.emit(
+        StepOp::Vector {
+            op,
+            dst,
+            src,
+            alpha,
+        },
+        &[],
+        None,
+    );
+}
+
+/// The scalar operations' entry point: take the result slot, emit.
+fn emit_scalar<T: Scalar, B: Backend<T> + ?Sized>(
+    b: &mut B,
+    op: impl FnOnce(SRef) -> StepOp,
+    value: Option<T>,
+) -> SRef {
+    let out = b.handles().alloc_slot();
+    b.emit(op(out), &[], value);
+    out
 }
 
 /// One component of a multi-component vector: its index-space size and
@@ -211,8 +401,14 @@ pub struct BackendFault {
 }
 
 /// The execution backend interface the planner lowers onto.
+///
+/// The task-generating half is written once, as provided methods: each
+/// checks its operands, takes its result slots from [`Handles`], and
+/// hands one [`StepOp`] to [`Backend::emit`]. A backend implements the
+/// required methods only.
 pub trait Backend<T: Scalar>: Send {
-    /// Allocate a zero-initialized multi-component vector.
+    /// Allocate a zero-initialized multi-component vector. Its handle
+    /// is the one [`Handles::add_vector`] returns for `comps`.
     fn alloc_vector(&mut self, comps: &[CompSpec]) -> BVec;
 
     /// Overwrite one component's contents (no-op on the simulation
@@ -226,29 +422,59 @@ pub trait Backend<T: Scalar>: Send {
     /// Register an operator set for use with [`Backend::apply`].
     fn register_operator(&mut self, spec: OpSetSpec<T>) -> OpHandle;
 
+    /// The vector shapes and scalar slot arena the provided op methods
+    /// share.
+    fn handles(&mut self) -> &mut Handles;
+
+    /// Take one task-generating call: record or lower `op`. A
+    /// [`StepOp::Dots`] comes with its `(a, b, result slot)` triples
+    /// in `dots` (empty otherwise), a [`StepOp::Const`] with its value
+    /// in `value` (`None` otherwise). Its result slots exist in
+    /// [`Backend::handles`] already.
+    fn emit(&mut self, op: StepOp, dots: &[(BVec, BVec, SRef)], value: Option<T>);
+
+    /// Force a scalar to a concrete value (the driver waits for it on
+    /// the execution backend, running ready tasks meanwhile; returns
+    /// a placeholder `1.0` on the simulation backend, whose graphs
+    /// are value-independent).
+    fn scalar_get(&mut self, s: SRef) -> T;
+
+    /// Wait for all outstanding work (no-op on the simulation
+    /// backend).
+    fn fence(&mut self);
+
+    /// Downcasting hook so callers holding a `dyn Backend` can reach
+    /// backend-specific functionality (graph extraction, runtime
+    /// statistics).
+    fn as_any(&mut self) -> &mut dyn std::any::Any;
+
     /// `dst ← src` componentwise.
-    fn copy(&mut self, dst: BVec, src: BVec);
+    fn copy(&mut self, dst: BVec, src: BVec) {
+        emit_vector(self, VecOp::Copy, dst, Some(src), None);
+    }
 
     /// `dst ← 0` componentwise. Unlike `scal` by a zero constant,
     /// this is a true overwrite: stale NaN/Inf contents (e.g. a
     /// pooled workspace vector from an aborted solve) do not survive
     /// via `0 · NaN = NaN`.
-    fn set_zero(&mut self, dst: BVec);
-
-    /// Stamp all subsequently issued tasks with a scheduling
-    /// priority (`0` = normal; `>0` routes through the runtime's
-    /// express lanes ahead of the normal backlog). Backends without
-    /// a task runtime ignore it.
-    fn set_task_priority(&mut self, _priority: u8) {}
+    fn set_zero(&mut self, dst: BVec) {
+        emit_vector(self, VecOp::SetZero, dst, None, None);
+    }
 
     /// `dst ← alpha · dst`.
-    fn scal(&mut self, dst: BVec, alpha: SRef);
+    fn scal(&mut self, dst: BVec, alpha: SRef) {
+        emit_vector(self, VecOp::Scal, dst, None, Some(alpha));
+    }
 
     /// `dst ← dst + alpha · src`.
-    fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec);
+    fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
+        emit_vector(self, VecOp::Axpy, dst, Some(src), Some(alpha));
+    }
 
     /// `dst ← src + alpha · dst`.
-    fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec);
+    fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
+        emit_vector(self, VecOp::Xpay, dst, Some(src), Some(alpha));
+    }
 
     /// Inner product across all components: the one-pair case of
     /// [`Backend::dot_many`], so both share one partial order and one
@@ -263,22 +489,68 @@ pub trait Backend<T: Scalar>: Send {
     /// stage, and a pair's partials are accumulated in the same order
     /// whatever else is in the batch, so each result is bitwise
     /// independent of its batch-mates.
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef>;
+    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        let handles = self.handles();
+        let dots: Vec<(BVec, BVec, SRef)> = pairs
+            .iter()
+            .map(|&(a, b)| {
+                handles.check_same_shape(a, b, "dot");
+                (a, b, handles.alloc_slot())
+            })
+            .collect();
+        self.emit(StepOp::Dots { pairs: dots.len() }, &dots, None);
+        dots.iter().map(|&(_, _, s)| s).collect()
+    }
 
     /// Materialize a scalar constant.
-    fn scalar_const(&mut self, v: T) -> SRef;
+    fn scalar_const(&mut self, v: T) -> SRef {
+        emit_scalar(self, |out| StepOp::Const { out }, Some(v))
+    }
 
     /// Deferred scalar arithmetic.
-    fn scalar_binop(&mut self, op: ScalarOp, a: SRef, b: SRef) -> SRef;
+    fn scalar_binop(&mut self, op: ScalarOp, a: SRef, b: SRef) -> SRef {
+        emit_scalar(self, |out| StepOp::Binop { op, a, b, out }, None)
+    }
 
     /// Deferred unary scalar arithmetic.
-    fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef;
+    fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef {
+        emit_scalar(self, |out| StepOp::Unop { op, a, out }, None)
+    }
 
-    /// Force a scalar to a concrete value (the driver waits for it on
-    /// the execution backend, running ready tasks meanwhile; returns
-    /// a placeholder `1.0` on the simulation backend, whose graphs
-    /// are value-independent).
-    fn scalar_get(&mut self, s: SRef) -> T;
+    /// Note an additional owner of scalar `s`.
+    fn scalar_retain(&mut self, s: SRef) {
+        self.handles().refs[s] += 1;
+    }
+
+    /// Drop one owner of scalar `s`; the slot is reused once the count
+    /// reaches zero.
+    fn scalar_release(&mut self, s: SRef) {
+        let h = self.handles();
+        debug_assert!(h.refs[s] > 0, "double release of scalar {s}");
+        h.refs[s] -= 1;
+        if h.refs[s] == 0 {
+            h.free.insert(s);
+        }
+    }
+
+    /// `dst ← A(src)` (or `Aᵀ` when `transpose`), where `A` is the
+    /// registered operator set: zero-fill then accumulate every tile.
+    fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
+        // A tile reads its input while it accumulates its output; in
+        // place they would be the same elements (and the fused
+        // zero-fill would wipe the input first).
+        assert_ne!(dst, src, "apply cannot run in place");
+        let op = StepOp::Apply {
+            op,
+            dst,
+            src,
+            transpose,
+        };
+        self.emit(op, &[], None);
+    }
 
     /// Force several scalars at once, values in argument order. The
     /// default forces them one by one; the execution backend waits
@@ -288,9 +560,11 @@ pub trait Backend<T: Scalar>: Send {
         scalars.iter().map(|&s| self.scalar_get(s)).collect()
     }
 
-    /// `dst ← A(src)` (or `Aᵀ` when `transpose`), where `A` is the
-    /// registered operator set: zero-fill then accumulate every tile.
-    fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool);
+    /// Stamp all subsequently issued tasks with a scheduling
+    /// priority (`0` = normal; `>0` routes through the runtime's
+    /// express lanes ahead of the normal backlog). Backends without
+    /// a task runtime ignore it.
+    fn set_task_priority(&mut self, _priority: u8) {}
 
     /// Mark the start of one solver iteration. Backends that trace may
     /// defer the iteration's tasks until [`Backend::step_end`] so a
@@ -303,22 +577,6 @@ pub trait Backend<T: Scalar>: Send {
     fn step_end(&mut self) -> StepOutcome {
         StepOutcome::Analyzed
     }
-
-    /// Note an additional owner of scalar `s` (slot-pooling backends
-    /// refcount their scalar arena). Default: no-op.
-    fn scalar_retain(&mut self, s: SRef) {
-        let _ = s;
-    }
-
-    /// Drop one owner of scalar `s`; the slot may be reused once the
-    /// count reaches zero. Default: no-op.
-    fn scalar_release(&mut self, s: SRef) {
-        let _ = s;
-    }
-
-    /// Wait for all outstanding work (no-op on the simulation
-    /// backend).
-    fn fence(&mut self);
 
     /// Remove and return the first task failure absorbed since the
     /// last call, re-arming the backend for further work. Backends
@@ -334,11 +592,6 @@ pub trait Backend<T: Scalar>: Send {
     fn set_step_tracing(&mut self, on: bool) {
         let _ = on;
     }
-
-    /// Downcasting hook so callers holding a `dyn Backend` can reach
-    /// backend-specific functionality (graph extraction, runtime
-    /// statistics).
-    fn as_any(&mut self) -> &mut dyn std::any::Any;
 }
 
 #[cfg(test)]
@@ -364,5 +617,31 @@ mod tests {
         let c = CompSpec::blocks(10, 3);
         assert_eq!(c.partition.num_colors(), 3);
         assert!(c.partition.is_complete() && c.partition.is_disjoint());
+    }
+
+    /// `y ← A·y` is refused before either lowering sees it, so both
+    /// backends reject it with the same message.
+    #[test]
+    fn apply_in_place_panics_alike_on_both_backends() {
+        use crate::simbackend::SimBackend;
+        use crate::{ExecBackend, Planner, SOL};
+        use kdr_sparse::{Stencil, StencilOperator};
+        let s = Stencil::lap2d(8, 8);
+        let n = s.unknowns();
+        let machine = kdr_machine::MachineConfig::lassen(1);
+        let backends: [Box<dyn Backend<f64>>; 2] = [
+            Box::new(ExecBackend::<f64>::new(1)),
+            Box::new(SimBackend::<f64>::new(machine)),
+        ];
+        for backend in backends {
+            let mut planner = Planner::new(backend);
+            let d = planner.add_sol_vector(n, Some(Partition::equal_blocks(n, 2)));
+            let r = planner.add_rhs_vector(n, Some(Partition::equal_blocks(n, 2)));
+            planner.add_operator(Arc::new(StencilOperator::<f64>::new(s)), d, r);
+            let in_place = std::panic::AssertUnwindSafe(|| planner.matmul(SOL, SOL));
+            let err = std::panic::catch_unwind(in_place).expect_err("an in-place apply must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("apply cannot run in place"), "{msg}");
+        }
     }
 }

@@ -41,9 +41,12 @@
 //! ## Traced stepping: step programs
 //!
 //! Every task-generating backend call — `copy` … `xpay`, `dot_many`,
-//! the scalar operations, `apply` — is first *recorded* as a small
-//! `StepOp` (an opcode and the handles it was called with) and then
-//! *lowered* into tasks by one function, `ExecBackend::lower`. Outside
+//! the scalar operations, `apply` — reaches this backend as a
+//! [`StepOp`] (an opcode and the handles it was called with), built by
+//! the trait's provided methods in [`crate::backend`], which also take
+//! its result slots from the shared [`Handles`] arena. This backend's
+//! [`Backend::emit`] *records* the op and one function,
+//! `ExecBackend::lower`, *lowers* records into tasks. Outside
 //! a step the two happen back to back and the tasks are submitted
 //! through dependence analysis. Between [`Backend::step_begin`] and
 //! [`Backend::step_end`] the backend only records, and `step_end`
@@ -96,8 +99,8 @@
 //! counts, per-name execute time and spans stay per body.
 //!
 //! Record stability across iterations is what makes the cache hit:
-//! scalars live in a refcounted slot arena (released slots are
-//! reused lowest-first, so a solver's per-iteration allocation
+//! scalars live in the refcounted slot arena of [`Handles`] (released
+//! slots are reused lowest-first, so a solver's per-iteration allocation
 //! pattern settles into a short cycle of result slots), `dot` partial
 //! buffers are pooled per step position rather than freshly
 //! allocated, and the planner's workspace pool hands a rebuilt solver
@@ -105,7 +108,7 @@
 //! partial slots are held as shared `Arc<IntervalSet>`s made once, so
 //! lowering a step copies no interval set.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kdr_index::IntervalSet;
@@ -126,8 +129,8 @@ use kdr_sparse::{
 use parking_lot::Mutex;
 
 use crate::backend::{
-    BVec, Backend, BackendFault, CompSpec, OpHandle, OpSetSpec, SRef, ScalarOp, ScalarUnop,
-    StepOutcome, TileSpec,
+    BVec, Backend, BackendFault, CompSpec, Handles, OpHandle, OpSetSpec, SRef, StepOp, StepOutcome,
+    TileSpec, VecOp,
 };
 use crate::partitioning::extract_tile_triplets;
 
@@ -437,27 +440,7 @@ impl<T: Scalar> Partials<T> {
     }
 }
 
-/// The elementwise vector operations: one task per destination piece.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum VecOp {
-    Copy,
-    SetZero,
-    Scal,
-    Axpy,
-    Xpay,
-}
-
 impl VecOp {
-    fn name(self) -> &'static str {
-        match self {
-            VecOp::Copy => "copy",
-            VecOp::SetZero => "set_zero",
-            VecOp::Scal => "scal",
-            VecOp::Axpy => "axpy",
-            VecOp::Xpay => "xpay",
-        }
-    }
-
     /// The slice kernel a task body calls once per run of its piece:
     /// that run of the destination, the coefficient (`0` without one)
     /// and the same run of the source — `None` when the source is the
@@ -484,57 +467,18 @@ impl VecOp {
     }
 }
 
-/// One task-generating backend call, as its handles: everything its
-/// tasks are a function of, given the backend's registered vectors,
-/// operators, scalar slots and pooled partials buffers. A scalar
-/// result's slot is allocated when the call is recorded, so it is part
-/// of the record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StepOp {
-    Vector {
-        op: VecOp,
-        dst: BVec,
-        src: Option<BVec>,
-        alpha: Option<SRef>,
-    },
-    /// A `dot_many` over the next `pairs` entries of
-    /// [`StepKey::dots`], its partials in pooled buffer `pool` (in a
-    /// fresh one when `None`: a call outside a deferred step).
-    Dots {
-        pairs: usize,
-        pool: Option<usize>,
-    },
-    /// A `scalar_const`; the value is the next entry of
-    /// [`StepRecord::consts`].
-    Const {
-        out: SRef,
-    },
-    Binop {
-        op: ScalarOp,
-        a: SRef,
-        b: SRef,
-        out: SRef,
-    },
-    Unop {
-        op: ScalarUnop,
-        a: SRef,
-        out: SRef,
-    },
-    Apply {
-        op: OpHandle,
-        dst: BVec,
-        src: BVec,
-        transpose: bool,
-    },
-}
-
 /// What a step program is looked up by: the task-generating backend
-/// calls of the step, in order.
+/// calls of the step, in order. A [`StepOp`] is everything its tasks
+/// are a function of, given the backend's registered vectors,
+/// operators, scalar slots and pooled partials buffers: the `k`-th
+/// `Dots` of a deferred step has its partials in pooled buffer `k`, so
+/// the pool index is fixed by the op list too.
 #[derive(Clone, Default, PartialEq)]
 struct StepKey {
     /// Each call with the task priority current when it was made.
     ops: Vec<(u8, StepOp)>,
-    /// `(a, b, result slot)` of every `dot_many` pair, in call order.
+    /// `(a, b, result slot)` of every `dot_many` pair, in call order:
+    /// a `Dots` covers the next `pairs` entries.
     dots: Vec<(BVec, BVec, SRef)>,
 }
 
@@ -598,12 +542,9 @@ pub struct ExecBackend<T: Scalar> {
     priority: u8,
     vectors: Vec<ExecVec<T>>,
     opsets: Vec<ExecOpSet<T>>,
-    /// Scalar slot arena: one single-element buffer per slot.
+    handles: Handles,
+    /// One single-element buffer per slot of the `handles` arena.
     scalars: Vec<Buffer<T>>,
-    /// Live owner count per slot (handles hold the references).
-    scalar_refs: Vec<usize>,
-    /// Zero-refcount slots, reused lowest-first for determinism.
-    scalar_free: BTreeSet<usize>,
     /// Pooled `dot` partial buffers, keyed by call position within a
     /// deferred step.
     dot_partials: Vec<Partials<T>>,
@@ -672,9 +613,8 @@ impl<T: Scalar> ExecBackend<T> {
             priority: 0,
             vectors: Vec::new(),
             opsets: Vec::new(),
+            handles: Handles::default(),
             scalars: Vec::new(),
-            scalar_refs: Vec::new(),
-            scalar_free: BTreeSet::new(),
             dot_partials: Vec::new(),
             dot_seq: 0,
             tracing: true,
@@ -776,7 +716,7 @@ impl<T: Scalar> ExecBackend<T> {
     /// Size of the scalar slot arena (bounded by peak simultaneous
     /// live scalars, not by total scalars ever created).
     pub fn scalar_slots(&self) -> usize {
-        self.scalars.len()
+        self.handles.slots()
     }
 
     /// Number of step programs cached.
@@ -826,8 +766,8 @@ impl<T: Scalar> ExecBackend<T> {
         }
         ExecMetrics {
             runtime: self.rt.metrics(),
-            scalar_slots: self.scalars.len(),
-            scalar_free: self.scalar_free.len(),
+            scalar_slots: self.handles.slots(),
+            scalar_free: self.handles.free_slots(),
             trace_cache_len: self.programs.len(),
             trace_cache_cap: TRACE_CACHE_CAP,
             steps_analyzed: self.steps_analyzed,
@@ -882,7 +822,7 @@ impl<T: Scalar> ExecBackend<T> {
             // lowers to the tasks the program holds.
             #[cfg(debug_assertions)]
             assert!(
-                ShapeSig::of_tasks(&self.lower(step).tasks) == cached.sig,
+                ShapeSig::of_tasks(&self.lower(step, true).tasks) == cached.sig,
                 "a cached step's record no longer lowers to its program's tasks: \
                  something its lowering reads was replaced without ending the epoch"
             );
@@ -899,7 +839,7 @@ impl<T: Scalar> ExecBackend<T> {
             }
         } else if self.programs.len() < TRACE_CACHE_CAP {
             let key = step.key.clone();
-            let lowered = self.lower_recorded();
+            let lowered = self.lower_recorded(true);
             #[cfg(debug_assertions)]
             let sig = ShapeSig::of_tasks(&lowered.tasks);
             return match self.rt.capture_program(lowered.tasks) {
@@ -924,33 +864,15 @@ impl<T: Scalar> ExecBackend<T> {
         }
         // Cache full, or the replay was refused.
         self.record_rt_failure();
-        self.submit_recorded();
+        self.submit_recorded(true);
         StepOutcome::Analyzed
     }
 
-    /// Every task-generating backend call comes through here. Inside
-    /// a deferred step the call is only recorded; anywhere else it is
-    /// lowered and submitted at once.
-    fn emit(&mut self, op: StepOp) {
-        self.step.key.ops.push((self.priority, op));
-        if !self.deferring {
-            self.submit_recorded();
-        }
-    }
-
-    fn emit_vector(&mut self, op: VecOp, dst: BVec, src: Option<BVec>, alpha: Option<SRef>) {
-        self.emit(StepOp::Vector {
-            op,
-            dst,
-            src,
-            alpha,
-        });
-    }
-
     /// Lower what has been recorded and submit it through dependence
-    /// analysis.
-    fn submit_recorded(&mut self) {
-        for task in self.lower_recorded().tasks {
+    /// analysis. `pooled`: the record is (the start of) a deferred
+    /// step, whose `dot_many`s use the pooled partials buffers.
+    fn submit_recorded(&mut self, pooled: bool) {
+        for task in self.lower_recorded(pooled).tasks {
             self.rt
                 .submit(task)
                 .expect("backend tasks always carry a body");
@@ -959,8 +881,8 @@ impl<T: Scalar> ExecBackend<T> {
 
     /// Lower the record into the tasks that will run for it, and
     /// clear it.
-    fn lower_recorded(&mut self) -> Lowered<T> {
-        let lowered = self.lower(&self.step);
+    fn lower_recorded(&mut self, pooled: bool) -> Lowered<T> {
+        let lowered = self.lower(&self.step, pooled);
         self.step.clear();
         if self.in_step {
             self.step_tasks_lowered += lowered.tasks.len() as u64;
@@ -973,7 +895,7 @@ impl<T: Scalar> ExecBackend<T> {
     fn flush_pending(&mut self) {
         if self.deferring {
             self.deferring = false;
-            self.submit_recorded();
+            self.submit_recorded(true);
         }
     }
 
@@ -990,32 +912,17 @@ impl<T: Scalar> ExecBackend<T> {
         self.programs.clear();
     }
 
-    /// Allocate a scalar slot with refcount 1, reusing the
-    /// lowest-numbered free slot when one exists. Reuse is safe while
-    /// old tasks still read the slot: any new write task is ordered
-    /// after them by dependence analysis (or by the recorded trace).
-    fn alloc_slot(&mut self) -> SRef {
-        if let Some(slot) = self.scalar_free.pop_first() {
-            self.scalar_refs[slot] = 1;
-            slot
-        } else {
-            self.scalars.push(Buffer::filled(1, T::ZERO));
-            self.scalar_refs.push(1);
-            self.scalars.len() - 1
-        }
-    }
-
     /// Partial slots one operand of a `dot` takes: one per piece,
     /// empty ones included.
     fn dot_slots(&self, v: BVec) -> usize {
         self.vectors[v].comps.iter().map(|c| c.pieces.len()).sum()
     }
 
-    /// The pool entry for the `dot_many` at the current position of a
-    /// deferred step, holding `total_slots` partials: the buffer every
-    /// step with a `dot_many` of that size at that position shares
-    /// (stable buffer ids keep the step repeatable).
-    fn pooled_partials(&mut self, total_slots: usize) -> usize {
+    /// Ready the pool entry for the `dot_many` at the current position
+    /// of a deferred step to hold `total_slots` partials: the buffer
+    /// every step with a `dot_many` of that size at that position
+    /// shares (stable buffer ids keep the step repeatable).
+    fn pooled_partials(&mut self, total_slots: usize) {
         let idx = self.dot_seq;
         self.dot_seq += 1;
         if idx == self.dot_partials.len() {
@@ -1024,7 +931,6 @@ impl<T: Scalar> ExecBackend<T> {
             self.dot_partials[idx] = Partials::new(total_slots);
             self.new_epoch();
         }
-        idx
     }
 
     /// One `dot_partial` task per non-empty piece of `a · b`, writing
@@ -1043,11 +949,9 @@ impl<T: Scalar> ExecBackend<T> {
         out: &mut Lowered<T>,
     ) {
         let (av, bv) = (&self.vectors[a], &self.vectors[b]);
-        assert_eq!(av.comps.len(), bv.comps.len(), "dot structure mismatch");
         let mut slot = first_slot;
         for (ci, ac) in av.comps.iter().enumerate() {
             let bc = &bv.comps[ci];
-            assert_eq!(ac.buf.len(), bc.buf.len(), "dot component {ci} mismatch");
             for (color, subset) in ac.pieces.iter().enumerate() {
                 let my_slot = slot;
                 slot += 1;
@@ -1095,13 +999,6 @@ impl<T: Scalar> ExecBackend<T> {
         let dvec = &self.vectors[dst];
         for (ci, dcomp) in dvec.comps.iter().enumerate() {
             let scomp = src.map(|s| &self.vectors[s].comps[ci]);
-            if let Some(sc) = scomp {
-                assert_eq!(
-                    sc.buf.len(),
-                    dcomp.buf.len(),
-                    "component {ci} length mismatch"
-                );
-            }
             for (color, subset) in dcomp.pieces.iter().enumerate() {
                 if subset.is_empty() {
                     continue;
@@ -1239,13 +1136,15 @@ impl<T: Scalar> ExecBackend<T> {
     /// Lower a record into its tasks, in call order: the one place a
     /// backend call becomes tasks. Every body is a shared one, so the
     /// result can be submitted as it is or kept as a step program.
-    fn lower(&self, step: &StepRecord<T>) -> Lowered<T> {
+    /// In a `pooled` record (a deferred step) the `k`-th `Dots` keeps
+    /// its partials in pooled buffer `k`; elsewhere in a fresh one.
+    fn lower(&self, step: &StepRecord<T>, pooled: bool) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
             priority: 0,
         };
-        let (mut dots_at, mut consts_at) = (0, 0);
+        let (mut dots_at, mut consts_at, mut pools_at) = (0, 0, 0);
         for &(priority, op) in &step.key.ops {
             out.priority = priority;
             match op {
@@ -1255,9 +1154,10 @@ impl<T: Scalar> ExecBackend<T> {
                     src,
                     alpha,
                 } => self.elementwise(op, dst, src, alpha, &mut out),
-                StepOp::Dots { pairs, pool } => {
+                StepOp::Dots { pairs } => {
+                    let pool = pooled.then_some(pools_at);
                     self.dots(&step.key.dots[dots_at..dots_at + pairs], pool, &mut out);
-                    dots_at += pairs;
+                    (dots_at, pools_at) = (dots_at + pairs, pools_at + 1);
                 }
                 StepOp::Const { out: slot } => {
                     // Reused slots may have in-flight readers, so the
@@ -1329,7 +1229,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 .collect(),
         };
         self.vectors.push(v);
-        self.vectors.len() - 1
+        self.handles.add_vector(comps)
     }
 
     fn fill_component(&mut self, v: BVec, comp: usize, data: &[T]) {
@@ -1429,12 +1329,36 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.opsets.len() - 1
     }
 
-    fn copy(&mut self, dst: BVec, src: BVec) {
-        self.emit_vector(VecOp::Copy, dst, Some(src), None);
+    fn handles(&mut self) -> &mut Handles {
+        &mut self.handles
     }
 
-    fn set_zero(&mut self, dst: BVec) {
-        self.emit_vector(VecOp::SetZero, dst, None, None);
+    /// Every task-generating backend call comes through here. Inside
+    /// a deferred step the call is only recorded; anywhere else it is
+    /// lowered and submitted at once. A `dot_many` is one reduction
+    /// stage: every pair's partial tasks share one partials buffer —
+    /// in a deferred step, the pooled one of its position — and a
+    /// single `dot_reduce` task combines them all. A reused result
+    /// slot may still have readers in flight; the op's write task is
+    /// ordered after them by dependence analysis (or by the recorded
+    /// trace).
+    fn emit(&mut self, op: StepOp, dots: &[(BVec, BVec, SRef)], value: Option<T>) {
+        if let StepOp::Dots { .. } = op {
+            if self.deferring {
+                let total_slots = dots.iter().map(|&(a, _, _)| self.dot_slots(a)).sum();
+                self.pooled_partials(total_slots);
+            }
+            self.note_reduction();
+        }
+        let slots = self.handles.slots();
+        self.scalars
+            .resize_with(slots, || Buffer::filled(1, T::ZERO));
+        self.step.key.dots.extend_from_slice(dots);
+        self.step.consts.extend(value);
+        self.step.key.ops.push((self.priority, op));
+        if !self.deferring {
+            self.submit_recorded(false);
+        }
     }
 
     /// Stamp every task this backend dispatches from now on with a
@@ -1444,60 +1368,6 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// going back to an earlier priority finds the earlier programs.
     fn set_task_priority(&mut self, priority: u8) {
         self.priority = priority;
-    }
-
-    fn scal(&mut self, dst: BVec, alpha: SRef) {
-        self.emit_vector(VecOp::Scal, dst, None, Some(alpha));
-    }
-
-    fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        self.emit_vector(VecOp::Axpy, dst, Some(src), Some(alpha));
-    }
-
-    fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        self.emit_vector(VecOp::Xpay, dst, Some(src), Some(alpha));
-    }
-
-    /// One reduction stage for the whole batch: every pair's partial
-    /// tasks share one pooled partials buffer and a single
-    /// `dot_reduce` task combines them all.
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let pool = self.deferring.then(|| {
-            let total_slots = pairs.iter().map(|&(a, _)| self.dot_slots(a)).sum();
-            self.pooled_partials(total_slots)
-        });
-        let srefs: Vec<SRef> = pairs.iter().map(|_| self.alloc_slot()).collect();
-        let results = pairs.iter().zip(&srefs);
-        let dots = &mut self.step.key.dots;
-        dots.extend(results.map(|(&(a, b), &s)| (a, b, s)));
-        self.note_reduction();
-        self.emit(StepOp::Dots {
-            pairs: pairs.len(),
-            pool,
-        });
-        srefs
-    }
-
-    fn scalar_const(&mut self, v: T) -> SRef {
-        let out = self.alloc_slot();
-        self.step.consts.push(v);
-        self.emit(StepOp::Const { out });
-        out
-    }
-
-    fn scalar_binop(&mut self, op: ScalarOp, a: SRef, b: SRef) -> SRef {
-        let out = self.alloc_slot();
-        self.emit(StepOp::Binop { op, a, b, out });
-        out
-    }
-
-    fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef {
-        let out = self.alloc_slot();
-        self.emit(StepOp::Unop { op, a, out });
-        out
     }
 
     fn scalar_get(&mut self, s: SRef) -> T {
@@ -1534,31 +1404,6 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 vec![T::from_f64(f64::NAN); scalars.len()]
             }
         }
-    }
-
-    fn scalar_retain(&mut self, s: SRef) {
-        self.scalar_refs[s] += 1;
-    }
-
-    fn scalar_release(&mut self, s: SRef) {
-        debug_assert!(self.scalar_refs[s] > 0, "double release of scalar {s}");
-        self.scalar_refs[s] -= 1;
-        if self.scalar_refs[s] == 0 {
-            self.scalar_free.insert(s);
-        }
-    }
-
-    fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
-        // A tile body slices its input and its output; in place they
-        // would be the same elements (and the fused zero-fill would
-        // wipe the input first).
-        assert_ne!(dst, src, "apply cannot run in place");
-        self.emit(StepOp::Apply {
-            op,
-            dst,
-            src,
-            transpose,
-        });
     }
 
     fn step_begin(&mut self) {
@@ -1609,7 +1454,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::OpComponentSpec;
+    use crate::backend::{OpComponentSpec, ScalarOp, ScalarUnop};
     use crate::partitioning::compute_tiles;
     use kdr_sparse::{Csr, KernelChoice, Stencil};
 

@@ -1,19 +1,23 @@
-//! The simulation backend: same operation stream, priced task graph.
+//! The simulation backend: the same operation stream, priced.
 //!
-//! `SimBackend` implements [`Backend`] without touching any data: it
-//! lowers the planner's operation stream into a `kdr-machine`
-//! [`TaskGraph`] whose nodes carry flop/byte costs and processor
-//! placements. Vector pieces are assigned owners by a block
-//! distribution over the machine's processors; cross-node ghost reads
-//! become `Copy` nodes; inner products become partial-compute nodes
-//! plus a latency-bound collective. Dependences (including
-//! write-after-read) are tracked per piece, so the discrete-event
-//! scheduler sees exactly the dataflow a task-oriented runtime would —
-//! in particular, ghost copies for the next matvec float freely and
-//! overlap with unrelated compute, which is the effect the paper's §6
-//! measures.
+//! `SimBackend` is the second lowering of the [`StepOp`] stream the
+//! `Backend` trait's provided methods produce (see [`crate::backend`]):
+//! where the execution backend turns an op into tasks, this one turns
+//! it into `kdr-machine` [`TaskGraph`] nodes carrying flop/byte costs
+//! and processor placements, without touching any data. Its
+//! [`Backend::emit`] is one `match` over `StepOp`. Vector pieces are
+//! assigned owners by a block distribution over the machine's
+//! processors; cross-node ghost reads become `Copy` nodes; inner
+//! products become partial-compute nodes plus a latency-bound
+//! collective. Dependences (including write-after-read) are tracked
+//! per piece, so the discrete-event scheduler sees exactly the
+//! dataflow a task-oriented runtime would — in particular, ghost copies
+//! for the next matvec float freely and overlap with unrelated compute,
+//! which is the effect the paper's §6 measures. In bulk-synchronous
+//! mode the same lowering closes every op with a phase barrier.
 //!
-//! Scalars have no values here: `scalar_get` returns `1.0`
+//! Scalars have no values here: a scalar slot of the shared arena maps
+//! to the graph node that produces it, and `scalar_get` returns `1.0`
 //! (documented placeholder) — simulated solver runs must use fixed
 //! iteration counts, exactly like the paper's fixed 500-iteration
 //! benchmark protocol.
@@ -23,7 +27,7 @@ use std::marker::PhantomData;
 use kdr_machine::{MachineConfig, ProcId, SimNodeId, TaskGraph};
 use kdr_sparse::Scalar;
 
-use crate::backend::{BVec, Backend, CompSpec, OpHandle, OpSetSpec, SRef, ScalarOp, ScalarUnop};
+use crate::backend::{BVec, Backend, CompSpec, Handles, OpHandle, OpSetSpec, SRef, StepOp, VecOp};
 
 #[derive(Default, Clone)]
 struct PieceState {
@@ -55,11 +59,27 @@ struct SimOpSet {
     tiles: Vec<SimTile>,
 }
 
+impl VecOp {
+    /// `(flops, vector-stream accesses)` per element: the price of
+    /// every elementwise op.
+    fn cost(self) -> (f64, f64) {
+        match self {
+            VecOp::Copy => (0.0, 2.0),
+            VecOp::SetZero => (0.0, 1.0),
+            VecOp::Scal => (1.0, 2.0),
+            VecOp::Axpy | VecOp::Xpay => (2.0, 3.0),
+        }
+    }
+}
+
 /// Graph-building backend for large-scale simulated experiments.
 pub struct SimBackend<T> {
     machine: MachineConfig,
     graph: TaskGraph,
     vectors: Vec<SimVec>,
+    handles: Handles,
+    /// The node producing each slot's current scalar (`None` for a
+    /// constant), by slot of the `handles` arena.
     scalars: Vec<Option<SimNodeId>>,
     opsets: Vec<SimOpSet>,
     /// Stored bytes per matrix entry beyond the value itself (CSR
@@ -87,6 +107,7 @@ impl<T: Scalar> SimBackend<T> {
             machine,
             graph: TaskGraph::new(),
             vectors: Vec::new(),
+            handles: Handles::default(),
             scalars: Vec::new(),
             opsets: Vec::new(),
             index_bytes: 8.0,
@@ -210,7 +231,7 @@ impl<T: Scalar> SimBackend<T> {
 
     /// Dependences for writing a piece: after its last writer and all
     /// readers since (WAW + WAR); resets reader list.
-    fn write_deps(state: &mut PieceState, _node_placeholder: ()) -> Vec<SimNodeId> {
+    fn write_deps(state: &mut PieceState) -> Vec<SimNodeId> {
         let mut deps: Vec<SimNodeId> = state.readers.drain(..).collect();
         if let Some(w) = state.last_writer {
             deps.push(w);
@@ -223,7 +244,21 @@ impl<T: Scalar> SimBackend<T> {
         state.last_writer.into_iter().collect()
     }
 
-    /// Emit one elementwise op over `dst` (optionally reading `src`),
+    /// `(component, colour, length, owner)` of every non-empty piece
+    /// of `v`, in component-then-colour order.
+    fn pieces(&self, v: BVec) -> Vec<(usize, usize, u64, ProcId)> {
+        let mut out = Vec::new();
+        for (ci, c) in self.vectors[v].comps.iter().enumerate() {
+            for (color, (&len, &owner)) in c.piece_lens.iter().zip(&c.owners).enumerate() {
+                if len > 0 {
+                    out.push((ci, color, len, owner));
+                }
+            }
+        }
+        out
+    }
+
+    /// Price one elementwise op over `dst` (optionally reading `src`);
     /// `traffic` counts vector-stream accesses per element.
     fn elementwise(
         &mut self,
@@ -236,57 +271,244 @@ impl<T: Scalar> SimBackend<T> {
     ) {
         let eb = self.elem_bytes();
         let alpha_dep: Vec<SimNodeId> = alpha.and_then(|a| self.scalars[a]).into_iter().collect();
-        let ncomps = self.vectors[dst].comps.len();
         if let Some(s) = src {
             // Elementwise ops pair pieces positionally; mixing vectors
-            // with different component/piece structures would corrupt
-            // the dependence bookkeeping.
-            assert_eq!(
-                self.vectors[s].comps.len(),
-                ncomps,
-                "elementwise op across mismatched component structures"
-            );
-            for ci in 0..ncomps {
+            // with different piece structures would corrupt the
+            // dependence bookkeeping (the provided op methods already
+            // checked the component lengths).
+            let comps = self.vectors[s].comps.iter().zip(&self.vectors[dst].comps);
+            for (ci, (sc, dc)) in comps.enumerate() {
                 assert_eq!(
-                    self.vectors[s].comps[ci].piece_lens, self.vectors[dst].comps[ci].piece_lens,
+                    sc.piece_lens, dc.piece_lens,
                     "elementwise op across mismatched partitions (component {ci})"
                 );
             }
         }
-        for ci in 0..ncomps {
-            let ncolors = self.vectors[dst].comps[ci].piece_lens.len();
-            for color in 0..ncolors {
-                let len = self.vectors[dst].comps[ci].piece_lens[color];
-                if len == 0 {
-                    continue;
-                }
-                let owner = self.vectors[dst].comps[ci].owners[color];
-                let mut deps = alpha_dep.clone();
+        for (ci, color, len, owner) in self.pieces(dst) {
+            let mut deps = alpha_dep.clone();
+            deps.extend(self.phase_deps());
+            if let Some(s) = src {
+                deps.extend(Self::read_deps(&self.vectors[s].comps[ci].state[color]));
+            }
+            deps.extend(Self::write_deps(
+                &mut self.vectors[dst].comps[ci].state[color],
+            ));
+            deps.sort_unstable();
+            deps.dedup();
+            let node = self.graph.compute(
+                owner,
+                flops_per_elem * len as f64,
+                traffic * eb * len as f64,
+                label,
+                deps,
+            );
+            self.phase_node(node);
+            self.vectors[dst].comps[ci].state[color].last_writer = Some(node);
+            if let Some(s) = src {
+                self.vectors[s].comps[ci].state[color].readers.push(node);
+            }
+        }
+        self.close_phase();
+    }
+
+    /// A `dot_many`: one partial node per non-empty piece of every
+    /// pair, each result slot produced by the batch's collective.
+    fn price_dots(&mut self, dots: &[(BVec, BVec, SRef)]) {
+        // All pairs' partial nodes feed ONE all-reduce collective —
+        // the fused batch costs a single communication stage, which
+        // is exactly what the fusion buys on real machines.
+        let eb = self.elem_bytes();
+        let mut partials = Vec::new();
+        for &(a, b, _) in dots {
+            for (ci, color, len, owner) in self.pieces(a) {
+                let mut deps = Self::read_deps(&self.vectors[a].comps[ci].state[color]);
+                deps.extend(Self::read_deps(&self.vectors[b].comps[ci].state[color]));
                 deps.extend(self.phase_deps());
-                if let Some(s) = src {
-                    deps.extend(Self::read_deps(&self.vectors[s].comps[ci].state[color]));
-                }
-                deps.extend(Self::write_deps(
-                    &mut self.vectors[dst].comps[ci].state[color],
-                    (),
-                ));
                 deps.sort_unstable();
                 deps.dedup();
                 let node = self.graph.compute(
                     owner,
-                    flops_per_elem * len as f64,
-                    traffic * eb * len as f64,
-                    label,
+                    2.0 * len as f64,
+                    2.0 * eb * len as f64,
+                    "dot_partial",
+                    deps,
+                );
+                self.vectors[a].comps[ci].state[color].readers.push(node);
+                self.vectors[b].comps[ci].state[color].readers.push(node);
+                partials.push(node);
+            }
+        }
+        // The payload grows with the pair count, the latency is paid
+        // once.
+        let col = self.graph.collective(
+            self.machine.nodes,
+            eb * dots.len() as f64,
+            "dot_allreduce",
+            partials,
+        );
+        // In bulk-sync mode the blocking all-reduce *is* the phase
+        // boundary: everything after the dot waits for it.
+        if self.bulk_sync {
+            self.phase_nodes.clear();
+            self.phase_barrier = Some(col);
+        }
+        for &(_, _, s) in dots {
+            self.scalars[s] = Some(col);
+        }
+    }
+
+    /// `dst ← A(src)`: ghost copies and one node per tile, the fused
+    /// zero-fill priced into each piece's first tile; `Aᵀ` computes
+    /// at the rhs-side owner and scatters partial results back.
+    fn price_apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
+        let eb = self.elem_bytes();
+        // Out of the way of the graph and piece-state updates below.
+        let tiles = std::mem::take(&mut self.opsets[op].tiles);
+        if !transpose {
+            // Zero-fill fusion: the first tile writing a piece carries
+            // the β = 0 semantics (the standard fused SpMV kernel), so
+            // no separate zero pass exists and its memory traffic is
+            // one write of y instead of zero-write + read + write.
+            // Pieces no tile touches still need an explicit zero (the
+            // paper's eq. 8 empty sum).
+            let mut first_write: std::collections::HashSet<(usize, usize)> =
+                std::collections::HashSet::new();
+            // Pass 1: ghost copies for every tile (the halo-exchange
+            // phase of a bulk-synchronous library; free-floating
+            // dataflow in the task-oriented model).
+            let mut tile_deps: Vec<Vec<SimNodeId>> = Vec::with_capacity(tiles.len());
+            for t in &tiles {
+                let owner = self.vectors[dst].comps[t.rhs_comp].owners[t.range_color];
+                let mut deps = self.phase_deps();
+                for &(c, len) in &t.in_by_color {
+                    let src_owner = self.vectors[src].comps[t.sol_comp].owners[c];
+                    let mut rdeps = Self::read_deps(&self.vectors[src].comps[t.sol_comp].state[c]);
+                    rdeps.extend(self.phase_deps());
+                    if src_owner.node != owner.node {
+                        let cp = self.graph.copy(
+                            src_owner.node,
+                            owner.node,
+                            eb * len as f64,
+                            "ghost_copy",
+                            rdeps,
+                        );
+                        self.phase_node(cp);
+                        self.vectors[src].comps[t.sol_comp].state[c]
+                            .readers
+                            .push(cp);
+                        deps.push(cp);
+                    } else {
+                        deps.extend(rdeps);
+                    }
+                }
+                tile_deps.push(deps);
+            }
+            self.close_phase();
+            // Pass 2: tile computes.
+            for (t, mut deps) in tiles.iter().zip(tile_deps) {
+                let (rhs_comp, range_color) = (t.rhs_comp, t.range_color);
+                let owner = self.vectors[dst].comps[rhs_comp].owners[range_color];
+                deps.extend(self.phase_deps());
+                deps.extend(Self::write_deps(
+                    &mut self.vectors[dst].comps[rhs_comp].state[range_color],
+                ));
+                deps.sort_unstable();
+                deps.dedup();
+                // Fused first write (β = 0) avoids reading y back.
+                let y_accesses = if first_write.insert((rhs_comp, range_color)) {
+                    1
+                } else {
+                    2
+                };
+                let node = self.graph.compute(
+                    owner,
+                    2.0 * t.nnz as f64,
+                    t.nnz as f64 * (eb + self.index_bytes)
+                        + eb * (t.in_total + y_accesses * t.out_len) as f64,
+                    "spmv_tile",
                     deps,
                 );
                 self.phase_node(node);
+                self.vectors[dst].comps[rhs_comp].state[range_color].last_writer = Some(node);
+                let sol = &mut self.vectors[src].comps[t.sol_comp];
+                for &(c, _) in &t.in_by_color {
+                    if sol.owners[c].node == owner.node {
+                        sol.state[c].readers.push(node);
+                    }
+                }
+            }
+            // Pieces untouched by any tile are an empty sum: zero them
+            // explicitly.
+            for (ci, color, len, owner) in self.pieces(dst) {
+                if first_write.contains(&(ci, color)) {
+                    continue;
+                }
+                let mut deps = self.phase_deps();
+                deps.extend(Self::write_deps(
+                    &mut self.vectors[dst].comps[ci].state[color],
+                ));
+                let node = self
+                    .graph
+                    .compute(owner, 0.0, eb * len as f64, "apply_zero", deps);
+                self.phase_node(node);
                 self.vectors[dst].comps[ci].state[color].last_writer = Some(node);
-                if let Some(s) = src {
-                    self.vectors[s].comps[ci].state[color].readers.push(node);
+            }
+        } else {
+            // Adjoint path: scatter-accumulation reads the destination,
+            // so an explicit zero pass is required.
+            self.elementwise("apply_zero", dst, None, None, 0.0, 1.0);
+            for t in &tiles {
+                // Adjoint: the tile computes at the matrix owner's
+                // node (co-located with the rhs-side piece), then
+                // scatters partial results back to each sol piece.
+                let rhs_piece = &self.vectors[src].comps[t.rhs_comp];
+                let owner = rhs_piece.owners[t.range_color];
+                let mut deps = Self::read_deps(&rhs_piece.state[t.range_color]);
+                deps.extend(self.phase_deps());
+                deps.sort_unstable();
+                deps.dedup();
+                let compute = self.graph.compute(
+                    owner,
+                    2.0 * t.nnz as f64,
+                    t.nnz as f64 * (eb + self.index_bytes) + eb * (t.in_total + t.out_len) as f64,
+                    "spmv_t_tile",
+                    deps,
+                );
+                self.vectors[src].comps[t.rhs_comp].state[t.range_color]
+                    .readers
+                    .push(compute);
+                for &(c, len) in &t.in_by_color {
+                    let dst_owner = self.vectors[dst].comps[t.sol_comp].owners[c];
+                    let dep = if dst_owner.node != owner.node {
+                        self.graph.copy(
+                            owner.node,
+                            dst_owner.node,
+                            eb * len as f64,
+                            "scatter_copy",
+                            vec![compute],
+                        )
+                    } else {
+                        compute
+                    };
+                    let mut wdeps =
+                        Self::write_deps(&mut self.vectors[dst].comps[t.sol_comp].state[c]);
+                    wdeps.push(dep);
+                    wdeps.sort_unstable();
+                    wdeps.dedup();
+                    let accum = self.graph.compute(
+                        dst_owner,
+                        len as f64,
+                        3.0 * eb * len as f64,
+                        "scatter_accum",
+                        wdeps,
+                    );
+                    self.phase_node(accum);
+                    self.vectors[dst].comps[t.sol_comp].state[c].last_writer = Some(accum);
                 }
             }
         }
         self.close_phase();
+        self.opsets[op].tiles = tiles;
     }
 }
 
@@ -307,7 +529,7 @@ impl<T: Scalar> Backend<T> for SimBackend<T> {
                 .collect(),
         };
         self.vectors.push(v);
-        self.vectors.len() - 1
+        self.handles.add_vector(comps)
     }
 
     fn fill_component(&mut self, _v: BVec, _comp: usize, _data: &[T]) {
@@ -342,290 +564,50 @@ impl<T: Scalar> Backend<T> for SimBackend<T> {
         self.opsets.len() - 1
     }
 
-    fn copy(&mut self, dst: BVec, src: BVec) {
-        self.elementwise("copy", dst, Some(src), None, 0.0, 2.0);
+    fn handles(&mut self) -> &mut Handles {
+        &mut self.handles
     }
 
-    fn scal(&mut self, dst: BVec, alpha: SRef) {
-        self.elementwise("scal", dst, None, Some(alpha), 1.0, 2.0);
-    }
-
-    fn set_zero(&mut self, dst: BVec) {
-        self.elementwise("set_zero", dst, None, None, 0.0, 1.0);
-    }
-
-    fn axpy(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        self.elementwise("axpy", dst, Some(src), Some(alpha), 2.0, 3.0);
-    }
-
-    fn xpay(&mut self, dst: BVec, alpha: SRef, src: BVec) {
-        self.elementwise("xpay", dst, Some(src), Some(alpha), 2.0, 3.0);
-    }
-
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        // All pairs' partial nodes feed ONE all-reduce collective —
-        // the fused batch costs a single communication stage, which
-        // is exactly what the fusion buys on real machines.
-        let eb = self.elem_bytes();
-        let mut partials = Vec::new();
-        for &(a, b) in pairs {
-            let ncomps = self.vectors[a].comps.len();
-            for ci in 0..ncomps {
-                let ncolors = self.vectors[a].comps[ci].piece_lens.len();
-                for color in 0..ncolors {
-                    let len = self.vectors[a].comps[ci].piece_lens[color];
-                    if len == 0 {
-                        continue;
-                    }
-                    let owner = self.vectors[a].comps[ci].owners[color];
-                    let mut deps = Self::read_deps(&self.vectors[a].comps[ci].state[color]);
-                    deps.extend(Self::read_deps(&self.vectors[b].comps[ci].state[color]));
-                    deps.extend(self.phase_deps());
-                    deps.sort_unstable();
-                    deps.dedup();
-                    let node = self.graph.compute(
-                        owner,
-                        2.0 * len as f64,
-                        2.0 * eb * len as f64,
-                        "dot_partial",
-                        deps,
-                    );
-                    self.vectors[a].comps[ci].state[color].readers.push(node);
-                    self.vectors[b].comps[ci].state[color].readers.push(node);
-                    partials.push(node);
-                }
+    /// Price one op: the simulator's whole lowering.
+    fn emit(&mut self, op: StepOp, dots: &[(BVec, BVec, SRef)], _value: Option<T>) {
+        self.scalars.resize(self.handles.slots(), None);
+        match op {
+            StepOp::Vector {
+                op,
+                dst,
+                src,
+                alpha,
+            } => {
+                let (flops, traffic) = op.cost();
+                self.elementwise(op.name(), dst, src, alpha, flops, traffic);
             }
+            StepOp::Dots { .. } => self.price_dots(dots),
+            StepOp::Const { out } => self.scalars[out] = None,
+            StepOp::Binop { a, b, out, .. } => {
+                let deps: Vec<SimNodeId> = [self.scalars[a], self.scalars[b]]
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                self.scalars[out] = if deps.is_empty() {
+                    None
+                } else {
+                    Some(self.graph.barrier(deps, "scalar_op"))
+                };
+            }
+            StepOp::Unop { a, out, .. } => self.scalars[out] = self.scalars[a],
+            StepOp::Apply {
+                op,
+                dst,
+                src,
+                transpose,
+            } => self.price_apply(op, dst, src, transpose),
         }
-        // The payload grows with the pair count, the latency is paid
-        // once.
-        let col = self.graph.collective(
-            self.machine.nodes,
-            eb * pairs.len() as f64,
-            "dot_allreduce",
-            partials,
-        );
-        // In bulk-sync mode the blocking all-reduce *is* the phase
-        // boundary: everything after the dot waits for it.
-        if self.bulk_sync {
-            self.phase_nodes.clear();
-            self.phase_barrier = Some(col);
-        }
-        pairs
-            .iter()
-            .map(|_| {
-                self.scalars.push(Some(col));
-                self.scalars.len() - 1
-            })
-            .collect()
-    }
-
-    fn scalar_const(&mut self, _v: T) -> SRef {
-        self.scalars.push(None);
-        self.scalars.len() - 1
-    }
-
-    fn scalar_binop(&mut self, _op: ScalarOp, a: SRef, b: SRef) -> SRef {
-        let deps: Vec<SimNodeId> = [self.scalars[a], self.scalars[b]]
-            .into_iter()
-            .flatten()
-            .collect();
-        let node = if deps.is_empty() {
-            None
-        } else {
-            Some(self.graph.barrier(deps, "scalar_op"))
-        };
-        self.scalars.push(node);
-        self.scalars.len() - 1
-    }
-
-    fn scalar_unop(&mut self, _op: ScalarUnop, a: SRef) -> SRef {
-        self.scalars.push(self.scalars[a]);
-        self.scalars.len() - 1
     }
 
     fn scalar_get(&mut self, _s: SRef) -> T {
         // Placeholder: simulated graphs are value-independent. Run
         // simulated solves with fixed iteration counts.
         T::ONE
-    }
-
-    fn apply(&mut self, op: OpHandle, dst: BVec, src: BVec, transpose: bool) {
-        let eb = self.elem_bytes();
-        let ntiles = self.opsets[op].tiles.len();
-        if !transpose {
-            // Zero-fill fusion: the first tile writing a piece carries
-            // the β = 0 semantics (the standard fused SpMV kernel), so
-            // no separate zero pass exists and its memory traffic is
-            // one write of y instead of zero-write + read + write.
-            // Pieces no tile touches still need an explicit zero (the
-            // paper's eq. 8 empty sum).
-            let mut first_write: std::collections::HashSet<(usize, usize)> =
-                std::collections::HashSet::new();
-            // Pass 1: ghost copies for every tile (the halo-exchange
-            // phase of a bulk-synchronous library; free-floating
-            // dataflow in the task-oriented model).
-            let mut tile_deps: Vec<Vec<SimNodeId>> = Vec::with_capacity(ntiles);
-            for ti in 0..ntiles {
-                let tile = &self.opsets[op].tiles[ti];
-                let (rhs_comp, sol_comp, range_color) =
-                    (tile.rhs_comp, tile.sol_comp, tile.range_color);
-                let in_by_color = tile.in_by_color.clone();
-                let owner = self.vectors[dst].comps[rhs_comp].owners[range_color];
-                let mut deps = self.phase_deps();
-                for &(c, len) in &in_by_color {
-                    let src_owner = self.vectors[src].comps[sol_comp].owners[c];
-                    let mut rdeps = Self::read_deps(&self.vectors[src].comps[sol_comp].state[c]);
-                    rdeps.extend(self.phase_deps());
-                    if src_owner.node != owner.node {
-                        let cp = self.graph.copy(
-                            src_owner.node,
-                            owner.node,
-                            eb * len as f64,
-                            "ghost_copy",
-                            rdeps,
-                        );
-                        self.phase_node(cp);
-                        self.vectors[src].comps[sol_comp].state[c].readers.push(cp);
-                        deps.push(cp);
-                    } else {
-                        deps.extend(rdeps);
-                    }
-                }
-                tile_deps.push(deps);
-            }
-            self.close_phase();
-            // Pass 2: tile computes.
-            for (ti, td) in tile_deps.iter_mut().enumerate().take(ntiles) {
-                let tile = &self.opsets[op].tiles[ti];
-                let (nnz, out_len, in_total) = (tile.nnz, tile.out_len, tile.in_total);
-                let (rhs_comp, sol_comp, range_color) =
-                    (tile.rhs_comp, tile.sol_comp, tile.range_color);
-                let in_by_color = tile.in_by_color.clone();
-                let owner = self.vectors[dst].comps[rhs_comp].owners[range_color];
-                let mut deps = std::mem::take(td);
-                deps.extend(self.phase_deps());
-                deps.extend(Self::write_deps(
-                    &mut self.vectors[dst].comps[rhs_comp].state[range_color],
-                    (),
-                ));
-                deps.sort_unstable();
-                deps.dedup();
-                // Fused first write (β = 0) avoids reading y back.
-                let y_accesses = if first_write.insert((rhs_comp, range_color)) {
-                    1
-                } else {
-                    2
-                };
-                let node = self.graph.compute(
-                    owner,
-                    2.0 * nnz as f64,
-                    nnz as f64 * (eb + self.index_bytes)
-                        + eb * (in_total + y_accesses * out_len) as f64,
-                    "spmv_tile",
-                    deps,
-                );
-                self.phase_node(node);
-                self.vectors[dst].comps[rhs_comp].state[range_color].last_writer = Some(node);
-                for &(c, _) in &in_by_color {
-                    if self.vectors[src].comps[sol_comp].owners[c].node == owner.node {
-                        self.vectors[src].comps[sol_comp].state[c]
-                            .readers
-                            .push(node);
-                    }
-                }
-            }
-            // Pieces untouched by any tile are an empty sum: zero them
-            // explicitly.
-            let ncomps = self.vectors[dst].comps.len();
-            for ci in 0..ncomps {
-                let ncolors = self.vectors[dst].comps[ci].piece_lens.len();
-                for color in 0..ncolors {
-                    if first_write.contains(&(ci, color)) {
-                        continue;
-                    }
-                    let len = self.vectors[dst].comps[ci].piece_lens[color];
-                    if len == 0 {
-                        continue;
-                    }
-                    let owner = self.vectors[dst].comps[ci].owners[color];
-                    let mut deps = self.phase_deps();
-                    deps.extend(Self::write_deps(
-                        &mut self.vectors[dst].comps[ci].state[color],
-                        (),
-                    ));
-                    let node = self
-                        .graph
-                        .compute(owner, 0.0, eb * len as f64, "apply_zero", deps);
-                    self.phase_node(node);
-                    self.vectors[dst].comps[ci].state[color].last_writer = Some(node);
-                }
-            }
-            self.close_phase();
-            return;
-        }
-        // Adjoint path: scatter-accumulation reads the destination, so
-        // an explicit zero pass is required.
-        self.elementwise("apply_zero", dst, None, None, 0.0, 1.0);
-        for ti in 0..ntiles {
-            let tile = &self.opsets[op].tiles[ti];
-            let (nnz, out_len, in_total) = (tile.nnz, tile.out_len, tile.in_total);
-            let (rhs_comp, sol_comp, range_color) =
-                (tile.rhs_comp, tile.sol_comp, tile.range_color);
-            let in_by_color = tile.in_by_color.clone();
-            {
-                // Adjoint: the tile computes at the matrix owner's
-                // node (co-located with the rhs-side piece), then
-                // scatters partial results back to each sol piece.
-                let owner = self.vectors[src].comps[rhs_comp].owners[range_color];
-                let mut deps =
-                    Self::read_deps(&self.vectors[src].comps[rhs_comp].state[range_color]);
-                deps.extend(self.phase_deps());
-                deps.sort_unstable();
-                deps.dedup();
-                let compute = self.graph.compute(
-                    owner,
-                    2.0 * nnz as f64,
-                    nnz as f64 * (eb + self.index_bytes) + eb * (in_total + out_len) as f64,
-                    "spmv_t_tile",
-                    deps,
-                );
-                self.vectors[src].comps[rhs_comp].state[range_color]
-                    .readers
-                    .push(compute);
-                for &(c, len) in &in_by_color {
-                    let dst_owner = self.vectors[dst].comps[sol_comp].owners[c];
-                    let dep = if dst_owner.node != owner.node {
-                        self.graph.copy(
-                            owner.node,
-                            dst_owner.node,
-                            eb * len as f64,
-                            "scatter_copy",
-                            vec![compute],
-                        )
-                    } else {
-                        compute
-                    };
-                    let mut wdeps =
-                        Self::write_deps(&mut self.vectors[dst].comps[sol_comp].state[c], ());
-                    wdeps.push(dep);
-                    wdeps.sort_unstable();
-                    wdeps.dedup();
-                    let accum = self.graph.compute(
-                        dst_owner,
-                        len as f64,
-                        3.0 * eb * len as f64,
-                        "scatter_accum",
-                        wdeps,
-                    );
-                    self.phase_node(accum);
-                    self.vectors[dst].comps[sol_comp].state[c].last_writer = Some(accum);
-                }
-            }
-        }
-        self.close_phase();
     }
 
     fn fence(&mut self) {
@@ -792,6 +774,43 @@ mod tests {
         let t_async = simulate(&async_g, &m, None).makespan;
         let t_sync = simulate(&sync_g, &m, None).makespan;
         assert!(t_sync >= t_async);
+    }
+
+    /// The one cost table behind every elementwise op, in flops and
+    /// vector accesses per element, on one non-empty piece.
+    #[test]
+    fn elementwise_cost_table() {
+        use kdr_machine::SimWork;
+        let n = 1000u64;
+        let cases = [
+            (VecOp::Copy, "copy", 0.0, 2.0),
+            (VecOp::Scal, "scal", 1.0, 2.0),
+            (VecOp::SetZero, "set_zero", 0.0, 1.0),
+            (VecOp::Axpy, "axpy", 2.0, 3.0),
+            (VecOp::Xpay, "xpay", 2.0, 3.0),
+        ];
+        for (op, label, flops_per_elem, accesses) in cases {
+            let mut b = SimBackend::<f64>::new(machine());
+            let cs = CompSpec::blocks(n, 1);
+            let x = b.alloc_vector(std::slice::from_ref(&cs));
+            let y = b.alloc_vector(std::slice::from_ref(&cs));
+            let alpha = b.scalar_const(2.0);
+            match op {
+                VecOp::Copy => b.copy(y, x),
+                VecOp::SetZero => b.set_zero(y),
+                VecOp::Scal => b.scal(y, alpha),
+                VecOp::Axpy => b.axpy(y, alpha, x),
+                VecOp::Xpay => b.xpay(y, alpha, x),
+            }
+            let nodes = b.graph().nodes();
+            assert_eq!(nodes.len(), 1, "{label}");
+            assert_eq!(nodes[0].label, label);
+            let SimWork::Compute { flops, bytes, .. } = nodes[0].work else {
+                panic!("{label} is not a compute node");
+            };
+            assert_eq!(flops, flops_per_elem * n as f64, "{label} flops");
+            assert_eq!(bytes, accesses * 8.0 * n as f64, "{label} bytes");
+        }
     }
 
     #[test]

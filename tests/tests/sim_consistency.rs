@@ -285,40 +285,36 @@ fn gmres_shape_changes_fall_back_to_analyzed_and_stay_correct() {
 
 /// The scalar slot arena is bounded by peak liveness, not iteration
 /// count: 1,000 CG steps must not grow it (the seed leaked one slot
-/// per scalar op forever).
+/// per scalar op forever). The arena is the `Backend` trait's, so the
+/// simulator's scalar table is bounded alike.
 #[test]
 fn scalar_arena_stays_bounded_over_thousand_steps() {
     let s = Stencil::lap2d(12, 12);
-    let mut planner = exec_planner(s, 2, true);
-    let mut solver = CgSolver::new(&mut planner);
-    let slots = |p: &mut Planner<f64>| {
-        p.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<ExecBackend<f64>>()
-                .unwrap()
-                .scalar_slots()
-        })
-    };
-    // Warm up, then the arena must stop growing entirely.
-    for _ in 0..10 {
-        planner.step_begin();
-        solver.step(&mut planner);
-        planner.step_end();
+    let sim = SimBackend::<f64>::new(MachineConfig::lassen(4).legion_profile());
+    for mut planner in [exec_planner(s, 2, true), stencil_planner(sim, s, 2)] {
+        let mut solver = CgSolver::new(&mut planner);
+        let slots = |p: &mut Planner<f64>| p.with_backend(|b| b.handles().slots());
+        // Warm up, then the arena must stop growing entirely.
+        for _ in 0..10 {
+            planner.step_begin();
+            solver.step(&mut planner);
+            planner.step_end();
+        }
+        let after_warmup = slots(&mut planner);
+        for _ in 0..990 {
+            planner.step_begin();
+            solver.step(&mut planner);
+            planner.step_end();
+        }
+        planner.fence();
+        let after = slots(&mut planner);
+        assert_eq!(
+            after_warmup, after,
+            "scalar arena grew from {after_warmup} to {after} over 1,000 steps"
+        );
+        assert!(after < 32, "arena unexpectedly large: {after}");
+        drop(solver);
     }
-    let after_warmup = slots(&mut planner);
-    for _ in 0..990 {
-        planner.step_begin();
-        solver.step(&mut planner);
-        planner.step_end();
-    }
-    planner.fence();
-    let after = slots(&mut planner);
-    assert_eq!(
-        after_warmup, after,
-        "scalar arena grew from {after_warmup} to {after} over 1,000 steps"
-    );
-    assert!(after < 32, "arena unexpectedly large: {after}");
-    drop(solver);
 }
 
 /// The Trilinos profile prices identical graphs higher than PETSc
