@@ -8,7 +8,7 @@
 //! (matrix-free operators are asked to enumerate their entries
 //! exactly once) and *lowered* into format-specialized kernels:
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
-//! register-blocked BCSR, or the row-sorted CSR fallback (see
+//! register-blocked BCSR, or the CSR fallback, rows stored by length (see
 //! [`kdr_sparse::tile`]), overridable per opset through
 //! [`OpSetSpec::kernel_choice`]. A component registered by stencil
 //! *descriptor* is not extracted at all: each of its tiles is the

@@ -22,7 +22,19 @@
 //! column of every row that does not lower to `dia`, are still the
 //! d548998 constants.
 //!
+//! A second payload has changed by design since: PR 27 stores a
+//! [`CsrTile`]'s rows by entry count, rows of equal length by ascending
+//! row id, and gives it `by_row`, the stored index of each row in row
+//! order. What a CSR payload *holds* was re-captured at that commit —
+//! `auto_fnv` of the rows that lower to `csr` (every scatter row), and
+//! `forced_fnv` of every row, since the forced CSR payload is part of
+//! it. What registration *decides* was not: `kind`, `nnz`,
+//! `value_bytes`, `key`, `out_runs`, `in_runs` and `footprint_fnv` of
+//! every row, and `auto_fnv` of every `dia` row, are as they were
+//! before it.
+//!
 //! [`DiaTile`]: kdr_sparse::tile::DiaTile
+//! [`CsrTile`]: kdr_sparse::tile::CsrTile
 //!
 //! On a mismatch the failure message is the full table in source form.
 
@@ -76,6 +88,7 @@ fn payload(h: &mut Fnv, k: &TileKernel<f64>) {
             usizes(h, &t.row_ptr);
             u64s(h, &t.cols);
             f64s(h, &t.vals);
+            h.array(t.by_row.iter().map(|&s| u64::from(s)));
         }
         TileKernel::Dia(t) => {
             h.word(t.row_lo);
@@ -270,20 +283,20 @@ fn seeded_scatter_in_eight_pieces_registers_as_at_d548998() {
 // One row per tile, as a failure prints them.
 #[rustfmt::skip]
 const LAP3D27_PINS: [Pin; 4] = [
-    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x39688f7fb9a918c9, 0xa796c8030bd72a90, 0x23b0ca3b8ca046a9),
-    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0x6ef5239f0a94c504, 0x073ad010c4a12b3e, 0xe83aaec080d32517),
-    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0xfc06255977855f2c, 0x68f369ba3a9305c8, 0x3da2d9d811e95a22),
-    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x2cd47d18710adf7b, 0x942c766ba38f21fe, 0x8ab660c8dc0d2ad4),
+    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x39688f7fb9a918c9, 0xa796c8030bd72a90, 0xbf6c8514e0270349),
+    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0x6ef5239f0a94c504, 0x073ad010c4a12b3e, 0x65ab097cd4f80c0b),
+    pin("dia", 10404, 216, [14, 5, 3, 0, 0], 1, 1, 0xfc06255977855f2c, 0x68f369ba3a9305c8, 0x43e4fea749b4db76),
+    pin("dia", 9248, 216, [14, 5, 3, 0, 0], 1, 1, 0x2cd47d18710adf7b, 0x942c766ba38f21fe, 0xa0e3bd1ac98c6e1c),
 ];
 
 #[rustfmt::skip]
 const SCATTER_PINS: [Pin; 8] = [
-    pin("csr", 1012, 8096, [10, 10, 3, 0, 0], 1, 247, 0x04652c3815b5b571, 0x9d4d03afc372aff2, 0xa786fc8d218486da),
-    pin("csr", 1036, 8288, [11, 10, 3, 0, 0], 1, 234, 0x6f945683fbbde570, 0xcc087220fbbe4375, 0x666323d22002c2b9),
-    pin("csr", 1052, 8416, [11, 10, 3, 0, 0], 1, 243, 0xe23fe0dbb83ca6da, 0x57f09a21e1fbd026, 0x97221f86bc89ada8),
-    pin("csr", 1103, 8824, [11, 10, 3, 0, 0], 1, 232, 0x31639c669295809c, 0x72f9d9e5819ee898, 0x0784e07e8a9437de),
-    pin("csr", 1104, 8832, [11, 10, 3, 0, 0], 1, 231, 0x4ed745e1a33a7e2e, 0xed35ea720436d21f, 0x31cb7cebcab5e102),
-    pin("csr", 1139, 9112, [11, 10, 3, 0, 0], 1, 242, 0xd5394d4997e1d3c7, 0xbf62624ce73a873a, 0x74c616c47060c862),
-    pin("csr", 1049, 8392, [11, 10, 3, 0, 0], 1, 223, 0x528e6998ba2a811d, 0x440977e10a2569ee, 0x257313d41619fce0),
-    pin("csr", 937, 7496, [10, 10, 3, 0, 0], 1, 260, 0x4b9d474f27f78fce, 0xe225aac44af49514, 0x3dcc00d0a7af868e),
+    pin("csr", 1012, 8096, [10, 10, 3, 0, 0], 1, 247, 0x04652c3815b5b571, 0x48968533c89f35fa, 0x7360be477fa23be6),
+    pin("csr", 1036, 8288, [11, 10, 3, 0, 0], 1, 234, 0x6f945683fbbde570, 0x9e2a883c418311d4, 0x0994e57bf59b9950),
+    pin("csr", 1052, 8416, [11, 10, 3, 0, 0], 1, 243, 0xe23fe0dbb83ca6da, 0x2ba411663b2daa4d, 0x42abf7fbca68dbef),
+    pin("csr", 1103, 8824, [11, 10, 3, 0, 0], 1, 232, 0x31639c669295809c, 0xbe1e59bd9b913e6a, 0xca1589d46adbba90),
+    pin("csr", 1104, 8832, [11, 10, 3, 0, 0], 1, 231, 0x4ed745e1a33a7e2e, 0xb76c757af225f69c, 0x00b38bdaeea2db79),
+    pin("csr", 1139, 9112, [11, 10, 3, 0, 0], 1, 242, 0xd5394d4997e1d3c7, 0xdcb1e45fffa68d34, 0xa0b79895e5e7a958),
+    pin("csr", 1049, 8392, [11, 10, 3, 0, 0], 1, 223, 0x528e6998ba2a811d, 0x5369d5d03f5ff15b, 0x93bfd9a645e6e611),
+    pin("csr", 937, 7496, [10, 10, 3, 0, 0], 1, 260, 0x4b9d474f27f78fce, 0x52da891ba3cbe139, 0x0db7036433f7e39f),
 ];

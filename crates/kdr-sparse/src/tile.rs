@@ -19,26 +19,30 @@
 //! # One canonical order, one pass
 //!
 //! [`TileKernel::lower_advised`] sorts a tile's triplets exactly once,
-//! into the `(row, col)` order (stable in input order for duplicates)
-//! that a [`CsrTile`] stores. Everything else reads that canonical
-//! tile in passes linear in its entries: the structure analysis walks
-//! its rows (row lengths, duplicates, the distinct diagonal offsets
-//! marked on a bitmap over the offset span, dense-block coverage read
-//! off the aligned row groups and their shared column list — no
-//! hashing, first failure exits), the CSR lowering *is* it, ELL pads
-//! its rows, DIA walks each row's ascending columns along the ascending
-//! offset table (noting per diagonal whether every value so far is the
-//! same bits, and cutting the rows into segments of equal diagonal
-//! sets as it goes), and BCSR cuts its rows into blocks. No lowering
-//! re-sorts, searches per entry, re-scans for the row span or
-//! re-counts blocks.
+//! into the *canonical* order: rows ascending, each row's entries by
+//! column (stable in input order for duplicates). Everything else reads
+//! that canonical tile in passes linear in its entries: the structure
+//! analysis walks its rows (row lengths, duplicates, the distinct
+//! diagonal offsets marked on a bitmap over the offset span,
+//! dense-block coverage read off the aligned row groups and their
+//! shared column list — no hashing, first failure exits), the CSR
+//! lowering stores its rows by entry count (a counting sort over the row
+//! lengths, then one gather of the rows), ELL pads its rows, DIA walks
+//! each row's ascending columns along the ascending offset table (noting
+//! per diagonal whether every value so far is the same bits, and cutting
+//! the rows into segments of equal diagonal sets as it goes), and BCSR
+//! cuts its rows into blocks. No lowering re-sorts, searches per entry,
+//! re-scans for the row span or re-counts blocks.
 //!
 //! # Bitwise-reproducibility contract
 //!
 //! Every kernel in the family accumulates each output element's
 //! contributions in **exactly the same order** as the CSR reference
 //! kernel: ascending column within a row for the forward product, and
-//! ascending row per output column for the transpose. Padding slots
+//! ascending row per output column for the transpose. Only the order
+//! *between* rows of the forward product is free, because rows write
+//! disjoint outputs: the CSR payload runs its rows by length, DIA by
+//! row blocks, and each row's chain is the same. Padding slots
 //! introduced by a layout (DIA diagonal gaps, ELL lane tails) are
 //! skipped *structurally* — never by multiplying an explicit zero,
 //! which could flip a `-0.0` partial sum to `+0.0`. Lowering falls
@@ -53,9 +57,11 @@ use crate::scalar::Scalar;
 /// The kernel family a tile can be lowered into.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum KernelKind {
-    /// Row-sorted compressed sparse rows; handles any structure
-    /// (including duplicate coordinates) and is the reference for the
-    /// bitwise contract.
+    /// Compressed sparse rows, stored by entry count so that rows of
+    /// one length run back to back, with an index that lists them by
+    /// row for the transpose; handles any structure (including
+    /// duplicate coordinates) and is the reference for the bitwise
+    /// contract.
     Csr,
     /// Banded layout addressed by diagonal offset: a diagonal whose
     /// values are all the same bits holds that value once, any other a
@@ -488,15 +494,21 @@ pub trait KernelAdvisor: Send + Sync {
     fn advise(&self, structure: &TileStructure, pieces: usize) -> Option<KernelKind>;
 }
 
-/// Row-sorted CSR payload (the reference kernel). `row_ids` lists
-/// only rows with entries; row `r` spans
-/// `cols/vals[row_ptr[r]..row_ptr[r+1]]`, sorted by column (stable
-/// for duplicates). This is also the family's canonical form: lowering
-/// builds it first and derives the analysis and every other layout
-/// from it.
+/// CSR payload (the reference kernel). `row_ids` lists only rows with
+/// entries; stored row `r` spans `cols/vals[row_ptr[r]..row_ptr[r+1]]`,
+/// sorted by column (stable for duplicates), and `by_row` lists the
+/// stored rows by ascending row id.
+///
+/// The lowered payload stores its rows by entry count, rows of equal
+/// length by ascending row id: the forward product then meets rows of
+/// one length back to back, and its per-row loop exits where the last
+/// row's did. The tile's *canonical* form — rows ascending, `by_row` the
+/// identity — is what lowering builds first, and the analysis and every
+/// other layout read it.
 #[derive(Clone, Debug)]
 pub struct CsrTile<T> {
-    /// Component-local row coordinates, ascending, nonempty rows only.
+    /// Component-local row coordinates of the stored rows, nonempty
+    /// rows only.
     pub row_ids: Vec<u64>,
     /// Entry ranges per stored row (`row_ids.len() + 1` offsets).
     pub row_ptr: Vec<usize>,
@@ -504,6 +516,9 @@ pub struct CsrTile<T> {
     pub cols: Vec<u64>,
     /// Entry values, aligned with `cols`.
     pub vals: Vec<T>,
+    /// The stored index of the `k`-th lowest row: `row_ids[by_row[k]]`
+    /// ascends with `k`. The transpose walks rows in this order.
+    pub by_row: Vec<u32>,
 }
 
 /// Where one diagonal of a [`DiaTile`] keeps its coefficients.
@@ -748,11 +763,66 @@ impl<T: Copy> CsrTile<T> {
             vs.push(vals[k]);
         }
         row_ptr.push(cs.len());
+        let stored = u32::try_from(row_ids.len()).expect("a tile's stored rows fit u32");
         CsrTile {
             row_ids,
             row_ptr,
             cols: cs,
             vals: vs,
+            by_row: (0..stored).collect(),
+        }
+    }
+
+    /// A canonical tile with its rows stored by entry count, rows of
+    /// equal length in ascending row order: a counting sort over the row
+    /// lengths (at most `max_row_len`) places each row, then one gather
+    /// per array copies the rows there. The canonical columns are
+    /// dropped once copied and the values take their memory, so the
+    /// entries are held twice one array at a time, never both.
+    fn by_length(self, max_row_len: usize) -> Self {
+        // The payload's columns are reserved first, while the memory
+        // the sort and the analysis gave back is still in one piece.
+        let mut cols = Vec::with_capacity(self.cols.len());
+        let span = |r: u32| self.row_ptr[r as usize]..self.row_ptr[r as usize + 1];
+        // First stored index of each row length.
+        let mut next = vec![0u32; max_row_len + 1];
+        for r in 0..self.row_ids.len() as u32 {
+            next[span(r).len()] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = at;
+            at += count;
+        }
+        // Rows ascend in the canonical order, so each length's rows
+        // are placed in ascending order too.
+        let mut by_row = self.by_row;
+        let mut placed = vec![0u32; by_row.len()];
+        for (r, stored) in (0u32..).zip(by_row.iter_mut()) {
+            let s = &mut next[span(r).len()];
+            *stored = *s;
+            placed[*s as usize] = r;
+            *s += 1;
+        }
+        let mut row_ptr = Vec::with_capacity(placed.len() + 1);
+        row_ptr.push(0);
+        for &r in &placed {
+            cols.extend_from_slice(&self.cols[span(r)]);
+            row_ptr.push(cols.len());
+        }
+        drop(self.cols);
+        // The values take the memory the canonical columns gave back.
+        let mut vals = Vec::with_capacity(self.vals.len());
+        for &r in &placed {
+            vals.extend_from_slice(&self.vals[span(r)]);
+        }
+        CsrTile {
+            row_ids: placed.iter().map(|&r| self.row_ids[r as usize]).collect(),
+            row_ptr,
+            cols,
+            vals,
+            by_row,
         }
     }
 }
@@ -879,19 +949,33 @@ impl<T: Scalar> TileKernel<T> {
                 .unwrap_or_else(|| structure.select()),
             KernelChoice::Force(k) => k,
         };
-        let specialized = match kind {
-            KernelKind::Bcsr => Self::lower_bcsr(&canon, &structure),
-            KernelKind::Dia => Self::lower_dia(&canon, &structure, offsets),
-            KernelKind::Ell => Self::lower_ell(&canon, &structure),
+        // The canonical tile, its rows stored by length, is the CSR
+        // payload, and the fallback of every layout that cannot
+        // represent the tile.
+        let kernel = Self::specialized(kind, &canon, &structure, offsets)
+            .unwrap_or_else(|| TileKernel::Csr(canon.by_length(structure.max_row_len)));
+        (kernel, structure)
+    }
+
+    /// `kind`'s layout of the canonical tile, or `None` where it cannot
+    /// represent it. The offset table is the DIA lowering's and is
+    /// dropped here otherwise, before a CSR payload is gathered.
+    fn specialized(
+        kind: KernelKind,
+        canon: &CsrTile<T>,
+        structure: &TileStructure,
+        offsets: Vec<i64>,
+    ) -> Option<Self> {
+        match kind {
+            KernelKind::Bcsr => Self::lower_bcsr(canon, structure),
+            KernelKind::Dia => Self::lower_dia(canon, structure, offsets),
+            KernelKind::Ell => Self::lower_ell(canon, structure),
             // Assembled triplets carry no grid geometry; honoring the
             // bitwise contract means never guessing one. Registering
             // via a stencil descriptor is the only route to the
             // matrix-free kernel.
             KernelKind::Csr | KernelKind::Stencil => None,
-        };
-        // The canonical form is the CSR payload, and the fallback of
-        // every layout that cannot represent the tile.
-        (specialized.unwrap_or(TileKernel::Csr(canon)), structure)
+        }
     }
 
     fn lower_dia(t: &CsrTile<T>, s: &TileStructure, offsets: Vec<i64>) -> Option<Self> {
@@ -1111,7 +1195,10 @@ impl<T: Scalar> TileKernel<T> {
 }
 
 impl<T: Scalar> CsrTile<T> {
-    /// `y += A x`: per-row register accumulation, columns ascending.
+    /// `y += A x`: per-row register accumulation, columns ascending,
+    /// the rows in stored order — by length, which keeps the inner
+    /// loop's trip count the same from one row to the next. Rows write
+    /// disjoint outputs, so the order between them changes no bit.
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
         for (r, &row) in self.row_ids.iter().enumerate() {
@@ -1124,15 +1211,18 @@ impl<T: Scalar> CsrTile<T> {
         }
     }
 
-    /// `y += Aᵀ x`: rows ascending, scatter along each stored row
-    /// with `x[row]` loaded once.
+    /// `y += Aᵀ x`: rows ascending through `by_row` — every output
+    /// column receives its contributions in ascending row order — and
+    /// a scatter along each row's slices with `x[row]` loaded once.
     #[inline]
     pub fn apply_t<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
-        for (r, &row) in self.row_ids.iter().enumerate() {
-            let xv = x.load(row as usize);
-            for idx in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let j = self.cols[idx] as usize;
-                y.store(j, self.vals[idx].mul_add(xv, y.load(j)));
+        for &r in &self.by_row {
+            let r = r as usize;
+            let span = self.row_ptr[r]..self.row_ptr[r + 1];
+            let xv = x.load(self.row_ids[r] as usize);
+            for (&col, &v) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                let j = col as usize;
+                y.store(j, v.mul_add(xv, y.load(j)));
             }
         }
     }
@@ -1888,6 +1978,65 @@ mod tests {
         let k = TileKernel::lower(&r, &c, &ones, KernelChoice::Force(KernelKind::Dia));
         assert_eq!(k.value_bytes(), 3 * std::mem::size_of::<f32>());
         assert_eq!(k.nnz(), v.len());
+    }
+
+    #[test]
+    fn csr_rows_are_stored_by_length_and_listed_by_row() {
+        // 300 rows of 1..=16 entries at random columns, repeats kept,
+        // every fifth row empty, arriving in random order.
+        let mut next = crate::triples::xorshift(0xb1e_55ed);
+        let mut entries = Vec::new();
+        for i in (0..300u64).filter(|i| i % 5 != 4) {
+            for _ in 0..1 + next() % 16 {
+                entries.push((i, next() % 40, (next() % 64) as f64 - 31.5));
+            }
+        }
+        let [_, (r, c, v)] = sorted_and_scrambled(entries, 0x5ca7);
+        for choice in [KernelChoice::Auto, KernelChoice::Force(KernelKind::Csr)] {
+            let k = TileKernel::lower(&r, &c, &v, choice);
+            let TileKernel::Csr(t) = &k else {
+                panic!("lowered to {:?}", k.kind())
+            };
+            let len = |s: usize| t.row_ptr[s + 1] - t.row_ptr[s];
+            let stored = t.row_ids.len();
+            assert_eq!(stored, 240);
+            for s in 1..stored {
+                assert!(len(s - 1) <= len(s), "lengths fall at stored row {s}");
+                if len(s - 1) == len(s) {
+                    assert!(
+                        t.row_ids[s - 1] < t.row_ids[s],
+                        "rows of one length descend at {s}"
+                    );
+                }
+            }
+            // `by_row` is a permutation of the stored rows that lists
+            // them by ascending row id.
+            let mut seen = vec![false; stored];
+            for &s in &t.by_row {
+                assert!(
+                    !std::mem::replace(&mut seen[s as usize], true),
+                    "{s} listed twice"
+                );
+            }
+            assert_eq!(t.by_row.len(), stored);
+            let by_row: Vec<u64> = t.by_row.iter().map(|&s| t.row_ids[s as usize]).collect();
+            assert!(by_row.windows(2).all(|w| w[0] < w[1]));
+            // Read through `by_row`, the entries are the canonical order.
+            let mut canonical: Vec<(u64, u64, u64)> = Vec::new();
+            for &s in &t.by_row {
+                let span = t.row_ptr[s as usize]..t.row_ptr[s as usize + 1];
+                let row = t.row_ids[s as usize];
+                canonical.extend(span.map(|e| (row, t.cols[e], t.vals[e].to_bits())));
+            }
+            let mut want: Vec<usize> = (0..r.len()).collect();
+            want.sort_by_key(|&e| (r[e], c[e]));
+            let want: Vec<(u64, u64, u64)> = want
+                .into_iter()
+                .map(|e| (r[e], c[e], v[e].to_bits()))
+                .collect();
+            assert_eq!(canonical, want);
+        }
+        check_all_kinds(&r, &c, &v, 300);
     }
 
     #[test]

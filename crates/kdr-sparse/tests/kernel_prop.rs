@@ -557,3 +557,74 @@ fn single_entry_runs_give_one_segment_pair_per_entry() {
     assert_eq!(t.seg_diags.len(), v.len());
     check_all_lowerings(&r, &c, &v);
 }
+
+// ----- the CSR payload's rows, stored by length ----------------------
+
+/// A few hundred rows of 1–16 entries each at random columns, so the
+/// CSR payload stores long runs of rows of one length. Half the cases
+/// repeat coordinates within a row (every lowering falls back to CSR),
+/// half keep each row's columns distinct (auto-selection decides). The
+/// values are thirds, so every product rounds and a column summed in
+/// another row order than ascending comes out with other bits.
+fn arb_rows_of_many_lengths() -> impl Strategy<Value = Trip> {
+    (100usize..400, 16u64..1024, 0u8..2).prop_flat_map(|(nr, nc, distinct)| {
+        let row = prop::collection::vec((0..nc, -8i32..8), 1..17);
+        prop::collection::vec(row, nr).prop_map(move |rows| {
+            let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, mut row) in rows.into_iter().enumerate() {
+                if distinct == 1 {
+                    row.sort_unstable_by_key(|&(j, _)| j);
+                    row.dedup_by_key(|&mut (j, _)| j);
+                }
+                for (j, q) in row {
+                    r.push(i as u64);
+                    c.push(j);
+                    v.push((q as f64 + 0.5) / 3.0);
+                }
+            }
+            (r, c, v)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn rows_of_many_lengths_all_lowerings_bitwise_match((r, c, v) in arb_rows_of_many_lengths()) {
+        check_all_lowerings(&r, &c, &v);
+        check_all_lowerings_onto(&r, &c, &v, -0.0);
+    }
+}
+
+#[test]
+fn rows_stored_by_length_reverse_the_row_order_and_keep_every_bit() {
+    // Row `i` of 24 holds `13 − i/2` entries: lengths fall as rows
+    // rise, two rows to a length, so the CSR payload stores the rows in
+    // reverse — pairs of equal length, each pair ascending. Every row
+    // repeats its first coordinate last, every third value and all of
+    // row 5 are `-0.0`, and the entries arrive last row first. The other
+    // values are thirds and tenths, so the transposed sums round
+    // differently in any other row order.
+    let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    for i in (0..24u64).rev() {
+        let len = 13 - i / 2;
+        for k in 0..len {
+            let step = if k + 1 == len { 0 } else { k };
+            let val = (k as f64 + 1.0) / 3.0 - i as f64 * 0.1;
+            r.push(i);
+            c.push((i * 3 + step * 7) % 31);
+            v.push(if i == 5 || k % 3 == 2 { -0.0 } else { val });
+        }
+    }
+    let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+    let TileKernel::Csr(t) = &k else {
+        panic!("lowered to {:?}", k.kind())
+    };
+    let reversed: Vec<u64> = (0..12u64).rev().flat_map(|p| [2 * p, 2 * p + 1]).collect();
+    assert_eq!(t.row_ids, reversed);
+    let ascending: Vec<u64> = t.by_row.iter().map(|&s| t.row_ids[s as usize]).collect();
+    assert_eq!(ascending, (0..24).collect::<Vec<u64>>());
+    check_all_lowerings(&r, &c, &v);
+    check_all_lowerings_onto(&r, &c, &v, -0.0);
+}

@@ -86,9 +86,20 @@ cargo test -q -p kdr-sparse --test vecops_prop
 cargo test -q --release -p kdr-sparse --test vecops_prop
 # Tile lowering and the formats' descriptions, under the optimized
 # codegen solves execute (the dev run is part of `cargo test` above):
-# every kernel kind bitwise equal to the CSR order, every format's
-# enumeration and relations against a dense reference.
+# every kernel kind bitwise equal to the CSR order — the CSR payload
+# itself stores its rows by length and runs the transpose through its
+# row-order index — every format's enumeration and relations against a
+# dense reference.
 cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
+# The kernel properties 10 times more with fresh inputs (rows of many
+# lengths, ties and repeats among them, are where the by-length payload
+# could reorder a chain). A failing seed is printed;
+# `PROPTEST_RNG_SEED=<seed>` repeats it.
+for _ in $(seq 10); do
+    seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+    PROPTEST_RNG_SEED=$seed cargo test -q --release -p kdr-sparse --test kernel_prop ||
+        { echo "ci.sh: kernel_prop failed with PROPTEST_RNG_SEED=$seed" >&2; exit 1; }
+done
 # The same contract one level up, under the same codegen: the banded
 # kernel's block loop is vector code only in --release, so assembled ≡
 # matrix-free ≡ forced-CSR — per apply and over whole residual
