@@ -29,10 +29,6 @@ pub struct RecoveryPolicy {
     pub checkpoint_every: usize,
     /// Give up (returning the last error) after this many restarts.
     pub max_restarts: usize,
-    /// On retry, disable step tracing so the segment re-runs through
-    /// full dependence analysis instead of replaying a trace recorded
-    /// alongside the fault.
-    pub analyzed_fallback_on_retry: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -40,7 +36,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             checkpoint_every: 0,
             max_restarts: 2,
-            analyzed_fallback_on_retry: true,
         }
     }
 }
@@ -138,9 +133,9 @@ where
             }
             restarts += 1;
             let _ = planner.take_fault();
-            if policy.analyzed_fallback_on_retry {
-                planner.set_step_tracing(false);
-            }
+            // Re-run through full dependence analysis rather than
+            // replay a step program captured alongside the fault.
+            planner.set_step_tracing(false);
             for (c, data) in checkpoint.iter().enumerate() {
                 planner.set_sol_data(c, data);
             }

@@ -183,7 +183,6 @@ fn checkpoint_restart_recovers_from_injected_panic() {
         RecoveryPolicy {
             checkpoint_every: 25,
             max_restarts: 3,
-            analyzed_fallback_on_retry: true,
         },
     )
     .expect("recoverable solve failed");
@@ -213,7 +212,6 @@ fn traced_replay_panic_falls_back_analyzed() {
         RecoveryPolicy {
             checkpoint_every: 20,
             max_restarts: 3,
-            analyzed_fallback_on_retry: true,
         },
     )
     .expect("recoverable solve failed");

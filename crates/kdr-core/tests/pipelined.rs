@@ -348,7 +348,6 @@ fn pipelined_cg_recovers_from_injected_panic() {
         RecoveryPolicy {
             checkpoint_every: 25,
             max_restarts: 3,
-            analyzed_fallback_on_retry: true,
         },
     )
     .expect("recoverable pipelined solve failed");

@@ -24,48 +24,12 @@ use crate::events::{Provenance, TaskSpan};
 /// `worker N`, or `driver` for the lane of waiting driver threads.
 /// Events are emitted in span (task-id) order.
 pub fn chrome_trace_json(spans: &[TaskSpan]) -> String {
-    let mut out = String::with_capacity(128 + spans.len() * 160);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for (w, name) in lanes(spans) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{w},\
-             \"args\":{{\"name\":\"{name}\"}}}}"
-        );
-    }
+    let mut w = TraceWriter::new(spans.len());
+    w.thread_names(0, spans);
     for s in spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let prov = match s.provenance {
-            Provenance::Analyzed => "analyzed",
-            Provenance::Replayed => "replayed",
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\
-             \"ts\":{}.{:03},\"dur\":{}.{:03},\
-             \"args\":{{\"task\":{},\"provenance\":\"{}\",\"queue_wait_us\":{}.{:03}}}}}",
-            escape_json(s.name),
-            s.worker,
-            s.start_ns / 1000,
-            s.start_ns % 1000,
-            s.execute_ns() / 1000,
-            s.execute_ns() % 1000,
-            s.id,
-            prov,
-            s.queue_wait_ns() / 1000,
-            s.queue_wait_ns() % 1000,
-        );
+        w.span(0, s);
     }
-    out.push_str("]}");
-    out
+    w.finish()
 }
 
 /// The lanes `spans` ran on, ascending, with their track names.
@@ -90,53 +54,20 @@ fn lanes(spans: &[TaskSpan]) -> Vec<(usize, String)> {
 /// tenant-tagged traces: one process per tenant, worker tracks
 /// within.
 pub fn chrome_trace_json_grouped(groups: &[(String, Vec<TaskSpan>)]) -> String {
-    let total: usize = groups.iter().map(|(_, s)| s.len()).sum();
-    let mut out = String::with_capacity(256 + total * 160);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
+    grouped(groups).finish()
+}
+
+/// The events of [`chrome_trace_json_grouped`], left open for more.
+fn grouped(groups: &[(String, Vec<TaskSpan>)]) -> TraceWriter {
+    let mut w = TraceWriter::new(groups.iter().map(|(_, s)| s.len()).sum());
     for (pid, (label, spans)) in groups.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(label)
-        );
-        for (w, name) in lanes(spans) {
-            let _ = write!(
-                out,
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{w},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            );
-        }
+        w.metadata("process_name", pid, 0, label);
+        w.thread_names(pid, spans);
         for s in spans {
-            let prov = match s.provenance {
-                Provenance::Analyzed => "analyzed",
-                Provenance::Replayed => "replayed",
-            };
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
-                 \"ts\":{}.{:03},\"dur\":{}.{:03},\
-                 \"args\":{{\"task\":{},\"provenance\":\"{}\",\"queue_wait_us\":{}.{:03}}}}}",
-                escape_json(s.name),
-                s.worker,
-                s.start_ns / 1000,
-                s.start_ns % 1000,
-                s.execute_ns() / 1000,
-                s.execute_ns() % 1000,
-                s.id,
-                prov,
-                s.queue_wait_ns() / 1000,
-                s.queue_wait_ns() % 1000,
-            );
+            w.span(pid, s);
         }
     }
-    out.push_str("]}");
-    out
+    w
 }
 
 /// Render labeled span groups plus named counter samples as Chrome
@@ -152,24 +83,81 @@ pub fn chrome_trace_json_with_counters(
     groups: &[(String, Vec<TaskSpan>)],
     counters: &[(&str, f64)],
 ) -> String {
-    let mut out = chrome_trace_json_grouped(groups);
-    // Splice counter events in before the closing "]}" of the
-    // grouped render.
-    out.truncate(out.len() - 2);
-    let had_events = !out.ends_with('[');
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if had_events || i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
+    let mut w = grouped(groups);
+    for (name, value) in counters {
+        w.event(format_args!(
             "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0,\
              \"args\":{{\"value\":{value}}}}}",
             escape_json(name)
-        );
+        ));
     }
-    out.push_str("]}");
-    out
+    w.finish()
+}
+
+/// A `{"traceEvents":[...]}` document being written, one event record
+/// at a time: every exporter above writes its records through this.
+struct TraceWriter {
+    out: String,
+}
+
+impl TraceWriter {
+    fn new(spans: usize) -> Self {
+        let mut out = String::with_capacity(256 + spans * 160);
+        out.push_str("{\"traceEvents\":[");
+        TraceWriter { out }
+    }
+
+    /// Append one event, comma-separated from the one before.
+    fn event(&mut self, record: std::fmt::Arguments) {
+        if !self.out.ends_with('[') {
+            self.out.push(',');
+        }
+        let _ = self.out.write_fmt(record);
+    }
+
+    /// An `"M"` record naming process `pid` or its track `tid`.
+    fn metadata(&mut self, what: &str, pid: usize, tid: usize, name: &str) {
+        self.event(format_args!(
+            "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            escape_json(name)
+        ));
+    }
+
+    /// One `thread_name` record per lane `spans` ran on.
+    fn thread_names(&mut self, pid: usize, spans: &[TaskSpan]) {
+        for (tid, name) in lanes(spans) {
+            self.metadata("thread_name", pid, tid, &name);
+        }
+    }
+
+    /// The `"X"` (complete) record of one span.
+    fn span(&mut self, pid: usize, s: &TaskSpan) {
+        let prov = match s.provenance {
+            Provenance::Analyzed => "analyzed",
+            Provenance::Replayed => "replayed",
+        };
+        self.event(format_args!(
+            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
+             \"ts\":{}.{:03},\"dur\":{}.{:03},\
+             \"args\":{{\"task\":{},\"provenance\":\"{}\",\"queue_wait_us\":{}.{:03}}}}}",
+            escape_json(s.name),
+            s.worker,
+            s.start_ns / 1000,
+            s.start_ns % 1000,
+            s.execute_ns() / 1000,
+            s.execute_ns() % 1000,
+            s.id,
+            prov,
+            s.queue_wait_ns() / 1000,
+            s.queue_wait_ns() % 1000,
+        ));
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("]}");
+        self.out
+    }
 }
 
 /// Escape a string for inclusion in a JSON string literal.

@@ -50,8 +50,8 @@
 //!   (see the [`supervision`] module docs);
 //! - **cost-model scheduling and warm restarts** — a shared cost
 //!   catalogue ([`ServiceConfig::catalogue`], from `kdr-store`)
-//!   prices jobs by operator structure for admission screening,
-//!   opt-in cost-proportional fair-share weights
+//!   prices jobs by the tiles each session lowered, for admission
+//!   screening, opt-in cost-proportional fair-share weights
 //!   ([`ServiceConfig::cost_weights`]), and measured-sample kernel
 //!   advice to the planner; [`ShardedService::save_store`] /
 //!   [`ShardedService::open_store`] persist catalogue + tenants +

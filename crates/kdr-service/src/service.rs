@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
 use kdr_runtime::{ColorAffinityMapper, MetricsSnapshot, Runtime, TaskSpan};
 use kdr_sparse::{KernelAdvisor, KernelKind};
-use kdr_store::{CatalogueKey, SharedCatalogue};
+use kdr_store::SharedCatalogue;
 
 use crate::metrics::{ServiceMetrics, TenantMetrics};
 use crate::queue::{AdmissionQueue, QueuedJob};
@@ -209,14 +209,14 @@ pub(crate) struct BundleSession {
     /// persisted choice, replayed deterministically); `None` lets the
     /// catalogue advisor or the structure heuristic pick.
     pub(crate) kernel: Option<KernelKind>,
-    /// Finalize the plan and capture the iteration trace at install
-    /// time, so the session's first real job is warm.
+    /// Capture the iteration trace at install time, so the session's
+    /// first real job is warm.
     pub(crate) prewarm: bool,
 }
 
 impl BundleSession {
-    /// A session built from its spec alone: kernel re-decided, plan
-    /// finalized by its first job.
+    /// A session built from its spec alone: kernel re-decided, cold
+    /// until its first job.
     pub(crate) fn cold(id: SessionId, spec: SessionSpec) -> Self {
         BundleSession {
             id,
@@ -228,9 +228,8 @@ impl BundleSession {
 }
 
 /// What only its shard knows about a session: the kernel its tiles
-/// actually lowered to (when the plan is finalized and unanimous;
-/// `None` otherwise, so a restart re-decides), jobs completed, and
-/// steps captured. All-default for a cold session.
+/// actually lowered to (when unanimous; `None` otherwise, so a
+/// restart re-decides), jobs completed, and steps captured.
 pub(crate) type SessionWarmth = (Option<KernelKind>, u64, u64);
 
 /// Everything of one tenant that reaches a shard in one step:
@@ -452,22 +451,20 @@ impl ShardEngine {
     }
 
     /// Catalogue prediction of a job's service seconds, and whether
-    /// the estimate was observed (refined from real latencies) or a
-    /// roofline prior. Per-iteration wall time is the per-tile kernel
-    /// cost times the number of worker waves the session's pieces
-    /// need; iterations are capped at [`ADMIT_ITER_HORIZON`]. `None`
-    /// without a catalogue — admission then behaves exactly as before
-    /// the catalogue existed.
+    /// every tile's key was observed (refined from real latencies)
+    /// rather than answered by a roofline prior. Per-iteration wall
+    /// time is the mean tile kernel cost times the number of worker
+    /// waves the session's pieces need; iterations are capped at
+    /// [`ADMIT_ITER_HORIZON`]. `None` without a catalogue — admission
+    /// then behaves exactly as before the catalogue existed.
     fn predict_job_seconds(&self, sess: &Session, request: &SolveRequest) -> Option<(f64, bool)> {
-        let cat = self.cfg.catalogue.as_ref()?;
-        let (structure, kernel, pieces) = sess.cost_key();
-        let est = cat.predict(&CatalogueKey::new(structure, kernel, pieces));
-        let waves = pieces.div_ceil(self.cfg.workers.max(1)).max(1);
+        let (task_seconds, observed) = predict_task_seconds(self.cfg.catalogue.as_ref()?, sess);
+        let waves = sess.spec().pieces.div_ceil(self.cfg.workers.max(1)).max(1);
         let iters = request.control.max_iters.clamp(1, ADMIT_ITER_HORIZON);
         let batch = request.rhs_batch.len().max(1);
         Some((
-            est.seconds * waves as f64 * iters as f64 * batch as f64,
-            est.is_observed(),
+            task_seconds * waves as f64 * iters as f64 * batch as f64,
+            observed,
         ))
     }
 
@@ -618,11 +615,10 @@ impl ShardEngine {
     /// semantics, identical to a local checkpoint/restart at the same
     /// iteration.
     pub(crate) fn attach_tenant(&self, bundle: TenantBundle) {
-        // Sessions are built outside the state lock: construction and
-        // pre-warming touch only this shard's runtime handles. The
-        // catalogue advisor is snapshotted here, so a session's
-        // lowering decision is deterministic no matter when its first
-        // job finalizes the plan.
+        // Sessions are built — their plans finalized, their tiles
+        // lowered — outside the state lock: construction and
+        // pre-warming touch only this shard's runtime handles. Each
+        // session lowers against a catalogue snapshot taken here.
         let sessions: Vec<(SessionId, Session)> = bundle
             .sessions
             .into_iter()
@@ -665,11 +661,9 @@ impl ShardEngine {
         st.sessions
             .iter_mut()
             .map(|(&id, sess)| {
-                // A cold session has an empty manifest.
-                let manifest = sess.operator_manifest();
-                let kernel = match manifest.first() {
-                    Some(&(_, first, _)) if manifest.iter().all(|&(_, k, _)| k == first) => {
-                        Some(first)
+                let kernel = match sess.catalogue_keys() {
+                    [first, rest @ ..] if rest.iter().all(|k| k.kernel == first.kernel) => {
+                        Some(first.kernel)
                     }
                     _ => None,
                 };
@@ -840,14 +834,14 @@ impl ShardEngine {
     }
 
     /// Feed the slice's per-kernel execute-latency deltas into the
-    /// cost catalogue, attributed to the sliced session's operator
-    /// tiles. In the default unfenced mode tasks retiring after the
-    /// boundary land on a later slice — the attribution is
+    /// cost catalogue: one observation per distinct key of the sliced
+    /// session's tiles. In the default unfenced mode tasks retiring
+    /// after the boundary land on a later slice — the attribution is
     /// approximate in exactly the way the per-tenant counter deltas
     /// already are, and the EWMA absorbs the noise.
     fn observe_kernel_costs(
         &self,
-        st: &mut EngineState,
+        st: &EngineState,
         session: SessionId,
         before: &MetricsSnapshot,
         after: &MetricsSnapshot,
@@ -855,13 +849,9 @@ impl ShardEngine {
         let Some(cat) = self.cfg.catalogue.as_ref() else {
             return;
         };
-        let Some(sess) = st.sessions.get_mut(&session) else {
+        let Some(sess) = st.sessions.get(&session) else {
             return;
         };
-        let manifest = sess.operator_manifest();
-        if manifest.is_empty() {
-            return;
-        }
         for (name, &ns_after) in &after.task_execute_ns {
             let ns = ns_after.saturating_sub(before.task_execute_ns.get(name).copied().unwrap_or(0));
             if ns == 0 {
@@ -876,9 +866,10 @@ impl ShardEngine {
                 continue;
             };
             let mean_seconds = ns as f64 / count as f64 / 1.0e9;
-            for &(structure, k, pieces) in &manifest {
-                if k == kind {
-                    cat.observe(CatalogueKey::new(structure, k, pieces as usize), mean_seconds);
+            // The keys are sorted: equal keys sit in one run.
+            for run in sess.catalogue_keys().chunk_by(|a, b| a == b) {
+                if run[0].kernel == kind {
+                    cat.observe(run[0], mean_seconds);
                 }
             }
         }
@@ -901,10 +892,9 @@ impl ShardEngine {
         };
         let mut sums: BTreeMap<TenantId, (f64, u32)> = BTreeMap::new();
         for sess in st.sessions.values() {
-            let (structure, kernel, pieces) = sess.cost_key();
-            let est = cat.predict(&CatalogueKey::new(structure, kernel, pieces));
+            let (seconds, _) = predict_task_seconds(cat, sess);
             let e = sums.entry(sess.tenant()).or_insert((0.0, 0));
-            e.0 += est.seconds;
+            e.0 += seconds;
             e.1 += 1;
         }
         let mut means: BTreeMap<TenantId, f64> = BTreeMap::new();
@@ -1042,9 +1032,7 @@ impl ShardEngine {
     fn advance_rhs(a: &mut ActiveJob, session: &mut Session) -> Option<JobOutcome> {
         a.driver = None;
         a.solver = None;
-        session
-            .planner_mut()
-            .release_workspace_from(a.ws_mark.max(kdr_core::RHS + 1));
+        session.planner_mut().release_workspace_from(a.ws_mark);
         a.rhs_idx += 1;
         a.rhs_done = 0;
         a.resume_sol = None;
@@ -1058,12 +1046,11 @@ impl ShardEngine {
     }
 }
 
-/// Replay the expensive solve prologue on a freshly built session:
-/// run a two-iteration throwaway solve so the plan finalizes, tiles
-/// lower (through the pinned kernel), and the iteration trace is
-/// captured. The session comes out `warm()`; numerics of later jobs
-/// are untouched because every job re-zeroes the iterate (or installs
-/// its own) in `begin_solve`.
+/// Replay the rest of the solve prologue on a freshly built (hence
+/// finalized) session: run a two-iteration throwaway solve so the
+/// iteration trace is captured. The session comes out `warm()`;
+/// numerics of later jobs are untouched because every job re-zeroes
+/// the iterate (or installs its own) in `begin_solve`.
 fn prewarm_session(sess: &mut Session) {
     let rhs = vec![1.0; sess.unknowns() as usize];
     let control = kdr_core::SolveControl::fixed(2);
@@ -1080,6 +1067,17 @@ fn prewarm_session(sess: &mut Session) {
     // drop it before releasing the workspace.
     drop(solver);
     sess.end_solve(mark);
+}
+
+/// Mean predicted seconds of one kernel task over the session's
+/// tiles, and whether every tile's key has been observed.
+fn predict_task_seconds(cat: &SharedCatalogue, sess: &Session) -> (f64, bool) {
+    let keys = sess.catalogue_keys();
+    let (sum, observed) = keys.iter().fold((0.0, true), |(sum, observed), key| {
+        let est = cat.predict(key);
+        (sum + est.seconds, observed && est.is_observed())
+    });
+    (sum / keys.len().max(1) as f64, observed)
 }
 
 fn error_outcome(e: SolveError) -> JobOutcome {

@@ -1,28 +1,28 @@
 //! Plan-cached sessions: one long-lived problem setup per session.
 //!
 //! A session owns a [`Planner`] built over the service's *shared*
-//! runtime. The expensive solve prologue — operator registration,
-//! dependent partitioning, tile-kernel lowering, and first-iteration
-//! dependence analysis — happens once, on the session's first job;
-//! every later job against the same session reuses the registered
+//! runtime, finalized when the session is built: operator
+//! registration, dependent partitioning and tile-kernel lowering
+//! happen once, before any job, and the session keeps one
+//! cost-catalogue key per tile it lowered. A session is *cold* until
+//! its first job has run first-iteration dependence analysis and
+//! captured its step programs; every later job reuses the registered
 //! tiles and (via the planner's pooled workspace vectors, which keep
-//! buffer ids stable across solver rebuilds) replays the captured
-//! iteration traces. That is the warm-path contract the service's
-//! cold-vs-warm time-to-first-iteration numbers measure.
+//! buffer ids stable across solver rebuilds) replays those programs.
+//! That is the warm-path contract the service's cold-vs-warm
+//! time-to-first-iteration numbers measure.
 
 use std::sync::Arc;
 
 use kdr_core::{
-    BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ChebyshevSolver, FusedCgSolver, GmresSolver,
-    MinresSolver, PipelinedCgSolver, PipelinedCrSolver, Planner, SStepCgSolver, Solver,
-    TfqmrSolver, RHS, SOL,
+    BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ChebyshevSolver, ExecBackend, FusedCgSolver,
+    GmresSolver, MinresSolver, PipelinedCgSolver, PipelinedCrSolver, Planner, SStepCgSolver,
+    Solver, TfqmrSolver, SOL,
 };
 use kdr_index::Partition;
 use kdr_runtime::{ColorAffinityMapper, Runtime};
-use kdr_sparse::{
-    KernelAdvisor, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilOperator, StructureKey,
-    TileStructure,
-};
+use kdr_sparse::{KernelAdvisor, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilOperator};
+use kdr_store::CatalogueKey;
 
 use crate::request::TenantId;
 
@@ -153,16 +153,16 @@ pub struct Session {
     spec: SessionSpec,
     planner: Planner<f64>,
     jobs_completed: u64,
-    /// Cost-catalogue key of the session's operator, computed once at
-    /// construction: structure key, the kernel admission predictions
-    /// are made against, and the piece count.
-    cost_key: (StructureKey, KernelKind, usize),
+    /// Catalogue key of every tile the operator lowered to, sorted
+    /// (see [`tile_keys`]).
+    keys: Vec<CatalogueKey>,
 }
 
 impl Session {
-    /// Build a session over the service's shared runtime. Cheap: the
-    /// expensive finalization (tiling, registration, lowering) is
-    /// deferred to the first job's solver construction.
+    /// Build a session over the service's shared runtime with its
+    /// plan finalized: the operator is tiled, registered and lowered
+    /// here. The session stays cold — no step programs captured —
+    /// until its first job runs.
     pub fn new(
         rt: Arc<Runtime>,
         mapper: Arc<ColorAffinityMapper>,
@@ -195,71 +195,30 @@ impl Session {
             Some(desc) => planner.add_stencil_operator(desc, d, r),
             None => planner.add_operator(Arc::clone(&spec.matrix), d, r),
         }
-        let (skey, heuristic) = match spec.stencil {
-            Some(desc) => (
-                StructureKey::for_stencil(
-                    desc.kind.code(),
-                    desc.kind.points() as usize,
-                    desc.unknowns(),
-                ),
-                KernelKind::Stencil,
-            ),
-            None => {
-                let mut rows = Vec::new();
-                let mut cols = Vec::new();
-                let mut vals = Vec::new();
-                spec.matrix.for_each_entry(&mut |_k, row, col, v| {
-                    rows.push(row);
-                    cols.push(col);
-                    vals.push(v);
-                });
-                let s = TileStructure::analyze(&rows, &cols, &vals);
-                (s.key(), s.select())
-            }
-        };
-        let kernel = tuning.forced_kernel.unwrap_or(heuristic);
-        let cost_key = (skey, kernel, spec.pieces);
+        planner.finalize();
+        let keys = tile_keys(&mut planner, spec.pieces);
         Session {
             tenant,
             spec,
             planner,
             jobs_completed: 0,
-            cost_key,
+            keys,
         }
     }
 
-    /// Cost-catalogue key of the session's operator: structure key,
-    /// the kernel predictions are made against (the forced kernel
-    /// when one is set, else the structure heuristic's pick), and the
-    /// piece count. Admission screening and cost-proportional
-    /// scheduling both predict through this key.
-    pub fn cost_key(&self) -> (StructureKey, KernelKind, usize) {
-        self.cost_key
-    }
-
-    /// Per-tile `(structure key, lowered kernel, pieces)` of the
-    /// session's registered operators, as the exec backend actually
-    /// lowered them. Empty until the first job finalizes the plan
-    /// (cold session), and empty under non-exec backends.
-    pub fn operator_manifest(&mut self) -> Vec<(StructureKey, KernelKind, u64)> {
-        self.planner.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<kdr_core::ExecBackend<f64>>()
-                .map(|eb| eb.operator_manifest())
-                .unwrap_or_default()
-        })
+    /// Catalogue key of every tile the session's operator lowered to,
+    /// sorted, one entry per tile. Admission screening,
+    /// cost-proportional weights, online refinement and the durable
+    /// store's kernel record all read this list.
+    pub(crate) fn catalogue_keys(&self) -> &[CatalogueKey] {
+        &self.keys
     }
 
     /// Steps captured into the session's trace cache (0 until the
     /// first job runs). Persisted to the durable store as a
     /// diagnostic of how warm the session was at save time.
     pub fn steps_captured(&mut self) -> u64 {
-        self.planner.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<kdr_core::ExecBackend<f64>>()
-                .map(|eb| eb.metrics().steps_captured)
-                .unwrap_or(0)
-        })
+        with_exec(&mut self.planner, |eb| eb.metrics().steps_captured)
     }
 
     /// Owning tenant.
@@ -270,7 +229,8 @@ impl Session {
     /// The spec this session was built from. Migration clones it to
     /// rebuild an equivalent session over the destination shard's
     /// runtime (the cached plan and traces stay behind — the rebuilt
-    /// session pays one cold finalize on its first post-move job).
+    /// session finalizes again when it is built and is cold until its
+    /// first post-move job).
     pub fn spec(&self) -> &SessionSpec {
         &self.spec
     }
@@ -280,8 +240,8 @@ impl Session {
         self.spec.unknowns
     }
 
-    /// Whether the session has completed at least one job (warm: the
-    /// plan, tiles, and traces are cached).
+    /// Whether the session has completed at least one job (warm: its
+    /// step programs are captured).
     pub fn warm(&self) -> bool {
         self.jobs_completed > 0
     }
@@ -305,12 +265,7 @@ impl Session {
         self.planner.set_rhs_data(0, rhs);
         self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
-        // Zero the iterate only after finalization has happened at
-        // least once; before it, SOL starts zeroed anyway and the
-        // solver constructor finalizes.
-        if mark > 0 {
-            self.planner.zero(SOL);
-        }
+        self.planner.zero(SOL);
         let solver = self.solver_kind().build(&mut self.planner);
         (solver, mark)
     }
@@ -334,10 +289,6 @@ impl Session {
         self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
         for (c, data) in sol.iter().enumerate() {
-            // Pre-finalization the planner parks this as pending data
-            // and applies it when the solver constructor finalizes, so
-            // the restore works on a freshly rebuilt (cold) session
-            // exactly as on a warm one.
             self.planner.set_sol_data(c, data);
         }
         let solver = self.solver_kind().build(&mut self.planner);
@@ -366,11 +317,30 @@ impl Session {
     /// ids stable for the next solver rebuild) and restore normal
     /// priority.
     pub fn end_solve(&mut self, mark: usize) {
-        // A pre-finalization mark of 0 would release SOL/RHS's
-        // siblings from 0; release_workspace_from skips SOL/RHS
-        // itself, so the call is safe either way.
-        self.planner.release_workspace_from(mark.max(RHS + 1));
+        self.planner.release_workspace_from(mark);
         self.planner.set_task_priority(0);
         self.jobs_completed += 1;
     }
+}
+
+/// Run `f` on the planner's exec backend: every session runs on one.
+fn with_exec<R>(planner: &mut Planner<f64>, f: impl FnOnce(&mut ExecBackend<f64>) -> R) -> R {
+    planner.with_backend(|b| {
+        f(b.as_any()
+            .downcast_mut()
+            .expect("a session's planner runs on the exec backend"))
+    })
+}
+
+/// The catalogue key of every tile a finalized planner lowered — the
+/// tile's structure and kernel, at the session's piece count — sorted.
+/// The service derives catalogue keys here and nowhere else, so what
+/// admission predicts and what a slice measures share one key.
+fn tile_keys(planner: &mut Planner<f64>, pieces: usize) -> Vec<CatalogueKey> {
+    let mut keys: Vec<CatalogueKey> = with_exec(planner, |eb| eb.operator_manifest())
+        .into_iter()
+        .map(|(structure, kernel, _)| CatalogueKey::new(structure, kernel, pieces))
+        .collect();
+    keys.sort_unstable();
+    keys
 }

@@ -566,10 +566,11 @@ impl ShardedService {
     }
 
     /// Create a plan-cached session for a registered tenant on its
-    /// current shard. Cheap: the expensive plan construction happens
-    /// on the session's first job (cold) and is skipped thereafter
-    /// (warm). Returns `Err(UnknownTenant)` for unregistered tenants
-    /// and `Err(ShardDegraded)` while the tenant's shard is
+    /// current shard. The session's plan is finalized here: its
+    /// operator is tiled, registered and lowered. The session is cold
+    /// — no step programs captured — until its first job runs, and
+    /// warm thereafter. Returns `Err(UnknownTenant)` for unregistered
+    /// tenants and `Err(ShardDegraded)` while the tenant's shard is
     /// quarantined (transient: retry after evacuation).
     pub fn create_session(
         &self,
@@ -1305,8 +1306,8 @@ impl ShardedService {
     /// same shard when the shard count is unchanged); sessions rebuild
     /// on their owner's shard with persisted kernel choices pinned,
     /// and every session that was warm at save time is pre-warmed —
-    /// its plan finalized and iteration trace captured — so the first
-    /// real job lands on the warm path. Corrupted, truncated, or
+    /// its iteration trace captured — so the first real job lands on
+    /// the warm path. Corrupted, truncated, or
     /// semantically invalid stores fail with a typed [`StoreError`],
     /// never a panic.
     pub fn open_store(path: &Path, mut cfg: ShardConfig) -> Result<ShardedService, StoreError> {

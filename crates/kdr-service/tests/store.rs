@@ -36,11 +36,13 @@ fn catalogue() -> SharedCatalogue {
     SharedCatalogue::new(MachineConfig::lassen(1))
 }
 
-/// The cost key a stencil session predicts through (same derivation
-/// as `Session::cost_key`).
+/// The catalogue key of every tile of a matrix-free stencil session
+/// whose pieces split the grid evenly: each tile's rows are one
+/// piece.
 fn stencil_key(s: &Stencil, pieces: usize) -> CatalogueKey {
+    let rows = s.unknowns() / pieces as u64;
     CatalogueKey::new(
-        StructureKey::for_stencil(s.kind.code(), s.kind.points() as usize, s.unknowns()),
+        StructureKey::for_stencil(s.kind.code(), s.kind.points() as usize, rows),
         KernelKind::Stencil,
         pieces,
     )
@@ -165,6 +167,86 @@ fn cost_proportional_weights_order_by_catalogue_cost() {
     // full scaled base.
     assert_eq!(w_cheap, 16);
     assert_eq!(w_pricey, 1);
+}
+
+/// What a slice measures is what admission predicts through: once a
+/// session's first job has completed, its next job is admitted as a
+/// catalogue hit, and every key the catalogue has observed carries
+/// the session's piece count — on one shard and on two.
+#[test]
+fn a_completed_job_makes_the_next_one_a_catalogue_hit() {
+    for shards in [1, 2] {
+        next_job_is_a_catalogue_hit(shards);
+    }
+}
+
+fn next_job_is_a_catalogue_hit(shards: usize) {
+    const PIECES: usize = 4;
+    let cat = catalogue();
+    let fleet = ShardedService::new(ShardConfig {
+        shards,
+        base: ServiceConfig {
+            workers: 2,
+            fence_slices: true,
+            catalogue: Some(cat.clone()),
+            ..ServiceConfig::default()
+        },
+        ..ShardConfig::default()
+    });
+    let assembled = Stencil::lap2d(12, 12);
+    let specs = [
+        SessionSpec::stencil(Stencil::lap2d(16, 16), PIECES, SolverKind::Cg),
+        SessionSpec {
+            matrix: Arc::new(assembled.to_csr::<f64, u64>()),
+            unknowns: assembled.unknowns(),
+            pieces: PIECES,
+            solver: SolverKind::Cg,
+            stencil: None,
+        },
+    ];
+    let mut sessions = Vec::new();
+    for (tenant, spec) in (1..).zip(specs) {
+        fleet.register_tenant(tenant, 1);
+        let n = spec.unknowns;
+        sessions.push((tenant, fleet.create_session(tenant, spec).unwrap(), n));
+    }
+    let control = SolveControl::to_tolerance(1e-10, 1000);
+    let submit_all = || {
+        for &(tenant, sid, n) in &sessions {
+            let req = SolveRequest::new(sid, rhs_vector::<f64>(n, 7), control.clone());
+            fleet.submit(tenant, req).unwrap();
+        }
+    };
+
+    submit_all();
+    let first = fleet.metrics();
+    fleet.run_until_idle();
+    submit_all();
+    let second = fleet.metrics();
+    fleet.run_until_idle();
+    assert!(fleet.take_responses().iter().all(|r| r.outcome.is_converged()));
+    for &(tenant, _, _) in &sessions {
+        let (a, b) = (&first[&tenant], &second[&tenant]);
+        assert_eq!(
+            (a.catalogue_hits, a.catalogue_misses),
+            (0, 1),
+            "{shards} shards, tenant {tenant}: a fresh catalogue has observed nothing"
+        );
+        assert_eq!(
+            (b.catalogue_hits, b.catalogue_misses),
+            (1, 1),
+            "{shards} shards, tenant {tenant}: the first job observed every tile's key"
+        );
+    }
+    let observed = cat.export();
+    let pieces_log2 = stencil_key(&assembled, PIECES).pieces_log2;
+    assert!(!observed.is_empty());
+    for (key, _, _) in observed {
+        assert_eq!(
+            key.pieces_log2, pieces_log2,
+            "{shards} shards: {key:?} is not keyed by the piece count"
+        );
+    }
 }
 
 /// Warm restart: a fleet with one stencil and one assembled session

@@ -67,6 +67,20 @@ if sed -n '/fn is_subset_of/,/^    }$/p' crates/kdr-index/src/interval.rs | grep
     exit 1
 fi
 
+# A session is priced by the tiles it lowered (DESIGN §14): one
+# function in kdr-service makes every catalogue key, from the exec
+# backend's operator manifest. The service must not analyze an operator
+# itself again, nor derive a key anywhere else.
+if grep -rnE 'TileStructure|StructureKey::for_stencil' crates/kdr-service/src; then
+    echo "ci.sh: kdr-service analyzes an operator itself again (see above)" >&2
+    exit 1
+fi
+if [ "$(grep -ro 'CatalogueKey::new' crates/kdr-service/src | wc -l)" -gt 1 ]; then
+    grep -rn 'CatalogueKey::new' crates/kdr-service/src >&2
+    echo "ci.sh: kdr-service makes catalogue keys in more than one place (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing
