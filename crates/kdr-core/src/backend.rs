@@ -11,7 +11,7 @@
 //! `xpay`, `dot_many`, the scalar operations, `apply`, and scalar
 //! retain/release) are provided methods, written once here: they check
 //! operand structure against [`Handles`], take result slots from its
-//! one lowest-first scalar slot arena, build the `StepOp` and hand it
+//! one scalar slot arena, build the `StepOp` and hand it
 //! to [`Backend::emit`]. A backend lowers that stream and nothing else:
 //!
 //! * [`ExecBackend`](crate::exec::ExecBackend) records each op and
@@ -207,15 +207,34 @@ pub enum StepOp {
 
 /// What the provided op methods know about a backend's handles: each
 /// vector's component lengths, for the operand checks, and the scalar
-/// slot arena. A slot is refcounted by the handles that own it, and a
-/// released one is reused lowest-first, so a solver's per-iteration
-/// allocation pattern settles into a short cycle of result slots and
-/// the arena stays as large as the peak number of live scalars.
+/// slot arena.
+///
+/// A slot is refcounted by the handles that own it and belongs to one
+/// *bank*, which reuses its released slots lowest-first. A step takes
+/// its results from the lowest-numbered bank that held no live scalar
+/// when it began (`Handles::begin_step`); anything allocated outside
+/// a step comes from bank 0. So the slots a step's results land on
+/// depend on what the step records, not on how many steps came before:
+/// a step that retains nothing stays on one bank, and a solver that
+/// carries scalars `d` steps ahead rotates through `d + 1` banks. The
+/// arena is as large as the sum of each bank's peak number of live
+/// scalars.
 #[derive(Default, Debug)]
 pub struct Handles {
     vectors: Vec<Vec<u64>>,
     refs: Vec<usize>,
+    /// The bank each slot belongs to.
+    bank_of: Vec<usize>,
+    banks: Vec<Bank>,
+    /// The bank new slots are taken from.
+    current: usize,
+}
+
+/// One bank of scalar slots: the free ones, and how many have an owner.
+#[derive(Default, Debug)]
+struct Bank {
     free: BTreeSet<SRef>,
+    live: usize,
 }
 
 impl Handles {
@@ -233,17 +252,52 @@ impl Handles {
 
     /// Scalar slots currently free (no owner left).
     pub(crate) fn free_slots(&self) -> usize {
-        self.free.len()
+        self.banks.iter().map(|b| b.free.len()).sum()
     }
 
-    /// A slot with one owner: the lowest free one, else a new one.
+    /// Enter a step: its results come from the lowest-numbered bank
+    /// that holds no live scalar, or from a new bank if every bank
+    /// holds one.
+    pub(crate) fn begin_step(&mut self) {
+        self.current = self
+            .banks
+            .iter()
+            .position(|b| b.live == 0)
+            .unwrap_or(self.banks.len());
+    }
+
+    /// Leave a step: allocations go back to bank 0.
+    pub(crate) fn end_step(&mut self) {
+        self.current = 0;
+    }
+
+    /// A slot with one owner: the current bank's lowest free one, else
+    /// a new one in that bank.
     fn alloc_slot(&mut self) -> SRef {
-        if let Some(slot) = self.free.pop_first() {
+        let b = self.current;
+        if b == self.banks.len() {
+            self.banks.push(Bank::default());
+        }
+        let bank = &mut self.banks[b];
+        bank.live += 1;
+        if let Some(slot) = bank.free.pop_first() {
             self.refs[slot] = 1;
             slot
         } else {
             self.refs.push(1);
+            self.bank_of.push(b);
             self.refs.len() - 1
+        }
+    }
+
+    /// Drop one owner of slot `s`, returning it to its bank at zero.
+    fn release(&mut self, s: SRef) {
+        debug_assert!(self.refs[s] > 0, "double release of scalar {s}");
+        self.refs[s] -= 1;
+        if self.refs[s] == 0 {
+            let bank = &mut self.banks[self.bank_of[s]];
+            bank.live -= 1;
+            bank.free.insert(s);
         }
     }
 
@@ -528,12 +582,7 @@ pub trait Backend<T: Scalar>: Send {
     /// Drop one owner of scalar `s`; the slot is reused once the count
     /// reaches zero.
     fn scalar_release(&mut self, s: SRef) {
-        let h = self.handles();
-        debug_assert!(h.refs[s] > 0, "double release of scalar {s}");
-        h.refs[s] -= 1;
-        if h.refs[s] == 0 {
-            h.free.insert(s);
-        }
+        self.handles().release(s);
     }
 
     /// `dst ← A(src)` (or `Aᵀ` when `transpose`), where `A` is the

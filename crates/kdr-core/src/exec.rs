@@ -73,12 +73,12 @@
 //! function of its record and of what each call's lowering reads from
 //! the backend: the pieces and buffers of the vectors named, the
 //! scalar slots named, the tiles and apply plans of the operator
-//! named, the pooled partials buffer of each `dot_many` position, and
-//! the priority recorded with each call. All of those are reached
-//! through the handles in the record, and none is ever *replaced*
-//! under a handle without ending the cache's **epoch** — dropping
-//! every program (`ExecBackend::new_epoch`: `register_operator`, and a
-//! pooled partials buffer re-made for another slot count). Equal
+//! named, the pooled partials buffer of each `dot_many` position and
+//! width, and the priority recorded with each call. All of those are
+//! reached through the handles in the record, and none is ever
+//! *replaced* under a handle without ending the cache's **epoch** —
+//! dropping every program (`ExecBackend::new_epoch`, called by
+//! `register_operator` alone). Equal
 //! records within an epoch therefore lower to equal task lists, which
 //! is the signature equality the runtime's replay requires. Debug
 //! builds check exactly that on every hit: the record is lowered
@@ -99,10 +99,11 @@
 //! counts, per-name execute time and spans stay per body.
 //!
 //! Record stability across iterations is what makes the cache hit:
-//! scalars live in the refcounted slot arena of [`Handles`] (released
-//! slots are reused lowest-first, so a solver's per-iteration allocation
-//! pattern settles into a short cycle of result slots), `dot` partial
-//! buffers are pooled per step position rather than freshly
+//! scalars live in the refcounted slot arena of [`Handles`] (a step
+//! takes its results from the lowest bank of slots no live scalar
+//! holds, reused lowest-first, so a solver that carries scalars one
+//! step ahead alternates between two records), `dot` partial buffers
+//! are pooled per step position and width rather than freshly
 //! allocated, and the planner's workspace pool hands a rebuilt solver
 //! the vectors its predecessor used. Pieces, tile footprints and
 //! partial slots are held as shared `Arc<IntervalSet>`s made once, so
@@ -148,10 +149,9 @@ fn piece_color(comp: usize, color: usize) -> usize {
 }
 
 /// Step programs kept per backend; steps whose op list keeps changing
-/// after this many variants run analyzed. Sized for the longest cycle
-/// a solver here settles into: BiCGStab's nine (lowest-first
-/// scalar-slot reuse against handles it retains across iterations,
-/// DESIGN §6), with room for a second solver on the same planner.
+/// after this many variants run analyzed. Sized for the most records a
+/// solver here captures before it only replays: TFQMR's eight (DESIGN
+/// §6), with room for a second solver on the same planner.
 const TRACE_CACHE_CAP: usize = 16;
 
 /// A [`MetricsSnapshot`] extended with the backend's own state:
@@ -162,7 +162,8 @@ const TRACE_CACHE_CAP: usize = 16;
 pub struct ExecMetrics {
     /// Runtime-level counters and latency histograms.
     pub runtime: MetricsSnapshot,
-    /// Scalar slot arena size (peak simultaneous live scalars).
+    /// Scalar slot arena size: the sum over slot banks of each bank's
+    /// peak simultaneous live scalars.
     pub scalar_slots: usize,
     /// Scalar slots currently free (zero refcount).
     pub scalar_free: usize,
@@ -471,8 +472,9 @@ impl VecOp {
 /// calls of the step, in order. A [`StepOp`] is everything its tasks
 /// are a function of, given the backend's registered vectors,
 /// operators, scalar slots and pooled partials buffers: the `k`-th
-/// `Dots` of a deferred step has its partials in pooled buffer `k`, so
-/// the pool index is fixed by the op list too.
+/// `Dots` of a deferred step has its partials in the pooled buffer of
+/// position `k` and its total width, so the op list fixes the pool
+/// entry too.
 #[derive(Clone, Default, PartialEq)]
 struct StepKey {
     /// Each call with the task priority current when it was made.
@@ -546,8 +548,8 @@ pub struct ExecBackend<T: Scalar> {
     /// One single-element buffer per slot of the `handles` arena.
     scalars: Vec<Buffer<T>>,
     /// Pooled `dot` partial buffers, keyed by call position within a
-    /// deferred step.
-    dot_partials: Vec<Partials<T>>,
+    /// deferred step and total partial slots; only ever added to.
+    dot_partials: BTreeMap<(usize, usize), Partials<T>>,
     dot_seq: usize,
     /// Whether `step_begin` defers the step for program lookup.
     tracing: bool,
@@ -615,7 +617,7 @@ impl<T: Scalar> ExecBackend<T> {
             opsets: Vec::new(),
             handles: Handles::default(),
             scalars: Vec::new(),
-            dot_partials: Vec::new(),
+            dot_partials: BTreeMap::new(),
             dot_seq: 0,
             tracing: true,
             deferring: false,
@@ -713,8 +715,8 @@ impl<T: Scalar> ExecBackend<T> {
         self.tracing = on;
     }
 
-    /// Size of the scalar slot arena (bounded by peak simultaneous
-    /// live scalars, not by total scalars ever created).
+    /// Size of the scalar slot arena (bounded by each slot bank's peak
+    /// simultaneous live scalars, not by total scalars ever created).
     pub fn scalar_slots(&self) -> usize {
         self.handles.slots()
     }
@@ -903,11 +905,10 @@ impl<T: Scalar> ExecBackend<T> {
     /// program is looked up by its recorded calls alone, which is
     /// sound as long as nothing a call's lowering reads from this
     /// backend is replaced; whatever replaces such a thing calls this.
-    /// Today that is `register_operator` (tiles and apply plans) and
-    /// the re-making of a pooled partials buffer for a different slot
-    /// count. Vectors, scalar slots and pool entries are only ever
-    /// *added* otherwise, and a handle that did not exist when a
-    /// program was recorded cannot occur in its key.
+    /// That is `register_operator` (tiles and apply plans) alone.
+    /// Vectors, scalar slots and pool entries are only ever *added*,
+    /// and a handle that did not exist when a program was recorded
+    /// cannot occur in its key.
     fn new_epoch(&mut self) {
         self.programs.clear();
     }
@@ -919,18 +920,16 @@ impl<T: Scalar> ExecBackend<T> {
     }
 
     /// Ready the pool entry for the `dot_many` at the current position
-    /// of a deferred step to hold `total_slots` partials: the buffer
-    /// every step with a `dot_many` of that size at that position
-    /// shares (stable buffer ids keep the step repeatable).
+    /// of a deferred step with `total_slots` partials: the buffer every
+    /// step with a `dot_many` of that width at that position shares
+    /// (stable buffer ids keep the step repeatable). An entry is made
+    /// once and never replaced.
     fn pooled_partials(&mut self, total_slots: usize) {
-        let idx = self.dot_seq;
+        let key = (self.dot_seq, total_slots);
         self.dot_seq += 1;
-        if idx == self.dot_partials.len() {
-            self.dot_partials.push(Partials::new(total_slots));
-        } else if self.dot_partials[idx].buf.len() != total_slots {
-            self.dot_partials[idx] = Partials::new(total_slots);
-            self.new_epoch();
-        }
+        self.dot_partials
+            .entry(key)
+            .or_insert_with(|| Partials::new(total_slots));
     }
 
     /// One `dot_partial` task per non-empty piece of `a · b`, writing
@@ -1036,7 +1035,9 @@ impl<T: Scalar> ExecBackend<T> {
     /// produces all result scalars — one reduction stage for the
     /// whole batch. Each pair's partials occupy a contiguous slot
     /// range and are summed in ascending slot order, so a result does
-    /// not depend on which other pairs share its batch.
+    /// not depend on which other pairs share its batch. `pool`: the
+    /// batch's position in a deferred step, whose pooled buffer of this
+    /// width it uses; a fresh buffer otherwise.
     fn dots(&self, batch: &[(BVec, BVec, SRef)], pool: Option<usize>, out: &mut Lowered<T>) {
         // Per-pair slot offsets into the shared partials buffer.
         let mut offsets = Vec::with_capacity(batch.len() + 1);
@@ -1047,7 +1048,7 @@ impl<T: Scalar> ExecBackend<T> {
         }
         offsets.push(total_slots);
         let partials = match pool {
-            Some(idx) => self.dot_partials[idx].clone(),
+            Some(pos) => self.dot_partials[&(pos, total_slots)].clone(),
             None => Partials::new(total_slots),
         };
         for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
@@ -1137,7 +1138,8 @@ impl<T: Scalar> ExecBackend<T> {
     /// backend call becomes tasks. Every body is a shared one, so the
     /// result can be submitted as it is or kept as a step program.
     /// In a `pooled` record (a deferred step) the `k`-th `Dots` keeps
-    /// its partials in pooled buffer `k`; elsewhere in a fresh one.
+    /// its partials in the pooled buffer of position `k` and its
+    /// width; elsewhere in a fresh one.
     fn lower(&self, step: &StepRecord<T>, pooled: bool) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
@@ -1414,11 +1416,13 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         assert!(!self.deferring, "nested step_begin");
         self.deferring = true;
         self.dot_seq = 0;
+        self.handles.begin_step();
         debug_assert!(self.step.key.ops.is_empty());
     }
 
     fn step_end(&mut self) -> StepOutcome {
         let outcome = self.finish_step();
+        self.handles.end_step();
         self.in_step = false;
         match outcome {
             StepOutcome::Analyzed => self.steps_analyzed += 1,
@@ -1775,8 +1779,8 @@ mod tests {
         }
         planner.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 3));
         let mut solver = build(&mut planner);
-        // BiCGStab cycles through nine step shapes, the longest
-        // cycle here: twenty steps replay under every solver.
+        // CG, PCG and BiCGStab each capture three step shapes
+        // (DESIGN §6): the rest of twenty steps replay.
         crate::solve(&mut planner, solver.as_mut(), crate::SolveControl::fixed(20))
             .expect("twenty steps on a Laplacian do not break down");
         planner.with_backend(|b| {

@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    solve_traced, BiCgStabSolver, CgSolver, ExecBackend, ExecMetrics, Planner, SolveControl,
-    SolveTrace, StepDriver, StepOutcome, RHS, SOL,
+    solve_traced, BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ExecBackend, ExecMetrics,
+    FusedCgSolver, MinresSolver, PBiCgStabSolver, PcgSolver, PipelinedCgSolver, PipelinedCrSolver,
+    Planner, SolveControl, SolveTrace, Solver, StepDriver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
@@ -214,21 +215,13 @@ fn twelve_solves_on_one_planner_do_not_age() {
     // release returned nothing, the next solver allocated fresh
     // vectors with new buffer ids — new step shapes — and once the
     // trace cache was full every step ran analyzed.
-    let s = Stencil::lap2d(16, 16);
-    let n = s.unknowns();
-    let mut p = planner();
-    let part = Partition::equal_blocks(n, 4);
-    let d = p.add_sol_vector(n, Some(part.clone()));
-    let r = p.add_rhs_vector(n, Some(part));
-    p.add_operator(Arc::new(s.to_csr::<f64, u64>()), d, r);
-    p.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 5));
-
-    let first = marked_cg_solve(&mut p, d);
+    let mut p = lap2d_planner(16, false);
+    let first = marked_cg_solve(&mut p, 0);
     assert!(first.0.len() > 2, "the solve checks its residual as it goes");
     assert_eq!(first.1, 0, "CG steps are captured or replayed");
-    let second = marked_cg_solve(&mut p, d);
+    let second = marked_cg_solve(&mut p, 0);
     for solve in 3..=12 {
-        let again = marked_cg_solve(&mut p, d);
+        let again = marked_cg_solve(&mut p, 0);
         assert_eq!(again.0, first.0, "solve {solve}: residual history");
         assert_eq!(again.1, 0, "solve {solve}: analyzed steps");
         assert_eq!(again.2, second.2, "solve {solve}: cached traces");
@@ -244,29 +237,45 @@ fn twelve_solves_on_one_planner_do_not_age() {
     assert_eq!(second.4, first.4, "the second solve replays every step");
 }
 
-#[test]
-fn bicgstab_shape_cycle_fits_the_trace_cache() {
-    // BiCGStab holds four scalars from one iteration into the next
-    // (rho, the residual norm, the last (r0hat, v) and omega) while
-    // each step allocates and frees a dozen more, lowest free slot
-    // first, so the slots a step lands on — part of its shape — walk
-    // through a cycle of nine. With room for eight, the ninth shape
-    // was analysed every time it came round.
-    let s = Stencil::lap2d(48, 48);
+/// A planner over lap2d `side`² in 4 pieces with its right-hand side
+/// set, and the Jacobi preconditioner when `preconditioned`.
+fn lap2d_planner(side: u64, preconditioned: bool) -> Planner<f64> {
+    let s = Stencil::lap2d(side, side);
     let n = s.unknowns();
+    let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
     let mut p = planner();
     let part = Partition::equal_blocks(n, 4);
     let d = p.add_sol_vector(n, Some(part.clone()));
     let r = p.add_rhs_vector(n, Some(part));
-    p.add_operator(Arc::new(s.to_csr::<f64, u64>()), d, r);
+    p.add_operator(Arc::clone(&m), d, r);
+    if preconditioned {
+        p.add_preconditioner(Arc::new(kdr_core::precond::jacobi(m.as_ref())), d, r);
+    }
     p.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 5));
-    let mut solver = BiCgStabSolver::new(&mut p);
-    // Residual checked after every step, never met: 36 steps.
-    let control = SolveControl {
-        max_iters: 36,
+    p
+}
+
+/// Residual checked after every step, never met: `steps` steps.
+fn fixed_steps(steps: usize) -> SolveControl {
+    SolveControl {
+        max_iters: steps,
         check_every: 1,
         ..SolveControl::default()
-    };
+    }
+}
+
+#[test]
+fn bicgstab_shape_cycle_fits_the_trace_cache() {
+    // BiCGStab holds four scalars from one iteration into the next
+    // (rho, the residual norm, the last (r0hat, v) and omega), and the
+    // slots a step lands on are part of its shape. A step takes its
+    // slots from a bank none of those four sit in, so the steps
+    // alternate between two banks: the first step (which finds the
+    // setup's scalars live) and the two banks of the steady state are
+    // three shapes.
+    let mut p = lap2d_planner(48, false);
+    let mut solver = BiCgStabSolver::new(&mut p);
+    let control = fixed_steps(36);
     // `solve_traced`, one iteration at a time: tasks lowered from step
     // operations so far, after each.
     let (mut driver, mut trace) = (StepDriver::new(), SolveTrace::new());
@@ -280,18 +289,104 @@ fn bicgstab_shape_cycle_fits_the_trace_cache() {
     assert_eq!(driver.iters(), 36);
     let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();
     assert!(
-        outcomes[..9].iter().all(|&o| o == StepOutcome::Captured),
-        "nine shapes, each captured once: {outcomes:?}"
+        outcomes[..3].iter().all(|&o| o == StepOutcome::Captured),
+        "three shapes, each captured once: {outcomes:?}"
     );
     assert!(
-        outcomes[9..].iter().all(|&o| o == StepOutcome::Replayed),
-        "no step is analysed again: {outcomes:?}"
+        outcomes[3..].iter().all(|&o| o == StepOutcome::Replayed),
+        "no step is captured or analysed again: {outcomes:?}"
     );
-    assert_eq!(lowered[35].trace_cache_len, 9);
-    // Tasks are built for the nine captured steps and for none after.
+    assert_eq!(lowered[35].trace_cache_len, 3);
+    // Tasks are built for the three captured steps and for none after.
     let lowered: Vec<u64> = lowered.iter().map(|m| m.step_tasks_lowered).collect();
-    assert!(lowered[..9].windows(2).all(|w| w[0] < w[1]), "{lowered:?}");
-    assert!(lowered[8..].iter().all(|&l| l == lowered[8]), "{lowered:?}");
+    assert!(lowered[..3].windows(2).all(|w| w[0] < w[1]), "{lowered:?}");
+    assert!(lowered[2..].iter().all(|&l| l == lowered[2]), "{lowered:?}");
+}
+
+type Build = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
+
+#[test]
+fn every_traced_solver_captures_a_few_steps_then_only_replays() {
+    // (solver, preconditioned, build, captured steps). Left out:
+    // GMRES(m), whose Arnoldi step grows within a restart cycle, so
+    // every step of a cycle is a new record (DESIGN §6b); s-step CG,
+    // whose host read of the Gram matrix forces its step mid-way and
+    // runs the rest analyzed (DESIGN §6b).
+    let table: [(&str, bool, Build, u64); 11] = [
+        ("CG", false, |p| Box::new(CgSolver::new(p)), 3),
+        ("PCG", true, |p| Box::new(PcgSolver::new(p)), 3),
+        ("BiCG", false, |p| Box::new(BiCgSolver::new(p)), 3),
+        ("CGS", false, |p| Box::new(CgsSolver::new(p)), 3),
+        ("BiCGStab", false, |p| Box::new(BiCgStabSolver::new(p)), 3),
+        ("PBiCGStab", true, |p| Box::new(PBiCgStabSolver::new(p)), 3),
+        ("TFQMR", false, |p| Box::new(TfqmrSolver::new(p)), 8),
+        ("MINRES", false, |p| Box::new(MinresSolver::new(p)), 5),
+        ("fused CG", false, |p| Box::new(FusedCgSolver::new(p)), 6),
+        ("pipe CG", false, |p| Box::new(PipelinedCgSolver::new(p)), 6),
+        ("pipe CR", false, |p| Box::new(PipelinedCrSolver::new(p)), 6),
+    ];
+    for (name, preconditioned, build, captures) in table {
+        let mut p = lap2d_planner(24, preconditioned);
+        let mut solver = build(&mut p);
+        let control = fixed_steps(40);
+        let (mut driver, mut trace) = (StepDriver::new(), SolveTrace::new());
+        for _ in 0..40 {
+            driver
+                .step(&mut p, solver.as_mut(), &control, Some(&mut trace))
+                .unwrap_or_else(|e| panic!("{name}: 40 steps do not break down: {e:?}"));
+        }
+        let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();
+        assert_eq!(outcomes.len(), 40, "{name}");
+        let last_capture = outcomes
+            .iter()
+            .rposition(|&o| o == StepOutcome::Captured)
+            .expect("a traced solver captures");
+        assert!(
+            outcomes[last_capture + 1..]
+                .iter()
+                .all(|&o| o == StepOutcome::Replayed),
+            "{name}: only replays follow the last capture: {outcomes:?}"
+        );
+        let m = exec_metrics(&mut p);
+        assert_eq!(
+            (m.steps_captured, m.steps_analyzed),
+            (captures, 0),
+            "{name}: {outcomes:?}"
+        );
+    }
+}
+
+#[test]
+fn a_solve_starts_in_the_bank_its_predecessor_started_in() {
+    // The service's warm-session pattern: one planner, solver after
+    // solver, each inside a workspace mark. The solves run 7, 8 and 7
+    // steps, so a rule that flipped banks on every step would start the
+    // second solve on the other bank, and its steps would be new
+    // records; the bank a step takes depends only on which scalars are
+    // live when it begins.
+    let mut p = lap2d_planner(24, false);
+    let n = p.sol_partition(0).space_size() as usize;
+    let mut captured = Vec::new();
+    for steps in [7, 8, 7] {
+        p.set_sol_data(0, &vec![0.0; n]);
+        let mark = p.workspace_mark();
+        let mut solver = BiCgStabSolver::new(&mut p);
+        let (report, trace) = solve_traced(&mut p, &mut solver, fixed_steps(steps));
+        assert_eq!(report.expect("a few steps do not break down").iters, steps);
+        drop(solver);
+        p.release_workspace_from(mark.max(RHS + 1));
+        let m = exec_metrics(&mut p);
+        assert_eq!(m.steps_analyzed, 0);
+        captured.push(m.steps_captured);
+        let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();
+        if captured.len() > 1 {
+            assert!(
+                outcomes.iter().all(|&o| o == StepOutcome::Replayed),
+                "a {steps}-step solve after the first replays every step: {outcomes:?}"
+            );
+        }
+    }
+    assert_eq!(captured, [3, 3, 3], "no capture after the first solve");
 }
 
 #[test]

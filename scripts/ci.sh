@@ -135,7 +135,24 @@ cargo test -q --release -p kdr-core --test registration_pin
 # above) carries the signature oracle — every program hit re-lowers
 # its record and asserts it still matches the captured step — and
 # --release is the path solves run on, where no signature is computed.
+# The trace-cache unit tests (a step that retains nothing keeps one
+# record, fused dots replay, solver steps compile to nodes) live in
+# `exec.rs` and run in both profiles too.
 cargo test -q --release -p kdr-core --test step_program --test planner_api
+cargo test -q --release -p kdr-core --lib exec::tests
+# A program is looked up by its recorded calls alone, which is sound
+# while nothing a call lowers to is replaced under its handle (DESIGN
+# §6, the epoch rule). Registering an operator is the one thing that
+# replaces: the pooled dot partials are only ever added to, so no other
+# code may end an epoch.
+epochs=$(grep -c 'self\.new_epoch()' crates/kdr-core/src/exec.rs || true)
+registered=$(sed -n '/fn register_operator/,/^    }$/p' crates/kdr-core/src/exec.rs |
+    grep -c 'self\.new_epoch()' || true)
+if [ "$epochs" != "$registered" ]; then
+    grep -n 'self\.new_epoch()' crates/kdr-core/src/exec.rs >&2
+    echo "ci.sh: exec.rs ends an epoch outside register_operator (see above)" >&2
+    exit 1
+fi
 
 # The three service suites that share the one tenant-install path
 # (`attach_tenant`: evacuation and crash recovery, migration, warm
