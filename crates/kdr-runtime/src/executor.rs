@@ -57,14 +57,27 @@
 //! ready queues, the counts of parked workers and parked drivers, the
 //! span log and the execution tallies — is one structure (`DepState`)
 //! under one mutex.
-//! A submitter installs its node, queues it if ready and wakes a
-//! parked worker under one acquisition; a worker retires the node it
-//! ran, queues the successors that released, and takes its next node
-//! under one acquisition, and parks on a condition variable *with that
-//! mutex* when there is nothing to take. A node can therefore not be
-//! queued between a worker's last look at the queues and its going to
-//! sleep, which is why no wait in this file has a timeout. Task bodies
-//! run with the lock released.
+//! A submitter installs its node and queues it if ready under one
+//! acquisition; a worker retires the node it ran, queues the
+//! successors that released, and takes its next node under one
+//! acquisition, and parks on a condition variable *with that mutex*
+//! when there is nothing to take. A node can therefore not be queued
+//! between a worker's last look at the queues and its going to sleep,
+//! which is why no wait in this file has a timeout. Task bodies run
+//! with the lock released.
+//!
+//! Wake-ups follow the unlock. A locked section works out the wake-ups
+//! it owes (`Wakes`: a parked worker per node it queued, the parked
+//! drivers after a retirement) from the counts of parked threads it
+//! reads under that lock, and its caller makes them once the guard has
+//! dropped — before it runs a body or returns. A thread woken under
+//! the lock would find it taken: on one CPU it preempts the notifier,
+//! sleeps on the mutex and is woken a second time at the unlock.
+//! Making the wake-up later loses none: a thread counted as parked
+//! under the lock that queued a node or retired one is either still
+//! waiting when the notify comes, or has woken since and looked at the
+//! state that lock left behind. Only a thread about to park notifies
+//! under the lock, since parking releases it next.
 //!
 //! Task ids are handed out in submission order, so the nodes that are
 //! still in flight always lie in one id interval. The executor keeps
@@ -472,11 +485,35 @@ struct ExecShared {
     tasks_stalled: AtomicU64,
 }
 
+/// Wake-ups a locked section owes parked threads (module docs,
+/// "Scheduling state"): worked out under the scheduler lock, made by
+/// `ExecShared::wake` after it drops.
+#[derive(Default)]
+struct Wakes {
+    /// Parked workers to notify.
+    workers: usize,
+    /// Whether to notify the parked drivers: a node retired while one
+    /// was parked.
+    drivers: bool,
+}
+
+impl Wakes {
+    /// Owe a parked worker to each of `nodes` nodes just queued, as
+    /// far as `st` counts parked workers.
+    fn queued(&mut self, st: &DepState, nodes: usize) {
+        self.workers = (self.workers + nodes).min(st.idle);
+    }
+}
+
 impl ExecShared {
-    /// Wake a parked worker for each of `nodes` newly queued nodes.
-    fn wake(&self, st: &DepState, nodes: usize) {
-        for _ in 0..nodes.min(st.idle) {
+    /// Make the wake-ups a locked section owed, once it has released
+    /// the lock (or is about to park).
+    fn wake(&self, owed: Wakes) {
+        for _ in 0..owed.workers {
             self.wake_cv.notify_one();
+        }
+        if owed.drivers {
+            self.idle_cv.notify_all();
         }
     }
 
@@ -633,11 +670,13 @@ impl Executor {
         };
         st.slots.resize_with(idx, Slot::vacant);
         st.slots.push_back(slot);
-        // Last, so a worker woken here finds the lock about to be free.
+        let mut owed = Wakes::default();
         if let Some(node) = ready {
             st.ready.push(node, now_ns);
-            shared.wake(&st, 1);
+            owed.queued(&st, 1);
         }
+        drop(st);
+        shared.wake(owed);
     }
 
     /// The bodies of a step program as one run starting at id `base`:
@@ -667,8 +706,8 @@ impl Executor {
     /// nodes depend on one another. The executor must be quiescent
     /// (the runtime fences before a replay), so the step has no
     /// outside dependences and the whole graph is installed under one
-    /// lock acquisition, with one round of wake-ups for its initially
-    /// ready nodes.
+    /// lock acquisition, followed by one round of wake-ups for its
+    /// initially ready nodes.
     pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: StepBodies) {
         let shared = &*self.shared;
         let graph = &trace.graph;
@@ -749,16 +788,29 @@ impl Executor {
         }
         st.outstanding = graph.nodes.len();
         st.batch = Some((base, Arc::clone(graph)));
-        shared.wake(&st, ready);
+        let mut owed = Wakes::default();
+        owed.queued(&st, ready);
+        drop(st);
+        shared.wake(owed);
     }
 
     /// Wait until `done` holds of the scheduling state, as a driver
     /// of the scheduling loop (`run_nodes`): running ready nodes while
-    /// there are any, parked while there are none. Returns the lock
-    /// `done` was seen to hold under, and the time spent parked.
-    fn wait_until(&self, done: impl Fn(&DepState) -> bool) -> (MutexGuard<'_, DepState>, Duration) {
+    /// there are any, parked while there are none. Returns what `read`
+    /// makes of the state `done` was seen to hold in and of the time
+    /// spent parked; the wake-ups the driver's last retirement owes
+    /// are made once that lock drops.
+    fn wait_until<R>(
+        &self,
+        done: impl Fn(&DepState) -> bool,
+        read: impl FnOnce(&DepState, Duration) -> R,
+    ) -> R {
         let shared = &*self.shared;
-        run_nodes(shared, shared.state.lock(), Role::Driver(&done))
+        let (st, parked, owed) = run_nodes(shared, shared.state.lock(), Role::Driver(&done));
+        let out = read(&st, parked);
+        drop(st);
+        shared.wake(owed);
+        out
     }
 
     /// Wait until every submitted node has finished, running ready
@@ -766,8 +818,10 @@ impl Executor {
     /// [`Executor::take_failure`], returns the first failure (and
     /// keeps returning it until taken).
     pub fn fence(&self) -> Result<(), TaskError> {
-        let (st, _) = self.wait_until(|st| st.outstanding == 0);
-        st.failure.clone().map_or(Ok(()), Err)
+        self.wait_until(
+            |st| st.outstanding == 0,
+            |st, _| st.failure.clone().map_or(Ok(()), Err),
+        )
     }
 
     /// Wait until none of the nodes `ids` is in flight, running ready
@@ -777,14 +831,22 @@ impl Executor {
     /// the nodes retired failed or poisoned since the last
     /// [`Executor::take_failure`], the recorded failure.
     pub fn wait_retired(&self, ids: &[TaskId]) -> Result<Duration, TaskError> {
-        let (st, parked) = self.wait_until(|st| !ids.iter().any(|&id| st.is_live(id)));
-        if ids.iter().any(|id| st.poisoned_retired.contains(id)) {
-            // A node retires poisoned under the acquisition that
-            // recorded the failure, and the two are cleared together.
-            Err(st.failure.clone().expect("a poisoned node has a recorded failure"))
-        } else {
-            Ok(parked)
-        }
+        self.wait_until(
+            |st| !ids.iter().any(|&id| st.is_live(id)),
+            |st, parked| {
+                if ids.iter().any(|id| st.poisoned_retired.contains(id)) {
+                    // A node retires poisoned under the acquisition that
+                    // recorded the failure, and the two are cleared
+                    // together.
+                    Err(st
+                        .failure
+                        .clone()
+                        .expect("a poisoned node has a recorded failure"))
+                } else {
+                    Ok(parked)
+                }
+            },
+        )
     }
 
     /// Remove and return the recorded failure, re-arming the executor
@@ -877,11 +939,15 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.wake_cv.notify_all();
-        }
+        let mut st = self.shared.state.lock();
+        st.shutdown = true;
+        // A worker that is not parked sees `shutdown` before it parks.
+        let owed = Wakes {
+            workers: st.idle,
+            drivers: false,
+        };
+        drop(st);
+        self.shared.wake(owed);
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -942,14 +1008,16 @@ enum Retiring<'a> {
 /// unpoisoned are queued; returns how many were. Runs entirely under
 /// the state lock, so fences observing `outstanding == 0` see every
 /// span and counter of the cascade. Drivers parked for want of a ready
-/// node are woken to look again: for what was released, and at the
-/// condition they wait for, which only a retirement makes true.
+/// node are owed a wake-up (in `owed`) to look again: for what was
+/// released, and at the condition they wait for, which only a
+/// retirement makes true.
 fn retire_locked(
     shared: &ExecShared,
     st: &mut DepState,
     first: Retiring<'_>,
     me: usize,
     logging: bool,
+    owed: &mut Wakes,
 ) -> usize {
     // Nodes to retire without running.
     let mut unrun: Vec<Runnable> = Vec::new();
@@ -975,9 +1043,7 @@ fn retire_locked(
         st.slots.pop_front();
         st.base += 1;
     }
-    if st.drivers_parked > 0 {
-        shared.idle_cv.notify_all();
-    }
+    owed.drivers |= st.drivers_parked > 0;
     released
 }
 
@@ -1209,12 +1275,14 @@ enum Role<'a> {
 /// with the lock released, retire it and queue what it released, all
 /// but the running under the acquisition `st` — and park, with that
 /// lock, when nothing is ready. Returns the lock the role's exit
-/// condition was seen under and the time spent parked as a driver.
+/// condition was seen under, the time spent parked as a driver, and
+/// the wake-ups still owed, which the caller makes once it has
+/// dropped that lock.
 fn run_nodes<'a>(
     shared: &'a ExecShared,
     mut st: MutexGuard<'a, DepState>,
     role: Role<'_>,
-) -> (MutexGuard<'a, DepState>, Duration) {
+) -> (MutexGuard<'a, DepState>, Duration, Wakes) {
     let (me, by_driver) = match role {
         Role::Worker(w) => (w, false),
         Role::Driver(_) => (shared.driver_lane(), true),
@@ -1224,24 +1292,32 @@ fn run_nodes<'a>(
     // Successors this thread queued in the critical section it is
     // still in.
     let mut released = 0usize;
+    // Wake-ups owed since this thread last released the lock.
+    let mut owed = Wakes::default();
     let mut parked = Duration::ZERO;
     loop {
         if matches!(role, Role::Driver(done) if done(&st)) {
-            shared.wake(&st, released);
-            return (st, parked);
+            owed.queued(&st, released);
+            return (st, parked, owed);
         }
         let next = st.ready.pop(me);
         // This thread takes one of the nodes it just queued itself;
         // each of the others gets a parked worker, if there is one.
-        shared.wake(&st, released.saturating_sub(1));
+        owed.queued(&st, released.saturating_sub(1));
         released = 0;
         let Some((node, stolen)) = next else {
+            // Under the lock: this thread parks next, which releases
+            // the lock an instant after the notify. Releasing it first
+            // would cost an acquisition more to look at the queues
+            // again, and read slower (EXPERIMENTS.md "What a hand-off
+            // costs").
+            shared.wake(std::mem::take(&mut owed));
             // Parking releases the lock this thread found the queues
             // empty under, so whoever queues a node next sees a worker
             // in `idle` and wakes it, and whoever retires one next
             // sees a driver in `drivers_parked` and wakes it.
             match role {
-                Role::Worker(_) if st.shutdown => return (st, parked),
+                Role::Worker(_) if st.shutdown => return (st, parked, Wakes::default()),
                 Role::Worker(_) => {
                     st.idle += 1;
                     shared.wake_cv.wait(&mut st);
@@ -1264,10 +1340,13 @@ fn run_nodes<'a>(
         let logging = shared.events.enabled();
         if node.poisoned {
             // Born poisoned: a dependence had already retired failed.
-            released = retire_locked(shared, &mut st, Retiring::Unrun(node), me, logging);
+            // What this owes is made with the next release of the lock.
+            let unrun = Retiring::Unrun(node);
+            released = retire_locked(shared, &mut st, unrun, me, logging, &mut owed);
             continue;
         }
         drop(st);
+        shared.wake(std::mem::take(&mut owed));
         let timing = logging || shared.kernel_timing.load(Ordering::Relaxed);
         let id = node.id();
         let failure = run_node(shared, me, node, timing, &mut records);
@@ -1286,7 +1365,7 @@ fn run_nodes<'a>(
             id,
             bodies: &records,
         };
-        released = retire_locked(shared, &mut st, ran, me, logging);
+        released = retire_locked(shared, &mut st, ran, me, logging, &mut owed);
     }
 }
 

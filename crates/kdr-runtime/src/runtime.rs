@@ -25,7 +25,7 @@ use crate::events::TaskSpan;
 use crate::executor::{Executor, Member, Runnable, StepBodies};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
-use crate::mapper::Mapper;
+use crate::mapper::{Mapper, TaskMeta};
 use crate::metrics::MetricsSnapshot;
 use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId};
 use crate::trace::{ProgramBody, StepProgram, Trace};
@@ -36,9 +36,9 @@ use crate::trace::{ProgramBody, StepProgram, Trace};
 struct TraceCapture {
     first_id: TaskId,
     deps: Vec<Vec<usize>>,
-    /// Affinity colour of each captured task: what the compile step
-    /// fuses by.
-    colors: Vec<Option<usize>>,
+    /// Scheduling metadata of each captured task: what the compile
+    /// step fuses by.
+    metas: Vec<TaskMeta>,
 }
 
 struct RtState {
@@ -199,8 +199,7 @@ impl Runtime {
             None => return Err(RuntimeError::MissingBody { task: task.name }),
         };
         let mut st = self.lock_past_foreign_capture();
-        let color = task.meta.color;
-        Ok(self.submit_analyzed(&mut st, &lites, color, |id| {
+        Ok(self.submit_analyzed(&mut st, &lites, task.meta, |id| {
             Runnable::single(Member {
                 id,
                 body,
@@ -218,7 +217,7 @@ impl Runtime {
         &self,
         st: &mut RtState,
         lites: &[ReqLite],
-        color: Option<usize>,
+        meta: TaskMeta,
         node: impl FnOnce(TaskId) -> Runnable,
     ) -> TaskId {
         let id = st.next_id;
@@ -234,7 +233,7 @@ impl Runtime {
             let first = cap.first_id;
             cap.deps
                 .push(deps.iter().map(|d| (d - first) as usize).collect());
-            cap.colors.push(color);
+            cap.metas.push(meta);
         }
         // The caller holds the state lock across executor submission,
         // so tasks enter the executor in analysis order (which also
@@ -354,7 +353,7 @@ impl Runtime {
             st.capture = Some(TraceCapture {
                 first_id: st.next_id,
                 deps: Vec::new(),
-                colors: Vec::new(),
+                metas: Vec::new(),
             });
             st.capture_owner = Some(std::thread::current().id());
             return Ok(());
@@ -394,7 +393,7 @@ impl Runtime {
                 e.task -= cap.first_id;
             }
         }
-        Ok(Trace::compile(cap.deps, &cap.colors, frontier))
+        Ok(Trace::compile(cap.deps, &cap.metas, frontier))
     }
 
     /// Replay a captured trace with a fresh, same-shaped task list:
@@ -459,7 +458,7 @@ impl Runtime {
             let run = self.exec.program_run(Arc::clone(&bodies), st.next_id, None);
             for (i, b) in bodies.iter().enumerate() {
                 let lites = req_lites(&b.ctx.reqs);
-                self.submit_analyzed(&mut st, &lites, b.meta.color, |_| {
+                self.submit_analyzed(&mut st, &lites, b.meta, |_| {
                     Runnable::captured(&run, i as u32)
                 });
             }
@@ -732,9 +731,13 @@ mod tests {
         }
         rt.fence().unwrap();
         assert_eq!(v.snapshot(), vec![8.0; 4]);
+        // These count nodes: the two-task colourless chain replays as
+        // one node, its second body folded into it.
         let s = rt.metrics();
-        assert_eq!(s.tasks_replayed, 6);
-        assert_eq!(s.tasks_executed, 8);
+        assert_eq!(trace.num_nodes(), 1);
+        assert_eq!(s.tasks_replayed, 3);
+        assert_eq!(s.tasks_fused, 3);
+        assert_eq!(s.tasks_executed, 2 + 3);
     }
 
     #[test]
@@ -807,10 +810,12 @@ mod tests {
         }
         rt.fence().unwrap();
         assert_eq!(v.snapshot(), vec![2.0 + 2.0 * (2 + 3 + 4) as f64; 4]);
+        // Node counts: the program's two-task colourless chain runs as
+        // one node.
         let s = rt.metrics();
         assert_eq!(s.tasks_analyzed, 2);
-        assert_eq!(s.tasks_replayed, 6);
-        assert_eq!(s.tasks_executed, 8);
+        assert_eq!(s.tasks_replayed, 3);
+        assert_eq!(s.tasks_executed, 2 + 3);
         // Analysis after a program run sees what it wrote.
         rt.submit(TaskBuilder::new("dbl").write_all(&v).body(|ctx| {
             let w = ctx.write::<f64>(0);

@@ -38,8 +38,12 @@
 //! an affinity colour joins the most recent node of the same colour
 //! whenever the node graph stays acyclic with it inside — that is,
 //! unless one of the task's dependences sits in another node that
-//! already (transitively) waits on that node. Otherwise it opens a new
-//! node; colourless tasks always do. A node waits for the union of its
+//! already (transitively) waits on that node. A colourless task joins
+//! the most recent colourless node under the same acyclicity test and
+//! two more conditions: one of its dependences is in that node (it
+//! extends a chain), and every member of the node has its priority.
+//! Otherwise a task opens a new node, so an independent colourless
+//! task runs, and fails, on its own. A node waits for the union of its
 //! members' outside dependences, runs their bodies back to back in
 //! submission order on one worker, and releases its successors when
 //! the last body returns. Every captured edge therefore ends up
@@ -48,15 +52,20 @@
 //! a fused replay leaves every bit of every buffer as the task-by-task
 //! run left it.
 //!
-//! A 16-piece CG step compiles from 101 tasks to 53 nodes per
+//! A 16-piece CG step compiles from 101 tasks to 50 nodes per
 //! iteration: `[spmv + dot_partial]`, `[axpy + axpy + dot_partial]`
-//! and `[xpay]` per piece, plus five scalar tasks. Under a
+//! and `[xpay]` per piece, plus its five scalar tasks as two chains,
+//! `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`. Under a
 //! colour-affinity mapper this costs no parallelism worth having: the
 //! tasks of one colour were already routed to one worker's queue and
 //! ran there one after another (unless stolen); the node only stops
 //! paying a queue round trip and a retirement between them. What is
 //! given up is the chance that a thief picks up the second half of a
 //! colour's chain while the first half's successor work is elsewhere.
+//! A scalar chain gives up less: its members are sub-microsecond
+//! bodies that mostly wait on one another anyway, and the node saves a
+//! queue round trip, a retirement and a possible hand-off to another
+//! thread per link.
 //!
 //! Nodes are stored topologically sorted with in-degrees and successor
 //! lists, so a replay hands the executor a graph it can install
@@ -113,13 +122,16 @@ struct Group {
 
 impl StepGraph {
     /// Compile a captured step. `deps[i]` lists the earlier tasks that
-    /// task `i` waits on, `colors[i]` is its affinity colour.
-    pub(crate) fn compile(deps: &[Vec<usize>], colors: &[Option<usize>]) -> StepGraph {
+    /// task `i` waits on, `metas[i]` is its scheduling metadata (what
+    /// it fuses by: its colour, and the priority of a colourless one).
+    pub(crate) fn compile(deps: &[Vec<usize>], metas: &[TaskMeta]) -> StepGraph {
         let n = deps.len();
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(n);
-        // Most recent group per colour: the only merge candidate.
+        // Most recent group per colour, and the most recent colourless
+        // one: the only merge candidates.
         let mut open: HashMap<usize, usize> = HashMap::new();
+        let mut open_colourless: Option<usize> = None;
         // Visit marks of the reachability walk, one generation per query.
         let mut seen: Vec<usize> = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
@@ -127,7 +139,18 @@ impl StepGraph {
             let mut dep_groups: Vec<usize> = deps[i].iter().map(|&d| group_of[d]).collect();
             dep_groups.sort_unstable();
             dep_groups.dedup();
-            let target = colors[i].and_then(|c| open.get(&c).copied()).filter(|&g| {
+            let candidate = match metas[i].color {
+                Some(c) => open.get(&c).copied(),
+                // A colourless task extends a chain: it joins only a
+                // node holding one of its dependences, whose members
+                // all share its priority (a node runs in its first
+                // member's lane).
+                None => open_colourless.filter(|&g| {
+                    dep_groups.binary_search(&g).is_ok()
+                        && metas[groups[g].members[0]].priority == metas[i].priority
+                }),
+            };
+            let target = candidate.filter(|&g| {
                 // Joining `g` makes `g` wait on every other group in
                 // `dep_groups`; that closes a cycle exactly when one of
                 // them already (transitively) waits on `g`.
@@ -152,10 +175,14 @@ impl StepGraph {
                         members: Vec::new(),
                         preds: Vec::new(),
                     });
-                    if let Some(c) = colors[i] {
-                        open.insert(c, groups.len() - 1);
+                    let g = groups.len() - 1;
+                    match metas[i].color {
+                        Some(c) => {
+                            open.insert(c, g);
+                        }
+                        None => open_colourless = Some(g),
                     }
-                    groups.len() - 1
+                    g
                 }
             };
             groups[g].members.push(i);
@@ -227,14 +254,14 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Compile a capture: `deps` and `colors` per task, and the final
+    /// Compile a capture: `deps` and `metas` per task, and the final
     /// frontier with trace-local task indices.
     pub(crate) fn compile(
         deps: Vec<Vec<usize>>,
-        colors: &[Option<usize>],
+        metas: &[TaskMeta],
         mut frontier: Vec<(u64, Frontier)>,
     ) -> Trace {
-        let graph = StepGraph::compile(&deps, colors);
+        let graph = StepGraph::compile(&deps, metas);
         frontier.sort_unstable_by_key(|(buffer, _)| *buffer);
         for (_, f) in &mut frontier {
             for e in &mut f.entries {

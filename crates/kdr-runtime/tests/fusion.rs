@@ -4,18 +4,21 @@
 //! * Random task programs (random buffers, colours and privileges,
 //!   subsets that are whole ranges or gappy like a scatter tile's
 //!   footprint, so dominance pruning and overlap see several runs a
-//!   side) leave every buffer bitwise as a sequential in-order
-//!   oracle leaves it, whether submitted through analysis, captured
-//!   once and replayed with rebuilt tasks, or captured as a step
-//!   program and run again with the bodies it holds, and their compiled
-//!   graphs keep every captured edge inside a node or pointing from an
-//!   earlier node to a later one. The submitting thread fences at
-//!   seeded points of each program — after some tasks of an analyzed
-//!   round, after some replays — and so runs nodes itself, fused ones
-//!   included, in an order no worker would have.
+//!   side, and colourless chains in two priority lanes) leave every
+//!   buffer bitwise as a sequential in-order oracle leaves it, whether
+//!   submitted through analysis, captured once and replayed with
+//!   rebuilt tasks, or captured as a step program and run again with
+//!   the bodies it holds, and their compiled graphs keep every captured
+//!   edge inside a node or pointing from an earlier node to a later
+//!   one, and fuse only what the merge rules allow. The submitting
+//!   thread fences at seeded points of each program — after some tasks
+//!   of an analyzed round, after some replays — and so runs nodes
+//!   itself, fused ones included, in an order no worker would have.
+//! * A colourless task joins a colourless chain it waits on, and
+//!   nothing else.
 //! * A failing body fails its node: earlier members have run, later
 //!   ones are dropped, successors are poisoned, and the runtime works
-//!   again once the failure is taken.
+//!   again once the failure is taken. A chain is a node like any other.
 //! * Fault-plan decisions, task counts and spans stay per body.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,11 +40,13 @@ struct Req {
     write: bool,
 }
 
-/// One random task: its declared accesses, colour and a constant.
+/// One random task: its declared accesses, colour, priority and a
+/// constant.
 #[derive(Clone, Debug)]
 struct Op {
     reqs: Vec<Req>,
     color: Option<usize>,
+    priority: u8,
     c: f64,
 }
 
@@ -97,7 +102,7 @@ fn bits(bufs: &[Vec<f64>]) -> Vec<Vec<u64>> {
 
 /// `op` with its accesses declared, body still to come.
 fn declared(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
-    let mut t = TaskBuilder::new("op");
+    let mut t = TaskBuilder::new("op").priority(op.priority);
     if let Some(c) = op.color {
         t = t.meta(TaskMeta::new("op").with_color(c));
     }
@@ -151,18 +156,40 @@ fn snapshot(bufs: &[Buffer<f64>]) -> Vec<Vec<u64>> {
 }
 
 /// Every captured edge is inside a node or goes from an earlier node
-/// to a later one — which also says the node graph is acyclic.
-fn assert_compiled_graph_is_sound(trace: &Trace) {
+/// to a later one — which also says the node graph is acyclic — and
+/// every node is one the merge rules allow: its members share the
+/// first member's colour, and colourless members also share its
+/// priority and each waits on an earlier member (a chain).
+fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op]) {
     assert!(trace.num_nodes() <= trace.len());
-    for i in 0..trace.len() {
-        assert!(trace.node_of(i) < trace.num_nodes());
+    let mut first: Vec<Option<usize>> = vec![None; trace.num_nodes()];
+    for (i, op) in ops.iter().enumerate() {
+        let node = trace.node_of(i);
+        assert!(node < trace.num_nodes());
         for &d in trace.deps_of(i) {
             assert!(d < i, "captured edges point backwards");
             assert!(
-                trace.node_of(d) <= trace.node_of(i),
-                "edge {d} -> {i} runs from node {} back to node {}",
+                trace.node_of(d) <= node,
+                "edge {d} -> {i} runs from node {} back to node {node}",
                 trace.node_of(d),
-                trace.node_of(i)
+            );
+        }
+        let Some(head) = first[node] else {
+            first[node] = Some(i);
+            continue;
+        };
+        assert_eq!(
+            op.color, ops[head].color,
+            "task {i} joined node {node} across colours"
+        );
+        if op.color.is_none() {
+            assert_eq!(
+                op.priority, ops[head].priority,
+                "task {i} joined node {node} across lanes"
+            );
+            assert!(
+                trace.deps_of(i).iter().any(|&d| trace.node_of(d) == node),
+                "colourless task {i} joined node {node} without waiting on a member"
             );
         }
     }
@@ -189,17 +216,36 @@ fn arb_req(nbuf: usize) -> impl Strategy<Value = Req> {
     })
 }
 
+/// The cell every link of a scalar chain updates.
+fn chain_cell() -> Req {
+    Req {
+        buf: 0,
+        subset: IntervalSet::from_range(BUFLEN - 1, BUFLEN),
+        write: true,
+    }
+}
+
 fn arb_op(nbuf: usize) -> impl Strategy<Value = Op> {
     (
         prop::collection::vec(arb_req(nbuf), 1..4),
-        0..6usize,
+        0..8usize,
         -4i32..5,
     )
-        .prop_map(|(reqs, color, c)| Op {
-            reqs,
-            // Two in six tasks carry no colour and never fuse.
-            color: (color < 4).then_some(color),
-            c: f64::from(c) * 0.375,
+        .prop_map(|(mut reqs, kind, c)| {
+            // Four in eight tasks carry no colour. Three of those are
+            // links of a scalar chain: they also update one shared
+            // cell, so each waits on the link before it, and one of
+            // the three runs in the express lane, which a chain of the
+            // normal lane must not take in.
+            if kind >= 5 {
+                reqs.push(chain_cell());
+            }
+            Op {
+                reqs,
+                color: (kind < 4).then_some(kind),
+                priority: u8::from(kind == 7),
+                c: f64::from(c) * 0.375,
+            }
         })
 }
 
@@ -251,7 +297,7 @@ proptest! {
         }
         let trace = rt.end_trace().unwrap();
         prop_assert_eq!(trace.len(), ops.len());
-        assert_compiled_graph_is_sound(&trace);
+        assert_compiled_graph_is_sound(&trace, &ops);
         for round in 1..ROUNDS {
             let ids = rt
                 .replay(&trace, ops.iter().map(|op| task(op, &bufs)).collect())
@@ -276,7 +322,7 @@ proptest! {
             .capture_program(ops.iter().map(|op| program_task(op, &bufs)).collect())
             .unwrap();
         prop_assert_eq!(program.trace().len(), ops.len());
-        assert_compiled_graph_is_sound(program.trace());
+        assert_compiled_graph_is_sound(program.trace(), &ops);
         for round in 1..ROUNDS {
             rt.run_program(&program, || {}).unwrap();
             if fences_after(round, ROUNDS) {
@@ -542,4 +588,168 @@ fn accounting_counts_nodes_and_logs_bodies() {
         assert_eq!(pair[1].ready_ns, pair[0].end_ns);
         assert_eq!(pair[1].retire_ns, pair[0].retire_ns);
     }
+}
+
+/// `dst = 10 · src + dst`, a colourless task.
+fn scale_into(name: &'static str, src: &Buffer<f64>, dst: &Buffer<f64>) -> TaskBuilder {
+    TaskBuilder::new(name)
+        .read_all(src)
+        .write_all(dst)
+        .body(|ctx| {
+            let (s, d) = (ctx.read::<f64>(0).get(0), ctx.write::<f64>(1));
+            d.set(0, s * 10.0 + d.get(0));
+        })
+}
+
+/// A coloured task, then colourless ones: a reader of the coloured
+/// node's cell and two links after it (one chain), an independent
+/// task, an express-lane task waiting on that one, and a task waiting
+/// on the chain after the chain stopped being the most recent
+/// colourless node.
+fn chain_step(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
+    vec![
+        bump("coloured", Some(1), &cells[0]),
+        scale_into("reader", &cells[0], &cells[1]),
+        bump("link", None, &cells[1]),
+        scale_into("link", &cells[1], &cells[2]),
+        bump("independent", None, &cells[3]),
+        scale_into("express", &cells[3], &cells[4]).priority(1),
+        bump("late", None, &cells[2]),
+    ]
+}
+
+#[test]
+fn a_colourless_chain_fuses_and_nothing_else_joins_it() {
+    let rt = Runtime::new(2);
+    let cells: Vec<Buffer<f64>> = (0..5).map(|_| Buffer::filled(1, 0.0)).collect();
+    rt.begin_trace().unwrap();
+    for t in chain_step(&cells) {
+        rt.submit(t).unwrap();
+    }
+    let trace = rt.end_trace().unwrap();
+    let node: Vec<usize> = (0..trace.len()).map(|i| trace.node_of(i)).collect();
+    // The reader waits on the coloured node but opens its own; the two
+    // links join it.
+    assert_ne!(
+        node[1], node[0],
+        "a colourless reader of a coloured node joins it"
+    );
+    assert_eq!(
+        (node[2], node[3]),
+        (node[1], node[1]),
+        "the chain did not fuse"
+    );
+    // Independent: a node of its own, which the express task may not
+    // join, and which leaves `late` without a chain to extend.
+    assert!(node[4] != node[1] && node[5] != node[4], "{node:?}");
+    assert!(
+        node[6] != node[1] && node[6] != node[4] && node[6] != node[5],
+        "{node:?}"
+    );
+    assert_eq!(trace.num_nodes(), 5);
+
+    // Replays leave what analyzed submission leaves.
+    let analyzed = Runtime::new(2);
+    let expect: Vec<Buffer<f64>> = (0..5).map(|_| Buffer::filled(1, 0.0)).collect();
+    for _ in 0..3 {
+        for t in chain_step(&expect) {
+            analyzed.submit(t).unwrap();
+        }
+        analyzed.fence().unwrap();
+    }
+    for _ in 0..2 {
+        rt.replay(&trace, chain_step(&cells)).unwrap();
+    }
+    rt.fence().unwrap();
+    assert_eq!(snapshot(&cells), snapshot(&expect));
+    let m = rt.metrics();
+    assert_eq!((m.tasks_replayed, m.tasks_fused), (2 * 5, 2 * 2));
+}
+
+/// A coloured pair around a colourless chain of three and an
+/// independent colourless task, every body named `w`: submitted as
+/// c, h, l, l, i, c; compiled as [c, c], [h, l, l], [i].
+fn chain_among_colours(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
+    vec![
+        bump("w", Some(3), &cells[0]),
+        bump("w", None, &cells[1]),
+        bump("w", None, &cells[1]),
+        bump("w", None, &cells[1]),
+        bump("w", None, &cells[2]),
+        bump("w", Some(3), &cells[3]),
+    ]
+}
+
+#[test]
+fn a_panic_in_a_chains_first_member_drops_only_that_chains_later_members() {
+    // The second submitted body panics: the chain's head. Taken in the
+    // compiled order, it would be the second coloured task.
+    let plan = || {
+        FaultPlan::seeded(5).with(FaultSpec {
+            name_contains: "w".into(),
+            kind: FaultKind::Panic,
+            schedule: FireSchedule::Nth(2),
+            max_fires: 1,
+        })
+    };
+    // Analyzed: cells 0, 2 and 3 bumped, the chain's cell 1 not.
+    let rt = Runtime::new(2);
+    let cells: Vec<Buffer<f64>> = (0..4).map(|_| Buffer::filled(1, 0.0)).collect();
+    rt.set_fault_plan(Some(plan()));
+    let ids: Vec<_> = chain_among_colours(&cells)
+        .into_iter()
+        .map(|t| rt.submit(t).unwrap())
+        .collect();
+    let analyzed = rt.fence().unwrap_err().task - ids[0];
+    assert_eq!(analyzed, 1);
+    assert_eq!(values_of(&cells), [1.0, 0.0, 1.0, 1.0]);
+
+    let rt = Runtime::new(2);
+    rt.enable_events(true);
+    rt.begin_trace().unwrap();
+    for t in chain_among_colours(&cells) {
+        rt.submit(t).unwrap();
+    }
+    let trace = rt.end_trace().unwrap();
+    assert_eq!(trace.num_nodes(), 3);
+    assert_eq!(trace.node_of(5), trace.node_of(0));
+    assert!((2..4).all(|i| trace.node_of(i) == trace.node_of(1)));
+    assert_ne!(trace.node_of(4), trace.node_of(1));
+    assert_eq!(values_of(&cells), [2.0, 3.0, 2.0, 2.0]);
+    rt.take_spans();
+
+    rt.set_fault_plan(Some(plan()));
+    let ids = rt.replay(&trace, chain_among_colours(&cells)).unwrap();
+    let err = rt.fence().unwrap_err();
+    assert_eq!(
+        err.task - ids[0],
+        analyzed,
+        "decisions follow submission order"
+    );
+    // The head failed before writing and its two links were dropped;
+    // the coloured pair and the independent task ran.
+    assert_eq!(values_of(&cells), [3.0, 3.0, 3.0, 3.0]);
+    let m = rt.metrics();
+    assert_eq!(
+        (m.task_failures, m.tasks_poisoned),
+        (1, 0),
+        "no node was poisoned"
+    );
+    let outcomes: Vec<TaskOutcome> = rt.take_spans().iter().map(|s| s.outcome).collect();
+    use TaskOutcome::{Completed, Panicked, Poisoned};
+    assert_eq!(
+        outcomes,
+        [Completed, Panicked, Poisoned, Poisoned, Completed, Completed]
+    );
+
+    // Taken, the failure leaves a chain that replays whole.
+    rt.take_failure().unwrap();
+    rt.set_fault_plan(None);
+    rt.replay(&trace, chain_among_colours(&cells)).unwrap();
+    rt.fence().unwrap();
+    assert_eq!(values_of(&cells), [4.0, 6.0, 4.0, 4.0]);
+}
+
+fn values_of(cells: &[Buffer<f64>]) -> Vec<f64> {
+    cells.iter().map(|b| b.snapshot()[0]).collect()
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use kdr_runtime::{Buffer, Runtime, TaskBuilder, TaskErrorKind, TaskMeta};
+use kdr_runtime::{promise, Buffer, Runtime, TaskBuilder, TaskErrorKind, TaskMeta};
 
 /// Run `work` on its own thread; fail if the counter it is handed
 /// stops advancing for five seconds before it returns.
@@ -66,6 +66,29 @@ fn a_parked_worker_is_always_woken() {
             assert_eq!(rt.metrics().tasks_executed, 20_000);
         });
     }
+}
+
+#[test]
+fn a_submission_wakes_the_worker_after_the_unlock() {
+    with_progress_watchdog("submit / Future::get", |progress| {
+        let rt = Runtime::new(1);
+        for round in 0..10_000u64 {
+            if round % 2 == 0 {
+                std::thread::yield_now();
+            }
+            let (p, f) = promise::<u64>();
+            rt.submit(TaskBuilder::new("tick").body(move |_| p.set(round)))
+                .unwrap();
+            // `Future::get` parks on the promise and runs nothing, so
+            // only the worker can run the task: a wake-up the submission
+            // owed and lost after dropping the scheduler lock hangs here.
+            assert_eq!(f.get(), round);
+            progress.fetch_add(1, Ordering::Relaxed);
+        }
+        rt.fence().unwrap();
+        let m = rt.metrics();
+        assert_eq!((m.tasks_executed, m.nodes_run_by_drivers), (10_000, 0));
+    });
 }
 
 #[test]

@@ -306,20 +306,22 @@ impl FrontDoor {
         self.retry_queue.iter().any(|&(_, j)| j == job)
     }
 
-    /// The healthy shard the tenant of ledgered `job` lives on; `None`
-    /// while the tenant is stranded.
-    fn healthy_home(&self, job: JobId) -> Option<usize> {
+    /// The live shard the tenant of ledgered `job` lives on: a healthy
+    /// one, or a quarantined one that had nowhere to evacuate it to and
+    /// still drains its work. `None` while the tenant is stranded on a
+    /// dead slot.
+    fn live_home(&self, job: JobId) -> Option<usize> {
         let shard = self.tenants[&self.ledger[&job].tenant].shard;
-        self.slots[shard].status.is_healthy().then_some(shard)
+        self.slots[shard].live().is_some().then_some(shard)
     }
 
     /// Whether a parked retry can still be released. (The retry of a
-    /// stranded tenant waits for capacity to return; driving rounds
-    /// meanwhile would not help it.)
+    /// tenant stranded on a dead slot waits for capacity to return;
+    /// driving rounds meanwhile would not help it.)
     fn retry_releasable(&self) -> bool {
         self.retry_queue
             .iter()
-            .any(|&(_, job)| self.healthy_home(job).is_some())
+            .any(|&(_, job)| self.live_home(job).is_some())
     }
 
     /// Rebuild `tenant` on the healthy shard `dst` from front-door
@@ -1077,16 +1079,20 @@ impl ShardedService {
 
     /// Requeue retry jobs whose backoff round arrived, in job-id
     /// order, on their tenant's *current* shard (which may differ
-    /// from where they failed, after an evacuation). A due retry whose
-    /// tenant is stranded (its shard quarantined or dead with no
-    /// successor) stays parked, cancellable, and is released by the
-    /// first tick after the tenant has a healthy home again.
+    /// from where they failed, after an evacuation). That shard may be
+    /// a quarantined one the tenant could not be evacuated from: it
+    /// still drains the tenant's queued and in-flight jobs, and the
+    /// retry joins them there. Withheld, the retry would be the one
+    /// admitted job a fleet with no healthy shard left never delivers.
+    /// A due retry whose tenant is stranded on a dead slot stays
+    /// parked, cancellable, and is released by the first tick after
+    /// the tenant has been re-homed.
     fn release_due_retries(&self, front: &mut FrontDoor) {
         let round = front.round;
         let parked = std::mem::take(&mut front.retry_queue);
         let (mut due, waiting): (Vec<_>, Vec<_>) = parked
             .into_iter()
-            .partition(|&(ready, job)| ready <= round && front.healthy_home(job).is_some());
+            .partition(|&(ready, job)| ready <= round && front.live_home(job).is_some());
         front.retry_queue = waiting;
         due.sort_unstable_by_key(|&(_, job)| job);
         for (_, job) in due {
@@ -1094,7 +1100,7 @@ impl ShardedService {
             if entry.terminal {
                 continue;
             }
-            let shard = front.healthy_home(job).expect("partitioned above");
+            let shard = front.live_home(job).expect("partitioned above");
             let mut bundle = front.bundle(entry.tenant);
             bundle.queued.push(front.requeue(job));
             front.install(shard, bundle);

@@ -24,8 +24,10 @@
 //!    rebuilt from the front door's record and ledger, once a healthy
 //!    shard exists again;
 //! 5. **releases** retry jobs whose backoff expired, requeueing them
-//!    from scratch on their tenant's current shard (a retry whose
-//!    tenant is stranded waits for step 4).
+//!    from scratch on their tenant's current shard — a quarantined one
+//!    too, when it had nowhere to evacuate the tenant to and so still
+//!    drains the tenant's jobs (a retry whose tenant is stranded on a
+//!    killed slot waits for step 4).
 //!
 //! ## Determinism: what is and is not bit-identical
 //!

@@ -319,6 +319,59 @@ fn retried_job_reports_its_whole_life() {
 }
 
 #[test]
+fn a_retry_due_on_a_quarantined_shard_with_nowhere_to_go_runs_there() {
+    // Attempt 1 dies to a one-shot fault and is parked for retry; then
+    // the only shard is quarantined (as a watchdog trip under CPU
+    // contention can do to every shard a chaos fleet has left), so its
+    // tenant cannot be evacuated. The tenant's queued job drains on the
+    // quarantined shard, and so must the retry: the fleet may not go
+    // idle with an admitted job undelivered.
+    let run = |chaos: bool| {
+        let svc = fleet(1, retrying(2));
+        svc.register_tenant(1, 1);
+        let sid = svc
+            .create_session(1, spec(16, 16, 2, SolverKind::Cg))
+            .unwrap();
+        let jobs = [7, 8].map(|seed| svc.submit(1, history_req(sid, 256, seed)).unwrap());
+        if chaos {
+            svc.shard(0)
+                .runtime()
+                .set_fault_plan(Some(panic_on("spmv", FireSchedule::Nth(3), 1)));
+            while svc.supervisor_stats().retries_scheduled == 0 {
+                assert_eq!(svc.shard(0).run_slices(1), 1, "the fault fired");
+                svc.supervise();
+            }
+            assert!(svc.quarantine_shard(0));
+            assert_eq!(svc.shard_of(1), Some(0), "nowhere to evacuate to");
+        }
+        svc.run_until_idle();
+        let mut rs = svc.take_responses();
+        rs.sort_by_key(|r| r.job);
+        assert_eq!(
+            rs.iter().map(|r| r.job).collect::<Vec<_>>(),
+            jobs,
+            "chaos={chaos}"
+        );
+        let retries: u32 = rs.iter().map(|r| r.retries).sum();
+        let fp: Vec<Fingerprint> = rs
+            .iter()
+            .map(|r| {
+                assert!(r.outcome.is_converged(), "{:?}", r.outcome);
+                (r.job, r.tenant, r.iterations, bits(&r.residual_history))
+            })
+            .collect();
+        (fp, retries)
+    };
+    let (chaos, retries) = run(true);
+    assert_eq!(retries, 1);
+    assert_eq!(
+        chaos,
+        run(false).0,
+        "the retry replays the fault-free result"
+    );
+}
+
+#[test]
 fn kill_shard_recovery_is_bit_identical_to_fault_free() {
     // Crash a shard mid-fleet: nothing is read from the dying
     // runtime. Sessions are rebuilt from front-door specs and every

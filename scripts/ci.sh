@@ -38,6 +38,23 @@ if command -v taskset >/dev/null 2>&1; then
 else
     echo "ci.sh: taskset not found, skipping the one-CPU scheduler leg"
 fi
+# Wake-ups follow the unlock (DESIGN §6): a locked section works out
+# what it owes parked threads and its caller notifies once the guard has
+# dropped, so a woken thread does not find the scheduler lock taken.
+# Only `ExecShared::wake` may notify, and every call of it must come
+# right after a `drop` or under a comment that starts "Under the lock:"
+# and says why.
+exec_rs=crates/kdr-runtime/src/executor.rs
+if sed '/^    fn wake(/,/^    }$/d' "$exec_rs" | grep -nE 'notify_(one|all)'; then
+    echo "ci.sh: executor.rs notifies outside ExecShared::wake (see above)" >&2
+    exit 1
+fi
+if ! awk '/^ *\/\// { note = note $0; next }
+          /\.wake\(/ && prev !~ /drop\(/ && note !~ /Under the lock:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+          NF { prev = $0; note = "" } END { exit bad }' "$exec_rs"; then
+    echo "ci.sh: executor.rs makes a wake-up with the lock held, unmarked (see above)" >&2
+    exit 1
+fi
 
 # The span rings under a waiting driver: `ring_overflow_drops_instead_
 # of_blocking` bounds what three rings retain (two workers and the
