@@ -1761,18 +1761,20 @@ mod tests {
         );
     }
 
-    /// Step a solver on lap2d 24² in 16 pieces, check every compiled
-    /// trace it left behind (each captured edge inside a node or from
-    /// an earlier node to a later one, which also makes the node
-    /// graph acyclic), and return their `(tasks, nodes)` sizes.
+    /// Step a solver on lap2d 24² in 16 pieces on a runtime of
+    /// `workers` workers, check every compiled trace it left behind
+    /// (each captured edge inside a node or from an earlier node to a
+    /// later one, which also makes the node graph acyclic), and return
+    /// their `(tasks, nodes)` sizes.
     fn compiled_step_sizes(
+        workers: usize,
         preconditioned: bool,
         build: fn(&mut crate::Planner<f64>) -> Box<dyn crate::Solver<f64>>,
     ) -> Vec<(usize, usize)> {
         let s = Stencil::lap2d(24, 24);
         let n = s.unknowns();
         let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>() as Csr<f64, u64>);
-        let mut planner = crate::Planner::new(Box::new(ExecBackend::<f64>::new(2)));
+        let mut planner = crate::Planner::new(Box::new(ExecBackend::<f64>::new(workers)));
         let part = Partition::equal_blocks(n, 16);
         let d = planner.add_sol_vector(n, Some(part.clone()));
         let r = planner.add_rhs_vector(n, Some(part));
@@ -1813,12 +1815,12 @@ mod tests {
         // CG: per piece [spmv + dot_partial], [axpy + axpy +
         // dot_partial], [xpay]; the five scalar tasks are two chains,
         // [dot_reduce, alpha, -alpha] and [dot_reduce, beta].
-        let cg = compiled_step_sizes(false, |p| Box::new(crate::CgSolver::new(p)));
+        let cg = compiled_step_sizes(2, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
         assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 16 * 3 + 2)), "{cg:?}");
         // PCG adds the Jacobi apply and a second partial per piece,
         // both inside the middle node.
-        let pcg = compiled_step_sizes(true, |p| Box::new(crate::PcgSolver::new(p)));
+        let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::PcgSolver::new(p)));
         assert!(!pcg.is_empty());
         assert!(
             pcg.iter().all(|&s| s == (16 * 8 + 5, 16 * 3 + 2)),
@@ -1831,10 +1833,34 @@ mod tests {
         // [alpha/omega, beta, -omega]. The constant `tiny` depends on
         // nothing, so it opens a node, and the chain from the second
         // dot_reduce continues in that one.
-        let bicgstab = compiled_step_sizes(false, |p| Box::new(crate::BiCgStabSolver::new(p)));
+        let bicgstab = compiled_step_sizes(2, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
         assert!(
             bicgstab.iter().all(|&s| s == (16 * 15 + 13, 72 + 5)),
+            "{bicgstab:?}"
+        );
+    }
+
+    #[test]
+    fn on_one_worker_solver_steps_compile_to_one_node_per_phase() {
+        // One worker: every colour has the same home, so the pieces of
+        // a phase are one node. CG: [spmv + dot_partial] × 16,
+        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial] × 16,
+        // [dot_reduce, beta], [xpay] × 16.
+        let cg = compiled_step_sizes(1, false, |p| Box::new(crate::CgSolver::new(p)));
+        assert!(!cg.is_empty());
+        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 5)), "{cg:?}");
+        // PCG: the same five, the Jacobi apply and second partial in
+        // the middle phase.
+        let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::PcgSolver::new(p)));
+        assert!(!pcg.is_empty());
+        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 5)), "{pcg:?}");
+        // BiCGStab: its three reduction stages cut the pieces' tasks
+        // into four phases, beside the same five scalar chains.
+        let bicgstab = compiled_step_sizes(1, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
+        assert!(!bicgstab.is_empty());
+        assert!(
+            bicgstab.iter().all(|&s| s == (16 * 15 + 13, 4 + 5)),
             "{bicgstab:?}"
         );
     }

@@ -368,7 +368,9 @@ impl ReadyQueues {
 }
 
 /// Execution tallies, read in one lock acquisition by
-/// [`Executor::tallies`].
+/// [`Executor::tallies`]. The scheduling state keeps the counters here
+/// and the per-name ones in a [`NameTallies`]; the two maps are filled
+/// from it when the tallies are read, and stay empty in the state.
 #[derive(Clone, Default)]
 pub(crate) struct Tallies {
     /// Nodes executed (a node whose body panicked included).
@@ -387,12 +389,42 @@ pub(crate) struct Tallies {
     pub events_recorded: u64,
     /// Of those, lost to ring wraparound, as of the last drain.
     pub events_dropped: u64,
-    /// Executed-body tallies keyed by kernel name.
+    /// Executed-body tallies keyed by kernel name: bodies that ran,
+    /// the ones that panicked included.
     pub task_counts: BTreeMap<&'static str, u64>,
-    /// Accumulated execution nanoseconds per kernel name; only grows
-    /// while event logging or per-kernel timing is enabled (timestamps
-    /// are zero otherwise, contributing nothing).
+    /// Accumulated execution nanoseconds per kernel name, of bodies
+    /// that completed; only grows while event logging or per-kernel
+    /// timing is enabled (timestamps are zero otherwise, contributing
+    /// nothing, and a name with nothing timed has no entry).
     pub task_execute_ns: BTreeMap<&'static str, u64>,
+}
+
+/// The per-name tallies as retirement adds into them, under the
+/// scheduler lock: no map, no hashing, no string comparison on the
+/// common path. A name is found by its address (a kernel name is a
+/// `&'static str`, so one kernel names every body with the same one);
+/// only on an address miss is it looked up by its text, so names with
+/// equal text still share one entry.
+#[derive(Default)]
+struct NameTallies {
+    /// One entry per distinct name text: (name, bodies that ran,
+    /// nanoseconds timed).
+    totals: Vec<(&'static str, u64, u64)>,
+}
+
+impl NameTallies {
+    /// Count one body of `name` that ran, `ns` of it timed.
+    fn add(&mut self, name: &'static str, ns: u64) {
+        let totals = &mut self.totals;
+        let by_address = totals.iter().position(|e| std::ptr::eq(e.0, name));
+        let found = by_address.or_else(|| totals.iter().position(|e| e.0 == name));
+        let at = found.unwrap_or_else(|| {
+            totals.push((name, 0, 0));
+            totals.len() - 1
+        });
+        totals[at].1 += 1;
+        totals[at].2 += ns;
+    }
 }
 
 /// The scheduling state (see the module docs): everything below is
@@ -427,6 +459,7 @@ struct DepState {
     /// The event log's records (filled only while logging is on).
     spans: SpanLog,
     tallies: Tallies,
+    names: NameTallies,
 }
 
 impl DepState {
@@ -571,6 +604,7 @@ impl Executor {
                 poisoned_retired: HashSet::new(),
                 spans: SpanLog::new(workers + 1, ring_capacity),
                 tallies: Tallies::default(),
+                names: NameTallies::default(),
             }),
             wake_cv: Condvar::new(),
             idle_cv: Condvar::new(),
@@ -885,9 +919,18 @@ impl Executor {
         }
     }
 
-    /// The execution tallies as of now.
+    /// The execution tallies as of now, the per-name table folded into
+    /// its two maps.
     pub fn tallies(&self) -> Tallies {
-        self.shared.state.lock().tallies.clone()
+        let st = self.shared.state.lock();
+        let mut t = st.tallies.clone();
+        for &(name, count, ns) in &st.names.totals {
+            *t.task_counts.entry(name).or_insert(0) += count;
+            if ns > 0 {
+                *t.task_execute_ns.entry(name).or_insert(0) += ns;
+            }
+        }
+        t
     }
 
     /// Bodies the watchdog flagged for exceeding the stall budget.
@@ -1108,15 +1151,13 @@ fn retire_one(
     // (take_spans, metrics) never see a straggler.
     for b in bodies {
         if b.outcome != TaskOutcome::Poisoned {
-            *st.tallies.task_counts.entry(b.name).or_insert(0) += 1;
-        }
-        if b.outcome == TaskOutcome::Completed {
-            // Zero when neither logging nor kernel timing stamped the
-            // body, so the map stays cost-free on the disabled path.
-            let dt = b.end_ns.saturating_sub(b.start_ns);
-            if dt > 0 {
-                *st.tallies.task_execute_ns.entry(b.name).or_insert(0) += dt;
-            }
+            // Only a completed body's time counts; zero when neither
+            // logging nor kernel timing stamped it.
+            let timed = match b.outcome {
+                TaskOutcome::Completed => b.end_ns.saturating_sub(b.start_ns),
+                _ => 0,
+            };
+            st.names.add(b.name, timed);
         }
         if logging {
             let rec = ExecRecord {
@@ -1587,6 +1628,41 @@ mod tests {
         };
         assert_eq!(run(), (4, 1, 1), "5th submitted task must panic");
         assert_eq!(run(), run(), "identical plans give identical failures");
+    }
+
+    #[test]
+    fn names_with_equal_text_share_one_tally() {
+        // Two names with the same text at different addresses: found
+        // by address, they must still fold into one entry per map.
+        let literal: &'static str = "twin";
+        let leaked: &'static str = String::from("twin").leak();
+        assert!(!std::ptr::eq(literal, leaked));
+        let ex = Executor::new(1);
+        ex.set_kernel_timing(true);
+        let pause = || std::thread::sleep(Duration::from_micros(50));
+        ex.submit(Runnable::single(member(0, TaskMeta::new(literal), pause)), &[]);
+        ex.submit(Runnable::single(member(1, TaskMeta::new(leaked), pause)), &[]);
+        ex.submit(Runnable::single(member(2, TaskMeta::new(leaked), pause)), &[]);
+        // Panicked: counted, not timed. Its successors are poisoned:
+        // neither counted nor timed, so `ghost` gets no entry at all.
+        let boom = move || {
+            pause();
+            panic!("boom");
+        };
+        ex.submit(Runnable::single(member(3, TaskMeta::new("boom"), boom)), &[]);
+        ex.submit(Runnable::single(member(4, TaskMeta::new(literal), || {})), &[3]);
+        ex.submit(Runnable::single(member(5, TaskMeta::new("ghost"), || {})), &[3]);
+        ex.submit(Runnable::single(member(6, TaskMeta::new("other"), pause)), &[]);
+        assert_eq!(ex.fence().unwrap_err().task, 3);
+        let t = ex.tallies();
+        assert_eq!(
+            t.task_counts.into_iter().collect::<Vec<_>>(),
+            [("boom", 1), ("other", 1), ("twin", 3)]
+        );
+        let timed: Vec<&str> = t.task_execute_ns.keys().copied().collect();
+        assert_eq!(timed, ["other", "twin"]);
+        assert!(t.task_execute_ns["twin"] >= 3 * 50_000, "three timed bodies");
+        assert_eq!((t.task_failures, t.tasks_poisoned), (1, 2));
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl Runtime {
                 e.task -= cap.first_id;
             }
         }
-        Ok(Trace::compile(cap.deps, &cap.metas, frontier))
+        Ok(Trace::compile(cap.deps, &cap.metas, frontier, self.num_workers()))
     }
 
     /// Replay a captured trace with a fresh, same-shaped task list:

@@ -36,7 +36,8 @@
 //! list: it *compiles* it into a step graph of scheduled **nodes**.
 //! Walking the captured tasks in submission order, a task that carries
 //! an affinity colour joins the most recent node of the same colour
-//! whenever the node graph stays acyclic with it inside — that is,
+//! (any colour, on one worker: below) whenever the node graph stays
+//! acyclic with it inside — that is,
 //! unless one of the task's dependences sits in another node that
 //! already (transitively) waits on that node. A colourless task joins
 //! the most recent colourless node under the same acyclicity test and
@@ -52,20 +53,36 @@
 //! a fused replay leaves every bit of every buffer as the task-by-task
 //! run left it.
 //!
+//! On a runtime with **one worker**, every colour has the same home
+//! (a colour-affinity mapper reduces colours modulo the pool), so a
+//! colour is no placement at all there: every coloured task fuses by
+//! one key and joins the most recent coloured node of *any* colour,
+//! under the same acyclicity test. The colourless rule does not
+//! change. Members still run in submission order and every captured
+//! edge is still honoured, so the bits are those of the per-colour
+//! nodes. With more than one worker the key is the colour, and the
+//! graph does not depend on where colours are mapped: a rebalancer may
+//! move them between replays without invalidating a trace.
+//!
 //! A 16-piece CG step compiles from 101 tasks to 50 nodes per
-//! iteration: `[spmv + dot_partial]`, `[axpy + axpy + dot_partial]`
-//! and `[xpay]` per piece, plus its five scalar tasks as two chains,
-//! `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`. Under a
-//! colour-affinity mapper this costs no parallelism worth having: the
-//! tasks of one colour were already routed to one worker's queue and
-//! ran there one after another (unless stolen); the node only stops
-//! paying a queue round trip and a retirement between them. What is
-//! given up is the chance that a thief picks up the second half of a
-//! colour's chain while the first half's successor work is elsewhere.
-//! A scalar chain gives up less: its members are sub-microsecond
-//! bodies that mostly wait on one another anyway, and the node saves a
-//! queue round trip, a retirement and a possible hand-off to another
-//! thread per link.
+//! iteration on more than one worker: `[spmv + dot_partial]`, `[axpy +
+//! axpy + dot_partial]` and `[xpay]` per piece, plus its five scalar
+//! tasks as two chains, `[dot_reduce + alpha + −alpha]` and
+//! `[dot_reduce + beta]`. On one worker it is 5 nodes, one per phase:
+//! the sixteen `[spmv + dot_partial]` as one node, the first chain,
+//! the sixteen `[axpy + axpy + dot_partial]`, the second chain, the
+//! sixteen `[xpay]`. Under a colour-affinity mapper this costs no
+//! parallelism worth having: the tasks of one colour were already
+//! routed to one worker's queue and ran there one after another
+//! (unless stolen) — on one worker, the tasks of every colour; the node
+//! only stops paying a queue round trip and a retirement between them.
+//! What is given up is the chance that a thief picks up the second half
+//! of a colour's chain while the first half's successor work is
+//! elsewhere, and on one worker, that a waiting driver runs part of a
+//! phase beside the worker. A scalar chain gives up less: its members
+//! are sub-microsecond bodies that mostly wait on one another anyway,
+//! and the node saves a queue round trip, a retirement and a possible
+//! hand-off to another thread per link.
 //!
 //! Nodes are stored topologically sorted with in-degrees and successor
 //! lists, so a replay hands the executor a graph it can install
@@ -121,14 +138,19 @@ struct Group {
 }
 
 impl StepGraph {
-    /// Compile a captured step. `deps[i]` lists the earlier tasks that
-    /// task `i` waits on, `metas[i]` is its scheduling metadata (what
-    /// it fuses by: its colour, and the priority of a colourless one).
-    pub(crate) fn compile(deps: &[Vec<usize>], metas: &[TaskMeta]) -> StepGraph {
+    /// Compile a captured step for a runtime of `workers` workers.
+    /// `deps[i]` lists the earlier tasks that task `i` waits on,
+    /// `metas[i]` is its scheduling metadata (what it fuses by: its
+    /// colour, and the priority of a colourless one).
+    pub(crate) fn compile(deps: &[Vec<usize>], metas: &[TaskMeta], workers: usize) -> StepGraph {
         let n = deps.len();
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(n);
-        // Most recent group per colour, and the most recent colourless
+        // What a coloured task fuses by: its colour, or — with one
+        // worker, where every colour has the same home — one key for
+        // all of them.
+        let key = |c: usize| if workers == 1 { 0 } else { c };
+        // Most recent group per key, and the most recent colourless
         // one: the only merge candidates.
         let mut open: HashMap<usize, usize> = HashMap::new();
         let mut open_colourless: Option<usize> = None;
@@ -140,7 +162,7 @@ impl StepGraph {
             dep_groups.sort_unstable();
             dep_groups.dedup();
             let candidate = match metas[i].color {
-                Some(c) => open.get(&c).copied(),
+                Some(c) => open.get(&key(c)).copied(),
                 // A colourless task extends a chain: it joins only a
                 // node holding one of its dependences, whose members
                 // all share its priority (a node runs in its first
@@ -178,7 +200,7 @@ impl StepGraph {
                     let g = groups.len() - 1;
                     match metas[i].color {
                         Some(c) => {
-                            open.insert(c, g);
+                            open.insert(key(c), g);
                         }
                         None => open_colourless = Some(g),
                     }
@@ -254,14 +276,16 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Compile a capture: `deps` and `metas` per task, and the final
-    /// frontier with trace-local task indices.
+    /// Compile a capture for a runtime of `workers` workers: `deps`
+    /// and `metas` per task, and the final frontier with trace-local
+    /// task indices.
     pub(crate) fn compile(
         deps: Vec<Vec<usize>>,
         metas: &[TaskMeta],
         mut frontier: Vec<(u64, Frontier)>,
+        workers: usize,
     ) -> Trace {
-        let graph = StepGraph::compile(&deps, metas);
+        let graph = StepGraph::compile(&deps, metas, workers);
         frontier.sort_unstable_by_key(|(buffer, _)| *buffer);
         for (_, f) in &mut frontier {
             for e in &mut f.entries {

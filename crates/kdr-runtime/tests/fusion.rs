@@ -10,7 +10,8 @@
 //!   rebuilt tasks, or captured as a step program and run again with
 //!   the bodies it holds, and their compiled graphs keep every captured
 //!   edge inside a node or pointing from an earlier node to a later
-//!   one, and fuse only what the merge rules allow. The submitting
+//!   one, and fuse only what the merge rules allow (coloured tasks of
+//!   different colours only on one worker). The submitting
 //!   thread fences at seeded points of each program — after some tasks
 //!   of an analyzed round, after some replays — and so runs nodes
 //!   itself, fused ones included, in an order no worker would have.
@@ -19,7 +20,9 @@
 //! * A failing body fails its node: earlier members have run, later
 //!   ones are dropped, successors are poisoned, and the runtime works
 //!   again once the failure is taken. A chain is a node like any other.
-//! * Fault-plan decisions, task counts and spans stay per body.
+//! * Fault-plan decisions, task counts and spans stay per body, with a
+//!   node per colour on two workers and one node for all colours on
+//!   one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +30,7 @@ use std::sync::Arc;
 use kdr_index::IntervalSet;
 use kdr_runtime::{
     promise, Buffer, ColorAffinityMapper, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
-    RuntimeError, TaskBuilder, TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, Trace,
+    RuntimeError, TaskBuilder, TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, TaskSpan, Trace,
 };
 use proptest::prelude::*;
 
@@ -157,10 +160,12 @@ fn snapshot(bufs: &[Buffer<f64>]) -> Vec<Vec<u64>> {
 
 /// Every captured edge is inside a node or goes from an earlier node
 /// to a later one — which also says the node graph is acyclic — and
-/// every node is one the merge rules allow: its members share the
-/// first member's colour, and colourless members also share its
-/// priority and each waits on an earlier member (a chain).
-fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op]) {
+/// every node is one the merge rules allow: its members are all
+/// coloured or all colourless, coloured ones share the first member's
+/// colour unless the runtime has one worker, and colourless members
+/// also share its priority and each waits on an earlier member (a
+/// chain).
+fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op], workers: usize) {
     assert!(trace.num_nodes() <= trace.len());
     let mut first: Vec<Option<usize>> = vec![None; trace.num_nodes()];
     for (i, op) in ops.iter().enumerate() {
@@ -179,9 +184,16 @@ fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op]) {
             continue;
         };
         assert_eq!(
-            op.color, ops[head].color,
-            "task {i} joined node {node} across colours"
+            op.color.is_some(),
+            ops[head].color.is_some(),
+            "task {i} joined node {node} across coloured and colourless"
         );
+        if workers > 1 {
+            assert_eq!(
+                op.color, ops[head].color,
+                "task {i} joined node {node} across colours"
+            );
+        }
         if op.color.is_none() {
             assert_eq!(
                 op.priority, ops[head].priority,
@@ -297,7 +309,7 @@ proptest! {
         }
         let trace = rt.end_trace().unwrap();
         prop_assert_eq!(trace.len(), ops.len());
-        assert_compiled_graph_is_sound(&trace, &ops);
+        assert_compiled_graph_is_sound(&trace, &ops, workers);
         for round in 1..ROUNDS {
             let ids = rt
                 .replay(&trace, ops.iter().map(|op| task(op, &bufs)).collect())
@@ -322,7 +334,7 @@ proptest! {
             .capture_program(ops.iter().map(|op| program_task(op, &bufs)).collect())
             .unwrap();
         prop_assert_eq!(program.trace().len(), ops.len());
-        assert_compiled_graph_is_sound(program.trace(), &ops);
+        assert_compiled_graph_is_sound(program.trace(), &ops, workers);
         for round in 1..ROUNDS {
             rt.run_program(&program, || {}).unwrap();
             if fences_after(round, ROUNDS) {
@@ -543,9 +555,11 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
     }
 }
 
-#[test]
-fn accounting_counts_nodes_and_logs_bodies() {
-    let rt = Runtime::new(1);
+/// Capture [`alternating`] on a runtime of `workers` workers, replay
+/// it once, check the per-body accounting and return the replayed
+/// spans with their ids, in submission order.
+fn replay_alternating(workers: usize, nodes: u64) -> (Vec<TaskSpan>, Vec<u64>) {
+    let rt = Runtime::new(workers);
     rt.enable_events(true);
     let cells: Vec<Buffer<f64>> = (0..8).map(|_| Buffer::filled(1, 0.0)).collect();
     rt.begin_trace().unwrap();
@@ -553,15 +567,16 @@ fn accounting_counts_nodes_and_logs_bodies() {
         rt.submit(t).unwrap();
     }
     let trace = rt.end_trace().unwrap();
+    assert_eq!(trace.num_nodes() as u64, nodes);
     let ids = rt.replay(&trace, alternating(&cells)).unwrap();
     rt.fence().unwrap();
 
     let m = rt.metrics();
     assert_eq!(m.tasks_analyzed, 8);
-    assert_eq!(m.tasks_replayed, 2, "two scheduled nodes");
-    assert_eq!(m.tasks_fused, 6, "six bodies folded into them");
-    assert_eq!(m.tasks_submitted, 8 + 2);
-    assert_eq!(m.tasks_executed, 8 + 2);
+    assert_eq!(m.tasks_replayed, nodes, "scheduled nodes");
+    assert_eq!(m.tasks_fused, 8 - nodes, "bodies folded into them");
+    assert_eq!(m.tasks_submitted, 8 + nodes);
+    assert_eq!(m.tasks_executed, 8 + nodes);
     assert_eq!(m.task_counts.get("w"), Some(&16), "counts stay per body");
     assert!(m.task_execute_ns.get("w").is_some_and(|&ns| ns > 0));
     assert_eq!(m.execute_ns.count, 16);
@@ -570,7 +585,7 @@ fn accounting_counts_nodes_and_logs_bodies() {
     // id, name and captured dependences.
     let spans = rt.take_spans();
     assert_eq!(spans.len(), 16);
-    let replayed: Vec<_> = spans.iter().filter(|s| s.id >= ids[0]).collect();
+    let replayed: Vec<_> = spans.into_iter().filter(|s| s.id >= ids[0]).collect();
     assert_eq!(
         replayed.iter().map(|s| s.id).collect::<Vec<_>>(),
         ids,
@@ -582,12 +597,32 @@ fn accounting_counts_nodes_and_logs_bodies() {
         assert!(s.deps.is_empty());
         assert!(s.ready_ns <= s.start_ns && s.start_ns <= s.end_ns && s.end_ns <= s.retire_ns);
     }
-    // A fused member is ready when the member before it returns.
-    let node0: Vec<_> = replayed.iter().filter(|s| (s.id - ids[0]) % 2 == 0).collect();
-    for pair in node0.windows(2) {
+    (replayed, ids)
+}
+
+/// A fused member is ready when the member before it returns, and
+/// retires with it.
+fn assert_one_node(members: &[&TaskSpan]) {
+    for pair in members.windows(2) {
         assert_eq!(pair[1].ready_ns, pair[0].end_ns);
         assert_eq!(pair[1].retire_ns, pair[0].retire_ns);
     }
+}
+
+#[test]
+fn accounting_counts_nodes_and_logs_bodies() {
+    // Two workers: one node per colour.
+    let (replayed, ids) = replay_alternating(2, 2);
+    let node0: Vec<_> = replayed.iter().filter(|s| (s.id - ids[0]) % 2 == 0).collect();
+    assert_one_node(&node0);
+}
+
+#[test]
+fn on_one_worker_coloured_tasks_of_every_colour_share_a_node() {
+    // One worker: every colour has the same home, so the eight bodies
+    // of both colours are one node, run in submission order.
+    let (replayed, _) = replay_alternating(1, 1);
+    assert_one_node(&replayed.iter().collect::<Vec<_>>());
 }
 
 /// `dst = 10 · src + dst`, a colourless task.
@@ -748,6 +783,109 @@ fn a_panic_in_a_chains_first_member_drops_only_that_chains_later_members() {
     rt.replay(&trace, chain_among_colours(&cells)).unwrap();
     rt.fence().unwrap();
     assert_eq!(values_of(&cells), [4.0, 6.0, 4.0, 4.0]);
+}
+
+/// Two phases of a four-piece solver step over the cells `c` (x in
+/// 0..4, p in 4..8, s at 8, y in 9..13): per piece, `spmv` bumps x and
+/// `dot_partial` adds it into p, coloured by piece; a colourless
+/// `dot_reduce` adds every p into s; per piece, `axpy` adds s into y.
+/// On one worker this compiles to [spmv + dot_partial] × 4,
+/// [dot_reduce], [axpy] × 4.
+fn two_phases(c: &[Buffer<f64>]) -> Vec<TaskBuilder> {
+    let coloured = |t: TaskBuilder, name: &'static str, piece: usize| {
+        t.meta(TaskMeta::new(name).with_color(piece))
+    };
+    let mut tasks = Vec::new();
+    for i in 0..4 {
+        tasks.push(bump("spmv", Some(i), &c[i]));
+        tasks.push(coloured(scale_into("dot_partial", &c[i], &c[4 + i]), "dot_partial", i));
+    }
+    let reduce = c[4..8].iter().fold(TaskBuilder::new("dot_reduce"), |t, p| t.read_all(p));
+    tasks.push(reduce.write_all(&c[8]).body(|ctx| {
+        let sum: f64 = (0..4).map(|k| ctx.read::<f64>(k).get(0)).sum();
+        let s = ctx.write::<f64>(4);
+        s.set(0, s.get(0) + sum);
+    }));
+    for i in 0..4 {
+        tasks.push(coloured(scale_into("axpy", &c[8], &c[9 + i]), "axpy", i));
+    }
+    tasks
+}
+
+#[test]
+fn on_one_worker_a_panic_in_a_phase_drops_the_rest_of_it_and_poisons_what_follows() {
+    use TaskOutcome::{Completed, Panicked, Poisoned};
+    // The cell each task of `two_phases` writes, in submission order.
+    const WRITES: [usize; 13] = [0, 4, 1, 5, 2, 6, 3, 7, 8, 9, 10, 11, 12];
+    let cells = || -> Vec<Buffer<f64>> { (0..13).map(|_| Buffer::filled(1, 0.0)).collect() };
+    // The first submitted body (piece 0's spmv, the phase node's first
+    // member) and the fifth (piece 2's spmv, in its middle).
+    for (nth, at) in [(1, 0), (3, 4)] {
+        let plan = || {
+            FaultPlan::seeded(3).with(FaultSpec {
+                name_contains: "spmv".into(),
+                kind: FaultKind::Panic,
+                schedule: FireSchedule::Nth(nth),
+                max_fires: 1,
+            })
+        };
+        // Analyzed, one node per task: the decision falls on body `at`.
+        let rt = runtime(1);
+        let c = cells();
+        rt.set_fault_plan(Some(plan()));
+        let ids: Vec<_> = two_phases(&c).into_iter().map(|t| rt.submit(t).unwrap()).collect();
+        assert_eq!(rt.fence().unwrap_err().task - ids[0], at);
+
+        let rt = runtime(1);
+        let c = cells();
+        rt.enable_events(true);
+        rt.begin_trace().unwrap();
+        for t in two_phases(&c) {
+            rt.submit(t).unwrap();
+        }
+        let trace = rt.end_trace().unwrap();
+        assert_eq!(trace.num_nodes(), 3);
+        assert!((1..8).all(|i| trace.node_of(i) == trace.node_of(0)), "one phase node");
+        assert!((10..13).all(|i| trace.node_of(i) == trace.node_of(9)), "one phase node");
+        let captured = values_of(&c);
+        rt.take_spans();
+
+        rt.set_fault_plan(Some(plan()));
+        let ids = rt.replay(&trace, two_phases(&c)).unwrap();
+        let err = rt.fence().unwrap_err();
+        assert_eq!(
+            (err.task - ids[0], err.name),
+            (at, "spmv"),
+            "decisions follow submission order"
+        );
+        let m = rt.metrics();
+        assert_eq!(m.faults_injected, 1, "one decision per body");
+        assert_eq!(
+            (m.task_failures, m.tasks_poisoned),
+            (1, 2),
+            "[dot_reduce] and the axpy node are poisoned"
+        );
+        // The members before the panicking one ran; the rest of the
+        // phase was dropped unrun and wrote nothing, and nor did the
+        // poisoned nodes.
+        let outcomes: Vec<TaskOutcome> = rt.take_spans().iter().map(|s| s.outcome).collect();
+        let at = at as usize;
+        let mut expect = vec![Completed; at];
+        expect.push(Panicked);
+        expect.resize(13, Poisoned);
+        assert_eq!(outcomes, expect);
+        let now = values_of(&c);
+        for (b, &cell) in WRITES.iter().enumerate() {
+            assert_eq!(now[cell] != captured[cell], b < at, "task {b}'s cell {cell}");
+        }
+
+        // Taken, the failure leaves a step that replays whole.
+        rt.take_failure().unwrap();
+        rt.set_fault_plan(None);
+        rt.replay(&trace, two_phases(&c)).unwrap();
+        rt.fence().unwrap();
+        assert!(values_of(&c)[9..].iter().zip(&captured[9..]).all(|(a, b)| a > b));
+    }
 }
 
 fn values_of(cells: &[Buffer<f64>]) -> Vec<f64> {

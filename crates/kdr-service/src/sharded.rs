@@ -927,11 +927,15 @@ impl ShardedService {
         if idx >= front.slots.len() || !front.slots[idx].status.is_healthy() {
             return false;
         }
-        self.quarantine_and_evacuate(&mut front, idx);
+        self.quarantine(&mut front, idx);
+        self.evacuate_residents(&mut front, idx, self.cfg.supervisor.in_flight);
         true
     }
 
-    fn quarantine_and_evacuate(&self, front: &mut FrontDoor, idx: usize) {
+    /// Take a shard off the ring as quarantined, adding its replacement
+    /// first if the policy asks for one; its tenants stay until
+    /// [`Self::evacuate_residents`] moves them.
+    fn quarantine(&self, front: &mut FrontDoor, idx: usize) {
         front.slots[idx].status = ShardStatus::Quarantined;
         front.ring.retain(|&(_, s)| s != idx);
         front.stats.quarantines += 1;
@@ -941,7 +945,6 @@ impl ShardedService {
             self.add_shard_slot(front);
             front.stats.shards_added += 1;
         }
-        self.evacuate_residents(front, idx, self.cfg.supervisor.in_flight);
     }
 
     /// Move every tenant still placed on an unroutable live slot to its
@@ -973,14 +976,17 @@ impl ShardedService {
         let mut front = self.front.lock();
         front.round += 1;
         self.absorb_responses(&mut front);
-        let tripped = self.evaluate_health(&mut front);
-        for idx in tripped {
-            self.quarantine_and_evacuate(&mut front, idx);
+        // Every shard that tripped in this tick leaves the ring before
+        // any tenant moves, so none is evacuated onto a shard about to
+        // be quarantined too.
+        for idx in self.evaluate_health(&mut front) {
+            self.quarantine(&mut front, idx);
         }
-        // Re-attempt evacuations that previously found no healthy
-        // destination (capacity may have returned since): checkpoint
-        // migration off a quarantined slot, a rebuild from the ledger
-        // off a killed one.
+        // Evacuate every quarantined slot: those that just tripped, and
+        // those whose earlier evacuations found no healthy destination
+        // (capacity may have returned since) — checkpoint migration off
+        // a quarantined slot, a rebuild from the ledger off a killed
+        // one.
         for idx in 0..front.slots.len() {
             if front.slots[idx].status == ShardStatus::Quarantined
                 && front.slots[idx].svc.is_some()

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kdr_core::SolveControl;
-use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
+use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule, TaskBuilder};
 use kdr_service::{
     CancelOutcome, EvacuationPolicy, HealthBudget, InFlightRecovery, JobOutcome, RejectReason,
     RetryPolicy, ServiceConfig, SessionSpec, ShardConfig, ShardStatus, ShardedService,
@@ -216,6 +216,59 @@ fn health_budget_quarantines_and_evacuates_the_sick_shard() {
     // is impossible — instead verify the slot rejects via a stale
     // placement by checking status-driven rejection paths.)
     assert!(svc.healthy_shard_count() >= 1);
+}
+
+#[test]
+fn shards_tripping_in_one_tick_leave_the_ring_before_any_tenant_moves() {
+    // Shards 0 and 1 blow a zero fault budget in the same tick. Their
+    // tenants go to a healthy shard if there is one, each moved once,
+    // and are stranded where they were if there is none: never onto
+    // the other shard that tripped with theirs.
+    for shards in [2, 3] {
+        let supervisor = SupervisorConfig {
+            budget: HealthBudget {
+                max_faults_injected: Some(0),
+                ..HealthBudget::default()
+            },
+            evacuation: EvacuationPolicy::Spread,
+            in_flight: InFlightRecovery::Restart,
+            ..SupervisorConfig::default()
+        };
+        let svc = fleet(shards, supervisor);
+        let tenants: Vec<u32> = (1..=12).collect();
+        for &t in &tenants {
+            svc.register_tenant(t, 1);
+            svc.create_session(t, spec(8, 8, 2, SolverKind::Cg)).unwrap();
+        }
+        let home: BTreeMap<u32, usize> = tenants
+            .iter()
+            .map(|&t| (t, svc.shard_of(t).unwrap()))
+            .collect();
+        for tripping in [0, 1] {
+            assert!(home.values().any(|&s| s == tripping), "shard {tripping} hosts a tenant");
+            // One injected fault that changes nothing a body computes.
+            let rt = svc.shard(tripping).runtime();
+            let stall = FaultKind::Stall { millis: 0 };
+            rt.set_fault_plan(Some(fault_on("probe", stall, FireSchedule::Nth(1), 1)));
+            rt.submit(TaskBuilder::new("probe").body(|_| {})).unwrap();
+            rt.fence().unwrap();
+        }
+        svc.supervise();
+        for tripped in [0, 1] {
+            assert_eq!(svc.shard_status(tripped), Some(ShardStatus::Quarantined));
+        }
+        let healthy = (shards > 2).then_some(2);
+        let mut moved = 0;
+        for (&t, &was) in &home {
+            let now = svc.shard_of(t).unwrap();
+            let expect = if was < 2 { healthy.unwrap_or(was) } else { was };
+            assert_eq!(now, expect, "{shards} shards: tenant {t} was on shard {was}");
+            moved += u64::from(now != was);
+        }
+        let stats = svc.supervisor_stats();
+        assert_eq!(stats.quarantines, 2);
+        assert_eq!(stats.tenants_evacuated, moved, "every tenant moved at most once");
+    }
 }
 
 #[test]

@@ -55,6 +55,13 @@ if ! awk '/^ *\/\// { note = note $0; next }
     echo "ci.sh: executor.rs makes a wake-up with the lock held, unmarked (see above)" >&2
     exit 1
 fi
+# Retirement adds each body into the per-name table (`NameTallies`,
+# found by address) under the scheduler lock; only `Executor::tallies`
+# folds it into the two name-keyed maps. No per-body map lookup again.
+if sed '/^    pub fn tallies(/,/^    }$/d' "$exec_rs" | grep -nE '(task_counts|task_execute_ns)\.entry\('; then
+    echo "ci.sh: executor.rs indexes a name-keyed tally map outside Executor::tallies (see above)" >&2
+    exit 1
+fi
 
 # The span rings under a waiting driver: `ring_overflow_drops_instead_
 # of_blocking` bounds what three rings retain (two workers and the
