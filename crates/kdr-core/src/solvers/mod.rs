@@ -274,14 +274,6 @@ pub trait Solver<T: Scalar>: Send {
     fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
         Vec::new()
     }
-
-    /// Request an s-step (communication-avoiding) block size. Called
-    /// by the driver from [`SolveControl::s_step`] before the first
-    /// iteration; methods without an s-step formulation ignore it.
-    /// Default: no-op.
-    fn set_s_step(&mut self, s: usize) {
-        let _ = s;
-    }
 }
 
 impl<T: Scalar> Solver<T> for Box<dyn Solver<T>> {
@@ -303,10 +295,6 @@ impl<T: Scalar> Solver<T> for Box<dyn Solver<T>> {
 
     fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
         (**self).breakdown_guards()
-    }
-
-    fn set_s_step(&mut self, s: usize) {
-        (**self).set_s_step(s)
     }
 }
 
@@ -337,12 +325,6 @@ pub struct SolveControl {
     /// iteration; when it fires the solve stops with
     /// [`SolveError::Cancelled`]. `None` disables.
     pub cancel_token: Option<CancelToken>,
-    /// s-step (communication-avoiding) block size, forwarded to
-    /// [`Solver::set_s_step`] before the first iteration; `0` (the
-    /// default) leaves the method in its one-iteration-per-step
-    /// formulation. Only methods with an s-step formulation (e.g.
-    /// [`SStepCgSolver`]) react.
-    pub s_step: usize,
 }
 
 impl Default for SolveControl {
@@ -355,7 +337,6 @@ impl Default for SolveControl {
             divergence_factor: 1e8,
             stagnation_window: 0,
             cancel_token: None,
-            s_step: 0,
         }
     }
 }
@@ -568,9 +549,6 @@ impl StepDriver {
         control: &SolveControl,
         trace: Option<&mut SolveTrace>,
     ) -> Result<Option<SolveReport>, SolveError> {
-        if control.s_step > 0 {
-            solver.set_s_step(control.s_step);
-        }
         if control.tol > 0.0 && control.check_every > 0 {
             if let Some(m) = solver.convergence_measure() {
                 let r = m.get().to_f64().abs().sqrt();

@@ -57,7 +57,7 @@ enum BlockOutcome {
 /// reduction per block, falling back to pipelined CG on basis rank
 /// loss.
 pub struct SStepCgSolver<T: Scalar> {
-    /// Block size; fixed once the first block has run.
+    /// Block size, fixed at construction.
     s: usize,
     p: usize,
     r: usize,
@@ -283,13 +283,6 @@ impl<T: Scalar> Solver<T> for SStepCgSolver<T> {
         match &self.fallback {
             Some(fb) => fb.breakdown_guards(),
             None => Vec::new(),
-        }
-    }
-
-    fn set_s_step(&mut self, s: usize) {
-        // Only effective before the first block commits a basis size.
-        if s >= 1 && self.basis.is_empty() && self.fallback.is_none() {
-            self.s = s;
         }
     }
 }

@@ -153,24 +153,6 @@ proptest! {
     }
 }
 
-/// `SolveControl::s_step` reaches the solver through the driver
-/// preflight: the solver sees the requested block size before its
-/// first block commits a basis.
-#[test]
-fn s_step_control_knob_sets_block_size() {
-    let (mut planner, _) = stencil_planner(12, 12, 2, 2);
-    let mut solver = SStepCgSolver::new(&mut planner);
-    let control = SolveControl {
-        s_step: 4,
-        ..SolveControl::to_tolerance(1e-11, 500)
-    };
-    let report = solve(&mut planner, &mut solver, control).expect("solve failed");
-    assert!(report.converged);
-    // Each driver iteration is one block of 4: a 12x12 Poisson system
-    // needs far fewer than 100 blocks.
-    assert!(report.iters < 100, "blocks: {}", report.iters);
-}
-
 // ---------------------------------------------------------------------------
 // Bitwise two-run determinism.
 // ---------------------------------------------------------------------------

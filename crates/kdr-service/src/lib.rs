@@ -43,7 +43,7 @@
 //!   injected faults, queue staleness), quarantines shards that blow
 //!   their [`HealthBudget`] with typed
 //!   [`RejectReason::ShardDegraded`] backpressure, evacuates tenants
-//!   onto healthy or freshly spawned shards, retries failed jobs
+//!   onto the surviving healthy shards, retries failed jobs
 //!   with bounded backoff ([`RetryPolicy`], typed
 //!   [`JobOutcome::RetryExhausted`] on exhaustion), and recovers
 //!   shard crashes from its job ledger with exactly-once delivery
@@ -51,9 +51,7 @@
 //! - **cost-model scheduling and warm restarts** — a shared cost
 //!   catalogue ([`ServiceConfig::catalogue`], from `kdr-store`)
 //!   prices jobs by the tiles each session lowered, for admission
-//!   screening, opt-in cost-proportional fair-share weights
-//!   ([`ServiceConfig::cost_weights`]), and measured-sample kernel
-//!   advice to the planner; [`ShardedService::save_store`] /
+//!   screening and measured-sample kernel advice to the planner; [`ShardedService::save_store`] /
 //!   [`ShardedService::open_store`] persist catalogue + tenants +
 //!   sessions in a versioned, checksummed on-disk store so a
 //!   restarted service starts warm with bit-identical residual
@@ -105,9 +103,9 @@ pub use request::{
 };
 pub use scheduler::FairScheduler;
 pub use service::{ServiceConfig, ShardEngine, ShardLoad};
-pub use session::{Session, SessionSpec, SessionTuning, SolverKind};
-pub use sharded::{Placement, ShardConfig, ShardedService};
+pub use session::{Session, SessionSpec, SolverKind};
+pub use sharded::{ShardConfig, ShardedService};
 pub use supervision::{
-    EvacuationPolicy, HealthBudget, HealthReport, InFlightRecovery, RetryPolicy, ShardStatus,
-    SupervisorConfig, SupervisorStats,
+    HealthBudget, HealthReport, InFlightRecovery, RetryPolicy, ShardStatus, SupervisorConfig,
+    SupervisorStats,
 };

@@ -1,9 +1,10 @@
 //! Per-tenant accounting and tenant-tagged trace export.
 //!
 //! Counter deltas observed at the end of a slice are attributed to
-//! the tenant that owned the slice. With `fence_slices` (or span
-//! capture) on, the driver quiesces the runtime at each boundary and
-//! the attribution is exact; in the default unfenced mode, tasks
+//! the tenant that owned the slice. With span capture
+//! (`capture_events`) on, the driver quiesces the runtime at each
+//! boundary and the attribution is exact; in the default unfenced
+//! mode, tasks
 //! still in flight at the boundary retire under a later slice, so
 //! per-tenant deltas are approximate (totals across tenants remain
 //! exact). Spans accumulate per tenant — the fleet's `chrome_trace`

@@ -31,9 +31,12 @@ pub(crate) fn solver_wire(kind: SolverKind) -> (u8, u64, f64, f64) {
     }
 }
 
-/// Decode wire fields back into a [`SolverKind`]; unknown codes are a
-/// [`StoreError::Malformed`] (`offset` 0 — the record's position was
-/// already validated by the store layer, this is a semantic check).
+/// Decode wire fields back into a [`SolverKind`]; unknown codes, and
+/// parameters the solver's constructor would assert against (GMRES
+/// `restart = 0`, s-step `s = 0`, Chebyshev bounds outside
+/// `0 < lmin <= lmax`), are a [`StoreError::Malformed`] (`offset` 0 —
+/// the record's position was already validated by the store layer,
+/// this is a semantic check).
 pub(crate) fn solver_unwire(
     code: u8,
     p0: u64,
@@ -46,15 +49,21 @@ pub(crate) fn solver_unwire(
         2 => SolverKind::BiCgStab,
         3 => SolverKind::Cgs,
         4 => SolverKind::Minres,
-        5 => SolverKind::Gmres {
+        5 if p0 >= 1 => SolverKind::Gmres {
             restart: p0 as usize,
         },
         6 => SolverKind::Tfqmr,
         7 => SolverKind::FusedCg,
         8 => SolverKind::PipelinedCg,
         9 => SolverKind::PipelinedCr,
-        10 => SolverKind::SStepCg { s: p0 as usize },
-        11 => SolverKind::Chebyshev { lmin: f0, lmax: f1 },
+        10 if p0 >= 1 => SolverKind::SStepCg { s: p0 as usize },
+        11 if f0 > 0.0 && f1 >= f0 => SolverKind::Chebyshev { lmin: f0, lmax: f1 },
+        5 | 10 | 11 => {
+            return Err(StoreError::Malformed {
+                offset: 0,
+                what: "solver parameter out of range",
+            })
+        }
         _ => {
             return Err(StoreError::Malformed {
                 offset: 0,
@@ -200,6 +209,18 @@ mod tests {
             solver_unwire(200, 0, 0.0, 0.0),
             Err(StoreError::Malformed { .. })
         ));
+        for (c, p0, f0, f1) in [
+            (5, 0, 0.0, 0.0),
+            (10, 0, 0.0, 0.0),
+            (11, 0, 0.0, 1.0),
+            (11, 0, 2.0, 1.0),
+            (11, 0, f64::NAN, 1.0),
+        ] {
+            assert!(matches!(
+                solver_unwire(c, p0, f0, f1),
+                Err(StoreError::Malformed { .. })
+            ));
+        }
     }
 
     #[test]

@@ -189,13 +189,6 @@ impl AdmissionQueue {
         moved
     }
 
-    /// The owning tenant of every queued job, in queue order with
-    /// duplicates preserved — the rebalancer's per-tenant backlog
-    /// signal.
-    pub fn queued_tenants(&self) -> Vec<TenantId> {
-        self.jobs.iter().map(|j| j.tenant).collect()
-    }
-
     /// Re-admit an already-admitted job (migration restore). Bypasses
     /// the capacity bound and deadline screen: the job passed
     /// admission once on its original shard, and dropping it here
@@ -216,8 +209,9 @@ impl AdmissionQueue {
     }
 
     /// The current EWMA of observed job service seconds (`0.0` until
-    /// the first completion). Shard placement and rebalancing read
-    /// this as the per-shard turnaround signal.
+    /// the first completion). The shard's load signal
+    /// ([`ShardLoad`](crate::ShardLoad)) reports it as the per-shard
+    /// turnaround.
     pub fn ewma_job_seconds(&self) -> f64 {
         self.ewma_job_seconds
     }

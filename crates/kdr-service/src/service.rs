@@ -14,11 +14,10 @@
 //! `slice_iters` iterations of one tenant's job through a
 //! [`StepDriver`], attributes the slice's runtime spans and counter
 //! deltas to the tenant, and yields back to the scheduler (fencing at
-//! the boundary only when [`ServiceConfig::fence_slices`] or span
-//! capture asks for it). Parallelism lives *inside* a slice (the
-//! runtime's workers execute each iteration's task DAG concurrently);
-//! determinism across runs comes from the single driver plus the
-//! seeded stride scheduler.
+//! the boundary only when [`ServiceConfig::capture_events`] asks for
+//! it). Parallelism lives *inside* a slice (the runtime's workers
+//! execute each iteration's task DAG concurrently); determinism across
+//! runs comes from the single driver plus the seeded stride scheduler.
 //!
 //! [`ShardedService`]: crate::ShardedService
 
@@ -39,7 +38,7 @@ use crate::request::{
     JobId, JobOutcome, RejectReason, SessionId, SolveRequest, SolveResponse, TenantId,
 };
 use crate::scheduler::FairScheduler;
-use crate::session::{Session, SessionSpec, SessionTuning};
+use crate::session::{Session, SessionSpec};
 
 /// Iteration horizon for admission-time cost prediction: a deadline
 /// screen should reflect the work needed to produce a useful answer,
@@ -60,68 +59,22 @@ pub struct ServiceConfig {
     /// → same schedule.
     pub seed: u64,
     /// Record runtime task spans and attribute them per tenant (for
-    /// [`ShardedService::chrome_trace`](crate::ShardedService::chrome_trace)).
-    /// Costs one atomic per task.
+    /// [`ShardedService::chrome_trace`](crate::ShardedService::chrome_trace)),
+    /// and fence the runtime at every slice boundary. Costs one atomic
+    /// per task.
+    ///
+    /// **Off by default**: the boundary then only reschedules —
+    /// in-flight tasks, including overlapped reductions issued by the
+    /// pipelined solvers, keep draining while the next tenant's slice
+    /// runs, so pipelined CG/CR keep their communication/computation
+    /// overlap across tenant switches. The price is that per-tenant
+    /// *counter-delta* attribution is approximate: tasks still in
+    /// flight at the boundary retire under a later (possibly
+    /// other-tenant) slice. Totals across tenants are exact either
+    /// way. **On**, every slice quiesces the runtime before its spans
+    /// and counter deltas are read, so each tenant's counters are its
+    /// own.
     pub capture_events: bool,
-    /// Fence the shared runtime at every slice boundary.
-    ///
-    /// **Off by default** (since the fence-minimal solver work): the
-    /// boundary then only reschedules — in-flight tasks, including
-    /// overlapped reductions issued by the pipelined solvers, keep
-    /// draining while the next tenant's slice runs, so pipelined
-    /// CG/CR keep their communication/computation overlap across
-    /// tenant switches. The price is that per-tenant *counter-delta*
-    /// attribution becomes approximate: tasks still in flight at the
-    /// boundary retire under a later (possibly other-tenant) slice.
-    /// Totals across tenants remain exact either way.
-    ///
-    /// **Turn it on** for exact per-tenant attribution — every slice
-    /// quiesces the runtime before the deltas are read. Span capture
-    /// ([`ServiceConfig::capture_events`]) implies the quiesce
-    /// regardless of this flag, because span attribution needs all of
-    /// the slice's spans to have landed.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use kdr_core::SolveControl;
-    /// use kdr_service::{
-    ///     ServiceConfig, SessionSpec, ShardConfig, ShardedService, SolveRequest, SolverKind,
-    /// };
-    /// use kdr_sparse::{stencil::rhs_vector, SparseMatrix, Stencil};
-    ///
-    /// let stencil = Stencil::lap2d(8, 8);
-    /// let n = stencil.unknowns();
-    /// let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u64>());
-    ///
-    /// // Same two-tenant workload under both settings.
-    /// for fence_slices in [false, true] {
-    ///     let svc = ShardedService::new(ShardConfig {
-    ///         shards: 1,
-    ///         base: ServiceConfig { workers: 2, fence_slices, ..ServiceConfig::default() },
-    ///         ..ShardConfig::default()
-    ///     });
-    ///     for t in [1, 2] {
-    ///         svc.register_tenant(t, 1);
-    ///         let sid = svc.create_session(t, SessionSpec {
-    ///             matrix: Arc::clone(&matrix), unknowns: n, pieces: 2,
-    ///             solver: SolverKind::Cg, stencil: None,
-    ///         }).unwrap();
-    ///         svc.submit(t, SolveRequest::new(sid, rhs_vector::<f64>(n, t as u64),
-    ///             SolveControl::to_tolerance(1e-10, 500))).unwrap();
-    ///     }
-    ///     svc.run_until_idle();
-    ///     // Results are identical either way; only attribution
-    ///     // exactness and reduction overlap differ.
-    ///     assert!(svc.take_responses().iter().all(|r| r.outcome.is_converged()));
-    ///     let m = svc.metrics();
-    ///     if fence_slices {
-    ///         // Exact attribution: every slice quiesced, so each
-    ///         // tenant's executed-task delta is its own.
-    ///         assert!(m[&1].tasks_executed > 0 && m[&2].tasks_executed > 0);
-    ///     }
-    /// }
-    /// ```
-    pub fence_slices: bool,
     /// Arm the runtime watchdog: a task body running longer than this
     /// budget counts one `tasks_stalled` trip (surfaced per tenant in
     /// [`TenantMetrics::tasks_stalled`] and read by the sharded
@@ -142,11 +95,6 @@ pub struct ServiceConfig {
     /// Cloning a [`SharedCatalogue`] shares it, so the shards of a
     /// sharded service all refine one catalogue.
     pub catalogue: Option<SharedCatalogue>,
-    /// Scale fair-share stride weights by predicted per-session cost
-    /// (cheaper tenants get proportionally more slices, bounded at
-    /// 16×). Opt-in, and inert without a catalogue: the default
-    /// `false` keeps weights exactly as registered.
-    pub cost_weights: bool,
 }
 
 impl Default for ServiceConfig {
@@ -157,10 +105,8 @@ impl Default for ServiceConfig {
             slice_iters: 8,
             seed: 0,
             capture_events: false,
-            fence_slices: false,
             stall_budget: None,
             catalogue: None,
-            cost_weights: false,
         }
     }
 }
@@ -286,9 +232,8 @@ impl TenantBundle {
     }
 }
 
-/// A shard's instantaneous load signal, read by the sharded front
-/// door for load-aware placement and by the rebalancer for skew
-/// detection.
+/// A shard's instantaneous load signal, as
+/// [`ShardedService::loads`](crate::ShardedService::loads) reports it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardLoad {
     /// Jobs admitted but not yet started.
@@ -305,19 +250,6 @@ impl ShardLoad {
     pub fn depth(&self) -> usize {
         self.queued + self.active
     }
-
-    /// Scalar load score: outstanding jobs weighted by the shard's
-    /// observed per-job turnaround, so a shard with slow jobs counts
-    /// as more loaded than one with the same depth of fast jobs.
-    /// Falls back to pure depth before any job has completed.
-    pub fn score(&self) -> f64 {
-        let per_job = if self.ewma_job_seconds > 0.0 {
-            self.ewma_job_seconds
-        } else {
-            1.0
-        };
-        self.depth() as f64 * per_job
-    }
 }
 
 struct EngineState {
@@ -327,10 +259,6 @@ struct EngineState {
     active: Vec<ActiveJob>,
     responses: Vec<SolveResponse>,
     metrics: ServiceMetrics,
-    /// Fair-share weights as the front door registered them. The
-    /// scheduler may hold cost-scaled *effective* weights (with
-    /// [`ServiceConfig::cost_weights`]).
-    base_weights: BTreeMap<TenantId, u64>,
 }
 
 /// One shard of a [`ShardedService`](crate::ShardedService): a
@@ -372,7 +300,6 @@ impl ShardEngine {
                 active: Vec::new(),
                 responses: Vec::new(),
                 metrics: ServiceMetrics::default(),
-                base_weights: BTreeMap::new(),
             }),
             cfg,
         }
@@ -383,10 +310,9 @@ impl ShardEngine {
         Arc::clone(&self.rt)
     }
 
-    /// The weight the scheduler is currently striding a tenant at:
-    /// the registered weight, or the cost-scaled effective weight
-    /// when [`ServiceConfig::cost_weights`] is on. `None` for a
-    /// tenant that does not live on this shard.
+    /// The weight the scheduler strides a tenant at: the weight the
+    /// front door registered it with. `None` for a tenant that does
+    /// not live on this shard.
     pub fn effective_weight(&self, tenant: TenantId) -> Option<u64> {
         self.state.lock().scheduler.weight(tenant)
     }
@@ -532,12 +458,6 @@ impl ShardEngine {
         }
     }
 
-    /// The owning tenant of every queued job, duplicates preserved —
-    /// the rebalancer's backlog signal.
-    pub(crate) fn queued_tenants(&self) -> Vec<TenantId> {
-        self.state.lock().queue.queued_tenants()
-    }
-
     /// Every tenant's retained task spans, cloned out (the fleet's
     /// `chrome_trace` merges these across shards).
     pub fn span_groups(&self) -> Vec<(TenantId, Vec<TaskSpan>)> {
@@ -552,14 +472,7 @@ impl ShardEngine {
     /// does not live here; otherwise it stops existing on this shard.
     pub(crate) fn detach_tenant(&self, tenant: TenantId) -> Option<TenantBundle> {
         let st = &mut *self.state.lock();
-        st.scheduler.unregister(tenant)?;
-        // The *base* weight: effective weights are cost-scaled against
-        // this shard's catalogue view and would compound on
-        // re-registration.
-        let weight = st
-            .base_weights
-            .remove(&tenant)
-            .expect("attach_tenant records a base weight for every tenant");
+        let weight = st.scheduler.unregister(tenant)?;
         let mut bundle = TenantBundle::new(tenant, weight);
         bundle.queued = st.queue.remove_tenant(tenant);
         let (mine, others) = std::mem::take(&mut st.active)
@@ -623,20 +536,18 @@ impl ShardEngine {
             .sessions
             .into_iter()
             .map(|s| {
-                let tuning = SessionTuning {
-                    advisor: self
-                        .cfg
-                        .catalogue
-                        .as_ref()
-                        .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>),
-                    forced_kernel: s.kernel,
-                };
+                let advisor = self
+                    .cfg
+                    .catalogue
+                    .as_ref()
+                    .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>);
                 let mut sess = Session::with_tuning(
                     Arc::clone(&self.rt),
                     Arc::clone(&self.mapper),
                     bundle.tenant,
                     s.spec,
-                    tuning,
+                    advisor,
+                    s.kernel,
                 );
                 if s.prewarm {
                     prewarm_session(&mut sess);
@@ -645,14 +556,12 @@ impl ShardEngine {
             })
             .collect();
         let mut st = self.state.lock();
-        st.base_weights.insert(bundle.tenant, bundle.weight);
         st.scheduler.register(bundle.tenant, bundle.weight);
         st.sessions.extend(sessions);
         st.active.extend(bundle.in_flight);
         for q in bundle.queued {
             st.queue.restore(q);
         }
-        self.refresh_cost_weights(&mut st);
     }
 
     /// Every session's [`SessionWarmth`], for the durable store.
@@ -774,9 +683,7 @@ impl ShardEngine {
         );
         st.metrics.tenant_mut(tenant).iterations += iters_run;
 
-        let mut completed = false;
         if let Some(outcome) = finished {
-            completed = true;
             let a = st.active.swap_remove(idx);
             let started = a.started_at.unwrap_or(a.submitted_at);
             let turnaround = started.elapsed();
@@ -810,22 +717,16 @@ impl ShardEngine {
         }
 
         // Slice boundary. Fencing here would force every in-flight
-        // reduction to drain before the next tenant runs; by default
-        // we skip it so pipelined solvers keep their overlap across
-        // slice boundaries, at the cost of approximate counter-delta
-        // attribution. Span capture still needs the quiesce.
-        if self.cfg.fence_slices || self.cfg.capture_events {
+        // reduction to drain before the next tenant runs; without span
+        // capture we skip it so pipelined solvers keep their overlap
+        // across slice boundaries, at the cost of approximate
+        // counter-delta attribution. Span capture needs the quiesce.
+        if self.cfg.capture_events {
             let _ = self.rt.fence();
         }
         let after = self.rt.metrics();
         st.metrics.record_slice_delta(tenant, &before, &after);
         self.observe_kernel_costs(st, slice_session, &before, &after);
-        if completed {
-            // Completions are when the catalogue has just gained a
-            // job's worth of fresh observations — the natural point
-            // to re-derive cost-proportional weights.
-            self.refresh_cost_weights(st);
-        }
         if self.cfg.capture_events {
             let spans = self.rt.take_spans();
             st.metrics.record_spans(tenant, spans);
@@ -872,57 +773,6 @@ impl ShardEngine {
                     cat.observe(run[0], mean_seconds);
                 }
             }
-        }
-    }
-
-    /// Re-derive the scheduler's effective weights from predicted
-    /// per-session costs (see [`ServiceConfig::cost_weights`]). Every
-    /// base weight is scaled ×16 so the cost fraction keeps integer
-    /// resolution; a tenant whose sessions are predicted `k`× as
-    /// expensive as the cheapest tenant's gets `1/k` of that (floored
-    /// at ×1, i.e. at most a 16× swing). Tenants without sessions
-    /// keep their base ratio. No-op unless both a catalogue and
-    /// `cost_weights` are configured.
-    fn refresh_cost_weights(&self, st: &mut EngineState) {
-        if !self.cfg.cost_weights {
-            return;
-        }
-        let Some(cat) = self.cfg.catalogue.as_ref() else {
-            return;
-        };
-        let mut sums: BTreeMap<TenantId, (f64, u32)> = BTreeMap::new();
-        for sess in st.sessions.values() {
-            let (seconds, _) = predict_task_seconds(cat, sess);
-            let e = sums.entry(sess.tenant()).or_insert((0.0, 0));
-            e.0 += seconds;
-            e.1 += 1;
-        }
-        let mut means: BTreeMap<TenantId, f64> = BTreeMap::new();
-        let mut min_cost = f64::INFINITY;
-        for (&t, &(sum, n)) in &sums {
-            if n > 0 {
-                let mean = (sum / n as f64).max(1.0e-12);
-                min_cost = min_cost.min(mean);
-                means.insert(t, mean);
-            }
-        }
-        if means.is_empty() || !min_cost.is_finite() {
-            return;
-        }
-        let tenants: Vec<(TenantId, u64)> =
-            st.base_weights.iter().map(|(&t, &w)| (t, w)).collect();
-        for (tenant, base) in tenants {
-            if !st.scheduler.is_registered(tenant) {
-                continue;
-            }
-            let effective = match means.get(&tenant) {
-                Some(&cost) => {
-                    let scale = (min_cost / cost).clamp(1.0 / 16.0, 1.0);
-                    ((base as f64 * 16.0 * scale).round() as u64).max(1)
-                }
-                None => base.saturating_mul(16).max(1),
-            };
-            st.scheduler.register(tenant, effective);
         }
     }
 

@@ -130,23 +130,6 @@ impl SessionSpec {
     }
 }
 
-/// Optional per-session kernel tuning. The default tunes nothing:
-/// tiles lower through the structure heuristic exactly as before the
-/// cost catalogue existed.
-#[derive(Clone, Default)]
-pub struct SessionTuning {
-    /// Kernel advisor consulted at lowering time (typically a
-    /// [`kdr_store::CatalogueSnapshot`](kdr_store) doing a
-    /// predicted-cost argmin). `None`, or an advisor that abstains,
-    /// falls back to the structure heuristic.
-    pub advisor: Option<Arc<dyn KernelAdvisor>>,
-    /// Force every tile of the session's operator onto one kernel,
-    /// taking precedence over the advisor. The durable-store warm
-    /// restart uses this to replay a persisted kernel choice
-    /// deterministically.
-    pub forced_kernel: Option<KernelKind>,
-}
-
 /// One tenant's long-lived, plan-cached problem setup.
 pub struct Session {
     tenant: TenantId,
@@ -169,24 +152,30 @@ impl Session {
         tenant: TenantId,
         spec: SessionSpec,
     ) -> Self {
-        Session::with_tuning(rt, mapper, tenant, spec, SessionTuning::default())
+        Session::with_tuning(rt, mapper, tenant, spec, None, None)
     }
 
-    /// [`Session::new`] with kernel tuning: an advisor for
-    /// catalogue-driven auto-selection and/or a forced kernel.
+    /// [`Session::new`] with kernel tuning: `advisor` is consulted at
+    /// lowering time (typically a catalogue snapshot doing a
+    /// predicted-cost argmin; `None`, or an advisor that abstains,
+    /// falls back to the structure heuristic), and `forced_kernel`
+    /// puts every tile on one kernel, taking precedence over the
+    /// advisor — how a durable store replays a persisted kernel
+    /// choice deterministically.
     pub fn with_tuning(
         rt: Arc<Runtime>,
         mapper: Arc<ColorAffinityMapper>,
         tenant: TenantId,
         spec: SessionSpec,
-        tuning: SessionTuning,
+        advisor: Option<Arc<dyn KernelAdvisor>>,
+        forced_kernel: Option<KernelKind>,
     ) -> Self {
         let backend = kdr_core::ExecBackend::<f64>::with_shared_runtime(rt, Some(mapper));
         let mut planner = Planner::new(Box::new(backend));
-        if let Some(kind) = tuning.forced_kernel {
+        if let Some(kind) = forced_kernel {
             planner.set_kernel_choice(KernelChoice::Force(kind));
-        } else if tuning.advisor.is_some() {
-            planner.set_kernel_advisor(tuning.advisor.clone());
+        } else if advisor.is_some() {
+            planner.set_kernel_advisor(advisor);
         }
         let part = Partition::equal_blocks(spec.unknowns, spec.pieces);
         let d = planner.add_sol_vector(spec.unknowns, Some(part.clone()));
@@ -207,9 +196,9 @@ impl Session {
     }
 
     /// Catalogue key of every tile the session's operator lowered to,
-    /// sorted, one entry per tile. Admission screening,
-    /// cost-proportional weights, online refinement and the durable
-    /// store's kernel record all read this list.
+    /// sorted, one entry per tile. Admission screening, online
+    /// refinement and the durable store's kernel record all read this
+    /// list.
     pub(crate) fn catalogue_keys(&self) -> &[CatalogueKey] {
         &self.keys
     }

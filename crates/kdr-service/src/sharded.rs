@@ -21,15 +21,11 @@
 //! `attach_tenant` registers the tenant, builds and pre-warms the
 //! sessions, and restores the jobs.
 //!
-//! Placement is **consistent-hash** by default (a splitmix64 ring
-//! with virtual nodes: adding a shard moves `~1/N` of tenants,
-//! everyone else stays put) with an optional **load-aware** override
-//! that places new tenants on the shard with the lowest load score
-//! (queue depth + active jobs, weighted by the shard's turnaround
-//! EWMA). A **rebalancer** — invoked between scheduling rounds of
-//! [`ShardedService::run_rounds`], never concurrently with a shard's
-//! slice — migrates one tenant from the most- to the least-loaded
-//! shard when the skew exceeds a configurable factor.
+//! Placement is **consistent-hash** (a splitmix64 ring with virtual
+//! nodes: adding a shard moves `~1/N` of tenants, everyone else stays
+//! put). A tenant moves only when asked to
+//! ([`ShardedService::migrate_tenant`]), when the fleet grows or
+//! shrinks, or when supervision evacuates it.
 //!
 //! **Migration** reuses the checkpoint/restart machinery: detach on
 //! the source shard (scheduler entry out, queued jobs out, in-flight
@@ -50,11 +46,11 @@
 //! module docs): the front door keeps a *job ledger* (every admitted
 //! job's request, attempts, and completion state) and a per-shard
 //! health window. Shards that blow their [`HealthBudget`] are
-//! quarantined and their tenants evacuated — onto surviving shards
-//! or a freshly spawned replacement ([`ShardedService::add_shard`] /
-//! [`ShardedService::remove_shard`] are also available directly for
-//! live elasticity). Failed jobs are retried from scratch with
-//! deterministic round-based backoff ([`RetryPolicy`]), delivering
+//! quarantined and their tenants evacuated onto their ring successors
+//! among the surviving shards ([`ShardedService::add_shard`] /
+//! [`ShardedService::remove_shard`] grow and shrink the fleet live).
+//! Failed jobs are retried from scratch with deterministic round-based
+//! backoff ([`RetryPolicy`]), delivering
 //! typed [`JobOutcome::RetryExhausted`] when the budget runs out —
 //! never silent loss. [`ShardedService::kill_shard`] simulates a
 //! crash (the runtime is dropped, nothing is read from it); resident
@@ -87,28 +83,13 @@ use crate::service::{
 };
 use crate::session::SessionSpec;
 use crate::supervision::{
-    EvacuationPolicy, HealthBudget, HealthReport, HealthWindow, InFlightRecovery, RetryPolicy,
-    ShardStatus, SupervisorConfig, SupervisorStats,
+    HealthBudget, HealthReport, HealthWindow, InFlightRecovery, RetryPolicy, ShardStatus,
+    SupervisorConfig, SupervisorStats,
 };
 
 /// Virtual nodes per shard on the consistent-hash ring. More points
 /// → smoother split at the cost of a larger (still tiny) ring.
 const VNODES_PER_SHARD: u64 = 64;
-
-/// How the front door places a newly seen tenant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Placement {
-    /// Hash the tenant onto a consistent-hash ring of shard virtual
-    /// nodes. Deterministic: placement depends only on the ring seed,
-    /// the tenant id, and the shard count.
-    ConsistentHash,
-    /// Place on the shard with the lowest current load score
-    /// ([`ShardLoad::score`]), falling back to the hash ring among
-    /// equally loaded shards. Placement then depends on arrival order
-    /// and observed timing — use [`Placement::ConsistentHash`] when
-    /// cross-run placement determinism matters.
-    LoadAware,
-}
 
 /// Sharded-service construction knobs.
 #[derive(Clone, Debug)]
@@ -116,17 +97,9 @@ pub struct ShardConfig {
     /// Number of independent shard runtimes (`>= 1`) at startup;
     /// [`ShardedService::add_shard`] grows the fleet live.
     pub shards: usize,
-    /// New-tenant placement policy.
-    pub placement: Placement,
-    /// Rebalance when the busiest shard's load score exceeds the
-    /// least busy shard's by more than this factor (and by at least
-    /// two outstanding jobs). `0.0` disables the rebalancer —
-    /// required for bit-identical same-seed reruns, since load
-    /// scores observe wall-clock turnaround.
-    pub rebalance_factor: f64,
-    /// Supervisor policy: health budget, evacuation target, in-flight
-    /// recovery mode, and the front-door retry budget. The default
-    /// never quarantines and never retries.
+    /// Supervisor policy: health budget, in-flight recovery mode, and
+    /// the front-door retry budget. The default never quarantines and
+    /// never retries.
     pub supervisor: SupervisorConfig,
     /// Per-shard service configuration. Each shard runs
     /// `base.workers` workers; `base.seed` is salted with the shard
@@ -138,8 +111,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 2,
-            placement: Placement::ConsistentHash,
-            rebalance_factor: 0.0,
             supervisor: SupervisorConfig::default(),
             base: ServiceConfig::default(),
         }
@@ -224,7 +195,8 @@ struct FrontDoor {
 impl FrontDoor {
     /// The ring's *healthy* shard for a tenant: first virtual node at
     /// or after the tenant's hash point whose shard is healthy,
-    /// wrapping. `None` when no healthy shard remains.
+    /// wrapping. `None` when no healthy shard remains. Deterministic:
+    /// it depends only on the tenant id and the ring's shards.
     fn ring_place_healthy(&self, tenant: TenantId) -> Option<usize> {
         if self.ring.is_empty() {
             return None;
@@ -499,10 +471,10 @@ impl ShardedService {
     }
 
     /// Register (or re-weight) a tenant. First registration places
-    /// the tenant per the configured [`Placement`] policy;
-    /// re-registration only updates the weight — in place, or, while
-    /// the tenant is stranded on a quarantined or dead shard, when it
-    /// is next evacuated.
+    /// the tenant on its consistent-hash ring shard (panicking if no
+    /// healthy shard remains); re-registration only updates the
+    /// weight — in place, or, while the tenant is stranded on a
+    /// quarantined or dead shard, when it is next evacuated.
     pub fn register_tenant(&self, tenant: TenantId, weight: u64) {
         let mut front = self.front.lock();
         let weight = weight.max(1);
@@ -512,7 +484,9 @@ impl ShardedService {
                 rec.shard
             }
             None => {
-                let shard = self.place(&front, tenant);
+                let shard = front
+                    .ring_place_healthy(tenant)
+                    .expect("no healthy shard left to place a tenant on");
                 let rec = TenantRecord {
                     shard,
                     weight,
@@ -525,45 +499,6 @@ impl ShardedService {
         if front.slots[shard].status.is_healthy() {
             let bundle = front.bundle(tenant);
             front.install(shard, bundle);
-        }
-    }
-
-    /// Pick a shard for a new tenant under the configured policy.
-    /// Only healthy shards are candidates; panics if none remain (a
-    /// fleet with zero healthy shards cannot accept tenants).
-    fn place(&self, front: &FrontDoor, tenant: TenantId) -> usize {
-        let hash_choice = front
-            .ring_place_healthy(tenant)
-            .expect("no healthy shard left to place a tenant on");
-        match self.cfg.placement {
-            Placement::ConsistentHash => hash_choice,
-            Placement::LoadAware => {
-                let scored: Vec<(usize, f64)> = front
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.status.is_healthy())
-                    .filter_map(|(i, s)| s.live().map(|svc| (i, svc.load().score())))
-                    .collect();
-                let min = scored.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-                // Among the least-loaded shards, prefer the hash
-                // ring's choice so an idle fleet degenerates to pure
-                // consistent hashing.
-                let hash_score = scored
-                    .iter()
-                    .find(|&&(i, _)| i == hash_choice)
-                    .map(|&(_, s)| s)
-                    .unwrap_or(f64::INFINITY);
-                if hash_score <= min {
-                    hash_choice
-                } else {
-                    scored
-                        .iter()
-                        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                        .map(|&(i, _)| i)
-                        .expect("at least one healthy shard")
-                }
-            }
         }
     }
 
@@ -744,62 +679,6 @@ impl ShardedService {
         true
     }
 
-    /// One rebalance pass: if the busiest healthy shard's load score
-    /// exceeds the least busy one's by more than `rebalance_factor`
-    /// (and by at least two outstanding jobs), migrate the busiest
-    /// shard's heaviest-backlog tenant to the least busy shard.
-    /// Returns the migrated tenant, if any. No-op when
-    /// `rebalance_factor == 0.0`.
-    pub fn rebalance(&self) -> Option<TenantId> {
-        if self.cfg.rebalance_factor <= 0.0 {
-            return None;
-        }
-        let mut front = self.front.lock();
-        let loads: Vec<(usize, ShardLoad)> = front
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.status.is_healthy())
-            .filter_map(|(i, s)| s.live().map(|svc| (i, svc.load())))
-            .collect();
-        if loads.len() < 2 {
-            return None;
-        }
-        let &(busy, busy_load) = loads
-            .iter()
-            .max_by(|(_, a), (_, b)| a.score().total_cmp(&b.score()))?;
-        let &(idle, idle_load) = loads
-            .iter()
-            .min_by(|(_, a), (_, b)| a.score().total_cmp(&b.score()))?;
-        if busy == idle
-            || busy_load.depth() < idle_load.depth() + 2
-            || busy_load.score() <= self.cfg.rebalance_factor * idle_load.score().max(1e-9)
-        {
-            return None;
-        }
-        // Heaviest-backlog tenant on the busiest shard: most queued
-        // jobs, ties to the smallest id for determinism.
-        let mut counts: BTreeMap<TenantId, usize> = BTreeMap::new();
-        for t in front.residents(busy) {
-            counts.insert(t, 0);
-        }
-        let busy_svc = front.slots[busy].live().cloned()?;
-        for r in busy_svc.queued_tenants() {
-            if let Some(c) = counts.get_mut(&r) {
-                *c += 1;
-            }
-        }
-        let tenant = counts
-            .into_iter()
-            .max_by_key(|&(t, c)| (c, std::cmp::Reverse(t)))
-            .map(|(t, _)| t)?;
-        if self.migrate_tenant_locked(&mut front, tenant, idle, InFlightRecovery::Resume) {
-            Some(tenant)
-        } else {
-            None
-        }
-    }
-
     /// Grow the fleet by one freshly spawned shard, then migrate
     /// every tenant whose consistent-hash placement lands on it
     /// (~`1/N` of tenants — the ring guarantee) via graceful
@@ -932,19 +811,12 @@ impl ShardedService {
         true
     }
 
-    /// Take a shard off the ring as quarantined, adding its replacement
-    /// first if the policy asks for one; its tenants stay until
-    /// [`Self::evacuate_residents`] moves them.
+    /// Take a shard off the ring as quarantined; its tenants stay
+    /// until [`Self::evacuate_residents`] moves them.
     fn quarantine(&self, front: &mut FrontDoor, idx: usize) {
         front.slots[idx].status = ShardStatus::Quarantined;
         front.ring.retain(|&(_, s)| s != idx);
         front.stats.quarantines += 1;
-        if self.cfg.supervisor.evacuation == EvacuationPolicy::Replace
-            && !front.residents(idx).is_empty()
-        {
-            self.add_shard_slot(front);
-            front.stats.shards_added += 1;
-        }
     }
 
     /// Move every tenant still placed on an unroutable live slot to its
@@ -1120,8 +992,7 @@ impl ShardedService {
     }
 
     /// One scheduling round: `drive` every shard that has work, each
-    /// on its own thread, then run a rebalance pass and a supervision
-    /// tick. Returns `false`, having done nothing, once the whole
+    /// on its own thread, then run a supervision tick. Returns `false`, having done nothing, once the whole
     /// fleet is idle *and* no retry that a tick could release is
     /// waiting out its backoff.
     ///
@@ -1152,28 +1023,26 @@ impl ShardedService {
                 }
             }
         });
-        self.rebalance();
         self.supervise();
         true
     }
 
     /// Drive every shard to completion, round after round (one driver
-    /// thread per shard with work, then a rebalance pass and a
-    /// supervision tick), until the fleet is idle. With the rebalancer
-    /// and supervisor passive a single round suffices; with them
-    /// active, later rounds drain migrated, evacuated, and retried
-    /// work.
+    /// thread per shard with work, then a supervision tick), until the
+    /// fleet is idle. With the supervisor passive a single round
+    /// suffices; with it active, later rounds drain evacuated and
+    /// retried work.
     pub fn run_until_idle(&self) {
         while self.round(|svc| svc.run_until_idle()) {}
     }
 
     /// Drive at most `rounds` rounds of `slices_per_shard` scheduler
     /// slices on every shard with work (in parallel), with a
-    /// rebalance pass and a supervision tick between rounds. Stops
-    /// early when the fleet goes idle with no retries pending;
-    /// returns the rounds actually run. This is the incremental
-    /// flavor of [`ShardedService::run_until_idle`], giving the
-    /// rebalancer and the health model a deterministic cadence.
+    /// supervision tick between rounds. Stops early when the fleet
+    /// goes idle with no retries pending; returns the rounds actually
+    /// run. This is the incremental flavor of
+    /// [`ShardedService::run_until_idle`], giving the health model a
+    /// deterministic cadence.
     pub fn run_rounds(&self, rounds: usize, slices_per_shard: usize) -> usize {
         let drive = |svc: &ShardEngine| {
             svc.run_slices(slices_per_shard);
@@ -1313,9 +1182,8 @@ impl ShardedService {
     /// [`ShardedService::save_store`]. The catalogue re-seeds into
     /// `cfg.base.catalogue` (merged if the caller supplies one, fresh
     /// otherwise) and is shared by every shard; tenants come back at
-    /// their saved weights and are re-placed by the configured
-    /// [`Placement`] policy (consistent hashing puts them back on the
-    /// same shard when the shard count is unchanged); sessions rebuild
+    /// their saved weights and are re-placed on the consistent-hash
+    /// ring (the same shard when the shard count is unchanged); sessions rebuild
     /// on their owner's shard with persisted kernel choices pinned,
     /// and every session that was warm at save time is pre-warmed —
     /// its iteration trace captured — so the first real job lands on
@@ -1342,7 +1210,9 @@ impl ShardedService {
                 let tenant = TenantId::try_from(t.tenant)
                     .map_err(|_| malformed("tenant id out of range"))?;
                 let rec = TenantRecord {
-                    shard: svc.place(&front, tenant),
+                    shard: front
+                        .ring_place_healthy(tenant)
+                        .expect("a fresh fleet has a healthy shard"),
                     weight: u64::from(t.weight).max(1),
                     sessions: BTreeMap::new(),
                 };

@@ -18,8 +18,8 @@
 //!    the instant before evacuation completes, since evacuation moves
 //!    the tenants and re-points routing), and every resident tenant
 //!    is **evacuated** through the checkpoint/restart migration
-//!    machinery onto healthy shards (or onto a freshly spawned
-//!    replacement shard, per [`EvacuationPolicy`]);
+//!    machinery onto its ring successor among the healthy shards (no
+//!    capacity is added: load spreads over the survivors);
 //! 4. **re-homes** tenants a crash left stranded on a killed slot,
 //!    rebuilt from the front door's record and ledger, once a healthy
 //!    shard exists again;
@@ -171,20 +171,6 @@ impl HealthBudget {
     }
 }
 
-/// Where a quarantined shard's tenants go.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvacuationPolicy {
-    /// Rehash each tenant onto the surviving healthy shards (its
-    /// consistent-hash successor) — no new capacity, load spreads.
-    #[default]
-    Spread,
-    /// Spawn a fresh replacement shard first, then evacuate along the
-    /// ring: fleet capacity is preserved and placement stays
-    /// hash-consistent, with evacuees spreading over all healthy
-    /// shards including the replacement.
-    Replace,
-}
-
 /// What happens to checkpointed in-flight jobs during a quarantine
 /// evacuation. (A [`ShardedService::kill_shard`] crash never has
 /// checkpoints — its jobs always restart from scratch.)
@@ -244,8 +230,6 @@ impl Default for RetryPolicy {
 pub struct SupervisorConfig {
     /// Per-shard health thresholds.
     pub budget: HealthBudget,
-    /// Where evacuated tenants land.
-    pub evacuation: EvacuationPolicy,
     /// Checkpoint handling for gracefully evacuated in-flight jobs.
     pub in_flight: InFlightRecovery,
     /// Front-door retry budget for failed jobs.

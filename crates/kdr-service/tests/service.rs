@@ -339,6 +339,45 @@ fn chrome_trace_tags_spans_per_tenant() {
     assert!(m[&1].slices > 0 && m[&2].slices > 0);
 }
 
+/// With span capture on, every slice boundary quiesces the runtime,
+/// so each tenant's counter deltas are its own: two interleaved
+/// tenants each execute exactly the tasks they submitted, and exactly
+/// as many as their job takes when it runs alone.
+#[test]
+fn capture_events_attributes_tasks_to_tenants_exactly() {
+    let jobs = [
+        (1, spec(16, 16, 4, SolverKind::Cg), 16 * 16),
+        (2, spec(12, 12, 4, SolverKind::BiCgStab), 12 * 12),
+    ];
+    let run = |tenants: &[u32]| {
+        let svc = service(ServiceConfig {
+            workers: 2,
+            capture_events: true,
+            ..ServiceConfig::default()
+        });
+        for &(tenant, ref spec, n) in jobs.iter().filter(|(t, _, _)| tenants.contains(t)) {
+            svc.register_tenant(tenant, 1);
+            let sid = svc.create_session(tenant, spec.clone()).unwrap();
+            let req = SolveRequest::new(sid, rhs_vector::<f64>(n, u64::from(tenant)), control());
+            svc.submit(tenant, req).unwrap();
+        }
+        svc.run_until_idle();
+        assert!(svc.take_responses().iter().all(|r| r.outcome.is_converged()));
+        svc.metrics()
+    };
+    let together = run(&[1, 2]);
+    for tenant in [1, 2] {
+        let m = &together[&tenant];
+        let alone = run(&[tenant])[&tenant].tasks_executed;
+        assert!(m.slices >= 2, "tenant {tenant}: the two jobs interleave");
+        assert_eq!(
+            (m.tasks_executed, m.tasks_submitted),
+            (alone, alone),
+            "tenant {tenant}: executed / submitted beside the other tenant, against alone"
+        );
+    }
+}
+
 #[test]
 fn every_solver_kind_runs_as_a_session() {
     let kinds = [

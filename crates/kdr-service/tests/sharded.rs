@@ -1,6 +1,6 @@
 //! Sharded-service tests: placement, migration (including the
 //! restart-equivalence contract for in-flight jobs), cutover races,
-//! rebalancing, and fleet-wide determinism.
+//! and fleet-wide determinism.
 
 use std::sync::Arc;
 
@@ -307,61 +307,4 @@ fn four_shards_same_seed_bitwise_rerun() {
         fingerprint(),
         "same seed, same submissions → bit-identical responses at 4 shards"
     );
-}
-
-#[test]
-fn rebalancer_moves_backlog_off_the_busiest_shard() {
-    let svc = ShardedService::new(ShardConfig {
-        shards: 2,
-        rebalance_factor: 1.5,
-        base: ServiceConfig {
-            workers: 1,
-            slice_iters: 4,
-            queue_capacity: 1024,
-            ..ServiceConfig::default()
-        },
-        ..ShardConfig::default()
-    });
-    // Two tenants forced onto one shard's backlog: register both,
-    // then pile jobs only on whichever tenants share a shard.
-    let mut by_shard: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-    for t in 0..8u32 {
-        svc.register_tenant(t, 1);
-        by_shard[svc.shard_of(t).unwrap()].push(t);
-    }
-    let (busy, idle) = if by_shard[0].len() >= by_shard[1].len() {
-        (0, 1)
-    } else {
-        (1, 0)
-    };
-    assert!(by_shard[busy].len() >= 2, "placement spread: {by_shard:?}");
-    let n = 12 * 12;
-    let mut sids = std::collections::BTreeMap::new();
-    for &t in &by_shard[busy] {
-        sids.insert(t, svc.create_session(t, spec(12, 12, 2, SolverKind::Cg)).unwrap());
-    }
-    for round in 0..4u64 {
-        for &t in &by_shard[busy] {
-            svc.submit(
-                t,
-                SolveRequest::new(
-                    sids[&t],
-                    rhs_vector::<f64>(n, round * 100 + u64::from(t)),
-                    SolveControl::to_tolerance(1e-10, 1000),
-                ),
-            )
-            .unwrap();
-        }
-    }
-    assert!(svc.loads()[busy].depth() > 0 && svc.loads()[idle].depth() == 0);
-    let moved = svc.rebalance().expect("skew exceeds factor, must move a tenant");
-    assert_eq!(svc.shard_of(moved), Some(idle));
-    assert!(svc.migrations() >= 1);
-    svc.run_until_idle();
-    let rs = svc.take_responses();
-    assert_eq!(rs.len(), by_shard[busy].len() * 4, "rebalance loses nothing");
-    assert!(rs.iter().all(|r| r.outcome.is_converged()));
-    // The moved tenant's metrics merge across both shards.
-    let merged = svc.metrics();
-    assert_eq!(merged[&moved].jobs_completed, 4);
 }

@@ -1,9 +1,9 @@
 //! Cost-catalogue and durable-store integration tests: cold-tenant
-//! deadline screening, hit/miss reconciliation, cost-proportional
-//! weights, and warm restarts (one shard and two) with bit-identical
-//! replay.
+//! deadline screening, hit/miss reconciliation, warm restarts (one
+//! shard and two) with bit-identical replay, and stores that must
+//! open as typed errors.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,7 @@ use kdr_service::{
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{KernelKind, SparseMatrix, Stencil, StructureKey};
-use kdr_store::{CatalogueKey, SharedCatalogue, StoreError};
+use kdr_store::{CatalogueKey, SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("kdr_service_store_tests");
@@ -136,39 +136,6 @@ fn catalogue_hits_and_misses_reconcile_with_admissions() {
     assert!(metrics[&1].prediction_error_pct().is_some());
 }
 
-/// With `cost_weights` on, a tenant whose sessions the catalogue says
-/// are cheap gets proportionally more effective weight than one with
-/// expensive sessions at the same base weight.
-#[test]
-fn cost_proportional_weights_order_by_catalogue_cost() {
-    let cat = catalogue();
-    let cheap = Stencil::lap2d(8, 8);
-    let pricey = Stencil::lap2d(12, 12);
-    cat.insert_entry(stencil_key(&cheap, 2), 8, 1.0e-6);
-    cat.insert_entry(stencil_key(&pricey, 2), 8, 1.0e-3);
-    let svc = service(ServiceConfig {
-        workers: 2,
-        catalogue: Some(cat),
-        cost_weights: true,
-        ..ServiceConfig::default()
-    });
-    svc.register_tenant(1, 1);
-    svc.register_tenant(2, 1);
-    svc.create_session(1, SessionSpec::stencil(cheap, 2, SolverKind::Cg)).unwrap();
-    svc.create_session(2, SessionSpec::stencil(pricey, 2, SolverKind::Cg)).unwrap();
-    let w_cheap = svc.shard(0).effective_weight(1).unwrap();
-    let w_pricey = svc.shard(0).effective_weight(2).unwrap();
-    assert!(
-        w_cheap > w_pricey,
-        "cheap tenant must outweigh expensive one: {w_cheap} vs {w_pricey}"
-    );
-    // The scale factor is clamped to 1/16, so a 1000× cost ratio pins
-    // the expensive tenant at the floor while the cheap one keeps the
-    // full scaled base.
-    assert_eq!(w_cheap, 16);
-    assert_eq!(w_pricey, 1);
-}
-
 /// What a slice measures is what admission predicts through: once a
 /// session's first job has completed, its next job is admitted as a
 /// catalogue hit, and every key the catalogue has observed carries
@@ -187,7 +154,6 @@ fn next_job_is_a_catalogue_hit(shards: usize) {
         shards,
         base: ServiceConfig {
             workers: 2,
-            fence_slices: true,
             catalogue: Some(cat.clone()),
             ..ServiceConfig::default()
         },
@@ -378,5 +344,83 @@ fn corrupted_stores_are_typed_errors_at_the_service_level() {
             "truncation at {cut} must not open"
         );
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Save a one-shard fleet holding `sessions`, each registered to its
+/// tenant, and read the file back as the raw bundle, for tests that corrupt its
+/// records semantically before reopening it.
+fn saved_bundle(name: &str, sessions: Vec<(u32, SessionSpec)>) -> (PathBuf, StoreBundle) {
+    let path = tmp(name);
+    let fleet = service(ServiceConfig::default());
+    for (tenant, spec) in sessions {
+        fleet.register_tenant(tenant, 1);
+        fleet.create_session(tenant, spec).unwrap();
+    }
+    fleet.save_store(&path).unwrap();
+    let bundle = kdr_store::store::load(&path).unwrap();
+    (path, bundle)
+}
+
+fn opens_as_malformed(path: &Path, bundle: &StoreBundle) -> bool {
+    kdr_store::store::save(path, bundle).unwrap();
+    matches!(
+        ShardedService::open_store(path, ShardConfig { shards: 1, ..ShardConfig::default() }),
+        Err(StoreError::Malformed { .. })
+    )
+}
+
+/// A record whose solver parameter its constructor asserts against —
+/// GMRES `restart = 0`, s-step `s = 0`, Chebyshev bounds outside
+/// `0 < lmin <= lmax` — opens as a typed error, not a panic while the
+/// warm session is pre-warmed.
+#[test]
+fn a_solver_parameter_its_constructor_rejects_opens_as_malformed() {
+    let grid = || Stencil::lap2d(8, 8);
+    let (path, saved) = saved_bundle(
+        "bad_solver_parameter.kdrstore",
+        vec![
+            (1, SessionSpec::stencil(grid(), 2, SolverKind::Gmres { restart: 5 })),
+            (1, SessionSpec::stencil(grid(), 2, SolverKind::SStepCg { s: 3 })),
+            (1, SessionSpec::stencil(grid(), 2, SolverKind::Chebyshev { lmin: 0.1, lmax: 8.0 })),
+        ],
+    );
+    type Spoil = fn(&mut StoreSession);
+    let spoils: [(usize, Spoil); 4] = [
+        (0, |s| s.solver_p0 = 0),
+        (1, |s| s.solver_p0 = 0),
+        (2, |s| s.solver_f0 = 0.0),
+        (2, |s| s.solver_f1 = s.solver_f0 / 2.0),
+    ];
+    for (k, (idx, spoil)) in spoils.into_iter().enumerate() {
+        let mut bundle = saved.clone();
+        let mut session = bundle.sessions[idx].clone();
+        spoil(&mut session);
+        session.jobs_completed = 1;
+        bundle.sessions = vec![session];
+        assert!(opens_as_malformed(&path, &bundle), "spoiled record {k}");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A store that repeats a tenant id or a session id opens as a typed
+/// error: neither record may silently win, and a session id must not
+/// resolve to another tenant's session.
+#[test]
+fn a_repeated_tenant_or_session_id_opens_as_malformed() {
+    let (path, saved) = saved_bundle(
+        "repeated_ids.kdrstore",
+        vec![
+            (1, SessionSpec::stencil(Stencil::lap2d(8, 8), 2, SolverKind::Cg)),
+            (2, SessionSpec::stencil(Stencil::lap2d(12, 12), 2, SolverKind::Cg)),
+        ],
+    );
+    assert!(!opens_as_malformed(&path, &saved), "the saved store itself is sound");
+    let mut twice = saved.clone();
+    twice.tenants.push(StoreTenant { tenant: 2, weight: 7 });
+    assert!(opens_as_malformed(&path, &twice), "tenant 2 twice");
+    let mut shared = saved.clone();
+    shared.sessions[1].session = shared.sessions[0].session;
+    assert!(opens_as_malformed(&path, &shared), "one session id for both tenants");
     std::fs::remove_file(&path).unwrap();
 }

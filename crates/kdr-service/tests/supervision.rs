@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 use kdr_core::SolveControl;
 use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule, TaskBuilder};
 use kdr_service::{
-    CancelOutcome, EvacuationPolicy, HealthBudget, InFlightRecovery, JobOutcome, RejectReason,
-    RetryPolicy, ServiceConfig, SessionSpec, ShardConfig, ShardStatus, ShardedService,
-    SolveRequest, SolverKind, SupervisorConfig,
+    CancelOutcome, HealthBudget, InFlightRecovery, JobOutcome, RejectReason, RetryPolicy,
+    ServiceConfig, SessionSpec, ShardConfig, ShardStatus, ShardedService, SolveRequest,
+    SolverKind, SupervisorConfig,
 };
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{SparseMatrix, Stencil};
@@ -51,7 +51,6 @@ fn watched_fleet(
             stall_budget,
             ..ServiceConfig::default()
         },
-        ..ShardConfig::default()
     })
 }
 
@@ -181,7 +180,6 @@ fn health_budget_quarantines_and_evacuates_the_sick_shard() {
             max_faults_injected: Some(0),
             ..HealthBudget::default()
         },
-        evacuation: EvacuationPolicy::Spread,
         in_flight: InFlightRecovery::Restart,
         retry: RetryPolicy {
             max_attempts: 2,
@@ -230,7 +228,6 @@ fn shards_tripping_in_one_tick_leave_the_ring_before_any_tenant_moves() {
                 max_faults_injected: Some(0),
                 ..HealthBudget::default()
             },
-            evacuation: EvacuationPolicy::Spread,
             in_flight: InFlightRecovery::Restart,
             ..SupervisorConfig::default()
         };

@@ -12,12 +12,13 @@
 //! [`f64::to_bits`] so reloaded values are bit-identical. Three
 //! record tags exist in version 1: catalogue entry (1), tenant (2),
 //! session (3). Unknown tags, unknown wire codes, length overruns,
-//! checksum mismatches, and trailing bytes all surface as typed
+//! checksum mismatches, trailing bytes, and a catalogue key, tenant id
+//! or session id that a second record repeats all surface as typed
 //! [`StoreError`]s — decoding never panics and never silently
 //! returns partial data. A version bump is rejected with
 //! [`StoreError::UnsupportedVersion`] before any record is read.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use kdr_sparse::{KernelKind, StructureKey};
@@ -394,8 +395,11 @@ pub fn decode(data: &[u8]) -> Result<StoreBundle, StoreError> {
 
     let mut bundle = StoreBundle::default();
     // Duplicate-key screens: a corrupt record must not silently
-    // shadow a good one.
-    let mut cat_seen: BTreeMap<CatalogueKey, ()> = BTreeMap::new();
+    // shadow a good one. Catalogue entries are keyed by their
+    // catalogue key, tenants and sessions by their ids.
+    let mut cat_seen: BTreeSet<CatalogueKey> = BTreeSet::new();
+    let mut tenants_seen: BTreeSet<u64> = BTreeSet::new();
+    let mut sessions_seen: BTreeSet<u64> = BTreeSet::new();
 
     for _ in 0..count {
         let rec_off = pos;
@@ -437,7 +441,7 @@ pub fn decode(data: &[u8]) -> Result<StoreBundle, StoreError> {
                     kernel,
                     pieces_log2,
                 };
-                if cat_seen.insert(key, ()).is_some() {
+                if !cat_seen.insert(key) {
                     return Err(StoreError::Malformed {
                         offset: rec_off,
                         what: "duplicate catalogue key",
@@ -449,6 +453,12 @@ pub fn decode(data: &[u8]) -> Result<StoreBundle, StoreError> {
                 let tenant = r.u64()?;
                 let weight = r.u32()?;
                 r.finish()?;
+                if !tenants_seen.insert(tenant) {
+                    return Err(StoreError::Malformed {
+                        offset: rec_off,
+                        what: "duplicate tenant id",
+                    });
+                }
                 bundle.tenants.push(StoreTenant { tenant, weight });
             }
             TAG_SESSION => {
@@ -509,6 +519,12 @@ pub fn decode(data: &[u8]) -> Result<StoreBundle, StoreError> {
                     }
                 };
                 r.finish()?;
+                if !sessions_seen.insert(session) {
+                    return Err(StoreError::Malformed {
+                        offset: rec_off,
+                        what: "duplicate session id",
+                    });
+                }
                 bundle.sessions.push(StoreSession {
                     session,
                     tenant,
@@ -683,6 +699,39 @@ mod tests {
             let r = decode(&bytes[..cut]);
             assert!(r.is_err(), "truncated at {cut} decoded successfully");
         }
+    }
+
+    #[test]
+    fn a_repeated_tenant_id_is_malformed() {
+        let mut b = sample_bundle();
+        // Tenant 2 twice, at weights 4 and 7: neither may win silently.
+        b.tenants.push(StoreTenant {
+            tenant: 2,
+            weight: 7,
+        });
+        assert!(matches!(
+            decode(&encode(&b)),
+            Err(StoreError::Malformed {
+                what: "duplicate tenant id",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_repeated_session_id_is_malformed() {
+        let mut b = sample_bundle();
+        // Session 10 again, now owned by the other tenant.
+        let mut twin = b.sessions[1].clone();
+        twin.session = b.sessions[0].session;
+        b.sessions.push(twin);
+        assert!(matches!(
+            decode(&encode(&b)),
+            Err(StoreError::Malformed {
+                what: "duplicate session id",
+                ..
+            })
+        ));
     }
 
     #[test]

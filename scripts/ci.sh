@@ -105,6 +105,18 @@ if [ "$(grep -ro 'CatalogueKey::new' crates/kdr-service/src | wc -l)" -gt 1 ]; t
     exit 1
 fi
 
+# One setting, one path (DESIGN §12): the service and solver options
+# no workload set went with the code they selected. A new tenant goes
+# to its hash-ring shard, a quarantined shard's tenants to their ring
+# successors, nothing rebalances on its own, a slice boundary fences
+# exactly when spans are captured, a tenant strides at its registered
+# weight, and s-step CG takes `s` from its constructor alone. None of
+# those settings may come back.
+if grep -rnwE 'LoadAware|EvacuationPolicy|rebalance_factor|fence_slices|cost_weights|SessionTuning|set_s_step' crates; then
+    echo "ci.sh: crates/ names a deleted service or solver option again (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing
