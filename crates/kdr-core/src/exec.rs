@@ -32,11 +32,10 @@
 //! updates it in place — a body never holds a shared and a mutable
 //! slice of the same elements.
 //!
-//! Task placement uses the runtime's
-//! [`ColorAffinityMapper`]: tile
-//! tasks and the vector tasks touching the same piece carry one piece
-//! color, so a tile's kernel payload and its vector piece stay hot in
-//! a single worker's cache across traced iterations.
+//! Task placement is the runtime's one rule, color `c` on worker
+//! `c % W`: tile tasks and the vector tasks touching the same piece
+//! carry one piece color, so a tile's kernel payload and its vector
+//! piece stay hot in a single worker's cache across traced iterations.
 //!
 //! ## Traced stepping: step programs
 //!
@@ -121,8 +120,8 @@ use kdr_index::Partition;
 #[cfg(debug_assertions)]
 use kdr_runtime::ShapeSig;
 use kdr_runtime::{
-    Buffer, ColorAffinityMapper, MetricsSnapshot, ReadView, Runtime, StepProgram,
-    TaskBuilder, TaskMeta, TaskSpan, WriteView,
+    Buffer, MetricsSnapshot, ReadView, Runtime, StepProgram, TaskBuilder, TaskMeta, TaskSpan,
+    WriteView,
 };
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
@@ -224,15 +223,6 @@ impl ExecMetrics {
             self.steps_replayed as f64 / total as f64
         }
     }
-
-    /// Fraction of arena slots currently holding a live scalar.
-    pub fn scalar_occupancy(&self) -> f64 {
-        if self.scalar_slots == 0 {
-            0.0
-        } else {
-            (self.scalar_slots - self.scalar_free) as f64 / self.scalar_slots as f64
-        }
-    }
 }
 
 struct ExecComp<T> {
@@ -307,11 +297,6 @@ struct ExecTile<T> {
     in_union: Arc<IntervalSet>,
     /// Affinity color: `piece_color(rhs_comp, range_color)`.
     color: usize,
-    /// Affinity color of the tile's *dominant input piece*
-    /// (`piece_color(sol_comp, c)` for the domain color `c`
-    /// contributing the most ghost points) — the tile's second legal
-    /// home under the paper's §6.3 two-candidate giveaway model.
-    in_color: usize,
     kernel: Arc<TileKernel<T>>,
     /// Bucketed structural signature, the cost catalogue's key half
     /// (paired with the lowered kind in the operator manifest).
@@ -320,16 +305,10 @@ struct ExecTile<T> {
 
 impl<T> ExecTile<T> {
     /// The registered form of tile `t` running `kernel`: the one place
-    /// footprints and affinity colors are taken off a [`TileSpec`],
+    /// footprints and the affinity color are taken off a [`TileSpec`],
     /// whether the kernel was lowered from entries or built from a
     /// stencil descriptor.
     fn new(t: &TileSpec, kernel: TileKernel<T>, key: StructureKey) -> Self {
-        let in_color = t
-            .in_by_color
-            .iter()
-            .max_by_key(|(_, ghost)| ghost.cardinality())
-            .map(|(c, _)| *c)
-            .unwrap_or(t.range_color);
         ExecTile {
             rhs_comp: t.rhs_comp,
             sol_comp: t.sol_comp,
@@ -337,7 +316,6 @@ impl<T> ExecTile<T> {
             out_subset: Arc::new(t.out_subset.clone()),
             in_union: Arc::new(t.in_union.clone()),
             color: piece_color(t.rhs_comp, t.range_color),
-            in_color: piece_color(t.sol_comp, in_color),
             kernel: Arc::new(kernel),
         }
     }
@@ -537,10 +515,6 @@ struct CachedStep<T> {
 /// Threaded execution backend over `kdr-runtime`.
 pub struct ExecBackend<T: Scalar> {
     rt: Arc<Runtime>,
-    /// The affinity mapper the runtime routes through, when this
-    /// backend was built with one — kept so live load balancing
-    /// ([`crate::loadbalance::Rebalancer`]) can re-map colors.
-    affinity: Option<Arc<ColorAffinityMapper>>,
     /// Priority stamped on every task this backend dispatches
     /// (0 = normal lane; >0 routes through the executor's express
     /// lane), recorded with each call.
@@ -583,14 +557,12 @@ pub struct ExecBackend<T: Scalar> {
 }
 
 impl<T: Scalar> ExecBackend<T> {
-    /// Create with `workers` runtime threads, routed by a
-    /// [`ColorAffinityMapper`] so each partition color's tile and
-    /// vector tasks stay on a stable worker (idle workers still
-    /// steal).
+    /// Create with `workers` runtime threads. The runtime queues a
+    /// task of color `c` on worker `c % workers`, so each partition
+    /// color's tile and vector tasks stay on one worker (idle workers
+    /// still steal).
     pub fn new(workers: usize) -> Self {
-        let mapper = Arc::new(ColorAffinityMapper::new(workers));
-        let rt = Arc::new(Runtime::with_mapper(workers, mapper.clone()));
-        Self::build(rt, Some(mapper))
+        Self::build(Arc::new(Runtime::new(workers)))
     }
 
     /// Create sized to the machine.
@@ -602,19 +574,20 @@ impl<T: Scalar> ExecBackend<T> {
     }
 
     /// Create over an existing shared runtime (many backends, one
-    /// worker pool — the multi-tenant service configuration). Pass
-    /// the [`ColorAffinityMapper`] the runtime was built with to let
-    /// this backend participate in live re-mapping; buffer ids are
-    /// globally unique, so backends sharing a runtime never alias
-    /// each other's dependences.
-    pub fn with_shared_runtime(rt: Arc<Runtime>, affinity: Option<Arc<ColorAffinityMapper>>) -> Self {
-        Self::build(rt, affinity)
+    /// worker pool — the multi-tenant service configuration). Buffer
+    /// ids are globally unique, so backends sharing a runtime never
+    /// alias each other's dependences.
+    ///
+    /// The second parameter is ignored and only `None` fits it; it
+    /// stays until the callers that still pass `None` drop it
+    /// (ROADMAP 6(a)).
+    pub fn with_shared_runtime(rt: Arc<Runtime>, _: Option<std::convert::Infallible>) -> Self {
+        Self::build(rt)
     }
 
-    fn build(rt: Arc<Runtime>, affinity: Option<Arc<ColorAffinityMapper>>) -> Self {
+    fn build(rt: Arc<Runtime>) -> Self {
         ExecBackend {
             rt,
-            affinity,
             priority: 0,
             vectors: Vec::new(),
             opsets: Vec::new(),
@@ -681,33 +654,6 @@ impl<T: Scalar> ExecBackend<T> {
     /// application tasks ordered only where they actually share data.
     pub fn runtime(&self) -> &Runtime {
         &self.rt
-    }
-
-    /// A cloneable handle to the underlying runtime, for building
-    /// further backends over the same worker pool (see
-    /// [`ExecBackend::with_shared_runtime`]).
-    pub fn shared_runtime(&self) -> Arc<Runtime> {
-        Arc::clone(&self.rt)
-    }
-
-    /// The affinity mapper this backend routes through, if any — the
-    /// handle live load balancing uses to re-map colors.
-    pub fn affinity_mapper(&self) -> Option<Arc<ColorAffinityMapper>> {
-        self.affinity.clone()
-    }
-
-    /// Placement facts for every registered tile of operator `op`:
-    /// `(out_color, in_color, nnz)` per tile, where `out_color` is
-    /// the affinity color the tile's tasks are tagged with,
-    /// `in_color` the color of its dominant input piece (its second
-    /// legal home), and `nnz` the stored-entry count (its cost
-    /// proxy). The load balancer's model input.
-    pub fn tile_placements(&self, op: OpHandle) -> Vec<(usize, usize, u64)> {
-        self.opsets[op]
-            .tiles
-            .iter()
-            .map(|t| (t.color, t.in_color, t.kernel.nnz() as u64))
-            .collect()
     }
 
     /// Enable or disable the traced-stepping fast path (on by

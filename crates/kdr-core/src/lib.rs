@@ -26,11 +26,15 @@
 //!   BiCG, BiCGStab, CGS, GMRES(m), MINRES, plus fence-minimal
 //!   variants — fused-reduction CG, pipelined CG/CR, and s-step CG.
 //! * **Two backends**: [`exec::ExecBackend`] executes for real on the
-//!   `kdr-runtime` task runtime; [`simbackend::SimBackend`] lowers
+//!   `kdr-runtime` task runtime, whose one placement rule keeps every
+//!   task of a piece on one worker (colour `c` on worker `c % W`);
+//!   [`simbackend::SimBackend`] lowers
 //!   the identical operation stream onto the `kdr-machine` cluster
 //!   simulator for the paper's large-scale experiments.
 //! * **Preconditioners** ([`precond`]) and the §6.3 thermodynamic
-//!   **load balancer** ([`loadbalance`]).
+//!   **load balancer** ([`loadbalance`]), which the `figure10`
+//!   experiment runs in the simulator; the threaded runtime never
+//!   moves a colour.
 
 pub mod backend;
 pub mod exec;
@@ -46,7 +50,7 @@ pub mod solvers;
 pub use backend::{Backend, BackendFault, CompSpec, OpSetSpec, StepOutcome, TileSpec};
 pub use exec::{ExecBackend, ExecMetrics};
 pub use instrument::{IterationRecord, PhaseSplit, SolveTrace, SolverPhase};
-pub use loadbalance::{IterationModel, Rebalancer, ThermoBalancer};
+pub use loadbalance::{IterationModel, ThermoBalancer};
 pub use kdr_sparse::{KernelChoice, KernelKind};
 pub use planner::{Planner, VecId, RHS, SOL};
 pub use scalar_handle::ScalarHandle;

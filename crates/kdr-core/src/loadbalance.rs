@@ -13,10 +13,11 @@
 //! would always fire for any overload). Since each tile has two
 //! candidate owners, the receiver is determined and no global
 //! communication occurs.
-
-use std::sync::Arc;
-
-use kdr_runtime::ColorAffinityMapper;
+//!
+//! Here the policy drives a model: `figure10` moves [`Tile`]s between
+//! simulated nodes and times iterations with [`IterationModel`]. The
+//! threaded runtime keeps colour `c` on worker `c % W` and never
+//! moves it.
 
 /// One movable matrix tile with its two candidate owners and cost.
 #[derive(Clone, Debug)]
@@ -137,107 +138,6 @@ impl ThermoBalancer {
     }
 }
 
-/// Live load balancing: the thermodynamic giveaway policy wired to a
-/// running executor's [`ColorAffinityMapper`].
-///
-/// Each tracked tile has two legal homes (the workers pinned to its
-/// output and dominant-input affinity colors). On every
-/// [`Rebalancer::rebalance`] round, tiles owned by overloaded workers
-/// flip to their other candidate with the thermodynamic probability,
-/// and every flip is pushed into the mapper via
-/// [`ColorAffinityMapper::remap_color`] — so the *next* iteration's
-/// tasks for that color land on the new worker, with no pause, no
-/// re-registration, and no trace invalidation (placement is not part
-/// of a step's shape signature).
-///
-/// Build one from `ExecBackend::tile_placements` output via
-/// [`Rebalancer::add_placements`].
-pub struct Rebalancer {
-    policy: ThermoBalancer,
-    mapper: Arc<ColorAffinityMapper>,
-    tiles: Vec<Tile>,
-    colors: Vec<usize>,
-    workers: usize,
-}
-
-impl Rebalancer {
-    /// Wrap a giveaway policy around a live mapper with `workers`
-    /// worker threads. Tiles are added with [`Rebalancer::add_tile`]
-    /// or [`Rebalancer::add_placements`].
-    pub fn new(mapper: Arc<ColorAffinityMapper>, workers: usize, policy: ThermoBalancer) -> Self {
-        Rebalancer {
-            policy,
-            mapper,
-            tiles: Vec::new(),
-            colors: Vec::new(),
-            workers: workers.max(1),
-        }
-    }
-
-    /// Track one tile: tasks tagged `out_color`, alternate home the
-    /// worker owning `in_color`, cost `flops`. The initial owner is
-    /// whatever the mapper currently assigns `out_color` (respecting
-    /// prior remaps).
-    pub fn add_tile(&mut self, out_color: usize, in_color: usize, flops: f64) {
-        let out_owner = self.mapper.current_worker(out_color);
-        let in_owner = self.mapper.current_worker(in_color);
-        let mut tile = Tile::new(out_owner, in_owner, flops);
-        // `current_worker` already reflects any remap; Tile's
-        // `at_out` bookkeeping starts consistent with it.
-        tile.at_out = true;
-        self.tiles.push(tile);
-        self.colors.push(out_color);
-    }
-
-    /// Track every tile of an operator from
-    /// `ExecBackend::tile_placements` output
-    /// (`(out_color, in_color, nnz)` triples), costing each tile at
-    /// `2·nnz` flops (one multiply-add per stored entry).
-    pub fn add_placements(&mut self, placements: &[(usize, usize, u64)]) {
-        for &(out_color, in_color, nnz) in placements {
-            self.add_tile(out_color, in_color, 2.0 * nnz as f64);
-        }
-    }
-
-    /// Number of tracked tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Current owner of tracked tile `i`.
-    pub fn tile_owner(&self, i: usize) -> usize {
-        self.tiles[i].current_owner()
-    }
-
-    /// Per-worker tracked flops under current ownership — a model
-    /// input for the next round's `node_times` when no measured
-    /// timings are available.
-    pub fn owned_flops(&self) -> Vec<f64> {
-        let mut flops = vec![0.0; self.workers];
-        for t in &self.tiles {
-            flops[t.current_owner() % self.workers] += t.flops;
-        }
-        flops
-    }
-
-    /// One giveaway round: flip overloaded tiles per the policy, then
-    /// apply every flip to the live mapper so the next iteration's
-    /// tasks move. `node_times[w]` is worker `w`'s last iteration
-    /// time in seconds. Returns the number of tiles moved.
-    pub fn rebalance(&mut self, node_times: &[f64]) -> usize {
-        let moved = self.policy.rebalance(&mut self.tiles, node_times);
-        if moved > 0 {
-            for (tile, &color) in self.tiles.iter().zip(&self.colors) {
-                let want = tile.current_owner() % self.workers;
-                if self.mapper.current_worker(color) != want {
-                    self.mapper.remap_color(color, want);
-                }
-            }
-        }
-        moved
-    }
-}
-
 /// Per-iteration cost model for the §6.3 experiment: each node's time
 /// is its owned tile flops plus its pinned per-piece vector work,
 /// divided by its effective speed; the iteration ends at the slowest
@@ -276,123 +176,6 @@ impl IterationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    use kdr_runtime::{Runtime, TaskBuilder, TaskMeta};
-
-    fn worker_index() -> usize {
-        let name = std::thread::current().name().unwrap_or("").to_string();
-        name.trim_start_matches("kdr-worker-").parse().unwrap()
-    }
-
-    /// Run one "iteration": a task tagged with `color`, returning the
-    /// worker index it executed on (parsed from the `kdr-worker-{w}`
-    /// thread name). Affinity is a preference, not a pin — an idle
-    /// worker may steal — so the other worker is first parked inside
-    /// a spinning blocker task (pinned via `blocker_color`); if the
-    /// blocker itself gets stolen onto the wrong worker, the attempt
-    /// is abandoned and retried.
-    fn run_colored(rt: &Runtime, color: usize, blocker_color: usize, want_blocked: usize) -> usize {
-        for _ in 0..50 {
-            let started = Arc::new(AtomicUsize::new(usize::MAX));
-            let release = Arc::new(AtomicBool::new(false));
-            let (s, r) = (Arc::clone(&started), Arc::clone(&release));
-            rt.submit(
-                TaskBuilder::new("blocker")
-                    .meta(TaskMeta::new("blocker").with_color(blocker_color))
-                    .body(move |_| {
-                        s.store(worker_index(), Ordering::SeqCst);
-                        while !r.load(Ordering::SeqCst) {
-                            std::hint::spin_loop();
-                        }
-                    }),
-            )
-            .unwrap();
-            while started.load(Ordering::SeqCst) == usize::MAX {
-                std::hint::spin_loop();
-            }
-            if started.load(Ordering::SeqCst) != want_blocked {
-                // Stolen onto the worker under test; retry.
-                release.store(true, Ordering::SeqCst);
-                rt.fence().unwrap();
-                continue;
-            }
-            let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
-            let slot = Arc::clone(&ran_on);
-            rt.submit(
-                TaskBuilder::new("tile_task")
-                    .meta(TaskMeta::new("tile_task").with_color(color))
-                    .body(move |_| {
-                        slot.store(worker_index(), Ordering::SeqCst);
-                    }),
-            )
-            .unwrap();
-            while ran_on.load(Ordering::SeqCst) == usize::MAX {
-                std::hint::spin_loop();
-            }
-            release.store(true, Ordering::SeqCst);
-            rt.fence().unwrap();
-            return ran_on.load(Ordering::SeqCst);
-        }
-        panic!("blocker never landed on worker {want_blocked}");
-    }
-
-    #[test]
-    fn rebalance_remap_takes_effect_next_iteration() {
-        let workers = 2;
-        let mapper = std::sync::Arc::new(ColorAffinityMapper::new(workers));
-        let rt = Runtime::with_mapper(workers, mapper.clone());
-
-        // One movable tile: output home worker 0 (color 0), input
-        // home worker 1 (color 1).
-        let mut rb = Rebalancer::new(
-            std::sync::Arc::clone(&mapper),
-            workers,
-            // t0 = 0 and a huge β force giveaway probability 1 for
-            // any overloaded owner — the flip is deterministic.
-            ThermoBalancer::new(1.0, 0.0, 42),
-        );
-        rb.add_tile(0, 1, 100.0);
-        assert_eq!(rb.tile_owner(0), 0);
-
-        // Iteration 1: the color-0 task runs on its static home,
-        // worker 0 (worker 1 parked via a color-1 blocker).
-        assert_eq!(run_colored(&rt, 0, 1, 1), 0);
-
-        // Worker 0 reports overload; the tile flips and the mapper
-        // is remapped in the same call.
-        let moved = rb.rebalance(&[10.0, 0.0]);
-        assert_eq!(moved, 1);
-        assert_eq!(rb.tile_owner(0), 1);
-        assert_eq!(mapper.remap_count(), 1);
-
-        // Iteration 2 (next iteration, same color): the task now
-        // lands on worker 1 — the remap took effect live (worker 0
-        // parked via a color-2 blocker; 2 % 2 = 0 has no override).
-        assert_eq!(run_colored(&rt, 0, 2, 0), 1);
-
-        // Worker 1 overloads in turn: the tile flows back.
-        let moved_back = rb.rebalance(&[0.0, 10.0]);
-        assert_eq!(moved_back, 1);
-        assert_eq!(run_colored(&rt, 0, 1, 1), 0);
-    }
-
-    #[test]
-    fn add_placements_costs_two_flops_per_nnz() {
-        let mapper = std::sync::Arc::new(ColorAffinityMapper::new(2));
-        let mut rb = Rebalancer::new(
-            std::sync::Arc::clone(&mapper),
-            2,
-            ThermoBalancer::new(1e-3, 1.0, 1),
-        );
-        rb.add_placements(&[(0, 1, 50), (1, 0, 25)]);
-        assert_eq!(rb.num_tiles(), 2);
-        let flops = rb.owned_flops();
-        assert_eq!(flops[0], 100.0); // color 0 → worker 0
-        assert_eq!(flops[1], 50.0); // color 1 → worker 1
-    }
 
     #[test]
     fn giveaway_probability_shape() {

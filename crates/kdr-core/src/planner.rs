@@ -598,19 +598,9 @@ impl<T: Scalar> Planner<T> {
         self.sol_comps.len()
     }
 
-    /// Number of right-hand-side components.
-    pub fn num_rhs_components(&self) -> usize {
-        self.rhs_comps.len()
-    }
-
     /// The canonical partition of a solution component.
     pub fn sol_partition(&self, comp: usize) -> &Partition {
         &self.sol_comps[comp].partition
-    }
-
-    /// The canonical partition of a right-hand-side component.
-    pub fn rhs_partition(&self, comp: usize) -> &Partition {
-        &self.rhs_comps[comp].partition
     }
 
     /// Remove and return the first task failure the backend absorbed

@@ -13,13 +13,12 @@ use std::sync::Arc;
 
 use kdr_core::{solve, CgSolver, ExecBackend, Planner, SolveControl, SOL};
 use kdr_index::Partition;
-use kdr_runtime::{ColorAffinityMapper, Runtime};
+use kdr_runtime::Runtime;
 use kdr_sparse::stencil::rhs_vector;
 use kdr_sparse::{Csr, SparseMatrix, Stencil};
 
 fn planner_on(
     rt: Arc<Runtime>,
-    mapper: Arc<ColorAffinityMapper>,
     nx: u64,
     ny: u64,
     pieces: usize,
@@ -28,7 +27,7 @@ fn planner_on(
     let s = Stencil::lap2d(nx, ny);
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
-    let backend = ExecBackend::<f64>::with_shared_runtime(rt, Some(mapper));
+    let backend = ExecBackend::<f64>::with_shared_runtime(rt, None);
     let mut planner = Planner::new(Box::new(backend));
     let part = Partition::equal_blocks(n, pieces);
     let d = planner.add_sol_vector(n, Some(part.clone()));
@@ -57,13 +56,12 @@ fn true_residual(planner: &mut Planner<f64>, s: &Stencil, b: &[f64]) -> f64 {
 /// other tenant does the same), and validate the true residual.
 fn tenant(
     rt: Arc<Runtime>,
-    mapper: Arc<ColorAffinityMapper>,
     nx: u64,
     ny: u64,
     pieces: usize,
     rhs_seed: u64,
 ) {
-    let (mut planner, s, b) = planner_on(rt, mapper, nx, ny, pieces, rhs_seed);
+    let (mut planner, s, b) = planner_on(rt, nx, ny, pieces, rhs_seed);
     for round in 0..2 {
         // Reset the iterate so each round does real work.
         let n = b.len();
@@ -88,18 +86,17 @@ fn tenant(
 #[test]
 fn two_planners_one_runtime_concurrently() {
     let workers = 4;
-    let mapper = Arc::new(ColorAffinityMapper::new(workers));
-    let rt = Arc::new(Runtime::with_mapper(workers, mapper.clone()));
+    let rt = Arc::new(Runtime::new(workers));
 
     // Different problem sizes and RHS seeds: the tenants' task shapes
     // and iteration counts interleave arbitrarily on the shared pool.
     let t1 = {
-        let (rt, mapper) = (Arc::clone(&rt), Arc::clone(&mapper));
-        std::thread::spawn(move || tenant(rt, mapper, 16, 16, 4, 42))
+        let rt = Arc::clone(&rt);
+        std::thread::spawn(move || tenant(rt, 16, 16, 4, 42))
     };
     let t2 = {
-        let (rt, mapper) = (Arc::clone(&rt), Arc::clone(&mapper));
-        std::thread::spawn(move || tenant(rt, mapper, 12, 12, 3, 7))
+        let rt = Arc::clone(&rt);
+        std::thread::spawn(move || tenant(rt, 12, 12, 3, 7))
     };
     t1.join().expect("tenant 1 panicked");
     t2.join().expect("tenant 2 panicked");
@@ -110,16 +107,8 @@ fn many_sequential_planners_reuse_one_runtime() {
     // Sessions come and go; the runtime (and its worker threads)
     // outlives every backend built over it.
     let workers = 2;
-    let mapper = Arc::new(ColorAffinityMapper::new(workers));
-    let rt = Arc::new(Runtime::with_mapper(workers, mapper.clone()));
+    let rt = Arc::new(Runtime::new(workers));
     for seed in 0..3u64 {
-        tenant(
-            Arc::clone(&rt),
-            Arc::clone(&mapper),
-            8,
-            8,
-            2,
-            seed * 11 + 1,
-        );
+        tenant(Arc::clone(&rt), 8, 8, 2, seed * 11 + 1);
     }
 }

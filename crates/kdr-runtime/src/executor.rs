@@ -11,12 +11,12 @@
 //! program's bodies, which stay with the program (`Work`).
 //!
 //! Nodes arrive with their dependences already known (from the
-//! analyzer or from the compiled trace). Ready nodes are routed by an
-//! optional [`Mapper`]: a node mapped to worker `w` goes to `w`'s own
-//! queue (processor affinity — data lives where its piece's tasks
-//! run); unmapped nodes go to a global injector. Each worker prefers
-//! its own queue, then the injector, then steals from peers, so
-//! affinity is a locality *hint*, never a throughput constraint.
+//! analyzer or from the compiled trace). Ready nodes are placed by one
+//! rule: a node of colour `c` goes to worker `c % W`'s own queue (so a
+//! piece's tasks run where its data already is), and colourless nodes
+//! are dealt to the workers in turn. Each worker prefers its own queue
+//! and then steals from peers, so placement is a locality *hint*,
+//! never a throughput constraint.
 //! Execution is *eager* — there is no separate "flush" step — so
 //! blocking on a [`Future`](crate::Future) from the application thread
 //! always makes progress.
@@ -32,12 +32,11 @@
 //! queue what it released. Pool threads run it until shutdown and park
 //! on `wake_cv` when nothing is ready; a waiting *driver* runs it until
 //! its condition holds (checked before every take, so it returns at
-//! most one node late), takes from the injector and then from any
-//! affinity queue, and parks on `idle_cv`, which every retirement
-//! notifies while a driver is parked there. Only a retirement can make
-//! a driver's condition true, and it happens under the lock the driver
-//! checked its condition and parked with, so that wake-up cannot be
-//! lost either. A node queued by a *submission* while a driver is
+//! most one node late), takes from any worker's queue, and parks on
+//! `idle_cv`, which every retirement notifies while a driver is parked
+//! there. Only a retirement can make a driver's condition true, and it
+//! happens under the lock the driver checked its condition and parked
+//! with, so that wake-up cannot be lost either. A node queued by a *submission* while a driver is
 //! parked does not wake it: a pool thread takes the node, and the
 //! driver hears of its retirement.
 //!
@@ -90,11 +89,11 @@
 //! node's first member's slot), reads as "already finished".
 //!
 //! Ready nodes wait in two priority lanes — express (`priority > 0`)
-//! and normal — each an injector queue plus one affinity queue per
-//! worker, all FIFO. A worker takes from the express lane before the
-//! normal one, and within a lane from its own queue, then the
-//! injector, then its peers' queues in ring order; a waiting driver
-//! has no queue of its own and takes in the same order from there on.
+//! and normal — each one FIFO queue per worker. A worker takes from
+//! the express lane before the normal one, and within a lane from its
+//! own queue, then its peers' queues in ring order; a waiting driver
+//! has no queue of its own and takes from the workers' queues in the
+//! same ring order.
 //!
 //! # Fault tolerance
 //!
@@ -126,8 +125,7 @@ use crate::events::{
     DEFAULT_RING_CAPACITY,
 };
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, TaskError, TaskErrorKind};
-use crate::mapper::{Mapper, TaskMeta};
-use crate::task::{Privilege, TaskBody, TaskContext, TaskId};
+use crate::task::{Privilege, TaskBody, TaskContext, TaskId, TaskMeta};
 use crate::trace::{ProgramBody, StepGraph, Trace};
 
 /// One task body of a node built for a single submission.
@@ -137,8 +135,7 @@ pub(crate) struct Member {
     /// The task's declared requirements, as its body will see them.
     pub ctx: TaskContext,
     /// Kernel name (keys the per-kernel execution counts) and
-    /// scheduling metadata (mapper input); a node is routed by its
-    /// first member's.
+    /// scheduling metadata; a node is placed by its first member's.
     pub meta: TaskMeta,
     /// Fault planted by the injector at submission, if any.
     pub fault: Option<FaultKind>,
@@ -222,7 +219,7 @@ impl Runnable {
         })
     }
 
-    /// The node's id and the metadata it is routed by: its first
+    /// The node's id and the metadata it is placed by: its first
     /// body's.
     fn head(&self) -> (TaskId, &TaskMeta) {
         match &self.work {
@@ -294,71 +291,58 @@ impl Slot {
     }
 }
 
-/// One priority class of ready nodes.
-struct Lane {
-    /// Unpinned nodes.
-    injector: VecDeque<Runnable>,
-    /// Per-worker affinity queues.
-    pinned: Vec<VecDeque<Runnable>>,
-}
-
-/// The ready nodes: the express lane (`priority > 0`), drained before
-/// everything else, and the normal lane.
+/// The ready nodes, one FIFO queue per worker in each of two lanes:
+/// the express lane (`priority > 0`), drained before everything else,
+/// and the normal lane.
 struct ReadyQueues {
-    lanes: [Lane; 2],
-    /// Routing policy. It is called with the scheduler lock held, so
-    /// it must not call back into the runtime.
-    mapper: Option<Arc<dyn Mapper>>,
+    lanes: [Vec<VecDeque<Runnable>>; 2],
+    /// The worker the next colourless node is dealt to.
+    next_colourless: usize,
 }
 
 impl ReadyQueues {
-    fn new(workers: usize, mapper: Option<Arc<dyn Mapper>>) -> Self {
-        let lane = || Lane {
-            injector: VecDeque::new(),
-            pinned: (0..workers).map(|_| VecDeque::new()).collect(),
-        };
+    fn new(workers: usize) -> Self {
+        let lane = || (0..workers).map(|_| VecDeque::new()).collect();
         ReadyQueues {
             lanes: [lane(), lane()],
-            mapper,
+            next_colourless: 0,
         }
     }
 
     /// Queue a node that just became ready, stamped `ready_ns` (zero
-    /// while logging is off): on its mapped worker's affinity queue,
-    /// or on the injector when no mapper is installed. The mapper is
-    /// consulted here, when the node becomes ready — at submission for
-    /// a node with nothing to wait for, at its last predecessor's
-    /// retirement otherwise — so affinity survives into steady state
-    /// instead of decaying to the injector.
+    /// while logging is off). This is the one placement rule: a node
+    /// of colour `c` goes to worker `c % W`'s queue, and colourless
+    /// nodes are dealt to the workers in turn. It is applied when the
+    /// node becomes ready — at submission for a node with nothing to
+    /// wait for, at its last predecessor's retirement otherwise.
     fn push(&mut self, mut node: Runnable, ready_ns: u64) {
         node.ready_ns = ready_ns;
         let meta = node.head().1;
         let lane = &mut self.lanes[usize::from(meta.priority == 0)];
-        match &self.mapper {
-            Some(m) => {
-                let w = m.map_task(meta) % lane.pinned.len();
-                lane.pinned[w].push_back(node);
+        let w = match meta.color {
+            Some(c) => c % lane.len(),
+            None => {
+                let w = self.next_colourless;
+                self.next_colourless = (w + 1) % lane.len();
+                w
             }
-            None => lane.injector.push_back(node),
-        }
+        };
+        lane[w].push_back(node);
     }
 
     /// Take the next node for lane `me` — a worker, or the driver
     /// lane one past the last worker, which has no queue of its own —
-    /// and whether it came off another lane's affinity queue: the
-    /// express lane first (own queue, injector, then the others' in
-    /// ring order), then the same order through the normal lane.
+    /// and whether it came off another lane's queue: the express lane
+    /// first (own queue, then the others' in ring order), then the
+    /// same order through the normal lane.
     fn pop(&mut self, me: usize) -> Option<(Runnable, bool)> {
         for lane in &mut self.lanes {
-            if let Some(r) = lane.pinned.get_mut(me).and_then(VecDeque::pop_front) {
+            if let Some(r) = lane.get_mut(me).and_then(VecDeque::pop_front) {
                 return Some((r, false));
             }
-            if let Some(r) = lane.injector.pop_front() {
-                return Some((r, false));
-            }
-            let n = lane.pinned.len();
+            let n = lane.len();
             for other in (1..=n).map(|off| (me + off) % n).filter(|&w| w != me) {
-                if let Some(r) = lane.pinned[other].pop_front() {
+                if let Some(r) = lane[other].pop_front() {
                     return Some((r, true));
                 }
             }
@@ -375,7 +359,7 @@ impl ReadyQueues {
 pub(crate) struct Tallies {
     /// Nodes executed (a node whose body panicked included).
     pub executed: u64,
-    /// Nodes a worker executed from another worker's affinity queue.
+    /// Nodes a worker executed from another worker's queue.
     pub stolen: u64,
     /// Nodes executed by a driver thread while it waited (a fence or
     /// `Executor::wait_retired`), whatever queue they came off; not
@@ -574,28 +558,19 @@ pub(crate) struct Executor {
 
 impl Executor {
     pub fn new(workers: usize) -> Self {
-        Self::with_mapper(workers, None)
+        Self::with_config(workers, DEFAULT_RING_CAPACITY)
     }
 
-    /// Create with an optional mapper routing nodes to workers.
-    pub fn with_mapper(workers: usize, mapper: Option<Arc<dyn Mapper>>) -> Self {
-        Self::with_config(workers, mapper, DEFAULT_RING_CAPACITY)
-    }
-
-    /// Create with a mapper and an explicit per-worker event-ring
-    /// capacity (records retained between event-log drains).
-    pub fn with_config(
-        workers: usize,
-        mapper: Option<Arc<dyn Mapper>>,
-        ring_capacity: usize,
-    ) -> Self {
+    /// Create with an explicit per-worker event-ring capacity (records
+    /// retained between event-log drains).
+    pub fn with_config(workers: usize, ring_capacity: usize) -> Self {
         assert!(workers > 0, "executor needs at least one worker");
         let shared = Arc::new(ExecShared {
             state: Mutex::new(DepState {
                 base: 0,
                 slots: VecDeque::new(),
                 batch: None,
-                ready: ReadyQueues::new(workers, mapper),
+                ready: ReadyQueues::new(workers),
                 idle: 0,
                 drivers_parked: 0,
                 outstanding: 0,
@@ -1446,7 +1421,6 @@ fn watchdog_loop(shared: Arc<ExecShared>) {
 mod tests {
     use super::*;
     use crate::fault::{FaultSpec, FireSchedule};
-    use crate::mapper::RoundRobinMapper;
     use std::sync::atomic::AtomicUsize;
 
     fn member(id: TaskId, meta: TaskMeta, f: impl FnOnce() + Send + 'static) -> Member {
@@ -1465,6 +1439,55 @@ mod tests {
 
     fn runnable_colored(id: TaskId, color: usize, f: impl FnOnce() + Send + 'static) -> Runnable {
         Runnable::single(member(id, TaskMeta::new("test").with_color(color), f))
+    }
+
+    /// The ids queued on each worker of lane `lane` (0 express, 1
+    /// normal), front first.
+    fn queued(q: &ReadyQueues, lane: usize) -> Vec<Vec<TaskId>> {
+        let ids = |w: &VecDeque<Runnable>| w.iter().map(Runnable::id).collect();
+        q.lanes[lane].iter().map(ids).collect()
+    }
+
+    #[test]
+    fn ready_queues_place_colour_c_on_worker_c_mod_w() {
+        let node = |id, meta| Runnable::single(member(id, meta, || {}));
+        let plain = TaskMeta::new("t");
+        let mut q = ReadyQueues::new(3);
+        // A colour lands on its worker, every time.
+        for (id, c) in [(0, 7), (1, 2), (2, 3), (3, 7)] {
+            q.push(node(id, plain.with_color(c)), 0);
+        }
+        // Colourless nodes are dealt in turn, not piled on worker 0.
+        for id in 4..8 {
+            q.push(node(id, plain), 0);
+        }
+        // An express node keeps to its own lane.
+        q.push(node(8, plain.with_color(4).with_priority(1)), 0);
+        assert_eq!(queued(&q, 1), vec![vec![2, 4, 7], vec![0, 3, 5], vec![1, 6]]);
+        assert_eq!(queued(&q, 0), vec![vec![], vec![8], vec![]]);
+        let mut pop = |me| q.pop(me).map(|(r, stolen)| (r.id(), stolen));
+        // The express lane first, then the worker's own queue.
+        assert_eq!(pop(1), Some((8, false)));
+        assert_eq!(pop(1), Some((0, false)));
+        assert_eq!(pop(2), Some((1, false)));
+        assert_eq!(pop(2), Some((6, false)));
+        // An empty queue steals from the next peer in ring order.
+        assert_eq!(pop(2), Some((2, true)));
+    }
+
+    #[test]
+    fn one_worker_and_the_driver_pop_in_push_order() {
+        let node = |id, meta| Runnable::single(member(id, meta, || {}));
+        let plain = TaskMeta::new("t");
+        let mut q = ReadyQueues::new(1);
+        for id in 0..6 {
+            let meta = if id % 2 == 0 { plain.with_color(id as usize) } else { plain };
+            q.push(node(id, meta), 0);
+        }
+        // Worker 0 and the driver lane (1) take turns at one queue.
+        let order: Vec<TaskId> = (0..6).map(|i| q.pop(i % 2).unwrap().0.id()).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
+        assert!(q.pop(0).is_none() && q.pop(1).is_none());
     }
 
     #[test]
@@ -1692,7 +1715,7 @@ mod tests {
         // assert functional completion plus *some* locality (stealing
         // keeps this from being deterministic). The fencing thread
         // takes nodes too, off either queue: those are counted apart.
-        let ex = Executor::with_mapper(2, Some(Arc::new(RoundRobinMapper::new(2))));
+        let ex = Executor::new(2);
         let hits = Arc::new(AtomicUsize::new(0));
         let by_driver = Arc::new(AtomicUsize::new(0));
         // Both workers are held until every task is queued and the

@@ -11,7 +11,10 @@
 //! tasks conflict when their declared subsets of the same buffer
 //! overlap and at least one writes — and executes the resulting DAG on
 //! a pool of worker threads, overlapping everything the analysis
-//! proves independent. A thread that waits on the runtime — at a
+//! proves independent. A ready task of partition colour `c` is queued
+//! on worker `c % W`, so a piece's tasks keep to one worker's cache,
+//! and colourless tasks are dealt to the workers in turn; an idle
+//! worker steals from its peers. A thread that waits on the runtime — at a
 //! [`Runtime::fence`], or in [`Runtime::wait_written`] for the tasks
 //! writing a buffer it wants to read — runs ready tasks while it
 //! waits. Scalars can also flow from a task to the main thread through
@@ -72,7 +75,6 @@ pub mod export;
 pub mod fault;
 pub mod future;
 pub mod graph;
-pub mod mapper;
 pub mod metrics;
 pub mod runtime;
 pub mod task;
@@ -89,8 +91,7 @@ pub use fault::{
     FaultKind, FaultPlan, FaultSpec, FireSchedule, RuntimeError, TaskError, TaskErrorKind,
 };
 pub use future::{promise, Future, Promise, PromiseDropped};
-pub use mapper::{ColorAffinityMapper, Mapper, RoundRobinMapper, TaskMeta};
 pub use metrics::{AtomicHistogram, HistogramSnapshot, MetricsSnapshot};
 pub use runtime::Runtime;
-pub use task::{Privilege, TaskBuilder, TaskContext, TaskId};
+pub use task::{Privilege, TaskBuilder, TaskContext, TaskId, TaskMeta};
 pub use trace::{ShapeSig, StepProgram, Trace};

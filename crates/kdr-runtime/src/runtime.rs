@@ -25,9 +25,8 @@ use crate::events::TaskSpan;
 use crate::executor::{Executor, Member, Runnable, StepBodies};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
-use crate::mapper::{Mapper, TaskMeta};
 use crate::metrics::MetricsSnapshot;
-use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId};
+use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId, TaskMeta};
 use crate::trace::{ProgramBody, StepProgram, Trace};
 
 /// A capture in progress. Only the owning thread submits while it is
@@ -85,16 +84,12 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime with `workers` threads.
+    /// Create a runtime with `workers` threads. A ready task of
+    /// partition colour `c` is queued on worker `c % workers`, and
+    /// colourless tasks are dealt to the workers in turn; idle workers
+    /// steal.
     pub fn new(workers: usize) -> Self {
         Self::build(Executor::new(workers))
-    }
-
-    /// Create a runtime whose ready tasks are routed to workers by a
-    /// [`Mapper`] (processor-affinity scheduling; idle workers still
-    /// steal).
-    pub fn with_mapper(workers: usize, mapper: Arc<dyn Mapper>) -> Self {
-        Self::build(Executor::with_mapper(workers, Some(mapper)))
     }
 
     /// Create a runtime with an explicit per-worker event-ring
@@ -103,7 +98,7 @@ impl Runtime {
     /// rings overwrite their oldest records when full, they never
     /// block execution.
     pub fn with_event_capacity(workers: usize, ring_capacity: usize) -> Self {
-        Self::build(Executor::with_config(workers, None, ring_capacity))
+        Self::build(Executor::with_config(workers, ring_capacity))
     }
 
     fn build(exec: Executor) -> Self {

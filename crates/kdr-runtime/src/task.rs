@@ -7,7 +7,6 @@ use std::sync::Arc;
 use kdr_index::IntervalSet;
 
 use crate::buffer::{Buffer, BufferInner, ReadView, WriteView};
-use crate::mapper::TaskMeta;
 
 /// Unique task identifier, in submission order.
 pub type TaskId = u64;
@@ -24,6 +23,47 @@ pub enum Privilege {
     Read,
     /// Read and write the declared subset.
     Write,
+}
+
+/// Scheduling metadata attached to a task: what the executor places
+/// and names it by, carried with the task's body.
+#[derive(Clone, Copy, Debug)]
+pub struct TaskMeta {
+    /// Human-readable kernel name.
+    pub name: &'static str,
+    /// Partition color the task belongs to, if it is a point task of
+    /// an index launch: the task runs on worker `color % W` unless a
+    /// peer steals it.
+    pub color: Option<usize>,
+    /// Scheduling priority: 0 is the normal lane, anything greater
+    /// routes the task through the executor's express lane, which
+    /// workers drain before normal work.
+    pub priority: u8,
+}
+
+impl TaskMeta {
+    /// Metadata with the given kernel name, no color and normal
+    /// priority.
+    pub fn new(name: &'static str) -> Self {
+        TaskMeta {
+            name,
+            color: None,
+            priority: 0,
+        }
+    }
+
+    /// Attach an index-launch color.
+    pub fn with_color(mut self, color: usize) -> Self {
+        self.color = Some(color);
+        self
+    }
+
+    /// Attach a scheduling priority (0 = normal lane, >0 = express
+    /// lane drained ahead of normal work).
+    pub fn with_priority(mut self, priority: u8) -> Self {
+        self.priority = priority;
+        self
+    }
 }
 
 /// One declared access of a task.
@@ -265,6 +305,14 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn meta_builders() {
+        let m = TaskMeta::new("spmv").with_color(3).with_priority(2);
+        assert_eq!(m.name, "spmv");
+        assert_eq!(m.color, Some(3));
+        assert_eq!(m.priority, 2);
+    }
 
     #[test]
     fn builder_collects_requirements() {

@@ -35,7 +35,7 @@
 //! `end_trace` does not keep the capture as a per-task dependence
 //! list: it *compiles* it into a step graph of scheduled **nodes**.
 //! Walking the captured tasks in submission order, a task that carries
-//! an affinity colour joins the most recent node of the same colour
+//! a colour joins the most recent node of the same colour
 //! (any colour, on one worker: below) whenever the node graph stays
 //! acyclic with it inside — that is,
 //! unless one of the task's dependences sits in another node that
@@ -54,15 +54,13 @@
 //! run left it.
 //!
 //! On a runtime with **one worker**, every colour has the same home
-//! (a colour-affinity mapper reduces colours modulo the pool), so a
-//! colour is no placement at all there: every coloured task fuses by
+//! (the executor queues colour `c` on worker `c % W`), so a colour is
+//! no placement at all there: every coloured task fuses by
 //! one key and joins the most recent coloured node of *any* colour,
 //! under the same acyclicity test. The colourless rule does not
 //! change. Members still run in submission order and every captured
 //! edge is still honoured, so the bits are those of the per-colour
-//! nodes. With more than one worker the key is the colour, and the
-//! graph does not depend on where colours are mapped: a rebalancer may
-//! move them between replays without invalidating a trace.
+//! nodes. With more than one worker the key is the colour.
 //!
 //! A 16-piece CG step compiles from 101 tasks to 50 nodes per
 //! iteration on more than one worker: `[spmv + dot_partial]`, `[axpy +
@@ -71,11 +69,11 @@
 //! `[dot_reduce + beta]`. On one worker it is 5 nodes, one per phase:
 //! the sixteen `[spmv + dot_partial]` as one node, the first chain,
 //! the sixteen `[axpy + axpy + dot_partial]`, the second chain, the
-//! sixteen `[xpay]`. Under a colour-affinity mapper this costs no
-//! parallelism worth having: the tasks of one colour were already
-//! routed to one worker's queue and ran there one after another
-//! (unless stolen) — on one worker, the tasks of every colour; the node
-//! only stops paying a queue round trip and a retirement between them.
+//! sixteen `[xpay]`. This costs no parallelism worth having: the
+//! tasks of one colour were already queued on one worker and ran there
+//! one after another (unless stolen) — on one worker, the tasks of
+//! every colour; the node only stops paying a queue round trip and a
+//! retirement between them.
 //! What is given up is the chance that a thief picks up the second half
 //! of a colour's chain while the first half's successor work is
 //! elsewhere, and on one worker, that a waiting driver runs part of a
@@ -97,8 +95,7 @@ use kdr_index::IntervalSet;
 
 use crate::fault::RuntimeError;
 use crate::graph::{Frontier, RecordedFrontier};
-use crate::mapper::TaskMeta;
-use crate::task::{Privilege, SharedBody, TaskBody, TaskBuilder, TaskContext};
+use crate::task::{Privilege, SharedBody, TaskBody, TaskBuilder, TaskContext, TaskMeta};
 
 /// One scheduled node of a compiled step: the captured tasks that run
 /// as one unit.

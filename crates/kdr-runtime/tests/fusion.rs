@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use kdr_index::IntervalSet;
 use kdr_runtime::{
-    promise, Buffer, ColorAffinityMapper, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
+    promise, Buffer, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
     RuntimeError, TaskBuilder, TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, TaskSpan, Trace,
 };
 use proptest::prelude::*;
@@ -147,7 +147,7 @@ fn program_task(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
 }
 
 fn runtime(workers: usize) -> Runtime {
-    Runtime::with_mapper(workers, Arc::new(ColorAffinityMapper::new(workers)))
+    Runtime::new(workers)
 }
 
 fn buffers(nbuf: usize) -> Vec<Buffer<f64>> {

@@ -166,11 +166,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Spans retained for a tenant.
-    pub fn spans_for(&self, tenant: TenantId) -> &[TaskSpan] {
-        self.spans.get(&tenant).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Every tenant's retained spans, cloned out for cross-shard
     /// merging: the sharded service concatenates each tenant's spans
     /// across shards before rendering one combined trace.

@@ -145,11 +145,22 @@ pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreErro
             if nx == 0 || ny == 0 || nz == 0 {
                 return Err(malformed("degenerate stencil grid"));
             }
-            let desc = Stencil::new(kind, nx, ny, nz);
-            if desc.unknowns() != s.unknowns {
+            let unused_extents_are_one = match kind.dims() {
+                1 => ny == 1 && nz == 1,
+                2 => nz == 1,
+                _ => true,
+            };
+            if !unused_extents_are_one {
+                return Err(malformed("stencil extent on a dimension its kind does not have"));
+            }
+            let unknowns = nx
+                .checked_mul(ny)
+                .and_then(|n| n.checked_mul(nz))
+                .ok_or_else(|| malformed("stencil grid has more than 2^64 points"))?;
+            if unknowns != s.unknowns {
                 return Err(malformed("stencil unknowns do not match session unknowns"));
             }
-            Ok(SessionSpec::stencil(desc, pieces, solver))
+            Ok(SessionSpec::stencil(Stencil::new(kind, nx, ny, nz), pieces, solver))
         }
         StoreOperator::Assembled {
             rows,

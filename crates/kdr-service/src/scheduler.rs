@@ -64,11 +64,6 @@ impl FairScheduler {
         e.weight = weight;
     }
 
-    /// Whether a tenant is registered.
-    pub fn is_registered(&self, tenant: TenantId) -> bool {
-        self.tenants.contains_key(&tenant)
-    }
-
     /// Remove a tenant (migration detach), returning its weight so
     /// the destination shard can re-register it identically. The
     /// tenant's pass value is deliberately *not* carried: passes are

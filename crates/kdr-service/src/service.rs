@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
-use kdr_runtime::{ColorAffinityMapper, MetricsSnapshot, Runtime, TaskSpan};
+use kdr_runtime::{MetricsSnapshot, Runtime, TaskSpan};
 use kdr_sparse::{KernelAdvisor, KernelKind};
 use kdr_store::SharedCatalogue;
 
@@ -268,7 +268,6 @@ struct EngineState {
 /// per-shard counters.
 pub struct ShardEngine {
     rt: Arc<Runtime>,
-    mapper: Arc<ColorAffinityMapper>,
     cfg: ServiceConfig,
     state: Mutex<EngineState>,
 }
@@ -276,9 +275,7 @@ pub struct ShardEngine {
 impl ShardEngine {
     /// Spin up the shard's runtime with no tenants on it.
     pub(crate) fn new(cfg: ServiceConfig) -> Self {
-        let workers = cfg.workers.max(1);
-        let mapper = Arc::new(ColorAffinityMapper::new(workers));
-        let rt = Arc::new(Runtime::with_mapper(workers, mapper.clone()));
+        let rt = Arc::new(Runtime::new(cfg.workers.max(1)));
         if cfg.capture_events {
             rt.enable_events(true);
         }
@@ -292,7 +289,6 @@ impl ShardEngine {
         }
         ShardEngine {
             rt,
-            mapper,
             state: Mutex::new(EngineState {
                 queue: AdmissionQueue::new(cfg.queue_capacity),
                 scheduler: FairScheduler::new(cfg.seed),
@@ -543,7 +539,6 @@ impl ShardEngine {
                     .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>);
                 let mut sess = Session::with_tuning(
                     Arc::clone(&self.rt),
-                    Arc::clone(&self.mapper),
                     bundle.tenant,
                     s.spec,
                     advisor,

@@ -20,7 +20,7 @@ use kdr_core::{
     Solver, TfqmrSolver, SOL,
 };
 use kdr_index::Partition;
-use kdr_runtime::{ColorAffinityMapper, Runtime};
+use kdr_runtime::Runtime;
 use kdr_sparse::{KernelAdvisor, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilOperator};
 use kdr_store::CatalogueKey;
 
@@ -146,13 +146,8 @@ impl Session {
     /// plan finalized: the operator is tiled, registered and lowered
     /// here. The session stays cold — no step programs captured —
     /// until its first job runs.
-    pub fn new(
-        rt: Arc<Runtime>,
-        mapper: Arc<ColorAffinityMapper>,
-        tenant: TenantId,
-        spec: SessionSpec,
-    ) -> Self {
-        Session::with_tuning(rt, mapper, tenant, spec, None, None)
+    pub fn new(rt: Arc<Runtime>, tenant: TenantId, spec: SessionSpec) -> Self {
+        Session::with_tuning(rt, tenant, spec, None, None)
     }
 
     /// [`Session::new`] with kernel tuning: `advisor` is consulted at
@@ -164,13 +159,12 @@ impl Session {
     /// choice deterministically.
     pub fn with_tuning(
         rt: Arc<Runtime>,
-        mapper: Arc<ColorAffinityMapper>,
         tenant: TenantId,
         spec: SessionSpec,
         advisor: Option<Arc<dyn KernelAdvisor>>,
         forced_kernel: Option<KernelKind>,
     ) -> Self {
-        let backend = kdr_core::ExecBackend::<f64>::with_shared_runtime(rt, Some(mapper));
+        let backend = kdr_core::ExecBackend::<f64>::with_shared_runtime(rt, None);
         let mut planner = Planner::new(Box::new(backend));
         if let Some(kind) = forced_kernel {
             planner.set_kernel_choice(KernelChoice::Force(kind));

@@ -466,12 +466,11 @@ fn stencil_session_matches_assembled_bitwise() {
 #[test]
 fn twelve_jobs_on_one_session_do_not_age() {
     use kdr_core::{solve_traced, ExecBackend};
-    use kdr_runtime::{ColorAffinityMapper, Runtime};
+    use kdr_runtime::Runtime;
     use kdr_service::Session;
 
-    let mapper = Arc::new(ColorAffinityMapper::new(2));
-    let rt = Arc::new(Runtime::with_mapper(2, mapper.clone()));
-    let mut session = Session::new(rt, mapper, 1, spec(16, 16, 4, SolverKind::Cg));
+    let rt = Arc::new(Runtime::new(2));
+    let mut session = Session::new(rt, 1, spec(16, 16, 4, SolverKind::Cg));
     let rhs = rhs_vector::<f64>(16 * 16, 42);
     let job = |session: &mut Session| {
         let (mut solver, mark) = session.begin_solve(&rhs, 0);

@@ -14,8 +14,10 @@ use kdr_service::{
     SolverKind,
 };
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::{KernelKind, SparseMatrix, Stencil, StructureKey};
-use kdr_store::{CatalogueKey, SharedCatalogue, StoreBundle, StoreError, StoreSession, StoreTenant};
+use kdr_sparse::{KernelKind, SparseMatrix, Stencil, StencilKind, StructureKey};
+use kdr_store::{
+    CatalogueKey, SharedCatalogue, StoreBundle, StoreError, StoreOperator, StoreSession, StoreTenant,
+};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("kdr_service_store_tests");
@@ -398,6 +400,37 @@ fn a_solver_parameter_its_constructor_rejects_opens_as_malformed() {
         spoil(&mut session);
         session.jobs_completed = 1;
         bundle.sessions = vec![session];
+        assert!(opens_as_malformed(&path, &bundle), "spoiled record {k}");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A stencil record `Stencil::new` or `Stencil::unknowns` would panic
+/// on — an extent other than 1 on a dimension its kind does not have,
+/// or extents whose product overflows — opens as a typed error.
+#[test]
+fn a_stencil_record_its_constructor_rejects_opens_as_malformed() {
+    let (path, saved) = saved_bundle(
+        "bad_stencil_extents.kdrstore",
+        vec![(1, SessionSpec::stencil(Stencil::lap2d(8, 8), 2, SolverKind::Cg))],
+    );
+    // (kind, nx, ny, nz, unknowns): the first two keep the unknowns
+    // consistent with the extents, the last overflows a u64.
+    let records = [
+        (StencilKind::Lap2D5, 8, 8, 2, 128),
+        (StencilKind::Lap1D3, 64, 3, 1, 192),
+        (StencilKind::Lap3D7, 1 << 22, 1 << 22, 1 << 22, 64),
+    ];
+    for (k, (kind, nx, ny, nz, unknowns)) in records.into_iter().enumerate() {
+        let mut bundle = saved.clone();
+        let session = &mut bundle.sessions[0];
+        session.operator = StoreOperator::Stencil {
+            kind: kind.code(),
+            nx,
+            ny,
+            nz,
+        };
+        session.unknowns = unknowns;
         assert!(opens_as_malformed(&path, &bundle), "spoiled record {k}");
     }
     std::fs::remove_file(&path).unwrap();

@@ -117,6 +117,15 @@ if grep -rnwE 'LoadAware|EvacuationPolicy|rebalance_factor|fence_slices|cost_wei
     exit 1
 fi
 
+# One placement rule (DESIGN §6): `ReadyQueues::push` in the executor
+# queues colour c on worker c mod W and deals colourless nodes in turn.
+# The pluggable mappers, the per-colour remap table and the live
+# rebalancer that drove it went; none of them may come back.
+if grep -rnwE 'Mapper|ColorAffinityMapper|RoundRobinMapper|remap_color|Rebalancer|with_mapper|tile_placements|affinity_mapper' crates; then
+    echo "ci.sh: crates/ names a deleted mapper or rebalancer again (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing
