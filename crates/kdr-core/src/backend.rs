@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kdr_index::{IntervalSet, Partition};
-use kdr_sparse::{KernelAdvisor, KernelChoice, Scalar, SparseMatrix, Stencil};
+use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, Stencil};
 
 /// Backend vector handle (a multi-component vector instance).
 pub type BVec = usize;
@@ -432,13 +432,6 @@ pub struct OpSetSpec<T> {
     /// opset (falling back to CSR where unrepresentable). Ignored by
     /// backends that do not execute kernels (e.g. the simulator).
     pub kernel_choice: KernelChoice,
-    /// Optional cost-model hook consulted per tile under
-    /// [`KernelChoice::Auto`]: the advisor may override the structure
-    /// heuristic with a predicted-cost argmin (see
-    /// [`kdr_sparse::KernelAdvisor`]). `None` keeps the pure
-    /// heuristic. The bitwise contract makes any advice
-    /// result-neutral; it only moves time.
-    pub advisor: Option<Arc<dyn KernelAdvisor>>,
 }
 
 /// A task-level failure the backend absorbed: some runtime task

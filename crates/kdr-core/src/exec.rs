@@ -1240,16 +1240,9 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             // One format-independent pass gathers each tile's
             // triplets; lowering then picks the specialized kernel.
             let trips = extract_tile_triplets(comp.matrix.as_ref(), &comp.tiles);
-            let pieces = comp.tiles.len();
             for (t, (rows, cols, vals)) in comp.tiles.iter().zip(trips) {
-                let (kernel, structure) = TileKernel::lower_advised(
-                    &rows,
-                    &cols,
-                    &vals,
-                    spec.kernel_choice,
-                    pieces,
-                    spec.advisor.as_deref(),
-                );
+                let (kernel, structure) =
+                    TileKernel::lower_with_structure(&rows, &cols, &vals, spec.kernel_choice);
                 if kernel.is_empty() {
                     // Structurally empty tile: launch nothing, ever.
                     // Its output rows fall to the apply plan's
@@ -1870,7 +1863,6 @@ mod tests {
                 stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
-            advisor: None,
         });
         let cs = CompSpec {
             len: 36,
@@ -1916,7 +1908,6 @@ mod tests {
                     tiles,
                 }],
                 kernel_choice: choice,
-            advisor: None,
             });
             let cs = CompSpec {
                 len: 64,
@@ -1960,7 +1951,6 @@ mod tests {
                 stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
-            advisor: None,
         });
         let tiles_by_kernel = b.metrics().tiles_by_kernel;
         // A 2D Laplacian slab is banded: every tile must lower to DIA.
@@ -1986,7 +1976,6 @@ mod tests {
                 stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
-            advisor: None,
         });
         let cs = CompSpec {
             len: 16,
@@ -2023,7 +2012,6 @@ mod tests {
                 stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
-            advisor: None,
         });
         let cs = CompSpec {
             len: 16,

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use kdr_index::Partition;
-use kdr_sparse::{KernelAdvisor, KernelChoice, Scalar, SparseMatrix, Stencil, StencilOperator};
+use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, Stencil, StencilOperator};
 
 use crate::backend::{BVec, Backend, CompSpec, OpComponentSpec, OpHandle, OpSetSpec, StepOutcome};
 use crate::partitioning::compute_tiles;
@@ -70,9 +70,6 @@ pub struct Planner<T: Scalar> {
     /// are allocated: `(is_sol, component, data)`.
     pending_data: Vec<(bool, usize, Vec<T>)>,
     kernel_choice: KernelChoice,
-    /// Optional cost-model hook threaded into both opset specs at
-    /// finalization (see [`OpSetSpec::advisor`]).
-    advisor: Option<Arc<dyn KernelAdvisor>>,
     finalized: bool,
     /// Released workspace vectors by structure, reused
     /// lowest-id-first so a rebuilt solver sees the *same* backend
@@ -97,7 +94,6 @@ impl<T: Scalar> Planner<T> {
             prec_handle: None,
             pending_data: Vec::new(),
             kernel_choice: KernelChoice::default(),
-            advisor: None,
             finalized: false,
             ws_free_sol: Vec::new(),
             ws_free_rhs: Vec::new(),
@@ -112,17 +108,6 @@ impl<T: Scalar> Planner<T> {
     pub fn set_kernel_choice(&mut self, choice: KernelChoice) {
         assert!(!self.finalized, "planner already finalized");
         self.kernel_choice = choice;
-    }
-
-    /// Install a cost-model advisor consulted per tile during
-    /// [`KernelChoice::Auto`] lowering (see
-    /// [`kdr_sparse::KernelAdvisor`]). Must be called before
-    /// finalization. Advice is result-neutral under the bitwise
-    /// contract; selection stays deterministic for a fixed advisor
-    /// state.
-    pub fn set_kernel_advisor(&mut self, advisor: Option<Arc<dyn KernelAdvisor>>) {
-        assert!(!self.finalized, "planner already finalized");
-        self.advisor = advisor;
     }
 
     // ----- Setup API (paper Figure 5) -------------------------------
@@ -269,7 +254,6 @@ impl<T: Scalar> Planner<T> {
                 })
                 .collect(),
             kernel_choice: self.kernel_choice,
-            advisor: self.advisor.clone(),
         };
         let prec_spec = (!self.precs.is_empty()).then(|| OpSetSpec {
             components: self
@@ -292,7 +276,6 @@ impl<T: Scalar> Planner<T> {
                 })
                 .collect(),
             kernel_choice: self.kernel_choice,
-            advisor: self.advisor.clone(),
         });
         let mut b = self.backend.lock();
         self.op_handle = Some(b.register_operator(op_spec));

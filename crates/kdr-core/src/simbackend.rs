@@ -650,7 +650,6 @@ mod tests {
                 tiles,
             }],
             kernel_choice: kdr_sparse::KernelChoice::Auto,
-            advisor: None,
         });
         let cs = CompSpec {
             len: n,

@@ -1,7 +1,7 @@
 //! The registration result, pinned.
 //!
 //! Registering an operator is `compute_tiles` → `extract_tile_triplets`
-//! → `TileKernel::lower_advised`. Every later layer — task footprints,
+//! → `TileKernel::lower_with_structure`. Every later layer — task footprints,
 //! traces, catalogue keys, stored plans, the bits of a solve — is a
 //! function of what those three return, so this test pins it: per tile
 //! the lowered kind, entry count, value bytes, `StructureKey` bytes,
@@ -202,7 +202,7 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
         .map(|(t, (rows, cols, vals))| {
             assert_eq!(rows.len() as u64, t.nnz);
             let (kernel, structure) =
-                TileKernel::lower_advised(rows, cols, vals, KernelChoice::Auto, pieces, None);
+                TileKernel::lower_with_structure(rows, cols, vals, KernelChoice::Auto);
             let mut footprint = Fnv::new();
             footprint.runs(&t.kernel_piece);
             footprint.runs(&t.out_subset);

@@ -253,7 +253,6 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
                             stencil: None,
                         }],
                         kernel_choice: KernelChoice::Auto,
-                        advisor: None,
                     })
                 });
             }

@@ -51,7 +51,8 @@
 //! - **cost-model scheduling and warm restarts** — a shared cost
 //!   catalogue ([`ServiceConfig::catalogue`], from `kdr-store`)
 //!   prices jobs by the tiles each session lowered, for admission
-//!   screening and measured-sample kernel advice to the planner; [`ShardedService::save_store`] /
+//!   screening (it never picks a tile's kernel: the tile's structure
+//!   does); [`ShardedService::save_store`] /
 //!   [`ShardedService::open_store`] persist catalogue + tenants +
 //!   sessions in a versioned, checksummed on-disk store so a
 //!   restarted service starts warm with bit-identical residual

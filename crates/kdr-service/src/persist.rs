@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use kdr_sparse::{Coo, KernelKind, SparseMatrix, Stencil, StencilKind, Triples};
+use kdr_sparse::{Coo, SparseMatrix, Stencil, StencilKind, Triples};
 use kdr_store::{StoreError, StoreOperator, StoreSession};
 
 use crate::request::{SessionId, TenantId};
@@ -102,14 +102,12 @@ pub(crate) fn operator_to_store(spec: &SessionSpec) -> StoreOperator {
 }
 
 /// One session as a store record: its front-door spec plus what its
-/// shard knows of it — the kernel its tiles lowered to (`None`
-/// re-decides on restart), jobs completed, and steps captured (both
-/// zero for a cold session).
+/// shard knows of it — jobs completed and steps captured (both zero
+/// for a cold session). The kernel byte is written as Auto (255).
 pub(crate) fn session_to_store(
     id: SessionId,
     tenant: TenantId,
     spec: &SessionSpec,
-    kernel: Option<KernelKind>,
     jobs_completed: u64,
     steps_captured: u64,
 ) -> StoreSession {
@@ -123,7 +121,7 @@ pub(crate) fn session_to_store(
         solver_p0,
         solver_f0,
         solver_f1,
-        kernel_code: StoreSession::kernel_code_for(kernel),
+        kernel_code: 255,
         jobs_completed,
         steps_captured,
         operator: operator_to_store(spec),
@@ -134,11 +132,8 @@ pub(crate) fn session_to_store(
 pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreError> {
     let solver = solver_unwire(s.solver_code, s.solver_p0, s.solver_f0, s.solver_f1)?;
     let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
-    let pieces = usize::try_from(s.pieces)
-        .ok()
-        .filter(|&p| p >= 1)
-        .ok_or_else(|| malformed("bad piece count"))?;
-    match s.operator {
+    let pieces = usize::try_from(s.pieces).map_err(|_| malformed("bad piece count"))?;
+    let spec = match s.operator {
         StoreOperator::Stencil { kind, nx, ny, nz } => {
             let kind = StencilKind::from_code(kind)
                 .ok_or_else(|| malformed("unknown stencil code"))?;
@@ -160,7 +155,7 @@ pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreErro
             if unknowns != s.unknowns {
                 return Err(malformed("stencil unknowns do not match session unknowns"));
             }
-            Ok(SessionSpec::stencil(Stencil::new(kind, nx, ny, nz), pieces, solver))
+            SessionSpec::stencil(Stencil::new(kind, nx, ny, nz), pieces, solver)
         }
         StoreOperator::Assembled {
             rows,
@@ -178,15 +173,17 @@ pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreErro
                 t.push(row, col, v);
             }
             let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(Coo::<f64, u64>::from_triples(t));
-            Ok(SessionSpec {
+            SessionSpec {
                 matrix,
                 unknowns: s.unknowns,
                 pieces,
                 solver,
                 stencil: None,
-            })
+            }
         }
-    }
+    };
+    spec.check_pieces().map_err(|_| malformed("piece count outside 1..=unknowns"))?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -247,7 +244,7 @@ mod tests {
             solver: SolverKind::Cg,
             stencil: None,
         };
-        let stored = session_to_store(0, 0, &spec, None, 0, 0);
+        let stored = session_to_store(0, 0, &spec, 0, 0);
         let back = spec_from_store(&stored).unwrap();
         let mut orig = Vec::new();
         spec.matrix
@@ -262,7 +259,7 @@ mod tests {
     fn malformed_store_sessions_are_typed_errors() {
         let line = Stencil::new(StencilKind::from_code(0).unwrap(), 8, 1, 1);
         let spec = SessionSpec::stencil(line, 2, SolverKind::Cg);
-        let base = session_to_store(0, 0, &spec, None, 0, 0);
+        let base = session_to_store(0, 0, &spec, 0, 0);
         // Unknown stencil code.
         let mut s = base.clone();
         s.operator = StoreOperator::Stencil {

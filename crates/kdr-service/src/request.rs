@@ -107,6 +107,14 @@ pub enum RejectReason {
         /// The degraded shard's index.
         shard: usize,
     },
+    /// The session spec's piece count is outside `1..=unknowns`: the
+    /// partition would have no piece, or an empty one.
+    BadPieceCount {
+        /// The spec's piece count.
+        pieces: usize,
+        /// The spec's unknown count.
+        unknowns: u64,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -130,6 +138,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::ShardDegraded { shard } => {
                 write!(f, "shard {shard} is quarantined (retry after evacuation)")
+            }
+            RejectReason::BadPieceCount { pieces, unknowns } => {
+                write!(f, "{pieces} pieces outside 1..={unknowns} (the session's unknowns)")
             }
         }
     }

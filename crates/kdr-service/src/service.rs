@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
 use kdr_runtime::{MetricsSnapshot, Runtime, TaskSpan};
-use kdr_sparse::{KernelAdvisor, KernelKind};
+use kdr_sparse::KernelKind;
 use kdr_store::SharedCatalogue;
 
 use crate::metrics::{ServiceMetrics, TenantMetrics};
@@ -88,12 +88,11 @@ pub struct ServiceConfig {
     /// pre-catalogue service. When set, the service (a) screens
     /// admission deadlines with predicted job costs — including a
     /// cold tenant's very first job, (b) refines the catalogue online
-    /// from per-kernel execute latencies, (c) gives new sessions a
-    /// catalogue-snapshot [`kdr_sparse::KernelAdvisor`] so tile
-    /// lowering picks the predicted-cheapest kernel, and (d) counts
-    /// catalogue hits/misses and prediction error in the metrics.
-    /// Cloning a [`SharedCatalogue`] shares it, so the shards of a
-    /// sharded service all refine one catalogue.
+    /// from per-kernel execute latencies, and (c) counts catalogue
+    /// hits/misses and prediction error in the metrics. It never
+    /// picks a tile's kernel: the tile's structure does. Cloning a
+    /// [`SharedCatalogue`] shares it, so the shards of a sharded
+    /// service all refine one catalogue.
     pub catalogue: Option<SharedCatalogue>,
 }
 
@@ -151,32 +150,25 @@ struct ActiveJob {
 pub(crate) struct BundleSession {
     pub(crate) id: SessionId,
     pub(crate) spec: SessionSpec,
-    /// Pin every tile of the operator to this kernel (a store's
-    /// persisted choice, replayed deterministically); `None` lets the
-    /// catalogue advisor or the structure heuristic pick.
-    pub(crate) kernel: Option<KernelKind>,
     /// Capture the iteration trace at install time, so the session's
     /// first real job is warm.
     pub(crate) prewarm: bool,
 }
 
 impl BundleSession {
-    /// A session built from its spec alone: kernel re-decided, cold
-    /// until its first job.
+    /// A session built from its spec alone, cold until its first job.
     pub(crate) fn cold(id: SessionId, spec: SessionSpec) -> Self {
         BundleSession {
             id,
             spec,
-            kernel: None,
             prewarm: false,
         }
     }
 }
 
-/// What only its shard knows about a session: the kernel its tiles
-/// actually lowered to (when unanimous; `None` otherwise, so a
-/// restart re-decides), jobs completed, and steps captured.
-pub(crate) type SessionWarmth = (Option<KernelKind>, u64, u64);
+/// What only its shard knows about a session: jobs completed and
+/// steps captured.
+pub(crate) type SessionWarmth = (u64, u64);
 
 /// Everything of one tenant that reaches a shard in one step:
 /// fair-share weight, sessions to build, queued jobs, and in-flight
@@ -516,34 +508,21 @@ impl ShardEngine {
     /// it in the fair scheduler at the bundle's weight (a new tenant
     /// joins at minimum pass, the late-joiner rule; a resident one is
     /// re-weighted in place), build the bundle's sessions over this
-    /// shard's runtime — pinning a persisted kernel and pre-warming
-    /// where the bundle says so — restore its queued jobs
-    /// (capacity-exempt: they were admitted once), and take over its
-    /// checkpointed in-flight jobs. Each of those rebuilds its solver
-    /// from the checkpointed iterate on first activation — restart
-    /// semantics, identical to a local checkpoint/restart at the same
-    /// iteration.
+    /// shard's runtime — pre-warming where the bundle says so —
+    /// restore its queued jobs (capacity-exempt: they were admitted
+    /// once), and take over its checkpointed in-flight jobs. Each of
+    /// those rebuilds its solver from the checkpointed iterate on
+    /// first activation — restart semantics, identical to a local
+    /// checkpoint/restart at the same iteration.
     pub(crate) fn attach_tenant(&self, bundle: TenantBundle) {
         // Sessions are built — their plans finalized, their tiles
         // lowered — outside the state lock: construction and
-        // pre-warming touch only this shard's runtime handles. Each
-        // session lowers against a catalogue snapshot taken here.
+        // pre-warming touch only this shard's runtime handles.
         let sessions: Vec<(SessionId, Session)> = bundle
             .sessions
             .into_iter()
             .map(|s| {
-                let advisor = self
-                    .cfg
-                    .catalogue
-                    .as_ref()
-                    .map(|c| Arc::new(c.snapshot()) as Arc<dyn KernelAdvisor>);
-                let mut sess = Session::with_tuning(
-                    Arc::clone(&self.rt),
-                    bundle.tenant,
-                    s.spec,
-                    advisor,
-                    s.kernel,
-                );
+                let mut sess = Session::new(Arc::clone(&self.rt), bundle.tenant, s.spec);
                 if s.prewarm {
                     prewarm_session(&mut sess);
                 }
@@ -564,15 +543,7 @@ impl ShardEngine {
         let mut st = self.state.lock();
         st.sessions
             .iter_mut()
-            .map(|(&id, sess)| {
-                let kernel = match sess.catalogue_keys() {
-                    [first, rest @ ..] if rest.iter().all(|k| k.kernel == first.kernel) => {
-                        Some(first.kernel)
-                    }
-                    _ => None,
-                };
-                (id, (kernel, sess.jobs_completed(), sess.steps_captured()))
-            })
+            .map(|(&id, sess)| (id, (sess.jobs_completed(), sess.steps_captured())))
             .collect()
     }
 

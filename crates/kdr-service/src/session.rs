@@ -21,10 +21,10 @@ use kdr_core::{
 };
 use kdr_index::Partition;
 use kdr_runtime::Runtime;
-use kdr_sparse::{KernelAdvisor, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilOperator};
+use kdr_sparse::{SparseMatrix, Stencil, StencilOperator};
 use kdr_store::CatalogueKey;
 
-use crate::request::TenantId;
+use crate::request::{RejectReason, TenantId};
 
 /// Which Krylov method a session's jobs run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,6 +128,19 @@ impl SessionSpec {
             stencil: Some(desc),
         }
     }
+
+    /// Whether the partition can hold the spec: every one of its
+    /// `pieces` needs at least one of the `unknowns`.
+    pub(crate) fn check_pieces(&self) -> Result<(), RejectReason> {
+        if self.pieces >= 1 && self.pieces as u64 <= self.unknowns {
+            Ok(())
+        } else {
+            Err(RejectReason::BadPieceCount {
+                pieces: self.pieces,
+                unknowns: self.unknowns,
+            })
+        }
+    }
 }
 
 /// One tenant's long-lived, plan-cached problem setup.
@@ -144,33 +157,12 @@ pub struct Session {
 impl Session {
     /// Build a session over the service's shared runtime with its
     /// plan finalized: the operator is tiled, registered and lowered
-    /// here. The session stays cold — no step programs captured —
-    /// until its first job runs.
+    /// here, each tile to the kernel its structure selects. The
+    /// session stays cold — no step programs captured — until its
+    /// first job runs.
     pub fn new(rt: Arc<Runtime>, tenant: TenantId, spec: SessionSpec) -> Self {
-        Session::with_tuning(rt, tenant, spec, None, None)
-    }
-
-    /// [`Session::new`] with kernel tuning: `advisor` is consulted at
-    /// lowering time (typically a catalogue snapshot doing a
-    /// predicted-cost argmin; `None`, or an advisor that abstains,
-    /// falls back to the structure heuristic), and `forced_kernel`
-    /// puts every tile on one kernel, taking precedence over the
-    /// advisor — how a durable store replays a persisted kernel
-    /// choice deterministically.
-    pub fn with_tuning(
-        rt: Arc<Runtime>,
-        tenant: TenantId,
-        spec: SessionSpec,
-        advisor: Option<Arc<dyn KernelAdvisor>>,
-        forced_kernel: Option<KernelKind>,
-    ) -> Self {
         let backend = kdr_core::ExecBackend::<f64>::with_shared_runtime(rt, None);
         let mut planner = Planner::new(Box::new(backend));
-        if let Some(kind) = forced_kernel {
-            planner.set_kernel_choice(KernelChoice::Force(kind));
-        } else if advisor.is_some() {
-            planner.set_kernel_advisor(advisor);
-        }
         let part = Partition::equal_blocks(spec.unknowns, spec.pieces);
         let d = planner.add_sol_vector(spec.unknowns, Some(part.clone()));
         let r = planner.add_rhs_vector(spec.unknowns, Some(part));
@@ -190,9 +182,8 @@ impl Session {
     }
 
     /// Catalogue key of every tile the session's operator lowered to,
-    /// sorted, one entry per tile. Admission screening, online
-    /// refinement and the durable store's kernel record all read this
-    /// list.
+    /// sorted, one entry per tile. Admission screening and online
+    /// refinement read this list.
     pub(crate) fn catalogue_keys(&self) -> &[CatalogueKey] {
         &self.keys
     }

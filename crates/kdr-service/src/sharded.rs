@@ -506,14 +506,17 @@ impl ShardedService {
     /// current shard. The session's plan is finalized here: its
     /// operator is tiled, registered and lowered. The session is cold
     /// — no step programs captured — until its first job runs, and
-    /// warm thereafter. Returns `Err(UnknownTenant)` for unregistered
-    /// tenants and `Err(ShardDegraded)` while the tenant's shard is
-    /// quarantined (transient: retry after evacuation).
+    /// warm thereafter. Returns `Err(BadPieceCount)` for a spec whose
+    /// piece count is outside `1..=unknowns`, `Err(UnknownTenant)` for
+    /// unregistered tenants and `Err(ShardDegraded)` while the
+    /// tenant's shard is quarantined (transient: retry after
+    /// evacuation). A rejected spec leaves no trace.
     pub fn create_session(
         &self,
         tenant: TenantId,
         spec: SessionSpec,
     ) -> Result<SessionId, RejectReason> {
+        spec.check_pieces()?;
         let mut front = self.front.lock();
         let shard = front.routable_shard(tenant)?;
         let id = front.next_session;
@@ -1135,10 +1138,9 @@ impl ShardedService {
     /// [`SharedCatalogue`] from `base.catalogue`), every registered
     /// tenant at its front-door weight, and every session — operator,
     /// solver, piece count from the front-door record, plus what its
-    /// live shard knows of it: the kernel its tiles actually lowered
-    /// to and how warm it is. A session stranded on a killed or
-    /// removed shard is exported *cold* — its warm plan died with the
-    /// shard, which is exactly crash semantics. Queued and in-flight
+    /// live shard knows of it: how warm it is. A session stranded on a
+    /// killed or removed shard is exported *cold* — its warm plan died
+    /// with the shard, which is exactly crash semantics. Queued and in-flight
     /// jobs are *not* persisted: requests are transient, and a
     /// restarted service re-runs them bitwise-identically anyway. The
     /// write is atomic (temp file + rename).
@@ -1158,8 +1160,8 @@ impl ShardedService {
                 weight: u32::try_from(rec.weight).unwrap_or(u32::MAX),
             });
             for (&id, spec) in &rec.sessions {
-                let (kernel, jobs, steps) = warmth.get(&id).copied().unwrap_or_default();
-                sessions.push(persist::session_to_store(id, tenant, spec, kernel, jobs, steps));
+                let (jobs, steps) = warmth.get(&id).copied().unwrap_or_default();
+                sessions.push(persist::session_to_store(id, tenant, spec, jobs, steps));
             }
         }
         sessions.sort_by_key(|s| s.session);
@@ -1184,10 +1186,10 @@ impl ShardedService {
     /// otherwise) and is shared by every shard; tenants come back at
     /// their saved weights and are re-placed on the consistent-hash
     /// ring (the same shard when the shard count is unchanged); sessions rebuild
-    /// on their owner's shard with persisted kernel choices pinned,
-    /// and every session that was warm at save time is pre-warmed —
-    /// its iteration trace captured — so the first real job lands on
-    /// the warm path. Corrupted, truncated, or
+    /// on their owner's shard, each tile lowered to the kernel its
+    /// structure selects, and every session that was warm at save time
+    /// is pre-warmed — its iteration trace captured — so the first
+    /// real job lands on the warm path. Corrupted, truncated, or
     /// semantically invalid stores fail with a typed [`StoreError`],
     /// never a panic.
     pub fn open_store(path: &Path, mut cfg: ShardConfig) -> Result<ShardedService, StoreError> {
@@ -1236,7 +1238,6 @@ impl ShardedService {
                 bundle.sessions.push(BundleSession {
                     id,
                     spec,
-                    kernel: s.forced_kernel()?,
                     prewarm: s.jobs_completed > 0,
                 });
                 front.next_session = front.next_session.max(id.saturating_add(1));

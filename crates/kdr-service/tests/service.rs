@@ -193,6 +193,31 @@ fn malformed_requests_rejected_with_types() {
     assert!(matches!(svc.submit(1, r), Err(RejectReason::EmptyBatch)));
 }
 
+/// A spec whose piece count is outside `1..=unknowns` is rejected
+/// before the front door records it: no session id is spent, and the
+/// tenant record names only sessions a shard holds.
+#[test]
+fn a_piece_count_the_partition_cannot_hold_is_rejected_untouched() {
+    let svc = service(ServiceConfig::default());
+    svc.register_tenant(1, 1);
+    for pieces in [0, 65] {
+        assert_eq!(
+            svc.create_session(1, spec(8, 8, pieces, SolverKind::Cg)).err(),
+            Some(RejectReason::BadPieceCount { pieces, unknowns: 64 })
+        );
+    }
+    let sid = svc.create_session(1, spec(8, 8, 64, SolverKind::Cg)).unwrap();
+    assert_eq!(sid, 0, "a rejected spec spends no session id");
+    svc.submit(1, SolveRequest::new(sid, rhs_vector::<f64>(64, 1), control())).unwrap();
+    svc.run_until_idle();
+    assert!(svc.take_responses()[0].outcome.is_converged());
+    let path = std::env::temp_dir().join("kdr_service_bad_pieces.kdrstore");
+    svc.save_store(&path).unwrap();
+    let stored = kdr_store::store::load(&path).unwrap();
+    assert_eq!(stored.sessions.len(), 1, "the tenant record names one session");
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn queued_job_cancels_immediately_running_job_cooperatively() {
     let svc = Arc::new(service(ServiceConfig {

@@ -436,6 +436,93 @@ fn a_stencil_record_its_constructor_rejects_opens_as_malformed() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A session record whose piece count the partition cannot hold —
+/// 2^40 pieces, or one more piece than there are unknowns — opens as
+/// a typed error instead of aborting while the partition is built.
+#[test]
+fn a_piece_count_the_partition_cannot_hold_opens_as_malformed() {
+    let (path, saved) = saved_bundle(
+        "bad_piece_count.kdrstore",
+        vec![(1, SessionSpec::stencil(Stencil::lap1d(8), 2, SolverKind::Cg))],
+    );
+    assert!(!opens_as_malformed(&path, &saved), "the saved store itself is sound");
+    for pieces in [1 << 40, 9] {
+        let mut bundle = saved.clone();
+        bundle.sessions[0].pieces = pieces;
+        assert!(opens_as_malformed(&path, &bundle), "{pieces} pieces on 8 unknowns");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The kernel byte is written as Auto, and a known code from an older
+/// file is validated, not used: an assembled lap2d record naming `Dia`
+/// (what older builds wrote for it) and the same record naming Auto
+/// both open, lower to the same kernels, run their first job warm and
+/// return bit-identical residual histories. An unknown code still
+/// opens as a typed error.
+#[test]
+fn a_kernel_byte_from_an_older_file_is_validated_not_used() {
+    let grid = Stencil::lap2d(12, 12);
+    let (path, saved) = saved_bundle(
+        "kernel_byte.kdrstore",
+        vec![(
+            1,
+            SessionSpec {
+                matrix: Arc::new(grid.to_csr::<f64, u64>()),
+                unknowns: grid.unknowns(),
+                pieces: 4,
+                solver: SolverKind::Cg,
+                stencil: None,
+            },
+        )],
+    );
+    assert_eq!(saved.sessions[0].kernel_code, 255, "the kernel byte is written as Auto");
+    let control = SolveControl::to_tolerance(1e-10, 1000);
+    let reopen = |kernel_code: u8| {
+        let mut bundle = saved.clone();
+        bundle.sessions[0].kernel_code = kernel_code;
+        bundle.sessions[0].jobs_completed = 1;
+        kdr_store::store::save(&path, &bundle).unwrap();
+        let fleet = ShardedService::open_store(
+            &path,
+            ShardConfig {
+                shards: 1,
+                base: ServiceConfig {
+                    workers: 2,
+                    ..ServiceConfig::default()
+                },
+                ..ShardConfig::default()
+            },
+        )
+        .unwrap();
+        let sid = bundle.sessions[0].session as usize;
+        let mut req = SolveRequest::new(sid, rhs_vector::<f64>(144, 9), control.clone());
+        req.capture_history = true;
+        fleet.submit(1, req).unwrap();
+        fleet.run_until_idle();
+        let rs = fleet.take_responses();
+        assert_eq!(rs.len(), 1);
+        assert!(rs[0].outcome.is_converged());
+        assert!(rs[0].warm, "kernel code {kernel_code}: the first job must run warm");
+        let mut kernels = std::collections::BTreeMap::new();
+        for (name, &n) in &fleet.shard(0).runtime().metrics().task_counts {
+            if let Some(kind) = KernelKind::from_task_name(name) {
+                *kernels.entry(kind.name()).or_insert(0) += n;
+            }
+        }
+        (kernels, history_bits(&rs[0].residual_history))
+    };
+    let (dia_kernels, dia_history) = reopen(KernelKind::Dia.code());
+    let (auto_kernels, auto_history) = reopen(255);
+    assert_eq!(dia_kernels.keys().copied().collect::<Vec<_>>(), ["dia"], "{dia_kernels:?}");
+    assert_eq!(dia_kernels, auto_kernels);
+    assert_eq!(dia_history, auto_history, "the kernel byte must not move a bit");
+    let mut unknown = saved.clone();
+    unknown.sessions[0].kernel_code = 200;
+    assert!(opens_as_malformed(&path, &unknown), "kernel code 200");
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// A store that repeats a tenant id or a session id opens as a typed
 /// error: neither record may silently win, and a session id must not
 /// resolve to another tenant's session.

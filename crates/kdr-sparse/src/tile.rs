@@ -18,7 +18,7 @@
 //!
 //! # One canonical order, one pass
 //!
-//! [`TileKernel::lower_advised`] sorts a tile's triplets exactly once,
+//! [`TileKernel::lower_with_structure`] sorts a tile's triplets exactly once,
 //! into the *canonical* order: rows ascending, each row's entries by
 //! column (stable in input order for duplicates). Everything else reads
 //! that canonical tile in passes linear in its entries: the structure
@@ -479,21 +479,6 @@ impl StructureKey {
     }
 }
 
-/// Cost-model hook consulted during [`KernelChoice::Auto`] lowering.
-///
-/// An advisor sees the tile's full structure summary and the piece
-/// count of the surrounding partition and may override the built-in
-/// heuristic's kernel choice. Returning `None` (or an unrepresentable
-/// kind — lowering still falls back to CSR per the bitwise contract)
-/// defers to [`TileStructure::select`]. Implementations must be
-/// deterministic for a fixed internal state: the planner relies on
-/// identical advice for identical tiles within one lowering pass.
-pub trait KernelAdvisor: Send + Sync {
-    /// Advise a kernel kind for a tile with this structure, or `None`
-    /// to defer to the structure heuristic.
-    fn advise(&self, structure: &TileStructure, pieces: usize) -> Option<KernelKind>;
-}
-
 /// CSR payload (the reference kernel). `row_ids` lists only rows with
 /// entries; stored row `r` spans `cols/vals[row_ptr[r]..row_ptr[r+1]]`,
 /// sorted by column (stable for duplicates), and `by_row` lists the
@@ -914,26 +899,17 @@ impl<T: Scalar> TileKernel<T> {
     /// representable (falling back to CSR otherwise, so forcing can
     /// never change results or lose entries).
     pub fn lower(rows: &[u64], cols: &[u64], vals: &[T], choice: KernelChoice) -> Self {
-        Self::lower_advised(rows, cols, vals, choice, 1, None).0
+        Self::lower_with_structure(rows, cols, vals, choice).0
     }
 
-    /// [`TileKernel::lower`] with a cost-model hook: under
-    /// [`KernelChoice::Auto`], a [`KernelAdvisor`] may override the
-    /// structure heuristic (`pieces` is the partition's piece count,
-    /// part of the advisor's cost key). Advice of `Stencil` is
-    /// ignored — assembled triplets are never reinterpreted — and any
-    /// unrepresentable advice falls back to CSR exactly like a
-    /// forced kind, so advice can never change results. Returns the
-    /// kernel with the structure analysis it was chosen from, so a
-    /// caller that also needs the tile's [`StructureKey`] does not
-    /// analyze the triplets a second time.
-    pub fn lower_advised(
+    /// [`TileKernel::lower`], also returning the structure analysis
+    /// the kernel was chosen from, so a caller that needs the tile's
+    /// [`StructureKey`] does not analyze the triplets a second time.
+    pub fn lower_with_structure(
         rows: &[u64],
         cols: &[u64],
         vals: &[T],
         choice: KernelChoice,
-        pieces: usize,
-        advisor: Option<&dyn KernelAdvisor>,
     ) -> (Self, TileStructure) {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
@@ -943,10 +919,7 @@ impl<T: Scalar> TileKernel<T> {
             return (TileKernel::Empty, structure);
         }
         let kind = match choice {
-            KernelChoice::Auto => advisor
-                .and_then(|a| a.advise(&structure, pieces))
-                .filter(|&k| k != KernelKind::Stencil)
-                .unwrap_or_else(|| structure.select()),
+            KernelChoice::Auto => structure.select(),
             KernelChoice::Force(k) => k,
         };
         // The canonical tile, its rows stored by length, is the CSR
@@ -1916,7 +1889,7 @@ mod tests {
                 let [sorted, scrambled] = sorted_and_scrambled(numbered(coords.clone()), 0xfeed);
                 assert_ne!(sorted.2, scrambled.2, "{what}: the scramble moved nothing");
                 let lower = |t: &(Vec<u64>, Vec<u64>, Vec<f64>)| {
-                    let (k, s) = TileKernel::lower_advised(&t.0, &t.1, &t.2, choice, 1, None);
+                    let (k, s) = TileKernel::lower_with_structure(&t.0, &t.1, &t.2, choice);
                     format!("{k:?} {s:?}")
                 };
                 assert_eq!(lower(&sorted), lower(&scrambled), "{what} under {choice:?}");

@@ -19,12 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kdr_machine::MachineConfig;
-use kdr_sparse::{KernelAdvisor, KernelKind, StructureKey, TileStructure};
+use kdr_sparse::{KernelKind, StructureKey};
 use parking_lot::Mutex;
-
-/// Observed samples a kernel kind needs before the advisor will let
-/// its measured mean override the structure heuristic.
-pub const ADVISE_MIN_SAMPLES: u64 = 3;
 
 /// EWMA weight of each new observation after the first.
 const EWMA_ALPHA: f64 = 0.2;
@@ -196,76 +192,6 @@ impl CostCatalogue {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Freeze the current state into an immutable, shareable
-    /// [`CatalogueSnapshot`] (the deterministic advisor input).
-    pub fn snapshot(&self) -> CatalogueSnapshot {
-        CatalogueSnapshot {
-            inner: Arc::new(self.clone()),
-        }
-    }
-}
-
-/// An immutable point-in-time copy of a [`CostCatalogue`].
-///
-/// Implements [`KernelAdvisor`]: for a tile under auto-selection it
-/// compares the *measured* means of every candidate kernel kind
-/// against the structure heuristic's choice and overrides only when a
-/// candidate with at least [`ADVISE_MIN_SAMPLES`] observations — and
-/// the heuristic's own kind equally well observed — is strictly
-/// faster. With insufficient samples it defers, so selection degrades
-/// gracefully to the heuristic and can never pick a kernel the
-/// catalogue has measured as slower. For a fixed snapshot the advice
-/// is a pure function of `(structure, pieces)` — lowering stays
-/// deterministic.
-#[derive(Clone, Debug)]
-pub struct CatalogueSnapshot {
-    inner: Arc<CostCatalogue>,
-}
-
-impl CatalogueSnapshot {
-    /// Predict from the frozen state (no fallback mutation).
-    pub fn predict(&self, key: &CatalogueKey) -> CostEstimate {
-        self.inner.predict(key)
-    }
-}
-
-impl KernelAdvisor for CatalogueSnapshot {
-    fn advise(&self, structure: &TileStructure, pieces: usize) -> Option<KernelKind> {
-        let heuristic = structure.select();
-        // Candidates must honor the bitwise contract's hard
-        // constraints the same way lowering does: duplicates are
-        // CSR-only, and Stencil is unreachable from assembled input.
-        if structure.nnz == 0 || structure.has_duplicates {
-            return None;
-        }
-        let s_key = structure.key();
-        let base = self
-            .inner
-            .predict(&CatalogueKey::new(s_key, heuristic, pieces));
-        if base.samples < ADVISE_MIN_SAMPLES {
-            return None;
-        }
-        let mut best = (heuristic, base.seconds);
-        for kind in [
-            KernelKind::Csr,
-            KernelKind::Dia,
-            KernelKind::Ell,
-            KernelKind::Bcsr,
-        ] {
-            if kind == heuristic {
-                continue;
-            }
-            let est = self.inner.predict(&CatalogueKey::new(s_key, kind, pieces));
-            // Strictly faster, with real measurements behind it; ties
-            // keep the earlier (heuristic-first, then code-order)
-            // winner, so advice is deterministic.
-            if est.samples >= ADVISE_MIN_SAMPLES && est.seconds < best.1 {
-                best = (kind, est.seconds);
-            }
-        }
-        (best.0 != heuristic).then_some(best.0)
-    }
 }
 
 /// A thread-safe handle to one shared [`CostCatalogue`].
@@ -313,11 +239,6 @@ impl SharedCatalogue {
     /// See [`CostCatalogue::export`].
     pub fn export(&self) -> Vec<(CatalogueKey, u64, f64)> {
         self.inner.lock().export()
-    }
-
-    /// See [`CostCatalogue::snapshot`].
-    pub fn snapshot(&self) -> CatalogueSnapshot {
-        self.inner.lock().snapshot()
     }
 
     /// Number of observed keys.
@@ -373,54 +294,5 @@ mod tests {
         c.observe(k, -1.0);
         c.observe(k, 0.0);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn advisor_defers_without_samples() {
-        let c = CostCatalogue::new(MachineConfig::lassen(1));
-        let snap = c.snapshot();
-        // A banded structure the heuristic lowers to DIA.
-        let rows: Vec<u64> = (0..64).flat_map(|r| [r, r]).collect();
-        let cols: Vec<u64> = (0..64).flat_map(|r| [r, (r + 1) % 64]).collect();
-        let vals = vec![1.0f64; rows.len()];
-        let s = TileStructure::analyze(&rows, &cols, &vals);
-        assert_eq!(snap.advise(&s, 4), None);
-    }
-
-    #[test]
-    fn advisor_overrides_only_when_measured_faster() {
-        let mut c = CostCatalogue::new(MachineConfig::lassen(1));
-        let rows: Vec<u64> = (0..64).flat_map(|r| [r, r]).collect();
-        let cols: Vec<u64> = (0..64).flat_map(|r| [r, (r + 1) % 64]).collect();
-        let vals = vec![1.0f64; rows.len()];
-        let s = TileStructure::analyze(&rows, &cols, &vals);
-        let heuristic = s.select();
-        let sk = s.key();
-        for _ in 0..ADVISE_MIN_SAMPLES {
-            c.observe(CatalogueKey::new(sk, heuristic, 4), 2e-3);
-        }
-        // Heuristic observed but nothing beats it yet: defer.
-        assert_eq!(c.snapshot().advise(&s, 4), None);
-        // Measure CSR strictly faster: override.
-        for _ in 0..ADVISE_MIN_SAMPLES {
-            c.observe(CatalogueKey::new(sk, KernelKind::Csr, 4), 1e-3);
-        }
-        assert_ne!(heuristic, KernelKind::Csr);
-        assert_eq!(c.snapshot().advise(&s, 4), Some(KernelKind::Csr));
-        // A slower measured kind never wins.
-        for _ in 0..ADVISE_MIN_SAMPLES {
-            c.observe(CatalogueKey::new(sk, KernelKind::Ell, 4), 5e-3);
-        }
-        assert_eq!(c.snapshot().advise(&s, 4), Some(KernelKind::Csr));
-    }
-
-    #[test]
-    fn snapshot_is_frozen() {
-        let shared = SharedCatalogue::new(MachineConfig::lassen(1));
-        let k = key(KernelKind::Csr);
-        let snap = shared.snapshot();
-        shared.observe(k, 1e-3);
-        assert!(!snap.predict(&k).is_observed());
-        assert!(shared.predict(&k).is_observed());
     }
 }

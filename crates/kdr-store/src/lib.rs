@@ -11,10 +11,10 @@
 //! prior and is refined online from per-kernel execute-latency
 //! observations; [`CostCatalogue::predict`] returns a
 //! [`CostEstimate`] carrying its sample count so callers can tell a
-//! measured cost from a model guess. An immutable
-//! [`CatalogueSnapshot`] implements [`kdr_sparse::KernelAdvisor`],
-//! turning the catalogue into a deterministic predicted-cost argmin
-//! for kernel auto-selection.
+//! measured cost from a model guess. The catalogue prices, refines,
+//! counts and persists; it does not pick kernels — a tile's kernel
+//! comes from the tile's structure alone
+//! ([`kdr_sparse::TileStructure::select`]).
 //!
 //! **Durable store** ([`store`]): a versioned on-disk format (magic,
 //! explicit format version, length-prefixed and checksummed records)
@@ -27,10 +27,7 @@
 pub mod catalogue;
 pub mod store;
 
-pub use catalogue::{
-    CatalogueKey, CatalogueSnapshot, CostCatalogue, CostEstimate, SharedCatalogue,
-    ADVISE_MIN_SAMPLES,
-};
+pub use catalogue::{CatalogueKey, CostCatalogue, CostEstimate, SharedCatalogue};
 pub use store::{
     StoreBundle, StoreError, StoreOperator, StoreSession, StoreTenant, STORE_FORMAT_VERSION,
 };

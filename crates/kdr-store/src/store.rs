@@ -34,7 +34,7 @@ const TAG_CATALOGUE: u8 = 1;
 const TAG_TENANT: u8 = 2;
 const TAG_SESSION: u8 = 3;
 
-/// Wire code meaning "no forced kernel — lower with Auto".
+/// Kernel wire code meaning Auto, the only code this build writes.
 const KERNEL_CODE_AUTO: u8 = 255;
 
 /// Typed failure loading or saving a store. Every malformed input
@@ -161,10 +161,9 @@ pub struct StoreSession {
     pub solver_f0: f64,
     /// Second float solver parameter (bit-exact).
     pub solver_f1: f64,
-    /// Lowered kernel kind to force on rebuild
-    /// ([`KernelKind::code`]), or 255 for Auto. Forcing the recorded
-    /// kind replays the pre-restart lowering decision exactly, even
-    /// if the catalogue has since learned different costs.
+    /// Kernel wire byte: written as Auto (255); a code in an older
+    /// file ([`KernelKind::code`]) is validated, not used. A reopened
+    /// session's tiles pick their kernels from their structure alone.
     pub kernel_code: u8,
     /// Jobs the session had completed (trace metadata: a nonzero
     /// count marks the plan warm).
@@ -174,27 +173,6 @@ pub struct StoreSession {
     pub steps_captured: u64,
     /// The operator to re-register.
     pub operator: StoreOperator,
-}
-
-impl StoreSession {
-    /// The forced kernel on rebuild (`None` = Auto). Errors on an
-    /// unknown (future) code.
-    pub fn forced_kernel(&self) -> Result<Option<KernelKind>, StoreError> {
-        if self.kernel_code == KERNEL_CODE_AUTO {
-            return Ok(None);
-        }
-        KernelKind::from_code(self.kernel_code)
-            .map(Some)
-            .ok_or(StoreError::Malformed {
-                offset: 0,
-                what: "unknown kernel code",
-            })
-    }
-
-    /// Encode a forced-kernel choice as the wire code.
-    pub fn kernel_code_for(kind: Option<KernelKind>) -> u8 {
-        kind.map_or(KERNEL_CODE_AUTO, |k| k.code())
-    }
 }
 
 /// Everything one `save_store` call persists: the cost catalogue plus
@@ -626,7 +604,7 @@ mod tests {
                     solver_p0: 0,
                     solver_f0: 0.0,
                     solver_f1: 0.0,
-                    kernel_code: StoreSession::kernel_code_for(Some(KernelKind::Dia)),
+                    kernel_code: KernelKind::Dia.code(),
                     jobs_completed: 3,
                     steps_captured: 5,
                     operator: StoreOperator::Stencil {

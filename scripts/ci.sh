@@ -126,6 +126,15 @@ if grep -rnwE 'Mapper|ColorAffinityMapper|RoundRobinMapper|remap_color|Rebalance
     exit 1
 fi
 
+# A tile's kernel is chosen from the tile alone (DESIGN §7): under
+# `KernelChoice::Auto`, `TileStructure::select` picks it, and
+# `KernelChoice::Force` is the one override. The catalogue's kernel
+# advice and the store's kernel pin went; neither may come back.
+if grep -rnwE 'KernelAdvisor|CatalogueSnapshot|set_kernel_advisor|lower_advised|with_tuning|forced_kernel|kernel_code_for|ADVISE_MIN_SAMPLES' crates; then
+    echo "ci.sh: crates/ names the deleted kernel advisor or kernel pin again (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing
