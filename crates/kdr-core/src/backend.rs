@@ -602,12 +602,6 @@ pub trait Backend<T: Scalar>: Send {
         scalars.iter().map(|&s| self.scalar_get(s)).collect()
     }
 
-    /// Stamp all subsequently issued tasks with a scheduling
-    /// priority (`0` = normal; `>0` routes through the runtime's
-    /// express lanes ahead of the normal backlog). Backends without
-    /// a task runtime ignore it.
-    fn set_task_priority(&mut self, _priority: u8) {}
-
     /// Mark the start of one solver iteration. Backends that trace may
     /// defer the iteration's tasks until [`Backend::step_end`] so a
     /// repeated iteration shape can skip dependence analysis. Default:

@@ -72,9 +72,9 @@
 //! function of its record and of what each call's lowering reads from
 //! the backend: the pieces and buffers of the vectors named, the
 //! scalar slots named, the tiles and apply plans of the operator
-//! named, the pooled partials buffer of each `dot_many` position and
-//! width, and the priority recorded with each call. All of those are
-//! reached through the handles in the record, and none is ever
+//! named, and the pooled partials buffer of each `dot_many` position
+//! and width. All of those are reached through the handles in the
+//! record, and none is ever
 //! *replaced* under a handle without ending the cache's **epoch** —
 //! dropping every program (`ExecBackend::new_epoch`, called by
 //! `register_operator` alone). Equal
@@ -85,16 +85,18 @@
 //! captured step's.
 //!
 //! A compiled step (see [`kdr_runtime::trace`]) fuses the step's
-//! tasks per piece colour: the colours this backend stamps for
+//! tasks per home worker: the colours this backend stamps for
 //! affinity — one per `(component, piece)`, shared by the tile task
-//! writing a piece and every vector task on it — are exactly what the
-//! runtime merges by. The colourless scalar tasks fuse into chains: a
-//! scalar task joins the most recent scalar node when it waits on it.
-//! So a replayed CG step is scheduled as `[spmv + dot_partial]`,
-//! `[axpy + axpy + dot_partial]` and `[xpay]` per piece plus
-//! `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 50
-//! scheduled nodes for 101 task bodies. Bodies run in submission
-//! order inside a node, so a replay changes no bit of any vector.
+//! writing a piece and every vector task on it — place a piece's tasks
+//! on worker `colour % W`, and the runtime merges the tasks of one
+//! home. The colourless scalar tasks fuse into chains: a scalar task
+//! joins the most recent scalar node when it waits on it. So a
+//! replayed 16-piece CG step is scheduled, per home worker, as the
+//! `[spmv + dot_partial]`, the `[axpy + axpy + dot_partial]` and the
+//! `[xpay]` of its pieces, plus `[dot_reduce + alpha + −alpha]` and
+//! `[dot_reduce + beta]`: 5 scheduled nodes for 101 task bodies on one
+//! worker, 8 on two. Bodies run in submission order inside a node, so
+//! a replay changes no bit of any vector.
 //! [`ExecMetrics::runtime`]
 //! counts nodes in `tasks_submitted` / `tasks_replayed` /
 //! `tasks_executed` and the folded bodies in `tasks_fused`; per-name
@@ -458,8 +460,8 @@ impl VecOp {
 /// entry too.
 #[derive(Clone, Default, PartialEq)]
 struct StepKey {
-    /// Each call with the task priority current when it was made.
-    ops: Vec<(u8, StepOp)>,
+    /// Each call, in order.
+    ops: Vec<StepOp>,
     /// `(a, b, result slot)` of every `dot_many` pair, in call order:
     /// a `Dots` covers the next `pairs` entries.
     dots: Vec<(BVec, BVec, SRef)>,
@@ -490,15 +492,6 @@ struct Lowered<T> {
     tasks: Vec<TaskBuilder>,
     /// Present when the record had a `scalar_const`.
     consts: Option<ConstCells<T>>,
-    /// Stamped on every task pushed: the priority of the call being
-    /// lowered.
-    priority: u8,
-}
-
-impl<T> Lowered<T> {
-    fn push(&mut self, task: TaskBuilder) {
-        self.tasks.push(task.priority(self.priority));
-    }
 }
 
 /// A cached step: its key and the program a hit replays.
@@ -515,10 +508,6 @@ struct CachedStep<T> {
 /// Threaded execution backend over `kdr-runtime`.
 pub struct ExecBackend<T: Scalar> {
     rt: Arc<Runtime>,
-    /// Priority stamped on every task this backend dispatches
-    /// (0 = normal lane; >0 routes through the executor's express
-    /// lane), recorded with each call.
-    priority: u8,
     vectors: Vec<ExecVec<T>>,
     opsets: Vec<ExecOpSet<T>>,
     handles: Handles,
@@ -588,7 +577,6 @@ impl<T: Scalar> ExecBackend<T> {
     fn build(rt: Arc<Runtime>) -> Self {
         ExecBackend {
             rt,
-            priority: 0,
             vectors: Vec::new(),
             opsets: Vec::new(),
             handles: Handles::default(),
@@ -906,7 +894,7 @@ impl<T: Scalar> ExecBackend<T> {
                 if subset.is_empty() {
                     continue;
                 }
-                out.push(
+                out.tasks.push(
                     TaskBuilder::new("dot_partial")
                         .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
                         .read(&ac.buf, Arc::clone(subset))
@@ -967,7 +955,7 @@ impl<T: Scalar> ExecBackend<T> {
                 }
                 let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
                 tb = tb.write(&dcomp.buf, Arc::clone(subset));
-                out.push(tb.shared_body(move |ctx| {
+                out.tasks.push(tb.shared_body(move |ctx| {
                     let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
                     let s = idx_src.map(|i| ctx.read::<T>(i));
                     let mut d = ctx.write::<T>(idx_dst);
@@ -1007,7 +995,7 @@ impl<T: Scalar> ExecBackend<T> {
         for &(_, _, result) in batch {
             combine = combine.write_all(&self.scalars[result]);
         }
-        out.push(combine.shared_body(move |ctx| {
+        out.tasks.push(combine.shared_body(move |ctx| {
             let p = ctx.read::<T>(0);
             for (j, w) in offsets.windows(2).enumerate() {
                 let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
@@ -1038,7 +1026,7 @@ impl<T: Scalar> ExecBackend<T> {
                 Some((_, residual)) => zero.write(&comp.buf, Arc::clone(residual)),
                 None => zero.write_all(&comp.buf),
             };
-            out.push(zero.shared_body(move |ctx| {
+            out.tasks.push(zero.shared_body(move |ctx| {
                 let mut d = ctx.write::<T>(0);
                 for (lo, n) in runs_of(ctx.subset(0)) {
                     vecops::fill(d.range_mut(lo, n), T::ZERO);
@@ -1064,7 +1052,7 @@ impl<T: Scalar> ExecBackend<T> {
                 .kind()
                 .expect("registered tiles are non-empty")
                 .task_name(t, zero);
-            out.push(
+            out.tasks.push(
                 TaskBuilder::new(name)
                     .read(sbuf, Arc::clone(rsubset))
                     .write(dbuf, Arc::clone(wsubset))
@@ -1093,11 +1081,9 @@ impl<T: Scalar> ExecBackend<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
-            priority: 0,
         };
         let (mut dots_at, mut consts_at, mut pools_at) = (0, 0, 0);
-        for &(priority, op) in &step.key.ops {
-            out.priority = priority;
+        for &op in &step.key.ops {
             match op {
                 StepOp::Vector {
                     op,
@@ -1122,7 +1108,7 @@ impl<T: Scalar> ExecBackend<T> {
                         .get_or_insert_with(|| Arc::new(Mutex::new(step.consts.clone())));
                     let (cells, k) = (Arc::clone(cells), consts_at);
                     consts_at += 1;
-                    out.push(
+                    out.tasks.push(
                         TaskBuilder::new("scalar_set")
                             .write_all(&self.scalars[slot])
                             .shared_body(move |ctx| {
@@ -1136,7 +1122,7 @@ impl<T: Scalar> ExecBackend<T> {
                     a,
                     b,
                     out: slot,
-                } => out.push(
+                } => out.tasks.push(
                     TaskBuilder::new("scalar_binop")
                         .read_all(&self.scalars[a])
                         .read_all(&self.scalars[b])
@@ -1147,7 +1133,7 @@ impl<T: Scalar> ExecBackend<T> {
                             ctx.write::<T>(2).set(0, op.eval(x, y));
                         }),
                 ),
-                StepOp::Unop { op, a, out: slot } => out.push(
+                StepOp::Unop { op, a, out: slot } => out.tasks.push(
                     TaskBuilder::new("scalar_unop")
                         .read_all(&self.scalars[a])
                         .write_all(&self.scalars[slot])
@@ -1299,19 +1285,10 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             .resize_with(slots, || Buffer::filled(1, T::ZERO));
         self.step.key.dots.extend_from_slice(dots);
         self.step.consts.extend(value);
-        self.step.key.ops.push((self.priority, op));
+        self.step.key.ops.push(op);
         if !self.deferring {
             self.submit_recorded(false);
         }
-    }
-
-    /// Stamp every task this backend dispatches from now on with a
-    /// scheduling priority (0 = normal, >0 = the executor's express
-    /// lane). A step program keeps the priorities it was recorded
-    /// with, so a step recorded under a new priority is a new program;
-    /// going back to an earlier priority finds the earlier programs.
-    fn set_task_priority(&mut self, priority: u8) {
-        self.priority = priority;
     }
 
     fn scalar_get(&mut self, s: SRef) -> T {
@@ -1750,32 +1727,34 @@ mod tests {
     }
 
     #[test]
-    fn solver_steps_compile_to_three_nodes_per_piece() {
-        // CG: per piece [spmv + dot_partial], [axpy + axpy +
-        // dot_partial], [xpay]; the five scalar tasks are two chains,
-        // [dot_reduce, alpha, -alpha] and [dot_reduce, beta].
+    fn on_two_workers_solver_steps_compile_to_two_nodes_per_phase() {
+        // Two workers: the sixteen pieces' colours have two homes, so
+        // each phase is two nodes. CG: [spmv + dot_partial] × 8 twice,
+        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial] × 8
+        // twice, [dot_reduce, beta], [xpay] × 8 twice.
         let cg = compiled_step_sizes(2, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 16 * 3 + 2)), "{cg:?}");
-        // PCG adds the Jacobi apply and a second partial per piece,
-        // both inside the middle node.
+        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 3 * 2 + 2)), "{cg:?}");
+        // PCG: the same, the Jacobi apply and second partial in the
+        // middle phase.
         let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::PcgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(
-            pcg.iter().all(|&s| s == (16 * 8 + 5, 16 * 3 + 2)),
-            "{pcg:?}"
-        );
-        // BiCGStab: two SpMVs and three reduction stages per step cut
-        // the pieces' chains into 72 nodes; the 13 scalar tasks are
-        // five chains — [dot_reduce, alpha, -alpha], [dot_reduce],
-        // [tiny, tt + tiny, omega, -omega], [dot_reduce, rho'/rho],
-        // [alpha/omega, beta, -omega]. The constant `tiny` depends on
-        // nothing, so it opens a node, and the chain from the second
-        // dot_reduce continues in that one.
+        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 3 * 2 + 2)), "{pcg:?}");
+        // BiCGStab: its three reduction stages cut the pieces' tasks
+        // into four phases of two nodes, but for one: in the phase of
+        // the second SpMV, each piece's SpMV reads its neighbours'
+        // `s`, written in the other home's node, so the odd home's
+        // SpMVs would close a cycle with the even home's node and open
+        // a third. The 13 scalar tasks are five chains —
+        // [dot_reduce, alpha, -alpha], [dot_reduce], [tiny, tt + tiny,
+        // omega, -omega], [dot_reduce, rho'/rho], [alpha/omega, beta,
+        // -omega]. The constant `tiny` depends on nothing, so it opens
+        // a node, and the chain from the second dot_reduce continues
+        // in that one.
         let bicgstab = compiled_step_sizes(2, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
         assert!(
-            bicgstab.iter().all(|&s| s == (16 * 15 + 13, 72 + 5)),
+            bicgstab.iter().all(|&s| s == (16 * 15 + 13, 4 * 2 + 1 + 5)),
             "{bicgstab:?}"
         );
     }

@@ -439,13 +439,6 @@ impl<T: Scalar> Planner<T> {
         self.backend.lock().set_zero(d);
     }
 
-    /// Stamp all subsequently issued tasks with a scheduling priority
-    /// (`0` = normal; `>0` routes through the runtime's express
-    /// lanes). A no-op on backends without a task runtime.
-    pub fn set_task_priority(&mut self, priority: u8) {
-        self.backend.lock().set_task_priority(priority);
-    }
-
     fn bvec(&self, v: VecId) -> BVec {
         self.vectors[v].0
     }

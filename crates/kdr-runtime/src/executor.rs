@@ -88,12 +88,10 @@
 //! was scheduled under (the id of a fused member, which belongs to its
 //! node's first member's slot), reads as "already finished".
 //!
-//! Ready nodes wait in two priority lanes — express (`priority > 0`)
-//! and normal — each one FIFO queue per worker. A worker takes from
-//! the express lane before the normal one, and within a lane from its
-//! own queue, then its peers' queues in ring order; a waiting driver
-//! has no queue of its own and takes from the workers' queues in the
-//! same ring order.
+//! Ready nodes wait in one FIFO queue per worker. A worker takes from
+//! its own queue, then its peers' queues in ring order; a waiting
+//! driver has no queue of its own and takes from the workers' queues
+//! in the same ring order.
 //!
 //! # Fault tolerance
 //!
@@ -291,20 +289,17 @@ impl Slot {
     }
 }
 
-/// The ready nodes, one FIFO queue per worker in each of two lanes:
-/// the express lane (`priority > 0`), drained before everything else,
-/// and the normal lane.
+/// The ready nodes, one FIFO queue per worker.
 struct ReadyQueues {
-    lanes: [Vec<VecDeque<Runnable>>; 2],
+    queues: Vec<VecDeque<Runnable>>,
     /// The worker the next colourless node is dealt to.
     next_colourless: usize,
 }
 
 impl ReadyQueues {
     fn new(workers: usize) -> Self {
-        let lane = || (0..workers).map(|_| VecDeque::new()).collect();
         ReadyQueues {
-            lanes: [lane(), lane()],
+            queues: (0..workers).map(|_| VecDeque::new()).collect(),
             next_colourless: 0,
         }
     }
@@ -317,37 +312,31 @@ impl ReadyQueues {
     /// wait for, at its last predecessor's retirement otherwise.
     fn push(&mut self, mut node: Runnable, ready_ns: u64) {
         node.ready_ns = ready_ns;
-        let meta = node.head().1;
-        let lane = &mut self.lanes[usize::from(meta.priority == 0)];
-        let w = match meta.color {
-            Some(c) => c % lane.len(),
+        let n = self.queues.len();
+        let w = match node.head().1.color {
+            Some(c) => c % n,
             None => {
                 let w = self.next_colourless;
-                self.next_colourless = (w + 1) % lane.len();
+                self.next_colourless = (w + 1) % n;
                 w
             }
         };
-        lane[w].push_back(node);
+        self.queues[w].push_back(node);
     }
 
     /// Take the next node for lane `me` — a worker, or the driver
     /// lane one past the last worker, which has no queue of its own —
-    /// and whether it came off another lane's queue: the express lane
-    /// first (own queue, then the others' in ring order), then the
-    /// same order through the normal lane.
+    /// and whether it came off another lane's queue: its own queue
+    /// first, then the others' in ring order.
     fn pop(&mut self, me: usize) -> Option<(Runnable, bool)> {
-        for lane in &mut self.lanes {
-            if let Some(r) = lane.get_mut(me).and_then(VecDeque::pop_front) {
-                return Some((r, false));
-            }
-            let n = lane.len();
-            for other in (1..=n).map(|off| (me + off) % n).filter(|&w| w != me) {
-                if let Some(r) = lane[other].pop_front() {
-                    return Some((r, true));
-                }
-            }
+        if let Some(r) = self.queues.get_mut(me).and_then(VecDeque::pop_front) {
+            return Some((r, false));
         }
-        None
+        let n = self.queues.len();
+        (1..=n)
+            .map(|off| (me + off) % n)
+            .filter(|&w| w != me)
+            .find_map(|w| self.queues[w].pop_front().map(|r| (r, true)))
     }
 }
 
@@ -1441,11 +1430,10 @@ mod tests {
         Runnable::single(member(id, TaskMeta::new("test").with_color(color), f))
     }
 
-    /// The ids queued on each worker of lane `lane` (0 express, 1
-    /// normal), front first.
-    fn queued(q: &ReadyQueues, lane: usize) -> Vec<Vec<TaskId>> {
+    /// The ids queued on each worker, front first.
+    fn queued(q: &ReadyQueues) -> Vec<Vec<TaskId>> {
         let ids = |w: &VecDeque<Runnable>| w.iter().map(Runnable::id).collect();
-        q.lanes[lane].iter().map(ids).collect()
+        q.queues.iter().map(ids).collect()
     }
 
     #[test]
@@ -1461,13 +1449,9 @@ mod tests {
         for id in 4..8 {
             q.push(node(id, plain), 0);
         }
-        // An express node keeps to its own lane.
-        q.push(node(8, plain.with_color(4).with_priority(1)), 0);
-        assert_eq!(queued(&q, 1), vec![vec![2, 4, 7], vec![0, 3, 5], vec![1, 6]]);
-        assert_eq!(queued(&q, 0), vec![vec![], vec![8], vec![]]);
+        assert_eq!(queued(&q), vec![vec![2, 4, 7], vec![0, 3, 5], vec![1, 6]]);
         let mut pop = |me| q.pop(me).map(|(r, stolen)| (r.id(), stolen));
-        // The express lane first, then the worker's own queue.
-        assert_eq!(pop(1), Some((8, false)));
+        // A worker's own queue first.
         assert_eq!(pop(1), Some((0, false)));
         assert_eq!(pop(2), Some((1, false)));
         assert_eq!(pop(2), Some((6, false)));
@@ -1793,44 +1777,5 @@ mod tests {
             ex.fence().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 1000);
-    }
-
-    #[test]
-    fn express_lane_runs_before_normal_backlog() {
-        // One worker, blocked on a gate while we build a backlog of
-        // normal-lane tasks and one express task. When the gate
-        // opens, the express task must run before any backlog task.
-        let ex = Executor::new(1);
-        let gate = Arc::new(AtomicUsize::new(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&gate);
-        ex.submit(
-            runnable(0, move || {
-                while g.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-            }),
-            &[],
-        );
-        for id in 1..=8u64 {
-            let o = Arc::clone(&order);
-            ex.submit(
-                runnable(id, move || {
-                    o.lock().push(id);
-                }),
-                &[],
-            );
-        }
-        let o = Arc::clone(&order);
-        let express = TaskMeta::new("test").with_priority(1);
-        let hi = Runnable::single(member(99, express, move || {
-            o.lock().push(99);
-        }));
-        ex.submit(hi, &[]);
-        gate.store(1, Ordering::Release);
-        ex.fence().unwrap();
-        let seen = order.lock().clone();
-        assert_eq!(seen.len(), 9);
-        assert_eq!(seen[0], 99, "express task must jump the backlog");
     }
 }

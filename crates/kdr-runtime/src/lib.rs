@@ -22,7 +22,9 @@
 //! partition, and *dynamic tracing* memoizes the dependence analysis
 //! of a repeated task sequence (after Lee et al., SC'18, which the
 //! paper cites for exactly this purpose) and compiles it into a step
-//! graph whose same-colour tasks replay fused ([`trace`]).
+//! graph whose tasks with one home worker `c % W` replay fused
+//! ([`trace`]). There is one ready queue per worker and no task
+//! priority: where a task runs is its colour alone.
 //!
 //! ## Safety model
 //!

@@ -35,33 +35,17 @@ pub struct TaskMeta {
     /// an index launch: the task runs on worker `color % W` unless a
     /// peer steals it.
     pub color: Option<usize>,
-    /// Scheduling priority: 0 is the normal lane, anything greater
-    /// routes the task through the executor's express lane, which
-    /// workers drain before normal work.
-    pub priority: u8,
 }
 
 impl TaskMeta {
-    /// Metadata with the given kernel name, no color and normal
-    /// priority.
+    /// Metadata with the given kernel name and no color.
     pub fn new(name: &'static str) -> Self {
-        TaskMeta {
-            name,
-            color: None,
-            priority: 0,
-        }
+        TaskMeta { name, color: None }
     }
 
     /// Attach an index-launch color.
     pub fn with_color(mut self, color: usize) -> Self {
         self.color = Some(color);
-        self
-    }
-
-    /// Attach a scheduling priority (0 = normal lane, >0 = express
-    /// lane drained ahead of normal work).
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -191,20 +175,13 @@ impl TaskBuilder {
         });
     }
 
-    /// Attach scheduling metadata (color, priority). The task keeps
-    /// the name it was built with.
+    /// Attach scheduling metadata (its color). The task keeps the name
+    /// it was built with.
     pub fn meta(mut self, meta: TaskMeta) -> Self {
         self.meta = TaskMeta {
             name: self.name,
             ..meta
         };
-        self
-    }
-
-    /// Set the scheduling priority without replacing the rest of the
-    /// metadata (0 = normal lane, >0 = express lane).
-    pub fn priority(mut self, priority: u8) -> Self {
-        self.meta.priority = priority;
         self
     }
 
@@ -308,10 +285,9 @@ mod tests {
 
     #[test]
     fn meta_builders() {
-        let m = TaskMeta::new("spmv").with_color(3).with_priority(2);
+        let m = TaskMeta::new("spmv").with_color(3);
         assert_eq!(m.name, "spmv");
         assert_eq!(m.color, Some(3));
-        assert_eq!(m.priority, 2);
     }
 
     #[test]

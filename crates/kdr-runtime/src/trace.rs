@@ -34,60 +34,49 @@
 //!
 //! `end_trace` does not keep the capture as a per-task dependence
 //! list: it *compiles* it into a step graph of scheduled **nodes**.
-//! Walking the captured tasks in submission order, a task that carries
-//! a colour joins the most recent node of the same colour
-//! (any colour, on one worker: below) whenever the node graph stays
-//! acyclic with it inside — that is,
-//! unless one of the task's dependences sits in another node that
-//! already (transitively) waits on that node. A colourless task joins
-//! the most recent colourless node under the same acyclicity test and
-//! two more conditions: one of its dependences is in that node (it
-//! extends a chain), and every member of the node has its priority.
-//! Otherwise a task opens a new node, so an independent colourless
-//! task runs, and fails, on its own. A node waits for the union of its
-//! members' outside dependences, runs their bodies back to back in
-//! submission order on one worker, and releases its successors when
-//! the last body returns. Every captured edge therefore ends up
-//! either inside a node (honoured by the in-order run) or between an
-//! earlier and a later node (honoured by the scheduler), which is why
-//! a fused replay leaves every bit of every buffer as the task-by-task
-//! run left it.
+//! Walking the captured tasks in submission order, a task of colour
+//! `c` joins the most recent coloured node with the same *home worker*
+//! `c % W` — the worker the executor queues colour `c` on, so on one
+//! worker that is every coloured node — whenever the node graph stays
+//! acyclic with it inside, that is, unless one of the task's
+//! dependences sits in another node that already (transitively) waits
+//! on that node. A colourless task joins the most recent colourless
+//! node under the same acyclicity test and one more condition: one of
+//! its dependences is in that node (it extends a chain). Otherwise a
+//! task opens a new node, so an independent colourless task runs, and
+//! fails, on its own. A node waits for the union of its members'
+//! outside dependences, runs their bodies back to back in submission
+//! order on one worker, and releases its successors when the last
+//! body returns. Every captured edge therefore ends up either inside a
+//! node (honoured by the in-order run) or between an earlier and a
+//! later node (honoured by the scheduler), which is why a fused replay
+//! leaves every bit of every buffer as the task-by-task run left it.
 //!
-//! On a runtime with **one worker**, every colour has the same home
-//! (the executor queues colour `c` on worker `c % W`), so a colour is
-//! no placement at all there: every coloured task fuses by
-//! one key and joins the most recent coloured node of *any* colour,
-//! under the same acyclicity test. The colourless rule does not
-//! change. Members still run in submission order and every captured
-//! edge is still honoured, so the bits are those of the per-colour
-//! nodes. With more than one worker the key is the colour.
-//!
-//! A 16-piece CG step compiles from 101 tasks to 50 nodes per
-//! iteration on more than one worker: `[spmv + dot_partial]`, `[axpy +
-//! axpy + dot_partial]` and `[xpay]` per piece, plus its five scalar
-//! tasks as two chains, `[dot_reduce + alpha + −alpha]` and
-//! `[dot_reduce + beta]`. On one worker it is 5 nodes, one per phase:
-//! the sixteen `[spmv + dot_partial]` as one node, the first chain,
-//! the sixteen `[axpy + axpy + dot_partial]`, the second chain, the
-//! sixteen `[xpay]`. This costs no parallelism worth having: the
-//! tasks of one colour were already queued on one worker and ran there
-//! one after another (unless stolen) — on one worker, the tasks of
-//! every colour; the node only stops paying a queue round trip and a
-//! retirement between them.
-//! What is given up is the chance that a thief picks up the second half
-//! of a colour's chain while the first half's successor work is
-//! elsewhere, and on one worker, that a waiting driver runs part of a
-//! phase beside the worker. A scalar chain gives up less: its members
-//! are sub-microsecond bodies that mostly wait on one another anyway,
-//! and the node saves a queue round trip, a retirement and a possible
-//! hand-off to another thread per link.
+//! The fusion key is the placement rule, so a node's members are tasks
+//! that would have been queued on its worker anyway. A 16-piece CG
+//! step (101 tasks) compiles to one node per phase and home worker:
+//! on one worker 5 nodes — the sixteen `[spmv + dot_partial]`, the
+//! scalar chain `[dot_reduce + alpha + −alpha]`, the sixteen `[axpy +
+//! axpy + dot_partial]`, the chain `[dot_reduce + beta]`, the sixteen
+//! `[xpay]` — and on `W` workers `W` nodes for each of the three
+//! vector phases plus the two chains. This costs no parallelism worth
+//! having: the tasks of one home were already queued on one worker and
+//! ran there one after another (unless stolen); the node only stops
+//! paying a queue round trip and a retirement between them. What is
+//! given up is the chance that a thief picks up the second half of a
+//! home's work while the first half's successor work is elsewhere, and
+//! that a waiting driver runs part of a phase beside the worker. A
+//! scalar chain gives up less: its members are sub-microsecond bodies
+//! that mostly wait on one another anyway, and the node saves a queue
+//! round trip, a retirement and a possible hand-off to another thread
+//! per link.
 //!
 //! Nodes are stored topologically sorted with in-degrees and successor
 //! lists, so a replay hands the executor a graph it can install
 //! without looking anything up.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -137,19 +126,15 @@ struct Group {
 impl StepGraph {
     /// Compile a captured step for a runtime of `workers` workers.
     /// `deps[i]` lists the earlier tasks that task `i` waits on,
-    /// `metas[i]` is its scheduling metadata (what it fuses by: its
-    /// colour, and the priority of a colourless one).
+    /// `metas[i]` is its scheduling metadata (a coloured task fuses by
+    /// its home worker, `colour % workers`).
     pub(crate) fn compile(deps: &[Vec<usize>], metas: &[TaskMeta], workers: usize) -> StepGraph {
         let n = deps.len();
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(n);
-        // What a coloured task fuses by: its colour, or — with one
-        // worker, where every colour has the same home — one key for
-        // all of them.
-        let key = |c: usize| if workers == 1 { 0 } else { c };
-        // Most recent group per key, and the most recent colourless
-        // one: the only merge candidates.
-        let mut open: HashMap<usize, usize> = HashMap::new();
+        // Most recent group per home worker, and the most recent
+        // colourless one: the only merge candidates.
+        let mut open: Vec<Option<usize>> = vec![None; workers];
         let mut open_colourless: Option<usize> = None;
         // Visit marks of the reachability walk, one generation per query.
         let mut seen: Vec<usize> = Vec::new();
@@ -159,15 +144,10 @@ impl StepGraph {
             dep_groups.sort_unstable();
             dep_groups.dedup();
             let candidate = match metas[i].color {
-                Some(c) => open.get(&key(c)).copied(),
+                Some(c) => open[c % workers],
                 // A colourless task extends a chain: it joins only a
-                // node holding one of its dependences, whose members
-                // all share its priority (a node runs in its first
-                // member's lane).
-                None => open_colourless.filter(|&g| {
-                    dep_groups.binary_search(&g).is_ok()
-                        && metas[groups[g].members[0]].priority == metas[i].priority
-                }),
+                // node holding one of its dependences.
+                None => open_colourless.filter(|&g| dep_groups.binary_search(&g).is_ok()),
             };
             let target = candidate.filter(|&g| {
                 // Joining `g` makes `g` wait on every other group in
@@ -196,9 +176,7 @@ impl StepGraph {
                     });
                     let g = groups.len() - 1;
                     match metas[i].color {
-                        Some(c) => {
-                            open.insert(key(c), g);
-                        }
+                        Some(c) => open[c % workers] = Some(g),
                         None => open_colourless = Some(g),
                     }
                     g

@@ -4,14 +4,14 @@
 //! * Random task programs (random buffers, colours and privileges,
 //!   subsets that are whole ranges or gappy like a scatter tile's
 //!   footprint, so dominance pruning and overlap see several runs a
-//!   side, and colourless chains in two priority lanes) leave every
+//!   side, and colourless chains) leave every
 //!   buffer bitwise as a sequential in-order oracle leaves it, whether
 //!   submitted through analysis, captured once and replayed with
 //!   rebuilt tasks, or captured as a step program and run again with
 //!   the bodies it holds, and their compiled graphs keep every captured
 //!   edge inside a node or pointing from an earlier node to a later
-//!   one, and fuse only what the merge rules allow (coloured tasks of
-//!   different colours only on one worker). The submitting
+//!   one, and fuse only what the merge rules allow (coloured tasks
+//!   only with tasks of the same home worker `colour % W`). The submitting
 //!   thread fences at seeded points of each program — after some tasks
 //!   of an analyzed round, after some replays — and so runs nodes
 //!   itself, fused ones included, in an order no worker would have.
@@ -21,8 +21,8 @@
 //!   ones are dropped, successors are poisoned, and the runtime works
 //!   again once the failure is taken. A chain is a node like any other.
 //! * Fault-plan decisions, task counts and spans stay per body, with a
-//!   node per colour on two workers and one node for all colours on
-//!   one.
+//!   node per home worker: two on two workers for four colours, one on
+//!   one worker.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,13 +43,11 @@ struct Req {
     write: bool,
 }
 
-/// One random task: its declared accesses, colour, priority and a
-/// constant.
+/// One random task: its declared accesses, colour and a constant.
 #[derive(Clone, Debug)]
 struct Op {
     reqs: Vec<Req>,
     color: Option<usize>,
-    priority: u8,
     c: f64,
 }
 
@@ -105,7 +103,7 @@ fn bits(bufs: &[Vec<f64>]) -> Vec<Vec<u64>> {
 
 /// `op` with its accesses declared, body still to come.
 fn declared(op: &Op, bufs: &[Buffer<f64>]) -> TaskBuilder {
-    let mut t = TaskBuilder::new("op").priority(op.priority);
+    let mut t = TaskBuilder::new("op");
     if let Some(c) = op.color {
         t = t.meta(TaskMeta::new("op").with_color(c));
     }
@@ -162,9 +160,8 @@ fn snapshot(bufs: &[Buffer<f64>]) -> Vec<Vec<u64>> {
 /// to a later one — which also says the node graph is acyclic — and
 /// every node is one the merge rules allow: its members are all
 /// coloured or all colourless, coloured ones share the first member's
-/// colour unless the runtime has one worker, and colourless members
-/// also share its priority and each waits on an earlier member (a
-/// chain).
+/// home worker `colour % workers`, and each colourless member waits on
+/// an earlier member (a chain).
 fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op], workers: usize) {
     assert!(trace.num_nodes() <= trace.len());
     let mut first: Vec<Option<usize>> = vec![None; trace.num_nodes()];
@@ -188,17 +185,13 @@ fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op], workers: usize) {
             ops[head].color.is_some(),
             "task {i} joined node {node} across coloured and colourless"
         );
-        if workers > 1 {
-            assert_eq!(
-                op.color, ops[head].color,
-                "task {i} joined node {node} across colours"
-            );
-        }
+        let home = |op: &Op| op.color.map(|c| c % workers);
+        assert_eq!(
+            home(op),
+            home(&ops[head]),
+            "task {i} joined node {node} across home workers"
+        );
         if op.color.is_none() {
-            assert_eq!(
-                op.priority, ops[head].priority,
-                "task {i} joined node {node} across lanes"
-            );
             assert!(
                 trace.deps_of(i).iter().any(|&d| trace.node_of(d) == node),
                 "colourless task {i} joined node {node} without waiting on a member"
@@ -246,16 +239,13 @@ fn arb_op(nbuf: usize) -> impl Strategy<Value = Op> {
         .prop_map(|(mut reqs, kind, c)| {
             // Four in eight tasks carry no colour. Three of those are
             // links of a scalar chain: they also update one shared
-            // cell, so each waits on the link before it, and one of
-            // the three runs in the express lane, which a chain of the
-            // normal lane must not take in.
+            // cell, so each waits on the link before it.
             if kind >= 5 {
                 reqs.push(chain_cell());
             }
             Op {
                 reqs,
                 color: (kind < 4).then_some(kind),
-                priority: u8::from(kind == 7),
                 c: f64::from(c) * 0.375,
             }
         })
@@ -467,14 +457,14 @@ fn a_panicking_member_fails_its_node_and_the_runtime_recovers() {
     assert_eq!(values(&cells), [3.0, 2.0, 2.0, 20.0, 3.0]);
 }
 
-/// `n` tasks named `w` on private cells, colours alternating between
-/// two, so the compiled order (all of colour 0, then all of colour 1)
-/// differs from submission order.
+/// `n` tasks named `w` on private cells, colours cycling through four,
+/// so on two workers the compiled order (all of home worker 0, then
+/// all of home worker 1) differs from submission order.
 fn alternating(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
     cells
         .iter()
         .enumerate()
-        .map(|(i, b)| bump("w", Some(i % 2), b))
+        .map(|(i, b)| bump("w", Some(i % 4), b))
         .collect()
 }
 
@@ -522,7 +512,7 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
             let w = ctx.write::<f64>(0);
             w.set(0, w.get(0) + 1.0);
         };
-        let colored = |i: usize| TaskBuilder::new("w").meta(TaskMeta::new("w").with_color(i % 2));
+        let colored = |i: usize| TaskBuilder::new("w").meta(TaskMeta::new("w").with_color(i % 4));
         let tasks = cells.iter().enumerate();
         tasks.map(|(i, b)| colored(i).write_all(b).shared_body(bump)).collect()
     };
@@ -611,7 +601,8 @@ fn assert_one_node(members: &[&TaskSpan]) {
 
 #[test]
 fn accounting_counts_nodes_and_logs_bodies() {
-    // Two workers: one node per colour.
+    // Two workers: one node per home worker, colours 0 and 2 in one,
+    // 1 and 3 in the other.
     let (replayed, ids) = replay_alternating(2, 2);
     let node0: Vec<_> = replayed.iter().filter(|s| (s.id - ids[0]) % 2 == 0).collect();
     assert_one_node(&node0);
@@ -638,9 +629,8 @@ fn scale_into(name: &'static str, src: &Buffer<f64>, dst: &Buffer<f64>) -> TaskB
 
 /// A coloured task, then colourless ones: a reader of the coloured
 /// node's cell and two links after it (one chain), an independent
-/// task, an express-lane task waiting on that one, and a task waiting
-/// on the chain after the chain stopped being the most recent
-/// colourless node.
+/// task, and a task waiting on the chain after the chain stopped being
+/// the most recent colourless node.
 fn chain_step(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
     vec![
         bump("coloured", Some(1), &cells[0]),
@@ -648,7 +638,6 @@ fn chain_step(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
         bump("link", None, &cells[1]),
         scale_into("link", &cells[1], &cells[2]),
         bump("independent", None, &cells[3]),
-        scale_into("express", &cells[3], &cells[4]).priority(1),
         bump("late", None, &cells[2]),
     ]
 }
@@ -656,7 +645,7 @@ fn chain_step(cells: &[Buffer<f64>]) -> Vec<TaskBuilder> {
 #[test]
 fn a_colourless_chain_fuses_and_nothing_else_joins_it() {
     let rt = Runtime::new(2);
-    let cells: Vec<Buffer<f64>> = (0..5).map(|_| Buffer::filled(1, 0.0)).collect();
+    let cells: Vec<Buffer<f64>> = (0..4).map(|_| Buffer::filled(1, 0.0)).collect();
     rt.begin_trace().unwrap();
     for t in chain_step(&cells) {
         rt.submit(t).unwrap();
@@ -674,18 +663,15 @@ fn a_colourless_chain_fuses_and_nothing_else_joins_it() {
         (node[1], node[1]),
         "the chain did not fuse"
     );
-    // Independent: a node of its own, which the express task may not
-    // join, and which leaves `late` without a chain to extend.
-    assert!(node[4] != node[1] && node[5] != node[4], "{node:?}");
-    assert!(
-        node[6] != node[1] && node[6] != node[4] && node[6] != node[5],
-        "{node:?}"
-    );
-    assert_eq!(trace.num_nodes(), 5);
+    // Independent: a node of its own, which leaves `late` without a
+    // chain to extend.
+    assert!(node[4] != node[1], "{node:?}");
+    assert!(node[5] != node[1] && node[5] != node[4], "{node:?}");
+    assert_eq!(trace.num_nodes(), 4);
 
     // Replays leave what analyzed submission leaves.
     let analyzed = Runtime::new(2);
-    let expect: Vec<Buffer<f64>> = (0..5).map(|_| Buffer::filled(1, 0.0)).collect();
+    let expect: Vec<Buffer<f64>> = (0..4).map(|_| Buffer::filled(1, 0.0)).collect();
     for _ in 0..3 {
         for t in chain_step(&expect) {
             analyzed.submit(t).unwrap();
@@ -698,7 +684,7 @@ fn a_colourless_chain_fuses_and_nothing_else_joins_it() {
     rt.fence().unwrap();
     assert_eq!(snapshot(&cells), snapshot(&expect));
     let m = rt.metrics();
-    assert_eq!((m.tasks_replayed, m.tasks_fused), (2 * 5, 2 * 2));
+    assert_eq!((m.tasks_replayed, m.tasks_fused), (2 * 4, 2 * 2));
 }
 
 /// A coloured pair around a colourless chain of three and an

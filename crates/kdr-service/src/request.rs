@@ -31,9 +31,6 @@ pub struct SolveRequest {
     ///
     /// [`cancel_job`]: crate::ShardedService::cancel_job
     pub control: SolveControl,
-    /// Scheduling priority (`0` = normal; `>0` additionally routes
-    /// the job's runtime tasks through the executor's express lanes).
-    pub priority: u8,
     /// Absolute completion deadline. Admission rejects deadlines the
     /// queue cannot plausibly meet; past admission, the deadline
     /// cancels the job cooperatively at iteration granularity.
@@ -49,13 +46,12 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A normal-priority, deadline-free request with one RHS.
+    /// A deadline-free request with one RHS.
     pub fn new(session: SessionId, rhs: Vec<f64>, control: SolveControl) -> Self {
         SolveRequest {
             session,
             rhs_batch: vec![rhs],
             control,
-            priority: 0,
             deadline: None,
             capture_history: false,
         }

@@ -766,8 +766,8 @@ impl ShardEngine {
                     // Migration restore: rebuild the solver from the
                     // checkpointed iterate (r = b − A·x recomputed by
                     // the constructor — restart semantics).
-                    Some(sol) => session.begin_solve_resumed(rhs, a.request.priority, &sol),
-                    None => session.begin_solve(rhs, a.request.priority),
+                    Some(sol) => session.begin_solve_resumed(rhs, &sol),
+                    None => session.begin_solve(rhs),
                 };
                 a.solver = Some(solver);
                 a.ws_mark = mark;
@@ -870,7 +870,7 @@ impl ShardEngine {
 fn prewarm_session(sess: &mut Session) {
     let rhs = vec![1.0; sess.unknowns() as usize];
     let control = kdr_core::SolveControl::fixed(2);
-    let (mut solver, mark) = sess.begin_solve(&rhs, 0);
+    let (mut solver, mark) = sess.begin_solve(&rhs);
     let mut driver = StepDriver::new();
     if let Ok(None) = driver.preflight(sess.planner_mut(), solver.as_mut(), &control, None) {
         while matches!(

@@ -232,12 +232,10 @@ impl Session {
     }
 
     /// Start one solve within a job: install the RHS, zero the
-    /// iterate, stamp the task priority, and build the solver.
-    /// Returns the solver and the workspace mark to release in
-    /// [`Session::end_solve`].
-    pub fn begin_solve(&mut self, rhs: &[f64], priority: u8) -> (Box<dyn Solver<f64>>, usize) {
+    /// iterate, and build the solver. Returns the solver and the
+    /// workspace mark to release in [`Session::end_solve`].
+    pub fn begin_solve(&mut self, rhs: &[f64]) -> (Box<dyn Solver<f64>>, usize) {
         self.planner.set_rhs_data(0, rhs);
-        self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
         self.planner.zero(SOL);
         let solver = self.solver_kind().build(&mut self.planner);
@@ -256,11 +254,9 @@ impl Session {
     pub fn begin_solve_resumed(
         &mut self,
         rhs: &[f64],
-        priority: u8,
         sol: &[Vec<f64>],
     ) -> (Box<dyn Solver<f64>>, usize) {
         self.planner.set_rhs_data(0, rhs);
-        self.planner.set_task_priority(priority);
         let mark = self.planner.workspace_mark();
         for (c, data) in sol.iter().enumerate() {
             self.planner.set_sol_data(c, data);
@@ -288,11 +284,9 @@ impl Session {
     }
 
     /// Finish one solve: release pooled workspace (keeping buffer
-    /// ids stable for the next solver rebuild) and restore normal
-    /// priority.
+    /// ids stable for the next solver rebuild).
     pub fn end_solve(&mut self, mark: usize) {
         self.planner.release_workspace_from(mark);
-        self.planner.set_task_priority(0);
         self.jobs_completed += 1;
     }
 }

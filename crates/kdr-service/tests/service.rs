@@ -319,23 +319,6 @@ fn rhs_batches_solve_sequentially_in_one_job() {
 }
 
 #[test]
-fn priority_jobs_route_through_express_lanes() {
-    let svc = service(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
-    svc.register_tenant(1, 1);
-    let sid = svc.create_session(1, spec(12, 12, 3, SolverKind::Cg)).unwrap();
-    let n = 12 * 12;
-    let mut r = SolveRequest::new(sid, rhs_vector::<f64>(n, 1), control());
-    r.priority = 1;
-    svc.submit(1, r).unwrap();
-    svc.run_until_idle();
-    let resp = svc.take_responses();
-    assert!(resp[0].outcome.is_converged(), "express-lane job solves");
-}
-
-#[test]
 fn chrome_trace_tags_spans_per_tenant() {
     let svc = service(ServiceConfig {
         workers: 2,
@@ -498,7 +481,7 @@ fn twelve_jobs_on_one_session_do_not_age() {
     let mut session = Session::new(rt, 1, spec(16, 16, 4, SolverKind::Cg));
     let rhs = rhs_vector::<f64>(16 * 16, 42);
     let job = |session: &mut Session| {
-        let (mut solver, mark) = session.begin_solve(&rhs, 0);
+        let (mut solver, mark) = session.begin_solve(&rhs);
         let (report, trace) = solve_traced(session.planner_mut(), solver.as_mut(), control());
         assert!(report.expect("CG on a Laplacian does not break down").converged);
         drop(solver);

@@ -45,21 +45,22 @@ pub fn read_matrix_market<T: Scalar, R: BufRead>(reader: R) -> Result<Triples<T>
     let header = lines
         .next()
         .ok_or_else(|| MmError::Parse("empty stream".into()))??;
-    let header_lc = header.to_lowercase();
-    if !header_lc.starts_with("%%matrixmarket") {
-        return Err(MmError::Parse(format!("bad header: {header}")));
-    }
-    if !header_lc.contains("coordinate") || !header_lc.contains("real") {
-        return Err(MmError::Parse(
-            "only `coordinate real` matrices are supported".into(),
-        ));
-    }
-    let symmetric = header_lc.contains("symmetric");
-    if !symmetric && !header_lc.contains("general") {
-        return Err(MmError::Parse(
-            "only `general` and `symmetric` symmetry are supported".into(),
-        ));
-    }
+    // The banner is matched word by word: `skew-symmetric` contains
+    // `symmetric` but mirrors with a sign flip.
+    let words: Vec<String> = header
+        .split_whitespace()
+        .map(str::to_ascii_lowercase)
+        .collect();
+    let symmetric = match words.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["%%matrixmarket", "matrix", "coordinate", "real", "general"] => false,
+        ["%%matrixmarket", "matrix", "coordinate", "real", "symmetric"] => true,
+        ["%%matrixmarket", ..] => {
+            return Err(MmError::Parse(format!(
+                "only `matrix coordinate real general|symmetric` is supported, got: {header}"
+            )))
+        }
+        _ => return Err(MmError::Parse(format!("bad header: {header}"))),
+    };
 
     // Skip comments, read the size line.
     let size_line = loop {
@@ -184,6 +185,15 @@ mod tests {
         let src = "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n";
         let got = read_matrix_market::<f64, _>(BufReader::new(src.as_bytes()));
         assert!(matches!(got, Err(MmError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_unsupported_symmetry() {
+        for symmetry in ["skew-symmetric", "hermitian", "symmetric general"] {
+            let src = format!("%%MatrixMarket matrix coordinate real {symmetry}\n2 2 1\n2 1 1.0\n");
+            let got = read_matrix_market::<f64, _>(BufReader::new(src.as_bytes()));
+            assert!(matches!(got, Err(MmError::Parse(_))), "{symmetry}: {got:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property tests: every storage format defines the same linear
-//! operator, its relations agree with its entries, and partitioned
-//! kernels compose to the whole product.
+//! operator, its relations agree with its entries, partitioned
+//! kernels compose to the whole product, and a damaged Matrix Market
+//! file reads back as a matrix or a typed error, never a panic.
+
+use std::io::BufReader;
 
 use kdr_sparse::convert;
+use kdr_sparse::io::{read_matrix_market, write_matrix_market, MmError};
 use kdr_sparse::{Csr, SparseMatrix, Triples};
 use proptest::prelude::*;
 
@@ -156,6 +160,140 @@ proptest! {
                 .map(|&(_, _, v)| v)
                 .sum();
             prop_assert!((diag[i as usize] - expect).abs() < 1e-12);
+        }
+    }
+}
+
+/// An index a Matrix Market entry may not carry.
+#[derive(Clone, Copy, Debug)]
+enum BadIndex {
+    Zero,
+    Negative,
+    /// One past the dimension.
+    OutOfRange,
+    /// `u64::MAX + 1`.
+    Overflow,
+}
+
+/// How a written Matrix Market file is damaged before it is read back.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// XOR byte `at` (modulo the length) with a nonzero mask, per pair.
+    Flip(Vec<(usize, u8)>),
+    /// Keep the first `len` bytes (modulo the length).
+    Truncate(usize),
+    /// Replace the row (or, with `col`, the column) index of one entry.
+    Index {
+        entry: usize,
+        col: bool,
+        bad: BadIndex,
+    },
+    /// Declare `nnz + delta` entries, `delta != 0`.
+    Nnz(i64),
+    /// Replace the header's symmetry word `general`.
+    Symmetry(&'static str),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    let bad = prop_oneof![
+        Just(BadIndex::Zero),
+        Just(BadIndex::Negative),
+        Just(BadIndex::OutOfRange),
+        Just(BadIndex::Overflow),
+    ];
+    prop_oneof![
+        prop::collection::vec((0..4096usize, 1..=255u8), 1..4).prop_map(Mutation::Flip),
+        (0..4096usize).prop_map(Mutation::Truncate),
+        (0..64usize, 0..2u8, bad).prop_map(|(entry, col, bad)| Mutation::Index {
+            entry,
+            col: col == 1,
+            bad,
+        }),
+        (-3i64..4).prop_map(|d| Mutation::Nnz(if d == 0 { 4 } else { d })),
+        prop_oneof![
+            Just("symmetric"),
+            Just("SYMMETRIC"),
+            Just("skew-symmetric"),
+            Just("hermitian"),
+        ]
+        .prop_map(Mutation::Symmetry),
+    ]
+}
+
+/// `text` (a file `write_matrix_market` wrote for `t`) with `m` applied.
+fn mutate(text: &str, t: &Triples<f64>, m: &Mutation) -> Vec<u8> {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    match m {
+        Mutation::Flip(flips) => {
+            let mut bytes = text.as_bytes().to_vec();
+            let n = bytes.len();
+            for &(at, mask) in flips {
+                bytes[at % n] ^= mask;
+            }
+            return bytes;
+        }
+        Mutation::Truncate(len) => return text.as_bytes()[..len % text.len()].to_vec(),
+        Mutation::Index { entry, col, bad } => {
+            let line = &mut lines[2 + entry % t.len()];
+            let mut tokens: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let dim = if *col { t.cols() } else { t.rows() };
+            tokens[usize::from(*col)] = match bad {
+                BadIndex::Zero => "0".into(),
+                BadIndex::Negative => "-1".into(),
+                BadIndex::OutOfRange => (dim + 1).to_string(),
+                BadIndex::Overflow => (u128::from(u64::MAX) + 1).to_string(),
+            };
+            *line = tokens.join(" ");
+        }
+        Mutation::Nnz(delta) => {
+            let nnz = t.len() as i64 + delta;
+            lines[1] = format!("{} {} {nnz}", t.rows(), t.cols());
+        }
+        Mutation::Symmetry(word) => lines[0] = lines[0].replace("general", word),
+    }
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out.into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A Matrix Market file that was written and then damaged reads
+    /// back as a matrix or as a typed `MmError`, never a panic; damage
+    /// the format forbids is always an error. Half the matrices are
+    /// cut square, where a `symmetric` header is legal.
+    #[test]
+    fn damaged_matrix_market_files_fail_typed(
+        t in arb_triples(),
+        square in 0..2u8,
+        m in arb_mutation(),
+    ) {
+        let n = t.rows().min(t.cols());
+        let t = if square == 1 { t.sub_block(0, n, 0, n) } else { t };
+        prop_assume!(!t.is_empty());
+        let mut written = Vec::new();
+        write_matrix_market(&t, &mut written).unwrap();
+        let back: Triples<f64> = read_matrix_market(BufReader::new(written.as_slice())).unwrap();
+        prop_assert_eq!(back.entries(), t.entries());
+        let text = String::from_utf8(written).unwrap();
+        let bytes = mutate(&text, &t, &m);
+        let got = std::panic::catch_unwind(|| {
+            read_matrix_market::<f64, _>(BufReader::new(bytes.as_slice()))
+        });
+        let shown = String::from_utf8_lossy(&bytes);
+        let got = match got {
+            Ok(got) => got,
+            Err(_) => panic!("{m:?} made the reader panic on:\n{shown}"),
+        };
+        let square = t.rows() == t.cols();
+        let must_fail = match &m {
+            Mutation::Flip(_) | Mutation::Truncate(_) => false,
+            Mutation::Index { .. } | Mutation::Nnz(_) => true,
+            Mutation::Symmetry(word) => !(word.eq_ignore_ascii_case("symmetric") && square),
+        };
+        if must_fail {
+            prop_assert!(matches!(got, Err(MmError::Parse(_))), "{m:?} read as {got:?}:\n{shown}");
         }
     }
 }

@@ -135,6 +135,15 @@ if grep -rnwE 'KernelAdvisor|CatalogueSnapshot|set_kernel_advisor|lower_advised|
     exit 1
 fi
 
+# One ready lane and one fusion key (DESIGN §6): a task's colour is all
+# the scheduler reads of it, both where `ReadyQueues::push` queues a
+# node and what `StepGraph::compile` fuses it by (`c % W`). Task
+# priority and the express lane it drove went; neither may come back.
+if grep -rnE 'with_priority|set_task_priority|fn priority\(|meta\.priority|[Ee]xpress[ _-]?lanes?' crates; then
+    echo "ci.sh: crates/ names the deleted task priority or express lane again (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing
