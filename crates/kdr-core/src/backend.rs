@@ -356,14 +356,6 @@ pub struct CompSpec {
 }
 
 impl CompSpec {
-    /// A component with the trivial single-color partition.
-    pub fn unpartitioned(len: u64) -> Self {
-        CompSpec {
-            len,
-            partition: Partition::equal_blocks(len, 1),
-        }
-    }
-
     /// A component split into `pieces` equal blocks.
     pub fn blocks(len: u64, pieces: usize) -> Self {
         CompSpec {
@@ -648,8 +640,6 @@ mod tests {
 
     #[test]
     fn comp_spec_constructors() {
-        let c = CompSpec::unpartitioned(10);
-        assert_eq!(c.partition.num_colors(), 1);
         let c = CompSpec::blocks(10, 3);
         assert_eq!(c.partition.num_colors(), 3);
         assert!(c.partition.is_complete() && c.partition.is_disjoint());

@@ -644,14 +644,6 @@ impl<T: Scalar> ExecBackend<T> {
         &self.rt
     }
 
-    /// Enable or disable the traced-stepping fast path (on by
-    /// default). With tracing off, `step_begin`/`step_end` are no-ops
-    /// and every task is analyzed.
-    pub fn set_tracing(&mut self, on: bool) {
-        assert!(!self.deferring, "cannot toggle tracing inside a step");
-        self.tracing = on;
-    }
-
     /// Size of the scalar slot arena (bounded by each slot bank's peak
     /// simultaneous live scalars, not by total scalars ever created).
     pub fn scalar_slots(&self) -> usize {
@@ -1365,8 +1357,11 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.fault.take()
     }
 
+    /// The traced-stepping fast path is on by default. With it off,
+    /// `step_begin`/`step_end` are no-ops and every task is analyzed.
     fn set_step_tracing(&mut self, on: bool) {
-        self.set_tracing(on);
+        assert!(!self.deferring, "cannot toggle tracing inside a step");
+        self.tracing = on;
     }
 
     fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -1470,7 +1465,7 @@ mod tests {
     fn deferred_step_matches_direct_execution() {
         let run = |traced: bool| -> Vec<f64> {
             let mut b = backend();
-            b.set_tracing(traced);
+            b.set_step_tracing(traced);
             let v = b.alloc_vector(&[spec(8, 2)]);
             let w = b.alloc_vector(&[spec(8, 2)]);
             b.fill_component(v, 0, &[1.0; 8]);

@@ -83,26 +83,6 @@ impl PhaseSplit {
     pub fn total_ns(&self) -> u64 {
         self.spmv_ns + self.dot_ns + self.vector_update_ns + self.scalar_ns + self.other_ns
     }
-
-    /// `(phase, fraction-of-total)` rows in a fixed order, for
-    /// reporting. Fractions are 0 when nothing was recorded.
-    pub fn fractions(&self) -> [(SolverPhase, f64); 5] {
-        let total = self.total_ns();
-        let frac = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                ns as f64 / total as f64
-            }
-        };
-        [
-            (SolverPhase::SpMV, frac(self.spmv_ns)),
-            (SolverPhase::Dot, frac(self.dot_ns)),
-            (SolverPhase::VectorUpdate, frac(self.vector_update_ns)),
-            (SolverPhase::Scalar, frac(self.scalar_ns)),
-            (SolverPhase::Other, frac(self.other_ns)),
-        ]
-    }
 }
 
 /// One solver iteration as observed by
@@ -284,11 +264,6 @@ mod tests {
         assert_eq!(split.scalar_ns, 30);
         assert_eq!(split.other_ns, 20);
         assert_eq!(split.total_ns(), 1000);
-        let fr = split.fractions();
-        assert!((fr[0].1 - 0.6).abs() < 1e-12);
-        assert!((fr[1].1 - 0.3).abs() < 1e-12);
-        // Empty split yields zero fractions, not NaN.
-        assert_eq!(PhaseSplit::default().fractions()[0].1, 0.0);
     }
 
     #[test]

@@ -10,13 +10,6 @@
 //!   tiles, co-partitioning) with zero special cases.
 //! * **Weighted Jacobi** — `P = ω · diag(A)⁻¹` for damped
 //!   Richardson-style smoothing.
-//!
-//! For multi-operator systems, [`jacobi_components`] sums the
-//! diagonals of every component mapping a space to itself, honoring
-//! aliasing (a base matrix shared by many components contributes to
-//! each).
-
-use std::sync::Arc;
 
 use kdr_sparse::{Dia, Scalar, SparseMatrix};
 
@@ -30,31 +23,6 @@ pub fn jacobi<T: Scalar>(matrix: &dyn SparseMatrix<T>) -> Dia<T> {
 pub fn weighted_jacobi<T: Scalar>(matrix: &dyn SparseMatrix<T>, omega: T) -> Dia<T> {
     let diag = matrix.diagonal();
     invert_diag(diag, omega)
-}
-
-/// Jacobi preconditioner components for a multi-operator system:
-/// for each self-coupled pair `(sol_id == rhs_id)` present among
-/// `components`, returns `(sol_id, P_i)` where `P_i` inverts the
-/// *summed* diagonal of all components coupling that pair.
-pub fn jacobi_components<T: Scalar>(
-    components: &[(Arc<dyn SparseMatrix<T>>, usize, usize)],
-) -> Vec<(usize, Dia<T>)> {
-    use std::collections::BTreeMap;
-    let mut acc: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-    for (m, sol, rhs) in components {
-        if sol != rhs {
-            continue;
-        }
-        let d = m.diagonal();
-        let slot = acc.entry(*sol).or_insert_with(|| vec![T::ZERO; d.len()]);
-        assert_eq!(slot.len(), d.len(), "component {sol} size mismatch");
-        for (a, b) in slot.iter_mut().zip(d) {
-            *a += b;
-        }
-    }
-    acc.into_iter()
-        .map(|(sol, d)| (sol, invert_diag(d, T::ONE)))
-        .collect()
 }
 
 /// Block-Jacobi preconditioner: `P = blockdiag(A₁₁⁻¹, …)⁻¹`-style —
@@ -200,30 +168,6 @@ mod tests {
         let mut y = vec![0.0; 4];
         p.spmv(&[1.0, 1.0, 1.0, 1.0], &mut y);
         assert!(y.iter().all(|&v| (v - 0.25).abs() < 1e-15));
-    }
-
-    #[test]
-    fn multi_component_diagonals_sum() {
-        // A0 + delta sharing the pair (0, 0): Jacobi must invert the
-        // *total* diagonal, matching the aliased multi-operator view.
-        let a0: Arc<dyn SparseMatrix<f64>> = Arc::new(Csr::<f64>::from_triples(
-            Triples::from_entries(2, 2, vec![(0, 0, 2.0), (1, 1, 4.0)]),
-        ));
-        let da: Arc<dyn SparseMatrix<f64>> = Arc::new(Csr::<f64>::from_triples(
-            Triples::from_entries(2, 2, vec![(0, 0, 2.0)]),
-        ));
-        let off: Arc<dyn SparseMatrix<f64>> = Arc::new(Csr::<f64>::from_triples(
-            Triples::from_entries(2, 2, vec![(0, 1, 9.0)]),
-        ));
-        let comps = vec![(a0, 0usize, 0usize), (da, 0, 0), (off, 0, 1)];
-        let ps = jacobi_components(&comps);
-        assert_eq!(ps.len(), 1);
-        let (sol, p) = &ps[0];
-        assert_eq!(*sol, 0);
-        let mut y = vec![0.0; 2];
-        p.spmv(&[1.0, 1.0], &mut y);
-        assert!((y[0] - 0.25).abs() < 1e-15); // 1/(2+2)
-        assert!((y[1] - 0.25).abs() < 1e-15); // 1/4
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl<T: Scalar> SimBackend<T> {
         &self.machine
     }
 
-    /// Finish building and take the graph (with its marks).
-    pub fn into_graph(self) -> (TaskGraph, Vec<usize>) {
-        (self.graph, self.marks)
-    }
-
     /// Take the graph out of a backend reached through `dyn Backend`
     /// (see [`crate::Planner::with_backend`]). The backend must not
     /// be used afterwards: piece dependence state still refers to the
@@ -658,7 +653,7 @@ mod tests {
         let x = b.alloc_vector(std::slice::from_ref(&cs));
         let y = b.alloc_vector(std::slice::from_ref(&cs));
         b.apply(h, y, x, false);
-        let (g, _) = b.into_graph();
+        let (g, _) = b.take_graph();
         (g, ntiles)
     }
 

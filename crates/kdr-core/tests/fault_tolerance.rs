@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    solve, solve_recoverable, BiCgSolver, BiCgStabSolver, BreakdownKind, CgSolver, CgsSolver,
-    ExecBackend, GmresSolver, MinresSolver, Planner, RecoveryPolicy, SolveControl, SolveError,
-    Solver, StepOutcome, TfqmrSolver, RHS, SOL,
+    solve, solve_recoverable, Backend, BiCgSolver, BiCgStabSolver, BreakdownKind, CgSolver,
+    CgsSolver, ExecBackend, GmresSolver, MinresSolver, Planner, RecoveryPolicy, SolveControl,
+    SolveError, Solver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
@@ -50,7 +50,7 @@ fn poisson_planner_with_faults(
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
     let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_tracing(traced);
+    backend.set_step_tracing(traced);
     backend.set_fault_plan(plan);
     let part = Partition::equal_blocks(n, pieces);
     let mut planner = Planner::new(Box::new(backend));

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use kdr_core::partitioning::compute_tiles;
 use kdr_core::{
     backend::{OpComponentSpec, OpSetSpec},
-    solve_traced, ChebyshevSolver, ExecBackend, KernelChoice, Planner, ScalarHandle, SolveControl,
-    StepOutcome, RHS, SOL,
+    solve_traced, Backend, ChebyshevSolver, ExecBackend, KernelChoice, Planner, ScalarHandle,
+    SolveControl, StepOutcome, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
@@ -201,7 +201,7 @@ fn with_exec<R>(p: &mut Planner<f64>, f: impl FnOnce(&mut ExecBackend<f64>) -> R
 fn run(seed: u64, traced: bool, workers: usize) -> Run {
     let body = script(seed);
     let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_tracing(traced);
+    backend.set_step_tracing(traced);
     let mut p = Planner::new(Box::new(backend));
     let parts: Vec<Partition> = COMPS
         .iter()
@@ -395,7 +395,7 @@ fn chebyshev_replays_with_fresh_constants_each_step() {
         let n = s.unknowns();
         let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
         let mut backend = ExecBackend::<f64>::new(2);
-        backend.set_tracing(traced);
+        backend.set_step_tracing(traced);
         let mut p = Planner::new(Box::new(backend));
         let part = Partition::equal_blocks(n, 4);
         let d = p.add_sol_vector(n, Some(part.clone()));

@@ -15,11 +15,11 @@
 //!
 //! * [`IntervalSet`] — a compact sorted-run representation of a subset
 //!   of an index space, the currency of every partitioning operation.
-//! * [`IndexSpace`] — a finite set of identifiers, optionally carrying
-//!   1-D/2-D/3-D grid structure ([`Shape`]).
+//! * [`IndexSpace`] — a finite set of identifiers `0..size`; it is its
+//!   size and nothing else.
 //! * [`Partition`] — a coloring `C -> 2^I` of an index space, with
 //!   completeness/disjointness queries and common constructors
-//!   (equal blocks, grid rows, 2-D/3-D tiles).
+//!   (equal blocks, cyclic and block-cyclic deals, 2-D tiles).
 //! * [`Relation`] — an abstract binary relation between two index
 //!   spaces supporting `image` and `preimage` of subsets; concrete
 //!   relations cover every storage format in the paper's Figure 3
@@ -31,20 +31,20 @@
 //!
 //! Everything here is storage-format agnostic: formats in `kdr-sparse`
 //! merely *produce* relations, and all co-partitioning logic is shared.
+//! A format's structural assumptions (`K = R × D` for dense, `K = R ×
+//! K0` for ELL, the diagonals of DIA) live in its relations alone.
 
 pub mod interval;
 pub mod partition;
-pub mod point;
 pub mod project;
 pub mod relation;
 pub mod space;
 
 pub use interval::IntervalSet;
 pub use partition::Partition;
-pub use point::{Point2, Point3, Rect1, Rect2, Rect3};
-pub use project::{project, project_back, spmv_closure, square_closure};
+pub use project::{project, project_back, spmv_closure};
 pub use relation::{
-    ComposedRelation, DiagonalRelation, FnRelation, IdentityRelation, IntervalMapRelation,
-    ProjectionAxis, ProjectionRelation, Relation, TransposedRelation, UnionRelation,
+    ComposedRelation, DiagonalRelation, FnRelation, IntervalMapRelation, ProjectionAxis,
+    ProjectionRelation, Relation, TransposedRelation, UnionRelation,
 };
-pub use space::{IndexSpace, Shape};
+pub use space::IndexSpace;

@@ -7,8 +7,6 @@
 //! [`Partition::is_disjoint`] test the two properties the paper names.
 
 use crate::interval::IntervalSet;
-use crate::point::{Point2, Point3};
-use crate::space::{IndexSpace, Shape};
 
 /// A coloring of an index space: one [`IntervalSet`] per color.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,23 +30,6 @@ impl Partition {
     /// Partition `0..n` into `colors` nearly-equal contiguous blocks.
     pub fn equal_blocks(n: u64, colors: usize) -> Self {
         Partition::new(n, IntervalSet::full(n).split_equal(colors))
-    }
-
-    /// Color each point by `color_fn`; colors must be `< colors`.
-    pub fn from_color_fn<F: FnMut(u64) -> usize>(n: u64, colors: usize, mut color_fn: F) -> Self {
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); colors];
-        for i in 0..n {
-            let c = color_fn(i);
-            assert!(c < colors, "color {c} out of range");
-            buckets[c].push(i);
-        }
-        Partition::new(
-            n,
-            buckets
-                .into_iter()
-                .map(|b| IntervalSet::from_sorted_points(&b))
-                .collect(),
-        )
     }
 
     /// Cyclic (round-robin) partition: point `i` gets color
@@ -75,13 +56,10 @@ impl Partition {
         Partition::new(n, pieces.into_iter().map(IntervalSet::from_runs).collect())
     }
 
-    /// Partition a 2-D grid space into `tx × ty` rectangular tiles,
+    /// Partition the `nx × ny` grid linearized row-major (point
+    /// `(x, y)` is `x * ny + y`) into `tx × ty` rectangular tiles,
     /// colored row-major over tiles.
-    pub fn grid2_tiles(space: &IndexSpace, tx: u64, ty: u64) -> Self {
-        let (nx, ny) = match space.shape() {
-            Shape::Grid2 { nx, ny } => (nx, ny),
-            s => panic!("grid2_tiles on non-2D space {s:?}"),
-        };
+    pub fn grid2_tiles(nx: u64, ny: u64, tx: u64, ty: u64) -> Self {
         assert!(tx > 0 && ty > 0 && tx <= nx && ty <= ny, "bad tile grid");
         let mut pieces = Vec::with_capacity((tx * ty) as usize);
         for bx in 0..tx {
@@ -90,38 +68,11 @@ impl Partition {
             for by in 0..ty {
                 let y0 = by * ny / ty;
                 let y1 = (by + 1) * ny / ty;
-                let mut runs = Vec::with_capacity((x1 - x0) as usize);
-                for x in x0..x1 {
-                    let lo = space.linearize2(Point2 { x, y: y0 });
-                    let hi = space.linearize2(Point2 { x, y: y1 - 1 }) + 1;
-                    runs.push(crate::interval::Run::new(lo, hi));
-                }
+                let runs = (x0..x1).map(|x| crate::interval::Run::new(x * ny + y0, x * ny + y1));
                 pieces.push(IntervalSet::from_runs(runs));
             }
         }
-        Partition::new(space.size(), pieces)
-    }
-
-    /// Partition a 3-D grid space into `tx` slabs along the slow axis.
-    pub fn grid3_slabs(space: &IndexSpace, tx: u64) -> Self {
-        let nx = match space.shape() {
-            Shape::Grid3 { nx, .. } => nx,
-            s => panic!("grid3_slabs on non-3D space {s:?}"),
-        };
-        assert!(tx > 0 && tx <= nx, "bad slab count");
-        let mut pieces = Vec::with_capacity(tx as usize);
-        for bx in 0..tx {
-            let x0 = bx * nx / tx;
-            let x1 = (bx + 1) * nx / tx;
-            let lo = space.linearize3(Point3 { x: x0, y: 0, z: 0 });
-            let hi = if x1 == nx {
-                space.size()
-            } else {
-                space.linearize3(Point3 { x: x1, y: 0, z: 0 })
-            };
-            pieces.push(IntervalSet::from_range(lo, hi));
-        }
-        Partition::new(space.size(), pieces)
+        Partition::new(nx * ny, pieces)
     }
 
     /// Size of the partitioned space.
@@ -221,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn from_color_fn_round_robin() {
-        let p = Partition::from_color_fn(9, 3, |i| (i % 3) as usize);
-        assert!(p.is_complete());
-        assert!(p.is_disjoint());
-        assert_eq!(p.piece(1).iter_points().collect::<Vec<_>>(), vec![1, 4, 7]);
-    }
-
-    #[test]
     fn aliased_partition_detected() {
         let p = Partition::new(
             4,
@@ -248,29 +191,46 @@ mod tests {
         assert!(p.is_disjoint());
     }
 
+    /// Tiles of an `nx × ny` grid, as literal `[lo, hi)` runs per
+    /// colour: one run per grid row a tile spans, merged where a tile
+    /// spans whole rows.
     #[test]
     fn grid2_tiles_cover_grid() {
-        let s = IndexSpace::grid2(8, 6);
-        let p = Partition::grid2_tiles(&s, 2, 3);
-        assert_eq!(p.num_colors(), 6);
-        assert!(p.is_complete());
-        assert!(p.is_disjoint());
-        // Top-left tile holds rows 0..4, cols 0..2.
-        let tl = p.piece(0);
-        assert!(tl.contains(s.linearize2(Point2 { x: 0, y: 0 })));
-        assert!(tl.contains(s.linearize2(Point2 { x: 3, y: 1 })));
-        assert!(!tl.contains(s.linearize2(Point2 { x: 0, y: 2 })));
-        assert!(!tl.contains(s.linearize2(Point2 { x: 4, y: 0 })));
-    }
-
-    #[test]
-    fn grid3_slabs_cover_grid() {
-        let s = IndexSpace::grid3(8, 4, 4);
-        let p = Partition::grid3_slabs(&s, 4);
-        assert_eq!(p.num_colors(), 4);
-        assert!(p.is_complete());
-        assert!(p.is_disjoint());
-        assert_eq!(p.piece(0), &IntervalSet::from_range(0, 32));
+        let runs = |p: &Partition| -> Vec<Vec<(u64, u64)>> {
+            let runs = |s: &IntervalSet| s.runs().iter().map(|r| (r.lo, r.hi)).collect();
+            p.pieces().iter().map(runs).collect()
+        };
+        let p = Partition::grid2_tiles(8, 6, 2, 3);
+        assert_eq!(p.space_size(), 48);
+        assert!(p.is_complete() && p.is_disjoint());
+        assert_eq!(
+            runs(&p),
+            [
+                vec![(0, 2), (6, 8), (12, 14), (18, 20)],
+                vec![(2, 4), (8, 10), (14, 16), (20, 22)],
+                vec![(4, 6), (10, 12), (16, 18), (22, 24)],
+                vec![(24, 26), (30, 32), (36, 38), (42, 44)],
+                vec![(26, 28), (32, 34), (38, 40), (44, 46)],
+                vec![(28, 30), (34, 36), (40, 42), (46, 48)],
+            ]
+        );
+        let p = Partition::grid2_tiles(5, 7, 2, 3);
+        assert!(p.is_complete() && p.is_disjoint());
+        assert_eq!(
+            runs(&p),
+            [
+                vec![(0, 2), (7, 9)],
+                vec![(2, 4), (9, 11)],
+                vec![(4, 7), (11, 14)],
+                vec![(14, 16), (21, 23), (28, 30)],
+                vec![(16, 18), (23, 25), (30, 32)],
+                vec![(18, 21), (25, 28), (32, 35)],
+            ]
+        );
+        assert_eq!(
+            runs(&Partition::grid2_tiles(4, 3, 2, 1)),
+            [vec![(0, 6)], vec![(6, 12)]]
+        );
     }
 
     #[test]

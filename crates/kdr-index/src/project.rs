@@ -59,23 +59,6 @@ pub fn spmv_closure(
     (k, d)
 }
 
-/// The paper's equation (5): the finest partition of `D` needed to
-/// compute `A² x` from a range partition, i.e.
-/// `col_{K→D}[row_{R→K}[col_{K→D}[row_{R→K}[P]]]]`.
-///
-/// Requires a square system (`D = R`) so that the inner domain
-/// partition can seed the second round trip.
-pub fn square_closure(row: &dyn Relation, col: &dyn Relation, range_part: &Partition) -> Partition {
-    assert_eq!(
-        col.target_size(),
-        row.target_size(),
-        "square_closure requires D = R"
-    );
-    let (_, d1) = spmv_closure(row, col, range_part);
-    let (_, d2) = spmv_closure(row, col, &d1);
-    d2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,9 +113,12 @@ mod tests {
     fn square_closure_widens_by_two_ghosts() {
         let (row, col) = tridiag();
         let rp = Partition::equal_blocks(4, 2);
-        let d2 = square_closure(&row, &col, &rp);
-        // For A^2 each piece needs two ghost layers; on a 4-point
-        // tridiagonal grid that is the whole domain.
+        // The paper's equation (5): the domain partition `A² x` needs
+        // is two round trips, `col[row⁻¹[col[row⁻¹[P]]]]`. Each piece
+        // needs two ghost layers; on a 4-point tridiagonal grid that is
+        // the whole domain.
+        let (_, d1) = spmv_closure(&row, &col, &rp);
+        let (_, d2) = spmv_closure(&row, &col, &d1);
         assert_eq!(d2.piece(0), &IntervalSet::from_range(0, 4));
         assert_eq!(d2.piece(1), &IntervalSet::from_range(0, 4));
     }

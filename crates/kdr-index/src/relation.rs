@@ -19,8 +19,8 @@
 //!   ELL/ELL' implicit axis).
 //! * [`DiagonalRelation`] — the implicit, *partial* DIA row relation
 //!   `(k0, i) ↦ i − offset(k0)`.
-//! * [`IdentityRelation`], [`ComposedRelation`], [`UnionRelation`] —
-//!   glue for block formats and user-defined hybrids.
+//! * [`ComposedRelation`], [`UnionRelation`] — glue for block formats
+//!   and user-defined hybrids.
 //!
 //! Relations may be partial (DIA) and many-to-many (unions, interval
 //! maps); images and preimages are always well-defined.
@@ -533,41 +533,6 @@ impl Relation for DiagonalRelation {
     }
 }
 
-/// The identity relation on `0..n`.
-pub struct IdentityRelation {
-    n: u64,
-}
-
-impl IdentityRelation {
-    /// The identity relation on the `n`-point space (e.g. `row` for a
-    /// diagonal format, where kernel space *is* row space).
-    pub fn new(n: u64) -> Self {
-        IdentityRelation { n }
-    }
-}
-
-impl Relation for IdentityRelation {
-    fn source_size(&self) -> u64 {
-        self.n
-    }
-
-    fn target_size(&self) -> u64 {
-        self.n
-    }
-
-    fn targets_of(&self, s: u64, out: &mut Vec<u64>) {
-        out.push(s);
-    }
-
-    fn image(&self, set: &IntervalSet) -> IntervalSet {
-        set.clone()
-    }
-
-    fn preimage(&self, set: &IntervalSet) -> IntervalSet {
-        set.clone()
-    }
-}
-
 /// Relational composition `R2 ∘ R1 : S -> U` where `R1 : S -> T` and
 /// `R2 : T -> U`. Block formats (BCSR/BCSC) express their full-space
 /// relations as compositions of block-space relations with expansion
@@ -932,14 +897,6 @@ mod tests {
                 "set {set:?}"
             );
         }
-    }
-
-    #[test]
-    fn identity_relation() {
-        let rel = IdentityRelation::new(10);
-        let s = IntervalSet::from_points([1, 5]);
-        assert_eq!(rel.image(&s), s);
-        assert_eq!(rel.preimage(&s), s);
     }
 
     #[test]

@@ -1,139 +1,34 @@
-//! Index spaces: finite sets of identifiers, optionally carrying grid
-//! structure.
+//! Index spaces: finite sets of identifiers.
 //!
 //! An *index space* in KDRSolvers is just a finite set of identifiers
 //! (paper §3). We represent points as `u64` and a space as the prefix
-//! `0..size`, optionally annotated with a [`Shape`] recording how the
-//! points linearize a 1-D/2-D/3-D grid. Structural assumptions of
-//! storage formats (e.g. `K = R × D` for dense matrices, `K = R × K0`
-//! for ELL) are expressed through shapes.
+//! `0..size`. A storage format's structural assumptions (e.g.
+//! `K = R × D` for dense matrices, `K = R × K0` for ELL) live in its
+//! relations ([`ProjectionRelation`](crate::ProjectionRelation),
+//! [`DiagonalRelation`](crate::DiagonalRelation)), not in the space.
 
 use crate::interval::IntervalSet;
-use crate::point::{delinearize2, delinearize3, linearize2, linearize3, Point2, Point3};
 
-/// Grid structure attached to an index space.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Shape {
-    /// A flat, unstructured space of `n` points.
-    Flat {
-        /// Number of points.
-        n: u64,
-    },
-    /// A 1-D grid (identical to Flat, but declared as a grid axis).
-    Grid1 {
-        /// Extent of the single axis.
-        nx: u64,
-    },
-    /// A 2-D grid linearized row-major (x slow, y fast).
-    Grid2 {
-        /// Extent of the slow axis.
-        nx: u64,
-        /// Extent of the fast axis.
-        ny: u64,
-    },
-    /// A 3-D grid linearized row-major (x slowest, z fastest).
-    Grid3 {
-        /// Extent of the slowest axis.
-        nx: u64,
-        /// Extent of the middle axis.
-        ny: u64,
-        /// Extent of the fastest axis.
-        nz: u64,
-    },
-}
-
-impl Shape {
-    /// Total number of points implied by the shape.
-    pub fn volume(&self) -> u64 {
-        match *self {
-            Shape::Flat { n } => n,
-            Shape::Grid1 { nx } => nx,
-            Shape::Grid2 { nx, ny } => nx * ny,
-            Shape::Grid3 { nx, ny, nz } => nx * ny * nz,
-        }
-    }
-}
-
-/// A finite set of identifiers `0..size`, optionally grid-structured.
+/// A finite set of identifiers `0..size`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IndexSpace {
-    shape: Shape,
+    size: u64,
 }
 
 impl IndexSpace {
-    /// An unstructured space of `n` points.
+    /// A space of `n` points.
     pub fn flat(n: u64) -> Self {
-        IndexSpace {
-            shape: Shape::Flat { n },
-        }
-    }
-
-    /// A 1-D grid space.
-    pub fn grid1(nx: u64) -> Self {
-        IndexSpace {
-            shape: Shape::Grid1 { nx },
-        }
-    }
-
-    /// A 2-D grid space (row-major).
-    pub fn grid2(nx: u64, ny: u64) -> Self {
-        IndexSpace {
-            shape: Shape::Grid2 { nx, ny },
-        }
-    }
-
-    /// A 3-D grid space (row-major).
-    pub fn grid3(nx: u64, ny: u64, nz: u64) -> Self {
-        IndexSpace {
-            shape: Shape::Grid3 { nx, ny, nz },
-        }
-    }
-
-    /// The attached shape.
-    pub fn shape(&self) -> Shape {
-        self.shape
+        IndexSpace { size: n }
     }
 
     /// Number of points in the space.
     pub fn size(&self) -> u64 {
-        self.shape.volume()
+        self.size
     }
 
     /// The full space as an interval set.
     pub fn all(&self) -> IntervalSet {
         IntervalSet::full(self.size())
-    }
-
-    /// Linearize a 2-D point; panics if the space is not a 2-D grid.
-    pub fn linearize2(&self, p: Point2) -> u64 {
-        match self.shape {
-            Shape::Grid2 { ny, .. } => linearize2(p, ny),
-            _ => panic!("linearize2 on non-2D space {:?}", self.shape),
-        }
-    }
-
-    /// Delinearize into a 2-D point; panics if not a 2-D grid.
-    pub fn delinearize2(&self, i: u64) -> Point2 {
-        match self.shape {
-            Shape::Grid2 { ny, .. } => delinearize2(i, ny),
-            _ => panic!("delinearize2 on non-2D space {:?}", self.shape),
-        }
-    }
-
-    /// Linearize a 3-D point; panics if the space is not a 3-D grid.
-    pub fn linearize3(&self, p: Point3) -> u64 {
-        match self.shape {
-            Shape::Grid3 { ny, nz, .. } => linearize3(p, ny, nz),
-            _ => panic!("linearize3 on non-3D space {:?}", self.shape),
-        }
-    }
-
-    /// Delinearize into a 3-D point; panics if not a 3-D grid.
-    pub fn delinearize3(&self, i: u64) -> Point3 {
-        match self.shape {
-            Shape::Grid3 { ny, nz, .. } => delinearize3(i, ny, nz),
-            _ => panic!("delinearize3 on non-3D space {:?}", self.shape),
-        }
     }
 }
 
@@ -144,28 +39,12 @@ mod tests {
     #[test]
     fn sizes() {
         assert_eq!(IndexSpace::flat(10).size(), 10);
-        assert_eq!(IndexSpace::grid1(8).size(), 8);
-        assert_eq!(IndexSpace::grid2(4, 5).size(), 20);
-        assert_eq!(IndexSpace::grid3(2, 3, 4).size(), 24);
+        assert_eq!(IndexSpace::flat(0).size(), 0);
     }
 
     #[test]
     fn all_is_full_interval() {
-        let s = IndexSpace::grid2(3, 3);
+        let s = IndexSpace::flat(9);
         assert_eq!(s.all(), IntervalSet::full(9));
-    }
-
-    #[test]
-    fn grid2_linearization_via_space() {
-        let s = IndexSpace::grid2(3, 4);
-        let p = Point2 { x: 2, y: 1 };
-        assert_eq!(s.linearize2(p), 9);
-        assert_eq!(s.delinearize2(9), p);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-2D")]
-    fn linearize2_on_flat_panics() {
-        IndexSpace::flat(10).linearize2(Point2 { x: 0, y: 0 });
     }
 }

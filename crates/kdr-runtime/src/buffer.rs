@@ -341,13 +341,6 @@ impl<T: Copy> ReadView<'_, T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Copy the elements of a contiguous range into `dst`.
-    pub fn copy_range(&self, lo: usize, dst: &mut [T]) {
-        for (off, d) in dst.iter_mut().enumerate() {
-            *d = self.get(lo + off);
-        }
-    }
 }
 
 /// Read-write element access into a buffer, scoped to a declared
@@ -470,16 +463,6 @@ mod tests {
         assert_ne!(a.id(), b.id());
         // Clones share identity.
         assert_eq!(a.id(), a.clone().id());
-    }
-
-    #[test]
-    fn copy_range() {
-        let b = Buffer::from_vec((0..10).map(|i| i as f64).collect());
-        let all = IntervalSet::full(10);
-        let r = b.read_view(&all);
-        let mut dst = [0.0; 4];
-        r.copy_range(3, &mut dst);
-        assert_eq!(dst, [3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

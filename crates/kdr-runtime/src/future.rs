@@ -136,24 +136,6 @@ impl<T: Clone> Future<T> {
             }
         }
     }
-
-    /// Non-blocking probe; `None` while unfulfilled or poisoned.
-    pub fn try_get(&self) -> Option<T> {
-        match &*self.shared.slot.lock() {
-            Slot::Ready(v) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
-    /// True once the promise has been fulfilled.
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.shared.slot.lock(), Slot::Ready(_))
-    }
-
-    /// True if the promise was dropped without a value.
-    pub fn is_poisoned(&self) -> bool {
-        matches!(*self.shared.slot.lock(), Slot::Poisoned)
-    }
 }
 
 #[cfg(test)]
@@ -165,10 +147,7 @@ mod tests {
     #[test]
     fn set_then_get() {
         let (p, f) = promise();
-        assert!(!f.is_ready());
-        assert_eq!(f.try_get(), None);
         p.set(42u64);
-        assert!(f.is_ready());
         assert_eq!(f.get(), 42);
         assert_eq!(f.clone().get(), 42);
     }
@@ -204,9 +183,6 @@ mod tests {
             drop(p); // task "failed" without producing a value
         });
         assert_eq!(f.wait(), Err(PromiseDropped));
-        assert!(f.is_poisoned());
-        assert!(!f.is_ready());
-        assert_eq!(f.try_get(), None);
         h.join().unwrap();
     }
 
@@ -215,7 +191,6 @@ mod tests {
         let (p, f) = promise();
         p.set(3u8);
         assert_eq!(f.wait(), Ok(3));
-        assert!(!f.is_poisoned());
     }
 
     #[test]

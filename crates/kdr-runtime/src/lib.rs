@@ -18,8 +18,7 @@
 //! [`Runtime::fence`], or in [`Runtime::wait_written`] for the tasks
 //! writing a buffer it wants to read — runs ready tasks while it
 //! waits. Scalars can also flow from a task to the main thread through
-//! [`Future`]s, *index launches* spray one task per color of a
-//! partition, and *dynamic tracing* memoizes the dependence analysis
+//! [`Future`]s, and *dynamic tracing* memoizes the dependence analysis
 //! of a repeated task sequence (after Lee et al., SC'18, which the
 //! paper cites for exactly this purpose) and compiles it into a step
 //! graph whose tasks with one home worker `c % W` replay fused

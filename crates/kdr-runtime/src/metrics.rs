@@ -225,12 +225,6 @@ pub struct MetricsSnapshot {
     /// cost catalogues divide these by [`MetricsSnapshot::task_counts`]
     /// to refine per-kernel latency estimates online.
     pub task_execute_ns: BTreeMap<&'static str, u64>,
-    /// Cost-catalogue predictions served from observed samples
-    /// (incremented by the service layer at admission).
-    pub catalogue_hits: u64,
-    /// Cost-catalogue predictions that fell back to the roofline
-    /// prior (no observed samples for the key).
-    pub catalogue_misses: u64,
 }
 
 impl MetricsSnapshot {

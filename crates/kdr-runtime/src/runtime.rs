@@ -1,5 +1,5 @@
-//! The user-facing runtime: submission, fencing, index launches, and
-//! trace capture/replay.
+//! The user-facing runtime: submission, fencing, and trace
+//! capture/replay.
 //!
 //! A thread that waits here — [`Runtime::fence`],
 //! [`Runtime::wait_written`], the quiescing fences of capture and
@@ -75,12 +75,6 @@ pub struct Runtime {
     /// Nanoseconds callers spent parked, with nothing to run, waiting
     /// for reduction results.
     reduction_stall_ns: AtomicU64,
-    /// Cost-catalogue predictions served from observed samples
-    /// (bumped by the service layer via
-    /// [`Runtime::note_catalogue_prediction`]).
-    catalogue_hits: AtomicU64,
-    /// Cost-catalogue predictions that fell back to the prior.
-    catalogue_misses: AtomicU64,
 }
 
 impl Runtime {
@@ -118,21 +112,6 @@ impl Runtime {
             capture_cv: Condvar::new(),
             reduction_stages: AtomicU64::new(0),
             reduction_stall_ns: AtomicU64::new(0),
-            catalogue_hits: AtomicU64::new(0),
-            catalogue_misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Count one cost-catalogue prediction: `hit` when it was served
-    /// from observed samples, miss when it fell back to the roofline
-    /// prior. Called by the service layer at admission so catalogue
-    /// health surfaces in [`Runtime::metrics`] next to everything
-    /// else.
-    pub fn note_catalogue_prediction(&self, hit: bool) {
-        if hit {
-            self.catalogue_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.catalogue_misses.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -235,16 +214,6 @@ impl Runtime {
         // keeps fault-injection decisions deterministic).
         self.exec.submit(node(id), &deps);
         id
-    }
-
-    /// Launch one task per color in `0..colors` (Legion's index task
-    /// launch). `make(color)` builds the point task.
-    pub fn index_launch(
-        &self,
-        colors: usize,
-        mut make: impl FnMut(usize) -> TaskBuilder,
-    ) -> Result<Vec<TaskId>, RuntimeError> {
-        (0..colors).map(|c| self.submit(make(c))).collect()
     }
 
     /// Wait until all submitted tasks have completed; the calling
@@ -578,8 +547,6 @@ impl Runtime {
             execute_ns: events.execute_ns.snapshot(),
             task_counts: exec.task_counts,
             task_execute_ns: exec.task_execute_ns,
-            catalogue_hits: self.catalogue_hits.load(Ordering::Relaxed),
-            catalogue_misses: self.catalogue_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -637,18 +604,20 @@ mod tests {
     fn disjoint_pieces_execute_in_any_order() {
         let rt = Runtime::new(4);
         let v = Buffer::filled(100, 0.0f64);
-        rt.index_launch(4, |c| {
+        for c in 0..4 {
             let lo = c as u64 * 25;
-            TaskBuilder::new("fill")
-                .write(&v, IntervalSet::from_range(lo, lo + 25))
-                .body(move |ctx| {
-                    let w = ctx.write::<f64>(0);
-                    for i in lo as usize..lo as usize + 25 {
-                        w.set(i, c as f64);
-                    }
-                })
-        })
-        .unwrap();
+            rt.submit(
+                TaskBuilder::new("fill")
+                    .write(&v, IntervalSet::from_range(lo, lo + 25))
+                    .body(move |ctx| {
+                        let w = ctx.write::<f64>(0);
+                        for i in lo as usize..lo as usize + 25 {
+                            w.set(i, c as f64);
+                        }
+                    }),
+            )
+            .unwrap();
+        }
         rt.fence().unwrap();
         let snap = v.snapshot();
         for c in 0..4 {

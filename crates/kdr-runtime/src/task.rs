@@ -31,8 +31,8 @@ pub enum Privilege {
 pub struct TaskMeta {
     /// Human-readable kernel name.
     pub name: &'static str,
-    /// Partition color the task belongs to, if it is a point task of
-    /// an index launch: the task runs on worker `color % W` unless a
+    /// Partition color the task belongs to, if it works on one piece
+    /// of a partition: the task runs on worker `color % W` unless a
     /// peer steals it.
     pub color: Option<usize>,
 }
@@ -272,11 +272,6 @@ impl TaskContext {
     pub fn subset(&self, idx: usize) -> &IntervalSet {
         &self.reqs[idx].subset
     }
-
-    /// Number of declared requirements.
-    pub fn num_requirements(&self) -> usize {
-        self.reqs.len()
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +330,6 @@ mod tests {
         let w = ctx.write::<f64>(0);
         w.set(0, 9.0);
         assert_eq!(ctx.read::<f64>(0).get(0), 9.0);
-        assert_eq!(ctx.num_requirements(), 1);
     }
 
     #[test]

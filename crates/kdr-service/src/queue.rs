@@ -18,6 +18,12 @@
 //! observation yet, the screen falls back to the predicted cost, so a
 //! cold tenant's first job is screened from the catalogue prior
 //! instead of waved through.
+//!
+//! A catalogue mean may be any finite positive number, so an estimate
+//! can be too large for a [`Duration`]. Estimates saturate at
+//! [`Duration::MAX`] instead of panicking: a deadline screened against
+//! one is rejected as unmeetable, and a job without a deadline is
+//! admitted as before.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,6 +33,12 @@ use crate::request::{JobId, RejectReason, SolveRequest, TenantId};
 
 /// EWMA smoothing for observed job service times.
 const EWMA_ALPHA: f64 = 0.3;
+
+/// `seconds` as a [`Duration`], saturating at [`Duration::MAX`] when
+/// it is too large for one (∞ and NaN included).
+fn saturating_secs(seconds: f64) -> Duration {
+    Duration::try_from_secs_f64(seconds).unwrap_or(Duration::MAX)
+}
 
 /// One admitted, not-yet-started job.
 #[derive(Debug)]
@@ -96,14 +108,15 @@ impl AdmissionQueue {
     }
 
     /// Estimated wait before a job admitted *now* would first be
-    /// scheduled: the backlog's summed expected service times.
+    /// scheduled: the backlog's summed expected service times,
+    /// saturating at [`Duration::MAX`].
     pub fn estimated_start(&self) -> Duration {
         let total: f64 = self
             .jobs
             .iter()
             .map(|j| self.per_job_seconds(j.predicted_seconds))
             .sum();
-        Duration::from_secs_f64(total)
+        saturating_secs(total)
     }
 
     /// Admit a job or reject it with a typed reason. `QueueFull` and
@@ -129,8 +142,8 @@ impl AdmissionQueue {
         if let Some(deadline) = request.deadline {
             let deadline_in = deadline.saturating_duration_since(now);
             let estimated_start = self.estimated_start();
-            let own = Duration::from_secs_f64(self.per_job_seconds(predicted_seconds));
-            if deadline_in.is_zero() || deadline_in < estimated_start + own {
+            let own = saturating_secs(self.per_job_seconds(predicted_seconds));
+            if deadline_in.is_zero() || deadline_in < estimated_start.saturating_add(own) {
                 return Err(RejectReason::DeadlineUnmeetable {
                     deadline_in,
                     estimated_start,
@@ -307,6 +320,42 @@ mod tests {
             q.try_admit(2, 1, Arc::new(r), now, Some(100.0)).is_ok(),
             "observed EWMA overrides a wild prediction"
         );
+
+        // A prediction too large for a `Duration` saturates the
+        // estimate: a deadline screened against it is unmeetable, and
+        // a job without a deadline is still admitted.
+        let mut q = AdmissionQueue::new(8);
+        let deadline = |secs| {
+            let mut r = SolveRequest::new(0, vec![1.0], SolveControl::default());
+            r.deadline = Some(now + Duration::from_secs(secs));
+            Arc::new(r)
+        };
+        assert!(matches!(
+            q.try_admit(0, 1, deadline(3600), now, Some(1e300))
+                .unwrap_err(),
+            RejectReason::DeadlineUnmeetable { .. }
+        ));
+        q.try_admit(1, 1, req(), now, Some(1e300)).unwrap();
+        assert_eq!(q.estimated_start(), Duration::MAX);
+        assert!(matches!(
+            q.try_admit(2, 2, deadline(3600), now, Some(1.0))
+                .unwrap_err(),
+            RejectReason::DeadlineUnmeetable {
+                estimated_start: Duration::MAX,
+                ..
+            }
+        ));
+        // Backlog and own cost that fit a `Duration` apart but not
+        // summed.
+        let mut q = AdmissionQueue::new(8);
+        q.try_admit(0, 1, req(), now, Some(1.5e19)).unwrap();
+        assert!(q.estimated_start() < Duration::MAX);
+        assert!(matches!(
+            q.try_admit(1, 1, deadline(3600), now, Some(1.5e19))
+                .unwrap_err(),
+            RejectReason::DeadlineUnmeetable { .. }
+        ));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -353,7 +353,6 @@ impl ShardEngine {
                     } else {
                         m.catalogue_misses += 1;
                     }
-                    self.rt.note_catalogue_prediction(observed);
                 }
                 Ok(())
             }

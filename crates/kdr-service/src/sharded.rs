@@ -1110,12 +1110,10 @@ impl ShardedService {
             .collect();
         let snaps: Vec<MetricsSnapshot> = shards.iter().map(|s| s.runtime().metrics()).collect();
         let total = |f: fn(&MetricsSnapshot) -> u64| snaps.iter().map(f).sum::<u64>() as f64;
-        let (err_sum, err_n) = self
-            .metrics()
-            .values()
-            .fold((0.0, 0u64), |(sum, n), m| {
-                (sum + m.prediction_err_pct_sum, n + m.prediction_samples)
-            });
+        let tenants = self.metrics();
+        let tenant_total = |f: fn(&TenantMetrics) -> u64| tenants.values().map(f).sum::<u64>();
+        let err_sum: f64 = tenants.values().map(|m| m.prediction_err_pct_sum).sum();
+        let err_n = tenant_total(|m| m.prediction_samples);
         let counters = [
             ("reduction_stages", total(|s| s.reduction_stages)),
             ("reduction_stall_ms", total(|s| s.reduction_stall_ns) / 1.0e6),
@@ -1123,8 +1121,8 @@ impl ShardedService {
             ("tasks_poisoned", total(|s| s.tasks_poisoned)),
             ("tasks_stalled", total(|s| s.tasks_stalled)),
             ("faults_injected", total(|s| s.faults_injected)),
-            ("catalogue_hits", total(|s| s.catalogue_hits)),
-            ("catalogue_misses", total(|s| s.catalogue_misses)),
+            ("catalogue_hits", tenant_total(|m| m.catalogue_hits) as f64),
+            ("catalogue_misses", tenant_total(|m| m.catalogue_misses) as f64),
             (
                 "prediction_error_pct",
                 if err_n > 0 { err_sum / err_n as f64 } else { 0.0 },

@@ -86,11 +86,6 @@ impl<T: Scalar, I: IndexInt> Bcsr<T, I> {
         self.block_colidx.len() as u64
     }
 
-    /// Block shape `(br, bd)`.
-    pub fn block_shape(&self) -> (u64, u64) {
-        (self.br, self.bd)
-    }
-
     fn block_size(&self) -> u64 {
         self.br * self.bd
     }
@@ -99,7 +94,7 @@ impl<T: Scalar, I: IndexInt> Bcsr<T, I> {
 impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
     fn kernel_space(&self) -> IndexSpace {
         // K = K0 × B_R × B_D, linearized block-major.
-        IndexSpace::grid3(self.num_blocks(), self.br, self.bd)
+        IndexSpace::flat(self.num_blocks() * self.block_size())
     }
 
     fn domain_space(&self) -> IndexSpace {
@@ -246,7 +241,7 @@ mod tests {
         // Occupied blocks: (0,0), (0,1), (1,1), (2,0), (2,1) -> 5 blocks.
         assert_eq!(b.num_blocks(), 5);
         assert_eq!(b.nnz(), 5 * 6);
-        assert_eq!(b.block_shape(), (2, 3));
+        assert_eq!(b.kernel_space(), IndexSpace::flat(5 * 2 * 3));
     }
 
     #[test]

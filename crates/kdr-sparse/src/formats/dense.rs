@@ -5,9 +5,9 @@
 //! dense matrix is "a structural assumption paired with an empty data
 //! structure": no metadata is stored at all.
 
-use kdr_index::{IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 #[cfg(test)]
-use kdr_index::{IntervalSet, Shape};
+use kdr_index::IntervalSet;
+use kdr_index::{IndexSpace, ProjectionAxis, ProjectionRelation, Relation};
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::Scalar;
@@ -41,12 +41,6 @@ impl<T: Scalar> Dense<T> {
         m
     }
 
-    /// Build from a row-major data vector.
-    pub fn from_row_major(rows: u64, cols: u64, data: Vec<T>) -> Self {
-        assert_eq!(data.len() as u64, rows * cols);
-        Dense { data, rows, cols }
-    }
-
     /// Row count.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -70,8 +64,8 @@ impl<T: Scalar> Dense<T> {
 
 impl<T: Scalar> SparseMatrix<T> for Dense<T> {
     fn kernel_space(&self) -> IndexSpace {
-        // The structural assumption K = R × D, exposed as a 2-D grid.
-        IndexSpace::grid2(self.rows, self.cols)
+        // K = R × D, linearized row-major.
+        IndexSpace::flat(self.rows * self.cols)
     }
 
     fn domain_space(&self) -> IndexSpace {
@@ -113,13 +107,17 @@ mod tests {
     use super::*;
 
     fn sample() -> Dense<f64> {
-        Dense::from_row_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        let mut m = Dense::zeros(2, 3);
+        for (k, v) in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0].into_iter().enumerate() {
+            *m.at_mut(k as u64 / 3, k as u64 % 3) = v;
+        }
+        m
     }
 
     #[test]
     fn kernel_space_is_product() {
         let m = sample();
-        assert_eq!(m.kernel_space().shape(), Shape::Grid2 { nx: 2, ny: 3 });
+        assert_eq!(m.kernel_space(), IndexSpace::flat(2 * 3));
         assert_eq!(m.nnz(), 6);
     }
 

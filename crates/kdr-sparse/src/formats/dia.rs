@@ -89,8 +89,8 @@ impl<T: Scalar> Dia<T> {
 
 impl<T: Scalar> SparseMatrix<T> for Dia<T> {
     fn kernel_space(&self) -> IndexSpace {
-        // Structural assumption K = K0 × D.
-        IndexSpace::grid2(self.offsets.len() as u64, self.cols)
+        // K = K0 × D, linearized diagonal-major.
+        IndexSpace::flat(self.offsets.len() as u64 * self.cols)
     }
 
     fn domain_space(&self) -> IndexSpace {

@@ -85,8 +85,8 @@ impl<T: Scalar, I: IndexInt> Ell<T, I> {
 
 impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Ell<T, I> {
     fn kernel_space(&self) -> IndexSpace {
-        // Structural assumption K = R × K0.
-        IndexSpace::grid2(self.rows, self.width)
+        // K = R × K0, linearized row-major.
+        IndexSpace::flat(self.rows * self.width)
     }
 
     fn domain_space(&self) -> IndexSpace {

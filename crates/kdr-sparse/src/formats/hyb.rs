@@ -98,11 +98,6 @@ impl<T: Scalar, I: IndexInt> Hyb<T, I> {
         self.width
     }
 
-    /// Entries in the COO overflow.
-    pub fn overflow_len(&self) -> usize {
-        self.coo_vals.len()
-    }
-
     fn ell_size(&self) -> u64 {
         self.rows * self.width
     }
@@ -240,9 +235,8 @@ mod tests {
     fn splits_body_and_overflow() {
         let m: Hyb<f64, u32> = Hyb::from_triples(t());
         assert!(m.width() >= 1);
-        assert!(m.overflow_len() > 0, "outlier rows must spill");
-        // Total stored = ELL slots + overflow.
-        assert_eq!(m.nnz(), 8 * m.width() + m.overflow_len() as u64);
+        // Total stored = ELL slots + overflow, and outlier rows spill.
+        assert!(m.nnz() > 8 * m.width(), "outlier rows must spill");
     }
 
     #[test]
@@ -300,8 +294,8 @@ mod tests {
     fn explicit_width_controls_split() {
         let narrow: Hyb<f64, u32> = Hyb::with_width(t(), 1);
         let wide: Hyb<f64, u32> = Hyb::with_width(t(), 10);
-        assert!(narrow.overflow_len() > wide.overflow_len());
-        assert_eq!(wide.overflow_len(), 0);
+        assert!(narrow.nnz() > 8 * narrow.width());
+        assert_eq!(wide.nnz(), 8 * wide.width());
         let x = rhs_vector::<f64>(8, 1);
         let mut y1 = vec![0.0; 8];
         let mut y2 = vec![0.0; 8];

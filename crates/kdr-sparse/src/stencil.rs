@@ -476,7 +476,7 @@ impl<T: Scalar> StencilOperator<T> {
 
 impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
     fn kernel_space(&self) -> kdr_index::IndexSpace {
-        kdr_index::IndexSpace::grid2(self.num_diagonals(), self.n())
+        kdr_index::IndexSpace::flat(self.num_diagonals() * self.n())
     }
 
     fn domain_space(&self) -> kdr_index::IndexSpace {
@@ -578,7 +578,7 @@ impl<T: Scalar> VirtualBanded<T> {
 
 impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
     fn kernel_space(&self) -> kdr_index::IndexSpace {
-        kdr_index::IndexSpace::grid2(self.offsets.len() as u64, self.cols)
+        kdr_index::IndexSpace::flat(self.offsets.len() as u64 * self.cols)
     }
 
     fn domain_space(&self) -> kdr_index::IndexSpace {

@@ -144,6 +144,26 @@ if grep -rnE 'with_priority|set_task_priority|fn priority\(|meta\.priority|[Ee]x
     exit 1
 fi
 
+# An index space is its size (DESIGN §2): a format's structure lives
+# in its relations, so the grid geometry nothing read went — points,
+# rects, (de)linearization, `Shape`, the grid constructors — and with
+# it every public function only its own unit test called. The
+# catalogue's hit/miss counts live in `TenantMetrics` alone, and
+# `Backend::set_step_tracing` is the one tracing switch. None of them
+# may come back.
+if grep -rnwE 'Point2|Point3|Rect1|Rect2|Rect3|linearize2|linearize3|delinearize2|delinearize3|IdentityRelation|square_closure|grid3_slabs|from_color_fn|block_shape|from_row_major|overflow_len|index_launch|jacobi_components|note_catalogue_prediction' crates ||
+    grep -rnE 'IndexSpace::grid[123]|\bShape::|kdr_index::Shape\b|fn (grid[123]|set_tracing|try_get|is_ready|is_poisoned|copy_range|num_requirements|unpartitioned|fractions|into_graph|confidence|shape)\b' crates; then
+    echo "ci.sh: crates/ names deleted index geometry or a deleted one-test item again (see above)" >&2
+    exit 1
+fi
+# A deadline estimate saturates instead of panicking (DESIGN §14): the
+# service converts seconds to a `Duration` only through the queue's
+# saturating conversion.
+if grep -rn 'Duration::from_secs_f64' crates/kdr-service/src; then
+    echo "ci.sh: kdr-service converts an estimate with Duration::from_secs_f64 again (see above)" >&2
+    exit 1
+fi
+
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs
 # against the sequential oracle, 20 times with fresh inputs. A failing

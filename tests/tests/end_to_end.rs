@@ -214,8 +214,7 @@ fn exotic_partitions_work_end_to_end() {
     let reference = kdr_solution(s, &b, |p| Box::new(CgSolver::new(p)), 1e-11);
 
     // 2-D tile partition of the (grid-structured) domain space.
-    let grid = kdr_index::IndexSpace::grid2(16, 16);
-    let tiled = Partition::grid2_tiles(&grid, 2, 2);
+    let tiled = Partition::grid2_tiles(16, 16, 2, 2);
     // Size-imbalanced blocks.
     let skew = Partition::new(
         n,

@@ -10,7 +10,7 @@ use kdr_baselines::{
 };
 use kdr_core::simbackend::SimBackend;
 use kdr_core::solvers::{BiCgStabSolver, CgSolver, GmresSolver, Solver};
-use kdr_core::{solve, ExecBackend, Planner, SolveControl, StepOutcome, SOL};
+use kdr_core::{solve, Backend, ExecBackend, Planner, SolveControl, StepOutcome, SOL};
 use kdr_index::Partition;
 use kdr_machine::{simulate, MachineConfig};
 use kdr_sparse::stencil::rhs_vector;
@@ -124,7 +124,7 @@ fn exec_planner_on(s: Stencil, pieces: usize, traced: bool, workers: usize) -> P
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
     let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_tracing(traced);
+    backend.set_step_tracing(traced);
     let mut planner = Planner::new(Box::new(backend));
     let part = Partition::equal_blocks(n, pieces);
     let d = planner.add_sol_vector(n, Some(part.clone()));
