@@ -1039,7 +1039,8 @@ impl<T: Scalar> ExecBackend<T> {
             let t = transpose;
             // Task names carry the lowered kind (metrics report
             // which kernels actually ran) and the zero/transpose
-            // flags.
+            // flags. Tiles are the one timed kind of task: their
+            // execute times are what a cost catalogue observes.
             let name = data
                 .kind()
                 .expect("registered tiles are non-empty")
@@ -1048,7 +1049,7 @@ impl<T: Scalar> ExecBackend<T> {
                 TaskBuilder::new(name)
                     .read(sbuf, Arc::clone(rsubset))
                     .write(dbuf, Arc::clone(wsubset))
-                    .meta(TaskMeta::new(name).with_color(tile.color))
+                    .meta(TaskMeta::new(name).with_color(tile.color).timed())
                     .shared_body(move |ctx| {
                         let x = RV(ctx.read::<T>(0));
                         let mut y = WV(ctx.write::<T>(1));

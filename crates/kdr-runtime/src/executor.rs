@@ -109,6 +109,16 @@
 //! with no plan armed and no budget set, the fault layer costs one
 //! relaxed atomic load per body on the submit path and one on the
 //! execute path.
+//!
+//! Timing is pay-as-you-go in the same way, and a clock is read only
+//! where someone reads the time. Event logging stamps every body, for
+//! its span: one read as a node starts and one per body boundary, since
+//! a fused body starts where the one before it ended. Per-kernel timing
+//! without the log stamps only the bodies marked [`TaskMeta::timed`] —
+//! the tile kernels whose times feed a cost catalogue — with two reads
+//! each, and leaves the vector ops around them unstamped. With both off
+//! the clock is not read, and the two layers cost one relaxed load each
+//! per node.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -366,9 +376,10 @@ pub(crate) struct Tallies {
     /// the ones that panicked included.
     pub task_counts: BTreeMap<&'static str, u64>,
     /// Accumulated execution nanoseconds per kernel name, of bodies
-    /// that completed; only grows while event logging or per-kernel
-    /// timing is enabled (timestamps are zero otherwise, contributing
-    /// nothing, and a name with nothing timed has no entry).
+    /// that completed and were stamped: every body while event logging
+    /// is on, the bodies marked [`TaskMeta::timed`] while per-kernel
+    /// timing is on. An unstamped body contributes nothing, and a name
+    /// with nothing timed has no entry.
     pub task_execute_ns: BTreeMap<&'static str, u64>,
 }
 
@@ -477,10 +488,11 @@ struct ExecShared {
     /// per body at submission when disarmed.
     faults: FaultInjector,
     /// Per-kernel execution timing without the full event log: when
-    /// set, workers stamp every body's start/end even with logging
-    /// off, and retirement accumulates per-kernel-name execute
-    /// nanoseconds (the cost catalogue's online observation feed). One
-    /// relaxed load per node when off.
+    /// set, workers stamp the start and end of each body marked
+    /// [`TaskMeta::timed`] even with logging off, and retirement
+    /// accumulates per-kernel-name execute nanoseconds (the cost
+    /// catalogue's online observation feed). One relaxed load per node
+    /// when off.
     kernel_timing: AtomicBool,
     /// Watchdog stall budget in nanoseconds (0 = watchdog off).
     stall_budget_ns: AtomicU64,
@@ -529,9 +541,9 @@ impl ExecShared {
         self.watch.len() - 1
     }
 
-    /// The event clock if logging is on, zero otherwise.
-    fn stamp(&self, logging: bool) -> u64 {
-        if logging {
+    /// The event clock if `on`, zero otherwise.
+    fn stamp(&self, on: bool) -> u64 {
+        if on {
             self.events.now_ns()
         } else {
             0
@@ -921,8 +933,8 @@ impl Executor {
         self.shared.state.lock().outstanding
     }
 
-    /// Enable or disable per-kernel execution timing independently of
-    /// the event log.
+    /// Enable or disable per-kernel execution timing of the bodies
+    /// marked [`TaskMeta::timed`], independently of the event log.
     pub fn set_kernel_timing(&self, on: bool) {
         self.shared.kernel_timing.store(on, Ordering::Relaxed);
     }
@@ -1115,8 +1127,8 @@ fn retire_one(
     // (take_spans, metrics) never see a straggler.
     for b in bodies {
         if b.outcome != TaskOutcome::Poisoned {
-            // Only a completed body's time counts; zero when neither
-            // logging nor kernel timing stamped it.
+            // Only a completed body's time counts; zero when it was
+            // not stamped.
             let timed = match b.outcome {
                 TaskOutcome::Completed => b.end_ns.saturating_sub(b.start_ns),
                 _ => 0,
@@ -1146,7 +1158,10 @@ fn retire_one(
 struct NodeRun<'a> {
     shared: &'a ExecShared,
     me: usize,
-    timing: bool,
+    /// Event logging: stamp every body, for its span.
+    logging: bool,
+    /// Per-kernel timing: stamp the bodies marked [`TaskMeta::timed`].
+    kernel_timing: bool,
     /// The watchdog's stall budget; one relaxed load per node when it
     /// is off — the fault layer's entire cost on the disabled execute
     /// path (the injected-fault check is a plain field read).
@@ -1161,21 +1176,32 @@ impl NodeRun<'_> {
     /// Run the next body of the node through `call` — or, once a body
     /// of the node has panicked, record it as poisoned and drop `call`
     /// unrun, which poisons any promise it captured.
+    ///
+    /// This is the one place a body is stamped: every body while event
+    /// logging is on, and otherwise a body marked
+    /// [`TaskMeta::timed`] while per-kernel timing is on. With logging
+    /// on, a body after the first of its node starts where the one
+    /// before it ended, so each boundary costs one clock read.
     fn body(
         &mut self,
         id: TaskId,
-        name: &'static str,
+        meta: &TaskMeta,
         fault: Option<FaultKind>,
         ctx: &TaskContext,
         call: impl FnOnce(&TaskContext),
     ) {
+        let name = meta.name;
         if self.failure.is_some() {
             self.records
                 .push(BodyRecord::unrun(id, name, self.ready_ns));
             return;
         }
         let (shared, me) = (self.shared, self.me);
-        let start_ns = shared.stamp(self.timing);
+        let stamped = self.logging || (self.kernel_timing && meta.timed);
+        let start_ns = match self.records.last() {
+            Some(before) if self.logging => before.end_ns,
+            _ => shared.stamp(stamped),
+        };
         if self.budget > 0 {
             let slot = &shared.watch[me];
             slot.since_ns
@@ -1203,7 +1229,7 @@ impl NodeRun<'_> {
                 (req.corrupt)(req);
             }
         }
-        let end_ns = shared.stamp(self.timing);
+        let end_ns = shared.stamp(stamped);
         self.records.push(BodyRecord {
             id,
             name,
@@ -1234,14 +1260,15 @@ fn run_node(
     shared: &ExecShared,
     me: usize,
     node: Runnable,
-    timing: bool,
+    logging: bool,
     records: &mut Vec<BodyRecord>,
 ) -> Option<TaskError> {
     records.clear();
     let mut run = NodeRun {
         shared,
         me,
-        timing,
+        logging,
+        kernel_timing: shared.kernel_timing.load(Ordering::Relaxed),
         budget: shared.stall_budget_ns.load(Ordering::Relaxed),
         ready_ns: node.ready_ns,
         records,
@@ -1250,13 +1277,13 @@ fn run_node(
     match node.work {
         Work::Once(members) => {
             for m in members {
-                run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx));
+                run.body(m.id, &m.meta, m.fault, &m.ctx, |ctx| m.body.run(ctx));
             }
         }
         Work::Program { run: program, at } => {
             for &l in program.locals(&at) {
                 let (id, b, fault) = program.body(l);
-                run.body(id, b.meta.name, fault, &b.ctx, |ctx| (b.body)(ctx));
+                run.body(id, &b.meta, fault, &b.ctx, |ctx| (b.body)(ctx));
             }
         }
     }
@@ -1352,9 +1379,8 @@ fn run_nodes<'a>(
         }
         drop(st);
         shared.wake(std::mem::take(&mut owed));
-        let timing = logging || shared.kernel_timing.load(Ordering::Relaxed);
         let id = node.id();
-        let failure = run_node(shared, me, node, timing, &mut records);
+        let failure = run_node(shared, me, node, logging, &mut records);
 
         // Retire: record any failure, release (or poison) successors,
         // and go round to take the next node, all under one
@@ -1644,22 +1670,24 @@ mod tests {
         let literal: &'static str = "twin";
         let leaked: &'static str = String::from("twin").leak();
         assert!(!std::ptr::eq(literal, leaked));
+        // Every body is marked timed: per-kernel timing stamps no other.
         let ex = Executor::new(1);
         ex.set_kernel_timing(true);
+        let meta = |name| TaskMeta::new(name).timed();
         let pause = || std::thread::sleep(Duration::from_micros(50));
-        ex.submit(Runnable::single(member(0, TaskMeta::new(literal), pause)), &[]);
-        ex.submit(Runnable::single(member(1, TaskMeta::new(leaked), pause)), &[]);
-        ex.submit(Runnable::single(member(2, TaskMeta::new(leaked), pause)), &[]);
+        ex.submit(Runnable::single(member(0, meta(literal), pause)), &[]);
+        ex.submit(Runnable::single(member(1, meta(leaked), pause)), &[]);
+        ex.submit(Runnable::single(member(2, meta(leaked), pause)), &[]);
         // Panicked: counted, not timed. Its successors are poisoned:
         // neither counted nor timed, so `ghost` gets no entry at all.
         let boom = move || {
             pause();
             panic!("boom");
         };
-        ex.submit(Runnable::single(member(3, TaskMeta::new("boom"), boom)), &[]);
-        ex.submit(Runnable::single(member(4, TaskMeta::new(literal), || {})), &[3]);
-        ex.submit(Runnable::single(member(5, TaskMeta::new("ghost"), || {})), &[3]);
-        ex.submit(Runnable::single(member(6, TaskMeta::new("other"), pause)), &[]);
+        ex.submit(Runnable::single(member(3, meta("boom"), boom)), &[]);
+        ex.submit(Runnable::single(member(4, meta(literal), || {})), &[3]);
+        ex.submit(Runnable::single(member(5, meta("ghost"), || {})), &[3]);
+        ex.submit(Runnable::single(member(6, meta("other"), pause)), &[]);
         assert_eq!(ex.fence().unwrap_err().task, 3);
         let t = ex.tallies();
         assert_eq!(

@@ -220,7 +220,9 @@ pub struct MetricsSnapshot {
     pub task_counts: BTreeMap<&'static str, u64>,
     /// Accumulated execution nanoseconds per kernel name — the
     /// per-kernel companion of [`MetricsSnapshot::execute_ns`]. Only
-    /// populated while event logging or per-kernel timing is on (see
+    /// populated while event logging is on (every name) or per-kernel
+    /// timing is (the names of bodies marked
+    /// [`TaskMeta::timed`](crate::TaskMeta::timed), see
     /// [`Runtime::enable_kernel_timing`](crate::Runtime::enable_kernel_timing));
     /// cost catalogues divide these by [`MetricsSnapshot::task_counts`]
     /// to refine per-kernel latency estimates online.

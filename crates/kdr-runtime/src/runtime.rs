@@ -116,10 +116,13 @@ impl Runtime {
     }
 
     /// Enable or disable per-kernel execution timing independently of
-    /// event logging: workers stamp task start/end so
-    /// [`MetricsSnapshot::task_execute_ns`] accumulates, without
-    /// paying for span records. Two clock reads per task when on; one
-    /// relaxed load when off.
+    /// event logging: workers stamp the start and end of every body
+    /// marked [`TaskMeta::timed`](crate::TaskMeta::timed) (the exec
+    /// backend marks its tile kernels) so
+    /// [`MetricsSnapshot::task_execute_ns`] accumulates for those names,
+    /// without paying for span records. Two clock reads per timed body
+    /// and none for any other when on; one relaxed load per node when
+    /// off.
     pub fn enable_kernel_timing(&self, on: bool) {
         self.exec.set_kernel_timing(on);
     }

@@ -244,6 +244,34 @@ fn next_job_is_a_catalogue_hit(shards: usize) {
     }
 }
 
+/// A catalogue-backed shard times only what the catalogue reads: the
+/// tile kernels. Every body is still counted, the vector ops and dot
+/// partials around the tiles included, but only `spmv_*` names carry
+/// execute time.
+#[test]
+fn a_catalogue_backed_shard_times_only_its_tile_kernels() {
+    let svc = service(ServiceConfig {
+        workers: 2,
+        catalogue: Some(catalogue()),
+        ..ServiceConfig::default()
+    });
+    svc.register_tenant(1, 1);
+    let s = Stencil::lap2d(12, 12);
+    let n = s.unknowns();
+    let sid = svc.create_session(1, SessionSpec::stencil(s, 4, SolverKind::Cg)).unwrap();
+    let control = SolveControl::to_tolerance(1e-10, 1000);
+    svc.submit(1, SolveRequest::new(sid, rhs_vector::<f64>(n, 7), control)).unwrap();
+    svc.run_until_idle();
+    assert!(svc.take_responses()[0].outcome.is_converged());
+    let m = svc.shard(0).runtime().metrics();
+    let timed: Vec<&str> = m.task_execute_ns.keys().copied().collect();
+    assert!(!timed.is_empty(), "the tile kernels are timed");
+    assert!(timed.iter().all(|name| name.starts_with("spmv_")), "only tiles are timed: {timed:?}");
+    for name in ["axpy", "dot_partial"] {
+        assert!(m.task_counts.get(name).is_some_and(|&c| c > 0), "{name} is still counted");
+    }
+}
+
 /// Warm restart: a fleet with one stencil and one assembled session
 /// round-trips through one store file. Consistent hashing puts tenants
 /// back on their shards, sessions come back warm (plan finalized and

@@ -63,6 +63,30 @@ if sed '/^    pub fn tallies(/,/^    }$/d' "$exec_rs" | grep -nE '(task_counts|t
     exit 1
 fi
 
+# Per-kernel timing times only what the cost catalogue reads (DESIGN
+# §8): outside tests, the one task marked timed is the tile kernel that
+# exec.rs's `apply_tasks` builds, and in the executor a body is stamped
+# only in `NodeRun::body`, under one gate (every body while logging, a
+# timed one while kernel timing is on). Every other stamp there is a
+# per-node or per-submission one, taken only while logging.
+timed_marks=$(find crates examples -name '*.rs' -not -path '*/tests/*' -exec \
+    awk '/^#\[cfg\(test\)\]/ { getline; if ($0 ~ /^mod tests/) nextfile }
+         /\.timed\(\)|timed: true/ { print FILENAME ":" FNR ": " $0 }' {} +)
+tile_marks=$(sed -n '/^    fn apply_tasks(/,/^    }$/p' crates/kdr-core/src/exec.rs | grep -c '\.timed()' || true)
+if [ "$(printf '%s' "$timed_marks" | grep -c .)" != 1 ] || [ "$tile_marks" != 1 ]; then
+    printf '%s\n' "$timed_marks" >&2
+    echo "ci.sh: a task other than exec.rs's tile kernels is marked timed (see above)" >&2
+    exit 1
+fi
+node_run=$(sed -n '/^impl NodeRun/,/^}$/p' "$exec_rs")
+gate='let stamped = self.logging || (self.kernel_timing && meta.timed);'
+if [ "$(printf '%s\n' "$node_run" | grep -cF "$gate" || true)" != 1 ] ||
+    [ "$(printf '%s\n' "$node_run" | grep -c 'kernel_timing' || true)" != 1 ] ||
+    sed '/^impl NodeRun/,/^}$/d' "$exec_rs" | grep -nE 'stamp\(' | grep -vE 'fn stamp\(|stamp\(logging\)'; then
+    echo "ci.sh: executor.rs stamps a body outside NodeRun::body or past its gate: $gate" >&2
+    exit 1
+fi
+
 # The span rings under a waiting driver: `ring_overflow_drops_instead_
 # of_blocking` bounds what three rings retain (two workers and the
 # driver lane, which a thread waiting in `take_spans` records into).
