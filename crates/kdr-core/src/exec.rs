@@ -721,16 +721,14 @@ impl<T: Scalar> ExecBackend<T> {
     }
 
     /// Per-tile manifest of every registered operator set:
-    /// `(structure key, lowered kernel kind, stored-entry count)`.
-    /// The service layer joins this against per-kernel-name execute
-    /// timings to refine the cost catalogue online, and persists it
-    /// so a reopened store can force the same lowering.
-    pub fn operator_manifest(&self) -> Vec<(StructureKey, KernelKind, u64)> {
+    /// `(structure key, lowered kernel kind)`, one entry per tile. The
+    /// service keys its cost catalogue by it.
+    pub fn operator_manifest(&self) -> Vec<(StructureKey, KernelKind)> {
         let mut out = Vec::new();
         for opset in &self.opsets {
             for tile in &opset.tiles {
                 if let Some(kind) = tile.kernel.kind() {
-                    out.push((tile.key, kind, tile.kernel.nnz() as u64));
+                    out.push((tile.key, kind));
                 }
             }
         }
@@ -1039,8 +1037,7 @@ impl<T: Scalar> ExecBackend<T> {
             let t = transpose;
             // Task names carry the lowered kind (metrics report
             // which kernels actually ran) and the zero/transpose
-            // flags. Tiles are the one timed kind of task: their
-            // execute times are what a cost catalogue observes.
+            // flags.
             let name = data
                 .kind()
                 .expect("registered tiles are non-empty")
@@ -1049,7 +1046,7 @@ impl<T: Scalar> ExecBackend<T> {
                 TaskBuilder::new(name)
                     .read(sbuf, Arc::clone(rsubset))
                     .write(dbuf, Arc::clone(wsubset))
-                    .meta(TaskMeta::new(name).with_color(tile.color).timed())
+                    .meta(TaskMeta::new(name).with_color(tile.color))
                     .shared_body(move |ctx| {
                         let x = RV(ctx.read::<T>(0));
                         let mut y = WV(ctx.write::<T>(1));

@@ -41,11 +41,11 @@
 //! driver hears of its retirement.
 //!
 //! Bodies a driver runs are bodies like any other: same `catch_unwind`,
-//! same fault decision (taken at submission), same spans, tallies and
-//! per-kernel timing, recorded under one extra lane, `worker ==
-//! num_workers`, which all drivers share (as they share its watchdog
-//! slot: with two drivers inside long bodies at once the watchdog sees
-//! the one that started last). Which thread runs a body is not an
+//! same fault decision (taken at submission), same spans and tallies,
+//! recorded under one extra lane, `worker == num_workers`, which all
+//! drivers share (as they share its watchdog slot: with two drivers
+//! inside long bodies at once the watchdog sees the one that started
+//! last). Which thread runs a body is not an
 //! input to any body, so results do not depend on it. What a caller
 //! must not do is wait while holding a lock one of the queued bodies
 //! takes — it may be handed that body.
@@ -111,17 +111,13 @@
 //! execute path.
 //!
 //! Timing is pay-as-you-go in the same way, and a clock is read only
-//! where someone reads the time. Event logging stamps every body, for
-//! its span: one read as a node starts and one per body boundary, since
-//! a fused body starts where the one before it ended. Per-kernel timing
-//! without the log stamps only the bodies marked [`TaskMeta::timed`] —
-//! the tile kernels whose times feed a cost catalogue — with two reads
-//! each, and leaves the vector ops around them unstamped. With both off
-//! the clock is not read, and the two layers cost one relaxed load each
-//! per node.
+//! where someone reads the time: event logging stamps every body, for
+//! its span — one read as a node starts and one per body boundary,
+//! since a fused body starts where the one before it ended. With
+//! logging off no body is stamped and the clock is not read.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -352,8 +348,9 @@ impl ReadyQueues {
 
 /// Execution tallies, read in one lock acquisition by
 /// [`Executor::tallies`]. The scheduling state keeps the counters here
-/// and the per-name ones in a [`NameTallies`]; the two maps are filled
-/// from it when the tallies are read, and stay empty in the state.
+/// and the per-name ones in a [`NameTallies`]; the name-keyed map is
+/// filled from it when the tallies are read, and stays empty in the
+/// state.
 #[derive(Clone, Default)]
 pub(crate) struct Tallies {
     /// Nodes executed (a node whose body panicked included).
@@ -375,12 +372,6 @@ pub(crate) struct Tallies {
     /// Executed-body tallies keyed by kernel name: bodies that ran,
     /// the ones that panicked included.
     pub task_counts: BTreeMap<&'static str, u64>,
-    /// Accumulated execution nanoseconds per kernel name, of bodies
-    /// that completed and were stamped: every body while event logging
-    /// is on, the bodies marked [`TaskMeta::timed`] while per-kernel
-    /// timing is on. An unstamped body contributes nothing, and a name
-    /// with nothing timed has no entry.
-    pub task_execute_ns: BTreeMap<&'static str, u64>,
 }
 
 /// The per-name tallies as retirement adds into them, under the
@@ -391,23 +382,21 @@ pub(crate) struct Tallies {
 /// equal text still share one entry.
 #[derive(Default)]
 struct NameTallies {
-    /// One entry per distinct name text: (name, bodies that ran,
-    /// nanoseconds timed).
-    totals: Vec<(&'static str, u64, u64)>,
+    /// One entry per distinct name text: (name, bodies that ran).
+    totals: Vec<(&'static str, u64)>,
 }
 
 impl NameTallies {
-    /// Count one body of `name` that ran, `ns` of it timed.
-    fn add(&mut self, name: &'static str, ns: u64) {
+    /// Count one body of `name` that ran.
+    fn add(&mut self, name: &'static str) {
         let totals = &mut self.totals;
         let by_address = totals.iter().position(|e| std::ptr::eq(e.0, name));
         let found = by_address.or_else(|| totals.iter().position(|e| e.0 == name));
         let at = found.unwrap_or_else(|| {
-            totals.push((name, 0, 0));
+            totals.push((name, 0));
             totals.len() - 1
         });
         totals[at].1 += 1;
-        totals[at].2 += ns;
     }
 }
 
@@ -487,13 +476,6 @@ struct ExecShared {
     /// Deterministic fault injector. Checked with one relaxed load
     /// per body at submission when disarmed.
     faults: FaultInjector,
-    /// Per-kernel execution timing without the full event log: when
-    /// set, workers stamp the start and end of each body marked
-    /// [`TaskMeta::timed`] even with logging off, and retirement
-    /// accumulates per-kernel-name execute nanoseconds (the cost
-    /// catalogue's online observation feed). One relaxed load per node
-    /// when off.
-    kernel_timing: AtomicBool,
     /// Watchdog stall budget in nanoseconds (0 = watchdog off).
     stall_budget_ns: AtomicU64,
     /// One slot per worker for the watchdog to observe, and a last
@@ -541,9 +523,9 @@ impl ExecShared {
         self.watch.len() - 1
     }
 
-    /// The event clock if `on`, zero otherwise.
-    fn stamp(&self, on: bool) -> u64 {
-        if on {
+    /// The event clock if logging is on, zero otherwise.
+    fn stamp(&self, logging: bool) -> u64 {
+        if logging {
             self.events.now_ns()
         } else {
             0
@@ -586,7 +568,6 @@ impl Executor {
             idle_cv: Condvar::new(),
             events: EventSink::new(),
             faults: FaultInjector::new(),
-            kernel_timing: AtomicBool::new(false),
             stall_budget_ns: AtomicU64::new(0),
             watch: (0..=workers)
                 .map(|_| WatchSlot {
@@ -896,15 +877,12 @@ impl Executor {
     }
 
     /// The execution tallies as of now, the per-name table folded into
-    /// its two maps.
+    /// its map.
     pub fn tallies(&self) -> Tallies {
         let st = self.shared.state.lock();
         let mut t = st.tallies.clone();
-        for &(name, count, ns) in &st.names.totals {
+        for &(name, count) in &st.names.totals {
             *t.task_counts.entry(name).or_insert(0) += count;
-            if ns > 0 {
-                *t.task_execute_ns.entry(name).or_insert(0) += ns;
-            }
         }
         t
     }
@@ -931,12 +909,6 @@ impl Executor {
     /// state lock serializes submissions).
     pub fn outstanding(&self) -> usize {
         self.shared.state.lock().outstanding
-    }
-
-    /// Enable or disable per-kernel execution timing of the bodies
-    /// marked [`TaskMeta::timed`], independently of the event log.
-    pub fn set_kernel_timing(&self, on: bool) {
-        self.shared.kernel_timing.store(on, Ordering::Relaxed);
     }
 
     /// The event layer's enable flag, clock and histograms.
@@ -1127,13 +1099,7 @@ fn retire_one(
     // (take_spans, metrics) never see a straggler.
     for b in bodies {
         if b.outcome != TaskOutcome::Poisoned {
-            // Only a completed body's time counts; zero when it was
-            // not stamped.
-            let timed = match b.outcome {
-                TaskOutcome::Completed => b.end_ns.saturating_sub(b.start_ns),
-                _ => 0,
-            };
-            st.names.add(b.name, timed);
+            st.names.add(b.name);
         }
         if logging {
             let rec = ExecRecord {
@@ -1160,8 +1126,6 @@ struct NodeRun<'a> {
     me: usize,
     /// Event logging: stamp every body, for its span.
     logging: bool,
-    /// Per-kernel timing: stamp the bodies marked [`TaskMeta::timed`].
-    kernel_timing: bool,
     /// The watchdog's stall budget; one relaxed load per node when it
     /// is off — the fault layer's entire cost on the disabled execute
     /// path (the injected-fault check is a plain field read).
@@ -1177,30 +1141,26 @@ impl NodeRun<'_> {
     /// of the node has panicked, record it as poisoned and drop `call`
     /// unrun, which poisons any promise it captured.
     ///
-    /// This is the one place a body is stamped: every body while event
-    /// logging is on, and otherwise a body marked
-    /// [`TaskMeta::timed`] while per-kernel timing is on. With logging
-    /// on, a body after the first of its node starts where the one
-    /// before it ended, so each boundary costs one clock read.
+    /// This is the one place a body is stamped, and only while event
+    /// logging is on: a body after the first of its node starts where
+    /// the one before it ended, so each boundary costs one clock read.
     fn body(
         &mut self,
         id: TaskId,
-        meta: &TaskMeta,
+        name: &'static str,
         fault: Option<FaultKind>,
         ctx: &TaskContext,
         call: impl FnOnce(&TaskContext),
     ) {
-        let name = meta.name;
         if self.failure.is_some() {
             self.records
                 .push(BodyRecord::unrun(id, name, self.ready_ns));
             return;
         }
         let (shared, me) = (self.shared, self.me);
-        let stamped = self.logging || (self.kernel_timing && meta.timed);
         let start_ns = match self.records.last() {
             Some(before) if self.logging => before.end_ns,
-            _ => shared.stamp(stamped),
+            _ => shared.stamp(self.logging),
         };
         if self.budget > 0 {
             let slot = &shared.watch[me];
@@ -1229,7 +1189,7 @@ impl NodeRun<'_> {
                 (req.corrupt)(req);
             }
         }
-        let end_ns = shared.stamp(stamped);
+        let end_ns = shared.stamp(self.logging);
         self.records.push(BodyRecord {
             id,
             name,
@@ -1268,7 +1228,6 @@ fn run_node(
         shared,
         me,
         logging,
-        kernel_timing: shared.kernel_timing.load(Ordering::Relaxed),
         budget: shared.stall_budget_ns.load(Ordering::Relaxed),
         ready_ns: node.ready_ns,
         records,
@@ -1277,13 +1236,13 @@ fn run_node(
     match node.work {
         Work::Once(members) => {
             for m in members {
-                run.body(m.id, &m.meta, m.fault, &m.ctx, |ctx| m.body.run(ctx));
+                run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx));
             }
         }
         Work::Program { run: program, at } => {
             for &l in program.locals(&at) {
                 let (id, b, fault) = program.body(l);
-                run.body(id, &b.meta, fault, &b.ctx, |ctx| (b.body)(ctx));
+                run.body(id, b.meta.name, fault, &b.ctx, |ctx| (b.body)(ctx));
             }
         }
     }
@@ -1436,7 +1395,7 @@ fn watchdog_loop(shared: Arc<ExecShared>) {
 mod tests {
     use super::*;
     use crate::fault::{FaultSpec, FireSchedule};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn member(id: TaskId, meta: TaskMeta, f: impl FnOnce() + Send + 'static) -> Member {
         Member {
@@ -1666,37 +1625,31 @@ mod tests {
     #[test]
     fn names_with_equal_text_share_one_tally() {
         // Two names with the same text at different addresses: found
-        // by address, they must still fold into one entry per map.
+        // by address, they must still fold into one entry.
         let literal: &'static str = "twin";
         let leaked: &'static str = String::from("twin").leak();
         assert!(!std::ptr::eq(literal, leaked));
-        // Every body is marked timed: per-kernel timing stamps no other.
         let ex = Executor::new(1);
-        ex.set_kernel_timing(true);
-        let meta = |name| TaskMeta::new(name).timed();
         let pause = || std::thread::sleep(Duration::from_micros(50));
-        ex.submit(Runnable::single(member(0, meta(literal), pause)), &[]);
-        ex.submit(Runnable::single(member(1, meta(leaked), pause)), &[]);
-        ex.submit(Runnable::single(member(2, meta(leaked), pause)), &[]);
-        // Panicked: counted, not timed. Its successors are poisoned:
-        // neither counted nor timed, so `ghost` gets no entry at all.
+        ex.submit(Runnable::single(member(0, TaskMeta::new(literal), pause)), &[]);
+        ex.submit(Runnable::single(member(1, TaskMeta::new(leaked), pause)), &[]);
+        ex.submit(Runnable::single(member(2, TaskMeta::new(leaked), pause)), &[]);
+        // Panicked: counted. Its successors are poisoned: not
+        // counted, so `ghost` gets no entry at all.
         let boom = move || {
             pause();
             panic!("boom");
         };
-        ex.submit(Runnable::single(member(3, meta("boom"), boom)), &[]);
-        ex.submit(Runnable::single(member(4, meta(literal), || {})), &[3]);
-        ex.submit(Runnable::single(member(5, meta("ghost"), || {})), &[3]);
-        ex.submit(Runnable::single(member(6, meta("other"), pause)), &[]);
+        ex.submit(Runnable::single(member(3, TaskMeta::new("boom"), boom)), &[]);
+        ex.submit(Runnable::single(member(4, TaskMeta::new(literal), || {})), &[3]);
+        ex.submit(Runnable::single(member(5, TaskMeta::new("ghost"), || {})), &[3]);
+        ex.submit(Runnable::single(member(6, TaskMeta::new("other"), pause)), &[]);
         assert_eq!(ex.fence().unwrap_err().task, 3);
         let t = ex.tallies();
         assert_eq!(
             t.task_counts.into_iter().collect::<Vec<_>>(),
             [("boom", 1), ("other", 1), ("twin", 3)]
         );
-        let timed: Vec<&str> = t.task_execute_ns.keys().copied().collect();
-        assert_eq!(timed, ["other", "twin"]);
-        assert!(t.task_execute_ns["twin"] >= 3 * 50_000, "three timed bodies");
         assert_eq!((t.task_failures, t.tasks_poisoned), (1, 2));
     }
 

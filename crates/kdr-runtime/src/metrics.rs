@@ -214,19 +214,8 @@ pub struct MetricsSnapshot {
     pub execute_ns: HistogramSnapshot,
     /// Executed-body tallies keyed by kernel name (e.g.
     /// `spmv_dia` vs `spmv_csr`), so backends can report which
-    /// specialized kernels actually ran. Per body, fused or not:
-    /// this and [`MetricsSnapshot::task_execute_ns`] are the cost
-    /// catalogue's input.
+    /// specialized kernels actually ran. Per body, fused or not.
     pub task_counts: BTreeMap<&'static str, u64>,
-    /// Accumulated execution nanoseconds per kernel name — the
-    /// per-kernel companion of [`MetricsSnapshot::execute_ns`]. Only
-    /// populated while event logging is on (every name) or per-kernel
-    /// timing is (the names of bodies marked
-    /// [`TaskMeta::timed`](crate::TaskMeta::timed), see
-    /// [`Runtime::enable_kernel_timing`](crate::Runtime::enable_kernel_timing));
-    /// cost catalogues divide these by [`MetricsSnapshot::task_counts`]
-    /// to refine per-kernel latency estimates online.
-    pub task_execute_ns: BTreeMap<&'static str, u64>,
 }
 
 impl MetricsSnapshot {

@@ -115,18 +115,6 @@ impl Runtime {
         }
     }
 
-    /// Enable or disable per-kernel execution timing independently of
-    /// event logging: workers stamp the start and end of every body
-    /// marked [`TaskMeta::timed`](crate::TaskMeta::timed) (the exec
-    /// backend marks its tile kernels) so
-    /// [`MetricsSnapshot::task_execute_ns`] accumulates for those names,
-    /// without paying for span records. Two clock reads per timed body
-    /// and none for any other when on; one relaxed load per node when
-    /// off.
-    pub fn enable_kernel_timing(&self, on: bool) {
-        self.exec.set_kernel_timing(on);
-    }
-
     /// Count one global reduction stage (a fused multi-dot counts
     /// once, however many scalars it combines). Backends call this
     /// when they launch a combine task.
@@ -549,7 +537,6 @@ impl Runtime {
             queue_wait_ns: events.queue_wait_ns.snapshot(),
             execute_ns: events.execute_ns.snapshot(),
             task_counts: exec.task_counts,
-            task_execute_ns: exec.task_execute_ns,
         }
     }
 }

@@ -25,8 +25,8 @@ pub enum Privilege {
     Write,
 }
 
-/// Scheduling metadata attached to a task: what the executor places,
-/// names and times it by, carried with the task's body.
+/// Scheduling metadata attached to a task: what the executor places
+/// and names it by, carried with the task's body.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskMeta {
     /// Human-readable kernel name.
@@ -35,33 +35,17 @@ pub struct TaskMeta {
     /// of a partition: the task runs on worker `color % W` unless a
     /// peer steals it.
     pub color: Option<usize>,
-    /// Whether the body's execute time feeds the per-kernel tallies
-    /// while per-kernel timing is on
-    /// ([`Runtime::enable_kernel_timing`](crate::Runtime::enable_kernel_timing)).
-    /// An unmarked body is stamped only while event logging is on.
-    pub timed: bool,
 }
 
 impl TaskMeta {
     /// Metadata with the given kernel name and no color.
     pub fn new(name: &'static str) -> Self {
-        TaskMeta {
-            name,
-            color: None,
-            timed: false,
-        }
+        TaskMeta { name, color: None }
     }
 
     /// Attach an index-launch color.
     pub fn with_color(mut self, color: usize) -> Self {
         self.color = Some(color);
-        self
-    }
-
-    /// Mark the body as one whose execute time per-kernel timing
-    /// records: the tile kernels a cost catalogue is fed by.
-    pub fn timed(mut self) -> Self {
-        self.timed = true;
         self
     }
 }
@@ -191,8 +175,8 @@ impl TaskBuilder {
         });
     }
 
-    /// Attach scheduling metadata (its color, whether it is timed).
-    /// The task keeps the name it was built with.
+    /// Attach scheduling metadata (its color). The task keeps the name
+    /// it was built with.
     pub fn meta(mut self, meta: TaskMeta) -> Self {
         self.meta = TaskMeta {
             name: self.name,
@@ -299,8 +283,6 @@ mod tests {
         let m = TaskMeta::new("spmv").with_color(3);
         assert_eq!(m.name, "spmv");
         assert_eq!(m.color, Some(3));
-        assert!(!m.timed);
-        assert!(m.timed().timed);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct TenantMetrics {
     pub busy_seconds: f64,
     /// Admitted jobs whose admission-time cost prediction came from
     /// an *observed* catalogue entry (refined online from at least
-    /// one execute-latency sample). Zero when the service runs
+    /// one measured slice). Zero when the service runs
     /// without a catalogue.
     pub catalogue_hits: u64,
     /// Admitted jobs whose prediction fell back to the roofline

@@ -31,12 +31,11 @@ pub(crate) fn solver_wire(kind: SolverKind) -> (u8, u64, f64, f64) {
     }
 }
 
-/// Decode wire fields back into a [`SolverKind`]; unknown codes, and
-/// parameters the solver's constructor would assert against (GMRES
-/// `restart = 0`, s-step `s = 0`, Chebyshev bounds outside
-/// `0 < lmin <= lmax`), are a [`StoreError::Malformed`] (`offset` 0 —
-/// the record's position was already validated by the store layer,
-/// this is a semantic check).
+/// Decode wire fields back into a [`SolverKind`]; an unknown code is a
+/// [`StoreError::Malformed`] (`offset` 0 — the record's position was
+/// already validated by the store layer, this is a semantic check).
+/// Parameters are decoded as they are: whether the solver accepts
+/// them is [`SessionSpec::check`]'s question.
 pub(crate) fn solver_unwire(
     code: u8,
     p0: u64,
@@ -49,21 +48,15 @@ pub(crate) fn solver_unwire(
         2 => SolverKind::BiCgStab,
         3 => SolverKind::Cgs,
         4 => SolverKind::Minres,
-        5 if p0 >= 1 => SolverKind::Gmres {
+        5 => SolverKind::Gmres {
             restart: p0 as usize,
         },
         6 => SolverKind::Tfqmr,
         7 => SolverKind::FusedCg,
         8 => SolverKind::PipelinedCg,
         9 => SolverKind::PipelinedCr,
-        10 if p0 >= 1 => SolverKind::SStepCg { s: p0 as usize },
-        11 if f0 > 0.0 && f1 >= f0 => SolverKind::Chebyshev { lmin: f0, lmax: f1 },
-        5 | 10 | 11 => {
-            return Err(StoreError::Malformed {
-                offset: 0,
-                what: "solver parameter out of range",
-            })
-        }
+        10 => SolverKind::SStepCg { s: p0 as usize },
+        11 => SolverKind::Chebyshev { lmin: f0, lmax: f1 },
         _ => {
             return Err(StoreError::Malformed {
                 offset: 0,
@@ -128,7 +121,9 @@ pub(crate) fn session_to_store(
     }
 }
 
-/// Rebuild a [`SessionSpec`] from a stored session record.
+/// Rebuild a [`SessionSpec`] from a stored session record. A record
+/// [`SessionSpec::check`] rejects is malformed, as is one that does not
+/// decode to a spec at all.
 pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreError> {
     let solver = solver_unwire(s.solver_code, s.solver_p0, s.solver_f0, s.solver_f1)?;
     let malformed = |what: &'static str| StoreError::Malformed { offset: 0, what };
@@ -148,23 +143,19 @@ pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreErro
             if !unused_extents_are_one {
                 return Err(malformed("stencil extent on a dimension its kind does not have"));
             }
-            let unknowns = nx
-                .checked_mul(ny)
-                .and_then(|n| n.checked_mul(nz))
-                .ok_or_else(|| malformed("stencil grid has more than 2^64 points"))?;
-            if unknowns != s.unknowns {
-                return Err(malformed("stencil unknowns do not match session unknowns"));
+            if nx.checked_mul(ny).and_then(|n| n.checked_mul(nz)).is_none() {
+                return Err(malformed("stencil grid has more than 2^64 points"));
             }
-            SessionSpec::stencil(Stencil::new(kind, nx, ny, nz), pieces, solver)
+            SessionSpec {
+                unknowns: s.unknowns,
+                ..SessionSpec::stencil(Stencil::new(kind, nx, ny, nz), pieces, solver)
+            }
         }
         StoreOperator::Assembled {
             rows,
             cols,
             ref entries,
         } => {
-            if rows != s.unknowns || cols != s.unknowns {
-                return Err(malformed("assembled operator is not square over the unknowns"));
-            }
             let mut t = Triples::new(rows, cols);
             for &(row, col, v) in entries {
                 if row >= rows || col >= cols {
@@ -182,7 +173,7 @@ pub(crate) fn spec_from_store(s: &StoreSession) -> Result<SessionSpec, StoreErro
             }
         }
     };
-    spec.check_pieces().map_err(|_| malformed("piece count outside 1..=unknowns"))?;
+    spec.check().map_err(|_| malformed("a session spec the service rejects"))?;
     Ok(spec)
 }
 
@@ -217,6 +208,10 @@ mod tests {
             solver_unwire(200, 0, 0.0, 0.0),
             Err(StoreError::Malformed { .. })
         ));
+        // A parameter the solver's constructor rejects decodes, and
+        // the record holding it is malformed.
+        let line = Stencil::new(StencilKind::from_code(0).unwrap(), 8, 1, 1);
+        let base = session_to_store(0, 0, &SessionSpec::stencil(line, 2, SolverKind::Cg), 0, 0);
         for (c, p0, f0, f1) in [
             (5, 0, 0.0, 0.0),
             (10, 0, 0.0, 0.0),
@@ -224,8 +219,11 @@ mod tests {
             (11, 0, 2.0, 1.0),
             (11, 0, f64::NAN, 1.0),
         ] {
+            assert!(solver_unwire(c, p0, f0, f1).is_ok());
+            let mut s = base.clone();
+            (s.solver_code, s.solver_p0, s.solver_f0, s.solver_f1) = (c, p0, f0, f1);
             assert!(matches!(
-                solver_unwire(c, p0, f0, f1),
+                spec_from_store(&s),
                 Err(StoreError::Malformed { .. })
             ));
         }

@@ -4,6 +4,8 @@ use std::time::{Duration, Instant};
 
 use kdr_core::SolveControl;
 
+use crate::session::SolverKind;
+
 /// Tenant identifier: one paying client of the service, with its own
 /// fair-share weight, sessions, and metrics slice.
 pub type TenantId = u32;
@@ -111,6 +113,24 @@ pub enum RejectReason {
         /// The spec's unknown count.
         unknowns: u64,
     },
+    /// The session spec's operator is not square over its unknown
+    /// count: its rows or columns (a stencil's grid points, for a
+    /// matrix-free spec) differ from `unknowns`.
+    NotSquareOverUnknowns {
+        /// The operator's rows.
+        rows: u64,
+        /// The operator's columns.
+        cols: u64,
+        /// The spec's unknown count.
+        unknowns: u64,
+    },
+    /// The session spec's solver carries a parameter its constructor
+    /// rejects: GMRES `restart = 0`, s-step `s = 0`, or Chebyshev
+    /// bounds outside `0 < lmin <= lmax`.
+    BadSolverParameter {
+        /// The offending solver.
+        solver: SolverKind,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -137,6 +157,17 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::BadPieceCount { pieces, unknowns } => {
                 write!(f, "{pieces} pieces outside 1..={unknowns} (the session's unknowns)")
+            }
+            RejectReason::NotSquareOverUnknowns {
+                rows,
+                cols,
+                unknowns,
+            } => write!(
+                f,
+                "a {rows}×{cols} operator is not square over {unknowns} unknowns"
+            ),
+            RejectReason::BadSolverParameter { solver } => {
+                write!(f, "{solver:?} has a parameter its constructor rejects")
             }
         }
     }

@@ -28,9 +28,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
-use kdr_runtime::{MetricsSnapshot, Runtime, TaskSpan};
-use kdr_sparse::KernelKind;
-use kdr_store::SharedCatalogue;
+use kdr_runtime::{Runtime, TaskSpan};
+use kdr_store::{CatalogueKey, SharedCatalogue};
 
 use crate::metrics::{ServiceMetrics, TenantMetrics};
 use crate::queue::{AdmissionQueue, QueuedJob};
@@ -88,11 +87,12 @@ pub struct ServiceConfig {
     /// pre-catalogue service. When set, the service (a) screens
     /// admission deadlines with predicted job costs — including a
     /// cold tenant's very first job, (b) refines the catalogue online
-    /// from per-kernel execute latencies, and (c) counts catalogue
-    /// hits/misses and prediction error in the metrics. It never
-    /// picks a tile's kernel: the tile's structure does. Cloning a
-    /// [`SharedCatalogue`] shares it, so the shards of a sharded
-    /// service all refine one catalogue.
+    /// from the wall time of every scheduler slice, each of a
+    /// session's tiles taking an equal share of a measured iteration,
+    /// and (c) counts catalogue hits/misses and prediction error in
+    /// the metrics. It never picks a tile's kernel: the tile's
+    /// structure does. Cloning a [`SharedCatalogue`] shares it, so the
+    /// shards of a sharded service all refine one catalogue.
     pub catalogue: Option<SharedCatalogue>,
 }
 
@@ -274,11 +274,6 @@ impl ShardEngine {
         if let Some(budget) = cfg.stall_budget {
             rt.set_stall_budget(Some(budget));
         }
-        if cfg.catalogue.is_some() {
-            // Per-kernel execute latencies feed the catalogue's
-            // online refinement.
-            rt.enable_kernel_timing(true);
-        }
         ShardEngine {
             rt,
             state: Mutex::new(EngineState {
@@ -336,7 +331,11 @@ impl ShardEngine {
                 got: bad.len(),
             })
         } else {
-            let predicted = self.predict_job_seconds(sess, &request);
+            let predicted = self
+                .cfg
+                .catalogue
+                .as_ref()
+                .map(|cat| predict_job_seconds(cat, sess.catalogue_keys(), &request));
             st.queue
                 .try_admit(job, tenant, request, now, predicted.map(|(seconds, _)| seconds))
                 .map(|()| predicted)
@@ -361,24 +360,6 @@ impl ShardEngine {
                 Err(e)
             }
         }
-    }
-
-    /// Catalogue prediction of a job's service seconds, and whether
-    /// every tile's key was observed (refined from real latencies)
-    /// rather than answered by a roofline prior. Per-iteration wall
-    /// time is the mean tile kernel cost times the number of worker
-    /// waves the session's pieces need; iterations are capped at
-    /// [`ADMIT_ITER_HORIZON`]. `None` without a catalogue — admission
-    /// then behaves exactly as before the catalogue existed.
-    fn predict_job_seconds(&self, sess: &Session, request: &SolveRequest) -> Option<(f64, bool)> {
-        let (task_seconds, observed) = predict_task_seconds(self.cfg.catalogue.as_ref()?, sess);
-        let waves = sess.spec().pieces.div_ceil(self.cfg.workers.max(1)).max(1);
-        let iters = request.control.max_iters.clamp(1, ADMIT_ITER_HORIZON);
-        let batch = request.rhs_batch.len().max(1);
-        Some((
-            task_seconds * waves as f64 * iters as f64 * batch as f64,
-            observed,
-        ))
     }
 
     /// Cooperatively cancel a job if it is queued or running here. A
@@ -691,53 +672,19 @@ impl ShardEngine {
         }
         let after = self.rt.metrics();
         st.metrics.record_slice_delta(tenant, &before, &after);
-        self.observe_kernel_costs(st, slice_session, &before, &after);
         if self.cfg.capture_events {
             let spans = self.rt.take_spans();
             st.metrics.record_spans(tenant, spans);
         }
-        st.metrics.tenant_mut(tenant).busy_seconds += slice_start.elapsed().as_secs_f64();
-    }
-
-    /// Feed the slice's per-kernel execute-latency deltas into the
-    /// cost catalogue: one observation per distinct key of the sliced
-    /// session's tiles. In the default unfenced mode tasks retiring
-    /// after the boundary land on a later slice — the attribution is
-    /// approximate in exactly the way the per-tenant counter deltas
-    /// already are, and the EWMA absorbs the noise.
-    fn observe_kernel_costs(
-        &self,
-        st: &EngineState,
-        session: SessionId,
-        before: &MetricsSnapshot,
-        after: &MetricsSnapshot,
-    ) {
-        let Some(cat) = self.cfg.catalogue.as_ref() else {
-            return;
-        };
-        let Some(sess) = st.sessions.get(&session) else {
-            return;
-        };
-        for (name, &ns_after) in &after.task_execute_ns {
-            let ns = ns_after.saturating_sub(before.task_execute_ns.get(name).copied().unwrap_or(0));
-            if ns == 0 {
-                continue;
-            }
-            let count_after = after.task_counts.get(name).copied().unwrap_or(0);
-            let count = count_after.saturating_sub(before.task_counts.get(name).copied().unwrap_or(0));
-            if count == 0 {
-                continue;
-            }
-            let Some(kind) = KernelKind::from_task_name(name) else {
-                continue;
-            };
-            let mean_seconds = ns as f64 / count as f64 / 1.0e9;
-            // The keys are sorted: equal keys sit in one run.
-            for run in sess.catalogue_keys().chunk_by(|a, b| a == b) {
-                if run[0].kernel == kind {
-                    cat.observe(run[0], mean_seconds);
-                }
-            }
+        let seconds = slice_start.elapsed().as_secs_f64();
+        st.metrics.tenant_mut(tenant).busy_seconds += seconds;
+        if let Some(sess) = st.sessions.get(&slice_session) {
+            observe_slice(
+                self.cfg.catalogue.as_ref(),
+                sess.catalogue_keys(),
+                seconds,
+                iters_run,
+            );
         }
     }
 
@@ -884,15 +831,50 @@ fn prewarm_session(sess: &mut Session) {
     sess.end_solve(mark);
 }
 
-/// Mean predicted seconds of one kernel task over the session's
-/// tiles, and whether every tile's key has been observed.
-fn predict_task_seconds(cat: &SharedCatalogue, sess: &Session) -> (f64, bool) {
-    let keys = sess.catalogue_keys();
-    let (sum, observed) = keys.iter().fold((0.0, true), |(sum, observed), key| {
+/// Fold one slice into the catalogue: a slice that ran `iters >= 1`
+/// iterations of a session in `seconds` of wall time observes
+/// `seconds / iters / T` once per distinct key of the session's `T`
+/// tile `keys` (sorted, so equal keys sit in one run). The entries of
+/// a session's tiles therefore add up to one measured iteration —
+/// kernels, vector sweeps, reductions and runtime overhead alike. In
+/// the default unfenced mode tasks still in flight at the boundary
+/// land in a later slice; the EWMA absorbs that. Returns the share
+/// each key observed, `None` when the slice observed nothing: no
+/// catalogue, no iteration or no tile.
+fn observe_slice(
+    cat: Option<&SharedCatalogue>,
+    keys: &[CatalogueKey],
+    seconds: f64,
+    iters: u64,
+) -> Option<f64> {
+    let cat = cat?;
+    if iters == 0 || keys.is_empty() {
+        return None;
+    }
+    let share = seconds / iters as f64 / keys.len() as f64;
+    for run in keys.chunk_by(|a, b| a == b) {
+        cat.observe(run[0], share);
+    }
+    Some(share)
+}
+
+/// Catalogue prediction of a job's service seconds, and whether every
+/// tile's key was observed (refined from measured slices) rather than
+/// answered by a roofline prior. An iteration costs the sum of the
+/// session's tile entries; iterations are capped at
+/// [`ADMIT_ITER_HORIZON`] per right-hand side.
+fn predict_job_seconds(
+    cat: &SharedCatalogue,
+    keys: &[CatalogueKey],
+    request: &SolveRequest,
+) -> (f64, bool) {
+    let (iter_seconds, observed) = keys.iter().fold((0.0, true), |(sum, observed), key| {
         let est = cat.predict(key);
         (sum + est.seconds, observed && est.is_observed())
     });
-    (sum / keys.len().max(1) as f64, observed)
+    let iters = request.control.max_iters.clamp(1, ADMIT_ITER_HORIZON);
+    let batch = request.rhs_batch.len().max(1);
+    (iter_seconds * iters as f64 * batch as f64, observed)
 }
 
 fn error_outcome(e: SolveError) -> JobOutcome {
@@ -901,5 +883,85 @@ fn error_outcome(e: SolveError) -> JobOutcome {
         other => JobOutcome::Failed {
             message: other.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kdr_core::SolveControl;
+    use kdr_machine::MachineConfig;
+    use kdr_sparse::{KernelKind, StructureKey};
+
+    fn catalogue() -> SharedCatalogue {
+        SharedCatalogue::new(MachineConfig::lassen(1))
+    }
+
+    /// A session's keys: four tiles of two structures, sorted.
+    fn tile_keys() -> Vec<CatalogueKey> {
+        let key = |nnz_log2| CatalogueKey {
+            structure: StructureKey {
+                nnz_log2,
+                diag_log2: 2,
+                row_var_bucket: 0,
+                dense_block: 0,
+                stencil: 0,
+            },
+            kernel: KernelKind::Dia,
+            pieces_log2: 3,
+        };
+        let mut keys = vec![key(12), key(10), key(10), key(10)];
+        keys.sort_unstable();
+        keys
+    }
+
+    fn request(max_iters: usize, batch: usize) -> SolveRequest {
+        let mut req = SolveRequest::new(0, Vec::new(), SolveControl::fixed(max_iters));
+        req.rhs_batch = vec![Vec::new(); batch];
+        req
+    }
+
+    #[test]
+    fn a_slice_gives_each_tile_an_equal_share_of_its_iteration_time() {
+        let (cat, keys) = (catalogue(), tile_keys());
+        // 8 iterations in 2 ms: 250 µs an iteration, a quarter of it
+        // a tile.
+        assert_eq!(observe_slice(Some(&cat), &keys, 2e-3, 8), Some(2e-3 / 32.0));
+        assert_eq!(cat.len(), 2, "one observation per distinct key");
+        let iteration: f64 = keys.iter().map(|k| cat.predict(k).seconds).sum();
+        assert!(
+            (iteration - 2e-3 / 8.0).abs() < 1e-18,
+            "the tiles sum to {iteration} s"
+        );
+    }
+
+    #[test]
+    fn a_job_is_predicted_as_the_measured_iteration_times_its_iterations_and_batch() {
+        let (cat, keys) = (catalogue(), tile_keys());
+        observe_slice(Some(&cat), &keys, 2e-3, 8);
+        let per_iter = 2e-3 / 8.0;
+        for (max_iters, batch, iters) in [(1000, 1, ADMIT_ITER_HORIZON), (10, 3, 10), (0, 2, 1)] {
+            let (seconds, observed) = predict_job_seconds(&cat, &keys, &request(max_iters, batch));
+            assert!(observed);
+            let want = per_iter * iters as f64 * batch as f64;
+            assert!(
+                (seconds - want).abs() <= 1e-12 * want,
+                "{seconds} s, not {want} s"
+            );
+        }
+    }
+
+    #[test]
+    fn a_slice_without_an_iteration_or_a_catalogue_observes_nothing() {
+        let (cat, keys) = (catalogue(), tile_keys());
+        assert_eq!(observe_slice(Some(&cat), &keys, 2e-3, 0), None);
+        assert!(cat.is_empty());
+        assert!(
+            !predict_job_seconds(&cat, &keys, &request(10, 1)).1,
+            "the priors answer"
+        );
+        assert_eq!(observe_slice(None, &keys, 2e-3, 8), None);
+        assert_eq!(observe_slice(Some(&cat), &[], 2e-3, 8), None);
+        assert!(cat.is_empty());
     }
 }

@@ -129,17 +129,50 @@ impl SessionSpec {
         }
     }
 
-    /// Whether the partition can hold the spec: every one of its
-    /// `pieces` needs at least one of the `unknowns`.
-    pub(crate) fn check_pieces(&self) -> Result<(), RejectReason> {
-        if self.pieces >= 1 && self.pieces as u64 <= self.unknowns {
-            Ok(())
-        } else {
-            Err(RejectReason::BadPieceCount {
+    /// Whether a session can be built from the spec and run its jobs:
+    /// the partition can hold it (every one of its `pieces` needs at
+    /// least one of the `unknowns`), its operator — the stencil when
+    /// there is one — is square over the `unknowns`, and its solver's
+    /// parameters are ones the solver's constructor accepts. The front
+    /// door and the store both ask this, and nothing else.
+    pub(crate) fn check(&self) -> Result<(), RejectReason> {
+        let unknowns = self.unknowns;
+        if self.pieces == 0 || self.pieces as u64 > unknowns {
+            return Err(RejectReason::BadPieceCount {
                 pieces: self.pieces,
-                unknowns: self.unknowns,
-            })
+                unknowns,
+            });
         }
+        let (rows, cols) = match self.stencil {
+            Some(s) => {
+                let grid = s.nx.checked_mul(s.ny).and_then(|n| n.checked_mul(s.nz));
+                let grid = grid.unwrap_or(u64::MAX);
+                (grid, grid)
+            }
+            None => (
+                self.matrix.range_space().size(),
+                self.matrix.domain_space().size(),
+            ),
+        };
+        if rows != unknowns || cols != unknowns {
+            return Err(RejectReason::NotSquareOverUnknowns {
+                rows,
+                cols,
+                unknowns,
+            });
+        }
+        let solver_ok = match self.solver {
+            SolverKind::Gmres { restart } => restart >= 1,
+            SolverKind::SStepCg { s } => s >= 1,
+            SolverKind::Chebyshev { lmin, lmax } => lmin > 0.0 && lmax >= lmin,
+            _ => true,
+        };
+        if !solver_ok {
+            return Err(RejectReason::BadSolverParameter {
+                solver: self.solver,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -307,7 +340,7 @@ fn with_exec<R>(planner: &mut Planner<f64>, f: impl FnOnce(&mut ExecBackend<f64>
 fn tile_keys(planner: &mut Planner<f64>, pieces: usize) -> Vec<CatalogueKey> {
     let mut keys: Vec<CatalogueKey> = with_exec(planner, |eb| eb.operator_manifest())
         .into_iter()
-        .map(|(structure, kernel, _)| CatalogueKey::new(structure, kernel, pieces))
+        .map(|(structure, kernel)| CatalogueKey::new(structure, kernel, pieces))
         .collect();
     keys.sort_unstable();
     keys

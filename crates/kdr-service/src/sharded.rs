@@ -506,17 +506,19 @@ impl ShardedService {
     /// current shard. The session's plan is finalized here: its
     /// operator is tiled, registered and lowered. The session is cold
     /// — no step programs captured — until its first job runs, and
-    /// warm thereafter. Returns `Err(BadPieceCount)` for a spec whose
-    /// piece count is outside `1..=unknowns`, `Err(UnknownTenant)` for
-    /// unregistered tenants and `Err(ShardDegraded)` while the
-    /// tenant's shard is quarantined (transient: retry after
+    /// warm thereafter. A spec no session can be built from or run is
+    /// rejected before anything is recorded (`BadPieceCount`,
+    /// `NotSquareOverUnknowns`, `BadSolverParameter`: see
+    /// `SessionSpec::check`); so are unregistered tenants
+    /// (`UnknownTenant`) and, while the tenant's shard is quarantined,
+    /// every spec (`ShardDegraded`, transient: retry after
     /// evacuation). A rejected spec leaves no trace.
     pub fn create_session(
         &self,
         tenant: TenantId,
         spec: SessionSpec,
     ) -> Result<SessionId, RejectReason> {
-        spec.check_pieces()?;
+        spec.check()?;
         let mut front = self.front.lock();
         let shard = front.routable_shard(tenant)?;
         let id = front.next_session;

@@ -16,6 +16,15 @@
 //!
 //! No panic and no hang: a budget of `usize::MAX` iterations is only
 //! drawn together with a short deadline, which cancels the job.
+//!
+//! `create_session` meets the same two outcomes under adversarial
+//! specs — piece counts of zero, one too many or one per unknown, an
+//! unknown count that misses the operator, an assembled operator one
+//! column wider than it is tall, 1-D to 3-D stencil extents, and every
+//! solver with parameters in and out of range. A spec is rejected with
+//! the typed reason it earns by itself, spending no session id and
+//! changing nothing at the front door, or it becomes a session whose
+//! first job ends with exactly one response and a typed outcome.
 
 use std::time::{Duration, Instant};
 
@@ -25,8 +34,10 @@ use kdr_service::{
     JobOutcome, RejectReason, ServiceConfig, SessionSpec, ShardConfig, ShardedService,
     SolveRequest, SolverKind,
 };
+use std::sync::Arc;
+
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::Stencil;
+use kdr_sparse::{Coo, SparseMatrix, Stencil, StencilKind, Triples};
 use kdr_store::SharedCatalogue;
 use proptest::prelude::*;
 
@@ -232,5 +243,186 @@ proptest! {
             };
             prop_assert!(ended, "{:?} ended as {:?}", case, r.outcome);
         }
+    }
+}
+
+/// How a drawn spec presents its stencil's operator.
+#[derive(Clone, Copy, Debug)]
+enum Form {
+    MatrixFree,
+    Assembled,
+    /// Assembled, with one empty column more than it has rows.
+    Wider,
+}
+
+/// One drawn `create_session` spec: a stencil's operator as `form`
+/// presents it, claimed over `unknowns`.
+#[derive(Clone, Debug)]
+struct SpecCase {
+    stencil: Stencil,
+    form: Form,
+    unknowns: u64,
+    pieces: usize,
+    solver: SolverKind,
+}
+
+impl SpecCase {
+    /// The operator's rows and columns.
+    fn operator_size(&self) -> (u64, u64) {
+        let n = self.stencil.unknowns();
+        match self.form {
+            Form::Wider => (n, n + 1),
+            _ => (n, n),
+        }
+    }
+
+    fn spec(&self) -> SessionSpec {
+        let s = self.stencil;
+        let matrix_free = SessionSpec {
+            unknowns: self.unknowns,
+            ..SessionSpec::stencil(s, self.pieces, self.solver)
+        };
+        let matrix: Arc<dyn SparseMatrix<f64>> = match self.form {
+            Form::MatrixFree => return matrix_free,
+            Form::Assembled => Arc::new(s.to_csr::<f64, u64>()),
+            Form::Wider => {
+                let (rows, cols) = self.operator_size();
+                let mut t = Triples::new(rows, cols);
+                s.to_csr::<f64, u64>()
+                    .for_each_entry(&mut |_, r, c, v| t.push(r, c, v));
+                Arc::new(Coo::<f64, u64>::from_triples(t))
+            }
+        };
+        SessionSpec {
+            matrix,
+            stencil: None,
+            ..matrix_free
+        }
+    }
+
+    /// The reject the spec earns by itself, in the order the front
+    /// door checks.
+    fn earned_reject(&self) -> Option<RejectReason> {
+        let (pieces, unknowns) = (self.pieces, self.unknowns);
+        let (rows, cols) = self.operator_size();
+        let solver_ok = match self.solver {
+            SolverKind::Gmres { restart } => restart >= 1,
+            SolverKind::SStepCg { s } => s >= 1,
+            SolverKind::Chebyshev { lmin, lmax } => lmin > 0.0 && lmax >= lmin,
+            _ => true,
+        };
+        if pieces == 0 || pieces as u64 > unknowns {
+            Some(RejectReason::BadPieceCount { pieces, unknowns })
+        } else if rows != unknowns || cols != unknowns {
+            Some(RejectReason::NotSquareOverUnknowns {
+                rows,
+                cols,
+                unknowns,
+            })
+        } else if !solver_ok {
+            Some(RejectReason::BadSolverParameter {
+                solver: self.solver,
+            })
+        } else {
+            None
+        }
+    }
+}
+
+fn arb_solver() -> impl Strategy<Value = SolverKind> {
+    let bound = || arb_f64(&[f64::NAN, -1.0, 0.0, 0.5, 8.0, f64::INFINITY]);
+    (0u8..12, 0usize..5, bound(), bound()).prop_map(|(code, p, lmin, lmax)| match code {
+        0 => SolverKind::Cg,
+        1 => SolverKind::BiCg,
+        2 => SolverKind::BiCgStab,
+        3 => SolverKind::Cgs,
+        4 => SolverKind::Minres,
+        5 => SolverKind::Gmres { restart: p },
+        6 => SolverKind::Tfqmr,
+        7 => SolverKind::FusedCg,
+        8 => SolverKind::PipelinedCg,
+        9 => SolverKind::PipelinedCr,
+        10 => SolverKind::SStepCg { s: p },
+        _ => SolverKind::Chebyshev { lmin, lmax },
+    })
+}
+
+fn arb_spec_case() -> impl Strategy<Value = SpecCase> {
+    let extents = (0u8..4, 1u64..6, 1u64..6, 1u64..4);
+    (extents, 0u8..5, 0u8..8, 0u8..6, 1usize..9, arb_solver()).prop_map(
+        |((code, a, b, c), form, unknowns, pieces, few, solver)| {
+            let kind = StencilKind::from_code(code).unwrap();
+            let stencil = match kind.dims() {
+                1 => Stencil::new(kind, a * b, 1, 1),
+                2 => Stencil::new(kind, a, b, 1),
+                _ => Stencil::new(kind, a, b.min(3), c),
+            };
+            let n = stencil.unknowns();
+            let unknowns = match unknowns {
+                0 => n + 1,
+                1 => n - 1,
+                2 => 2 * n,
+                _ => n,
+            };
+            SpecCase {
+                stencil,
+                form: [
+                    Form::MatrixFree,
+                    Form::Assembled,
+                    Form::Wider,
+                    Form::MatrixFree,
+                    Form::Assembled,
+                ][form as usize],
+                unknowns,
+                pieces: [0, n as usize, n as usize + 1, few, few, few][pieces as usize],
+                solver,
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_create_session_rejects_typed_untouched_or_runs_its_first_job_typed(
+        cases in prop::collection::vec(arb_spec_case(), 1..6)
+    ) {
+        let fleet = ShardedService::new(ShardConfig {
+            shards: 2,
+            base: ServiceConfig {
+                workers: 1,
+                slice_iters: 8,
+                catalogue: Some(SharedCatalogue::new(MachineConfig::lassen(1))),
+                ..ServiceConfig::default()
+            },
+            ..ShardConfig::default()
+        });
+        fleet.register_tenant(1, 1);
+        let mut jobs = 0;
+        for case in &cases {
+            let before = front_door(&fleet);
+            match fleet.create_session(1, case.spec()) {
+                Ok(session) => {
+                    prop_assert!(case.earned_reject().is_none(), "{:?} was accepted", case);
+                    prop_assert_eq!(session, jobs as usize, "session ids are spent only on acceptance");
+                    let control = SolveControl::to_tolerance(1e-8, 40);
+                    let rhs = rhs_vector::<f64>(case.unknowns, 7);
+                    let job = fleet.submit(1, SolveRequest::new(session, rhs, control)).unwrap();
+                    prop_assert_eq!(job, jobs);
+                    jobs += 1;
+                }
+                Err(reason) => {
+                    let earned = case.earned_reject();
+                    prop_assert_eq!(format!("{:?}", Some(reason)), format!("{earned:?}"));
+                    prop_assert_eq!(front_door(&fleet), before, "{:?} changed the front door", case);
+                }
+            }
+        }
+        fleet.run_until_idle();
+        let mut responses = fleet.take_responses();
+        responses.sort_by_key(|r| r.job);
+        let ids: Vec<u64> = responses.iter().map(|r| r.job).collect();
+        prop_assert_eq!(ids, (0..jobs).collect::<Vec<_>>(), "one response per job");
     }
 }

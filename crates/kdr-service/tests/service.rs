@@ -11,7 +11,7 @@ use kdr_service::{
     SolveRequest, SolverKind,
 };
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::{SparseMatrix, Stencil};
+use kdr_sparse::{Coo, SparseMatrix, Stencil, Triples};
 
 fn spec(nx: u64, ny: u64, pieces: usize, solver: SolverKind) -> SessionSpec {
     let s = Stencil::lap2d(nx, ny);
@@ -193,6 +193,32 @@ fn malformed_requests_rejected_with_types() {
     assert!(matches!(svc.submit(1, r), Err(RejectReason::EmptyBatch)));
 }
 
+/// After a service has rejected every spec it was given, the first
+/// spec it accepts gets session id 0, runs its job to convergence, and
+/// is the one session the tenant's record names.
+fn rejected_specs_left_no_trace(svc: &ShardedService, name: &str) {
+    let sid = svc
+        .create_session(1, spec(8, 8, 64, SolverKind::Cg))
+        .unwrap();
+    assert_eq!(sid, 0, "a rejected spec spends no session id");
+    svc.submit(
+        1,
+        SolveRequest::new(sid, rhs_vector::<f64>(64, 1), control()),
+    )
+    .unwrap();
+    svc.run_until_idle();
+    assert!(svc.take_responses()[0].outcome.is_converged());
+    let path = std::env::temp_dir().join(format!("kdr_service_{name}.kdrstore"));
+    svc.save_store(&path).unwrap();
+    let stored = kdr_store::store::load(&path).unwrap();
+    assert_eq!(
+        stored.sessions.len(),
+        1,
+        "the tenant record names one session"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// A spec whose piece count is outside `1..=unknowns` is rejected
 /// before the front door records it: no session id is spent, and the
 /// tenant record names only sessions a shard holds.
@@ -206,16 +232,93 @@ fn a_piece_count_the_partition_cannot_hold_is_rejected_untouched() {
             Some(RejectReason::BadPieceCount { pieces, unknowns: 64 })
         );
     }
-    let sid = svc.create_session(1, spec(8, 8, 64, SolverKind::Cg)).unwrap();
-    assert_eq!(sid, 0, "a rejected spec spends no session id");
-    svc.submit(1, SolveRequest::new(sid, rhs_vector::<f64>(64, 1), control())).unwrap();
-    svc.run_until_idle();
-    assert!(svc.take_responses()[0].outcome.is_converged());
-    let path = std::env::temp_dir().join("kdr_service_bad_pieces.kdrstore");
-    svc.save_store(&path).unwrap();
-    let stored = kdr_store::store::load(&path).unwrap();
-    assert_eq!(stored.sessions.len(), 1, "the tenant record names one session");
-    std::fs::remove_file(&path).unwrap();
+    rejected_specs_left_no_trace(&svc, "bad_pieces");
+}
+
+/// A solver parameter its constructor asserts against is rejected
+/// when the session is created, not when its first job panics the
+/// shard driver: GMRES `restart = 0`, s-step `s = 0`, Chebyshev
+/// bounds outside `0 < lmin <= lmax`.
+#[test]
+fn a_solver_parameter_its_constructor_rejects_is_rejected_untouched() {
+    let svc = service(ServiceConfig::default());
+    svc.register_tenant(1, 1);
+    let bad = [
+        SolverKind::Gmres { restart: 0 },
+        SolverKind::SStepCg { s: 0 },
+        SolverKind::Chebyshev {
+            lmin: 0.0,
+            lmax: 1.0,
+        },
+        SolverKind::Chebyshev {
+            lmin: 2.0,
+            lmax: 1.0,
+        },
+        SolverKind::Chebyshev {
+            lmin: f64::NAN,
+            lmax: 1.0,
+        },
+    ];
+    for solver in bad {
+        match svc.create_session(1, spec(8, 8, 4, solver)) {
+            Err(RejectReason::BadSolverParameter { solver: got }) => {
+                assert_eq!(format!("{got:?}"), format!("{solver:?}"))
+            }
+            other => panic!("{solver:?}: {other:?}"),
+        }
+    }
+    rejected_specs_left_no_trace(&svc, "bad_solver");
+}
+
+/// An operator that is not square over the spec's unknowns is rejected
+/// before the front door records the session, assembled or matrix-free.
+#[test]
+fn an_operator_not_square_over_the_unknowns_is_rejected_untouched() {
+    let svc = service(ServiceConfig::default());
+    svc.register_tenant(1, 1);
+    let mut t = Triples::new(64, 65);
+    t.push(0, 0, 1.0);
+    let cases = [
+        (
+            SessionSpec {
+                unknowns: 100,
+                ..spec(8, 8, 4, SolverKind::Cg)
+            },
+            (64, 64, 100),
+        ),
+        (
+            SessionSpec {
+                unknowns: 63,
+                ..spec(8, 8, 4, SolverKind::Cg)
+            },
+            (64, 64, 63),
+        ),
+        (
+            SessionSpec {
+                matrix: Arc::new(Coo::<f64, u64>::from_triples(t)),
+                ..spec(8, 8, 4, SolverKind::Cg)
+            },
+            (64, 65, 64),
+        ),
+        (
+            SessionSpec {
+                unknowns: 81,
+                ..SessionSpec::stencil(Stencil::lap2d(8, 8), 4, SolverKind::Cg)
+            },
+            (64, 64, 81),
+        ),
+    ];
+    for (spec, (rows, cols, unknowns)) in cases {
+        assert_eq!(
+            svc.create_session(1, spec).err(),
+            Some(RejectReason::NotSquareOverUnknowns {
+                rows,
+                cols,
+                unknowns
+            })
+        );
+    }
+    rejected_specs_left_no_trace(&svc, "not_square");
 }
 
 #[test]

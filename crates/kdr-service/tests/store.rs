@@ -244,34 +244,6 @@ fn next_job_is_a_catalogue_hit(shards: usize) {
     }
 }
 
-/// A catalogue-backed shard times only what the catalogue reads: the
-/// tile kernels. Every body is still counted, the vector ops and dot
-/// partials around the tiles included, but only `spmv_*` names carry
-/// execute time.
-#[test]
-fn a_catalogue_backed_shard_times_only_its_tile_kernels() {
-    let svc = service(ServiceConfig {
-        workers: 2,
-        catalogue: Some(catalogue()),
-        ..ServiceConfig::default()
-    });
-    svc.register_tenant(1, 1);
-    let s = Stencil::lap2d(12, 12);
-    let n = s.unknowns();
-    let sid = svc.create_session(1, SessionSpec::stencil(s, 4, SolverKind::Cg)).unwrap();
-    let control = SolveControl::to_tolerance(1e-10, 1000);
-    svc.submit(1, SolveRequest::new(sid, rhs_vector::<f64>(n, 7), control)).unwrap();
-    svc.run_until_idle();
-    assert!(svc.take_responses()[0].outcome.is_converged());
-    let m = svc.shard(0).runtime().metrics();
-    let timed: Vec<&str> = m.task_execute_ns.keys().copied().collect();
-    assert!(!timed.is_empty(), "the tile kernels are timed");
-    assert!(timed.iter().all(|name| name.starts_with("spmv_")), "only tiles are timed: {timed:?}");
-    for name in ["axpy", "dot_partial"] {
-        assert!(m.task_counts.get(name).is_some_and(|&c| c > 0), "{name} is still counted");
-    }
-}
-
 /// Warm restart: a fleet with one stencil and one assembled session
 /// round-trips through one store file. Consistent hashing puts tenants
 /// back on their shards, sessions come back warm (plan finalized and
@@ -559,10 +531,13 @@ fn a_kernel_byte_from_an_older_file_is_validated_not_used() {
         assert_eq!(rs.len(), 1);
         assert!(rs[0].outcome.is_converged());
         assert!(rs[0].warm, "kernel code {kernel_code}: the first job must run warm");
+        let counts = fleet.shard(0).runtime().metrics().task_counts;
         let mut kernels = std::collections::BTreeMap::new();
-        for (name, &n) in &fleet.shard(0).runtime().metrics().task_counts {
-            if let Some(kind) = KernelKind::from_task_name(name) {
-                *kernels.entry(kind.name()).or_insert(0) += n;
+        for kind in KernelKind::ALL {
+            for (transpose, zero) in [(false, false), (false, true), (true, false), (true, true)] {
+                if let Some(&n) = counts.get(kind.task_name(transpose, zero)) {
+                    *kernels.entry(kind.name()).or_insert(0) += n;
+                }
             }
         }
         (kernels, history_bits(&rs[0].residual_history))

@@ -143,14 +143,6 @@ impl KernelKind {
     pub fn task_name(self, transpose: bool, zero: bool) -> &'static str {
         TASK_NAMES[self.code() as usize][2 * usize::from(transpose) + usize::from(zero)]
     }
-
-    /// Inverse of [`KernelKind::task_name`]: the kernel an executed
-    /// task ran (`None` for non-kernel tasks such as axpy/dot bodies).
-    pub fn from_task_name(name: &str) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|k| TASK_NAMES[k.code() as usize].contains(&name))
-    }
 }
 
 /// SpMV task names, indexed `[code()][2·transpose + zero]`.
@@ -1554,13 +1546,9 @@ mod tests {
                         if zero { "_z" } else { "" }
                     );
                     assert_eq!(name, flags);
-                    assert_eq!(KernelKind::from_task_name(name), Some(kind));
                     assert!(seen.insert(name), "{name} names two kernels");
                 }
             }
-        }
-        for other in ["axpy", "dot_partial", "spmv_", "spmv_csr_zz", ""] {
-            assert_eq!(KernelKind::from_task_name(other), None, "{other:?}");
         }
     }
 

@@ -1,14 +1,18 @@
 //! The sampled cost catalogue: roofline priors refined online.
 //!
-//! A catalogue entry predicts the execute latency of one kernel task
-//! — `(operator structure, kernel kind, piece count)` — in seconds.
-//! Before any observation lands, [`CostCatalogue::predict`] answers
-//! from the machine model's roofline ([`MachineConfig::kernel_prior_seconds`]):
-//! deliberately optimistic, so cold-start admission never rejects a
-//! feasible job. Each observation (mean execute time of that kernel's
-//! tasks over a scheduling slice) folds in with an exponential moving
-//! average, and the returned [`CostEstimate`] carries the sample
-//! count so consumers can weigh model guesses against measurements.
+//! A catalogue entry predicts one tile's share of a solver iteration
+//! — keyed `(operator structure, kernel kind, piece count)` — in
+//! seconds, so the entries of a session's tiles add up to the wall
+//! time of one of its iterations: kernels, vector sweeps, reductions
+//! and runtime overhead alike. Before any observation lands,
+//! [`CostCatalogue::predict`] answers from the machine model's
+//! roofline ([`MachineConfig::kernel_prior_seconds`]), which prices
+//! the tile's kernel alone: deliberately optimistic, so cold-start
+//! admission never rejects a feasible job. Each observation (a
+//! scheduling slice's wall time per iteration, split evenly over the
+//! session's tiles) folds in with an exponential moving average, and
+//! the returned [`CostEstimate`] carries the sample count so
+//! consumers can weigh model guesses against measurements.
 //!
 //! Structure keys are coarse on purpose (log2 buckets, a four-way
 //! variance class): tiles of the same shape share entries, so one
@@ -35,9 +39,9 @@ const STENCIL_BYTES_PER_ENTRY: f64 = 8.0;
 
 /// One catalogue key: operator structure × kernel kind × piece count.
 ///
-/// Piece counts are log2-bucketed like the structure's counts — the
-/// per-task cost of a 7-piece and an 8-piece partition of the same
-/// operator are interchangeable for scheduling purposes.
+/// Piece counts are log2-bucketed like the structure's counts — a
+/// tile's share of an iteration on a 7-piece and an 8-piece partition
+/// of the same operator are interchangeable for scheduling purposes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CatalogueKey {
     /// Bucketed structural signature of the tile.
@@ -60,10 +64,11 @@ impl CatalogueKey {
     }
 }
 
-/// A cost prediction: seconds per kernel task, plus how it was made.
+/// A cost prediction: a tile's seconds per iteration, plus how it was
+/// made.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
-    /// Predicted execute seconds of one kernel task.
+    /// Predicted seconds of one tile's share of an iteration.
     pub seconds: f64,
     /// Observations backing the estimate; 0 means the roofline prior
     /// answered (a catalogue *miss* in the hit/miss counters).
@@ -100,7 +105,7 @@ impl CostCatalogue {
         }
     }
 
-    /// Predict the execute seconds of one kernel task under `key`.
+    /// Predict a tile's share of an iteration under `key`.
     /// Observed keys answer with their running mean; unobserved keys
     /// fall back to the roofline prior for the key's representative
     /// entry count.
@@ -135,8 +140,8 @@ impl CostCatalogue {
         self.machine.kernel_prior_seconds(nnz, bytes_per_entry)
     }
 
-    /// Fold one measured task latency (seconds) into `key`'s running
-    /// mean. Non-finite or non-positive samples are ignored.
+    /// Fold one measured share (seconds) into `key`'s running mean.
+    /// Non-finite or non-positive samples are ignored.
     pub fn observe(&mut self, key: CatalogueKey, seconds: f64) {
         if !seconds.is_finite() || seconds <= 0.0 {
             return;

@@ -7,9 +7,10 @@
 //!
 //! **Cost catalogue** ([`catalogue`]): a sampled catalogue keyed by
 //! operator structure ([`kdr_sparse::StructureKey`]), kernel kind,
-//! and piece count. Every key starts from a `kdr-machine` roofline
-//! prior and is refined online from per-kernel execute-latency
-//! observations; [`CostCatalogue::predict`] returns a
+//! and piece count. An entry is a tile's share of a measured solver
+//! iteration. Every key starts from a `kdr-machine` roofline prior
+//! and is refined online from the wall time of the service's
+//! scheduler slices; [`CostCatalogue::predict`] returns a
 //! [`CostEstimate`] carrying its sample count so callers can tell a
 //! measured cost from a model guess. The catalogue prices, refines,
 //! counts and persists; it does not pick kernels — a tile's kernel
