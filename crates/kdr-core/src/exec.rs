@@ -164,7 +164,7 @@ const TRACE_CACHE_CAP: usize = 16;
 /// [`ExecBackend::metrics`].
 #[derive(Clone, Debug)]
 pub struct ExecMetrics {
-    /// Runtime-level counters and latency histograms.
+    /// Runtime-level counters.
     pub runtime: MetricsSnapshot,
     /// Scalar slot arena size: the sum over slot banks of each bank's
     /// peak simultaneous live scalars.
@@ -665,7 +665,7 @@ impl<T: Scalar> ExecBackend<T> {
     }
 
     /// Enable or disable the runtime's structured event logging
-    /// (spans + latency histograms). Off by default; see
+    /// (one span per task body). Off by default; see
     /// [`Runtime::enable_events`].
     pub fn set_event_logging(&self, on: bool) {
         self.rt.enable_events(on);
@@ -1285,7 +1285,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.scalar_get_many(&[s])[0]
     }
 
-    /// No task, no promise: one wait until the tasks writing the
+    /// No task, no channel: one wait until the tasks writing the
     /// slots have retired — during which this thread runs ready tasks
     /// ([`Runtime::wait_written`]) — then every slot is read where it
     /// is. The part of the wait spent parked is timed as one reduction

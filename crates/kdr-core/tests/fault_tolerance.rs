@@ -419,9 +419,9 @@ fn recovery_reports_zero_restarts_when_healthy() {
     assert_eq!(rhs, b);
 }
 
-/// A scalar is read where it landed: no read task can be poisoned and
-/// no promise dropped, so it is the executor's poison set that tells
-/// the read a slot's writer failed. A panicking `dot_partial` poisons
+/// A scalar is read where it landed: no read task can be poisoned,
+/// so it is the executor's poison set that tells the read a slot's
+/// writer failed. A panicking `dot_partial` poisons
 /// the `dot_reduce` that writes the slot: the read returns NaN
 /// placeholders (for the slots that do hold their values too — the
 /// read is one wait) and records a fault, on 1 and 4 workers, inside

@@ -43,7 +43,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use crate::metrics::AtomicHistogram;
 use crate::task::TaskId;
 
 /// How a task's dependences were obtained at submission.
@@ -261,13 +260,10 @@ impl SpanLog {
 }
 
 /// The part of the event layer that is shared without a lock: the
-/// enable flag, the clock, and the latency histograms workers feed
-/// directly (so metrics survive ring wraparound).
+/// enable flag and the clock.
 pub(crate) struct EventSink {
     enabled: AtomicBool,
     epoch: Instant,
-    pub(crate) queue_wait_ns: AtomicHistogram,
-    pub(crate) execute_ns: AtomicHistogram,
 }
 
 impl EventSink {
@@ -275,8 +271,6 @@ impl EventSink {
         EventSink {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
-            queue_wait_ns: AtomicHistogram::new(),
-            execute_ns: AtomicHistogram::new(),
         }
     }
 
@@ -293,19 +287,6 @@ impl EventSink {
     #[inline]
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Feed one executed body's latencies to the histograms.
-    #[inline]
-    pub(crate) fn observe(&self, rec: &ExecRecord) {
-        // Poisoned tasks never executed; keep their zero-length
-        // "execution" out of the latency distributions.
-        if rec.outcome != TaskOutcome::Poisoned {
-            self.queue_wait_ns
-                .record(rec.start_ns.saturating_sub(rec.ready_ns));
-            self.execute_ns
-                .record(rec.end_ns.saturating_sub(rec.start_ns));
-        }
     }
 }
 

@@ -3,12 +3,12 @@
 //!
 //! What the executor schedules is a *node*: one or more task bodies
 //! that run back to back, in submission order, on one worker. An
-//! analyzed submission is a node with one member; a trace replay
-//! arrives as a whole compiled step graph whose nodes may hold several
-//! (see [`crate::trace`]). Both go through the same dependence state,
-//! the same queues and the same retirement. A node either owns bodies
-//! built for it, each consumed by its run, or points into a step
-//! program's bodies, which stay with the program (`Work`).
+//! analyzed submission is a node with one member, which owns its body
+//! and consumes it by its run; a trace replay arrives as a whole
+//! compiled step graph whose nodes may hold several and point into the
+//! bodies of a step program, which stay with the program (`Work`; see
+//! [`crate::trace`]). Both go through the same dependence state, the
+//! same queues and the same retirement.
 //!
 //! Nodes arrive with their dependences already known (from the
 //! analyzer or from the compiled trace). Ready nodes are placed by one
@@ -17,9 +17,9 @@
 //! are dealt to the workers in turn. Each worker prefers its own queue
 //! and then steals from peers, so placement is a locality *hint*,
 //! never a throughput constraint.
-//! Execution is *eager* — there is no separate "flush" step — so
-//! blocking on a [`Future`](crate::Future) from the application thread
-//! always makes progress.
+//! Execution is *eager* — there is no separate "flush" step — so an
+//! application thread blocked on what a submitted body will hand it
+//! (a channel, say) always makes progress.
 //!
 //! # Waits that work
 //!
@@ -98,8 +98,8 @@
 //! Task bodies run under `catch_unwind`. A panic does not abort the
 //! process: the node completes as *failed*, the members after the
 //! panicking one are dropped unrun, its transitive successors are
-//! retired without running (dropping a body poisons any
-//! [`Promise`](crate::Promise) it captured), and the first failure is
+//! retired without running (their bodies are dropped, and with them
+//! whatever the bodies captured), and the first failure is
 //! recorded as a [`TaskError`] that `Executor::fence` keeps returning
 //! until `Executor::take_failure` clears it. A seeded `FaultInjector`
 //! can plant deterministic panic / stall / corrupted-write faults at
@@ -182,8 +182,9 @@ impl ProgramRun {
 
 /// What a node runs.
 enum Work {
-    /// Bodies built for this submission, each consumed by its run.
-    Once(Vec<Member>),
+    /// One analyzed task, its body consumed by its run. Boxed, so a
+    /// node stays a few words wide in the queues and the window.
+    Single(Box<Member>),
     /// Node `at` of a program run ([`ProgramRun::locals`]).
     Program { run: Arc<ProgramRun>, at: u32 },
 }
@@ -211,7 +212,7 @@ impl Runnable {
 
     /// A node of one task.
     pub fn single(member: Member) -> Self {
-        Self::new(Work::Once(vec![member]))
+        Self::new(Work::Single(Box::new(member)))
     }
 
     /// Body `at` of a capture run, as a node of its own.
@@ -227,7 +228,7 @@ impl Runnable {
     /// body's.
     fn head(&self) -> (TaskId, &TaskMeta) {
         match &self.work {
-            Work::Once(members) => (members[0].id, &members[0].meta),
+            Work::Single(m) => (m.id, &m.meta),
             Work::Program { run, at } => {
                 let (id, first, _) = run.body(run.locals(at)[0]);
                 (id, &first.meta)
@@ -242,7 +243,7 @@ impl Runnable {
     /// Id and kernel name of every body, in running order.
     fn for_each_body(&self, mut f: impl FnMut(TaskId, &'static str)) {
         match &self.work {
-            Work::Once(members) => members.iter().for_each(|m| f(m.id, m.meta.name)),
+            Work::Single(m) => f(m.id, m.meta.name),
             Work::Program { run, at } => {
                 for &l in run.locals(at) {
                     let (id, body, _) = run.body(l);
@@ -251,14 +252,6 @@ impl Runnable {
             }
         }
     }
-}
-
-/// The bodies of a replayed step, in the trace's task order.
-pub(crate) enum StepBodies {
-    /// Built for this replay; `members[i].id` is `base + i`.
-    Once(Vec<Member>),
-    /// The program's own.
-    Program(Arc<[ProgramBody]>),
 }
 
 /// `Slot::graph_node` of a node that is not part of a replayed graph.
@@ -470,8 +463,8 @@ struct ExecShared {
     /// Where waiting drivers park when nothing is ready; likewise.
     /// Notified by every retirement while `drivers_parked > 0`.
     idle_cv: Condvar,
-    /// The event layer's enable flag, clock and latency histograms.
-    /// Checked with one relaxed load per node when disabled.
+    /// The event layer's enable flag and clock. Checked with one
+    /// relaxed load per node when disabled.
     events: EventSink,
     /// Deterministic fault injector. Checked with one relaxed load
     /// per body at submission when disarmed.
@@ -605,10 +598,8 @@ impl Executor {
         // serializes submissions, so a seeded plan reproduces the
         // same injections regardless of worker interleaving. (A
         // program run took its bodies' when it was made.)
-        if let Work::Once(members) = &mut runnable.work {
-            for m in members {
-                m.fault = shared.faults.decide(m.meta.name);
-            }
+        if let Work::Single(m) = &mut runnable.work {
+            m.fault = shared.faults.decide(m.meta.name);
         }
         let (id, name) = {
             let (id, meta) = runnable.head();
@@ -699,58 +690,26 @@ impl Executor {
     /// outside dependences and the whole graph is installed under one
     /// lock acquisition, followed by one round of wake-ups for its
     /// initially ready nodes.
-    pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: StepBodies) {
+    pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: Arc<[ProgramBody]>) {
         let shared = &*self.shared;
         let graph = &trace.graph;
+        debug_assert_eq!(bodies.len(), graph.node_of.len());
         let logging = shared.events.enabled();
         let now_ns = shared.stamp(logging);
         let mut submits = Vec::new();
-        let mut log_submit = |local: usize, name: &'static str| {
-            submits.push(SubmitRecord {
-                id: base + local as TaskId,
-                name,
+        if logging {
+            let bodies = bodies.iter().zip(&trace.deps).zip(base..);
+            submits.extend(bodies.map(|((b, deps), id)| SubmitRecord {
+                id,
+                name: b.meta.name,
                 provenance: Provenance::Replayed,
                 submit_ns: now_ns,
-                deps: trace.deps[local]
-                    .iter()
-                    .map(|&l| base + l as TaskId)
-                    .collect(),
-            });
-        };
-        /// Where the work of the graph's nodes comes from, node by node.
-        enum Nodes {
-            Once(std::vec::IntoIter<Vec<Member>>),
-            Program(Arc<ProgramRun>),
+                deps: deps.iter().map(|&l| base + l as TaskId).collect(),
+            }));
         }
         // One fault decision per body in submission order, exactly as
         // task-by-task submission makes them.
-        let mut nodes = match bodies {
-            StepBodies::Once(members) => {
-                debug_assert_eq!(members.len(), graph.node_of.len());
-                let mut of_node: Vec<Vec<Member>> = graph
-                    .nodes
-                    .iter()
-                    .map(|n| Vec::with_capacity(n.members.len()))
-                    .collect();
-                for (local, (mut m, &node)) in members.into_iter().zip(&graph.node_of).enumerate() {
-                    m.fault = shared.faults.decide(m.meta.name);
-                    if logging {
-                        log_submit(local, m.meta.name);
-                    }
-                    of_node[node as usize].push(m);
-                }
-                Nodes::Once(of_node.into_iter())
-            }
-            StepBodies::Program(bodies) => {
-                debug_assert_eq!(bodies.len(), graph.node_of.len());
-                if logging {
-                    for (local, b) in bodies.iter().enumerate() {
-                        log_submit(local, b.meta.name);
-                    }
-                }
-                Nodes::Program(self.program_run(bodies, base, Some(Arc::clone(graph))))
-            }
-        };
+        let program = self.program_run(bodies, base, Some(Arc::clone(graph)));
         let mut st = shared.state.lock();
         assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
         st.spans.record_submits(submits);
@@ -759,12 +718,9 @@ impl Executor {
         st.slots.resize_with(graph.node_of.len(), Slot::vacant);
         let mut ready = 0;
         for (k, node) in graph.nodes.iter().enumerate() {
-            let run = Runnable::new(match &mut nodes {
-                Nodes::Once(of_node) => Work::Once(of_node.next().expect("one list per node")),
-                Nodes::Program(run) => Work::Program {
-                    run: Arc::clone(run),
-                    at: k as u32,
-                },
+            let run = Runnable::new(Work::Program {
+                run: Arc::clone(&program),
+                at: k as u32,
             });
             let slot = &mut st.slots[node.leader() as usize];
             slot.live = true;
@@ -777,6 +733,9 @@ impl Executor {
                 slot.parked = Some(run);
             }
         }
+        // Before any node can run: the nodes hold the bodies, and the
+        // last to go drops them.
+        drop(program);
         st.outstanding = graph.nodes.len();
         st.batch = Some((base, Arc::clone(graph)));
         let mut owed = Wakes::default();
@@ -911,7 +870,7 @@ impl Executor {
         self.shared.state.lock().outstanding
     }
 
-    /// The event layer's enable flag, clock and histograms.
+    /// The event layer's enable flag and clock.
     pub fn events(&self) -> &EventSink {
         &self.shared.events
     }
@@ -994,14 +953,13 @@ enum Retiring<'a> {
 
 /// Retire a node and cascade poison through the DAG: successors of a
 /// failed node are marked poisoned; any that become ready while
-/// poisoned are retired in turn (their bodies dropped, not run, which
-/// poisons any promise a body captured). Successors that become ready
-/// unpoisoned are queued; returns how many were. Runs entirely under
-/// the state lock, so fences observing `outstanding == 0` see every
-/// span and counter of the cascade. Drivers parked for want of a ready
-/// node are owed a wake-up (in `owed`) to look again: for what was
-/// released, and at the condition they wait for, which only a
-/// retirement makes true.
+/// poisoned are retired in turn (their bodies dropped, not run).
+/// Successors that become ready unpoisoned are queued; returns how many
+/// were. Runs entirely under the state lock, so fences observing
+/// `outstanding == 0` see every span and counter of the cascade.
+/// Drivers parked for want of a ready node are owed a wake-up (in
+/// `owed`) to look again: for what was released, and at the condition
+/// they wait for, which only a retirement makes true.
 fn retire_locked(
     shared: &ExecShared,
     st: &mut DepState,
@@ -1025,8 +983,8 @@ fn retire_locked(
         let mut records = Vec::new();
         run.for_each_body(|id, name| records.push(BodyRecord::unrun(id, name, now)));
         let id = run.id();
-        // Dropping the node drops its bodies; any captured Promise
-        // poisons its Future here.
+        // Dropping the node drops the body it owns, and what that
+        // captured; a program run's bodies go with its last node.
         drop(run);
         released += retire_one(shared, st, id, &records, &mut unrun, me, logging);
     }
@@ -1110,7 +1068,6 @@ fn retire_one(
                 retire_ns,
                 outcome: b.outcome,
             };
-            shared.events.observe(&rec);
             st.spans.record_exec(me, rec);
             st.tallies.events_recorded += 1;
         }
@@ -1139,7 +1096,7 @@ struct NodeRun<'a> {
 impl NodeRun<'_> {
     /// Run the next body of the node through `call` — or, once a body
     /// of the node has panicked, record it as poisoned and drop `call`
-    /// unrun, which poisons any promise it captured.
+    /// unrun.
     ///
     /// This is the one place a body is stamped, and only while event
     /// logging is on: a body after the first of its node starts where
@@ -1234,10 +1191,9 @@ fn run_node(
         failure: None,
     };
     match node.work {
-        Work::Once(members) => {
-            for m in members {
-                run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx));
-            }
+        Work::Single(m) => {
+            let m = *m;
+            run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx))
         }
         Work::Program { run: program, at } => {
             for &l in program.locals(&at) {
@@ -1325,9 +1281,8 @@ fn run_nodes<'a>(
             continue;
         };
         st.tallies.stolen += u64::from(stolen && !by_driver);
-        // One relaxed load each when logging and kernel timing are
-        // off — the entire cost those layers add to the disabled
-        // execute path.
+        // One relaxed load while logging is off — the entire cost the
+        // event layer adds to the disabled execute path.
         let logging = shared.events.enabled();
         if node.poisoned {
             // Born poisoned: a dependence had already retired failed.

@@ -44,20 +44,10 @@ fn lanes(spans: &[TaskSpan]) -> Vec<(usize, String)> {
     lanes.into_iter().map(name).collect()
 }
 
-/// Render labeled span groups as Chrome `trace_event` JSON, one
-/// *process* per group.
-///
-/// Same event shape as [`chrome_trace_json`], but each `(label,
-/// spans)` pair is assigned its own `pid` (the group index) with a
-/// `process_name` metadata record, so Perfetto shows one collapsible
-/// track group per label. The solve service uses this to emit
-/// tenant-tagged traces: one process per tenant, worker tracks
-/// within.
-pub fn chrome_trace_json_grouped(groups: &[(String, Vec<TaskSpan>)]) -> String {
-    grouped(groups).finish()
-}
-
-/// The events of [`chrome_trace_json_grouped`], left open for more.
+/// The events of labeled span groups, one *process* per group, left
+/// open for more: each `(label, spans)` pair is assigned its own `pid`
+/// (the group index) with a `process_name` metadata record, so
+/// Perfetto shows one collapsible track group per label.
 fn grouped(groups: &[(String, Vec<TaskSpan>)]) -> TraceWriter {
     let mut w = TraceWriter::new(groups.iter().map(|(_, s)| s.len()).sum());
     for (pid, (label, spans)) in groups.iter().enumerate() {
@@ -73,12 +63,14 @@ fn grouped(groups: &[(String, Vec<TaskSpan>)]) -> TraceWriter {
 /// Render labeled span groups plus named counter samples as Chrome
 /// `trace_event` JSON.
 ///
-/// Same shape as [`chrome_trace_json_grouped`], with one `"C"`
-/// (counter) event appended per `(name, value)` pair — Perfetto shows
-/// them as counter tracks alongside the slices. The solve service
-/// uses this to surface runtime-wide fence accounting
-/// (`reduction_stages`, `reduction_stall_ms`) next to the
-/// tenant-tagged task spans.
+/// Same event shape as [`chrome_trace_json`], but each `(label,
+/// spans)` pair is its own *process* (`pid` = the group index, named
+/// by a `process_name` record), and one `"C"` (counter) event is
+/// appended per `(name, value)` pair — Perfetto shows them as counter
+/// tracks alongside the slices. The solve service uses this to emit
+/// tenant-tagged traces, one process per tenant with its worker tracks
+/// within, and runtime-wide fence accounting (`reduction_stages`,
+/// `reduction_stall_ms`) next to them.
 pub fn chrome_trace_json_with_counters(
     groups: &[(String, Vec<TaskSpan>)],
     counters: &[(&str, f64)],
@@ -179,22 +171,22 @@ fn escape_json(s: &str) -> String {
 /// Aggregate statistics for one task name ("phase") in a
 /// [`phase_summary`].
 #[derive(Clone, Debug, Default)]
-pub struct PhaseRow {
+struct PhaseRow {
     /// Task name the row aggregates.
-    pub name: String,
+    name: String,
     /// Number of spans with this name.
-    pub count: u64,
+    count: u64,
     /// Total execute time across those spans, ns.
-    pub total_execute_ns: u64,
+    total_execute_ns: u64,
     /// Total ready-queue wait across those spans, ns.
-    pub total_queue_wait_ns: u64,
+    total_queue_wait_ns: u64,
     /// Spans whose dependences were replayed from a trace.
-    pub replayed: u64,
+    replayed: u64,
 }
 
 /// Group spans by task name and return rows sorted by descending
 /// total execute time — the "where did the time go" table.
-pub fn phase_rows(spans: &[TaskSpan]) -> Vec<PhaseRow> {
+fn phase_rows(spans: &[TaskSpan]) -> Vec<PhaseRow> {
     let mut by_name: HashMap<&str, PhaseRow> = HashMap::new();
     for s in spans {
         let row = by_name.entry(s.name).or_insert_with(|| PhaseRow {
@@ -381,7 +373,7 @@ mod tests {
             ("tenant 0".to_string(), vec![span(0, "spmv", 0, 100, vec![])]),
             ("tenant 1".to_string(), vec![span(1, "dot", 0, 50, vec![])]),
         ];
-        let json = chrome_trace_json_grouped(&groups);
+        let json = chrome_trace_json_with_counters(&groups, &[]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0"));

@@ -11,9 +11,9 @@
 //! failure is recorded as a [`TaskError`] and surfaced by
 //! [`Runtime::fence`](crate::Runtime::fence) (which keeps returning
 //! the error until [`Runtime::take_failure`](crate::Runtime::take_failure)
-//! clears it) and by [`Future::wait`](crate::Future::wait) (a dropped
-//! task body poisons any promise it captured, so a blocked reader
-//! wakes with an error instead of deadlocking).
+//! clears it). A body retired unrun is dropped, and with it whatever
+//! it captured — a channel sender, say, so a blocked receiver wakes
+//! with an error instead of deadlocking.
 //!
 //! # Deterministic fault injection
 //!
@@ -99,14 +99,10 @@ pub enum RuntimeError {
     NestedTrace,
     /// `end_trace` was called with no capture active.
     NoActiveTrace,
-    /// `replay` was handed a task list whose length differs from the
-    /// captured trace.
-    ReplayLengthMismatch {
-        /// Tasks recorded in the trace.
-        expected: usize,
-        /// Tasks supplied for replay.
-        got: usize,
-    },
+    /// `replay` was handed a task list that does not declare the
+    /// captured tasks' names and accesses, task by task (or has
+    /// another length).
+    ReplayShapeMismatch,
     /// A task failed while the runtime was quiescing for this call.
     TaskFailed(TaskError),
 }
@@ -125,10 +121,9 @@ impl fmt::Display for RuntimeError {
                 write!(f, "begin_trace or replay while a capture is active")
             }
             RuntimeError::NoActiveTrace => write!(f, "end_trace without begin_trace"),
-            RuntimeError::ReplayLengthMismatch { expected, got } => write!(
-                f,
-                "replay task list length {got} does not match trace length {expected}"
-            ),
+            RuntimeError::ReplayShapeMismatch => {
+                write!(f, "replay task list does not match the captured tasks")
+            }
             RuntimeError::TaskFailed(e) => write!(f, "task failed: {e}"),
         }
     }
@@ -416,11 +411,8 @@ mod tests {
             },
         };
         assert!(p.to_string().contains("poisoned"));
-        let r = RuntimeError::ReplayLengthMismatch {
-            expected: 4,
-            got: 2,
-        };
-        assert!(r.to_string().contains("does not match trace length"));
+        let r = RuntimeError::ReplayShapeMismatch;
+        assert!(r.to_string().contains("does not match the captured tasks"));
         assert!(RuntimeError::NoActiveTrace
             .to_string()
             .contains("end_trace"));

@@ -17,13 +17,13 @@
 //! worker steals from its peers. A thread that waits on the runtime — at a
 //! [`Runtime::fence`], or in [`Runtime::wait_written`] for the tasks
 //! writing a buffer it wants to read — runs ready tasks while it
-//! waits. Scalars can also flow from a task to the main thread through
-//! [`Future`]s, and *dynamic tracing* memoizes the dependence analysis
-//! of a repeated task sequence (after Lee et al., SC'18, which the
-//! paper cites for exactly this purpose) and compiles it into a step
-//! graph whose tasks with one home worker `c % W` replay fused
-//! ([`trace`]). There is one ready queue per worker and no task
-//! priority: where a task runs is its colour alone.
+//! waits. *Dynamic tracing* memoizes the dependence analysis of a
+//! repeated task sequence (after Lee et al., SC'18, which the paper
+//! cites for exactly this purpose) and compiles it into a step graph
+//! whose tasks with one home worker `c % W` replay fused ([`trace`]):
+//! a [`StepProgram`] keeps the captured tasks and runs them again.
+//! There is one ready queue per worker and no task priority: where a
+//! task runs is its colour alone.
 //!
 //! ## Safety model
 //!
@@ -47,11 +47,10 @@
 //! turns on a structured event log ([`events`]) recording
 //! one [`TaskSpan`] per task (submit → ready → execute → retire, with
 //! analyzed-vs-replayed [`Provenance`]); [`Runtime::metrics`] returns
-//! a [`MetricsSnapshot`] of counters and latency histograms
-//! ([`metrics`]); and [`export`] renders spans as Chrome
-//! `trace_event` JSON (Perfetto-loadable), a per-phase summary table,
-//! and a critical-path estimate. Logging is off by default and costs
-//! one relaxed atomic load per task while off.
+//! a [`MetricsSnapshot`] of counters ([`metrics`]); and [`export`]
+//! renders spans as Chrome `trace_event` JSON (Perfetto-loadable), a
+//! per-phase summary table, and a critical-path estimate. Logging is
+//! off by default and costs one relaxed atomic load per task while off.
 //!
 //! ## Fault tolerance
 //!
@@ -59,10 +58,9 @@
 //! `catch_unwind`, the task completes as *poisoned*, its transitive
 //! successors are retired without running, and the first failure
 //! surfaces as a structured [`TaskError`] at
-//! [`Runtime::fence`] / [`Runtime::take_failure`] and as a poisoned
-//! [`Future`] ([`Future::wait`]). [`Runtime::set_fault_plan`] arms a
-//! seeded, deterministic fault injector (see [`FaultPlan`]) for
-//! testing recovery paths, and [`Runtime::set_stall_budget`] starts a
+//! [`Runtime::fence`] / [`Runtime::take_failure`].
+//! [`Runtime::set_fault_plan`] arms a seeded, deterministic fault
+//! injector (see [`FaultPlan`]) for testing recovery paths, and [`Runtime::set_stall_budget`] starts a
 //! watchdog that counts tasks exceeding a stall budget. Disabled,
 //! the whole layer costs one relaxed atomic load per task on each of
 //! the submit and execute paths — the same contract as the event
@@ -74,7 +72,6 @@ pub mod events;
 pub mod executor;
 pub mod export;
 pub mod fault;
-pub mod future;
 pub mod graph;
 pub mod metrics;
 pub mod runtime;
@@ -84,15 +81,12 @@ pub mod trace;
 pub use buffer::{Buffer, ReadView, WriteView};
 pub use events::{Provenance, TaskOutcome, TaskSpan, DEFAULT_RING_CAPACITY};
 pub use export::{
-    chrome_trace_json, chrome_trace_json_grouped, chrome_trace_json_with_counters, critical_path,
-    phase_rows, phase_summary,
-    CriticalPath, PhaseRow,
+    chrome_trace_json, chrome_trace_json_with_counters, critical_path, phase_summary, CriticalPath,
 };
 pub use fault::{
     FaultKind, FaultPlan, FaultSpec, FireSchedule, RuntimeError, TaskError, TaskErrorKind,
 };
-pub use future::{promise, Future, Promise, PromiseDropped};
-pub use metrics::{AtomicHistogram, HistogramSnapshot, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use runtime::Runtime;
 pub use task::{Privilege, TaskBuilder, TaskContext, TaskId, TaskMeta};
 pub use trace::{ShapeSig, StepProgram, Trace};

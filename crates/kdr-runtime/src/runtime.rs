@@ -17,17 +17,17 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::events::TaskSpan;
-use crate::executor::{Executor, Member, Runnable, StepBodies};
+use crate::executor::{Executor, Member, Runnable};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
 use crate::metrics::MetricsSnapshot;
 use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId, TaskMeta};
-use crate::trace::{ProgramBody, StepProgram, Trace};
+use crate::trace::{ProgramBody, ShapeSig, StepProgram, Trace};
 
 /// A capture in progress. Only the owning thread submits while it is
 /// open, so the captured tasks' ids are `first_id, first_id + 1, …`
@@ -38,6 +38,10 @@ struct TraceCapture {
     /// Scheduling metadata of each captured task: what the compile
     /// step fuses by.
     metas: Vec<TaskMeta>,
+    /// Names and accesses of the captured tasks; `None` in a
+    /// [`Runtime::capture_program`] capture, whose trace replays only
+    /// the program's own bodies.
+    sig: Option<ShapeSig>,
 }
 
 struct RtState {
@@ -49,7 +53,6 @@ struct RtState {
     /// a shared runtime cannot interleave a foreign task into a
     /// trace (which would corrupt the recorded frontier).
     capture_owner: Option<std::thread::ThreadId>,
-    analysis_ns: u64,
     tasks_submitted: u64,
     tasks_replayed: u64,
     tasks_analyzed: u64,
@@ -103,7 +106,6 @@ impl Runtime {
                 next_id: 0,
                 capture: None,
                 capture_owner: None,
-                analysis_ns: 0,
                 tasks_submitted: 0,
                 tasks_replayed: 0,
                 tasks_analyzed: 0,
@@ -189,9 +191,7 @@ impl Runtime {
         st.next_id += 1;
         st.tasks_submitted += 1;
         st.tasks_analyzed += 1;
-        let t0 = Instant::now();
         let deps = st.analyzer.analyze(id, lites);
-        st.analysis_ns += t0.elapsed().as_nanos() as u64;
         if let Some(cap) = &mut st.capture {
             // The capture began from a cleared analyzer, so every
             // dependence is on a task of this capture.
@@ -199,6 +199,10 @@ impl Runtime {
             cap.deps
                 .push(deps.iter().map(|d| (d - first) as usize).collect());
             cap.metas.push(meta);
+            if let Some(sig) = &mut cap.sig {
+                let accesses = lites.iter().map(|l| (l.buffer_id, &l.subset, l.write));
+                sig.push(meta.name, accesses);
+            }
         }
         // The caller holds the state lock across executor submission,
         // so tasks enter the executor in analysis order (which also
@@ -282,6 +286,12 @@ impl Runtime {
     /// other threads block. Re-entry from the capture-owning thread
     /// still fails with [`RuntimeError::NestedTrace`].
     pub fn begin_trace(&self) -> Result<(), RuntimeError> {
+        self.open_capture(Some(ShapeSig::default()))
+    }
+
+    /// [`Runtime::begin_trace`], recording the captured tasks'
+    /// signature into `sig` if it is `Some`.
+    fn open_capture(&self, sig: Option<ShapeSig>) -> Result<(), RuntimeError> {
         loop {
             self.exec.fence().map_err(RuntimeError::TaskFailed)?;
             let mut st = self.state.lock();
@@ -309,6 +319,7 @@ impl Runtime {
                 first_id: st.next_id,
                 deps: Vec::new(),
                 metas: Vec::new(),
+                sig,
             });
             st.capture_owner = Some(std::thread::current().id());
             return Ok(());
@@ -348,42 +359,41 @@ impl Runtime {
                 e.task -= cap.first_id;
             }
         }
-        Ok(Trace::compile(cap.deps, &cap.metas, frontier, self.num_workers()))
+        Ok(Trace::compile(
+            cap.deps,
+            &cap.metas,
+            cap.sig,
+            frontier,
+            self.num_workers(),
+        ))
     }
 
-    /// Replay a captured trace with a fresh, same-shaped task list:
-    /// `tasks[i]` must declare the same accesses as the `i`-th
-    /// captured task. Dependence analysis is skipped; the bodies are
-    /// grouped into the trace's compiled nodes and the whole step
-    /// graph is handed to the executor at once, then the recorded
-    /// final frontier replaces the analyzer's (by reference: it is
-    /// copied only if an analyzed submission follows). Returns the id
-    /// of every task, in order; a fused task runs under its node,
-    /// whose id is its first member's.
+    /// Replay a captured trace with a fresh task list that declares
+    /// what the captured one did: the same names and accesses, task by
+    /// task ([`ShapeSig`]); otherwise the call returns
+    /// [`RuntimeError::ReplayShapeMismatch`] and submits nothing.
+    /// Dependence analysis is skipped: the list runs as a one-run
+    /// [`StepProgram`] of the trace (see [`crate::trace`]), and the
+    /// recorded final frontier replaces the analyzer's (by reference:
+    /// it is copied only if an analyzed submission follows). Returns
+    /// the id of every task, in order; a fused task runs under its
+    /// node, whose id is its first member's.
     pub fn replay(
         &self,
         trace: &Trace,
         tasks: Vec<TaskBuilder>,
     ) -> Result<Vec<TaskId>, RuntimeError> {
-        if tasks.len() != trace.len() {
-            return Err(RuntimeError::ReplayLengthMismatch {
-                expected: trace.len(),
-                got: tasks.len(),
-            });
+        let matches = |sig: &ShapeSig| {
+            tasks.len() == trace.len() && ShapeSig::of_tasks(&tasks) == *sig
+        };
+        if !trace.sig.as_ref().is_some_and(matches) {
+            return Err(RuntimeError::ReplayShapeMismatch);
         }
-        if let Some(t) = tasks.iter().find(|t| t.body.is_none()) {
-            return Err(RuntimeError::MissingBody { task: t.name });
-        }
-        let base = self.submit_step(trace, |base| {
-            let members = tasks.into_iter().zip(base..).map(|(task, id)| Member {
-                id,
-                body: task.body.expect("bodies were checked above"),
-                ctx: TaskContext { reqs: task.reqs },
-                meta: task.meta,
-                fault: None,
-            });
-            StepBodies::Once(members.collect())
-        })?;
+        let bodies = tasks
+            .into_iter()
+            .map(ProgramBody::replayed)
+            .collect::<Result<Arc<[ProgramBody]>, _>>()?;
+        let base = self.submit_step(trace, || bodies)?;
         Ok((base..base + trace.len() as TaskId).collect())
     }
 
@@ -405,7 +415,7 @@ impl Runtime {
             .into_iter()
             .map(ProgramBody::try_from)
             .collect::<Result<Arc<[ProgramBody]>, _>>()?;
-        let capturing = self.begin_trace();
+        let capturing = self.open_capture(None);
         {
             // One acquisition for the whole step: the ids are
             // consecutive, as a program run numbers its bodies.
@@ -419,10 +429,8 @@ impl Runtime {
             }
         }
         capturing?;
-        Ok(StepProgram {
-            trace: self.end_trace()?,
-            bodies,
-        })
+        let trace = self.end_trace()?;
+        Ok(StepProgram { trace, bodies })
     }
 
     /// Replay a program: the step it was captured from, scheduled as
@@ -437,22 +445,22 @@ impl Runtime {
         program: &StepProgram,
         bind: impl FnOnce(),
     ) -> Result<(), RuntimeError> {
-        self.submit_step(&program.trace, |_| {
+        self.submit_step(&program.trace, || {
             bind();
-            StepBodies::Program(Arc::clone(&program.bodies))
+            Arc::clone(&program.bodies)
         })?;
         Ok(())
     }
 
-    /// The replay routine behind [`Runtime::replay`] and
-    /// [`Runtime::run_program`]: quiesce, give the step the next
-    /// `trace.len()` ids, hand `bodies(first id)` to the executor as
-    /// the compiled graph and leave the recorded frontier pending with
-    /// the analyzer. Returns the first id.
+    /// The replay routine behind [`Runtime::run_program`] and
+    /// [`Runtime::replay`]: quiesce, give the step the next
+    /// `trace.len()` ids, hand the compiled graph and `bodies()`, its
+    /// tasks' bodies, to the executor and leave the recorded frontier
+    /// pending with the analyzer. Returns the first id.
     fn submit_step(
         &self,
         trace: &Trace,
-        bodies: impl FnOnce(TaskId) -> StepBodies,
+        bodies: impl FnOnce() -> Arc<[ProgramBody]>,
     ) -> Result<TaskId, RuntimeError> {
         // The recorded graph has no edges to anything outside it and
         // the recorded frontier replaces the analyzer's, so the step
@@ -477,7 +485,7 @@ impl Runtime {
         st.tasks_submitted += nodes;
         st.tasks_replayed += nodes;
         st.tasks_fused += tasks - nodes;
-        self.exec.submit_graph(base, trace, bodies(base));
+        self.exec.submit_graph(base, trace, bodies());
         st.analyzer.set_pending(&trace.frontier, base);
         Ok(base)
     }
@@ -508,13 +516,11 @@ impl Runtime {
         self.exec.drain_spans()
     }
 
-    /// A full metrics snapshot: activity counters plus queue-wait /
-    /// execute latency distributions, fault-tolerance counters,
-    /// per-kernel execution tallies, and event-log health. Safe to
-    /// call at any time (no fence).
+    /// A full metrics snapshot: activity counters, fault-tolerance
+    /// counters, per-kernel execution tallies, and event-log health.
+    /// Safe to call at any time (no fence).
     pub fn metrics(&self) -> MetricsSnapshot {
         let st = self.state.lock();
-        let events = self.exec.events();
         let exec = self.exec.tallies();
         MetricsSnapshot {
             tasks_submitted: st.tasks_submitted,
@@ -525,7 +531,6 @@ impl Runtime {
             tasks_stolen: exec.stolen,
             nodes_run_by_drivers: exec.run_by_drivers,
             edges_created: st.analyzer.edges_created,
-            analysis_ns: st.analysis_ns,
             task_failures: exec.task_failures,
             tasks_poisoned: exec.tasks_poisoned,
             tasks_stalled: self.exec.tasks_stalled(),
@@ -534,8 +539,6 @@ impl Runtime {
             events_dropped: exec.events_dropped,
             reduction_stages: self.reduction_stages.load(Ordering::Relaxed),
             reduction_stall_ns: self.reduction_stall_ns.load(Ordering::Relaxed),
-            queue_wait_ns: events.queue_wait_ns.snapshot(),
-            execute_ns: events.execute_ns.snapshot(),
             task_counts: exec.task_counts,
         }
     }
@@ -548,6 +551,7 @@ mod tests {
     use crate::fault::{FaultKind, FaultSpec, FireSchedule, TaskErrorKind};
     use crate::task::TaskBuilder;
     use kdr_index::IntervalSet;
+    use std::sync::mpsc;
 
     #[test]
     fn dataflow_through_buffers() {
@@ -632,23 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn futures_deliver_scalars() {
-        let rt = Runtime::new(2);
-        let v = Buffer::from_vec((0..10).map(|i| i as f64).collect());
-        let (p, f) = crate::future::promise::<f64>();
-        rt.submit(TaskBuilder::new("sum").read_all(&v).body(move |ctx| {
-            let v = ctx.read::<f64>(0);
-            let mut s = 0.0;
-            for i in 0..10 {
-                s += v.get(i);
-            }
-            p.set(s);
-        }))
-        .unwrap();
-        assert_eq!(f.get(), 45.0);
-    }
-
-    #[test]
     fn missing_body_is_a_typed_error() {
         let rt = Runtime::new(1);
         let v = Buffer::filled(1, 0.0f64);
@@ -678,7 +665,7 @@ mod tests {
         rt.submit(step(&v)).unwrap();
         let trace = rt.end_trace().unwrap();
         assert_eq!(trace.len(), 2);
-        assert_eq!(trace.num_edges(), 1);
+        assert_eq!(trace.deps_of(1), [0]);
         // Replay three more iterations.
         for _ in 0..3 {
             rt.replay(&trace, vec![step(&v), step(&v)]).unwrap();
@@ -754,7 +741,12 @@ mod tests {
         };
         let program = rt.capture_program(vec![add(&v), add(&v)]).unwrap();
         assert_eq!(program.trace().len(), 2);
-        assert_eq!(program.trace().num_edges(), 1);
+        assert_eq!(program.trace().deps_of(1), [0]);
+        // It replays its own bodies only.
+        let rebuilt = rt.replay(program.trace(), vec![add(&v), add(&v)]);
+        assert_eq!(rebuilt, Err(RuntimeError::ReplayShapeMismatch));
+        let empty = rt.replay(program.trace(), Vec::new());
+        assert_eq!(empty, Err(RuntimeError::ReplayShapeMismatch));
         rt.fence().unwrap();
         assert_eq!(v.snapshot(), vec![2.0; 4], "the capture runs the tasks");
         // Back to back: `bind` runs after the previous run's bodies.
@@ -839,14 +831,14 @@ mod tests {
             rt.submit(mk(&v, c)).unwrap();
         }
         let trace = rt.end_trace().unwrap();
-        let before = rt.metrics().analysis_ns;
+        let before = rt.metrics().tasks_analyzed;
         rt.replay(&trace, (0..8).map(|c| mk(&v, c)).collect())
             .unwrap();
         rt.fence().unwrap();
         assert_eq!(
-            rt.metrics().analysis_ns,
+            rt.metrics().tasks_analyzed,
             before,
-            "replay must not spend analysis time"
+            "replay must not analyze a task"
         );
     }
 
@@ -862,13 +854,94 @@ mod tests {
                 vec![TaskBuilder::new("x").write_all(&v).body(|_| {})],
             )
             .unwrap_err();
-        assert_eq!(
-            err,
-            RuntimeError::ReplayLengthMismatch {
-                expected: 0,
-                got: 1
-            }
-        );
+        assert_eq!(err, RuntimeError::ReplayShapeMismatch);
+    }
+
+    #[test]
+    fn replay_refuses_tasks_that_declare_other_accesses() {
+        let rt = Runtime::new(2);
+        let (a, b) = (Buffer::filled(1, 0.0f64), Buffer::filled(1, 0.0f64));
+        let writer = |buf: &Buffer<f64>, color: usize| {
+            TaskBuilder::new("w")
+                .meta(TaskMeta::new("w").with_color(color))
+                .write_all(buf)
+                .body(|ctx| {
+                    let w = ctx.write::<f64>(0);
+                    w.set(0, w.get(0) + 1.0);
+                })
+        };
+        // Two independent writers, one per worker.
+        rt.begin_trace().unwrap();
+        rt.submit(writer(&a, 0)).unwrap();
+        rt.submit(writer(&b, 1)).unwrap();
+        let trace = rt.end_trace().unwrap();
+        assert_eq!(trace.num_nodes(), 2);
+        // Under the captured edges, two writers of `a` would run at
+        // once: refused, and nothing runs.
+        let err = rt.replay(&trace, vec![writer(&a, 0), writer(&a, 1)]);
+        assert_eq!(err, Err(RuntimeError::ReplayShapeMismatch));
+        // A shorter list is a shape mismatch too.
+        let err = rt.replay(&trace, vec![writer(&a, 0)]);
+        assert_eq!(err, Err(RuntimeError::ReplayShapeMismatch));
+        rt.fence().unwrap();
+        assert_eq!((a.snapshot()[0], b.snapshot()[0]), (1.0, 1.0));
+        assert_eq!(rt.metrics().tasks_replayed, 0);
+        // The captured shape replays.
+        rt.replay(&trace, vec![writer(&a, 0), writer(&b, 1)])
+            .unwrap();
+        rt.fence().unwrap();
+        assert_eq!((a.snapshot()[0], b.snapshot()[0]), (2.0, 2.0));
+    }
+
+    #[test]
+    fn a_replayed_body_runs_once_and_one_left_unrun_is_dropped_by_the_fence() {
+        let rt = Runtime::new(2);
+        let v = Buffer::filled(1, 0.0f64);
+        let runs = Arc::new(AtomicU64::new(0));
+        // Three links of a colourless chain: one node of three members.
+        // Link `explode` panics; link 2 sends on `tx` when it runs.
+        let chain = |explode: Option<usize>, tx: &mpsc::Sender<u64>| -> Vec<TaskBuilder> {
+            (0..3)
+                .map(|i| {
+                    let (runs, tx) = (Arc::clone(&runs), tx.clone());
+                    TaskBuilder::new("link").write_all(&v).body(move |ctx| {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        assert_ne!(explode, Some(i), "link {i} exploded");
+                        let w = ctx.write::<f64>(0);
+                        w.set(0, w.get(0) + 1.0);
+                        if i == 2 {
+                            tx.send(runs.load(Ordering::SeqCst)).unwrap();
+                        }
+                    })
+                })
+                .collect()
+        };
+        let (tx, rx) = mpsc::channel();
+        rt.begin_trace().unwrap();
+        for t in chain(None, &tx) {
+            rt.submit(t).unwrap();
+        }
+        let trace = rt.end_trace().unwrap();
+        assert_eq!(trace.num_nodes(), 1);
+        for _ in 0..2 {
+            rt.replay(&trace, chain(None, &tx)).unwrap();
+        }
+        rt.fence().unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 9, "every body exactly once");
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [3, 6, 9]);
+        assert_eq!(v.snapshot(), vec![9.0]);
+
+        // Link 1 panics: link 2 never runs, and its body — with the
+        // sender it holds — is gone once the fence returns.
+        let (tx, rx) = mpsc::channel();
+        rt.replay(&trace, chain(Some(1), &tx)).unwrap();
+        drop(tx);
+        let err = rt.fence().unwrap_err();
+        assert_eq!(err.name, "link");
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(runs.load(Ordering::SeqCst), 11);
+        assert_eq!(v.snapshot(), vec![10.0]);
+        rt.take_failure().unwrap();
     }
 
     #[test]
@@ -903,18 +976,19 @@ mod tests {
     fn poisoned_future_errors_instead_of_deadlocking() {
         let rt = Runtime::new(2);
         let v = Buffer::filled(4, 1.0f64);
-        let (p, f) = crate::future::promise::<f64>();
+        let (tx, rx) = mpsc::channel::<f64>();
         rt.submit(TaskBuilder::new("explode").write_all(&v).body(|_| {
-            panic!("pre-promise failure");
+            panic!("pre-send failure");
         }))
         .unwrap();
         // The reader task depends on the poisoned write; it is
-        // retired without running, dropping `p` and poisoning `f`.
+        // retired without running, dropping `tx`, so a receiver
+        // blocked on it wakes with an error.
         rt.submit(TaskBuilder::new("read").read_all(&v).body(move |ctx| {
-            p.set(ctx.read::<f64>(0).get(0));
+            tx.send(ctx.read::<f64>(0).get(0)).unwrap();
         }))
         .unwrap();
-        assert!(f.wait().is_err(), "future must poison, not deadlock");
+        assert!(rx.recv().is_err(), "the receiver must error, not deadlock");
         assert!(rt.take_failure().is_some());
     }
 

@@ -83,7 +83,7 @@ pub(crate) struct ReqLite {
 /// A task's executable payload.
 pub(crate) enum TaskBody {
     /// Runs once and is consumed by the run, so it may give away what
-    /// it captured (fulfil a promise).
+    /// it captured (send it down a channel, say).
     Once(Box<dyn FnOnce(&TaskContext) + Send>),
     /// Runs any number of times, on any worker: the kind of body a
     /// [`StepProgram`](crate::StepProgram) keeps.

@@ -10,18 +10,17 @@
 //! the dynamic-tracing optimization of Lee et al. (SC '18) that the
 //! paper's implementation relies on.
 //!
-//! There are two ways to replay. [`Runtime::replay`](crate::Runtime::replay)
-//! takes a [`Trace`] and a freshly built, same-shaped task list — for a
-//! caller whose bodies differ from run to run (a [`ShapeSig`] compares
-//! the shapes). A [`StepProgram`] goes one step further for a caller
-//! whose step is *the same tasks* every time: it keeps the captured
-//! tasks themselves — bodies that may run any number of times
-//! ([`TaskBuilder::shared_body`]) and their requirement lists — next to
-//! the trace, so [`Runtime::run_program`](crate::Runtime::run_program)
-//! builds nothing per task: the executor's nodes point into the
-//! program. Both entry points install the step through one routine
-//! (`Executor::submit_graph`), so fault decisions, spans, accounting
-//! and failure semantics are the same.
+//! A [`StepProgram`] keeps the captured tasks themselves — bodies
+//! that may run any number of times ([`TaskBuilder::shared_body`]) and
+//! their requirement lists — next to the trace, so
+//! [`Runtime::run_program`](crate::Runtime::run_program) builds nothing
+//! per task: the executor's nodes point into the program. That is the
+//! one step engine. [`Runtime::replay`](crate::Runtime::replay) is an
+//! adapter onto it for a caller whose bodies differ from run to run: it
+//! checks a freshly built task list against the [`ShapeSig`] of the
+//! captured one, turns the list into a one-run program (a run-once body
+//! is taken by its run) and schedules that the same way, so fault
+//! decisions, spans, accounting and failure semantics are the same.
 //!
 //! Both capture and replay begin from a quiescent runtime (the
 //! runtime fences internally), so a trace's first tasks have no
@@ -77,10 +76,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use kdr_index::IntervalSet;
+use parking_lot::Mutex;
 
 use crate::fault::RuntimeError;
 use crate::graph::{Frontier, RecordedFrontier};
@@ -248,15 +247,22 @@ pub struct Trace {
     /// Shared with the analyzer after a replay, which reads it in
     /// place until an analysis needs a frontier of its own.
     pub(crate) frontier: RecordedFrontier,
+    /// The names and declared accesses of the captured tasks: what a
+    /// task list handed to [`Runtime::replay`](crate::Runtime::replay)
+    /// must match, since it runs under the captured edges. `None` in a
+    /// [`StepProgram`]'s trace, which replays only the program's own
+    /// tasks.
+    pub(crate) sig: Option<ShapeSig>,
 }
 
 impl Trace {
     /// Compile a capture for a runtime of `workers` workers: `deps`
-    /// and `metas` per task, and the final frontier with trace-local
-    /// task indices.
+    /// and `metas` per task, the signature of the captured tasks (if
+    /// one was recorded), and the final frontier with trace-local task indices.
     pub(crate) fn compile(
         deps: Vec<Vec<usize>>,
         metas: &[TaskMeta],
+        sig: Option<ShapeSig>,
         mut frontier: Vec<(u64, Frontier)>,
         workers: usize,
     ) -> Trace {
@@ -272,6 +278,7 @@ impl Trace {
             deps,
             graph: Arc::new(graph),
             frontier: frontier.into(),
+            sig,
         }
     }
 
@@ -283,11 +290,6 @@ impl Trace {
     /// True if the trace recorded no tasks.
     pub fn is_empty(&self) -> bool {
         self.deps.is_empty()
-    }
-
-    /// Total recorded dependence edges between tasks.
-    pub fn num_edges(&self) -> usize {
-        self.deps.iter().map(Vec::len).sum()
     }
 
     /// Number of scheduled nodes the tasks were fused into: what a
@@ -315,6 +317,28 @@ pub(crate) struct ProgramBody {
     pub body: SharedBody,
     pub ctx: TaskContext,
     pub meta: TaskMeta,
+}
+
+impl ProgramBody {
+    /// A task of a [`Runtime::replay`](crate::Runtime::replay) list as
+    /// a body of the one-run program the replay schedules. A run-once
+    /// body is wrapped so that its run takes it; one that never runs
+    /// is dropped with the program, when the step's last node retires.
+    pub(crate) fn replayed(mut task: TaskBuilder) -> Result<Self, RuntimeError> {
+        task.body = task.body.map(|body| match body {
+            TaskBody::Once(once) => {
+                let once = Mutex::new(Some(once));
+                TaskBody::Shared(Box::new(move |ctx| {
+                    let taken = once.lock().take();
+                    if let Some(f) = taken {
+                        f(ctx)
+                    }
+                }))
+            }
+            shared => shared,
+        });
+        Self::try_from(task)
+    }
 }
 
 impl TryFrom<TaskBuilder> for ProgramBody {
@@ -356,43 +380,15 @@ impl StepProgram {
     }
 }
 
-/// A multiply-rotate hasher for shape signatures. The keys are this
-/// program's own task lists, never outside input, and a signature is
-/// hashed on every step, so SipHash's collision resistance buys
-/// nothing here.
-#[derive(Default)]
-struct ShapeHasher(u64);
-
-impl Hasher for ShapeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-}
-
 /// Shape signature of one step's task list: task names and declared
 /// accesses. Two steps with equal signatures declare identical access
-/// patterns, so dependence analysis of one is valid for the other — a
-/// caller that replays a trace with rebuilt tasks can check them
-/// against the captured ones with it.
-#[derive(Clone)]
+/// patterns, so dependence analysis of one is valid for the other. A
+/// [`Trace`] from [`Runtime::end_trace`](crate::Runtime::end_trace)
+/// keeps the signature of the tasks it captured, and
+/// [`Runtime::replay`](crate::Runtime::replay) refuses a task list
+/// whose signature differs.
+#[derive(Clone, Debug, Default)]
 pub struct ShapeSig {
-    hash: u64,
     /// Name and number of declared accesses of each task.
     tasks: Vec<(&'static str, u32)>,
     /// Every task's accesses, concatenated: (buffer id, subset,
@@ -403,25 +399,32 @@ pub struct ShapeSig {
 impl ShapeSig {
     /// Compute the signature of a task list.
     pub fn of_tasks(tasks: &[TaskBuilder]) -> ShapeSig {
-        let mut h = ShapeHasher::default();
-        let mut names = Vec::with_capacity(tasks.len());
-        let mut accesses = Vec::with_capacity(tasks.iter().map(|t| t.reqs.len()).sum());
+        let mut sig = ShapeSig {
+            tasks: Vec::with_capacity(tasks.len()),
+            accesses: Vec::with_capacity(tasks.iter().map(|t| t.reqs.len()).sum()),
+        };
         for t in tasks {
-            t.name.hash(&mut h);
-            names.push((t.name, t.reqs.len() as u32));
-            for r in &t.reqs {
-                let write = r.privilege == Privilege::Write;
-                r.buffer_id.hash(&mut h);
-                r.subset.hash(&mut h);
-                write.hash(&mut h);
-                accesses.push((r.buffer_id, Arc::clone(&r.subset), write));
-            }
+            let write = |p| p == Privilege::Write;
+            sig.push(
+                t.name,
+                t.reqs
+                    .iter()
+                    .map(|r| (r.buffer_id, &r.subset, write(r.privilege))),
+            );
         }
-        ShapeSig {
-            hash: h.finish(),
-            tasks: names,
-            accesses,
-        }
+        sig
+    }
+
+    /// Append one task: its name and its accesses, each (buffer id,
+    /// subset, writable).
+    pub(crate) fn push<'a>(
+        &mut self,
+        name: &'static str,
+        accesses: impl ExactSizeIterator<Item = (u64, &'a Arc<IntervalSet>, bool)>,
+    ) {
+        self.tasks.push((name, accesses.len() as u32));
+        let accesses = accesses.map(|(buffer, subset, write)| (buffer, Arc::clone(subset), write));
+        self.accesses.extend(accesses);
     }
 
     /// Number of tasks covered by the signature.
@@ -437,15 +440,16 @@ impl ShapeSig {
 
 impl PartialEq for ShapeSig {
     fn eq(&self, other: &Self) -> bool {
-        // Hash first: almost every mismatch dies here without walking
-        // interval sets. A step rebuilt from the same shared subsets
-        // then matches by pointer, without comparing runs.
-        self.hash == other.hash
-            && self.tasks == other.tasks
+        // Names and access counts first. A step rebuilt from the same
+        // shared subsets then matches by pointer, without comparing
+        // runs.
+        self.tasks == other.tasks
             && self.accesses.len() == other.accesses.len()
-            && self.accesses.iter().zip(&other.accesses).all(|(a, b)| {
-                a.0 == b.0 && a.2 == b.2 && (Arc::ptr_eq(&a.1, &b.1) || *a.1 == *b.1)
-            })
+            && self
+                .accesses
+                .iter()
+                .zip(&other.accesses)
+                .all(|(a, b)| a.0 == b.0 && a.2 == b.2 && (Arc::ptr_eq(&a.1, &b.1) || *a.1 == *b.1))
     }
 }
 

@@ -25,12 +25,12 @@
 //!   one worker. A fused member starts where the one before it ended.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use kdr_index::IntervalSet;
 use kdr_runtime::{
-    promise, Buffer, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime,
-    RuntimeError, TaskBuilder, TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, TaskSpan, Trace,
+    Buffer, FaultKind, FaultPlan, FaultSpec, FireSchedule, Runtime, RuntimeError, TaskBuilder,
+    TaskContext, TaskErrorKind, TaskMeta, TaskOutcome, TaskSpan, Trace,
 };
 use proptest::prelude::*;
 
@@ -363,11 +363,11 @@ fn bump(name: &'static str, color: Option<usize>, buf: &Buffer<f64>) -> TaskBuil
 }
 
 /// The five-task step over `cells`. `t1` panics while `explode` is
-/// set; `t2` fulfils `done` when given one.
+/// set; `t2` sends what it wrote on `done` when given one.
 fn step(
     cells: &Cells,
     explode: &Arc<AtomicBool>,
-    done: Option<kdr_runtime::Promise<f64>>,
+    done: Option<mpsc::Sender<f64>>,
 ) -> Vec<TaskBuilder> {
     let explode = Arc::clone(explode);
     vec![
@@ -386,8 +386,8 @@ fn step(
             .body(move |ctx| {
                 let w = ctx.write::<f64>(0);
                 w.set(0, w.get(0) + 1.0);
-                if let Some(p) = done {
-                    p.set(w.get(0));
+                if let Some(tx) = done {
+                    tx.send(w.get(0)).unwrap();
                 }
             }),
         TaskBuilder::new("t3")
@@ -428,15 +428,15 @@ fn a_panicking_member_fails_its_node_and_the_runtime_recovers() {
 
     // The second member of the fused node panics.
     explode.store(true, Ordering::SeqCst);
-    let (p, f) = promise::<f64>();
-    let ids = rt.replay(&trace, step(&cells, &explode, Some(p))).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let ids = rt.replay(&trace, step(&cells, &explode, Some(tx))).unwrap();
     let err = rt.fence().unwrap_err();
     assert_eq!((err.task, err.name), (ids[1], "t1"));
     assert!(matches!(&err.kind, TaskErrorKind::Panicked(m) if m.contains("t1 exploded")));
-    // t0 ran, t1 failed before writing, t2 was dropped (its promise
-    // poisons), t3 was poisoned, t4 is independent.
+    // t0 ran, t1 failed before writing, t2 was dropped unrun (with
+    // its sender), t3 was poisoned, t4 is independent.
     assert_eq!(values(&cells), [2.0, 1.0, 1.0, 10.0, 2.0]);
-    assert!(f.wait().is_err(), "a dropped member poisons its promise");
+    assert!(rx.recv().is_err(), "a dropped member drops its sender");
     let m = rt.metrics();
     assert_eq!(m.task_failures, 1);
     assert_eq!(m.tasks_poisoned, 1, "t3, as one node");
@@ -450,9 +450,9 @@ fn a_panicking_member_fails_its_node_and_the_runtime_recovers() {
 
     // Reusable: the same trace replays cleanly afterwards.
     explode.store(false, Ordering::SeqCst);
-    let (p, f) = promise::<f64>();
-    rt.replay(&trace, step(&cells, &explode, Some(p))).unwrap();
-    assert_eq!(f.get(), 2.0);
+    let (tx, rx) = mpsc::channel();
+    rt.replay(&trace, step(&cells, &explode, Some(tx))).unwrap();
+    assert_eq!(rx.recv(), Ok(2.0));
     rt.fence().unwrap();
     assert_eq!(values(&cells), [3.0, 2.0, 2.0, 20.0, 3.0]);
 }
@@ -568,7 +568,7 @@ fn replay_alternating(workers: usize, nodes: u64) -> (Vec<TaskSpan>, Vec<u64>) {
     assert_eq!(m.tasks_submitted, 8 + nodes);
     assert_eq!(m.tasks_executed, 8 + nodes);
     assert_eq!(m.task_counts.get("w"), Some(&16), "counts stay per body");
-    assert_eq!(m.execute_ns.count, 16);
+    assert_eq!(m.events_recorded, 16);
 
     // One span per body, replayed ones included, each with its own
     // id, name and captured dependences.

@@ -183,6 +183,20 @@ if grep -rn 'Duration::from_secs_f64' crates/kdr-service/src; then
     echo "ci.sh: kdr-service converts an estimate with Duration::from_secs_f64 again (see above)" >&2
     exit 1
 fi
+# One step engine, and a runtime API sized to its callers (DESIGN §6):
+# `Runtime::replay` is an adapter that schedules a task list as a
+# one-run step program, so the executor has one body source for a
+# replayed step. The scalar futures, the latency histograms, the
+# analysis clock and the exports and counters nothing read went; none
+# of them may come back.
+if grep -rnE 'promise\(|\bPromise\b|PromiseDropped|kdr_runtime::Future|AtomicHistogram|HistogramSnapshot|HISTOGRAM_BUCKETS|replay_fraction|analysis_ns|chrome_trace_json_grouped|StepBodies|num_edges|Work::Once' crates tests; then
+    echo "ci.sh: crates/ or tests/ names a deleted runtime item again (see above)" >&2
+    exit 1
+fi
+if ! grep -qF 'pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: Arc<[ProgramBody]>)' "$exec_rs"; then
+    echo "ci.sh: Executor::submit_graph no longer takes the step's bodies as Arc<[ProgramBody]>" >&2
+    exit 1
+fi
 
 # The scheduler fuzzer on fragmented footprints (gappy subsets of up to
 # eight runs): analysed, captured-then-replayed and step-program runs

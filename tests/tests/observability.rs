@@ -148,9 +148,6 @@ fn ring_overflow_drops_instead_of_blocking() {
     assert_eq!(m.events_recorded, 300);
     assert_eq!(m.events_dropped + spans.len() as u64, 300);
     assert!(m.events_dropped >= (TASKS - retained) as u64);
-    // Histograms saw every task even though spans wrapped.
-    assert_eq!(m.execute_ns.count, 300);
-    assert_eq!(m.queue_wait_ns.count, 300);
 }
 
 /// Event logging off: nothing recorded, nothing retained.
@@ -170,7 +167,6 @@ fn disabled_events_record_nothing() {
     let m = rt.metrics();
     assert_eq!(m.events_recorded, 0);
     assert_eq!(m.events_dropped, 0);
-    assert!(m.execute_ns.is_empty());
     assert_eq!(m.tasks_executed, 10);
 }
 
@@ -465,7 +461,6 @@ fn metrics_agree_with_traced_stepping_contract() {
         metrics.runtime.tasks_analyzed + metrics.runtime.tasks_replayed
     );
     assert!(metrics.runtime.tasks_replayed > metrics.runtime.tasks_analyzed);
-    assert!(metrics.runtime.replay_fraction() > 0.5);
 
     // Scalar arena stays bounded and the cache holds the CG shapes.
     assert!(metrics.scalar_slots < 32);
@@ -480,12 +475,10 @@ fn metrics_agree_with_traced_stepping_contract() {
         metrics.runtime.tasks_submitted
     );
     // Every executed body got a span of its own, fused or not (no
-    // drops at default capacity), and the latency histograms saw them
-    // all.
+    // drops at default capacity).
     let bodies = metrics.runtime.tasks_executed + metrics.runtime.tasks_fused;
     assert_eq!(metrics.runtime.events_recorded, bodies);
     assert_eq!(metrics.runtime.events_dropped, 0);
-    assert_eq!(metrics.runtime.execute_ns.count, bodies);
     assert_eq!(
         metrics.runtime.task_counts.values().sum::<u64>(),
         bodies,
@@ -533,7 +526,6 @@ fn replayed_steps_log_nothing_with_events_off_and_every_body_with_events_on() {
     assert_eq!(m1.runtime.tasks_analyzed, m0.runtime.tasks_analyzed);
     assert_eq!(m1.runtime.events_recorded, 0);
     assert!(spans.is_empty(), "{} spans with logging off", spans.len());
-    assert!(m1.runtime.execute_ns.is_empty());
 
     let (m0, m1, spans) = replayed_window(true);
     assert_eq!(m1.step_tasks_lowered, m0.step_tasks_lowered);
