@@ -404,7 +404,7 @@ pub struct OpComponentSpec<T> {
     /// When `Some`, the component is *implicit*: a stencil descriptor
     /// fully determines every tile's entries, so execution backends
     /// build matrix-free kernels straight from each tile's
-    /// `out_subset` row runs and **skip triplet extraction entirely**
+    /// `out_subset` row runs and **never gather its entries**
     /// — zero value arrays, zero COO→CSR conversion. `matrix` is
     /// still present (it drives dependent partitioning and the
     /// simulator), but an execution backend never reads its entries.

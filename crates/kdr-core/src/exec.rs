@@ -137,7 +137,7 @@ use crate::backend::{
     BVec, Backend, BackendFault, CompSpec, Handles, OpHandle, OpSetSpec, SRef, StepOp, StepOutcome,
     TileSpec, VecOp,
 };
-use crate::partitioning::extract_tile_triplets;
+use crate::partitioning::lower_tiles;
 
 /// Stride separating component indices in piece-affinity color keys:
 /// piece `(comp, color)` maps to affinity color `comp · STRIDE +
@@ -1188,7 +1188,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 // Implicit component: the descriptor plus each tile's
                 // out-subset row runs fully determine the kernel, a
                 // band of constants built from the geometry — no
-                // triplet extraction, no value arrays, no COO→CSR
+                // entry gathering, no value arrays, no COO→CSR
                 // conversion. The zero-fill plan below still sees the
                 // exact out/in footprints from dependent partitioning.
                 for t in &comp.tiles {
@@ -1207,26 +1207,23 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
                 }
                 continue;
             }
-            // An implicit spec must never reach triplet extraction
+            // An implicit spec must never reach entry gathering
             // unless an assembled kind was explicitly forced.
             debug_assert!(
                 comp.stencil.is_none() || forced_assembled,
-                "implicit operator spec reached triplet extraction"
+                "implicit operator spec reached entry gathering"
             );
-            // One format-independent pass gathers each tile's
-            // triplets; lowering then picks the specialized kernel.
-            let trips = extract_tile_triplets(comp.matrix.as_ref(), &comp.tiles);
-            for (t, (rows, cols, vals)) in comp.tiles.iter().zip(trips) {
-                let (kernel, structure) =
-                    TileKernel::lower_with_structure(&rows, &cols, &vals, spec.kernel_choice);
-                if kernel.is_empty() {
-                    // Structurally empty tile: launch nothing, ever.
-                    // Its output rows fall to the apply plan's
-                    // residual zero task.
-                    continue;
+            // Each tile's entries, gathered from its rows, lower to
+            // the specialized kernel its structure picks.
+            let choice = spec.kernel_choice;
+            let matrix = comp.matrix.as_ref();
+            lower_tiles(matrix, &comp.tiles, choice, &mut |t, kernel, s| {
+                // A structurally empty tile launches nothing, ever: its
+                // output rows fall to the apply plan's residual zero task.
+                if !kernel.is_empty() {
+                    tiles.push(ExecTile::new(t, kernel, s.key()));
                 }
-                tiles.push(ExecTile::new(t, kernel, structure.key()));
-            }
+            });
         }
         // A spec's matrices map its sol components to its rhs
         // components, so they give every tiled component's length.

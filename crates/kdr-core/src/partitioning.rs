@@ -15,9 +15,15 @@
 //!    the ghost regions each source piece must supply.
 //!
 //! No format-specific partitioning code exists anywhere in KDRSolvers.
+//!
+//! [`lower_tiles`] then turns each tile into a kernel. Step 1 already
+//! says which entries a tile holds — those of its output rows — so a
+//! format that stores its rows in order hands them over a row slice at
+//! a time, one tile after another, and any other format is enumerated
+//! once. Only the lowering that follows is format-specialized.
 
-use kdr_index::Partition;
-use kdr_sparse::{Scalar, SparseMatrix};
+use kdr_index::{IntervalSet, Partition};
+use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, TileKernel, TileRows, TileStructure};
 
 use crate::backend::TileSpec;
 
@@ -87,50 +93,73 @@ pub fn compute_tiles<T: Scalar>(
     tiles
 }
 
-/// One tile's extracted entries in component-local coordinates:
-/// `(rows, cols, vals)` parallel arrays, unsorted.
-pub type TileTriplets<T> = (Vec<u64>, Vec<u64>, Vec<T>);
-
-/// Extract every tile's entries from one operator component in a
-/// single pass over the matrix.
+/// Lower every tile of one operator component, in tile order, handing
+/// each kernel and the structure analysis it was chosen from to
+/// `lowered` as soon as it is built.
 ///
-/// `tiles[i].kernel_piece` sets are disjoint (they come from a
-/// partition of `K`), so each stored entry lands in at most one tile;
-/// entries on kernel points outside every piece (format padding the
-/// matrix skips or points of empty range colors) are dropped. The
-/// result is the raw input to per-tile kernel lowering
-/// ([`kdr_sparse::TileKernel::lower`]) — extraction is still fully
-/// format-independent, only the *lowering* that follows is
-/// format-specialized.
-///
-/// The pass remembers the kernel run it last hit: an enumeration in
-/// kernel order — every library format's — searches once per run it
-/// enters, not once per entry. Any other order is still placed
-/// correctly, by the search.
-pub fn extract_tile_triplets<T: Scalar>(
+/// A tile's kernel piece is the preimage of a range piece along the
+/// row relation. Where that relation gives each entry its one row, a
+/// tile's entries are exactly those of its `out_subset` rows, so a
+/// format that hands over rows ([`SparseMatrix::append_rows`], a slice
+/// copy per row for [`kdr_sparse::Csr`]) lowers tile by tile straight
+/// from its storage, already in canonical order, and only one tile's
+/// entries are held at a time. Any other format is enumerated once
+/// ([`SparseMatrix::for_each_entry`]) into one [`TileRows`] per tile,
+/// each entry placed by its kernel point in the first tile whose piece
+/// holds it; entries outside every piece (format padding, points of
+/// empty range colors) are dropped. The pass remembers the kernel run
+/// it last hit, so an enumeration in kernel order — every library
+/// format's — searches once per run it enters. Either way the tiles
+/// lower to the same bits ([`TileKernel::lower_rows`]); only lowering
+/// is format-specialized.
+pub fn lower_tiles<T: Scalar>(
     matrix: &dyn SparseMatrix<T>,
     tiles: &[TileSpec],
-) -> Vec<TileTriplets<T>> {
-    // Map kernel point -> tile via the disjoint kernel-piece runs.
+    choice: KernelChoice,
+    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, TileStructure),
+) {
+    for (n, t) in tiles.iter().enumerate() {
+        let mut entries = tile_rows(t);
+        let runs = t.out_subset.runs();
+        if !runs
+            .iter()
+            .all(|r| matrix.append_rows(r.lo, r.hi, &mut entries))
+        {
+            return enumerate_tiles(matrix, &tiles[n..], choice, lowered);
+        }
+        let (kernel, structure) = TileKernel::lower_rows(entries, choice);
+        lowered(t, kernel, structure);
+    }
+}
+
+/// An empty builder sized for the tile: its rows, and its kernel
+/// points, which bound its entries.
+fn tile_rows<T: Scalar>(t: &TileSpec) -> TileRows<T> {
+    TileRows::with_capacity(t.out_subset.cardinality() as usize, t.nnz as usize)
+}
+
+/// [`lower_tiles`] for a format that does not hand over its rows.
+fn enumerate_tiles<T: Scalar>(
+    matrix: &dyn SparseMatrix<T>,
+    tiles: &[TileSpec],
+    choice: KernelChoice,
+    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, TileStructure),
+) {
+    // Map kernel point -> tile via the kernel-piece runs. A coarse row
+    // relation (BCSR relates a whole block to each of its rows) gives
+    // the tiles on either side of a block that straddles two range
+    // pieces the same kernel points: those go to the first such tile,
+    // whatever order the format enumerates in.
     let mut lookup: Vec<(u64, u64, usize)> = Vec::new(); // (lo, hi, tile)
+    let mut claimed = IntervalSet::empty();
     for (ti, t) in tiles.iter().enumerate() {
-        for r in t.kernel_piece.runs() {
+        for r in t.kernel_piece.difference(&claimed).runs() {
             lookup.push((r.lo, r.hi, ti));
         }
+        claimed = claimed.union(&t.kernel_piece);
     }
     lookup.sort_unstable();
-    // A piece's point count bounds its entries (padding is skipped).
-    let mut out: Vec<TileTriplets<T>> = tiles
-        .iter()
-        .map(|t| {
-            let n = t.nnz as usize;
-            (
-                Vec::with_capacity(n),
-                Vec::with_capacity(n),
-                Vec::with_capacity(n),
-            )
-        })
-        .collect();
+    let mut entries: Vec<TileRows<T>> = tiles.iter().map(tile_rows).collect();
     let (mut lo, mut hi, mut ti) = (0, 0, 0); // the run last hit; none yet
     matrix.for_each_entry(&mut |k, i, j, v| {
         if k < lo || k >= hi {
@@ -141,18 +170,19 @@ pub fn extract_tile_triplets<T: Scalar>(
             }
             (lo, hi, ti) = lookup[idx - 1];
         }
-        let (rows, cols, vals) = &mut out[ti];
-        rows.push(i);
-        cols.push(j);
-        vals.push(v);
+        entries[ti].push(i, j, v);
     });
-    out
+    for (t, rows) in tiles.iter().zip(entries) {
+        let (kernel, structure) = TileKernel::lower_rows(rows, choice);
+        lowered(t, kernel, structure);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kdr_sparse::{Csr, Stencil, StencilOperator};
+    use proptest::prelude::*;
 
     #[test]
     fn csr_row_slab_tiles() {
@@ -224,74 +254,234 @@ mod tests {
         assert_eq!(tiles[1].in_by_color.len(), 2);
     }
 
+    /// Every tile `lower_tiles` lowers, in the order it hands them
+    /// over, with its payload and structure key spelled out.
+    fn lowered(m: &dyn SparseMatrix<f64>, tiles: &[TileSpec], choice: KernelChoice) -> Vec<String> {
+        let mut out = Vec::new();
+        lower_tiles(m, tiles, choice, &mut |t, k, s| {
+            out.push(format!("{} {:?} {k:?}", t.range_color, s.key().to_bytes()));
+        });
+        out
+    }
+
     #[test]
-    fn extracted_triplets_cover_every_entry_once() {
+    fn lowered_tiles_cover_every_entry_once() {
         let s = Stencil::lap2d(6, 6);
         let m: Csr<f64> = s.to_csr();
         let part = Partition::equal_blocks(36, 3);
         let tiles = compute_tiles(&m, &part, &part, 0, 0);
-        let trips = extract_tile_triplets(&m, &tiles);
-        let total: usize = trips.iter().map(|(r, _, _)| r.len()).sum();
-        assert_eq!(total as u64, s.nnz());
-        for (t, (rows, _, _)) in tiles.iter().zip(&trips) {
-            // Every extracted row lies in the tile's output footprint.
-            assert!(rows.iter().all(|&r| t.out_subset.contains(r)));
-        }
+        let mut total = 0;
+        let mut colors = Vec::new();
+        lower_tiles(
+            &m,
+            &tiles,
+            KernelChoice::Force(kdr_sparse::KernelKind::Csr),
+            &mut |t, k, _| {
+                let kdr_sparse::TileKernel::Csr(csr) = &k else {
+                    panic!("forced CSR lowered to {:?}", k.kind());
+                };
+                total += csr.vals.len() as u64;
+                // Every lowered row lies in the tile's output footprint.
+                assert!(csr.row_ids.iter().all(|&r| t.out_subset.contains(r)));
+                colors.push(t.range_color);
+            },
+        );
+        assert_eq!(total, s.nnz());
+        assert_eq!(colors, [0, 1, 2]);
     }
 
     /// A format described by the six required methods only, whose
     /// enumeration runs in *descending* kernel order.
-    struct Backwards(Csr<f64>);
+    struct Backwards<'a>(&'a dyn SparseMatrix<f64>);
 
-    impl SparseMatrix<f64> for Backwards {
-        fn kernel_space(&self) -> kdr_index::IndexSpace {
-            self.0.kernel_space()
-        }
-        fn domain_space(&self) -> kdr_index::IndexSpace {
-            self.0.domain_space()
-        }
-        fn range_space(&self) -> kdr_index::IndexSpace {
-            self.0.range_space()
-        }
-        fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
-            self.0.col_relation()
-        }
-        fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
-            self.0.row_relation()
-        }
-        fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, f64)) {
-            let mut entries = Vec::new();
-            self.0
-                .for_each_entry(&mut |k, i, j, v| entries.push((k, i, j, v)));
-            for &(k, i, j, v) in entries.iter().rev() {
-                f(k, i, j, v);
+    /// A format described by the six required methods only: it
+    /// enumerates in kernel order and hands over no rows.
+    struct Enumerated<'a>(&'a dyn SparseMatrix<f64>);
+
+    macro_rules! described_by {
+        ($wrapper:ident, |$m:ident, $f:ident| $each:expr) => {
+            impl SparseMatrix<f64> for $wrapper<'_> {
+                fn kernel_space(&self) -> kdr_index::IndexSpace {
+                    self.0.kernel_space()
+                }
+                fn domain_space(&self) -> kdr_index::IndexSpace {
+                    self.0.domain_space()
+                }
+                fn range_space(&self) -> kdr_index::IndexSpace {
+                    self.0.range_space()
+                }
+                fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+                    self.0.col_relation()
+                }
+                fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+                    self.0.row_relation()
+                }
+                fn for_each_entry(&self, $f: &mut dyn FnMut(u64, u64, u64, f64)) {
+                    let $m = self.0;
+                    $each
+                }
             }
-        }
+        };
     }
 
+    described_by!(Backwards, |m, f| {
+        let mut entries = Vec::new();
+        m.for_each_entry(&mut |k, i, j, v| entries.push((k, i, j, v)));
+        for &(k, i, j, v) in entries.iter().rev() {
+            f(k, i, j, v);
+        }
+    });
+    described_by!(Enumerated, |m, f| m.for_each_entry(f));
+
     #[test]
-    fn extraction_does_not_assume_kernel_order() {
+    fn enumeration_does_not_assume_kernel_order() {
         let m: Csr<f64> = Stencil::lap2d(6, 6).to_csr();
         let part = Partition::equal_blocks(36, 3);
         let tiles = compute_tiles(&m, &part, &part, 0, 0);
-        // Values are not unique on a Laplacian; coordinates are.
-        let sorted = |(rows, cols, vals): TileTriplets<f64>| {
-            let mut es: Vec<(u64, u64, u64)> = rows
+        let choices = std::iter::once(KernelChoice::Auto).chain(
+            kdr_sparse::KernelKind::ALL
                 .into_iter()
-                .zip(cols)
-                .zip(vals)
-                .map(|((i, j), v)| (i, j, v.to_bits()))
-                .collect();
-            es.sort_unstable();
-            es
-        };
-        let forwards = extract_tile_triplets(&m, &tiles);
-        let backwards = extract_tile_triplets(&Backwards(m), &tiles);
-        assert_eq!(forwards.len(), backwards.len());
-        for (t, (f, b)) in tiles.iter().zip(forwards.into_iter().zip(backwards)) {
-            assert_eq!(f.0.len() as u64, t.nnz);
-            assert_ne!(f.0, b.0, "the enumeration order did not change");
-            assert_eq!(sorted(f), sorted(b), "color {}", t.range_color);
+                .map(KernelChoice::Force),
+        );
+        for choice in choices {
+            let handed_over = lowered(&m, &tiles, choice);
+            assert_eq!(handed_over.len(), 3);
+            assert_eq!(lowered(&Backwards(&m), &tiles, choice), handed_over);
+            assert_eq!(lowered(&Enumerated(&m), &tiles, choice), handed_over);
+        }
+    }
+
+    /// What `lower_tiles` must produce for `m`: the format's own
+    /// enumeration, each entry in the first tile whose kernel piece
+    /// holds it, stably sorted by `(row, col)` and lowered from those
+    /// triplets.
+    fn sorted_triplet_oracle(
+        m: &dyn SparseMatrix<f64>,
+        tiles: &[TileSpec],
+        choice: KernelChoice,
+    ) -> Vec<String> {
+        let mut entries = Vec::new();
+        m.for_each_entry(&mut |k, i, j, v| {
+            if let Some(t) = tiles.iter().position(|t| t.kernel_piece.contains(k)) {
+                entries.push((t, i, j, v));
+            }
+        });
+        entries.sort_by_key(|&(_, i, j, _)| (i, j));
+        tiles
+            .iter()
+            .enumerate()
+            .map(|(n, t)| {
+                let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+                for &(_, i, j, v) in entries.iter().filter(|e| e.0 == n) {
+                    rows.push(i);
+                    cols.push(j);
+                    vals.push(v);
+                }
+                let (k, s) =
+                    kdr_sparse::TileKernel::lower_with_structure(&rows, &cols, &vals, choice);
+                format!("{} {:?} {k:?}", t.range_color, s.key().to_bytes())
+            })
+            .collect()
+    }
+
+    /// `(rows, cols, entries, range pieces, domain pieces)`.
+    type Component = (u64, u64, Vec<(u64, u64, f64)>, usize, usize);
+
+    /// A random `rows × cols` matrix (even sides, for the 2×2 block
+    /// formats) as entries in input order, duplicates and empty rows
+    /// included, plus range and domain piece counts.
+    fn arb_component() -> impl Strategy<Value = Component> {
+        (1u64..10, 1u64..10, 0usize..90, 1usize..6, 1usize..4).prop_flat_map(
+            |(rh, ch, len, rp, dp)| {
+                let (rows, cols) = (2 * rh, 2 * ch);
+                let entry = (0..rows, 0..cols, -8i32..8);
+                prop::collection::vec(entry, len).prop_map(move |es| {
+                    // -8 stands for `-0.0`: a signed zero must keep its bits.
+                    let value = |v: i32| if v == -8 { -0.0 } else { f64::from(v) * 0.25 };
+                    let es = es.into_iter().map(|(i, j, v)| (i, j, value(v))).collect();
+                    (rows, cols, es, rp.min(rows as usize), dp.min(cols as usize))
+                })
+            },
+        )
+    }
+
+    proptest! {
+        /// One registration, every format, same bits: each format's
+        /// tiles, from the CSR row hand-off or the single enumeration
+        /// pass, equal its sorted-triplet oracle under `Auto` and every
+        /// `Force`, and the formats that store exactly the given
+        /// entries agree with each other. A `Csr::from_raw` with
+        /// unsorted and duplicate columns in its rows takes the
+        /// hand-off's out-of-order branch.
+        #[test]
+        fn every_format_lowers_every_tile_to_the_same_bits(
+            (rows, cols, entries, rp, dp) in arb_component()
+        ) {
+            use kdr_sparse::{Bcsc, Bcsr, Coo, Csc, Dia, Ell, EllT, KernelKind, Triples};
+            let mut distinct = entries.clone();
+            distinct.sort_by_key(|&(i, j, _)| (i, j));
+            distinct.dedup_by_key(|&mut (i, j, _)| (i, j));
+            let t = Triples::from_entries(rows, cols, distinct);
+            let csr: Csr<f64> = Csr::from_triples(t.clone());
+            // The entries in input order, row by row, repeats kept.
+            let mut rowptr = vec![0u64; rows as usize + 1];
+            for &(i, _, _) in &entries {
+                rowptr[i as usize + 1] += 1;
+            }
+            for r in 0..rows as usize {
+                rowptr[r + 1] += rowptr[r];
+            }
+            let mut by_row: Vec<_> = entries.iter().enumerate().collect();
+            by_row.sort_by_key(|&(n, &(i, _, _))| (i, n));
+            let raw: Csr<f64> = Csr::from_raw(
+                rowptr,
+                by_row.iter().map(|(_, e)| e.1).collect(),
+                by_row.iter().map(|(_, e)| e.2).collect(),
+                cols,
+            );
+            let same_entries: Vec<(&str, Box<dyn SparseMatrix<f64>>)> = vec![
+                ("csr u32", Box::new(Csr::<f64, u32>::from_triples(t.clone()))),
+                ("coo", Box::new(Coo::<f64>::from_triples(t.clone()))),
+                ("csc", Box::new(Csc::<f64>::from_triples(t.clone()))),
+            ];
+            let padded: Vec<(&str, Box<dyn SparseMatrix<f64>>)> = vec![
+                ("dia", Box::new(Dia::from_triples(t.clone()))),
+                ("ell", Box::new(Ell::<f64>::from_triples(t.clone()))),
+                ("ellt", Box::new(EllT::<f64>::from_triples(t.clone()))),
+                ("bcsr", Box::new(Bcsr::<f64>::from_triples(t.clone(), 2, 2))),
+                ("bcsc", Box::new(Bcsc::<f64>::from_triples(t.clone(), 2, 2))),
+            ];
+            let range = Partition::equal_blocks(rows, rp);
+            let domain = Partition::equal_blocks(cols, dp);
+            let tiles = compute_tiles(&csr, &domain, &range, 0, 0);
+            let choices = std::iter::once(KernelChoice::Auto)
+                .chain(KernelKind::ALL.into_iter().map(KernelChoice::Force));
+            for choice in choices {
+                let reference = lowered(&csr, &tiles, choice);
+                prop_assert_eq!(&reference, &sorted_triplet_oracle(&csr, &tiles, choice));
+                prop_assert_eq!(&lowered(&Enumerated(&csr), &tiles, choice), &reference);
+                prop_assert_eq!(&lowered(&Backwards(&csr), &tiles, choice), &reference);
+                for (name, m) in &same_entries {
+                    let got = lowered(m.as_ref(), &compute_tiles(m.as_ref(), &domain, &range, 0, 0), choice);
+                    prop_assert_eq!(&got, &reference, "{} under {:?}", name, choice);
+                }
+                for (name, m) in &padded {
+                    let tiles = compute_tiles(m.as_ref(), &domain, &range, 0, 0);
+                    let got = lowered(m.as_ref(), &tiles, choice);
+                    let want = sorted_triplet_oracle(m.as_ref(), &tiles, choice);
+                    prop_assert_eq!(got, want, "{} under {:?}", name, choice);
+                    // Where an entry lands does not hang on the order
+                    // it is enumerated in (BCSR's straddling blocks).
+                    let reversed = Backwards(m.as_ref());
+                    let got = lowered(&reversed, &tiles, choice);
+                    let want = sorted_triplet_oracle(&reversed, &tiles, choice);
+                    prop_assert_eq!(got, want, "{} backwards under {:?}", name, choice);
+                }
+                let raw_tiles = compute_tiles(&raw, &domain, &range, 0, 0);
+                let want = sorted_triplet_oracle(&raw, &raw_tiles, choice);
+                prop_assert_eq!(&lowered(&raw, &raw_tiles, choice), &want, "raw under {:?}", choice);
+                prop_assert_eq!(&lowered(&Enumerated(&raw), &raw_tiles, choice), &want);
+            }
         }
     }
 

@@ -61,6 +61,8 @@ pub struct Planner<T: Scalar> {
     backend: SharedBackend<T>,
     sol_comps: Vec<CompSpec>,
     rhs_comps: Vec<CompSpec>,
+    /// Operator and preconditioner components added so far; `finalize`
+    /// hands both lists to the backend and leaves them empty.
     ops: Vec<PendingOp<T>>,
     precs: Vec<PendingOp<T>>,
     vectors: Vec<(BVec, VecStructure)>,
@@ -167,8 +169,8 @@ impl<T: Scalar> Planner<T> {
     /// Add an *implicit* operator component described by a stencil
     /// descriptor rather than assembled storage. Partitioning and the
     /// simulation backend see an ordinary [`StencilOperator`] (its
-    /// relations are exact), but execution backends skip triplet
-    /// extraction entirely and apply the stencil matrix-free from each
+    /// relations are exact), but execution backends never gather its
+    /// entries and apply the stencil matrix-free from each
     /// tile's row runs — zero stored value bytes, bitwise identical
     /// results to the assembled path. Under
     /// [`KernelChoice::Force`] of an assembled kind the descriptor is
@@ -235,15 +237,12 @@ impl<T: Scalar> Planner<T> {
             "planner needs at least one sol and one rhs component"
         );
         assert!(!self.ops.is_empty(), "planner needs at least one operator");
+        // The operators go to the backend: the planner keeps none alive
+        // past registration.
         let op_spec = OpSetSpec {
-            components: self
-                .ops
-                .iter()
+            components: std::mem::take(&mut self.ops)
+                .into_iter()
                 .map(|op| OpComponentSpec {
-                    matrix: Arc::clone(&op.matrix),
-                    sol_comp: op.sol_comp,
-                    rhs_comp: op.rhs_comp,
-                    stencil: op.stencil,
                     tiles: compute_tiles(
                         op.matrix.as_ref(),
                         &self.sol_comps[op.sol_comp].partition,
@@ -251,28 +250,32 @@ impl<T: Scalar> Planner<T> {
                         op.sol_comp,
                         op.rhs_comp,
                     ),
+                    matrix: op.matrix,
+                    sol_comp: op.sol_comp,
+                    rhs_comp: op.rhs_comp,
+                    stencil: op.stencil,
                 })
                 .collect(),
             kernel_choice: self.kernel_choice,
         };
-        let prec_spec = (!self.precs.is_empty()).then(|| OpSetSpec {
-            components: self
-                .precs
-                .iter()
+        let precs = std::mem::take(&mut self.precs);
+        let prec_spec = (!precs.is_empty()).then(|| OpSetSpec {
+            components: precs
+                .into_iter()
                 .map(|op| OpComponentSpec {
-                    matrix: Arc::clone(&op.matrix),
+                    tiles: compute_tiles(
+                        op.matrix.as_ref(),
+                        &self.rhs_comps[op.rhs_comp].partition,
+                        &self.sol_comps[op.sol_comp].partition,
+                        op.rhs_comp,
+                        op.sol_comp,
+                    ),
+                    matrix: op.matrix,
                     // Preconditioners run range -> domain: input is the
                     // rhs component, output the sol component.
                     sol_comp: op.rhs_comp,
                     rhs_comp: op.sol_comp,
                     stencil: op.stencil,
-                    tiles: compute_tiles(
-                        op.matrix.as_ref(),
-                        &self.rhs_comps[op.rhs_comp].partition,
-                        &self.sol_comps[op.sol_comp].partition,
-                        op.rhs_comp,
-                        op.sol_comp,
-                    ),
                 })
                 .collect(),
             kernel_choice: self.kernel_choice,
@@ -350,7 +353,8 @@ impl<T: Scalar> Planner<T> {
 
     /// Whether a preconditioner was supplied.
     pub fn has_preconditioner(&self) -> bool {
-        !self.precs.is_empty()
+        // The list until `finalize` registers it, the handle after.
+        !self.precs.is_empty() || self.prec_handle.is_some()
     }
 
     /// Allocate a workspace vector with the solution structure.

@@ -30,6 +30,26 @@ fn default_partition_is_single_piece() {
     assert!(!p.has_preconditioner());
 }
 
+/// Registration lowers the operators into the backend's tiles; after
+/// `finalize` neither the planner nor the backend holds the caller's
+/// matrices, so a solve keeps no assembled copy resident.
+#[test]
+fn finalize_keeps_no_operator_alive() {
+    let mut p = planner();
+    let d = p.add_sol_vector(8, None);
+    let r = p.add_rhs_vector(8, None);
+    let a = small_matrix(8);
+    let jacobi: Arc<dyn SparseMatrix<f64>> = Arc::new(Csr::<f64>::from_triples(
+        Triples::from_entries(8, 8, (0..8).map(|i| (i, i, 0.5)).collect()),
+    ));
+    p.add_operator(Arc::clone(&a), d, r);
+    p.add_preconditioner(Arc::clone(&jacobi), d, r);
+    assert_eq!((Arc::strong_count(&a), Arc::strong_count(&jacobi)), (2, 2));
+    p.finalize();
+    assert_eq!((Arc::strong_count(&a), Arc::strong_count(&jacobi)), (1, 1));
+    assert!(p.has_preconditioner());
+}
+
 #[test]
 #[should_panic(expected = "complete and disjoint")]
 fn incomplete_canonical_partition_rejected() {

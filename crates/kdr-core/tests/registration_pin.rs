@@ -1,9 +1,10 @@
 //! The registration result, pinned.
 //!
-//! Registering an operator is `compute_tiles` → `extract_tile_triplets`
-//! → `TileKernel::lower_with_structure`. Every later layer — task footprints,
-//! traces, catalogue keys, stored plans, the bits of a solve — is a
-//! function of what those three return, so this test pins it: per tile
+//! Registering an operator is `compute_tiles` → `lower_tiles`, which
+//! gathers each tile's entries and lowers them (at d548998 the entries
+//! of every tile were extracted first, in a pass of their own). Every later layer —
+//! task footprints, traces, catalogue keys, stored plans, the bits of a
+//! solve — is a function of what those return, so this test pins it: per tile
 //! the lowered kind, entry count, value bytes, `StructureKey` bytes,
 //! the run counts of the output / input footprints with an FNV-1a of
 //! their runs, an FNV-1a of the `Auto` payload's arrays and one over
@@ -38,7 +39,7 @@
 //!
 //! On a mismatch the failure message is the full table in source form.
 
-use kdr_core::partitioning::{compute_tiles, extract_tile_triplets};
+use kdr_core::partitioning::{compute_tiles, lower_tiles};
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::tile::DiaCoef;
 use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, TileKernel, Triples};
@@ -194,15 +195,28 @@ impl std::fmt::Debug for Pin {
 fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
     let part = Partition::equal_blocks(m.range_space().size(), pieces);
     let tiles = compute_tiles(m, &part, &part, 0, 0);
-    let trips = extract_tile_triplets(m, &tiles);
     assert_eq!(tiles.len(), pieces);
+    let lowered = |choice| {
+        let mut out = Vec::new();
+        lower_tiles(m, &tiles, choice, &mut |t, kernel, structure| {
+            assert_eq!(kernel.nnz() as u64, t.nnz);
+            out.push((kernel, structure));
+        });
+        assert_eq!(out.len(), pieces);
+        out
+    };
+    let forced = [
+        KernelKind::Csr,
+        KernelKind::Dia,
+        KernelKind::Ell,
+        KernelKind::Bcsr,
+    ]
+    .map(|kind| lowered(KernelChoice::Force(kind)));
     tiles
         .iter()
-        .zip(&trips)
-        .map(|(t, (rows, cols, vals))| {
-            assert_eq!(rows.len() as u64, t.nnz);
-            let (kernel, structure) =
-                TileKernel::lower_with_structure(rows, cols, vals, KernelChoice::Auto);
+        .zip(lowered(KernelChoice::Auto))
+        .enumerate()
+        .map(|(n, (t, (kernel, structure)))| {
             let mut footprint = Fnv::new();
             footprint.runs(&t.kernel_piece);
             footprint.runs(&t.out_subset);
@@ -213,15 +227,9 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
             }
             let mut auto = Fnv::new();
             payload(&mut auto, &kernel);
-            let mut forced = Fnv::new();
-            for kind in [
-                KernelKind::Csr,
-                KernelKind::Dia,
-                KernelKind::Ell,
-                KernelKind::Bcsr,
-            ] {
-                let k = TileKernel::lower(rows, cols, vals, KernelChoice::Force(kind));
-                payload(&mut forced, &k);
+            let mut forced_fnv = Fnv::new();
+            for kind in &forced {
+                payload(&mut forced_fnv, &kind[n].0);
             }
             Pin {
                 kind: kernel.kind().expect("no empty tile").name(),
@@ -232,7 +240,7 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
                 in_runs: t.in_union.runs().len(),
                 footprint_fnv: footprint.0,
                 auto_fnv: auto.0,
-                forced_fnv: forced.0,
+                forced_fnv: forced_fnv.0,
             }
         })
         .collect()

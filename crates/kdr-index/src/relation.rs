@@ -391,9 +391,10 @@ pub struct ProjectionRelation {
 impl ProjectionRelation {
     /// Projection of the `outer * inner`-point product space onto the
     /// chosen `axis` — one of the `row`/`col` relations of paper
-    /// Figure 3 for dense/ELL-style kernel spaces.
+    /// Figure 3 for dense/ELL-style kernel spaces. `outer` may be 0:
+    /// the kernel space of a format that stores nothing.
     pub fn new(outer: u64, inner: u64, axis: ProjectionAxis) -> Self {
-        assert!(inner > 0 && outer > 0, "degenerate product space");
+        assert!(inner > 0, "degenerate product space");
         ProjectionRelation { outer, inner, axis }
     }
 }

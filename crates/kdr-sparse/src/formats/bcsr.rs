@@ -108,11 +108,8 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
     fn col_relation(&self) -> Box<dyn Relation> {
         // K -> K0 (implicit projection) ; K0 -> D0 (stored) ;
         // D0 -> D (block expansion).
-        let to_block = ProjectionRelation::new(
-            self.num_blocks().max(1),
-            self.block_size(),
-            ProjectionAxis::Outer,
-        );
+        let to_block =
+            ProjectionRelation::new(self.num_blocks(), self.block_size(), ProjectionAxis::Outer);
         let col0 = FnRelation::new(
             self.block_colidx.iter().map(|&j| j.to_u64()).collect(),
             self.cols / self.bd,
@@ -126,11 +123,8 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
 
     fn row_relation(&self) -> Box<dyn Relation> {
         // K -> K0 ; K0 -> R0 (transposed block rowptr) ; R0 -> R.
-        let to_block = ProjectionRelation::new(
-            self.num_blocks().max(1),
-            self.block_size(),
-            ProjectionAxis::Outer,
-        );
+        let to_block =
+            ProjectionRelation::new(self.num_blocks(), self.block_size(), ProjectionAxis::Outer);
         let row0 = TransposedRelation::new(Box::new(IntervalMapRelation::from_offsets(
             &self.block_rowptr,
             self.num_blocks(),

@@ -13,6 +13,7 @@ use kdr_index::{
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
+use crate::tile::TileRows;
 use crate::triples::Triples;
 
 /// A CSR matrix generic over entry type `T` and stored index type `I`.
@@ -143,6 +144,18 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
                 );
             }
         }
+    }
+
+    fn append_rows(&self, lo: u64, hi: u64, out: &mut TileRows<T>) -> bool {
+        for i in lo..hi {
+            let (a, b) = (
+                self.rowptr[i as usize] as usize,
+                self.rowptr[i as usize + 1] as usize,
+            );
+            let cols = self.colidx[a..b].iter().map(|&j| j.to_u64());
+            out.push_row(i, cols, &self.values[a..b]);
+        }
+        true
     }
 
     // The one override of the provided piece kernels in the workspace,

@@ -71,5 +71,7 @@ pub use matfree::StencilTile;
 pub use matrix::SparseMatrix;
 pub use scalar::{IndexInt, Scalar};
 pub use stencil::{Stencil, StencilKind, StencilOperator, VirtualBanded};
-pub use tile::{KernelChoice, KernelKind, StructureKey, TileKernel, TileStructure, VecIn, VecOut};
+pub use tile::{
+    KernelChoice, KernelKind, StructureKey, TileKernel, TileRows, TileStructure, VecIn, VecOut,
+};
 pub use triples::Triples;

@@ -4,14 +4,16 @@
 //! participates in KDRSolvers by exposing its kernel space and its
 //! row/column relations — nothing else. Co-partitioning, dependence
 //! analysis and solver code never look inside the format, and neither
-//! does execution: a solve enumerates the format's entries once
-//! ([`SparseMatrix::for_each_entry`]) and runs the tile kernels of
-//! [`crate::tile`] on them. The format *describes*; a separate kernel
-//! family *executes*.
+//! does execution: a solve reads the format's entries once — enumerated
+//! ([`SparseMatrix::for_each_entry`]), or handed over a row at a time by
+//! a format that stores rows ([`SparseMatrix::append_rows`]) — and runs
+//! the tile kernels of [`crate::tile`] on them. The format *describes*;
+//! a separate kernel family *executes*.
 
 use kdr_index::{IndexSpace, IntervalSet, Relation};
 
 use crate::scalar::Scalar;
+use crate::tile::TileRows;
 
 /// A sparse (or dense) matrix described by kernel/domain/range spaces,
 /// row and column relations, and an enumeration of its entries.
@@ -21,10 +23,12 @@ use crate::scalar::Scalar;
 /// provided products are entry-wise reference loops over
 /// `for_each_entry`: no solve, simulator run or baseline calls them
 /// (those execute [`crate::tile::TileKernel`]s lowered from the same
-/// enumeration), they exist so any format can check a result. [`Csr`]
+/// entries), they exist so any format can check a result. [`Csr`]
 /// alone overrides the two piece kernels, with a row-accumulating loop
 /// that shares no code with the tile kernels: it is the independent
-/// reference the solver tests compute true residuals with.
+/// reference the solver tests compute true residuals with. It also
+/// hands its rows to registration whole
+/// ([`SparseMatrix::append_rows`]).
 ///
 /// Products use *add* semantics (`y += A x`) because multi-operator
 /// systems accumulate several components into one output vector
@@ -57,6 +61,20 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// domain point, value)`. Entries whose implicit relations fall
     /// outside the grid (DIA padding) are skipped.
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T));
+
+    /// Hand over the entries of rows `[lo, hi)` whole: append them to
+    /// `out` row by row, each row's in the order
+    /// [`SparseMatrix::for_each_entry`] visits them, and return `true`.
+    /// A format that stores its entries by row, and whose row relation
+    /// gives each entry its one row, implements this as a slice copy
+    /// per row; registration then lowers each tile straight from its
+    /// rows. The provided default hands over nothing and returns
+    /// `false`, and registration enumerates the format instead. Either
+    /// way the tiles lower to the same bits.
+    fn append_rows(&self, lo: u64, hi: u64, out: &mut TileRows<T>) -> bool {
+        let _ = (lo, hi, out);
+        false
+    }
 
     /// `y += A x` restricted to the kernel points in `piece`.
     ///

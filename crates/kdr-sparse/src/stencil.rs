@@ -85,6 +85,9 @@ pub struct Stencil {
     pub nz: u64,
 }
 
+/// A stencil point's displacement `(dx, dy, dz)` and matrix value.
+type WeightedPoint<T> = ((i64, i64, i64), T);
+
 impl Stencil {
     /// A stencil problem over an `nx × ny × nz` grid; extents of
     /// unused dimensions must be 1.
@@ -217,12 +220,24 @@ impl Stencil {
     /// rows clip alike, see [`crate::matfree`]) all route through here.
     pub fn row_entries<T: Scalar>(&self, row: u64, out: &mut Vec<(u64, T)>) {
         out.clear();
+        let (pts, k) = self.weighted_points();
+        self.visit_row(row, &pts[..k], |col, v| out.push((col, v)));
+    }
+
+    /// [`Stencil::points`], each with its [`Stencil::point_weight`].
+    fn weighted_points<T: Scalar>(&self) -> ([WeightedPoint<T>; 27], usize) {
+        let (pts, k) = self.points();
+        (pts.map(|d| (d, self.point_weight(d))), k)
+    }
+
+    /// [`Stencil::row_entries`] handed to `f` one entry at a time, the
+    /// stencil's weighted points given.
+    fn visit_row<T: Scalar>(&self, row: u64, pts: &[WeightedPoint<T>], mut f: impl FnMut(u64, T)) {
         let (ny, nz) = (self.ny, self.nz);
         let x = (row / (ny * nz)) as i64;
         let y = ((row / nz) % ny) as i64;
         let z = (row % nz) as i64;
-        let (pts, k) = self.points();
-        for &(dx, dy, dz) in &pts[..k] {
+        for &((dx, dy, dz), weight) in pts {
             let (xx, yy, zz) = (x + dx, y + dy, z + dz);
             if xx < 0
                 || xx >= self.nx as i64
@@ -234,7 +249,7 @@ impl Stencil {
                 continue;
             }
             let col = (xx as u64 * ny + yy as u64) * nz + zz as u64;
-            out.push((col, self.point_weight((dx, dy, dz))));
+            f(col, weight);
         }
     }
 
@@ -260,7 +275,9 @@ impl Stencil {
     /// Materialize the tile `[row_lo, row_hi) × [col_lo, col_hi)` as a
     /// CSR matrix in *local* coordinates. Tiles are how §6.2's
     /// multi-operator formulation and §6.3's 64×64 tile cut are
-    /// constructed.
+    /// constructed. The arrays are reserved at the slab's entry count
+    /// (exact for a full-width tile) and each row is written straight
+    /// into them.
     pub fn tile_csr<T: Scalar, I: IndexInt>(
         &self,
         row_lo: u64,
@@ -272,16 +289,42 @@ impl Stencil {
         assert!(col_lo <= col_hi && col_hi <= self.unknowns());
         let mut rowptr = Vec::with_capacity((row_hi - row_lo) as usize + 1);
         rowptr.push(0u64);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        let mut row = Vec::new();
+        let entries = self.slab_nnz(row_lo, row_hi) as usize;
+        let mut colidx = Vec::with_capacity(entries);
+        let mut values = Vec::with_capacity(entries);
+        let (pts, k) = self.weighted_points();
+        let pts = &pts[..k];
+        // A row off every face the stencil reaches, whose band lies in
+        // the column range, holds every point, in the points' order:
+        // its columns are the row plus each point's linear offset.
+        let (ny, nz) = (self.ny as i64, self.nz as i64);
+        let offsets: Vec<i64> = pts
+            .iter()
+            .map(|&((dx, dy, dz), _)| (dx * ny + dy) * nz + dz)
+            .collect();
+        let weights: Vec<T> = pts.iter().map(|&(_, w)| w).collect();
+        let first = *offsets.iter().min().expect("a stencil has points");
+        let last = *offsets.iter().max().expect("a stencil has points");
+        let dims = self.kind.dims();
+        let clear = |c: u64, n: u64, axis| axis >= dims || (c > 0 && c + 1 < n);
         for i in row_lo..row_hi {
-            self.row_entries::<T>(i, &mut row);
-            for &(j, v) in &row {
-                if j >= col_lo && j < col_hi {
-                    colidx.push(I::from_u64(j - col_lo));
-                    values.push(v);
-                }
+            let (x, y, z) = (i / (self.ny * self.nz), i / self.nz % self.ny, i % self.nz);
+            let whole = clear(x, self.nx, 0)
+                && clear(y, self.ny, 1)
+                && clear(z, self.nz, 2)
+                && i.wrapping_add_signed(first) >= col_lo
+                && i.wrapping_add_signed(last) < col_hi;
+            if whole {
+                let cols = offsets.iter().map(|&o| i.wrapping_add_signed(o) - col_lo);
+                colidx.extend(cols.map(I::from_u64));
+                values.extend_from_slice(&weights);
+            } else {
+                self.visit_row(i, pts, |j, v| {
+                    if (col_lo..col_hi).contains(&j) {
+                        colidx.push(I::from_u64(j - col_lo));
+                        values.push(v);
+                    }
+                });
             }
             rowptr.push(colidx.len() as u64);
         }
@@ -639,6 +682,44 @@ pub fn rhs_vector<T: Scalar>(n: u64, seed: u64) -> Vec<T> {
 mod tests {
     use super::*;
     use crate::matrix::SparseMatrix;
+
+    #[test]
+    fn tile_csr_writes_the_rows_row_entries_lists() {
+        let stencils = [
+            Stencil::lap1d(7),
+            Stencil::lap2d(5, 4),
+            Stencil::lap3d7(4, 3, 5),
+            Stencil::lap3d27(5, 4, 3),
+            Stencil::lap3d27(2, 5, 4),
+        ];
+        for s in stencils {
+            let n = s.unknowns();
+            // Every column range that starts at 0 or ends at `n`, so some
+            // window edge falls just inside and just outside every band.
+            let windows = (0..n).map(|c| (c, n)).chain((1..n).map(|c| (0, c)));
+            let tiles = [(0, n), (1, n - 1), (n / 3, 2 * n / 3)]
+                .into_iter()
+                .flat_map(|rows| windows.clone().map(move |cols| (rows, cols)));
+            for ((rl, rh), (cl, ch)) in tiles {
+                let tile: Csr<f64> = s.tile_csr(rl, rh, cl, ch);
+                let (mut rowptr, mut cols, mut vals) = (vec![0u64], Vec::new(), Vec::new());
+                let mut row = Vec::new();
+                for i in rl..rh {
+                    s.row_entries::<f64>(i, &mut row);
+                    for &(j, v) in row.iter().filter(|(j, _)| (cl..ch).contains(j)) {
+                        cols.push(j - cl);
+                        vals.push(v.to_bits());
+                    }
+                    rowptr.push(cols.len() as u64);
+                }
+                let what = format!("{s:?} rows {rl}..{rh} cols {cl}..{ch}");
+                assert_eq!(tile.rowptr(), rowptr, "{what}");
+                assert_eq!(tile.colidx(), cols, "{what}");
+                let bits: Vec<u64> = tile.values().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, vals, "{what}");
+            }
+        }
+    }
 
     #[test]
     fn virtual_banded_coupling_blocks_reassemble_5pt() {

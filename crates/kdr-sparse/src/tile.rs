@@ -7,8 +7,9 @@
 //! block-structured tile wants register-blocked dense micro-kernels,
 //! and a tile with uniform row lengths wants ELL-style padded lanes.
 //! This module is the lowering stage between the two worlds. An
-//! execution backend hands each tile's extracted triplets (in
-//! component-local coordinates) to [`TileKernel::lower`]; the
+//! execution backend gathers each tile's entries (in component-local
+//! coordinates) into a [`TileRows`] and hands it to
+//! [`TileKernel::lower_rows`]; the
 //! structure analysis in [`TileStructure`] picks the best member of a
 //! small kernel family — or the caller forces one via [`KernelChoice`]
 //! — and the returned payload executes `y += A x` / `y += Aᵀ x`
@@ -18,10 +19,14 @@
 //!
 //! # One canonical order, one pass
 //!
-//! [`TileKernel::lower_with_structure`] sorts a tile's triplets exactly once,
-//! into the *canonical* order: rows ascending, each row's entries by
-//! column (stable in input order for duplicates). Everything else reads
-//! that canonical tile in passes linear in its entries: the structure
+//! Lowering starts from the *canonical* tile: rows ascending, each
+//! row's entries by column (stable in input order for duplicates). A
+//! [`TileRows`] builds it as the entries arrive: entries that come in
+//! that order — a CSR matrix's rows, handed over a slice at a time, or
+//! any row-major enumeration — are appended to the canonical arrays
+//! themselves, which lowering then takes without a copy. Only a tile
+//! whose entries arrive out of order is sorted, once. Everything else
+//! reads the canonical tile in passes linear in its entries: the structure
 //! analysis walks its rows (row lengths, duplicates, the distinct
 //! diagonal offsets marked on a bitmap over the offset span,
 //! dense-block coverage read off the aligned row groups and their
@@ -301,7 +306,8 @@ impl TileStructure {
     /// Analyze raw triplets (any order).
     pub fn analyze<T>(rows: &[u64], cols: &[u64], _vals: &[T]) -> Self {
         // Structure is a property of the coordinates alone.
-        Self::of(&CsrTile::canonical(rows, cols, &vec![(); rows.len()])).0
+        let entries: TileRows<()> = rows.iter().zip(cols).map(|(&i, &j)| (i, j, ())).collect();
+        Self::of(&entries.into_canonical()).0
     }
 
     /// Summarize a tile already in canonical order, in one pass over
@@ -719,12 +725,147 @@ pub enum TileKernel<T> {
 /// builds one.
 const OFFSET_BITMAP_SLACK_WORDS: u64 = 1024;
 
+/// One tile's entries on their way to lowering, gathered in the
+/// canonical order of the kernel family: rows ascending, each row's
+/// entries by column, equal coordinates in input order.
+///
+/// Entries arrive by [`TileRows::push`] or a row at a time by
+/// [`TileRows::push_row`]. While they come in that order the builder
+/// holds exactly the canonical [`CsrTile`]'s arrays — row ids, row
+/// starts, columns, values — and lowering takes them over without a
+/// copy. The first entry out of order turns it, once, into plain
+/// triplets, and lowering then sorts them ([`TileKernel::lower_rows`]):
+/// the one comparison sort of a tile's entries, and the same result as
+/// if the input had been in order.
+#[derive(Debug)]
+pub struct TileRows<T> {
+    /// The rows so far, ascending; unused once scattered.
+    row_ids: Vec<u64>,
+    /// Where each of `row_ids` starts in `cols` / `vals`.
+    starts: Vec<usize>,
+    cols: Vec<u64>,
+    vals: Vec<T>,
+    /// From the first entry out of order on: the row of every entry,
+    /// in input order.
+    scattered: Option<Vec<u64>>,
+}
+
+impl<T: Copy> TileRows<T> {
+    /// An empty builder with room for `rows` rows of `entries` entries
+    /// in all.
+    pub fn with_capacity(rows: usize, entries: usize) -> Self {
+        TileRows {
+            row_ids: Vec::with_capacity(rows),
+            starts: Vec::with_capacity(rows),
+            cols: Vec::with_capacity(entries),
+            vals: Vec::with_capacity(entries),
+            scattered: None,
+        }
+    }
+
+    /// Add entry `(i, j, v)`.
+    #[inline]
+    pub fn push(&mut self, i: u64, j: u64, v: T) {
+        if self.scattered.is_none() {
+            match self.row_ids.last() {
+                // A row holds an entry as soon as it is listed.
+                Some(&r) if i == r && j >= self.cols[self.cols.len() - 1] => {}
+                Some(&r) if i <= r => self.scatter(),
+                _ => {
+                    self.row_ids.push(i);
+                    self.starts.push(self.cols.len());
+                }
+            }
+        }
+        if let Some(rows) = &mut self.scattered {
+            rows.push(i);
+        }
+        self.cols.push(j);
+        self.vals.push(v);
+    }
+
+    /// Add row `i`'s entries, `cols[k]` with `vals[k]`, in that order:
+    /// the same as pushing each in turn. A row that comes after the
+    /// last one, its columns not descending, is copied whole.
+    pub fn push_row(&mut self, i: u64, cols: impl IntoIterator<Item = u64>, vals: &[T]) {
+        let start = self.cols.len();
+        self.cols.extend(cols);
+        assert_eq!(self.cols.len() - start, vals.len(), "one value per column");
+        if vals.is_empty() {
+            return;
+        }
+        let in_order = self.scattered.is_none()
+            && self.row_ids.last().is_none_or(|&r| r < i)
+            && self.cols[start..].is_sorted();
+        if in_order {
+            self.row_ids.push(i);
+            self.starts.push(start);
+            self.vals.extend_from_slice(vals);
+        } else {
+            let row: Vec<u64> = self.cols.drain(start..).collect();
+            for (j, &v) in row.into_iter().zip(vals) {
+                self.push(i, j, v);
+            }
+        }
+    }
+
+    /// Give up the canonical arrays for per-entry rows.
+    #[cold]
+    fn scatter(&mut self) {
+        let mut rows = Vec::with_capacity(self.cols.capacity());
+        let ends = self.starts[1..].iter().copied().chain([self.cols.len()]);
+        for (&r, end) in self.row_ids.iter().zip(ends) {
+            rows.resize(end, r);
+        }
+        self.row_ids = Vec::new();
+        self.starts = Vec::new();
+        self.scattered = Some(rows);
+    }
+
+    /// The canonical tile: the builder's own arrays when its input was
+    /// in order, a sort of its triplets otherwise.
+    fn into_canonical(self) -> CsrTile<T> {
+        let TileRows {
+            row_ids,
+            starts: mut row_ptr,
+            cols,
+            vals,
+            scattered,
+        } = self;
+        if let Some(rows) = scattered {
+            return CsrTile::sorted(&rows, &cols, &vals);
+        }
+        row_ptr.push(cols.len());
+        let stored = u32::try_from(row_ids.len()).expect("a tile's stored rows fit u32");
+        CsrTile {
+            row_ids,
+            row_ptr,
+            cols,
+            vals,
+            by_row: (0..stored).collect(),
+        }
+    }
+}
+
+impl<T: Copy> FromIterator<(u64, u64, T)> for TileRows<T> {
+    /// Push each `(i, j, v)` in turn.
+    fn from_iter<I: IntoIterator<Item = (u64, u64, T)>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let mut rows = TileRows::with_capacity(0, entries.size_hint().0);
+        for (i, j, v) in entries {
+            rows.push(i, j, v);
+        }
+        rows
+    }
+}
+
 impl<T: Copy> CsrTile<T> {
     /// Put a tile's triplets (any order) in the canonical accumulation
     /// order of the whole family: by `(row, col)`, stable in input
     /// order for duplicates. This is the only sort of a tile's entries
-    /// a lowering performs.
-    fn canonical(rows: &[u64], cols: &[u64], vals: &[T]) -> Self {
+    /// a lowering performs, and only entries that reached
+    /// [`TileRows`] out of order come here.
+    fn sorted(rows: &[u64], cols: &[u64], vals: &[T]) -> Self {
         let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by_key(|&k| (rows[k], cols[k]));
         let mut row_ids = Vec::new();
@@ -905,9 +1046,18 @@ impl<T: Scalar> TileKernel<T> {
     ) -> (Self, TileStructure) {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
-        let canon = CsrTile::canonical(rows, cols, vals);
+        let entries = rows.iter().zip(cols).zip(vals).map(|((&i, &j), &v)| (i, j, v));
+        Self::lower_rows(entries.collect(), choice)
+    }
+
+    /// Lower one tile's gathered entries, returning the kernel and the
+    /// structure analysis it was chosen from. Entries gathered in
+    /// canonical order become the canonical tile as they are; any
+    /// others are sorted into it first.
+    pub fn lower_rows(entries: TileRows<T>, choice: KernelChoice) -> (Self, TileStructure) {
+        let canon = entries.into_canonical();
         let (structure, offsets) = TileStructure::of(&canon);
-        if rows.is_empty() {
+        if canon.cols.is_empty() {
             return (TileKernel::Empty, structure);
         }
         let kind = match choice {

@@ -248,6 +248,25 @@ cargo test -q --release -p kdr-integration --test end_to_end
 # model, on a few runs against thousands (a scatter tile's footprint).
 cargo test -q --release -p kdr-index --test prop
 cargo test -q --release -p kdr-core --test registration_pin
+# Registration at a read floor (DESIGN §7): each tile is lowered from
+# entries gathered in canonical order — a CSR matrix hands its rows
+# over whole, one tile at a time — so `finalize` holds one tile's
+# entries at its peak (the counting allocator's bound), there is no
+# triplet extraction of every tile, and the one comparison sort of a
+# tile's entries is the branch for entries that arrive out of order.
+cargo test -q --release -p kdr-core --test registration_memory
+if grep -rnwE 'extract_tile_triplets|TileTriplets' crates tests; then
+    echo "ci.sh: crates/ or tests/ names the deleted triplet extraction again (see above)" >&2
+    exit 1
+fi
+tile_rs=crates/kdr-sparse/src/tile.rs
+entry_sorts=$(sed '/^#\[cfg(test)\]/,$d' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
+branch_sorts=$(sed -n '/^    fn sorted(/,/^    }$/p' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
+if [ "$entry_sorts" != 1 ] || [ "$branch_sorts" != 1 ] ||
+    [ "$(grep -c 'CsrTile::sorted(' "$tile_rs")" != 1 ]; then
+    echo "ci.sh: tile.rs sorts a tile's entries outside the out-of-order branch (CsrTile::sorted)" >&2
+    exit 1
+fi
 # Step programs in both profiles: the dev run (part of `cargo test`
 # above) carries the signature oracle — every program hit re-lowers
 # its record and asserts it still matches the captured step — and
