@@ -265,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_tiles_cover_every_entry_once() {
+    fn extracted_triplets_cover_every_entry_once() {
         let s = Stencil::lap2d(6, 6);
         let m: Csr<f64> = s.to_csr();
         let part = Partition::equal_blocks(36, 3);
@@ -334,7 +334,7 @@ mod tests {
     described_by!(Enumerated, |m, f| m.for_each_entry(f));
 
     #[test]
-    fn enumeration_does_not_assume_kernel_order() {
+    fn extraction_does_not_assume_kernel_order() {
         let m: Csr<f64> = Stencil::lap2d(6, 6).to_csr();
         let part = Partition::equal_blocks(36, 3);
         let tiles = compute_tiles(&m, &part, &part, 0, 0);
