@@ -601,9 +601,13 @@ pub trait Backend<T: Scalar>: Send {
     fn step_begin(&mut self) {}
 
     /// Mark the end of one solver iteration; reports how the
-    /// iteration's tasks were executed. Default: [`StepOutcome::Analyzed`].
-    fn step_end(&mut self) -> StepOutcome {
-        StepOutcome::Analyzed
+    /// iteration's tasks were executed, with the values of `reads` —
+    /// the scalars the caller reads next, forced with the step, in
+    /// argument order. Default: [`StepOutcome::Analyzed`] and
+    /// [`Backend::scalar_get_many`] of `reads`; the execution backend
+    /// runs a replayed step and waits for it in one call.
+    fn step_end(&mut self, reads: &[SRef]) -> (StepOutcome, Vec<T>) {
+        (StepOutcome::Analyzed, self.scalar_get_many(reads))
     }
 
     /// Remove and return the first task failure absorbed since the

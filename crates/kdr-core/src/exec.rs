@@ -58,7 +58,10 @@
 //!   already owns. Nothing is lowered, no task is built, no signature
 //!   is computed; only the step's `scalar_const` values, which are
 //!   *parameters* of a program and not part of what it is looked up
-//!   by, are stored where its `scalar_set` bodies read them;
+//!   by, are stored where its `scalar_set` bodies read them. The
+//!   scalars the caller asked `step_end` to force come along as the
+//!   slots to read: the runtime submits the step and waits for their
+//!   writers in one call, and the waiting thread runs the step;
 //! * a **miss** lowers the record, runs the tasks analyzed inside a
 //!   capture ([`Runtime::capture_program`]) and — cache permitting —
 //!   keeps them, with the compiled capture, as the record's program;
@@ -89,14 +92,16 @@
 //! affinity — one per `(component, piece)`, shared by the tile task
 //! writing a piece and every vector task on it — place a piece's tasks
 //! on worker `colour % W`, and the runtime merges the tasks of one
-//! home. The colourless scalar tasks fuse into chains: a scalar task
-//! joins the most recent scalar node when it waits on it. So a
-//! replayed 16-piece CG step is scheduled, per home worker, as the
-//! `[spmv + dot_partial]`, the `[axpy + axpy + dot_partial]` and the
-//! `[xpay]` of its pieces, plus `[dot_reduce + alpha + −alpha]` and
-//! `[dot_reduce + beta]`: 5 scheduled nodes for 101 task bodies on one
-//! worker, 8 on two. Bodies run in submission order inside a node, so
-//! a replay changes no bit of any vector.
+//! home. On one worker every task, the colourless scalar ones
+//! included, has that worker for its home, so a replayed 16-piece CG
+//! step is one scheduled node for its 101 task bodies. On two, the
+//! scalar tasks fuse into chains (a scalar task joins the most recent
+//! scalar node when it waits on it), and the step is scheduled, per
+//! home worker, as the `[spmv + dot_partial]`, the `[axpy + axpy +
+//! dot_partial]` and the `[xpay]` of its pieces, plus `[dot_reduce +
+//! alpha + −alpha]` and `[dot_reduce + beta]`: 8 nodes. Bodies run in
+//! submission order inside a node, so a replay changes no bit of any
+//! vector.
 //! [`ExecMetrics::runtime`]
 //! counts nodes in `tasks_submitted` / `tasks_replayed` /
 //! `tasks_executed` and the folded bodies in `tasks_fused`; per-name
@@ -115,6 +120,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use kdr_index::IntervalSet;
 #[cfg(test)]
@@ -122,8 +128,8 @@ use kdr_index::Partition;
 #[cfg(debug_assertions)]
 use kdr_runtime::ShapeSig;
 use kdr_runtime::{
-    Buffer, MetricsSnapshot, ReadView, Runtime, StepProgram, TaskBuilder, TaskMeta, TaskSpan,
-    WriteView,
+    Buffer, MetricsSnapshot, ReadView, Runtime, StepProgram, TaskBuilder, TaskError, TaskMeta,
+    TaskSpan, WriteView,
 };
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
@@ -735,15 +741,41 @@ impl<T: Scalar> ExecBackend<T> {
         out
     }
 
+    /// The values of `scalars` once `waited`, a wait for the tasks
+    /// writing their slots, has returned: each slot read where it is,
+    /// the time parked timed as one reduction stall. If a writer (or a
+    /// predecessor of one) failed, the failure is recorded and the
+    /// driver gets NaN placeholders — its health checks turn that into
+    /// a structured error.
+    fn read_slots(&mut self, scalars: &[SRef], waited: Result<Duration, TaskError>) -> Vec<T> {
+        match waited {
+            Ok(parked) => {
+                let stall = parked.as_nanos() as u64;
+                self.reduction_stall_ns += stall;
+                self.rt.record_reduction_stall_ns(stall);
+                // Only this backend submits writers of its slots, and
+                // it is in here: nothing writes them until it returns.
+                scalars.iter().map(|&s| self.scalars[s].peek(0)).collect()
+            }
+            Err(_) => {
+                let _ = self.rt.fence();
+                self.record_rt_failure();
+                vec![T::from_f64(f64::NAN); scalars.len()]
+            }
+        }
+    }
+
     /// Run the step recorded since `step_begin`: replay its program
     /// if one is cached, else lower it, run it analyzed and — cache
-    /// permitting — keep the capture as its program.
-    fn finish_step(&mut self) -> StepOutcome {
+    /// permitting — keep the capture as its program. A replay waits
+    /// for the writers of `reads` as it submits the step and returns
+    /// their values too; every other outcome leaves them to be forced.
+    fn finish_step(&mut self, reads: &[SRef]) -> (StepOutcome, Option<Vec<T>>) {
         let deferred = std::mem::replace(&mut self.deferring, false);
         if !deferred || self.step.key.ops.is_empty() {
             // Tracing disabled, the step was flushed by a forcing
             // operation, or it made no task.
-            return StepOutcome::Analyzed;
+            return (StepOutcome::Analyzed, None);
         }
         let step = &self.step;
         if let Some(cached) = self.programs.iter().find(|p| p.key == step.key) {
@@ -760,18 +792,19 @@ impl<T: Scalar> ExecBackend<T> {
                     cells.lock().copy_from_slice(&step.consts);
                 }
             };
-            // The only replay error reachable from here is a pending
-            // task failure at the pre-replay fence.
-            if self.rt.run_program(&cached.program, bind).is_ok() {
+            // The only refusal reachable from here is a pending task
+            // failure at the pre-replay fence: then nothing ran.
+            let slots = reads.iter().map(|&s| self.scalars[s].id());
+            if let Ok(waited) = self.rt.run_program(&cached.program, bind, slots) {
                 self.step.clear();
-                return StepOutcome::Replayed;
+                return (StepOutcome::Replayed, Some(self.read_slots(reads, waited)));
             }
         } else if self.programs.len() < TRACE_CACHE_CAP {
             let key = step.key.clone();
             let lowered = self.lower_recorded(true);
             #[cfg(debug_assertions)]
             let sig = ShapeSig::of_tasks(&lowered.tasks);
-            return match self.rt.capture_program(lowered.tasks) {
+            let outcome = match self.rt.capture_program(lowered.tasks) {
                 Ok(program) => {
                     self.programs.push(CachedStep {
                         key,
@@ -790,11 +823,12 @@ impl<T: Scalar> ExecBackend<T> {
                     StepOutcome::Analyzed
                 }
             };
+            return (outcome, None);
         }
         // Cache full, or the replay was refused.
         self.record_rt_failure();
         self.submit_recorded(true);
-        StepOutcome::Analyzed
+        (StepOutcome::Analyzed, None)
     }
 
     /// Lower what has been recorded and submit it through dependence
@@ -1292,26 +1326,9 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             return Vec::new();
         }
         self.flush_pending();
-        let slots = scalars.iter().map(|&s| &self.scalars[s]);
-        match self.rt.wait_written(slots.clone().map(Buffer::id)) {
-            Ok(parked) => {
-                let stall = parked.as_nanos() as u64;
-                self.reduction_stall_ns += stall;
-                self.rt.record_reduction_stall_ns(stall);
-                // Only this backend submits writers of its slots, and
-                // it is in here: nothing writes them until it returns.
-                slots.map(|slot| slot.peek(0)).collect()
-            }
-            Err(_) => {
-                // A writer of a slot (or a predecessor of one) failed:
-                // record the failure and hand the driver NaN
-                // placeholders — its health checks turn that into a
-                // structured error.
-                let _ = self.rt.fence();
-                self.record_rt_failure();
-                vec![T::from_f64(f64::NAN); scalars.len()]
-            }
-        }
+        let slots = scalars.iter().map(|&s| self.scalars[s].id());
+        let waited = self.rt.wait_written(slots);
+        self.read_slots(scalars, waited)
     }
 
     fn step_begin(&mut self) {
@@ -1326,8 +1343,12 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         debug_assert!(self.step.key.ops.is_empty());
     }
 
-    fn step_end(&mut self) -> StepOutcome {
-        let outcome = self.finish_step();
+    /// A replayed step is submitted and waited for in one call
+    /// ([`Runtime::run_program`] with the slots of `reads`), so the
+    /// thread that waits runs the step instead of waking a worker for
+    /// it; every other outcome forces `reads` after the step.
+    fn step_end(&mut self, reads: &[SRef]) -> (StepOutcome, Vec<T>) {
+        let (outcome, read) = self.finish_step(reads);
         self.handles.end_step();
         self.in_step = false;
         match outcome {
@@ -1335,7 +1356,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
             StepOutcome::Captured => self.steps_captured += 1,
             StepOutcome::Replayed => self.steps_replayed += 1,
         }
-        outcome
+        let values = read.unwrap_or_else(|| self.scalar_get_many(reads));
+        (outcome, values)
     }
 
     fn fence(&mut self) {
@@ -1478,7 +1500,7 @@ mod tests {
                 b.scalar_release(denom);
                 b.scalar_release(coef);
                 b.scalar_release(tiny);
-                let out = b.step_end();
+                let (out, _) = b.step_end(&[]);
                 if !traced {
                     assert_eq!(out, StepOutcome::Analyzed);
                 }
@@ -1625,7 +1647,7 @@ mod tests {
         let base = b.metrics().reduction_stages;
         b.step_begin();
         let d = b.dot_many(&[(x, y), (x, x), (y, y)]);
-        b.step_end();
+        b.step_end(&[]);
         let m = b.metrics();
         assert_eq!(m.reduction_stages - base, 1, "one stage for three dots");
         assert_eq!(m.fences_per_iteration, 1.0);
@@ -1653,7 +1675,10 @@ mod tests {
         for _ in 0..4 {
             b.step_begin();
             let d = b.dot_many(&[(x, y), (y, y)]);
-            outcomes.push(b.step_end());
+            // Forced with the step: what a later read returns too.
+            let (outcome, values) = b.step_end(&d);
+            outcomes.push(outcome);
+            assert_eq!(values, [32.0, 64.0]);
             assert_eq!(b.scalar_get(d[0]), 32.0);
             assert_eq!(b.scalar_get(d[1]), 64.0);
             for s in d {
@@ -1750,27 +1775,22 @@ mod tests {
     }
 
     #[test]
-    fn on_one_worker_solver_steps_compile_to_one_node_per_phase() {
-        // One worker: every colour has the same home, so the pieces of
-        // a phase are one node. CG: [spmv + dot_partial] × 16,
-        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial] × 16,
-        // [dot_reduce, beta], [xpay] × 16.
+    fn on_one_worker_solver_steps_compile_to_one_node_per_step() {
+        // One worker: every task, coloured or not, has the one worker
+        // for its home, so a step is one node that runs its bodies in
+        // submission order. CG: 16 pieces × 6 tasks and 5 scalar tasks.
         let cg = compiled_step_sizes(1, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 5)), "{cg:?}");
-        // PCG: the same five, the Jacobi apply and second partial in
-        // the middle phase.
+        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 1)), "{cg:?}");
+        // PCG: the Jacobi apply and second partial on top.
         let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::PcgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 5)), "{pcg:?}");
-        // BiCGStab: its three reduction stages cut the pieces' tasks
-        // into four phases, beside the same five scalar chains.
+        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 1)), "{pcg:?}");
+        // BiCGStab: three reduction stages and 13 scalar tasks, still
+        // one node.
         let bicgstab = compiled_step_sizes(1, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
-        assert!(
-            bicgstab.iter().all(|&s| s == (16 * 15 + 13, 4 + 5)),
-            "{bicgstab:?}"
-        );
+        assert!(bicgstab.iter().all(|&s| s == (16 * 15 + 13, 1)), "{bicgstab:?}");
     }
 
     #[test]
@@ -1786,7 +1806,7 @@ mod tests {
             let c = b.scalar_const(1.0 + i as f64);
             b.axpy(v, c, w);
             b.scalar_release(c);
-            outcomes.push(b.step_end());
+            outcomes.push(b.step_end(&[]).0);
         }
         assert_eq!(outcomes[0], StepOutcome::Captured);
         assert!(
@@ -1811,7 +1831,7 @@ mod tests {
         assert_eq!(got, 32.0);
         let c = b.scalar_const(1.0);
         b.scal(v, c);
-        assert_eq!(b.step_end(), StepOutcome::Analyzed);
+        assert_eq!(b.step_end(&[]).0, StepOutcome::Analyzed);
         assert_eq!(b.trace_cache_len(), 0, "flushed step must not capture");
         assert_eq!(b.read_component(v, 0), vec![2.0; 8]);
     }

@@ -91,9 +91,12 @@ impl PhaseSplit {
 pub struct IterationRecord {
     /// Iteration number (1-based, matching `SolveReport::iters`).
     pub iter: usize,
-    /// Wall time of the iteration's submit window (`step_begin` to
-    /// `step_end` return), ns. Execution overlaps across iterations,
-    /// so this measures pipeline submission cost, not task time.
+    /// Wall time from `step_begin` to the return of `step_end`, ns.
+    /// On a convergence-check iteration `step_end` forces the check's
+    /// scalars with the step, so the window includes running the step
+    /// (a replayed step's submitter runs it while it waits). On the
+    /// others execution overlaps across iterations, and the window
+    /// measures submission cost, not task time.
     pub wall_ns: u64,
     /// How the backend handled the step (analyzed / captured /
     /// replayed).

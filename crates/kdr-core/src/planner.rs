@@ -567,10 +567,13 @@ impl<T: Scalar> Planner<T> {
     }
 
     /// Mark the end of one solver iteration and report how its tasks
-    /// were executed; see [`Backend::step_end`].
-    pub fn step_end(&mut self) -> StepOutcome {
+    /// were executed, with the values of `reads` forced with the step,
+    /// in argument order; see [`Backend::step_end`]. Panics if one of
+    /// `reads` is a scalar of another planner.
+    pub fn step_end(&mut self, reads: &[&ScalarHandle<T>]) -> (StepOutcome, Vec<T>) {
         self.ensure_finalized();
-        self.backend.lock().step_end()
+        let srefs = ScalarHandle::srefs_in(&self.backend, reads);
+        self.backend.lock().step_end(&srefs)
     }
 
     /// Number of solution components.

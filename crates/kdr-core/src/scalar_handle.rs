@@ -69,12 +69,19 @@ impl<T: Scalar> ScalarHandle<T> {
         let Some(first) = handles.first() else {
             return Vec::new();
         };
+        let srefs = Self::srefs_in(&first.backend, handles);
+        first.backend.lock().scalar_get_many(&srefs)
+    }
+
+    /// The slots of `handles`, each of which must be a scalar of the
+    /// planner whose backend is `backend`: a slot is an index into one
+    /// backend's storage and means nothing to another's.
+    pub(crate) fn srefs_in(backend: &SharedBackend<T>, handles: &[&Self]) -> Vec<SRef> {
         assert!(
-            handles.iter().all(|h| Arc::ptr_eq(&h.backend, &first.backend)),
+            handles.iter().all(|h| Arc::ptr_eq(&h.backend, backend)),
             "scalars from different planners cannot be forced together"
         );
-        let srefs: Vec<SRef> = handles.iter().map(|h| h.sref).collect();
-        first.backend.lock().scalar_get_many(&srefs)
+        handles.iter().map(|h| h.sref).collect()
     }
 
     /// Deferred square root.

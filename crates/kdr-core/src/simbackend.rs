@@ -617,7 +617,7 @@ impl<T: Scalar> Backend<T> for SimBackend<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::OpComponentSpec;
+    use crate::backend::{OpComponentSpec, StepOutcome};
     use crate::partitioning::compute_tiles;
     use kdr_index::Partition;
     use kdr_machine::simulate;
@@ -681,6 +681,35 @@ mod tests {
         assert!(
             t16 < t1 / 3.0,
             "16-way partitioned SpMV must be much faster: {t1} vs {t16}"
+        );
+    }
+
+    #[test]
+    fn a_step_end_with_reads_is_the_step_end_then_get_many() {
+        // The values and the priced graph, forcing two dots with the
+        // step or after it.
+        let run = |with_step: bool| {
+            let mut b = SimBackend::<f64>::new(machine());
+            let cs = CompSpec::blocks(1 << 12, 4);
+            let x = b.alloc_vector(std::slice::from_ref(&cs));
+            let y = b.alloc_vector(std::slice::from_ref(&cs));
+            b.step_begin();
+            let reads = [b.dot(x, y), b.dot(x, x)];
+            let (outcome, values) = if with_step {
+                b.step_end(&reads)
+            } else {
+                let (outcome, none) = b.step_end(&[]);
+                assert!(none.is_empty());
+                (outcome, b.scalar_get_many(&reads))
+            };
+            let labels: Vec<&str> = b.graph().nodes().iter().map(|n| n.label).collect();
+            (outcome, values, labels)
+        };
+        let forced = run(true);
+        assert_eq!(forced, run(false));
+        assert_eq!(
+            (forced.0, forced.1),
+            (StepOutcome::Analyzed, vec![1.0, 1.0])
         );
     }
 

@@ -419,10 +419,12 @@ pub fn solve<T: Scalar>(
 }
 
 /// [`solve`], additionally recording a [`SolveTrace`]: one
-/// [`IterationRecord`] per iteration (submit-window wall time and the
-/// backend's analyzed/captured/replayed [`StepOutcome`](crate::StepOutcome))
-/// plus the `(iteration, residual)` history sampled at convergence
-/// checks.
+/// [`IterationRecord`] per iteration (the wall time from `step_begin`
+/// to the return of `step_end` — which on a convergence-check
+/// iteration includes running the step, since the check's scalars are
+/// forced with it — and the backend's analyzed/captured/replayed
+/// [`StepOutcome`](crate::StepOutcome)) plus the `(iteration,
+/// residual)` history sampled at convergence checks.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -485,7 +487,9 @@ pub enum StepStatus {
 /// [`solve`] and [`solve_traced`] are thin wrappers over this type:
 /// [`StepDriver::preflight`] runs the already-converged guard, each
 /// [`StepDriver::step`] performs one `step_begin`/`step`/`step_end`
-/// iteration plus the cadence health checks, and
+/// iteration — forcing the convergence measure and the breakdown
+/// guards with the step on check iterations — plus the cadence health
+/// checks, and
 /// [`StepDriver::finish`] applies deferred solution updates and the
 /// final fence. Callers that interleave many solves on one runtime
 /// (the solve service's fair-share scheduler) drive iterations
@@ -614,14 +618,27 @@ impl StepDriver {
         }
         // Bracketing each iteration lets tracing backends defer its
         // tasks and replay the recorded dependence graph when the
-        // step shape repeats (convergence checks between steps force
-        // a scalar and simply downgrade that step to analyzed).
+        // step shape repeats (a scalar forced inside a step simply
+        // downgrades that step to analyzed).
         let t0 = trace.as_ref().map(|_| Instant::now());
         planner.step_begin();
         solver.step(planner);
-        let outcome = planner.step_end();
-        self.iters += 1;
-        let iters = self.iters;
+        let iters = self.iters + 1;
+        // On a check iteration the convergence measure and every
+        // breakdown guard are forced with the step — one wait on the
+        // backend, which a replaying backend makes as it submits the
+        // step, and runs it meanwhile; the checks below then run on
+        // the values in the documented order.
+        let checking = control.check_every > 0 && iters % control.check_every == 0;
+        let (measure, guards) = if checking {
+            (solver.convergence_measure(), solver.breakdown_guards())
+        } else {
+            (None, Vec::new())
+        };
+        let reads: Vec<&ScalarHandle<T>> =
+            measure.iter().chain(guards.iter().map(|g| &g.value)).collect();
+        let (outcome, forced) = planner.step_end(&reads);
+        self.iters = iters;
         if let (Some(t), Some(t0)) = (trace.as_deref_mut(), t0) {
             t.iterations.push(IterationRecord {
                 iter: iters,
@@ -629,19 +646,7 @@ impl StepDriver {
                 outcome,
             });
         }
-        if control.check_every > 0 && iters % control.check_every == 0 {
-            // The convergence measure and every breakdown guard are
-            // forced together — one wait on the backend, not one per
-            // scalar; the checks below then run on the values in the
-            // documented order.
-            let measure = solver.convergence_measure();
-            let guards = solver.breakdown_guards();
-            let forced = ScalarHandle::get_many(
-                &measure
-                    .iter()
-                    .chain(guards.iter().map(|g| &g.value))
-                    .collect::<Vec<_>>(),
-            );
+        if checking {
             let (measured, guard_values) = forced.split_at(measure.iter().count());
             let mut r = f64::NAN;
             if let Some(m) = measured.first() {

@@ -254,7 +254,7 @@ fn panic_in_a_replayed_program_degrades_a_step_and_the_program_survives() {
         let mut step = |planner: &mut Planner<f64>| {
             planner.step_begin();
             solver.step(planner);
-            planner.step_end()
+            planner.step_end(&[]).0
         };
         let mut outcomes: Vec<StepOutcome> = (0..7).map(|_| step(&mut planner)).collect();
         assert_eq!(outcomes[6], StepOutcome::Replayed, "{outcomes:?}");
@@ -450,7 +450,7 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         let got = ScalarHandle::get_many(&[&healthy, &failed]);
         assert!(got.iter().all(|v| v.is_nan()), "{workers} workers: {got:?}");
         if in_step {
-            assert_eq!(planner.step_end(), StepOutcome::Analyzed, "the read flushed the step");
+            assert_eq!(planner.step_end(&[]).0, StepOutcome::Analyzed, "the read flushed the step");
         }
         let fault = planner.take_fault().expect("the panic was absorbed");
         assert_eq!(fault.task, "dot_partial");

@@ -152,6 +152,25 @@ fn scalar_handle_arithmetic_chain() {
 }
 
 #[test]
+#[should_panic(expected = "scalars from different planners")]
+fn a_step_end_refuses_a_scalar_of_another_planner() {
+    let finalized = || {
+        let mut p = planner();
+        let d = p.add_sol_vector(8, None);
+        let r = p.add_rhs_vector(8, None);
+        p.add_operator(small_matrix(8), d, r);
+        p.finalize();
+        p
+    };
+    let (mut p, mut q) = (finalized(), finalized());
+    // Slot 0 of `q`'s backend: in `p`'s it is another scalar, or none.
+    let foreign = q.scalar(1.0);
+    p.step_begin();
+    let _ = p.scalar(2.0);
+    let _ = p.step_end(&[&foreign]);
+}
+
+#[test]
 fn workspace_vectors_are_zero_initialized() {
     let mut p = planner();
     let d = p.add_sol_vector(8, None);

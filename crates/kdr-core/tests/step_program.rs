@@ -257,7 +257,7 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
             Between::WiderDot => {
                 p.step_begin();
                 let wide = p.dot_many(&[(vecs[0], vecs[1]), (vecs[2], vecs[2])]);
-                p.step_end();
+                p.step_end(&[]);
                 drop(wide);
             }
             Between::Workspace => {
@@ -306,14 +306,14 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
                 }
             }
         }
-        out.outcomes.push(p.step_end());
+        // Force the step's scalars with the step, then let every
+        // handle go: each step starts with every slot free, so one body
+        // records one op list.
+        let handles: Vec<&ScalarHandle<f64>> = scalars.iter().collect();
+        let (outcome, forced) = p.step_end(&handles);
+        out.outcomes.push(outcome);
         out.replayed
             .push(with_exec(&mut p, |b| b.step_counters().2));
-        // Force the step's scalars, then let every handle go: each
-        // step starts with every slot free, so one body records one op
-        // list.
-        let handles: Vec<&ScalarHandle<f64>> = scalars.iter().collect();
-        let forced = ScalarHandle::get_many(&handles);
         out.forced
             .push(forced.into_iter().map(f64::to_bits).collect());
     }

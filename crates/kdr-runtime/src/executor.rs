@@ -40,6 +40,19 @@
 //! parked does not wake it: a pool thread takes the node, and the
 //! driver hears of its retirement.
 //!
+//! A replayed step whose submitter waits for it next
+//! (`Executor::submit_graph` with `waits`, behind
+//! [`Runtime::run_program`](crate::Runtime::run_program) with a read
+//! list) is the one submission that counts the submitter in: it owes a
+//! parked worker to every initially ready node but one, and the
+//! submitter takes that one as soon as it enters its wait. The wait
+//! starts with its condition false — it waits for nodes of the step,
+//! and none has retired — so the submitter takes a node unless a
+//! worker that was not parked took it first, and then it parks and
+//! hears of that node's retirement. On one worker a step is one node
+//! ([`crate::trace`]), so the submitter runs the whole step and no
+//! thread is woken or handed anything.
+//!
 //! Bodies a driver runs are bodies like any other: same `catch_unwind`,
 //! same fault decision (taken at submission), same spans and tallies,
 //! recorded under one extra lane, `worker == num_workers`, which all
@@ -689,8 +702,17 @@ impl Executor {
     /// (the runtime fences before a replay), so the step has no
     /// outside dependences and the whole graph is installed under one
     /// lock acquisition, followed by one round of wake-ups for its
-    /// initially ready nodes.
-    pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: Arc<[ProgramBody]>) {
+    /// initially ready nodes. A submitter that `waits` for the step
+    /// next ([`Executor::wait_retired`] on some of its nodes) takes
+    /// one of those nodes itself, so it wakes a worker for every ready
+    /// node but one.
+    pub fn submit_graph(
+        &self,
+        base: TaskId,
+        trace: &Trace,
+        bodies: Arc<[ProgramBody]>,
+        waits: bool,
+    ) {
         let shared = &*self.shared;
         let graph = &trace.graph;
         debug_assert_eq!(bodies.len(), graph.node_of.len());
@@ -716,7 +738,7 @@ impl Executor {
         st.base = base;
         st.slots.clear();
         st.slots.resize_with(graph.node_of.len(), Slot::vacant);
-        let mut ready = 0;
+        let mut ready = 0usize;
         for (k, node) in graph.nodes.iter().enumerate() {
             let run = Runnable::new(Work::Program {
                 run: Arc::clone(&program),
@@ -739,7 +761,7 @@ impl Executor {
         st.outstanding = graph.nodes.len();
         st.batch = Some((base, Arc::clone(graph)));
         let mut owed = Wakes::default();
-        owed.queued(&st, ready);
+        owed.queued(&st, ready.saturating_sub(usize::from(waits)));
         drop(st);
         shared.wake(owed);
     }

@@ -393,7 +393,7 @@ impl Runtime {
             .into_iter()
             .map(ProgramBody::replayed)
             .collect::<Result<Arc<[ProgramBody]>, _>>()?;
-        let base = self.submit_step(trace, || bodies)?;
+        let (base, _) = self.submit_step(trace, || bodies, [])?;
         Ok((base..base + trace.len() as TaskId).collect())
     }
 
@@ -438,30 +438,53 @@ impl Runtime {
     /// program already owns. `bind` runs once the runtime is quiescent
     /// and before any body of the step can start — the place to store
     /// what this run's bodies should read differently from the last
-    /// run's. Fails, with nothing submitted and `bind` not called, if
-    /// a task failure is pending at the quiescing fence.
+    /// run's.
+    ///
+    /// `reads` names the buffers (by [`Buffer::id`](crate::Buffer::id))
+    /// the caller reads next. If the step writes one of them, the call
+    /// submits the step and then waits as [`Runtime::wait_written`]
+    /// does, and the calling thread takes the step's first ready node
+    /// itself instead of waking a worker for it: on one worker, where
+    /// a step is one node, the whole step runs on the caller and no
+    /// thread is handed anything. Otherwise — `reads` empty, say, for a
+    /// caller that goes back to work of its own — the step's ready
+    /// nodes wake workers and the call returns at once.
+    ///
+    /// Fails, with nothing submitted and `bind` not called, if a task
+    /// failure is pending at the quiescing fence. Otherwise returns
+    /// what the wait returned: the time the caller was parked (zero
+    /// when it did not wait), or the failure of a task writing one of
+    /// `reads`.
     pub fn run_program(
         &self,
         program: &StepProgram,
         bind: impl FnOnce(),
-    ) -> Result<(), RuntimeError> {
-        self.submit_step(&program.trace, || {
+        reads: impl IntoIterator<Item = u64>,
+    ) -> Result<Result<Duration, TaskError>, RuntimeError> {
+        let bodies = || {
             bind();
             Arc::clone(&program.bodies)
-        })?;
-        Ok(())
+        };
+        let (_, writers) = self.submit_step(&program.trace, bodies, reads)?;
+        if writers.is_empty() {
+            return Ok(Ok(Duration::ZERO));
+        }
+        Ok(self.exec.wait_retired(&writers))
     }
 
     /// The replay routine behind [`Runtime::run_program`] and
     /// [`Runtime::replay`]: quiesce, give the step the next
-    /// `trace.len()` ids, hand the compiled graph and `bodies()`, its
-    /// tasks' bodies, to the executor and leave the recorded frontier
-    /// pending with the analyzer. Returns the first id.
+    /// `trace.len()` ids, leave the recorded frontier pending with the
+    /// analyzer and hand the compiled graph and `bodies()`, its tasks'
+    /// bodies, to the executor — telling it whether the caller waits
+    /// for the step's writers of `reads` next. Returns the first id
+    /// and those writers.
     fn submit_step(
         &self,
         trace: &Trace,
         bodies: impl FnOnce() -> Arc<[ProgramBody]>,
-    ) -> Result<TaskId, RuntimeError> {
+        reads: impl IntoIterator<Item = u64>,
+    ) -> Result<(TaskId, Vec<TaskId>), RuntimeError> {
         // The recorded graph has no edges to anything outside it and
         // the recorded frontier replaces the analyzer's, so the step
         // must start from a quiescent runtime. Submissions hold the
@@ -485,9 +508,14 @@ impl Runtime {
         st.tasks_submitted += nodes;
         st.tasks_replayed += nodes;
         st.tasks_fused += tasks - nodes;
-        self.exec.submit_graph(base, trace, bodies());
         st.analyzer.set_pending(&trace.frontier, base);
-        Ok(base)
+        let mut writers = Vec::new();
+        for buffer in reads {
+            st.analyzer.writers(buffer, &mut writers);
+        }
+        let waits = !writers.is_empty();
+        self.exec.submit_graph(base, trace, bodies(), waits);
+        Ok((base, writers))
     }
 
     /// Enable or disable structured event logging. Off by default;
@@ -751,7 +779,8 @@ mod tests {
         assert_eq!(v.snapshot(), vec![2.0; 4], "the capture runs the tasks");
         // Back to back: `bind` runs after the previous run's bodies.
         for k in 2..=4 {
-            rt.run_program(&program, || step.store(k, Ordering::Relaxed))
+            rt.run_program(&program, || step.store(k, Ordering::Relaxed), [])
+                .unwrap()
                 .unwrap();
         }
         rt.fence().unwrap();
@@ -804,16 +833,58 @@ mod tests {
         assert!(matches!(err, Some(RuntimeError::TaskFailed(_))), "{err:?}");
         assert!(rt.fence().is_err());
         assert_eq!(y.snapshot(), vec![1.0]);
-        let refused = rt.run_program(&kept, || panic!("bound a refused replay"));
+        let refused = rt.run_program(&kept, || panic!("bound a refused replay"), []);
         assert!(matches!(refused, Err(RuntimeError::TaskFailed(_))));
         assert_eq!(x.snapshot(), vec![1.0]);
 
         // Once the failure is taken, capture and replay work.
         rt.take_failure().unwrap();
         let program = rt.capture_program(vec![inc(&y)]).unwrap();
-        rt.run_program(&program, || {}).unwrap();
+        rt.run_program(&program, || {}, []).unwrap().unwrap();
         rt.fence().unwrap();
         assert_eq!(y.snapshot(), vec![3.0]);
+    }
+
+    #[test]
+    fn a_program_run_that_reads_waits_for_the_step_and_tells_refusal_from_failure() {
+        let rt = Runtime::new(1);
+        let (v, untouched) = (Buffer::filled(1, 0.0f64), Buffer::filled(1, 0.0f64));
+        let explode = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let inc = {
+            let explode = Arc::clone(&explode);
+            TaskBuilder::new("inc")
+                .write_all(&v)
+                .shared_body(move |ctx| {
+                    assert!(!explode.load(Ordering::SeqCst), "inc exploded");
+                    let w = ctx.write::<f64>(0);
+                    w.set(0, w.get(0) + 1.0);
+                })
+        };
+        let program = rt.capture_program(vec![inc]).unwrap();
+        // Waited for: the value is there when the call returns.
+        for k in 2..5 {
+            rt.run_program(&program, || {}, [v.id()]).unwrap().unwrap();
+            assert_eq!(v.peek(0), f64::from(k));
+        }
+        // A buffer the step does not write is not waited for.
+        let parked = rt.run_program(&program, || {}, [untouched.id()]).unwrap();
+        assert_eq!(parked, Ok(Duration::ZERO));
+        rt.fence().unwrap();
+        assert_eq!(v.peek(0), 5.0);
+
+        // A writer that fails: the step was submitted, and the wait
+        // returns the failure.
+        explode.store(true, Ordering::SeqCst);
+        let failed = rt.run_program(&program, || {}, [v.id()]).unwrap();
+        assert!(matches!(&failed, Err(e) if e.name == "inc"), "{failed:?}");
+        // Pending: the next run is refused and submits nothing.
+        let refused = rt.run_program(&program, || panic!("bound a refused replay"), [v.id()]);
+        assert!(matches!(refused, Err(RuntimeError::TaskFailed(_))));
+        assert_eq!(rt.metrics().tasks_replayed, 5);
+        rt.take_failure().unwrap();
+        explode.store(false, Ordering::SeqCst);
+        rt.run_program(&program, || {}, [v.id()]).unwrap().unwrap();
+        assert_eq!(v.peek(0), 6.0);
     }
 
     #[test]

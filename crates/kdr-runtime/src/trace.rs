@@ -33,42 +33,54 @@
 //!
 //! `end_trace` does not keep the capture as a per-task dependence
 //! list: it *compiles* it into a step graph of scheduled **nodes**.
-//! Walking the captured tasks in submission order, a task of colour
-//! `c` joins the most recent coloured node with the same *home worker*
-//! `c % W` — the worker the executor queues colour `c` on, so on one
-//! worker that is every coloured node — whenever the node graph stays
-//! acyclic with it inside, that is, unless one of the task's
-//! dependences sits in another node that already (transitively) waits
-//! on that node. A colourless task joins the most recent colourless
-//! node under the same acyclicity test and one more condition: one of
-//! its dependences is in that node (it extends a chain). Otherwise a
-//! task opens a new node, so an independent colourless task runs, and
-//! fails, on its own. A node waits for the union of its members'
-//! outside dependences, runs their bodies back to back in submission
-//! order on one worker, and releases its successors when the last
-//! body returns. Every captured edge therefore ends up either inside a
-//! node (honoured by the in-order run) or between an earlier and a
-//! later node (honoured by the scheduler), which is why a fused replay
-//! leaves every bit of every buffer as the task-by-task run left it.
+//! Walking the captured tasks in submission order, a task whose
+//! *home worker* the placement rule fixes joins the most recent node
+//! of that home whenever the node graph stays acyclic with it inside,
+//! that is, unless one of the task's dependences sits in another node
+//! that already (transitively) waits on that node. The home is the
+//! worker the executor would queue the task on: `c % W` for colour
+//! `c`, and worker 0 for a colourless task when `W = 1`, since
+//! colourless nodes are dealt to the workers in turn. With more
+//! workers a colourless task has no fixed home; it joins the most
+//! recent colourless node under the same acyclicity test and one more
+//! condition: one of its dependences is in that node (it extends a
+//! chain). Otherwise a task opens a new node, so an independent
+//! colourless task runs, and fails, on its own. A node waits for the
+//! union of its members' outside dependences, runs their bodies back
+//! to back in submission order on one worker, and releases its
+//! successors when the last body returns. Every captured edge
+//! therefore ends up either inside a node (honoured by the in-order
+//! run) or between an earlier and a later node (honoured by the
+//! scheduler), which is why a fused replay leaves every bit of every
+//! buffer as the task-by-task run left it.
 //!
 //! The fusion key is the placement rule, so a node's members are tasks
-//! that would have been queued on its worker anyway. A 16-piece CG
-//! step (101 tasks) compiles to one node per phase and home worker:
-//! on one worker 5 nodes — the sixteen `[spmv + dot_partial]`, the
-//! scalar chain `[dot_reduce + alpha + −alpha]`, the sixteen `[axpy +
-//! axpy + dot_partial]`, the chain `[dot_reduce + beta]`, the sixteen
-//! `[xpay]` — and on `W` workers `W` nodes for each of the three
-//! vector phases plus the two chains. This costs no parallelism worth
-//! having: the tasks of one home were already queued on one worker and
-//! ran there one after another (unless stolen); the node only stops
-//! paying a queue round trip and a retirement between them. What is
-//! given up is the chance that a thief picks up the second half of a
-//! home's work while the first half's successor work is elsewhere, and
-//! that a waiting driver runs part of a phase beside the worker. A
-//! scalar chain gives up less: its members are sub-microsecond bodies
-//! that mostly wait on one another anyway, and the node saves a queue
-//! round trip, a retirement and a possible hand-off to another thread
-//! per link.
+//! that would have been queued on its worker anyway. On one worker
+//! every task has the same home, so a step — whatever its colours and
+//! scalar chains — is **one node**: a 16-piece CG step's 101 bodies
+//! run back to back on whichever thread takes the node, and a driver
+//! that submits the step and waits for it takes it itself
+//! ([`Runtime::run_program`](crate::Runtime::run_program) with a read
+//! list), so no thread is handed anything. On `W` workers the same
+//! step is one node per phase and home — `W` nodes for each of the
+//! three vector phases (`[spmv + dot_partial]`, `[axpy + axpy +
+//! dot_partial]`, `[xpay]`) plus the two scalar chains `[dot_reduce +
+//! alpha + −alpha]` and `[dot_reduce + beta]`. This costs no
+//! parallelism worth having: the tasks of one home were already queued
+//! on one worker and ran there one after another (unless stolen); the
+//! node only stops paying a queue round trip and a retirement between
+//! them. What is given up is the chance that a thief picks up the
+//! second half of a home's work while the first half's successor work
+//! is elsewhere, and that a waiting driver runs part of a phase beside
+//! the worker. A scalar chain gives up less: its members are
+//! sub-microsecond bodies that mostly wait on one another anyway, and
+//! the node saves a queue round trip, a retirement and a possible
+//! hand-off to another thread per link.
+//!
+//! A body that panics fails its node: the members after it are dropped
+//! unrun, successor nodes are retired poisoned, and the failure stays
+//! pending, so the next replay is refused until it is taken. On one
+//! worker that drops the rest of the step.
 //!
 //! Nodes are stored topologically sorted with in-degrees and successor
 //! lists, so a replay hands the executor a graph it can install
@@ -115,6 +127,18 @@ pub(crate) struct StepGraph {
     pub node_of: Vec<u32>,
 }
 
+/// The worker the placement rule fixes for a task, if it fixes one:
+/// colour `c` is queued on worker `c % workers`, and a colourless task
+/// is dealt to the workers in turn — which lands on worker 0 every
+/// time when there is only one. A task with a home fuses into the open
+/// node of that home.
+fn home_worker(meta: &TaskMeta, workers: usize) -> Option<usize> {
+    match meta.color {
+        Some(c) => Some(c % workers),
+        None => (workers == 1).then_some(0),
+    }
+}
+
 /// A node under construction during [`StepGraph::compile`].
 struct Group {
     members: Vec<usize>,
@@ -125,8 +149,8 @@ struct Group {
 impl StepGraph {
     /// Compile a captured step for a runtime of `workers` workers.
     /// `deps[i]` lists the earlier tasks that task `i` waits on,
-    /// `metas[i]` is its scheduling metadata (a coloured task fuses by
-    /// its home worker, `colour % workers`).
+    /// `metas[i]` is its scheduling metadata (a task fuses by its home
+    /// worker, [`home_worker`]).
     pub(crate) fn compile(deps: &[Vec<usize>], metas: &[TaskMeta], workers: usize) -> StepGraph {
         let n = deps.len();
         let mut groups: Vec<Group> = Vec::new();
@@ -142,10 +166,11 @@ impl StepGraph {
             let mut dep_groups: Vec<usize> = deps[i].iter().map(|&d| group_of[d]).collect();
             dep_groups.sort_unstable();
             dep_groups.dedup();
-            let candidate = match metas[i].color {
-                Some(c) => open[c % workers],
-                // A colourless task extends a chain: it joins only a
-                // node holding one of its dependences.
+            let home = home_worker(&metas[i], workers);
+            let candidate = match home {
+                Some(h) => open[h],
+                // A task without a home extends a chain: it joins only
+                // a node holding one of its dependences.
                 None => open_colourless.filter(|&g| dep_groups.binary_search(&g).is_ok()),
             };
             let target = candidate.filter(|&g| {
@@ -174,8 +199,8 @@ impl StepGraph {
                         preds: Vec::new(),
                     });
                     let g = groups.len() - 1;
-                    match metas[i].color {
-                        Some(c) => open[c % workers] = Some(g),
+                    match home {
+                        Some(h) => open[h] = Some(g),
                         None => open_colourless = Some(g),
                     }
                     g

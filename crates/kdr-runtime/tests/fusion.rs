@@ -158,12 +158,17 @@ fn snapshot(bufs: &[Buffer<f64>]) -> Vec<Vec<u64>> {
 
 /// Every captured edge is inside a node or goes from an earlier node
 /// to a later one — which also says the node graph is acyclic — and
-/// every node is one the merge rules allow: its members are all
-/// coloured or all colourless, coloured ones share the first member's
-/// home worker `colour % workers`, and each colourless member waits on
-/// an earlier member (a chain).
+/// every node is one the merge rules allow. On one worker every task
+/// has the one worker for its home, so a step is one node. On more,
+/// a node's members are all coloured or all colourless, coloured ones
+/// share the first member's home worker `colour % workers`, and each
+/// colourless member waits on an earlier member (a chain).
 fn assert_compiled_graph_is_sound(trace: &Trace, ops: &[Op], workers: usize) {
     assert!(trace.num_nodes() <= trace.len());
+    if workers == 1 {
+        assert_eq!(trace.num_nodes(), 1, "on one worker a step is one node");
+        return;
+    }
     let mut first: Vec<Option<usize>> = vec![None; trace.num_nodes()];
     for (i, op) in ops.iter().enumerate() {
         let node = trace.node_of(i);
@@ -326,7 +331,10 @@ proptest! {
         prop_assert_eq!(program.trace().len(), ops.len());
         assert_compiled_graph_is_sound(program.trace(), &ops, workers);
         for round in 1..ROUNDS {
-            rt.run_program(&program, || {}).unwrap();
+            // Every other run is waited for by its submitter, which
+            // takes a ready node itself and wakes a worker for the rest.
+            let reads = bufs.iter().map(Buffer::id).filter(|_| round % 2 == 1);
+            rt.run_program(&program, || {}, reads).unwrap().unwrap();
             if fences_after(round, ROUNDS) {
                 rt.fence().unwrap();
             }
@@ -529,16 +537,16 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
     let program = rt.capture_program(shared(&cells)).unwrap();
     assert_eq!(program.trace().num_nodes(), 2);
     rt.set_fault_plan(Some(plan()));
-    rt.run_program(&program, || {}).unwrap();
+    rt.run_program(&program, || {}, []).unwrap().unwrap();
     let err = rt.fence().unwrap_err();
     assert_eq!(err.task - program.trace().len() as u64, analyzed);
     assert_eq!(rt.metrics().faults_injected, 1);
     // The program holds its bodies: it runs again once the failure is
     // taken.
-    assert!(rt.run_program(&program, || {}).is_err(), "a pending failure refuses the replay");
+    assert!(rt.run_program(&program, || {}, []).is_err(), "a pending failure refuses the replay");
     rt.take_failure().unwrap();
     let before: Vec<f64> = cells.iter().map(|b| b.snapshot()[0]).collect();
-    rt.run_program(&program, || {}).unwrap();
+    rt.run_program(&program, || {}, []).unwrap().unwrap();
     rt.fence().unwrap();
     for (b, was) in cells.iter().zip(before) {
         assert_eq!(b.snapshot()[0], was + 1.0);
@@ -775,8 +783,8 @@ fn a_panic_in_a_chains_first_member_drops_only_that_chains_later_members() {
 /// 0..4, p in 4..8, s at 8, y in 9..13): per piece, `spmv` bumps x and
 /// `dot_partial` adds it into p, coloured by piece; a colourless
 /// `dot_reduce` adds every p into s; per piece, `axpy` adds s into y.
-/// On one worker this compiles to [spmv + dot_partial] × 4,
-/// [dot_reduce], [axpy] × 4.
+/// On one worker every task has the one worker for its home, so the
+/// thirteen compile to one node.
 fn two_phases(c: &[Buffer<f64>]) -> Vec<TaskBuilder> {
     let coloured = |t: TaskBuilder, name: &'static str, piece: usize| {
         t.meta(TaskMeta::new(name).with_color(piece))
@@ -799,13 +807,13 @@ fn two_phases(c: &[Buffer<f64>]) -> Vec<TaskBuilder> {
 }
 
 #[test]
-fn on_one_worker_a_panic_in_a_phase_drops_the_rest_of_it_and_poisons_what_follows() {
+fn on_one_worker_a_panic_drops_the_rest_of_the_step_and_poisons_what_follows() {
     use TaskOutcome::{Completed, Panicked, Poisoned};
     // The cell each task of `two_phases` writes, in submission order.
     const WRITES: [usize; 13] = [0, 4, 1, 5, 2, 6, 3, 7, 8, 9, 10, 11, 12];
     let cells = || -> Vec<Buffer<f64>> { (0..13).map(|_| Buffer::filled(1, 0.0)).collect() };
-    // The first submitted body (piece 0's spmv, the phase node's first
-    // member) and the fifth (piece 2's spmv, in its middle).
+    // The first submitted body (piece 0's spmv, the step node's first
+    // member) and the fifth (piece 2's spmv, in its first phase).
     for (nth, at) in [(1, 0), (3, 4)] {
         let plan = || {
             FaultPlan::seeded(3).with(FaultSpec {
@@ -830,9 +838,7 @@ fn on_one_worker_a_panic_in_a_phase_drops_the_rest_of_it_and_poisons_what_follow
             rt.submit(t).unwrap();
         }
         let trace = rt.end_trace().unwrap();
-        assert_eq!(trace.num_nodes(), 3);
-        assert!((1..8).all(|i| trace.node_of(i) == trace.node_of(0)), "one phase node");
-        assert!((10..13).all(|i| trace.node_of(i) == trace.node_of(9)), "one phase node");
+        assert_eq!(trace.num_nodes(), 1, "one node per step");
         let captured = values_of(&c);
         rt.take_spans();
 
@@ -848,12 +854,11 @@ fn on_one_worker_a_panic_in_a_phase_drops_the_rest_of_it_and_poisons_what_follow
         assert_eq!(m.faults_injected, 1, "one decision per body");
         assert_eq!(
             (m.task_failures, m.tasks_poisoned),
-            (1, 2),
-            "[dot_reduce] and the axpy node are poisoned"
+            (1, 0),
+            "the step is one node: its failure leaves no other node to poison"
         );
         // The members before the panicking one ran; the rest of the
-        // phase was dropped unrun and wrote nothing, and nor did the
-        // poisoned nodes.
+        // step was dropped unrun and wrote nothing.
         let outcomes: Vec<TaskOutcome> = rt.take_spans().iter().map(|s| s.outcome).collect();
         let at = at as usize;
         let mut expect = vec![Completed; at];
@@ -864,6 +869,16 @@ fn on_one_worker_a_panic_in_a_phase_drops_the_rest_of_it_and_poisons_what_follow
         for (b, &cell) in WRITES.iter().enumerate() {
             assert_eq!(now[cell] != captured[cell], b < at, "task {b}'s cell {cell}");
         }
+
+        // What follows is poisoned: the pending failure refuses the
+        // next replay, and a task that reads what the failed step
+        // should have written is born poisoned.
+        let refused = rt.replay(&trace, two_phases(&c));
+        assert!(matches!(refused, Err(RuntimeError::TaskFailed(_))), "{refused:?}");
+        rt.submit(scale_into("late", &c[12], &c[0])).unwrap();
+        assert_eq!(rt.fence().unwrap_err().task - ids[0], at as u64);
+        assert_eq!(rt.metrics().tasks_poisoned, 1, "born poisoned");
+        assert_eq!(values_of(&c), now);
 
         // Taken, the failure leaves a step that replays whole.
         rt.take_failure().unwrap();

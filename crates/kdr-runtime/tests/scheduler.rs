@@ -92,6 +92,73 @@ fn a_submission_wakes_the_worker_after_the_unlock() {
 }
 
 #[test]
+fn a_program_run_nobody_waits_for_wakes_the_worker() {
+    with_progress_watchdog("run_program / Receiver::recv", |progress| {
+        let rt = Runtime::new(1);
+        let (tx, rx) = mpsc::channel();
+        let tx = std::sync::Mutex::new(tx);
+        let round = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&round);
+        let send = TaskBuilder::new("send").shared_body(move |_| {
+            tx.lock().unwrap().send(r.load(Ordering::Relaxed)).unwrap();
+        });
+        let program = rt.capture_program(vec![send]).unwrap();
+        assert_eq!(rx.recv(), Ok(0));
+        for k in 1..=10_000u64 {
+            if k % 2 == 0 {
+                std::thread::yield_now();
+            }
+            // With no buffer to read, the call returns as soon as the
+            // step is in, and `recv` runs nothing: only the worker can
+            // run the step, so a submission that woke nobody hangs here.
+            let bind = || round.store(k, Ordering::Relaxed);
+            rt.run_program(&program, bind, []).unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(k));
+            progress.fetch_add(1, Ordering::Relaxed);
+        }
+        rt.fence().unwrap();
+        assert_eq!(rt.metrics().tasks_replayed, 10_000);
+    });
+}
+
+#[test]
+fn a_waiting_submitter_wakes_a_worker_for_every_ready_node_but_one() {
+    with_progress_watchdog("run_program with reads / Barrier", |progress| {
+        let rt = Runtime::new(2);
+        let bufs = [Buffer::filled(1, 0u64), Buffer::filled(1, 0u64)];
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        // Colours 0 and 1 have different homes on two workers: two
+        // nodes, both ready at submission, whose bodies wait for each
+        // other.
+        let tasks = bufs.iter().enumerate().map(|(c, b)| {
+            let meet = Arc::clone(&meet);
+            TaskBuilder::new("meet")
+                .meta(TaskMeta::new("meet").with_color(c))
+                .write_all(b)
+                .shared_body(move |ctx| {
+                    meet.wait();
+                    let w = ctx.write::<u64>(0);
+                    w.set(0, w.get(0) + 1);
+                })
+        });
+        let program = rt.capture_program(tasks.collect()).unwrap();
+        assert_eq!(program.trace().num_nodes(), 2);
+        for k in 2..=2_000u64 {
+            // The submitter takes one node and waits at the barrier in
+            // it: the other node needs a worker, so a submission that
+            // owed no wake-up hangs here.
+            let reads = bufs.iter().map(Buffer::id);
+            rt.run_program(&program, || {}, reads).unwrap().unwrap();
+            assert_eq!([bufs[0].peek(0), bufs[1].peek(0)], [k, k]);
+            progress.fetch_add(1, Ordering::Relaxed);
+        }
+        let m = rt.metrics();
+        let driven = m.nodes_run_by_drivers;
+        assert!(driven >= 1_000, "the submitter ran {driven} nodes");
+    });
+}
+
+#[test]
 fn dropping_a_runtime_wakes_its_parked_workers() {
     with_progress_watchdog("drop with parked workers", |progress| {
         for _ in 0..200 {

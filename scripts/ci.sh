@@ -193,8 +193,34 @@ if grep -rnE 'promise\(|\bPromise\b|PromiseDropped|kdr_runtime::Future|AtomicHis
     echo "ci.sh: crates/ or tests/ names a deleted runtime item again (see above)" >&2
     exit 1
 fi
-if ! grep -qF 'pub fn submit_graph(&self, base: TaskId, trace: &Trace, bodies: Arc<[ProgramBody]>)' "$exec_rs"; then
-    echo "ci.sh: Executor::submit_graph no longer takes the step's bodies as Arc<[ProgramBody]>" >&2
+# The step's bodies go to the executor as the program's one
+# `Arc<[ProgramBody]>`, with whether the submitter waits for the step
+# next (a waiting submitter takes one ready node itself).
+submit_graph=$(sed -n '/pub fn submit_graph(/,/) {$/p' "$exec_rs" | tr -d ' \n')
+if [ "$submit_graph" != 'pubfnsubmit_graph(&self,base:TaskId,trace:&Trace,bodies:Arc<[ProgramBody]>,waits:bool,){' ]; then
+    echo "ci.sh: Executor::submit_graph no longer takes the step's bodies as Arc<[ProgramBody]> and whether its submitter waits" >&2
+    exit 1
+fi
+# One step end and one program run (DESIGN §6, "One node per step, run
+# by the thread that waits"): `step_end` takes the scalars to force with
+# the step and `run_program` the buffers its caller reads next, so
+# neither grows a sibling entry point.
+if grep -rnE 'fn (step_end|run_program)_' crates; then
+    echo "ci.sh: crates/ has a second step end or program run (see above)" >&2
+    exit 1
+fi
+# One home rule (DESIGN §6): `StepGraph::compile` fuses a task into the
+# open node of its home worker, and `trace.rs::home_worker` alone says
+# what a home is — colour c on worker c mod W, and a colourless task on
+# worker 0 when there is one worker. `compile` reads no colour itself.
+trace_rs=crates/kdr-runtime/src/trace.rs
+compile=$(sed -n '/^    pub(crate) fn compile(deps: &\[Vec<usize>\]/,/^    }$/p' "$trace_rs" | grep -v '^ *//')
+trace_src=$(sed '/^#\[cfg(test)\]/,$d' "$trace_rs" | grep -v '^ *//')
+if [ "$(printf '%s\n' "$compile" | grep -c 'home_worker(')" != 1 ] ||
+    printf '%s\n' "$compile" | grep -nE '\.color|% *workers' ||
+    [ "$(printf '%s\n' "$trace_src" | grep -c 'fn home_worker(')" != 1 ] ||
+    [ "$(printf '%s\n' "$trace_src" | grep -c '% workers')" != 1 ]; then
+    echo "ci.sh: trace.rs's StepGraph::compile no longer has exactly one home rule (home_worker)" >&2
     exit 1
 fi
 

@@ -496,7 +496,7 @@ fn replayed_window(events: bool) -> (kdr_core::ExecMetrics, kdr_core::ExecMetric
     let mut step = |planner: &mut Planner<f64>| {
         planner.step_begin();
         solver.step(planner);
-        planner.step_end()
+        planner.step_end(&[]).0
     };
     for _ in 0..8 {
         step(&mut planner);

@@ -146,9 +146,10 @@ fn residual_bits(
     for _ in 0..steps {
         planner.step_begin();
         solver.step(planner);
-        outcomes.push(planner.step_end());
         let m = solver.convergence_measure().expect("measure");
-        bits.push(m.get().to_bits());
+        let (outcome, forced) = planner.step_end(&[&m]);
+        outcomes.push(outcome);
+        bits.push(forced[0].to_bits());
     }
     (bits, outcomes)
 }
@@ -217,7 +218,7 @@ fn traced_cg_analysis_count_is_flat_in_steady_state() {
     for _ in 0..12 {
         planner.step_begin();
         solver.step(&mut planner);
-        planner.step_end();
+        planner.step_end(&[]);
         analyzed_after.push(planner.with_backend(|b| {
             b.as_any()
                 .downcast_mut::<ExecBackend<f64>>()
@@ -298,13 +299,13 @@ fn scalar_arena_stays_bounded_over_thousand_steps() {
         for _ in 0..10 {
             planner.step_begin();
             solver.step(&mut planner);
-            planner.step_end();
+            planner.step_end(&[]);
         }
         let after_warmup = slots(&mut planner);
         for _ in 0..990 {
             planner.step_begin();
             solver.step(&mut planner);
-            planner.step_end();
+            planner.step_end(&[]);
         }
         planner.fence();
         let after = slots(&mut planner);
