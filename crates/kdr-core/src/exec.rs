@@ -769,7 +769,8 @@ impl<T: Scalar> ExecBackend<T> {
     /// if one is cached, else lower it, run it analyzed and — cache
     /// permitting — keep the capture as its program. A replay waits
     /// for the writers of `reads` as it submits the step and returns
-    /// their values too; every other outcome leaves them to be forced.
+    /// their values too, and a failed capture returns NaN for them;
+    /// every other outcome leaves them to be forced.
     fn finish_step(&mut self, reads: &[SRef]) -> (StepOutcome, Option<Vec<T>>) {
         let deferred = std::mem::replace(&mut self.deferring, false);
         if !deferred || self.step.key.ops.is_empty() {
@@ -804,7 +805,7 @@ impl<T: Scalar> ExecBackend<T> {
             let lowered = self.lower_recorded(true);
             #[cfg(debug_assertions)]
             let sig = ShapeSig::of_tasks(&lowered.tasks);
-            let outcome = match self.rt.capture_program(lowered.tasks) {
+            return match self.rt.capture_program(lowered.tasks) {
                 Ok(program) => {
                     self.programs.push(CachedStep {
                         key,
@@ -813,17 +814,19 @@ impl<T: Scalar> ExecBackend<T> {
                         #[cfg(debug_assertions)]
                         sig,
                     });
-                    StepOutcome::Captured
+                    (StepOutcome::Captured, None)
                 }
                 Err(_) => {
                     // The tasks ran, but the capture was refused
                     // (pending failure) or is void (a task of the
-                    // step failed).
+                    // step failed). Taking the failure clears it, so
+                    // a wait for `reads` would now answer with
+                    // whatever the slots hold: they read as NaN.
                     self.record_rt_failure();
-                    StepOutcome::Analyzed
+                    let nan = vec![T::from_f64(f64::NAN); reads.len()];
+                    (StepOutcome::Analyzed, Some(nan))
                 }
             };
-            return (outcome, None);
         }
         // Cache full, or the replay was refused.
         self.record_rt_failure();

@@ -60,5 +60,5 @@ pub use solvers::{
     BreakdownKind, CancelToken, CgSolver, CgsSolver, ChebyshevSolver, FusedCgSolver, GmresSolver,
     GuardTrigger, MinresSolver, PBiCgStabSolver, PcgSolver, PipelinedCgSolver, PipelinedCrSolver,
     RecoveryPolicy, SStepCgSolver, SolveControl, SolveError, SolveOutcome, SolveReport, Solver,
-    StepDriver, StepStatus, TfqmrSolver,
+    StepDriver, TfqmrSolver,
 };

@@ -62,17 +62,6 @@ impl<T: Scalar> ScalarHandle<T> {
         self.backend.lock().scalar_get(self.sref)
     }
 
-    /// Force several scalars of one planner in a single blocking
-    /// call, values in argument order — one wait where a
-    /// [`ScalarHandle::get`] per handle would be one each.
-    pub fn get_many(handles: &[&Self]) -> Vec<T> {
-        let Some(first) = handles.first() else {
-            return Vec::new();
-        };
-        let srefs = Self::srefs_in(&first.backend, handles);
-        first.backend.lock().scalar_get_many(&srefs)
-    }
-
     /// The slots of `handles`, each of which must be a scalar of the
     /// planner whose backend is `backend`: a slot is an index into one
     /// backend's storage and means nothing to another's.

@@ -113,9 +113,6 @@ pub enum BreakdownKind {
     /// `(p, Ap) ≤ 0`: the operator is not positive definite along the
     /// search direction (CG/PCG applied outside their assumptions).
     IndefiniteOperator,
-    /// The sampled residual stopped improving for a full
-    /// [`SolveControl::stagnation_window`] of convergence checks.
-    Stagnation,
 }
 
 impl std::fmt::Display for BreakdownKind {
@@ -132,7 +129,6 @@ impl std::fmt::Display for BreakdownKind {
                     "operator is not positive definite along the search direction"
                 )
             }
-            BreakdownKind::Stagnation => write!(f, "residual stagnated"),
         }
     }
 }
@@ -149,8 +145,7 @@ pub enum SolveError {
         /// Iterations completed when the breakdown was detected.
         iteration: usize,
     },
-    /// The sampled residual grew past
-    /// [`SolveControl::divergence_factor`] times its first sample.
+    /// A sampled residual grew past 10⁸ times the first sample.
     Diverged {
         /// Iterations completed when divergence was detected.
         iteration: usize,
@@ -314,13 +309,6 @@ pub struct SolveControl {
     /// within this of zero (or below it, for
     /// [`GuardTrigger::NonPositive`]) is a breakdown.
     pub breakdown_eps: f64,
-    /// Fail with [`SolveError::Diverged`] when a sampled residual
-    /// exceeds this multiple of the first sample; `0.0` disables.
-    pub divergence_factor: f64,
-    /// Fail with [`BreakdownKind::Stagnation`] when this many
-    /// consecutive convergence checks pass without a new best
-    /// residual; `0` disables.
-    pub stagnation_window: usize,
     /// Cooperative cancellation/deadline token, polled once per
     /// iteration; when it fires the solve stops with
     /// [`SolveError::Cancelled`]. `None` disables.
@@ -334,8 +322,6 @@ impl Default for SolveControl {
             tol: 0.0,
             check_every: 0,
             breakdown_eps: 1e-30,
-            divergence_factor: 1e8,
-            stagnation_window: 0,
             cancel_token: None,
         }
     }
@@ -379,7 +365,8 @@ pub struct SolveReport {
     pub checkpoints: usize,
 }
 
-/// Drive a solver until convergence or the iteration cap.
+/// Drive a solver until convergence or the iteration cap:
+/// [`StepDriver::step`], called until it answers.
 ///
 /// Each iteration is bracketed by `step_begin`/`step_end` so tracing
 /// backends can replay the recorded dependence graph when the step
@@ -469,59 +456,53 @@ pub fn solve_traced<T: Scalar>(
     (outcome, trace)
 }
 
-/// What one [`StepDriver::step`] call concluded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepStatus {
-    /// The iteration ran and the solve should continue.
-    Running,
-    /// A convergence check met the tolerance; call
-    /// [`StepDriver::finish`].
-    Converged,
-    /// The iteration cap was reached before the call could step; call
-    /// [`StepDriver::finish`].
-    Capped,
-}
+/// A sampled residual past this multiple of the first sample ends the
+/// solve with [`SolveError::Diverged`].
+const DIVERGENCE_FACTOR: f64 = 1e8;
 
-/// The solve loop, decomposed into resumable single-iteration calls.
+/// The solve loop, one iteration per call.
 ///
-/// [`solve`] and [`solve_traced`] are thin wrappers over this type:
-/// [`StepDriver::preflight`] runs the already-converged guard, each
-/// [`StepDriver::step`] performs one `step_begin`/`step`/`step_end`
-/// iteration — forcing the convergence measure and the breakdown
-/// guards with the step on check iterations — plus the cadence health
-/// checks, and
-/// [`StepDriver::finish`] applies deferred solution updates and the
-/// final fence. Callers that interleave many solves on one runtime
-/// (the solve service's fair-share scheduler) drive iterations
-/// directly, yielding between slices — the per-iteration semantics,
-/// including error ordering, are identical to a blocking [`solve`].
+/// [`solve`] and [`solve_traced`] call [`StepDriver::step`] until it
+/// answers. Callers that interleave many solves on one runtime (the
+/// solve service's fair-share scheduler) make the same calls a few at
+/// a time and yield in between; the per-iteration semantics, including
+/// error ordering, are those of a blocking [`solve`].
+///
+/// The first call runs the already-converged guard (a zero
+/// right-hand side: stepping a Krylov method from an exactly zero
+/// residual divides by zero) and answers at once when it holds. Each
+/// call then performs one `step_begin`/`step`/`step_end` iteration —
+/// forcing the convergence measure and the breakdown guards with the
+/// step on check iterations — plus the cadence health checks. The call
+/// whose check meets the tolerance ends the solve, and so does the
+/// call after the iteration cap is reached: it applies deferred
+/// solution updates, takes (or forces) the final residual, fences and
+/// returns the report.
 ///
 /// Health checks run at convergence-check cadence in a fixed order —
 /// convergence first (quantities legitimately vanish as the residual
 /// does), then absorbed task failures (the root cause behind any NaN
 /// the backend substituted), then non-finite residuals, breakdown
-/// guards, divergence, and stagnation. The cancellation token, when
-/// present, is polled at the top of every iteration.
-#[derive(Debug, Default)]
+/// guards and divergence. The cancellation token, when present, is
+/// polled at the top of every iteration.
+#[derive(Debug)]
 pub struct StepDriver {
+    control: SolveControl,
+    started: bool,
     iters: usize,
     final_residual: f64,
-    converged: bool,
     baseline: f64,
-    best: f64,
-    since_best: usize,
 }
 
 impl StepDriver {
-    /// A fresh driver at iteration zero.
-    pub fn new() -> Self {
+    /// A fresh driver at iteration zero, stopping as `control` says.
+    pub fn new(control: SolveControl) -> Self {
         StepDriver {
+            control,
+            started: false,
             iters: 0,
             final_residual: f64::NAN,
-            converged: false,
             baseline: f64::NAN,
-            best: f64::INFINITY,
-            since_best: 0,
         }
     }
 
@@ -530,73 +511,40 @@ impl StepDriver {
         self.iters
     }
 
-    /// Most recent sampled residual (`NaN` before the first
-    /// convergence check).
-    pub fn last_residual(&self) -> f64 {
-        self.final_residual
-    }
-
-    /// Whether a convergence check has met the tolerance.
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Already-converged guard (e.g. a zero right-hand side):
-    /// stepping a Krylov method from an exactly zero residual divides
-    /// by zero. Returns `Some(report)` when the solve is already done
-    /// and must not be stepped; call once, before the first
-    /// [`StepDriver::step`].
-    pub fn preflight<T: Scalar>(
-        &mut self,
-        planner: &mut Planner<T>,
-        solver: &mut dyn Solver<T>,
-        control: &SolveControl,
-        trace: Option<&mut SolveTrace>,
-    ) -> Result<Option<SolveReport>, SolveError> {
-        if control.tol > 0.0 && control.check_every > 0 {
-            if let Some(m) = solver.convergence_measure() {
-                let r = m.get().to_f64().abs().sqrt();
-                if r < control.tol {
-                    if let Some(t) = trace {
-                        t.residual_history.push((0, r));
-                    }
-                    planner.fence();
-                    if let Some(f) = planner.take_fault() {
-                        return Err(SolveError::TaskFailed {
-                            iteration: 0,
-                            task: f.task,
-                            message: f.message,
-                        });
-                    }
-                    self.converged = true;
-                    self.final_residual = r;
-                    return Ok(Some(SolveReport {
-                        iters: 0,
-                        final_residual: r,
-                        converged: true,
-                        restarts: 0,
-                        checkpoints: 0,
-                    }));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Perform one iteration (unless converged or at the cap) plus
-    /// the cadence health checks.
+    /// One call of the solve loop (see the type docs): `Ok(None)`
+    /// while the solve runs, the report or the error once it has
+    /// ended. Once it has answered, the driver is spent: drop it.
     pub fn step<T: Scalar>(
         &mut self,
         planner: &mut Planner<T>,
         solver: &mut dyn Solver<T>,
-        control: &SolveControl,
         mut trace: Option<&mut SolveTrace>,
-    ) -> Result<StepStatus, SolveError> {
-        if self.converged {
-            return Ok(StepStatus::Converged);
+    ) -> Result<Option<SolveReport>, SolveError> {
+        let control = &self.control;
+        if !self.started {
+            self.started = true;
+            if control.tol > 0.0 && control.check_every > 0 {
+                if let Some(m) = solver.convergence_measure() {
+                    let r = m.get().to_f64().abs().sqrt();
+                    if r < control.tol {
+                        if let Some(t) = trace {
+                            t.residual_history.push((0, r));
+                        }
+                        planner.fence();
+                        take_fault(planner, 0)?;
+                        return Ok(Some(SolveReport {
+                            iters: 0,
+                            final_residual: r,
+                            converged: true,
+                            restarts: 0,
+                            checkpoints: 0,
+                        }));
+                    }
+                }
+            }
         }
         if self.iters >= control.max_iters {
-            return Ok(StepStatus::Capped);
+            return self.finish(planner, solver, trace, false).map(Some);
         }
         if let Some(tok) = &control.cancel_token {
             if tok.is_cancelled() {
@@ -604,13 +552,7 @@ impl StepDriver {
                 // reusable; an absorbed task failure is the root
                 // cause and outranks the cancellation.
                 planner.fence();
-                if let Some(f) = planner.take_fault() {
-                    return Err(SolveError::TaskFailed {
-                        iteration: self.iters,
-                        task: f.task,
-                        message: f.message,
-                    });
-                }
+                take_fault(planner, self.iters)?;
                 return Err(SolveError::Cancelled {
                     iteration: self.iters,
                 });
@@ -646,115 +588,82 @@ impl StepDriver {
                 outcome,
             });
         }
-        if checking {
-            let (measured, guard_values) = forced.split_at(measure.iter().count());
-            let mut r = f64::NAN;
-            if let Some(m) = measured.first() {
-                r = m.to_f64().abs().sqrt();
-                self.final_residual = r;
-                if let Some(t) = trace {
-                    t.residual_history.push((iters, r));
-                }
-                if control.tol > 0.0 && r < control.tol {
-                    self.converged = true;
-                    return Ok(StepStatus::Converged);
-                }
+        if !checking {
+            return Ok(None);
+        }
+        let (measured, guard_values) = forced.split_at(measure.iter().count());
+        let mut r = f64::NAN;
+        if let Some(m) = measured.first() {
+            r = m.to_f64().abs().sqrt();
+            self.final_residual = r;
+            if let Some(t) = trace.as_deref_mut() {
+                t.residual_history.push((iters, r));
             }
-            // A failed task surfaces as NaN scalars; report the
-            // absorbed root cause rather than the symptom.
-            if let Some(f) = planner.take_fault() {
-                return Err(SolveError::TaskFailed {
-                    iteration: iters,
-                    task: f.task,
-                    message: f.message,
-                });
-            }
-            if measure.is_some() && !r.is_finite() {
-                return Err(SolveError::NonFinite { iteration: iters });
-            }
-            for (g, v) in guards.iter().zip(guard_values) {
-                let v = v.to_f64();
-                if !v.is_finite() {
-                    return Err(SolveError::NonFinite { iteration: iters });
-                }
-                let broke = match g.trigger {
-                    GuardTrigger::NearZero => v.abs() < control.breakdown_eps,
-                    GuardTrigger::NonPositive => v <= control.breakdown_eps,
-                };
-                if broke {
-                    return Err(SolveError::Breakdown {
-                        kind: g.kind,
-                        iteration: iters,
-                    });
-                }
-            }
-            if !r.is_nan() {
-                if self.baseline.is_nan() {
-                    self.baseline = r.max(f64::MIN_POSITIVE);
-                } else if control.divergence_factor > 0.0
-                    && r > control.divergence_factor * self.baseline
-                {
-                    return Err(SolveError::Diverged {
-                        iteration: iters,
-                        residual: r,
-                    });
-                }
-                if control.stagnation_window > 0 {
-                    if r < self.best * (1.0 - 1e-12) {
-                        self.best = r;
-                        self.since_best = 0;
-                    } else {
-                        self.since_best += 1;
-                        if self.since_best >= control.stagnation_window {
-                            return Err(SolveError::Breakdown {
-                                kind: BreakdownKind::Stagnation,
-                                iteration: iters,
-                            });
-                        }
-                    }
-                }
+            if control.tol > 0.0 && r < control.tol {
+                return self.finish(planner, solver, trace, true).map(Some);
             }
         }
-        Ok(StepStatus::Running)
+        // A failed task surfaces as NaN scalars; report the absorbed
+        // root cause rather than the symptom.
+        take_fault(planner, iters)?;
+        if measure.is_some() && !r.is_finite() {
+            return Err(SolveError::NonFinite { iteration: iters });
+        }
+        for (g, v) in guards.iter().zip(guard_values) {
+            let v = v.to_f64();
+            if !v.is_finite() {
+                return Err(SolveError::NonFinite { iteration: iters });
+            }
+            let broke = match g.trigger {
+                GuardTrigger::NearZero => v.abs() < control.breakdown_eps,
+                GuardTrigger::NonPositive => v <= control.breakdown_eps,
+            };
+            if broke {
+                return Err(SolveError::Breakdown {
+                    kind: g.kind,
+                    iteration: iters,
+                });
+            }
+        }
+        if !r.is_nan() {
+            if self.baseline.is_nan() {
+                self.baseline = r.max(f64::MIN_POSITIVE);
+            } else if r > DIVERGENCE_FACTOR * self.baseline {
+                return Err(SolveError::Diverged {
+                    iteration: iters,
+                    residual: r,
+                });
+            }
+        }
+        Ok(None)
     }
 
-    /// Apply deferred solution updates, take (or force) the final
-    /// residual, fence, and build the report. Call once, after
-    /// [`StepDriver::step`] returns [`StepStatus::Converged`] or
-    /// [`StepStatus::Capped`].
-    pub fn finish<T: Scalar>(
-        self,
+    /// The end of a solve that `converged` at a check or reached its
+    /// cap: apply deferred solution updates, take (or force) the final
+    /// residual, fence, and build the report.
+    fn finish<T: Scalar>(
+        &self,
         planner: &mut Planner<T>,
         solver: &mut dyn Solver<T>,
-        control: &SolveControl,
         trace: Option<&mut SolveTrace>,
+        mut converged: bool,
     ) -> SolveOutcome {
-        let StepDriver {
-            iters,
-            mut final_residual,
-            mut converged,
-            ..
-        } = self;
+        let iters = self.iters;
+        let mut final_residual = self.final_residual;
         solver.finalize_solution(planner);
         let mut measured = !final_residual.is_nan();
         if !measured {
             if let Some(m) = solver.convergence_measure() {
                 measured = true;
                 final_residual = m.get().to_f64().abs().sqrt();
-                converged = control.tol > 0.0 && final_residual < control.tol;
+                converged = self.control.tol > 0.0 && final_residual < self.control.tol;
                 if let Some(t) = trace {
                     t.residual_history.push((iters, final_residual));
                 }
             }
         }
         planner.fence();
-        if let Some(f) = planner.take_fault() {
-            return Err(SolveError::TaskFailed {
-                iteration: iters,
-                task: f.task,
-                message: f.message,
-            });
-        }
+        take_fault(planner, iters)?;
         if measured && !final_residual.is_finite() {
             return Err(SolveError::NonFinite { iteration: iters });
         }
@@ -768,19 +677,31 @@ impl StepDriver {
     }
 }
 
+/// The task failure the backend absorbed, if any, as the solve's
+/// error at `iteration`.
+fn take_fault<T: Scalar>(planner: &mut Planner<T>, iteration: usize) -> Result<(), SolveError> {
+    match planner.take_fault() {
+        Some(f) => Err(SolveError::TaskFailed {
+            iteration,
+            task: f.task,
+            message: f.message,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The common solve loop; `trace`, when present, receives
-/// per-iteration records and residual samples. A thin wrapper over
-/// [`StepDriver`].
+/// per-iteration records and residual samples.
 fn drive<T: Scalar>(
     planner: &mut Planner<T>,
     solver: &mut dyn Solver<T>,
     control: SolveControl,
     mut trace: Option<&mut SolveTrace>,
 ) -> SolveOutcome {
-    let mut driver = StepDriver::new();
-    if let Some(report) = driver.preflight(planner, solver, &control, trace.as_deref_mut())? {
-        return Ok(report);
+    let mut driver = StepDriver::new(control);
+    loop {
+        if let Some(report) = driver.step(planner, solver, trace.as_deref_mut())? {
+            return Ok(report);
+        }
     }
-    while let StepStatus::Running = driver.step(planner, solver, &control, trace.as_deref_mut())? {}
-    driver.finish(planner, solver, &control, trace)
 }

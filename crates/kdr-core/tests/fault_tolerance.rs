@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    solve, solve_recoverable, Backend, BiCgSolver, BiCgStabSolver, BreakdownKind, CgSolver,
-    CgsSolver, ExecBackend, GmresSolver, MinresSolver, Planner, RecoveryPolicy, SolveControl,
-    SolveError, Solver, StepOutcome, TfqmrSolver, RHS, SOL,
+    solve, solve_recoverable, solve_traced, Backend, BiCgSolver, BiCgStabSolver, BreakdownKind,
+    CgSolver, CgsSolver, ChebyshevSolver, ExecBackend, GmresSolver, MinresSolver, Planner,
+    RecoveryPolicy, SolveControl, SolveError, Solver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
@@ -140,6 +140,40 @@ fn bicgstab_reports_rho_breakdown() {
     }
     let x = planner.read_component(SOL, 0);
     assert!(x.iter().all(|v| v.is_finite()), "non-finite SOL: {x:?}");
+}
+
+/// Chebyshev iteration with bounds far inside the spectrum amplifies
+/// every eigencomponent above them: on lap2d 16² (eigenvalues up to 8)
+/// with `[0.1, 0.2]`, the sampled residual passes 10⁸ times its first
+/// sample within a few iterations, and the driver stops with
+/// `Diverged` at that check rather than running on to overflow.
+#[test]
+fn chebyshev_with_bounds_inside_the_spectrum_reports_divergence() {
+    let (mut planner, _, _) = poisson_planner_with_faults(16, 16, 4, 4, None, false);
+    let mut solver = ChebyshevSolver::with_bounds(&mut planner, 0.1, 0.2);
+    let (outcome, trace) = solve_traced(
+        &mut planner,
+        &mut solver,
+        SolveControl::to_tolerance(1e-10, 200),
+    );
+    let first = trace.residual_history[0].1;
+    let (last, earlier) = trace.residual_history.split_last().expect("sampled");
+    assert!(
+        earlier.iter().all(|&(_, r)| r <= 1e8 * first),
+        "{earlier:?}"
+    );
+    assert_eq!(
+        outcome,
+        Err(SolveError::Diverged {
+            iteration: 6,
+            residual: last.1,
+        })
+    );
+    assert_eq!(last.0, 6);
+    assert!(
+        last.1.is_finite() && last.1 > 1e8 * first,
+        "{last:?} vs {first}"
+    );
 }
 
 /// An injected mid-solve panic surfaces as a structured `TaskFailed`
@@ -421,15 +455,15 @@ fn recovery_reports_zero_restarts_when_healthy() {
 
 /// A scalar is read where it landed: no read task can be poisoned,
 /// so it is the executor's poison set that tells the read a slot's
-/// writer failed. A panicking `dot_partial` poisons
-/// the `dot_reduce` that writes the slot: the read returns NaN
-/// placeholders (for the slots that do hold their values too — the
-/// read is one wait) and records a fault, on 1 and 4 workers, inside
-/// a deferred step and outside — never a hang. A failure the scalars
-/// do not depend on leaves them readable and the fault for later.
+/// writer failed. A panicking `dot_partial` poisons the `dot_reduce`
+/// that writes the slot: the read returns NaN and records a fault, on
+/// 1 and 4 workers — outside a step (`get`), and at the end of a
+/// deferred one, whose failed capture answers every read with NaN (the
+/// slots that do hold their values too) — never a hang. A failure the
+/// scalars do not depend on leaves them readable and the fault for
+/// later.
 #[test]
 fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
-    use kdr_core::ScalarHandle;
     let plan = |name: &str| {
         FaultPlan::seeded(5).with(FaultSpec {
             name_contains: name.into(),
@@ -447,11 +481,14 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         }
         let healthy = planner.scalar(3.0);
         let failed = planner.dot(RHS, RHS);
-        let got = ScalarHandle::get_many(&[&healthy, &failed]);
+        let got = if in_step {
+            let (outcome, got) = planner.step_end(&[&healthy, &failed]);
+            assert_eq!(outcome, StepOutcome::Analyzed, "the failed step is no program");
+            got
+        } else {
+            vec![failed.get()]
+        };
         assert!(got.iter().all(|v| v.is_nan()), "{workers} workers: {got:?}");
-        if in_step {
-            assert_eq!(planner.step_end(&[]).0, StepOutcome::Analyzed, "the read flushed the step");
-        }
         let fault = planner.take_fault().expect("the panic was absorbed");
         assert_eq!(fault.task, "dot_partial");
         assert!(planner.take_fault().is_none());

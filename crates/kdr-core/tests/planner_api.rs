@@ -314,14 +314,13 @@ fn bicgstab_shape_cycle_fits_the_trace_cache() {
     // three shapes.
     let mut p = lap2d_planner(48, false);
     let mut solver = BiCgStabSolver::new(&mut p);
-    let control = fixed_steps(36);
     // `solve_traced`, one iteration at a time: tasks lowered from step
     // operations so far, after each.
-    let (mut driver, mut trace) = (StepDriver::new(), SolveTrace::new());
+    let (mut driver, mut trace) = (StepDriver::new(fixed_steps(36)), SolveTrace::new());
     let mut lowered = Vec::new();
     for _ in 0..36 {
         driver
-            .step(&mut p, &mut solver, &control, Some(&mut trace))
+            .step(&mut p, &mut solver, Some(&mut trace))
             .expect("36 steps do not break down");
         lowered.push(exec_metrics(&mut p));
     }
@@ -367,11 +366,10 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
     for (name, preconditioned, build, captures) in table {
         let mut p = lap2d_planner(24, preconditioned);
         let mut solver = build(&mut p);
-        let control = fixed_steps(40);
-        let (mut driver, mut trace) = (StepDriver::new(), SolveTrace::new());
+        let (mut driver, mut trace) = (StepDriver::new(fixed_steps(40)), SolveTrace::new());
         for _ in 0..40 {
             driver
-                .step(&mut p, solver.as_mut(), &control, Some(&mut trace))
+                .step(&mut p, solver.as_mut(), Some(&mut trace))
                 .unwrap_or_else(|e| panic!("{name}: 40 steps do not break down: {e:?}"));
         }
         let outcomes: Vec<StepOutcome> = trace.iterations.iter().map(|it| it.outcome).collect();

@@ -5,8 +5,9 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    precond, solve, BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ExecBackend, GmresSolver,
-    MinresSolver, PcgSolver, Planner, SolveControl, Solver, RHS, SOL,
+    precond, solve, solve_traced, BiCgSolver, BiCgStabSolver, CancelToken, CgSolver, CgsSolver,
+    ExecBackend, GmresSolver, MinresSolver, PcgSolver, Planner, SolveControl, SolveOutcome,
+    SolveTrace, Solver, StepDriver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_sparse::stencil::rhs_vector;
@@ -473,6 +474,80 @@ fn solvers_are_drop_in_interchangeable() {
         )
         .expect("solve failed");
         assert!(report.converged, "{} failed", solver.name());
+    }
+}
+
+/// `solve_traced` is [`StepDriver::step`] called until it answers. A
+/// solve driven by hand ends in the same report or error with the same
+/// step outcomes and residual history, bit for bit, and it answers in
+/// the call a time-sliced caller counts on: the first for a zero
+/// right-hand side (the already-converged guard) and for a cancelled
+/// token, the one whose check meets the tolerance for a converged run,
+/// and the one after the last iteration for a capped run (GMRES, whose
+/// deferred update the ending call applies).
+#[test]
+fn stepping_the_driver_by_hand_is_solve() {
+    type MakeSolver = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
+    let cg: MakeSolver = |p| Box::new(CgSolver::new(p));
+    let gmres: MakeSolver = |p| Box::new(GmresSolver::with_restart(p, 5));
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = SolveControl {
+        cancel_token: Some(token),
+        ..SolveControl::to_tolerance(1e-10, 500)
+    };
+    let to_tol = SolveControl::to_tolerance(1e-10, 500);
+    // (case, solver, zero right-hand side, control, calls past the
+    // iterations run)
+    let cases = [
+        ("zero rhs", cg, true, to_tol.clone(), 1),
+        ("capped", gmres, false, SolveControl::fixed(12), 1),
+        ("converged", cg, false, to_tol, 0),
+        ("cancelled", cg, false, cancelled, 1),
+    ];
+    for (case, make, zero_rhs, control, extra_calls) in cases {
+        let planner = || {
+            let (mut p, b) = poisson_planner(16, 16, 4, 2);
+            if zero_rhs {
+                p.set_rhs_data(0, &vec![0.0; b.len()]);
+            }
+            let solver = make(&mut p);
+            (p, solver)
+        };
+        let (mut p, mut solver) = planner();
+        let (want, want_trace) = solve_traced(&mut p, solver.as_mut(), control.clone());
+
+        let (mut p, mut solver) = planner();
+        let (mut driver, mut trace) = (StepDriver::new(control), SolveTrace::new());
+        let mut calls = 0;
+        let got = loop {
+            calls += 1;
+            match driver.step(&mut p, solver.as_mut(), Some(&mut trace)) {
+                Ok(None) => {}
+                Ok(Some(report)) => break Ok(report),
+                Err(e) => break Err(e),
+            }
+        };
+
+        let bits = |o: &SolveOutcome| {
+            o.clone()
+                .map(|r| (r.iters, r.final_residual.to_bits(), r.converged))
+        };
+        assert_eq!(bits(&got), bits(&want), "{case}");
+        let history = |t: &SolveTrace| -> Vec<(usize, u64)> {
+            t.residual_history
+                .iter()
+                .map(|&(i, r)| (i, r.to_bits()))
+                .collect()
+        };
+        assert_eq!(history(&trace), history(&want_trace), "{case}");
+        let outcomes =
+            |t: &SolveTrace| -> Vec<_> { t.iterations.iter().map(|i| i.outcome).collect() };
+        assert_eq!(outcomes(&trace), outcomes(&want_trace), "{case}");
+        assert_eq!(calls, driver.iters() + extra_calls, "{case}: {got:?}");
+        if let Ok(report) = got {
+            assert_eq!(report.iters, driver.iters(), "{case}");
+        }
     }
 }
 

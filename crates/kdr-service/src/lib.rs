@@ -23,8 +23,8 @@
 //!   deadline screening ([`RejectReason::DeadlineUnmeetable`]);
 //! - **weighted fair-share scheduling** — a deterministic, seeded
 //!   stride scheduler time-slicing each pool across its tenants at
-//!   iteration granularity (a slice is `slice_iters` iterations of
-//!   one tenant's [`kdr_core::StepDriver`]);
+//!   iteration granularity (a slice is `slice_iters` calls of one
+//!   tenant's [`kdr_core::StepDriver::step`]);
 //! - **plan-cached sessions** — operator registration, dependent
 //!   partitioning, tile-kernel lowering, and captured iteration
 //!   traces persist across jobs, so warm solves skip the expensive

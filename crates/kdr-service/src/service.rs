@@ -11,11 +11,11 @@
 //! [`ShardEngine::run_until_idle`] or [`ShardEngine::run_slices`])
 //! executes admitted jobs by time-slicing the worker pool across
 //! tenants at iteration granularity: each scheduler pick runs at most
-//! `slice_iters` iterations of one tenant's job through a
-//! [`StepDriver`], attributes the slice's runtime spans and counter
-//! deltas to the tenant, and yields back to the scheduler (fencing at
-//! the boundary only when [`ServiceConfig::capture_events`] asks for
-//! it). Parallelism lives *inside* a slice (the runtime's workers
+//! `slice_iters` iterations of one tenant's job — calls of its
+//! [`StepDriver::step`], the loop a blocking solve runs — attributes
+//! the slice's runtime spans and counter deltas to the tenant, and
+//! yields back to the scheduler (fencing at the boundary only when
+//! [`ServiceConfig::capture_events`] asks for it). Parallelism lives *inside* a slice (the runtime's workers
 //! execute each iteration's task DAG concurrently); determinism across
 //! runs comes from the single driver plus the seeded stride scheduler.
 //!
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver, StepStatus};
+use kdr_core::{CancelToken, SolveError, SolveTrace, Solver, StepDriver};
 use kdr_runtime::{Runtime, TaskSpan};
 use kdr_store::{CatalogueKey, SharedCatalogue};
 
@@ -127,7 +127,6 @@ struct ActiveJob {
     driver: Option<StepDriver>,
     solver: Option<Box<dyn Solver<f64>>>,
     ws_mark: usize,
-    preflighted: bool,
     iterations: u64,
     /// Iterations consumed on the *current* RHS by drivers dropped in
     /// a migration; the remaining budget is `max_iters - rhs_done`.
@@ -604,7 +603,6 @@ impl ShardEngine {
                     driver: None,
                     solver: None,
                     ws_mark: 0,
-                    preflighted: false,
                     iterations: 0,
                     rhs_done: 0,
                     resume_sol: None,
@@ -688,9 +686,12 @@ impl ShardEngine {
         }
     }
 
-    /// Step one active job for up to `budget` iterations. Returns
-    /// the iterations actually run and `Some(outcome)` once the
-    /// whole job (all RHS) finished.
+    /// Step one active job for up to `budget` iterations: one
+    /// [`StepDriver::step`] call per iteration, plus the call that
+    /// ends a capped RHS (or answers a new one from the
+    /// already-converged guard) without one. Returns the iterations
+    /// actually run and `Some(outcome)` once the whole job (all RHS)
+    /// finished.
     fn step_slice(
         a: &mut ActiveJob,
         sessions: &mut BTreeMap<SessionId, Session>,
@@ -707,46 +708,25 @@ impl ShardEngine {
                 if a.started_at.is_none() {
                     a.started_at = Some(Instant::now());
                 }
+                // Migration restore: a checkpointed iterate rebuilds
+                // the solver from it (r = b − A·x recomputed by the
+                // constructor — restart semantics).
                 let rhs = &a.request.rhs_batch[a.rhs_idx];
-                let (solver, mark) = match a.resume_sol.take() {
-                    // Migration restore: rebuild the solver from the
-                    // checkpointed iterate (r = b − A·x recomputed by
-                    // the constructor — restart semantics).
-                    Some(sol) => session.begin_solve_resumed(rhs, &sol),
-                    None => session.begin_solve(rhs),
-                };
+                let (solver, mark) = session.begin_solve(rhs, a.resume_sol.take().as_deref());
                 a.solver = Some(solver);
                 a.ws_mark = mark;
-                a.driver = Some(StepDriver::new());
-                a.preflighted = false;
+                let mut control = a.request.control.clone();
+                control.cancel_token = Some(a.token.clone());
+                // A restarted RHS resumes with its remaining budget:
+                // the fresh driver counts from zero, so subtract what
+                // earlier segments already consumed.
+                control.max_iters = control.max_iters.saturating_sub(a.rhs_done);
+                a.driver = Some(StepDriver::new(control));
             }
-            let mut control = a.request.control.clone();
-            control.cancel_token = Some(a.token.clone());
-            // A restarted RHS resumes with its remaining budget: the
-            // fresh driver counts from zero, so subtract what earlier
-            // segments already consumed.
-            control.max_iters = control.max_iters.saturating_sub(a.rhs_done);
-
-            if !a.preflighted {
-                let driver = a.driver.as_mut().expect("installed above");
-                let solver = a.solver.as_mut().expect("installed above");
-                match driver.preflight(session.planner_mut(), solver.as_mut(), &control, a.trace.as_mut()) {
-                    Ok(None) => a.preflighted = true,
-                    Ok(Some(report)) => {
-                        a.last_residual = report.final_residual;
-                        if let Some(out) = Self::advance_rhs(a, session) {
-                            return (ran, Some(out));
-                        }
-                        continue;
-                    }
-                    Err(e) => return (ran, Some(error_outcome(e))),
-                }
-            }
-
             let driver = a.driver.as_mut().expect("installed above");
             let solver = a.solver.as_mut().expect("installed above");
             let before_iters = driver.iters();
-            let status = driver.step(session.planner_mut(), solver.as_mut(), &control, a.trace.as_mut());
+            let status = driver.step(session.planner_mut(), solver.as_mut(), a.trace.as_mut());
             let delta = (driver.iters() - before_iters) as u64;
             a.iterations += delta;
             ran += delta;
@@ -754,36 +734,25 @@ impl ShardEngine {
             if delta > 0 && a.ttfi.is_none() {
                 a.ttfi = Some(a.started_at.expect("set above").elapsed());
             }
-            match status {
-                Ok(StepStatus::Running) => {}
-                Ok(StepStatus::Converged) | Ok(StepStatus::Capped) => {
-                    let drv = a.driver.take().expect("in flight");
-                    let capped = !drv.converged();
-                    let mut solver = a.solver.take().expect("in flight");
-                    match drv.finish(session.planner_mut(), solver.as_mut(), &control, a.trace.as_mut()) {
-                        Ok(report) => {
-                            a.last_residual = report.final_residual;
-                            if capped && !report.converged {
-                                return (
-                                    ran,
-                                    Some(JobOutcome::Capped {
-                                        final_residual: report.final_residual,
-                                    }),
-                                );
-                            }
-                            if let Some(out) = Self::advance_rhs(a, session) {
-                                return (ran, Some(out));
-                            }
-                        }
-                        Err(e) => return (ran, Some(error_outcome(e))),
+            let outcome = match status {
+                Ok(None) => continue,
+                Ok(Some(report)) if report.converged => {
+                    a.last_residual = report.final_residual;
+                    match Self::advance_rhs(a, session) {
+                        Some(out) => out,
+                        None => continue,
                     }
                 }
-                Err(e) => {
-                    a.driver = None;
-                    a.solver = None;
-                    return (ran, Some(error_outcome(e)));
-                }
-            }
+                Ok(Some(report)) => JobOutcome::Capped {
+                    final_residual: report.final_residual,
+                },
+                Err(e) => error_outcome(e),
+            };
+            // The job ends here; its solver goes before the workspace
+            // is released.
+            a.driver = None;
+            a.solver = None;
+            return (ran, Some(outcome));
         }
         (ran, None)
     }
@@ -815,16 +784,9 @@ impl ShardEngine {
 /// the iterate (or installs its own) in `begin_solve`.
 fn prewarm_session(sess: &mut Session) {
     let rhs = vec![1.0; sess.unknowns() as usize];
-    let control = kdr_core::SolveControl::fixed(2);
-    let (mut solver, mark) = sess.begin_solve(&rhs);
-    let mut driver = StepDriver::new();
-    if let Ok(None) = driver.preflight(sess.planner_mut(), solver.as_mut(), &control, None) {
-        while matches!(
-            driver.step(sess.planner_mut(), solver.as_mut(), &control, None),
-            Ok(StepStatus::Running)
-        ) {}
-        let _ = driver.finish(sess.planner_mut(), solver.as_mut(), &control, None);
-    }
+    let (mut solver, mark) = sess.begin_solve(&rhs, None);
+    let mut driver = StepDriver::new(kdr_core::SolveControl::fixed(2));
+    while let Ok(None) = driver.step(sess.planner_mut(), solver.as_mut(), None) {}
     // The solver holds deferred-scalar handles into the backend;
     // drop it before releasing the workspace.
     drop(solver);

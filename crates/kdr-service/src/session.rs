@@ -264,35 +264,31 @@ impl Session {
         &mut self.planner
     }
 
-    /// Start one solve within a job: install the RHS, zero the
-    /// iterate, and build the solver. Returns the solver and the
-    /// workspace mark to release in [`Session::end_solve`].
-    pub fn begin_solve(&mut self, rhs: &[f64]) -> (Box<dyn Solver<f64>>, usize) {
-        self.planner.set_rhs_data(0, rhs);
-        let mark = self.planner.workspace_mark();
-        self.planner.zero(SOL);
-        let solver = self.solver_kind().build(&mut self.planner);
-        (solver, mark)
-    }
-
-    /// [`Session::begin_solve`], but restart from a checkpointed
-    /// iterate instead of zero: the migration restore path. `sol` is
-    /// one slice per solution component, as produced by
-    /// [`Session::snapshot_sol`] on the source shard. The rebuilt
-    /// solver's constructor recomputes `r = b − A·x` from the restored
-    /// iterate — the same restart contract as
-    /// [`kdr_core::solve_recoverable`] — so a migrated continuation is
-    /// numerically identical to a local checkpoint/restart at the same
-    /// iteration.
-    pub fn begin_solve_resumed(
+    /// Start one solve within a job: install the RHS, set the iterate
+    /// and build the solver. Returns the solver and the workspace mark
+    /// to release in [`Session::end_solve`].
+    ///
+    /// The iterate starts at zero, or — the migration restore path — at
+    /// a checkpointed `sol`: one slice per solution component, as
+    /// produced by [`Session::snapshot_sol`] on the source shard. The
+    /// solver's constructor recomputes `r = b − A·x` from it — the
+    /// same restart contract as [`kdr_core::solve_recoverable`] — so a
+    /// migrated continuation is numerically identical to a local
+    /// checkpoint/restart at the same iteration.
+    pub fn begin_solve(
         &mut self,
         rhs: &[f64],
-        sol: &[Vec<f64>],
+        sol: Option<&[Vec<f64>]>,
     ) -> (Box<dyn Solver<f64>>, usize) {
         self.planner.set_rhs_data(0, rhs);
         let mark = self.planner.workspace_mark();
-        for (c, data) in sol.iter().enumerate() {
-            self.planner.set_sol_data(c, data);
+        match sol {
+            Some(sol) => {
+                for (c, data) in sol.iter().enumerate() {
+                    self.planner.set_sol_data(c, data);
+                }
+            }
+            None => self.planner.zero(SOL),
         }
         let solver = self.solver_kind().build(&mut self.planner);
         (solver, mark)

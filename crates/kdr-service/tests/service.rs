@@ -584,7 +584,7 @@ fn twelve_jobs_on_one_session_do_not_age() {
     let mut session = Session::new(rt, 1, spec(16, 16, 4, SolverKind::Cg));
     let rhs = rhs_vector::<f64>(16 * 16, 42);
     let job = |session: &mut Session| {
-        let (mut solver, mark) = session.begin_solve(&rhs);
+        let (mut solver, mark) = session.begin_solve(&rhs, None);
         let (report, trace) = solve_traced(session.planner_mut(), solver.as_mut(), control());
         assert!(report.expect("CG on a Laplacian does not break down").converged);
         drop(solver);

@@ -193,6 +193,15 @@ if grep -rnE 'promise\(|\bPromise\b|PromiseDropped|kdr_runtime::Future|AtomicHis
     echo "ci.sh: crates/ or tests/ names a deleted runtime item again (see above)" >&2
     exit 1
 fi
+# One solve loop (DESIGN §9): `StepDriver::step` is the whole driver,
+# so there is no status to hand back and no preflight / finish call to
+# make by hand; the two health knobs nothing set, `ScalarHandle::get_many`
+# (solvers force scalars through `Planner::step_end`) and the resumed
+# twin of `Session::begin_solve` are gone. None may come back.
+if grep -rnE 'StepStatus|StepDriver::(preflight|finish)|\bpreflight|stagnation_window|divergence_factor|BreakdownKind::Stagnation|ScalarHandle::get_many|\bget_many\b|begin_solve_resumed' crates tests; then
+    echo "ci.sh: crates/ or tests/ names a deleted solve-loop item again (see above)" >&2
+    exit 1
+fi
 # The step's bodies go to the executor as the program's one
 # `Arc<[ProgramBody]>`, with whether the submitter waits for the step
 # next (a waiting submitter takes one ready node itself).
