@@ -15,14 +15,20 @@
 //! A matrix-free stencil tile runs the same kernel over a band built
 //! from geometry, inside footprints dependent partitioning derived from
 //! the operator's relations — two descriptions of one set of entries
-//! that nothing else holds together at this level. The second test is
-//! that check, on pieces that cut grid lines and planes.
+//! that nothing else holds together at this level. The last two tests
+//! are that check, on pieces that cut grid lines and planes. A lap3d27
+//! piece is a box-stencil band, whose forward product sums its
+//! neighbour lines first (`tile.rs`, "One exception"): it reads only
+//! what the piece declares too, but its rows are held to the CSR chain
+//! within the box bound, bitwise to the forced-DIA lowering and across
+//! piece counts, and its CG to within one iteration of forced CSR.
 
 use std::sync::Arc;
 
 use kdr_core::{solve_traced, CgSolver, ExecBackend, Planner, SolveControl, SOL};
 use kdr_index::Partition;
-use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, Triples};
+use kdr_sparse::tile::BOX_STENCIL_EPS_BOUND;
+use kdr_sparse::{Csr, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilTile, Triples};
 
 /// The Laplacian of an `nx × ny` torus (`ny == 1`: a ring of `nx`),
 /// row-major, with the diagonal raised by one so it is positive
@@ -104,14 +110,21 @@ fn apply_bits(p: &mut Planner<f64>, x: &[f64], transpose: bool) -> Vec<u64> {
     bits(&p.read_component(y, 0))
 }
 
-/// CG to 1e-10: the residual history and the solution, as bits.
+/// The tolerance [`cg_bits`] solves to.
+const CG_TOL: f64 = 1e-10;
+
+/// The right-hand side [`cg_bits`] solves for.
+fn cg_rhs(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 1.0 + ((i * 5 + 2) % 11) as f64 * 0.25).collect()
+}
+
+/// CG to [`CG_TOL`]: the residual history and the solution, as bits.
 fn cg_bits(p: &mut Planner<f64>, n: usize) -> (Vec<(usize, u64)>, Vec<u64>) {
-    let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 5 + 2) % 11) as f64 * 0.25).collect();
-    p.set_rhs_data(0, &b);
+    p.set_rhs_data(0, &cg_rhs(n));
     let mut solver = CgSolver::new(p);
     let control = SolveControl {
         max_iters: 300,
-        tol: 1e-10,
+        tol: CG_TOL,
         check_every: 1,
         ..SolveControl::default()
     };
@@ -156,27 +169,108 @@ fn periodic_bands_stay_inside_their_footprint_and_match_csr() {
 
 #[test]
 fn matrix_free_bands_stay_inside_their_footprint_and_match_csr() {
-    for s in [Stencil::lap2d(13, 11), Stencil::lap3d27(7, 6, 5)] {
-        let n = s.unknowns() as usize;
-        let x: Vec<f64> = (0..n).map(|i| 0.25 + ((i * 7 + 3) % 17) as f64 * 0.125).collect();
-        for pieces in [4, 7] {
-            let what = format!("{s:?} in {pieces} pieces");
-            let mut free = stencil_planner(s, pieces, KernelChoice::Auto);
-            let mut csr = stencil_planner(s, pieces, KernelChoice::Force(KernelKind::Csr));
-            for transpose in [false, true] {
-                assert_eq!(
-                    apply_bits(&mut free, &x, transpose),
-                    apply_bits(&mut csr, &x, transpose),
-                    "{what}, transpose {transpose}"
-                );
+    let s = Stencil::lap2d(13, 11);
+    let n = s.unknowns() as usize;
+    let x: Vec<f64> = (0..n).map(|i| 0.25 + ((i * 7 + 3) % 17) as f64 * 0.125).collect();
+    for pieces in [4, 7] {
+        let what = format!("{s:?} in {pieces} pieces");
+        let mut free = stencil_planner(s, pieces, KernelChoice::Auto);
+        let mut csr = stencil_planner(s, pieces, KernelChoice::Force(KernelKind::Csr));
+        for transpose in [false, true] {
+            assert_eq!(
+                apply_bits(&mut free, &x, transpose),
+                apply_bits(&mut csr, &x, transpose),
+                "{what}, transpose {transpose}"
+            );
+        }
+        let built = tiles_by_kernel(&mut free);
+        assert_eq!(built.get("stencil"), Some(&pieces), "{what}: {built:?}");
+        let (free_history, free_x) = cg_bits(&mut free, n);
+        let (csr_history, csr_x) = cg_bits(&mut csr, n);
+        assert!(free_history.len() > 5, "{what}: {} residuals", free_history.len());
+        assert_eq!(free_history, csr_history, "{what}: residual histories");
+        assert_eq!(free_x, csr_x, "{what}: solutions");
+    }
+}
+
+/// The pieces of `n` rows in `pieces` equal blocks that are box-stencil
+/// bands of `s`, as row ranges.
+fn box_pieces(s: Stencil, pieces: usize) -> Vec<std::ops::Range<usize>> {
+    let part = Partition::equal_blocks(s.unknowns(), pieces);
+    let runs = part.pieces().iter().map(|piece| piece.runs()[0]);
+    runs.filter(|run| {
+        let tile = StencilTile::<f64>::new(s, vec![(run.lo, run.hi)]);
+        tile.band().box_stencil.is_some()
+    })
+    .map(|run| run.lo as usize..run.hi as usize)
+    .collect()
+}
+
+#[test]
+fn matrix_free_box_bands_stay_inside_their_footprint_and_near_csr() {
+    // lap3d27 7×6×5: a box band in every piece of 4, and in the five
+    // interior planes of 7 (the first and last plane alone hold 18 of
+    // the 27 diagonals, so they keep the DIA loop). The box rows are
+    // held to the forced-CSR chain within the box bound, and bitwise to
+    // the forced-DIA lowering and across the two piece counts; CG takes
+    // within one iteration of forced CSR.
+    let s = Stencil::lap3d27(7, 6, 5);
+    let n = s.unknowns() as usize;
+    let m: Csr<f64> = s.to_csr();
+    let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 17) as f64 / 3.0 - 2.5).collect();
+    let mut forward = Vec::new();
+    for pieces in [4, 7] {
+        let what = format!("{s:?} in {pieces} pieces");
+        let mut free = stencil_planner(s, pieces, KernelChoice::Auto);
+        let mut dia = stencil_planner(s, pieces, KernelChoice::Force(KernelKind::Dia));
+        let mut csr = stencil_planner(s, pieces, KernelChoice::Force(KernelKind::Csr));
+        let got = apply_bits(&mut free, &x, false);
+        assert_eq!(got, apply_bits(&mut dia, &x, false), "{what}: forced DIA");
+        let want = apply_bits(&mut csr, &x, false);
+        let mut scale = vec![0.0; n];
+        m.spmv(&x.iter().map(|v| v.abs()).collect::<Vec<_>>(), &mut scale);
+        let boxes = box_pieces(s, pieces);
+        assert_eq!(boxes.len(), if pieces == 4 { 4 } else { 5 }, "{what}: {boxes:?}");
+        for i in 0..n {
+            let (g, w) = (f64::from_bits(got[i]), f64::from_bits(want[i]));
+            if boxes.iter().any(|b| b.contains(&i)) {
+                let bound = BOX_STENCIL_EPS_BOUND * f64::EPSILON * scale[i].abs();
+                assert!((g - w).abs() <= bound, "{what}: row {i}: {g:e} against {w:e}");
+            } else {
+                assert_eq!(got[i], want[i], "{what}: row {i} keeps the DIA loop");
             }
-            let built = tiles_by_kernel(&mut free);
-            assert_eq!(built.get("stencil"), Some(&pieces), "{what}: {built:?}");
-            let (free_history, free_x) = cg_bits(&mut free, n);
-            let (csr_history, csr_x) = cg_bits(&mut csr, n);
-            assert!(free_history.len() > 5, "{what}: {} residuals", free_history.len());
-            assert_eq!(free_history, csr_history, "{what}: residual histories");
-            assert_eq!(free_x, csr_x, "{what}: solutions");
+        }
+        forward.push((got, boxes));
+        assert_eq!(
+            apply_bits(&mut free, &x, true),
+            apply_bits(&mut csr, &x, true),
+            "{what}, transpose"
+        );
+        let built = tiles_by_kernel(&mut free);
+        assert_eq!(built.get("stencil"), Some(&pieces), "{what}: {built:?}");
+        let (free_history, free_x) = cg_bits(&mut free, n);
+        let (dia_history, dia_x) = cg_bits(&mut dia, n);
+        assert_eq!((&free_history, &free_x), (&dia_history, &dia_x), "{what}: forced DIA CG");
+        let (csr_history, _) = cg_bits(&mut csr, n);
+        assert!(
+            free_history.len().abs_diff(csr_history.len()) <= 1,
+            "{what}: {} iterations, forced CSR {}",
+            free_history.len(),
+            csr_history.len()
+        );
+        let sol: Vec<f64> = free_x.iter().map(|&b| f64::from_bits(b)).collect();
+        let b = cg_rhs(n);
+        let mut ax = vec![0.0; n];
+        m.spmv(&sol, &mut ax);
+        let resid = b.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum::<f64>().sqrt();
+        let norm = b.iter().map(|b| b * b).sum::<f64>().sqrt();
+        assert!(resid / norm <= 10.0 * CG_TOL, "{what}: true residual {:e}", resid / norm);
+    }
+    let [(four, four_boxes), (seven, seven_boxes)] = &forward[..] else { unreachable!() };
+    for i in 0..n {
+        let boxed = |b: &[std::ops::Range<usize>]| b.iter().any(|r| r.contains(&i));
+        if boxed(four_boxes) && boxed(seven_boxes) {
+            assert_eq!(four[i], seven[i], "row {i} in 4 and in 7 pieces");
         }
     }
 }

@@ -16,14 +16,21 @@
 //!   indices (8 B per entry) while the tiles' footprints are derived.
 //!
 //! The bound is the second reading with a quarter of slack.
+//!
+//! The same allocator counts what each thread allocates, which holds a
+//! box-stencil product (`DiaTile`'s sum-factored forward product) to
+//! none: its line buffer is a fixed array on the stack, and a grid line
+//! longer than the buffer is taken in chunks. The two tests take turns,
+//! so neither's allocations reach the other's high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use kdr_core::{ExecBackend, Planner};
 use kdr_index::Partition;
-use kdr_sparse::{SparseMatrix, Stencil};
+use kdr_sparse::{KernelChoice, SparseMatrix, Stencil, StencilTile, TileKernel};
 
 /// Bytes of the system allocator's blocks now live, and the most that
 /// were live at once since the last [`reset_peak`].
@@ -32,9 +39,18 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes this thread has allocated, ever.
+    static ALLOCATED_HERE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Held by each test for its whole run.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    let _ = ALLOCATED_HERE.try_with(|mine| mine.set(mine.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -74,8 +90,16 @@ fn high_water(f: impl FnOnce()) -> usize {
     PEAK.load(Ordering::Relaxed) - before
 }
 
+/// Bytes the calling thread allocates while `f` runs.
+fn allocated_by(f: impl FnOnce()) -> usize {
+    let before = ALLOCATED_HERE.with(Cell::get);
+    f();
+    ALLOCATED_HERE.with(Cell::get) - before
+}
+
 #[test]
 fn finalize_holds_one_tile_of_entries_at_a_time() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let n = 24;
     let matrix: Arc<dyn SparseMatrix<f64>> =
         Arc::new(Stencil::lap3d27(n, n, n).to_csr::<f64, u64>());
@@ -92,4 +116,45 @@ fn finalize_holds_one_tile_of_entries_at_a_time() {
         per_entry < 12.0,
         "finalize held {per_entry:.1} bytes per entry at peak ({peak} bytes)"
     );
+}
+
+#[test]
+fn a_box_stencil_product_allocates_nothing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // A lap3d27 24³ piece of four, lowered from its entries and built
+    // matrix-free; and a 4 × 4 × 5 000 grid, whose lines are longer
+    // than the product's line buffer.
+    let piece = Stencil::lap3d27(24, 24, 24);
+    let (lo, hi) = (0, piece.unknowns() / 4);
+    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    let mut row = Vec::new();
+    for r in lo..hi {
+        piece.row_entries::<f64>(r, &mut row);
+        for &(c, v) in &row {
+            rows.push(r);
+            cols.push(c);
+            vals.push(v);
+        }
+    }
+    let long_z = Stencil::lap3d27(4, 4, 5000);
+    // The per-thread count sees what this thread allocates.
+    assert!(allocated_by(|| drop(std::hint::black_box(vec![0u8; 64]))) >= 64);
+    let kernels = [
+        (piece, TileKernel::lower(&rows, &cols, &vals, KernelChoice::Auto)),
+        (piece, TileKernel::Stencil(StencilTile::new(piece, vec![(lo, hi)]))),
+        (long_z, TileKernel::Stencil(StencilTile::new(long_z, vec![(0, long_z.unknowns())]))),
+    ];
+    for (s, kernel) in &kernels {
+        let band = match kernel {
+            TileKernel::Dia(band) => band,
+            TileKernel::Stencil(tile) => tile.band(),
+            other => panic!("{s:?} lowered to {:?}", other.kind()),
+        };
+        assert!(band.box_stencil.is_some(), "{s:?} is not a box band");
+        let n = s.unknowns() as usize;
+        let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 3.0).collect();
+        let mut y = vec![0.5; n];
+        let bytes = allocated_by(|| kernel.apply_slices(&x, &mut y, false));
+        assert_eq!(bytes, 0, "{s:?}: the box-stencil product allocated {bytes} bytes");
+    }
 }

@@ -76,7 +76,9 @@ impl Fnv {
     }
 }
 
-/// Every field of a lowered payload, in declaration order.
+/// Every field of a lowered payload, in declaration order — but a
+/// `DiaTile`'s `box_stencil`, which is a function of the offsets,
+/// constants and segment table hashed here.
 fn payload(h: &mut Fnv, k: &TileKernel<f64>) {
     let f64s = |h: &mut Fnv, v: &[f64]| h.array(v.iter().map(|x| x.to_bits()));
     let u64s = |h: &mut Fnv, v: &[u64]| h.array(v.iter().copied());

@@ -52,17 +52,29 @@
 //! # Bitwise contract
 //!
 //! The band is field for field what [`crate::tile::TileKernel::lower`]
-//! with `Force(Dia)` makes of the same rows' assembled entries, so the
-//! family-wide reproducibility contract of [`crate::tile`] holds by
-//! construction: the forward product accumulates each row in ascending
-//! diagonal offset, which is ascending column — the
-//! [`crate::tile::CsrTile::apply`] chain — and the transpose takes
-//! diagonals descending, so each output column receives its
-//! contributions in ascending source-row order. Property tests in
-//! `tests/kernel_prop.rs` enforce the structural equality and
-//! bit-equality against forced-CSR lowering across random grid shapes,
-//! all four stencils, both directions, and tile boundaries straddling
-//! grid planes.
+//! with `Force(Dia)` makes of the same rows' assembled entries — its
+//! box-stencil descriptor included, decided by the one test both share
+//! (`BandBuilder::finish`) — so a matrix-free tile and its assembled
+//! twin compute the same bits, forward and transposed, whichever path
+//! the band takes. Against the CSR chain, what [`crate::tile`] states
+//! of a `DiaTile` holds here too:
+//!
+//! * a band that is not a box stencil (lap1d, lap2d, lap3d7, and a
+//!   lap3d27 band on a grid with an extent of 1 or 2, or one that
+//!   holds fewer than its 27 diagonals), and the transpose of every
+//!   band, accumulate in ascending column — the
+//!   [`crate::tile::CsrTile::apply`] chain, bit for bit;
+//! * the forward product of a lap3d27 box band is sum-factored: each
+//!   row's bits are a function of the operator and `x` alone, the same
+//!   whichever box tile computes the row, and within
+//!   [`crate::tile::BOX_STENCIL_EPS_BOUND`]` · ε · (|y₀| + Σⱼ |aᵢⱼ|
+//!   |xⱼ|)` of the CSR chain. `Force(Csr)` is the exact-bits override.
+//!
+//! Property tests in `tests/kernel_prop.rs` enforce the structural
+//! equality, the bound and the tiling independence, and bit-equality
+//! against forced-CSR lowering everywhere else, across random grid
+//! shapes, all four stencils, both directions, and tile boundaries
+//! straddling grid planes.
 
 use std::collections::BTreeSet;
 
@@ -182,8 +194,10 @@ impl<T: Scalar> StencilTile<T> {
         self.band.nnz()
     }
 
-    /// Execute `y += A x` (or `y += Aᵀ x` when `transpose`), bitwise
-    /// identical to the forced-CSR lowering of the same rows.
+    /// Execute `y += A x` (or `y += Aᵀ x` when `transpose`): bitwise
+    /// the forced-DIA lowering of the same rows, and the forced-CSR one
+    /// too except in the forward product of a box-stencil band, which
+    /// is within the bound of the module docs ("Bitwise contract").
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y, transpose: bool) {
         if transpose {
@@ -198,14 +212,12 @@ impl<T: Scalar> StencilTile<T> {
 mod tests {
     use super::*;
     use crate::stencil::rhs_vector;
-    use crate::tile::{DiaCoef, KernelChoice, KernelKind, TileKernel};
+    use crate::tile::{DiaCoef, KernelChoice, KernelKind, TileKernel, BOX_STENCIL_EPS_BOUND};
+    use crate::triples::xorshift;
 
-    /// Forced-CSR lowering of the stencil's assembled rows restricted
-    /// to `runs` — the bitwise ground truth.
-    fn assembled(s: Stencil, runs: &[(u64, u64)]) -> TileKernel<f64> {
-        let mut rows = Vec::new();
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
+    /// The stencil's assembled rows restricted to `runs`, as triplets.
+    fn triplets(s: Stencil, runs: &[(u64, u64)]) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
         let mut row = Vec::new();
         for &(lo, hi) in runs {
             for r in lo..hi {
@@ -217,29 +229,95 @@ mod tests {
                 }
             }
         }
-        TileKernel::lower(&rows, &cols, &vals, KernelChoice::Force(KernelKind::Csr))
+        (rows, cols, vals)
     }
 
+    /// Forced lowering of the stencil's assembled rows restricted to
+    /// `runs`: `Csr` is the bitwise ground truth.
+    fn assembled(s: Stencil, runs: &[(u64, u64)], kind: KernelKind) -> TileKernel<f64> {
+        let (rows, cols, vals) = triplets(s, runs);
+        TileKernel::lower(&rows, &cols, &vals, KernelChoice::Force(kind))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `y + A x` (or `y + Aᵀ x`) by `apply`, from `0.25` everywhere.
+    fn product(x: &[f64], transpose: bool, apply: impl Fn(&[f64], &mut [f64], bool)) -> Vec<f64> {
+        let mut y = vec![0.25; x.len()];
+        apply(x, &mut y, transpose);
+        y
+    }
+
+    /// The tile of `runs` against the forced-CSR lowering of the same
+    /// rows: bitwise, or — a box band's forward product — within the
+    /// box bound and bitwise equal to the forced-DIA lowering's. Both
+    /// on `rhs_vector` input and on input whose sums round.
     fn check(s: Stencil, runs: Vec<(u64, u64)>) {
         let n = s.unknowns() as usize;
         let tile = StencilTile::<f64>::new(s, runs.clone());
-        let csr = assembled(s, &runs);
+        let csr = assembled(s, &runs, KernelKind::Csr);
+        let dia = assembled(s, &runs, KernelKind::Dia);
         assert_eq!(tile.nnz(), csr.nnz(), "nnz mismatch for {s:?}");
-        let x = rhs_vector::<f64>(n as u64, 3);
-        for transpose in [false, true] {
-            let mut want = vec![0.25; n];
-            let mut got = vec![0.25; n];
-            csr.apply_slices(&x, &mut want, transpose);
-            {
-                let mut yy = &mut got[..];
-                tile.apply(&(&x[..]), &mut yy, transpose);
+        let mut next = xorshift(n as u64);
+        let rounding: Vec<f64> = (0..n).map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5).collect();
+        for x in [rhs_vector::<f64>(n as u64, 3), rounding] {
+            for transpose in [false, true] {
+                let want = product(&x, transpose, |x, y, t| csr.apply_slices(x, y, t));
+                let got = product(&x, transpose, |x, y, t| {
+                    let mut yy = y;
+                    tile.apply(&x, &mut yy, t)
+                });
+                if tile.band().box_stencil.is_none() || transpose {
+                    assert_eq!(bits(&got), bits(&want), "{s:?} transpose {transpose} differs");
+                    continue;
+                }
+                let forced_dia = product(&x, false, |x, y, t| dia.apply_slices(x, y, t));
+                assert_eq!(bits(&got), bits(&forced_dia), "{s:?}: box differs from forced DIA");
+                let scale = product(&x.iter().map(|v| v.abs()).collect::<Vec<_>>(), false, |x, y, t| {
+                    let abs = assembled_abs(s, &runs);
+                    abs.apply_slices(x, y, t)
+                });
+                for (i, ((g, w), m)) in got.iter().zip(&want).zip(&scale).enumerate() {
+                    let bound = BOX_STENCIL_EPS_BOUND * f64::EPSILON * m;
+                    assert!((g - w).abs() <= bound, "{s:?} row {i}: {g:e} against {w:e}");
+                }
             }
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{s:?} transpose {transpose} differs"
-            );
         }
+    }
+
+    /// [`assembled`] with every value made its magnitude: `|y₀| + |A| |x|`
+    /// from `y₀ = 0.25` is the scale of the box bound.
+    fn assembled_abs(s: Stencil, runs: &[(u64, u64)]) -> TileKernel<f64> {
+        let (rows, cols, vals) = triplets(s, runs);
+        let vals: Vec<f64> = vals.iter().map(|v| v.abs()).collect();
+        TileKernel::lower(&rows, &cols, &vals, KernelChoice::Force(KernelKind::Csr))
+    }
+
+    /// Unpreconditioned CG on `apply` from zero to `‖r‖ ≤ tol · ‖b‖`:
+    /// the iterations and the solution.
+    fn cg(apply: impl Fn(&[f64]) -> Vec<f64>, b: &[f64], tol: f64) -> (usize, Vec<f64>) {
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>();
+        let (mut x, mut r, mut p) = (vec![0.0; b.len()], b.to_vec(), b.to_vec());
+        let (mut rr, stop) = (dot(b, b), tol * tol * dot(b, b));
+        for iter in 1..=500 {
+            let q = apply(&p);
+            let alpha = rr / dot(&p, &q);
+            for i in 0..b.len() {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * q[i];
+            }
+            let next = dot(&r, &r);
+            if next <= stop {
+                return (iter, x);
+            }
+            for i in 0..b.len() {
+                p[i] = r[i] + next / rr * p[i];
+            }
+            rr = next;
+        }
+        panic!("CG did not converge");
     }
 
     #[test]
@@ -253,6 +331,47 @@ mod tests {
             let n = s.unknowns();
             check(s, vec![(0, n)]);
         }
+        // lap3d27 3×4×3 is a box band. Its rows keep their bits in 4 and
+        // 7 pieces wherever a piece is a box band too, and CG on it takes
+        // within one iteration of CG on the forced-CSR operator, to a
+        // true residual (by the CSR product) within ten times `tol`.
+        let s = Stencil::lap3d27(3, 4, 3);
+        let n = s.unknowns();
+        let whole = StencilTile::<f64>::new(s, vec![(0, n)]);
+        assert!(whole.band().box_stencil.is_some());
+        let x = rhs_vector::<f64>(n, 5).iter().map(|v| v / 3.0).collect::<Vec<_>>();
+        let one = product(&x, false, |x, y, _| whole.apply(&x, &mut &mut *y, false));
+        for pieces in [4, 7] {
+            let bound = |p: u64| p * n / pieces;
+            let tiles: Vec<_> = (0..pieces)
+                .map(|p| StencilTile::<f64>::new(s, vec![(bound(p), bound(p + 1))]))
+                .collect();
+            let cut = product(&x, false, |x, y, _| {
+                tiles.iter().for_each(|t| t.apply(&x, &mut &mut *y, false))
+            });
+            for t in tiles.iter().filter(|t| t.band().box_stencil.is_some()) {
+                let (lo, hi) = t.rows()[0];
+                let rows = lo as usize..hi as usize;
+                assert_eq!(bits(&cut[rows.clone()]), bits(&one[rows]), "{pieces} pieces");
+            }
+        }
+        let csr = assembled(s, &[(0, n)], KernelKind::Csr);
+        let csr_apply = |x: &[f64]| {
+            let mut y = vec![0.0; x.len()];
+            csr.apply_slices(x, &mut y, false);
+            y
+        };
+        let box_apply = |x: &[f64]| {
+            let mut y = vec![0.0; x.len()];
+            whole.apply(&x, &mut &mut y[..], false);
+            y
+        };
+        let tol = 1e-10;
+        let b = rhs_vector::<f64>(n, 7);
+        let ((box_iters, sol), (csr_iters, _)) = (cg(box_apply, &b, tol), cg(csr_apply, &b, tol));
+        assert!(box_iters.abs_diff(csr_iters) <= 1, "{box_iters} iterations, CSR {csr_iters}");
+        let resid: f64 = b.iter().zip(csr_apply(&sol)).map(|(b, a)| (b - a) * (b - a)).sum();
+        assert!(resid.sqrt() / b.iter().map(|b| b * b).sum::<f64>().sqrt() <= 10.0 * tol);
     }
 
     #[test]

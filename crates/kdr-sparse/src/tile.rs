@@ -53,9 +53,27 @@
 //! which could flip a `-0.0` partial sum to `+0.0`. Lowering falls
 //! back to CSR whenever a specialized layout cannot honor the
 //! contract (duplicate coordinates, imperfect blocks, excessive
-//! padding), so switching kernels can never change a single bit of a
-//! solve. Property tests in `tests/kernel_prop.rs` enforce this for
+//! padding). Property tests in `tests/kernel_prop.rs` enforce this for
 //! every kind, both directions, and degenerate shapes.
+//!
+//! **One exception: the forward product of a box-stencil band.** A
+//! [`DiaTile`] whose band is a 27-point box of two constants (the
+//! lap3d27 operator, `(c₀ − c₁)·I + c₁·T⊗T⊗T`; see [`BoxStencil`])
+//! sums its neighbour lines first and multiplies once, so its rows are
+//! not the CSR chain. What holds for those rows instead:
+//!
+//! * each row's bits are a function of the operator and `x` alone —
+//!   the same in two runs, on any number of workers, and whichever tile
+//!   (of any row range, mid-line cuts included) computes the row, as
+//!   long as that tile is a box-stencil band;
+//! * each entry is within [`BOX_STENCIL_EPS_BOUND`]` · ε · (|y₀| +
+//!   Σⱼ |aᵢⱼ| |xⱼ|)` of the CSR chain, barring overflow and underflow;
+//! * a non-finite `xⱼ` makes exactly the rows non-finite that the CSR
+//!   chain makes non-finite.
+//!
+//! Every other tile, and the transpose of a box band, is bitwise the
+//! CSR chain as above. `KernelChoice::Force(KernelKind::Csr)` is the
+//! exact-bits override for an operator that needs them.
 
 use crate::scalar::Scalar;
 
@@ -551,7 +569,51 @@ pub struct DiaTile<T> {
     /// diagonal) pair stands for at least one entry, so this is never
     /// longer than the tile has entries.
     pub seg_diags: Vec<u32>,
+    /// Set when the band is a box stencil, which its forward product
+    /// then runs sum-factored; decided once, when the band is built.
+    pub box_stencil: Option<BoxStencil<T>>,
 }
+
+/// A band that is a 27-point box stencil of two constants: the
+/// diagonals are the offsets `a + b·n_z + c·plane` for `a, b, c ∈ {−1,
+/// 0, 1}`, the centre holds `c0` and every other diagonal the same bits
+/// `c1`, and each row holds the product `Z × Y × X` of those steps —
+/// `Z` and `Y` clipped exactly at the grid's faces (`k ∈ {0, n_z − 1}`,
+/// `j ∈ {0, plane / n_z − 1}` for row `(i·plane / n_z + j)·n_z + k`),
+/// `X` containing 0 and the same for every row of a plane. Such a row
+/// is `(c0 − c1)·x[r] + c1·Σ x` over its box, which the forward product
+/// computes as line sums (module docs, "One exception").
+///
+/// Detection also asks for non-zero coefficients, `|c1| ≤ |c0|` and a
+/// finite `c0 − c1`: the sign of a zero product and the error bound
+/// ([`BOX_STENCIL_EPS_BOUND`]) rest on them.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct BoxStencil<T> {
+    /// Rows per grid line: the offset of the `±y` lines.
+    pub n_z: usize,
+    /// Rows per grid plane: the offset of the `±x` planes.
+    pub plane: usize,
+    /// The centre coefficient.
+    pub c0: T,
+    /// The coefficient of every off-centre diagonal.
+    pub c1: T,
+}
+
+/// The per-entry bound of a box-stencil row against the CSR chain, in
+/// machine epsilons `ε` of `T`: `|y_box − y_csr| ≤ K · ε · (|y₀| + Σⱼ
+/// |aᵢⱼ| |xⱼ|)`. With `u = ε / 2` and `S = Σⱼ |aᵢⱼ| |xⱼ|`: a box row's
+/// inputs pass through at most six additions (two per axis), the
+/// centre's `c0 − c1` (at most `2|c0|`, as `|c1| ≤ |c0|`) through its own
+/// rounding and the first `mul_add`, and everything through the last —
+/// `13u·S + 2u·|y₀|` to first order; the CSR chain of at most 27
+/// `mul_add`s is within `27u·(|y₀| + S)`. Together `40u = 20ε`, and one
+/// more `ε` covers the second-order terms.
+pub const BOX_STENCIL_EPS_BOUND: f64 = 21.0;
+
+/// Rows of a grid line the box-stencil product sums at a time: its line
+/// buffer is a fixed array of this many rows and one on either side,
+/// and longer lines are taken in chunks (which changes no bit).
+const BOX_LINE_CHUNK: usize = 256;
 
 /// Whether two scalars are the same bits, for the types [`Scalar`]
 /// covers (IEEE floats), using only what the trait offers: equal
@@ -596,6 +658,7 @@ impl<T: Scalar> BandBuilder<T> {
                 seg_rows: Vec::new(),
                 seg_ptr: Vec::new(),
                 seg_diags: Vec::new(),
+                box_stencil: None,
             },
         }
     }
@@ -644,7 +707,8 @@ impl<T: Scalar> BandBuilder<T> {
         }
     }
 
-    /// The band, with no dense column placed yet.
+    /// The band, with no dense column placed yet, and whether it is a
+    /// box stencil (a band with a dense column is not).
     pub(crate) fn finish(self) -> DiaTile<T> {
         let mut band = self.band;
         band.seg_ptr.push(band.seg_diags.len());
@@ -653,8 +717,83 @@ impl<T: Scalar> BandBuilder<T> {
             band.runs.extend_from_slice(of_diag);
         }
         band.run_ptr.push(band.runs.len());
+        band.box_stencil = box_stencil_of(&band);
         band
     }
+}
+
+/// The steps `{−1, 0, 1}` (bits 0–2) a row at coordinate `at` of a
+/// grid axis of extent `n` holds: all three, clipped at the faces.
+fn steps_in_grid(at: usize, n: usize) -> u8 {
+    let below = if at > 0 { 0b001 } else { 0 };
+    let above = if at + 1 < n { 0b100 } else { 0 };
+    below | 0b010 | above
+}
+
+/// `band` as a box stencil, or `None` (see [`BoxStencil`]). Diagonal
+/// `d` of a box band is step `(c, b, a) = (d/9, d/3 % 3, d % 3) − 1`:
+/// its 27 offsets ascend in that order. Linear in the segment table,
+/// and a band of any other diagonal count is refused at once.
+fn box_stencil_of<T: Scalar>(band: &DiaTile<T>) -> Option<BoxStencil<T>> {
+    let offsets = &band.offsets;
+    if offsets.len() != 27 {
+        return None;
+    }
+    let (n_z, plane) = (offsets[16], offsets[22]);
+    if n_z <= 0 || plane <= 0 || plane % n_z != 0 {
+        return None;
+    }
+    let box_offset = |d: i64| (d % 3 - 1) + (d / 3 % 3 - 1) * n_z + (d / 9 - 1) * plane;
+    if (0..27).any(|d| offsets[d] != box_offset(d as i64)) {
+        return None;
+    }
+    let (DiaCoef::Const(c0), DiaCoef::Const(c1)) = (band.coefs[13], band.coefs[0]) else {
+        return None;
+    };
+    let mut off_centre = band.coefs.iter().enumerate().filter(|&(d, _)| d != 13);
+    if off_centre.any(|(_, &c)| !matches!(c, DiaCoef::Const(v) if same_bits(v, c1))) {
+        return None;
+    }
+    let centre_split = c0 - c1;
+    let finite = |v: T| v * T::ZERO == T::ZERO;
+    if c0 == T::ZERO || c1 == T::ZERO || c1.abs() > c0.abs() || !finite(centre_split) {
+        return None;
+    }
+    // Every segment's diagonals are the product of their steps, its
+    // rows clip as the grid does, and its plane's `X` is one.
+    let (n_z, plane) = (n_z as usize, plane as usize);
+    let n_y = plane / n_z;
+    let mut plane_steps: Option<(usize, u8)> = None;
+    let spans = band.seg_ptr.windows(2).map(|w| w[0]..w[1]);
+    for (&(lo, hi), span) in band.seg_rows.iter().zip(spans) {
+        let diags = &band.seg_diags[span];
+        let (mut z, mut y, mut x) = (0u8, 0u8, 0u8);
+        for &d in diags {
+            z |= 1 << (d % 3);
+            y |= 1 << (d / 3 % 3);
+            x |= 1 << (d / 9);
+        }
+        let count = |m: u8| m.count_ones() as usize;
+        if diags.len() != count(z) * count(y) * count(x) || x & 0b010 == 0 {
+            return None;
+        }
+        let first = band.row_lo as usize + lo as usize;
+        let (k, last_k) = (first % n_z, first % n_z + (hi - lo) as usize - 1);
+        let in_one_line = last_k < n_z;
+        if !in_one_line
+            || steps_in_grid(k, n_z) != z
+            || steps_in_grid(last_k, n_z) != z
+            || steps_in_grid(first / n_z % n_y, n_y) != y
+        {
+            return None;
+        }
+        let i = first / plane;
+        match plane_steps {
+            Some((at, steps)) if at == i && steps != x => return None,
+            _ => plane_steps = Some((i, x)),
+        }
+    }
+    Some(BoxStencil { n_z, plane, c0, c1 })
 }
 
 /// Padded-lane (ELLPACK) payload: `width` slots per stored row,
@@ -1029,8 +1168,10 @@ impl<T: Scalar> TileKernel<T> {
     ///
     /// With [`KernelChoice::Auto`] the structure analysis picks; with
     /// [`KernelChoice::Force`] the given kind is used when
-    /// representable (falling back to CSR otherwise, so forcing can
-    /// never change results or lose entries).
+    /// representable (falling back to CSR otherwise, so forcing never
+    /// loses an entry). Every kind computes the CSR chain's bits but
+    /// the forward product of a box-stencil band (module docs), so
+    /// `Force(Csr)` is the exact-bits choice.
     pub fn lower(rows: &[u64], cols: &[u64], vals: &[T], choice: KernelChoice) -> Self {
         Self::lower_with_structure(rows, cols, vals, choice).0
     }
@@ -1362,6 +1503,127 @@ fn fold<T: Scalar, const W: usize>(acc: &mut [T; W], coef: impl Fn(usize) -> T, 
     }
 }
 
+/// One `y`-step of a box-stencil line sum: `u = (l₀ + l₁) + l₂` over the
+/// lines of `x` starting at `starts` (one to three of them), stored into
+/// `sums` when `first` and added to it otherwise — never `0 + u`, which
+/// would turn a `-0.0` sum into `+0.0`.
+#[inline(always)]
+fn add_lines<T: Scalar, X: VecIn<T>>(x: &X, sums: &mut [T], starts: &[usize], first: bool) {
+    let n = sums.len();
+    let lines = [0, 1, 2].map(|q| starts.get(q).and_then(|&at| x.range(at, n)));
+    match (starts.len(), lines) {
+        (1, [Some(a), ..]) => accumulate(sums, first, a.iter().copied()),
+        (2, [Some(a), Some(b), _]) => accumulate(sums, first, a.iter().zip(b).map(|(&a, &b)| a + b)),
+        (3, [Some(a), Some(b), Some(c)]) => accumulate(sums, first, three(a, b, c)),
+        _ => accumulate(
+            sums,
+            first,
+            (0..n).map(|t| {
+                let mut u = x.load(starts[0] + t);
+                for &at in &starts[1..] {
+                    u += x.load(at + t);
+                }
+                u
+            }),
+        ),
+    }
+}
+
+/// The three [`add_lines`] of a line with all nine neighbour lines, in
+/// one pass and with the same bits: `line_at(b, c)` is where the line
+/// of `y`-step `b` and `x`-step `c` (each `0..3`) starts. `false`, with
+/// nothing written, when `x` does not lend a line as a slice.
+#[inline(always)]
+fn add_nine_lines<T: Scalar, X: VecIn<T>>(
+    x: &X,
+    sums: &mut [T],
+    line_at: impl Fn(usize, usize) -> usize,
+) -> bool {
+    let n = sums.len();
+    let mut lines: [&[T]; 9] = [&[]; 9];
+    for (q, line) in lines.iter_mut().enumerate() {
+        match x.range(line_at(q / 3, q % 3), n) {
+            Some(l) => *line = l,
+            None => return false,
+        }
+    }
+    let [a0, a1, a2, b0, b1, b2, c0, c1, c2] = lines;
+    let rows = three(a0, a1, a2).zip(three(b0, b1, b2)).zip(three(c0, c1, c2));
+    for (s, ((below, level), above)) in sums.iter_mut().zip(rows) {
+        *s = (below + level) + above;
+    }
+    true
+}
+
+/// `(l₀[t] + l₁[t]) + l₂[t]`, for each `t` of the shortest line.
+#[inline(always)]
+fn three<'a, T: Scalar>(l0: &'a [T], l1: &'a [T], l2: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    l0.iter().zip(l1).zip(l2).map(|((&p, &q), &r)| (p + q) + r)
+}
+
+/// `sums[t] = u[t]` when `first`, `sums[t] + u[t]` otherwise, over all
+/// of `sums`; `u` yields at least that many.
+#[inline(always)]
+fn accumulate<T: Scalar>(sums: &mut [T], first: bool, u: impl Iterator<Item = T>) {
+    if first {
+        sums.iter_mut().zip(u).for_each(|(s, u)| *s = u);
+    } else {
+        sums.iter_mut().zip(u).for_each(|(s, u)| *s += u);
+    }
+}
+
+/// The `z` pass of a box-stencil chunk: rows `[k, k_hi)` of the line at
+/// `base` (`n_z` rows), with `sums` the line sums from row
+/// `max(k, 1) − 1`. Each row is `c1·z + (centre·x[r] + y[r])`, `z` the
+/// sum of its one to three neighbours' line sums, lowest first.
+#[inline(always)]
+fn z_pass<T: Scalar, X: VecIn<T>, Y: VecOut<T>>(
+    x: &X,
+    y: &mut Y,
+    sums: &[T],
+    (base, k, k_hi, n_z): (usize, usize, usize, usize),
+    (centre, c1): (T, T),
+) {
+    let (rows, row0) = (k_hi - k, base + k);
+    // Row `k + t` is sum `at + t`; the line's first and last rows lack
+    // one neighbour.
+    let at = usize::from(k > 0);
+    let z = |t: usize| {
+        let s = if k + t > 0 { sums[at + t - 1] + sums[at + t] } else { sums[at + t] };
+        if k + t + 1 < n_z {
+            s + sums[at + t + 1]
+        } else {
+            s
+        }
+    };
+    match (x.range(row0, rows), y.range_mut(row0, rows)) {
+        (Some(xs), Some(ys)) => {
+            let head = usize::from(k == 0);
+            let body = head..rows - usize::from(k_hi == n_z);
+            for t in (0..head).chain(body.end..rows) {
+                ys[t] = c1.mul_add(z(t), centre.mul_add(xs[t], ys[t]));
+            }
+            // Interior rows, as zipped slices, which vectorizes.
+            let len = body.len();
+            let (below, mid, above) = (
+                &sums[at + body.start - 1..][..len],
+                &sums[at + body.start..][..len],
+                &sums[at + body.start + 1..][..len],
+            );
+            let rows = ys[body.clone()].iter_mut().zip(&xs[body]);
+            for ((y, &x), z) in rows.zip(three(below, mid, above)) {
+                *y = c1.mul_add(z, centre.mul_add(x, *y));
+            }
+        }
+        _ => {
+            for t in 0..rows {
+                let row = row0 + t;
+                y.store(row, c1.mul_add(z(t), centre.mul_add(x.load(row), y.load(row))));
+            }
+        }
+    }
+}
+
 impl<T> DiaTile<T> {
     /// Entries the band stands for: the rows of its runs.
     pub(crate) fn nnz(&self) -> usize {
@@ -1370,6 +1632,17 @@ impl<T> DiaTile<T> {
 }
 
 impl<T: Scalar> DiaTile<T> {
+    /// `y += A x`: sum-factored, line by line, for a box-stencil band
+    /// ([`DiaTile::box_stencil`]), and row-segment-major for every
+    /// other (`apply_segments`).
+    #[inline]
+    pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
+        match self.box_stencil {
+            Some(stencil) => self.apply_box(stencil, x, y),
+            None => self.apply_segments(x, y),
+        }
+    }
+
     /// `y += A x`, row-segment-major: a segment's rows are taken in
     /// blocks; a block of `y` is loaded into accumulators once, the
     /// segment's diagonals are folded in ascending as
@@ -1392,7 +1665,7 @@ impl<T: Scalar> DiaTile<T> {
     /// recomputed rows *behind* it would reload `y` the block before
     /// has just stored, a load that waits for that store.
     #[inline]
-    pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
+    fn apply_segments<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
         // Of `n` leading rows of a `len`-row segment, what blocks of
         // `w` rows leave over: (rows kept by one more block of `w`,
         // rows handed down to narrower blocks) — one of them 0.
@@ -1511,6 +1784,65 @@ impl<T: Scalar> DiaTile<T> {
                 ys[keep - half..].copy_from_slice(&out[keep - half..keep]);
             }
             None => (0..keep).for_each(|k| y.store(row0 + k, acc[k])),
+        }
+    }
+
+    /// `y += A x` for a box-stencil band, a grid line at a time: the
+    /// segments that follow one another inside a line are one run of
+    /// output rows `[k, end)` of line `(i, j)`. Per chunk of the run,
+    /// the neighbour lines are summed into `sums` over the rows the run
+    /// reads, `[k − 1, end + 1)` clipped to the line — per `y`-step `b`
+    /// `u_b = (x[i−1] + x[i]) + x[i+1]`, then `(u_{−1} + u_0) + u_1`,
+    /// each missing term left out — and a `z` pass forms each row as
+    /// `c1·((s[k−1] + s[k]) + s[k+1]) + ((c0 − c1)·x[r] + y[r])`, two
+    /// `mul_add`s. A row's steps are those detection checked, so every
+    /// `x` it reads is one some entry of the run reads, and its bits
+    /// depend on nothing but its box and `x`.
+    fn apply_box<X: VecIn<T>, Y: VecOut<T>>(&self, stencil: BoxStencil<T>, x: &X, y: &mut Y) {
+        let BoxStencil { n_z, plane, c0, c1 } = stencil;
+        let n_y = plane / n_z;
+        let centre = c0 - c1;
+        let row_lo = self.row_lo as usize;
+        let mut sums = [T::ZERO; BOX_LINE_CHUNK + 2];
+        let mut seg = 0;
+        while seg < self.seg_rows.len() {
+            let (lo, mut hi) = self.seg_rows[seg];
+            // A plane's `X` steps are one: this segment's first and last
+            // diagonals carry its lowest and highest.
+            let diags = &self.seg_diags[self.seg_ptr[seg]..self.seg_ptr[seg + 1]];
+            let x_steps = (diags[0] as usize / 9, diags[diags.len() - 1] as usize / 9);
+            let line = (row_lo + lo as usize) / n_z;
+            seg += 1;
+            while seg < self.seg_rows.len()
+                && self.seg_rows[seg].0 == hi
+                && (row_lo + hi as usize) / n_z == line
+            {
+                hi = self.seg_rows[seg].1;
+                seg += 1;
+            }
+            let j = line % n_y;
+            let y_steps = (usize::from(j == 0), if j + 1 < n_y { 2 } else { 1 });
+            let base = line * n_z;
+            let (mut k, end) = (row_lo + lo as usize - base, row_lo + hi as usize - base);
+            while k < end {
+                let k_hi = end.min(k + BOX_LINE_CHUNK);
+                // The line sums over the rows the chunk reads.
+                let from = k.saturating_sub(1);
+                let s = &mut sums[..(k_hi + 1).min(n_z) - from];
+                let line_at = |b: usize, c: usize| base + from + b * n_z + c * plane - n_z - plane;
+                let whole = x_steps == (0, 2) && y_steps == (0, 2);
+                if !(whole && add_nine_lines(x, s, line_at)) {
+                    for b in y_steps.0..=y_steps.1 {
+                        let mut starts = [0usize; 3];
+                        for (at, c) in starts.iter_mut().zip(x_steps.0..=x_steps.1) {
+                            *at = line_at(b, c);
+                        }
+                        add_lines(x, s, &starts[..=x_steps.1 - x_steps.0], b == y_steps.0);
+                    }
+                }
+                z_pass(x, y, s, (base, k, k_hi, n_z), (centre, c1));
+                k = k_hi;
+            }
         }
     }
 

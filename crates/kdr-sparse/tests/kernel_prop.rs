@@ -12,6 +12,8 @@
 //! so a kernel's slice path and its elementwise path are both held to
 //! the reference.
 
+use kdr_sparse::tile::BOX_STENCIL_EPS_BOUND;
+use kdr_sparse::triples::xorshift;
 use kdr_sparse::{
     KernelChoice, KernelKind, Stencil, StencilTile, TileKernel, TileStructure, VecIn, VecOut,
 };
@@ -307,16 +309,9 @@ fn arb_stencil_tile() -> impl Strategy<Value = (Stencil, Vec<(u64, u64)>)> {
     })
 }
 
-/// Bitwise-check a [`StencilTile`] against the forced-CSR lowering of
-/// the same rows' generated entries, both directions, over slices and
-/// over views that lend none; and hold its band, field for field, to
-/// the forced-DIA lowering of those entries wherever that lowering is
-/// representable (rows scattered too far apart fall back to CSR).
-fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
-    let n = s.unknowns() as usize;
-    let mut tr = Vec::new();
-    let mut tc = Vec::new();
-    let mut tv = Vec::new();
+/// The generated entries of `rows` of `s`, as triplets.
+fn stencil_triplets(s: Stencil, rows: &[(u64, u64)]) -> Trip {
+    let (mut tr, mut tc, mut tv) = (Vec::new(), Vec::new(), Vec::new());
     let mut scratch: Vec<(u64, f64)> = Vec::new();
     for &(lo, hi) in rows {
         for r in lo..hi {
@@ -328,10 +323,25 @@ fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
             }
         }
     }
+    (tr, tc, tv)
+}
+
+/// Check a [`StencilTile`] against the forced-CSR lowering of the same
+/// rows' generated entries, both directions, over slices and over views
+/// that lend none; and hold its band, field for field, to the
+/// forced-DIA lowering of those entries wherever that lowering is
+/// representable (rows scattered too far apart fall back to CSR). A
+/// box-stencil band's forward product is held to the CSR chain within
+/// the box bound, on dyadic and on random inputs, and bitwise to the
+/// forced-DIA lowering's; every other product, bitwise to CSR.
+fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
+    let n = s.unknowns() as usize;
+    let (tr, tc, tv) = stencil_triplets(s, rows);
     let csr = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Csr));
     let tile = StencilTile::new(s, rows.to_vec());
+    let is_box = tile.band().box_stencil.is_some();
     let dia = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Dia));
-    if let TileKernel::Dia(want) = dia {
+    if let TileKernel::Dia(want) = &dia {
         let band = tile.band();
         let what = format!("{s:?} rows {rows:?}: band differs from the forced-DIA lowering in");
         assert_eq!(band.row_lo, want.row_lo, "{what} row_lo");
@@ -343,28 +353,61 @@ fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
         assert_eq!(band.seg_rows, want.seg_rows, "{what} seg_rows");
         assert_eq!(band.seg_ptr, want.seg_ptr, "{what} seg_ptr");
         assert_eq!(band.seg_diags, want.seg_diags, "{what} seg_diags");
+        assert_eq!(band.box_stencil, want.box_stencil, "{what} box_stencil");
         assert!(band.vals.is_empty() && want.vals.is_empty(), "{what} vals");
+    } else {
+        assert!(!is_box, "{s:?} rows {rows:?}: a box band whose forced DIA falls back");
     }
     let matfree = TileKernel::Stencil(tile);
     assert_eq!(matfree.nnz(), tv.len(), "descriptor nnz disagrees with generator");
-    let x: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * i as f64).collect();
-    for transpose in [false, true] {
-        let mut want = vec![0.125; n];
-        let mut got = vec![0.125; n];
-        csr.apply_slices(&x, &mut want, transpose);
-        matfree.apply_slices(&x, &mut got, transpose);
-        let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            got_bits, want_bits,
-            "{s:?} rows {rows:?} transpose {transpose}: matrix-free diverges from CSR"
-        );
-        let mut got = vec![0.125; n];
-        matfree.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), transpose);
-        let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            got_bits, want_bits,
-            "{s:?} rows {rows:?} transpose {transpose}: matrix-free diverges on views that lend no slices"
+    let dyadic: Vec<f64> = (0..n).map(|i| 0.25 + 0.5 * i as f64).collect();
+    for x in [dyadic, random_vector(n, n as u64 + tv.len() as u64)] {
+        for transpose in [false, true] {
+            let what = format!("{s:?} rows {rows:?} transpose {transpose}");
+            let mut want = vec![0.125; n];
+            csr.apply_slices(&x, &mut want, transpose);
+            let mut got = vec![0.125; n];
+            matfree.apply_slices(&x, &mut got, transpose);
+            let mut by_element = vec![0.125; n];
+            matfree.apply(&Elementwise(&x), &mut ElementwiseMut(&mut by_element), transpose);
+            assert_eq!(bits(&by_element), bits(&got), "{what}: views that lend no slices differ");
+            if is_box && !transpose {
+                let mut forced_dia = vec![0.125; n];
+                dia.apply_slices(&x, &mut forced_dia, false);
+                assert_eq!(bits(&got), bits(&forced_dia), "{what}: matrix-free differs from forced DIA");
+                let trip = (tr.clone(), tc.clone(), tv.clone());
+                assert_within_box_bound(&trip, &x, &vec![0.125; n], &got, &want, &what);
+            } else {
+                assert_eq!(bits(&got), bits(&want), "{what}: matrix-free diverges from CSR");
+            }
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `n` values uniform in `[−0.5, 0.5)` with 53 significant bits, from
+/// `seed`: sums of them round, so a reassociated sum shows.
+fn random_vector(n: usize, seed: u64) -> Vec<f64> {
+    let mut next = xorshift(0x2545_f491_4f6c_dd1d ^ seed);
+    (0..n).map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5).collect()
+}
+
+/// Each entry of the box product `got` within the bound of the module
+/// docs of the CSR chain `want`, both of `y₀ + A x` for the triplets:
+/// `|got − want| ≤ K · ε · (|y₀| + Σⱼ |aᵢⱼ| |xⱼ|)`.
+fn assert_within_box_bound((rows, cols, vals): &Trip, x: &[f64], y0: &[f64], got: &[f64], want: &[f64], what: &str) {
+    let mut scale: Vec<f64> = y0.iter().map(|v| v.abs()).collect();
+    for ((&i, &j), &v) in rows.iter().zip(cols).zip(vals) {
+        scale[i as usize] += (v * x[j as usize]).abs();
+    }
+    for (i, ((&g, &w), &m)) in got.iter().zip(want).zip(&scale).enumerate() {
+        let bound = BOX_STENCIL_EPS_BOUND * f64::EPSILON * m;
+        assert!(
+            (g - w).abs() <= bound,
+            "{what}: row {i} is {g:e}, the CSR chain {w:e}: off by more than {bound:e}"
         );
     }
 }
@@ -411,7 +454,7 @@ proptest! {
     }
 
     #[test]
-    fn stencil_tile_matches_csr_bitwise((s, rows) in arb_stencil_tile()) {
+    fn stencil_tile_matches_csr((s, rows) in arb_stencil_tile()) {
         check_stencil_tile(s, &rows);
     }
 
@@ -627,4 +670,310 @@ fn rows_stored_by_length_reverse_the_row_order_and_keep_every_bit() {
     assert_eq!(ascending, (0..24).collect::<Vec<u64>>());
     check_all_lowerings(&r, &c, &v);
     check_all_lowerings_onto(&r, &c, &v, -0.0);
+}
+
+// ----- box-stencil bands: sum-factored, within a bound of CSR ---------
+
+/// A lap3d27 grid with `n_y, n_z ≥ 3` (so its bands can be boxes) and
+/// row runs over it that start and end anywhere, mid-line included.
+fn arb_box_grid() -> impl Strategy<Value = (Stencil, Vec<(u64, u64)>)> {
+    (1u64..6, 3u64..7, 3u64..11).prop_flat_map(|(nx, ny, nz)| {
+        let s = Stencil::lap3d27(nx, ny, nz);
+        let n = s.unknowns();
+        prop::collection::vec((0..n, 1..n + 1), 1..4).prop_map(move |seed| {
+            let mut runs: Vec<(u64, u64)> =
+                seed.into_iter().map(|(lo, len)| (lo, (lo + len).min(n))).collect();
+            runs.sort_unstable();
+            let mut rows: Vec<(u64, u64)> = Vec::new();
+            for (lo, hi) in runs {
+                let lo = rows.last().map_or(lo, |&(_, prev_hi)| lo.max(prev_hi + 1));
+                if lo < hi {
+                    rows.push((lo, hi));
+                }
+            }
+            (s, rows)
+        })
+    })
+}
+
+/// `y₀ + A x` by `kernel`, forward, from `y0`.
+fn product(kernel: &TileKernel<f64>, x: &[f64], y0: &[f64]) -> Vec<f64> {
+    let mut y = y0.to_vec();
+    kernel.apply_slices(x, &mut y, false);
+    y
+}
+
+/// Whether a lowered or matrix-free kernel runs its forward product as
+/// a box stencil.
+fn takes_box_path(kernel: &TileKernel<f64>) -> bool {
+    match kernel {
+        TileKernel::Dia(t) => t.box_stencil.is_some(),
+        TileKernel::Stencil(t) => t.band().box_stencil.is_some(),
+        _ => false,
+    }
+}
+
+/// The rows of `s` in `pieces` equal blocks (the first `n % pieces` one
+/// row longer), as one run each.
+fn equal_pieces(s: Stencil, pieces: u64) -> Vec<Vec<(u64, u64)>> {
+    let n = s.unknowns();
+    let bound = |p: u64| p * (n / pieces) + p.min(n % pieces);
+    (0..pieces).map(|p| vec![(bound(p), bound(p + 1))]).filter(|r| r[0].0 < r[0].1).collect()
+}
+
+/// `y₀ + A x` over the whole operator, each tile of `tiling` lowered
+/// (`Auto`) or built matrix-free; and per row whether its tile took the
+/// box path.
+fn tiled_product(
+    s: Stencil,
+    tiling: &[Vec<(u64, u64)>],
+    matrix_free: bool,
+    x: &[f64],
+    y0: &[f64],
+) -> (Vec<f64>, Vec<bool>) {
+    let mut y = y0.to_vec();
+    let mut boxed = vec![false; y.len()];
+    for rows in tiling {
+        let kernel = if matrix_free {
+            TileKernel::Stencil(StencilTile::new(s, rows.clone()))
+        } else {
+            let (r, c, v) = stencil_triplets(s, rows);
+            TileKernel::lower(&r, &c, &v, KernelChoice::Auto)
+        };
+        kernel.apply_slices(x, &mut y, false);
+        if takes_box_path(&kernel) {
+            for &(lo, hi) in rows {
+                boxed[lo as usize..hi as usize].iter_mut().for_each(|b| *b = true);
+            }
+        }
+    }
+    (y, boxed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) Every entry of a box band's product, lowered or matrix-free,
+    /// is within the stated bound of the forced-CSR chain on random
+    /// inputs; a band that is not a box is bitwise the chain.
+    #[test]
+    fn box_bands_stay_within_the_bound_of_csr((s, rows) in arb_box_grid()) {
+        let n = s.unknowns() as usize;
+        let trip = stencil_triplets(s, &rows);
+        let (r, c, v) = &trip;
+        let csr = TileKernel::lower(r, c, v, KernelChoice::Force(KernelKind::Csr));
+        let x = random_vector(n, 1 + n as u64);
+        let y0 = random_vector(n, 2 + v.len() as u64);
+        let want = product(&csr, &x, &y0);
+        // Forced, since `Auto` may pick another kind for runs far apart.
+        let lowered = TileKernel::lower(r, c, v, KernelChoice::Force(KernelKind::Dia));
+        let matrix_free = TileKernel::Stencil(StencilTile::new(s, rows.clone()));
+        if lowered.kind() == Some(KernelKind::Dia) {
+            prop_assert_eq!(takes_box_path(&lowered), takes_box_path(&matrix_free));
+        }
+        for kernel in [&lowered, &matrix_free] {
+            let got = product(kernel, &x, &y0);
+            let what = format!("{s:?} rows {rows:?} as {:?}", kernel.kind());
+            if takes_box_path(kernel) {
+                assert_within_box_bound(&trip, &x, &y0, &got, &want, &what);
+            } else {
+                prop_assert_eq!(bits(&got), bits(&want), "{}", what);
+            }
+        }
+    }
+
+    /// (b) A row the box path computes has the same bits whichever tile
+    /// computes it — the whole operator, 4 or 7 equal pieces, or random
+    /// runs that start and end mid-line, lowered or matrix-free, over
+    /// slices or views that lend none — and the same bits in a second
+    /// run.
+    #[test]
+    fn box_rows_keep_their_bits_under_every_tiling((s, runs) in arb_box_grid()) {
+        let n = s.unknowns() as usize;
+        let x = random_vector(n, 3 + n as u64);
+        let y0 = random_vector(n, 4 + runs.len() as u64);
+        // The random runs and the rows between them, as tiles of their own.
+        let mut cut = Vec::new();
+        let mut at = 0;
+        for &(lo, hi) in &runs {
+            if at < lo {
+                cut.push(vec![(at, lo)]);
+            }
+            cut.push(vec![(lo, hi)]);
+            at = hi;
+        }
+        if at < n as u64 {
+            cut.push(vec![(at, n as u64)]);
+        }
+        let tilings = [equal_pieces(s, 1), equal_pieces(s, 4), equal_pieces(s, 7), cut];
+        // The reference is the whole operator matrix-free: a band of
+        // constants whatever `Auto` would make of a small grid's entries.
+        let (whole, whole_boxed) = tiled_product(s, &tilings[0], true, &x, &y0);
+        prop_assert_eq!(bits(&whole), bits(&tiled_product(s, &tilings[0], true, &x, &y0).0));
+        if s.nx >= 3 {
+            prop_assert!(whole_boxed.iter().all(|&b| b), "{:?} whole is not a box", s);
+        }
+        // Views that lend no slices sum the lines element by element:
+        // the same bits.
+        let whole_tile = TileKernel::Stencil(StencilTile::new(s, tilings[0][0].clone()));
+        let mut by_element = y0.clone();
+        whole_tile.apply(&Elementwise(&x), &mut ElementwiseMut(&mut by_element), false);
+        let by_slices = product(&whole_tile, &x, &y0);
+        prop_assert_eq!(bits(&by_element), bits(&by_slices), "{:?} on views that lend no slices", s);
+        for tiling in &tilings {
+            for matrix_free in [false, true] {
+                let (y, boxed) = tiled_product(s, tiling, matrix_free, &x, &y0);
+                let again = tiled_product(s, tiling, matrix_free, &x, &y0).0;
+                prop_assert_eq!(bits(&y), bits(&again), "two runs of {:?} differ", tiling);
+                for i in 0..n {
+                    if boxed[i] && whole_boxed[i] {
+                        prop_assert_eq!(
+                            y[i].to_bits(), whole[i].to_bits(),
+                            "{:?} row {} under {:?} (matrix-free {})", s, i, tiling, matrix_free
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// (c) A non-finite `xⱼ` — infinite of either sign or NaN — anywhere in
+/// the grid makes exactly the rows non-finite that it makes
+/// non-finite in the CSR chain.
+#[test]
+fn a_non_finite_input_poisons_the_rows_it_poisons_in_csr() {
+    let s = Stencil::lap3d27(5, 6, 7);
+    let n = s.unknowns() as usize;
+    let (r, c, v) = stencil_triplets(s, &[(0, n as u64)]);
+    let csr = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+    let boxed = TileKernel::lower(&r, &c, &v, KernelChoice::Auto);
+    assert!(takes_box_path(&boxed));
+    let y0 = random_vector(n, 5);
+    for (q, bad) in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].into_iter().enumerate() {
+        // A corner, an edge, a face and an interior point, and more.
+        for j in [0, 6, 41, 100, 104, n / 2, n - 1].map(|j| (j + q) % n) {
+            let mut x = random_vector(n, 6 + j as u64);
+            x[j] = bad;
+            let want = product(&csr, &x, &y0);
+            let got = product(&boxed, &x, &y0);
+            let finite = |y: &[f64]| y.iter().map(|v| v.is_finite()).collect::<Vec<_>>();
+            assert_eq!(finite(&got), finite(&want), "x[{j}] = {bad}");
+            assert!(want.iter().any(|v| !v.is_finite()));
+        }
+    }
+}
+
+/// (d) Bands that are nearly a box keep the DIA loop, bit for bit: each
+/// lowers to `Dia` with no box descriptor and its forward product is
+/// the CSR chain on random inputs.
+#[test]
+fn near_box_bands_keep_the_dia_loop_bitwise() {
+    let box_grid = Stencil::lap3d27(5, 5, 6);
+    let whole = |s: Stencil| stencil_triplets(s, &[(0, s.unknowns())]);
+    let (nz, plane) = (6i64, 30i64);
+    let offset_of = |r: &u64, c: &u64| *c as i64 - *r as i64;
+    let with = |f: &dyn Fn(i64, usize, f64) -> f64| -> Trip {
+        let (r, c, v) = whole(box_grid);
+        let v = r.iter().zip(&c).zip(&v).enumerate().map(|(e, ((r, c), &v))| f(offset_of(r, c), e, v)).collect();
+        (r, c, v)
+    };
+    let ulp_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+    let mut cases: Vec<(String, Trip)> = vec![
+        ("one off-centre diagonal one ulp off".into(), with(&|d, _, v| if d == plane - 1 { ulp_up(v) } else { v })),
+        ("off-centre +0.0".into(), with(&|d, _, v| if d == 0 { v } else { 0.0 })),
+        ("off-centre -0.0".into(), with(&|d, _, v| if d == 0 { v } else { -0.0 })),
+        ("centre +0.0".into(), with(&|d, _, v| if d == 0 { 0.0 } else { v })),
+        ("centre -0.0".into(), with(&|d, _, v| if d == 0 { -0.0 } else { v })),
+        ("|c1| > |c0|".into(), with(&|d, _, v| if d == 0 { 0.5 } else { v })),
+        ("one dense diagonal".into(), with(&|d, e, v| if d == nz + 1 { v - e as f64 / 7.0 } else { v })),
+    ];
+    // An interior row missing one of its entries.
+    let (mut r, mut c, mut v) = whole(box_grid);
+    let interior = (2 * plane + 2 * nz + 3) as u64;
+    let gone = r.iter().zip(&c).position(|(&i, &j)| i == interior && j == interior + 1).unwrap();
+    for a in [&mut r, &mut c] {
+        a.remove(gone);
+    }
+    v.remove(gone);
+    cases.push(("an interior row missing an entry".into(), (r, c, v)));
+    for s in [
+        Stencil::lap3d27(4, 4, 2),
+        Stencil::lap3d27(4, 2, 4),
+        Stencil::lap3d27(4, 1, 5),
+        Stencil::lap3d27(4, 5, 1),
+        Stencil::lap3d7(5, 5, 6),
+        Stencil::lap2d(9, 8),
+    ] {
+        cases.push((format!("{s:?}"), whole(s)));
+    }
+    for (what, (r, c, v)) in cases {
+        let n = r.iter().chain(&c).max().map_or(0, |&m| m as usize + 1);
+        let dia = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+        let TileKernel::Dia(band) = &dia else { panic!("{what}: lowered to {:?}", dia.kind()) };
+        assert_eq!(band.box_stencil, None, "{what}: taken for a box");
+        let csr = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+        let (x, y0) = (random_vector(n, 7), random_vector(n, 8));
+        assert_eq!(bits(&product(&dia, &x, &y0)), bits(&product(&csr, &x, &y0)), "{what}");
+    }
+    // The unmodified grid is a box: the cases above are near misses.
+    let (r, c, v) = whole(box_grid);
+    assert!(takes_box_path(&TileKernel::lower(&r, &c, &v, KernelChoice::Auto)));
+}
+
+/// Unpreconditioned CG on `y = A x` by `apply`, from zero, to
+/// `‖r‖ ≤ tol · ‖b‖`: the iterations taken and the solution.
+fn cg(apply: &dyn Fn(&[f64]) -> Vec<f64>, b: &[f64], tol: f64) -> (usize, Vec<f64>) {
+    let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>();
+    let mut x = vec![0.0; b.len()];
+    let (mut r, mut p) = (b.to_vec(), b.to_vec());
+    let (mut rr, stop) = (dot(b, b), tol * tol * dot(b, b));
+    for iter in 1..=2000 {
+        let q = apply(&p);
+        let alpha = rr / dot(&p, &q);
+        for i in 0..b.len() {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * q[i];
+        }
+        let next = dot(&r, &r);
+        if next <= stop {
+            return (iter, x);
+        }
+        for i in 0..b.len() {
+            p[i] = r[i] + next / rr * p[i];
+        }
+        rr = next;
+    }
+    panic!("CG did not converge");
+}
+
+/// CG over box tiles — the whole operator, 4 and 7 pieces, lowered and
+/// matrix-free — takes within one iteration of CG over the forced-CSR
+/// operator, and its solution's true residual, by a forced-CSR
+/// product, is within ten times the tolerance.
+#[test]
+fn box_cg_stays_within_one_iteration_of_csr() {
+    let tol = 1e-10;
+    for s in [Stencil::lap3d27(7, 6, 5), Stencil::lap3d27(12, 12, 12)] {
+        let n = s.unknowns() as usize;
+        let (r, c, v) = stencil_triplets(s, &[(0, n as u64)]);
+        let csr = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+        let csr_apply = |x: &[f64]| product(&csr, x, &vec![0.0; n]);
+        let b = random_vector(n, 9);
+        let (csr_iters, _) = cg(&csr_apply, &b, tol);
+        for pieces in [1, 4, 7] {
+            for matrix_free in [false, true] {
+                let tiling = equal_pieces(s, pieces);
+                let apply = |x: &[f64]| tiled_product(s, &tiling, matrix_free, x, &vec![0.0; n]).0;
+                assert!(tiled_product(s, &tiling, matrix_free, &b, &b).1.iter().any(|&t| t));
+                let (iters, x) = cg(&apply, &b, tol);
+                let what = format!("{s:?} in {pieces} pieces (matrix-free {matrix_free})");
+                assert!(iters.abs_diff(csr_iters) <= 1, "{what}: {iters} iterations, CSR {csr_iters}");
+                let ax = csr_apply(&x);
+                let resid = b.iter().zip(&ax).map(|(b, a)| (b - a) * (b - a)).sum::<f64>().sqrt();
+                let norm = b.iter().map(|b| b * b).sum::<f64>().sqrt();
+                assert!(resid / norm <= 10.0 * tol, "{what}: true residual {:e}", resid / norm);
+            }
+        }
+    }
 }

@@ -102,6 +102,20 @@ if grep -rnE 'fn (apply_run|interior_fwd|interior_t|boundary_rows)\b' crates/kdr
     exit 1
 fi
 
+# A box-stencil band is decided once, where every band is built (DESIGN
+# §7, "A box-stencil band"): one definition of the test, called from
+# `BandBuilder::finish` and from nowhere else, so the assembled and the
+# matrix-free band of the same rows cannot disagree about the path.
+tile_rs=crates/kdr-sparse/src/tile.rs
+finish=$(sed -n '/^    pub(crate) fn finish(self) -> DiaTile<T> {/,/^    }$/p' "$tile_rs")
+if [ "$(grep -rE 'fn box_stencil_of\b' crates | wc -l)" != 1 ] ||
+    [ "$(grep -rE 'box_stencil_of\(' crates | grep -v 'fn box_stencil_of' | wc -l)" != 1 ] ||
+    [ "$(printf '%s\n' "$finish" | grep -c 'box_stencil_of(')" != 1 ]; then
+    grep -rn 'box_stencil_of' crates >&2
+    echo "ci.sh: the box-stencil test is defined or called outside BandBuilder::finish (see above)" >&2
+    exit 1
+fi
+
 # `is_subset_of` is a search over the side with fewer runs (DESIGN §6):
 # it builds no set. It must not go back to testing a built
 # `difference` for emptiness, which cost the analyzer a `Vec` per
@@ -294,7 +308,6 @@ if grep -rnwE 'extract_tile_triplets|TileTriplets' crates tests; then
     echo "ci.sh: crates/ or tests/ names the deleted triplet extraction again (see above)" >&2
     exit 1
 fi
-tile_rs=crates/kdr-sparse/src/tile.rs
 entry_sorts=$(sed '/^#\[cfg(test)\]/,$d' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 branch_sorts=$(sed -n '/^    fn sorted(/,/^    }$/p' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 if [ "$entry_sorts" != 1 ] || [ "$branch_sorts" != 1 ] ||
@@ -360,6 +373,10 @@ for s in 1 2 3; do
         -dim 2 -nx 1024 -it 20 -vp 64 --sim 16 -solver "$s"
 done
 pin simulate_cluster.txt target/release/examples/simulate_cluster
+# Figure 10's sweep, the one simulator pin that is not quick: about
+# 29 s on one core of the build host, where the others take well under
+# a second.
+pin figure10.txt target/release/figure10 --sweep
 
 # Figure 3: the thirteen-row format table, every row verified by the
 # binary itself (it asserts), its stdout pinned to the stored file.
