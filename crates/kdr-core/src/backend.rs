@@ -78,15 +78,17 @@ pub enum ScalarUnop {
 /// [`Backend::step_begin`] and [`Backend::step_end`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
-    /// Tasks went through full dependence analysis (also reported by
-    /// backends that do not trace, and for steps interrupted by a
-    /// forcing operation such as `scalar_get`).
+    /// Tasks went through dependence analysis one by one: reported by
+    /// backends that do not trace, and by the execution backend with
+    /// tracing off.
     Analyzed,
-    /// The step was analyzed once and its trace was recorded for
-    /// future replay.
+    /// The step's tasks (or, when a forcing read split the step, those
+    /// of one of its records) were analyzed once and compiled into a
+    /// program, which ran as the step's first run and is kept for
+    /// replay while the cache has room.
     Captured,
-    /// A previously captured trace was replayed; dependence analysis
-    /// was skipped.
+    /// Every record of the step ran a program compiled before;
+    /// dependence analysis was skipped.
     Replayed,
 }
 

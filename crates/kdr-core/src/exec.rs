@@ -44,32 +44,42 @@
 //! [`StepOp`] (an opcode and the handles it was called with), built by
 //! the trait's provided methods in [`crate::backend`], which also take
 //! its result slots from the shared [`Handles`] arena. This backend's
-//! [`Backend::emit`] *records* the op and one function,
-//! `ExecBackend::lower`, *lowers* records into tasks. Outside
-//! a step the two happen back to back and the tasks are submitted
-//! through dependence analysis. Between [`Backend::step_begin`] and
-//! [`Backend::step_end`] the backend only records, and `step_end`
-//! looks the recorded list up — nine entries for a CG step, whatever
-//! the piece count — in a cache of *step programs*:
+//! [`Backend::emit`] only *records* the op, and one function,
+//! `ExecBackend::lower`, *lowers* records into tasks. A record closes
+//! at the next call that is not an op: [`Backend::step_begin`] and
+//! [`Backend::step_end`], a forcing read (`scalar_get*`,
+//! `read_component`, `fill_component`), `fence`, `register_operator`,
+//! `take_fault`, `as_any` — the one way from a planner to the runtime,
+//! so an application's tasks come after the ops recorded before them
+//! — and the backend's drop. A step's ops are one record (nine
+//! entries for a CG step, whatever the piece count); so are the ops
+//! between two such calls outside any step, like a solve's set-up. A
+//! closed record is looked up in a cache of *step programs*:
 //!
 //! * a **hit** hands the program to the runtime
 //!   ([`Runtime::run_program`]), which schedules the step's compiled
 //!   graph with the task bodies and requirement lists the program
 //!   already owns. Nothing is lowered, no task is built, no signature
-//!   is computed; only the step's `scalar_const` values, which are
+//!   is computed; only the record's `scalar_const` values, which are
 //!   *parameters* of a program and not part of what it is looked up
-//!   by, are stored where its `scalar_set` bodies read them. The
-//!   scalars the caller asked `step_end` to force come along as the
-//!   slots to read: the runtime submits the step and waits for their
-//!   writers in one call, and the waiting thread runs the step;
-//! * a **miss** lowers the record, runs the tasks analyzed inside a
-//!   capture ([`Runtime::capture_program`]) and — cache permitting —
-//!   keeps them, with the compiled capture, as the record's program;
-//! * forcing operations (`scalar_get`, `fence`, component reads and
-//!   writes) inside a step lower and submit what was recorded so far
-//!   and the rest of the step runs direct; a refused capture or replay
-//!   (a task failure is pending) also falls back to lowering and
-//!   analyzed submission. Tracing is never a correctness hazard.
+//!   by, are stored where its `scalar_set` bodies read them;
+//! * a **miss** lowers the record, compiles the tasks
+//!   ([`Runtime::compile_program`]: dependence analysis on an analyzer
+//!   of the program's own, then the step graph) and runs the program
+//!   the same way — the step's first run is a program run too — and,
+//!   if the cache has room and the run did not fail, keeps it.
+//!
+//! Either way the caller's reads come along — what `step_end` forces,
+//! the slots of a `scalar_get` — and the runtime submits the step and
+//! waits for their writers in one call, so the waiting thread runs the
+//! step. A forcing read inside a step ends the step's record there;
+//! the rest of the step is a record of its own. A run refused because
+//! a task failure is pending takes the failure into this backend's
+//! fault slot and goes in again. Only with tracing off
+//! ([`Backend::set_step_tracing`]) is an op lowered as it is called and
+//! its tasks submitted through dependence analysis — the reference
+//! that traced runs are checked against bit for bit — and only then is
+//! a step reported [`StepOutcome::Analyzed`].
 //!
 //! **Why the record is a sound key.** The tasks of a step are a
 //! function of its record and of what each call's lowering reads from
@@ -128,8 +138,8 @@ use kdr_index::Partition;
 #[cfg(debug_assertions)]
 use kdr_runtime::ShapeSig;
 use kdr_runtime::{
-    Buffer, MetricsSnapshot, ReadView, Runtime, StepProgram, TaskBuilder, TaskError, TaskMeta,
-    TaskSpan, WriteView,
+    Buffer, MetricsSnapshot, ReadView, Runtime, RuntimeError, StepProgram, TaskBuilder, TaskError,
+    TaskMeta, TaskSpan, WriteView,
 };
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
@@ -158,10 +168,14 @@ fn piece_color(comp: usize, color: usize) -> usize {
     comp * COLOR_STRIDE + color
 }
 
-/// Step programs kept per backend; steps whose op list keeps changing
-/// after this many variants run analyzed. Sized for the most records a
-/// solver here captures before it only replays: TFQMR's eight (DESIGN
-/// §6), with room for a second solver on the same planner.
+/// Step programs kept per backend; a record whose program does not fit
+/// is compiled and run once, and compiled again when it recurs. What
+/// it holds: every step shape a solver captures before it only replays
+/// (TFQMR's eight is the most, DESIGN §6; s-step CG's two shapes are
+/// two records each), plus one record for the solver's set-up ops and
+/// one more for them once a warm session's workspace comes from the
+/// pool — ten for TFQMR, five for CG — with room for a second solver
+/// on the same planner.
 const TRACE_CACHE_CAP: usize = 16;
 
 /// A [`MetricsSnapshot`] extended with the backend's own state:
@@ -181,15 +195,18 @@ pub struct ExecMetrics {
     pub trace_cache_len: usize,
     /// Trace cache capacity.
     pub trace_cache_cap: usize,
-    /// Steps that ran through full dependence analysis.
+    /// Steps whose tasks went through dependence analysis one by one
+    /// (tracing off).
     pub steps_analyzed: u64,
-    /// Steps that analyzed while capturing a trace.
+    /// Steps with a record that was compiled into a program there: its
+    /// first run.
     pub steps_captured: u64,
-    /// Steps replayed from the trace cache.
+    /// Steps whose every record was served from the program cache.
     pub steps_replayed: u64,
     /// Tasks built from the operations of solver steps: every step
-    /// that ran analyzed or was captured lowers its operations into
-    /// tasks, a replayed step lowers none.
+    /// that ran analyzed or compiled a program lowers its operations
+    /// into tasks, a replayed step lowers none. Ops outside any step
+    /// are not counted, here or in the step counts.
     pub step_tasks_lowered: u64,
     /// Global reduction stages this backend launched (each
     /// `dot`/`dot_many` call counts once, however many scalars it
@@ -260,6 +277,39 @@ fn runs_of(subset: &IntervalSet) -> impl Iterator<Item = (usize, usize)> + '_ {
 /// combine order behind `dot` and `dot_many`.
 fn sum_in_order<T: Scalar>(partials: &[T]) -> T {
     partials.iter().fold(T::ZERO, |acc, &p| acc + p)
+}
+
+/// Drain `rt`'s recorded task failure (if any) into `fault`, keeping
+/// the first.
+fn absorb_failure(rt: &Runtime, fault: &mut Option<BackendFault>) {
+    if let Some(e) = rt.take_failure() {
+        if fault.is_none() {
+            *fault = Some(BackendFault {
+                task: e.name.to_string(),
+                message: e.to_string(),
+            });
+        }
+    }
+}
+
+/// Run `program` ([`Runtime::run_program`]). A run refused because a
+/// task failure is pending takes the failure into `fault` — it is the
+/// backend's to report, and no reason to leave the step unrun — and
+/// goes in again; nothing ran in the refused attempt.
+fn run_step(
+    rt: &Runtime,
+    fault: &mut Option<BackendFault>,
+    program: &StepProgram,
+    bind: impl Fn(),
+    reads: impl IntoIterator<Item = u64> + Clone,
+) -> Result<Duration, TaskError> {
+    loop {
+        match rt.run_program(program, &bind, reads.clone()) {
+            Ok(waited) => return waited,
+            Err(RuntimeError::TaskFailed(_)) => absorb_failure(rt, fault),
+            Err(e) => panic!("a step cannot run inside this thread's own trace capture: {e}"),
+        }
+    }
 }
 
 /// Adapter giving tile kernels read access to a runtime buffer view.
@@ -461,7 +511,7 @@ impl VecOp {
 /// calls of the step, in order. A [`StepOp`] is everything its tasks
 /// are a function of, given the backend's registered vectors,
 /// operators, scalar slots and pooled partials buffers: the `k`-th
-/// `Dots` of a deferred step has its partials in the pooled buffer of
+/// `Dots` of a record has its partials in the pooled buffer of
 /// position `k` and its total width, so the op list fixes the pool
 /// entry too.
 #[derive(Clone, Default, PartialEq)]
@@ -520,14 +570,15 @@ pub struct ExecBackend<T: Scalar> {
     /// One single-element buffer per slot of the `handles` arena.
     scalars: Vec<Buffer<T>>,
     /// Pooled `dot` partial buffers, keyed by call position within a
-    /// deferred step and total partial slots; only ever added to.
+    /// record and total partial slots; only ever added to.
     dot_partials: BTreeMap<(usize, usize), Partials<T>>,
+    /// Position of the next `dot_many` in the open record.
     dot_seq: usize,
-    /// Whether `step_begin` defers the step for program lookup.
+    /// Whether ops are recorded and run as step programs (the
+    /// default); off, each op is lowered and submitted through
+    /// dependence analysis as it is called.
     tracing: bool,
-    /// Recording a step: calls accumulate in `step` until `step_end`
-    /// (or a forcing operation) instead of being lowered one by one.
-    deferring: bool,
+    /// The ops recorded since the last record closed.
     step: StepRecord<T>,
     /// The step programs of the current epoch (see
     /// [`ExecBackend::new_epoch`]), at most [`TRACE_CACHE_CAP`].
@@ -537,9 +588,12 @@ pub struct ExecBackend<T: Scalar> {
     steps_replayed: u64,
     step_tasks_lowered: u64,
     /// Inside a `step_begin`/`step_end` bracket (regardless of
-    /// whether tracing defers tasks) — attributes reduction stages to
+    /// whether tracing is on) — attributes reduction stages to
     /// iterations for the fences-per-iteration metric.
     in_step: bool,
+    /// A record closed inside the current bracket was compiled: the
+    /// step counts as captured.
+    step_compiled: bool,
     /// Reduction stages launched, total and within steps.
     reduction_stages: u64,
     reductions_in_steps: u64,
@@ -590,7 +644,6 @@ impl<T: Scalar> ExecBackend<T> {
             dot_partials: BTreeMap::new(),
             dot_seq: 0,
             tracing: true,
-            deferring: false,
             step: StepRecord {
                 key: StepKey::default(),
                 consts: Vec::new(),
@@ -601,6 +654,7 @@ impl<T: Scalar> ExecBackend<T> {
             steps_replayed: 0,
             step_tasks_lowered: 0,
             in_step: false,
+            step_compiled: false,
             reduction_stages: 0,
             reductions_in_steps: 0,
             reduction_stall_ns: 0,
@@ -616,19 +670,6 @@ impl<T: Scalar> ExecBackend<T> {
             self.reductions_in_steps += 1;
         }
         self.rt.record_reduction_stage();
-    }
-
-    /// Drain the runtime's recorded task failure (if any) into this
-    /// backend's fault slot, keeping the first.
-    fn record_rt_failure(&mut self) {
-        if let Some(e) = self.rt.take_failure() {
-            if self.fault.is_none() {
-                self.fault = Some(BackendFault {
-                    task: e.name.to_string(),
-                    message: e.to_string(),
-                });
-            }
-        }
     }
 
     /// Arm (or disarm, with `None`) the runtime's deterministic fault
@@ -759,27 +800,28 @@ impl<T: Scalar> ExecBackend<T> {
             }
             Err(_) => {
                 let _ = self.rt.fence();
-                self.record_rt_failure();
+                absorb_failure(&self.rt, &mut self.fault);
                 vec![T::from_f64(f64::NAN); scalars.len()]
             }
         }
     }
 
-    /// Run the step recorded since `step_begin`: replay its program
-    /// if one is cached, else lower it, run it analyzed and — cache
-    /// permitting — keep the capture as its program. A replay waits
-    /// for the writers of `reads` as it submits the step and returns
-    /// their values too, and a failed capture returns NaN for them;
-    /// every other outcome leaves them to be forced.
-    fn finish_step(&mut self, reads: &[SRef]) -> (StepOutcome, Option<Vec<T>>) {
-        let deferred = std::mem::replace(&mut self.deferring, false);
-        if !deferred || self.step.key.ops.is_empty() {
-            // Tracing disabled, the step was flushed by a forcing
-            // operation, or it made no task.
-            return (StepOutcome::Analyzed, None);
+    /// Run the ops recorded since the last record closed as one step
+    /// program: replay the record's program if the cache holds one,
+    /// else lower the record, compile it and run that — keeping the
+    /// program if the cache has room and the run did not fail. `reads`
+    /// names the slots the caller reads next: the run waits for their
+    /// writers as it submits the step, and returns what that wait
+    /// returned. `None` when nothing was recorded.
+    fn close_record(&mut self, reads: &[SRef]) -> Option<Result<Duration, TaskError>> {
+        if self.step.key.ops.is_empty() {
+            return None;
         }
+        self.dot_seq = 0;
         let step = &self.step;
-        if let Some(cached) = self.programs.iter().find(|p| p.key == step.key) {
+        let slots = &self.scalars;
+        let reads = reads.iter().map(|&s| slots[s].id());
+        let waited = if let Some(cached) = self.programs.iter().find(|p| p.key == step.key) {
             // The invariant the lookup rests on: an equal record
             // lowers to the tasks the program holds.
             #[cfg(debug_assertions)]
@@ -793,75 +835,43 @@ impl<T: Scalar> ExecBackend<T> {
                     cells.lock().copy_from_slice(&step.consts);
                 }
             };
-            // The only refusal reachable from here is a pending task
-            // failure at the pre-replay fence: then nothing ran.
-            let slots = reads.iter().map(|&s| self.scalars[s].id());
-            if let Ok(waited) = self.rt.run_program(&cached.program, bind, slots) {
-                self.step.clear();
-                return (StepOutcome::Replayed, Some(self.read_slots(reads, waited)));
+            run_step(&self.rt, &mut self.fault, &cached.program, bind, reads)
+        } else {
+            let lowered = self.lower(step, true);
+            if self.in_step {
+                self.step_tasks_lowered += lowered.tasks.len() as u64;
+                self.step_compiled = true;
             }
-        } else if self.programs.len() < TRACE_CACHE_CAP {
-            let key = step.key.clone();
-            let lowered = self.lower_recorded(true);
             #[cfg(debug_assertions)]
             let sig = ShapeSig::of_tasks(&lowered.tasks);
-            return match self.rt.capture_program(lowered.tasks) {
-                Ok(program) => {
-                    self.programs.push(CachedStep {
-                        key,
-                        program,
-                        consts: lowered.consts,
-                        #[cfg(debug_assertions)]
-                        sig,
-                    });
-                    (StepOutcome::Captured, None)
-                }
-                Err(_) => {
-                    // The tasks ran, but the capture was refused
-                    // (pending failure) or is void (a task of the
-                    // step failed). Taking the failure clears it, so
-                    // a wait for `reads` would now answer with
-                    // whatever the slots hold: they read as NaN.
-                    self.record_rt_failure();
-                    let nan = vec![T::from_f64(f64::NAN); reads.len()];
-                    (StepOutcome::Analyzed, Some(nan))
-                }
-            };
-        }
-        // Cache full, or the replay was refused.
-        self.record_rt_failure();
-        self.submit_recorded(true);
-        (StepOutcome::Analyzed, None)
-    }
-
-    /// Lower what has been recorded and submit it through dependence
-    /// analysis. `pooled`: the record is (the start of) a deferred
-    /// step, whose `dot_many`s use the pooled partials buffers.
-    fn submit_recorded(&mut self, pooled: bool) {
-        for task in self.lower_recorded(pooled).tasks {
-            self.rt
-                .submit(task)
-                .expect("backend tasks always carry a body");
-        }
-    }
-
-    /// Lower the record into the tasks that will run for it, and
-    /// clear it.
-    fn lower_recorded(&mut self, pooled: bool) -> Lowered<T> {
-        let lowered = self.lower(&self.step, pooled);
+            let program = self
+                .rt
+                .compile_program(lowered.tasks)
+                .expect("backend tasks have shared bodies");
+            // The lowering's cells already hold this record's constants.
+            let waited = run_step(&self.rt, &mut self.fault, &program, || {}, reads);
+            if waited.is_ok() && self.programs.len() < TRACE_CACHE_CAP {
+                self.programs.push(CachedStep {
+                    key: self.step.key.clone(),
+                    program,
+                    consts: lowered.consts,
+                    #[cfg(debug_assertions)]
+                    sig,
+                });
+            }
+            waited
+        };
         self.step.clear();
-        if self.in_step {
-            self.step_tasks_lowered += lowered.tasks.len() as u64;
-        }
-        lowered
+        Some(waited)
     }
 
-    /// A forcing operation inside a deferred step: submit what was
-    /// recorded (analyzed) and run the rest of the step direct.
-    fn flush_pending(&mut self) {
-        if self.deferring {
-            self.deferring = false;
-            self.submit_recorded(true);
+    /// Close the record and wait until nothing is in flight: what
+    /// every call that reads or writes vector contents directly starts
+    /// with.
+    fn quiesce(&mut self) {
+        self.close_record(&[]);
+        if self.rt.fence().is_err() {
+            absorb_failure(&self.rt, &mut self.fault);
         }
     }
 
@@ -884,10 +894,11 @@ impl<T: Scalar> ExecBackend<T> {
     }
 
     /// Ready the pool entry for the `dot_many` at the current position
-    /// of a deferred step with `total_slots` partials: the buffer every
-    /// step with a `dot_many` of that width at that position shares
-    /// (stable buffer ids keep the step repeatable). An entry is made
-    /// once and never replaced.
+    /// of the open record with `total_slots` partials: the buffer every
+    /// record with a `dot_many` of that width at that position shares
+    /// (stable buffer ids keep the record repeatable; records run one
+    /// at a time, each from a quiescent runtime). An entry is made once
+    /// and never replaced.
     fn pooled_partials(&mut self, total_slots: usize) {
         let key = (self.dot_seq, total_slots);
         self.dot_seq += 1;
@@ -1000,8 +1011,8 @@ impl<T: Scalar> ExecBackend<T> {
     /// whole batch. Each pair's partials occupy a contiguous slot
     /// range and are summed in ascending slot order, so a result does
     /// not depend on which other pairs share its batch. `pool`: the
-    /// batch's position in a deferred step, whose pooled buffer of this
-    /// width it uses; a fresh buffer otherwise.
+    /// batch's position in a record, whose pooled buffer of this width
+    /// it uses; a fresh buffer otherwise.
     fn dots(&self, batch: &[(BVec, BVec, SRef)], pool: Option<usize>, out: &mut Lowered<T>) {
         // Per-pair slot offsets into the shared partials buffer.
         let mut offsets = Vec::with_capacity(batch.len() + 1);
@@ -1101,9 +1112,9 @@ impl<T: Scalar> ExecBackend<T> {
     /// Lower a record into its tasks, in call order: the one place a
     /// backend call becomes tasks. Every body is a shared one, so the
     /// result can be submitted as it is or kept as a step program.
-    /// In a `pooled` record (a deferred step) the `k`-th `Dots` keeps
-    /// its partials in the pooled buffer of position `k` and its
-    /// width; elsewhere in a fresh one.
+    /// In a `pooled` record (one that runs as a step program) the
+    /// `k`-th `Dots` keeps its partials in the pooled buffer of
+    /// position `k` and its width; with tracing off, in a fresh one.
     fn lower(&self, step: &StepRecord<T>, pooled: bool) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
@@ -1197,22 +1208,19 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn fill_component(&mut self, v: BVec, comp: usize, data: &[T]) {
-        self.flush_pending();
-        if self.rt.fence().is_err() {
-            self.record_rt_failure();
-        }
+        self.quiesce();
         self.vectors[v].comps[comp].buf.fill_from(data);
     }
 
     fn read_component(&mut self, v: BVec, comp: usize) -> Vec<T> {
-        self.flush_pending();
-        if self.rt.fence().is_err() {
-            self.record_rt_failure();
-        }
+        self.quiesce();
         self.vectors[v].comps[comp].buf.snapshot()
     }
 
     fn register_operator(&mut self, spec: OpSetSpec<T>) -> OpHandle {
+        // The record's ops were recorded against the epoch that ends
+        // here.
+        self.close_record(&[]);
         // Forcing an *assembled* kind extracts and lowers even
         // stencil-described components — the caller explicitly asked
         // for stored values (the bitwise comparison legs do). Auto or
@@ -1287,18 +1295,19 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         &mut self.handles
     }
 
-    /// Every task-generating backend call comes through here. Inside
-    /// a deferred step the call is only recorded; anywhere else it is
-    /// lowered and submitted at once. A `dot_many` is one reduction
-    /// stage: every pair's partial tasks share one partials buffer —
-    /// in a deferred step, the pooled one of its position — and a
-    /// single `dot_reduce` task combines them all. A reused result
-    /// slot may still have readers in flight; the op's write task is
-    /// ordered after them by dependence analysis (or by the recorded
-    /// trace).
+    /// Every task-generating backend call comes through here. With
+    /// tracing on (the default) the call is only recorded, inside a
+    /// step or not, and runs when the record closes; with it off it is
+    /// lowered and submitted through dependence analysis at once. A
+    /// `dot_many` is one reduction stage: every pair's partial tasks
+    /// share one partials buffer — in a record, the pooled one of its
+    /// position — and a single `dot_reduce` task combines them all. A
+    /// reused result slot may still have readers in flight; the op's
+    /// write task is ordered after them by the step's compiled graph
+    /// (or by dependence analysis).
     fn emit(&mut self, op: StepOp, dots: &[(BVec, BVec, SRef)], value: Option<T>) {
         if let StepOp::Dots { .. } = op {
-            if self.deferring {
+            if self.tracing {
                 let total_slots = dots.iter().map(|&(a, _, _)| self.dot_slots(a)).sum();
                 self.pooled_partials(total_slots);
             }
@@ -1310,8 +1319,17 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.step.key.dots.extend_from_slice(dots);
         self.step.consts.extend(value);
         self.step.key.ops.push(op);
-        if !self.deferring {
-            self.submit_recorded(false);
+        if !self.tracing {
+            let lowered = self.lower(&self.step, false);
+            self.step.clear();
+            if self.in_step {
+                self.step_tasks_lowered += lowered.tasks.len() as u64;
+            }
+            for task in lowered.tasks {
+                self.rt
+                    .submit(task)
+                    .expect("backend tasks always carry a body");
+            }
         }
     }
 
@@ -1319,73 +1337,99 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.scalar_get_many(&[s])[0]
     }
 
-    /// No task, no channel: one wait until the tasks writing the
-    /// slots have retired — during which this thread runs ready tasks
-    /// ([`Runtime::wait_written`]) — then every slot is read where it
-    /// is. The part of the wait spent parked is timed as one reduction
-    /// stall, whatever `scalars.len()` is.
+    /// No task, no channel: the open record closes with the slots as
+    /// its reads, so the step that writes them is submitted and waited
+    /// for in one call and this thread runs it; without a record, one
+    /// wait until the tasks writing the slots have retired — during
+    /// which this thread runs ready tasks ([`Runtime::wait_written`]).
+    /// Then every slot is read where it is. The part of the wait spent
+    /// parked is timed as one reduction stall, whatever
+    /// `scalars.len()` is.
     fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
+        let waited = self.close_record(scalars);
         if scalars.is_empty() {
             return Vec::new();
         }
-        self.flush_pending();
-        let slots = scalars.iter().map(|&s| self.scalars[s].id());
-        let waited = self.rt.wait_written(slots);
+        let waited = waited.unwrap_or_else(|| {
+            self.rt
+                .wait_written(scalars.iter().map(|&s| self.scalars[s].id()))
+        });
         self.read_slots(scalars, waited)
     }
 
+    /// The ops recorded before the step run first, as a record of
+    /// their own.
     fn step_begin(&mut self) {
-        self.in_step = true;
-        if !self.tracing {
-            return;
+        if self.tracing {
+            assert!(!self.in_step, "nested step_begin");
+            self.close_record(&[]);
+            self.handles.begin_step();
         }
-        assert!(!self.deferring, "nested step_begin");
-        self.deferring = true;
-        self.dot_seq = 0;
-        self.handles.begin_step();
-        debug_assert!(self.step.key.ops.is_empty());
+        self.in_step = true;
+        self.step_compiled = false;
     }
 
-    /// A replayed step is submitted and waited for in one call
+    /// The step's last record is submitted and waited for in one call
     /// ([`Runtime::run_program`] with the slots of `reads`), so the
     /// thread that waits runs the step instead of waking a worker for
-    /// it; every other outcome forces `reads` after the step.
+    /// it. The step is captured if one of its records was compiled
+    /// here, and replayed otherwise.
     fn step_end(&mut self, reads: &[SRef]) -> (StepOutcome, Vec<T>) {
-        let (outcome, read) = self.finish_step(reads);
+        let values = self.scalar_get_many(reads);
         self.handles.end_step();
         self.in_step = false;
+        let outcome = match (self.tracing, std::mem::take(&mut self.step_compiled)) {
+            (false, _) => StepOutcome::Analyzed,
+            (true, true) => StepOutcome::Captured,
+            (true, false) => StepOutcome::Replayed,
+        };
         match outcome {
             StepOutcome::Analyzed => self.steps_analyzed += 1,
             StepOutcome::Captured => self.steps_captured += 1,
             StepOutcome::Replayed => self.steps_replayed += 1,
         }
-        let values = read.unwrap_or_else(|| self.scalar_get_many(reads));
         (outcome, values)
     }
 
     fn fence(&mut self) {
-        self.flush_pending();
-        if self.rt.fence().is_err() {
-            self.record_rt_failure();
-        }
+        self.quiesce();
     }
 
     fn take_fault(&mut self) -> Option<BackendFault> {
+        self.close_record(&[]);
         // Pick up failures whose tasks retired without passing
         // through a fencing operation since.
-        self.record_rt_failure();
+        absorb_failure(&self.rt, &mut self.fault);
         self.fault.take()
     }
 
     /// The traced-stepping fast path is on by default. With it off,
-    /// `step_begin`/`step_end` are no-ops and every task is analyzed.
+    /// `step_end` reports every step analyzed and every task goes
+    /// through dependence analysis as its op is called.
     fn set_step_tracing(&mut self, on: bool) {
-        assert!(!self.deferring, "cannot toggle tracing inside a step");
+        assert!(
+            !(self.in_step && self.tracing),
+            "cannot toggle tracing inside a step"
+        );
+        self.close_record(&[]);
         self.tracing = on;
     }
 
+    /// The way from a planner to this backend and its runtime: the
+    /// record closes first, so whatever the caller submits there
+    /// comes after the ops recorded so far.
     fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self.close_record(&[]);
         self
+    }
+}
+
+impl<T: Scalar> Drop for ExecBackend<T> {
+    /// The ops recorded since the last record closed still run.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.close_record(&[]);
+        }
     }
 }
 
@@ -1453,15 +1497,19 @@ mod tests {
         let y = b.scalar_const(2.0);
         let q = b.scalar_binop(ScalarOp::Div, x, y);
         let submitted = |b: &ExecBackend<f64>| b.metrics().runtime.tasks_submitted;
-        let before = submitted(&b);
-        assert_eq!(before, 3, "two stores and a division");
+        assert_eq!(submitted(&b), 0, "two stores and a division, recorded");
         assert_eq!(b.scalar_get_many(&[q, x, y, q]), vec![4.5, 9.0, 2.0, 4.5]);
-        assert_eq!(submitted(&b), before, "no read task: one wait, then the slots");
+        // The record ran as one program, waited for as it went in.
+        let nodes = b.programs[0].program.trace().num_nodes() as u64;
+        assert_eq!(
+            submitted(&b),
+            nodes,
+            "no read task: the record's nodes, then the slots"
+        );
         assert!(b.scalar_get_many(&[]).is_empty());
-        assert_eq!(submitted(&b), before, "nothing to force, nothing submitted");
-        // The read waited for the writers of the slots and only them.
+        assert_eq!(submitted(&b), nodes, "nothing to force, nothing submitted");
         let m = b.metrics().runtime;
-        assert_eq!(m.tasks_executed, 3);
+        assert_eq!(m.tasks_executed + m.tasks_fused, 3);
         assert_eq!(m.task_counts.keys().copied().collect::<Vec<_>>(), ["scalar_binop", "scalar_set"]);
     }
 
@@ -1504,9 +1552,11 @@ mod tests {
                 b.scalar_release(coef);
                 b.scalar_release(tiny);
                 let (out, _) = b.step_end(&[]);
-                if !traced {
-                    assert_eq!(out, StepOutcome::Analyzed);
-                }
+                assert_eq!(
+                    out == StepOutcome::Analyzed,
+                    !traced,
+                    "a traced step is a program"
+                );
             }
             b.read_component(v, 0)
         };
@@ -1658,8 +1708,7 @@ mod tests {
         assert_eq!(b.scalar_get(d[1]), 16.0);
         assert_eq!(b.scalar_get(d[2]), 64.0);
         // Stall is the time a read spent parked, booked here and on
-        // the runtime alike; these reads follow a captured step, whose
-        // capture fenced, so they found their writers retired.
+        // the runtime alike.
         let m = b.metrics();
         assert_eq!(m.reduction_stall_ns, m.runtime.reduction_stall_ns);
         for s in d {
@@ -1695,16 +1744,18 @@ mod tests {
         );
     }
 
+    type Build = fn(&mut crate::Planner<f64>) -> Box<dyn crate::Solver<f64>>;
+
     /// Step a solver on lap2d 24² in 16 pieces on a runtime of
-    /// `workers` workers, check every compiled trace it left behind
-    /// (each captured edge inside a node or from an earlier node to a
-    /// later one, which also makes the node graph acyclic), and return
-    /// their `(tasks, nodes)` sizes.
-    fn compiled_step_sizes(
+    /// `workers` workers for twenty steps, then hand `f` the backend
+    /// and how many of its programs the solver's set-up left (they
+    /// come first).
+    fn after_twenty_steps<R>(
         workers: usize,
         preconditioned: bool,
-        build: fn(&mut crate::Planner<f64>) -> Box<dyn crate::Solver<f64>>,
-    ) -> Vec<(usize, usize)> {
+        build: Build,
+        f: impl FnOnce(&mut ExecBackend<f64>, usize) -> R,
+    ) -> R {
         let s = Stencil::lap2d(24, 24);
         let n = s.unknowns();
         let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>() as Csr<f64, u64>);
@@ -1718,18 +1769,37 @@ mod tests {
         }
         planner.set_rhs_data(r, &kdr_sparse::stencil::rhs_vector::<f64>(n, 3));
         let mut solver = build(&mut planner);
-        // CG, PCG and BiCGStab each capture three step shapes
-        // (DESIGN §6): the rest of twenty steps replay.
+        // The solver's set-up ops are a program of their own.
+        planner.fence();
+        let exec = |b: &mut dyn Backend<f64>| {
+            let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
+            exec.expect("built on the exec backend").trace_cache_len()
+        };
+        let preamble = planner.with_backend(exec);
         crate::solve(&mut planner, solver.as_mut(), crate::SolveControl::fixed(20))
             .expect("twenty steps on a Laplacian do not break down");
         planner.with_backend(|b| {
-            let exec = b
-                .as_any()
-                .downcast_mut::<ExecBackend<f64>>()
-                .expect("built on the exec backend");
+            let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
+            f(exec.expect("built on the exec backend"), preamble)
+        })
+    }
+
+    /// Step a solver as [`after_twenty_steps`] does, check every
+    /// compiled trace its steps left behind (each captured edge inside
+    /// a node or from an earlier node to a later one, which also makes
+    /// the node graph acyclic), and return their `(tasks, nodes)`
+    /// sizes.
+    fn compiled_step_sizes(
+        workers: usize,
+        preconditioned: bool,
+        build: Build,
+    ) -> Vec<(usize, usize)> {
+        // CG, PCG and BiCGStab each capture three step shapes
+        // (DESIGN §6): the rest of twenty steps replay.
+        after_twenty_steps(workers, preconditioned, build, |exec, preamble| {
             let (_, _, replayed) = exec.step_counters();
             assert!(replayed >= 4, "steady state must replay");
-            exec.programs
+            exec.programs[preamble..]
                 .iter()
                 .map(|cached| {
                     let t = cached.program.trace();
@@ -1742,6 +1812,63 @@ mod tests {
                 })
                 .collect()
         })
+    }
+
+    /// A compiled first run is what a live capture of the same task
+    /// list records, edge for edge and node for node: every program
+    /// of every traced solver (set-up ones included), on two workers,
+    /// against `begin_trace` / `end_trace` around its tasks on a
+    /// runtime of its own.
+    #[test]
+    fn on_two_workers_a_compiled_first_run_has_the_graph_a_live_capture_records() {
+        use crate::*;
+        let solvers: [(bool, Build); 12] = [
+            (false, |p| Box::new(CgSolver::new(p))),
+            (true, |p| Box::new(PcgSolver::new(p))),
+            (false, |p| Box::new(BiCgSolver::new(p))),
+            (false, |p| Box::new(CgsSolver::new(p))),
+            (false, |p| Box::new(BiCgStabSolver::new(p))),
+            (true, |p| Box::new(PBiCgStabSolver::new(p))),
+            (false, |p| Box::new(TfqmrSolver::new(p))),
+            (false, |p| Box::new(MinresSolver::new(p))),
+            (false, |p| Box::new(FusedCgSolver::new(p))),
+            (false, |p| Box::new(PipelinedCgSolver::new(p))),
+            (false, |p| Box::new(PipelinedCrSolver::new(p))),
+            (false, |p| Box::new(SStepCgSolver::new(p))),
+        ];
+        for (k, (preconditioned, build)) in solvers.into_iter().enumerate() {
+            after_twenty_steps(2, preconditioned, build, |exec, _| {
+                assert!(exec.programs.len() > 1, "solver {k}");
+                let live_rt = Runtime::new(2);
+                for (at, cached) in exec.programs.iter().enumerate() {
+                    let consts = cached
+                        .key
+                        .ops
+                        .iter()
+                        .filter(|op| matches!(op, StepOp::Const { .. }));
+                    let record = StepRecord {
+                        key: cached.key.clone(),
+                        consts: vec![0.0; consts.count()],
+                    };
+                    live_rt.begin_trace().expect("no capture is open");
+                    for task in exec.lower(&record, true).tasks {
+                        live_rt.submit(task).expect("backend tasks carry a body");
+                    }
+                    let live = live_rt.end_trace().expect("the capture was opened above");
+                    let compiled = cached.program.trace();
+                    let what = format!("solver {k}, program {at}");
+                    assert_eq!(
+                        (compiled.len(), compiled.num_nodes()),
+                        (live.len(), live.num_nodes()),
+                        "{what}"
+                    );
+                    for i in 0..live.len() {
+                        assert_eq!(compiled.deps_of(i), live.deps_of(i), "{what}, task {i}");
+                        assert_eq!(compiled.node_of(i), live.node_of(i), "{what}, task {i}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -1824,18 +1951,44 @@ mod tests {
     }
 
     #[test]
-    fn forcing_mid_step_falls_back_to_analyzed() {
+    fn forcing_mid_step_ends_the_step_there() {
         let mut b = backend();
         let v = b.alloc_vector(&[spec(8, 2)]);
         b.fill_component(v, 0, &[2.0; 8]);
-        b.step_begin();
-        let d = b.dot(v, v);
-        let got = b.scalar_get(d); // forces: flushes the deferred step
-        assert_eq!(got, 32.0);
-        let c = b.scalar_const(1.0);
-        b.scal(v, c);
-        assert_eq!(b.step_end(&[]).0, StepOutcome::Analyzed);
-        assert_eq!(b.trace_cache_len(), 0, "flushed step must not capture");
+        let mut outcomes = Vec::new();
+        for _ in 0..3 {
+            b.step_begin();
+            let d = b.dot(v, v);
+            let got = b.scalar_get(d); // forces: the step's first record ends here
+            assert_eq!(got, 32.0);
+            let c = b.scalar_const(1.0);
+            b.scal(v, c);
+            b.scalar_release(c);
+            b.scalar_release(d);
+            outcomes.push(b.step_end(&[]).0);
+        }
+        use StepOutcome::{Captured, Replayed};
+        assert_eq!(outcomes, [Captured, Replayed, Replayed]);
+        assert_eq!(
+            b.step_counters(),
+            (0, 1, 2),
+            "one count per step, not per record"
+        );
+        assert_eq!(
+            b.trace_cache_len(),
+            2,
+            "the step's two records are programs"
+        );
+        let first_runs: usize = b
+            .programs
+            .iter()
+            .map(|p| p.program.trace().num_nodes())
+            .sum();
+        assert_eq!(
+            b.metrics().runtime.tasks_analyzed,
+            first_runs as u64,
+            "nothing else analyzed"
+        );
         assert_eq!(b.read_component(v, 0), vec![2.0; 8]);
     }
 

@@ -560,8 +560,8 @@ impl StepDriver {
         }
         // Bracketing each iteration lets tracing backends defer its
         // tasks and replay the recorded dependence graph when the
-        // step shape repeats (a scalar forced inside a step simply
-        // downgrades that step to analyzed).
+        // step shape repeats (a scalar forced inside a step ends the
+        // step's record there; the rest is a record of its own).
         let t0 = trace.as_ref().map(|_| Instant::now());
         planner.step_begin();
         solver.step(planner);

@@ -17,10 +17,10 @@
 //! 4. reconstructs `x`, `r`, `p` with `m` axpys of host-computed
 //!    scalar constants.
 //!
-//! Forcing the Gram matrix mid-step flushes the deferred task window,
-//! so s-step blocks always execute on the analyzed path rather than
-//! the trace-replay path — the trade is `s` iterations per fence
-//! instead of replayed steps at one fence each.
+//! Forcing the Gram matrix mid-step ends the step's first record
+//! there: the basis and Gram matrix are one step program and the
+//! reconstruction another, both replayed once the shapes repeat — the
+//! trade is `s` iterations per fence instead of one.
 //!
 //! The monomial basis loses rank as `s` grows (conditioning scales
 //! like `κ(A)ˢ`). Any non-finite Gram entry or non-positive CG

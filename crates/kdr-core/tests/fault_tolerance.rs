@@ -258,12 +258,12 @@ fn traced_replay_panic_falls_back_analyzed() {
 /// An injected panic that lands in a *replayed* step of a cached step
 /// program. The replay goes in (the failure only exists once the body
 /// runs); the next step finds the failure pending at its pre-replay
-/// fence and degrades to analyzed submission of the operations it
-/// recorded; `take_fault` names the tile task; and afterwards the same
-/// programs replay again, through a solve that converges. Twice over,
-/// identically.
+/// fence, takes it into the backend's fault slot and replays all the
+/// same — nothing is lowered or analyzed; `take_fault` names the tile
+/// task, once; and afterwards the same programs replay again, through
+/// a solve that converges. Twice over, identically.
 #[test]
-fn panic_in_a_replayed_program_degrades_a_step_and_the_program_survives() {
+fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
     fn exec_metrics(planner: &mut Planner<f64>) -> kdr_core::ExecMetrics {
         planner.with_backend(|b| {
             b.as_any()
@@ -297,14 +297,16 @@ fn panic_in_a_replayed_program_degrades_a_step_and_the_program_survives() {
 
         // Step 8 waits for step 7 at its pre-replay fence (a backend
         // fence here would absorb the failure first): the replay is
-        // refused, the recorded operations run analyzed — 6 tasks per
-        // piece and 5 scalar ones.
+        // refused, the failure goes to the fault slot, and the step
+        // replays — none of its 4 · 6 + 5 tasks is lowered or analyzed.
         outcomes.push(step(&mut planner));
-        assert_eq!(outcomes[7], StepOutcome::Analyzed);
+        assert_eq!(outcomes[7], StepOutcome::Replayed);
         let after = exec_metrics(&mut planner);
         assert_eq!(after.runtime.task_failures, 1);
-        assert_eq!(after.steps_analyzed, before.steps_analyzed + 1);
-        assert_eq!(after.step_tasks_lowered, before.step_tasks_lowered + 4 * 6 + 5);
+        assert_eq!(after.steps_replayed, before.steps_replayed + 1);
+        assert_eq!(after.steps_analyzed, 0);
+        assert_eq!(after.step_tasks_lowered, before.step_tasks_lowered);
+        assert_eq!(after.runtime.tasks_analyzed, before.runtime.tasks_analyzed);
         assert_eq!(after.trace_cache_len, before.trace_cache_len);
         let fault = planner.take_fault().expect("the panic was absorbed");
         assert!(fault.task.contains("spmv"), "{fault:?}");
@@ -457,11 +459,14 @@ fn recovery_reports_zero_restarts_when_healthy() {
 /// so it is the executor's poison set that tells the read a slot's
 /// writer failed. A panicking `dot_partial` poisons the `dot_reduce`
 /// that writes the slot: the read returns NaN and records a fault, on
-/// 1 and 4 workers — outside a step (`get`), and at the end of a
-/// deferred one, whose failed capture answers every read with NaN (the
-/// slots that do hold their values too) — never a hang. A failure the
-/// scalars do not depend on leaves them readable and the fault for
-/// later.
+/// 1 and 4 workers — outside a step (`get`), and at the end of one,
+/// whose failed first run answers every read with NaN (the slots that
+/// do hold their values too) — never a hang, and a failed first run
+/// keeps no program. A failure the scalars do not depend on leaves
+/// them readable and the fault for later only when it ran in another
+/// record: within one record the failing task shares a node with the
+/// reduction's body on its piece (the whole record, on one worker),
+/// so the read is NaN and names that failure, once.
 #[test]
 fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
     let plan = |name: &str| {
@@ -476,6 +481,14 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         let (mut planner, _, b) =
             poisson_planner_with_faults(12, 12, 4, workers, Some(plan("dot_partial")), true);
         let expect: f64 = b.iter().map(|v| v * v).sum();
+        let programs = |planner: &mut Planner<f64>| {
+            planner.with_backend(|b| {
+                let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
+                exec.expect("the planner runs on the exec backend")
+                    .trace_cache_len()
+            })
+        };
+        let kept = programs(&mut planner);
         if in_step {
             planner.step_begin();
         }
@@ -483,12 +496,17 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         let failed = planner.dot(RHS, RHS);
         let got = if in_step {
             let (outcome, got) = planner.step_end(&[&healthy, &failed]);
-            assert_eq!(outcome, StepOutcome::Analyzed, "the failed step is no program");
+            assert_eq!(outcome, StepOutcome::Captured, "a first run");
             got
         } else {
             vec![failed.get()]
         };
         assert!(got.iter().all(|v| v.is_nan()), "{workers} workers: {got:?}");
+        assert_eq!(
+            programs(&mut planner),
+            kept,
+            "the failed first run is no program"
+        );
         let fault = planner.take_fault().expect("the panic was absorbed");
         assert_eq!(fault.task, "dot_partial");
         assert!(planner.take_fault().is_none());
@@ -499,10 +517,29 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         assert_eq!(healthy.get(), 3.0);
 
         // A failed task off the scalars' chain: an `axpy` into SOL.
+        // In the same record as the `dot` it shares a node with the
+        // `dot_partial` of its piece (the whole record, on one
+        // worker), so the panic drops that body unrun: the read is
+        // NaN and names the `axpy`, once — never a hang.
         let (mut planner, _, _) =
             poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
         let one = planner.scalar(1.0);
         planner.axpy(SOL, &one, RHS);
+        let d = planner.dot(RHS, RHS);
+        assert!(d.get().is_nan(), "{workers} workers: one node, one failure");
+        assert_eq!(planner.take_fault().expect("the read found it").task, "axpy");
+        assert!(planner.take_fault().is_none(), "the failure surfaces once");
+        let again = planner.dot(RHS, RHS);
+        assert!((again.get() - expect).abs() <= 1e-12 * expect);
+
+        // In a record of its own, the `axpy` fails apart from the
+        // `dot`: isolation holds across records.
+        let (mut planner, _, _) =
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
+        let one = planner.scalar(1.0);
+        planner.step_begin();
+        planner.axpy(SOL, &one, RHS);
+        planner.step_end(&[]);
         let d = planner.dot(RHS, RHS);
         assert!((d.get() - expect).abs() <= 1e-12 * expect, "an unrelated failure is not the read's");
         planner.fence();

@@ -2,14 +2,20 @@
 //! step compiles to one node, and the driver that submits it and waits
 //! for the step's convergence scalars takes that node itself (DESIGN
 //! §6, "One node per step, run by the thread that waits"), so a warm
-//! traced CG solve runs its iterations without waking the worker.
+//! traced CG solve runs its iterations without waking the worker. A
+//! step's first run and the ops outside any step are programs too
+//! (DESIGN §6, "One route"), so neither does a warm job's preamble nor
+//! a cold operation's first runs.
 //!
 //! The count is the kernel's: `voluntary_ctxt_switches` and
 //! `nonvoluntary_ctxt_switches` of every thread of this process, read
 //! from `/proc/self/task/*/status` around the solve, so the test is
 //! Linux-only. A hand-off is a pair of switches (the woken worker in,
 //! and out again when it parks, or the driver out and back), so the
-//! test reports switch pairs per iteration.
+//! solve's test reports switch pairs per iteration. The job and cold
+//! operation tests, whose bounds are a few switches, count only the
+//! blocking (voluntary) ones — each hand-off makes at least one — so
+//! that preemptions on a loaded host do not count against them.
 //!
 //! Readings of this test, five runs each (lap2d 96² in 16 pieces, one
 //! worker, dev profile, 2-vCPU host, unpinned; the warm solve is 330
@@ -21,45 +27,79 @@
 //! 360–476 nodes.
 #![cfg(target_os = "linux")]
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-use kdr_core::{solve, solve_traced, CgSolver, ExecBackend, Planner, SolveControl, RHS, SOL};
+use kdr_core::{
+    solve, solve_traced, BiCgStabSolver, CgSolver, ExecBackend, ExecMetrics, Planner, SolveControl,
+    RHS, SOL,
+};
 use kdr_index::Partition;
+use kdr_runtime::Runtime;
 use kdr_sparse::stencil::rhs_vector;
-use kdr_sparse::{SparseMatrix, Stencil};
+use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
 
-/// Context switches of every thread of this process so far.
-fn context_switches() -> u64 {
-    let mut total = 0;
+/// The counts are of the whole process: the tests take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Both kinds of context switch a thread makes: blocking, and being
+/// preempted.
+const ALL_SWITCHES: [&str; 2] = ["voluntary_ctxt_switches:", "nonvoluntary_ctxt_switches:"];
+
+/// The switches a thread makes by blocking — a worker parking, a
+/// driver waiting — which every hand-off takes at least one of; a
+/// preemption by another process on a loaded host is not one.
+const BLOCKING_SWITCHES: [&str; 1] = ["voluntary_ctxt_switches:"];
+
+/// Context switches of the given kinds of every thread of this process
+/// so far, by thread id.
+fn context_switches(kinds: &[&str]) -> BTreeMap<u64, u64> {
+    let mut counts = BTreeMap::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs is mounted") {
-        // A thread that exited since the listing has no status left.
-        let Ok(status) = std::fs::read_to_string(task.unwrap().path().join("status")) else {
+        let task = task.unwrap();
+        let Some(tid) = task.file_name().to_str().and_then(|t| t.parse().ok()) else {
             continue;
         };
+        // A thread that exited since the listing has no status left.
+        let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
+            continue;
+        };
+        let mut total = 0;
         for line in status.lines() {
-            if let Some(count) = line
-                .strip_prefix("voluntary_ctxt_switches:")
-                .or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"))
-            {
+            if let Some(count) = kinds.iter().find_map(|kind| line.strip_prefix(kind)) {
                 total += count.trim().parse::<u64>().expect("a count");
             }
         }
+        counts.insert(tid, total);
     }
-    total
+    counts
 }
 
-fn nodes_run_by_drivers(planner: &mut Planner<f64>) -> u64 {
+/// Context switches of the given kinds since `before` of the threads
+/// alive now (a thread that exited meanwhile — another test's, say —
+/// takes its count with it).
+fn switches_since(kinds: &[&str], before: &BTreeMap<u64, u64>) -> u64 {
+    let now = context_switches(kinds);
+    now.iter()
+        .map(|(tid, n)| n - before.get(tid).copied().unwrap_or(0))
+        .sum()
+}
+
+fn exec_metrics(planner: &mut Planner<f64>) -> ExecMetrics {
     planner.with_backend(|b| {
         let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
         exec.expect("the planner runs on the exec backend")
             .metrics()
-            .runtime
-            .nodes_run_by_drivers
     })
+}
+
+fn nodes_run_by_drivers(planner: &mut Planner<f64>) -> u64 {
+    exec_metrics(planner).runtime.nodes_run_by_drivers
 }
 
 #[test]
 fn a_warm_traced_cg_solve_on_one_worker_hands_no_step_to_the_worker() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let stencil = Stencil::lap2d(96, 96);
     let n = stencil.unknowns();
     let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u64>());
@@ -82,9 +122,9 @@ fn a_warm_traced_cg_solve_on_one_worker_hands_no_step_to_the_worker() {
     planner.zero(SOL);
     let mut solver = CgSolver::new(&mut planner);
     let driven = nodes_run_by_drivers(&mut planner);
-    let switched = context_switches();
+    let switched = context_switches(&ALL_SWITCHES);
     let (outcome, trace) = solve_traced(&mut planner, &mut solver, control());
-    let switched = context_switches() - switched;
+    let switched = switches_since(&ALL_SWITCHES, &switched);
     let driven = nodes_run_by_drivers(&mut planner) - driven;
     assert!(outcome.expect("an SPD solve").converged);
 
@@ -103,4 +143,161 @@ fn a_warm_traced_cg_solve_on_one_worker_hands_no_step_to_the_worker() {
         driven >= replayed,
         "the driver ran {driven} nodes over {replayed} replayed steps"
     );
+}
+
+/// Twenty jobs on one warm planner, each as a service session runs
+/// one (`Session::begin_solve`: the right-hand side installed, a
+/// workspace mark, `SOL` zeroed, the solver built; then the solve and
+/// the release of the mark): lap2d 24² in 4 pieces, CG, one worker.
+/// The job's preamble — the zeroes and the solver's `r = b − Ax` — is
+/// one program, which every job from the third on replays on the
+/// thread that reads its residual. Readings before
+/// preambles were programs: 76 switches per warm job, ≈ 40 of its
+/// nodes analyzed.
+#[test]
+fn a_warm_job_replays_its_preamble_and_hands_nothing_to_the_worker() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let stencil = Stencil::lap2d(24, 24);
+    let n = stencil.unknowns();
+    let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(stencil.to_csr::<f64, u64>());
+    let mut planner = Planner::new(Box::new(ExecBackend::<f64>::new(1)));
+    let part = Partition::equal_blocks(n, 4);
+    let d = planner.add_sol_vector(n, Some(part.clone()));
+    let r = planner.add_rhs_vector(n, Some(part));
+    planner.add_operator(matrix, d, r);
+    // As a session's planner is when it is built.
+    planner.finalize();
+    let rhs = rhs_vector::<f64>(n, 7);
+    let mut first = None;
+    for job in 0..20 {
+        let before = exec_metrics(&mut planner);
+        let switched = context_switches(&BLOCKING_SWITCHES);
+        planner.set_rhs_data(r, &rhs);
+        let mark = planner.workspace_mark();
+        planner.zero(SOL);
+        let mut solver = CgSolver::new(&mut planner);
+        let report = solve(
+            &mut planner,
+            &mut solver,
+            SolveControl::to_tolerance(1e-8, 500),
+        );
+        drop(solver);
+        planner.release_workspace_from(mark);
+        let switched = switches_since(&BLOCKING_SWITCHES, &switched);
+        let after = exec_metrics(&mut planner);
+        let report = report.expect("an SPD solve");
+        assert!(report.converged, "job {job}");
+        let outcome = (report.iters, report.final_residual.to_bits());
+        assert_eq!(
+            *first.get_or_insert(outcome),
+            outcome,
+            "job {job} solves as job 0 did"
+        );
+        // The first job allocates the workspace; the second is the
+        // first to take it from the pool, zeroed, a preamble of its
+        // own. Every job after replays the second's.
+        if job < 2 {
+            continue;
+        }
+        let grew = |f: fn(&ExecMetrics) -> u64| f(&after) - f(&before);
+        assert_eq!(
+            grew(|m| m.runtime.tasks_analyzed),
+            0,
+            "job {job}: analyzed nodes"
+        );
+        assert_eq!(grew(|m| m.steps_captured), 0, "job {job}: captured steps");
+        assert_eq!(
+            after.trace_cache_len, before.trace_cache_len,
+            "job {job}: programs"
+        );
+        assert_eq!(
+            grew(|m| m.runtime.tasks_replayed),
+            report.iters as u64 + 1,
+            "job {job}: one node per step and one for the preamble"
+        );
+        assert!(
+            switched <= 4,
+            "job {job}: {switched} blocking context switches"
+        );
+    }
+}
+
+/// A `cold_irregular`-shaped operation: a fresh backend on a shared
+/// one-worker runtime, a seeded scatter matrix (n = 16 384, one to
+/// eight off-diagonal entries a row, in 8 pieces), BiCGStab for 24
+/// iterations checked every one, the solution read back, everything
+/// dropped. Each step's first run is a compiled program the reading
+/// driver runs itself, so the operation hands its worker next to
+/// nothing. Reading before first runs were programs: 664–738 switches.
+#[test]
+fn a_cold_operation_hands_its_first_runs_to_no_thread() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 16_384u64;
+    let mut state = 0x5ca7_7e12_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        state >> 33
+    };
+    let mut entries = Vec::new();
+    for i in 0..n {
+        let mut dominance = 1.0;
+        for _ in 0..1 + next() % 8 {
+            let j = next() % n;
+            if j != i {
+                let v = -((1 + next() % 8) as f64) / 8.0;
+                entries.push((i, j, v));
+                dominance -= v;
+            }
+        }
+        entries.push((i, i, dominance));
+    }
+    let matrix: Arc<dyn SparseMatrix<f64>> = Arc::new(Csr::<f64, u64>::from_triples(
+        Triples::from_entries(n, n, entries),
+    ));
+    let rt = Arc::new(Runtime::new(1));
+    let b = rhs_vector::<f64>(n, 3);
+    let operation = || {
+        let backend = ExecBackend::<f64>::with_shared_runtime(Arc::clone(&rt), None);
+        let mut planner = Planner::new(Box::new(backend));
+        let part = Partition::equal_blocks(n, 8);
+        let d = planner.add_sol_vector(n, Some(part.clone()));
+        let r = planner.add_rhs_vector(n, Some(part));
+        planner.add_operator(Arc::clone(&matrix), d, r);
+        planner.set_rhs_data(r, &b);
+        planner.finalize();
+        let mut solver = BiCgStabSolver::new(&mut planner);
+        let control = SolveControl {
+            max_iters: 24,
+            check_every: 1,
+            ..SolveControl::default()
+        };
+        let report = solve(&mut planner, &mut solver, control).expect("a row-dominant system");
+        let x = planner.read_component(SOL, 0);
+        let m = exec_metrics(&mut planner);
+        drop((solver, planner));
+        (
+            report.iters,
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            m,
+        )
+    };
+    let first = operation();
+    for _ in 0..2 {
+        let switched = context_switches(&BLOCKING_SWITCHES);
+        let again = operation();
+        let switched = switches_since(&BLOCKING_SWITCHES, &switched);
+        assert_eq!(
+            (again.0, &again.1),
+            (first.0, &first.1),
+            "an operation repeats bit for bit"
+        );
+        let m = again.2;
+        assert_eq!((m.steps_analyzed, m.steps_captured), (0, 3), "{m:?}");
+        assert!(
+            switched <= 50,
+            "{switched} blocking context switches in one operation"
+        );
+    }
 }

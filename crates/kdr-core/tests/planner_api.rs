@@ -5,7 +5,8 @@ use std::sync::Arc;
 use kdr_core::{
     solve_traced, BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ExecBackend, ExecMetrics,
     FusedCgSolver, MinresSolver, PBiCgStabSolver, PcgSolver, PipelinedCgSolver, PipelinedCrSolver,
-    Planner, SolveControl, SolveTrace, Solver, StepDriver, StepOutcome, TfqmrSolver, RHS, SOL,
+    Planner, SStepCgSolver, SolveControl, SolveTrace, Solver, StepDriver, StepOutcome, TfqmrSolver,
+    RHS, SOL,
 };
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
@@ -271,8 +272,10 @@ fn twelve_solves_on_one_planner_do_not_age() {
     assert_eq!(second.0, first.0);
     assert_eq!(second.3, first.3, "the pool serves the second solver already");
     // Tasks were built for the steps the first solve captured — 6 per
-    // piece and 5 scalar ones each — and for no step since.
-    assert_eq!(first.4, first.2 as u64 * (4 * 6 + 5));
+    // piece and 5 scalar ones each — and for no step since. The one
+    // cached program no step built is the solver's preamble (`r = b −
+    // Ax`, `p = r`, `(r, r)`), which every solve since replays too.
+    assert_eq!(first.4, (first.2 as u64 - 1) * (4 * 6 + 5));
     assert_eq!(second.4, first.4, "the second solve replays every step");
 }
 
@@ -334,7 +337,11 @@ fn bicgstab_shape_cycle_fits_the_trace_cache() {
         outcomes[3..].iter().all(|&o| o == StepOutcome::Replayed),
         "no step is captured or analysed again: {outcomes:?}"
     );
-    assert_eq!(lowered[35].trace_cache_len, 3);
+    assert_eq!(
+        lowered[35].trace_cache_len,
+        3 + 1,
+        "and the set-up's program"
+    );
     // Tasks are built for the three captured steps and for none after.
     let lowered: Vec<u64> = lowered.iter().map(|m| m.step_tasks_lowered).collect();
     assert!(lowered[..3].windows(2).all(|w| w[0] < w[1]), "{lowered:?}");
@@ -345,25 +352,70 @@ type Build = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
 
 #[test]
 fn every_traced_solver_captures_a_few_steps_then_only_replays() {
-    // (solver, preconditioned, build, captured steps). Left out:
-    // GMRES(m), whose Arnoldi step grows within a restart cycle, so
-    // every step of a cycle is a new record (DESIGN §6b); s-step CG,
-    // whose host read of the Gram matrix forces its step mid-way and
-    // runs the rest analyzed (DESIGN §6b).
-    let table: [(&str, bool, Build, u64); 11] = [
-        ("CG", false, |p| Box::new(CgSolver::new(p)), 3),
-        ("PCG", true, |p| Box::new(PcgSolver::new(p)), 3),
-        ("BiCG", false, |p| Box::new(BiCgSolver::new(p)), 3),
-        ("CGS", false, |p| Box::new(CgsSolver::new(p)), 3),
-        ("BiCGStab", false, |p| Box::new(BiCgStabSolver::new(p)), 3),
-        ("PBiCGStab", true, |p| Box::new(PBiCgStabSolver::new(p)), 3),
-        ("TFQMR", false, |p| Box::new(TfqmrSolver::new(p)), 8),
-        ("MINRES", false, |p| Box::new(MinresSolver::new(p)), 5),
-        ("fused CG", false, |p| Box::new(FusedCgSolver::new(p)), 6),
-        ("pipe CG", false, |p| Box::new(PipelinedCgSolver::new(p)), 6),
-        ("pipe CR", false, |p| Box::new(PipelinedCrSolver::new(p)), 6),
+    // (solver, preconditioned, build, captured steps, programs kept).
+    // A solver's set-up ops are one more program, run when the driver
+    // first reads the convergence measure. s-step CG's host read of
+    // the Gram matrix ends its step's first record there, so each of
+    // its two step shapes is two programs. Left out: GMRES(m), whose
+    // Arnoldi step grows within a restart cycle, so every step of a
+    // cycle is a new record (DESIGN §6b) — more than the cache holds.
+    let table: [(&str, bool, Build, u64, usize); 12] = [
+        ("CG", false, |p| Box::new(CgSolver::new(p)), 3, 1 + 3),
+        ("PCG", true, |p| Box::new(PcgSolver::new(p)), 3, 1 + 3),
+        ("BiCG", false, |p| Box::new(BiCgSolver::new(p)), 3, 1 + 3),
+        ("CGS", false, |p| Box::new(CgsSolver::new(p)), 3, 1 + 3),
+        (
+            "BiCGStab",
+            false,
+            |p| Box::new(BiCgStabSolver::new(p)),
+            3,
+            1 + 3,
+        ),
+        (
+            "PBiCGStab",
+            true,
+            |p| Box::new(PBiCgStabSolver::new(p)),
+            3,
+            1 + 3,
+        ),
+        ("TFQMR", false, |p| Box::new(TfqmrSolver::new(p)), 8, 1 + 8),
+        (
+            "MINRES",
+            false,
+            |p| Box::new(MinresSolver::new(p)),
+            5,
+            1 + 5,
+        ),
+        (
+            "fused CG",
+            false,
+            |p| Box::new(FusedCgSolver::new(p)),
+            6,
+            1 + 6,
+        ),
+        (
+            "pipe CG",
+            false,
+            |p| Box::new(PipelinedCgSolver::new(p)),
+            6,
+            1 + 6,
+        ),
+        (
+            "pipe CR",
+            false,
+            |p| Box::new(PipelinedCrSolver::new(p)),
+            6,
+            1 + 6,
+        ),
+        (
+            "s-step CG",
+            false,
+            |p| Box::new(SStepCgSolver::new(p)),
+            2,
+            1 + 2 * 2,
+        ),
     ];
-    for (name, preconditioned, build, captures) in table {
+    for (name, preconditioned, build, captures, programs) in table {
         let mut p = lap2d_planner(24, preconditioned);
         let mut solver = build(&mut p);
         let (mut driver, mut trace) = (StepDriver::new(fixed_steps(40)), SolveTrace::new());
@@ -386,8 +438,8 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
         );
         let m = exec_metrics(&mut p);
         assert_eq!(
-            (m.steps_captured, m.steps_analyzed),
-            (captures, 0),
+            (m.steps_captured, m.steps_analyzed, m.trace_cache_len),
+            (captures, 0, programs),
             "{name}: {outcomes:?}"
         );
     }

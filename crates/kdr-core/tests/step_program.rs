@@ -358,6 +358,10 @@ fn program_replay_matches_analyzed_submission_bitwise() {
             if !traced {
                 continue;
             }
+            assert!(
+                !got.outcomes.contains(&StepOutcome::Analyzed),
+                "a traced step is a program: {what}"
+            );
             assert!(*got.replayed.last().unwrap() > 0, "{what}");
             // Replay count gained by each step of the body.
             let gained = |step: usize| got.replayed[step] - got.replayed[step - 1];

@@ -162,6 +162,38 @@ fn small_against(large: &IntervalSet, picks: &[(u8, u8, u64, u64)]) -> IntervalS
     }))
 }
 
+/// Intersection as a linear merge of the two run lists: the oracle
+/// for [`IntervalSet::intersect`]'s binary-searching walk.
+fn merged_intersection(a: &IntervalSet, b: &IntervalSet) -> Vec<Run> {
+    let (a, b) = (a.runs(), b.runs());
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let c = a[i].intersect(&b[j]);
+        if !c.is_empty() {
+            out.push(c);
+        }
+        if a[i].hi <= b[j].hi {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    out
+}
+
+/// `intersect` in both argument orders against the merge, run for run
+/// — so it keeps the runs sorted, non-empty and never adjacent.
+fn check_intersection(a: &IntervalSet, b: &IntervalSet) {
+    let want = merged_intersection(a, b);
+    for (x, y) in [(a, b), (b, a)] {
+        let got = x.intersect(y);
+        assert_eq!(got.runs(), &want[..], "{x:?} and {y:?}");
+        assert!(got.runs().iter().all(|r| !r.is_empty()), "{got:?}");
+        assert!(got.runs().windows(2).all(|w| w[0].hi < w[1].lo), "{got:?}");
+    }
+}
+
 /// `is_disjoint` and `is_subset_of` against their definitions — a
 /// built intersection or difference tested for emptiness — and against
 /// the point-set model, both argument orders.
@@ -198,6 +230,20 @@ proptest! {
         check_predicates(&large, &IntervalSet::empty());
         check_predicates(&small, &IntervalSet::empty());
         check_predicates(&large, &large);
+    }
+
+    #[test]
+    fn intersect_matches_a_linear_merge_on_skewed_sets(
+        large in arb_fragmented(),
+        other in arb_fragmented(),
+        picks in prop::collection::vec((0..7u8, 0..3u8, 0..WIDE, 1..48u64), 0..4),
+    ) {
+        let small = small_against(&large, &picks);
+        check_intersection(&small, &large);
+        check_intersection(&large, &other);
+        check_intersection(&large, &large);
+        check_intersection(&large, &IntervalSet::empty());
+        check_intersection(&small, &IntervalSet::full(WIDE));
     }
 }
 

@@ -48,7 +48,9 @@ use crate::task::TaskId;
 /// How a task's dependences were obtained at submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provenance {
-    /// Dependences computed by full dynamic dependence analysis.
+    /// Dependences computed by full dynamic dependence analysis: at
+    /// submission, or — for a step program's first run — when the
+    /// program was compiled.
     Analyzed,
     /// Dependences installed from a captured trace (analysis skipped).
     Replayed,

@@ -4,10 +4,10 @@
 //! What the executor schedules is a *node*: one or more task bodies
 //! that run back to back, in submission order, on one worker. An
 //! analyzed submission is a node with one member, which owns its body
-//! and consumes it by its run; a trace replay arrives as a whole
-//! compiled step graph whose nodes may hold several and point into the
-//! bodies of a step program, which stay with the program (`Work`; see
-//! [`crate::trace`]). Both go through the same dependence state, the
+//! and consumes it by its run; a program run — a step program's first
+//! run or a replay — arrives as a whole compiled step graph whose nodes
+//! may hold several and point into the bodies of the program, which
+//! stay with the program (`Work`; see [`crate::trace`]). Both go through the same dependence state, the
 //! same queues and the same retirement.
 //!
 //! Nodes arrive with their dependences already known (from the
@@ -40,7 +40,7 @@
 //! parked does not wake it: a pool thread takes the node, and the
 //! driver hears of its retirement.
 //!
-//! A replayed step whose submitter waits for it next
+//! A program run whose submitter waits for it next
 //! (`Executor::submit_graph` with `waits`, behind
 //! [`Runtime::run_program`](crate::Runtime::run_program) with a read
 //! list) is the one submission that counts the submitter in: it owes a
@@ -158,30 +158,24 @@ pub(crate) struct Member {
     pub fault: Option<FaultKind>,
 }
 
-/// One run of a step program's bodies: the capture run, where every
-/// body is a node of its own, or a replay as the compiled graph. The
-/// nodes of the run share it, so scheduling the step builds nothing
-/// per body.
+/// One run of a step program's bodies, scheduled as its compiled
+/// graph. The nodes of the run share it, so scheduling the step builds
+/// nothing per body.
 pub(crate) struct ProgramRun {
     bodies: Arc<[ProgramBody]>,
     /// Id of body 0; body `i` runs as task `base + i`.
     base: TaskId,
-    /// The compiled step a replay is scheduled as; `None` for the
-    /// capture run.
-    graph: Option<Arc<StepGraph>>,
+    /// The compiled step the run is scheduled as.
+    graph: Arc<StepGraph>,
     /// The injector's decision per body, taken in body order when the
     /// run was made; empty when it was disarmed.
     faults: Vec<Option<FaultKind>>,
 }
 
 impl ProgramRun {
-    /// The bodies of node `at`, in running order: the members of that
-    /// node of the graph, or body `at` itself in a capture run.
-    fn locals<'a>(&'a self, at: &'a u32) -> &'a [u32] {
-        match &self.graph {
-            Some(graph) => &graph.nodes[*at as usize].members,
-            None => std::slice::from_ref(at),
-        }
+    /// The bodies of node `at` of the graph, in running order.
+    fn locals(&self, at: u32) -> &[u32] {
+        &self.graph.nodes[at as usize].members
     }
 
     /// Body `local` of the program: the id it runs under in this run,
@@ -228,22 +222,13 @@ impl Runnable {
         Self::new(Work::Single(Box::new(member)))
     }
 
-    /// Body `at` of a capture run, as a node of its own.
-    pub fn captured(run: &Arc<ProgramRun>, at: u32) -> Self {
-        debug_assert!(run.graph.is_none());
-        Self::new(Work::Program {
-            run: Arc::clone(run),
-            at,
-        })
-    }
-
     /// The node's id and the metadata it is placed by: its first
     /// body's.
     fn head(&self) -> (TaskId, &TaskMeta) {
         match &self.work {
             Work::Single(m) => (m.id, &m.meta),
             Work::Program { run, at } => {
-                let (id, first, _) = run.body(run.locals(at)[0]);
+                let (id, first, _) = run.body(run.locals(*at)[0]);
                 (id, &first.meta)
             }
         }
@@ -258,7 +243,7 @@ impl Runnable {
         match &self.work {
             Work::Single(m) => f(m.id, m.meta.name),
             Work::Program { run, at } => {
-                for &l in run.locals(at) {
+                for &l in run.locals(*at) {
                     let (id, body, _) = run.body(l);
                     f(id, body.meta.name);
                 }
@@ -674,44 +659,30 @@ impl Executor {
         shared.wake(owed);
     }
 
-    /// The bodies of a step program as one run starting at id `base`:
-    /// the capture run (`graph` is `None`; the caller submits body `i`
-    /// as [`Runnable::captured`]) or a replay of the compiled `graph`.
-    /// Takes the injector's decision for every body here, in body
-    /// order — the order task-by-task submission would take them in,
-    /// since nothing else is submitted while the run goes in.
-    pub fn program_run(
-        &self,
-        bodies: Arc<[ProgramBody]>,
-        base: TaskId,
-        graph: Option<Arc<StepGraph>>,
-    ) -> Arc<ProgramRun> {
-        let faults = &self.shared.faults;
-        Arc::new(ProgramRun {
-            faults: faults.decide_all(bodies.iter().map(|b| b.meta.name)),
-            bodies,
-            base,
-            graph,
-        })
-    }
-
-    /// Enqueue one replayed step: body `i` of `bodies` is the `i`-th
-    /// task of `trace` and gets the id `base + i`; the trace's
+    /// Enqueue one run of a compiled step: body `i` of `bodies` is the
+    /// `i`-th task of `trace` and gets the id `base + i`; the trace's
     /// compiled graph says which node each belongs to and how the
     /// nodes depend on one another. The executor must be quiescent
-    /// (the runtime fences before a replay), so the step has no
+    /// (the runtime fences before a program run), so the step has no
     /// outside dependences and the whole graph is installed under one
     /// lock acquisition, followed by one round of wake-ups for its
     /// initially ready nodes. A submitter that `waits` for the step
     /// next ([`Executor::wait_retired`] on some of its nodes) takes
     /// one of those nodes itself, so it wakes a worker for every ready
-    /// node but one.
+    /// node but one. `provenance` is what the bodies' spans say their
+    /// dependences came from: the analysis a program was compiled by,
+    /// on its first run, or a replay of it.
+    ///
+    /// The injector decides for every body here, in body order — the
+    /// order task-by-task submission would take them in, since nothing
+    /// else is submitted while the run goes in.
     pub fn submit_graph(
         &self,
         base: TaskId,
         trace: &Trace,
         bodies: Arc<[ProgramBody]>,
         waits: bool,
+        provenance: Provenance,
     ) {
         let shared = &*self.shared;
         let graph = &trace.graph;
@@ -724,16 +695,22 @@ impl Executor {
             submits.extend(bodies.map(|((b, deps), id)| SubmitRecord {
                 id,
                 name: b.meta.name,
-                provenance: Provenance::Replayed,
+                provenance,
                 submit_ns: now_ns,
                 deps: deps.iter().map(|&l| base + l as TaskId).collect(),
             }));
         }
-        // One fault decision per body in submission order, exactly as
-        // task-by-task submission makes them.
-        let program = self.program_run(bodies, base, Some(Arc::clone(graph)));
+        let program = Arc::new(ProgramRun {
+            faults: shared.faults.decide_all(bodies.iter().map(|b| b.meta.name)),
+            bodies,
+            base,
+            graph: Arc::clone(graph),
+        });
         let mut st = shared.state.lock();
-        assert_eq!(st.outstanding, 0, "a replay needs a quiescent executor");
+        assert_eq!(
+            st.outstanding, 0,
+            "a program run needs a quiescent executor"
+        );
         st.spans.record_submits(submits);
         st.base = base;
         st.slots.clear();
@@ -1218,7 +1195,7 @@ fn run_node(
             run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx))
         }
         Work::Program { run: program, at } => {
-            for &l in program.locals(&at) {
+            for &l in program.locals(at) {
                 let (id, b, fault) = program.body(l);
                 run.body(id, b.meta.name, fault, &b.ctx, |ctx| (b.body)(ctx));
             }

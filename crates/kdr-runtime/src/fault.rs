@@ -87,9 +87,9 @@ pub enum RuntimeError {
         /// Name of the body-less task.
         task: &'static str,
     },
-    /// `capture_program` was handed a task whose body runs once
+    /// `compile_program` was handed a task whose body runs once
     /// (`TaskBuilder::body`); a program runs its bodies on every
-    /// replay, so they must be `TaskBuilder::shared_body` ones.
+    /// run, so they must be `TaskBuilder::shared_body` ones.
     BodyRunsOnce {
         /// Name of the task.
         task: &'static str,

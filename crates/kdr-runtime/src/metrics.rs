@@ -23,20 +23,24 @@ use std::collections::BTreeMap;
 pub struct MetricsSnapshot {
     /// Scheduled nodes submitted (analyzed or replayed). A node is
     /// what the executor queues, runs and retires as one unit: a task
-    /// submitted through analysis is a node of its own, and a replayed
-    /// step's tasks are fused into the nodes of its compiled trace
-    /// (see [`crate::trace`]). `tasks_submitted + tasks_fused` is the
-    /// number of task bodies submitted.
+    /// submitted through analysis is a node of its own, and a program
+    /// run's tasks are fused into the nodes of its compiled trace (see
+    /// [`crate::trace`]). `tasks_submitted + tasks_fused` is the number
+    /// of task bodies submitted.
     pub tasks_submitted: u64,
     /// Scheduled nodes executed (a node whose body panicked included,
     /// nodes retired as poisoned not).
     pub tasks_executed: u64,
-    /// Tasks that went through dependence analysis (not replayed).
+    /// Scheduled nodes whose dependences came from analysis: a task
+    /// submitted on its own ([`Runtime::submit`](crate::Runtime::submit)),
+    /// or a node of a step program's first run, whose tasks were
+    /// analyzed when it was compiled.
     pub tasks_analyzed: u64,
     /// Scheduled nodes submitted through trace replay (analysis
-    /// skipped).
+    /// skipped): a step program's later runs and
+    /// [`Runtime::replay`](crate::Runtime::replay).
     pub tasks_replayed: u64,
-    /// Task bodies folded into a replayed node behind its first
+    /// Task bodies folded into a program run's node behind its first
     /// member: submitted, run and logged, but never scheduled on
     /// their own.
     pub tasks_fused: u64,

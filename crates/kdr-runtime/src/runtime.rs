@@ -1,5 +1,5 @@
-//! The user-facing runtime: submission, fencing, and trace
-//! capture/replay.
+//! The user-facing runtime: submission, fencing, step programs
+//! (compiled, then run) and trace capture/replay.
 //!
 //! A thread that waits here — [`Runtime::fence`],
 //! [`Runtime::wait_written`], the quiescing fences of capture and
@@ -15,13 +15,13 @@
 //! stall watchdog are armed through [`Runtime::set_fault_plan`] and
 //! [`Runtime::set_stall_budget`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::events::TaskSpan;
+use crate::events::{Provenance, TaskSpan};
 use crate::executor::{Executor, Member, Runnable};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
@@ -38,10 +38,9 @@ struct TraceCapture {
     /// Scheduling metadata of each captured task: what the compile
     /// step fuses by.
     metas: Vec<TaskMeta>,
-    /// Names and accesses of the captured tasks; `None` in a
-    /// [`Runtime::capture_program`] capture, whose trace replays only
-    /// the program's own bodies.
-    sig: Option<ShapeSig>,
+    /// Names and accesses of the captured tasks: what a replay's task
+    /// list must match.
+    sig: ShapeSig,
 }
 
 struct RtState {
@@ -199,10 +198,8 @@ impl Runtime {
             cap.deps
                 .push(deps.iter().map(|d| (d - first) as usize).collect());
             cap.metas.push(meta);
-            if let Some(sig) = &mut cap.sig {
-                let accesses = lites.iter().map(|l| (l.buffer_id, &l.subset, l.write));
-                sig.push(meta.name, accesses);
-            }
+            let accesses = lites.iter().map(|l| (l.buffer_id, &l.subset, l.write));
+            cap.sig.push(meta.name, accesses);
         }
         // The caller holds the state lock across executor submission,
         // so tasks enter the executor in analysis order (which also
@@ -286,12 +283,13 @@ impl Runtime {
     /// other threads block. Re-entry from the capture-owning thread
     /// still fails with [`RuntimeError::NestedTrace`].
     pub fn begin_trace(&self) -> Result<(), RuntimeError> {
-        self.open_capture(Some(ShapeSig::default()))
+        self.open_capture()
     }
 
-    /// [`Runtime::begin_trace`], recording the captured tasks'
-    /// signature into `sig` if it is `Some`.
-    fn open_capture(&self, sig: Option<ShapeSig>) -> Result<(), RuntimeError> {
+    /// The capture gate behind [`Runtime::begin_trace`]: wait out a
+    /// foreign capture, quiesce, clear the analyzer and open this
+    /// thread's capture.
+    fn open_capture(&self) -> Result<(), RuntimeError> {
         loop {
             self.exec.fence().map_err(RuntimeError::TaskFailed)?;
             let mut st = self.state.lock();
@@ -319,7 +317,7 @@ impl Runtime {
                 first_id: st.next_id,
                 deps: Vec::new(),
                 metas: Vec::new(),
-                sig,
+                sig: ShapeSig::default(),
             });
             st.capture_owner = Some(std::thread::current().id());
             return Ok(());
@@ -362,7 +360,7 @@ impl Runtime {
         Ok(Trace::compile(
             cap.deps,
             &cap.metas,
-            cap.sig,
+            Some(cap.sig),
             frontier,
             self.num_workers(),
         ))
@@ -393,48 +391,49 @@ impl Runtime {
             .into_iter()
             .map(ProgramBody::replayed)
             .collect::<Result<Arc<[ProgramBody]>, _>>()?;
-        let (base, _) = self.submit_step(trace, || bodies, [])?;
+        let (base, _) = self.submit_step(trace, || (bodies, Provenance::Replayed), [])?;
         Ok((base..base + trace.len() as TaskId).collect())
     }
 
-    /// Submit `tasks` — every one of them, in order, through dependence
-    /// analysis — and keep them, with the capture of that run, as a
-    /// [`StepProgram`]. Every body must be a
-    /// [`TaskBuilder::shared_body`] one; otherwise the call returns
-    /// [`RuntimeError::BodyRunsOnce`] (or
-    /// [`RuntimeError::MissingBody`]) and submits nothing.
+    /// Compile `tasks` into a [`StepProgram`] without running any of
+    /// them: analyze the list, in order, on an analyzer of its own —
+    /// as a capture would from its cleared one, so a step's edges are a
+    /// function of its task list alone — and compile the result for
+    /// this runtime's workers ([`crate::trace`]). The program's first
+    /// [`Runtime::run_program`] is the step's first run: its nodes are
+    /// counted, and its spans logged, as analyzed; every later run is a
+    /// replay.
     ///
-    /// Any other error means the tasks were submitted but there is no
-    /// program: the capture was refused because a task failure is
-    /// pending (the tasks then ran as plain analyzed submissions), or
-    /// a task of the step failed. The capture itself is
-    /// [`Runtime::begin_trace`] … [`Runtime::end_trace`], with their
-    /// fences and their gate against other threads' submissions.
-    pub fn capture_program(&self, tasks: Vec<TaskBuilder>) -> Result<StepProgram, RuntimeError> {
-        let bodies = tasks
-            .into_iter()
-            .map(ProgramBody::try_from)
-            .collect::<Result<Arc<[ProgramBody]>, _>>()?;
-        let capturing = self.open_capture(None);
-        {
-            // One acquisition for the whole step: the ids are
-            // consecutive, as a program run numbers its bodies.
-            let mut st = self.lock_past_foreign_capture();
-            let run = self.exec.program_run(Arc::clone(&bodies), st.next_id, None);
-            for (i, b) in bodies.iter().enumerate() {
-                let lites = req_lites(&b.ctx.reqs);
-                self.submit_analyzed(&mut st, &lites, b.meta, |_| {
-                    Runnable::captured(&run, i as u32)
-                });
-            }
+    /// Every body must be a [`TaskBuilder::shared_body`] one;
+    /// otherwise the call returns [`RuntimeError::BodyRunsOnce`] (or
+    /// [`RuntimeError::MissingBody`]). Neither the live analyzer nor
+    /// the executor is touched (only the count of edges analysis
+    /// created), so compiling needs no quiescent runtime and waits for
+    /// nothing.
+    pub fn compile_program(&self, tasks: Vec<TaskBuilder>) -> Result<StepProgram, RuntimeError> {
+        let mut analyzer = Analyzer::new();
+        let mut deps = Vec::with_capacity(tasks.len());
+        let mut metas = Vec::with_capacity(tasks.len());
+        let mut bodies = Vec::with_capacity(tasks.len());
+        for (i, task) in tasks.into_iter().enumerate() {
+            let lites = req_lites(&task.reqs);
+            let body = ProgramBody::try_from(task)?;
+            let found = analyzer.analyze(i as TaskId, &lites);
+            deps.push(found.into_iter().map(|d| d as usize).collect());
+            metas.push(body.meta);
+            bodies.push(body);
         }
-        capturing?;
-        let trace = self.end_trace()?;
-        Ok(StepProgram { trace, bodies })
+        self.state.lock().analyzer.edges_created += analyzer.edges_created;
+        let frontier = analyzer.snapshot();
+        Ok(StepProgram {
+            trace: Trace::compile(deps, &metas, None, frontier, self.num_workers()),
+            bodies: bodies.into(),
+            ran: AtomicBool::new(false),
+        })
     }
 
-    /// Replay a program: the step it was captured from, scheduled as
-    /// its compiled graph with the bodies and requirement lists the
+    /// Run a program: the step it was compiled from, scheduled as its
+    /// compiled graph with the bodies and requirement lists the
     /// program already owns. `bind` runs once the runtime is quiescent
     /// and before any body of the step can start — the place to store
     /// what this run's bodies should read differently from the last
@@ -463,7 +462,12 @@ impl Runtime {
     ) -> Result<Result<Duration, TaskError>, RuntimeError> {
         let bodies = || {
             bind();
-            Arc::clone(&program.bodies)
+            let provenance = if program.ran.swap(true, Ordering::Relaxed) {
+                Provenance::Replayed
+            } else {
+                Provenance::Analyzed
+            };
+            (Arc::clone(&program.bodies), provenance)
         };
         let (_, writers) = self.submit_step(&program.trace, bodies, reads)?;
         if writers.is_empty() {
@@ -472,17 +476,17 @@ impl Runtime {
         Ok(self.exec.wait_retired(&writers))
     }
 
-    /// The replay routine behind [`Runtime::run_program`] and
+    /// The one step routine behind [`Runtime::run_program`] and
     /// [`Runtime::replay`]: quiesce, give the step the next
     /// `trace.len()` ids, leave the recorded frontier pending with the
-    /// analyzer and hand the compiled graph and `bodies()`, its tasks'
-    /// bodies, to the executor — telling it whether the caller waits
-    /// for the step's writers of `reads` next. Returns the first id
-    /// and those writers.
+    /// analyzer and hand the compiled graph and `bodies()` — its
+    /// tasks' bodies, and where their dependences came from — to the
+    /// executor, telling it whether the caller waits for the step's
+    /// writers of `reads` next. Returns the first id and those writers.
     fn submit_step(
         &self,
         trace: &Trace,
-        bodies: impl FnOnce() -> Arc<[ProgramBody]>,
+        bodies: impl FnOnce() -> (Arc<[ProgramBody]>, Provenance),
         reads: impl IntoIterator<Item = u64>,
     ) -> Result<(TaskId, Vec<TaskId>), RuntimeError> {
         // The recorded graph has no edges to anything outside it and
@@ -502,11 +506,15 @@ impl Runtime {
                 break st;
             }
         };
+        let (bodies, provenance) = bodies();
         let base = st.next_id;
         let (tasks, nodes) = (trace.len() as u64, trace.num_nodes() as u64);
         st.next_id = base + tasks;
         st.tasks_submitted += nodes;
-        st.tasks_replayed += nodes;
+        match provenance {
+            Provenance::Analyzed => st.tasks_analyzed += nodes,
+            Provenance::Replayed => st.tasks_replayed += nodes,
+        }
         st.tasks_fused += tasks - nodes;
         st.analyzer.set_pending(&trace.frontier, base);
         let mut writers = Vec::new();
@@ -514,7 +522,8 @@ impl Runtime {
             st.analyzer.writers(buffer, &mut writers);
         }
         let waits = !writers.is_empty();
-        self.exec.submit_graph(base, trace, bodies(), waits);
+        self.exec
+            .submit_graph(base, trace, bodies, waits, provenance);
         Ok((base, writers))
     }
 
@@ -767,7 +776,7 @@ mod tests {
                     }
                 })
         };
-        let program = rt.capture_program(vec![add(&v), add(&v)]).unwrap();
+        let program = rt.compile_program(vec![add(&v), add(&v)]).unwrap();
         assert_eq!(program.trace().len(), 2);
         assert_eq!(program.trace().deps_of(1), [0]);
         // It replays its own bodies only.
@@ -776,21 +785,24 @@ mod tests {
         let empty = rt.replay(program.trace(), Vec::new());
         assert_eq!(empty, Err(RuntimeError::ReplayShapeMismatch));
         rt.fence().unwrap();
-        assert_eq!(v.snapshot(), vec![2.0; 4], "the capture runs the tasks");
+        assert_eq!(v.snapshot(), vec![0.0; 4], "compiling runs nothing");
+        assert_eq!(rt.metrics().tasks_submitted, 0);
         // Back to back: `bind` runs after the previous run's bodies.
-        for k in 2..=4 {
+        for k in 1..=4 {
             rt.run_program(&program, || step.store(k, Ordering::Relaxed), [])
                 .unwrap()
                 .unwrap();
         }
         rt.fence().unwrap();
-        assert_eq!(v.snapshot(), vec![2.0 + 2.0 * (2 + 3 + 4) as f64; 4]);
+        assert_eq!(v.snapshot(), vec![2.0 * (1 + 2 + 3 + 4) as f64; 4]);
         // Node counts: the program's two-task colourless chain runs as
-        // one node.
+        // one node, its first run counted as analyzed.
         let s = rt.metrics();
-        assert_eq!(s.tasks_analyzed, 2);
+        assert_eq!(s.tasks_analyzed, 1);
         assert_eq!(s.tasks_replayed, 3);
-        assert_eq!(s.tasks_executed, 2 + 3);
+        assert_eq!(s.tasks_executed, 1 + 3);
+        assert_eq!(s.tasks_fused, 4);
+        assert_eq!(s.edges_created, 1, "the edge compiling found");
         // Analysis after a program run sees what it wrote.
         rt.submit(TaskBuilder::new("dbl").write_all(&v).body(|ctx| {
             let w = ctx.write::<f64>(0);
@@ -811,38 +823,50 @@ mod tests {
                 w.set(0, w.get(0) + 1.0);
             })
         };
-        // A run-once body cannot be kept: nothing is submitted.
+        // A run-once body cannot be kept.
         let once = TaskBuilder::new("once").write_all(&y).body(|_| {});
-        let err = rt.capture_program(vec![inc(&y), once]).err();
+        let err = rt.compile_program(vec![inc(&y), once]).err();
         assert_eq!(err, Some(RuntimeError::BodyRunsOnce { task: "once" }));
         let headless = TaskBuilder::new("headless").write_all(&y);
-        let err = rt.capture_program(vec![headless]).err();
+        let err = rt.compile_program(vec![headless]).err();
         assert_eq!(err, Some(RuntimeError::MissingBody { task: "headless" }));
         assert_eq!(rt.metrics().tasks_submitted, 0);
 
-        // A pending failure refuses a capture (the tasks still run)
-        // and a replay (nothing is bound, nothing runs).
-        let kept = rt.capture_program(vec![inc(&x)]).unwrap();
+        // A pending failure refuses a first run and a replay alike:
+        // nothing is bound, nothing runs. Compiling goes on.
+        let kept = rt.compile_program(vec![inc(&x)]).unwrap();
+        rt.run_program(&kept, || {}, []).unwrap().unwrap();
         rt.submit(
             TaskBuilder::new("explode")
                 .write_all(&x)
                 .body(|_| panic!("kaboom")),
         )
         .unwrap();
-        let err = rt.capture_program(vec![inc(&y)]).err();
-        assert!(matches!(err, Some(RuntimeError::TaskFailed(_))), "{err:?}");
-        assert!(rt.fence().is_err());
-        assert_eq!(y.snapshot(), vec![1.0]);
+        let fresh = rt.compile_program(vec![inc(&y)]).unwrap();
+        let refused = rt.run_program(&fresh, || panic!("bound a refused first run"), []);
+        assert!(
+            matches!(refused, Err(RuntimeError::TaskFailed(_))),
+            "{refused:?}"
+        );
         let refused = rt.run_program(&kept, || panic!("bound a refused replay"), []);
         assert!(matches!(refused, Err(RuntimeError::TaskFailed(_))));
-        assert_eq!(x.snapshot(), vec![1.0]);
+        assert!(rt.fence().is_err());
+        assert_eq!((x.snapshot(), y.snapshot()), (vec![1.0], vec![0.0]));
+        assert_eq!(
+            rt.metrics().tasks_analyzed,
+            2,
+            "the first run and the explosion"
+        );
 
-        // Once the failure is taken, capture and replay work.
+        // Once the failure is taken, both run: the refused first run
+        // is still the first.
         rt.take_failure().unwrap();
-        let program = rt.capture_program(vec![inc(&y)]).unwrap();
-        rt.run_program(&program, || {}, []).unwrap().unwrap();
+        rt.run_program(&fresh, || {}, []).unwrap().unwrap();
+        rt.run_program(&kept, || {}, []).unwrap().unwrap();
         rt.fence().unwrap();
-        assert_eq!(y.snapshot(), vec![3.0]);
+        assert_eq!((x.snapshot(), y.snapshot()), (vec![2.0], vec![1.0]));
+        let m = rt.metrics();
+        assert_eq!((m.tasks_analyzed, m.tasks_replayed), (3, 1));
     }
 
     #[test]
@@ -860,9 +884,10 @@ mod tests {
                     w.set(0, w.get(0) + 1.0);
                 })
         };
-        let program = rt.capture_program(vec![inc]).unwrap();
-        // Waited for: the value is there when the call returns.
-        for k in 2..5 {
+        let program = rt.compile_program(vec![inc]).unwrap();
+        // Waited for, first run and replays: the value is there when
+        // the call returns.
+        for k in 1..5 {
             rt.run_program(&program, || {}, [v.id()]).unwrap().unwrap();
             assert_eq!(v.peek(0), f64::from(k));
         }

@@ -194,8 +194,8 @@ impl TaskBuilder {
 
     /// Provide a body that may run any number of times. Such a task
     /// submits and replays like any other, and it is the only kind
-    /// [`Runtime::capture_program`](crate::Runtime::capture_program)
-    /// accepts, because a program runs the bodies it was captured with
+    /// [`Runtime::compile_program`](crate::Runtime::compile_program)
+    /// accepts, because a program runs the bodies it was compiled from
     /// again on every replay.
     pub fn shared_body(mut self, f: impl Fn(&TaskContext) + Send + Sync + 'static) -> Self {
         self.body = Some(TaskBody::Shared(Box::new(f)));

@@ -10,29 +10,38 @@
 //! the dynamic-tracing optimization of Lee et al. (SC '18) that the
 //! paper's implementation relies on.
 //!
-//! A [`StepProgram`] keeps the captured tasks themselves — bodies
-//! that may run any number of times ([`TaskBuilder::shared_body`]) and
-//! their requirement lists — next to the trace, so
+//! A [`StepProgram`] keeps a step's tasks themselves — bodies that
+//! may run any number of times ([`TaskBuilder::shared_body`]) and their
+//! requirement lists — next to the compiled trace, so
 //! [`Runtime::run_program`](crate::Runtime::run_program) builds nothing
 //! per task: the executor's nodes point into the program. That is the
-//! one step engine. [`Runtime::replay`](crate::Runtime::replay) is an
-//! adapter onto it for a caller whose bodies differ from run to run: it
-//! checks a freshly built task list against the [`ShapeSig`] of the
-//! captured one, turns the list into a one-run program (a run-once body
-//! is taken by its run) and schedules that the same way, so fault
-//! decisions, spans, accounting and failure semantics are the same.
+//! one step engine, and a step's *first* run goes through it too:
+//! [`Runtime::compile_program`](crate::Runtime::compile_program)
+//! analyzes the task list on an analyzer of its own and compiles it
+//! before anything runs, so no step is ever submitted task by task.
+//! [`Runtime::replay`](crate::Runtime::replay) is an adapter onto the
+//! same engine for a caller whose bodies differ from run to run: it
+//! checks a freshly built task list against the [`ShapeSig`] of a
+//! `begin_trace` capture, turns the list into a one-run program (a
+//! run-once body is taken by its run) and schedules that the same way,
+//! so fault decisions, spans, accounting and failure semantics are the
+//! same.
 //!
-//! Both capture and replay begin from a quiescent runtime (the
-//! runtime fences internally), so a trace's first tasks have no
+//! A program run, like a capture, begins from a quiescent runtime (the
+//! runtime fences internally), so a step's first tasks have no
 //! external dependences and the recorded frontier fully describes the
-//! post-trace access state. A replay hands that frontier to the
-//! analyzer by reference ([`crate::graph`]): nothing is copied unless
-//! an analyzed submission follows the replay.
+//! post-step access state. That is also why compiling on a fresh
+//! analyzer finds the edges a live capture would: a capture starts from
+//! a cleared analyzer on a quiescent runtime, so a step's edges are a
+//! function of its task list alone. A run hands the recorded frontier
+//! to the analyzer by reference ([`crate::graph`]): nothing is copied
+//! unless an analyzed submission follows the run.
 //!
 //! # Compiled traces
 //!
-//! `end_trace` does not keep the capture as a per-task dependence
-//! list: it *compiles* it into a step graph of scheduled **nodes**.
+//! Neither `end_trace` nor `compile_program` keeps the analysis as a
+//! per-task dependence list: each *compiles* it into a step graph of
+//! scheduled **nodes**.
 //! Walking the captured tasks in submission order, a task whose
 //! *home worker* the placement rule fixes joins the most recent node
 //! of that home whenever the node graph stays acyclic with it inside,
@@ -88,6 +97,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use kdr_index::IntervalSet;
@@ -275,7 +285,7 @@ pub struct Trace {
     /// The names and declared accesses of the captured tasks: what a
     /// task list handed to [`Runtime::replay`](crate::Runtime::replay)
     /// must match, since it runs under the captured edges. `None` in a
-    /// [`StepProgram`]'s trace, which replays only the program's own
+    /// [`StepProgram`]'s trace, which runs only the program's own
     /// tasks.
     pub(crate) sig: Option<ShapeSig>,
 }
@@ -382,12 +392,12 @@ impl TryFrom<TaskBuilder> for ProgramBody {
     }
 }
 
-/// A captured step that owns what a replay needs: the compiled
-/// [`Trace`] and the tasks it was captured from, bodies and
-/// requirement lists included. Made by
-/// [`Runtime::capture_program`](crate::Runtime::capture_program);
-/// [`Runtime::run_program`](crate::Runtime::run_program) schedules it
-/// again without building a task.
+/// A compiled step that owns what a run needs: the compiled [`Trace`]
+/// and the tasks it was compiled from, bodies and requirement lists
+/// included. Made by
+/// [`Runtime::compile_program`](crate::Runtime::compile_program);
+/// [`Runtime::run_program`](crate::Runtime::run_program) schedules it,
+/// first run and replays alike, without building a task.
 ///
 /// A program runs the *same* bodies every time. What differs from one
 /// run to the next has to live where the bodies read it: in the
@@ -396,10 +406,13 @@ impl TryFrom<TaskBuilder> for ProgramBody {
 pub struct StepProgram {
     pub(crate) trace: Trace,
     pub(crate) bodies: Arc<[ProgramBody]>,
+    /// Whether a run has been submitted: the first one runs the edges
+    /// analysis found, the rest replay them.
+    pub(crate) ran: AtomicBool,
 }
 
 impl StepProgram {
-    /// The compiled capture the program replays as.
+    /// The compiled step the program runs as.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }

@@ -321,16 +321,22 @@ proptest! {
         prop_assert_eq!(m.tasks_replayed + m.tasks_fused, replayed_bodies);
         prop_assert_eq!(m.tasks_executed, m.tasks_submitted);
 
-        // Captured once as a step program, which then runs the bodies
-        // it holds three more times.
+        // Compiled once as a step program, which then runs the bodies
+        // it holds four times, its first run included. Compiling
+        // finds the edges and nodes the live capture above recorded.
         let rt = runtime(workers);
         let bufs = buffers(nbuf);
         let program = rt
-            .capture_program(ops.iter().map(|op| program_task(op, &bufs)).collect())
+            .compile_program(ops.iter().map(|op| program_task(op, &bufs)).collect())
             .unwrap();
         prop_assert_eq!(program.trace().len(), ops.len());
         assert_compiled_graph_is_sound(program.trace(), &ops, workers);
-        for round in 1..ROUNDS {
+        prop_assert_eq!(program.trace().num_nodes(), trace.num_nodes());
+        for i in 0..ops.len() {
+            prop_assert_eq!(program.trace().deps_of(i), trace.deps_of(i));
+            prop_assert_eq!(program.trace().node_of(i), trace.node_of(i));
+        }
+        for round in 0..ROUNDS {
             // Every other run is waited for by its submitter, which
             // takes a ready node itself and wakes a worker for the rest.
             let reads = bufs.iter().map(Buffer::id).filter(|_| round % 2 == 1);
@@ -342,8 +348,9 @@ proptest! {
         rt.fence().unwrap();
         prop_assert_eq!(snapshot(&bufs), expect);
         let m = rt.metrics();
-        prop_assert_eq!(m.tasks_analyzed, ops.len() as u64);
-        prop_assert_eq!(m.tasks_replayed + m.tasks_fused, replayed_bodies);
+        prop_assert_eq!(m.tasks_analyzed, program.trace().num_nodes() as u64);
+        let bodies = (ROUNDS * ops.len()) as u64;
+        prop_assert_eq!(m.tasks_analyzed + m.tasks_replayed + m.tasks_fused, bodies);
         prop_assert_eq!(m.tasks_executed, m.tasks_submitted);
     }
 }
@@ -513,8 +520,8 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
     assert_eq!(err.task - ids[0], analyzed);
     assert_eq!(rt.metrics().faults_injected, 1);
 
-    // As a step program: the fourth body of the capture run when the
-    // plan is armed for it (the capture is void, the tasks still ran)…
+    // As a step program: the fourth body of its first run when the
+    // plan is armed for it…
     let shared = |cells: &[Buffer<f64>]| -> Vec<TaskBuilder> {
         let bump = |ctx: &TaskContext| {
             let w = ctx.write::<f64>(0);
@@ -525,17 +532,22 @@ fn fault_plan_decisions_follow_submission_order_when_fused() {
         tasks.map(|(i, b)| colored(i).write_all(b).shared_body(bump)).collect()
     };
     let rt = Runtime::new(2);
+    let program = rt.compile_program(shared(&cells)).unwrap();
     rt.set_fault_plan(Some(plan()));
-    match rt.capture_program(shared(&cells)) {
-        Err(RuntimeError::TaskFailed(err)) => assert_eq!(err.task, analyzed),
-        other => panic!("a failed capture is void: {:?}", other.map(|p| p.trace().len())),
-    }
-    assert_eq!(rt.metrics().tasks_submitted, 8);
+    rt.run_program(&program, || {}, []).unwrap().unwrap();
+    assert_eq!(rt.fence().unwrap_err().task, analyzed);
+    assert_eq!(
+        rt.metrics().tasks_submitted,
+        2,
+        "two nodes, the first run too"
+    );
     // …and the fourth body of a replay of it, although the program
     // schedules it as the second member of its second node.
     let rt = Runtime::new(2);
-    let program = rt.capture_program(shared(&cells)).unwrap();
+    let program = rt.compile_program(shared(&cells)).unwrap();
     assert_eq!(program.trace().num_nodes(), 2);
+    rt.run_program(&program, || {}, []).unwrap().unwrap();
+    rt.fence().unwrap();
     rt.set_fault_plan(Some(plan()));
     rt.run_program(&program, || {}, []).unwrap().unwrap();
     let err = rt.fence().unwrap_err();

@@ -102,7 +102,8 @@ fn a_program_run_nobody_waits_for_wakes_the_worker() {
         let send = TaskBuilder::new("send").shared_body(move |_| {
             tx.lock().unwrap().send(r.load(Ordering::Relaxed)).unwrap();
         });
-        let program = rt.capture_program(vec![send]).unwrap();
+        let program = rt.compile_program(vec![send]).unwrap();
+        rt.run_program(&program, || {}, []).unwrap().unwrap();
         assert_eq!(rx.recv(), Ok(0));
         for k in 1..=10_000u64 {
             if k % 2 == 0 {
@@ -141,9 +142,9 @@ fn a_waiting_submitter_wakes_a_worker_for_every_ready_node_but_one() {
                     w.set(0, w.get(0) + 1);
                 })
         });
-        let program = rt.capture_program(tasks.collect()).unwrap();
+        let program = rt.compile_program(tasks.collect()).unwrap();
         assert_eq!(program.trace().num_nodes(), 2);
-        for k in 2..=2_000u64 {
+        for k in 1..=2_000u64 {
             // The submitter takes one node and waits at the barrier in
             // it: the other node needs a worker, so a submission that
             // owed no wake-up hangs here.

@@ -33,8 +33,14 @@ cargo test -q --release -p kdr-runtime
 # and parks only when there are none (DESIGN §6); with a second core a
 # lost wake-up there is papered over by whoever runs next, on one CPU
 # it hangs (and the suites' progress watchdogs say where).
+# The hand-off counts too (`kdr-core/tests/handoff.rs`): on one CPU a
+# wake preempts the thread that made it, so a step, preamble or first
+# run handed to the worker shows in the count there: before first
+# runs were programs, the cold operation made 161 blocking switches
+# this way, against 10–31 in the unpinned and dev-profile runs.
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p kdr-runtime --test scheduler --test fusion --test stress
+    taskset -c 0 cargo test -q --release -p kdr-core --test handoff
 else
     echo "ci.sh: taskset not found, skipping the one-CPU scheduler leg"
 fi
@@ -218,10 +224,11 @@ if grep -rnE 'StepStatus|StepDriver::(preflight|finish)|\bpreflight|stagnation_w
 fi
 # The step's bodies go to the executor as the program's one
 # `Arc<[ProgramBody]>`, with whether the submitter waits for the step
-# next (a waiting submitter takes one ready node itself).
+# next (a waiting submitter takes one ready node itself) and whether
+# the run is a program's first (its spans say `Analyzed`) or a replay.
 submit_graph=$(sed -n '/pub fn submit_graph(/,/) {$/p' "$exec_rs" | tr -d ' \n')
-if [ "$submit_graph" != 'pubfnsubmit_graph(&self,base:TaskId,trace:&Trace,bodies:Arc<[ProgramBody]>,waits:bool,){' ]; then
-    echo "ci.sh: Executor::submit_graph no longer takes the step's bodies as Arc<[ProgramBody]> and whether its submitter waits" >&2
+if [ "$submit_graph" != 'pubfnsubmit_graph(&self,base:TaskId,trace:&Trace,bodies:Arc<[ProgramBody]>,waits:bool,provenance:Provenance,){' ]; then
+    echo "ci.sh: Executor::submit_graph no longer takes the step's bodies as Arc<[ProgramBody]>, whether its submitter waits and the run's provenance" >&2
     exit 1
 fi
 # One step end and one program run (DESIGN §6, "One node per step, run
@@ -335,6 +342,24 @@ registered=$(sed -n '/fn register_operator/,/^    }$/p' crates/kdr-core/src/exec
 if [ "$epochs" != "$registered" ]; then
     grep -n 'self\.new_epoch()' crates/kdr-core/src/exec.rs >&2
     echo "ci.sh: exec.rs ends an epoch outside register_operator (see above)" >&2
+    exit 1
+fi
+
+# One route through the backend (DESIGN §6, "One route"): a step's
+# first run is a compiled program like every later run, and the ops
+# outside a step are a record too, so nothing on the solver path
+# submits task by task. The capture run's node kind, the analysed
+# fallback and the record-by-record submission are gone, and the
+# capture gate is opened by `begin_trace` alone.
+if grep -rnE 'Runnable::captured|fn captured\b|fn flush_pending|fn submit_recorded' crates tests; then
+    echo "ci.sh: crates/ or tests/ names a deleted step route again (see above)" >&2
+    exit 1
+fi
+openers=$(grep -rn 'open_capture(' crates --include='*.rs' | grep -v 'fn open_capture(' || true)
+if [ "$(printf '%s\n' "$openers" | grep -c .)" != 1 ] ||
+    ! sed -n '/pub fn begin_trace/,/^    }$/p' crates/kdr-runtime/src/runtime.rs | grep -q 'open_capture('; then
+    printf '%s\n' "$openers" >&2
+    echo "ci.sh: open_capture must have one caller, begin_trace (see above)" >&2
     exit 1
 fi
 
