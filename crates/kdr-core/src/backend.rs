@@ -452,6 +452,16 @@ pub trait Backend<T: Scalar>: Send {
     /// is the one [`Handles::add_vector`] returns for `comps`.
     fn alloc_vector(&mut self, comps: &[CompSpec]) -> BVec;
 
+    /// Allocate a solver's workspace vector, zero-initialized. The
+    /// planner hands a pooled workspace vector out again by zeroing it
+    /// ([`Backend::set_zero`]); a backend that keys programs by the
+    /// ops it records makes a fresh one record that same op, so a
+    /// job's set-up is one program whichever way its workspace came.
+    /// The default is [`Backend::alloc_vector`].
+    fn alloc_workspace_vector(&mut self, comps: &[CompSpec]) -> BVec {
+        self.alloc_vector(comps)
+    }
+
     /// Overwrite one component's contents (no-op on the simulation
     /// backend). Quiesces the backend first.
     fn fill_component(&mut self, v: BVec, comp: usize, data: &[T]);

@@ -172,10 +172,9 @@ fn piece_color(comp: usize, color: usize) -> usize {
 /// is compiled and run once, and compiled again when it recurs. What
 /// it holds: every step shape a solver captures before it only replays
 /// (TFQMR's eight is the most, DESIGN §6; s-step CG's two shapes are
-/// two records each), plus one record for the solver's set-up ops and
-/// one more for them once a warm session's workspace comes from the
-/// pool — ten for TFQMR, five for CG — with room for a second solver
-/// on the same planner.
+/// two records each), plus one record for the solver's set-up ops,
+/// whether its workspace is fresh or pooled — nine for TFQMR, four for
+/// CG — with room for a second solver on the same planner.
 const TRACE_CACHE_CAP: usize = 16;
 
 /// A [`MetricsSnapshot`] extended with the backend's own state:
@@ -1205,6 +1204,16 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         };
         self.vectors.push(v);
         self.handles.add_vector(comps)
+    }
+
+    /// With tracing on, the new vector's zeroing is recorded as a
+    /// pooled one's is, so both make the same record.
+    fn alloc_workspace_vector(&mut self, comps: &[CompSpec]) -> BVec {
+        let v = self.alloc_vector(comps);
+        if self.tracing {
+            self.set_zero(v);
+        }
+        v
     }
 
     fn fill_component(&mut self, v: BVec, comp: usize, data: &[T]) {

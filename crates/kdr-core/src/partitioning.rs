@@ -18,9 +18,10 @@
 //!
 //! [`lower_tiles`] then turns each tile into a kernel. Step 1 already
 //! says which entries a tile holds — those of its output rows — so a
-//! format that stores its rows in order hands them over a row slice at
-//! a time, one tile after another, and any other format is enumerated
-//! once. Only the lowering that follows is format-specialized.
+//! format that stores its rows in order lends them, one tile after
+//! another, and each is lowered where it lies; any other format is
+//! enumerated once. Only the lowering that follows is
+//! format-specialized.
 
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, TileKernel, TileRows, TileStructure};
@@ -100,10 +101,10 @@ pub fn compute_tiles<T: Scalar>(
 /// A tile's kernel piece is the preimage of a range piece along the
 /// row relation. Where that relation gives each entry its one row, a
 /// tile's entries are exactly those of its `out_subset` rows, so a
-/// format that hands over rows ([`SparseMatrix::append_rows`], a slice
-/// copy per row for [`kdr_sparse::Csr`]) lowers tile by tile straight
-/// from its storage, already in canonical order, and only one tile's
-/// entries are held at a time. Any other format is enumerated once
+/// format that stores its rows in canonical order
+/// ([`SparseMatrix::lower_stored_rows`]: [`kdr_sparse::Csr`]) lowers
+/// tile by tile from its own arrays, and no tile's entries are copied
+/// but into its payload. Any other format is enumerated once
 /// ([`SparseMatrix::for_each_entry`]) into one [`TileRows`] per tile,
 /// each entry placed by its kernel point in the first tile whose piece
 /// holds it; entries outside every piece (format padding, points of
@@ -119,23 +120,11 @@ pub fn lower_tiles<T: Scalar>(
     lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, TileStructure),
 ) {
     for (n, t) in tiles.iter().enumerate() {
-        let mut entries = tile_rows(t);
-        let runs = t.out_subset.runs();
-        if !runs
-            .iter()
-            .all(|r| matrix.append_rows(r.lo, r.hi, &mut entries))
-        {
+        let Some((kernel, structure)) = matrix.lower_stored_rows(&t.out_subset, choice) else {
             return enumerate_tiles(matrix, &tiles[n..], choice, lowered);
-        }
-        let (kernel, structure) = TileKernel::lower_rows(entries, choice);
+        };
         lowered(t, kernel, structure);
     }
-}
-
-/// An empty builder sized for the tile: its rows, and its kernel
-/// points, which bound its entries.
-fn tile_rows<T: Scalar>(t: &TileSpec) -> TileRows<T> {
-    TileRows::with_capacity(t.out_subset.cardinality() as usize, t.nnz as usize)
 }
 
 /// [`lower_tiles`] for a format that does not hand over its rows.
@@ -159,7 +148,12 @@ fn enumerate_tiles<T: Scalar>(
         claimed = claimed.union(&t.kernel_piece);
     }
     lookup.sort_unstable();
-    let mut entries: Vec<TileRows<T>> = tiles.iter().map(tile_rows).collect();
+    // Each builder is sized for its tile: its rows, and its kernel
+    // points, which bound its entries.
+    let mut entries: Vec<TileRows<T>> = tiles
+        .iter()
+        .map(|t| TileRows::with_capacity(t.out_subset.cardinality() as usize, t.nnz as usize))
+        .collect();
     let (mut lo, mut hi, mut ti) = (0, 0, 0); // the run last hit; none yet
     matrix.for_each_entry(&mut |k, i, j, v| {
         if k < lo || k >= hi {
@@ -173,7 +167,7 @@ fn enumerate_tiles<T: Scalar>(
         entries[ti].push(i, j, v);
     });
     for (t, rows) in tiles.iter().zip(entries) {
-        let (kernel, structure) = TileKernel::lower_rows(rows, choice);
+        let (kernel, structure) = rows.lower(choice);
         lowered(t, kernel, structure);
     }
 }
@@ -310,10 +304,10 @@ mod tests {
                 fn range_space(&self) -> kdr_index::IndexSpace {
                     self.0.range_space()
                 }
-                fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+                fn col_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
                     self.0.col_relation()
                 }
-                fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+                fn row_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
                     self.0.row_relation()
                 }
                 fn for_each_entry(&self, $f: &mut dyn FnMut(u64, u64, u64, f64)) {

@@ -370,7 +370,10 @@ impl<T: Scalar> Planner<T> {
             self.backend.lock().set_zero(bv);
             return v;
         }
-        let bv = self.backend.lock().alloc_vector(&self.sol_comps.clone());
+        let bv = self
+            .backend
+            .lock()
+            .alloc_workspace_vector(&self.sol_comps.clone());
         self.register_vec_id(bv, VecStructure::Sol).0
     }
 
@@ -383,7 +386,10 @@ impl<T: Scalar> Planner<T> {
             self.backend.lock().set_zero(bv);
             return v;
         }
-        let bv = self.backend.lock().alloc_vector(&self.rhs_comps.clone());
+        let bv = self
+            .backend
+            .lock()
+            .alloc_workspace_vector(&self.rhs_comps.clone());
         self.register_vec_id(bv, VecStructure::Rhs).0
     }
 

@@ -150,10 +150,11 @@ fn a_warm_traced_cg_solve_on_one_worker_hands_no_step_to_the_worker() {
 /// workspace mark, `SOL` zeroed, the solver built; then the solve and
 /// the release of the mark): lap2d 24² in 4 pieces, CG, one worker.
 /// The job's preamble — the zeroes and the solver's `r = b − Ax` — is
-/// one program, which every job from the third on replays on the
+/// one program, which every job from the second on replays on the
 /// thread that reads its residual. Readings before
 /// preambles were programs: 76 switches per warm job, ≈ 40 of its
-/// nodes analyzed.
+/// nodes analyzed; while a fresh workspace vector recorded no zeroing,
+/// the second job compiled a preamble of its own.
 #[test]
 fn a_warm_job_replays_its_preamble_and_hands_nothing_to_the_worker() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -193,10 +194,10 @@ fn a_warm_job_replays_its_preamble_and_hands_nothing_to_the_worker() {
             outcome,
             "job {job} solves as job 0 did"
         );
-        // The first job allocates the workspace; the second is the
-        // first to take it from the pool, zeroed, a preamble of its
-        // own. Every job after replays the second's.
-        if job < 2 {
+        // The first job allocates the workspace, the second takes it
+        // from the pool: each zeroes it, so both make one preamble,
+        // which every job after the first replays.
+        if job < 1 {
             continue;
         }
         let grew = |f: fn(&ExecMetrics) -> u64| f(&after) - f(&before);

@@ -356,7 +356,10 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
     // A solver's set-up ops are one more program, run when the driver
     // first reads the convergence measure. s-step CG's host read of
     // the Gram matrix ends its step's first record there, so each of
-    // its two step shapes is two programs. Left out: GMRES(m), whose
+    // its two step shapes is two programs; its first step allocates the
+    // basis, zeroed as a pooled basis is, so that step's first record
+    // is a shape of its own (a third capture, one more program). Left
+    // out: GMRES(m), whose
     // Arnoldi step grows within a restart cycle, so every step of a
     // cycle is a new record (DESIGN §6b) — more than the cache holds.
     let table: [(&str, bool, Build, u64, usize); 12] = [
@@ -411,8 +414,8 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
             "s-step CG",
             false,
             |p| Box::new(SStepCgSolver::new(p)),
-            2,
-            1 + 2 * 2,
+            3,
+            1 + 2 * 2 + 1,
         ),
     ];
     for (name, preconditioned, build, captures, programs) in table {

@@ -47,4 +47,4 @@ pub use relation::{
     ComposedRelation, DiagonalRelation, FnRelation, IntervalMapRelation, ProjectionAxis,
     ProjectionRelation, Relation, TransposedRelation, UnionRelation,
 };
-pub use space::IndexSpace;
+pub use space::{IndexInt, IndexSpace};

@@ -73,7 +73,7 @@ mod tests {
     ///
     /// Relations in canonical K-first direction: row : K -> R is the
     /// transpose of the stored rowptr, col : K -> D is direct.
-    fn tridiag() -> (TransposedRelation, FnRelation) {
+    fn tridiag() -> (TransposedRelation<'static>, FnRelation<'static>) {
         let rowptr = IntervalMapRelation::from_offsets(&[0, 2, 5, 8, 10], 10);
         let row = TransposedRelation::new(Box::new(rowptr));
         let col = FnRelation::new(vec![0, 1, 0, 1, 2, 1, 2, 3, 2, 3], 4);

@@ -10,7 +10,8 @@
 //! Figure 3:
 //!
 //! * [`FnRelation`] — an array-backed function `K -> J` (COO `row`/
-//!   `col`, CSR `col`, CSC `row`, ELL `col`, …).
+//!   `col`, CSR `col`, CSC `row`, ELL `col`, …), over a table it owns
+//!   or one it borrows from the format that stores it.
 //! * [`IntervalMapRelation`] — a map from each source point to a
 //!   contiguous run of targets (CSR `rowptr : R -> [K, K]`, CSC
 //!   `colptr`, and the block-expansion maps of BCSR/BCSC).
@@ -40,11 +41,15 @@
 //! * `preimage` needs the inverse index (sources counting-sorted by
 //!   target, `O(|S| + |T|)` to build). Nothing builds it until the
 //!   first `preimage` call; it is then kept for the relation's life.
-//!   Construction only range-checks the table.
+//!   Construction only range-checks the table, and a borrowed table
+//!   ([`FnRelation::borrowed`]) is not even copied: a format lends the
+//!   index array it stores, in the width it stores it.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use crate::interval::{IntervalSet, Run};
+use crate::space::IndexInt;
 
 /// An abstract binary relation `R ⊆ S × T` between a source space `S`
 /// (points `0..source_size`) and target space `T` (`0..target_size`).
@@ -94,14 +99,16 @@ pub trait Relation: Send + Sync {
 /// An array-backed total function `S -> T`: source point `s` relates
 /// to exactly `map[s]`.
 ///
+/// The table is any [`IndexInt`] width, owned ([`FnRelation::new`]) or
+/// borrowed from the format that stores it ([`FnRelation::borrowed`]).
 /// Construction only checks the table. The inverse index that makes
 /// preimages run in `O(|T ∩ set| + runs)` rather than `O(|S|)` is a
 /// counting sort of the sources by target, built by the first
 /// [`Relation::preimage`] call and kept; a relation that is only ever
 /// projected forward (a CSR `col` under a row partition) never pays
 /// for it.
-pub struct FnRelation {
-    map: Vec<u64>,
+pub struct FnRelation<'a, I: IndexInt = u64> {
+    map: Cow<'a, [I]>,
     target_size: u64,
     inverse: OnceLock<InverseIndex>,
 }
@@ -120,25 +127,43 @@ struct InverseIndex {
 /// (a set that is tiny against the target space).
 const IMAGE_BITMAP_TARGETS_PER_POINT: u64 = 64;
 
-impl FnRelation {
+impl<I: IndexInt> FnRelation<'static, I> {
     /// Build from the function table `map : S -> T`. Panics if any
     /// entry is out of range.
-    pub fn new(map: Vec<u64>, target_size: u64) -> Self {
+    pub fn new(map: Vec<I>, target_size: u64) -> Self {
         for &t in &map {
             assert!(
-                t < target_size,
-                "FnRelation target {t} out of range {target_size}"
+                t.to_u64() < target_size,
+                "FnRelation target {t:?} out of range {target_size}"
             );
         }
         FnRelation {
-            map,
+            map: Cow::Owned(map),
+            target_size,
+            inverse: OnceLock::new(),
+        }
+    }
+}
+
+impl<'a, I: IndexInt> FnRelation<'a, I> {
+    /// The function table `map : S -> T` where it lies, for a caller
+    /// that has already checked every entry is below `target_size` (a
+    /// format checks its indices when it is built); debug builds check
+    /// again. Nothing is copied.
+    pub fn borrowed(map: &'a [I], target_size: u64) -> Self {
+        debug_assert!(
+            map.iter().all(|t| t.to_u64() < target_size),
+            "FnRelation target out of range {target_size}"
+        );
+        FnRelation {
+            map: Cow::Borrowed(map),
             target_size,
             inverse: OnceLock::new(),
         }
     }
 
     /// The raw function table.
-    pub fn table(&self) -> &[u64] {
+    pub fn table(&self) -> &[I] {
         &self.map
     }
 
@@ -146,8 +171,8 @@ impl FnRelation {
     fn inverse(&self) -> &InverseIndex {
         self.inverse.get_or_init(|| {
             let mut cursor = vec![0u64; self.target_size as usize + 1];
-            for &t in &self.map {
-                cursor[t as usize + 1] += 1;
+            for &t in self.map.iter() {
+                cursor[t.to_usize() + 1] += 1;
             }
             for i in 1..cursor.len() {
                 cursor[i] += cursor[i - 1];
@@ -155,15 +180,15 @@ impl FnRelation {
             let off = cursor.clone();
             let mut sources = vec![0u64; self.map.len()];
             for (s, &t) in self.map.iter().enumerate() {
-                sources[cursor[t as usize] as usize] = s as u64;
-                cursor[t as usize] += 1;
+                sources[cursor[t.to_usize()] as usize] = s as u64;
+                cursor[t.to_usize()] += 1;
             }
             InverseIndex { sources, off }
         })
     }
 }
 
-impl Relation for FnRelation {
+impl<I: IndexInt> Relation for FnRelation<'_, I> {
     fn source_size(&self) -> u64 {
         self.map.len() as u64
     }
@@ -173,19 +198,23 @@ impl Relation for FnRelation {
     }
 
     fn targets_of(&self, s: u64, out: &mut Vec<u64>) {
-        out.push(self.map[s as usize]);
+        out.push(self.map[s as usize].to_u64());
     }
 
     fn image(&self, set: &IntervalSet) -> IntervalSet {
-        let targets = set.iter_points().map(|s| self.map[s as usize]);
+        // Each run of sources is one slice of the table.
+        let slices = set.runs().iter().map(|r| &self.map[r.lo as usize..r.hi as usize]);
         let points = set.cardinality();
         if points.saturating_mul(IMAGE_BITMAP_TARGETS_PER_POINT) < self.target_size {
-            return IntervalSet::from_points(targets);
+            return IntervalSet::from_points(slices.flatten().map(|t| t.to_u64()));
         }
         // One spare bit past the target space closes the last run.
         let mut marks = vec![0u64; self.target_size as usize / 64 + 1];
-        for t in targets {
-            marks[t as usize / 64] |= 1 << (t % 64);
+        for slice in slices {
+            for t in slice {
+                let t = t.to_u64();
+                marks[t as usize / 64] |= 1 << (t % 64);
+            }
         }
         // Read the runs off the bitmap: alternately skip to the next
         // set bit (a run opens) and to the next clear bit (it closes).
@@ -234,17 +263,46 @@ impl Relation for FnRelation {
 ///
 /// When the runs are monotonically non-decreasing (as rowptr runs
 /// are), preimages use binary search; otherwise they fall back to a
-/// linear scan.
-pub struct IntervalMapRelation {
-    lo: Vec<u64>,
-    hi: Vec<u64>,
+/// linear scan. A relation built from an offsets array borrows it
+/// ([`IntervalMapRelation::from_offsets`]).
+pub struct IntervalMapRelation<'a> {
+    lo: Cow<'a, [u64]>,
+    hi: Cow<'a, [u64]>,
     target_size: u64,
     monotonic: bool,
 }
 
-impl IntervalMapRelation {
+impl IntervalMapRelation<'static> {
     /// Build from explicit per-source runs.
     pub fn new(lo: Vec<u64>, hi: Vec<u64>, target_size: u64) -> Self {
+        Self::checked(Cow::Owned(lo), Cow::Owned(hi), target_size)
+    }
+
+    /// Uniform blocks: source `s` relates to
+    /// `[s * block, (s + 1) * block)`. This is the block-expansion map
+    /// `D0 -> D` used by BCSR/BCSC.
+    pub fn uniform_blocks(num_sources: u64, block: u64) -> Self {
+        let lo: Vec<u64> = (0..num_sources).map(|s| s * block).collect();
+        let hi: Vec<u64> = (0..num_sources).map(|s| (s + 1) * block).collect();
+        Self::new(lo, hi, num_sources * block)
+    }
+}
+
+impl<'a> IntervalMapRelation<'a> {
+    /// Build from a CSR-style offsets array of length `n + 1`, read
+    /// where it lies: source `s` relates to targets
+    /// `offsets[s]..offsets[s+1]`.
+    pub fn from_offsets(offsets: &'a [u64], target_size: u64) -> Self {
+        assert!(!offsets.is_empty());
+        let n = offsets.len() - 1;
+        Self::checked(
+            Cow::Borrowed(&offsets[..n]),
+            Cow::Borrowed(&offsets[1..]),
+            target_size,
+        )
+    }
+
+    fn checked(lo: Cow<'a, [u64]>, hi: Cow<'a, [u64]>, target_size: u64) -> Self {
         assert_eq!(lo.len(), hi.len());
         for i in 0..lo.len() {
             assert!(lo[i] <= hi[i], "inverted run at source {i}");
@@ -259,30 +317,12 @@ impl IntervalMapRelation {
         }
     }
 
-    /// Build from a CSR-style offsets array of length `n + 1`:
-    /// source `s` relates to targets `offsets[s]..offsets[s+1]`.
-    pub fn from_offsets(offsets: &[u64], target_size: u64) -> Self {
-        assert!(!offsets.is_empty());
-        let lo = offsets[..offsets.len() - 1].to_vec();
-        let hi = offsets[1..].to_vec();
-        Self::new(lo, hi, target_size)
-    }
-
-    /// Uniform blocks: source `s` relates to
-    /// `[s * block, (s + 1) * block)`. This is the block-expansion map
-    /// `D0 -> D` used by BCSR/BCSC.
-    pub fn uniform_blocks(num_sources: u64, block: u64) -> Self {
-        let lo: Vec<u64> = (0..num_sources).map(|s| s * block).collect();
-        let hi: Vec<u64> = (0..num_sources).map(|s| (s + 1) * block).collect();
-        Self::new(lo, hi, num_sources * block)
-    }
-
     fn run_of(&self, s: u64) -> Run {
         Run::new(self.lo[s as usize], self.hi[s as usize])
     }
 }
 
-impl Relation for IntervalMapRelation {
+impl Relation for IntervalMapRelation<'_> {
     fn source_size(&self) -> u64 {
         self.lo.len() as u64
     }
@@ -538,15 +578,15 @@ impl Relation for DiagonalRelation {
 /// `R2 : T -> U`. Block formats (BCSR/BCSC) express their full-space
 /// relations as compositions of block-space relations with expansion
 /// maps.
-pub struct ComposedRelation {
-    first: Box<dyn Relation>,
-    second: Box<dyn Relation>,
+pub struct ComposedRelation<'a> {
+    first: Box<dyn Relation + 'a>,
+    second: Box<dyn Relation + 'a>,
 }
 
-impl ComposedRelation {
+impl<'a> ComposedRelation<'a> {
     /// Compose `second ∘ first`; panics unless `first`'s target space
     /// matches `second`'s source space.
-    pub fn new(first: Box<dyn Relation>, second: Box<dyn Relation>) -> Self {
+    pub fn new(first: Box<dyn Relation + 'a>, second: Box<dyn Relation + 'a>) -> Self {
         assert_eq!(
             first.target_size(),
             second.source_size(),
@@ -556,7 +596,7 @@ impl ComposedRelation {
     }
 }
 
-impl Relation for ComposedRelation {
+impl Relation for ComposedRelation<'_> {
     fn source_size(&self) -> u64 {
         self.first.source_size()
     }
@@ -589,18 +629,18 @@ impl Relation for ComposedRelation {
 /// (CSR's `rowptr : R -> [K, K]`, CSC's `colptr : D -> [K, K]`).
 /// Wrapping in `TransposedRelation` exchanges image and preimage, so
 /// the stored direction stays fast in both projections.
-pub struct TransposedRelation {
-    inner: Box<dyn Relation>,
+pub struct TransposedRelation<'a> {
+    inner: Box<dyn Relation + 'a>,
 }
 
-impl TransposedRelation {
+impl<'a> TransposedRelation<'a> {
     /// View `inner : S -> T` as the reversed relation `T -> S`.
-    pub fn new(inner: Box<dyn Relation>) -> Self {
+    pub fn new(inner: Box<dyn Relation + 'a>) -> Self {
         TransposedRelation { inner }
     }
 }
 
-impl Relation for TransposedRelation {
+impl Relation for TransposedRelation<'_> {
     fn source_size(&self) -> u64 {
         self.inner.target_size()
     }
@@ -626,14 +666,14 @@ impl Relation for TransposedRelation {
 
 /// The union of several relations over the same pair of spaces —
 /// a many-to-many relation. Useful for user-defined hybrid formats.
-pub struct UnionRelation {
-    parts: Vec<Box<dyn Relation>>,
+pub struct UnionRelation<'a> {
+    parts: Vec<Box<dyn Relation + 'a>>,
 }
 
-impl UnionRelation {
+impl<'a> UnionRelation<'a> {
     /// Union the given relations; panics if they disagree on source or
     /// target space size, or if `parts` is empty.
-    pub fn new(parts: Vec<Box<dyn Relation>>) -> Self {
+    pub fn new(parts: Vec<Box<dyn Relation + 'a>>) -> Self {
         assert!(!parts.is_empty(), "empty union relation");
         let (s, t) = (parts[0].source_size(), parts[0].target_size());
         for p in &parts {
@@ -644,7 +684,7 @@ impl UnionRelation {
     }
 }
 
-impl Relation for UnionRelation {
+impl Relation for UnionRelation<'_> {
     fn source_size(&self) -> u64 {
         self.parts[0].source_size()
     }

@@ -377,7 +377,7 @@ proptest! {
 
 /// An [`FnRelation`] seen through `targets_of` alone, so `image` and
 /// `preimage` are the trait's point-wise defaults.
-struct Pointwise<'a>(&'a FnRelation);
+struct Pointwise<'a>(&'a FnRelation<'a>);
 
 impl Relation for Pointwise<'_> {
     fn source_size(&self) -> u64 {
@@ -442,6 +442,50 @@ proptest! {
             let want = model.preimage(dst);
             prop_assert_eq!(&img_first.preimage(dst), &want);
             prop_assert_eq!(&pre_first.preimage(dst), &want);
+        }
+    }
+}
+
+/// The targets of `set` under the table `map`, one entry at a time.
+fn linear_image(map: &[u64], set: &IntervalSet) -> IntervalSet {
+    IntervalSet::from_points(set.iter_points().map(|s| map[s as usize]))
+}
+
+/// The sources whose target lies in `set`, by a scan of the table.
+fn linear_preimage(map: &[u64], set: &IntervalSet) -> IntervalSet {
+    let hits = (0..map.len() as u64).filter(|&s| set.contains(map[s as usize]));
+    IntervalSet::from_points(hits)
+}
+
+proptest! {
+    /// A relation over a borrowed table, in either width a `Csr`
+    /// stores its columns in (`u32`, `u64`), projects every set as the
+    /// owned table does and as a linear scan of the table does: source
+    /// sets on both sides of the image's bitmap threshold, preimages
+    /// before and after the inverse index exists.
+    #[test]
+    fn a_borrowed_table_projects_as_the_owned_one(
+        (map, target_size, srcs, dsts) in arb_table_and_sets(),
+    ) {
+        let narrow: Vec<u32> = map.iter().map(|&t| t as u32).collect();
+        let owned = FnRelation::new(map.clone(), target_size);
+        let wide = FnRelation::borrowed(&map, target_size);
+        let thin = FnRelation::borrowed(&narrow, target_size);
+        prop_assert_eq!(thin.table(), &narrow[..]);
+        let relations: [&dyn Relation; 3] = [&owned, &wide, &thin];
+        for _ in 0..2 {
+            for src in &srcs {
+                let want = linear_image(&map, src);
+                for rel in relations {
+                    prop_assert_eq!(&rel.image(src), &want);
+                }
+            }
+            for dst in &dsts {
+                let want = linear_preimage(&map, dst);
+                for rel in relations {
+                    prop_assert_eq!(&rel.preimage(dst), &want);
+                }
+            }
         }
     }
 }

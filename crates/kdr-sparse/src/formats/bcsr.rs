@@ -105,15 +105,12 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         // K -> K0 (implicit projection) ; K0 -> D0 (stored) ;
         // D0 -> D (block expansion).
         let to_block =
             ProjectionRelation::new(self.num_blocks(), self.block_size(), ProjectionAxis::Outer);
-        let col0 = FnRelation::new(
-            self.block_colidx.iter().map(|&j| j.to_u64()).collect(),
-            self.cols / self.bd,
-        );
+        let col0 = FnRelation::borrowed(&self.block_colidx, self.cols / self.bd);
         let expand = IntervalMapRelation::uniform_blocks(self.cols / self.bd, self.bd);
         Box::new(ComposedRelation::new(
             Box::new(ComposedRelation::new(Box::new(to_block), Box::new(col0))),
@@ -121,7 +118,7 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Bcsr<T, I> {
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         // K -> K0 ; K0 -> R0 (transposed block rowptr) ; R0 -> R.
         let to_block =
             ProjectionRelation::new(self.num_blocks(), self.block_size(), ProjectionAxis::Outer);

@@ -71,18 +71,13 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Coo<T, I> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.colidx.iter().map(|&j| j.to_u64()).collect(),
-            self.cols,
-        ))
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
+        // `from_triples` took every index from a checked coordinate list.
+        Box::new(FnRelation::borrowed(&self.colidx, self.cols))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.rowidx.iter().map(|&i| i.to_u64()).collect(),
-            self.rows,
-        ))
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
+        Box::new(FnRelation::borrowed(&self.rowidx, self.rows))
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
@@ -156,14 +151,15 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for CooAos<T, I> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    // Records are not a table of indices: the relations collect one.
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         Box::new(FnRelation::new(
             self.records.iter().map(|r| r.col.to_u64()).collect(),
             self.cols,
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         Box::new(FnRelation::new(
             self.records.iter().map(|r| r.row.to_u64()).collect(),
             self.rows,

@@ -13,7 +13,7 @@ use kdr_index::{
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
-use crate::tile::TileRows;
+use crate::tile::{KernelChoice, TileKernel, TileStructure, TileView};
 use crate::triples::Triples;
 
 /// A CSR matrix generic over entry type `T` and stored index type `I`.
@@ -23,6 +23,9 @@ pub struct Csr<T, I = u64> {
     colidx: Vec<I>,
     values: Vec<T>,
     cols: u64,
+    /// Whether every row's columns ascend (repeats allowed): the rows
+    /// are then a tile's canonical order as they lie.
+    rows_sorted: bool,
 }
 
 impl<T: Scalar, I: IndexInt> Csr<T, I> {
@@ -49,10 +52,13 @@ impl<T: Scalar, I: IndexInt> Csr<T, I> {
             colidx,
             values,
             cols,
+            rows_sorted: true,
         }
     }
 
-    /// Build from raw CSR arrays. Panics on malformed inputs.
+    /// Build from raw CSR arrays. Panics on malformed inputs. A row's
+    /// columns may come in any order; rows whose columns ascend are
+    /// lowered where they lie, any others are sorted when lowered.
     pub fn from_raw(rowptr: Vec<u64>, colidx: Vec<I>, values: Vec<T>, cols: u64) -> Self {
         assert!(!rowptr.is_empty(), "rowptr must have at least one entry");
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
@@ -62,15 +68,26 @@ impl<T: Scalar, I: IndexInt> Csr<T, I> {
         );
         assert_eq!(colidx.len(), values.len());
         assert_eq!(*rowptr.last().unwrap() as usize, values.len());
-        assert!(
-            colidx.iter().all(|&j| j.to_u64() < cols),
-            "column index out of bounds"
-        );
+        let mut rows_sorted = true;
+        for w in rowptr.windows(2) {
+            let row = &colidx[w[0] as usize..w[1] as usize];
+            // A row whose columns ascend is in bounds if its first and
+            // last are (a negative signed index widens past `cols`).
+            let in_bounds = if row.is_sorted() {
+                let mut ends = row.first().into_iter().chain(row.last());
+                ends.all(|&j| j.to_u64() < cols)
+            } else {
+                rows_sorted = false;
+                row.iter().all(|&j| j.to_u64() < cols)
+            };
+            assert!(in_bounds, "column index out of bounds");
+        }
         Csr {
             rowptr,
             colidx,
             values,
             cols,
+            rows_sorted,
         }
     }
 
@@ -119,14 +136,12 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
         IndexSpace::flat(self.rows())
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.colidx.iter().map(|&j| j.to_u64()).collect(),
-            self.cols,
-        ))
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
+        // The constructors checked every column against `cols`.
+        Box::new(FnRelation::borrowed(&self.colidx, self.cols))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         Box::new(TransposedRelation::new(Box::new(
             IntervalMapRelation::from_offsets(&self.rowptr, self.values.len() as u64),
         )))
@@ -146,16 +161,16 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
         }
     }
 
-    fn append_rows(&self, lo: u64, hi: u64, out: &mut TileRows<T>) -> bool {
-        for i in lo..hi {
-            let (a, b) = (
-                self.rowptr[i as usize] as usize,
-                self.rowptr[i as usize + 1] as usize,
-            );
-            let cols = self.colidx[a..b].iter().map(|&j| j.to_u64());
-            out.push_row(i, cols, &self.values[a..b]);
+    fn lower_stored_rows(
+        &self,
+        rows: &IntervalSet,
+        choice: KernelChoice,
+    ) -> Option<(TileKernel<T>, TileStructure)> {
+        if !self.rows_sorted {
+            return None;
         }
-        true
+        let view = TileView::of_rows(rows, &self.rowptr, &self.colidx, &self.values);
+        Some(TileKernel::lower_rows(&view, choice))
     }
 
     // The one override of the provided piece kernels in the workspace,
@@ -324,5 +339,26 @@ mod tests {
         });
         assert!(offset_start.is_err(), "rowptr[0] != 0 accepted");
         Csr::<f64, u32>::from_raw(vec![0, 2, 1], vec![0, 0], vec![1.0, 1.0], 2);
+    }
+
+    #[test]
+    fn from_raw_checks_every_column_of_sorted_and_unsorted_rows() {
+        let rejects = |f: fn()| std::panic::catch_unwind(f).is_err();
+        // Ascending rows are checked by their ends, others entry by
+        // entry; a negative signed index is out of bounds either way.
+        assert!(rejects(|| {
+            Csr::<f64, u32>::from_raw(vec![0, 2], vec![0, 2], vec![1.0; 2], 2);
+        }));
+        assert!(rejects(|| {
+            Csr::<f64, u32>::from_raw(vec![0, 3], vec![1, 5, 0], vec![1.0; 3], 2);
+        }));
+        assert!(rejects(|| {
+            Csr::<f64, i32>::from_raw(vec![0, 2], vec![-1, 1], vec![1.0; 2], 2);
+        }));
+        let m = Csr::<f64, u32>::from_raw(vec![0, 3, 3], vec![1, 0, 1], vec![1.0, 2.0, 3.0], 2);
+        assert_eq!(
+            m.to_triples().entries(),
+            &[(0, 1, 1.0), (0, 0, 2.0), (0, 1, 3.0)]
+        );
     }
 }

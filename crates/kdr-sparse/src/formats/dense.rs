@@ -76,7 +76,7 @@ impl<T: Scalar> SparseMatrix<T> for Dense<T> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         Box::new(ProjectionRelation::new(
             self.rows,
             self.cols,
@@ -84,7 +84,7 @@ impl<T: Scalar> SparseMatrix<T> for Dense<T> {
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         Box::new(ProjectionRelation::new(
             self.rows,
             self.cols,

@@ -101,7 +101,7 @@ impl<T: Scalar> SparseMatrix<T> for Dia<T> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         // Implicit (k0, i) ↦ i.
         Box::new(ProjectionRelation::new(
             self.offsets.len() as u64,
@@ -110,7 +110,7 @@ impl<T: Scalar> SparseMatrix<T> for Dia<T> {
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         // Implicit partial (k0, i) ↦ i − offset(k0).
         Box::new(DiagonalRelation::new(
             self.offsets.clone(),

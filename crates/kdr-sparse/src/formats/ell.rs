@@ -97,14 +97,12 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Ell<T, I> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
-        Box::new(FnRelation::new(
-            self.colidx.iter().map(|&j| j.to_u64()).collect(),
-            self.cols,
-        ))
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
+        // `from_triples` took every index from a checked coordinate list.
+        Box::new(FnRelation::borrowed(&self.colidx, self.cols))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         // Implicit π1 : R × K0 -> R.
         Box::new(ProjectionRelation::new(
             self.rows,

@@ -116,7 +116,7 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
         IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         // One stored function covering both parts of K (columns are
         // stored for every kernel point in HYB).
         let mut table: Vec<u64> = self.ell_cols.iter().map(|&j| j.to_u64()).collect();
@@ -124,7 +124,7 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
         Box::new(FnRelation::new(table, self.cols))
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         // Kept as a union — implicit (computed) rows for the ELL body,
         // stored rows for the COO tail — because that composition of
         // two parts' relations is the format's K/D/R description; one

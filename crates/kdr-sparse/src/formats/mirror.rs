@@ -31,11 +31,11 @@ impl<T: Scalar, M: SparseMatrix<T>> SparseMatrix<T> for Mirror<M> {
         self.0.domain_space()
     }
 
-    fn col_relation(&self) -> Box<dyn Relation> {
+    fn col_relation(&self) -> Box<dyn Relation + '_> {
         self.0.row_relation()
     }
 
-    fn row_relation(&self) -> Box<dyn Relation> {
+    fn row_relation(&self) -> Box<dyn Relation + '_> {
         self.0.col_relation()
     }
 

@@ -72,6 +72,7 @@ pub use matrix::SparseMatrix;
 pub use scalar::{IndexInt, Scalar};
 pub use stencil::{Stencil, StencilKind, StencilOperator, VirtualBanded};
 pub use tile::{
-    KernelChoice, KernelKind, StructureKey, TileKernel, TileRows, TileStructure, VecIn, VecOut,
+    KernelChoice, KernelKind, StructureKey, TileKernel, TileRows, TileStructure, TileView, VecIn,
+    VecOut,
 };
 pub use triples::Triples;

@@ -5,15 +5,16 @@
 //! row/column relations — nothing else. Co-partitioning, dependence
 //! analysis and solver code never look inside the format, and neither
 //! does execution: a solve reads the format's entries once — enumerated
-//! ([`SparseMatrix::for_each_entry`]), or handed over a row at a time by
-//! a format that stores rows ([`SparseMatrix::append_rows`]) — and runs
-//! the tile kernels of [`crate::tile`] on them. The format *describes*;
-//! a separate kernel family *executes*.
+//! ([`SparseMatrix::for_each_entry`]), or read where they lie by a
+//! format that stores its rows in order
+//! ([`SparseMatrix::lower_stored_rows`]) — and runs the tile kernels of
+//! [`crate::tile`] on them. The format *describes*; a separate kernel
+//! family *executes*.
 
 use kdr_index::{IndexSpace, IntervalSet, Relation};
 
 use crate::scalar::Scalar;
-use crate::tile::TileRows;
+use crate::tile::{KernelChoice, TileKernel, TileStructure};
 
 /// A sparse (or dense) matrix described by kernel/domain/range spaces,
 /// row and column relations, and an enumeration of its entries.
@@ -27,8 +28,8 @@ use crate::tile::TileRows;
 /// alone overrides the two piece kernels, with a row-accumulating loop
 /// that shares no code with the tile kernels: it is the independent
 /// reference the solver tests compute true residuals with. It also
-/// hands its rows to registration whole
-/// ([`SparseMatrix::append_rows`]).
+/// lends registration its rows where they lie
+/// ([`SparseMatrix::lower_stored_rows`]).
 ///
 /// Products use *add* semantics (`y += A x`) because multi-operator
 /// systems accumulate several components into one output vector
@@ -47,10 +48,17 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
 
     /// The column relation `col ⊆ K × D` (canonical direction
     /// `K -> D`).
-    fn col_relation(&self) -> Box<dyn Relation>;
+    ///
+    /// The relation may borrow from the format: a format that stores
+    /// the relation as an index table lends the table
+    /// ([`kdr_index::FnRelation::borrowed`]) rather than copying it.
+    /// A relation that owns everything it reads is a valid answer too.
+    fn col_relation(&self) -> Box<dyn Relation + '_>;
 
     /// The row relation `row ⊆ K × R` (canonical direction `K -> R`).
-    fn row_relation(&self) -> Box<dyn Relation>;
+    /// Like [`SparseMatrix::col_relation`], it may lend the format's
+    /// tables (a stored row table, a CSR `rowptr`).
+    fn row_relation(&self) -> Box<dyn Relation + '_>;
 
     /// Number of stored entries (size of `K`).
     fn nnz(&self) -> u64 {
@@ -62,18 +70,24 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// outside the grid (DIA padding) are skipped.
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T));
 
-    /// Hand over the entries of rows `[lo, hi)` whole: append them to
-    /// `out` row by row, each row's in the order
-    /// [`SparseMatrix::for_each_entry`] visits them, and return `true`.
-    /// A format that stores its entries by row, and whose row relation
-    /// gives each entry its one row, implements this as a slice copy
-    /// per row; registration then lowers each tile straight from its
-    /// rows. The provided default hands over nothing and returns
-    /// `false`, and registration enumerates the format instead. Either
-    /// way the tiles lower to the same bits.
-    fn append_rows(&self, lo: u64, hi: u64, out: &mut TileRows<T>) -> bool {
-        let _ = (lo, hi, out);
-        false
+    /// Lower the tile whose output rows are `rows` straight from the
+    /// rows this format stores: the kernel and the structure analysis
+    /// it was chosen from, as [`TileKernel::lower_rows`] gives them
+    /// for a [`crate::tile::TileView`] lent the format's own arrays.
+    /// Only a format whose row relation gives each entry its one row,
+    /// and which stores each row's entries by ascending column, can
+    /// answer; registration then reads each tile where it lies, with
+    /// no copy of its entries. The provided default answers `None`,
+    /// and registration enumerates the format instead
+    /// ([`SparseMatrix::for_each_entry`]). Either way the tiles lower
+    /// to the same bits.
+    fn lower_stored_rows(
+        &self,
+        rows: &IntervalSet,
+        choice: KernelChoice,
+    ) -> Option<(TileKernel<T>, TileStructure)> {
+        let _ = (rows, choice);
+        None
     }
 
     /// `y += A x` restricted to the kernel points in `piece`.

@@ -144,65 +144,9 @@ impl Scalar for f32 {
     }
 }
 
-/// An integer type usable for stored matrix indices.
-pub trait IndexInt:
-    Copy + Clone + Debug + PartialEq + Eq + PartialOrd + Ord + Send + Sync + 'static
-{
-    /// Convert from a global `u64` point; panics on overflow.
-    fn from_u64(v: u64) -> Self;
-
-    /// Widen to a global `u64` point.
-    fn to_u64(self) -> u64;
-
-    /// Convert to a `usize` for slice indexing.
-    #[inline]
-    fn to_usize(self) -> usize {
-        self.to_u64() as usize
-    }
-}
-
-macro_rules! impl_index_int {
-    ($($t:ty),*) => {$(
-        impl IndexInt for $t {
-            #[inline]
-            fn from_u64(v: u64) -> Self {
-                <$t>::try_from(v).unwrap_or_else(|_| {
-                    panic!("index {v} does not fit in {}", stringify!($t))
-                })
-            }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
-        }
-    )*};
-}
-
-impl_index_int!(u16, u32, u64, usize);
-
-// Signed index types (PETSc-style) are also supported; negative values
-// never arise because construction goes through `from_u64`.
-macro_rules! impl_index_int_signed {
-    ($($t:ty),*) => {$(
-        impl IndexInt for $t {
-            #[inline]
-            fn from_u64(v: u64) -> Self {
-                <$t>::try_from(v).unwrap_or_else(|_| {
-                    panic!("index {v} does not fit in {}", stringify!($t))
-                })
-            }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                debug_assert!(self >= 0, "negative stored index");
-                self as u64
-            }
-        }
-    )*};
-}
-
-impl_index_int_signed!(i32, i64);
+/// The stored index type of a format: `kdr-index`'s, so a format's
+/// index table can back a relation where it lies.
+pub use kdr_index::IndexInt;
 
 #[cfg(test)]
 mod tests {

@@ -530,7 +530,7 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
         kdr_index::IndexSpace::flat(self.n())
     }
 
-    fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+    fn col_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
         Box::new(kdr_index::ProjectionRelation::new(
             self.num_diagonals(),
             self.n(),
@@ -538,7 +538,7 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+    fn row_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
         Box::new(kdr_index::DiagonalRelation::new(
             self.offsets.clone(),
             self.n(),
@@ -632,7 +632,7 @@ impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
         kdr_index::IndexSpace::flat(self.rows)
     }
 
-    fn col_relation(&self) -> Box<dyn kdr_index::Relation> {
+    fn col_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
         Box::new(kdr_index::ProjectionRelation::new(
             self.offsets.len() as u64,
             self.cols,
@@ -640,7 +640,7 @@ impl<T: Scalar> SparseMatrix<T> for VirtualBanded<T> {
         ))
     }
 
-    fn row_relation(&self) -> Box<dyn kdr_index::Relation> {
+    fn row_relation(&self) -> Box<dyn kdr_index::Relation + '_> {
         Box::new(kdr_index::DiagonalRelation::new(
             self.offsets.clone(),
             self.cols,

@@ -7,9 +7,9 @@
 //! block-structured tile wants register-blocked dense micro-kernels,
 //! and a tile with uniform row lengths wants ELL-style padded lanes.
 //! This module is the lowering stage between the two worlds. An
-//! execution backend gathers each tile's entries (in component-local
-//! coordinates) into a [`TileRows`] and hands it to
-//! [`TileKernel::lower_rows`]; the
+//! execution backend reads each tile's entries (in component-local
+//! coordinates) where its format stores them, or gathers them into a
+//! [`TileRows`], and hands them to [`TileKernel::lower_rows`]; the
 //! structure analysis in [`TileStructure`] picks the best member of a
 //! small kernel family — or the caller forces one via [`KernelChoice`]
 //! — and the returned payload executes `y += A x` / `y += Aᵀ x`
@@ -17,27 +17,30 @@
 //! kernels run over plain slices (tests, benchmarks) and over runtime
 //! buffer views.
 //!
-//! # One canonical order, one pass
+//! # One canonical order, one walk
 //!
-//! Lowering starts from the *canonical* tile: rows ascending, each
-//! row's entries by column (stable in input order for duplicates). A
-//! [`TileRows`] builds it as the entries arrive: entries that come in
-//! that order — a CSR matrix's rows, handed over a slice at a time, or
-//! any row-major enumeration — are appended to the canonical arrays
-//! themselves, which lowering then takes without a copy. Only a tile
-//! whose entries arrive out of order is sorted, once. Everything else
-//! reads the canonical tile in passes linear in its entries: the structure
-//! analysis walks its rows (row lengths, duplicates, the distinct
-//! diagonal offsets marked on a bitmap over the offset span,
-//! dense-block coverage read off the aligned row groups and their
-//! shared column list — no hashing, first failure exits), the CSR
-//! lowering stores its rows by entry count (a counting sort over the row
-//! lengths, then one gather of the rows), ELL pads its rows, DIA walks
-//! each row's ascending columns along the ascending offset table (noting
-//! per diagonal whether every value so far is the same bits, and cutting
-//! the rows into segments of equal diagonal sets as it goes), and BCSR
-//! cuts its rows into blocks. No lowering re-sorts, searches per entry,
-//! re-scans for the row span or re-counts blocks.
+//! Lowering reads the *canonical* tile: rows ascending, each row's
+//! entries by column (stable in input order for duplicates), through a
+//! [`TileView`] — the rows that hold entries and where each lies, over
+//! columns and values borrowed where they are stored. A CSR matrix whose
+//! rows ascend lends its own arrays, so its tiles are never copied on
+//! the way to their payloads; any other format's entries are gathered
+//! into a [`TileRows`], which holds the canonical arrays while its input
+//! stays in order and is sorted, once, only if it does not. One walk
+//! over the view then gives everything but the payload: row lengths,
+//! duplicates, the distinct diagonal offsets marked on a bitmap over the
+//! offset span, and — when a band may be chosen — the band's segments,
+//! maximal runs of consecutive rows with the same offsets, with the
+//! diagonals whose values change inside one. A row that continues a
+//! segment is compared with the row before it and nothing else. Dense-
+//! block coverage is read off the aligned row groups and their shared
+//! column list (no hashing, first failure exits). The chosen layout then
+//! copies what it keeps: the CSR payload its rows by entry count (a
+//! counting sort over the row lengths, then one gather of the rows), ELL
+//! its padded rows, BCSR its blocks, and DIA one group per segment into
+//! its tables, plus a dense column for each diagonal that is not one
+//! value. No lowering re-sorts, searches per entry, re-scans for the row
+//! span or re-counts blocks.
 //!
 //! # Bitwise-reproducibility contract
 //!
@@ -75,7 +78,11 @@
 //! CSR chain as above. `KernelChoice::Force(KernelKind::Csr)` is the
 //! exact-bits override for an operator that needs them.
 
-use crate::scalar::Scalar;
+use std::ops::Range;
+
+use kdr_index::IntervalSet;
+
+use crate::scalar::{IndexInt, Scalar};
 
 /// The kernel family a tile can be lowered into.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -325,28 +332,114 @@ impl TileStructure {
     pub fn analyze<T>(rows: &[u64], cols: &[u64], _vals: &[T]) -> Self {
         // Structure is a property of the coordinates alone.
         let entries: TileRows<()> = rows.iter().zip(cols).map(|(&i, &j)| (i, j, ())).collect();
-        Self::of(&entries.into_canonical()).0
+        let canon = entries.into_canonical();
+        Self::scan(&TileView::of_tile(&canon), None::<fn((), ()) -> bool>).structure
     }
 
-    /// Summarize a tile already in canonical order, in one pass over
-    /// its rows. Also returns the tile's distinct diagonal offsets
-    /// (`col − row`, ascending) — the DIA lowering's first ingredient.
-    fn of<T>(tile: &CsrTile<T>) -> (Self, Vec<i64>) {
-        let nnz = tile.cols.len();
+    /// Summarize a canonical view in one walk over its entries, after a
+    /// pass over its rows for their lengths and offset bounds: the
+    /// structure, the distinct diagonal offsets (`col − row`,
+    /// ascending) and, given the test of two values for the same bits,
+    /// the band's rows ([`BandRows`]) — all the DIA lowering reads but
+    /// the values of a diagonal that is not constant.
+    fn scan<T: Copy, C: IndexInt>(
+        view: &TileView<'_, T, C>,
+        same: Option<impl Fn(T, T) -> bool>,
+    ) -> Scan {
+        let (nnz, nonempty_rows) = (view.nnz, view.row_ids.len());
         if nnz == 0 {
-            return (TileStructure::default(), Vec::new());
+            return Scan::default();
         }
-        let nonempty_rows = tile.row_ids.len();
+        let offset = |row: u64, c: C| c.to_u64() as i64 - row as i64;
+        // Columns ascend within a row, so its offsets lie between those
+        // of its first and its last entry.
+        let (mut lo, mut hi, mut max_row_len) = (i64::MAX, i64::MIN, 0usize);
+        for (row, span) in view.row_spans() {
+            lo = lo.min(offset(row, view.cols[span.start]));
+            hi = hi.max(offset(row, view.cols[span.end - 1]));
+            max_row_len = max_row_len.max(span.len());
+        }
+        let words = (hi - lo) as u64 / 64 + 1;
+        let mut offsets = if words > nnz as u64 + OFFSET_BITMAP_SLACK_WORDS {
+            Offsets::Listed(Vec::with_capacity(nnz))
+        } else {
+            Offsets::Marked(vec![0u64; words as usize])
+        };
         let mean = nnz as f64 / nonempty_rows as f64;
-        let mut max_row_len = 0usize;
         let mut sq_dev = 0.0f64;
         let mut has_duplicates = false;
-        for (_, span) in tile.row_spans() {
-            let cols = &tile.cols[span];
-            max_row_len = max_row_len.max(cols.len());
+        let mut band = same.as_ref().map(|_| BandRows::default());
+        // Per position of the open segment's rows: whether its value
+        // has changed between two of them.
+        let mut vary: Vec<bool> = Vec::new();
+        let mut last: Option<(u64, Range<usize>)> = None;
+        for (n, (row, span)) in view.row_spans().enumerate() {
+            let cols = &view.cols[span.clone()];
+            debug_assert!(cols.is_sorted(), "row {row} of a canonical view descends");
             sq_dev += (cols.len() as f64 - mean) * (cols.len() as f64 - mean);
-            has_duplicates |= cols.windows(2).any(|w| w[0] == w[1]);
+            // Followed, a row joins the open segment when it directly
+            // follows the segment's last row with the same offsets —
+            // every column one further on — and then holds no offset or
+            // repeat that row did not: only its values are read.
+            let joined = match (&mut band, &same, &last) {
+                (Some(band), Some(same), Some((at, was)))
+                    if at + 1 == row
+                        && was.len() == cols.len()
+                        && view.cols[was.clone()]
+                            .iter()
+                            .zip(cols)
+                            .all(|(&a, &b)| b.to_u64() == a.to_u64() + 1) =>
+                {
+                    let pairs = view.vals[was.clone()].iter().zip(&view.vals[span.clone()]);
+                    for ((&a, &b), changed) in pairs.zip(&mut vary) {
+                        *changed |= !same(a, b);
+                    }
+                    band.segments.last_mut().expect("a segment is open").1 += 1;
+                    true
+                }
+                _ => false,
+            };
+            if !joined {
+                has_duplicates |= cols.windows(2).any(|w| w[0] == w[1]);
+                match &mut offsets {
+                    Offsets::Marked(marks) => {
+                        for &c in cols {
+                            let bit = (offset(row, c) - lo) as usize;
+                            marks[bit / 64] |= 1 << (bit % 64);
+                        }
+                    }
+                    Offsets::Listed(list) => list.extend(cols.iter().map(|&c| offset(row, c))),
+                }
+                if let Some(band) = &mut band {
+                    band.close(view, &vary);
+                    vary.clear();
+                    vary.resize(cols.len(), false);
+                    band.segments.push((n, 1));
+                }
+            }
+            last = Some((row, span));
         }
+        if let Some(band) = &mut band {
+            band.close(view, &vary);
+        }
+        let offsets = match offsets {
+            Offsets::Marked(marks) => {
+                let mut offsets = Vec::new();
+                for (w, &word) in marks.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        offsets.push(lo + (w * 64) as i64 + i64::from(rest.trailing_zeros()));
+                        rest &= rest - 1;
+                    }
+                }
+                offsets
+            }
+            Offsets::Listed(mut list) => {
+                list.sort_unstable();
+                list.dedup();
+                list
+            }
+        };
 
         // Dense-block coverage: largest b where every touched aligned
         // b×b block holds exactly b² (distinct) entries.
@@ -356,13 +449,11 @@ impl TileStructure {
             BCSR_BLOCK_SIZES
                 .iter()
                 .copied()
-                .find(|&bs| tile.blocks_dense(bs))
+                .find(|&bs| view.blocks_dense(bs))
         };
-
-        let offsets = tile.diagonal_offsets();
         let structure = TileStructure {
             nnz,
-            row_span: (tile.row_ids[nonempty_rows - 1] - tile.row_ids[0] + 1) as usize,
+            row_span: (view.row_ids[nonempty_rows - 1] - view.row_ids[0] + 1) as usize,
             nonempty_rows,
             diag_count: offsets.len(),
             max_row_len,
@@ -370,7 +461,11 @@ impl TileStructure {
             has_duplicates,
             dense_block,
         };
-        (structure, offsets)
+        Scan {
+            structure,
+            offsets,
+            band,
+        }
     }
 
     /// The kernel the auto heuristic selects for this structure.
@@ -616,15 +711,17 @@ pub const BOX_STENCIL_EPS_BOUND: f64 = 21.0;
 const BOX_LINE_CHUNK: usize = 256;
 
 /// Whether two scalars are the same bits, for the types [`Scalar`]
-/// covers (IEEE floats), using only what the trait offers: equal
-/// non-zero values have one representation, the two zeros are told
-/// apart by the sign of their reciprocal, and a NaN equals nothing —
+/// covers (IEEE floats): their widening to `f64`, which is exact, has
+/// the same bits — so the two zeros differ — and a NaN equals nothing,
 /// itself included, which only costs a diagonal of NaNs its compression.
 /// This is the test for holding a diagonal's value once: a product with
 /// the same bits is the same bits, which `==` alone would not give
-/// (`-0.0 == 0.0`, and `-0.0 · x` is not `0.0 · x`).
+/// (`-0.0 == 0.0`, and `-0.0 · x` is not `0.0 · x`). It is integer
+/// compares only, so the walk that asks it of every entry of a band
+/// runs no division.
 fn same_bits<T: Scalar>(a: T, b: T) -> bool {
-    a == b && (a != T::ZERO || T::ONE / a == T::ONE / b)
+    let (a, b) = (a.to_f64(), b.to_f64());
+    a.to_bits() == b.to_bits() && !a.is_nan()
 }
 
 /// A [`DiaTile`] while its tables are built, by one rule: *groups* of
@@ -664,7 +761,9 @@ impl<T: Scalar> BandBuilder<T> {
     }
 
     /// Every row of the group `rows` holds `entries`: `(offset, value)`
-    /// by ascending offset, the value the same in each of the rows.
+    /// by ascending offset, the value the same in each of the rows — or,
+    /// for a diagonal whose value changes between them, the first row's,
+    /// with the change noted by [`BandBuilder::varies`].
     #[inline]
     pub(crate) fn group(&mut self, rows: (u32, u32), entries: impl Iterator<Item = (i64, T)>) {
         let band = &mut self.band;
@@ -705,6 +804,17 @@ impl<T: Scalar> BandBuilder<T> {
                 band.seg_rows.push(rows);
             }
         }
+    }
+
+    /// The diagonal at `offset` holds entries of different values: it
+    /// keeps a dense column.
+    pub(crate) fn varies(&mut self, offset: i64) {
+        let d = self
+            .band
+            .offsets
+            .binary_search(&offset)
+            .expect("a diagonal of the band");
+        self.band.coefs[d] = DiaCoef::Dense(0);
     }
 
     /// The band, with no dense column placed yet, and whether it is a
@@ -852,9 +962,9 @@ pub enum TileKernel<T> {
     Stencil(crate::matfree::StencilTile<T>),
 }
 
-/// [`CsrTile::diagonal_offsets`] marks offsets on a bitmap while the
-/// bitmap is at most one word per entry plus this many; past that the
-/// bitmap would be the larger array and the offsets are sorted instead.
+/// The structure walk marks offsets on a bitmap while the bitmap is
+/// at most one word per entry plus this many; past that the bitmap
+/// would be the larger array and the offsets are sorted instead.
 /// A tile of an `n × n` component spans under `2n` offsets, `n / 32`
 /// words, so every tile with a few entries per row marks: all of
 /// `perf_ledger`'s do (lap3d27 40³ in 4 pieces: 52 words against
@@ -864,18 +974,221 @@ pub enum TileKernel<T> {
 /// builds one.
 const OFFSET_BITMAP_SLACK_WORDS: u64 = 1024;
 
+/// The distinct diagonal offsets of a tile while the walk finds them.
+enum Offsets {
+    /// A bitmap over the offset span, from its lowest offset.
+    Marked(Vec<u64>),
+    /// Every entry's offset, sorted and deduplicated once the walk ends.
+    Listed(Vec<i64>),
+}
+
+/// What one walk over a canonical view finds ([`TileStructure::scan`]).
+#[derive(Default)]
+struct Scan {
+    structure: TileStructure,
+    /// The distinct diagonal offsets, ascending.
+    offsets: Vec<i64>,
+    /// The band's rows, when the walk was asked to follow them.
+    band: Option<BandRows>,
+}
+
+/// The rows of the band a canonical tile lowers to, as the walk finds
+/// them: its *segments*, maximal runs of consecutive stored rows with
+/// the same diagonal offsets, each `(first stored row, rows)`; and the
+/// offsets whose value changes between two rows of one segment (a
+/// change between segments is [`BandBuilder::group`]'s to see). The
+/// DIA lowering hands [`BandBuilder`] one group per segment, so the
+/// band's tables are built per segment, not per entry.
+#[derive(Default)]
+struct BandRows {
+    segments: Vec<(usize, usize)>,
+    varying: Vec<i64>,
+}
+
+impl BandRows {
+    /// Note the offsets of the open segment whose values changed
+    /// (`vary`, by position in its rows).
+    fn close<T, C: IndexInt>(&mut self, view: &TileView<'_, T, C>, vary: &[bool]) {
+        let Some(&(first, _)) = self.segments.last() else {
+            return;
+        };
+        let (row, span) = view.row(first);
+        for (&c, _) in view.cols[span].iter().zip(vary).filter(|&(_, &v)| v) {
+            self.varying.push(c.to_u64() as i64 - row as i64);
+        }
+    }
+}
+
+/// One tile's entries in the canonical order of the kernel family —
+/// rows ascending, each row's entries by column, equal coordinates in
+/// input order — read where they lie: in a format's own arrays
+/// ([`TileView::of_rows`], a CSR matrix's rows) or in a gathered
+/// [`TileRows`]. The view lists the rows that hold entries and where
+/// each lies; it borrows the columns, in the width they are stored in,
+/// and the values. Lowering reads it in one walk plus the copy into the
+/// payload, so a tile lent by its format is never copied whole on the
+/// way, and one that lowers to a band of constants is not copied at all.
+pub struct TileView<'a, T, C = u64> {
+    /// The rows holding entries, ascending.
+    row_ids: Vec<u64>,
+    /// Where each of `row_ids` lies in `cols` / `vals`.
+    spans: Vec<Range<usize>>,
+    cols: &'a [C],
+    vals: &'a [T],
+    /// Entries over all the spans.
+    nnz: usize,
+}
+
+impl<'a, T, C: IndexInt> TileView<'a, T, C> {
+    /// The rows `rows` of a CSR-style store: row `i`'s entries are
+    /// `cols[rowptr[i]..rowptr[i + 1]]`, with `vals` alike, and its
+    /// columns must ascend (repeats allowed). Rows without entries are
+    /// left out.
+    pub fn of_rows(rows: &IntervalSet, rowptr: &[u64], cols: &'a [C], vals: &'a [T]) -> Self {
+        let listed = rows.cardinality() as usize;
+        let (mut row_ids, mut spans) = (Vec::with_capacity(listed), Vec::with_capacity(listed));
+        let mut nnz = 0;
+        for run in rows.runs() {
+            for i in run.lo..run.hi {
+                let span = rowptr[i as usize] as usize..rowptr[i as usize + 1] as usize;
+                if !span.is_empty() {
+                    nnz += span.len();
+                    row_ids.push(i);
+                    spans.push(span);
+                }
+            }
+        }
+        TileView {
+            row_ids,
+            spans,
+            cols,
+            vals,
+            nnz,
+        }
+    }
+
+    /// Stored row `n`: its row id and where its entries lie.
+    fn row(&self, n: usize) -> (u64, Range<usize>) {
+        (self.row_ids[n], self.spans[n].clone())
+    }
+
+    /// Each row with where its entries lie.
+    fn row_spans(&self) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+        self.row_ids.iter().copied().zip(self.spans.iter().cloned())
+    }
+
+    /// Whether every touched grid-aligned `bs × bs` block holds exactly
+    /// `bs²` entries, for a tile without duplicate coordinates. Read
+    /// off the canonical order: the rows must come in aligned groups
+    /// of `bs` consecutive rows that share one column list, and that
+    /// list must be a sequence of aligned `bs`-runs. Returns at the
+    /// first group that is not.
+    fn blocks_dense(&self, bs: usize) -> bool {
+        // Strictly ascending coordinates: `bs` of them are one aligned
+        // run iff the first is aligned and the last is `bs − 1` on.
+        let aligned =
+            |first: u64, last: u64| first % bs as u64 == 0 && last == first + (bs as u64 - 1);
+        let mut groups = self
+            .row_ids
+            .chunks_exact(bs)
+            .zip(self.spans.chunks_exact(bs));
+        self.row_ids.len() % bs == 0
+            && groups.all(|(group, spans)| {
+                let first = &self.cols[spans[0].clone()];
+                aligned(group[0], group[bs - 1])
+                    && first.len() % bs == 0
+                    && first
+                        .chunks_exact(bs)
+                        .all(|run| aligned(run[0].to_u64(), run[bs - 1].to_u64()))
+                    && spans[1..].iter().all(|s| self.cols[s.clone()] == *first)
+            })
+    }
+}
+
+impl<'a, T> TileView<'a, T, u64> {
+    /// The canonical tile as a view.
+    fn of_tile(tile: &'a CsrTile<T>) -> Self {
+        TileView {
+            row_ids: tile.row_ids.clone(),
+            spans: tile.row_ptr.windows(2).map(|w| w[0]..w[1]).collect(),
+            cols: &tile.cols,
+            vals: &tile.vals,
+            nnz: tile.cols.len(),
+        }
+    }
+}
+
+impl<T: Copy, C: IndexInt> TileView<'_, T, C> {
+    /// The CSR payload: the rows stored by entry count, rows of equal
+    /// length in ascending row order — a counting sort over the row
+    /// lengths (at most `max_row_len`) places each row, then one gather
+    /// per array copies the rows there.
+    fn by_length(&self, max_row_len: usize) -> CsrTile<T> {
+        let stored = self.spans.len();
+        assert!(
+            u32::try_from(stored).is_ok(),
+            "a tile's stored rows fit u32"
+        );
+        // First stored index of each row length.
+        let mut next = vec![0u32; max_row_len + 1];
+        for span in &self.spans {
+            next[span.len()] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = at;
+            at += count;
+        }
+        // Rows ascend in the canonical order, so each length's rows
+        // are placed in ascending order too.
+        let mut by_row = Vec::with_capacity(stored);
+        let mut placed = vec![0u32; stored];
+        for (r, span) in (0u32..).zip(&self.spans) {
+            let s = &mut next[span.len()];
+            by_row.push(*s);
+            placed[*s as usize] = r;
+            *s += 1;
+        }
+        let mut row_ptr = Vec::with_capacity(stored + 1);
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(self.nnz);
+        for &r in &placed {
+            cols.extend(
+                self.cols[self.spans[r as usize].clone()]
+                    .iter()
+                    .map(|c| c.to_u64()),
+            );
+            row_ptr.push(cols.len());
+        }
+        let mut vals = Vec::with_capacity(self.nnz);
+        for &r in &placed {
+            vals.extend_from_slice(&self.vals[self.spans[r as usize].clone()]);
+        }
+        CsrTile {
+            row_ids: placed.iter().map(|&r| self.row_ids[r as usize]).collect(),
+            row_ptr,
+            cols,
+            vals,
+            by_row,
+        }
+    }
+}
+
 /// One tile's entries on their way to lowering, gathered in the
 /// canonical order of the kernel family: rows ascending, each row's
 /// entries by column, equal coordinates in input order.
 ///
-/// Entries arrive by [`TileRows::push`] or a row at a time by
-/// [`TileRows::push_row`]. While they come in that order the builder
-/// holds exactly the canonical [`CsrTile`]'s arrays — row ids, row
-/// starts, columns, values — and lowering takes them over without a
-/// copy. The first entry out of order turns it, once, into plain
-/// triplets, and lowering then sorts them ([`TileKernel::lower_rows`]):
-/// the one comparison sort of a tile's entries, and the same result as
-/// if the input had been in order.
+/// Registration gathers a tile here only when its format does not lend
+/// its rows ([`crate::SparseMatrix::lower_stored_rows`]): an enumerated
+/// format, or a CSR matrix whose rows are out of order. While entries
+/// arrive ([`TileRows::push`]) in canonical order the builder holds
+/// exactly the canonical [`CsrTile`]'s arrays — row ids, row starts,
+/// columns, values — which lowering reads as they are
+/// ([`TileRows::lower`]). The first entry out of order turns it, once,
+/// into plain triplets, which lowering sorts first: the one comparison
+/// sort of a tile's entries, and the same result as if the input had
+/// been in order.
 #[derive(Debug)]
 pub struct TileRows<T> {
     /// The rows so far, ascending; unused once scattered.
@@ -923,31 +1236,6 @@ impl<T: Copy> TileRows<T> {
         self.vals.push(v);
     }
 
-    /// Add row `i`'s entries, `cols[k]` with `vals[k]`, in that order:
-    /// the same as pushing each in turn. A row that comes after the
-    /// last one, its columns not descending, is copied whole.
-    pub fn push_row(&mut self, i: u64, cols: impl IntoIterator<Item = u64>, vals: &[T]) {
-        let start = self.cols.len();
-        self.cols.extend(cols);
-        assert_eq!(self.cols.len() - start, vals.len(), "one value per column");
-        if vals.is_empty() {
-            return;
-        }
-        let in_order = self.scattered.is_none()
-            && self.row_ids.last().is_none_or(|&r| r < i)
-            && self.cols[start..].is_sorted();
-        if in_order {
-            self.row_ids.push(i);
-            self.starts.push(start);
-            self.vals.extend_from_slice(vals);
-        } else {
-            let row: Vec<u64> = self.cols.drain(start..).collect();
-            for (j, &v) in row.into_iter().zip(vals) {
-                self.push(i, j, v);
-            }
-        }
-    }
-
     /// Give up the canonical arrays for per-entry rows.
     #[cold]
     fn scatter(&mut self) {
@@ -983,6 +1271,15 @@ impl<T: Copy> TileRows<T> {
             vals,
             by_row: (0..stored).collect(),
         }
+    }
+}
+
+impl<T: Scalar> TileRows<T> {
+    /// Lower the gathered tile: [`TileKernel::lower_rows`] over its
+    /// canonical order.
+    pub fn lower(self, choice: KernelChoice) -> (TileKernel<T>, TileStructure) {
+        let canon = self.into_canonical();
+        TileKernel::lower_rows(&TileView::of_tile(&canon), choice)
     }
 }
 
@@ -1029,137 +1326,6 @@ impl<T: Copy> CsrTile<T> {
             by_row: (0..stored).collect(),
         }
     }
-
-    /// A canonical tile with its rows stored by entry count, rows of
-    /// equal length in ascending row order: a counting sort over the row
-    /// lengths (at most `max_row_len`) places each row, then one gather
-    /// per array copies the rows there. The canonical columns are
-    /// dropped once copied and the values take their memory, so the
-    /// entries are held twice one array at a time, never both.
-    fn by_length(self, max_row_len: usize) -> Self {
-        // The payload's columns are reserved first, while the memory
-        // the sort and the analysis gave back is still in one piece.
-        let mut cols = Vec::with_capacity(self.cols.len());
-        let span = |r: u32| self.row_ptr[r as usize]..self.row_ptr[r as usize + 1];
-        // First stored index of each row length.
-        let mut next = vec![0u32; max_row_len + 1];
-        for r in 0..self.row_ids.len() as u32 {
-            next[span(r).len()] += 1;
-        }
-        let mut at = 0;
-        for slot in &mut next {
-            let count = *slot;
-            *slot = at;
-            at += count;
-        }
-        // Rows ascend in the canonical order, so each length's rows
-        // are placed in ascending order too.
-        let mut by_row = self.by_row;
-        let mut placed = vec![0u32; by_row.len()];
-        for (r, stored) in (0u32..).zip(by_row.iter_mut()) {
-            let s = &mut next[span(r).len()];
-            *stored = *s;
-            placed[*s as usize] = r;
-            *s += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(placed.len() + 1);
-        row_ptr.push(0);
-        for &r in &placed {
-            cols.extend_from_slice(&self.cols[span(r)]);
-            row_ptr.push(cols.len());
-        }
-        drop(self.cols);
-        // The values take the memory the canonical columns gave back.
-        let mut vals = Vec::with_capacity(self.vals.len());
-        for &r in &placed {
-            vals.extend_from_slice(&self.vals[span(r)]);
-        }
-        CsrTile {
-            row_ids: placed.iter().map(|&r| self.row_ids[r as usize]).collect(),
-            row_ptr,
-            cols,
-            vals,
-            by_row,
-        }
-    }
-}
-
-impl<T> CsrTile<T> {
-    /// Each stored row with its entry range in `cols`/`vals`.
-    fn row_spans(&self) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> + '_ {
-        let spans = self.row_ptr.windows(2).map(|w| w[0]..w[1]);
-        self.row_ids.iter().copied().zip(spans)
-    }
-
-    /// Whether every touched grid-aligned `bs × bs` block holds exactly
-    /// `bs²` entries, for a tile without duplicate coordinates. Read
-    /// off the canonical order: the stored rows must come in aligned
-    /// groups of `bs` consecutive rows that share one column list, and
-    /// that list must be a sequence of aligned `bs`-runs. Returns at
-    /// the first group that is not.
-    fn blocks_dense(&self, bs: usize) -> bool {
-        // Strictly ascending coordinates: `bs` of them are one aligned
-        // run iff the first is aligned and the last is `bs − 1` on.
-        let aligned_run =
-            |run: &[u64]| run[0] % bs as u64 == 0 && run[bs - 1] == run[0] + (bs as u64 - 1);
-        let mut groups = self.row_ids.chunks_exact(bs).enumerate();
-        self.row_ids.len() % bs == 0
-            && groups.all(|(g, group)| {
-                let starts = &self.row_ptr[g * bs..=(g + 1) * bs];
-                let first = &self.cols[starts[0]..starts[1]];
-                aligned_run(group)
-                    && first.len() % bs == 0
-                    && first.chunks_exact(bs).all(aligned_run)
-                    && (1..bs).all(|r| self.cols[starts[r]..starts[r + 1]] == *first)
-            })
-    }
-
-    /// The tile's distinct diagonal offsets (`col − row`), ascending.
-    /// Columns ascend within a row, so the offsets lie between
-    /// `first col − row` and `last col − row` over the stored rows;
-    /// each entry marks its offset on a bitmap over that span and the
-    /// offsets are read back off it in order, with no `nnz`-long offset
-    /// vector and no sort. A span past [`OFFSET_BITMAP_SLACK_WORDS`]
-    /// is collected, sorted and deduplicated instead.
-    fn diagonal_offsets(&self) -> Vec<i64> {
-        let offset = |row: u64, col: u64| col as i64 - row as i64;
-        let mut bounds = self.row_spans().map(|(row, span)| {
-            (
-                offset(row, self.cols[span.start]),
-                offset(row, self.cols[span.end - 1]),
-            )
-        });
-        let Some(first) = bounds.next() else {
-            return Vec::new();
-        };
-        let (lo, hi) = bounds.fold(first, |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
-        let words = (hi - lo) as u64 / 64 + 1;
-        if words > self.cols.len() as u64 + OFFSET_BITMAP_SLACK_WORDS {
-            let mut offsets: Vec<i64> = self
-                .row_spans()
-                .flat_map(|(row, span)| self.cols[span].iter().map(move |&c| offset(row, c)))
-                .collect();
-            offsets.sort_unstable();
-            offsets.dedup();
-            return offsets;
-        }
-        let mut marks = vec![0u64; words as usize];
-        for (row, span) in self.row_spans() {
-            for &c in &self.cols[span] {
-                let bit = (offset(row, c) - lo) as usize;
-                marks[bit / 64] |= 1 << (bit % 64);
-            }
-        }
-        let mut offsets = Vec::new();
-        for (w, &word) in marks.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                offsets.push(lo + (w * 64) as i64 + i64::from(rest.trailing_zeros()));
-                rest &= rest - 1;
-            }
-        }
-        offsets
-    }
 }
 
 impl<T: Scalar> TileKernel<T> {
@@ -1188,44 +1354,53 @@ impl<T: Scalar> TileKernel<T> {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
         let entries = rows.iter().zip(cols).zip(vals).map(|((&i, &j), &v)| (i, j, v));
-        Self::lower_rows(entries.collect(), choice)
+        entries.collect::<TileRows<T>>().lower(choice)
     }
 
-    /// Lower one tile's gathered entries, returning the kernel and the
-    /// structure analysis it was chosen from. Entries gathered in
-    /// canonical order become the canonical tile as they are; any
-    /// others are sorted into it first.
-    pub fn lower_rows(entries: TileRows<T>, choice: KernelChoice) -> (Self, TileStructure) {
-        let canon = entries.into_canonical();
-        let (structure, offsets) = TileStructure::of(&canon);
-        if canon.cols.is_empty() {
+    /// Lower one tile in canonical order, returning the kernel and the
+    /// structure analysis it was chosen from. One walk over the view
+    /// gives the analysis and, when a band may be chosen, the band's
+    /// rows; the chosen layout then copies the entries it keeps.
+    pub fn lower_rows<C: IndexInt>(
+        view: &TileView<'_, T, C>,
+        choice: KernelChoice,
+    ) -> (Self, TileStructure) {
+        let follow_band = matches!(
+            choice,
+            KernelChoice::Auto | KernelChoice::Force(KernelKind::Dia)
+        );
+        let Scan {
+            structure,
+            offsets,
+            band,
+        } = TileStructure::scan(view, follow_band.then_some(same_bits::<T>));
+        if view.nnz == 0 {
             return (TileKernel::Empty, structure);
         }
         let kind = match choice {
             KernelChoice::Auto => structure.select(),
             KernelChoice::Force(k) => k,
         };
-        // The canonical tile, its rows stored by length, is the CSR
-        // payload, and the fallback of every layout that cannot
-        // represent the tile.
-        let kernel = Self::specialized(kind, &canon, &structure, offsets)
-            .unwrap_or_else(|| TileKernel::Csr(canon.by_length(structure.max_row_len)));
+        // The rows stored by length are the CSR payload, and the
+        // fallback of every layout that cannot represent the tile.
+        let kernel = Self::specialized(kind, view, &structure, offsets, band)
+            .unwrap_or_else(|| TileKernel::Csr(view.by_length(structure.max_row_len)));
         (kernel, structure)
     }
 
-    /// `kind`'s layout of the canonical tile, or `None` where it cannot
-    /// represent it. The offset table is the DIA lowering's and is
-    /// dropped here otherwise, before a CSR payload is gathered.
-    fn specialized(
+    /// `kind`'s layout of the tile, or `None` where it cannot represent
+    /// it. The offsets and the band's rows are the DIA lowering's.
+    fn specialized<C: IndexInt>(
         kind: KernelKind,
-        canon: &CsrTile<T>,
-        structure: &TileStructure,
+        view: &TileView<'_, T, C>,
+        s: &TileStructure,
         offsets: Vec<i64>,
+        band: Option<BandRows>,
     ) -> Option<Self> {
         match kind {
-            KernelKind::Bcsr => Self::lower_bcsr(canon, structure),
-            KernelKind::Dia => Self::lower_dia(canon, structure, offsets),
-            KernelKind::Ell => Self::lower_ell(canon, structure),
+            KernelKind::Bcsr => Self::lower_bcsr(view, s),
+            KernelKind::Dia => Self::lower_dia(view, s, offsets, band?),
+            KernelKind::Ell => Self::lower_ell(view, s),
             // Assembled triplets carry no grid geometry; honoring the
             // bitwise contract means never guessing one. Registering
             // via a stencil descriptor is the only route to the
@@ -1234,7 +1409,12 @@ impl<T: Scalar> TileKernel<T> {
         }
     }
 
-    fn lower_dia(t: &CsrTile<T>, s: &TileStructure, offsets: Vec<i64>) -> Option<Self> {
+    fn lower_dia<C: IndexInt>(
+        t: &TileView<'_, T, C>,
+        s: &TileStructure,
+        offsets: Vec<i64>,
+        rows: BandRows,
+    ) -> Option<Self> {
         if s.has_duplicates {
             return None;
         }
@@ -1245,10 +1425,16 @@ impl<T: Scalar> TileKernel<T> {
         let row_lo = t.row_ids[0];
         let nrows = s.row_span;
         let mut band = BandBuilder::new(row_lo, nrows, offsets);
-        for (row, span) in t.row_spans() {
+        // One group per segment: its first row's entries hold in each
+        // of its rows, up to the values the walk saw change.
+        for &(first, len) in &rows.segments {
+            let (row, span) = t.row(first);
             let lr = (row - row_lo) as u32;
-            let entries = span.map(|idx| (t.cols[idx] as i64 - row as i64, t.vals[idx]));
-            band.group((lr, lr + 1), entries);
+            let entries = span.map(|k| (t.cols[k].to_u64() as i64 - row as i64, t.vals[k]));
+            band.group((lr, lr + len as u32), entries);
+        }
+        for &offset in &rows.varying {
+            band.varies(offset);
         }
         let mut tile = band.finish();
 
@@ -1281,7 +1467,7 @@ impl<T: Scalar> TileKernel<T> {
         Some(TileKernel::Dia(tile))
     }
 
-    fn lower_ell(t: &CsrTile<T>, s: &TileStructure) -> Option<Self> {
+    fn lower_ell<C: IndexInt>(t: &TileView<'_, T, C>, s: &TileStructure) -> Option<Self> {
         if s.has_duplicates {
             return None;
         }
@@ -1294,14 +1480,17 @@ impl<T: Scalar> TileKernel<T> {
             let len = span.len();
             row_len.push(len as u32);
             let base = r * width;
-            pcols[base..base + len].copy_from_slice(&t.cols[span.clone()]);
+            for (slot, &c) in pcols[base..base + len]
+                .iter_mut()
+                .zip(&t.cols[span.clone()])
+            {
+                *slot = c.to_u64();
+            }
             pvals[base..base + len].copy_from_slice(&t.vals[span]);
             // Pad lane columns with the last valid column so even an
             // (unreached) padded load would stay in bounds.
             let last = pcols[base + len - 1];
-            for slot in pcols[base + len..base + width].iter_mut() {
-                *slot = last;
-            }
+            pcols[base + len..base + width].fill(last);
         }
         Some(TileKernel::Ell(EllTile {
             row_ids: t.row_ids.clone(),
@@ -1312,7 +1501,7 @@ impl<T: Scalar> TileKernel<T> {
         }))
     }
 
-    fn lower_bcsr(t: &CsrTile<T>, s: &TileStructure) -> Option<Self> {
+    fn lower_bcsr<C: IndexInt>(t: &TileView<'_, T, C>, s: &TileStructure) -> Option<Self> {
         let bs = s.dense_block?;
         // Every touched block is fully dense, so the stored rows come
         // in aligned groups of `bs` sharing one column list, itself a
@@ -1323,17 +1512,16 @@ impl<T: Scalar> TileKernel<T> {
         let mut bptr = Vec::new();
         let mut bcols = Vec::new();
         let mut bvals = Vec::with_capacity(s.nnz);
-        for (g, group) in t.row_ids.chunks(bs).enumerate() {
+        for (group, spans) in t.row_ids.chunks(bs).zip(t.spans.chunks(bs)) {
             debug_assert!(group.len() == bs && group[0] % bs as u64 == 0);
             brow_ids.push(group[0] / bs as u64);
             bptr.push(bcols.len());
-            // Entry offsets of the group's `bs` rows (plus one past).
-            let starts = &t.row_ptr[g * bs..=(g + 1) * bs];
-            for b in 0..(starts[1] - starts[0]) / bs {
-                bcols.push(t.cols[starts[0] + b * bs] / bs as u64);
-                for &start in &starts[..bs] {
-                    let at = start + b * bs;
-                    debug_assert_eq!(t.cols[at], t.cols[starts[0] + b * bs]);
+            let first = spans[0].start;
+            for b in 0..spans[0].len() / bs {
+                bcols.push(t.cols[first + b * bs].to_u64() / bs as u64);
+                for span in spans {
+                    let at = span.start + b * bs;
+                    debug_assert_eq!(t.cols[at], t.cols[first + b * bs]);
                     bvals.extend_from_slice(&t.vals[at..at + bs]);
                 }
             }

@@ -305,14 +305,27 @@ cargo test -q --release -p kdr-integration --test end_to_end
 cargo test -q --release -p kdr-index --test prop
 cargo test -q --release -p kdr-core --test registration_pin
 # Registration at a read floor (DESIGN §7): each tile is lowered from
-# entries gathered in canonical order — a CSR matrix hands its rows
-# over whole, one tile at a time — so `finalize` holds one tile's
-# entries at its peak (the counting allocator's bound), there is no
-# triplet extraction of every tile, and the one comparison sort of a
-# tile's entries is the branch for entries that arrive out of order.
+# its entries in canonical order — a CSR matrix lends its rows, one
+# tile at a time — so `finalize` holds little beyond the payloads at
+# its peak (the counting allocator's bounds), there is no triplet
+# extraction of every tile, and the one comparison sort of a tile's
+# entries is the branch for entries that arrive out of order.
 cargo test -q --release -p kdr-core --test registration_memory
 if grep -rnwE 'extract_tile_triplets|TileTriplets' crates tests; then
     echo "ci.sh: crates/ or tests/ names the deleted triplet extraction again (see above)" >&2
+    exit 1
+fi
+# Registration reads a CSR matrix where it lies: co-partitioning's
+# column relation borrows `colidx` (`Csr::col_relation` builds no
+# table), and each tile is lowered from a view of the rows it lends,
+# so the per-row hand-off into a copied tile stays deleted.
+csr_col=$(sed -n '/^    fn col_relation(&self)/,/^    }$/p' crates/kdr-sparse/src/formats/csr.rs)
+if [ -z "$csr_col" ] || printf '%s\n' "$csr_col" | grep -nE 'collect|to_vec|FnRelation::new'; then
+    echo "ci.sh: Csr::col_relation copies the column indices again (see above)" >&2
+    exit 1
+fi
+if grep -rnwE 'append_rows|push_row' crates tests; then
+    echo "ci.sh: crates/ or tests/ names the deleted row hand-off again (see above)" >&2
     exit 1
 fi
 entry_sorts=$(sed '/^#\[cfg(test)\]/,$d' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
