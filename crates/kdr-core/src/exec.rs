@@ -82,19 +82,21 @@
 //! a step reported [`StepOutcome::Analyzed`].
 //!
 //! **Why the record is a sound key.** The tasks of a step are a
-//! function of its record and of what each call's lowering reads from
-//! the backend: the pieces and buffers of the vectors named, the
-//! scalar slots named, the tiles and apply plans of the operator
-//! named, and the pooled partials buffer of each `dot_many` position
-//! and width. All of those are reached through the handles in the
-//! record, and none is ever
+//! function of its record, of what each call's lowering reads from the
+//! backend — the pieces and buffers of the vectors named, the scalar
+//! slots named, the tiles and apply plans of the operator named — and
+//! of the partials buffer each `dot_many` writes. The first are
+//! reached through the handles in the record, and none is ever
 //! *replaced* under a handle without ending the cache's **epoch** —
 //! dropping every program (`ExecBackend::new_epoch`, called by
-//! `register_operator` alone). Equal
-//! records within an epoch therefore lower to equal task lists, which
-//! is the signature equality the runtime's replay requires. Debug
-//! builds check exactly that on every hit: the record is lowered
-//! again and its [`kdr_runtime::ShapeSig`] must equal the
+//! `register_operator` alone). The partials buffers are the program's
+//! own: a lowering makes one per `dot_many`, and the program's tasks
+//! hold it and write it on every run. Equal
+//! records within an epoch, lowered against the same partials,
+//! therefore lower to equal task lists, which is the signature
+//! equality the runtime's replay requires. Debug builds check exactly
+//! that on every hit: the record is lowered again against the cached
+//! step's partials, and its [`kdr_runtime::ShapeSig`] must equal the
 //! captured step's.
 //!
 //! A compiled step (see [`kdr_runtime::trace`]) fuses the step's
@@ -121,12 +123,12 @@
 //! scalars live in the refcounted slot arena of [`Handles`] (a step
 //! takes its results from the lowest bank of slots no live scalar
 //! holds, reused lowest-first, so a solver that carries scalars one
-//! step ahead alternates between two records), `dot` partial buffers
-//! are pooled per step position and width rather than freshly
-//! allocated, and the planner's workspace pool hands a rebuilt solver
-//! the vectors its predecessor used. Pieces, tile footprints and
-//! partial slots are held as shared `Arc<IntervalSet>`s made once, so
-//! lowering a step copies no interval set.
+//! step ahead alternates between two records), a `dot` partials
+//! buffer is not part of the key, and the planner's workspace pool
+//! hands a rebuilt solver the vectors its predecessor used. Pieces,
+//! tile footprints and partial slots are held as shared
+//! `Arc<IntervalSet>`s made once, so lowering a step copies no
+//! interval set.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -461,7 +463,7 @@ struct ExecOpSet<T> {
 }
 
 /// A `dot` partials buffer with the one-element subset of each slot,
-/// made once so the partial tasks of a pooled buffer share them.
+/// made once so the partial tasks writing the buffer share them.
 #[derive(Clone)]
 struct Partials<T> {
     buf: Buffer<T>,
@@ -509,10 +511,8 @@ impl VecOp {
 /// What a step program is looked up by: the task-generating backend
 /// calls of the step, in order. A [`StepOp`] is everything its tasks
 /// are a function of, given the backend's registered vectors,
-/// operators, scalar slots and pooled partials buffers: the `k`-th
-/// `Dots` of a record has its partials in the pooled buffer of
-/// position `k` and its total width, so the op list fixes the pool
-/// entry too.
+/// operators and scalar slots, and the partials buffer of each `Dots`,
+/// which belongs to the program.
 #[derive(Clone, Default, PartialEq)]
 struct StepKey {
     /// Each call, in order.
@@ -547,6 +547,8 @@ struct Lowered<T> {
     tasks: Vec<TaskBuilder>,
     /// Present when the record had a `scalar_const`.
     consts: Option<ConstCells<T>>,
+    /// The partials buffer of each `Dots`, in call order.
+    partials: Vec<Partials<T>>,
 }
 
 /// A cached step: its key and the program a hit replays.
@@ -554,6 +556,11 @@ struct CachedStep<T> {
     key: StepKey,
     program: StepProgram,
     consts: Option<ConstCells<T>>,
+    /// The partials buffers the program was compiled with (its tasks'
+    /// requirements hold them too): what a hit's record is lowered
+    /// against again (in debug builds).
+    #[cfg(debug_assertions)]
+    partials: Vec<Partials<T>>,
     /// Signature of the tasks the program was captured from: what a
     /// hit's record must lower to again (checked in debug builds).
     #[cfg(debug_assertions)]
@@ -568,11 +575,6 @@ pub struct ExecBackend<T: Scalar> {
     handles: Handles,
     /// One single-element buffer per slot of the `handles` arena.
     scalars: Vec<Buffer<T>>,
-    /// Pooled `dot` partial buffers, keyed by call position within a
-    /// record and total partial slots; only ever added to.
-    dot_partials: BTreeMap<(usize, usize), Partials<T>>,
-    /// Position of the next `dot_many` in the open record.
-    dot_seq: usize,
     /// Whether ops are recorded and run as step programs (the
     /// default); off, each op is lowered and submitted through
     /// dependence analysis as it is called.
@@ -640,8 +642,6 @@ impl<T: Scalar> ExecBackend<T> {
             opsets: Vec::new(),
             handles: Handles::default(),
             scalars: Vec::new(),
-            dot_partials: BTreeMap::new(),
-            dot_seq: 0,
             tracing: true,
             step: StepRecord {
                 key: StepKey::default(),
@@ -816,7 +816,6 @@ impl<T: Scalar> ExecBackend<T> {
         if self.step.key.ops.is_empty() {
             return None;
         }
-        self.dot_seq = 0;
         let step = &self.step;
         let slots = &self.scalars;
         let reads = reads.iter().map(|&s| slots[s].id());
@@ -825,7 +824,7 @@ impl<T: Scalar> ExecBackend<T> {
             // lowers to the tasks the program holds.
             #[cfg(debug_assertions)]
             assert!(
-                ShapeSig::of_tasks(&self.lower(step, true).tasks) == cached.sig,
+                ShapeSig::of_tasks(&self.lower(step, &cached.partials).tasks) == cached.sig,
                 "a cached step's record no longer lowers to its program's tasks: \
                  something its lowering reads was replaced without ending the epoch"
             );
@@ -836,7 +835,7 @@ impl<T: Scalar> ExecBackend<T> {
             };
             run_step(&self.rt, &mut self.fault, &cached.program, bind, reads)
         } else {
-            let lowered = self.lower(step, true);
+            let lowered = self.lower(step, &[]);
             if self.in_step {
                 self.step_tasks_lowered += lowered.tasks.len() as u64;
                 self.step_compiled = true;
@@ -854,6 +853,8 @@ impl<T: Scalar> ExecBackend<T> {
                     key: self.step.key.clone(),
                     program,
                     consts: lowered.consts,
+                    #[cfg(debug_assertions)]
+                    partials: lowered.partials,
                     #[cfg(debug_assertions)]
                     sig,
                 });
@@ -879,9 +880,9 @@ impl<T: Scalar> ExecBackend<T> {
     /// sound as long as nothing a call's lowering reads from this
     /// backend is replaced; whatever replaces such a thing calls this.
     /// That is `register_operator` (tiles and apply plans) alone.
-    /// Vectors, scalar slots and pool entries are only ever *added*,
-    /// and a handle that did not exist when a program was recorded
-    /// cannot occur in its key.
+    /// Vectors and scalar slots are only ever *added*, and a handle
+    /// that did not exist when a program was recorded cannot occur in
+    /// its key.
     fn new_epoch(&mut self) {
         self.programs.clear();
     }
@@ -890,20 +891,6 @@ impl<T: Scalar> ExecBackend<T> {
     /// empty ones included.
     fn dot_slots(&self, v: BVec) -> usize {
         self.vectors[v].comps.iter().map(|c| c.pieces.len()).sum()
-    }
-
-    /// Ready the pool entry for the `dot_many` at the current position
-    /// of the open record with `total_slots` partials: the buffer every
-    /// record with a `dot_many` of that width at that position shares
-    /// (stable buffer ids keep the record repeatable; records run one
-    /// at a time, each from a quiescent runtime). An entry is made once
-    /// and never replaced.
-    fn pooled_partials(&mut self, total_slots: usize) {
-        let key = (self.dot_seq, total_slots);
-        self.dot_seq += 1;
-        self.dot_partials
-            .entry(key)
-            .or_insert_with(|| Partials::new(total_slots));
     }
 
     /// One `dot_partial` task per non-empty piece of `a · b`, writing
@@ -1009,10 +996,15 @@ impl<T: Scalar> ExecBackend<T> {
     /// produces all result scalars — one reduction stage for the
     /// whole batch. Each pair's partials occupy a contiguous slot
     /// range and are summed in ascending slot order, so a result does
-    /// not depend on which other pairs share its batch. `pool`: the
-    /// batch's position in a record, whose pooled buffer of this width
-    /// it uses; a fresh buffer otherwise.
-    fn dots(&self, batch: &[(BVec, BVec, SRef)], pool: Option<usize>, out: &mut Lowered<T>) {
+    /// not depend on which other pairs share its batch. The partials
+    /// go into `partials` when given (a cached program's buffer), else
+    /// into a fresh buffer; either way `out` lists the one used.
+    fn dots(
+        &self,
+        batch: &[(BVec, BVec, SRef)],
+        partials: Option<&Partials<T>>,
+        out: &mut Lowered<T>,
+    ) {
         // Per-pair slot offsets into the shared partials buffer.
         let mut offsets = Vec::with_capacity(batch.len() + 1);
         let mut total_slots = 0usize;
@@ -1021,10 +1013,7 @@ impl<T: Scalar> ExecBackend<T> {
             total_slots += self.dot_slots(a);
         }
         offsets.push(total_slots);
-        let partials = match pool {
-            Some(pos) => self.dot_partials[&(pos, total_slots)].clone(),
-            None => Partials::new(total_slots),
-        };
+        let partials = partials.map_or_else(|| Partials::new(total_slots), Partials::clone);
         for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
             self.dot_partial_tasks(a, b, &partials, first_slot, out);
         }
@@ -1039,6 +1028,7 @@ impl<T: Scalar> ExecBackend<T> {
                 ctx.write::<T>(j + 1).set(0, sum);
             }
         }));
+        out.partials.push(partials);
     }
 
     /// `dst ← A(src)` (or `Aᵀ`): the standalone zero tasks, then one
@@ -1111,15 +1101,16 @@ impl<T: Scalar> ExecBackend<T> {
     /// Lower a record into its tasks, in call order: the one place a
     /// backend call becomes tasks. Every body is a shared one, so the
     /// result can be submitted as it is or kept as a step program.
-    /// In a `pooled` record (one that runs as a step program) the
-    /// `k`-th `Dots` keeps its partials in the pooled buffer of
-    /// position `k` and its width; with tracing off, in a fresh one.
-    fn lower(&self, step: &StepRecord<T>, pooled: bool) -> Lowered<T> {
+    /// The `k`-th `Dots` writes its partials into `partials[k]` when
+    /// there is one — a cached program's buffers, to lower its record
+    /// again — and into a fresh buffer otherwise.
+    fn lower(&self, step: &StepRecord<T>, partials: &[Partials<T>]) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
+            partials: Vec::new(),
         };
-        let (mut dots_at, mut consts_at, mut pools_at) = (0, 0, 0);
+        let (mut dots_at, mut consts_at) = (0, 0);
         for &op in &step.key.ops {
             match op {
                 StepOp::Vector {
@@ -1129,9 +1120,9 @@ impl<T: Scalar> ExecBackend<T> {
                     alpha,
                 } => self.elementwise(op, dst, src, alpha, &mut out),
                 StepOp::Dots { pairs } => {
-                    let pool = pooled.then_some(pools_at);
-                    self.dots(&step.key.dots[dots_at..dots_at + pairs], pool, &mut out);
-                    (dots_at, pools_at) = (dots_at + pairs, pools_at + 1);
+                    let batch = &step.key.dots[dots_at..dots_at + pairs];
+                    self.dots(batch, partials.get(out.partials.len()), &mut out);
+                    dots_at += pairs;
                 }
                 StepOp::Const { out: slot } => {
                     // Reused slots may have in-flight readers, so the
@@ -1309,17 +1300,13 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// step or not, and runs when the record closes; with it off it is
     /// lowered and submitted through dependence analysis at once. A
     /// `dot_many` is one reduction stage: every pair's partial tasks
-    /// share one partials buffer — in a record, the pooled one of its
-    /// position — and a single `dot_reduce` task combines them all. A
-    /// reused result slot may still have readers in flight; the op's
-    /// write task is ordered after them by the step's compiled graph
-    /// (or by dependence analysis).
+    /// share one partials buffer, made when the call is lowered, and a
+    /// single `dot_reduce` task combines them all. A reused result slot
+    /// may still have readers in flight; the op's write task is
+    /// ordered after them by the step's compiled graph (or by
+    /// dependence analysis).
     fn emit(&mut self, op: StepOp, dots: &[(BVec, BVec, SRef)], value: Option<T>) {
         if let StepOp::Dots { .. } = op {
-            if self.tracing {
-                let total_slots = dots.iter().map(|&(a, _, _)| self.dot_slots(a)).sum();
-                self.pooled_partials(total_slots);
-            }
             self.note_reduction();
         }
         let slots = self.handles.slots();
@@ -1329,7 +1316,7 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         self.step.consts.extend(value);
         self.step.key.ops.push(op);
         if !self.tracing {
-            let lowered = self.lower(&self.step, false);
+            let lowered = self.lower(&self.step, &[]);
             self.step.clear();
             if self.in_step {
                 self.step_tasks_lowered += lowered.tasks.len() as u64;
@@ -1833,11 +1820,11 @@ mod tests {
         use crate::*;
         let solvers: [(bool, Build); 12] = [
             (false, |p| Box::new(CgSolver::new(p))),
-            (true, |p| Box::new(PcgSolver::new(p))),
+            (true, |p| Box::new(CgSolver::new(p))),
             (false, |p| Box::new(BiCgSolver::new(p))),
             (false, |p| Box::new(CgsSolver::new(p))),
             (false, |p| Box::new(BiCgStabSolver::new(p))),
-            (true, |p| Box::new(PBiCgStabSolver::new(p))),
+            (true, |p| Box::new(BiCgStabSolver::new(p))),
             (false, |p| Box::new(TfqmrSolver::new(p))),
             (false, |p| Box::new(MinresSolver::new(p))),
             (false, |p| Box::new(FusedCgSolver::new(p))),
@@ -1860,7 +1847,7 @@ mod tests {
                         consts: vec![0.0; consts.count()],
                     };
                     live_rt.begin_trace().expect("no capture is open");
-                    for task in exec.lower(&record, true).tasks {
+                    for task in exec.lower(&record, &[]).tasks {
                         live_rt.submit(task).expect("backend tasks carry a body");
                     }
                     let live = live_rt.end_trace().expect("the capture was opened above");
@@ -1891,7 +1878,7 @@ mod tests {
         assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 3 * 2 + 2)), "{cg:?}");
         // PCG: the same, the Jacobi apply and second partial in the
         // middle phase.
-        let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::PcgSolver::new(p)));
+        let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
         assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 3 * 2 + 2)), "{pcg:?}");
         // BiCGStab: its three reduction stages cut the pieces' tasks
@@ -1922,7 +1909,7 @@ mod tests {
         assert!(!cg.is_empty());
         assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 1)), "{cg:?}");
         // PCG: the Jacobi apply and second partial on top.
-        let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::PcgSolver::new(p)));
+        let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
         assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 1)), "{pcg:?}");
         // BiCGStab: three reduction stages and 13 scalar tasks, still

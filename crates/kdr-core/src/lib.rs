@@ -22,9 +22,11 @@
 //!   small mathematical operation set (`copy`/`scal`/`axpy`/`xpay`/
 //!   `dot`/`matmul`/`psolve`) with deferred scalars, and never see
 //!   formats, components, partitions, or data movement.
-//! * **Interchangeable KSMs** ([`solvers`]): CG, preconditioned CG,
-//!   BiCG, BiCGStab, CGS, GMRES(m), MINRES, plus fence-minimal
-//!   variants — fused-reduction CG, pipelined CG/CR, and s-step CG.
+//! * **Interchangeable KSMs** ([`solvers`]): CG, BiCG, BiCGStab, CGS,
+//!   GMRES(m), MINRES, TFQMR, Chebyshev, plus fence-minimal variants —
+//!   fused-reduction CG, pipelined CG/CR, and s-step CG. CG, BiCGStab
+//!   and GMRES apply the planner's preconditioner when it has one; the
+//!   others refuse such a planner.
 //! * **Two backends**: [`exec::ExecBackend`] executes for real on the
 //!   `kdr-runtime` task runtime, whose one placement rule keeps every
 //!   task of a piece on one worker (colour `c` on worker `c % W`);
@@ -58,7 +60,7 @@ pub use simbackend::SimBackend;
 pub use solvers::{
     solve, solve_recoverable, solve_traced, BiCgSolver, BiCgStabSolver, BreakdownGuard,
     BreakdownKind, CancelToken, CgSolver, CgsSolver, ChebyshevSolver, FusedCgSolver, GmresSolver,
-    GuardTrigger, MinresSolver, PBiCgStabSolver, PcgSolver, PipelinedCgSolver, PipelinedCrSolver,
-    RecoveryPolicy, SStepCgSolver, SolveControl, SolveError, SolveOutcome, SolveReport, Solver,
-    StepDriver, TfqmrSolver,
+    GuardTrigger, MinresSolver, PipelinedCgSolver, PipelinedCrSolver, RecoveryPolicy,
+    SStepCgSolver, SolveControl, SolveError, SolveOutcome, SolveReport, Solver, StepDriver,
+    TfqmrSolver,
 };

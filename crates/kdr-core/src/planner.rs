@@ -199,7 +199,8 @@ impl<T: Scalar> Planner<T> {
 
     /// Add a preconditioner component: `matrix` maps right-hand-side
     /// component `rhs_id` to solution component `sol_id` (so that
-    /// `P_total A_total ≈ I`).
+    /// `P_total A_total ≈ I`). CG, BiCGStab and GMRES built on the
+    /// planner apply it; every other solver refuses the planner.
     pub fn add_preconditioner(
         &mut self,
         matrix: Arc<dyn SparseMatrix<T>>,

@@ -8,7 +8,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// Biconjugate gradients: unsymmetric systems via the two-sided
 /// Lanczos process (a transpose solve per iteration).
@@ -30,6 +30,7 @@ impl<T: Scalar> BiCgSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "BiCG requires a square system");
+        refuse_preconditioner(planner, "BiCG");
         let r = planner.allocate_workspace_vector();
         let rt = planner.allocate_workspace_vector();
         let p = planner.allocate_workspace_vector();

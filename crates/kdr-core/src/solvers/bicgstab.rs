@@ -1,20 +1,27 @@
 //! Stabilized biconjugate gradient (van der Vorst 1992).
 //!
 //! Two matrix-vector products per iteration, no adjoint; converges on
-//! general nonsymmetric systems.
+//! general nonsymmetric systems. On a planner with a preconditioner
+//! [`BiCgStabSolver`] is right-preconditioned: `p̂ = P p` and
+//! `ŝ = P s` are inserted before each product, and the solution is
+//! updated along the preconditioned directions (the PETSc
+//! `-pc_side right` formulation).
 
 use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{psolve_into, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// BiCG-stabilized: unsymmetric systems without the transpose
-/// product, smoothing BiCG's residual oscillations.
+/// product, smoothing BiCG's residual oscillations; right-preconditioned
+/// when the planner has a preconditioner.
 pub struct BiCgStabSolver<T: Scalar> {
     r0hat: usize,
     r: usize,
     p: usize,
+    /// `p̂` and `ŝ`, present when the planner has a preconditioner.
+    hats: Option<(usize, usize)>,
     v: usize,
     s: usize,
     t: usize,
@@ -25,41 +32,6 @@ pub struct BiCgStabSolver<T: Scalar> {
     last_omega: Option<ScalarHandle<T>>,
 }
 
-/// Guards shared by the plain and preconditioned BiCGStab variants:
-/// Lanczos breakdown (`ρ ≈ 0`), a vanishing step denominator
-/// (`(r̂₀, v) ≈ 0`), and a vanishing stabilization parameter
-/// (`ω ≈ 0`).
-fn bicgstab_guards<T: Scalar>(
-    rho: &ScalarHandle<T>,
-    r0v: &Option<ScalarHandle<T>>,
-    omega: &Option<ScalarHandle<T>>,
-) -> Vec<BreakdownGuard<T>> {
-    let mut guards = Vec::new();
-    if r0v.is_none() {
-        return guards;
-    }
-    guards.push(BreakdownGuard {
-        kind: BreakdownKind::RhoZero,
-        value: rho.clone(),
-        trigger: GuardTrigger::NearZero,
-    });
-    if let Some(r0v) = r0v {
-        guards.push(BreakdownGuard {
-            kind: BreakdownKind::AlphaZero,
-            value: r0v.clone(),
-            trigger: GuardTrigger::NearZero,
-        });
-    }
-    if let Some(omega) = omega {
-        guards.push(BreakdownGuard {
-            kind: BreakdownKind::OmegaZero,
-            value: omega.clone(),
-            trigger: GuardTrigger::NearZero,
-        });
-    }
-    guards
-}
-
 impl<T: Scalar> BiCgStabSolver<T> {
     /// Build against a planner (finalizing it on first use).
     pub fn new(planner: &mut Planner<T>) -> Self {
@@ -68,6 +40,12 @@ impl<T: Scalar> BiCgStabSolver<T> {
         let r0hat = planner.allocate_workspace_vector();
         let r = planner.allocate_workspace_vector();
         let p = planner.allocate_workspace_vector();
+        let hats = planner.has_preconditioner().then(|| {
+            (
+                planner.allocate_workspace_vector(),
+                planner.allocate_workspace_vector(),
+            )
+        });
         let v = planner.allocate_workspace_vector();
         let s = planner.allocate_workspace_vector();
         let t = planner.allocate_workspace_vector();
@@ -84,6 +62,7 @@ impl<T: Scalar> BiCgStabSolver<T> {
             r0hat,
             r,
             p,
+            hats,
             v,
             s,
             t,
@@ -97,17 +76,19 @@ impl<T: Scalar> BiCgStabSolver<T> {
 
 impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
     fn step(&mut self, planner: &mut Planner<T>) {
-        // v = A p ; alpha = rho / (r0hat · v).
-        planner.matmul(self.v, self.p);
+        // p̂ = P p ; v = A p̂ ; alpha = rho / (r0hat · v).
+        let phat = psolve_into(planner, self.hats.map(|h| h.0), self.p);
+        planner.matmul(self.v, phat);
         let r0v = planner.dot(self.r0hat, self.v);
         self.last_r0v = Some(r0v.clone());
         let alpha = self.rho.clone() / r0v;
-        // s = r - alpha v.
+        // s = r - alpha v ; ŝ = P s.
         planner.copy(self.s, self.r);
         planner.axpy(self.s, &(-&alpha), self.v);
-        // t = A s ; omega = (t · s) / (t · t) — both dots read t and
+        let shat = psolve_into(planner, self.hats.map(|h| h.1), self.s);
+        // t = A ŝ ; omega = (t · s) / (t · t) — both dots read t and
         // s, so they fuse into one reduction stage.
-        planner.matmul(self.t, self.s);
+        planner.matmul(self.t, shat);
         let mut d = planner.dot_many(&[(self.t, self.s), (self.t, self.t)]);
         let tt = d.pop().expect("two results");
         let ts = d.pop().expect("two results");
@@ -116,9 +97,9 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
         let tiny = planner.scalar(T::tiny());
         let omega = ts / (tt + tiny);
         self.last_omega = Some(omega.clone());
-        // x += alpha p + omega s.
-        planner.axpy(SOL, &alpha, self.p);
-        planner.axpy(SOL, &omega, self.s);
+        // x += alpha p̂ + omega ŝ.
+        planner.axpy(SOL, &alpha, phat);
+        planner.axpy(SOL, &omega, shat);
         // r = s - omega t.
         planner.copy(self.r, self.s);
         planner.axpy(self.r, &(-&omega), self.t);
@@ -138,117 +119,38 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
     }
 
     fn name(&self) -> &'static str {
-        "bicgstab"
-    }
-
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        bicgstab_guards(&self.rho, &self.last_r0v, &self.last_omega)
-    }
-}
-
-/// Right-preconditioned BiCGStab: identical recurrence with
-/// `p̂ = P p` and `ŝ = P s` inserted before each product, and the
-/// solution updated along the preconditioned directions (the PETSc
-/// `-pc_side right` formulation).
-pub struct PBiCgStabSolver<T: Scalar> {
-    r0hat: usize,
-    r: usize,
-    p: usize,
-    phat: usize,
-    shat: usize,
-    v: usize,
-    s: usize,
-    t: usize,
-    rho: ScalarHandle<T>,
-    res: ScalarHandle<T>,
-    last_r0v: Option<ScalarHandle<T>>,
-    last_omega: Option<ScalarHandle<T>>,
-}
-
-impl<T: Scalar> PBiCgStabSolver<T> {
-    /// Build against a planner with a registered preconditioner.
-    pub fn new(planner: &mut Planner<T>) -> Self {
-        planner.finalize();
-        assert!(planner.is_square(), "BiCGStab requires a square system");
-        assert!(
-            planner.has_preconditioner(),
-            "PBiCgStabSolver requires add_preconditioner"
-        );
-        let r0hat = planner.allocate_workspace_vector();
-        let r = planner.allocate_workspace_vector();
-        let p = planner.allocate_workspace_vector();
-        let phat = planner.allocate_workspace_vector();
-        let shat = planner.allocate_workspace_vector();
-        let v = planner.allocate_workspace_vector();
-        let s = planner.allocate_workspace_vector();
-        let t = planner.allocate_workspace_vector();
-        planner.matmul(v, SOL);
-        planner.copy(r, RHS);
-        let minus_one = planner.scalar(-T::ONE);
-        planner.axpy(r, &minus_one, v);
-        planner.copy(r0hat, r);
-        planner.copy(p, r);
-        let rho = planner.dot(r0hat, r);
-        let res = planner.dot(r, r);
-        PBiCgStabSolver {
-            r0hat,
-            r,
-            p,
-            phat,
-            shat,
-            v,
-            s,
-            t,
-            rho,
-            res,
-            last_r0v: None,
-            last_omega: None,
+        match self.hats {
+            Some(_) => "pbicgstab",
+            None => "bicgstab",
         }
     }
-}
 
-impl<T: Scalar> Solver<T> for PBiCgStabSolver<T> {
-    fn step(&mut self, planner: &mut Planner<T>) {
-        // p̂ = P p ; v = A p̂.
-        planner.psolve(self.phat, self.p);
-        planner.matmul(self.v, self.phat);
-        let r0v = planner.dot(self.r0hat, self.v);
-        self.last_r0v = Some(r0v.clone());
-        let alpha = self.rho.clone() / r0v;
-        // s = r − α v ; ŝ = P s ; t = A ŝ.
-        planner.copy(self.s, self.r);
-        planner.axpy(self.s, &(-&alpha), self.v);
-        planner.psolve(self.shat, self.s);
-        planner.matmul(self.t, self.shat);
-        let mut d = planner.dot_many(&[(self.t, self.s), (self.t, self.t)]);
-        let tt = d.pop().expect("two results");
-        let ts = d.pop().expect("two results");
-        let tiny = planner.scalar(T::tiny());
-        let omega = ts / (tt + tiny);
-        self.last_omega = Some(omega.clone());
-        // x += α p̂ + ω ŝ ; r = s − ω t.
-        planner.axpy(SOL, &alpha, self.phat);
-        planner.axpy(SOL, &omega, self.shat);
-        planner.copy(self.r, self.s);
-        planner.axpy(self.r, &(-&omega), self.t);
-        let mut d = planner.dot_many(&[(self.r0hat, self.r), (self.r, self.r)]);
-        self.res = d.pop().expect("two results");
-        let new_rho = d.pop().expect("two results");
-        let beta = (new_rho.clone() / self.rho.clone()) * (alpha / omega.clone());
-        planner.axpy(self.p, &(-&omega), self.v);
-        planner.xpay(self.p, &beta, self.r);
-        self.rho = new_rho;
-    }
-
-    fn convergence_measure(&self) -> Option<ScalarHandle<T>> {
-        Some(self.res.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "pbicgstab"
-    }
-
+    /// Lanczos breakdown (`ρ ≈ 0`), a vanishing step denominator
+    /// (`(r̂₀, v) ≈ 0`), and a vanishing stabilization parameter
+    /// (`ω ≈ 0`).
     fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        bicgstab_guards(&self.rho, &self.last_r0v, &self.last_omega)
+        let Some(r0v) = &self.last_r0v else {
+            return Vec::new();
+        };
+        let mut guards = vec![
+            BreakdownGuard {
+                kind: BreakdownKind::RhoZero,
+                value: self.rho.clone(),
+                trigger: GuardTrigger::NearZero,
+            },
+            BreakdownGuard {
+                kind: BreakdownKind::AlphaZero,
+                value: r0v.clone(),
+                trigger: GuardTrigger::NearZero,
+            },
+        ];
+        if let Some(omega) = &self.last_omega {
+            guards.push(BreakdownGuard {
+                kind: BreakdownKind::OmegaZero,
+                value: omega.clone(),
+                trigger: GuardTrigger::NearZero,
+            });
+        }
+        guards
     }
 }

@@ -7,7 +7,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// Conjugate gradients squared: unsymmetric systems, applying the
 /// BiCG contraction twice per iteration without the transpose.
@@ -30,6 +30,7 @@ impl<T: Scalar> CgsSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "CGS requires a square system");
+        refuse_preconditioner(planner, "CGS");
         let r = planner.allocate_workspace_vector();
         let rt = planner.allocate_workspace_vector();
         let u = planner.allocate_workspace_vector();

@@ -7,7 +7,8 @@
 //! communication. That makes it the extreme point of the paper's P1
 //! argument (nothing to overlap — there are no collectives at all),
 //! and a classic smoother to pair with the preconditioners in
-//! [`crate::precond`].
+//! [`crate::precond`]. It does not apply the planner's preconditioner
+//! itself, so it refuses a planner that has one.
 //!
 //! The optional convergence measure costs one dot per step and is
 //! only maintained if requested (`track_residual`).
@@ -16,7 +17,7 @@ use kdr_sparse::{Scalar, SparseMatrix};
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::Solver;
+use crate::solvers::{refuse_preconditioner, Solver};
 
 /// Chebyshev iteration: fixed scalar recurrence from explicit
 /// spectral bounds — no inner products, so no global reductions.
@@ -40,6 +41,7 @@ impl<T: Scalar> ChebyshevSolver<T> {
         assert!(lmin > 0.0 && lmax >= lmin, "need 0 < lmin <= lmax");
         planner.finalize();
         assert!(planner.is_square(), "Chebyshev requires a square system");
+        refuse_preconditioner(planner, "Chebyshev");
         let r = planner.allocate_workspace_vector();
         let d = planner.allocate_workspace_vector();
         let q = planner.allocate_workspace_vector();

@@ -7,21 +7,24 @@
 //! Gram–Schmidt); after `m` steps the least-squares solution is
 //! applied and the cycle restarts. All small dense arithmetic
 //! (Givens rotations, back-substitution) runs on deferred scalars, so
-//! the pipeline never blocks.
+//! the pipeline never blocks. On a planner with a preconditioner the
+//! method is right-preconditioned: Arnoldi runs on `A P`, and a
+//! cycle's update applies `x += P (V y)`.
 
 use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{psolve_into, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// Restarted GMRES(m): general systems via an Arnoldi basis of `m`
-/// vectors, minimizing the residual over the Krylov subspace.
+/// vectors, minimizing the residual over the Krylov subspace;
+/// right-preconditioned when the planner has a preconditioner.
 pub struct GmresSolver<T: Scalar> {
-    /// Right preconditioning: Arnoldi runs on `A P`, and the update
-    /// applies `x += P (V y)`.
+    /// Whether the planner has a preconditioner, read once at
+    /// construction.
     preconditioned: bool,
-    /// Scratch for `P v` in preconditioned mode.
+    /// Scratch for `P v` (allocated either way).
     z: usize,
     restart: usize,
     /// Basis vectors `v[0..=m]`.
@@ -47,23 +50,10 @@ pub struct GmresSolver<T: Scalar> {
 impl<T: Scalar> GmresSolver<T> {
     /// GMRES with restart length `m` (the paper uses 10).
     pub fn with_restart(planner: &mut Planner<T>, m: usize) -> Self {
-        Self::build(planner, m, false)
-    }
-
-    /// Right-preconditioned GMRES(m); requires `add_preconditioner`.
-    pub fn preconditioned(planner: &mut Planner<T>, m: usize) -> Self {
-        planner.finalize();
-        assert!(
-            planner.has_preconditioner(),
-            "preconditioned GMRES requires add_preconditioner"
-        );
-        Self::build(planner, m, true)
-    }
-
-    fn build(planner: &mut Planner<T>, m: usize, preconditioned: bool) -> Self {
         assert!(m >= 1);
         planner.finalize();
         assert!(planner.is_square(), "GMRES requires a square system");
+        let preconditioned = planner.has_preconditioner();
         let v: Vec<usize> = (0..=m)
             .map(|_| planner.allocate_workspace_vector())
             .collect();
@@ -149,14 +139,11 @@ impl<T: Scalar> GmresSolver<T> {
 impl<T: Scalar> Solver<T> for GmresSolver<T> {
     fn step(&mut self, planner: &mut Planner<T>) {
         let k = self.k;
-        // Arnoldi: w = A v_k (or A P v_k), orthogonalize against
-        // v_0..v_k (MGS).
-        if self.preconditioned {
-            planner.psolve(self.z, self.v[k]);
-            planner.matmul(self.w, self.z);
-        } else {
-            planner.matmul(self.w, self.v[k]);
-        }
+        // Arnoldi: w = A P v_k (A v_k without a preconditioner),
+        // orthogonalize against v_0..v_k (MGS).
+        let z = self.preconditioned.then_some(self.z);
+        let pv = psolve_into(planner, z, self.v[k]);
+        planner.matmul(self.w, pv);
         let mut h: Vec<ScalarHandle<T>> = Vec::with_capacity(k + 2);
         for i in 0..=k {
             let hi = planner.dot(self.w, self.v[i]);

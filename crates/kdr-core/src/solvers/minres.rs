@@ -8,7 +8,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// MINRES: symmetric (possibly indefinite) systems via the Lanczos
 /// process with on-the-fly Givens QR.
@@ -39,6 +39,7 @@ impl<T: Scalar> MinresSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "MINRES requires a square system");
+        refuse_preconditioner(planner, "MINRES");
         let v_prev = planner.allocate_workspace_vector();
         let v = planner.allocate_workspace_vector();
         let p = planner.allocate_workspace_vector();

@@ -8,6 +8,12 @@
 //! so every solver works unchanged on single- and multi-operator
 //! systems, on the threaded backend and on the simulator, and all are
 //! drop-in interchangeable.
+//!
+//! A preconditioner belongs to the system, like its operator: CG,
+//! BiCGStab and GMRES read [`Planner::has_preconditioner`] once, when
+//! they are built, and apply it through `psolve` if there is one. The
+//! other methods refuse a planner with a preconditioner rather than
+//! ignore it.
 
 pub mod bicg;
 pub mod bicgstab;
@@ -22,8 +28,8 @@ pub mod sstep;
 pub mod tfqmr;
 
 pub use bicg::BiCgSolver;
-pub use bicgstab::{BiCgStabSolver, PBiCgStabSolver};
-pub use cg::{CgSolver, PcgSolver};
+pub use bicgstab::BiCgStabSolver;
+pub use cg::CgSolver;
 pub use cgs::CgsSolver;
 pub use chebyshev::ChebyshevSolver;
 pub use gmres::GmresSolver;
@@ -42,6 +48,33 @@ use kdr_sparse::Scalar;
 use crate::instrument::{IterationRecord, SolveTrace};
 use crate::planner::Planner;
 use crate::scalar_handle::ScalarHandle;
+
+/// The vector holding `v` preconditioned: `into`, once `psolve` has
+/// written `P v` there, when the solver holds a workspace vector for
+/// the preconditioner; `v` itself, with no op, when it does not.
+pub(crate) fn psolve_into<T: Scalar>(
+    planner: &mut Planner<T>,
+    into: Option<usize>,
+    v: usize,
+) -> usize {
+    match into {
+        Some(z) => {
+            planner.psolve(z, v);
+            z
+        }
+        None => v,
+    }
+}
+
+/// Refuse a planner with a preconditioner: `method` does not apply
+/// one, and a solve that silently dropped it would not be the solve
+/// the system describes.
+pub(crate) fn refuse_preconditioner<T: Scalar>(planner: &Planner<T>, method: &str) {
+    assert!(
+        !planner.has_preconditioner(),
+        "{method} does not apply a preconditioner"
+    );
+}
 
 /// Cooperative cancellation (and deadline) token for a running solve.
 ///

@@ -29,7 +29,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// Chronopoulos–Gear CG: mathematically equivalent to [`CgSolver`]
 /// (in exact arithmetic) with both per-iteration dots fused into one
@@ -57,10 +57,7 @@ impl<T: Scalar> FusedCgSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "CG requires a square system");
-        assert!(
-            !planner.has_preconditioner(),
-            "FusedCgSolver does not support a preconditioner"
-        );
+        refuse_preconditioner(planner, "fused CG");
         let p = planner.allocate_workspace_vector();
         let q = planner.allocate_workspace_vector();
         let r = planner.allocate_workspace_vector();
@@ -175,10 +172,7 @@ impl<T: Scalar> PipelinedCgSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "CG requires a square system");
-        assert!(
-            !planner.has_preconditioner(),
-            "PipelinedCgSolver does not support a preconditioner"
-        );
+        refuse_preconditioner(planner, "pipelined CG");
         let r = planner.allocate_workspace_vector();
         let w = planner.allocate_workspace_vector();
         let q = planner.allocate_workspace_vector();
@@ -294,10 +288,7 @@ impl<T: Scalar> PipelinedCrSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "CR requires a square system");
-        assert!(
-            !planner.has_preconditioner(),
-            "PipelinedCrSolver does not support a preconditioner"
-        );
+        refuse_preconditioner(planner, "pipelined CR");
         let r = planner.allocate_workspace_vector();
         let w = planner.allocate_workspace_vector();
         let q = planner.allocate_workspace_vector();

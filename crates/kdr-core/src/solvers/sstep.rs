@@ -34,7 +34,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, PipelinedCgSolver, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, PipelinedCgSolver, Solver};
 
 /// Default block size: monomial bases stay well-conditioned in `f64`
 /// for small `s` on reasonably conditioned SPD systems.
@@ -82,10 +82,7 @@ impl<T: Scalar> SStepCgSolver<T> {
         assert!(s >= 1, "s-step CG requires s >= 1");
         planner.finalize();
         assert!(planner.is_square(), "CG requires a square system");
-        assert!(
-            !planner.has_preconditioner(),
-            "SStepCgSolver does not support a preconditioner"
-        );
+        refuse_preconditioner(planner, "s-step CG");
         let p = planner.allocate_workspace_vector();
         let r = planner.allocate_workspace_vector();
         // r = b − A x0 (p as scratch) ; p = r.

@@ -16,7 +16,7 @@ use kdr_sparse::Scalar;
 
 use crate::planner::{Planner, RHS, SOL};
 use crate::scalar_handle::ScalarHandle;
-use crate::solvers::{BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
+use crate::solvers::{refuse_preconditioner, BreakdownGuard, BreakdownKind, GuardTrigger, Solver};
 
 /// Transpose-free QMR: unsymmetric systems with quasi-minimized
 /// residual updates over CGS half-steps.
@@ -44,6 +44,7 @@ impl<T: Scalar> TfqmrSolver<T> {
     pub fn new(planner: &mut Planner<T>) -> Self {
         planner.finalize();
         assert!(planner.is_square(), "TFQMR requires a square system");
+        refuse_preconditioner(planner, "TFQMR");
         let u = planner.allocate_workspace_vector();
         let w = planner.allocate_workspace_vector();
         let d = planner.allocate_workspace_vector();

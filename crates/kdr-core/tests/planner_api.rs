@@ -4,9 +4,8 @@ use std::sync::Arc;
 
 use kdr_core::{
     solve_traced, BiCgSolver, BiCgStabSolver, CgSolver, CgsSolver, ExecBackend, ExecMetrics,
-    FusedCgSolver, MinresSolver, PBiCgStabSolver, PcgSolver, PipelinedCgSolver, PipelinedCrSolver,
-    Planner, SStepCgSolver, SolveControl, SolveTrace, Solver, StepDriver, StepOutcome, TfqmrSolver,
-    RHS, SOL,
+    FusedCgSolver, MinresSolver, PipelinedCgSolver, PipelinedCrSolver, Planner, SStepCgSolver,
+    SolveControl, SolveTrace, Solver, StepDriver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::{IntervalSet, Partition};
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
@@ -364,7 +363,7 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
     // cycle is a new record (DESIGN §6b) — more than the cache holds.
     let table: [(&str, bool, Build, u64, usize); 12] = [
         ("CG", false, |p| Box::new(CgSolver::new(p)), 3, 1 + 3),
-        ("PCG", true, |p| Box::new(PcgSolver::new(p)), 3, 1 + 3),
+        ("PCG", true, |p| Box::new(CgSolver::new(p)), 3, 1 + 3),
         ("BiCG", false, |p| Box::new(BiCgSolver::new(p)), 3, 1 + 3),
         ("CGS", false, |p| Box::new(CgsSolver::new(p)), 3, 1 + 3),
         (
@@ -377,7 +376,7 @@ fn every_traced_solver_captures_a_few_steps_then_only_replays() {
         (
             "PBiCGStab",
             true,
-            |p| Box::new(PBiCgStabSolver::new(p)),
+            |p| Box::new(BiCgStabSolver::new(p)),
             3,
             1 + 3,
         ),

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use kdr_core::{
     precond, solve, solve_traced, BiCgSolver, BiCgStabSolver, CancelToken, CgSolver, CgsSolver,
-    ExecBackend, GmresSolver, MinresSolver, PcgSolver, Planner, SolveControl, SolveOutcome,
-    SolveTrace, Solver, StepDriver, RHS, SOL,
+    ChebyshevSolver, ExecBackend, FusedCgSolver, GmresSolver, MinresSolver, PipelinedCgSolver,
+    PipelinedCrSolver, Planner, SStepCgSolver, SolveControl, SolveOutcome, SolveTrace, Solver,
+    StepDriver, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_sparse::stencil::rhs_vector;
@@ -107,8 +108,8 @@ fn preconditioned_bicgstab_and_gmres_converge() {
     let b = rhs_vector::<f64>(n, 31);
     type Make = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
     let makes: Vec<(&str, Make)> = vec![
-        ("pbicgstab", |p| Box::new(kdr_core::PBiCgStabSolver::new(p))),
-        ("pgmres", |p| Box::new(GmresSolver::preconditioned(p, 10))),
+        ("pbicgstab", |p| Box::new(BiCgStabSolver::new(p))),
+        ("pgmres", |p| Box::new(GmresSolver::with_restart(p, 10))),
     ];
     for (name, make) in makes {
         let part = Partition::equal_blocks(n, 4);
@@ -166,7 +167,7 @@ fn block_jacobi_pcg_beats_point_jacobi_on_block_structured_system() {
             None => planner.add_preconditioner(Arc::new(precond::jacobi(m.as_ref())), d, r),
         }
         planner.set_rhs_data(r, &b);
-        let mut solver = PcgSolver::new(&mut planner);
+        let mut solver = CgSolver::new(&mut planner);
         let report = solve(
             &mut planner,
             &mut solver,
@@ -217,14 +218,9 @@ fn pcg_converges_faster_than_unpreconditioned_iterations() {
             planner.add_preconditioner(Arc::new(p), d, r);
         }
         planner.set_rhs_data(r, &b);
-        let report = if precondition {
-            let mut s = PcgSolver::new(&mut planner);
-            solve(&mut planner, &mut s, SolveControl::to_tolerance(1e-9, 3000))
-        } else {
-            let mut s = CgSolver::new(&mut planner);
-            solve(&mut planner, &mut s, SolveControl::to_tolerance(1e-9, 3000))
-        }
-        .expect("solve failed");
+        let mut s = CgSolver::new(&mut planner);
+        let report = solve(&mut planner, &mut s, SolveControl::to_tolerance(1e-9, 3000))
+            .expect("solve failed");
         assert!(report.converged);
         (report.iters, report.final_residual)
     };
@@ -634,4 +630,133 @@ fn chebyshev_without_tracking_is_dot_free() {
     planner.fence();
     // Iterations ran; no measure is maintained.
     assert!(solver.convergence_measure().is_none());
+}
+
+/// 64-bit FNV-1a over a stream of `u64` words (little-endian bytes).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// lap2d 12² in 4 pieces on `workers` workers, with the point Jacobi
+/// preconditioner and its right-hand side set.
+fn jacobi_planner(workers: usize) -> Planner<f64> {
+    let s = Stencil::lap2d(12, 12);
+    let n = s.unknowns();
+    let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
+    let part = Partition::equal_blocks(n, 4);
+    let mut planner = Planner::new(Box::new(ExecBackend::<f64>::new(workers)));
+    let d = planner.add_sol_vector(n, Some(part.clone()));
+    let r = planner.add_rhs_vector(n, Some(part));
+    planner.add_operator(Arc::clone(&m), d, r);
+    planner.add_preconditioner(Arc::new(precond::jacobi(m.as_ref())), d, r);
+    planner.set_rhs_data(r, &rhs_vector::<f64>(n, 31));
+    planner
+}
+
+type Make = fn(&mut Planner<f64>) -> Box<dyn Solver<f64>>;
+
+/// CG, BiCGStab and GMRES(10) on a preconditioned planner run PCG,
+/// right-preconditioned BiCGStab and right-preconditioned GMRES(10),
+/// and these are their bits on [`jacobi_planner`], to tolerance
+/// 1e-10: the iteration count, the final residual's bits, and FNV-1a
+/// hashes of the residual history's bits and of `x`'s bits. They are
+/// the same on one worker and on four.
+#[test]
+fn preconditioned_solves_keep_their_bits() {
+    // (iterations, final residual, residual history, x) as bits.
+    type Bits = (usize, u64, u64, u64);
+    let pins: [(&str, Make, Bits); 3] = [
+        (
+            "pcg",
+            |p| Box::new(CgSolver::new(p)),
+            (
+                46,
+                0x3dc285612f24dc26,
+                0x01cc7da79971bf54,
+                0x23f6f64bfb0743c9,
+            ),
+        ),
+        (
+            "pbicgstab",
+            |p| Box::new(BiCgStabSolver::new(p)),
+            (
+                33,
+                0x3db7712399fa0398,
+                0x4b67ff28175c00a0,
+                0xfdf55495e9af02b5,
+            ),
+        ),
+        (
+            "gmres",
+            |p| Box::new(GmresSolver::new(p)),
+            (
+                104,
+                0x3dd7d7171cce3ebb,
+                0x6d3ff4f3176eb8db,
+                0x70501703c8f15c66,
+            ),
+        ),
+    ];
+    for (name, make, want) in pins {
+        for workers in [1, 4] {
+            let mut planner = jacobi_planner(workers);
+            let mut solver = make(&mut planner);
+            assert_eq!(solver.name(), name);
+            let (outcome, trace) = solve_traced(
+                &mut planner,
+                solver.as_mut(),
+                SolveControl::to_tolerance(1e-10, 5000),
+            );
+            let report = outcome.expect("solve failed");
+            assert!(report.converged, "{name}");
+            let history = fnv1a(trace.residual_history.iter().map(|&(_, r)| r.to_bits()));
+            let x = fnv1a(planner.read_component(SOL, 0).iter().map(|v| v.to_bits()));
+            let got = (report.iters, report.final_residual.to_bits(), history, x);
+            assert_eq!(got, want, "{name} on {workers} workers");
+        }
+    }
+}
+
+/// A method that does not apply a preconditioner refuses a planner
+/// that has one, instead of solving the system without it.
+#[test]
+fn solvers_that_do_not_apply_a_preconditioner_refuse_one() {
+    let makes: [(&str, Make); 9] = [
+        ("BiCG", |p| Box::new(BiCgSolver::new(p))),
+        ("CGS", |p| Box::new(CgsSolver::new(p))),
+        ("TFQMR", |p| Box::new(TfqmrSolver::new(p))),
+        ("MINRES", |p| Box::new(MinresSolver::new(p))),
+        ("Chebyshev", |p| {
+            Box::new(ChebyshevSolver::with_bounds(p, 0.1, 8.0))
+        }),
+        ("fused CG", |p| Box::new(FusedCgSolver::new(p))),
+        ("pipelined CG", |p| Box::new(PipelinedCgSolver::new(p))),
+        ("pipelined CR", |p| Box::new(PipelinedCrSolver::new(p))),
+        ("s-step CG", |p| Box::new(SStepCgSolver::new(p))),
+    ];
+    for (name, make) in makes {
+        let mut planner = jacobi_planner(1);
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            make(&mut planner);
+        }));
+        let message = match built {
+            Ok(()) => String::new(),
+            Err(e) => e
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|m| m.to_string()))
+                .unwrap_or_default(),
+        };
+        assert!(
+            message.contains("preconditioner"),
+            "{name} was built on a preconditioned planner: {message:?}"
+        );
+    }
 }

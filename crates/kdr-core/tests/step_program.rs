@@ -160,9 +160,9 @@ enum Between {
     Nothing,
     /// Register a second operator set.
     SecondOperator,
-    /// A step of its own whose first reduction is two pairs wide: it
-    /// gets a pooled partials buffer of its own at position 0, beside
-    /// the one the body's one-pair `dot` keeps using.
+    /// A step of its own whose first reduction is two pairs wide: its
+    /// program gets a partials buffer of its own, beside the one the
+    /// body's one-pair `dot` keeps using.
     WiderDot,
     /// Release the last two workspace vectors and take them again
     /// (zeroed, under the same ids).

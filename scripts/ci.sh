@@ -376,6 +376,16 @@ if [ "$(printf '%s\n' "$openers" | grep -c .)" != 1 ] ||
     exit 1
 fi
 
+# One solver per Krylov method (DESIGN §4b): CG, BiCGStab and GMRES
+# apply the planner's preconditioner, so the separate preconditioned
+# types and the guard helper they shared stay gone. A `dot_many`'s
+# partials buffer belongs to the program lowered from it (DESIGN §6),
+# so the backend-wide partials pool stays gone too.
+if grep -rnwE 'PcgSolver|PBiCgStabSolver|GmresSolver::preconditioned|bicgstab_guards|dot_partials|pooled_partials|dot_seq' crates tests examples; then
+    echo "ci.sh: crates/, tests/ or examples/ names a deleted solver type or the partials pool again (see above)" >&2
+    exit 1
+fi
+
 # The three service suites that share the one tenant-install path
 # (`attach_tenant`: evacuation and crash recovery, migration, warm
 # restart), again under optimized codegen — the dev run is part of
