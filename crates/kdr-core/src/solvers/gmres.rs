@@ -21,11 +21,9 @@ use crate::solvers::{psolve_into, BreakdownGuard, BreakdownKind, GuardTrigger, S
 /// vectors, minimizing the residual over the Krylov subspace;
 /// right-preconditioned when the planner has a preconditioner.
 pub struct GmresSolver<T: Scalar> {
-    /// Whether the planner has a preconditioner, read once at
-    /// construction.
-    preconditioned: bool,
-    /// Scratch for `P v` (allocated either way).
-    z: usize,
+    /// Scratch for `P v`, allocated only when the planner has a
+    /// preconditioner (read once at construction).
+    z: Option<usize>,
     restart: usize,
     /// Basis vectors `v[0..=m]`.
     v: Vec<usize>,
@@ -53,14 +51,14 @@ impl<T: Scalar> GmresSolver<T> {
         assert!(m >= 1);
         planner.finalize();
         assert!(planner.is_square(), "GMRES requires a square system");
-        let preconditioned = planner.has_preconditioner();
         let v: Vec<usize> = (0..=m)
             .map(|_| planner.allocate_workspace_vector())
             .collect();
         let w = planner.allocate_workspace_vector();
-        let z = planner.allocate_workspace_vector();
+        let z = planner
+            .has_preconditioner()
+            .then(|| planner.allocate_workspace_vector());
         let mut s = GmresSolver {
-            preconditioned,
             z,
             restart: m,
             v,
@@ -117,16 +115,16 @@ impl<T: Scalar> GmresSolver<T> {
             y.push(acc);
         }
         y.reverse();
-        if self.preconditioned {
+        if let Some(z) = self.z {
             // x += P (Σ yᵢ vᵢ): accumulate in w, precondition once.
             let zero = planner.scalar(T::ZERO);
             planner.scal(self.w, &zero);
             for (i, yi) in y.iter().enumerate() {
                 planner.axpy(self.w, yi, self.v[i]);
             }
-            planner.psolve(self.z, self.w);
+            planner.psolve(z, self.w);
             let one = planner.scalar(T::ONE);
-            planner.axpy(SOL, &one, self.z);
+            planner.axpy(SOL, &one, z);
         } else {
             for (i, yi) in y.iter().enumerate() {
                 planner.axpy(SOL, yi, self.v[i]);
@@ -141,8 +139,7 @@ impl<T: Scalar> Solver<T> for GmresSolver<T> {
         let k = self.k;
         // Arnoldi: w = A P v_k (A v_k without a preconditioner),
         // orthogonalize against v_0..v_k (MGS).
-        let z = self.preconditioned.then_some(self.z);
-        let pv = psolve_into(planner, z, self.v[k]);
+        let pv = psolve_into(planner, self.z, self.v[k]);
         planner.matmul(self.w, pv);
         let mut h: Vec<ScalarHandle<T>> = Vec::with_capacity(k + 2);
         for i in 0..=k {

@@ -34,13 +34,17 @@
 //! diagonals whose values change inside one. A row that continues a
 //! segment is compared with the row before it and nothing else. Dense-
 //! block coverage is read off the aligned row groups and their shared
-//! column list (no hashing, first failure exits). The chosen layout then
-//! copies what it keeps: the CSR payload its rows by entry count (a
-//! counting sort over the row lengths, then one gather of the rows), ELL
-//! its padded rows, BCSR its blocks, and DIA one group per segment into
-//! its tables, plus a dense column for each diagonal that is not one
-//! value. No lowering re-sorts, searches per entry, re-scans for the row
-//! span or re-counts blocks.
+//! column list (no hashing, first failure exits). The walk stops
+//! following the band once the offsets it has marked could not fit the
+//! DIA lowering's memory guard over the row span: past that point the
+//! tile lowers to CSR whatever else it finds. The chosen layout then
+//! copies what it keeps: the CSR payload its rows by entry count, each
+//! run of [`CSR_GROUP`] rows of one length slot-major (a counting sort
+//! over the row lengths, then one gather per array), ELL its padded
+//! rows, BCSR its blocks, and DIA one group per segment into its tables,
+//! plus a dense column for each diagonal that is not one value. No
+//! lowering re-sorts, searches per entry, re-scans for the row span or
+//! re-counts blocks.
 //!
 //! # Bitwise-reproducibility contract
 //!
@@ -49,8 +53,9 @@
 //! kernel: ascending column within a row for the forward product, and
 //! ascending row per output column for the transpose. Only the order
 //! *between* rows of the forward product is free, because rows write
-//! disjoint outputs: the CSR payload runs its rows by length, DIA by
-//! row blocks, and each row's chain is the same. Padding slots
+//! disjoint outputs: the CSR payload runs its rows by length, eight of
+//! one length in lockstep, DIA by row blocks, and each row's chain is
+//! the same. Padding slots
 //! introduced by a layout (DIA diagonal gaps, ELL lane tails) are
 //! skipped *structurally* — never by multiplying an explicit zero,
 //! which could flip a `-0.0` partial sum to `+0.0`. Lowering falls
@@ -88,10 +93,11 @@ use crate::scalar::{IndexInt, Scalar};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum KernelKind {
     /// Compressed sparse rows, stored by entry count so that rows of
-    /// one length run back to back, with an index that lists them by
-    /// row for the transpose; handles any structure (including
-    /// duplicate coordinates) and is the reference for the bitwise
-    /// contract.
+    /// one length run back to back, eight of them at a time side by
+    /// side (slot-major, `u32` columns; see [`CsrTile`]), with an index
+    /// that lists them by row for the transpose; handles any structure
+    /// (including duplicate coordinates) and is the reference for the
+    /// bitwise contract.
     Csr,
     /// Banded layout addressed by diagonal offset: a diagonal whose
     /// values are all the same bits holds that value once, any other a
@@ -203,6 +209,16 @@ const BCSR_BLOCK_SIZES: [usize; 3] = [8, 4, 2];
 /// diagonal dense — would exceed this multiple of the actual entry
 /// count (guards `Force(Dia)` on unstructured tiles).
 const DIA_MAX_EXPANSION: usize = 16;
+
+/// Whether a band of `diags` diagonals over `row_span` rows stays
+/// within [`DIA_MAX_EXPANSION`] of `nnz` entries (plus a little): the
+/// DIA lowering's memory guard, and where the structure walk stops
+/// following the band.
+fn dia_fits(diags: usize, row_span: usize, nnz: usize) -> bool {
+    diags
+        .checked_mul(row_span)
+        .is_some_and(|slots| slots <= DIA_MAX_EXPANSION * nnz + 1024)
+}
 
 /// Auto-selection: maximum distinct diagonals for DIA.
 const AUTO_DIA_MAX_DIAGS: usize = 64;
@@ -365,9 +381,15 @@ impl TileStructure {
         } else {
             Offsets::Marked(vec![0u64; words as usize])
         };
+        let row_span = (view.row_ids[nonempty_rows - 1] - view.row_ids[0] + 1) as usize;
         let mean = nnz as f64 / nonempty_rows as f64;
         let mut sq_dev = 0.0f64;
         let mut has_duplicates = false;
+        // Distinct offsets marked so far. Once a band of that many
+        // diagonals over the row span cannot fit (`dia_fits`), more can
+        // only make it larger: the tile lowers to CSR whatever else the
+        // walk finds, and the band stops being followed.
+        let mut marked = 0usize;
         let mut band = same.as_ref().map(|_| BandRows::default());
         // Per position of the open segment's rows: whether its value
         // has changed between two of them.
@@ -405,10 +427,15 @@ impl TileStructure {
                     Offsets::Marked(marks) => {
                         for &c in cols {
                             let bit = (offset(row, c) - lo) as usize;
-                            marks[bit / 64] |= 1 << (bit % 64);
+                            let (word, mask) = (&mut marks[bit / 64], 1 << (bit % 64));
+                            marked += usize::from(*word & mask == 0);
+                            *word |= mask;
                         }
                     }
                     Offsets::Listed(list) => list.extend(cols.iter().map(|&c| offset(row, c))),
+                }
+                if band.is_some() && !dia_fits(marked, row_span, nnz) {
+                    band = None;
                 }
                 if let Some(band) = &mut band {
                     band.close(view, &vary);
@@ -453,7 +480,7 @@ impl TileStructure {
         };
         let structure = TileStructure {
             nnz,
-            row_span: (view.row_ids[nonempty_rows - 1] - view.row_ids[0] + 1) as usize,
+            row_span,
             nonempty_rows,
             diag_count: offsets.len(),
             max_row_len,
@@ -590,31 +617,63 @@ impl StructureKey {
     }
 }
 
-/// CSR payload (the reference kernel). `row_ids` lists only rows with
-/// entries; stored row `r` spans `cols/vals[row_ptr[r]..row_ptr[r+1]]`,
-/// sorted by column (stable for duplicates), and `by_row` lists the
-/// stored rows by ascending row id.
+/// Rows of one length that a [`CsrTile`] runs side by side: the `C` of
+/// SELL-C-σ. Eight `f64` lanes are one AVX-512 vector, and eight
+/// independent `mul_add` chains keep an FMA unit busy where one chain
+/// of a 2–9 entry row waits on each add. A layout constant, not a
+/// setting.
+pub const CSR_GROUP: usize = 8;
+
+/// CSR payload (the reference kernel): the rows that hold entries,
+/// stored by entry count, rows of equal length by ascending row id
+/// (SELL-C-σ's σ-sort), every run of [`CSR_GROUP`] rows of one length
+/// a *group* stored slot-major (its `C`).
 ///
-/// The lowered payload stores its rows by entry count, rows of equal
-/// length by ascending row id: the forward product then meets rows of
-/// one length back to back, and its per-row loop exits where the last
-/// row's did. The tile's *canonical* form — rows ascending, `by_row` the
-/// identity — is what lowering builds first, and the analysis and every
-/// other layout read it.
+/// Stored rows `by_len[l]..by_len[l + 1]` hold `l` entries each. Of
+/// those, the first `CSR_GROUP · ⌊rows / CSR_GROUP⌋` form groups; the
+/// rest, fewer than [`CSR_GROUP`], are rows of their own. Stored row `r`
+/// owns `row_ptr[r + 1] − row_ptr[r]` entries from `row_ptr[r]` on, as
+/// in plain CSR, except inside a group: there the span of its rows is
+/// shared, and entry `s` of the group's `k`-th row is at
+/// `row_ptr[g] + CSR_GROUP · s + k`, where `g` is the group's first row.
+/// A row's entries come by ascending column either way (stable for
+/// duplicates), so the forward product runs a group as eight chains in
+/// lockstep, each exactly the row's chain, and multiplies no padding.
+/// `by_row` lists the stored rows by ascending row id for the
+/// transpose.
 #[derive(Clone, Debug)]
 pub struct CsrTile<T> {
     /// Component-local row coordinates of the stored rows, nonempty
-    /// rows only.
+    /// rows only, in stored order.
     pub row_ids: Vec<u64>,
-    /// Entry ranges per stored row (`row_ids.len() + 1` offsets).
+    /// Entry offsets per stored row (`row_ids.len() + 1`); see above
+    /// for a row inside a group.
     pub row_ptr: Vec<usize>,
-    /// Column coordinates, ascending within each row.
-    pub cols: Vec<u64>,
+    /// The first stored row of each row length (`max_row_len + 2`
+    /// entries, the last the stored-row count).
+    pub by_len: Vec<u32>,
+    /// Component-local column coordinates, in the layout above
+    /// (lowering asserts that they fit `u32`).
+    pub cols: Vec<u32>,
     /// Entry values, aligned with `cols`.
     pub vals: Vec<T>,
     /// The stored index of the `k`-th lowest row: `row_ids[by_row[k]]`
     /// ascends with `k`. The transpose walks rows in this order.
     pub by_row: Vec<u32>,
+}
+
+/// A tile in the canonical order of the kernel family — rows
+/// ascending, each row's entries by column — as a [`TileRows`] gathers
+/// it: what lowering reads through [`TileView::of_tile`] when a format
+/// does not lend its rows.
+#[derive(Debug)]
+struct CanonicalTile<T> {
+    /// The rows that hold entries, ascending.
+    row_ids: Vec<u64>,
+    /// Entry ranges per row (`row_ids.len() + 1` offsets).
+    row_ptr: Vec<usize>,
+    cols: Vec<u64>,
+    vals: Vec<T>,
 }
 
 /// Where one diagonal of a [`DiaTile`] keeps its coefficients.
@@ -1107,7 +1166,7 @@ impl<'a, T, C: IndexInt> TileView<'a, T, C> {
 
 impl<'a, T> TileView<'a, T, u64> {
     /// The canonical tile as a view.
-    fn of_tile(tile: &'a CsrTile<T>) -> Self {
+    fn of_tile(tile: &'a CanonicalTile<T>) -> Self {
         TileView {
             row_ids: tile.row_ids.clone(),
             spans: tile.row_ptr.windows(2).map(|w| w[0]..w[1]).collect(),
@@ -1119,29 +1178,36 @@ impl<'a, T> TileView<'a, T, u64> {
 }
 
 impl<T: Copy, C: IndexInt> TileView<'_, T, C> {
-    /// The CSR payload: the rows stored by entry count, rows of equal
-    /// length in ascending row order — a counting sort over the row
-    /// lengths (at most `max_row_len`) places each row, then one gather
-    /// per array copies the rows there.
+    /// The CSR payload ([`CsrTile`]): a counting sort over the row
+    /// lengths (at most `max_row_len`) places each row — rows ascend in
+    /// the canonical order, so each length's rows are placed ascending
+    /// too — then one gather per array copies the entries into their
+    /// groups and rows.
     fn by_length(&self, max_row_len: usize) -> CsrTile<T> {
         let stored = self.spans.len();
         assert!(
             u32::try_from(stored).is_ok(),
             "a tile's stored rows fit u32"
         );
-        // First stored index of each row length.
-        let mut next = vec![0u32; max_row_len + 1];
+        // Columns ascend within a row, so its last is its largest.
+        let widest = self
+            .spans
+            .iter()
+            .map(|s| self.cols[s.end - 1].to_u64())
+            .max();
+        assert!(
+            widest.is_none_or(|c| u32::try_from(c).is_ok()),
+            "a CSR tile's columns fit u32"
+        );
+        // The first stored index of each row length.
+        let mut by_len = vec![0u32; max_row_len + 2];
         for span in &self.spans {
-            next[span.len()] += 1;
+            by_len[span.len() + 1] += 1;
         }
-        let mut at = 0;
-        for slot in &mut next {
-            let count = *slot;
-            *slot = at;
-            at += count;
+        for l in 1..by_len.len() {
+            by_len[l] += by_len[l - 1];
         }
-        // Rows ascend in the canonical order, so each length's rows
-        // are placed in ascending order too.
+        let mut next = by_len.clone();
         let mut by_row = Vec::with_capacity(stored);
         let mut placed = vec![0u32; stored];
         for (r, span) in (0u32..).zip(&self.spans) {
@@ -1150,27 +1216,44 @@ impl<T: Copy, C: IndexInt> TileView<'_, T, C> {
             placed[*s as usize] = r;
             *s += 1;
         }
+        let mut cols = Vec::with_capacity(self.nnz);
+        self.in_payload_order(&placed, &by_len, |k| {
+            cols.push(self.cols[k].to_u64() as u32)
+        });
+        let mut vals = Vec::with_capacity(self.nnz);
+        self.in_payload_order(&placed, &by_len, |k| vals.push(self.vals[k]));
         let mut row_ptr = Vec::with_capacity(stored + 1);
         row_ptr.push(0);
-        let mut cols = Vec::with_capacity(self.nnz);
         for &r in &placed {
-            cols.extend(
-                self.cols[self.spans[r as usize].clone()]
-                    .iter()
-                    .map(|c| c.to_u64()),
-            );
-            row_ptr.push(cols.len());
-        }
-        let mut vals = Vec::with_capacity(self.nnz);
-        for &r in &placed {
-            vals.extend_from_slice(&self.vals[self.spans[r as usize].clone()]);
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + self.spans[r as usize].len());
         }
         CsrTile {
             row_ids: placed.iter().map(|&r| self.row_ids[r as usize]).collect(),
             row_ptr,
+            by_len,
             cols,
             vals,
             by_row,
+        }
+    }
+
+    /// Visit the view's entries in [`CsrTile`] order, given each stored
+    /// row's row in the view (`placed`) and the first stored row of
+    /// each length (`by_len`).
+    fn in_payload_order(&self, placed: &[u32], by_len: &[u32], mut visit: impl FnMut(usize)) {
+        for (len, rows) in by_len.windows(2).enumerate() {
+            let groups = placed[rows[0] as usize..rows[1] as usize].chunks_exact(CSR_GROUP);
+            let single = groups.remainder();
+            for group in groups {
+                let starts: [usize; CSR_GROUP] =
+                    std::array::from_fn(|k| self.spans[group[k] as usize].start);
+                for s in 0..len {
+                    starts.iter().for_each(|&at| visit(at + s));
+                }
+            }
+            for &r in single {
+                self.spans[r as usize].clone().for_each(&mut visit);
+            }
         }
     }
 }
@@ -1183,7 +1266,7 @@ impl<T: Copy, C: IndexInt> TileView<'_, T, C> {
 /// its rows ([`crate::SparseMatrix::lower_stored_rows`]): an enumerated
 /// format, or a CSR matrix whose rows are out of order. While entries
 /// arrive ([`TileRows::push`]) in canonical order the builder holds
-/// exactly the canonical [`CsrTile`]'s arrays — row ids, row starts,
+/// exactly the canonical tile's arrays — row ids, row starts,
 /// columns, values — which lowering reads as they are
 /// ([`TileRows::lower`]). The first entry out of order turns it, once,
 /// into plain triplets, which lowering sorts first: the one comparison
@@ -1251,7 +1334,7 @@ impl<T: Copy> TileRows<T> {
 
     /// The canonical tile: the builder's own arrays when its input was
     /// in order, a sort of its triplets otherwise.
-    fn into_canonical(self) -> CsrTile<T> {
+    fn into_canonical(self) -> CanonicalTile<T> {
         let TileRows {
             row_ids,
             starts: mut row_ptr,
@@ -1260,16 +1343,14 @@ impl<T: Copy> TileRows<T> {
             scattered,
         } = self;
         if let Some(rows) = scattered {
-            return CsrTile::sorted(&rows, &cols, &vals);
+            return CanonicalTile::sorted(&rows, &cols, &vals);
         }
         row_ptr.push(cols.len());
-        let stored = u32::try_from(row_ids.len()).expect("a tile's stored rows fit u32");
-        CsrTile {
+        CanonicalTile {
             row_ids,
             row_ptr,
             cols,
             vals,
-            by_row: (0..stored).collect(),
         }
     }
 }
@@ -1295,7 +1376,7 @@ impl<T: Copy> FromIterator<(u64, u64, T)> for TileRows<T> {
     }
 }
 
-impl<T: Copy> CsrTile<T> {
+impl<T: Copy> CanonicalTile<T> {
     /// Put a tile's triplets (any order) in the canonical accumulation
     /// order of the whole family: by `(row, col)`, stable in input
     /// order for duplicates. This is the only sort of a tile's entries
@@ -1317,13 +1398,11 @@ impl<T: Copy> CsrTile<T> {
             vs.push(vals[k]);
         }
         row_ptr.push(cs.len());
-        let stored = u32::try_from(row_ids.len()).expect("a tile's stored rows fit u32");
-        CsrTile {
+        CanonicalTile {
             row_ids,
             row_ptr,
             cols: cs,
             vals: vs,
-            by_row: (0..stored).collect(),
         }
     }
 }
@@ -1415,12 +1494,8 @@ impl<T: Scalar> TileKernel<T> {
         offsets: Vec<i64>,
         rows: BandRows,
     ) -> Option<Self> {
-        if s.has_duplicates {
+        if s.has_duplicates || !dia_fits(s.diag_count, s.row_span, s.nnz) {
             return None;
-        }
-        let slots = s.diag_count.checked_mul(s.row_span)?;
-        if slots > DIA_MAX_EXPANSION * s.nnz + 1024 {
-            return None; // forced-DIA memory guard
         }
         let row_lo = t.row_ids[0];
         let nrows = s.row_span;
@@ -1638,35 +1713,88 @@ impl<T: Scalar> TileKernel<T> {
     }
 }
 
+impl<T> CsrTile<T> {
+    /// The group stored row `r` is in, as its first stored row and
+    /// `r`'s lane; `None` for a row of its own.
+    fn lane(&self, r: usize) -> Option<(usize, usize)> {
+        let len = self.row_ptr[r + 1] - self.row_ptr[r];
+        let first = self.by_len[len] as usize;
+        let rows = self.by_len[len + 1] as usize - first;
+        let lane = (r - first) % CSR_GROUP;
+        (r - first < rows - rows % CSR_GROUP).then_some((r - lane, lane))
+    }
+}
+
 impl<T: Scalar> CsrTile<T> {
-    /// `y += A x`: per-row register accumulation, columns ascending,
-    /// the rows in stored order — by length, which keeps the inner
-    /// loop's trip count the same from one row to the next. Rows write
-    /// disjoint outputs, so the order between them changes no bit.
+    /// `y += A x`, by row length: each group as [`CSR_GROUP`]
+    /// accumulators loaded from `y`, one `mul_add` per slot per lane,
+    /// then one store each; each row left over as one chain. Either way
+    /// a row's chain is its entries by ascending column, and rows write
+    /// disjoint outputs, so neither the grouping nor the order between
+    /// rows changes a bit.
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
-        for (r, &row) in self.row_ids.iter().enumerate() {
-            let i = row as usize;
-            let mut acc = y.load(i);
-            for idx in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc = self.vals[idx].mul_add(x.load(self.cols[idx] as usize), acc);
+        for (len, rows) in self.by_len.windows(2).enumerate() {
+            let groups = self.row_ids[rows[0] as usize..rows[1] as usize].chunks_exact(CSR_GROUP);
+            let single = groups.remainder();
+            let mut at = self.row_ptr[rows[0] as usize];
+            for group in groups {
+                let span = at..at + CSR_GROUP * len;
+                let mut acc = [T::ZERO; CSR_GROUP];
+                for (a, &i) in acc.iter_mut().zip(group) {
+                    *a = y.load(i as usize);
+                }
+                let cols = self.cols[span.clone()].chunks_exact(CSR_GROUP);
+                for (cs, vs) in cols.zip(self.vals[span].chunks_exact(CSR_GROUP)) {
+                    for k in 0..CSR_GROUP {
+                        acc[k] = vs[k].mul_add(x.load(cs[k] as usize), acc[k]);
+                    }
+                }
+                for (&i, a) in group.iter().zip(acc) {
+                    y.store(i as usize, a);
+                }
+                at += CSR_GROUP * len;
             }
-            y.store(i, acc);
+            for &i in single {
+                let span = at..at + len;
+                let mut acc = y.load(i as usize);
+                for (&c, &v) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                    acc = v.mul_add(x.load(c as usize), acc);
+                }
+                y.store(i as usize, acc);
+                at += len;
+            }
         }
     }
 
     /// `y += Aᵀ x`: rows ascending through `by_row` — every output
     /// column receives its contributions in ascending row order — and
-    /// a scatter along each row's slices with `x[row]` loaded once.
+    /// a scatter along each row's entries with `x[row]` loaded once: a
+    /// row of its own as one slice, a row in a group as one lane of the
+    /// group's slots.
     #[inline]
     pub fn apply_t<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
+        let mut add = |col: u32, v: T, xv: T| {
+            let j = col as usize;
+            y.store(j, v.mul_add(xv, y.load(j)));
+        };
         for &r in &self.by_row {
             let r = r as usize;
-            let span = self.row_ptr[r]..self.row_ptr[r + 1];
             let xv = x.load(self.row_ids[r] as usize);
-            for (&col, &v) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
-                let j = col as usize;
-                y.store(j, v.mul_add(xv, y.load(j)));
+            match self.lane(r) {
+                Some((g, lane)) => {
+                    let span = self.row_ptr[g]..self.row_ptr[g + CSR_GROUP];
+                    let cols = self.cols[span.clone()].chunks_exact(CSR_GROUP);
+                    for (cs, vs) in cols.zip(self.vals[span].chunks_exact(CSR_GROUP)) {
+                        add(cs[lane], vs[lane], xv);
+                    }
+                }
+                None => {
+                    let span = self.row_ptr[r]..self.row_ptr[r + 1];
+                    for (&col, &v) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                        add(col, v, xv);
+                    }
+                }
             }
         }
     }
@@ -2534,10 +2662,12 @@ mod tests {
                 "hyper-sparse rows",
                 vec![(1 << 40, 3), (5, 9), (1 << 40, 1), (5, 9), (77, 0)],
             ),
-            // Diagonals far apart: offsets sorted, not marked.
+            // Diagonals far apart: offsets sorted, not marked. A CSR
+            // payload's columns are `u32`, so the far column is the
+            // last that fits.
             (
                 "hyper-sparse columns",
-                vec![(0, 1 << 41), (1, 0), (0, 2), (1, 1 << 41)],
+                vec![(0, u32::MAX.into()), (1, 0), (0, 2), (1, u32::MAX.into())],
             ),
         ];
         let choices = std::iter::once(KernelChoice::Auto)
@@ -2553,6 +2683,18 @@ mod tests {
                 assert_eq!(lower(&sorted), lower(&scrambled), "{what} under {choice:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a CSR tile's columns fit u32")]
+    fn a_column_past_u32_is_refused_not_truncated() {
+        let far = u64::from(u32::MAX) + 1;
+        TileKernel::lower(
+            &[0, 0],
+            &[1, far],
+            &[1.0, 2.0],
+            KernelChoice::Force(KernelKind::Csr),
+        );
     }
 
     #[test]
@@ -2611,6 +2753,17 @@ mod tests {
         assert_eq!(k.nnz(), v.len());
     }
 
+    /// Where stored row `s` of `t` keeps its entries, in column order.
+    fn entries_of<T>(t: &CsrTile<T>, s: usize) -> Vec<usize> {
+        let len = t.row_ptr[s + 1] - t.row_ptr[s];
+        match t.lane(s) {
+            Some((g, lane)) => (0..len)
+                .map(|k| t.row_ptr[g] + CSR_GROUP * k + lane)
+                .collect(),
+            None => (t.row_ptr[s]..t.row_ptr[s + 1]).collect(),
+        }
+    }
+
     #[test]
     fn csr_rows_are_stored_by_length_and_listed_by_row() {
         // 300 rows of 1..=16 entries at random columns, repeats kept,
@@ -2655,9 +2808,9 @@ mod tests {
             // Read through `by_row`, the entries are the canonical order.
             let mut canonical: Vec<(u64, u64, u64)> = Vec::new();
             for &s in &t.by_row {
-                let span = t.row_ptr[s as usize]..t.row_ptr[s as usize + 1];
                 let row = t.row_ids[s as usize];
-                canonical.extend(span.map(|e| (row, t.cols[e], t.vals[e].to_bits())));
+                let entries = entries_of(t, s as usize).into_iter();
+                canonical.extend(entries.map(|e| (row, u64::from(t.cols[e]), t.vals[e].to_bits())));
             }
             let mut want: Vec<usize> = (0..r.len()).collect();
             want.sort_by_key(|&e| (r[e], c[e]));
@@ -2668,6 +2821,70 @@ mod tests {
             assert_eq!(canonical, want);
         }
         check_all_kinds(&r, &c, &v, 300);
+    }
+
+    #[test]
+    fn csr_groups_hold_every_entry_once() {
+        // Lengths 1..=6 with 1, 7, 8, 9, 16 and 17 rows, row ids
+        // interleaved and every third one empty, a repeat in every
+        // fifth row: each length's first ⌊rows / 8⌋ · 8 rows are
+        // groups, the rest rows of their own.
+        let counts = [1u64, 7, 8, 9, 16, 17];
+        let mut next = crate::triples::xorshift(0x6209);
+        let mut entries = Vec::new();
+        let mut i = 0u64;
+        for n in 0..*counts.iter().max().unwrap() {
+            for (l, &count) in counts.iter().enumerate() {
+                if n < count {
+                    i += 1 + u64::from(i % 3 == 0);
+                    let mut cols: Vec<u64> = (0..=l).map(|_| next() % 50).collect();
+                    if i % 5 == 0 {
+                        cols[l] = cols[0];
+                    }
+                    for (k, j) in cols.into_iter().enumerate() {
+                        entries.push((i, j, k as f64 / 3.0 + i as f64));
+                    }
+                }
+            }
+        }
+        let [_, (r, c, v)] = sorted_and_scrambled(entries, 0x90);
+        let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+        let TileKernel::Csr(t) = &k else {
+            panic!("lowered to {:?}", k.kind())
+        };
+        assert_eq!(t.by_len.len(), counts.len() + 2);
+        let mut held = vec![0u8; t.vals.len()];
+        for (len, rows) in t.by_len.windows(2).enumerate() {
+            let rows = rows[0] as usize..rows[1] as usize;
+            let grouped = rows.len() / CSR_GROUP * CSR_GROUP;
+            for s in rows.clone() {
+                let in_group = s - rows.start < grouped;
+                assert_eq!(t.lane(s).is_some(), in_group, "stored row {s}");
+                let entries = entries_of(t, s);
+                assert_eq!(entries.len(), len, "stored row {s}");
+                entries.iter().for_each(|&e| held[e] += 1);
+            }
+        }
+        assert!(
+            held.iter().all(|&n| n == 1),
+            "an entry held {:?} times",
+            held.iter().max()
+        );
+        // Read back through `by_row`: the canonical tile.
+        let mut canonical: Vec<(u64, u64, u64)> = Vec::new();
+        for &s in &t.by_row {
+            let row = t.row_ids[s as usize];
+            let entries = entries_of(t, s as usize).into_iter();
+            canonical.extend(entries.map(|e| (row, u64::from(t.cols[e]), t.vals[e].to_bits())));
+        }
+        let mut want: Vec<usize> = (0..r.len()).collect();
+        want.sort_by_key(|&e| (r[e], c[e]));
+        let want: Vec<(u64, u64, u64)> = want
+            .into_iter()
+            .map(|e| (r[e], c[e], v[e].to_bits()))
+            .collect();
+        assert_eq!(canonical, want);
+        check_all_kinds(&r, &c, &v, i as usize + 1);
     }
 
     #[test]

@@ -640,6 +640,68 @@ proptest! {
     }
 }
 
+/// Rows around the CSR payload's group width (`tile::CSR_GROUP`, eight):
+/// for one to four row lengths, 1, 7, 8, 9, 16 or 17 rows of it (or
+/// any count up to 17), so a length holds no group, one group with a
+/// row over or short, or two. The rows take shuffled row ids with gaps,
+/// so lengths interleave in row order and some rows stay empty; in half
+/// the cases every fourth row repeats a coordinate (every lowering then
+/// falls back to CSR). Values are thirds and tenths, so a chain folded
+/// in any other order, or a column fed rows out of order, rounds to
+/// other bits.
+fn arb_group_boundaries() -> impl Strategy<Value = Trip> {
+    let count = prop_oneof![
+        Just(1usize),
+        Just(7usize),
+        Just(8usize),
+        Just(9usize),
+        Just(16usize),
+        Just(17usize),
+        0usize..18,
+    ];
+    (
+        prop::collection::vec((1u64..10, count), 1..5),
+        1u64..1 << 40,
+        0u8..2,
+    )
+        .prop_map(|(lengths, seed, repeats)| {
+            let mut next = xorshift(seed);
+            let rows: usize = lengths.iter().map(|&(_, n)| n).sum();
+            // Row ids: the rows spread over twice as many, shuffled.
+            let mut ids: Vec<u64> = (0..2 * rows as u64 + 1).collect();
+            for k in (1..ids.len()).rev() {
+                ids.swap(k, next() as usize % (k + 1));
+            }
+            let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+            let mut ids = ids.into_iter();
+            for (len, n) in lengths {
+                for _ in 0..n {
+                    let i = ids.next().expect("twice as many ids as rows");
+                    let mut cols: Vec<u64> = (0..len).map(|_| next() % 64).collect();
+                    if repeats == 1 && i % 4 == 0 {
+                        cols[len as usize - 1] = cols[0];
+                    }
+                    for (k, j) in cols.into_iter().enumerate() {
+                        r.push(i);
+                        c.push(j);
+                        v.push((k as f64 + 1.0) / 3.0 - i as f64 * 0.1);
+                    }
+                }
+            }
+            (r, c, v)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn rows_around_the_group_width_keep_every_bit((r, c, v) in arb_group_boundaries()) {
+        check_all_lowerings(&r, &c, &v);
+        check_all_lowerings_onto(&r, &c, &v, -0.0);
+    }
+}
+
 #[test]
 fn rows_stored_by_length_reverse_the_row_order_and_keep_every_bit() {
     // Row `i` of 24 holds `13 − i/2` entries: lengths fall as rows

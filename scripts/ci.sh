@@ -279,8 +279,9 @@ cargo test -q --release -p kdr-sparse --test vecops_prop
 # dense reference.
 cargo test -q --release -p kdr-sparse --test kernel_prop --test prop
 # The kernel properties 10 times more with fresh inputs (rows of many
-# lengths, ties and repeats among them, are where the by-length payload
-# could reorder a chain). A failing seed is printed;
+# lengths, ties and repeats among them, and counts around the group
+# width of eight are where the by-length payload could reorder a
+# chain). A failing seed is printed;
 # `PROPTEST_RNG_SEED=<seed>` repeats it.
 for _ in $(seq 10); do
     seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
@@ -331,8 +332,21 @@ fi
 entry_sorts=$(sed '/^#\[cfg(test)\]/,$d' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 branch_sorts=$(sed -n '/^    fn sorted(/,/^    }$/p' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 if [ "$entry_sorts" != 1 ] || [ "$branch_sorts" != 1 ] ||
-    [ "$(grep -c 'CsrTile::sorted(' "$tile_rs")" != 1 ]; then
-    echo "ci.sh: tile.rs sorts a tile's entries outside the out-of-order branch (CsrTile::sorted)" >&2
+    [ "$(grep -c 'CanonicalTile::sorted(' "$tile_rs")" != 1 ]; then
+    echo "ci.sh: tile.rs sorts a tile's entries outside the out-of-order branch (CanonicalTile::sorted)" >&2
+    exit 1
+fi
+# One CSR forward product (DESIGN §7, "An irregular tile"): groups of
+# eight rows of one length run as eight chains in lockstep, and the
+# per-row walk over `row_ptr[r]..row_ptr[r + 1]` must not come back
+# beside that loop, in `CsrTile::apply` or as a kernel of its own.
+csr_impl=$(sed -n '/^impl<T: Scalar> CsrTile<T> {/,/^}/p' "$tile_rs")
+csr_apply=$(printf '%s\n' "$csr_impl" | sed -n '/^    pub fn apply</,/^    }$/p')
+csr_fns=$(printf '%s\n' "$csr_impl" | grep -oE '^    (pub )?fn [a-z_]+' | awk '{print $NF}' | tr '\n' ' ')
+if [ "$csr_fns" != "apply apply_t " ] ||
+    ! printf '%s\n' "$csr_apply" | grep -q 'chunks_exact(CSR_GROUP)' ||
+    printf '%s\n' "$csr_apply" | grep -nE 'row_ptr\[[a-z_]+ *\+ *1\]'; then
+    echo "ci.sh: CsrTile::apply is not one grouped forward product (see above)" >&2
     exit 1
 fi
 # Step programs in both profiles: the dev run (part of `cargo test`
