@@ -36,7 +36,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kdr_index::{IntervalSet, Partition};
-use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, Stencil};
+use kdr_sparse::{KernelChoice, Scalar, SparseMatrix};
 
 /// Backend vector handle (a multi-component vector instance).
 pub type BVec = usize;
@@ -394,6 +394,12 @@ pub struct TileSpec {
 
 /// One operator component `(K_ℓ, A_ℓ, i_ℓ, j_ℓ)` with its derived
 /// tiles.
+///
+/// The matrix is all an execution backend is told of the format: it
+/// lowers each tile through [`crate::partitioning::lower_tiles`], so a
+/// format that lowers its own tiles — a
+/// [`kdr_sparse::StencilOperator`]'s matrix-free ones — does so
+/// however it was added.
 pub struct OpComponentSpec<T> {
     /// The component's matrix `A_ℓ`.
     pub matrix: Arc<dyn SparseMatrix<T>>,
@@ -403,16 +409,6 @@ pub struct OpComponentSpec<T> {
     pub rhs_comp: usize,
     /// Tiles derived by dependent partitioning.
     pub tiles: Vec<TileSpec>,
-    /// When `Some`, the component is *implicit*: a stencil descriptor
-    /// fully determines every tile's entries, so execution backends
-    /// build matrix-free kernels straight from each tile's
-    /// `out_subset` row runs and **never gather its entries**
-    /// — zero value arrays, zero COO→CSR conversion. `matrix` is
-    /// still present (it drives dependent partitioning and the
-    /// simulator), but an execution backend never reads its entries.
-    /// Zero-fill planning is unchanged: `out_subset`/`in_union`
-    /// footprints are exact either way.
-    pub stencil: Option<Stencil>,
 }
 
 /// A full operator set (all components of `A_total` or `P_total`).

@@ -4,21 +4,18 @@
 //! planner operation becomes one task per `(component, color)` of the
 //! canonical partition — an index launch — with subsets declared so
 //! that the runtime's dependence analysis extracts all available
-//! parallelism. Operator tiles are extracted once at registration
-//! (matrix-free operators are asked to enumerate their entries
-//! exactly once) and *lowered* into format-specialized kernels:
+//! parallelism. Operator tiles are *lowered* once at registration
+//! into format-specialized kernels ([`crate::partitioning::lower_tiles`]):
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
 //! register-blocked BCSR, or the CSR fallback, rows stored by length (see
 //! [`kdr_sparse::tile`]), overridable per opset through
-//! [`OpSetSpec::kernel_choice`]. A component registered by stencil
-//! *descriptor* is not extracted at all: each of its tiles is the
+//! [`OpSetSpec::kernel_choice`]. A [`kdr_sparse::StencilOperator`]
+//! lowers its own tiles and is not enumerated at all: each is the
 //! banded layout with every diagonal a constant, built from the grid's
 //! geometry in time linear in the tile's grid lines and run by the
 //! same banded kernel ([`kdr_sparse::matfree`]). Structurally empty
 //! tiles are dropped at registration — they launch no tasks, and the
-//! zero-fill plan covers their output rows. Every kernel accumulates
-//! in the CSR reference order, so kernel selection never changes a bit
-//! of any solve.
+//! zero-fill plan covers their output rows.
 //!
 //! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
 //! `dot_partial`, the zero-fills of `apply`) run one
@@ -145,10 +142,7 @@ use kdr_runtime::{
 };
 #[cfg(test)]
 use kdr_sparse::SparseMatrix;
-use kdr_sparse::{
-    vecops, KernelChoice, KernelKind, Scalar, StencilTile, StructureKey, TileKernel, VecIn,
-    VecOut,
-};
+use kdr_sparse::{vecops, KernelKind, Scalar, StructureKey, TileKernel, VecIn, VecOut};
 use parking_lot::Mutex;
 
 use crate::backend::{
@@ -364,9 +358,7 @@ struct ExecTile<T> {
 
 impl<T> ExecTile<T> {
     /// The registered form of tile `t` running `kernel`: the one place
-    /// footprints and the affinity color are taken off a [`TileSpec`],
-    /// whether the kernel was lowered from entries or built from a
-    /// stencil descriptor.
+    /// footprints and the affinity color are taken off a [`TileSpec`].
     fn new(t: &TileSpec, kernel: TileKernel<T>, key: StructureKey) -> Self {
         ExecTile {
             rhs_comp: t.rhs_comp,
@@ -1221,52 +1213,16 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
         // The record's ops were recorded against the epoch that ends
         // here.
         self.close_record(&[]);
-        // Forcing an *assembled* kind extracts and lowers even
-        // stencil-described components — the caller explicitly asked
-        // for stored values (the bitwise comparison legs do). Auto or
-        // `Force(Stencil)` keeps descriptor components matrix-free.
-        let forced_assembled =
-            matches!(spec.kernel_choice, KernelChoice::Force(k) if k != KernelKind::Stencil);
+        // Each tile lowers to the kernel its format and structure give
+        // it; a structurally empty tile launches nothing, ever: its
+        // output rows fall to the apply plan's residual zero task.
         let mut tiles: Vec<ExecTile<T>> = Vec::new();
         for comp in &spec.components {
-            if let (Some(desc), false) = (comp.stencil, forced_assembled) {
-                // Implicit component: the descriptor plus each tile's
-                // out-subset row runs fully determine the kernel, a
-                // band of constants built from the geometry — no
-                // entry gathering, no value arrays, no COO→CSR
-                // conversion. The zero-fill plan below still sees the
-                // exact out/in footprints from dependent partitioning.
-                for t in &comp.tiles {
-                    let runs: Vec<(u64, u64)> =
-                        t.out_subset.runs().iter().map(|r| (r.lo, r.hi)).collect();
-                    let st = StencilTile::new(desc, runs);
-                    if st.nnz() == 0 {
-                        continue;
-                    }
-                    let key = StructureKey::for_stencil(
-                        desc.kind.code(),
-                        desc.kind.points() as usize,
-                        t.out_subset.cardinality(),
-                    );
-                    tiles.push(ExecTile::new(t, TileKernel::Stencil(st), key));
-                }
-                continue;
-            }
-            // An implicit spec must never reach entry gathering
-            // unless an assembled kind was explicitly forced.
-            debug_assert!(
-                comp.stencil.is_none() || forced_assembled,
-                "implicit operator spec reached entry gathering"
-            );
-            // Each tile's entries, gathered from its rows, lower to
-            // the specialized kernel its structure picks.
-            let choice = spec.kernel_choice;
             let matrix = comp.matrix.as_ref();
-            lower_tiles(matrix, &comp.tiles, choice, &mut |t, kernel, s| {
-                // A structurally empty tile launches nothing, ever: its
-                // output rows fall to the apply plan's residual zero task.
+            let choice = spec.kernel_choice;
+            lower_tiles(matrix, &comp.tiles, choice, &mut |t, kernel, key| {
                 if !kernel.is_empty() {
-                    tiles.push(ExecTile::new(t, kernel, s.key()));
+                    tiles.push(ExecTile::new(t, kernel, key));
                 }
             });
         }
@@ -2001,7 +1957,6 @@ mod tests {
                 sol_comp: 0,
                 rhs_comp: 0,
                 tiles,
-                stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
         });
@@ -2045,7 +2000,6 @@ mod tests {
                     matrix: Arc::clone(&m),
                     sol_comp: 0,
                     rhs_comp: 0,
-                    stencil: None,
                     tiles,
                 }],
                 kernel_choice: choice,
@@ -2089,7 +2043,6 @@ mod tests {
                 sol_comp: 0,
                 rhs_comp: 0,
                 tiles,
-                stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
         });
@@ -2114,7 +2067,6 @@ mod tests {
                 sol_comp: 0,
                 rhs_comp: 0,
                 tiles,
-                stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
         });
@@ -2150,7 +2102,6 @@ mod tests {
                 sol_comp: 0,
                 rhs_comp: 0,
                 tiles,
-                stencil: None,
             }],
             kernel_choice: KernelChoice::Auto,
         });

@@ -18,13 +18,12 @@
 //!
 //! [`lower_tiles`] then turns each tile into a kernel. Step 1 already
 //! says which entries a tile holds — those of its output rows — so a
-//! format that stores its rows in order lends them, one tile after
-//! another, and each is lowered where it lies; any other format is
-//! enumerated once. Only the lowering that follows is
-//! format-specialized.
+//! format may lower each tile from what it holds (a CSR's rows where
+//! they lie, a stencil's geometry); any other format is enumerated
+//! once. Only the lowering that follows is format-specialized.
 
 use kdr_index::{IntervalSet, Partition};
-use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, TileKernel, TileRows, TileStructure};
+use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, StructureKey, TileKernel, TileRows};
 
 use crate::backend::TileSpec;
 
@@ -95,44 +94,45 @@ pub fn compute_tiles<T: Scalar>(
 }
 
 /// Lower every tile of one operator component, in tile order, handing
-/// each kernel and the structure analysis it was chosen from to
-/// `lowered` as soon as it is built.
+/// each kernel and its catalogue [`StructureKey`] to `lowered` as soon
+/// as it is built.
 ///
 /// A tile's kernel piece is the preimage of a range piece along the
 /// row relation. Where that relation gives each entry its one row, a
 /// tile's entries are exactly those of its `out_subset` rows, so a
-/// format that stores its rows in canonical order
-/// ([`SparseMatrix::lower_stored_rows`]: [`kdr_sparse::Csr`]) lowers
-/// tile by tile from its own arrays, and no tile's entries are copied
-/// but into its payload. Any other format is enumerated once
+/// format may lower each tile from what it holds
+/// ([`SparseMatrix::lower_tile`]): [`kdr_sparse::Csr`] from its own
+/// arrays, with no tile's entries copied but into its payload, and
+/// [`kdr_sparse::StencilOperator`] from its geometry, with none
+/// enumerated at all. Any other format is enumerated once
 /// ([`SparseMatrix::for_each_entry`]) into one [`TileRows`] per tile,
 /// each entry placed by its kernel point in the first tile whose piece
 /// holds it; entries outside every piece (format padding, points of
 /// empty range colors) are dropped. The pass remembers the kernel run
 /// it last hit, so an enumeration in kernel order — every library
-/// format's — searches once per run it enters. Either way the tiles
-/// lower to the same bits ([`TileKernel::lower_rows`]); only lowering
-/// is format-specialized.
+/// format's — searches once per run it enters. Enumerated or lent,
+/// the rows lower alike ([`TileKernel::lower_rows`]); only lowering is
+/// format-specialized.
 pub fn lower_tiles<T: Scalar>(
     matrix: &dyn SparseMatrix<T>,
     tiles: &[TileSpec],
     choice: KernelChoice,
-    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, TileStructure),
+    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, StructureKey),
 ) {
     for (n, t) in tiles.iter().enumerate() {
-        let Some((kernel, structure)) = matrix.lower_stored_rows(&t.out_subset, choice) else {
+        let Some((kernel, key)) = matrix.lower_tile(&t.out_subset, choice) else {
             return enumerate_tiles(matrix, &tiles[n..], choice, lowered);
         };
-        lowered(t, kernel, structure);
+        lowered(t, kernel, key);
     }
 }
 
-/// [`lower_tiles`] for a format that does not hand over its rows.
+/// [`lower_tiles`] for a format that does not lower its own tiles.
 fn enumerate_tiles<T: Scalar>(
     matrix: &dyn SparseMatrix<T>,
     tiles: &[TileSpec],
     choice: KernelChoice,
-    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, TileStructure),
+    lowered: &mut dyn FnMut(&TileSpec, TileKernel<T>, StructureKey),
 ) {
     // Map kernel point -> tile via the kernel-piece runs. A coarse row
     // relation (BCSR relates a whole block to each of its rows) gives
@@ -168,7 +168,7 @@ fn enumerate_tiles<T: Scalar>(
     });
     for (t, rows) in tiles.iter().zip(entries) {
         let (kernel, structure) = rows.lower(choice);
-        lowered(t, kernel, structure);
+        lowered(t, kernel, structure.key());
     }
 }
 
@@ -252,8 +252,8 @@ mod tests {
     /// over, with its payload and structure key spelled out.
     fn lowered(m: &dyn SparseMatrix<f64>, tiles: &[TileSpec], choice: KernelChoice) -> Vec<String> {
         let mut out = Vec::new();
-        lower_tiles(m, tiles, choice, &mut |t, k, s| {
-            out.push(format!("{} {:?} {k:?}", t.range_color, s.key().to_bytes()));
+        lower_tiles(m, tiles, choice, &mut |t, k, key| {
+            out.push(format!("{} {:?} {k:?}", t.range_color, key.to_bytes()));
         });
         out
     }

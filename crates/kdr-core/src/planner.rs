@@ -46,14 +46,14 @@ pub enum VecStructure {
     Rhs,
 }
 
+/// An operator or preconditioner component before registration.
 struct PendingOp<T> {
     matrix: Arc<dyn SparseMatrix<T>>,
-    sol_comp: usize,
-    rhs_comp: usize,
-    /// `Some` marks the operator as *implicit*: execution backends
-    /// rebuild its entries from this stencil descriptor on the fly
-    /// instead of extracting and storing them.
-    stencil: Option<Stencil>,
+    /// The component it reads: an operator's sol component, a
+    /// preconditioner's rhs component.
+    input: usize,
+    /// The component it writes.
+    output: usize,
 }
 
 /// The KDRSolvers planner.
@@ -80,6 +80,35 @@ pub struct Planner<T: Scalar> {
     /// re-analyzing).
     ws_free_sol: Vec<VecId>,
     ws_free_rhs: Vec<VecId>,
+}
+
+/// The operator set of `ops`, each component tiled from its input
+/// component's partition in `ins` to its output component's in `outs`.
+fn opset<T: Scalar>(
+    ops: Vec<PendingOp<T>>,
+    ins: &[CompSpec],
+    outs: &[CompSpec],
+    kernel_choice: KernelChoice,
+) -> OpSetSpec<T> {
+    let components = ops
+        .into_iter()
+        .map(|op| OpComponentSpec {
+            tiles: compute_tiles(
+                op.matrix.as_ref(),
+                &ins[op.input].partition,
+                &outs[op.output].partition,
+                op.input,
+                op.output,
+            ),
+            matrix: op.matrix,
+            sol_comp: op.input,
+            rhs_comp: op.output,
+        })
+        .collect();
+    OpSetSpec {
+        components,
+        kernel_choice,
+    }
 }
 
 impl<T: Scalar> Planner<T> {
@@ -160,41 +189,18 @@ impl<T: Scalar> Planner<T> {
         );
         self.ops.push(PendingOp {
             matrix,
-            sol_comp: sol_id,
-            rhs_comp: rhs_id,
-            stencil: None,
+            input: sol_id,
+            output: rhs_id,
         });
     }
 
-    /// Add an *implicit* operator component described by a stencil
-    /// descriptor rather than assembled storage. Partitioning and the
-    /// simulation backend see an ordinary [`StencilOperator`] (its
-    /// relations are exact), but execution backends never gather its
-    /// entries and apply the stencil matrix-free from each
-    /// tile's row runs — zero stored value bytes, bitwise identical
-    /// results to the assembled path. Under
-    /// [`KernelChoice::Force`] of an assembled kind the descriptor is
-    /// assembled normally instead (explicit request for stored
-    /// values).
+    /// Add the matrix-free operator of a stencil descriptor: shorthand
+    /// for [`Planner::add_operator`] of a [`StencilOperator`], which
+    /// lowers each tile from its geometry on an execution backend —
+    /// no stored value — unless [`KernelChoice::Force`] names an
+    /// assembled kind, an explicit request for stored values.
     pub fn add_stencil_operator(&mut self, desc: Stencil, sol_id: usize, rhs_id: usize) {
-        assert!(!self.finalized, "planner already finalized");
-        let matrix: Arc<dyn SparseMatrix<T>> = Arc::new(StencilOperator::new(desc));
-        assert_eq!(
-            matrix.domain_space().size(),
-            self.sol_comps[sol_id].len,
-            "operator domain does not match sol component {sol_id}"
-        );
-        assert_eq!(
-            matrix.range_space().size(),
-            self.rhs_comps[rhs_id].len,
-            "operator range does not match rhs component {rhs_id}"
-        );
-        self.ops.push(PendingOp {
-            matrix,
-            sol_comp: sol_id,
-            rhs_comp: rhs_id,
-            stencil: Some(desc),
-        });
+        self.add_operator(Arc::new(StencilOperator::new(desc)), sol_id, rhs_id);
     }
 
     /// Add a preconditioner component: `matrix` maps right-hand-side
@@ -220,9 +226,8 @@ impl<T: Scalar> Planner<T> {
         );
         self.precs.push(PendingOp {
             matrix,
-            sol_comp: sol_id,
-            rhs_comp: rhs_id,
-            stencil: None,
+            input: rhs_id,
+            output: sol_id,
         });
     }
 
@@ -240,47 +245,10 @@ impl<T: Scalar> Planner<T> {
         assert!(!self.ops.is_empty(), "planner needs at least one operator");
         // The operators go to the backend: the planner keeps none alive
         // past registration.
-        let op_spec = OpSetSpec {
-            components: std::mem::take(&mut self.ops)
-                .into_iter()
-                .map(|op| OpComponentSpec {
-                    tiles: compute_tiles(
-                        op.matrix.as_ref(),
-                        &self.sol_comps[op.sol_comp].partition,
-                        &self.rhs_comps[op.rhs_comp].partition,
-                        op.sol_comp,
-                        op.rhs_comp,
-                    ),
-                    matrix: op.matrix,
-                    sol_comp: op.sol_comp,
-                    rhs_comp: op.rhs_comp,
-                    stencil: op.stencil,
-                })
-                .collect(),
-            kernel_choice: self.kernel_choice,
-        };
+        let (sols, rhss, choice) = (&self.sol_comps, &self.rhs_comps, self.kernel_choice);
+        let op_spec = opset(std::mem::take(&mut self.ops), sols, rhss, choice);
         let precs = std::mem::take(&mut self.precs);
-        let prec_spec = (!precs.is_empty()).then(|| OpSetSpec {
-            components: precs
-                .into_iter()
-                .map(|op| OpComponentSpec {
-                    tiles: compute_tiles(
-                        op.matrix.as_ref(),
-                        &self.rhs_comps[op.rhs_comp].partition,
-                        &self.sol_comps[op.sol_comp].partition,
-                        op.rhs_comp,
-                        op.sol_comp,
-                    ),
-                    matrix: op.matrix,
-                    // Preconditioners run range -> domain: input is the
-                    // rhs component, output the sol component.
-                    sol_comp: op.rhs_comp,
-                    rhs_comp: op.sol_comp,
-                    stencil: op.stencil,
-                })
-                .collect(),
-            kernel_choice: self.kernel_choice,
-        });
+        let prec_spec = (!precs.is_empty()).then(|| opset(precs, rhss, sols, choice));
         let mut b = self.backend.lock();
         self.op_handle = Some(b.register_operator(op_spec));
         self.prec_handle = prec_spec.map(|s| b.register_operator(s));

@@ -641,7 +641,6 @@ mod tests {
                 matrix: op,
                 sol_comp: 0,
                 rhs_comp: 0,
-                stencil: None,
                 tiles,
             }],
             kernel_choice: kdr_sparse::KernelChoice::Auto,

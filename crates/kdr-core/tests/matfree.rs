@@ -2,7 +2,8 @@
 //! stencil-described registration through the planner must be bitwise
 //! identical to the assembled path — per apply, per transpose apply,
 //! and across a whole CG solve's residual history — while storing
-//! zero operator value bytes.
+//! zero operator value bytes. A [`StencilOperator`] is matrix-free by
+//! itself, however it is added to the planner.
 
 use std::sync::Arc;
 
@@ -10,7 +11,10 @@ use kdr_core::{
     solve_traced, CgSolver, ExecBackend, ExecMetrics, Planner, SolveControl, SolveTrace, SOL,
 };
 use kdr_index::Partition;
-use kdr_sparse::{stencil::rhs_vector, KernelChoice, KernelKind, SparseMatrix, Stencil};
+use kdr_sparse::{
+    stencil::rhs_vector, KernelChoice, KernelKind, SparseMatrix, Stencil, StencilOperator,
+    StructureKey,
+};
 
 fn planner() -> Planner<f64> {
     Planner::new(Box::new(ExecBackend::<f64>::new(2)))
@@ -169,4 +173,91 @@ fn forcing_stencil_on_assembled_input_falls_back_to_csr() {
     let m = exec_metrics(&mut forced);
     assert_eq!(m.tiles_by_kernel.get("stencil"), None);
     assert!(m.operator_value_bytes > 0);
+}
+
+/// What one registration route gave: the operator manifest, the value
+/// bytes, and a CG solve's residual history and solution, as bits.
+type Route = (
+    Vec<(StructureKey, KernelKind)>,
+    u64,
+    Vec<(usize, u64)>,
+    Vec<u64>,
+);
+
+/// Register `s` in `pieces` pieces under `choice` — through
+/// `add_stencil_operator` (`by_descriptor`) or as a
+/// [`StencilOperator`] handed to `add_operator` — and solve with CG.
+fn route(s: Stencil, pieces: usize, choice: KernelChoice, by_descriptor: bool) -> Route {
+    let n = s.unknowns();
+    let mut p = planner();
+    p.set_kernel_choice(choice);
+    let part = Partition::equal_blocks(n, pieces);
+    let d = p.add_sol_vector(n, Some(part.clone()));
+    let r = p.add_rhs_vector(n, Some(part));
+    if by_descriptor {
+        p.add_stencil_operator(s, d, r);
+    } else {
+        p.add_operator(Arc::new(StencilOperator::<f64>::new(s)), d, r);
+    }
+    p.set_rhs_data(r, &rhs_vector::<f64>(n, 7));
+    p.finalize();
+    let manifest = p.with_backend(|b| {
+        let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
+        exec.expect("exec backend").operator_manifest()
+    });
+    let value_bytes = exec_metrics(&mut p).operator_value_bytes;
+    let mut solver = CgSolver::new(&mut p);
+    let control = SolveControl {
+        max_iters: 300,
+        tol: 1e-10,
+        check_every: 1,
+        ..SolveControl::default()
+    };
+    let (outcome, trace) = solve_traced(&mut p, &mut solver, control);
+    let report = outcome.expect("well-posed SPD solve");
+    assert!(report.converged, "{s:?} {choice:?}");
+    let history = trace.residual_history.iter();
+    let history = history.map(|&(i, r)| (i, r.to_bits())).collect();
+    let solution = bits(&p.read_component(SOL, 0));
+    (manifest, value_bytes, history, solution)
+}
+
+#[test]
+fn a_stencil_operator_is_matrix_free_by_either_route() {
+    // Each stencil on a regular grid and on one with an extent of 1
+    // or 2, where several points share an offset.
+    let grids = [
+        Stencil::lap1d(40),
+        Stencil::lap1d(2),
+        Stencil::lap2d(13, 11),
+        Stencil::lap2d(9, 2),
+        Stencil::lap3d7(7, 6, 5),
+        Stencil::lap3d7(6, 1, 7),
+        Stencil::lap3d27(7, 6, 5),
+        Stencil::lap3d27(2, 5, 7),
+    ];
+    let choices = [
+        (KernelChoice::Auto, true),
+        (KernelChoice::Force(KernelKind::Stencil), true),
+        (KernelChoice::Force(KernelKind::Dia), false),
+        (KernelChoice::Force(KernelKind::Csr), false),
+    ];
+    for s in grids {
+        let pieces = 3.min(s.unknowns() as usize);
+        for (choice, matrix_free) in choices {
+            let by_format = route(s, pieces, choice, false);
+            let by_descriptor = route(s, pieces, choice, true);
+            let case = format!("{s:?} under {choice:?}");
+            assert_eq!(by_format.0, by_descriptor.0, "{case}: manifests differ");
+            assert_eq!(by_format.1, by_descriptor.1, "{case}: value bytes differ");
+            let histories = "residual histories differ";
+            assert_eq!(by_format.2, by_descriptor.2, "{case}: {histories}");
+            assert_eq!(by_format.3, by_descriptor.3, "{case}: solutions differ");
+            assert!(!by_format.0.is_empty(), "{case}: no tile registered");
+            let stencil_tiles = by_format.0.iter().all(|&(_, k)| k == KernelKind::Stencil);
+            assert_eq!(stencil_tiles, matrix_free, "{case}: {:?}", by_format.0);
+            let value_bytes = by_format.1;
+            assert_eq!(value_bytes == 0, matrix_free, "{case}: {value_bytes} value bytes");
+        }
+    }
 }

@@ -210,9 +210,9 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
     assert_eq!(tiles.len(), pieces);
     let lowered = |choice| {
         let mut out = Vec::new();
-        lower_tiles(m, &tiles, choice, &mut |t, kernel, structure| {
+        lower_tiles(m, &tiles, choice, &mut |t, kernel, key| {
             assert_eq!(kernel.nnz() as u64, t.nnz);
-            out.push((kernel, structure));
+            out.push((kernel, key));
         });
         assert_eq!(out.len(), pieces);
         out
@@ -228,7 +228,7 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
         .iter()
         .zip(lowered(KernelChoice::Auto))
         .enumerate()
-        .map(|(n, (t, (kernel, structure)))| {
+        .map(|(n, (t, (kernel, key)))| {
             let mut footprint = Fnv::new();
             footprint.runs(&t.kernel_piece);
             footprint.runs(&t.out_subset);
@@ -247,7 +247,7 @@ fn pins(m: &dyn SparseMatrix<f64>, pieces: usize) -> Vec<Pin> {
                 kind: kernel.kind().expect("no empty tile").name(),
                 nnz: kernel.nnz(),
                 value_bytes: kernel.value_bytes(),
-                key: structure.key().to_bytes(),
+                key: key.to_bytes(),
                 out_runs: t.out_subset.runs().len(),
                 in_runs: t.in_union.runs().len(),
                 footprint_fnv: footprint.0,

@@ -278,6 +278,14 @@ fn matrix_free_operator_solves() {
     assert!(report.converged);
     let res = residual_norm(&mut planner, &s, &b);
     assert!(res < 1e-8, "matrix-free residual {res}");
+    // Matrix-free in execution too: every tile is a stencil tile and no
+    // operator value is stored.
+    let m = planner.with_backend(|b| {
+        let exec = b.as_any().downcast_mut::<ExecBackend<f64>>();
+        exec.expect("exec backend").metrics()
+    });
+    assert_eq!(m.tiles_by_kernel.keys().collect::<Vec<_>>(), [&"stencil"]);
+    assert_eq!(m.operator_value_bytes, 0);
 }
 
 #[test]

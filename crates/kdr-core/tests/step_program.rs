@@ -248,7 +248,6 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
                             sol_comp: 1,
                             rhs_comp: 1,
                             tiles,
-                            stencil: None,
                         }],
                         kernel_choice: KernelChoice::Auto,
                     })

@@ -104,6 +104,12 @@ pub struct CooRecord<T, I> {
 }
 
 /// COO in array-of-structures layout (one record per entry).
+///
+/// The records are the format: the paper's §3 leaves the physical
+/// layout of `{entry, col, row}` open, and this is its AoS side. So
+/// there is no index table to lend, and each relation collects one
+/// from the records (8 bytes per entry per call) by design; [`Coo`]
+/// is the layout that lends its tables.
 #[derive(Clone, Debug)]
 pub struct CooAos<T, I = u64> {
     records: Vec<CooRecord<T, I>>,

@@ -13,7 +13,7 @@ use kdr_index::{
 
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
-use crate::tile::{KernelChoice, TileKernel, TileStructure, TileView};
+use crate::tile::{KernelChoice, StructureKey, TileKernel, TileView};
 use crate::triples::Triples;
 
 /// A CSR matrix generic over entry type `T` and stored index type `I`.
@@ -161,16 +161,17 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Csr<T, I> {
         }
     }
 
-    fn lower_stored_rows(
+    fn lower_tile(
         &self,
         rows: &IntervalSet,
         choice: KernelChoice,
-    ) -> Option<(TileKernel<T>, TileStructure)> {
+    ) -> Option<(TileKernel<T>, StructureKey)> {
         if !self.rows_sorted {
             return None;
         }
         let view = TileView::of_rows(rows, &self.rowptr, &self.colidx, &self.values);
-        Some(TileKernel::lower_rows(&view, choice))
+        let (kernel, structure) = TileKernel::lower_rows(&view, choice);
+        Some((kernel, structure.key()))
     }
 
     // The one override of the provided piece kernels in the workspace,

@@ -21,14 +21,13 @@ use crate::triples::Triples;
 /// HYB = ELL body (`rows × width`, row-major) + COO overflow.
 #[derive(Clone, Debug)]
 pub struct Hyb<T, I = u64> {
-    // ELL body: slot k = i * width + s.
-    ell_cols: Vec<I>,
-    ell_vals: Vec<T>,
+    /// Column and value of every kernel point, in kernel order: the
+    /// ELL body's slots (`k = i * width + s`), then the COO tail.
+    colidx: Vec<I>,
+    values: Vec<T>,
     width: u64,
-    // COO tail.
+    /// Row of each COO tail entry.
     coo_rows: Vec<I>,
-    coo_cols: Vec<I>,
-    coo_vals: Vec<T>,
     rows: u64,
     cols: u64,
 }
@@ -42,23 +41,22 @@ impl<T: Scalar, I: IndexInt> Hyb<T, I> {
         let rows = t.rows();
         let cols = t.cols();
         let t = t.canonicalize();
-        let mut ell_cols = vec![I::from_u64(0); (rows * width) as usize];
-        let mut ell_vals = vec![T::ZERO; (rows * width) as usize];
+        let mut colidx = vec![I::from_u64(0); (rows * width) as usize];
+        let mut values = vec![T::ZERO; (rows * width) as usize];
         let mut fill = vec![0u64; rows as usize];
         let mut coo_rows = Vec::new();
         let mut coo_cols = Vec::new();
-        let mut coo_vals = Vec::new();
         for &(i, j, v) in t.entries() {
             let f = fill[i as usize];
             if f < width {
                 let k = (i * width + f) as usize;
-                ell_cols[k] = I::from_u64(j);
-                ell_vals[k] = v;
+                colidx[k] = I::from_u64(j);
+                values[k] = v;
                 fill[i as usize] = f + 1;
             } else {
                 coo_rows.push(I::from_u64(i));
                 coo_cols.push(I::from_u64(j));
-                coo_vals.push(v);
+                values.push(v);
             }
         }
         // Padding slots duplicate the row's last stored column.
@@ -67,18 +65,17 @@ impl<T: Scalar, I: IndexInt> Hyb<T, I> {
             if f == 0 {
                 continue;
             }
-            let last = ell_cols[(i as u64 * width + f - 1) as usize];
+            let last = colidx[(i as u64 * width + f - 1) as usize];
             for s in f..width {
-                ell_cols[(i as u64 * width + s) as usize] = last;
+                colidx[(i as u64 * width + s) as usize] = last;
             }
         }
+        colidx.extend(coo_cols);
         Hyb {
-            ell_cols,
-            ell_vals,
+            colidx,
+            values,
             width,
             coo_rows,
-            coo_cols,
-            coo_vals,
             rows,
             cols,
         }
@@ -105,7 +102,7 @@ impl<T: Scalar, I: IndexInt> Hyb<T, I> {
 
 impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
     fn kernel_space(&self) -> IndexSpace {
-        IndexSpace::flat(self.ell_size() + self.coo_vals.len() as u64)
+        IndexSpace::flat(self.values.len() as u64)
     }
 
     fn domain_space(&self) -> IndexSpace {
@@ -118,10 +115,9 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
 
     fn col_relation(&self) -> Box<dyn Relation + '_> {
         // One stored function covering both parts of K (columns are
-        // stored for every kernel point in HYB).
-        let mut table: Vec<u64> = self.ell_cols.iter().map(|&j| j.to_u64()).collect();
-        table.extend(self.coo_cols.iter().map(|&j| j.to_u64()));
-        Box::new(FnRelation::new(table, self.cols))
+        // stored for every kernel point in HYB), lent as it lies;
+        // `with_width` took every index from a checked coordinate list.
+        Box::new(FnRelation::borrowed(&self.colidx, self.cols))
     }
 
     fn row_relation(&self) -> Box<dyn Relation + '_> {
@@ -133,7 +129,7 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
         let ell = EllRowsPartial {
             rows: self.rows,
             width: self.width,
-            total: self.ell_size() + self.coo_vals.len() as u64,
+            total: self.values.len() as u64,
         };
         // The stored part must be total over K; point the ELL half at
         // the row it belongs to (duplicating the implicit relation is
@@ -145,22 +141,13 @@ impl<T: Scalar, I: IndexInt> SparseMatrix<T> for Hyb<T, I> {
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {
-        for k in 0..self.ell_size() {
-            f(
-                k,
-                k / self.width,
-                self.ell_cols[k as usize].to_u64(),
-                self.ell_vals[k as usize],
-            );
-        }
         let base = self.ell_size();
-        for i in 0..self.coo_vals.len() {
-            f(
-                base + i as u64,
-                self.coo_rows[i].to_u64(),
-                self.coo_cols[i].to_u64(),
-                self.coo_vals[i],
-            );
+        for (k, (&j, &v)) in (0u64..).zip(self.colidx.iter().zip(&self.values)) {
+            let i = match k.checked_sub(base) {
+                None => k / self.width,
+                Some(c) => self.coo_rows[c as usize].to_u64(),
+            };
+            f(k, i, j.to_u64(), v);
         }
     }
 }

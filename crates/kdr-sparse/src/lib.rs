@@ -16,7 +16,12 @@
 //! `diagonal`, `to_triples` — and no solve runs any of it: execution
 //! lowers the enumerated entries into the tile kernels of [`tile`].
 //! [`Csr`] alone overrides the reference product, as the independent
-//! check solver tests compute true residuals with.
+//! check solver tests compute true residuals with. One provided hook,
+//! [`SparseMatrix::lower_tile`], lets a format lower a tile from what
+//! it holds instead of being enumerated: [`Csr`] lends its rows where
+//! they lie, and [`StencilOperator`] builds a matrix-free tile from its
+//! geometry, so "matrix-free" is a property of the operator, not a
+//! second way of registering one.
 //!
 //! Formats implemented (the paper's Figure 3):
 //!

@@ -17,6 +17,13 @@
 //! product is [`DiaTile::apply`] / [`DiaTile::apply_t`]; there is no
 //! second kernel.
 //!
+//! Registration reaches it through the operator alone: a
+//! [`crate::StencilOperator`] lowers each of its tiles to one
+//! ([`crate::SparseMatrix::lower_tile`]) under `Auto` or
+//! `Force(Stencil)`, however the operator was added. A forced
+//! assembled kind asks for stored values, and the operator is
+//! enumerated and lowered like any other format.
+//!
 //! # What a tile holds
 //!
 //! Nothing per entry and no operator value: the at most 27 constants on
@@ -84,7 +91,8 @@ use crate::tile::{BandBuilder, DiaTile, VecIn, VecOut};
 
 /// A matrix-free tile over a row slab of a [`Stencil`] operator: the
 /// descriptor, the global row runs, and the constant band they stand
-/// for — no stored operator value.
+/// for — no stored operator value. [`crate::StencilOperator`]'s
+/// [`crate::SparseMatrix::lower_tile`] builds one per tile.
 ///
 /// The tile covers rows `rows` × *all* columns of the stencil's
 /// square operator (a row-slab tile of a single-component system, the

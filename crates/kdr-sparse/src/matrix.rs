@@ -5,16 +5,16 @@
 //! row/column relations — nothing else. Co-partitioning, dependence
 //! analysis and solver code never look inside the format, and neither
 //! does execution: a solve reads the format's entries once — enumerated
-//! ([`SparseMatrix::for_each_entry`]), or read where they lie by a
-//! format that stores its rows in order
-//! ([`SparseMatrix::lower_stored_rows`]) — and runs the tile kernels of
-//! [`crate::tile`] on them. The format *describes*; a separate kernel
-//! family *executes*.
+//! ([`SparseMatrix::for_each_entry`]), or lowered tile by tile from
+//! what the format holds ([`SparseMatrix::lower_tile`]: a CSR's rows
+//! where they lie, a stencil's geometry) — and runs the tile kernels
+//! of [`crate::tile`] on them. The format *describes*; a separate
+//! kernel family *executes*.
 
 use kdr_index::{IndexSpace, IntervalSet, Relation};
 
 use crate::scalar::Scalar;
-use crate::tile::{KernelChoice, TileKernel, TileStructure};
+use crate::tile::{KernelChoice, StructureKey, TileKernel};
 
 /// A sparse (or dense) matrix described by kernel/domain/range spaces,
 /// row and column relations, and an enumeration of its entries.
@@ -29,7 +29,8 @@ use crate::tile::{KernelChoice, TileKernel, TileStructure};
 /// that shares no code with the tile kernels: it is the independent
 /// reference the solver tests compute true residuals with. It also
 /// lends registration its rows where they lie
-/// ([`SparseMatrix::lower_stored_rows`]).
+/// ([`SparseMatrix::lower_tile`]), as a
+/// [`crate::StencilOperator`] lends its geometry.
 ///
 /// Products use *add* semantics (`y += A x`) because multi-operator
 /// systems accumulate several components into one output vector
@@ -70,22 +71,26 @@ pub trait SparseMatrix<T: Scalar>: Send + Sync {
     /// outside the grid (DIA padding) are skipped.
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T));
 
-    /// Lower the tile whose output rows are `rows` straight from the
-    /// rows this format stores: the kernel and the structure analysis
-    /// it was chosen from, as [`TileKernel::lower_rows`] gives them
-    /// for a [`crate::tile::TileView`] lent the format's own arrays.
-    /// Only a format whose row relation gives each entry its one row,
-    /// and which stores each row's entries by ascending column, can
-    /// answer; registration then reads each tile where it lies, with
-    /// no copy of its entries. The provided default answers `None`,
-    /// and registration enumerates the format instead
-    /// ([`SparseMatrix::for_each_entry`]). Either way the tiles lower
-    /// to the same bits.
-    fn lower_stored_rows(
+    /// Lower the tile whose output rows are `rows` from what this
+    /// format holds: the tile's kernel under `choice` and the
+    /// [`StructureKey`] it is catalogued by. Only a format whose row
+    /// relation gives each entry its one row can answer, since the
+    /// tile's entries must be exactly those of its rows. [`Csr`] lowers
+    /// a [`crate::tile::TileView`] of its own arrays
+    /// ([`TileKernel::lower_rows`]) when every row's columns ascend, so
+    /// no tile's entries are copied but into its payload; a
+    /// [`crate::StencilOperator`] builds a matrix-free
+    /// [`TileKernel::Stencil`] from its geometry under `Auto` or
+    /// `Force(Stencil)`. The provided default answers `None`, and
+    /// registration enumerates the format instead
+    /// ([`SparseMatrix::for_each_entry`]).
+    ///
+    /// [`Csr`]: crate::formats::csr::Csr
+    fn lower_tile(
         &self,
         rows: &IntervalSet,
         choice: KernelChoice,
-    ) -> Option<(TileKernel<T>, TileStructure)> {
+    ) -> Option<(TileKernel<T>, StructureKey)> {
         let _ = (rows, choice);
         None
     }

@@ -11,8 +11,10 @@
 //! formulations of §6.2 and §6.3).
 
 use crate::formats::csr::Csr;
+use crate::matfree::StencilTile;
 use crate::matrix::SparseMatrix;
 use crate::scalar::{IndexInt, Scalar};
+use crate::tile::{KernelChoice, KernelKind, StructureKey, TileKernel};
 use crate::triples::Triples;
 
 /// Which Laplacian stencil to generate.
@@ -450,7 +452,10 @@ impl Stencil {
 /// * the scale-proof representation the simulation backend uses to
 ///   partition systems of up to 2³² unknowns, where run-level
 ///   interval arithmetic on the implicit relations replaces any
-///   per-entry work.
+///   per-entry work; and
+/// * a matrix-free operator in execution too: each tile lowers from
+///   the geometry to a [`StencilTile`] ([`SparseMatrix::lower_tile`]),
+///   so an execution backend stores none of its values.
 pub struct StencilOperator<T> {
     stencil: Stencil,
     /// Diagonal offsets in the linearized index space, ascending.
@@ -544,6 +549,32 @@ impl<T: Scalar> SparseMatrix<T> for StencilOperator<T> {
             self.n(),
             self.n(),
         ))
+    }
+
+    /// Under `Auto` or `Force(Stencil)` a tile is its rows' band of
+    /// constants, built from the geometry ([`StencilTile::new`]): no
+    /// entry is enumerated or stored. A forced assembled kind is a
+    /// request for stored values (`Force(Csr)` is the exact-bits
+    /// override), so it answers `None` and registration enumerates the
+    /// operator.
+    fn lower_tile(
+        &self,
+        rows: &kdr_index::IntervalSet,
+        choice: KernelChoice,
+    ) -> Option<(TileKernel<T>, StructureKey)> {
+        if matches!(choice, KernelChoice::Force(k) if k != KernelKind::Stencil) {
+            return None;
+        }
+        let runs = rows.runs().iter().map(|r| (r.lo, r.hi)).collect();
+        let tile = StencilTile::new(self.stencil, runs);
+        let kind = self.stencil.kind;
+        let key =
+            StructureKey::for_stencil(kind.code(), kind.points() as usize, rows.cardinality());
+        let kernel = match tile.nnz() {
+            0 => TileKernel::Empty,
+            _ => TileKernel::Stencil(tile),
+        };
+        Some((kernel, key))
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(u64, u64, u64, T)) {

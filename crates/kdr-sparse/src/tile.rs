@@ -116,10 +116,11 @@ pub enum KernelKind {
     /// Matrix-free stencil tile: the banded layout with every diagonal
     /// a constant, built from grid geometry alone and run by the `Dia`
     /// kernel — nothing assembled, no value array (see
-    /// [`crate::matfree::StencilTile`]). Only reachable through an
-    /// explicit stencil *descriptor*; lowering assembled triplets with
-    /// `Force(Stencil)` falls back to CSR, so assembled input is never
-    /// silently reinterpreted as a stencil.
+    /// [`crate::matfree::StencilTile`]). Only a
+    /// [`crate::StencilOperator`]'s own tiles lower to it
+    /// ([`crate::SparseMatrix::lower_tile`]); lowering assembled
+    /// triplets with `Force(Stencil)` falls back to CSR, so assembled
+    /// input is never silently reinterpreted as a stencil.
     Stencil,
 }
 
@@ -137,7 +138,7 @@ impl KernelKind {
 
     /// All kinds, in lowering-preference order. `Stencil` comes
     /// first: it beats every assembled layout when available, but
-    /// only a descriptor registration can produce it.
+    /// only a stencil operator's own tiles can take it.
     pub const ALL: [KernelKind; 5] = [
         KernelKind::Stencil,
         KernelKind::Bcsr,
@@ -1016,8 +1017,9 @@ pub enum TileKernel<T> {
     Bcsr(BcsrTile<T>),
     /// Matrix-free: a [`DiaTile`] of constants built from a stencil
     /// descriptor's geometry, see [`crate::matfree::StencilTile`].
-    /// Never produced by [`TileKernel::lower`]; built directly from the
-    /// descriptor by the execution backend.
+    /// Never produced by [`TileKernel::lower`]; a
+    /// [`crate::StencilOperator`] lowers its own tiles to it
+    /// ([`crate::SparseMatrix::lower_tile`]).
     Stencil(crate::matfree::StencilTile<T>),
 }
 
@@ -1262,9 +1264,10 @@ impl<T: Copy, C: IndexInt> TileView<'_, T, C> {
 /// canonical order of the kernel family: rows ascending, each row's
 /// entries by column, equal coordinates in input order.
 ///
-/// Registration gathers a tile here only when its format does not lend
-/// its rows ([`crate::SparseMatrix::lower_stored_rows`]): an enumerated
-/// format, or a CSR matrix whose rows are out of order. While entries
+/// Registration gathers a tile here only when its format does not
+/// lower the tile itself ([`crate::SparseMatrix::lower_tile`]): an
+/// enumerated format, a CSR matrix whose rows are out of order, or a
+/// stencil operator under a forced assembled kind. While entries
 /// arrive ([`TileRows::push`]) in canonical order the builder holds
 /// exactly the canonical tile's arrays — row ids, row starts,
 /// columns, values — which lowering reads as they are
@@ -1481,8 +1484,8 @@ impl<T: Scalar> TileKernel<T> {
             KernelKind::Dia => Self::lower_dia(view, s, offsets, band?),
             KernelKind::Ell => Self::lower_ell(view, s),
             // Assembled triplets carry no grid geometry; honoring the
-            // bitwise contract means never guessing one. Registering
-            // via a stencil descriptor is the only route to the
+            // bitwise contract means never guessing one. A stencil
+            // operator lowering its own tiles is the only route to the
             // matrix-free kernel.
             KernelKind::Csr | KernelKind::Stencil => None,
         }

@@ -329,6 +329,16 @@ if grep -rnwE 'append_rows|push_row' crates tests; then
     echo "ci.sh: crates/ or tests/ names the deleted row hand-off again (see above)" >&2
     exit 1
 fi
+# One registration route (DESIGN §7b): a stencil operator lowers its
+# own tiles (`SparseMatrix::lower_tile`), so the descriptor side
+# channel — a `stencil` field on the planner's pending operator and on
+# `OpComponentSpec`, and the backend's branch on it — stays deleted.
+if grep -rnw 'forced_assembled' crates tests examples ||
+    grep -rnE '\b(comp|op)\.stencil\b' crates tests examples ||
+    grep -nE '\bstencil:' crates/kdr-core/src/backend.rs crates/kdr-core/src/planner.rs; then
+    echo "ci.sh: the stencil descriptor side channel of registration is back (see above)" >&2
+    exit 1
+fi
 entry_sorts=$(sed '/^#\[cfg(test)\]/,$d' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 branch_sorts=$(sed -n '/^    fn sorted(/,/^    }$/p' "$tile_rs" | grep -cE '\.sort(_unstable)?_by' || true)
 if [ "$entry_sorts" != 1 ] || [ "$branch_sorts" != 1 ] ||
