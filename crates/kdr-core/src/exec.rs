@@ -1,10 +1,12 @@
 //! The execution backend: real data, real threads.
 //!
 //! Vectors become `kdr-runtime` buffers (one per component); every
-//! planner operation becomes one task per `(component, color)` of the
-//! canonical partition — an index launch — with subsets declared so
-//! that the runtime's dependence analysis extracts all available
-//! parallelism. Operator tiles are *lowered* once at registration
+//! planner operation is an index launch over the canonical partition's
+//! pieces, lowered to tasks whose subsets are declared so that the
+//! runtime's dependence analysis extracts all available parallelism:
+//! an operator apply to one task per registered tile, a vector
+//! operation or a dot's partials to one task per worker *lane* (below).
+//! Operator tiles are *lowered* once at registration
 //! into format-specialized kernels ([`crate::partitioning::lower_tiles`]):
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
 //! register-blocked BCSR, or the CSR fallback, rows stored by length (see
@@ -19,20 +21,41 @@
 //!
 //! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
 //! `dot_partial`, the zero-fills of `apply`) run one
-//! [`kdr_sparse::vecops`] slice kernel per contiguous run of their
-//! piece. The elementwise kernels write the bits of their per-element
-//! expression; a dot partial is reduced in `vecops::dot`'s fixed
-//! eight-lane order by whichever worker runs it and the partials are
-//! added in piece order, so no result depends on the worker count,
-//! on stealing, or on whether the step was replayed. An operation
-//! whose source is its destination declares the vector once and
-//! updates it in place — a body never holds a shared and a mutable
-//! slice of the same elements.
+//! [`kdr_sparse::vecops`] slice kernel per contiguous run of what they
+//! declare. The elementwise kernels write the bits of their
+//! per-element expression, however the runs are cut; a dot partial is
+//! one piece's, reduced in `vecops::dot`'s fixed eight-accumulator
+//! order by whichever worker runs it, and the partials are added in
+//! piece order, so no result depends on the worker count, on
+//! stealing, or on whether the step was replayed. An operation whose
+//! source is its destination declares the vector once and updates it
+//! in place — a body never holds a shared and a mutable slice of the
+//! same elements.
 //!
 //! Task placement is the runtime's one rule, color `c` on worker
-//! `c % W`: tile tasks and the vector tasks touching the same piece
-//! carry one piece color, so a tile's kernel payload and its vector
-//! piece stay hot in a single worker's cache across traced iterations.
+//! `c % W`: every piece carries one color (`piece_color`), shared by
+//! the tile tasks writing it and the vector tasks covering it, so a
+//! tile's kernel payload and its vector piece stay hot in a single
+//! worker's cache across traced iterations.
+//!
+//! ## Lanes
+//!
+//! A *lane* is the set of a component's non-empty pieces whose colors
+//! have the same home, `piece_color(comp, color) % W` on a runtime of
+//! `W` workers: the pieces whose tasks the runtime would queue on one
+//! worker anyway. A vector operation is one task per lane, declaring
+//! the union of its pieces (its *footprint*, built once per vector by
+//! `alloc_vector` and shared by pointer) and running the kernel over
+//! the footprint's runs; a dot's partials are one `dot_partial` task
+//! per lane, writing one slot per piece, each the piece's runs'
+//! `vecops::dot`s added in run order from `+0` — exactly the per-piece
+//! partial. So the `dot_reduce` reads the same partials on any `W`,
+//! and every residual history keeps its bits. With `W` at least the
+//! piece count every lane is one piece and the tasks are the per-piece
+//! ones; on one worker a component is one lane, and a replayed
+//! 16-piece CG step runs 26 bodies — 16 tile tasks, 2 partial tasks,
+//! 2 `axpy`, 1 `xpay`, 5 scalar tasks — where one task per piece ran
+//! 101. Tiles stay one task each: each is its own kernel payload.
 //!
 //! ## Traced stepping: step programs
 //!
@@ -99,16 +122,17 @@
 //! A compiled step (see [`kdr_runtime::trace`]) fuses the step's
 //! tasks per home worker: the colours this backend stamps for
 //! affinity — one per `(component, piece)`, shared by the tile task
-//! writing a piece and every vector task on it — place a piece's tasks
-//! on worker `colour % W`, and the runtime merges the tasks of one
-//! home. On one worker every task, the colourless scalar ones
+//! writing a piece and the lane task covering it — place a piece's
+//! tasks on worker `colour % W`, and the runtime merges the tasks of
+//! one home. On one worker every task, the colourless scalar ones
 //! included, has that worker for its home, so a replayed 16-piece CG
-//! step is one scheduled node for its 101 task bodies. On two, the
+//! step is one scheduled node for its 26 task bodies. On two, the
 //! scalar tasks fuse into chains (a scalar task joins the most recent
 //! scalar node when it waits on it), and the step is scheduled, per
-//! home worker, as the `[spmv + dot_partial]`, the `[axpy + axpy +
-//! dot_partial]` and the `[xpay]` of its pieces, plus `[dot_reduce +
-//! alpha + −alpha]` and `[dot_reduce + beta]`: 8 nodes. Bodies run in
+//! home worker, as `[spmv × 8 + dot_partial]`, `[axpy + axpy +
+//! dot_partial]` and `[xpay]` over the home's lane of eight pieces,
+//! plus `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 8
+//! nodes. Bodies run in
 //! submission order inside a node, so a replay changes no bit of any
 //! vector.
 //! [`ExecMetrics::runtime`]
@@ -122,15 +146,16 @@
 //! holds, reused lowest-first, so a solver that carries scalars one
 //! step ahead alternates between two records), a `dot` partials
 //! buffer is not part of the key, and the planner's workspace pool
-//! hands a rebuilt solver the vectors its predecessor used. Pieces,
-//! tile footprints and partial slots are held as shared
-//! `Arc<IntervalSet>`s made once, so lowering a step copies no
-//! interval set.
+//! hands a rebuilt solver the vectors its predecessor used. Pieces and
+//! lane and tile footprints are held as shared `Arc<IntervalSet>`s made
+//! once, so lowering a step copies no interval set; the one set it
+//! builds is each `dot_partial` task's partial slots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use kdr_index::interval::Run;
 use kdr_index::IntervalSet;
 #[cfg(test)]
 use kdr_index::Partition;
@@ -245,13 +270,70 @@ impl ExecMetrics {
     }
 }
 
+/// The non-empty pieces of one component whose colours have the same
+/// home worker, `piece_color(comp, colour) % workers`: the unit a
+/// vector task covers. With at least as many workers as pieces, a lane
+/// is one piece.
+struct Lane {
+    /// Affinity colour of the lane's first piece; every piece of the
+    /// lane has its home.
+    color: usize,
+    /// `(colour, piece)` of each member, in colour order.
+    members: Vec<(usize, Arc<IntervalSet>)>,
+    /// Union of the members: what the lane's tasks declare, shared by
+    /// every task that declares it, so a requirement costs a reference
+    /// count and a rebuilt step's signature matches its cached one by
+    /// pointer.
+    footprint: Arc<IntervalSet>,
+}
+
+impl Lane {
+    /// The lanes of component `comp` partitioned into `pieces`, on a
+    /// runtime of `workers` workers, in order of their first piece.
+    fn of(comp: usize, pieces: &[IntervalSet], workers: usize) -> Vec<Arc<Lane>> {
+        let home = |color: usize| piece_color(comp, color) % workers;
+        let held: Vec<usize> = (0..pieces.len()).filter(|&c| !pieces[c].is_empty()).collect();
+        let mut firsts: Vec<usize> = Vec::new();
+        for &c in &held {
+            if !firsts.iter().any(|&f| home(f) == home(c)) {
+                firsts.push(c);
+            }
+        }
+        firsts
+            .into_iter()
+            .map(|first| {
+                let members: Vec<(usize, Arc<IntervalSet>)> = held
+                    .iter()
+                    .filter(|&&c| home(c) == home(first))
+                    .map(|&c| (c, Arc::new(pieces[c].clone())))
+                    .collect();
+                let runs = members.iter().flat_map(|(_, p)| p.runs().iter().copied());
+                Arc::new(Lane {
+                    color: piece_color(comp, first),
+                    footprint: Arc::new(IntervalSet::from_runs(runs)),
+                    members,
+                })
+            })
+            .collect()
+    }
+
+    /// The partial slots of the lane's pieces in a `dot` whose
+    /// component's first piece takes slot `first`: one per piece.
+    fn slots(&self, first: usize) -> IntervalSet {
+        IntervalSet::from_runs(self.members.iter().map(|&(color, _)| {
+            let slot = (first + color) as u64;
+            Run::new(slot, slot + 1)
+        }))
+    }
+}
+
 struct ExecComp<T> {
     buf: Buffer<T>,
-    /// The canonical partition's pieces by colour, shared with every
-    /// task that declares one: a requirement costs a reference count,
-    /// and a rebuilt step's signature matches its cached one by
-    /// pointer.
-    pieces: Vec<Arc<IntervalSet>>,
+    /// Pieces of the canonical partition, empty ones included: the
+    /// partial slots a `dot` over the component takes.
+    piece_count: usize,
+    /// The component's lanes ([`Lane::of`]).
+    lanes: Vec<Arc<Lane>>,
 }
 
 struct ExecVec<T> {
@@ -454,25 +536,6 @@ struct ExecOpSet<T> {
     plans: [ApplyPlan; 2],
 }
 
-/// A `dot` partials buffer with the one-element subset of each slot,
-/// made once so the partial tasks writing the buffer share them.
-#[derive(Clone)]
-struct Partials<T> {
-    buf: Buffer<T>,
-    slots: Arc<[Arc<IntervalSet>]>,
-}
-
-impl<T: Scalar> Partials<T> {
-    fn new(total_slots: usize) -> Self {
-        Partials {
-            buf: Buffer::filled(total_slots, T::ZERO),
-            slots: (0..total_slots as u64)
-                .map(|s| Arc::new(IntervalSet::from_range(s, s + 1)))
-                .collect(),
-        }
-    }
-}
-
 impl VecOp {
     /// The slice kernel a task body calls once per run of its piece:
     /// that run of the destination, the coefficient (`0` without one)
@@ -540,7 +603,7 @@ struct Lowered<T> {
     /// Present when the record had a `scalar_const`.
     consts: Option<ConstCells<T>>,
     /// The partials buffer of each `Dots`, in call order.
-    partials: Vec<Partials<T>>,
+    partials: Vec<Buffer<T>>,
 }
 
 /// A cached step: its key and the program a hit replays.
@@ -552,7 +615,7 @@ struct CachedStep<T> {
     /// requirements hold them too): what a hit's record is lowered
     /// against again (in debug builds).
     #[cfg(debug_assertions)]
-    partials: Vec<Partials<T>>,
+    partials: Vec<Buffer<T>>,
     /// Signature of the tasks the program was captured from: what a
     /// hit's record must lower to again (checked in debug builds).
     #[cfg(debug_assertions)]
@@ -882,58 +945,61 @@ impl<T: Scalar> ExecBackend<T> {
     /// Partial slots one operand of a `dot` takes: one per piece,
     /// empty ones included.
     fn dot_slots(&self, v: BVec) -> usize {
-        self.vectors[v].comps.iter().map(|c| c.pieces.len()).sum()
+        self.vectors[v].comps.iter().map(|c| c.piece_count).sum()
     }
 
-    /// One `dot_partial` task per non-empty piece of `a · b`, writing
-    /// the slots of `partials` from `first_slot` on (one slot per
-    /// piece, empty ones included, in component-then-colour order).
-    /// A piece's partial is its runs' [`vecops::dot`]s added in run
-    /// order from `+0`; this is the only place the backend multiplies
-    /// two vectors, so `dot`, `dot_many` and every replayed, stolen
-    /// or re-run copy of either agree bit for bit.
+    /// One `dot_partial` task per lane of `a · b`, writing the slots of
+    /// `partials` from `first_slot` on (one slot per piece, empty ones
+    /// included, in component-then-colour order). A piece's partial is
+    /// its runs' [`vecops::dot`]s added in run order from `+0`, however
+    /// many pieces its lane holds; this is the only place the backend
+    /// multiplies two vectors, so `dot`, `dot_many` and every replayed,
+    /// stolen or re-run copy of either agree bit for bit, on any number
+    /// of workers.
     fn dot_partial_tasks(
         &self,
         a: BVec,
         b: BVec,
-        partials: &Partials<T>,
+        partials: &Buffer<T>,
         first_slot: usize,
         out: &mut Lowered<T>,
     ) {
         let (av, bv) = (&self.vectors[a], &self.vectors[b]);
-        let mut slot = first_slot;
+        // The slot of the component's first piece.
+        let mut first = first_slot;
         for (ci, ac) in av.comps.iter().enumerate() {
             let bc = &bv.comps[ci];
-            for (color, subset) in ac.pieces.iter().enumerate() {
-                let my_slot = slot;
-                slot += 1;
-                if subset.is_empty() {
-                    continue;
-                }
+            for lane in &ac.lanes {
+                let (lane_in_body, base) = (Arc::clone(lane), first);
                 out.tasks.push(
                     TaskBuilder::new("dot_partial")
-                        .meta(TaskMeta::new("dot_partial").with_color(piece_color(ci, color)))
-                        .read(&ac.buf, Arc::clone(subset))
-                        .read(&bc.buf, Arc::clone(subset))
-                        .write(&partials.buf, Arc::clone(&partials.slots[my_slot]))
+                        .meta(TaskMeta::new("dot_partial").with_color(lane.color))
+                        .read(&ac.buf, Arc::clone(&lane.footprint))
+                        .read(&bc.buf, Arc::clone(&lane.footprint))
+                        .write(partials, lane.slots(first))
                         .shared_body(move |ctx| {
                             let x = ctx.read::<T>(0);
                             let y = ctx.read::<T>(1);
-                            let mut acc = T::ZERO;
-                            for (lo, n) in runs_of(ctx.subset(0)) {
-                                acc += vecops::dot(x.range(lo, n), y.range(lo, n));
+                            let p = ctx.write::<T>(2);
+                            for (color, piece) in &lane_in_body.members {
+                                let mut acc = T::ZERO;
+                                for (lo, n) in runs_of(piece) {
+                                    acc += vecops::dot(x.range(lo, n), y.range(lo, n));
+                                }
+                                p.set(base + color, acc);
                             }
-                            ctx.write::<T>(2).set(my_slot, acc);
                         }),
                 );
             }
+            first += ac.piece_count;
         }
     }
 
-    /// One `(component, color)` point task per piece for an
-    /// elementwise operation on `dst` (optionally reading `src` at the
-    /// same subset and a scalar coefficient): the body calls the
-    /// operation's [`VecOp::kernel`] once per run of the piece.
+    /// One task per lane for an elementwise operation on `dst`
+    /// (optionally reading `src` at the same footprint and a scalar
+    /// coefficient): the body calls the operation's [`VecOp::kernel`]
+    /// once per run of the lane's footprint, which writes the bits of
+    /// its per-element expression however the runs are cut.
     ///
     /// `src == dst` is an in-place update: the task declares the
     /// vector once, writable, and the kernel gets no source slice — a
@@ -951,14 +1017,11 @@ impl<T: Scalar> ExecBackend<T> {
         let dvec = &self.vectors[dst];
         for (ci, dcomp) in dvec.comps.iter().enumerate() {
             let scomp = src.map(|s| &self.vectors[s].comps[ci]);
-            for (color, subset) in dcomp.pieces.iter().enumerate() {
-                if subset.is_empty() {
-                    continue;
-                }
-                // Same affinity color as tile tasks writing this
-                // piece, so the piece stays on one worker's cache.
-                let mut tb = TaskBuilder::new(name)
-                    .meta(TaskMeta::new(name).with_color(piece_color(ci, color)));
+            for lane in &dcomp.lanes {
+                // Same affinity colour as the tile tasks writing the
+                // lane's pieces, so they stay on one worker's cache.
+                let mut tb =
+                    TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
                 let mut idx_alpha = None;
                 let mut idx_src = None;
                 if let Some(a) = alpha {
@@ -967,10 +1030,10 @@ impl<T: Scalar> ExecBackend<T> {
                 }
                 if let Some(sc) = scomp {
                     idx_src = Some(idx_alpha.map_or(0, |_| 1));
-                    tb = tb.read(&sc.buf, Arc::clone(subset));
+                    tb = tb.read(&sc.buf, Arc::clone(&lane.footprint));
                 }
                 let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
-                tb = tb.write(&dcomp.buf, Arc::clone(subset));
+                tb = tb.write(&dcomp.buf, Arc::clone(&lane.footprint));
                 out.tasks.push(tb.shared_body(move |ctx| {
                     let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
                     let s = idx_src.map(|i| ctx.read::<T>(i));
@@ -994,7 +1057,7 @@ impl<T: Scalar> ExecBackend<T> {
     fn dots(
         &self,
         batch: &[(BVec, BVec, SRef)],
-        partials: Option<&Partials<T>>,
+        partials: Option<&Buffer<T>>,
         out: &mut Lowered<T>,
     ) {
         // Per-pair slot offsets into the shared partials buffer.
@@ -1005,11 +1068,11 @@ impl<T: Scalar> ExecBackend<T> {
             total_slots += self.dot_slots(a);
         }
         offsets.push(total_slots);
-        let partials = partials.map_or_else(|| Partials::new(total_slots), Partials::clone);
+        let partials = partials.map_or_else(|| Buffer::filled(total_slots, T::ZERO), Buffer::clone);
         for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
             self.dot_partial_tasks(a, b, &partials, first_slot, out);
         }
-        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials.buf);
+        let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials);
         for &(_, _, result) in batch {
             combine = combine.write_all(&self.scalars[result]);
         }
@@ -1096,7 +1159,7 @@ impl<T: Scalar> ExecBackend<T> {
     /// The `k`-th `Dots` writes its partials into `partials[k]` when
     /// there is one — a cached program's buffers, to lower its record
     /// again — and into a fresh buffer otherwise.
-    fn lower(&self, step: &StepRecord<T>, partials: &[Partials<T>]) -> Lowered<T> {
+    fn lower(&self, step: &StepRecord<T>, partials: &[Buffer<T>]) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
@@ -1176,12 +1239,15 @@ impl<T: Scalar> ExecBackend<T> {
 
 impl<T: Scalar> Backend<T> for ExecBackend<T> {
     fn alloc_vector(&mut self, comps: &[CompSpec]) -> BVec {
+        let workers = self.rt.num_workers();
         let v = ExecVec {
             comps: comps
                 .iter()
-                .map(|c| ExecComp {
+                .enumerate()
+                .map(|(ci, c)| ExecComp {
                     buf: Buffer::filled(c.len as usize, T::ZERO),
-                    pieces: c.partition.pieces().iter().cloned().map(Arc::new).collect(),
+                    piece_count: c.partition.num_colors(),
+                    lanes: Lane::of(ci, c.partition.pieces(), workers),
                 })
                 .collect(),
         };
@@ -1826,23 +1892,30 @@ mod tests {
     #[test]
     fn on_two_workers_solver_steps_compile_to_two_nodes_per_phase() {
         // Two workers: the sixteen pieces' colours have two homes, so
-        // each phase is two nodes. CG: [spmv + dot_partial] × 8 twice,
-        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial] × 8
-        // twice, [dot_reduce, beta], [xpay] × 8 twice.
+        // the vector ops and dot partials are two lane tasks each, and
+        // each phase is two nodes. CG: [spmv × 8 + dot_partial] twice,
+        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial]
+        // twice, [dot_reduce, beta], [xpay] twice.
         let cg = compiled_step_sizes(2, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 3 * 2 + 2)), "{cg:?}");
-        // PCG: the same, the Jacobi apply and second partial in the
-        // middle phase.
+        assert!(
+            cg.iter().all(|&s| s == (16 + 2 * 5 + 5, 3 * 2 + 2)),
+            "{cg:?}"
+        );
+        // PCG: the same, the Jacobi apply's 16 tiles and the second
+        // partial in the middle phase.
         let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 3 * 2 + 2)), "{pcg:?}");
+        assert!(
+            pcg.iter().all(|&s| s == (2 * 16 + 2 * 6 + 5, 3 * 2 + 2)),
+            "{pcg:?}"
+        );
         // BiCGStab: its three reduction stages cut the pieces' tasks
         // into four phases of two nodes, but for one: in the phase of
         // the second SpMV, each piece's SpMV reads its neighbours'
-        // `s`, written in the other home's node, so the odd home's
-        // SpMVs would close a cycle with the even home's node and open
-        // a third. The 13 scalar tasks are five chains —
+        // `s`, written in the other home's lane task, so the odd
+        // home's SpMVs would close a cycle with the even home's node
+        // and open a third. The 13 scalar tasks are five chains —
         // [dot_reduce, alpha, -alpha], [dot_reduce], [tiny, tt + tiny,
         // omega, -omega], [dot_reduce, rho'/rho], [alpha/omega, beta,
         // -omega]. The constant `tiny` depends on nothing, so it opens
@@ -1851,28 +1924,35 @@ mod tests {
         let bicgstab = compiled_step_sizes(2, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
         assert!(
-            bicgstab.iter().all(|&s| s == (16 * 15 + 13, 4 * 2 + 1 + 5)),
+            bicgstab
+                .iter()
+                .all(|&s| s == (2 * 16 + 2 * 13 + 13, 4 * 2 + 1 + 5)),
             "{bicgstab:?}"
         );
     }
 
     #[test]
     fn on_one_worker_solver_steps_compile_to_one_node_per_step() {
-        // One worker: every task, coloured or not, has the one worker
-        // for its home, so a step is one node that runs its bodies in
-        // submission order. CG: 16 pieces × 6 tasks and 5 scalar tasks.
+        // One worker: the sixteen pieces are one lane, so a vector op
+        // or a dot's partials is one task, and every task, coloured or
+        // not, has the one worker for its home: a step is one node
+        // that runs its bodies in submission order. CG: 16 tile tasks,
+        // 2 partial tasks, 2 axpy, 1 xpay and 5 scalar tasks.
         let cg = compiled_step_sizes(1, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 * 6 + 5, 1)), "{cg:?}");
-        // PCG: the Jacobi apply and second partial on top.
+        assert!(cg.iter().all(|&s| s == (16 + 2 + 2 + 1 + 5, 1)), "{cg:?}");
+        // PCG: the Jacobi apply's 16 tiles and a second partial on top.
         let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(pcg.iter().all(|&s| s == (16 * 8 + 5, 1)), "{pcg:?}");
-        // BiCGStab: three reduction stages and 13 scalar tasks, still
-        // one node.
+        assert!(pcg.iter().all(|&s| s == (2 * 16 + 6 + 5, 1)), "{pcg:?}");
+        // BiCGStab: two SpMVs, 13 lane tasks and 13 scalar tasks,
+        // still one node.
         let bicgstab = compiled_step_sizes(1, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
-        assert!(bicgstab.iter().all(|&s| s == (16 * 15 + 13, 1)), "{bicgstab:?}");
+        assert!(
+            bicgstab.iter().all(|&s| s == (2 * 16 + 13 + 13, 1)),
+            "{bicgstab:?}"
+        );
     }
 
     #[test]

@@ -298,7 +298,9 @@ fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
         // Step 8 waits for step 7 at its pre-replay fence (a backend
         // fence here would absorb the failure first): the replay is
         // refused, the failure goes to the fault slot, and the step
-        // replays — none of its 4 · 6 + 5 tasks is lowered or analyzed.
+        // replays — none of its 4 + 2 · 5 + 5 tasks (a tile per piece,
+        // a task per two-piece lane for each vector op and dot's
+        // partials, 5 scalar) is lowered or analyzed.
         outcomes.push(step(&mut planner));
         assert_eq!(outcomes[7], StepOutcome::Replayed);
         let after = exec_metrics(&mut planner);
@@ -466,14 +468,17 @@ fn recovery_reports_zero_restarts_when_healthy() {
 /// them readable and the fault for later only when it ran in another
 /// record: within one record the failing task shares a node with the
 /// reduction's body on its piece (the whole record, on one worker),
-/// so the read is NaN and names that failure, once.
+/// so the read is NaN and names that failure, once. Each plan fires
+/// on the first task of its name: a vector op or a dot's partials is
+/// one task per lane, so on one worker that is the op's only task and
+/// on four the one of the first piece.
 #[test]
 fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
     let plan = |name: &str| {
         FaultPlan::seeded(5).with(FaultSpec {
             name_contains: name.into(),
             kind: FaultKind::Panic,
-            schedule: FireSchedule::Nth(2),
+            schedule: FireSchedule::Nth(1),
             max_fires: 1,
         })
     };

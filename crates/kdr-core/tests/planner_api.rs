@@ -270,11 +270,13 @@ fn twelve_solves_on_one_planner_do_not_age() {
     }
     assert_eq!(second.0, first.0);
     assert_eq!(second.3, first.3, "the pool serves the second solver already");
-    // Tasks were built for the steps the first solve captured — 6 per
-    // piece and 5 scalar ones each — and for no step since. The one
-    // cached program no step built is the solver's preamble (`r = b −
-    // Ax`, `p = r`, `(r, r)`), which every solve since replays too.
-    assert_eq!(first.4, (first.2 as u64 - 1) * (4 * 6 + 5));
+    // Tasks were built for the steps the first solve captured — a
+    // tile task per piece, one task per lane (two pieces each, on two
+    // workers) for each of the 5 vector ops and dot partials, and 5
+    // scalar ones each — and for no step since. The one cached program
+    // no step built is the solver's preamble (`r = b − Ax`, `p = r`,
+    // `(r, r)`), which every solve since replays too.
+    assert_eq!(first.4, (first.2 as u64 - 1) * (4 + 2 * 5 + 5));
     assert_eq!(second.4, first.4, "the second solve replays every step");
 }
 

@@ -10,10 +10,11 @@
 //! already streams none of them through a product; what it still pays
 //! is assembly — generating, extracting, sorting and lowering the
 //! entries. A [`StencilTile`] skips that and arrives at the same place:
-//! it is the [`Stencil`] descriptor, the tile's global row runs, and
-//! the [`DiaTile`] those two stand for — every diagonal a
+//! it is the [`DiaTile`] that a [`Stencil`] descriptor and the tile's
+//! global row runs stand for — every diagonal a
 //! [`crate::tile::DiaCoef::Const`], no value array — built from the grid's geometry
-//! in time linear in the tile's *grid lines*, never per entry. Its
+//! in time linear in the tile's *grid lines*, never per entry, and
+//! keeping neither the descriptor nor the runs. Its
 //! product is [`DiaTile::apply`] / [`DiaTile::apply_t`]; there is no
 //! second kernel.
 //!
@@ -66,11 +67,16 @@
 //! the band takes. Against the CSR chain, what [`crate::tile`] states
 //! of a `DiaTile` holds here too:
 //!
-//! * a band that is not a box stencil (lap1d, lap2d, lap3d7, and a
-//!   lap3d27 band on a grid with an extent of 1 or 2, or one that
-//!   holds fewer than its 27 diagonals), and the transpose of every
+//! * a band that is not a box stencil, and the transpose of every
 //!   band, accumulate in ascending column — the
-//!   [`crate::tile::CsrTile::apply`] chain, bit for bit;
+//!   [`crate::tile::CsrTile::apply`] chain, bit for bit. That is every
+//!   lap1d, lap2d and lap3d7 band, and a lap3d27 band whose rows
+//!   between them hold fewer than the 27 box diagonals: always on a
+//!   grid with an axis of extent 1, and on an axis of extent 2 when
+//!   every row lies on one side of it. No single row has to hold all
+//!   27: on lap3d27 2×5×7 no row holds more than 18, yet the middle of
+//!   three pieces has rows in both `x` planes and is a box band
+//!   (`a_band_across_both_planes_of_an_extent_two_axis_is_a_box_band`);
 //! * the forward product of a lap3d27 box band is sum-factored: each
 //!   row's bits are a function of the operator and `x` alone, the same
 //!   whichever box tile computes the row, and within
@@ -90,7 +96,7 @@ use crate::stencil::Stencil;
 use crate::tile::{BandBuilder, DiaTile, VecIn, VecOut};
 
 /// A matrix-free tile over a row slab of a [`Stencil`] operator: the
-/// descriptor, the global row runs, and the constant band they stand
+/// constant band the descriptor and the slab's global row runs stand
 /// for — no stored operator value. [`crate::StencilOperator`]'s
 /// [`crate::SparseMatrix::lower_tile`] builds one per tile.
 ///
@@ -100,9 +106,6 @@ use crate::tile::{BandBuilder, DiaTile, VecIn, VecOut};
 /// in global = component-local coordinates.
 #[derive(Clone, Debug)]
 pub struct StencilTile<T> {
-    stencil: Stencil,
-    /// Global row runs `[lo, hi)`, ascending and disjoint.
-    rows: Vec<(u64, u64)>,
     /// The rows' entries as a band of constants.
     band: DiaTile<T>,
 }
@@ -173,21 +176,7 @@ impl<T: Scalar> StencilTile<T> {
             let shifted = entries.iter().map(|&(col, weight)| (col as i64 - lo as i64, weight));
             band.group(((lo - row_lo) as u32, (hi - row_lo) as u32), shifted);
         });
-        StencilTile {
-            stencil,
-            rows,
-            band: band.finish(),
-        }
-    }
-
-    /// The stencil descriptor.
-    pub fn stencil(&self) -> &Stencil {
-        &self.stencil
-    }
-
-    /// The tile's global row runs.
-    pub fn rows(&self) -> &[(u64, u64)] {
-        &self.rows
+        StencilTile { band: band.finish() }
     }
 
     /// The band of constants the tile's product runs: what
@@ -357,9 +346,9 @@ mod tests {
             let cut = product(&x, false, |x, y, _| {
                 tiles.iter().for_each(|t| t.apply(&x, &mut &mut *y, false))
             });
-            for t in tiles.iter().filter(|t| t.band().box_stencil.is_some()) {
-                let (lo, hi) = t.rows()[0];
-                let rows = lo as usize..hi as usize;
+            let boxed = (0..).zip(&tiles).filter(|(_, t)| t.band().box_stencil.is_some());
+            for (p, _) in boxed {
+                let rows = bound(p) as usize..bound(p + 1) as usize;
                 assert_eq!(bits(&cut[rows.clone()]), bits(&one[rows]), "{pieces} pieces");
             }
         }
@@ -405,6 +394,34 @@ mod tests {
         ] {
             let n = s.unknowns();
             check(s, vec![(0, n)]);
+        }
+    }
+
+    /// An axis of extent 2 does not keep a band off the box path: the
+    /// middle of three pieces of lap3d27 2×5×7 holds rows of both
+    /// `x` planes, so its rows hold every one of the 27 diagonals
+    /// between them — none of them holds all 27 — and its forward
+    /// product is sum-factored, as the whole grid's is. The outer
+    /// pieces each lie in one plane, hold 18 diagonals and run the CSR
+    /// chain's bits.
+    #[test]
+    fn a_band_across_both_planes_of_an_extent_two_axis_is_a_box_band() {
+        let s = Stencil::lap3d27(2, 5, 7);
+        let n = s.unknowns();
+        let bound = |p: u64| p * n / 3;
+        for (runs, boxed) in [
+            ((bound(0), bound(1)), false),
+            ((bound(1), bound(2)), true),
+            ((bound(2), bound(3)), false),
+            ((0, n), true),
+        ] {
+            let tile = StencilTile::<f64>::new(s, vec![runs]);
+            let band = tile.band();
+            assert_eq!(band.box_stencil.is_some(), boxed, "rows {runs:?}");
+            assert_eq!(band.offsets.len(), if boxed { 27 } else { 18 }, "rows {runs:?}");
+            let most = band.seg_ptr.windows(2).map(|w| w[1] - w[0]).max();
+            assert_eq!(most, Some(18), "rows {runs:?}: no row holds all 27 diagonals");
+            check(s, vec![runs]);
         }
     }
 

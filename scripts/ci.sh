@@ -41,6 +41,10 @@ cargo test -q --release -p kdr-runtime
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p kdr-runtime --test scheduler --test fusion --test stress
     taskset -c 0 cargo test -q --release -p kdr-core --test handoff
+    # One worker on one CPU is where a component is one lane: every
+    # solver's bits against one worker per piece, and the bodies of a
+    # replayed step (DESIGN §6, "One body per operation per worker lane").
+    taskset -c 0 cargo test -q --release -p kdr-core --test lanes
 else
     echo "ci.sh: taskset not found, skipping the one-CPU scheduler leg"
 fi
@@ -379,6 +383,24 @@ registered=$(sed -n '/fn register_operator/,/^    }$/p' crates/kdr-core/src/exec
 if [ "$epochs" != "$registered" ]; then
     grep -n 'self\.new_epoch()' crates/kdr-core/src/exec.rs >&2
     echo "ci.sh: exec.rs ends an epoch outside register_operator (see above)" >&2
+    exit 1
+fi
+
+# One body per operation per worker lane (DESIGN §6): a vector op and a
+# dot's partials lower to one task per lane of the vector's lane table
+# (`Lane::of`, built at `alloc_vector`), not one per piece. With at
+# least as many workers as pieces a lane is one piece, so nothing needs
+# a per-piece loop beside it: outside comments, `elementwise` and
+# `dot_partial_tasks` walk the lanes, name no piece list, and only the
+# partial body walks a lane's members (`lane_in_body.members`).
+exec_lowering() {
+    sed -n "/^    fn $1[<(]/,/^    }\$/p" crates/kdr-core/src/exec.rs | grep -vE '^ *//'
+}
+if ! exec_lowering elementwise | grep -q '\.lanes\b' ||
+    ! exec_lowering dot_partial_tasks | grep -q '\.lanes\b' ||
+    { exec_lowering elementwise; exec_lowering dot_partial_tasks | grep -v 'lane_in_body\.members'; } |
+    grep -nwE 'pieces|members'; then
+    echo "ci.sh: exec.rs lowers a vector op or a dot's partials per piece, not per lane (see above)" >&2
     exit 1
 fi
 

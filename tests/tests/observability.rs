@@ -531,8 +531,10 @@ fn replayed_steps_log_nothing_with_events_off_and_every_body_with_events_on() {
     assert_eq!(m1.step_tasks_lowered, m0.step_tasks_lowered);
     let bodies = (m1.runtime.tasks_executed + m1.runtime.tasks_fused)
         - (m0.runtime.tasks_executed + m0.runtime.tasks_fused);
-    // 8 pieces: 6 vector or tile bodies per piece and 5 scalar ones.
-    assert_eq!(bodies, 16 * (8 * 6 + 5));
+    // 8 pieces on 4 workers: a tile body per piece, 4 lanes of two
+    // pieces each running one body per vector op or dot's partials (5
+    // per step), and 5 scalar bodies.
+    assert_eq!(bodies, 16 * (8 + 4 * 5 + 5));
     assert_eq!(
         m1.runtime.events_recorded - m0.runtime.events_recorded,
         bodies
