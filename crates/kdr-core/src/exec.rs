@@ -474,7 +474,7 @@ struct ApplyPlan {
 }
 
 /// `comp_len(c)` is the length of destination component `c`.
-fn build_apply_plan<T>(
+fn build_apply_plan<T: Scalar>(
     tiles: &[ExecTile<T>],
     transpose: bool,
     comp_len: impl Fn(usize) -> u64,
@@ -523,6 +523,22 @@ fn build_apply_plan<T>(
         }
         // Not fusable: no tile zeroes, the whole component is zeroed
         // by the standalone task (residual entry absent).
+    }
+    // A banded forward tile that zeroes first starts the rows it holds
+    // at `+0` itself (`TileKernel::apply_from_zero`) instead of the
+    // filled write subset, so those rows must be the whole subset: a
+    // row the band does not hold would keep a stale `y`.
+    for (t, _) in tiles.iter().zip(&zero_first).filter(|(_, &z)| z && !transpose) {
+        let band = match &*t.kernel {
+            TileKernel::Dia(band) => band,
+            TileKernel::Stencil(stencil) => stencil.band(),
+            _ => continue,
+        };
+        if band.box_stencil.is_some() {
+            continue; // filled first, like every other kind
+        }
+        let rows: u64 = band.seg_rows.iter().map(|&(lo, hi)| u64::from(hi - lo)).sum();
+        debug_assert_eq!(rows, t.out_subset.cardinality(), "a band's rows are its write subset");
     }
     ApplyPlan {
         zero_first,
@@ -1142,6 +1158,12 @@ impl<T: Scalar> ExecBackend<T> {
                     .shared_body(move |ctx| {
                         let x = RV(ctx.read::<T>(0));
                         let mut y = WV(ctx.write::<T>(1));
+                        // A banded forward product starts its rows at
+                        // `+0` itself; every other kernel, on the
+                        // filled rows.
+                        if zero && data.apply_from_zero(&x, &mut y, t) {
+                            return;
+                        }
                         if zero {
                             for (lo, n) in runs_of(ctx.subset(1)) {
                                 vecops::fill(y.0.range_mut(lo, n), T::ZERO);

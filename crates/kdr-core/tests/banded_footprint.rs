@@ -1,22 +1,24 @@
 //! The banded kernel stays inside its declared footprint.
 //!
 //! `DiaTile::apply` reads `x` and writes `y` through slices it borrows
-//! from the task's views, a block of rows at a time. In the dev profile
+//! from the task's views, a pass of rows at a time. In the dev profile
 //! `ReadView::range` / `WriteView::range_mut` assert that every such
 //! slice lies inside the subset the task declared, so running here is
 //! the check: a *periodic* Laplacian's wrap-around entries give a
 //! tile's column footprint gaps (the first tile of a 1-D ring reads
 //! columns `0..=r` and column `n − 1`, nothing between), and a kernel
 //! that sliced from a segment's first column to its last — instead of
-//! only columns some entry of the block reads — would step into one.
+//! only columns some entry of the pass reads — would step into one.
 //! Results are held bit for bit to the forced-CSR lowering, per apply,
 //! per transpose apply and over a CG solve.
 //!
 //! A matrix-free stencil tile runs the same kernel over a band built
 //! from geometry, inside footprints dependent partitioning derived from
 //! the operator's relations — two descriptions of one set of entries
-//! that nothing else holds together at this level. The last two tests
-//! are that check, on pieces that cut grid lines and planes. A lap3d27
+//! that nothing else holds together at this level. Two tests are that
+//! check, on pieces that cut grid lines and planes; a third cuts an
+//! assembled 2-D band mid-line, where a pass joins the line ends on
+//! both sides of a tile's first and last row. A lap3d27
 //! piece is a box-stencil band, whose forward product sums its
 //! neighbour lines first (`tile.rs`, "One exception"): it reads only
 //! what the piece declares too, but its rows are held to the CSR chain
@@ -190,6 +192,56 @@ fn matrix_free_bands_stay_inside_their_footprint_and_match_csr() {
         assert!(free_history.len() > 5, "{what}: {} residuals", free_history.len());
         assert_eq!(free_history, csr_history, "{what}: residual histories");
         assert_eq!(free_x, csr_x, "{what}: solutions");
+    }
+}
+
+/// The lap2d operator of `s` assembled, its diagonal raised by
+/// `(r mod 3) / 2` in row `r` when `varied` (a dense column; still
+/// symmetric and diagonally dominant, so CG converges).
+fn assembled_lap2d(s: Stencil, varied: bool) -> Csr<f64> {
+    let n = s.unknowns();
+    let mut entries = Vec::new();
+    let mut row = Vec::new();
+    for r in 0..n {
+        s.row_entries::<f64>(r, &mut row);
+        for &(c, v) in &row {
+            let raise = if varied && c == r { (r % 3) as f64 * 0.5 } else { 0.0 };
+            entries.push((r, c, v + raise));
+        }
+    }
+    Csr::from_triples(Triples::from_entries(n, n, entries))
+}
+
+#[test]
+fn assembled_2d_bands_cut_mid_line_stay_inside_their_footprint_and_match_csr() {
+    // Lines of 11 rows; 3 and 5 equal pieces of 143 rows cut them
+    // mid-line, so a tile's first and last rows are anywhere in a line
+    // and its passes join line ends on both sides. Constant
+    // coefficients run the pass loop, a varied diagonal the blocks.
+    let s = Stencil::lap2d(13, 11);
+    let n = s.unknowns() as usize;
+    let x: Vec<f64> = (0..n).map(|i| 0.25 + ((i * 7 + 3) % 17) as f64 * 0.125).collect();
+    for varied in [false, true] {
+        let m = assembled_lap2d(s, varied);
+        for pieces in [3, 5] {
+            let what = format!("{s:?} (varied {varied}) in {pieces} pieces");
+            let mut dia = planner(&m, pieces, KernelChoice::Auto);
+            let mut csr = planner(&m, pieces, KernelChoice::Force(KernelKind::Csr));
+            for transpose in [false, true] {
+                assert_eq!(
+                    apply_bits(&mut dia, &x, transpose),
+                    apply_bits(&mut csr, &x, transpose),
+                    "{what}, transpose {transpose}"
+                );
+            }
+            let lowered = tiles_by_kernel(&mut dia);
+            assert_eq!(lowered.get("dia"), Some(&pieces), "{what}: {lowered:?}");
+            let (dia_history, dia_x) = cg_bits(&mut dia, n);
+            let (csr_history, csr_x) = cg_bits(&mut csr, n);
+            assert!(dia_history.len() > 5, "{what}: {} residuals", dia_history.len());
+            assert_eq!(dia_history, csr_history, "{what}: residual histories");
+            assert_eq!(dia_x, csr_x, "{what}: solutions");
+        }
     }
 }
 

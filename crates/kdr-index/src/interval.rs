@@ -202,9 +202,26 @@ impl IntervalSet {
         self.runs.iter().flat_map(|r| r.lo..r.hi)
     }
 
-    /// Set union.
+    /// Set union: one merge of the two run lists by start, `O(a + b)`,
+    /// each run joining the last one out where they overlap or touch.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        Self::from_runs(self.runs.iter().chain(other.runs.iter()).copied())
+        let (a, b) = (&self.runs, &other.runs);
+        let mut out: Vec<Run> = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let r = if j == b.len() || (i < a.len() && a[i].lo <= b[j].lo) {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+            match out.last_mut() {
+                Some(last) if r.lo <= last.hi => last.hi = last.hi.max(r.hi),
+                _ => out.push(r),
+            }
+        }
+        IntervalSet { runs: out }
     }
 
     /// Set intersection.

@@ -247,6 +247,32 @@ proptest! {
     }
 }
 
+/// `union` in both argument orders against the sort-based form it
+/// replaced — the concatenated run lists through `from_runs` — run for
+/// run, so it keeps the runs sorted, non-empty and never adjacent.
+fn check_union(a: &IntervalSet, b: &IntervalSet) {
+    let want = IntervalSet::from_runs(a.runs().iter().chain(b.runs()).copied());
+    for (x, y) in [(a, b), (b, a)] {
+        assert_eq!(x.union(y).runs(), want.runs(), "{x:?} and {y:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn union_matches_the_sort_based_form_on_skewed_sets(
+        large in arb_fragmented(),
+        other in arb_fragmented(),
+        picks in prop::collection::vec((0..7u8, 0..3u8, 0..WIDE, 1..48u64), 0..4),
+    ) {
+        let small = small_against(&large, &picks);
+        check_union(&small, &large);
+        check_union(&large, &other);
+        check_union(&large, &large);
+        check_union(&large, &IntervalSet::empty());
+        check_union(&small, &IntervalSet::full(WIDE));
+    }
+}
+
 /// Naive image/preimage through `targets_of` only.
 fn naive_image(rel: &dyn Relation, set: &IntervalSet) -> IntervalSet {
     let mut pts = Vec::new();

@@ -54,8 +54,11 @@
 //! ascending row per output column for the transpose. Only the order
 //! *between* rows of the forward product is free, because rows write
 //! disjoint outputs: the CSR payload runs its rows by length, eight of
-//! one length in lockstep, DIA by row blocks, and each row's chain is
-//! the same. Padding slots
+//! one length in lockstep, DIA by *passes* — runs of rows folded
+//! together with one diagonal set, the rows inside a run that hold another
+//! set (a grid line's first and last) folded as their own chains and
+//! stored over what the loop wrote there — and each row's chain is the
+//! same. Padding slots
 //! introduced by a layout (DIA diagonal gaps, ELL lane tails) are
 //! skipped *structurally* — never by multiplying an explicit zero,
 //! which could flip a `-0.0` partial sum to `+0.0`. Lowering falls
@@ -101,10 +104,11 @@ pub enum KernelKind {
     Csr,
     /// Banded layout addressed by diagonal offset: a diagonal whose
     /// values are all the same bits holds that value once, any other a
-    /// dense column; the forward product takes blocks of rows with the
-    /// accumulators in registers and writes each row once, the
-    /// transpose walks per-diagonal valid-row runs. Stride-1,
-    /// gather-free loads either way.
+    /// dense column; the forward product runs passes of rows with the
+    /// accumulators in registers (a pass of five constants as one loop,
+    /// its diagonals bound once) and writes each row once; the transpose walks
+    /// per-diagonal valid-row runs. Stride-1, gather-free loads either
+    /// way.
     Dia,
     /// Padded row-major lanes (ELLPACK) with per-row entry counts;
     /// uniform trip counts and a dense layout.
@@ -693,8 +697,9 @@ pub enum DiaCoef<T> {
 /// entries are — `runs`, per diagonal the local-row ranges holding
 /// entries (the transpose product walks these), and the *segment
 /// table*, the row span cut into maximal row ranges over which the set
-/// of present diagonals is fixed (the forward product walks these).
-/// Either way padding is skipped structurally.
+/// of present diagonals is fixed (the forward product's passes are
+/// derived from it when the band is built). Either way padding is
+/// skipped structurally.
 #[derive(Clone, Debug)]
 pub struct DiaTile<T> {
     /// First (lowest) row of the tile's row span.
@@ -727,7 +732,40 @@ pub struct DiaTile<T> {
     /// Set when the band is a box stencil, which its forward product
     /// then runs sum-factored; decided once, when the band is built.
     pub box_stencil: Option<BoxStencil<T>>,
+    /// The forward plan of any other band: its segments as [`Pass`]es,
+    /// ascending. Empty for a box stencil.
+    passes: Vec<Pass>,
+    /// The passes' patch rows, as one-row segments (indices into
+    /// `seg_rows`), pass by pass.
+    patches: Vec<u32>,
 }
+
+/// A run of consecutive rows of a [`DiaTile`] that its forward product
+/// takes together: the segments of one diagonal set, joined across
+/// the one-row segments between and around them (a grid line's first
+/// and last row) whose columns under that set are all columns some
+/// entry of the tile reads. Those are the pass's *patch rows*: each is
+/// folded as its own chain from the `y` the pass finds, and stored
+/// over what the loop wrote there.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Pass {
+    /// Local rows `[lo, hi)`.
+    rows: (u32, u32),
+    /// The segment whose diagonals the loop folds into every row.
+    set: u32,
+    /// The pass's patch rows are `patches[lo..hi]`.
+    patches: (u32, u32),
+}
+
+/// The diagonal count a [`Pass`] runs as one loop, when all of its
+/// diagonals are constants: the 2-D five-point star, the one shape a
+/// benchmark workload runs on this path. Any other pass runs the block
+/// cascade (`DiaTile::cascade`).
+const PASS_DIAGS: usize = 5;
+
+/// Patch rows one [`Pass`] holds at most: the stack buffer their chains
+/// wait in while the loop runs. A row past that opens the next pass.
+const PASS_PATCHES: usize = 64;
 
 /// A band that is a 27-point box stencil of two constants: the
 /// diagonals are the offsets `a + b·n_z + c·plane` for `a, b, c ∈ {−1,
@@ -816,6 +854,8 @@ impl<T: Scalar> BandBuilder<T> {
                 seg_ptr: Vec::new(),
                 seg_diags: Vec::new(),
                 box_stencil: None,
+                passes: Vec::new(),
+                patches: Vec::new(),
             },
         }
     }
@@ -877,8 +917,9 @@ impl<T: Scalar> BandBuilder<T> {
         self.band.coefs[d] = DiaCoef::Dense(0);
     }
 
-    /// The band, with no dense column placed yet, and whether it is a
-    /// box stencil (a band with a dense column is not).
+    /// The band, with no dense column placed yet: whether it is a box
+    /// stencil (a band with a dense column is not) and, when it is not,
+    /// its forward plan.
     pub(crate) fn finish(self) -> DiaTile<T> {
         let mut band = self.band;
         band.seg_ptr.push(band.seg_diags.len());
@@ -888,8 +929,65 @@ impl<T: Scalar> BandBuilder<T> {
         }
         band.run_ptr.push(band.runs.len());
         band.box_stencil = box_stencil_of(&band);
+        if band.box_stencil.is_none() {
+            (band.passes, band.patches) = forward_plan(&band);
+        }
         band
     }
+}
+
+/// The passes of `band` (see [`Pass`]), in one walk over its segment
+/// table. A segment extends the pass that ends where it starts when it
+/// holds the pass's diagonals, or — one row long, while the pass holds
+/// fewer than [`PASS_PATCHES`] patch rows — when it joins the pass
+/// (every column the pass's diagonals read for its row is one some
+/// entry reads, so the loop's slices stay inside the tile's declared
+/// footprint). A segment of more than one row that does not extend the
+/// pass before it takes that pass over when the pass is a row alone
+/// that joins it, so a grid line's first row joins the line after it;
+/// anything else opens a pass of its own.
+fn forward_plan<T: Scalar>(band: &DiaTile<T>) -> (Vec<Pass>, Vec<u32>) {
+    let (mut passes, mut patches) = (Vec::<Pass>::new(), Vec::new());
+    let joins = |s: usize, set: u32| {
+        let (lo, hi) = band.seg_rows[s];
+        let row = band.row_lo as i64 + i64::from(lo);
+        let reads = |d: &u32| band.reads_column(row + band.offsets[*d as usize]);
+        hi - lo == 1 && band.diags_of(set as usize).iter().all(reads)
+    };
+    for (s, &(lo, hi)) in band.seg_rows.iter().enumerate() {
+        let same_set = |p: &Pass| band.diags_of(p.set as usize) == band.diags_of(s);
+        let held = |p: &Pass| (p.patches.1 - p.patches.0) as usize;
+        match passes.last_mut() {
+            Some(p) if p.rows.1 == lo && same_set(p) => p.rows.1 = hi,
+            Some(p) if p.rows.1 == lo && held(p) < PASS_PATCHES && joins(s, p.set) => {
+                patches.push(s as u32);
+                (p.rows.1, p.patches.1) = (hi, p.patches.1 + 1);
+            }
+            Some(p)
+                if p.rows.1 == lo
+                    && p.rows.0 + 1 == lo
+                    && held(p) == 0
+                    && hi - lo > 1
+                    && joins(s - 1, s as u32) =>
+            {
+                patches.push(p.set);
+                *p = Pass {
+                    rows: (lo - 1, hi),
+                    set: s as u32,
+                    patches: (p.patches.0, p.patches.0 + 1),
+                };
+            }
+            _ => {
+                let at = patches.len() as u32;
+                passes.push(Pass {
+                    rows: (lo, hi),
+                    set: s as u32,
+                    patches: (at, at),
+                });
+            }
+        }
+    }
+    (passes, patches)
 }
 
 /// The steps `{−1, 0, 1}` (bits 0–2) a row at coordinate `at` of a
@@ -1708,6 +1806,27 @@ impl<T: Scalar> TileKernel<T> {
         }
     }
 
+    /// `y = A x` (`Aᵀ x` when `transpose`) over the rows the tile
+    /// writes, from `+0` whatever `y` holds there, when the kind starts
+    /// its rows there itself: the forward product of a `Dia` or `Stencil`
+    /// tile that is not a box-stencil band. `false`, with nothing done,
+    /// for any other tile or direction, whose caller fills the rows
+    /// first and runs [`TileKernel::apply`]. The bits are those of that
+    /// fill and apply.
+    #[inline]
+    pub fn apply_from_zero<X: VecIn<T>, Y: VecOut<T>>(
+        &self,
+        x: &X,
+        y: &mut Y,
+        transpose: bool,
+    ) -> bool {
+        match self {
+            TileKernel::Dia(t) if !transpose => t.apply_from_zero(x, y),
+            TileKernel::Stencil(t) if !transpose => t.band().apply_from_zero(x, y),
+            _ => false,
+        }
+    }
+
     /// Slice convenience wrapper over [`TileKernel::apply`] (tests,
     /// benchmarks, reference checks).
     pub fn apply_slices(&self, x: &[T], y: &mut [T], transpose: bool) {
@@ -1820,6 +1939,49 @@ fn fold<T: Scalar, const W: usize>(acc: &mut [T; W], coef: impl Fn(usize) -> T, 
     for k in 0..W {
         acc[k] = coef(k).mul_add(xs[k], acc[k]);
     }
+}
+
+/// A pass's rows: `ys[k]` folded with `consts[d].mul_add(xs[d][k], ·)`
+/// for `d` ascending, each row its own chain from its `y`, or from `+0`
+/// when `zero`. Rows are taken 32 at a time, then 8, then one: a row's
+/// chain is `N` dependent `mul_add`s, so a vector of rows waits on each
+/// term's latency, and 32 rows are enough independent vectors to keep
+/// the FMA units busy through it. A block's accumulators are a local
+/// array, so the vectoriser packs them without a run-time overlap test
+/// of `ys` against the inputs (a plain row loop needs one per slice,
+/// and is left scalar past a few).
+#[inline(always)]
+fn fold_rows<T: Scalar, const N: usize>(consts: [T; N], xs: [&[T]; N], ys: &mut [T], zero: bool) {
+    let n = ys.len();
+    let at = fold_block::<T, N, 32>(consts, &xs, ys, 0, n - n % 32, zero);
+    let at = fold_block::<T, N, 8>(consts, &xs, ys, at, n - n % 8, zero);
+    fold_block::<T, N, 1>(consts, &xs, ys, at, n, zero);
+}
+
+/// [`fold_rows`] over rows `[at, end)` in blocks of `L`; returns `end`.
+#[inline(always)]
+fn fold_block<T: Scalar, const N: usize, const L: usize>(
+    consts: [T; N],
+    xs: &[&[T]; N],
+    ys: &mut [T],
+    mut at: usize,
+    end: usize,
+    zero: bool,
+) -> usize {
+    while at < end {
+        let ys = &mut ys[at..at + L];
+        let mut acc: [T; L] = if zero {
+            [T::ZERO; L]
+        } else {
+            (&*ys).try_into().expect("a block of L rows")
+        };
+        for (&c, xd) in consts.iter().zip(xs) {
+            fold(&mut acc, |_| c, xd[at..at + L].try_into().expect("a block of L inputs"));
+        }
+        ys.copy_from_slice(&acc);
+        at += L;
+    }
+    at
 }
 
 /// One `y`-step of a box-stencil line sum: `u = (l₀ + l₁) + l₂` over the
@@ -1948,33 +2110,151 @@ impl<T> DiaTile<T> {
     pub(crate) fn nnz(&self) -> usize {
         self.runs.iter().map(|&(lo, hi)| (hi - lo) as usize).sum()
     }
+
+    /// The diagonals of segment `s`, ascending.
+    fn diags_of(&self, s: usize) -> &[u32] {
+        &self.seg_diags[self.seg_ptr[s]..self.seg_ptr[s + 1]]
+    }
+
+    /// Whether some entry of the band reads component-local column
+    /// `col`: a run of some diagonal holds the row that reads it.
+    fn reads_column(&self, col: i64) -> bool {
+        let row_lo = self.row_lo as i64;
+        self.offsets.iter().enumerate().any(|(d, &off)| {
+            let runs = &self.runs[self.run_ptr[d]..self.run_ptr[d + 1]];
+            let lr = col - off - row_lo;
+            let after = runs.partition_point(|&(lo, _)| i64::from(lo) <= lr);
+            after > 0 && lr < i64::from(runs[after - 1].1)
+        })
+    }
 }
 
 impl<T: Scalar> DiaTile<T> {
     /// `y += A x`: sum-factored, line by line, for a box-stencil band
-    /// ([`DiaTile::box_stencil`]), and row-segment-major for every
-    /// other (`apply_segments`).
+    /// ([`DiaTile::box_stencil`]), and pass by pass for every other
+    /// (`apply_passes`).
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
         match self.box_stencil {
             Some(stencil) => self.apply_box(stencil, x, y),
-            None => self.apply_segments(x, y),
+            None => self.apply_passes(x, y, false),
         }
     }
 
-    /// `y += A x`, row-segment-major: a segment's rows are taken in
-    /// blocks; a block of `y` is loaded into accumulators once, the
-    /// segment's diagonals are folded in ascending as
+    /// `y = A x` over the rows the band holds, whatever `y` held there,
+    /// with the bits of `y += A x` over a `y` of `+0`: each pass starts
+    /// its rows there. `false`, with nothing done, for a box-stencil
+    /// band, whose rows are filled first (a fill per segment would
+    /// cost more than the one over the write subset).
+    #[inline]
+    pub(crate) fn apply_from_zero<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) -> bool {
+        if self.box_stencil.is_some() {
+            return false;
+        }
+        self.apply_passes(x, y, true);
+        true
+    }
+
+    /// `y += A x` (from `+0` when `zero`), a [`Pass`] at a time: its
+    /// patch rows are folded from the `y` the pass finds into a stack
+    /// buffer, its rows are run with its diagonals (`pass`, or
+    /// `cascade` where `pass` has no loop), and the buffer is stored
+    /// over the loop's patch rows.
+    /// Every row, patch or not, is `coef.mul_add(x[row + offset], acc)`
+    /// over its own diagonals in ascending offset from its `y` — the CSR
+    /// chain; what the loop computes for a patch row is never observed.
+    /// Not inlined, so that one copy serves both values of `zero`.
+    #[inline(never)]
+    fn apply_passes<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y, zero: bool) {
+        let row_lo = self.row_lo as usize;
+        let start = |y: &Y, lr: usize| if zero { T::ZERO } else { y.load(row_lo + lr) };
+        for pass in &self.passes {
+            let (lo, hi) = (pass.rows.0 as usize, pass.rows.1 as usize);
+            let diags = self.diags_of(pass.set as usize);
+            if hi - lo == 1 {
+                // A row alone has nothing to loop over: one chain.
+                let acc = self.chain(lo, diags, x, start(y, lo));
+                y.store(row_lo + lo, acc);
+                continue;
+            }
+            let patches = &self.patches[pass.patches.0 as usize..pass.patches.1 as usize];
+            let patch_row = |s: u32| self.seg_rows[s as usize].0 as usize;
+            let mut held = [T::ZERO; PASS_PATCHES];
+            for (h, &s) in held.iter_mut().zip(patches) {
+                let lr = patch_row(s);
+                *h = self.chain(lr, self.diags_of(s as usize), x, start(y, lr));
+            }
+            if !self.pass(diags, lo, hi, x, y, zero) {
+                if zero {
+                    (row_lo + lo..row_lo + hi).for_each(|r| y.store(r, T::ZERO));
+                }
+                self.cascade(diags, lo, hi, x, y);
+            }
+            for (&h, &s) in held.iter().zip(patches) {
+                y.store(row_lo + patch_row(s), h);
+            }
+        }
+    }
+
+    /// The chain of local row `lr` over `diags`, from `acc`.
+    #[inline(always)]
+    fn chain<X: VecIn<T>>(&self, lr: usize, diags: &[u32], x: &X, mut acc: T) -> T {
+        let row = self.row_lo as usize + lr;
+        for &d in diags {
+            let coef = match self.coefs[d as usize] {
+                DiaCoef::Const(c) => c,
+                DiaCoef::Dense(start) => self.vals[start + lr],
+            };
+            let col = (row as i64 + self.offsets[d as usize]) as usize;
+            acc = coef.mul_add(x.load(col), acc);
+        }
+        acc
+    }
+
+    /// Local rows `[lo, hi)` with `diags`, as one row loop over
+    /// [`PASS_DIAGS`] constant diagonals, the constants and the slices
+    /// of `x` and `y` bound once. `false`, with nothing written, for any
+    /// other pass — another count, a dense column, or views that lend no
+    /// slices.
+    #[inline(always)]
+    fn pass<X: VecIn<T>, Y: VecOut<T>>(
+        &self,
+        diags: &[u32],
+        lo: usize,
+        hi: usize,
+        x: &X,
+        y: &mut Y,
+        zero: bool,
+    ) -> bool {
+        let Ok(diags) = <&[u32; PASS_DIAGS]>::try_from(diags) else {
+            return false;
+        };
+        let (row0, n) = (self.row_lo as usize + lo, hi - lo);
+        let (mut consts, mut xs) = ([T::ZERO; PASS_DIAGS], [&[] as &[T]; PASS_DIAGS]);
+        for ((c, xd), &d) in consts.iter_mut().zip(&mut xs).zip(diags) {
+            let DiaCoef::Const(v) = self.coefs[d as usize] else {
+                return false;
+            };
+            let col0 = (row0 as i64 + self.offsets[d as usize]) as usize;
+            let Some(slice) = x.range(col0, n) else { return false };
+            (*c, *xd) = (v, slice);
+        }
+        let Some(ys) = y.range_mut(row0, n) else { return false };
+        fold_rows(consts, xs, ys, zero);
+        true
+    }
+
+    /// Local rows `[lo, hi)` with `diags` in blocks of rows: the pass
+    /// kernel where [`DiaTile::pass`] has none. A block of `y` is loaded
+    /// into accumulators once, the diagonals are folded in ascending as
     /// `coef.mul_add(x[row + offset], acc)`, and the block is stored
-    /// once. Per output row that is ascending diagonal offset, which
-    /// equals ascending column — the CSR chain; blocking only reorders
-    /// *between* rows.
+    /// once.
     ///
-    /// A segment is whole 32-row blocks laid back from its end, before
+    /// The rows are whole 32-row blocks laid back from the end, before
     /// them 16-row blocks for the rows short of one more, before those
     /// 8-row blocks, and so on down to single rows — so the narrow
     /// blocks run first. At each width, when the rows short of one more
-    /// block are more than half of one and the segment is at least a
+    /// block are more than half of one and the range is at least a
     /// block long, they are not handed down: they are the *kept* rows
     /// of one more block of that width, which reads on into the rows
     /// after them, computes all of its rows and stores only its own.
@@ -1984,48 +2264,33 @@ impl<T: Scalar> DiaTile<T> {
     /// recomputed rows *behind* it would reload `y` the block before
     /// has just stored, a load that waits for that store.
     #[inline]
-    fn apply_segments<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
-        // Of `n` leading rows of a `len`-row segment, what blocks of
-        // `w` rows leave over: (rows kept by one more block of `w`,
-        // rows handed down to narrower blocks) — one of them 0.
+    fn cascade<X: VecIn<T>, Y: VecOut<T>>(
+        &self,
+        diags: &[u32],
+        lo: usize,
+        hi: usize,
+        x: &X,
+        y: &mut Y,
+    ) {
+        // Of `n` leading rows of `len`, what blocks of `w` rows leave
+        // over: (rows kept by one more block of `w`, rows handed down
+        // to narrower blocks) — one of them 0.
         let split = |w: usize, n: usize, len: usize| match n % w {
             r if 2 * r > w && len >= w => (r, 0),
             r => (0, r),
         };
-        let spans = self.seg_ptr.windows(2).map(|w| w[0]..w[1]);
-        for (&(lo, hi), span) in self.seg_rows.iter().zip(spans) {
-            let diags = &self.seg_diags[span];
-            let (lo, hi) = (lo as usize, hi as usize);
-            let len = hi - lo;
-            if len == 1 {
-                // A row alone — the first and last of every grid line
-                // of a stencil — has nothing to block: one chain,
-                // without the block's slices.
-                let row = self.row_lo as usize + lo;
-                let mut acc = y.load(row);
-                for &d in diags {
-                    let coef = match self.coefs[d as usize] {
-                        DiaCoef::Const(c) => c,
-                        DiaCoef::Dense(start) => self.vals[start + lo],
-                    };
-                    let col = (row as i64 + self.offsets[d as usize]) as usize;
-                    acc = coef.mul_add(x.load(col), acc);
-                }
-                y.store(row, acc);
-                continue;
-            }
-            let (k32, n32) = split(32, len, len);
-            let (k16, n16) = split(16, n32, len);
-            let (k8, n8) = split(8, n16, len);
-            let (k4, n4) = split(4, n8, len);
-            let (k2, n2) = split(2, n4, len);
-            let lr = self.blocks::<X, Y, 1>(diags, lo, 0, lo + n2, x, y);
-            let lr = self.blocks::<X, Y, 2>(diags, lr, k2, lo + n4, x, y);
-            let lr = self.blocks::<X, Y, 4>(diags, lr, k4, lo + n8, x, y);
-            let lr = self.blocks::<X, Y, 8>(diags, lr, k8, lo + n16, x, y);
-            let lr = self.blocks::<X, Y, 16>(diags, lr, k16, lo + n32, x, y);
-            self.blocks::<X, Y, 32>(diags, lr, k32, hi, x, y);
-        }
+        let len = hi - lo;
+        let (k32, n32) = split(32, len, len);
+        let (k16, n16) = split(16, n32, len);
+        let (k8, n8) = split(8, n16, len);
+        let (k4, n4) = split(4, n8, len);
+        let (k2, n2) = split(2, n4, len);
+        let lr = self.blocks::<X, Y, 1>(diags, lo, 0, lo + n2, x, y);
+        let lr = self.blocks::<X, Y, 2>(diags, lr, k2, lo + n4, x, y);
+        let lr = self.blocks::<X, Y, 4>(diags, lr, k4, lo + n8, x, y);
+        let lr = self.blocks::<X, Y, 8>(diags, lr, k8, lo + n16, x, y);
+        let lr = self.blocks::<X, Y, 16>(diags, lr, k16, lo + n32, x, y);
+        self.blocks::<X, Y, 32>(diags, lr, k32, hi, x, y);
     }
 
     /// `W`-row blocks over local rows `[lr, end)`, the first keeping
@@ -2049,12 +2314,12 @@ impl<T: Scalar> DiaTile<T> {
         lr
     }
 
-    /// One block: local rows `[lr, lr + W)` of a segment holding
-    /// `diags`, of which the first `keep` — all of them, or more than
-    /// half — are stored. Every row of the segment holds every diagonal
-    /// in `diags`, so the `W` inputs of a term are `W` consecutive
-    /// columns each of which an entry reads: a slice of them stays
-    /// inside the tile's declared footprint.
+    /// One block: local rows `[lr, lr + W)` of a pass run with `diags`,
+    /// of which the first `keep` — all of them, or more than half — are
+    /// stored. Every row of the pass holds every diagonal in `diags` or
+    /// joined it (see [`Pass`]), so the `W` inputs of a term are `W`
+    /// consecutive columns each of which an entry reads: a slice of them
+    /// stays inside the tile's declared footprint.
     ///
     /// The diagonals are taken in runs of one kind, constants then dense
     /// columns then constants again, so that neither inner loop carries
@@ -2754,6 +3019,52 @@ mod tests {
         let k = TileKernel::lower(&r, &c, &ones, KernelChoice::Force(KernelKind::Dia));
         assert_eq!(k.value_bytes(), 3 * std::mem::size_of::<f32>());
         assert_eq!(k.nnz(), v.len());
+    }
+
+    /// Ten rows of a band with offsets `{−1, 0, 1, 20}` (row 0 has no
+    /// `−1`), but row 5, which holds `row5`: the forward plan of its
+    /// forced-DIA lowering, checked against CSR.
+    fn plan_with_row5(row5: &[i64]) -> (Vec<Pass>, Vec<u32>) {
+        let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..10i64 {
+            let offsets: &[i64] = if i == 5 { row5 } else { &[-1, 0, 1, 20] };
+            for &d in offsets.iter().filter(|&&d| i + d >= 0) {
+                r.push(i as u64);
+                c.push((i + d) as u64);
+                v.push(if d == 0 { 4.0 } else { -1.0 });
+            }
+        }
+        check_all_kinds(&r, &c, &v, 31);
+        let k = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+        let TileKernel::Dia(t) = k else {
+            panic!("lowered to {:?}", k.kind())
+        };
+        (t.passes, t.patches)
+    }
+
+    #[test]
+    fn a_row_whose_pass_reads_leave_the_tiles_columns_splits_the_pass() {
+        // Row 5 without `+20`: the pass would read column 25 for it,
+        // which no entry reads, so rows 1..5 and 6..10 are two passes
+        // and row 5 a row alone. Row 0 cannot join either: its `−1`
+        // is column −1.
+        let pass = |rows, set, patches| Pass { rows, set, patches };
+        let (passes, patches) = plan_with_row5(&[-1, 0, 1]);
+        assert_eq!(
+            passes,
+            [
+                pass((0, 1), 0, (0, 0)),
+                pass((1, 5), 1, (0, 0)),
+                pass((5, 6), 2, (0, 0)),
+                pass((6, 10), 3, (0, 0))
+            ]
+        );
+        assert!(patches.is_empty());
+        // Row 5 without `−1`: every column the pass reads for it, 4 to
+        // 6 and 25, an entry reads, so it is a patch row of one pass.
+        let (passes, patches) = plan_with_row5(&[0, 1, 20]);
+        assert_eq!(passes, [pass((0, 1), 0, (0, 0)), pass((1, 10), 1, (0, 1))]);
+        assert_eq!(patches, [2]);
     }
 
     /// Where stored row `s` of `t` keeps its entries, in column order.

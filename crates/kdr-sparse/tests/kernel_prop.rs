@@ -1039,3 +1039,162 @@ fn box_cg_stays_within_one_iteration_of_csr() {
         }
     }
 }
+
+/// A grid band: `shape` picks the stencil's points — 0 the 1-D three,
+/// 1 the 2-D five, 2 the 3-D seven, 3 the 2-D nine — over lines of `a`
+/// rows, `b` lines a plane and `c` planes (1-D: one line of `a · b`).
+/// Point `p` holds one constant, or, when bit `p` of `dense` is set, a
+/// value per row; both are drawn from values that include `±0.0` and
+/// subnormals. The tile is rows `[lo, hi)`, cut anywhere: mid-line, one
+/// line, one row.
+#[derive(Clone, Debug)]
+struct GridBand {
+    shape: u8,
+    extents: (u64, u64, u64),
+    dense: u16,
+    rows: (u64, u64),
+}
+
+/// Coefficients a grid band draws from.
+const GRID_COEFS: [f64; 9] = [-1.0, 4.0, -0.0, 0.0, 0.5, -2.5, 5e-324, 1e-310, 3.0];
+
+/// Inputs a grid band's product is run on: a few ordinary values, and
+/// signed zeros, infinities, a NaN and subnormals.
+const GRID_X: [f64; 12] = [
+    1.5, -0.75, 2.0, -3.25, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324,
+    -1e-310, 1e300,
+];
+
+impl GridBand {
+    /// Rows in the grid, and the grid step of each point as
+    /// `(line, plane)`-unit displacements `(dz, dy, dx)`, ascending by
+    /// column.
+    fn geometry(&self) -> (u64, Vec<(i64, i64, i64)>) {
+        let (a, b, c) = self.extents;
+        let steps = |pts: &[(i64, i64, i64)]| pts.to_vec();
+        match self.shape {
+            0 => (a * b, steps(&[(-1, 0, 0), (0, 0, 0), (1, 0, 0)])),
+            1 => (a * b, steps(&[(0, -1, 0), (-1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0)])),
+            2 => (
+                a * b * c,
+                steps(&[(0, 0, -1), (0, -1, 0), (-1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ),
+            _ => {
+                let mut pts = Vec::new();
+                for dy in -1..=1 {
+                    for dz in -1..=1 {
+                        pts.push((dz, dy, 0));
+                    }
+                }
+                (a * b, pts)
+            }
+        }
+    }
+
+    /// The tile's entries, row by row, each row's by ascending column.
+    fn triplets(&self) -> Trip {
+        let (a, b, _) = self.extents;
+        // 1-D: one line of `a · b`.
+        let (line, lines) = if self.shape == 0 { (a * b, 1) } else { (a, b) };
+        let (n, points) = self.geometry();
+        let planes = n / (line * lines);
+        let (mut tr, mut tc, mut tv) = (Vec::new(), Vec::new(), Vec::new());
+        for r in self.rows.0..self.rows.1 {
+            let (z, y, x) = (r % line, r / line % lines, r / (line * lines));
+            for (p, &(dz, dy, dx)) in points.iter().enumerate() {
+                let inside = |at: u64, d: i64, n: u64| (at as i64 + d) >= 0 && ((at as i64 + d) as u64) < n;
+                if !(inside(z, dz, line) && inside(y, dy, lines) && inside(x, dx, planes)) {
+                    continue;
+                }
+                let col = (r as i64 + dz + dy * line as i64 + dx * (line * lines) as i64) as u64;
+                let v = if self.dense >> p & 1 == 1 {
+                    GRID_COEFS[((r * 7 + p as u64 * 5) % GRID_COEFS.len() as u64) as usize]
+                } else {
+                    GRID_COEFS[(p * 4 + self.shape as usize) % GRID_COEFS.len()]
+                };
+                tr.push(r);
+                tc.push(col);
+                tv.push(v);
+            }
+        }
+        (tr, tc, tv)
+    }
+}
+
+fn arb_grid_band() -> impl Strategy<Value = (GridBand, u64)> {
+    let extents = (1u64..9, 1u64..9, 1u64..5);
+    (0u8..4, extents, 0u16..512, (0u64..1 << 20, 0u64..1 << 20, 0u8..3), 0u64..1 << 30).prop_map(
+        |(shape, extents, dense, (at, len, cut), seed)| {
+            let mut band = GridBand { shape, extents, dense, rows: (0, 0) };
+            let n = band.geometry().0;
+            let line = if shape == 0 { n } else { extents.0 };
+            band.rows = match cut {
+                // One whole line.
+                0 => {
+                    let lo = at % (n / line) * line;
+                    (lo, lo + line)
+                }
+                // From anywhere to the end.
+                1 => (at % n, n),
+                // Anywhere, of any length.
+                _ => {
+                    let lo = at % n;
+                    (lo, lo + 1 + len % (n - lo))
+                }
+            };
+            (band, seed)
+        },
+    )
+}
+
+/// The forward product of a grid band's tile, lowered `Auto` and
+/// `Force(Dia)`, over slices and over views that lend none, equals the
+/// forced-CSR chain bit for bit; and so does its product started from
+/// `+0` ([`TileKernel::apply_from_zero`]) over what a fill of `+0` and
+/// the CSR chain give, whatever `y` held.
+fn check_grid_band(band: &GridBand, seed: u64) {
+    let (r, c, v) = band.triplets();
+    let n = band.geometry().0 as usize;
+    let mut next = xorshift(seed + 1);
+    let mut draw = |palette: &[f64], ordinary: usize| {
+        let k = next() as usize;
+        // Three draws in four from the ordinary values.
+        if k % 4 > 0 { palette[k / 4 % ordinary] } else { palette[k / 4 % palette.len()] }
+    };
+    let x: Vec<f64> = (0..n).map(|_| draw(&GRID_X, 4)).collect();
+    let y0: Vec<f64> = (0..n).map(|_| draw(&GRID_X, 4)).collect();
+    let csr = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Csr));
+    let mut want = y0.clone();
+    csr.apply_slices(&x, &mut want, false);
+    let mut from_zero = y0.clone();
+    for &i in &r {
+        from_zero[i as usize] = 0.0;
+    }
+    csr.apply_slices(&x, &mut from_zero, false);
+    for choice in [KernelChoice::Auto, KernelChoice::Force(KernelKind::Dia)] {
+        let k = TileKernel::lower(&r, &c, &v, choice);
+        let what = format!("{band:?} seed {seed}, {choice:?} lowered to {:?}", k.kind());
+        let mut got = y0.clone();
+        k.apply_slices(&x, &mut got, false);
+        assert_eq!(bits(&got), bits(&want), "{what}: differs from CSR");
+        let mut got = y0.clone();
+        k.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), false);
+        assert_eq!(bits(&got), bits(&want), "{what}: differs from CSR on views that lend no slices");
+        let mut got = y0.clone();
+        if k.apply_from_zero(&x.as_slice(), &mut got.as_mut_slice(), false) {
+            assert_eq!(bits(&got), bits(&from_zero), "{what}: from +0, differs from a fill and CSR");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Tiles of 1-D, 2-D and 3-D stencil-shaped bands, cut anywhere,
+    /// keep the CSR chain's bits on inputs with signed zeros,
+    /// infinities, NaNs and subnormals.
+    #[test]
+    fn grid_band_passes_keep_every_bit((band, seed) in arb_grid_band()) {
+        check_grid_band(&band, seed);
+    }
+}

@@ -126,6 +126,19 @@ if [ "$(grep -rE 'fn box_stencil_of\b' crates | wc -l)" != 1 ] ||
     exit 1
 fi
 
+# A band's forward plan is derived once, where the box stencil is
+# decided (DESIGN §7, "A pass"): one definition of `forward_plan`,
+# called from `BandBuilder::finish` and from nowhere else, so the
+# assembled and the matrix-free band of the same rows run the same
+# passes.
+if [ "$(grep -rE 'fn forward_plan\b' crates | wc -l)" != 1 ] ||
+    [ "$(grep -rE 'forward_plan\(' crates | grep -v 'fn forward_plan' | wc -l)" != 1 ] ||
+    [ "$(printf '%s\n' "$finish" | grep -c 'forward_plan(')" != 1 ]; then
+    grep -rn 'forward_plan' crates >&2
+    echo "ci.sh: the forward plan is derived or called outside BandBuilder::finish (see above)" >&2
+    exit 1
+fi
+
 # `is_subset_of` is a search over the side with fewer runs (DESIGN §6):
 # it builds no set. It must not go back to testing a built
 # `difference` for emptiness, which cost the analyzer a `Vec` per
