@@ -524,19 +524,17 @@ fn build_apply_plan<T: Scalar>(
         // Not fusable: no tile zeroes, the whole component is zeroed
         // by the standalone task (residual entry absent).
     }
-    // A banded forward tile that zeroes first starts the rows it holds
-    // at `+0` itself (`TileKernel::apply_from_zero`) instead of the
-    // filled write subset, so those rows must be the whole subset: a
-    // row the band does not hold would keep a stale `y`.
+    // A banded forward tile that zeroes first, a box-stencil band
+    // included, starts the rows it holds at `+0` itself
+    // (`TileKernel::apply_from_zero`) instead of the filled write
+    // subset, so those rows must be the whole subset: a row the band
+    // does not hold would keep a stale `y`.
     for (t, _) in tiles.iter().zip(&zero_first).filter(|(_, &z)| z && !transpose) {
         let band = match &*t.kernel {
             TileKernel::Dia(band) => band,
             TileKernel::Stencil(stencil) => stencil.band(),
             _ => continue,
         };
-        if band.box_stencil.is_some() {
-            continue; // filled first, like every other kind
-        }
         let rows: u64 = band.seg_rows.iter().map(|&(lo, hi)| u64::from(hi - lo)).sum();
         debug_assert_eq!(rows, t.out_subset.cardinality(), "a band's rows are its write subset");
     }

@@ -176,8 +176,8 @@ fn finalize_holds_the_csr_payloads_and_little_else() {
 fn a_box_stencil_product_allocates_nothing() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // A lap3d27 24³ piece of four, lowered from its entries and built
-    // matrix-free; and a 4 × 4 × 5 000 grid, whose lines are longer
-    // than the product's line buffer.
+    // matrix-free; and a 4 × 4 × 5 000 grid, whose lines are too long
+    // for the product's window and go in chunks along `z`.
     let piece = Stencil::lap3d27(24, 24, 24);
     let (lo, hi) = (0, piece.unknowns() / 4);
     let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
@@ -210,5 +210,10 @@ fn a_box_stencil_product_allocates_nothing() {
         let mut y = vec![0.5; n];
         let bytes = allocated_by(|| kernel.apply_slices(&x, &mut y, false));
         assert_eq!(bytes, 0, "{s:?}: the box-stencil product allocated {bytes} bytes");
+        // And from `+0`, as a task that zeroes first runs it.
+        let bytes = allocated_by(|| {
+            assert!(kernel.apply_from_zero(&x.as_slice(), &mut y.as_mut_slice(), false));
+        });
+        assert_eq!(bytes, 0, "{s:?}: the product from +0 allocated {bytes} bytes");
     }
 }

@@ -70,13 +70,21 @@
 //! **One exception: the forward product of a box-stencil band.** A
 //! [`DiaTile`] whose band is a 27-point box of two constants (the
 //! lap3d27 operator, `(c₀ − c₁)·I + c₁·T⊗T⊗T`; see [`BoxStencil`])
-//! sums its neighbour lines first and multiplies once, so its rows are
-//! not the CSR chain. What holds for those rows instead:
+//! sums its box first and multiplies once, so its rows are not the CSR
+//! chain. What holds for those rows instead:
 //!
-//! * each row's bits are a function of the operator and `x` alone —
-//!   the same in two runs, on any number of workers, and whichever tile
-//!   (of any row range, mid-line cuts included) computes the row, as
-//!   long as that tile is a box-stencil band;
+//! * each row `r` is `c₁.mul_add(z, (c₀ − c₁).mul_add(x[r], y[r]))`,
+//!   `z` its box summed one axis at a time — the `x`-steps (planes) of
+//!   each of its (line, row) neighbours, then those sums over its
+//!   `y`-steps (lines), then those over its `z`-steps (rows) — each
+//!   sum left to right from the lowest step, a step the grid's faces
+//!   clip left out. The product computes each axis as one sweep over a
+//!   window of a grid plane ([`BOX_WINDOW`]), in exactly that order;
+//! * so each row's bits are a function of the operator, `x` and its
+//!   `y` alone — the same in two runs, on any number of workers,
+//!   whichever window and whichever tile (of any row range, mid-line
+//!   cuts included) computes the row, as long as that tile is a
+//!   box-stencil band, and from `+0` the same as over a fill of `+0`;
 //! * each entry is within [`BOX_STENCIL_EPS_BOUND`]` · ε · (|y₀| +
 //!   Σⱼ |aᵢⱼ| |xⱼ|)` of the CSR chain, barring overflow and underflow;
 //! * a non-finite `xⱼ` makes exactly the rows non-finite that the CSR
@@ -775,7 +783,10 @@ const PASS_PATCHES: usize = 64;
 /// `j ∈ {0, plane / n_z − 1}` for row `(i·plane / n_z + j)·n_z + k`),
 /// `X` containing 0 and the same for every row of a plane. Such a row
 /// is `(c0 − c1)·x[r] + c1·Σ x` over its box, which the forward product
-/// computes as line sums (module docs, "One exception").
+/// computes an axis at a time, each axis one sweep over a window of
+/// whole lines of a plane (`DiaTile::apply_box`, module docs, "One
+/// exception"), and from `+0` itself when its task zeroes first
+/// ([`TileKernel::apply_from_zero`]).
 ///
 /// Detection also asks for non-zero coefficients, `|c1| ≤ |c0|` and a
 /// finite `c0 − c1`: the sign of a zero product and the error bound
@@ -803,10 +814,28 @@ pub struct BoxStencil<T> {
 /// more `ε` covers the second-order terms.
 pub const BOX_STENCIL_EPS_BOUND: f64 = 21.0;
 
-/// Rows of a grid line the box-stencil product sums at a time: its line
-/// buffer is a fixed array of this many rows and one on either side,
-/// and longer lines are taken in chunks (which changes no bit).
-const BOX_LINE_CHUNK: usize = 256;
+/// Rows of one grid plane the box-stencil product holds at a time: its
+/// `x`-step sums and its `y`-step sums are stack arrays of this many
+/// values, zeroed once per product. A window is whole lines of a plane
+/// plus the line on either side, so a plane of more rows than that goes
+/// in blocks of lines, and a line too long for three of it to fit goes
+/// in chunks along `z`. Neither cut changes a bit (module docs, "One
+/// exception"). At 1 024 `f64`s the two arrays are 16 KiB, and a block's
+/// sums and its lines of `x` in three planes stay in a 48 KiB L1: a
+/// 40 × 40 plane is two blocks (23 and 17 lines), a 64 × 64 plane five,
+/// and lines of more than 340 rows go in chunks of 339.
+pub const BOX_WINDOW: usize = 1024;
+
+/// Grid lines one box-stencil window takes at most: their first and
+/// last rows wait in a stack buffer of twice this many values while the
+/// window's loop runs.
+const BOX_WINDOW_LINES: usize = 64;
+
+/// Runs of rows — one per grid plane the band holds — whose windows a
+/// box-stencil product takes block by block together, so that a block's
+/// lines of `x` are read from cache by the windows of the planes around
+/// them.
+const BOX_RUNS: usize = 16;
 
 /// Whether two scalars are the same bits, for the types [`Scalar`]
 /// covers (IEEE floats): their widening to `f64`, which is exact, has
@@ -1809,7 +1838,7 @@ impl<T: Scalar> TileKernel<T> {
     /// `y = A x` (`Aᵀ x` when `transpose`) over the rows the tile
     /// writes, from `+0` whatever `y` holds there, when the kind starts
     /// its rows there itself: the forward product of a `Dia` or `Stencil`
-    /// tile that is not a box-stencil band. `false`, with nothing done,
+    /// tile, box-stencil bands included. `false`, with nothing done,
     /// for any other tile or direction, whose caller fills the rows
     /// first and runs [`TileKernel::apply`]. The bits are those of that
     /// fill and apply.
@@ -1820,11 +1849,13 @@ impl<T: Scalar> TileKernel<T> {
         y: &mut Y,
         transpose: bool,
     ) -> bool {
-        match self {
-            TileKernel::Dia(t) if !transpose => t.apply_from_zero(x, y),
-            TileKernel::Stencil(t) if !transpose => t.band().apply_from_zero(x, y),
-            _ => false,
-        }
+        let band = match self {
+            TileKernel::Dia(t) if !transpose => t,
+            TileKernel::Stencil(t) if !transpose => t.band(),
+            _ => return false,
+        };
+        band.apply_from_zero(x, y);
+        true
     }
 
     /// Slice convenience wrapper over [`TileKernel::apply`] (tests,
@@ -1984,56 +2015,40 @@ fn fold_block<T: Scalar, const N: usize, const L: usize>(
     at
 }
 
-/// One `y`-step of a box-stencil line sum: `u = (l₀ + l₁) + l₂` over the
-/// lines of `x` starting at `starts` (one to three of them), stored into
-/// `sums` when `first` and added to it otherwise — never `0 + u`, which
-/// would turn a `-0.0` sum into `+0.0`.
+/// The `x`-step sums of a box-stencil plane: `t[m] = (x[r − plane] +
+/// x[r]) + x[r + plane]` for `r = at + m`, over the plane's steps `c ∈
+/// [c_lo, c_hi]` (step `c − 1`) left to right, each missing one left
+/// out — never `0 + u`, which would turn a `-0.0` sum into `+0.0`.
 #[inline(always)]
-fn add_lines<T: Scalar, X: VecIn<T>>(x: &X, sums: &mut [T], starts: &[usize], first: bool) {
-    let n = sums.len();
-    let lines = [0, 1, 2].map(|q| starts.get(q).and_then(|&at| x.range(at, n)));
-    match (starts.len(), lines) {
-        (1, [Some(a), ..]) => accumulate(sums, first, a.iter().copied()),
-        (2, [Some(a), Some(b), _]) => accumulate(sums, first, a.iter().zip(b).map(|(&a, &b)| a + b)),
-        (3, [Some(a), Some(b), Some(c)]) => accumulate(sums, first, three(a, b, c)),
-        _ => accumulate(
-            sums,
-            first,
-            (0..n).map(|t| {
-                let mut u = x.load(starts[0] + t);
-                for &at in &starts[1..] {
-                    u += x.load(at + t);
-                }
-                u
-            }),
-        ),
-    }
-}
-
-/// The three [`add_lines`] of a line with all nine neighbour lines, in
-/// one pass and with the same bits: `line_at(b, c)` is where the line
-/// of `y`-step `b` and `x`-step `c` (each `0..3`) starts. `false`, with
-/// nothing written, when `x` does not lend a line as a slice.
-#[inline(always)]
-fn add_nine_lines<T: Scalar, X: VecIn<T>>(
+fn x_step_sums<T: Scalar, X: VecIn<T>>(
     x: &X,
-    sums: &mut [T],
-    line_at: impl Fn(usize, usize) -> usize,
-) -> bool {
-    let n = sums.len();
-    let mut lines: [&[T]; 9] = [&[]; 9];
-    for (q, line) in lines.iter_mut().enumerate() {
-        match x.range(line_at(q / 3, q % 3), n) {
-            Some(l) => *line = l,
-            None => return false,
+    t: &mut [T],
+    at: usize,
+    plane: usize,
+    (c_lo, c_hi): (usize, usize),
+) {
+    let (n, terms) = (t.len(), c_hi - c_lo + 1);
+    // Step `c` reads row `at + c·plane − plane`, added before it is
+    // subtracted: step −1 (`c = 0`) is only a plane with one below's.
+    let from = |q: usize| at + (c_lo + q) * plane - plane;
+    let lines = [0, 1, 2].map(|q| if q < terms { x.range(from(q), n) } else { None });
+    match (terms, lines) {
+        (1, [Some(a), ..]) => t.copy_from_slice(a),
+        (2, [Some(a), Some(b), _]) => {
+            t.iter_mut().zip(a.iter().zip(b)).for_each(|(t, (&a, &b))| *t = a + b)
+        }
+        (3, [Some(a), Some(b), Some(c)]) => {
+            t.iter_mut().zip(three(a, b, c)).for_each(|(t, u)| *t = u)
+        }
+        _ => {
+            for (m, t) in t.iter_mut().enumerate() {
+                *t = x.load(from(0) + m);
+                for q in 1..terms {
+                    *t += x.load(from(q) + m);
+                }
+            }
         }
     }
-    let [a0, a1, a2, b0, b1, b2, c0, c1, c2] = lines;
-    let rows = three(a0, a1, a2).zip(three(b0, b1, b2)).zip(three(c0, c1, c2));
-    for (s, ((below, level), above)) in sums.iter_mut().zip(rows) {
-        *s = (below + level) + above;
-    }
-    true
 }
 
 /// `(l₀[t] + l₁[t]) + l₂[t]`, for each `t` of the shortest line.
@@ -2042,67 +2057,13 @@ fn three<'a, T: Scalar>(l0: &'a [T], l1: &'a [T], l2: &'a [T]) -> impl Iterator<
     l0.iter().zip(l1).zip(l2).map(|((&p, &q), &r)| (p + q) + r)
 }
 
-/// `sums[t] = u[t]` when `first`, `sums[t] + u[t]` otherwise, over all
-/// of `sums`; `u` yields at least that many.
-#[inline(always)]
-fn accumulate<T: Scalar>(sums: &mut [T], first: bool, u: impl Iterator<Item = T>) {
-    if first {
-        sums.iter_mut().zip(u).for_each(|(s, u)| *s = u);
-    } else {
-        sums.iter_mut().zip(u).for_each(|(s, u)| *s += u);
-    }
-}
-
-/// The `z` pass of a box-stencil chunk: rows `[k, k_hi)` of the line at
-/// `base` (`n_z` rows), with `sums` the line sums from row
-/// `max(k, 1) − 1`. Each row is `c1·z + (centre·x[r] + y[r])`, `z` the
-/// sum of its one to three neighbours' line sums, lowest first.
-#[inline(always)]
-fn z_pass<T: Scalar, X: VecIn<T>, Y: VecOut<T>>(
-    x: &X,
-    y: &mut Y,
-    sums: &[T],
-    (base, k, k_hi, n_z): (usize, usize, usize, usize),
-    (centre, c1): (T, T),
-) {
-    let (rows, row0) = (k_hi - k, base + k);
-    // Row `k + t` is sum `at + t`; the line's first and last rows lack
-    // one neighbour.
-    let at = usize::from(k > 0);
-    let z = |t: usize| {
-        let s = if k + t > 0 { sums[at + t - 1] + sums[at + t] } else { sums[at + t] };
-        if k + t + 1 < n_z {
-            s + sums[at + t + 1]
-        } else {
-            s
-        }
-    };
-    match (x.range(row0, rows), y.range_mut(row0, rows)) {
-        (Some(xs), Some(ys)) => {
-            let head = usize::from(k == 0);
-            let body = head..rows - usize::from(k_hi == n_z);
-            for t in (0..head).chain(body.end..rows) {
-                ys[t] = c1.mul_add(z(t), centre.mul_add(xs[t], ys[t]));
-            }
-            // Interior rows, as zipped slices, which vectorizes.
-            let len = body.len();
-            let (below, mid, above) = (
-                &sums[at + body.start - 1..][..len],
-                &sums[at + body.start..][..len],
-                &sums[at + body.start + 1..][..len],
-            );
-            let rows = ys[body.clone()].iter_mut().zip(&xs[body]);
-            for ((y, &x), z) in rows.zip(three(below, mid, above)) {
-                *y = c1.mul_add(z, centre.mul_add(x, *y));
-            }
-        }
-        _ => {
-            for t in 0..rows {
-                let row = row0 + t;
-                y.store(row, c1.mul_add(z(t), centre.mul_add(x.load(row), y.load(row))));
-            }
-        }
-    }
+/// A window of a box-stencil band: rows `[r0, r1)` of the grid plane
+/// that starts at row `base`, with the plane's `x`-steps.
+#[derive(Clone, Copy)]
+struct BoxWindow {
+    base: usize,
+    rows: (usize, usize),
+    x_steps: (usize, usize),
 }
 
 impl<T> DiaTile<T> {
@@ -2130,29 +2091,26 @@ impl<T> DiaTile<T> {
 }
 
 impl<T: Scalar> DiaTile<T> {
-    /// `y += A x`: sum-factored, line by line, for a box-stencil band
-    /// ([`DiaTile::box_stencil`]), and pass by pass for every other
-    /// (`apply_passes`).
+    /// `y += A x`: sum-factored, a plane at a time, for a box-stencil
+    /// band ([`DiaTile::box_stencil`]; `apply_box`), and pass by pass
+    /// for every other (`apply_passes`).
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
         match self.box_stencil {
-            Some(stencil) => self.apply_box(stencil, x, y),
+            Some(stencil) => self.apply_box(stencil, x, y, false),
             None => self.apply_passes(x, y, false),
         }
     }
 
     /// `y = A x` over the rows the band holds, whatever `y` held there,
-    /// with the bits of `y += A x` over a `y` of `+0`: each pass starts
-    /// its rows there. `false`, with nothing done, for a box-stencil
-    /// band, whose rows are filled first (a fill per segment would
-    /// cost more than the one over the write subset).
+    /// with the bits of `y += A x` over a `y` of `+0`: each pass, or
+    /// each window of a box-stencil band, starts its rows there.
     #[inline]
-    pub(crate) fn apply_from_zero<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) -> bool {
-        if self.box_stencil.is_some() {
-            return false;
+    pub(crate) fn apply_from_zero<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y) {
+        match self.box_stencil {
+            Some(stencil) => self.apply_box(stencil, x, y, true),
+            None => self.apply_passes(x, y, true),
         }
-        self.apply_passes(x, y, true);
-        true
     }
 
     /// `y += A x` (from `+0` when `zero`), a [`Pass`] at a time: its
@@ -2371,62 +2329,180 @@ impl<T: Scalar> DiaTile<T> {
         }
     }
 
-    /// `y += A x` for a box-stencil band, a grid line at a time: the
-    /// segments that follow one another inside a line are one run of
-    /// output rows `[k, end)` of line `(i, j)`. Per chunk of the run,
-    /// the neighbour lines are summed into `sums` over the rows the run
-    /// reads, `[k − 1, end + 1)` clipped to the line — per `y`-step `b`
-    /// `u_b = (x[i−1] + x[i]) + x[i+1]`, then `(u_{−1} + u_0) + u_1`,
-    /// each missing term left out — and a `z` pass forms each row as
-    /// `c1·((s[k−1] + s[k]) + s[k+1]) + ((c0 − c1)·x[r] + y[r])`, two
-    /// `mul_add`s. A row's steps are those detection checked, so every
-    /// `x` it reads is one some entry of the run reads, and its bits
-    /// depend on nothing but its box and `x`.
-    fn apply_box<X: VecIn<T>, Y: VecOut<T>>(&self, stencil: BoxStencil<T>, x: &X, y: &mut Y) {
-        let BoxStencil { n_z, plane, c0, c1 } = stencil;
-        let n_y = plane / n_z;
-        let centre = c0 - c1;
+    /// `y += A x` (from `+0` when `zero`) for a box-stencil band, a
+    /// window of one grid plane at a time. The segments that follow one
+    /// another inside a plane are one run of output rows. Every plane is
+    /// cut at the same *blocks* of plane-local rows — as many whole lines
+    /// as fit [`BOX_WINDOW`] with the line on either side, or, when three
+    /// lines do not fit, chunks of one line — and a window is what a run
+    /// holds of a block (`box_window`). Up to [`BOX_RUNS`] runs at a
+    /// time, the windows go block by block, each block through every
+    /// run: the windows of one block in neighbouring planes read the same
+    /// lines of `x`, which the one before left in cache.
+    /// Not inlined, so that one copy serves both values of `zero`.
+    #[inline(never)]
+    fn apply_box<X: VecIn<T>, Y: VecOut<T>>(
+        &self,
+        stencil: BoxStencil<T>,
+        x: &X,
+        y: &mut Y,
+        zero: bool,
+    ) {
+        let (n_z, plane) = (stencil.n_z, stencil.plane);
         let row_lo = self.row_lo as usize;
-        let mut sums = [T::ZERO; BOX_LINE_CHUNK + 2];
+        // Whole lines a block holds: those the buffers hold with the
+        // line on either side and one row past each end.
+        let lines = ((BOX_WINDOW - 2) / n_z).saturating_sub(2).min(BOX_WINDOW_LINES);
+        let chunk = BOX_WINDOW / 3 - 2;
+        let block_end = |r: usize| match lines {
+            0 => r - r % n_z + n_z.min((r % n_z / chunk + 1) * chunk),
+            _ => (r / (lines * n_z) + 1) * lines * n_z,
+        };
+        let mut t = [T::ZERO; BOX_WINDOW];
+        let mut s = [T::ZERO; BOX_WINDOW];
+        let mut runs = [BoxWindow { base: 0, rows: (0, 0), x_steps: (0, 0) }; BOX_RUNS];
         let mut seg = 0;
         while seg < self.seg_rows.len() {
-            let (lo, mut hi) = self.seg_rows[seg];
-            // A plane's `X` steps are one: this segment's first and last
-            // diagonals carry its lowest and highest.
-            let diags = &self.seg_diags[self.seg_ptr[seg]..self.seg_ptr[seg + 1]];
-            let x_steps = (diags[0] as usize / 9, diags[diags.len() - 1] as usize / 9);
-            let line = (row_lo + lo as usize) / n_z;
-            seg += 1;
-            while seg < self.seg_rows.len()
-                && self.seg_rows[seg].0 == hi
-                && (row_lo + hi as usize) / n_z == line
-            {
-                hi = self.seg_rows[seg].1;
+            let mut taken = 0;
+            while taken < BOX_RUNS && seg < self.seg_rows.len() {
+                let (lo, mut hi) = self.seg_rows[seg];
+                // A plane's `X` steps are one: this segment's first and
+                // last diagonals carry its lowest and highest.
+                let diags = self.diags_of(seg);
+                let x_steps = (diags[0] as usize / 9, diags[diags.len() - 1] as usize / 9);
+                let base = (row_lo + lo as usize) / plane * plane;
                 seg += 1;
-            }
-            let j = line % n_y;
-            let y_steps = (usize::from(j == 0), if j + 1 < n_y { 2 } else { 1 });
-            let base = line * n_z;
-            let (mut k, end) = (row_lo + lo as usize - base, row_lo + hi as usize - base);
-            while k < end {
-                let k_hi = end.min(k + BOX_LINE_CHUNK);
-                // The line sums over the rows the chunk reads.
-                let from = k.saturating_sub(1);
-                let s = &mut sums[..(k_hi + 1).min(n_z) - from];
-                let line_at = |b: usize, c: usize| base + from + b * n_z + c * plane - n_z - plane;
-                let whole = x_steps == (0, 2) && y_steps == (0, 2);
-                if !(whole && add_nine_lines(x, s, line_at)) {
-                    for b in y_steps.0..=y_steps.1 {
-                        let mut starts = [0usize; 3];
-                        for (at, c) in starts.iter_mut().zip(x_steps.0..=x_steps.1) {
-                            *at = line_at(b, c);
-                        }
-                        add_lines(x, s, &starts[..=x_steps.1 - x_steps.0], b == y_steps.0);
-                    }
+                while seg < self.seg_rows.len()
+                    && self.seg_rows[seg].0 == hi
+                    && row_lo + (hi as usize) < base + plane
+                {
+                    hi = self.seg_rows[seg].1;
+                    seg += 1;
                 }
-                z_pass(x, y, s, (base, k, k_hi, n_z), (centre, c1));
-                k = k_hi;
+                let rows = (row_lo + lo as usize - base, row_lo + hi as usize - base);
+                runs[taken] = BoxWindow { base, rows, x_steps };
+                taken += 1;
             }
+            // The first block any run has rows left in, through every run.
+            let runs = &mut runs[..taken];
+            let open = |w: &&mut BoxWindow| w.rows.0 < w.rows.1;
+            while let Some(lo) = runs.iter_mut().filter(open).map(|w| w.rows.0).min() {
+                let hi = block_end(lo);
+                for w in runs.iter_mut().filter(|w| w.rows.0 < w.rows.1.min(hi)) {
+                    let window = BoxWindow { rows: (w.rows.0, w.rows.1.min(hi)), ..*w };
+                    self.box_window(stencil, window, (&mut t, &mut s), x, y, zero);
+                    w.rows.0 = window.rows.1;
+                }
+            }
+        }
+    }
+
+    /// One window of [`DiaTile::apply_box`], plane-local rows `[r0,
+    /// r1)`, in three sweeps over `S`, the window and the row past each
+    /// end that is in the same line:
+    /// 1. the `x`-step sums `t` of the lines `S − n_z`, `S` and `S +
+    ///    n_z`, clipped to the plane: one run from `S − n_z` when `S`
+    ///    spans a line, so that they meet, and three runs otherwise;
+    /// 2. the `y`-step sums `s = (t[e − n_z] + t[e]) + t[e + n_z]` over
+    ///    `S`, without the neighbour line the plane's first or last
+    ///    line lacks;
+    /// 3. one loop `y[e] = c1·((s[e−1] + s[e]) + s[e+1]) + ((c0 −
+    ///    c1)·x[e] + y[e])`, two `mul_add`s, over the window's rows;
+    ///    each line's first and last row, whose `z` has two terms, is
+    ///    computed beforehand from the `y` the window finds and stored
+    ///    over what the loop wrote there.
+    ///
+    /// That is the order of the module docs, so every row's bits are a
+    /// function of its box and `x` alone, whatever the window. A row's
+    /// steps are those detection checked, so every `x` a sweep reads is
+    /// one some row of the window reads.
+    #[inline(always)]
+    fn box_window<X: VecIn<T>, Y: VecOut<T>>(
+        &self,
+        BoxStencil { n_z, plane, c0, c1 }: BoxStencil<T>,
+        BoxWindow { base, rows: (r0, r1), x_steps }: BoxWindow,
+        (t, s): (&mut [T; BOX_WINDOW], &mut [T; BOX_WINDOW]),
+        x: &X,
+        y: &mut Y,
+        zero: bool,
+    ) {
+        let lo_s = r0 - usize::from(r0 % n_z != 0);
+        let len = r1 + usize::from(r1 % n_z != 0) - lo_s;
+        // Line `S + (b − 1)·n_z` is at `t[b·σ..]`. A run `(a, o, n)` is
+        // `n` values of `t` from plane-local row `a − n_z` at `t[o..]`:
+        // one when the lines meet, three when `S` is shorter than a line.
+        let whole = len >= n_z;
+        let (sigma, runs, count) = match whole {
+            true => (n_z, [(lo_s, 0, len + 2 * n_z); 3], 1),
+            false => (len, [0, 1, 2].map(|b| (lo_s + b * n_z, b * len, len)), 3),
+        };
+        for &(a, o, n) in &runs[..count] {
+            let (lo, hi) = (a.max(n_z) - n_z, (a + n).saturating_sub(n_z).min(plane));
+            if lo < hi {
+                let at = o + lo + n_z - a;
+                x_step_sums(x, &mut t[at..at + hi - lo], base + lo, plane, x_steps);
+            }
+        }
+        let last_line = plane - n_z;
+        for (first, last) in [(0, n_z), (n_z, last_line), (last_line, plane)] {
+            let (u, v) = (first.max(lo_s), last.min(lo_s + len));
+            if u >= v {
+                continue;
+            }
+            let (q, n) = (u - lo_s, v - u);
+            let (below, mid, above) =
+                (&t[q..q + n], &t[sigma + q..][..n], &t[2 * sigma + q..][..n]);
+            let sums = s[q..q + n].iter_mut();
+            match (first, last) {
+                (0, _) => sums.zip(mid.iter().zip(above)).for_each(|(s, (&m, &a))| *s = m + a),
+                (_, l) if l == plane => {
+                    sums.zip(below.iter().zip(mid)).for_each(|(s, (&b, &m))| *s = b + m)
+                }
+                _ => sums.zip(three(below, mid, above)).for_each(|(s, u)| *s = u),
+            }
+        }
+        let centre = c0 - c1;
+        let start = |y: &Y, r: usize| if zero { T::ZERO } else { y.load(r) };
+        // Each line's first and last row in the window, with its value.
+        let mut held = [(0, T::ZERO); 2 * BOX_WINDOW_LINES];
+        let (mut h, mut first) = (0, r0 - r0 % n_z);
+        while first < r1 {
+            let last = first + n_z - 1;
+            for (e, ends) in [(first, first >= r0), (last, last < r1)] {
+                if ends {
+                    let q = e - lo_s;
+                    let z = if e == first { s[q] + s[q + 1] } else { s[q - 1] + s[q] };
+                    let r = base + e;
+                    held[h] = (r, c1.mul_add(z, centre.mul_add(x.load(r), start(y, r))));
+                    h += 1;
+                }
+            }
+            first += n_z;
+        }
+        // Every row but a first row at `r0` and a last row at `r1 − 1`
+        // has both neighbours in `S`.
+        let (m0, m1) = (r0 + usize::from(r0 % n_z == 0), r1 - usize::from(r1 % n_z == 0));
+        let (q, n) = (m0 - lo_s, m1 - m0);
+        let zs = three(&s[q - 1..][..n], &s[q..][..n], &s[q + 1..][..n]);
+        match (x.range(base + m0, n), y.range_mut(base + m0, n)) {
+            (Some(xs), Some(ys)) if zero => {
+                for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
+                    *y = c1.mul_add(z, centre.mul_add(x, T::ZERO));
+                }
+            }
+            (Some(xs), Some(ys)) => {
+                for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
+                    *y = c1.mul_add(z, centre.mul_add(x, *y));
+                }
+            }
+            _ => {
+                for (r, z) in (base + m0..).zip(zs) {
+                    y.store(r, c1.mul_add(z, centre.mul_add(x.load(r), start(y, r))));
+                }
+            }
+        }
+        for &(r, v) in &held[..h] {
+            y.store(r, v);
         }
     }
 

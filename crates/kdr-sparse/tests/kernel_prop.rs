@@ -1198,3 +1198,153 @@ proptest! {
         check_grid_band(&band, seed);
     }
 }
+
+// ----- box-stencil bands: the stated order of additions, bit for bit --
+
+/// `(c0, c1)` of a lap3d27 operator: its centre and off-centre values.
+fn box_coefficients(s: Stencil) -> (f64, f64) {
+    let mut entries: Vec<(u64, f64)> = Vec::new();
+    s.row_entries(0, &mut entries);
+    let of = |centre: bool| entries.iter().find(|&&(col, _)| (col == 0) == centre).unwrap().1;
+    (of(true), of(false))
+}
+
+/// Row `r` of `y + A x` for the lap3d27 operator `s`, as the box
+/// contract states it, written out per row: the row's `x`-steps summed
+/// over each (line, row) of its box, then those sums over its `y`-steps,
+/// then those over its `z`-steps, each left to right from the lowest
+/// step with the steps the grid's faces clip left out; then
+/// `c1.mul_add(z, (c0 − c1).mul_add(x[r], y))`.
+fn box_row(s: Stencil, (c0, c1): (f64, f64), x: &[f64], r: u64, y: f64) -> f64 {
+    let (nx, ny, nz) = (s.nx as i64, s.ny as i64, s.nz as i64);
+    let (i, j, k) = (r as i64 / (ny * nz), r as i64 / nz % ny, r as i64 % nz);
+    let steps = |at: i64, n: i64| (-1..=1).filter(move |d| (0..n).contains(&(at + d)));
+    let mut z = None;
+    for dz in steps(k, nz) {
+        let mut s_y = None;
+        for dy in steps(j, ny) {
+            let mut t_x = None;
+            for dx in steps(i, nx) {
+                let v = x[(((i + dx) * ny + j + dy) * nz + k + dz) as usize];
+                t_x = Some(t_x.map_or(v, |t: f64| t + v));
+            }
+            let t_x = t_x.unwrap();
+            s_y = Some(s_y.map_or(t_x, |s: f64| s + t_x));
+        }
+        let s_y = s_y.unwrap();
+        z = Some(z.map_or(s_y, |z: f64| z + s_y));
+    }
+    c1.mul_add(z.unwrap(), (c0 - c1).mul_add(x[r as usize], y))
+}
+
+/// A lap3d27 grid whose whole operator is a box band, one tile of it
+/// cut at any rows, and a seed. Besides small random grids: 3 × 3 × 3,
+/// an `x` axis of extent two, lines too long for three of them to fit
+/// a window ([`kdr_sparse::tile::BOX_WINDOW`]) or only just fitting,
+/// planes larger than a window, planes of more lines than a window
+/// takes, and more planes than a product takes block by block at once.
+fn arb_box_spec_case() -> impl Strategy<Value = (Stencil, (u64, u64), u64)> {
+    let window = kdr_sparse::tile::BOX_WINDOW as u64;
+    let shapes = [
+        (3, 3, 3),
+        (2, 4, 5),
+        (2, 3, window / 3 + 9),
+        (2, 3, window / 4),
+        (3, window / 40 + 3, 40),
+        (2, 70, 3),
+        (20, 3, 4),
+    ];
+    let shape = (0usize..14, 2u64..6, 3u64..8, 3u64..12)
+        .prop_map(move |(pick, nx, ny, nz)| shapes.get(pick).copied().unwrap_or((nx, ny, nz)));
+    (shape, 0u64..1 << 20, 0u64..1 << 20, 0u8..4, 0u64..1 << 30).prop_map(
+        |((nx, ny, nz), at, len, cut, seed)| {
+            let s = Stencil::lap3d27(nx, ny, nz);
+            let (n, plane) = (s.unknowns(), ny * nz);
+            let lo = at % n;
+            let rows = match cut {
+                0 => (0, n),
+                // Whole planes.
+                1 => (lo / plane * plane, (lo / plane + 1 + len % 2) * plane),
+                // From anywhere, of any length.
+                _ => (lo, lo + 1 + len % (n - lo)),
+            };
+            (s, (rows.0, rows.1.min(n)), seed)
+        },
+    )
+}
+
+/// `n` inputs drawn from `seed`: mostly values with 53 significant bits
+/// scaled by `2^k`, `k ∈ [−20, 20]` — so that nearly every sum of them
+/// rounds and an addition out of order shows (values on one fixed-point
+/// grid, as [`random_vector`]'s, add exactly while small) — and one in
+/// sixteen a signed zero, an infinity, a NaN or a subnormal.
+fn box_inputs(n: usize, seed: u64) -> Vec<f64> {
+    let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324, -1e-310];
+    let mut next = xorshift(seed + 1);
+    random_vector(n, seed)
+        .into_iter()
+        .map(|v| match next() as usize {
+            k if k % 16 == 0 => special[k / 16 % special.len()],
+            k => v * 2f64.powi((k / 16 % 41) as i32 - 20),
+        })
+        .collect()
+}
+
+/// The forward product of one tile of `s`, matrix-free and lowered
+/// `Force(Dia)`, over slices and over views that lend none: when the
+/// tile is a box band, `apply` over `y0` and `apply_from_zero` over a
+/// garbage `y` each equal the per-row spec ([`box_row`]) bit for bit
+/// on the tile's rows and leave every other row as it was; a tile that
+/// is not a box is the CSR chain bit for bit.
+fn check_box_spec(s: Stencil, (lo, hi): (u64, u64), seed: u64) {
+    let n = s.unknowns() as usize;
+    let coefs = box_coefficients(s);
+    let (x, y0, garbage) = (box_inputs(n, seed), box_inputs(n, seed + 2), box_inputs(n, seed + 4));
+    let rows = lo as usize..hi as usize;
+    let spec = |y: &[f64], zero: bool| -> Vec<f64> {
+        let mut want = y.to_vec();
+        for r in rows.clone() {
+            want[r] = box_row(s, coefs, &x, r as u64, if zero { 0.0 } else { y[r] });
+        }
+        want
+    };
+    let (want, want_from_zero) = (spec(&y0, false), spec(&garbage, true));
+    let (tr, tc, tv) = stencil_triplets(s, &[(lo, hi)]);
+    let matrix_free = TileKernel::Stencil(StencilTile::new(s, vec![(lo, hi)]));
+    let lowered = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Dia));
+    if lo == 0 && hi as usize == n {
+        assert!(takes_box_path(&matrix_free), "{s:?}: the whole operator is not a box band");
+    }
+    for kernel in [&matrix_free, &lowered] {
+        let what = format!("{s:?} rows {lo}..{hi} seed {seed} as {:?}", kernel.kind());
+        if !takes_box_path(kernel) {
+            let csr = TileKernel::lower(&tr, &tc, &tv, KernelChoice::Force(KernelKind::Csr));
+            assert_eq!(bits(&product(kernel, &x, &y0)), bits(&product(&csr, &x, &y0)), "{what}");
+            continue;
+        }
+        assert_eq!(bits(&product(kernel, &x, &y0)), bits(&want), "{what}: apply over slices");
+        let mut got = y0.clone();
+        kernel.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), false);
+        assert_eq!(bits(&got), bits(&want), "{what}: apply over views that lend no slices");
+        let mut got = garbage.clone();
+        assert!(kernel.apply_from_zero(&x.as_slice(), &mut got.as_mut_slice(), false), "{what}");
+        assert_eq!(bits(&got), bits(&want_from_zero), "{what}: from +0 over slices");
+        let mut got = garbage.clone();
+        assert!(kernel.apply_from_zero(&Elementwise(&x), &mut ElementwiseMut(&mut got), false));
+        assert_eq!(bits(&got), bits(&want_from_zero), "{what}: from +0 over views that lend none");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A box band's rows are the stated order of additions bit for bit
+    /// — not only within the box bound — whatever rows its tile holds
+    /// and whichever window of a plane computes them, from `y` or from
+    /// `+0`, on inputs with signed zeros, infinities, NaNs and
+    /// subnormals.
+    #[test]
+    fn box_bands_are_the_stated_sums_bit_for_bit((s, rows, seed) in arb_box_spec_case()) {
+        check_box_spec(s, rows, seed);
+    }
+}

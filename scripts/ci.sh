@@ -139,6 +139,20 @@ if [ "$(grep -rE 'fn forward_plan\b' crates | wc -l)" != 1 ] ||
     exit 1
 fi
 
+# A box-stencil band runs one kernel (DESIGN §7, "A box-stencil band"):
+# the plane sweep of `apply_box`, one definition. The line-by-line form
+# it replaced (nine line sums per line, a chunk buffer) stays deleted,
+# not kept beside it.
+if grep -rnE '\b(add_nine_lines|add_lines|BOX_LINE_CHUNK)\b|fn accumulate\b' crates/kdr-sparse/src; then
+    echo "ci.sh: the line-wise box-stencil helpers are back (see above)" >&2
+    exit 1
+fi
+if [ "$(grep -rE 'fn apply_box\b' crates | wc -l)" != 1 ]; then
+    grep -rn 'fn apply_box' crates >&2
+    echo "ci.sh: apply_box has more than one definition, or none (see above)" >&2
+    exit 1
+fi
+
 # `is_subset_of` is a search over the side with fewer runs (DESIGN §6):
 # it builds no set. It must not go back to testing a built
 # `difference` for emptiness, which cost the analyzer a `Vec` per
