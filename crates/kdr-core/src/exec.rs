@@ -4,8 +4,8 @@
 //! planner operation is an index launch over the canonical partition's
 //! pieces, lowered to tasks whose subsets are declared so that the
 //! runtime's dependence analysis extracts all available parallelism:
-//! an operator apply to one task per registered tile, a vector
-//! operation or a dot's partials to one task per worker *lane* (below).
+//! an operator apply to one task per registered tile, a run of vector
+//! operations and dots' partials to one task per worker *lane* (below).
 //! Operator tiles are *lowered* once at registration
 //! into format-specialized kernels ([`crate::partitioning::lower_tiles`]):
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
@@ -20,17 +20,17 @@
 //! zero-fill plan covers their output rows.
 //!
 //! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
-//! `dot_partial`, the zero-fills of `apply`) run one
-//! [`kdr_sparse::vecops`] slice kernel per contiguous run of what they
-//! declare. The elementwise kernels write the bits of their
-//! per-element expression, however the runs are cut; a dot partial is
-//! one piece's, reduced in `vecops::dot`'s fixed eight-accumulator
-//! order by whichever worker runs it, and the partials are added in
-//! piece order, so no result depends on the worker count, on
-//! stealing, or on whether the step was replayed. An operation whose
-//! source is its destination declares the vector once and updates it
-//! in place — a body never holds a shared and a mutable slice of the
-//! same elements.
+//! `dot_partial`, the zero-fills of `apply`) run [`kdr_sparse::vecops`]
+//! slice kernels over the contiguous runs of what they declare. The
+//! elementwise kernels write the bits of their per-element expression,
+//! however the runs are cut; a dot partial is one piece's, reduced in
+//! `vecops::dot`'s fixed eight-accumulator order
+//! ([`vecops::DotLanes`]) by whichever worker runs it, and the partials
+//! are added in piece order, so no result depends on the worker count,
+//! on stealing, or on whether the step was replayed. A task declares
+//! each vector once, writable if it writes it, and an operation whose
+//! source is its destination updates it in place — a body never holds
+//! a shared and a mutable slice of the same elements.
 //!
 //! Task placement is the runtime's one rule, color `c` on worker
 //! `c % W`: every piece carries one color (`piece_color`), shared by
@@ -38,24 +38,43 @@
 //! tile's kernel payload and its vector piece stay hot in a single
 //! worker's cache across traced iterations.
 //!
-//! ## Lanes
+//! ## Lanes and sweeps
 //!
 //! A *lane* is the set of a component's non-empty pieces whose colors
 //! have the same home, `piece_color(comp, color) % W` on a runtime of
 //! `W` workers: the pieces whose tasks the runtime would queue on one
-//! worker anyway. A vector operation is one task per lane, declaring
-//! the union of its pieces (its *footprint*, built once per vector by
-//! `alloc_vector` and shared by pointer) and running the kernel over
-//! the footprint's runs; a dot's partials are one `dot_partial` task
-//! per lane, writing one slot per piece, each the piece's runs'
-//! `vecops::dot`s added in run order from `+0` — exactly the per-piece
-//! partial. So the `dot_reduce` reads the same partials on any `W`,
-//! and every residual history keeps its bits. With `W` at least the
-//! piece count every lane is one piece and the tasks are the per-piece
-//! ones; on one worker a component is one lane, and a replayed
-//! 16-piece CG step runs 26 bodies — 16 tile tasks, 2 partial tasks,
-//! 2 `axpy`, 1 `xpay`, 5 scalar tasks — where one task per piece ran
-//! 101. Tiles stay one task each: each is its own kernel payload.
+//! worker anyway. Vector work is one task per lane, declaring the
+//! union of its pieces (its *footprint*, built once per vector by
+//! `alloc_vector` and shared by pointer).
+//!
+//! What one lane task runs is a *sweep*: a maximal run of a record's
+//! vector operations and `dot_many`s over vectors with the same lanes,
+//! ended by an `apply`, by a vector op whose coefficient a dot of the
+//! run produces, or by a scalar op that cannot go ahead of the run. A
+//! scalar op may go ahead — its task is submitted before the sweep's —
+//! when it reads no slot the run's dots write and writes no slot the
+//! run reads or its dots write (CG's `−α`); the run's `dot_reduce`s
+//! come after its bodies. The body walks the runs of the lane's pieces
+//! in index order, in blocks of about `SWEEP_BLOCK` (512) elements — a
+//! long run cut into blocks, short runs that touch taken whole, several
+//! to a block — and applies every op of the sweep to a block in record
+//! order before the next block: an update's kernel on the block, a dot
+//! pair's `vecops::DotLanes` fed with each run's part of it. Each element is still updated by
+//! the ops in record order, each from the values the ops before it
+//! left, and each run's dot is fed its blocks in order and finished
+//! with its tail where it ends — `vecops::dot`'s chain, so a piece's
+//! partial, one slot per piece and pair, is the op-by-op one bit for
+//! bit, and the `dot_reduce` reads the same partials on any `W`. With
+//! tracing off each op is a record of its own and lowers alone, the
+//! reference every traced run is checked against.
+//!
+//! With `W` at least the piece count every lane is one piece and the
+//! tasks are per piece; on one worker a component is one lane, and a
+//! replayed 16-piece CG step runs 24 bodies — 16 tile tasks, the `p·q`
+//! partials, one `axpy+axpy+dot_partial` sweep that reads `p` and `q`
+//! once and writes `x` and `r` once, the `xpay`, and 5 scalar tasks —
+//! where one task per op and piece ran 101. Tiles stay one task each:
+//! each is its own kernel payload.
 //!
 //! ## Traced stepping: step programs
 //!
@@ -126,13 +145,13 @@
 //! tasks on worker `colour % W`, and the runtime merges the tasks of
 //! one home. On one worker every task, the colourless scalar ones
 //! included, has that worker for its home, so a replayed 16-piece CG
-//! step is one scheduled node for its 26 task bodies. On two, the
+//! step is one scheduled node for its 24 task bodies. On two, the
 //! scalar tasks fuse into chains (a scalar task joins the most recent
 //! scalar node when it waits on it), and the step is scheduled, per
-//! home worker, as `[spmv × 8 + dot_partial]`, `[axpy + axpy +
-//! dot_partial]` and `[xpay]` over the home's lane of eight pieces,
-//! plus `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 8
-//! nodes. Bodies run in
+//! home worker, as `[spmv × 8 + dot_partial]`, `[axpy+axpy+dot_partial]`
+//! and `[xpay]` over the home's lane of eight pieces, plus
+//! `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 8 nodes.
+//! Bodies run in
 //! submission order inside a node, so a replay changes no bit of any
 //! vector.
 //! [`ExecMetrics::runtime`]
@@ -149,7 +168,7 @@
 //! hands a rebuilt solver the vectors its predecessor used. Pieces and
 //! lane and tile footprints are held as shared `Arc<IntervalSet>`s made
 //! once, so lowering a step copies no interval set; the one set it
-//! builds is each `dot_partial` task's partial slots.
+//! builds is each sweep task's partial slots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -285,6 +304,9 @@ struct Lane {
     /// count and a rebuilt step's signature matches its cached one by
     /// pointer.
     footprint: Arc<IntervalSet>,
+    /// Every run of every member as `(lo, hi, member)`, in index order:
+    /// what a sweep body walks.
+    segments: Vec<(usize, usize, usize)>,
 }
 
 impl Lane {
@@ -308,10 +330,17 @@ impl Lane {
                     .map(|&c| (c, Arc::new(pieces[c].clone())))
                     .collect();
                 let runs = members.iter().flat_map(|(_, p)| p.runs().iter().copied());
+                let mut segments: Vec<(usize, usize, usize)> = members
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(m, (_, p))| runs_of(p).map(move |(lo, n)| (lo, lo + n, m)))
+                    .collect();
+                segments.sort_unstable();
                 Arc::new(Lane {
                     color: piece_color(comp, first),
                     footprint: Arc::new(IntervalSet::from_runs(runs)),
                     members,
+                    segments,
                 })
             })
             .collect()
@@ -319,11 +348,11 @@ impl Lane {
 
     /// The partial slots of the lane's pieces in a `dot` whose
     /// component's first piece takes slot `first`: one per piece.
-    fn slots(&self, first: usize) -> IntervalSet {
-        IntervalSet::from_runs(self.members.iter().map(|&(color, _)| {
+    fn slots(&self, first: usize) -> impl Iterator<Item = Run> + '_ {
+        self.members.iter().map(move |&(color, _)| {
             let slot = (first + color) as u64;
             Run::new(slot, slot + 1)
-        }))
+        })
     }
 }
 
@@ -551,10 +580,10 @@ struct ExecOpSet<T> {
 }
 
 impl VecOp {
-    /// The slice kernel a task body calls once per run of its piece:
-    /// that run of the destination, the coefficient (`0` without one)
-    /// and the same run of the source — `None` when the source is the
-    /// destination, updated in place.
+    /// The slice kernel a sweep body calls once per block of a run of
+    /// its lane: that block of the destination, the coefficient (`0`
+    /// without one) and the same block of the source — `None` when the
+    /// source is the destination, updated in place.
     fn kernel<T: Scalar>(self) -> fn(/*dst*/ &mut [T], /*alpha*/ T, /*src*/ Option<&[T]>) {
         match self {
             // A vector copied onto itself already holds the result.
@@ -573,6 +602,336 @@ impl VecOp {
                 Some(s) => vecops::xpay(d, a, s),
                 None => vecops::axpy_in_place(d, a),
             },
+        }
+    }
+}
+
+/// Elements a sweep body streams per block: every op of the sweep
+/// runs on one block before the next block. A block holds fewer than
+/// twice this many: a longer run of a lane's pieces is cut into blocks
+/// of this length, the last one taking what is left, and shorter runs
+/// that touch go whole into one block, as many as fit. 512 `f64`s are
+/// 4 KiB per vector, so a CG update over `x`, `p`, `r` and `q` keeps
+/// at most 32 KiB of blocks in L1 between its ops. A multiple of
+/// [`vecops::DOT_LANES`], so a run's dot leaves a tail only where the
+/// run ends, and a layout constant, not a tuning knob: no bit depends
+/// on it (see [`ExecBackend::sweep_tasks`]). A sweep of one op has
+/// nothing to interleave and takes touching runs whole, however long.
+const SWEEP_BLOCK: usize = 512;
+
+/// Where `x` sits in `list`, appended if it was not there.
+fn note(list: &mut Vec<usize>, x: usize) -> usize {
+    list.iter().position(|&y| y == x).unwrap_or_else(|| {
+        list.push(x);
+        list.len() - 1
+    })
+}
+
+/// The task name of a sweep body: its ops' names joined by `+`
+/// (`axpy+axpy+dot_partial`), a lone op's name as it is. Task names
+/// are `'static`, so a joined name is leaked once per distinct list
+/// and handed out from then on: a program's bodies keep one name on
+/// every lowering, and the names are as many as the distinct op lists
+/// solvers record.
+fn sweep_name(names: &[&'static str]) -> &'static str {
+    static JOINED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    if let [name] = names {
+        return name;
+    }
+    let joined = names.join("+");
+    let mut interned = JOINED.lock();
+    if let Some(&name) = interned.iter().find(|&&name| name == joined) {
+        return name;
+    }
+    let name: &'static str = Box::leak(joined.into_boxed_str());
+    interned.push(name);
+    name
+}
+
+/// One op of a sweep: an elementwise op, or one pair of a
+/// `dot_many`.
+enum SweepOp {
+    Update {
+        op: VecOp,
+        dst: BVec,
+        /// `None` without a source or when the source is `dst`.
+        src: Option<BVec>,
+        alpha: Option<SRef>,
+    },
+    Dot {
+        a: BVec,
+        b: BVec,
+        /// Which of the sweep's partials buffers the pair writes.
+        partials: usize,
+        /// Slot of the pair's first partial there.
+        first_slot: usize,
+    },
+}
+
+/// A *sweep* being gathered by [`ExecBackend::lower`]: a maximal run of
+/// a record's vector ops and `dot_many`s over vectors with the same
+/// lanes, lowered to one body per lane ([`ExecBackend::sweep_tasks`]).
+/// Its `dot_reduce`s are deferred until after the bodies.
+struct Sweep<T> {
+    /// A vector of the open run, whose lanes the bodies cover; `None`
+    /// while no run is open.
+    lanes_of: Option<BVec>,
+    /// Each op's task name, in record order.
+    names: Vec<&'static str>,
+    ops: Vec<SweepOp>,
+    /// Scalar tasks moved ahead of the bodies.
+    hoisted: Vec<TaskBuilder>,
+    /// Scalar tasks recorded since the sweep's last op: hoisted if
+    /// another op joins, run after the sweep otherwise.
+    pending: Vec<TaskBuilder>,
+    /// The deferred `dot_reduce` tasks.
+    combines: Vec<TaskBuilder>,
+    /// Slots the deferred combines write.
+    combined: Vec<SRef>,
+    /// Slots the ops read as coefficients.
+    coefficients: Vec<SRef>,
+    /// The partials buffer of each `dot_many` of the sweep.
+    partials: Vec<Buffer<T>>,
+}
+
+/// A sweep op as its body runs it, each operand by its requirement in
+/// the body's task ([`SweepShape`]).
+#[derive(Clone, Copy)]
+enum Pass<T> {
+    Update {
+        kernel: fn(&mut [T], T, Option<&[T]>),
+        alpha: Option<usize>,
+        dst: usize,
+        src: Option<usize>,
+    },
+    Dot {
+        x: usize,
+        y: usize,
+        partials: usize,
+        /// Slot of the component's first piece: piece `c` writes
+        /// `slot + c`.
+        slot: usize,
+    },
+}
+
+/// What a sweep body reaches a requirement through, resolved once per
+/// body: a partials buffer's or a vector's view, or a coefficient's
+/// value.
+enum Operand<'a, T> {
+    Read(ReadView<'a, T>),
+    Write(WriteView<'a, T>),
+    Value(T),
+}
+
+impl<T: Copy> Operand<'_, T> {
+    fn slice(&mut self, lo: usize, n: usize) -> &[T] {
+        match self {
+            Operand::Read(v) => v.range(lo, n),
+            Operand::Write(v) => v.range_mut(lo, n),
+            Operand::Value(_) => unreachable!("a sweep slices vectors only"),
+        }
+    }
+
+    fn slice_mut(&mut self, lo: usize, n: usize) -> &mut [T] {
+        match self {
+            Operand::Write(v) => v.range_mut(lo, n),
+            _ => unreachable!("a sweep declares every vector it writes writable"),
+        }
+    }
+}
+
+/// `items[i]` and `items[j]`, two distinct items, both mutably.
+fn two_mut<V>(items: &mut [V], i: usize, j: usize) -> (&mut V, &mut V) {
+    assert_ne!(i, j, "two operands of an op are two vectors");
+    if i < j {
+        let (head, tail) = items.split_at_mut(j);
+        (&mut head[i], &mut tail[0])
+    } else {
+        let (head, tail) = items.split_at_mut(i);
+        (&mut tail[0], &mut head[j])
+    }
+}
+
+/// How a sweep task's requirements are laid out: `parts` partials
+/// buffers, then `written` vectors the sweep writes, then the vectors
+/// it only reads (`vectors` in all), then `coefficients` scalars; and
+/// how many dot pairs its ops hold.
+#[derive(Clone, Copy)]
+struct SweepShape {
+    parts: usize,
+    written: usize,
+    vectors: usize,
+    coefficients: usize,
+    dots: usize,
+}
+
+/// The body of one lane's sweep task (see [`ExecBackend::sweep_tasks`]).
+/// It allocates nothing for the usual few operands and dot pairs: a
+/// body runs every step.
+fn sweep_body<T: Scalar>(
+    ctx: &kdr_runtime::TaskContext,
+    lane: &Lane,
+    passes: &[Pass<T>],
+    shape: SweepShape,
+) {
+    let SweepShape {
+        parts,
+        written,
+        vectors,
+        coefficients,
+        dots,
+    } = shape;
+    let operand = |i: usize| match i {
+        i if i < parts + written => Operand::Write(ctx.write::<T>(i)),
+        i if i < parts + vectors => Operand::Read(ctx.read::<T>(i)),
+        i => Operand::Value(ctx.read::<T>(i).get(0)),
+    };
+    let n = parts + vectors + coefficients;
+    let mut few: [Operand<T>; 8] = std::array::from_fn(|i| match i < n {
+        true => operand(i),
+        false => Operand::Value(T::ZERO),
+    });
+    let mut many: Vec<Operand<T>> = Vec::new();
+    let operands: &mut [Operand<T>] = match n <= few.len() {
+        true => &mut few[..n],
+        false => {
+            many.extend((0..n).map(operand));
+            &mut many
+        }
+    };
+    // Per dot pair, the lanes of the run it is in; per member and
+    // pair, the piece's partial so far.
+    let cells = lane.members.len() * dots;
+    if dots == 0 {
+        sweep_lane(operands, passes, lane, &mut [], &mut []);
+    } else if dots <= 4 && cells <= 32 {
+        let mut open = [vecops::DotLanes::new(); 4];
+        let mut sums = [T::ZERO; 32];
+        sweep_lane(operands, passes, lane, &mut open[..dots], &mut sums[..cells]);
+    } else {
+        let mut open = vec![vecops::DotLanes::new(); dots];
+        let mut sums = vec![T::ZERO; cells];
+        sweep_lane(operands, passes, lane, &mut open, &mut sums);
+    }
+}
+
+/// Every block of a lane (see [`SWEEP_BLOCK`]), then each piece's
+/// partials into their slots.
+#[inline(never)]
+fn sweep_lane<T: Scalar>(
+    operands: &mut [Operand<T>],
+    passes: &[Pass<T>],
+    lane: &Lane,
+    open: &mut [vecops::DotLanes<T>],
+    sums: &mut [T],
+) {
+    // A lone op has nothing to interleave with: one block per run of
+    // touching pieces.
+    let most = match passes.len() {
+        1 => usize::MAX,
+        _ => 2 * SWEEP_BLOCK - 1,
+    };
+    let segments = &lane.segments;
+    let mut i = 0;
+    while i < segments.len() {
+        let (lo, hi, _) = segments[i];
+        if hi - lo > most {
+            // A long run: blocks of `SWEEP_BLOCK`, the last one taking
+            // what is left.
+            let mut at = lo;
+            while at < hi {
+                let end = if hi - at > most { at + SWEEP_BLOCK } else { hi };
+                sweep_block(operands, passes, (at, end), &segments[i..=i], open, sums);
+                at = end;
+            }
+            i += 1;
+        } else {
+            // Short runs that touch, whole, as many as fit.
+            let mut j = i + 1;
+            while j < segments.len() && segments[j].0 == segments[j - 1].1 && segments[j].1 - lo <= most {
+                j += 1;
+            }
+            let end = segments[j - 1].1;
+            sweep_block(operands, passes, (lo, end), &segments[i..j], open, sums);
+            i = j;
+        }
+    }
+    let dots = open.len();
+    let slots = passes.iter().filter_map(|p| match *p {
+        Pass::Dot { partials, slot, .. } => Some((partials, slot)),
+        Pass::Update { .. } => None,
+    });
+    for (k, (req, slot)) in slots.enumerate() {
+        if let Operand::Write(p) = &operands[req] {
+            for (m, &(color, _)) in lane.members.iter().enumerate() {
+                p.set(slot + color, sums[m * dots + k]);
+            }
+        }
+    }
+}
+
+/// Every op of a sweep on the block `[at, end)` of a lane, in record
+/// order. The block holds the `segments` (runs of the lane's pieces)
+/// whole, or a part of one long run that starts a multiple of
+/// [`SWEEP_BLOCK`] into it. A dot pair feeds each segment's part of
+/// the block to the lanes of its run (`open`), which start at `+0`
+/// where the run starts; where the run ends, its tail is folded in and
+/// the run's dot added to its piece's partial (`sums`, member-major).
+#[inline(never)]
+fn sweep_block<T: Scalar>(
+    operands: &mut [Operand<T>],
+    passes: &[Pass<T>],
+    (at, end): (usize, usize),
+    segments: &[(usize, usize, usize)],
+    open: &mut [vecops::DotLanes<T>],
+    sums: &mut [T],
+) {
+    let len = end - at;
+    let mut k = 0;
+    for pass in passes {
+        match *pass {
+            Pass::Update {
+                kernel,
+                alpha,
+                dst,
+                src,
+            } => {
+                let a = match alpha.map(|i| &operands[i]) {
+                    Some(Operand::Value(a)) => *a,
+                    _ => T::ZERO,
+                };
+                match src {
+                    None => kernel(operands[dst].slice_mut(at, len), a, None),
+                    Some(src) => {
+                        let (d, s) = two_mut(operands, dst, src);
+                        kernel(d.slice_mut(at, len), a, Some(s.slice(at, len)));
+                    }
+                }
+            }
+            Pass::Dot { x, y, .. } => {
+                let (xs, ys) = if x == y {
+                    let s = operands[x].slice(at, len);
+                    (s, s)
+                } else {
+                    let (xv, yv) = two_mut(operands, x, y);
+                    (xv.slice(at, len), yv.slice(at, len))
+                };
+                let dots = open.len();
+                let lanes = &mut open[k];
+                for &(lo, hi, m) in segments {
+                    let (from, to) = (lo.max(at), hi.min(end));
+                    if from == lo {
+                        *lanes = vecops::DotLanes::new();
+                    }
+                    let (xs, ys) = (&xs[from - at..to - at], &ys[from - at..to - at]);
+                    let full = xs.len() / vecops::DOT_LANES * vecops::DOT_LANES;
+                    lanes.feed(&xs[..full], &ys[..full]);
+                    if to == hi {
+                        sums[m * dots + k] += lanes.finish(&xs[full..], &ys[full..]);
+                    }
+                }
+                k += 1;
+            }
         }
     }
 }
@@ -962,118 +1321,65 @@ impl<T: Scalar> ExecBackend<T> {
         self.vectors[v].comps.iter().map(|c| c.piece_count).sum()
     }
 
-    /// One `dot_partial` task per lane of `a · b`, writing the slots of
-    /// `partials` from `first_slot` on (one slot per piece, empty ones
-    /// included, in component-then-colour order). A piece's partial is
-    /// its runs' [`vecops::dot`]s added in run order from `+0`, however
-    /// many pieces its lane holds; this is the only place the backend
-    /// multiplies two vectors, so `dot`, `dot_many` and every replayed,
-    /// stolen or re-run copy of either agree bit for bit, on any number
-    /// of workers.
-    fn dot_partial_tasks(
+    /// Add the op named `name`, over `vectors` (the one whose lanes a
+    /// new run takes first) and reading the coefficient `reads`, to the
+    /// open sweep, or open one with it: the run continues while every
+    /// vector has the run's lanes and the op reads no coefficient a
+    /// deferred combine of the run writes; otherwise the open run is
+    /// lowered first. The scalar tasks that waited since the run's
+    /// last op go ahead of its bodies.
+    fn join_sweep(
         &self,
-        a: BVec,
-        b: BVec,
-        partials: &Buffer<T>,
-        first_slot: usize,
+        run: &mut Sweep<T>,
+        name: &'static str,
+        vectors: &[BVec],
+        reads: Option<SRef>,
         out: &mut Lowered<T>,
     ) {
-        let (av, bv) = (&self.vectors[a], &self.vectors[b]);
-        // The slot of the component's first piece.
-        let mut first = first_slot;
-        for (ci, ac) in av.comps.iter().enumerate() {
-            let bc = &bv.comps[ci];
-            for lane in &ac.lanes {
-                let (lane_in_body, base) = (Arc::clone(lane), first);
-                out.tasks.push(
-                    TaskBuilder::new("dot_partial")
-                        .meta(TaskMeta::new("dot_partial").with_color(lane.color))
-                        .read(&ac.buf, Arc::clone(&lane.footprint))
-                        .read(&bc.buf, Arc::clone(&lane.footprint))
-                        .write(partials, lane.slots(first))
-                        .shared_body(move |ctx| {
-                            let x = ctx.read::<T>(0);
-                            let y = ctx.read::<T>(1);
-                            let p = ctx.write::<T>(2);
-                            for (color, piece) in &lane_in_body.members {
-                                let mut acc = T::ZERO;
-                                for (lo, n) in runs_of(piece) {
-                                    acc += vecops::dot(x.range(lo, n), y.range(lo, n));
-                                }
-                                p.set(base + color, acc);
-                            }
-                        }),
-                );
-            }
-            first += ac.piece_count;
+        let joins = run
+            .lanes_of
+            .is_some_and(|v| vectors.iter().all(|&w| self.same_lanes(v, w)))
+            && reads.is_none_or(|c| !run.combined.contains(&c));
+        if !joins {
+            self.sweep_tasks(run, out);
+            run.lanes_of = Some(vectors[0]);
         }
+        run.hoisted.append(&mut run.pending);
+        run.names.push(name);
     }
 
-    /// One task per lane for an elementwise operation on `dst`
-    /// (optionally reading `src` at the same footprint and a scalar
-    /// coefficient): the body calls the operation's [`VecOp::kernel`]
-    /// once per run of the lane's footprint, which writes the bits of
-    /// its per-element expression however the runs are cut.
-    ///
-    /// `src == dst` is an in-place update: the task declares the
-    /// vector once, writable, and the kernel gets no source slice — a
-    /// body never holds `&mut [T]` and `&[T]` over the same elements.
-    fn elementwise(
-        &self,
-        op: VecOp,
-        dst: BVec,
-        src: Option<BVec>,
-        alpha: Option<SRef>,
-        out: &mut Lowered<T>,
-    ) {
-        let (name, kernel) = (op.name(), op.kernel::<T>());
-        let src = src.filter(|&s| s != dst);
-        let dvec = &self.vectors[dst];
-        for (ci, dcomp) in dvec.comps.iter().enumerate() {
-            let scomp = src.map(|s| &self.vectors[s].comps[ci]);
-            for lane in &dcomp.lanes {
-                // Same affinity colour as the tile tasks writing the
-                // lane's pieces, so they stay on one worker's cache.
-                let mut tb =
-                    TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
-                let mut idx_alpha = None;
-                let mut idx_src = None;
-                if let Some(a) = alpha {
-                    idx_alpha = Some(0usize);
-                    tb = tb.read_all(&self.scalars[a]);
-                }
-                if let Some(sc) = scomp {
-                    idx_src = Some(idx_alpha.map_or(0, |_| 1));
-                    tb = tb.read(&sc.buf, Arc::clone(&lane.footprint));
-                }
-                let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
-                tb = tb.write(&dcomp.buf, Arc::clone(&lane.footprint));
-                out.tasks.push(tb.shared_body(move |ctx| {
-                    let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
-                    let s = idx_src.map(|i| ctx.read::<T>(i));
-                    let mut d = ctx.write::<T>(idx_dst);
-                    for (lo, n) in runs_of(ctx.subset(idx_dst)) {
-                        kernel(d.range_mut(lo, n), a, s.as_ref().map(|s| s.range(lo, n)));
-                    }
-                }));
-            }
-        }
+    /// Whether `v` and `w` have the same lanes in every component.
+    fn same_lanes(&self, v: BVec, w: BVec) -> bool {
+        let (v, w) = (&self.vectors[v].comps, &self.vectors[w].comps);
+        v.len() == w.len()
+            && v.iter().zip(w).all(|(v, w)| {
+                v.lanes.len() == w.lanes.len()
+                    && v.lanes
+                        .iter()
+                        .zip(&w.lanes)
+                        .all(|(a, b)| Arc::ptr_eq(a, b) || a.members == b.members)
+            })
     }
 
-    /// Every pair's partial tasks as one DAG stage sharing one
-    /// partials buffer, and a single `dot_reduce` combine task that
-    /// produces all result scalars — one reduction stage for the
-    /// whole batch. Each pair's partials occupy a contiguous slot
-    /// range and are summed in ascending slot order, so a result does
-    /// not depend on which other pairs share its batch. The partials
-    /// go into `partials` when given (a cached program's buffer), else
-    /// into a fresh buffer; either way `out` lists the one used.
-    fn dots(
+    /// A `dot_many` joins the open sweep ([`ExecBackend::join_sweep`]):
+    /// one op per pair, all writing one partials buffer — `partials`
+    /// when given (a cached program's buffer), else a fresh one; either
+    /// way `out` lists it — and a single `dot_reduce` combine task,
+    /// deferred until after the sweep's bodies, that produces every
+    /// result scalar: one reduction stage for the whole batch. Each
+    /// pair's partials occupy a contiguous slot range, one slot per
+    /// piece of its first operand, and are summed in ascending slot
+    /// order, so a result does not depend on which other pairs share
+    /// its batch.
+    fn join_dots(
         &self,
+        run: &mut Sweep<T>,
         batch: &[(BVec, BVec, SRef)],
         partials: Option<&Buffer<T>>,
         out: &mut Lowered<T>,
     ) {
+        let vectors: Vec<BVec> = batch.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        self.join_sweep(run, "dot_partial", &vectors, None, out);
         // Per-pair slot offsets into the shared partials buffer.
         let mut offsets = Vec::with_capacity(batch.len() + 1);
         let mut total_slots = 0usize;
@@ -1084,20 +1390,188 @@ impl<T: Scalar> ExecBackend<T> {
         offsets.push(total_slots);
         let partials = partials.map_or_else(|| Buffer::filled(total_slots, T::ZERO), Buffer::clone);
         for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
-            self.dot_partial_tasks(a, b, &partials, first_slot, out);
+            run.ops.push(SweepOp::Dot {
+                a,
+                b,
+                partials: run.partials.len(),
+                first_slot,
+            });
         }
         let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials);
         for &(_, _, result) in batch {
             combine = combine.write_all(&self.scalars[result]);
+            run.combined.push(result);
         }
-        out.tasks.push(combine.shared_body(move |ctx| {
+        run.combines.push(combine.shared_body(move |ctx| {
             let p = ctx.read::<T>(0);
             for (j, w) in offsets.windows(2).enumerate() {
                 let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
                 ctx.write::<T>(j + 1).set(0, sum);
             }
         }));
+        run.partials.push(partials.clone());
         out.partials.push(partials);
+    }
+
+    /// A scalar task recorded while a sweep is open waits to go ahead
+    /// of the sweep's bodies if moving it there reorders nothing: it
+    /// reads no slot a deferred combine of the run writes and writes
+    /// none that a combine writes or an op of the run reads. Any other scalar
+    /// task ends the run, and so does the lack of an open run.
+    fn scalar_in_sweep(
+        &self,
+        run: &mut Sweep<T>,
+        reads: &[SRef],
+        writes: SRef,
+        task: TaskBuilder,
+        out: &mut Lowered<T>,
+    ) {
+        let reorders = reads.iter().any(|s| run.combined.contains(s))
+            || run.combined.contains(&writes)
+            || run.coefficients.contains(&writes);
+        if run.lanes_of.is_none() || reorders {
+            self.sweep_tasks(run, out);
+            out.tasks.push(task);
+        } else {
+            run.pending.push(task);
+        }
+    }
+
+    /// Lower the open sweep and close it: the scalar tasks it hoisted,
+    /// one body per lane of its vectors, its deferred combines, then the
+    /// scalar tasks that waited after its last op.
+    ///
+    /// A body walks the runs of its lane's pieces in index order, in
+    /// blocks of about [`SWEEP_BLOCK`] elements, and applies every op
+    /// to a block in record order before the next block: an update
+    /// calls its [`VecOp::kernel`] on the block — the bits of its
+    /// per-element expression, however the elements are cut — and a
+    /// dot pair feeds each run's part of the block, in full lane
+    /// blocks, into its [`vecops::DotLanes`], folding the tail where
+    /// the run ends. Every op sees each element after the ops before
+    /// it and before the ops after it, as op by op; a piece's partial
+    /// is its runs' dots added in run order from `+0`, `vecops::dot`'s
+    /// bits on each run, so the `dot_reduce` reads the same partials on
+    /// any worker count and whatever ran beside the dot. A vector is
+    /// declared once per body — writable if an op writes it — so a body
+    /// never holds a shared and a mutable slice of the same elements;
+    /// the partials buffers come first, so a corrupted write lands on a
+    /// partial.
+    fn sweep_tasks(&self, run: &mut Sweep<T>, out: &mut Lowered<T>) {
+        let Some(lanes_of) = run.lanes_of.take() else {
+            return;
+        };
+        out.tasks.append(&mut run.hoisted);
+        let name = sweep_name(&run.names);
+        // What a body declares, in order: partials buffers, vectors
+        // written, vectors only read, coefficients.
+        let (mut written, mut read, mut coefficients) = (Vec::new(), Vec::new(), Vec::new());
+        for m in &run.ops {
+            if let SweepOp::Update { dst, alpha, .. } = *m {
+                note(&mut written, dst);
+                if let Some(a) = alpha {
+                    note(&mut coefficients, a);
+                }
+            }
+        }
+        for m in &run.ops {
+            let sources = match *m {
+                SweepOp::Update { src, .. } => [src, None],
+                SweepOp::Dot { a, b, .. } => [Some(a), Some(b)],
+            };
+            for v in sources.into_iter().flatten() {
+                if !written.contains(&v) {
+                    note(&mut read, v);
+                }
+            }
+        }
+        let view = |v: BVec| match written.iter().position(|&w| w == v) {
+            Some(i) => i,
+            None => {
+                written.len()
+                    + read
+                        .iter()
+                        .position(|&r| r == v)
+                        .expect("a sweep declares every vector it reads")
+            }
+        };
+        let vectors: Vec<BVec> = written.iter().chain(&read).copied().collect();
+        let shape = SweepShape {
+            parts: run.partials.len(),
+            written: written.len(),
+            vectors: vectors.len(),
+            coefficients: coefficients.len(),
+            dots: run.ops.iter().filter(|m| matches!(m, SweepOp::Dot { .. })).count(),
+        };
+        for (ci, comp) in self.vectors[lanes_of].comps.iter().enumerate() {
+            let passes: Arc<[Pass<T>]> = run
+                .ops
+                .iter()
+                .map(|m| match *m {
+                    SweepOp::Update {
+                        op,
+                        dst,
+                        src,
+                        alpha,
+                    } => Pass::Update {
+                        kernel: op.kernel::<T>(),
+                        alpha: alpha.map(|a| shape.parts + shape.vectors + note(&mut coefficients, a)),
+                        dst: shape.parts + view(dst),
+                        src: src.map(|s| shape.parts + view(s)),
+                    },
+                    SweepOp::Dot {
+                        a,
+                        b,
+                        partials,
+                        first_slot,
+                    } => Pass::Dot {
+                        x: shape.parts + view(a),
+                        y: shape.parts + view(b),
+                        partials,
+                        // The slots of the pair's earlier components
+                        // come first.
+                        slot: first_slot
+                            + self.vectors[a].comps[..ci]
+                                .iter()
+                                .map(|c| c.piece_count)
+                                .sum::<usize>(),
+                    },
+                })
+                .collect();
+            for lane in &comp.lanes {
+                // Same affinity colour as the tile tasks writing the
+                // lane's pieces, so they stay on one worker's cache.
+                let mut tb =
+                    TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
+                for (k, p) in run.partials.iter().enumerate() {
+                    let slots = passes.iter().filter_map(|pass| match *pass {
+                        Pass::Dot { partials, slot, .. } if partials == k => Some(lane.slots(slot)),
+                        _ => None,
+                    });
+                    tb = tb.write(p, IntervalSet::from_runs(slots.flatten()));
+                }
+                for (i, &v) in vectors.iter().enumerate() {
+                    let buf = &self.vectors[v].comps[ci].buf;
+                    tb = match i < written.len() {
+                        true => tb.write(buf, Arc::clone(&lane.footprint)),
+                        false => tb.read(buf, Arc::clone(&lane.footprint)),
+                    };
+                }
+                for &c in &coefficients {
+                    tb = tb.read_all(&self.scalars[c]);
+                }
+                let (lane, passes) = (Arc::clone(lane), Arc::clone(&passes));
+                out.tasks
+                    .push(tb.shared_body(move |ctx| sweep_body::<T>(ctx, &lane, &passes, shape)));
+            }
+        }
+        out.tasks.append(&mut run.combines);
+        out.tasks.append(&mut run.pending);
+        run.names.clear();
+        run.ops.clear();
+        run.combined.clear();
+        run.coefficients.clear();
+        run.partials.clear();
     }
 
     /// `dst ← A(src)` (or `Aᵀ`): the standalone zero tasks, then one
@@ -1173,16 +1647,33 @@ impl<T: Scalar> ExecBackend<T> {
         }
     }
 
-    /// Lower a record into its tasks, in call order: the one place a
-    /// backend call becomes tasks. Every body is a shared one, so the
-    /// result can be submitted as it is or kept as a step program.
-    /// The `k`-th `Dots` writes its partials into `partials[k]` when
-    /// there is one — a cached program's buffers, to lower its record
-    /// again — and into a fresh buffer otherwise.
+    /// Lower a record into its tasks: the one place a backend call
+    /// becomes tasks. Every body is a shared one, so the result can be
+    /// submitted as it is or kept as a step program. The record's
+    /// vector ops and `dot_many`s lower as *sweeps*, maximal runs of
+    /// them over vectors of the same lanes, one body per lane
+    /// ([`ExecBackend::sweep_tasks`]); a scalar op inside a run that
+    /// cannot go ahead of it ends the run, and so does an `apply`.
+    /// Nothing else moves: a record of one op (every record, with
+    /// tracing off) lowers op by op. The `k`-th `Dots` writes its
+    /// partials into `partials[k]` when there is one — a cached
+    /// program's buffers, to lower its record again — and into a fresh
+    /// buffer otherwise.
     fn lower(&self, step: &StepRecord<T>, partials: &[Buffer<T>]) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
+            partials: Vec::new(),
+        };
+        let mut run = Sweep {
+            lanes_of: None,
+            names: Vec::new(),
+            ops: Vec::new(),
+            hoisted: Vec::new(),
+            pending: Vec::new(),
+            combines: Vec::new(),
+            combined: Vec::new(),
+            coefficients: Vec::new(),
             partials: Vec::new(),
         };
         let (mut dots_at, mut consts_at) = (0, 0);
@@ -1193,10 +1684,22 @@ impl<T: Scalar> ExecBackend<T> {
                     dst,
                     src,
                     alpha,
-                } => self.elementwise(op, dst, src, alpha, &mut out),
+                } => {
+                    let src = src.filter(|&s| s != dst);
+                    let vectors = [Some(dst), src];
+                    let vectors: Vec<BVec> = vectors.into_iter().flatten().collect();
+                    self.join_sweep(&mut run, op.name(), &vectors, alpha, &mut out);
+                    run.ops.push(SweepOp::Update {
+                        op,
+                        dst,
+                        src,
+                        alpha,
+                    });
+                    run.coefficients.extend(alpha);
+                }
                 StepOp::Dots { pairs } => {
                     let batch = &step.key.dots[dots_at..dots_at + pairs];
-                    self.dots(batch, partials.get(out.partials.len()), &mut out);
+                    self.join_dots(&mut run, batch, partials.get(out.partials.len()), &mut out);
                     dots_at += pairs;
                 }
                 StepOp::Const { out: slot } => {
@@ -1211,22 +1714,21 @@ impl<T: Scalar> ExecBackend<T> {
                         .get_or_insert_with(|| Arc::new(Mutex::new(step.consts.clone())));
                     let (cells, k) = (Arc::clone(cells), consts_at);
                     consts_at += 1;
-                    out.tasks.push(
-                        TaskBuilder::new("scalar_set")
-                            .write_all(&self.scalars[slot])
-                            .shared_body(move |ctx| {
-                                let v = cells.lock()[k];
-                                ctx.write::<T>(0).set(0, v);
-                            }),
-                    );
+                    let task = TaskBuilder::new("scalar_set")
+                        .write_all(&self.scalars[slot])
+                        .shared_body(move |ctx| {
+                            let v = cells.lock()[k];
+                            ctx.write::<T>(0).set(0, v);
+                        });
+                    self.scalar_in_sweep(&mut run, &[], slot, task, &mut out);
                 }
                 StepOp::Binop {
                     op,
                     a,
                     b,
                     out: slot,
-                } => out.tasks.push(
-                    TaskBuilder::new("scalar_binop")
+                } => {
+                    let task = TaskBuilder::new("scalar_binop")
                         .read_all(&self.scalars[a])
                         .read_all(&self.scalars[b])
                         .write_all(&self.scalars[slot])
@@ -1234,25 +1736,31 @@ impl<T: Scalar> ExecBackend<T> {
                             let x = ctx.read::<T>(0).get(0);
                             let y = ctx.read::<T>(1).get(0);
                             ctx.write::<T>(2).set(0, op.eval(x, y));
-                        }),
-                ),
-                StepOp::Unop { op, a, out: slot } => out.tasks.push(
-                    TaskBuilder::new("scalar_unop")
+                        });
+                    self.scalar_in_sweep(&mut run, &[a, b], slot, task, &mut out);
+                }
+                StepOp::Unop { op, a, out: slot } => {
+                    let task = TaskBuilder::new("scalar_unop")
                         .read_all(&self.scalars[a])
                         .write_all(&self.scalars[slot])
                         .shared_body(move |ctx| {
                             let x = ctx.read::<T>(0).get(0);
                             ctx.write::<T>(1).set(0, op.eval(x));
-                        }),
-                ),
+                        });
+                    self.scalar_in_sweep(&mut run, &[a], slot, task, &mut out);
+                }
                 StepOp::Apply {
                     op,
                     dst,
                     src,
                     transpose,
-                } => self.apply_tasks(op, dst, src, transpose, &mut out),
+                } => {
+                    self.sweep_tasks(&mut run, &mut out);
+                    self.apply_tasks(op, dst, src, transpose, &mut out);
+                }
             }
         }
+        self.sweep_tasks(&mut run, &mut out);
         out
     }
 }
@@ -1341,8 +1849,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// tracing on (the default) the call is only recorded, inside a
     /// step or not, and runs when the record closes; with it off it is
     /// lowered and submitted through dependence analysis at once. A
-    /// `dot_many` is one reduction stage: every pair's partial tasks
-    /// share one partials buffer, made when the call is lowered, and a
+    /// `dot_many` is one reduction stage: every pair's partials go
+    /// into one partials buffer, made when the call is lowered, and a
     /// single `dot_reduce` task combines them all. A reused result slot
     /// may still have readers in flight; the op's write task is
     /// ordered after them by the step's compiled graph (or by
@@ -1912,22 +2420,22 @@ mod tests {
     #[test]
     fn on_two_workers_solver_steps_compile_to_two_nodes_per_phase() {
         // Two workers: the sixteen pieces' colours have two homes, so
-        // the vector ops and dot partials are two lane tasks each, and
-        // each phase is two nodes. CG: [spmv × 8 + dot_partial] twice,
-        // [dot_reduce, alpha, -alpha], [axpy + axpy + dot_partial]
-        // twice, [dot_reduce, beta], [xpay] twice.
+        // each sweep is two lane tasks, and each phase is two nodes.
+        // CG: [spmv × 8 + dot_partial] twice, [dot_reduce, alpha,
+        // -alpha], [axpy+axpy+dot_partial] twice, [dot_reduce, beta],
+        // [xpay] twice.
         let cg = compiled_step_sizes(2, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
         assert!(
-            cg.iter().all(|&s| s == (16 + 2 * 5 + 5, 3 * 2 + 2)),
+            cg.iter().all(|&s| s == (16 + 2 * 3 + 5, 3 * 2 + 2)),
             "{cg:?}"
         );
-        // PCG: the same, the Jacobi apply's 16 tiles and the second
-        // partial in the middle phase.
+        // PCG: the same, the Jacobi apply's 16 tiles and the `dot_many`
+        // sweep in the middle phase.
         let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
         assert!(
-            pcg.iter().all(|&s| s == (2 * 16 + 2 * 6 + 5, 3 * 2 + 2)),
+            pcg.iter().all(|&s| s == (2 * 16 + 2 * 4 + 5, 3 * 2 + 2)),
             "{pcg:?}"
         );
         // BiCGStab: its three reduction stages cut the pieces' tasks
@@ -1946,31 +2454,35 @@ mod tests {
         assert!(
             bicgstab
                 .iter()
-                .all(|&s| s == (2 * 16 + 2 * 13 + 13, 4 * 2 + 1 + 5)),
+                .all(|&s| s == (2 * 16 + 2 * 5 + 13, 4 * 2 + 1 + 5)),
             "{bicgstab:?}"
         );
     }
 
     #[test]
     fn on_one_worker_solver_steps_compile_to_one_node_per_step() {
-        // One worker: the sixteen pieces are one lane, so a vector op
-        // or a dot's partials is one task, and every task, coloured or
-        // not, has the one worker for its home: a step is one node
-        // that runs its bodies in submission order. CG: 16 tile tasks,
-        // 2 partial tasks, 2 axpy, 1 xpay and 5 scalar tasks.
+        // One worker: the sixteen pieces are one lane, so a sweep is
+        // one task, and every task, coloured or not, has the one
+        // worker for its home: a step is one node that runs its bodies
+        // in submission order. CG: 16 tile tasks, the `p·q` partials,
+        // the `axpy+axpy+dot_partial` sweep, the `xpay` and 5 scalar
+        // tasks.
         let cg = compiled_step_sizes(1, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 + 2 + 2 + 1 + 5, 1)), "{cg:?}");
-        // PCG: the Jacobi apply's 16 tiles and a second partial on top.
+        assert!(cg.iter().all(|&s| s == (16 + 1 + 1 + 1 + 5, 1)), "{cg:?}");
+        // PCG: the Jacobi apply's 16 tiles on top, which end the
+        // `axpy+axpy` sweep before the `dot_many` of `(r, z)` and
+        // `(r, r)`.
         let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(pcg.iter().all(|&s| s == (2 * 16 + 6 + 5, 1)), "{pcg:?}");
-        // BiCGStab: two SpMVs, 13 lane tasks and 13 scalar tasks,
-        // still one node.
+        assert!(pcg.iter().all(|&s| s == (2 * 16 + 4 + 5, 1)), "{pcg:?}");
+        // BiCGStab: two SpMVs, 5 sweeps — `r̂·v`, `copy+axpy`, `t·s`
+        // with `t·t`, `axpy+axpy+copy+axpy+dot_partial`, `axpy+xpay` —
+        // and 13 scalar tasks, still one node.
         let bicgstab = compiled_step_sizes(1, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
         assert!(
-            bicgstab.iter().all(|&s| s == (2 * 16 + 13 + 13, 1)),
+            bicgstab.iter().all(|&s| s == (2 * 16 + 5 + 13, 1)),
             "{bicgstab:?}"
         );
     }

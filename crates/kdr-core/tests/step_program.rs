@@ -448,3 +448,315 @@ fn chebyshev_replays_with_fresh_constants_each_step() {
         analyzed.2
     );
 }
+
+/// One backend call of a sweep script. Vectors index [`SWEEP_VECTORS`];
+/// scalars index the step's scalar list, which every scalar-producing
+/// call appends to (a released entry stays in the list, dead).
+#[derive(Clone, Debug)]
+enum Call {
+    Copy(usize, usize),
+    Zero(usize),
+    Scal(usize, usize),
+    Axpy(usize, usize, usize),
+    Xpay(usize, usize, usize),
+    Dots(Vec<(usize, usize)>),
+    /// `base · (1 − step / 16)`.
+    Const(f64),
+    /// `x / (|x| + 1)` of a scalar: a coefficient of magnitude below 1
+    /// made of three scalar ops.
+    Tame(usize),
+    Bin(u8, usize, usize),
+    Un(u8, usize),
+    /// Release a scalar: its slot is the next one a scalar op takes.
+    Release(usize),
+}
+
+/// `(length, pieces)` of the two components of the vectors in the
+/// first partition, and of those in the second: every piece count
+/// differs, so no lane of one is a lane of the other on any worker
+/// count. The first partition's long component has pieces of 2 050
+/// elements, several sweep blocks each and a dot tail; the second's
+/// deals runs of 700 to its three pieces in turn, so a lane's pieces
+/// interleave; the short components' pieces touch and share a block.
+const SWEEP_PARTS: [[(u64, usize); 2]; 2] = [[(4100, 2), (28, 2)], [(4100, 3), (28, 3)]];
+/// Vectors `0..7` live in the first partition (`6` a scratch vector
+/// zeroed by every step), `7` and `8` in the second.
+const SWEEP_VECTORS: usize = 9;
+const SCRATCH: usize = 6;
+
+/// A seeded sweep script: first the hazards a sweep must split or
+/// order correctly, in every script, then seeded calls. Coefficients
+/// are constants or [`Call::Tame`] of a live scalar, so a vector grows
+/// by at most a factor of two per call (the scratch vector, which
+/// takes a raw dot as coefficient, is zeroed by every step).
+fn sweep_script(seed: u64) -> Vec<Call> {
+    use Call::*;
+    let mut calls = vec![
+        // A scalar op in a run writes the slot an earlier op of the
+        // run read: the released `0`'s slot goes to `1`, which may not
+        // go ahead of the first `axpy`; `2` may.
+        Const(0.25),
+        Axpy(2, 0, 0),
+        Release(0),
+        Const(-0.125),
+        Axpy(3, 1, 1),
+        Const(0.5),
+        Axpy(4, 2, 3),
+        // Reads after writes, and in-place updates.
+        Copy(5, 3),
+        Axpy(2, 1, 2),
+        Xpay(3, 2, 3),
+        Copy(4, 4),
+        Scal(5, 1),
+        // A `dot_many` over vectors the run wrote; a constant waiting
+        // after it, then a scalar op on its result, which ends the run.
+        Dots(vec![(2, 3), (4, 4)]),
+        Const(0.75),
+        Tame(3),
+        // A raw dot result as the coefficient right after the dot.
+        Dots(vec![(5, 0)]),
+        Axpy(SCRATCH, 7, 0),
+        Dots(vec![(SCRATCH, SCRATCH)]),
+        // Vectors of the other partition, alone and mixed with the
+        // first: every switch ends a run.
+        Copy(7, 0),
+        Axpy(8, 6, 7),
+        Axpy(0, 2, 7),
+        Dots(vec![(7, 8), (0, 7), (8, 0)]),
+        Xpay(7, 5, 8),
+        Axpy(1, 2, 1),
+    ];
+    let mut rng = Rng(seed);
+    // Which scalars of the list are live, and which are tame.
+    let mut live: Vec<bool> = Vec::new();
+    let mut tame: Vec<bool> = Vec::new();
+    for call in &calls {
+        match call {
+            Const(_) | Tame(_) => {
+                live.push(true);
+                tame.push(true);
+            }
+            Dots(pairs) => {
+                live.extend(pairs.iter().map(|_| true));
+                tame.extend(pairs.iter().map(|_| false));
+            }
+            Release(k) => live[*k] = false,
+            _ => {}
+        }
+    }
+    // The prelude's scalars stay live: every pick has a candidate.
+    let kept = live.len();
+    let (first, second) = (
+        |rng: &mut Rng| rng.below(7),
+        |rng: &mut Rng| 7 + rng.below(2),
+    );
+    for _ in 0..14 + rng.below(8) {
+        let pick = |rng: &mut Rng, want: &dyn Fn(usize) -> bool| {
+            let ok: Vec<usize> = (0..live.len()).filter(|&k| live[k] && want(k)).collect();
+            ok[rng.below(ok.len())]
+        };
+        let coef = pick(&mut rng, &|k| tame[k]);
+        // Mostly the first partition, one call in four the second.
+        let vec = |rng: &mut Rng| {
+            if rng.below(4) == 0 {
+                second(rng)
+            } else {
+                first(rng)
+            }
+        };
+        let (d, s) = (vec(&mut rng), vec(&mut rng));
+        let same = |rng: &mut Rng, v: usize| if v < 7 { first(rng) } else { second(rng) };
+        let call = match rng.below(12) {
+            0 => Copy(d, s),
+            1 => Zero(d),
+            2 => Scal(d, coef),
+            3 | 4 => Axpy(d, coef, same(&mut rng, d)),
+            5 => Xpay(d, coef, s),
+            6 | 7 => Dots(
+                (0..1 + rng.below(3))
+                    .map(|_| (d, same(&mut rng, d)))
+                    .collect(),
+            ),
+            8 => Const((rng.below(17) as f64 - 8.0) / 32.0),
+            9 => Tame(pick(&mut rng, &|_| true)),
+            10 => Bin(
+                rng.below(4) as u8,
+                pick(&mut rng, &|_| true),
+                pick(&mut rng, &|_| true),
+            ),
+            _ => match rng.below(2) {
+                0 => Un(rng.below(4) as u8, pick(&mut rng, &|_| true)),
+                _ => match (kept..live.len()).filter(|&k| live[k]).collect::<Vec<_>>()[..] {
+                    [] => Const(0.125),
+                    ref released => Release(released[rng.below(released.len())]),
+                },
+            },
+        };
+        match &call {
+            Const(_) | Tame(_) => {
+                live.push(true);
+                tame.push(true);
+            }
+            Bin(..) | Un(..) => {
+                live.push(true);
+                tame.push(false);
+            }
+            Dots(pairs) => {
+                live.extend(pairs.iter().map(|_| true));
+                tame.extend(pairs.iter().map(|_| false));
+            }
+            Release(k) => live[*k] = false,
+            _ => {}
+        }
+        calls.push(call);
+    }
+    calls
+}
+
+/// What a run of a sweep script leaves: every vector's components and
+/// the scalars each step forced, as bits, and the task names the
+/// runtime counted.
+type SweepRun = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<&'static str>);
+
+fn run_sweeps(seed: u64, traced: bool, workers: usize) -> SweepRun {
+    use kdr_core::backend::{ScalarOp, ScalarUnop};
+    use kdr_core::CompSpec;
+    let calls = sweep_script(seed);
+    let mut b = ExecBackend::<f64>::new(workers);
+    b.set_step_tracing(traced);
+    let vecs: Vec<usize> = (0..SWEEP_VECTORS)
+        .map(|v| {
+            let second = v >= 7;
+            let comps: Vec<CompSpec> = SWEEP_PARTS[usize::from(second)]
+                .iter()
+                .enumerate()
+                .map(|(c, &(len, pieces))| CompSpec {
+                    len,
+                    partition: match (second, c) {
+                        // Pieces of interleaved runs of 700.
+                        (true, 0) => Partition::block_cyclic(len, pieces, 700),
+                        _ => Partition::equal_blocks(len, pieces),
+                    },
+                })
+                .collect();
+            b.alloc_vector(&comps)
+        })
+        .collect();
+    for (v, &bv) in vecs.iter().enumerate() {
+        for (c, &(n, _)) in SWEEP_PARTS[0].iter().enumerate() {
+            let data: Vec<f64> = (0..n)
+                .map(|i| ((i * 5 + 3 * v as u64 + c as u64 + seed) % 17) as f64 / 16.0 - 0.5)
+                .collect();
+            b.fill_component(bv, c, &data);
+        }
+    }
+    let mut forced = Vec::new();
+    for step in 0..8 {
+        b.step_begin();
+        b.set_zero(vecs[SCRATCH]);
+        let mut scalars: Vec<Option<usize>> = Vec::new();
+        let get = |scalars: &[Option<usize>], k: usize| {
+            scalars[k].expect("the script names live scalars only")
+        };
+        for call in &calls {
+            match *call {
+                Call::Copy(d, s) => b.copy(vecs[d], vecs[s]),
+                Call::Zero(d) => b.set_zero(vecs[d]),
+                Call::Scal(d, c) => b.scal(vecs[d], get(&scalars, c)),
+                Call::Axpy(d, c, s) => b.axpy(vecs[d], get(&scalars, c), vecs[s]),
+                Call::Xpay(d, c, s) => b.xpay(vecs[d], get(&scalars, c), vecs[s]),
+                Call::Dots(ref pairs) => {
+                    let pairs: Vec<(usize, usize)> =
+                        pairs.iter().map(|&(x, y)| (vecs[x], vecs[y])).collect();
+                    scalars.extend(b.dot_many(&pairs).into_iter().map(Some));
+                }
+                Call::Const(base) => {
+                    scalars.push(Some(b.scalar_const(base * (1.0 - step as f64 / 16.0))))
+                }
+                Call::Tame(x) => {
+                    let x = get(&scalars, x);
+                    let abs = b.scalar_unop(ScalarUnop::Abs, x);
+                    let one = b.scalar_const(1.0);
+                    let denom = b.scalar_binop(ScalarOp::Add, abs, one);
+                    scalars.push(Some(b.scalar_binop(ScalarOp::Div, x, denom)));
+                    for s in [abs, one, denom] {
+                        b.scalar_release(s);
+                    }
+                }
+                Call::Bin(kind, x, y) => {
+                    let op =
+                        [ScalarOp::Add, ScalarOp::Sub, ScalarOp::Mul, ScalarOp::Div][kind as usize];
+                    let s = b.scalar_binop(op, get(&scalars, x), get(&scalars, y));
+                    scalars.push(Some(s));
+                }
+                Call::Un(kind, x) => {
+                    let op = [
+                        ScalarUnop::Neg,
+                        ScalarUnop::Sqrt,
+                        ScalarUnop::Abs,
+                        ScalarUnop::Recip,
+                    ][kind as usize];
+                    let s = b.scalar_unop(op, get(&scalars, x));
+                    scalars.push(Some(s));
+                }
+                Call::Release(k) => b.scalar_release(scalars[k].take().expect("released once")),
+            }
+        }
+        let live: Vec<usize> = scalars.into_iter().flatten().collect();
+        let (_, values) = b.step_end(&live);
+        forced.push(values.into_iter().map(f64::to_bits).collect());
+        for s in live {
+            b.scalar_release(s);
+        }
+    }
+    let vectors = vecs
+        .iter()
+        .flat_map(|&v| (0..2).map(move |c| (v, c)))
+        .map(|(v, c)| {
+            b.read_component(v, c)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect()
+        })
+        .collect();
+    let names = b.metrics().runtime.task_counts.keys().copied().collect();
+    (vectors, forced, names)
+}
+
+/// Sweeps keep every bit: a seeded script of vector ops, dots and
+/// scalar ops over vectors of two partitions — with a released slot
+/// taken again inside a run, reads after writes, in-place updates, a
+/// `dot_many` over vectors the run wrote, and a raw dot result as a
+/// coefficient — traced on 1, 3 and 4 workers, where the record's runs
+/// lower to one body per lane, ends where the analysed run, op by op,
+/// ends, bit for bit.
+#[test]
+fn sweeps_match_analyzed_submission_bitwise() {
+    for seed in [5, 23, 777, 31337] {
+        let (vectors, forced, names) = run_sweeps(seed, false, 1);
+        assert!(
+            vectors
+                .iter()
+                .flatten()
+                .all(|&b| f64::from_bits(b).is_finite()),
+            "seed {seed}: the script overflowed"
+        );
+        assert!(
+            !names.iter().any(|n| n.contains('+')),
+            "op by op with tracing off: {names:?}"
+        );
+        for (traced, workers) in [(false, 4), (true, 1), (true, 3), (true, 4)] {
+            let got = run_sweeps(seed, traced, workers);
+            let what = format!("seed {seed}, traced {traced}, {workers} workers");
+            assert_eq!(got.1, forced, "forced scalars: {what}");
+            assert_eq!(got.0, vectors, "vectors: {what}");
+            if traced {
+                assert!(
+                    got.2.iter().any(|n| n.contains('+')),
+                    "no run fused: {what}: {:?}",
+                    got.2
+                );
+            }
+        }
+    }
+}

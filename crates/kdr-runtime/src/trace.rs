@@ -66,7 +66,7 @@
 //! The fusion key is the placement rule, so a node's members are tasks
 //! that would have been queued on its worker anyway. On one worker
 //! every task has the same home, so a step — whatever its colours and
-//! scalar chains — is **one node**: a 16-piece CG step's 26 bodies
+//! scalar chains — is **one node**: a 16-piece CG step's 24 bodies
 //! run back to back on whichever thread takes the node, and a driver
 //! that submits the step and waits for it takes it itself
 //! ([`Runtime::run_program`](crate::Runtime::run_program) with a read

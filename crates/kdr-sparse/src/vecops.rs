@@ -9,6 +9,7 @@
 //! | [`xpay`] | `d = s + a * d` |
 //! | [`axpy_in_place`] | `d = d + a * d` (either update with `s` = `d`) |
 //! | [`dot`] | `Σ x·y` in the lane order below |
+//! | [`DotLanes`] | [`dot`]'s lanes, fed block by block |
 //!
 //! Every kernel takes plain slices of equal length, so the loops carry
 //! no per-element bounds check or pointer indirection and the compiler
@@ -103,24 +104,86 @@ pub fn axpy_in_place<T: Scalar>(d: &mut [T], a: T) {
 }
 
 /// `Σ x[i]·y[i]` in the fixed eight-lane order of the [module
-/// docs](self).
+/// docs](self): a [`DotLanes`] fed the slice's full blocks of eight
+/// once and finished with its tail.
 #[inline]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let mut lanes = [T::ZERO; DOT_LANES];
-    let mut xb = x.chunks_exact(DOT_LANES);
-    let mut yb = y.chunks_exact(DOT_LANES);
-    for (xs, ys) in (&mut xb).zip(&mut yb) {
-        for ((lane, &x), &y) in lanes.iter_mut().zip(xs).zip(ys) {
-            *lane = x.mul_add(y, *lane);
+    let blocked = x.len() / DOT_LANES * DOT_LANES;
+    let mut lanes = DotLanes::new();
+    lanes.feed(&x[..blocked], &y[..blocked]);
+    lanes.finish(&x[blocked..], &y[blocked..])
+}
+
+/// The eight accumulators of [`dot`] carried across calls: steps 1–2
+/// of the [module docs](self)' order spread over any number of
+/// [`feed`](DotLanes::feed)s, steps 3–4 in
+/// [`finish`](DotLanes::finish). A slice fed in consecutive blocks
+/// whose lengths are multiples of [`DOT_LANES`], then finished with the
+/// fewer than eight elements left, reduces to `dot`'s bits: element
+/// `i` of the slice still goes into lane `i mod 8`, whatever the cut.
+/// This is the one place the chain is written, so a sweep that feeds
+/// a dot block by block between other kernels (the execution
+/// backend's fused vector bodies) and `dot` itself share it.
+#[derive(Clone, Copy, Debug)]
+pub struct DotLanes<T> {
+    lanes: [T; DOT_LANES],
+}
+
+impl<T: Scalar> Default for DotLanes<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Scalar> DotLanes<T> {
+    /// Every lane at `+0`.
+    #[inline]
+    pub fn new() -> Self {
+        DotLanes {
+            lanes: [T::ZERO; DOT_LANES],
         }
     }
-    let mut acc = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
-        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-    for (&x, &y) in xb.remainder().iter().zip(yb.remainder()) {
-        acc = x.mul_add(y, acc);
+
+    /// Sweep `x · y` into the lanes, element `i` into lane `i mod 8`.
+    /// Panics unless the slices have equal lengths that are a multiple
+    /// of [`DOT_LANES`].
+    #[inline]
+    pub fn feed(&mut self, x: &[T], y: &[T]) {
+        assert!(
+            x.len() == y.len() && x.len() % DOT_LANES == 0,
+            "dot feed of lengths {} and {}: equal multiples of {DOT_LANES} only",
+            x.len(),
+            y.len()
+        );
+        let mut lanes = self.lanes;
+        for (xs, ys) in x.chunks_exact(DOT_LANES).zip(y.chunks_exact(DOT_LANES)) {
+            for ((lane, &x), &y) in lanes.iter_mut().zip(xs).zip(ys) {
+                *lane = x.mul_add(y, *lane);
+            }
+        }
+        self.lanes = lanes;
     }
-    acc
+
+    /// Combine the lanes by the tree
+    /// `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))` and fold the
+    /// tail `x · y` into that sum left to right. Panics unless the
+    /// slices have equal lengths below [`DOT_LANES`].
+    #[inline]
+    pub fn finish(self, x: &[T], y: &[T]) -> T {
+        assert!(
+            x.len() == y.len() && x.len() < DOT_LANES,
+            "dot tail of lengths {} and {}: equal and below {DOT_LANES} only",
+            x.len(),
+            y.len()
+        );
+        let l = self.lanes;
+        let mut acc = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+        for (&x, &y) in x.iter().zip(y) {
+            acc = x.mul_add(y, acc);
+        }
+        acc
+    }
 }
 
 #[cfg(test)]

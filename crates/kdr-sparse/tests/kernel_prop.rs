@@ -388,11 +388,21 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// `n` values uniform in `[−0.5, 0.5)` with 53 significant bits, from
-/// `seed`: sums of them round, so a reassociated sum shows.
+/// `n` values from `seed`: uniform in `[−0.5, 0.5)` on the grid of
+/// 2⁻⁵³, each scaled by `2^k`, `k ∈ [−20, 20]`, so that nearly every
+/// sum of them rounds and a reassociated sum shows. (Unscaled, the
+/// values share one fixed-point grid and a few of them add exactly
+/// while their sum stays below 1: an addition out of order would not
+/// show.)
 fn random_vector(n: usize, seed: u64) -> Vec<f64> {
     let mut next = xorshift(0x2545_f491_4f6c_dd1d ^ seed);
-    (0..n).map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5).collect()
+    let mut scale = xorshift(seed + 1);
+    (0..n)
+        .map(|_| {
+            let v = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            v * 2f64.powi((scale() as usize / 16 % 41) as i32 - 20)
+        })
+        .collect()
 }
 
 /// Each entry of the box product `got` within the bound of the module
@@ -1273,11 +1283,11 @@ fn arb_box_spec_case() -> impl Strategy<Value = (Stencil, (u64, u64), u64)> {
     )
 }
 
-/// `n` inputs drawn from `seed`: mostly values with 53 significant bits
-/// scaled by `2^k`, `k ∈ [−20, 20]` — so that nearly every sum of them
-/// rounds and an addition out of order shows (values on one fixed-point
-/// grid, as [`random_vector`]'s, add exactly while small) — and one in
-/// sixteen a signed zero, an infinity, a NaN or a subnormal.
+/// `n` inputs drawn from `seed`: [`random_vector`]'s values, scaled
+/// by `2^k`, `k ∈ [−20, 20]`, so that nearly every sum of them rounds
+/// and an addition out of order shows — but one in sixteen a signed
+/// zero, an infinity, a NaN or a subnormal, picked by the draw that
+/// scaled it.
 fn box_inputs(n: usize, seed: u64) -> Vec<f64> {
     let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324, -1e-310];
     let mut next = xorshift(seed + 1);
@@ -1285,7 +1295,7 @@ fn box_inputs(n: usize, seed: u64) -> Vec<f64> {
         .into_iter()
         .map(|v| match next() as usize {
             k if k % 16 == 0 => special[k / 16 % special.len()],
-            k => v * 2f64.powi((k / 16 % 41) as i32 - 20),
+            _ => v,
         })
         .collect()
 }

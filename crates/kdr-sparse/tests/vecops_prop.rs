@@ -8,7 +8,8 @@
 //! * `dot` follows the documented eight-lane order and nothing else —
 //!   checked against a scalar oracle that spells the order out — and
 //!   stays inside the blocked-summation error bound of a compensated
-//!   reference.
+//!   reference; and [`vecops::DotLanes`], `dot`'s lanes fed block by
+//!   block, reduces to `dot`'s bits however the blocks are cut.
 //!
 //! Both for `f32` and `f64`, every length 0..=67 (all block/tail
 //! splits around the lane count) plus seeded random lengths up to
@@ -183,6 +184,39 @@ macro_rules! vecops_props {
                         assert!(same(got, want), "n={n} x·x: {got:e} vs {want:e}");
                     }
                 }
+            }
+
+            /// `dot`'s lanes carried across a seeded cut of the
+            /// slice's full blocks into pieces of 0, 8, 16, … elements
+            /// (empty feeds included), then finished with the tail:
+            /// `dot`'s bits, however the blocks were cut.
+            #[test]
+            fn dot_lanes_fed_in_any_blocks_are_dot_bitwise() {
+                let mut rng = Rng(0x5eed_0005);
+                for n in lengths(&mut rng, 120) {
+                    for specials in [false, true] {
+                        let x = data(&mut rng, n, specials);
+                        let y = data(&mut rng, n, specials);
+                        let blocked = n / DOT_LANES * DOT_LANES;
+                        let mut lanes = vecops::DotLanes::<$t>::new();
+                        let mut at = 0;
+                        while at < blocked {
+                            let blocks = (rng.next() % 6) as usize;
+                            let end = (at + blocks * DOT_LANES).min(blocked);
+                            lanes.feed(&x[at..end], &y[at..end]);
+                            at = end;
+                        }
+                        let got = lanes.finish(&x[blocked..], &y[blocked..]);
+                        let want = vecops::dot(&x, &y);
+                        assert!(same(got, want), "n={n}: {got:e} vs {want:e}");
+                    }
+                }
+            }
+
+            #[test]
+            #[should_panic(expected = "multiples of 8")]
+            fn dot_lanes_refuse_a_feed_off_the_lane_count() {
+                vecops::DotLanes::<$t>::new().feed(&[1.0; 9], &[1.0; 9]);
             }
 
             #[test]
