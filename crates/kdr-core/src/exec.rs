@@ -4,8 +4,8 @@
 //! planner operation is an index launch over the canonical partition's
 //! pieces, lowered to tasks whose subsets are declared so that the
 //! runtime's dependence analysis extracts all available parallelism:
-//! an operator apply to one task per registered tile, a run of vector
-//! operations and dots' partials to one task per worker *lane* (below).
+//! an operator apply to one task per registered tile, a vector
+//! operation or a dot's partials to one task per worker *lane* (below).
 //! Operator tiles are *lowered* once at registration
 //! into format-specialized kernels ([`crate::partitioning::lower_tiles`]):
 //! per-tile structure analysis picks banded/DIA, padded-lane ELL,
@@ -20,17 +20,17 @@
 //! zero-fill plan covers their output rows.
 //!
 //! Vector tasks (`copy`, `set_zero`, `scal`, `axpy`, `xpay`,
-//! `dot_partial`, the zero-fills of `apply`) run [`kdr_sparse::vecops`]
-//! slice kernels over the contiguous runs of what they declare. The
-//! elementwise kernels write the bits of their per-element expression,
-//! however the runs are cut; a dot partial is one piece's, reduced in
-//! `vecops::dot`'s fixed eight-accumulator order
-//! ([`vecops::DotLanes`]) by whichever worker runs it, and the partials
-//! are added in piece order, so no result depends on the worker count,
-//! on stealing, or on whether the step was replayed. A task declares
-//! each vector once, writable if it writes it, and an operation whose
-//! source is its destination updates it in place — a body never holds
-//! a shared and a mutable slice of the same elements.
+//! `dot_partial`, the zero-fills of `apply`) run one
+//! [`kdr_sparse::vecops`] slice kernel per contiguous run of what they
+//! declare. The elementwise kernels write the bits of their
+//! per-element expression, however the runs are cut; a dot partial is
+//! one piece's, reduced in `vecops::dot`'s fixed eight-accumulator
+//! order by whichever worker runs it, and the partials are added in
+//! piece order, so no result depends on the worker count, on
+//! stealing, or on whether the step was replayed. An operation whose
+//! source is its destination declares the vector once and updates it
+//! in place — a body never holds a shared and a mutable slice of the
+//! same elements.
 //!
 //! Task placement is the runtime's one rule, color `c` on worker
 //! `c % W`: every piece carries one color (`piece_color`), shared by
@@ -38,43 +38,38 @@
 //! tile's kernel payload and its vector piece stay hot in a single
 //! worker's cache across traced iterations.
 //!
-//! ## Lanes and sweeps
+//! ## Lanes
 //!
 //! A *lane* is the set of a component's non-empty pieces whose colors
 //! have the same home, `piece_color(comp, color) % W` on a runtime of
 //! `W` workers: the pieces whose tasks the runtime would queue on one
-//! worker anyway. Vector work is one task per lane, declaring the
-//! union of its pieces (its *footprint*, built once per vector by
-//! `alloc_vector` and shared by pointer).
-//!
-//! What one lane task runs is a *sweep*: a maximal run of a record's
-//! vector operations and `dot_many`s over vectors with the same lanes,
-//! ended by an `apply`, by a vector op whose coefficient a dot of the
-//! run produces, or by a scalar op that cannot go ahead of the run. A
-//! scalar op may go ahead — its task is submitted before the sweep's —
-//! when it reads no slot the run's dots write and writes no slot the
-//! run reads or its dots write (CG's `−α`); the run's `dot_reduce`s
-//! come after its bodies. The body walks the runs of the lane's pieces
-//! in index order, in blocks of about `SWEEP_BLOCK` (512) elements — a
-//! long run cut into blocks, short runs that touch taken whole, several
-//! to a block — and applies every op of the sweep to a block in record
-//! order before the next block: an update's kernel on the block, a dot
-//! pair's `vecops::DotLanes` fed with each run's part of it. Each element is still updated by
-//! the ops in record order, each from the values the ops before it
-//! left, and each run's dot is fed its blocks in order and finished
-//! with its tail where it ends — `vecops::dot`'s chain, so a piece's
-//! partial, one slot per piece and pair, is the op-by-op one bit for
-//! bit, and the `dot_reduce` reads the same partials on any `W`. With
-//! tracing off each op is a record of its own and lowers alone, the
-//! reference every traced run is checked against.
-//!
-//! With `W` at least the piece count every lane is one piece and the
-//! tasks are per piece; on one worker a component is one lane, and a
-//! replayed 16-piece CG step runs 24 bodies — 16 tile tasks, the `p·q`
-//! partials, one `axpy+axpy+dot_partial` sweep that reads `p` and `q`
-//! once and writes `x` and `r` once, the `xpay`, and 5 scalar tasks —
-//! where one task per op and piece ran 101. Tiles stay one task each:
+//! worker anyway. A vector operation is one task per lane, declaring
+//! the union of its pieces (its *footprint*, built once per vector by
+//! `alloc_vector` and shared by pointer) and running the kernel over
+//! the footprint's runs; a dot's partials are one `dot_partial` task
+//! per lane, writing one slot per piece, each the piece's runs'
+//! `vecops::dot`s added in run order from `+0` — exactly the per-piece
+//! partial. So the `dot_reduce` reads the same partials on any `W`,
+//! and every residual history keeps its bits. With `W` at least the
+//! piece count every lane is one piece and the tasks are the per-piece
+//! ones; on one worker a component is one lane, and a replayed
+//! 16-piece CG step runs 25 bodies — 16 tile tasks, the `p·q` partial
+//! task, an `axpy`, an `axpy+dot_partial` (below), an `xpay`, 5 scalar
+//! tasks — where one task per piece ran 101. Tiles stay one task each:
 //! each is its own kernel payload.
+//!
+//! An `axpy` and a one-pair `dot_many` recorded right after it that
+//! reads the updated vector — CG's `r −= αq` and `r·r` — lower to one
+//! `axpy+dot_partial` task per lane when the pair's first operand has
+//! the updated vector's lanes. Its body runs `vecops::axpy_dot` per
+//! run, which updates a block of eight and adds it to `dot`'s lanes
+//! before the next, so the dot's latency-bound `mul_add` chain runs
+//! under the update's loads and stores and the vector is not read
+//! back. The update writes `axpy`'s bits and the partials are `dot`'s
+//! of the updated runs, so nothing moves a bit; with tracing off every
+//! op is a record of its own and lowers alone, which is what the
+//! traced runs are checked against. Any other pair or batch lowers
+//! after the `axpy`, as its own tasks.
 //!
 //! ## Traced stepping: step programs
 //!
@@ -145,13 +140,13 @@
 //! tasks on worker `colour % W`, and the runtime merges the tasks of
 //! one home. On one worker every task, the colourless scalar ones
 //! included, has that worker for its home, so a replayed 16-piece CG
-//! step is one scheduled node for its 24 task bodies. On two, the
+//! step is one scheduled node for its 25 task bodies. On two, the
 //! scalar tasks fuse into chains (a scalar task joins the most recent
 //! scalar node when it waits on it), and the step is scheduled, per
-//! home worker, as `[spmv × 8 + dot_partial]`, `[axpy+axpy+dot_partial]`
-//! and `[xpay]` over the home's lane of eight pieces, plus
-//! `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 8 nodes.
-//! Bodies run in
+//! home worker, as `[spmv × 8 + dot_partial]`, `[axpy +
+//! axpy+dot_partial]` and `[xpay]` over the home's lane of eight pieces,
+//! plus `[dot_reduce + alpha + −alpha]` and `[dot_reduce + beta]`: 8
+//! nodes. Bodies run in
 //! submission order inside a node, so a replay changes no bit of any
 //! vector.
 //! [`ExecMetrics::runtime`]
@@ -168,7 +163,7 @@
 //! hands a rebuilt solver the vectors its predecessor used. Pieces and
 //! lane and tile footprints are held as shared `Arc<IntervalSet>`s made
 //! once, so lowering a step copies no interval set; the one set it
-//! builds is each sweep task's partial slots.
+//! builds is each `dot_partial` task's partial slots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -293,6 +288,7 @@ impl ExecMetrics {
 /// home worker, `piece_color(comp, colour) % workers`: the unit a
 /// vector task covers. With at least as many workers as pieces, a lane
 /// is one piece.
+#[derive(PartialEq)]
 struct Lane {
     /// Affinity colour of the lane's first piece; every piece of the
     /// lane has its home.
@@ -304,9 +300,6 @@ struct Lane {
     /// count and a rebuilt step's signature matches its cached one by
     /// pointer.
     footprint: Arc<IntervalSet>,
-    /// Every run of every member as `(lo, hi, member)`, in index order:
-    /// what a sweep body walks.
-    segments: Vec<(usize, usize, usize)>,
 }
 
 impl Lane {
@@ -330,17 +323,10 @@ impl Lane {
                     .map(|&c| (c, Arc::new(pieces[c].clone())))
                     .collect();
                 let runs = members.iter().flat_map(|(_, p)| p.runs().iter().copied());
-                let mut segments: Vec<(usize, usize, usize)> = members
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(m, (_, p))| runs_of(p).map(move |(lo, n)| (lo, lo + n, m)))
-                    .collect();
-                segments.sort_unstable();
                 Arc::new(Lane {
                     color: piece_color(comp, first),
                     footprint: Arc::new(IntervalSet::from_runs(runs)),
                     members,
-                    segments,
                 })
             })
             .collect()
@@ -348,11 +334,11 @@ impl Lane {
 
     /// The partial slots of the lane's pieces in a `dot` whose
     /// component's first piece takes slot `first`: one per piece.
-    fn slots(&self, first: usize) -> impl Iterator<Item = Run> + '_ {
-        self.members.iter().map(move |&(color, _)| {
+    fn slots(&self, first: usize) -> IntervalSet {
+        IntervalSet::from_runs(self.members.iter().map(|&(color, _)| {
             let slot = (first + color) as u64;
             Run::new(slot, slot + 1)
-        })
+        }))
     }
 }
 
@@ -377,6 +363,15 @@ fn runs_of(subset: &IntervalSet) -> impl Iterator<Item = (usize, usize)> + '_ {
         .runs()
         .iter()
         .map(|run| (run.lo as usize, (run.hi - run.lo) as usize))
+}
+
+/// `dst ← dst + alpha · src`, carried into the partial tasks of the
+/// dot recorded right after it ([`ExecBackend::fuses`]).
+#[derive(Clone, Copy)]
+struct Axpy {
+    dst: BVec,
+    alpha: SRef,
+    src: BVec,
 }
 
 /// Sum of `partials` in ascending slot order from `+0` — the one
@@ -580,10 +575,10 @@ struct ExecOpSet<T> {
 }
 
 impl VecOp {
-    /// The slice kernel a sweep body calls once per block of a run of
-    /// its lane: that block of the destination, the coefficient (`0`
-    /// without one) and the same block of the source — `None` when the
-    /// source is the destination, updated in place.
+    /// The slice kernel a task body calls once per run of its piece:
+    /// that run of the destination, the coefficient (`0` without one)
+    /// and the same run of the source — `None` when the source is the
+    /// destination, updated in place.
     fn kernel<T: Scalar>(self) -> fn(/*dst*/ &mut [T], /*alpha*/ T, /*src*/ Option<&[T]>) {
         match self {
             // A vector copied onto itself already holds the result.
@@ -602,336 +597,6 @@ impl VecOp {
                 Some(s) => vecops::xpay(d, a, s),
                 None => vecops::axpy_in_place(d, a),
             },
-        }
-    }
-}
-
-/// Elements a sweep body streams per block: every op of the sweep
-/// runs on one block before the next block. A block holds fewer than
-/// twice this many: a longer run of a lane's pieces is cut into blocks
-/// of this length, the last one taking what is left, and shorter runs
-/// that touch go whole into one block, as many as fit. 512 `f64`s are
-/// 4 KiB per vector, so a CG update over `x`, `p`, `r` and `q` keeps
-/// at most 32 KiB of blocks in L1 between its ops. A multiple of
-/// [`vecops::DOT_LANES`], so a run's dot leaves a tail only where the
-/// run ends, and a layout constant, not a tuning knob: no bit depends
-/// on it (see [`ExecBackend::sweep_tasks`]). A sweep of one op has
-/// nothing to interleave and takes touching runs whole, however long.
-const SWEEP_BLOCK: usize = 512;
-
-/// Where `x` sits in `list`, appended if it was not there.
-fn note(list: &mut Vec<usize>, x: usize) -> usize {
-    list.iter().position(|&y| y == x).unwrap_or_else(|| {
-        list.push(x);
-        list.len() - 1
-    })
-}
-
-/// The task name of a sweep body: its ops' names joined by `+`
-/// (`axpy+axpy+dot_partial`), a lone op's name as it is. Task names
-/// are `'static`, so a joined name is leaked once per distinct list
-/// and handed out from then on: a program's bodies keep one name on
-/// every lowering, and the names are as many as the distinct op lists
-/// solvers record.
-fn sweep_name(names: &[&'static str]) -> &'static str {
-    static JOINED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    if let [name] = names {
-        return name;
-    }
-    let joined = names.join("+");
-    let mut interned = JOINED.lock();
-    if let Some(&name) = interned.iter().find(|&&name| name == joined) {
-        return name;
-    }
-    let name: &'static str = Box::leak(joined.into_boxed_str());
-    interned.push(name);
-    name
-}
-
-/// One op of a sweep: an elementwise op, or one pair of a
-/// `dot_many`.
-enum SweepOp {
-    Update {
-        op: VecOp,
-        dst: BVec,
-        /// `None` without a source or when the source is `dst`.
-        src: Option<BVec>,
-        alpha: Option<SRef>,
-    },
-    Dot {
-        a: BVec,
-        b: BVec,
-        /// Which of the sweep's partials buffers the pair writes.
-        partials: usize,
-        /// Slot of the pair's first partial there.
-        first_slot: usize,
-    },
-}
-
-/// A *sweep* being gathered by [`ExecBackend::lower`]: a maximal run of
-/// a record's vector ops and `dot_many`s over vectors with the same
-/// lanes, lowered to one body per lane ([`ExecBackend::sweep_tasks`]).
-/// Its `dot_reduce`s are deferred until after the bodies.
-struct Sweep<T> {
-    /// A vector of the open run, whose lanes the bodies cover; `None`
-    /// while no run is open.
-    lanes_of: Option<BVec>,
-    /// Each op's task name, in record order.
-    names: Vec<&'static str>,
-    ops: Vec<SweepOp>,
-    /// Scalar tasks moved ahead of the bodies.
-    hoisted: Vec<TaskBuilder>,
-    /// Scalar tasks recorded since the sweep's last op: hoisted if
-    /// another op joins, run after the sweep otherwise.
-    pending: Vec<TaskBuilder>,
-    /// The deferred `dot_reduce` tasks.
-    combines: Vec<TaskBuilder>,
-    /// Slots the deferred combines write.
-    combined: Vec<SRef>,
-    /// Slots the ops read as coefficients.
-    coefficients: Vec<SRef>,
-    /// The partials buffer of each `dot_many` of the sweep.
-    partials: Vec<Buffer<T>>,
-}
-
-/// A sweep op as its body runs it, each operand by its requirement in
-/// the body's task ([`SweepShape`]).
-#[derive(Clone, Copy)]
-enum Pass<T> {
-    Update {
-        kernel: fn(&mut [T], T, Option<&[T]>),
-        alpha: Option<usize>,
-        dst: usize,
-        src: Option<usize>,
-    },
-    Dot {
-        x: usize,
-        y: usize,
-        partials: usize,
-        /// Slot of the component's first piece: piece `c` writes
-        /// `slot + c`.
-        slot: usize,
-    },
-}
-
-/// What a sweep body reaches a requirement through, resolved once per
-/// body: a partials buffer's or a vector's view, or a coefficient's
-/// value.
-enum Operand<'a, T> {
-    Read(ReadView<'a, T>),
-    Write(WriteView<'a, T>),
-    Value(T),
-}
-
-impl<T: Copy> Operand<'_, T> {
-    fn slice(&mut self, lo: usize, n: usize) -> &[T] {
-        match self {
-            Operand::Read(v) => v.range(lo, n),
-            Operand::Write(v) => v.range_mut(lo, n),
-            Operand::Value(_) => unreachable!("a sweep slices vectors only"),
-        }
-    }
-
-    fn slice_mut(&mut self, lo: usize, n: usize) -> &mut [T] {
-        match self {
-            Operand::Write(v) => v.range_mut(lo, n),
-            _ => unreachable!("a sweep declares every vector it writes writable"),
-        }
-    }
-}
-
-/// `items[i]` and `items[j]`, two distinct items, both mutably.
-fn two_mut<V>(items: &mut [V], i: usize, j: usize) -> (&mut V, &mut V) {
-    assert_ne!(i, j, "two operands of an op are two vectors");
-    if i < j {
-        let (head, tail) = items.split_at_mut(j);
-        (&mut head[i], &mut tail[0])
-    } else {
-        let (head, tail) = items.split_at_mut(i);
-        (&mut tail[0], &mut head[j])
-    }
-}
-
-/// How a sweep task's requirements are laid out: `parts` partials
-/// buffers, then `written` vectors the sweep writes, then the vectors
-/// it only reads (`vectors` in all), then `coefficients` scalars; and
-/// how many dot pairs its ops hold.
-#[derive(Clone, Copy)]
-struct SweepShape {
-    parts: usize,
-    written: usize,
-    vectors: usize,
-    coefficients: usize,
-    dots: usize,
-}
-
-/// The body of one lane's sweep task (see [`ExecBackend::sweep_tasks`]).
-/// It allocates nothing for the usual few operands and dot pairs: a
-/// body runs every step.
-fn sweep_body<T: Scalar>(
-    ctx: &kdr_runtime::TaskContext,
-    lane: &Lane,
-    passes: &[Pass<T>],
-    shape: SweepShape,
-) {
-    let SweepShape {
-        parts,
-        written,
-        vectors,
-        coefficients,
-        dots,
-    } = shape;
-    let operand = |i: usize| match i {
-        i if i < parts + written => Operand::Write(ctx.write::<T>(i)),
-        i if i < parts + vectors => Operand::Read(ctx.read::<T>(i)),
-        i => Operand::Value(ctx.read::<T>(i).get(0)),
-    };
-    let n = parts + vectors + coefficients;
-    let mut few: [Operand<T>; 8] = std::array::from_fn(|i| match i < n {
-        true => operand(i),
-        false => Operand::Value(T::ZERO),
-    });
-    let mut many: Vec<Operand<T>> = Vec::new();
-    let operands: &mut [Operand<T>] = match n <= few.len() {
-        true => &mut few[..n],
-        false => {
-            many.extend((0..n).map(operand));
-            &mut many
-        }
-    };
-    // Per dot pair, the lanes of the run it is in; per member and
-    // pair, the piece's partial so far.
-    let cells = lane.members.len() * dots;
-    if dots == 0 {
-        sweep_lane(operands, passes, lane, &mut [], &mut []);
-    } else if dots <= 4 && cells <= 32 {
-        let mut open = [vecops::DotLanes::new(); 4];
-        let mut sums = [T::ZERO; 32];
-        sweep_lane(operands, passes, lane, &mut open[..dots], &mut sums[..cells]);
-    } else {
-        let mut open = vec![vecops::DotLanes::new(); dots];
-        let mut sums = vec![T::ZERO; cells];
-        sweep_lane(operands, passes, lane, &mut open, &mut sums);
-    }
-}
-
-/// Every block of a lane (see [`SWEEP_BLOCK`]), then each piece's
-/// partials into their slots.
-#[inline(never)]
-fn sweep_lane<T: Scalar>(
-    operands: &mut [Operand<T>],
-    passes: &[Pass<T>],
-    lane: &Lane,
-    open: &mut [vecops::DotLanes<T>],
-    sums: &mut [T],
-) {
-    // A lone op has nothing to interleave with: one block per run of
-    // touching pieces.
-    let most = match passes.len() {
-        1 => usize::MAX,
-        _ => 2 * SWEEP_BLOCK - 1,
-    };
-    let segments = &lane.segments;
-    let mut i = 0;
-    while i < segments.len() {
-        let (lo, hi, _) = segments[i];
-        if hi - lo > most {
-            // A long run: blocks of `SWEEP_BLOCK`, the last one taking
-            // what is left.
-            let mut at = lo;
-            while at < hi {
-                let end = if hi - at > most { at + SWEEP_BLOCK } else { hi };
-                sweep_block(operands, passes, (at, end), &segments[i..=i], open, sums);
-                at = end;
-            }
-            i += 1;
-        } else {
-            // Short runs that touch, whole, as many as fit.
-            let mut j = i + 1;
-            while j < segments.len() && segments[j].0 == segments[j - 1].1 && segments[j].1 - lo <= most {
-                j += 1;
-            }
-            let end = segments[j - 1].1;
-            sweep_block(operands, passes, (lo, end), &segments[i..j], open, sums);
-            i = j;
-        }
-    }
-    let dots = open.len();
-    let slots = passes.iter().filter_map(|p| match *p {
-        Pass::Dot { partials, slot, .. } => Some((partials, slot)),
-        Pass::Update { .. } => None,
-    });
-    for (k, (req, slot)) in slots.enumerate() {
-        if let Operand::Write(p) = &operands[req] {
-            for (m, &(color, _)) in lane.members.iter().enumerate() {
-                p.set(slot + color, sums[m * dots + k]);
-            }
-        }
-    }
-}
-
-/// Every op of a sweep on the block `[at, end)` of a lane, in record
-/// order. The block holds the `segments` (runs of the lane's pieces)
-/// whole, or a part of one long run that starts a multiple of
-/// [`SWEEP_BLOCK`] into it. A dot pair feeds each segment's part of
-/// the block to the lanes of its run (`open`), which start at `+0`
-/// where the run starts; where the run ends, its tail is folded in and
-/// the run's dot added to its piece's partial (`sums`, member-major).
-#[inline(never)]
-fn sweep_block<T: Scalar>(
-    operands: &mut [Operand<T>],
-    passes: &[Pass<T>],
-    (at, end): (usize, usize),
-    segments: &[(usize, usize, usize)],
-    open: &mut [vecops::DotLanes<T>],
-    sums: &mut [T],
-) {
-    let len = end - at;
-    let mut k = 0;
-    for pass in passes {
-        match *pass {
-            Pass::Update {
-                kernel,
-                alpha,
-                dst,
-                src,
-            } => {
-                let a = match alpha.map(|i| &operands[i]) {
-                    Some(Operand::Value(a)) => *a,
-                    _ => T::ZERO,
-                };
-                match src {
-                    None => kernel(operands[dst].slice_mut(at, len), a, None),
-                    Some(src) => {
-                        let (d, s) = two_mut(operands, dst, src);
-                        kernel(d.slice_mut(at, len), a, Some(s.slice(at, len)));
-                    }
-                }
-            }
-            Pass::Dot { x, y, .. } => {
-                let (xs, ys) = if x == y {
-                    let s = operands[x].slice(at, len);
-                    (s, s)
-                } else {
-                    let (xv, yv) = two_mut(operands, x, y);
-                    (xv.slice(at, len), yv.slice(at, len))
-                };
-                let dots = open.len();
-                let lanes = &mut open[k];
-                for &(lo, hi, m) in segments {
-                    let (from, to) = (lo.max(at), hi.min(end));
-                    if from == lo {
-                        *lanes = vecops::DotLanes::new();
-                    }
-                    let (xs, ys) = (&xs[from - at..to - at], &ys[from - at..to - at]);
-                    let full = xs.len() / vecops::DOT_LANES * vecops::DOT_LANES;
-                    lanes.feed(&xs[..full], &ys[..full]);
-                    if to == hi {
-                        sums[m * dots + k] += lanes.finish(&xs[full..], &ys[full..]);
-                    }
-                }
-                k += 1;
-            }
         }
     }
 }
@@ -1321,65 +986,178 @@ impl<T: Scalar> ExecBackend<T> {
         self.vectors[v].comps.iter().map(|c| c.piece_count).sum()
     }
 
-    /// Add the op named `name`, over `vectors` (the one whose lanes a
-    /// new run takes first) and reading the coefficient `reads`, to the
-    /// open sweep, or open one with it: the run continues while every
-    /// vector has the run's lanes and the op reads no coefficient a
-    /// deferred combine of the run writes; otherwise the open run is
-    /// lowered first. The scalar tasks that waited since the run's
-    /// last op go ahead of its bodies.
-    fn join_sweep(
+    /// One `dot_partial` task per lane of `a · b`, writing the slots of
+    /// `partials` from `first_slot` on (one slot per piece, empty ones
+    /// included, in component-then-colour order). A piece's partial is
+    /// its runs' [`vecops::dot`]s added in run order from `+0`, however
+    /// many pieces its lane holds; this is the only place the backend
+    /// multiplies two vectors, so `dot`, `dot_many` and every replayed,
+    /// stolen or re-run copy of either agree bit for bit, on any number
+    /// of workers.
+    ///
+    /// With an `update` ([`Self::fuses`]) the task is an
+    /// `axpy+dot_partial`: it applies the `axpy` to each run before it
+    /// takes the run's dot, in one pass ([`vecops::axpy_dot`]), which
+    /// writes the `axpy`'s bits and reduces the updated run in `dot`'s
+    /// order. The partials stay the task's first written requirement.
+    fn dot_partial_tasks(
         &self,
-        run: &mut Sweep<T>,
-        name: &'static str,
-        vectors: &[BVec],
-        reads: Option<SRef>,
+        (a, b): (BVec, BVec),
+        partials: &Buffer<T>,
+        first_slot: usize,
+        update: Option<Axpy>,
         out: &mut Lowered<T>,
     ) {
-        let joins = run
-            .lanes_of
-            .is_some_and(|v| vectors.iter().all(|&w| self.same_lanes(v, w)))
-            && reads.is_none_or(|c| !run.combined.contains(&c));
-        if !joins {
-            self.sweep_tasks(run, out);
-            run.lanes_of = Some(vectors[0]);
+        let (av, bv) = (&self.vectors[a], &self.vectors[b]);
+        let name = if update.is_some() {
+            "axpy+dot_partial"
+        } else {
+            "dot_partial"
+        };
+        // The slot of the component's first piece.
+        let mut first = first_slot;
+        for (ci, ac) in av.comps.iter().enumerate() {
+            let bc = &bv.comps[ci];
+            for lane in &ac.lanes {
+                let (lane_in_body, base) = (Arc::clone(lane), first);
+                let fp = || Arc::clone(&lane.footprint);
+                let tb = TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
+                let Some(Axpy { dst, alpha, src }) = update else {
+                    out.tasks.push(
+                        tb.read(&ac.buf, fp())
+                            .read(&bc.buf, fp())
+                            .write(partials, lane.slots(first))
+                            .shared_body(move |ctx| {
+                                let x = ctx.read::<T>(0);
+                                let y = ctx.read::<T>(1);
+                                let p = ctx.write::<T>(2);
+                                for (color, piece) in &lane_in_body.members {
+                                    let mut acc = T::ZERO;
+                                    for (lo, n) in runs_of(piece) {
+                                        acc += vecops::dot(x.range(lo, n), y.range(lo, n));
+                                    }
+                                    p.set(base + color, acc);
+                                }
+                            }),
+                    );
+                    continue;
+                };
+                // The pair's operand that is not `dst`, if any.
+                let other = [a, b].into_iter().find(|&v| v != dst);
+                let mut tb = tb
+                    .read_all(&self.scalars[alpha])
+                    .read(&self.vectors[src].comps[ci].buf, fp());
+                if let Some(o) = other {
+                    tb = tb.read(&self.vectors[o].comps[ci].buf, fp());
+                }
+                let has_other = other.is_some();
+                let idx_p = 2 + usize::from(has_other);
+                out.tasks.push(
+                    tb.write(partials, lane.slots(first))
+                        .write(&self.vectors[dst].comps[ci].buf, fp())
+                        .shared_body(move |ctx| {
+                            let a = ctx.read::<T>(0).get(0);
+                            let s = ctx.read::<T>(1);
+                            let y = has_other.then(|| ctx.read::<T>(2));
+                            let p = ctx.write::<T>(idx_p);
+                            let mut d = ctx.write::<T>(idx_p + 1);
+                            for (color, piece) in &lane_in_body.members {
+                                let mut acc = T::ZERO;
+                                for (lo, n) in runs_of(piece) {
+                                    let y = y.as_ref().map(|y| y.range(lo, n));
+                                    acc += vecops::axpy_dot(d.range_mut(lo, n), a, s.range(lo, n), y);
+                                }
+                                p.set(base + color, acc);
+                            }
+                        }),
+                );
+            }
+            first += ac.piece_count;
         }
-        run.hoisted.append(&mut run.pending);
-        run.names.push(name);
     }
 
-    /// Whether `v` and `w` have the same lanes in every component.
-    fn same_lanes(&self, v: BVec, w: BVec) -> bool {
-        let (v, w) = (&self.vectors[v].comps, &self.vectors[w].comps);
-        v.len() == w.len()
-            && v.iter().zip(w).all(|(v, w)| {
-                v.lanes.len() == w.lanes.len()
-                    && v.lanes
-                        .iter()
-                        .zip(&w.lanes)
-                        .all(|(a, b)| Arc::ptr_eq(a, b) || a.members == b.members)
-            })
+    /// Whether an `axpy` of `dst` and the one-pair `dot_many` recorded
+    /// right after it lower to one `axpy+dot_partial` task per lane:
+    /// the pair reads `dst`, the `axpy` has a source other than `dst`,
+    /// and `dst` has the pair's first operand's lanes, the ones the
+    /// partial tasks run over. A pair of other lanes, or any other
+    /// batch, lowers as it always has, after the `axpy`.
+    fn fuses(&self, Axpy { dst, src, .. }: Axpy, (a, b, _): (BVec, BVec, SRef)) -> bool {
+        let same_lanes = a == dst
+            || self.vectors[a].comps.iter().zip(&self.vectors[dst].comps).all(|(ac, dc)| {
+                ac.piece_count == dc.piece_count && ac.lanes == dc.lanes
+            });
+        src != dst && (a == dst || b == dst) && same_lanes
     }
 
-    /// A `dot_many` joins the open sweep ([`ExecBackend::join_sweep`]):
-    /// one op per pair, all writing one partials buffer — `partials`
-    /// when given (a cached program's buffer), else a fresh one; either
-    /// way `out` lists it — and a single `dot_reduce` combine task,
-    /// deferred until after the sweep's bodies, that produces every
-    /// result scalar: one reduction stage for the whole batch. Each
-    /// pair's partials occupy a contiguous slot range, one slot per
-    /// piece of its first operand, and are summed in ascending slot
-    /// order, so a result does not depend on which other pairs share
-    /// its batch.
-    fn join_dots(
+    /// One task per lane for an elementwise operation on `dst`
+    /// (optionally reading `src` at the same footprint and a scalar
+    /// coefficient): the body calls the operation's [`VecOp::kernel`]
+    /// once per run of the lane's footprint, which writes the bits of
+    /// its per-element expression however the runs are cut.
+    ///
+    /// `src == dst` is an in-place update: the task declares the
+    /// vector once, writable, and the kernel gets no source slice — a
+    /// body never holds `&mut [T]` and `&[T]` over the same elements.
+    fn elementwise(
         &self,
-        run: &mut Sweep<T>,
+        op: VecOp,
+        dst: BVec,
+        src: Option<BVec>,
+        alpha: Option<SRef>,
+        out: &mut Lowered<T>,
+    ) {
+        let (name, kernel) = (op.name(), op.kernel::<T>());
+        let src = src.filter(|&s| s != dst);
+        let dvec = &self.vectors[dst];
+        for (ci, dcomp) in dvec.comps.iter().enumerate() {
+            let scomp = src.map(|s| &self.vectors[s].comps[ci]);
+            for lane in &dcomp.lanes {
+                // Same affinity colour as the tile tasks writing the
+                // lane's pieces, so they stay on one worker's cache.
+                let mut tb =
+                    TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
+                let mut idx_alpha = None;
+                let mut idx_src = None;
+                if let Some(a) = alpha {
+                    idx_alpha = Some(0usize);
+                    tb = tb.read_all(&self.scalars[a]);
+                }
+                if let Some(sc) = scomp {
+                    idx_src = Some(idx_alpha.map_or(0, |_| 1));
+                    tb = tb.read(&sc.buf, Arc::clone(&lane.footprint));
+                }
+                let idx_dst = idx_alpha.iter().count() + idx_src.iter().count();
+                tb = tb.write(&dcomp.buf, Arc::clone(&lane.footprint));
+                out.tasks.push(tb.shared_body(move |ctx| {
+                    let a = idx_alpha.map_or(T::ZERO, |i| ctx.read::<T>(i).get(0));
+                    let s = idx_src.map(|i| ctx.read::<T>(i));
+                    let mut d = ctx.write::<T>(idx_dst);
+                    for (lo, n) in runs_of(ctx.subset(idx_dst)) {
+                        kernel(d.range_mut(lo, n), a, s.as_ref().map(|s| s.range(lo, n)));
+                    }
+                }));
+            }
+        }
+    }
+
+    /// Every pair's partial tasks as one DAG stage sharing one
+    /// partials buffer, and a single `dot_reduce` combine task that
+    /// produces all result scalars — one reduction stage for the
+    /// whole batch. Each pair's partials occupy a contiguous slot
+    /// range and are summed in ascending slot order, so a result does
+    /// not depend on which other pairs share its batch. The partials
+    /// go into `partials` when given (a cached program's buffer), else
+    /// into a fresh buffer; either way `out` lists the one used. An
+    /// `update` goes into the partial tasks of a one-pair batch
+    /// ([`Self::dot_partial_tasks`]).
+    fn dots(
+        &self,
         batch: &[(BVec, BVec, SRef)],
         partials: Option<&Buffer<T>>,
+        update: Option<Axpy>,
         out: &mut Lowered<T>,
     ) {
-        let vectors: Vec<BVec> = batch.iter().flat_map(|&(a, b, _)| [a, b]).collect();
-        self.join_sweep(run, "dot_partial", &vectors, None, out);
         // Per-pair slot offsets into the shared partials buffer.
         let mut offsets = Vec::with_capacity(batch.len() + 1);
         let mut total_slots = 0usize;
@@ -1390,188 +1168,20 @@ impl<T: Scalar> ExecBackend<T> {
         offsets.push(total_slots);
         let partials = partials.map_or_else(|| Buffer::filled(total_slots, T::ZERO), Buffer::clone);
         for (&(a, b, _), &first_slot) in batch.iter().zip(&offsets) {
-            run.ops.push(SweepOp::Dot {
-                a,
-                b,
-                partials: run.partials.len(),
-                first_slot,
-            });
+            self.dot_partial_tasks((a, b), &partials, first_slot, update, out);
         }
         let mut combine = TaskBuilder::new("dot_reduce").read_all(&partials);
         for &(_, _, result) in batch {
             combine = combine.write_all(&self.scalars[result]);
-            run.combined.push(result);
         }
-        run.combines.push(combine.shared_body(move |ctx| {
+        out.tasks.push(combine.shared_body(move |ctx| {
             let p = ctx.read::<T>(0);
             for (j, w) in offsets.windows(2).enumerate() {
                 let sum = sum_in_order(p.range(w[0], w[1] - w[0]));
                 ctx.write::<T>(j + 1).set(0, sum);
             }
         }));
-        run.partials.push(partials.clone());
         out.partials.push(partials);
-    }
-
-    /// A scalar task recorded while a sweep is open waits to go ahead
-    /// of the sweep's bodies if moving it there reorders nothing: it
-    /// reads no slot a deferred combine of the run writes and writes
-    /// none that a combine writes or an op of the run reads. Any other scalar
-    /// task ends the run, and so does the lack of an open run.
-    fn scalar_in_sweep(
-        &self,
-        run: &mut Sweep<T>,
-        reads: &[SRef],
-        writes: SRef,
-        task: TaskBuilder,
-        out: &mut Lowered<T>,
-    ) {
-        let reorders = reads.iter().any(|s| run.combined.contains(s))
-            || run.combined.contains(&writes)
-            || run.coefficients.contains(&writes);
-        if run.lanes_of.is_none() || reorders {
-            self.sweep_tasks(run, out);
-            out.tasks.push(task);
-        } else {
-            run.pending.push(task);
-        }
-    }
-
-    /// Lower the open sweep and close it: the scalar tasks it hoisted,
-    /// one body per lane of its vectors, its deferred combines, then the
-    /// scalar tasks that waited after its last op.
-    ///
-    /// A body walks the runs of its lane's pieces in index order, in
-    /// blocks of about [`SWEEP_BLOCK`] elements, and applies every op
-    /// to a block in record order before the next block: an update
-    /// calls its [`VecOp::kernel`] on the block — the bits of its
-    /// per-element expression, however the elements are cut — and a
-    /// dot pair feeds each run's part of the block, in full lane
-    /// blocks, into its [`vecops::DotLanes`], folding the tail where
-    /// the run ends. Every op sees each element after the ops before
-    /// it and before the ops after it, as op by op; a piece's partial
-    /// is its runs' dots added in run order from `+0`, `vecops::dot`'s
-    /// bits on each run, so the `dot_reduce` reads the same partials on
-    /// any worker count and whatever ran beside the dot. A vector is
-    /// declared once per body — writable if an op writes it — so a body
-    /// never holds a shared and a mutable slice of the same elements;
-    /// the partials buffers come first, so a corrupted write lands on a
-    /// partial.
-    fn sweep_tasks(&self, run: &mut Sweep<T>, out: &mut Lowered<T>) {
-        let Some(lanes_of) = run.lanes_of.take() else {
-            return;
-        };
-        out.tasks.append(&mut run.hoisted);
-        let name = sweep_name(&run.names);
-        // What a body declares, in order: partials buffers, vectors
-        // written, vectors only read, coefficients.
-        let (mut written, mut read, mut coefficients) = (Vec::new(), Vec::new(), Vec::new());
-        for m in &run.ops {
-            if let SweepOp::Update { dst, alpha, .. } = *m {
-                note(&mut written, dst);
-                if let Some(a) = alpha {
-                    note(&mut coefficients, a);
-                }
-            }
-        }
-        for m in &run.ops {
-            let sources = match *m {
-                SweepOp::Update { src, .. } => [src, None],
-                SweepOp::Dot { a, b, .. } => [Some(a), Some(b)],
-            };
-            for v in sources.into_iter().flatten() {
-                if !written.contains(&v) {
-                    note(&mut read, v);
-                }
-            }
-        }
-        let view = |v: BVec| match written.iter().position(|&w| w == v) {
-            Some(i) => i,
-            None => {
-                written.len()
-                    + read
-                        .iter()
-                        .position(|&r| r == v)
-                        .expect("a sweep declares every vector it reads")
-            }
-        };
-        let vectors: Vec<BVec> = written.iter().chain(&read).copied().collect();
-        let shape = SweepShape {
-            parts: run.partials.len(),
-            written: written.len(),
-            vectors: vectors.len(),
-            coefficients: coefficients.len(),
-            dots: run.ops.iter().filter(|m| matches!(m, SweepOp::Dot { .. })).count(),
-        };
-        for (ci, comp) in self.vectors[lanes_of].comps.iter().enumerate() {
-            let passes: Arc<[Pass<T>]> = run
-                .ops
-                .iter()
-                .map(|m| match *m {
-                    SweepOp::Update {
-                        op,
-                        dst,
-                        src,
-                        alpha,
-                    } => Pass::Update {
-                        kernel: op.kernel::<T>(),
-                        alpha: alpha.map(|a| shape.parts + shape.vectors + note(&mut coefficients, a)),
-                        dst: shape.parts + view(dst),
-                        src: src.map(|s| shape.parts + view(s)),
-                    },
-                    SweepOp::Dot {
-                        a,
-                        b,
-                        partials,
-                        first_slot,
-                    } => Pass::Dot {
-                        x: shape.parts + view(a),
-                        y: shape.parts + view(b),
-                        partials,
-                        // The slots of the pair's earlier components
-                        // come first.
-                        slot: first_slot
-                            + self.vectors[a].comps[..ci]
-                                .iter()
-                                .map(|c| c.piece_count)
-                                .sum::<usize>(),
-                    },
-                })
-                .collect();
-            for lane in &comp.lanes {
-                // Same affinity colour as the tile tasks writing the
-                // lane's pieces, so they stay on one worker's cache.
-                let mut tb =
-                    TaskBuilder::new(name).meta(TaskMeta::new(name).with_color(lane.color));
-                for (k, p) in run.partials.iter().enumerate() {
-                    let slots = passes.iter().filter_map(|pass| match *pass {
-                        Pass::Dot { partials, slot, .. } if partials == k => Some(lane.slots(slot)),
-                        _ => None,
-                    });
-                    tb = tb.write(p, IntervalSet::from_runs(slots.flatten()));
-                }
-                for (i, &v) in vectors.iter().enumerate() {
-                    let buf = &self.vectors[v].comps[ci].buf;
-                    tb = match i < written.len() {
-                        true => tb.write(buf, Arc::clone(&lane.footprint)),
-                        false => tb.read(buf, Arc::clone(&lane.footprint)),
-                    };
-                }
-                for &c in &coefficients {
-                    tb = tb.read_all(&self.scalars[c]);
-                }
-                let (lane, passes) = (Arc::clone(lane), Arc::clone(&passes));
-                out.tasks
-                    .push(tb.shared_body(move |ctx| sweep_body::<T>(ctx, &lane, &passes, shape)));
-            }
-        }
-        out.tasks.append(&mut run.combines);
-        out.tasks.append(&mut run.pending);
-        run.names.clear();
-        run.ops.clear();
-        run.combined.clear();
-        run.coefficients.clear();
-        run.partials.clear();
     }
 
     /// `dst ← A(src)` (or `Aᵀ`): the standalone zero tasks, then one
@@ -1647,59 +1257,45 @@ impl<T: Scalar> ExecBackend<T> {
         }
     }
 
-    /// Lower a record into its tasks: the one place a backend call
-    /// becomes tasks. Every body is a shared one, so the result can be
-    /// submitted as it is or kept as a step program. The record's
-    /// vector ops and `dot_many`s lower as *sweeps*, maximal runs of
-    /// them over vectors of the same lanes, one body per lane
-    /// ([`ExecBackend::sweep_tasks`]); a scalar op inside a run that
-    /// cannot go ahead of it ends the run, and so does an `apply`.
-    /// Nothing else moves: a record of one op (every record, with
-    /// tracing off) lowers op by op. The `k`-th `Dots` writes its
-    /// partials into `partials[k]` when there is one — a cached
-    /// program's buffers, to lower its record again — and into a fresh
-    /// buffer otherwise.
+    /// Lower a record into its tasks, in call order: the one place a
+    /// backend call becomes tasks. Every body is a shared one, so the
+    /// result can be submitted as it is or kept as a step program.
+    /// The `k`-th `Dots` writes its partials into `partials[k]` when
+    /// there is one — a cached program's buffers, to lower its record
+    /// again — and into a fresh buffer otherwise.
     fn lower(&self, step: &StepRecord<T>, partials: &[Buffer<T>]) -> Lowered<T> {
         let mut out = Lowered {
             tasks: Vec::new(),
             consts: None,
             partials: Vec::new(),
         };
-        let mut run = Sweep {
-            lanes_of: None,
-            names: Vec::new(),
-            ops: Vec::new(),
-            hoisted: Vec::new(),
-            pending: Vec::new(),
-            combines: Vec::new(),
-            combined: Vec::new(),
-            coefficients: Vec::new(),
-            partials: Vec::new(),
-        };
         let (mut dots_at, mut consts_at) = (0, 0);
-        for &op in &step.key.ops {
+        let mut ops = step.key.ops.iter().copied().peekable();
+        while let Some(op) = ops.next() {
             match op {
+                StepOp::Vector {
+                    op: VecOp::Axpy,
+                    dst,
+                    src: Some(src),
+                    alpha: Some(alpha),
+                } if matches!(ops.peek(), Some(StepOp::Dots { pairs: 1 }))
+                    && self.fuses(Axpy { dst, alpha, src }, step.key.dots[dots_at]) =>
+                {
+                    ops.next();
+                    let batch = &step.key.dots[dots_at..dots_at + 1];
+                    let update = Some(Axpy { dst, alpha, src });
+                    self.dots(batch, partials.get(out.partials.len()), update, &mut out);
+                    dots_at += 1;
+                }
                 StepOp::Vector {
                     op,
                     dst,
                     src,
                     alpha,
-                } => {
-                    let src = src.filter(|&s| s != dst);
-                    let vectors = [Some(dst), src];
-                    let vectors: Vec<BVec> = vectors.into_iter().flatten().collect();
-                    self.join_sweep(&mut run, op.name(), &vectors, alpha, &mut out);
-                    run.ops.push(SweepOp::Update {
-                        op,
-                        dst,
-                        src,
-                        alpha,
-                    });
-                    run.coefficients.extend(alpha);
-                }
+                } => self.elementwise(op, dst, src, alpha, &mut out),
                 StepOp::Dots { pairs } => {
                     let batch = &step.key.dots[dots_at..dots_at + pairs];
-                    self.join_dots(&mut run, batch, partials.get(out.partials.len()), &mut out);
+                    self.dots(batch, partials.get(out.partials.len()), None, &mut out);
                     dots_at += pairs;
                 }
                 StepOp::Const { out: slot } => {
@@ -1714,21 +1310,22 @@ impl<T: Scalar> ExecBackend<T> {
                         .get_or_insert_with(|| Arc::new(Mutex::new(step.consts.clone())));
                     let (cells, k) = (Arc::clone(cells), consts_at);
                     consts_at += 1;
-                    let task = TaskBuilder::new("scalar_set")
-                        .write_all(&self.scalars[slot])
-                        .shared_body(move |ctx| {
-                            let v = cells.lock()[k];
-                            ctx.write::<T>(0).set(0, v);
-                        });
-                    self.scalar_in_sweep(&mut run, &[], slot, task, &mut out);
+                    out.tasks.push(
+                        TaskBuilder::new("scalar_set")
+                            .write_all(&self.scalars[slot])
+                            .shared_body(move |ctx| {
+                                let v = cells.lock()[k];
+                                ctx.write::<T>(0).set(0, v);
+                            }),
+                    );
                 }
                 StepOp::Binop {
                     op,
                     a,
                     b,
                     out: slot,
-                } => {
-                    let task = TaskBuilder::new("scalar_binop")
+                } => out.tasks.push(
+                    TaskBuilder::new("scalar_binop")
                         .read_all(&self.scalars[a])
                         .read_all(&self.scalars[b])
                         .write_all(&self.scalars[slot])
@@ -1736,31 +1333,25 @@ impl<T: Scalar> ExecBackend<T> {
                             let x = ctx.read::<T>(0).get(0);
                             let y = ctx.read::<T>(1).get(0);
                             ctx.write::<T>(2).set(0, op.eval(x, y));
-                        });
-                    self.scalar_in_sweep(&mut run, &[a, b], slot, task, &mut out);
-                }
-                StepOp::Unop { op, a, out: slot } => {
-                    let task = TaskBuilder::new("scalar_unop")
+                        }),
+                ),
+                StepOp::Unop { op, a, out: slot } => out.tasks.push(
+                    TaskBuilder::new("scalar_unop")
                         .read_all(&self.scalars[a])
                         .write_all(&self.scalars[slot])
                         .shared_body(move |ctx| {
                             let x = ctx.read::<T>(0).get(0);
                             ctx.write::<T>(1).set(0, op.eval(x));
-                        });
-                    self.scalar_in_sweep(&mut run, &[a], slot, task, &mut out);
-                }
+                        }),
+                ),
                 StepOp::Apply {
                     op,
                     dst,
                     src,
                     transpose,
-                } => {
-                    self.sweep_tasks(&mut run, &mut out);
-                    self.apply_tasks(op, dst, src, transpose, &mut out);
-                }
+                } => self.apply_tasks(op, dst, src, transpose, &mut out),
             }
         }
-        self.sweep_tasks(&mut run, &mut out);
         out
     }
 }
@@ -1849,8 +1440,8 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// tracing on (the default) the call is only recorded, inside a
     /// step or not, and runs when the record closes; with it off it is
     /// lowered and submitted through dependence analysis at once. A
-    /// `dot_many` is one reduction stage: every pair's partials go
-    /// into one partials buffer, made when the call is lowered, and a
+    /// `dot_many` is one reduction stage: every pair's partial tasks
+    /// share one partials buffer, made when the call is lowered, and a
     /// single `dot_reduce` task combines them all. A reused result slot
     /// may still have readers in flight; the op's write task is
     /// ordered after them by the step's compiled graph (or by
@@ -2154,6 +1745,80 @@ mod tests {
         }
     }
 
+    /// A batch over vectors of two partitions: each pair's partials
+    /// are its first operand's pieces, whatever the other pairs' are.
+    #[test]
+    fn dot_many_over_two_partitions_matches_the_oracle_bitwise() {
+        let (cs, other) = (striped(203), spec(203, 4));
+        let vals = |k: f64| (0..203).map(|i| (i as f64 * k).sin() + 0.5).collect::<Vec<f64>>();
+        let (xv, yv, wv) = (vals(0.37), vals(0.11), vals(0.53));
+        for workers in [1, 3, 4] {
+            let mut b = ExecBackend::<f64>::new(workers);
+            let x = b.alloc_vector(std::slice::from_ref(&cs));
+            let y = b.alloc_vector(std::slice::from_ref(&cs));
+            let w = b.alloc_vector(std::slice::from_ref(&other));
+            b.fill_component(x, 0, &xv);
+            b.fill_component(y, 0, &yv);
+            b.fill_component(w, 0, &wv);
+            let got = b.dot_many(&[(w, x), (x, y), (x, w), (w, w)]);
+            let got = [got[0], got[1], got[2], got[3]].map(|s| b.scalar_get(s).to_bits());
+            let want = [
+                dot_oracle(&other, &wv, &xv),
+                dot_oracle(&cs, &xv, &yv),
+                dot_oracle(&cs, &xv, &wv),
+                dot_oracle(&other, &wv, &wv),
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, want, "{workers} workers");
+        }
+    }
+
+    /// An `axpy` and the dot recorded right after it: one
+    /// `axpy+dot_partial` per lane when the pair reads the updated
+    /// vector and its first operand has that vector's lanes, an `axpy`
+    /// and a `dot_partial` per lane otherwise. Either way the vector is
+    /// the per-element `axpy`'s and the sum the per-piece oracle's.
+    #[test]
+    fn an_axpy_and_the_dot_after_it_match_the_oracle_bitwise() {
+        let vals = |k: f64| (0..203).map(|i| (i as f64 * k).sin() + 0.5).collect::<Vec<f64>>();
+        let (sv, dv, yv, wv) = (vals(0.37), vals(0.11), vals(0.53), vals(0.71));
+        let new_d: Vec<f64> = dv.iter().zip(&sv).map(|(&d, &s)| d + 0.3 * s).collect();
+        for (cs, other) in [(striped(203), spec(203, 4)), (spec(203, 3), striped(203))] {
+            for workers in [1, 3, 4] {
+                let mut b = ExecBackend::<f64>::new(workers);
+                let [s, d, y] = [(); 3].map(|_| b.alloc_vector(std::slice::from_ref(&cs)));
+                let w = b.alloc_vector(std::slice::from_ref(&other));
+                b.fill_component(s, 0, &sv);
+                b.fill_component(y, 0, &yv);
+                b.fill_component(w, 0, &wv);
+                let cases = [
+                    ((d, d), true, (&cs, &new_d, &new_d)),
+                    ((d, y), true, (&cs, &new_d, &yv)),
+                    ((y, d), true, (&cs, &yv, &new_d)),
+                    ((d, w), true, (&cs, &new_d, &wv)),
+                    ((w, d), false, (&other, &wv, &new_d)),
+                    ((s, y), false, (&cs, &sv, &yv)),
+                ];
+                for ((p, q), fused, (pieces, pv, qv)) in cases {
+                    b.fill_component(d, 0, &dv);
+                    let before = b.metrics().runtime.task_counts.get("axpy+dot_partial").copied();
+                    let alpha = b.scalar_const(0.3);
+                    b.axpy(d, alpha, s);
+                    let r = b.dot(p, q);
+                    let got = b.scalar_get(r);
+                    let what = format!("({p}, {q}) on {workers} workers");
+                    let after = b.metrics().runtime.task_counts.get("axpy+dot_partial").copied();
+                    assert_eq!(before != after, fused, "{what}");
+                    assert_eq!(got.to_bits(), dot_oracle(pieces, pv, qv).to_bits(), "{what}");
+                    let d_bits = b.read_component(d, 0).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(d_bits, new_d.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), "{what}");
+                    b.scalar_release(alpha);
+                    b.scalar_release(r);
+                }
+            }
+        }
+    }
+
     /// `vecops::dot`'s documented order, one element at a time.
     fn lane_dot(x: &[f64], y: &[f64]) -> f64 {
         let blocked = x.len() / 8 * 8;
@@ -2420,22 +2085,22 @@ mod tests {
     #[test]
     fn on_two_workers_solver_steps_compile_to_two_nodes_per_phase() {
         // Two workers: the sixteen pieces' colours have two homes, so
-        // each sweep is two lane tasks, and each phase is two nodes.
-        // CG: [spmv × 8 + dot_partial] twice, [dot_reduce, alpha,
-        // -alpha], [axpy+axpy+dot_partial] twice, [dot_reduce, beta],
-        // [xpay] twice.
+        // the vector ops and dot partials are two lane tasks each, and
+        // each phase is two nodes. CG: [spmv × 8 + dot_partial] twice,
+        // [dot_reduce, alpha, -alpha], [axpy + axpy+dot_partial]
+        // twice, [dot_reduce, beta], [xpay] twice.
         let cg = compiled_step_sizes(2, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
         assert!(
-            cg.iter().all(|&s| s == (16 + 2 * 3 + 5, 3 * 2 + 2)),
+            cg.iter().all(|&s| s == (16 + 2 * 4 + 5, 3 * 2 + 2)),
             "{cg:?}"
         );
-        // PCG: the same, the Jacobi apply's 16 tiles and the `dot_many`
-        // sweep in the middle phase.
+        // PCG: the same, the Jacobi apply's 16 tiles and the second
+        // partial in the middle phase.
         let pcg = compiled_step_sizes(2, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
         assert!(
-            pcg.iter().all(|&s| s == (2 * 16 + 2 * 4 + 5, 3 * 2 + 2)),
+            pcg.iter().all(|&s| s == (2 * 16 + 2 * 6 + 5, 3 * 2 + 2)),
             "{pcg:?}"
         );
         // BiCGStab: its three reduction stages cut the pieces' tasks
@@ -2454,35 +2119,32 @@ mod tests {
         assert!(
             bicgstab
                 .iter()
-                .all(|&s| s == (2 * 16 + 2 * 5 + 13, 4 * 2 + 1 + 5)),
+                .all(|&s| s == (2 * 16 + 2 * 13 + 13, 4 * 2 + 1 + 5)),
             "{bicgstab:?}"
         );
     }
 
     #[test]
     fn on_one_worker_solver_steps_compile_to_one_node_per_step() {
-        // One worker: the sixteen pieces are one lane, so a sweep is
-        // one task, and every task, coloured or not, has the one
-        // worker for its home: a step is one node that runs its bodies
-        // in submission order. CG: 16 tile tasks, the `p·q` partials,
-        // the `axpy+axpy+dot_partial` sweep, the `xpay` and 5 scalar
-        // tasks.
+        // One worker: the sixteen pieces are one lane, so a vector op
+        // or a dot's partials is one task, and every task, coloured or
+        // not, has the one worker for its home: a step is one node
+        // that runs its bodies in submission order. CG: 16 tile tasks,
+        // the `p·q` partial task, an `axpy`, the `axpy+dot_partial` of
+        // `r` and `r·r`, an `xpay` and 5 scalar tasks.
         let cg = compiled_step_sizes(1, false, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!cg.is_empty());
-        assert!(cg.iter().all(|&s| s == (16 + 1 + 1 + 1 + 5, 1)), "{cg:?}");
-        // PCG: the Jacobi apply's 16 tiles on top, which end the
-        // `axpy+axpy` sweep before the `dot_many` of `(r, z)` and
-        // `(r, r)`.
+        assert!(cg.iter().all(|&s| s == (16 + 1 + 1 + 1 + 1 + 5, 1)), "{cg:?}");
+        // PCG: the Jacobi apply's 16 tiles and a second partial on top.
         let pcg = compiled_step_sizes(1, true, |p| Box::new(crate::CgSolver::new(p)));
         assert!(!pcg.is_empty());
-        assert!(pcg.iter().all(|&s| s == (2 * 16 + 4 + 5, 1)), "{pcg:?}");
-        // BiCGStab: two SpMVs, 5 sweeps — `r̂·v`, `copy+axpy`, `t·s`
-        // with `t·t`, `axpy+axpy+copy+axpy+dot_partial`, `axpy+xpay` —
-        // and 13 scalar tasks, still one node.
+        assert!(pcg.iter().all(|&s| s == (2 * 16 + 6 + 5, 1)), "{pcg:?}");
+        // BiCGStab: two SpMVs, 13 lane tasks and 13 scalar tasks,
+        // still one node.
         let bicgstab = compiled_step_sizes(1, false, |p| Box::new(crate::BiCgStabSolver::new(p)));
         assert!(!bicgstab.is_empty());
         assert!(
-            bicgstab.iter().all(|&s| s == (2 * 16 + 5 + 13, 1)),
+            bicgstab.iter().all(|&s| s == (2 * 16 + 13 + 13, 1)),
             "{bicgstab:?}"
         );
     }

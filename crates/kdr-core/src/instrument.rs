@@ -23,7 +23,10 @@ pub enum SolverPhase {
     SpMV,
     /// Inner products: `dot_partial` / `dot_reduce`.
     Dot,
-    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`, `set_zero`.
+    /// Vector updates: `axpy`, `xpay`, `scal`, `copy`, `set_zero`,
+    /// and `axpy+dot_partial`, an `axpy` that yields the partials of
+    /// the dot after it in the same pass (the dot runs under the
+    /// update's loads and stores).
     VectorUpdate,
     /// Scalar arithmetic tasks (`scalar_*`).
     Scalar,
@@ -34,31 +37,14 @@ pub enum SolverPhase {
 impl SolverPhase {
     /// Classify a backend task name (as emitted by
     /// [`ExecBackend`](crate::ExecBackend)) into its phase.
-    ///
-    /// A *sweep* body, one pass over a run of vector ops and dot
-    /// partials named by its ops joined with `+`
-    /// (`axpy+axpy+dot_partial`), is a dot when every op is a
-    /// `dot_partial` and a vector update when any op is one: its
-    /// partials ride on the update's pass over the vectors. A name
-    /// with any other part is `Other`.
     pub fn of_task(name: &str) -> SolverPhase {
-        const UPDATES: [&str; 5] = ["axpy", "xpay", "scal", "copy", "set_zero"];
         match name {
-            n if n.contains('+') => {
-                let mut phase = SolverPhase::Dot;
-                for part in n.split('+') {
-                    match part {
-                        "dot_partial" => {}
-                        part if UPDATES.contains(&part) => phase = SolverPhase::VectorUpdate,
-                        _ => return SolverPhase::Other,
-                    }
-                }
-                phase
-            }
             "apply_zero" => SolverPhase::SpMV,
             n if n.starts_with("spmv_") => SolverPhase::SpMV,
             "dot_partial" | "dot_reduce" => SolverPhase::Dot,
-            n if UPDATES.contains(&n) => SolverPhase::VectorUpdate,
+            "axpy" | "xpay" | "scal" | "copy" | "set_zero" | "axpy+dot_partial" => {
+                SolverPhase::VectorUpdate
+            }
             n if n.starts_with("scalar_") => SolverPhase::Scalar,
             _ => SolverPhase::Other,
         }
@@ -197,36 +183,20 @@ mod tests {
         }
         assert_eq!(SolverPhase::of_task("dot_partial"), SolverPhase::Dot);
         assert_eq!(SolverPhase::of_task("dot_reduce"), SolverPhase::Dot);
-        for n in ["axpy", "xpay", "scal", "copy", "set_zero"] {
+        for n in [
+            "axpy",
+            "xpay",
+            "scal",
+            "copy",
+            "set_zero",
+            "axpy+dot_partial",
+        ] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
         }
         for n in ["scalar_set", "scalar_binop", "scalar_unop"] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::Scalar, "{n}");
         }
         assert_eq!(SolverPhase::of_task("my_app_task"), SolverPhase::Other);
-        // Sweep bodies: dots alone are a dot, any update makes the
-        // body a vector update, anything else in the list is Other.
-        assert_eq!(
-            SolverPhase::of_task("dot_partial+dot_partial"),
-            SolverPhase::Dot
-        );
-        for n in [
-            "axpy+axpy+dot_partial",
-            "dot_partial+xpay",
-            "set_zero+copy",
-            "axpy+scal",
-        ] {
-            assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
-        }
-        for n in [
-            "axpy+my_app_task",
-            "dot_partial+dot_reduce",
-            "axpy+scalar_set",
-            "spmv_csr+axpy",
-            "axpy+",
-        ] {
-            assert_eq!(SolverPhase::of_task(n), SolverPhase::Other, "{n}");
-        }
     }
 
     /// One checked step of each of the twelve solvers on the

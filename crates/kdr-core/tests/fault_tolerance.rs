@@ -466,11 +466,12 @@ fn recovery_reports_zero_restarts_when_healthy() {
 /// do hold their values too) — never a hang, and a failed first run
 /// keeps no program. A failure the scalars do not depend on leaves
 /// them readable and the fault for later only when it ran in another
-/// record: within one record the failing update and the reduction's
-/// partials are one sweep body per lane, so the read is NaN and names
-/// that body, once. Each plan fires on the first task whose name holds
-/// its own: a sweep is one task per lane, so on one worker that is the
-/// op's only task and on four the one of the first piece.
+/// record: within one record the failing task shares a node with the
+/// reduction's body on its piece (the whole record, on one worker),
+/// so the read is NaN and names that failure, once. Each plan fires
+/// on the first task of its name: a vector op or a dot's partials is
+/// one task per lane, so on one worker that is the op's only task and
+/// on four the one of the first piece.
 #[test]
 fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
     let plan = |name: &str| {
@@ -521,17 +522,17 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         assert_eq!(healthy.get(), 3.0);
 
         // A failed task off the scalars' chain: an `axpy` into SOL.
-        // In the same record as the `dot` it is one sweep body with
-        // the dot's partials per lane, `axpy+dot_partial`, so the
-        // panic leaves the partials unwritten: the read is NaN and
-        // names the `axpy`'s body, once — never a hang.
+        // In the same record as the `dot` it shares a node with the
+        // `dot_partial` of its piece (the whole record, on one
+        // worker), so the panic drops that body unrun: the read is
+        // NaN and names the `axpy`, once — never a hang.
         let (mut planner, _, _) =
             poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
         let one = planner.scalar(1.0);
         planner.axpy(SOL, &one, RHS);
         let d = planner.dot(RHS, RHS);
-        assert!(d.get().is_nan(), "{workers} workers: one body, one failure");
-        assert_eq!(planner.take_fault().expect("the read found it").task, "axpy+dot_partial");
+        assert!(d.get().is_nan(), "{workers} workers: one node, one failure");
+        assert_eq!(planner.take_fault().expect("the read found it").task, "axpy");
         assert!(planner.take_fault().is_none(), "the failure surfaces once");
         let again = planner.dot(RHS, RHS);
         assert!((again.get() - expect).abs() <= 1e-12 * expect);

@@ -1,10 +1,10 @@
-//! One body per sweep per worker lane (DESIGN §6, "Lanes"): the
-//! execution backend lowers a run of vector ops and dots' partials to
-//! one task per *lane* — the pieces of a component whose colours share
-//! a home worker — so how many pieces a body covers follows the worker
-//! count. None of that may move a bit: a lane's body writes each
-//! element's expression, and still writes one partial per piece and
-//! pair, combined in piece order.
+//! One body per operation per worker lane (DESIGN §6, "Lanes"): the
+//! execution backend lowers a vector op, and a dot's partials, to one
+//! task per *lane* — the pieces of a component whose colours share a
+//! home worker — so how many pieces a body covers follows the worker
+//! count. None of that may move a bit: a lane's elementwise body writes
+//! each element's expression, and its dot body still writes one partial
+//! per piece, combined in piece order.
 
 use std::sync::Arc;
 
@@ -117,8 +117,9 @@ fn lane_counts_keep_every_bit() {
 
 /// What a replayed CG step runs on one worker, from the spans of eight
 /// steps: per component one tile body per piece and one body per lane
-/// for each of its three sweeps — the `p·q` partials, the two `axpy`s
-/// with the `r·r` partials, the `xpay` — and five scalar bodies.
+/// for each of the `p·q` partials, the `axpy` of `x`, the
+/// `axpy+dot_partial` of `r` and `r·r` and the `xpay`, and five scalar
+/// bodies.
 #[test]
 fn on_one_worker_a_step_runs_one_body_per_lane() {
     for (components, pieces) in [(1, 16), (2, 5)] {
@@ -147,10 +148,11 @@ fn on_one_worker_a_step_runs_one_body_per_lane() {
         let spans = spans(&mut planner);
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count() / 8;
         let what = format!("{components} × {pieces} pieces");
-        assert_eq!(spans.len() / 8, components * (pieces + 3) + 5, "{what}");
+        assert_eq!(spans.len() / 8, components * (pieces + 4) + 5, "{what}");
         assert_eq!(spans.len() % 8, 0, "{what}");
         assert_eq!(count("dot_partial"), components, "{what}");
-        assert_eq!(count("axpy+axpy+dot_partial"), components, "{what}");
+        assert_eq!(count("axpy"), components, "{what}");
+        assert_eq!(count("axpy+dot_partial"), components, "{what}");
         assert_eq!(count("xpay"), components, "{what}");
         assert_eq!(count("dot_reduce"), 2, "{what}");
     }

@@ -272,11 +272,12 @@ fn twelve_solves_on_one_planner_do_not_age() {
     assert_eq!(second.3, first.3, "the pool serves the second solver already");
     // Tasks were built for the steps the first solve captured — a
     // tile task per piece, one task per lane (two pieces each, on two
-    // workers) for each of the 3 sweeps (`p·q`, `axpy+axpy+dot_partial`,
-    // `xpay`), and 5 scalar ones each — and for no step since. The one cached program
+    // workers) for each of the `p·q` partials, the `axpy` of `x`, the
+    // `axpy+dot_partial` of `r` and `r·r` and the `xpay`, and 5 scalar
+    // ones each — and for no step since. The one cached program
     // no step built is the solver's preamble (`r = b − Ax`, `p = r`,
     // `(r, r)`), which every solve since replays too.
-    assert_eq!(first.4, (first.2 as u64 - 1) * (4 + 2 * 3 + 5));
+    assert_eq!(first.4, (first.2 as u64 - 1) * (4 + 2 * 4 + 5));
     assert_eq!(second.4, first.4, "the second solve replays every step");
 }
 

@@ -449,7 +449,7 @@ fn chebyshev_replays_with_fresh_constants_each_step() {
     );
 }
 
-/// One backend call of a sweep script. Vectors index [`SWEEP_VECTORS`];
+/// One backend call of a vector script. Vectors index [`SCRIPT_VECTORS`];
 /// scalars index the step's scalar list, which every scalar-producing
 /// call appends to (a released entry stays in the list, dead).
 #[derive(Clone, Debug)]
@@ -475,55 +475,63 @@ enum Call {
 /// first partition, and of those in the second: every piece count
 /// differs, so no lane of one is a lane of the other on any worker
 /// count. The first partition's long component has pieces of 2 050
-/// elements, several sweep blocks each and a dot tail; the second's
-/// deals runs of 700 to its three pieces in turn, so a lane's pieces
-/// interleave; the short components' pieces touch and share a block.
-const SWEEP_PARTS: [[(u64, usize); 2]; 2] = [[(4100, 2), (28, 2)], [(4100, 3), (28, 3)]];
+/// elements, many lane blocks each and a dot tail; the second's deals
+/// runs of 700 to its three pieces in turn, so a lane's pieces
+/// interleave; the short components' pieces are shorter than a block.
+const SCRIPT_PARTS: [[(u64, usize); 2]; 2] = [[(4100, 2), (28, 2)], [(4100, 3), (28, 3)]];
 /// Vectors `0..7` live in the first partition (`6` a scratch vector
 /// zeroed by every step), `7` and `8` in the second.
-const SWEEP_VECTORS: usize = 9;
+const SCRIPT_VECTORS: usize = 9;
 const SCRATCH: usize = 6;
 
-/// A seeded sweep script: first the hazards a sweep must split or
-/// order correctly, in every script, then seeded calls. Coefficients
-/// are constants or [`Call::Tame`] of a live scalar, so a vector grows
-/// by at most a factor of two per call (the scratch vector, which
-/// takes a raw dot as coefficient, is zeroed by every step).
-fn sweep_script(seed: u64) -> Vec<Call> {
+/// A seeded vector script: first the cases an `axpy` and the dot
+/// recorded after it must lower correctly, fused or not, in every
+/// script, then seeded calls. Coefficients are constants or
+/// [`Call::Tame`] of a live scalar, so a vector grows by at most a
+/// factor of two per call (the scratch vector, which takes a raw dot
+/// as coefficient, is zeroed by every step).
+fn vector_script(seed: u64) -> Vec<Call> {
     use Call::*;
     let mut calls = vec![
-        // A scalar op in a run writes the slot an earlier op of the
-        // run read: the released `0`'s slot goes to `1`, which may not
-        // go ahead of the first `axpy`; `2` may.
+        // A dot of the updated vector with itself, fused; the
+        // coefficient's slot, released, is the one the dot's result
+        // takes, so the reduction must come after the update read it.
         Const(0.25),
         Axpy(2, 0, 0),
         Release(0),
+        Dots(vec![(2, 2)]),
+        // The updated vector second in the pair, and first; the other
+        // operand the update's source.
         Const(-0.125),
-        Axpy(3, 1, 1),
-        Const(0.5),
+        Axpy(3, 2, 1),
+        Dots(vec![(4, 3)]),
         Axpy(4, 2, 3),
-        // Reads after writes, and in-place updates.
-        Copy(5, 3),
-        Axpy(2, 1, 2),
-        Xpay(3, 2, 3),
-        Copy(4, 4),
-        Scal(5, 1),
-        // A `dot_many` over vectors the run wrote; a constant waiting
-        // after it, then a scalar op on its result, which ends the run.
-        Dots(vec![(2, 3), (4, 4)]),
-        Const(0.75),
+        Dots(vec![(4, 3)]),
+        // An in-place update (source = destination), then its dot:
+        // not fused.
+        Axpy(5, 2, 5),
+        Dots(vec![(5, 5)]),
+        // Two pairs after an update: not fused.
+        Axpy(2, 2, 1),
+        Dots(vec![(2, 3), (2, 2)]),
         Tame(3),
         // A raw dot result as the coefficient right after the dot.
         Dots(vec![(5, 0)]),
-        Axpy(SCRATCH, 7, 0),
+        Axpy(SCRATCH, 9, 0),
         Dots(vec![(SCRATCH, SCRATCH)]),
-        // Vectors of the other partition, alone and mixed with the
-        // first: every switch ends a run.
+        // Pairs over the other partition: the updated vector first
+        // (fused, the other operand read at its lanes), then second
+        // behind another partition's vector (not fused), then a batch
+        // over both partitions.
         Copy(7, 0),
-        Axpy(8, 6, 7),
-        Axpy(0, 2, 7),
+        Axpy(0, 2, 1),
+        Dots(vec![(0, 7)]),
+        Axpy(0, 2, 1),
+        Dots(vec![(7, 0)]),
+        Axpy(8, 2, 7),
+        Dots(vec![(8, 8)]),
         Dots(vec![(7, 8), (0, 7), (8, 0)]),
-        Xpay(7, 5, 8),
+        Xpay(7, 8, 8),
         Axpy(1, 2, 1),
     ];
     let mut rng = Rng(seed);
@@ -613,21 +621,21 @@ fn sweep_script(seed: u64) -> Vec<Call> {
     calls
 }
 
-/// What a run of a sweep script leaves: every vector's components and
+/// What a run of a vector script leaves: every vector's components and
 /// the scalars each step forced, as bits, and the task names the
 /// runtime counted.
-type SweepRun = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<&'static str>);
+type ScriptRun = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<&'static str>);
 
-fn run_sweeps(seed: u64, traced: bool, workers: usize) -> SweepRun {
+fn run_script(seed: u64, traced: bool, workers: usize) -> ScriptRun {
     use kdr_core::backend::{ScalarOp, ScalarUnop};
     use kdr_core::CompSpec;
-    let calls = sweep_script(seed);
+    let calls = vector_script(seed);
     let mut b = ExecBackend::<f64>::new(workers);
     b.set_step_tracing(traced);
-    let vecs: Vec<usize> = (0..SWEEP_VECTORS)
+    let vecs: Vec<usize> = (0..SCRIPT_VECTORS)
         .map(|v| {
             let second = v >= 7;
-            let comps: Vec<CompSpec> = SWEEP_PARTS[usize::from(second)]
+            let comps: Vec<CompSpec> = SCRIPT_PARTS[usize::from(second)]
                 .iter()
                 .enumerate()
                 .map(|(c, &(len, pieces))| CompSpec {
@@ -643,7 +651,7 @@ fn run_sweeps(seed: u64, traced: bool, workers: usize) -> SweepRun {
         })
         .collect();
     for (v, &bv) in vecs.iter().enumerate() {
-        for (c, &(n, _)) in SWEEP_PARTS[0].iter().enumerate() {
+        for (c, &(n, _)) in SCRIPT_PARTS[0].iter().enumerate() {
             let data: Vec<f64> = (0..n)
                 .map(|i| ((i * 5 + 3 * v as u64 + c as u64 + seed) % 17) as f64 / 16.0 - 0.5)
                 .collect();
@@ -723,17 +731,19 @@ fn run_sweeps(seed: u64, traced: bool, workers: usize) -> SweepRun {
     (vectors, forced, names)
 }
 
-/// Sweeps keep every bit: a seeded script of vector ops, dots and
-/// scalar ops over vectors of two partitions — with a released slot
-/// taken again inside a run, reads after writes, in-place updates, a
-/// `dot_many` over vectors the run wrote, and a raw dot result as a
-/// coefficient — traced on 1, 3 and 4 workers, where the record's runs
-/// lower to one body per lane, ends where the analysed run, op by op,
-/// ends, bit for bit.
+/// An `axpy` and the one-pair dot recorded after it lower to one
+/// `axpy+dot_partial` body per lane when the pair reads the updated
+/// vector at its lanes, and that keeps every bit: a seeded script of
+/// vector ops, dots and scalar ops over vectors of two partitions —
+/// the fused cases and the ones that must not fuse, a released
+/// coefficient's slot taken by the dot's result, reads after writes,
+/// in-place updates, a raw dot result as a coefficient — traced on 1,
+/// 3 and 4 workers ends where the analysed run, op by op, ends, bit
+/// for bit.
 #[test]
-fn sweeps_match_analyzed_submission_bitwise() {
+fn vector_scripts_match_analyzed_submission_bitwise() {
     for seed in [5, 23, 777, 31337] {
-        let (vectors, forced, names) = run_sweeps(seed, false, 1);
+        let (vectors, forced, names) = run_script(seed, false, 1);
         assert!(
             vectors
                 .iter()
@@ -742,21 +752,20 @@ fn sweeps_match_analyzed_submission_bitwise() {
             "seed {seed}: the script overflowed"
         );
         assert!(
-            !names.iter().any(|n| n.contains('+')),
+            !names.contains(&"axpy+dot_partial"),
             "op by op with tracing off: {names:?}"
         );
         for (traced, workers) in [(false, 4), (true, 1), (true, 3), (true, 4)] {
-            let got = run_sweeps(seed, traced, workers);
+            let got = run_script(seed, traced, workers);
             let what = format!("seed {seed}, traced {traced}, {workers} workers");
             assert_eq!(got.1, forced, "forced scalars: {what}");
             assert_eq!(got.0, vectors, "vectors: {what}");
-            if traced {
-                assert!(
-                    got.2.iter().any(|n| n.contains('+')),
-                    "no run fused: {what}: {:?}",
-                    got.2
-                );
-            }
+            assert_eq!(
+                got.2.contains(&"axpy+dot_partial"),
+                traced,
+                "{what}: {:?}",
+                got.2
+            );
         }
     }
 }

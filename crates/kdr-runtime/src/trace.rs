@@ -66,14 +66,14 @@
 //! The fusion key is the placement rule, so a node's members are tasks
 //! that would have been queued on its worker anyway. On one worker
 //! every task has the same home, so a step — whatever its colours and
-//! scalar chains — is **one node**: a 16-piece CG step's 24 bodies
+//! scalar chains — is **one node**: a 16-piece CG step's 25 bodies
 //! run back to back on whichever thread takes the node, and a driver
 //! that submits the step and waits for it takes it itself
 //! ([`Runtime::run_program`](crate::Runtime::run_program) with a read
 //! list), so no thread is handed anything. On `W` workers the same
 //! step is one node per phase and home — `W` nodes for each of the
-//! three vector phases (`[spmv + dot_partial]`, `[axpy + axpy +
-//! dot_partial]`, `[xpay]`) plus the two scalar chains `[dot_reduce +
+//! three vector phases (`[spmv + dot_partial]`, `[axpy +
+//! axpy+dot_partial]`, `[xpay]`) plus the two scalar chains `[dot_reduce +
 //! alpha + −alpha]` and `[dot_reduce + beta]`. This costs no
 //! parallelism worth having: the tasks of one home were already queued
 //! on one worker and ran there one after another (unless stolen); the

@@ -604,13 +604,10 @@ fn chaos_fleet_delivers_the_fault_free_results_exactly_once() {
         if chaos {
             let plans = [
                 panic_on("spmv", FireSchedule::EveryNth(700), 2),
-                // A CG step's two `axpy`s are one sweep body per lane
-                // (`axpy+axpy+dot_partial`): every 450th match is
-                // every 900th `axpy`.
                 fault_on(
                     "axpy",
                     FaultKind::Stall { millis: 60 },
-                    FireSchedule::EveryNth(450),
+                    FireSchedule::EveryNth(900),
                     2,
                 ),
                 fault_on(

@@ -9,7 +9,7 @@
 //! | [`xpay`] | `d = s + a * d` |
 //! | [`axpy_in_place`] | `d = d + a * d` (either update with `s` = `d`) |
 //! | [`dot`] | `Σ x·y` in the lane order below |
-//! | [`DotLanes`] | [`dot`]'s lanes, fed block by block |
+//! | [`axpy_dot`] | [`axpy`], then [`dot`] of the new `d`, in one pass |
 //!
 //! Every kernel takes plain slices of equal length, so the loops carry
 //! no per-element bounds check or pointer indirection and the compiler
@@ -48,6 +48,14 @@
 //!
 //! A slice shorter than eight elements reduces exactly as a plain
 //! sequential `mul_add` loop from `+0` does.
+//!
+//! **[`axpy_dot`]** updates a block of eight and adds it to the lanes
+//! before it takes the next, so the dot's latency-bound `mul_add`
+//! chain runs under the update's loads and stores instead of after
+//! them, and the new `d` is never read back. Its update writes
+//! [`axpy`]'s bits and its sum is [`dot`]'s of the updated slice: both
+//! go through one lane type, `Lanes`, the only place the order is
+//! written.
 
 use crate::scalar::Scalar;
 
@@ -103,86 +111,87 @@ pub fn axpy_in_place<T: Scalar>(d: &mut [T], a: T) {
     }
 }
 
-/// `Σ x[i]·y[i]` in the fixed eight-lane order of the [module
-/// docs](self): a [`DotLanes`] fed the slice's full blocks of eight
-/// once and finished with its tail.
-#[inline]
-pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let blocked = x.len() / DOT_LANES * DOT_LANES;
-    let mut lanes = DotLanes::new();
-    lanes.feed(&x[..blocked], &y[..blocked]);
-    lanes.finish(&x[blocked..], &y[blocked..])
-}
+/// [`dot`]'s eight accumulators: blocks of eight go in lane by lane,
+/// and [`Lanes::finish`] combines the lanes and folds the tail.
+struct Lanes<T>([T; DOT_LANES]);
 
-/// The eight accumulators of [`dot`] carried across calls: steps 1–2
-/// of the [module docs](self)' order spread over any number of
-/// [`feed`](DotLanes::feed)s, steps 3–4 in
-/// [`finish`](DotLanes::finish). A slice fed in consecutive blocks
-/// whose lengths are multiples of [`DOT_LANES`], then finished with the
-/// fewer than eight elements left, reduces to `dot`'s bits: element
-/// `i` of the slice still goes into lane `i mod 8`, whatever the cut.
-/// This is the one place the chain is written, so a sweep that feeds
-/// a dot block by block between other kernels (the execution
-/// backend's fused vector bodies) and `dot` itself share it.
-#[derive(Clone, Copy, Debug)]
-pub struct DotLanes<T> {
-    lanes: [T; DOT_LANES],
-}
-
-impl<T: Scalar> Default for DotLanes<T> {
-    fn default() -> Self {
-        Self::new()
+impl<T: Scalar> Lanes<T> {
+    #[inline(always)]
+    fn new() -> Self {
+        Lanes([T::ZERO; DOT_LANES])
     }
-}
 
-impl<T: Scalar> DotLanes<T> {
-    /// Every lane at `+0`.
-    #[inline]
-    pub fn new() -> Self {
-        DotLanes {
-            lanes: [T::ZERO; DOT_LANES],
+    /// Element `i` of a block of eight into lane `i`.
+    #[inline(always)]
+    fn add(&mut self, x: &[T], y: &[T]) {
+        for ((lane, &x), &y) in self.0.iter_mut().zip(x).zip(y) {
+            *lane = x.mul_add(y, *lane);
         }
     }
 
-    /// Sweep `x · y` into the lanes, element `i` into lane `i mod 8`.
-    /// Panics unless the slices have equal lengths that are a multiple
-    /// of [`DOT_LANES`].
-    #[inline]
-    pub fn feed(&mut self, x: &[T], y: &[T]) {
-        assert!(
-            x.len() == y.len() && x.len() % DOT_LANES == 0,
-            "dot feed of lengths {} and {}: equal multiples of {DOT_LANES} only",
-            x.len(),
-            y.len()
-        );
-        let mut lanes = self.lanes;
-        for (xs, ys) in x.chunks_exact(DOT_LANES).zip(y.chunks_exact(DOT_LANES)) {
-            for ((lane, &x), &y) in lanes.iter_mut().zip(xs).zip(ys) {
-                *lane = x.mul_add(y, *lane);
-            }
-        }
-        self.lanes = lanes;
-    }
-
-    /// Combine the lanes by the tree
-    /// `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))` and fold the
-    /// tail `x · y` into that sum left to right. Panics unless the
-    /// slices have equal lengths below [`DOT_LANES`].
-    #[inline]
-    pub fn finish(self, x: &[T], y: &[T]) -> T {
-        assert!(
-            x.len() == y.len() && x.len() < DOT_LANES,
-            "dot tail of lengths {} and {}: equal and below {DOT_LANES} only",
-            x.len(),
-            y.len()
-        );
-        let l = self.lanes;
+    /// The lanes' tree, then the tail left to right.
+    #[inline(always)]
+    fn finish(self, x: &[T], y: &[T]) -> T {
+        let l = self.0;
         let mut acc = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
         for (&x, &y) in x.iter().zip(y) {
             acc = x.mul_add(y, acc);
         }
         acc
+    }
+}
+
+/// `Σ x[i]·y[i]` in the fixed eight-lane order of the [module
+/// docs](self).
+#[inline]
+pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+    assert_eq!(x.len(), y.len(), "dot length mismatch");
+    let mut lanes = Lanes::new();
+    let mut xb = x.chunks_exact(DOT_LANES);
+    let mut yb = y.chunks_exact(DOT_LANES);
+    for (xs, ys) in (&mut xb).zip(&mut yb) {
+        lanes.add(xs, ys);
+    }
+    lanes.finish(xb.remainder(), yb.remainder())
+}
+
+/// `d[i] = d[i] + a * s[i]`, returning `dot(d, y)` of the updated `d`
+/// (`dot(d, d)` without `y`) in one pass over the slices. `d` and `y`
+/// may come in either order of a pair: a `mul_add`'s product is exact,
+/// so `x.mul_add(y, l)` and `y.mul_add(x, l)` are the same bits.
+#[inline]
+pub fn axpy_dot<T: Scalar>(d: &mut [T], a: T, s: &[T], y: Option<&[T]>) -> T {
+    assert_eq!(d.len(), s.len(), "axpy length mismatch");
+    assert!(y.is_none_or(|y| y.len() == d.len()), "dot length mismatch");
+    let mut lanes = Lanes::new();
+    let mut db = d.chunks_exact_mut(DOT_LANES);
+    let mut sb = s.chunks_exact(DOT_LANES);
+    // A block is updated into an array and stored whole: updated in
+    // place, slice to slice, it compiles to scalar code in a task body.
+    let update = |dc: &mut [T], sc: &[T]| {
+        let v: [T; DOT_LANES] = std::array::from_fn(|i| dc[i] + a * sc[i]);
+        dc.copy_from_slice(&v);
+        v
+    };
+    match y {
+        None => {
+            for (dc, sc) in (&mut db).zip(&mut sb) {
+                let v = update(dc, sc);
+                lanes.add(&v, &v);
+            }
+            let tail = db.into_remainder();
+            axpy(tail, a, sb.remainder());
+            lanes.finish(tail, tail)
+        }
+        Some(y) => {
+            let mut yb = y.chunks_exact(DOT_LANES);
+            for ((dc, sc), yc) in (&mut db).zip(&mut sb).zip(&mut yb) {
+                lanes.add(&update(dc, sc), yc);
+            }
+            let tail = db.into_remainder();
+            axpy(tail, a, sb.remainder());
+            lanes.finish(tail, yb.remainder())
+        }
     }
 }
 

@@ -8,8 +8,9 @@
 //! * `dot` follows the documented eight-lane order and nothing else —
 //!   checked against a scalar oracle that spells the order out — and
 //!   stays inside the blocked-summation error bound of a compensated
-//!   reference; and [`vecops::DotLanes`], `dot`'s lanes fed block by
-//!   block, reduces to `dot`'s bits however the blocks are cut.
+//!   reference;
+//! * `axpy_dot` writes `axpy`'s bits and returns `dot`'s sum of the
+//!   updated slice, with itself or with a second slice in either order.
 //!
 //! Both for `f32` and `f64`, every length 0..=67 (all block/tail
 //! splits around the lane count) plus seeded random lengths up to
@@ -186,39 +187,6 @@ macro_rules! vecops_props {
                 }
             }
 
-            /// `dot`'s lanes carried across a seeded cut of the
-            /// slice's full blocks into pieces of 0, 8, 16, … elements
-            /// (empty feeds included), then finished with the tail:
-            /// `dot`'s bits, however the blocks were cut.
-            #[test]
-            fn dot_lanes_fed_in_any_blocks_are_dot_bitwise() {
-                let mut rng = Rng(0x5eed_0005);
-                for n in lengths(&mut rng, 120) {
-                    for specials in [false, true] {
-                        let x = data(&mut rng, n, specials);
-                        let y = data(&mut rng, n, specials);
-                        let blocked = n / DOT_LANES * DOT_LANES;
-                        let mut lanes = vecops::DotLanes::<$t>::new();
-                        let mut at = 0;
-                        while at < blocked {
-                            let blocks = (rng.next() % 6) as usize;
-                            let end = (at + blocks * DOT_LANES).min(blocked);
-                            lanes.feed(&x[at..end], &y[at..end]);
-                            at = end;
-                        }
-                        let got = lanes.finish(&x[blocked..], &y[blocked..]);
-                        let want = vecops::dot(&x, &y);
-                        assert!(same(got, want), "n={n}: {got:e} vs {want:e}");
-                    }
-                }
-            }
-
-            #[test]
-            #[should_panic(expected = "multiples of 8")]
-            fn dot_lanes_refuse_a_feed_off_the_lane_count() {
-                vecops::DotLanes::<$t>::new().feed(&[1.0; 9], &[1.0; 9]);
-            }
-
             #[test]
             fn dot_of_fewer_than_eight_elements_is_the_sequential_sum() {
                 let mut rng = Rng(0x5eed_0003);
@@ -230,6 +198,33 @@ macro_rules! vecops_props {
                         want = x[i].mul_add(y[i], want);
                     }
                     assert!(same(vecops::dot(&x, &y), want), "n={n}");
+                }
+            }
+
+            #[test]
+            fn axpy_dot_is_axpy_then_dot_bitwise() {
+                let mut rng = Rng(0x5eed_0005);
+                for n in lengths(&mut rng, 120) {
+                    for specials in [false, true] {
+                        let s = data(&mut rng, n, specials);
+                        let y = data(&mut rng, n, specials);
+                        let d0 = data(&mut rng, n, specials);
+                        for a in [0.0 as $t, -0.0, 1.0, -1.5, 0.3, <$t>::INFINITY] {
+                            let mut want = d0.clone();
+                            vecops::axpy(&mut want, a, &s);
+                            let mut d = d0.clone();
+                            let got = vecops::axpy_dot(&mut d, a, &s, None);
+                            assert_same("axpy_dot", n, &d, &want);
+                            let oracle = dot_oracle(&want, &want);
+                            assert!(same(got, oracle), "n={n} d·d: {got:e} vs {oracle:e}");
+                            let mut d = d0.clone();
+                            let got = vecops::axpy_dot(&mut d, a, &s, Some(&y));
+                            assert_same("axpy_dot", n, &d, &want);
+                            for oracle in [dot_oracle(&want, &y), dot_oracle(&y, &want)] {
+                                assert!(same(got, oracle), "n={n} d·y: {got:e} vs {oracle:e}");
+                            }
+                        }
+                    }
                 }
             }
 

@@ -413,29 +413,29 @@ if [ "$epochs" != "$registered" ]; then
     exit 1
 fi
 
-# One body per sweep per worker lane (DESIGN §6): a record's run of
-# vector ops and dot partials lowers to one task per lane of the
-# vectors' lane table (`Lane::of`, built at `alloc_vector`), not one
-# per piece. With at least as many workers as pieces a lane is one
-# piece, so nothing needs a per-piece loop beside it: outside comments,
-# `sweep_tasks` walks the lanes, and none of the lowering functions
-# (`lower`, `join_sweep`, `join_dots`, `sweep_tasks`) names a piece
-# list — only the body, `sweep_body`, walks a lane's members. A lone op
-# is a sweep of one op: no `elementwise` / `dot_partial_tasks` path is
-# kept beside it.
+# One body per operation per worker lane (DESIGN §6): a vector op and a
+# dot's partials — or an `axpy` with the dot after it, one
+# `axpy+dot_partial` — lower to one task per lane of the vector's lane
+# table (`Lane::of`, built at `alloc_vector`), not one per piece. With
+# at least as many workers as pieces a lane is one piece, so nothing
+# needs a per-piece loop beside it: outside comments, `elementwise` and
+# `dot_partial_tasks` walk the lanes, name no piece list, and only the
+# partial bodies walk a lane's members (`lane_in_body.members`). The
+# matches go to /dev/null, not `grep -q`: under `set -o pipefail` an
+# early `-q` exit can fail the `sed` feeding it.
 exec_lowering() {
     sed -n "/^    fn $1[<(]/,/^    }\$/p" crates/kdr-core/src/exec.rs | grep -vE '^ *//'
 }
-if ! exec_lowering sweep_tasks | grep '\.lanes\b' >/dev/null ||
-    for f in lower join_sweep join_dots sweep_tasks; do exec_lowering "$f"; done |
-    grep -nwE 'pieces|members' ||
-    grep -nE 'fn (elementwise|dot_partial_tasks)\b' crates/kdr-core/src/exec.rs; then
-    echo "ci.sh: exec.rs lowers vector work per piece or per op beside the sweep, not per lane (see above)" >&2
+if ! exec_lowering elementwise | grep '\.lanes\b' >/dev/null ||
+    ! exec_lowering dot_partial_tasks | grep '\.lanes\b' >/dev/null ||
+    { exec_lowering elementwise; exec_lowering dot_partial_tasks | grep -v 'lane_in_body\.members'; } |
+    grep -nwE 'pieces|members'; then
+    echo "ci.sh: exec.rs lowers a vector op or a dot's partials per piece, not per lane (see above)" >&2
     exit 1
 fi
-# One eight-lane chain (DESIGN §7a): `vecops::DotLanes` is the one place
-# the dot's lane `mul_add`s and combine tree are written; `dot` and the
-# sweep body both go through it. Outside test modules and comments, no
+# One eight-lane chain (DESIGN §7a): `vecops::Lanes` is the one place
+# the dot's lane `mul_add`s and combine tree are written; `dot` and
+# `axpy_dot` both go through it. Outside test modules and comments, no
 # other source file under crates/ accumulates into a lane by `mul_add`
 # or combines lanes 0 and 4.
 chains=$(find crates -path '*/src/*.rs' ! -name vecops.rs -print0 |

@@ -420,9 +420,10 @@ fn cg_trace_json_is_valid_and_complete() {
     assert!(json.contains("\"ts\":"));
     assert!(json.contains("\"dur\":"));
     assert!(json.contains("\"provenance\":\"replayed\""));
-    // Solver kernels show up by name, the CG update as one sweep.
+    // Solver kernels show up by name.
     assert!(json.contains("\"name\":\"dot_partial\""));
-    assert!(json.contains("\"name\":\"axpy+axpy+dot_partial\""));
+    assert!(json.contains("\"name\":\"axpy\""));
+    assert!(json.contains("\"name\":\"axpy+dot_partial\""));
     // The phase split sees SpMV work.
     let split = PhaseSplit::from_spans(&spans);
     assert!(split.spmv_ns > 0);
@@ -532,9 +533,10 @@ fn replayed_steps_log_nothing_with_events_off_and_every_body_with_events_on() {
     let bodies = (m1.runtime.tasks_executed + m1.runtime.tasks_fused)
         - (m0.runtime.tasks_executed + m0.runtime.tasks_fused);
     // 8 pieces on 4 workers: a tile body per piece, 4 lanes of two
-    // pieces each running one body per sweep (3 per step: `p·q`,
-    // `axpy+axpy+dot_partial`, `xpay`), and 5 scalar bodies.
-    assert_eq!(bodies, 16 * (8 + 4 * 3 + 5));
+    // pieces each running one body per vector op or dot's partials (4
+    // per step: the `axpy` of `r` and the `r·r` partials are one
+    // `axpy+dot_partial`), and 5 scalar bodies.
+    assert_eq!(bodies, 16 * (8 + 4 * 4 + 5));
     assert_eq!(
         m1.runtime.events_recorded - m0.runtime.events_recorded,
         bodies
