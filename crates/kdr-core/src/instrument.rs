@@ -24,9 +24,10 @@ pub enum SolverPhase {
     /// Inner products: `dot_partial` / `dot_reduce`.
     Dot,
     /// Vector updates: `axpy`, `xpay`, `scal`, `copy`, `set_zero`,
-    /// and `axpy+dot_partial`, an `axpy` that yields the partials of
-    /// the dot after it in the same pass (the dot runs under the
-    /// update's loads and stores).
+    /// `axpy+dot_partial`, an `axpy` that yields the partials of the
+    /// dot after it in the same pass (the dot runs under the update's
+    /// loads and stores), and `axpy+xpay`, an `axpy` run in the pass of
+    /// the `xpay` that reads its source.
     VectorUpdate,
     /// Scalar arithmetic tasks (`scalar_*`).
     Scalar,
@@ -42,7 +43,7 @@ impl SolverPhase {
             "apply_zero" => SolverPhase::SpMV,
             n if n.starts_with("spmv_") => SolverPhase::SpMV,
             "dot_partial" | "dot_reduce" => SolverPhase::Dot,
-            "axpy" | "xpay" | "scal" | "copy" | "set_zero" | "axpy+dot_partial" => {
+            "axpy" | "xpay" | "scal" | "copy" | "set_zero" | "axpy+dot_partial" | "axpy+xpay" => {
                 SolverPhase::VectorUpdate
             }
             n if n.starts_with("scalar_") => SolverPhase::Scalar,
@@ -190,6 +191,7 @@ mod tests {
             "copy",
             "set_zero",
             "axpy+dot_partial",
+            "axpy+xpay",
         ] {
             assert_eq!(SolverPhase::of_task(n), SolverPhase::VectorUpdate, "{n}");
         }

@@ -7,6 +7,8 @@
 //! asserts signature equality with the captured step) and in
 //! `--release` (the path solves run on); `scripts/ci.sh` does both.
 
+mod reference;
+
 use std::sync::Arc;
 
 use kdr_core::partitioning::compute_tiles;
@@ -17,6 +19,40 @@ use kdr_core::{
 };
 use kdr_index::Partition;
 use kdr_sparse::{Csr, SparseMatrix, Stencil, Triples};
+use reference::Reference;
+
+/// Which backend a run goes through: the execution backend, traced or
+/// analysed, on some workers, or the reference.
+#[derive(Clone, Copy, Debug)]
+enum How {
+    Exec { traced: bool, workers: usize },
+    Reference,
+}
+
+impl How {
+    fn backend(self) -> Box<dyn Backend<f64>> {
+        match self {
+            How::Exec { traced, workers } => {
+                let mut b = ExecBackend::<f64>::new(workers);
+                b.set_step_tracing(traced);
+                Box::new(b)
+            }
+            How::Reference => Box::new(Reference::<f64>::new()),
+        }
+    }
+}
+
+/// Every execution-backend run the scripts are checked on: analysed on
+/// 1 and 4 workers, traced on 1, 3 and 4. On three workers the colours
+/// of two components, 4096 apart, share home workers: 4096 is not a
+/// multiple of 3.
+const EXEC_RUNS: [How; 5] = [
+    How::Exec { traced: false, workers: 1 },
+    How::Exec { traced: false, workers: 4 },
+    How::Exec { traced: true, workers: 1 },
+    How::Exec { traced: true, workers: 3 },
+    How::Exec { traced: true, workers: 4 },
+];
 
 /// SplitMix64: the scripts below are a function of their seed alone.
 struct Rng(u64);
@@ -198,11 +234,9 @@ fn with_exec<R>(p: &mut Planner<f64>, f: impl FnOnce(&mut ExecBackend<f64>) -> R
     })
 }
 
-fn run(seed: u64, traced: bool, workers: usize) -> Run {
+fn run(seed: u64, how: How) -> Run {
     let body = script(seed);
-    let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_step_tracing(traced);
-    let mut p = Planner::new(Box::new(backend));
+    let mut p = Planner::new(how.backend());
     let parts: Vec<Partition> = COMPS
         .iter()
         .map(|&(n, pieces)| Partition::equal_blocks(n, pieces))
@@ -311,8 +345,10 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
         let handles: Vec<&ScalarHandle<f64>> = scalars.iter().collect();
         let (outcome, forced) = p.step_end(&handles);
         out.outcomes.push(outcome);
-        out.replayed
-            .push(with_exec(&mut p, |b| b.step_counters().2));
+        if let How::Exec { .. } = how {
+            out.replayed
+                .push(with_exec(&mut p, |b| b.step_counters().2));
+        }
         out.forced
             .push(forced.into_iter().map(f64::to_bits).collect());
     }
@@ -326,17 +362,13 @@ fn run(seed: u64, traced: bool, workers: usize) -> Run {
     out
 }
 
+/// Every run of a seeded script — analysed or replayed from its
+/// programs, on 1, 3 or 4 workers — ends where the reference backend
+/// ends, bit for bit.
 #[test]
 fn program_replay_matches_analyzed_submission_bitwise() {
     for seed in [3, 17, 101, 4242, 90001] {
-        let reference = run(seed, false, 1);
-        assert!(
-            reference
-                .outcomes
-                .iter()
-                .all(|&o| o == StepOutcome::Analyzed),
-            "tracing off never captures"
-        );
+        let reference = run(seed, How::Reference);
         let finite = |bits: &Vec<u64>| bits.iter().all(|&b| f64::from_bits(b).is_finite());
         assert!(
             reference.vectors.iter().all(finite),
@@ -347,14 +379,16 @@ fn program_replay_matches_analyzed_submission_bitwise() {
             .iter()
             .flatten()
             .any(|&b| f64::from_bits(b) != 0.0));
-        // On three workers the colours of the two components, 4096
-        // apart, share home workers: 4096 is not a multiple of 3.
-        for (traced, workers) in [(false, 4), (true, 1), (true, 3), (true, 4)] {
-            let got = run(seed, traced, workers);
-            let what = format!("seed {seed}, traced {traced}, {workers} workers");
+        for how in EXEC_RUNS {
+            let got = run(seed, how);
+            let what = format!("seed {seed}, {how:?}");
             assert_eq!(got.forced, reference.forced, "forced scalars: {what}");
             assert_eq!(got.vectors, reference.vectors, "vectors: {what}");
-            if !traced {
+            if let How::Exec { traced: false, .. } = how {
+                assert!(
+                    got.outcomes.iter().all(|&o| o == StepOutcome::Analyzed),
+                    "tracing off never captures: {what}"
+                );
                 continue;
             }
             assert!(
@@ -533,6 +567,51 @@ fn vector_script(seed: u64) -> Vec<Call> {
         Dots(vec![(7, 8), (0, 7), (8, 0)]),
         Xpay(7, 8, 8),
         Axpy(1, 2, 1),
+        // `x += αp`, then `p = r + βp` (scalar 17 is β, 18 … α): the
+        // `axpy` lowers into the `xpay` across a read of `p`, scalar
+        // ops and another update.
+        Const(0.375),
+        Const(-0.25),
+        Axpy(1, 18, 3),
+        Dots(vec![(3, 4)]),
+        Tame(19),
+        Axpy(5, 20, 4),
+        Xpay(3, 17, 4),
+        // Not lowered into the `xpay`: an op reads `x` in between (a
+        // copy, a dot), an op writes `p` in between.
+        Axpy(1, 18, 3),
+        Copy(0, 1),
+        Xpay(3, 17, 4),
+        Axpy(1, 18, 3),
+        Dots(vec![(5, 1)]),
+        Xpay(3, 17, 4),
+        Axpy(1, 18, 3),
+        Scal(3, 20),
+        Xpay(3, 17, 4),
+        // `α`'s slot released and taken again between the two by a
+        // dot's result, a constant and a binop: the slot is the one
+        // free slot, so the next scalar op takes it.
+        Const(0.125),
+        Axpy(1, 22, 3),
+        Release(22),
+        Dots(vec![(4, 5)]),
+        Xpay(3, 17, 4),
+        Const(0.1875),
+        Axpy(1, 24, 3),
+        Release(24),
+        Const(-0.375),
+        Xpay(3, 17, 4),
+        Const(-0.0625),
+        Axpy(1, 26, 3),
+        Release(26),
+        Bin(0, 17, 18),
+        Xpay(3, 17, 4),
+        // `x` of other lanes than `p`, and `r` of other lanes than
+        // `p`: not lowered into the `xpay`.
+        Axpy(7, 18, 1),
+        Xpay(1, 17, 4),
+        Axpy(1, 18, 3),
+        Xpay(3, 17, 7),
     ];
     let mut rng = Rng(seed);
     // Which scalars of the list are live, and which are tame.
@@ -554,6 +633,9 @@ fn vector_script(seed: u64) -> Vec<Call> {
     }
     // The prelude's scalars stay live: every pick has a candidate.
     let kept = live.len();
+    // An `axpy(x, α, p)` opened by the seeded calls, and the calls left
+    // before its `xpay(p, β, r)`.
+    let mut pattern: Option<(usize, usize, usize)> = None;
     let (first, second) = (
         |rng: &mut Rng| rng.below(7),
         |rng: &mut Rng| 7 + rng.below(2),
@@ -564,6 +646,33 @@ fn vector_script(seed: u64) -> Vec<Call> {
             ok[rng.below(ok.len())]
         };
         let coef = pick(&mut rng, &|k| tame[k]);
+        match pattern {
+            Some((0, p, r)) => {
+                calls.push(Xpay(p, coef, r));
+                pattern = None;
+                continue;
+            }
+            Some((ref mut left, ..)) => *left -= 1,
+            None if rng.below(4) == 0 => {
+                // `x`, `p` and `r` distinct in the first partition, the
+                // scratch vector left out; in the second, of two
+                // vectors, `r` is `x`, which keeps the `axpy` where it
+                // is.
+                let (x, p, r) = if rng.below(4) == 0 {
+                    let x = 7 + rng.below(2);
+                    (x, 15 - x, x)
+                } else {
+                    let x = rng.below(SCRATCH);
+                    let p = (x + 1 + rng.below(SCRATCH - 1)) % SCRATCH;
+                    let r = (0..SCRATCH).filter(|&v| v != x && v != p).nth(rng.below(SCRATCH - 2));
+                    (x, p, r.expect("four candidates"))
+                };
+                calls.push(Axpy(x, coef, p));
+                pattern = Some((rng.below(4), p, r));
+                continue;
+            }
+            None => {}
+        }
         // Mostly the first partition, one call in four the second.
         let vec = |rng: &mut Rng| {
             if rng.below(4) == 0 {
@@ -626,12 +735,11 @@ fn vector_script(seed: u64) -> Vec<Call> {
 /// runtime counted.
 type ScriptRun = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<&'static str>);
 
-fn run_script(seed: u64, traced: bool, workers: usize) -> ScriptRun {
+fn run_script(seed: u64, how: How) -> ScriptRun {
     use kdr_core::backend::{ScalarOp, ScalarUnop};
     use kdr_core::CompSpec;
     let calls = vector_script(seed);
-    let mut b = ExecBackend::<f64>::new(workers);
-    b.set_step_tracing(traced);
+    let mut b = how.backend();
     let vecs: Vec<usize> = (0..SCRIPT_VECTORS)
         .map(|v| {
             let second = v >= 7;
@@ -727,23 +835,29 @@ fn run_script(seed: u64, traced: bool, workers: usize) -> ScriptRun {
                 .collect()
         })
         .collect();
-    let names = b.metrics().runtime.task_counts.keys().copied().collect();
+    let names = match b.as_any().downcast_mut::<ExecBackend<f64>>() {
+        Some(exec) => exec.metrics().runtime.task_counts.keys().copied().collect(),
+        None => Vec::new(),
+    };
     (vectors, forced, names)
 }
 
-/// An `axpy` and the one-pair dot recorded after it lower to one
-/// `axpy+dot_partial` body per lane when the pair reads the updated
-/// vector at its lanes, and that keeps every bit: a seeded script of
-/// vector ops, dots and scalar ops over vectors of two partitions —
-/// the fused cases and the ones that must not fuse, a released
-/// coefficient's slot taken by the dot's result, reads after writes,
-/// in-place updates, a raw dot result as a coefficient — traced on 1,
-/// 3 and 4 workers ends where the analysed run, op by op, ends, bit
-/// for bit.
+/// The fused lowerings keep every bit: an `axpy` and the one-pair dot
+/// recorded after it lower to one `axpy+dot_partial` body per lane when
+/// the pair reads the updated vector at its lanes, and an `axpy(x, α,
+/// p)` lowers into a later `xpay(p, β, r)` as one `axpy+xpay` body per
+/// lane when nothing in between reads or writes `x`, writes `p` or
+/// writes `α`'s slot. A seeded script of vector ops, dots and scalar
+/// ops over vectors of two partitions — the fused cases and the ones
+/// that must not fuse, released coefficients' slots taken again,
+/// reads after writes, in-place updates, a raw dot result as a
+/// coefficient, seeded `axpy … xpay` pairs with seeded calls between —
+/// analysed and traced on 1, 3 and 4 workers ends where the reference
+/// backend ends, bit for bit.
 #[test]
 fn vector_scripts_match_analyzed_submission_bitwise() {
     for seed in [5, 23, 777, 31337] {
-        let (vectors, forced, names) = run_script(seed, false, 1);
+        let (vectors, forced, _) = run_script(seed, How::Reference);
         assert!(
             vectors
                 .iter()
@@ -751,21 +865,17 @@ fn vector_scripts_match_analyzed_submission_bitwise() {
                 .all(|&b| f64::from_bits(b).is_finite()),
             "seed {seed}: the script overflowed"
         );
-        assert!(
-            !names.contains(&"axpy+dot_partial"),
-            "op by op with tracing off: {names:?}"
-        );
-        for (traced, workers) in [(false, 4), (true, 1), (true, 3), (true, 4)] {
-            let got = run_script(seed, traced, workers);
-            let what = format!("seed {seed}, traced {traced}, {workers} workers");
+        for how in EXEC_RUNS {
+            let got = run_script(seed, how);
+            let what = format!("seed {seed}, {how:?}");
             assert_eq!(got.1, forced, "forced scalars: {what}");
             assert_eq!(got.0, vectors, "vectors: {what}");
-            assert_eq!(
-                got.2.contains(&"axpy+dot_partial"),
-                traced,
-                "{what}: {:?}",
-                got.2
-            );
+            // Only traced runs fuse; with tracing off every op is a
+            // record of its own.
+            let traced = matches!(how, How::Exec { traced: true, .. });
+            for fused in ["axpy+dot_partial", "axpy+xpay"] {
+                assert_eq!(got.2.contains(&fused), traced, "{what}: {:?}", got.2);
+            }
         }
     }
 }

@@ -415,27 +415,31 @@ fi
 
 # One body per operation per worker lane (DESIGN §6): a vector op and a
 # dot's partials — or an `axpy` with the dot after it, one
-# `axpy+dot_partial` — lower to one task per lane of the vector's lane
-# table (`Lane::of`, built at `alloc_vector`), not one per piece. With
-# at least as many workers as pieces a lane is one piece, so nothing
-# needs a per-piece loop beside it: outside comments, `elementwise` and
-# `dot_partial_tasks` walk the lanes, name no piece list, and only the
-# partial bodies walk a lane's members (`lane_in_body.members`). The
-# matches go to /dev/null, not `grep -q`: under `set -o pipefail` an
-# early `-q` exit can fail the `sed` feeding it.
+# `axpy+dot_partial`, or an `axpy` lowered into a later `xpay`, one
+# `axpy+xpay` — lower to one task per lane of the vector's lane table
+# (`Lane::of`, built at `alloc_vector`), not one per piece. With at
+# least as many workers as pieces a lane is one piece, so nothing needs
+# a per-piece loop beside it: outside comments, `elementwise`,
+# `dot_partial_tasks` and `axpy_xpay_tasks` walk the lanes and name no
+# piece list; the partial bodies walk a lane's chains
+# (`lane_in_body.chains`). The matches go to /dev/null, not `grep -q`:
+# under `set -o pipefail` an early `-q` exit can fail the `sed` feeding
+# it.
 exec_lowering() {
     sed -n "/^    fn $1[<(]/,/^    }\$/p" crates/kdr-core/src/exec.rs | grep -vE '^ *//'
 }
 if ! exec_lowering elementwise | grep '\.lanes\b' >/dev/null ||
     ! exec_lowering dot_partial_tasks | grep '\.lanes\b' >/dev/null ||
-    { exec_lowering elementwise; exec_lowering dot_partial_tasks | grep -v 'lane_in_body\.members'; } |
+    ! exec_lowering axpy_xpay_tasks | grep '\.lanes\b' >/dev/null ||
+    { exec_lowering elementwise; exec_lowering dot_partial_tasks; exec_lowering axpy_xpay_tasks; } |
     grep -nwE 'pieces|members'; then
     echo "ci.sh: exec.rs lowers a vector op or a dot's partials per piece, not per lane (see above)" >&2
     exit 1
 fi
 # One eight-lane chain (DESIGN §7a): `vecops::Lanes` is the one place
-# the dot's lane `mul_add`s and combine tree are written; `dot` and
-# `axpy_dot` both go through it. Outside test modules and comments, no
+# the dot's lane `mul_add`s and combine tree are written; `dot`,
+# `axpy_dot` and their four-chain forms `dot4` / `axpy_dot4` all go
+# through it. Outside test modules and comments, no
 # other source file under crates/ accumulates into a lane by `mul_add`
 # or combines lanes 0 and 4.
 chains=$(find crates -path '*/src/*.rs' ! -name vecops.rs -print0 |

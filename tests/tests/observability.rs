@@ -535,8 +535,9 @@ fn replayed_steps_log_nothing_with_events_off_and_every_body_with_events_on() {
     // 8 pieces on 4 workers: a tile body per piece, 4 lanes of two
     // pieces each running one body per vector op or dot's partials (4
     // per step: the `axpy` of `r` and the `r·r` partials are one
-    // `axpy+dot_partial`), and 5 scalar bodies.
-    assert_eq!(bodies, 16 * (8 + 4 * 4 + 5));
+    // `axpy+dot_partial`, and the `axpy` of `x` runs in the `xpay`'s
+    // `axpy+xpay`), and 5 scalar bodies.
+    assert_eq!(bodies, 16 * (8 + 4 * 3 + 5));
     assert_eq!(
         m1.runtime.events_recorded - m0.runtime.events_recorded,
         bodies
