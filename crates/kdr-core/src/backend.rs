@@ -79,8 +79,8 @@ pub enum ScalarUnop {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
     /// Tasks went through dependence analysis one by one: reported by
-    /// backends that do not trace, and by the execution backend with
-    /// tracing off.
+    /// backends that do not trace (the trait's default `step_end`,
+    /// the simulator); never by the execution backend.
     Analyzed,
     /// The step's tasks (or, when a forcing read split the step, those
     /// of one of its records) were analyzed once and compiled into a
@@ -623,14 +623,6 @@ pub trait Backend<T: Scalar>: Send {
     /// without a fault path (e.g. the simulator) return `None`.
     fn take_fault(&mut self) -> Option<BackendFault> {
         None
-    }
-
-    /// Enable or disable per-iteration step tracing (trace-replay of
-    /// repeated iteration shapes). Recovery drivers turn this off
-    /// when retrying after a fault to rule the replay path out.
-    /// Default: no-op for backends that do not trace.
-    fn set_step_tracing(&mut self, on: bool) {
-        let _ = on;
     }
 }
 

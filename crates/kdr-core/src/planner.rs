@@ -568,13 +568,6 @@ impl<T: Scalar> Planner<T> {
         self.backend.lock().take_fault()
     }
 
-    /// Enable or disable the backend's per-iteration trace replay;
-    /// see [`Backend::set_step_tracing`]. Recovery drivers turn it
-    /// off when retrying a faulted segment.
-    pub fn set_step_tracing(&mut self, on: bool) {
-        self.backend.lock().set_step_tracing(on);
-    }
-
     /// Reach the concrete backend (for graph extraction or runtime
     /// statistics): `planner.with_backend(|b| { let sim = b.as_any()
     /// .downcast_mut::<SimBackend<f64>>()...; })`.

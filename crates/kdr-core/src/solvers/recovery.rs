@@ -132,10 +132,9 @@ where
                 return Err(e);
             }
             restarts += 1;
+            // The retry replays the backend's step programs: a first
+            // run that failed was never kept as one.
             let _ = planner.take_fault();
-            // Re-run through full dependence analysis rather than
-            // replay a step program captured alongside the fault.
-            planner.set_step_tracing(false);
             for (c, data) in checkpoint.iter().enumerate() {
                 planner.set_sol_data(c, data);
             }

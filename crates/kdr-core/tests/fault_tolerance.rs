@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use kdr_core::{
-    solve, solve_recoverable, solve_traced, Backend, BiCgSolver, BiCgStabSolver, BreakdownKind,
-    CgSolver, CgsSolver, ChebyshevSolver, ExecBackend, GmresSolver, MinresSolver, Planner,
-    RecoveryPolicy, SolveControl, SolveError, Solver, StepOutcome, TfqmrSolver, RHS, SOL,
+    solve, solve_recoverable, solve_traced, BiCgSolver, BiCgStabSolver, BreakdownKind, CgSolver,
+    CgsSolver, ChebyshevSolver, ExecBackend, GmresSolver, MinresSolver, Planner, RecoveryPolicy,
+    SolveControl, SolveError, Solver, StepOutcome, TfqmrSolver, RHS, SOL,
 };
 use kdr_index::Partition;
 use kdr_runtime::{FaultKind, FaultPlan, FaultSpec, FireSchedule};
@@ -36,21 +36,18 @@ fn triples_planner(
     planner
 }
 
-/// A 2-D Poisson planner whose backend carries the given fault plan
-/// (and, optionally, step tracing).
+/// A 2-D Poisson planner whose backend carries the given fault plan.
 fn poisson_planner_with_faults(
     nx: u64,
     ny: u64,
     pieces: usize,
     workers: usize,
     plan: Option<FaultPlan>,
-    traced: bool,
 ) -> (Planner<f64>, Stencil, Vec<f64>) {
     let s = Stencil::lap2d(nx, ny);
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
-    let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_step_tracing(traced);
+    let backend = ExecBackend::<f64>::new(workers);
     backend.set_fault_plan(plan);
     let part = Partition::equal_blocks(n, pieces);
     let mut planner = Planner::new(Box::new(backend));
@@ -149,7 +146,7 @@ fn bicgstab_reports_rho_breakdown() {
 /// `Diverged` at that check rather than running on to overflow.
 #[test]
 fn chebyshev_with_bounds_inside_the_spectrum_reports_divergence() {
-    let (mut planner, _, _) = poisson_planner_with_faults(16, 16, 4, 4, None, false);
+    let (mut planner, _, _) = poisson_planner_with_faults(16, 16, 4, 4, None);
     let mut solver = ChebyshevSolver::with_bounds(&mut planner, 0.1, 0.2);
     let (outcome, trace) = solve_traced(
         &mut planner,
@@ -187,7 +184,7 @@ fn checkpoint_restart_recovers_from_injected_panic() {
         schedule: FireSchedule::Nth(40),
         max_fires: 1,
     });
-    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, Some(plan), false);
+    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, Some(plan));
 
     // Plain solve on the same faulty backend fails with TaskFailed.
     let probe = FaultPlan::seeded(7).with(FaultSpec {
@@ -196,7 +193,7 @@ fn checkpoint_restart_recovers_from_injected_panic() {
         schedule: FireSchedule::Nth(40),
         max_fires: 1,
     });
-    let (mut plain, _, _) = poisson_planner_with_faults(16, 16, 4, 4, Some(probe), false);
+    let (mut plain, _, _) = poisson_planner_with_faults(16, 16, 4, 4, Some(probe));
     let mut solver = CgSolver::new(&mut plain);
     let err = solve(
         &mut plain,
@@ -227,9 +224,11 @@ fn checkpoint_restart_recovers_from_injected_panic() {
     assert!(res < 1e-8, "true residual {res}");
 }
 
-/// A panic injected while the backend is capturing/replaying dynamic
-/// traces must not wedge the solve: the retry falls back to fully
-/// analyzed execution and converges.
+/// A panic injected while the backend is capturing/replaying step
+/// programs must not wedge the solve: the failed run is kept as no
+/// program, and the retry's rebuilt solver — new workspace vectors,
+/// so new records — compiles its steps afresh, through dependence
+/// analysis, then replays them and converges.
 #[test]
 fn traced_replay_panic_falls_back_analyzed() {
     let plan = FaultPlan::seeded(11).with(FaultSpec {
@@ -238,7 +237,7 @@ fn traced_replay_panic_falls_back_analyzed() {
         schedule: FireSchedule::Nth(120),
         max_fires: 1,
     });
-    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, Some(plan), true);
+    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, Some(plan));
     let report = solve_recoverable(
         &mut planner,
         CgSolver::new,
@@ -282,7 +281,7 @@ fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
             schedule: FireSchedule::Nth(4 + 6 * 4 + 2),
             max_fires: 1,
         });
-        let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 2, Some(plan), true);
+        let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 2, Some(plan));
         let mut solver = CgSolver::new(&mut planner);
         let workspace = planner.workspace_mark() - 3;
         let mut step = |planner: &mut Planner<f64>| {
@@ -306,7 +305,7 @@ fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
         let after = exec_metrics(&mut planner);
         assert_eq!(after.runtime.task_failures, 1);
         assert_eq!(after.steps_replayed, before.steps_replayed + 1);
-        assert_eq!(after.steps_analyzed, 0);
+        assert_eq!(after.steps_captured, before.steps_captured);
         assert_eq!(after.step_tasks_lowered, before.step_tasks_lowered);
         assert_eq!(after.runtime.tasks_analyzed, before.runtime.tasks_analyzed);
         assert_eq!(after.trace_cache_len, before.trace_cache_len);
@@ -334,7 +333,6 @@ fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
         assert!(res < 1e-8, "true residual {res}");
         let end = exec_metrics(&mut planner);
         assert!(end.steps_replayed > after.steps_replayed + report.iters as u64 / 2);
-        assert_eq!(end.steps_analyzed, after.steps_analyzed, "no step degrades again");
         assert_eq!(end.steps_captured, after.steps_captured, "no step is captured again");
         (outcomes, fault, report.iters, res.to_bits())
     };
@@ -356,9 +354,8 @@ fn fault_injection_is_deterministic_across_solvers() {
         ("minres", |p| Box::new(MinresSolver::new(p))),
         ("tfqmr", |p| Box::new(TfqmrSolver::new(p))),
     ];
-    // Analyzed, and with step programs capturing and replaying around
-    // the fault.
-    for ((name, make), traced) in makes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+    // Step programs capturing and replaying around the fault.
+    for (name, make) in makes {
         let run = |make: Make| -> Result<_, SolveError> {
             let plan = FaultPlan::seeded(2026).with(FaultSpec {
                 name_contains: "dot_partial".into(),
@@ -366,7 +363,7 @@ fn fault_injection_is_deterministic_across_solvers() {
                 schedule: FireSchedule::Nth(30),
                 max_fires: 1,
             });
-            let (mut planner, _, _) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan), traced);
+            let (mut planner, _, _) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan));
             let mut solver = make(&mut planner);
             solve(
                 &mut planner,
@@ -409,7 +406,7 @@ fn planner_survives_absorbed_fault() {
         schedule: FireSchedule::Nth(10),
         max_fires: 1,
     });
-    let (mut planner, s, b) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan), false);
+    let (mut planner, s, b) = poisson_planner_with_faults(12, 12, 2, 2, Some(plan));
     let mut solver = CgSolver::new(&mut planner);
     let err = solve(
         &mut planner,
@@ -437,7 +434,7 @@ fn planner_survives_absorbed_fault() {
 /// RHS is untouched by recovery: restarts restore `SOL` only.
 #[test]
 fn recovery_reports_zero_restarts_when_healthy() {
-    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, None, false);
+    let (mut planner, s, b) = poisson_planner_with_faults(16, 16, 4, 4, None);
     let report = solve_recoverable(
         &mut planner,
         CgSolver::new,
@@ -484,7 +481,7 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
     };
     for (workers, in_step) in [(1, false), (1, true), (4, false), (4, true)] {
         let (mut planner, _, b) =
-            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("dot_partial")), true);
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("dot_partial")));
         let expect: f64 = b.iter().map(|v| v * v).sum();
         let programs = |planner: &mut Planner<f64>| {
             planner.with_backend(|b| {
@@ -527,7 +524,7 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         // worker), so the panic drops that body unrun: the read is
         // NaN and names the `axpy`, once — never a hang.
         let (mut planner, _, _) =
-            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")));
         let one = planner.scalar(1.0);
         planner.axpy(SOL, &one, RHS);
         let d = planner.dot(RHS, RHS);
@@ -540,7 +537,7 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         // In a record of its own, the `axpy` fails apart from the
         // `dot`: isolation holds across records.
         let (mut planner, _, _) =
-            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")), true);
+            poisson_planner_with_faults(12, 12, 4, workers, Some(plan("axpy")));
         let one = planner.scalar(1.0);
         planner.step_begin();
         planner.axpy(SOL, &one, RHS);

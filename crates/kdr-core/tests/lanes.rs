@@ -85,11 +85,10 @@ fn solve_bits(
     (report.iters, history, x)
 }
 
-/// The execution backend on `workers` workers, traced or analysed.
-fn exec(workers: usize, traced: bool, events: bool) -> Box<dyn Backend<f64>> {
-    let mut backend = ExecBackend::<f64>::new(workers);
+/// The execution backend on `workers` workers.
+fn exec(workers: usize, events: bool) -> Box<dyn Backend<f64>> {
+    let backend = ExecBackend::<f64>::new(workers);
     backend.set_event_logging(events);
-    backend.set_step_tracing(traced);
     Box::new(backend)
 }
 
@@ -97,9 +96,8 @@ fn exec(workers: usize, traced: bool, events: bool) -> Box<dyn Backend<f64>> {
 /// groups of four dot chains); on three and four, lanes of several
 /// pieces each, of unequal sizes; on one worker per piece, one piece
 /// each — what the backend lowered to before lanes. Every solver's
-/// residual history and solution, traced and analysed, are the
-/// reference backend's bit for bit, on 16 pieces and on a
-/// two-component system.
+/// residual history and solution are the reference backend's bit for
+/// bit, on 16 pieces and on a two-component system.
 #[test]
 fn lane_counts_keep_every_bit() {
     for (components, pieces) in [(1, 16), (2, 5)] {
@@ -111,18 +109,16 @@ fn lane_counts_keep_every_bit() {
                 make,
             );
             for workers in [1, 3, 4, pieces] {
-                for traced in [true, false] {
-                    let got = solve_bits(
-                        planner(components, pieces, exec(workers, traced, false), preconditioned),
-                        components,
-                        make,
-                    );
-                    assert_eq!(
-                        got, want,
-                        "{components} × {pieces} pieces, preconditioned {preconditioned}: \
-                         {workers} workers, traced {traced}, against the reference"
-                    );
-                }
+                let got = solve_bits(
+                    planner(components, pieces, exec(workers, false), preconditioned),
+                    components,
+                    make,
+                );
+                assert_eq!(
+                    got, want,
+                    "{components} × {pieces} pieces, preconditioned {preconditioned}: \
+                     {workers} workers, against the reference"
+                );
             }
         }
     }
@@ -136,7 +132,7 @@ fn lane_counts_keep_every_bit() {
 #[test]
 fn on_one_worker_a_step_runs_one_body_per_lane() {
     for (components, pieces) in [(1, 16), (2, 5)] {
-        let mut planner = planner(components, pieces, exec(1, true, true), false);
+        let mut planner = planner(components, pieces, exec(1, true), false);
         let mut solver = CgSolver::new(&mut planner);
         let mut step = |planner: &mut Planner<f64>| {
             planner.step_begin();

@@ -595,23 +595,23 @@ fn twelve_jobs_on_one_session_do_not_age() {
             .map(|&(i, r)| (i, r.to_bits()))
             .collect();
         let vectors = session.planner_mut().num_vectors();
-        let (analyzed, cached) = session.planner_mut().with_backend(|b| {
+        let (captured, cached) = session.planner_mut().with_backend(|b| {
             let exec = b
                 .as_any()
                 .downcast_mut::<ExecBackend<f64>>()
                 .expect("sessions run on the exec backend");
             (exec.step_counters().0, exec.trace_cache_len())
         });
-        (history, analyzed, cached, vectors)
+        (history, captured, cached, vectors)
     };
     let first = job(&mut session);
-    assert_eq!(first.1, 0, "CG steps are captured or replayed");
+    assert!(first.1 > 0, "the first job captures its steps");
     let second = job(&mut session);
     assert_eq!(second.0, first.0);
     for n in 3..=12 {
         let again = job(&mut session);
         assert_eq!(again.0, first.0, "job {n}: residual history");
-        assert_eq!(again.1, 0, "job {n}: analyzed steps");
+        assert_eq!(again.1, second.1, "job {n}: captured steps");
         assert_eq!(again.2, second.2, "job {n}: cached traces");
         assert_eq!(again.3, second.3, "job {n}: vectors allocated");
     }

@@ -42,7 +42,7 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p kdr-runtime --test scheduler --test fusion --test stress
     taskset -c 0 cargo test -q --release -p kdr-core --test handoff
     # One worker on one CPU is where a component is one lane: every
-    # solver's bits against one worker per piece, and the bodies of a
+    # solver's bits against the reference backend, and the bodies of a
     # replayed step (DESIGN §6, "One body per operation per worker lane").
     taskset -c 0 cargo test -q --release -p kdr-core --test lanes
 else
@@ -220,7 +220,8 @@ fi
 # rects, (de)linearization, `Shape`, the grid constructors — and with
 # it every public function only its own unit test called. The
 # catalogue's hit/miss counts live in `TenantMetrics` alone, and
-# `Backend::set_step_tracing` is the one tracing switch. None of them
+# nothing turns tracing off (`fn set_tracing`, and `set_step_tracing`
+# below): every execution-backend step is a step program. None of them
 # may come back.
 if grep -rnwE 'Point2|Point3|Rect1|Rect2|Rect3|linearize2|linearize3|delinearize2|delinearize3|IdentityRelation|square_closure|grid3_slabs|from_color_fn|block_shape|from_row_major|overflow_len|index_launch|jacobi_components|note_catalogue_prediction' crates ||
     grep -rnE 'IndexSpace::grid[123]|\bShape::|kdr_index::Shape\b|fn (grid[123]|set_tracing|try_get|is_ready|is_poisoned|copy_range|num_requirements|unpartitioned|fractions|into_graph|confidence|shape)\b' crates; then
@@ -396,8 +397,9 @@ fi
 # --release is the path solves run on, where no signature is computed.
 # The trace-cache unit tests (a step that retains nothing keeps one
 # record, fused dots replay, solver steps compile to nodes) live in
-# `exec.rs` and run in both profiles too.
-cargo test -q --release -p kdr-core --test step_program --test planner_api
+# `exec.rs` and run in both profiles too, as do the lowering rules'
+# checks against the reference backend (`tests/lowering.rs`).
+cargo test -q --release -p kdr-core --test step_program --test planner_api --test lowering
 cargo test -q --release -p kdr-core --lib exec::tests
 # A program is looked up by its recorded calls alone, which is sound
 # while nothing a call lowers to is replaced under its handle (DESIGN
@@ -473,9 +475,12 @@ fi
 # apply the planner's preconditioner, so the separate preconditioned
 # types and the guard helper they shared stay gone. A `dot_many`'s
 # partials buffer belongs to the program lowered from it (DESIGN §6),
-# so the backend-wide partials pool stays gone too.
-if grep -rnwE 'PcgSolver|PBiCgStabSolver|GmresSolver::preconditioned|bicgstab_guards|dot_partials|pooled_partials|dot_seq' crates tests examples; then
-    echo "ci.sh: crates/, tests/ or examples/ names a deleted solver type or the partials pool again (see above)" >&2
+# so the backend-wide partials pool stays gone too. The execution
+# backend runs every step as a step program, checked against the
+# reference backend (`kdr-core/tests/reference`), so the switch to
+# analysed submission, `set_step_tracing`, stays gone as well.
+if grep -rnwE 'PcgSolver|PBiCgStabSolver|GmresSolver::preconditioned|bicgstab_guards|dot_partials|pooled_partials|dot_seq|set_step_tracing' crates tests examples; then
+    echo "ci.sh: crates/, tests/ or examples/ names a deleted solver type, the partials pool or the tracing switch again (see above)" >&2
     exit 1
 fi
 

@@ -9,8 +9,8 @@ use kdr_baselines::{
     LibraryProfile,
 };
 use kdr_core::simbackend::SimBackend;
-use kdr_core::solvers::{BiCgStabSolver, CgSolver, GmresSolver, Solver};
-use kdr_core::{solve, Backend, ExecBackend, Planner, SolveControl, StepOutcome, SOL};
+use kdr_core::solvers::{CgSolver, GmresSolver, Solver};
+use kdr_core::{solve_traced, ExecBackend, Planner, SolveControl, StepOutcome, SOL};
 use kdr_index::Partition;
 use kdr_machine::{simulate, MachineConfig};
 use kdr_sparse::stencil::rhs_vector;
@@ -109,23 +109,17 @@ fn gmres_graph_structure() {
     assert!(g10.len() > 2 * g5.len());
 }
 
-// ----- Traced-stepping consistency ----------------------------------
+// ----- Step-program consistency ------------------------------------
 //
-// The execution backend's traced fast path replays memoized
-// dependence graphs for repeated iteration shapes. These tests pin
-// the contract: replay changes *when analysis happens*, never *what
-// executes* — residual sequences must be bitwise identical.
+// The execution backend runs every step as a step program, and
+// replays a repeated iteration shape's program instead of analysing it
+// again. `kdr-core/tests/lanes.rs` and `step_program.rs` hold its bits
+// to the reference backend; these tests pin what replay saves.
 
-fn exec_planner(s: Stencil, pieces: usize, traced: bool) -> Planner<f64> {
-    exec_planner_on(s, pieces, traced, 4)
-}
-
-fn exec_planner_on(s: Stencil, pieces: usize, traced: bool, workers: usize) -> Planner<f64> {
+fn exec_planner(s: Stencil, pieces: usize) -> Planner<f64> {
     let n = s.unknowns();
     let m: Arc<dyn SparseMatrix<f64>> = Arc::new(s.to_csr::<f64, u64>());
-    let mut backend = ExecBackend::<f64>::new(workers);
-    backend.set_step_tracing(traced);
-    let mut planner = Planner::new(Box::new(backend));
+    let mut planner = Planner::new(Box::new(ExecBackend::<f64>::new(4)));
     let part = Partition::equal_blocks(n, pieces);
     let d = planner.add_sol_vector(n, Some(part.clone()));
     let r = planner.add_rhs_vector(n, Some(part));
@@ -134,85 +128,13 @@ fn exec_planner_on(s: Stencil, pieces: usize, traced: bool, workers: usize) -> P
     planner
 }
 
-/// Per-iteration residual bits plus step outcomes for a solver run
-/// driven through the step_begin/step_end bracket.
-fn residual_bits(
-    planner: &mut Planner<f64>,
-    solver: &mut dyn Solver<f64>,
-    steps: usize,
-) -> (Vec<u64>, Vec<StepOutcome>) {
-    let mut bits = Vec::new();
-    let mut outcomes = Vec::new();
-    for _ in 0..steps {
-        planner.step_begin();
-        solver.step(planner);
-        let m = solver.convergence_measure().expect("measure");
-        let (outcome, forced) = planner.step_end(&[&m]);
-        outcomes.push(outcome);
-        bits.push(forced[0].to_bits());
-    }
-    (bits, outcomes)
-}
-
-/// Replayed CG produces the *bitwise identical* residual sequence of
-/// the analyzed run: tracing memoizes analysis, not arithmetic. Nor
-/// does the worker count reach a bit: a piece's dot partial is
-/// reduced in a fixed order by whichever worker runs it, and the
-/// partials are combined in piece order.
-#[test]
-fn traced_cg_residuals_bitwise_match_analyzed() {
-    let s = Stencil::lap2d(24, 24);
-    let steps = 30;
-    let run_on = |traced: bool, workers: usize| {
-        let mut planner = exec_planner_on(s, 4, traced, workers);
-        let mut solver = CgSolver::new(&mut planner);
-        let out = residual_bits(&mut planner, &mut solver, steps);
-        drop(solver);
-        let stats = planner.with_backend(|b| {
-            b.as_any()
-                .downcast_mut::<ExecBackend<f64>>()
-                .unwrap()
-                .metrics()
-                .runtime
-        });
-        (out, stats)
-    };
-    let run = |traced: bool| run_on(traced, 4);
-    let ((bits_a, outcomes_a), stats_a) = run(false);
-    let ((bits_t, outcomes_t), stats_t) = run(true);
-    assert_eq!(bits_a, bits_t, "replay must not change a single bit");
-    for traced in [false, true] {
-        let ((bits_1, _), _) = run_on(traced, 1);
-        assert_eq!(bits_1, bits_a, "one worker vs four, traced = {traced}");
-    }
-    assert!(outcomes_a.iter().all(|&o| o == StepOutcome::Analyzed));
-    // After warmup (slot-cycle variants get captured once each), every
-    // CG step replays.
-    let replayed = outcomes_t
-        .iter()
-        .filter(|&&o| o == StepOutcome::Replayed)
-        .count();
-    assert!(
-        replayed >= steps - 4,
-        "expected steady-state replay, outcomes: {outcomes_t:?}"
-    );
-    assert_eq!(stats_a.tasks_replayed, 0);
-    assert!(stats_t.tasks_replayed > 0, "no tasks replayed");
-    assert!(
-        stats_t.tasks_analyzed < stats_a.tasks_analyzed,
-        "tracing must shrink analyzed-task count: {} vs {}",
-        stats_t.tasks_analyzed,
-        stats_a.tasks_analyzed
-    );
-}
-
 /// Once the step shape stabilizes, the analyzed-task counter stays
-/// flat across iterations: traced steps skip dependence analysis
+/// flat across iterations: replayed steps skip dependence analysis
 /// entirely.
 #[test]
 fn traced_cg_analysis_count_is_flat_in_steady_state() {
     let s = Stencil::lap2d(24, 24);
-    let mut planner = exec_planner(s, 4, true);
+    let mut planner = exec_planner(s, 4);
     let mut solver = CgSolver::new(&mut planner);
     let mut analyzed_after = Vec::new();
     for _ in 0..12 {
@@ -239,49 +161,44 @@ fn traced_cg_analysis_count_is_flat_in_steady_state() {
     }
 }
 
-/// BiCGStab (two applies, four dots, forcing-free steps) also replays
-/// bitwise identically.
-#[test]
-fn traced_bicgstab_residuals_bitwise_match_analyzed() {
-    let s = Stencil::lap2d(20, 20);
-    let steps = 25;
-    let run = |traced: bool| {
-        let mut planner = exec_planner(s, 4, traced);
-        let mut solver = BiCgStabSolver::new(&mut planner);
-        residual_bits(&mut planner, &mut solver, steps)
-    };
-    let (bits_a, _) = run(false);
-    let (bits_t, outcomes_t) = run(true);
-    assert_eq!(bits_a, bits_t, "replay must not change a single bit");
-    assert!(
-        outcomes_t.contains(&StepOutcome::Replayed),
-        "outcomes: {outcomes_t:?}"
-    );
-}
-
 /// GMRES's step shape grows within a restart cycle, so most steps
-/// cannot replay — the fallback to analyzed submission must keep the
-/// solver exactly correct.
+/// cannot replay: each new shape's first run is compiled through
+/// dependence analysis, and the solve stays exactly correct.
 #[test]
 fn gmres_shape_changes_fall_back_to_analyzed_and_stay_correct() {
     let s = Stencil::lap2d(16, 16);
-    let run = |traced: bool| {
-        let mut planner = exec_planner(s, 4, traced);
-        let mut solver = GmresSolver::with_restart(&mut planner, 10);
-        let report = solve(
-            &mut planner,
-            &mut solver,
-            SolveControl::to_tolerance(1e-10, 2_000),
-        )
-        .expect("solve failed");
-        assert!(report.converged);
-        planner.read_component(SOL, 0)
-    };
-    let x_analyzed = run(false);
-    let x_traced = run(true);
-    for (a, t) in x_analyzed.iter().zip(&x_traced) {
-        assert_eq!(a.to_bits(), t.to_bits(), "solutions must be identical");
-    }
+    let mut planner = exec_planner(s, 4);
+    let mut solver = GmresSolver::with_restart(&mut planner, 10);
+    let (report, trace) = solve_traced(
+        &mut planner,
+        &mut solver,
+        SolveControl::to_tolerance(1e-10, 2_000),
+    );
+    assert!(report.expect("solve failed").converged);
+    let captured = trace
+        .iterations
+        .iter()
+        .filter(|it| it.outcome == StepOutcome::Captured)
+        .count();
+    assert!(
+        captured >= 10,
+        "a restart cycle's shapes are captured: {captured}"
+    );
+    let x = planner.read_component(SOL, 0);
+    let mut ax = vec![0.0; x.len()];
+    s.to_csr::<f64, u64>().spmv(&x, &mut ax);
+    let b = rhs_vector::<f64>(s.unknowns(), 11);
+    let resid = ax
+        .iter()
+        .zip(&b)
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum::<f64>()
+        .sqrt();
+    let norm = b.iter().map(|b| b * b).sum::<f64>().sqrt();
+    assert!(
+        resid <= 1e-8 * norm,
+        "true residual {resid} against ‖b‖ {norm}"
+    );
 }
 
 /// The scalar slot arena is bounded by peak liveness, not iteration
@@ -292,7 +209,7 @@ fn gmres_shape_changes_fall_back_to_analyzed_and_stay_correct() {
 fn scalar_arena_stays_bounded_over_thousand_steps() {
     let s = Stencil::lap2d(12, 12);
     let sim = SimBackend::<f64>::new(MachineConfig::lassen(4).legion_profile());
-    for mut planner in [exec_planner(s, 2, true), stencil_planner(sim, s, 2)] {
+    for mut planner in [exec_planner(s, 2), stencil_planner(sim, s, 2)] {
         let mut solver = CgSolver::new(&mut planner);
         let slots = |p: &mut Planner<f64>| p.with_backend(|b| b.handles().slots());
         // Warm up, then the arena must stop growing entirely.
