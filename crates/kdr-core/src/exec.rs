@@ -1298,12 +1298,12 @@ impl<T: Scalar> ExecBackend<T> {
 
     /// Whether an `axpy` of `dst` and the one-pair `dot_many` recorded
     /// right after it lower to one `axpy+dot_partial` task per lane:
-    /// the pair reads `dst`, the `axpy` has a source other than `dst`,
-    /// and `dst` has the pair's first operand's lanes, the ones the
-    /// partial tasks run over. A pair of other lanes, or any other
-    /// batch, lowers as it always has, after the `axpy`.
+    /// the pair reads `dst` and the `axpy` has a source other than
+    /// `dst`. The tasks run over the pair's first operand's lanes,
+    /// whatever `dst`'s are, which changes no value. Any other batch
+    /// lowers as it always has, after the `axpy`.
     fn fuses(&self, Axpy { dst, src, .. }: Axpy, (a, b, _): (BVec, BVec, SRef)) -> bool {
-        src != dst && (a == dst || b == dst) && self.same_lanes(a, dst)
+        src != dst && (a == dst || b == dst)
     }
 
     /// Whether vectors `a` and `b` have the same pieces and lanes in
@@ -1962,11 +1962,12 @@ mod tests {
 
     /// An `axpy` and the dot recorded right after it: one
     /// `axpy+dot_partial` per lane when the pair reads the updated
-    /// vector and its first operand has that vector's lanes, an `axpy`
-    /// and a `dot_partial` per lane otherwise. The bits are checked
-    /// against the reference backend in `tests/lowering.rs`.
+    /// vector, whichever operand it is and whatever the lanes of the
+    /// other, an `axpy` and a `dot_partial` per lane otherwise. The
+    /// bits are checked against the reference backend in
+    /// `tests/lowering.rs`.
     #[test]
-    fn an_axpy_fuses_with_the_dot_after_it_only_over_the_updated_lanes() {
+    fn an_axpy_fuses_with_the_dot_after_it_that_reads_the_updated_vector() {
         for (cs, other) in [(striped(203), spec(203, 4)), (spec(203, 3), striped(203))] {
             for workers in [1, 3, 4] {
                 let mut b = ExecBackend::<f64>::new(workers);
@@ -1977,7 +1978,7 @@ mod tests {
                     ((d, y), true),
                     ((y, d), true),
                     ((d, w), true),
-                    ((w, d), false),
+                    ((w, d), true),
                     ((s, y), false),
                 ];
                 for ((p, q), fused) in cases {

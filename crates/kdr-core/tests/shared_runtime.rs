@@ -2,12 +2,13 @@
 //!
 //! A service hosts many sessions over a single worker pool, so two
 //! [`Planner`]s built over [`ExecBackend::with_shared_runtime`] must
-//! be able to register operators, capture/replay traces, and solve
-//! *concurrently* from separate threads without corrupting each
-//! other. Trace capture is the dangerous part — the analyzer is
-//! global per runtime — and is serialized by the runtime's capture
-//! gate (a foreign thread's submissions block while another thread's
-//! capture is open).
+//! be able to register operators and solve *concurrently* from
+//! separate threads without corrupting each other. Each backend runs
+//! its steps as step programs on the one runtime: a program's first
+//! run and its replays quiesce the shared runtime and replace its
+//! analyzer's frontier, so the two tenants' runs interleave on the
+//! shared pool and the driver lock, and each must still converge to
+//! its own answer.
 
 use std::sync::Arc;
 
@@ -52,8 +53,8 @@ fn true_residual(planner: &mut Planner<f64>, s: &Stencil, b: &[f64]) -> f64 {
 
 /// One tenant's workload: build a planner on the shared runtime,
 /// solve to tolerance twice (the second solve re-runs the solver
-/// from scratch, exercising trace capture + replay again while the
-/// other tenant does the same), and validate the true residual.
+/// from scratch, replaying its step programs while the other tenant
+/// does the same), and validate the true residual.
 fn tenant(
     rt: Arc<Runtime>,
     nx: u64,

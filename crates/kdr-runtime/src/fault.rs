@@ -94,8 +94,9 @@ pub enum RuntimeError {
         /// Name of the task.
         task: &'static str,
     },
-    /// `begin_trace` or `replay` was called while the calling thread
-    /// had a capture open.
+    /// `begin_trace` was called while a capture was open on any
+    /// thread, or `replay` / `run_program` while the calling thread
+    /// had one open.
     NestedTrace,
     /// `end_trace` was called with no capture active.
     NoActiveTrace,
@@ -118,7 +119,7 @@ impl fmt::Display for RuntimeError {
                 "task '{task}' of a step program has a run-once body; use .shared_body(..)"
             ),
             RuntimeError::NestedTrace => {
-                write!(f, "begin_trace or replay while a capture is active")
+                write!(f, "begin_trace while a capture is open, or a step run inside one")
             }
             RuntimeError::NoActiveTrace => write!(f, "end_trace without begin_trace"),
             RuntimeError::ReplayShapeMismatch => {

@@ -13,11 +13,10 @@
 //! recorded. The analyzer does not copy that in at the replay: it holds
 //! the recorded frontier — shared with the trace — and the id the step
 //! started at as *pending*, and builds the frontier from them when
-//! something reads it: `Analyzer::analyze` and
-//! `Analyzer::snapshot` first, `Analyzer::clear` drops it unbuilt,
-//! and `Analyzer::writers` reads it where it is. A loop that only
-//! replays and reads scalars never builds one. Pending and built are
-//! the same frontier — entry for entry, the recorded one with the
+//! something reads it: `Analyzer::analyze` and `Analyzer::snapshot`
+//! first, and `Analyzer::writers` reads it where it is. A loop that
+//! only replays and reads scalars never builds one. Pending and built
+//! are the same frontier — entry for entry, the recorded one with the
 //! step's first id added to every task — so no answer depends on which
 //! of the two the analyzer happens to hold.
 
@@ -96,15 +95,8 @@ impl Analyzer {
         deps
     }
 
-    /// Drop every frontier, a pending one unbuilt (used where a
-    /// capture begins: the runtime is quiescent, so every entry names
-    /// a finished task).
-    pub fn clear(&mut self) {
-        self.frontiers.clear();
-        self.pending = None;
-    }
-
-    /// Snapshot the current frontiers (trace capture).
+    /// Snapshot the current frontiers (what a step leaves, see
+    /// `StepAnalysis`).
     pub fn snapshot(&mut self) -> Vec<(u64, Frontier)> {
         self.build_pending();
         self.frontiers
@@ -363,18 +355,6 @@ mod tests {
             assert_eq!(writers_of(&pending, 8..17), writers_of(&installed, 8..17));
             assert_eq!(pending.edges_created, installed.edges_created);
         }
-    }
-
-    #[test]
-    fn clear_after_pending_leaves_nothing() {
-        let mut rng = 7u64;
-        let recorded = record(&mut rng, 12);
-        let mut a = Analyzer::new();
-        a.set_pending(&recorded, 50);
-        a.clear();
-        assert!(a.snapshot().is_empty());
-        assert!(a.analyze(99, &[req(10, 0, 16, true), req(12, 0, 16, false)]).is_empty());
-        assert_eq!(writers_of(&a, 10..15), [vec![99], vec![], vec![], vec![], vec![]]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! (compiled, then run) and trace capture/replay.
 //!
 //! A thread that waits here — [`Runtime::fence`],
-//! [`Runtime::wait_written`], the quiescing fences of capture and
-//! replay — runs ready tasks while it waits (see [`crate::executor`]).
+//! [`Runtime::wait_written`], the fence that closes a capture and the
+//! quiescing fence of a program run or replay — runs ready tasks while
+//! it waits (see [`crate::executor`]).
 //! Every such wait is taken with this module's state lock released, so
 //! a body the waiting thread is handed can never need a lock its own
 //! thread holds here.
@@ -19,39 +20,38 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::events::{Provenance, TaskSpan};
 use crate::executor::{Executor, Member, Runnable};
 use crate::fault::{FaultPlan, RuntimeError, TaskError};
 use crate::graph::Analyzer;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{req_lites, ReqLite, TaskBuilder, TaskContext, TaskId, TaskMeta};
-use crate::trace::{ProgramBody, ShapeSig, StepProgram, Trace};
+use crate::task::{req_lites, TaskBuilder, TaskContext, TaskId};
+use crate::trace::{ProgramBody, ShapeSig, StepAnalysis, StepProgram, Trace};
 
-/// A capture in progress. Only the owning thread submits while it is
-/// open, so the captured tasks' ids are `first_id, first_id + 1, …`
-/// and a task's trace-local index is its id minus `first_id`.
+/// A capture in progress: the tasks its owner has submitted since
+/// `begin_trace`, analyzed as a step of their own.
 struct TraceCapture {
-    first_id: TaskId,
-    deps: Vec<Vec<usize>>,
-    /// Scheduling metadata of each captured task: what the compile
-    /// step fuses by.
-    metas: Vec<TaskMeta>,
+    /// The thread that opened it: only its submissions are recorded.
+    owner: std::thread::ThreadId,
+    step: StepAnalysis,
     /// Names and accesses of the captured tasks: what a replay's task
     /// list must match.
     sig: ShapeSig,
+}
+
+impl TraceCapture {
+    /// Whether the calling thread opened the capture.
+    fn is_ours(&self) -> bool {
+        self.owner == std::thread::current().id()
+    }
 }
 
 struct RtState {
     analyzer: Analyzer,
     next_id: TaskId,
     capture: Option<TraceCapture>,
-    /// Thread that opened the active capture. Submissions and
-    /// replays from other threads block until the capture closes, so
-    /// a shared runtime cannot interleave a foreign task into a
-    /// trace (which would corrupt the recorded frontier).
-    capture_owner: Option<std::thread::ThreadId>,
     tasks_submitted: u64,
     tasks_replayed: u64,
     tasks_analyzed: u64,
@@ -62,15 +62,12 @@ struct RtState {
 ///
 /// Every method takes `&self`, so one runtime can be shared across
 /// threads behind an `Arc`: dependence analysis is serialized by an
-/// internal lock, buffer ids are globally unique, and trace capture
-/// is gated per-thread (a capture opened on one thread blocks
-/// submissions from other threads until it closes, instead of
-/// recording their tasks into the wrong trace).
+/// internal lock, buffer ids are globally unique, and a trace capture
+/// records the tasks of the thread that opened it only, so no thread
+/// ever waits for another's capture to close.
 pub struct Runtime {
     exec: Executor,
     state: Mutex<RtState>,
-    /// Signaled when the active trace capture closes.
-    capture_cv: Condvar,
     /// Reduction stages launched (one per fused multi-dot, however
     /// many scalars it combines).
     reduction_stages: AtomicU64,
@@ -104,13 +101,11 @@ impl Runtime {
                 analyzer: Analyzer::new(),
                 next_id: 0,
                 capture: None,
-                capture_owner: None,
                 tasks_submitted: 0,
                 tasks_replayed: 0,
                 tasks_analyzed: 0,
                 tasks_fused: 0,
             }),
-            capture_cv: Condvar::new(),
             reduction_stages: AtomicU64::new(0),
             reduction_stall_ns: AtomicU64::new(0),
         }
@@ -129,16 +124,6 @@ impl Runtime {
     /// stall, and is not counted.
     pub fn record_reduction_stall_ns(&self, ns: u64) {
         self.reduction_stall_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Lock the state, blocking while another thread holds an open
-    /// trace capture (the capture owner itself passes through).
-    fn lock_past_foreign_capture(&self) -> parking_lot::MutexGuard<'_, RtState> {
-        let mut st = self.state.lock();
-        while st.capture.is_some() && st.capture_owner != Some(std::thread::current().id()) {
-            self.capture_cv.wait(&mut st);
-        }
-        st
     }
 
     /// Create a runtime sized to the machine's available parallelism.
@@ -164,48 +149,25 @@ impl Runtime {
             Some(b) => b,
             None => return Err(RuntimeError::MissingBody { task: task.name }),
         };
-        let mut st = self.lock_past_foreign_capture();
-        Ok(self.submit_analyzed(&mut st, &lites, task.meta, |id| {
-            Runnable::single(Member {
-                id,
-                body,
-                ctx: TaskContext { reqs: task.reqs },
-                meta: task.meta,
-                fault: None,
-            })
-        }))
-    }
-
-    /// Analyze one task against the frontier, record it in the open
-    /// capture if there is one, and hand the node `node(id)` to the
-    /// executor with the dependences found.
-    fn submit_analyzed(
-        &self,
-        st: &mut RtState,
-        lites: &[ReqLite],
-        meta: TaskMeta,
-        node: impl FnOnce(TaskId) -> Runnable,
-    ) -> TaskId {
+        let meta = task.meta;
+        let mut st = self.state.lock();
+        if let Some(cap) = st.capture.as_mut().filter(|c| c.is_ours()) {
+            cap.step.push(&lites, meta);
+            let accesses = lites.iter().map(|l| (l.buffer_id, &l.subset, l.write));
+            cap.sig.push(meta.name, accesses);
+        }
         let id = st.next_id;
         st.next_id += 1;
         st.tasks_submitted += 1;
         st.tasks_analyzed += 1;
-        let deps = st.analyzer.analyze(id, lites);
-        if let Some(cap) = &mut st.capture {
-            // The capture began from a cleared analyzer, so every
-            // dependence is on a task of this capture.
-            let first = cap.first_id;
-            cap.deps
-                .push(deps.iter().map(|d| (d - first) as usize).collect());
-            cap.metas.push(meta);
-            let accesses = lites.iter().map(|l| (l.buffer_id, &l.subset, l.write));
-            cap.sig.push(meta.name, accesses);
-        }
-        // The caller holds the state lock across executor submission,
-        // so tasks enter the executor in analysis order (which also
-        // keeps fault-injection decisions deterministic).
-        self.exec.submit(node(id), &deps);
-        id
+        let deps = st.analyzer.analyze(id, &lites);
+        let ctx = TaskContext { reqs: task.reqs };
+        let node = Runnable::single(Member { id, body, ctx, meta, fault: None });
+        // The state lock is held across executor submission, so tasks
+        // enter the executor in analysis order (which also keeps
+        // fault-injection decisions deterministic).
+        self.exec.submit(node, &deps);
+        Ok(id)
     }
 
     /// Wait until all submitted tasks have completed; the calling
@@ -273,97 +235,44 @@ impl Runtime {
         self.exec.set_stall_budget(budget);
     }
 
-    /// Begin capturing a trace. Fences first (traces start from a
-    /// quiescent runtime) and resets the analyzer, which is sound
-    /// because every frontier entry then refers to a finished task.
+    /// Begin capturing a trace of the tasks this thread submits until
+    /// [`Runtime::end_trace`]. They run as they are submitted, and are
+    /// analyzed as a step of their own as well, as
+    /// [`Runtime::compile_program`] analyzes a task list (see
+    /// [`crate::trace`]). Other threads' tasks are not recorded, and
+    /// no thread waits for the capture.
     ///
-    /// On a shared runtime, captures are exclusive: if another thread
-    /// has a capture open, this call blocks until it closes; while
-    /// this thread's capture is open, submissions and replays from
-    /// other threads block. Re-entry from the capture-owning thread
-    /// still fails with [`RuntimeError::NestedTrace`].
+    /// One capture is open at a time: while one is, from any thread,
+    /// this call fails with [`RuntimeError::NestedTrace`].
     pub fn begin_trace(&self) -> Result<(), RuntimeError> {
-        self.open_capture()
-    }
-
-    /// The capture gate behind [`Runtime::begin_trace`]: wait out a
-    /// foreign capture, quiesce, clear the analyzer and open this
-    /// thread's capture.
-    fn open_capture(&self) -> Result<(), RuntimeError> {
-        loop {
-            self.exec.fence().map_err(RuntimeError::TaskFailed)?;
-            let mut st = self.state.lock();
-            if st.capture.is_some() {
-                if st.capture_owner == Some(std::thread::current().id()) {
-                    return Err(RuntimeError::NestedTrace);
-                }
-                // Foreign capture in flight: wait for it to close,
-                // then retry from the fence.
-                self.capture_cv.wait(&mut st);
-                drop(st);
-                continue;
-            }
-            // Between the fence and taking the lock, another thread
-            // may have submitted work; the analyzer reset below is
-            // only sound from a quiescent runtime, so re-check under
-            // the lock (submissions hold this lock, so quiescence
-            // observed here holds until we install the capture).
-            if self.exec.outstanding() > 0 {
-                drop(st);
-                continue;
-            }
-            st.analyzer.clear();
-            st.capture = Some(TraceCapture {
-                first_id: st.next_id,
-                deps: Vec::new(),
-                metas: Vec::new(),
-                sig: ShapeSig::default(),
-            });
-            st.capture_owner = Some(std::thread::current().id());
-            return Ok(());
+        let mut st = self.state.lock();
+        if st.capture.is_some() {
+            return Err(RuntimeError::NestedTrace);
         }
+        st.capture = Some(TraceCapture {
+            owner: std::thread::current().id(),
+            step: StepAnalysis::default(),
+            sig: ShapeSig::default(),
+        });
+        Ok(())
     }
 
-    /// Finish capturing; returns the trace, compiled into the step
-    /// graph its replays are scheduled as (see [`crate::trace`]).
-    /// Fences so the recorded frontier is final.
+    /// Finish this thread's capture; returns the trace, compiled into
+    /// the step graph its replays are scheduled as (see
+    /// [`crate::trace`]). Fences first, so the captured tasks have run
+    /// when it returns.
     ///
-    /// The capture closes even when the fence reports a task failure
-    /// (the trace is void and the failure is returned) — a capture
-    /// left open by a failed step would gate every other thread's
-    /// submissions on this runtime forever.
+    /// The capture closes even when the fence reports a task failure:
+    /// the trace is void and the failure is returned.
     pub fn end_trace(&self) -> Result<Trace, RuntimeError> {
         let fenced = self.exec.fence();
-        let mut st = self.state.lock();
         // Only the thread that opened the capture may close it; from
         // any other thread there is no active trace to end.
-        if st.capture_owner != Some(std::thread::current().id()) {
-            return Err(RuntimeError::NoActiveTrace);
-        }
-        let cap = match st.capture.take() {
-            Some(c) => c,
-            None => return Err(RuntimeError::NoActiveTrace),
-        };
-        st.capture_owner = None;
-        // Unblock threads parked behind the capture gate.
-        self.capture_cv.notify_all();
-        if let Err(e) = fenced {
-            return Err(RuntimeError::TaskFailed(e));
-        }
-        let mut frontier = st.analyzer.snapshot();
-        drop(st);
-        for (_, f) in &mut frontier {
-            for e in &mut f.entries {
-                e.task -= cap.first_id;
-            }
-        }
-        Ok(Trace::compile(
-            cap.deps,
-            &cap.metas,
-            Some(cap.sig),
-            frontier,
-            self.num_workers(),
-        ))
+        let ours = self.state.lock().capture.take_if(|c| c.is_ours());
+        let cap = ours.ok_or(RuntimeError::NoActiveTrace)?;
+        fenced.map_err(RuntimeError::TaskFailed)?;
+        let (trace, _) = cap.step.compile(Some(cap.sig), self.num_workers());
+        Ok(trace)
     }
 
     /// Replay a captured trace with a fresh task list that declares
@@ -397,9 +306,9 @@ impl Runtime {
 
     /// Compile `tasks` into a [`StepProgram`] without running any of
     /// them: analyze the list, in order, on an analyzer of its own —
-    /// as a capture would from its cleared one, so a step's edges are a
-    /// function of its task list alone — and compile the result for
-    /// this runtime's workers ([`crate::trace`]). The program's first
+    /// as a capture analyzes the tasks it records, so a step's edges
+    /// are a function of its task list alone — and compile the result
+    /// for this runtime's workers ([`crate::trace`]). The program's first
     /// [`Runtime::run_program`] is the step's first run: its nodes are
     /// counted, and its spans logged, as analyzed; every later run is a
     /// replay.
@@ -411,22 +320,18 @@ impl Runtime {
     /// created), so compiling needs no quiescent runtime and waits for
     /// nothing.
     pub fn compile_program(&self, tasks: Vec<TaskBuilder>) -> Result<StepProgram, RuntimeError> {
-        let mut analyzer = Analyzer::new();
-        let mut deps = Vec::with_capacity(tasks.len());
-        let mut metas = Vec::with_capacity(tasks.len());
+        let mut step = StepAnalysis::default();
         let mut bodies = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.into_iter().enumerate() {
+        for task in tasks {
             let lites = req_lites(&task.reqs);
             let body = ProgramBody::try_from(task)?;
-            let found = analyzer.analyze(i as TaskId, &lites);
-            deps.push(found.into_iter().map(|d| d as usize).collect());
-            metas.push(body.meta);
+            step.push(&lites, body.meta);
             bodies.push(body);
         }
-        self.state.lock().analyzer.edges_created += analyzer.edges_created;
-        let frontier = analyzer.snapshot();
+        let (trace, edges) = step.compile(None, self.num_workers());
+        self.state.lock().analyzer.edges_created += edges;
         Ok(StepProgram {
-            trace: Trace::compile(deps, &metas, None, frontier, self.num_workers()),
+            trace,
             bodies: bodies.into(),
             ran: AtomicBool::new(false),
         })
@@ -493,13 +398,12 @@ impl Runtime {
         // the recorded frontier replaces the analyzer's, so the step
         // must start from a quiescent runtime. Submissions hold the
         // state lock, so quiescence observed under it holds until the
-        // step is in (same protocol as `begin_trace`).
+        // step is in.
         let mut st = loop {
             self.exec.fence().map_err(RuntimeError::TaskFailed)?;
-            let st = self.lock_past_foreign_capture();
-            if st.capture.is_some() {
-                // This thread's own capture: a replay would replace
-                // the frontier the capture is recording.
+            let st = self.state.lock();
+            if st.capture.as_ref().is_some_and(TraceCapture::is_ours) {
+                // A step is not a task the capture could record.
                 return Err(RuntimeError::NestedTrace);
             }
             if self.exec.outstanding() == 0 {
@@ -586,7 +490,7 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::fault::{FaultKind, FaultSpec, FireSchedule, TaskErrorKind};
-    use crate::task::TaskBuilder;
+    use crate::task::{TaskBuilder, TaskMeta};
     use kdr_index::IntervalSet;
     use std::sync::mpsc;
 
@@ -725,13 +629,15 @@ mod tests {
         rt.begin_trace().unwrap();
         assert_eq!(rt.begin_trace().unwrap_err(), RuntimeError::NestedTrace);
         let empty = rt.end_trace().unwrap();
-        // A replay inside a capture would overwrite the frontier the
-        // capture records.
+        // A step run is not a task a capture could record.
+        let program = rt.compile_program(Vec::new()).unwrap();
         rt.begin_trace().unwrap();
         assert_eq!(
             rt.replay(&empty, Vec::new()).unwrap_err(),
             RuntimeError::NestedTrace
         );
+        let nested = rt.run_program(&program, || panic!("bound inside a capture"), []);
+        assert_eq!(nested.unwrap_err(), RuntimeError::NestedTrace);
         let _ = rt.end_trace().unwrap();
     }
 

@@ -27,21 +27,27 @@
 //! so fault decisions, spans, accounting and failure semantics are the
 //! same.
 //!
-//! A program run, like a capture, begins from a quiescent runtime (the
+//! A step's graph is derived one way: its tasks are analyzed, in
+//! order, on an analyzer of their own (`StepAnalysis`), so its edges
+//! and the frontier it leaves are a function of its task list alone.
+//! `compile_program` analyzes the list it is handed; a `begin_trace`
+//! capture analyzes the tasks its own thread submits while it is open.
+//! Those run as they are submitted, analyzed on the live analyzer as
+//! well, so they also wait for earlier work still in flight; another
+//! thread's tasks are neither recorded nor held back.
+//!
+//! A program run or replay begins from a quiescent runtime (the
 //! runtime fences internally), so a step's first tasks have no
 //! external dependences and the recorded frontier fully describes the
-//! post-step access state. That is also why compiling on a fresh
-//! analyzer finds the edges a live capture would: a capture starts from
-//! a cleared analyzer on a quiescent runtime, so a step's edges are a
-//! function of its task list alone. A run hands the recorded frontier
-//! to the analyzer by reference ([`crate::graph`]): nothing is copied
-//! unless an analyzed submission follows the run.
+//! post-step access state. A run hands the recorded frontier to the
+//! analyzer by reference ([`crate::graph`]): nothing is copied unless
+//! an analyzed submission follows the run.
 //!
 //! # Compiled traces
 //!
-//! Neither `end_trace` nor `compile_program` keeps the analysis as a
-//! per-task dependence list: each *compiles* it into a step graph of
-//! scheduled **nodes**.
+//! A step's analysis is not kept as a per-task dependence list alone:
+//! `StepAnalysis` *compiles* it into a step graph of scheduled
+//! **nodes**.
 //! Walking the captured tasks in submission order, a task whose
 //! *home worker* the placement rule fixes joins the most recent node
 //! of that home whenever the node graph stays acyclic with it inside,
@@ -104,8 +110,10 @@ use kdr_index::IntervalSet;
 use parking_lot::Mutex;
 
 use crate::fault::RuntimeError;
-use crate::graph::{Frontier, RecordedFrontier};
-use crate::task::{Privilege, SharedBody, TaskBody, TaskBuilder, TaskContext, TaskMeta};
+use crate::graph::{Analyzer, RecordedFrontier};
+use crate::task::{
+    Privilege, ReqLite, SharedBody, TaskBody, TaskBuilder, TaskContext, TaskId, TaskMeta,
+};
 
 /// One scheduled node of a compiled step: the captured tasks that run
 /// as one unit.
@@ -290,18 +298,32 @@ pub struct Trace {
     pub(crate) sig: Option<ShapeSig>,
 }
 
-impl Trace {
-    /// Compile a capture for a runtime of `workers` workers: `deps`
-    /// and `metas` per task, the signature of the captured tasks (if
-    /// one was recorded), and the final frontier with trace-local task indices.
-    pub(crate) fn compile(
-        deps: Vec<Vec<usize>>,
-        metas: &[TaskMeta],
-        sig: Option<ShapeSig>,
-        mut frontier: Vec<(u64, Frontier)>,
-        workers: usize,
-    ) -> Trace {
-        let graph = StepGraph::compile(&deps, metas, workers);
+/// The analysis of one step, task by task, on an analyzer of its own:
+/// what [`Runtime::compile_program`](crate::Runtime::compile_program)
+/// and a `begin_trace` capture both compile. A task's id is its index
+/// in the step, so its dependences and the frontier the step leaves
+/// are trace-local as found.
+#[derive(Default)]
+pub(crate) struct StepAnalysis {
+    analyzer: Analyzer,
+    deps: Vec<Vec<usize>>,
+    metas: Vec<TaskMeta>,
+}
+
+impl StepAnalysis {
+    /// Analyze the step's next task.
+    pub(crate) fn push(&mut self, lites: &[ReqLite], meta: TaskMeta) {
+        let found = self.analyzer.analyze(self.deps.len() as TaskId, lites);
+        self.deps.push(found.into_iter().map(|d| d as usize).collect());
+        self.metas.push(meta);
+    }
+
+    /// Compile the step for a runtime of `workers` workers, keeping
+    /// `sig`, the signature of its tasks, if one was recorded. Returns
+    /// the trace and the number of edges analysis found.
+    pub(crate) fn compile(mut self, sig: Option<ShapeSig>, workers: usize) -> (Trace, u64) {
+        let graph = StepGraph::compile(&self.deps, &self.metas, workers);
+        let mut frontier = self.analyzer.snapshot();
         frontier.sort_unstable_by_key(|(buffer, _)| *buffer);
         for (_, f) in &mut frontier {
             for e in &mut f.entries {
@@ -309,14 +331,17 @@ impl Trace {
                 e.task = u64::from(graph.nodes[node].leader());
             }
         }
-        Trace {
-            deps,
+        let trace = Trace {
+            deps: self.deps,
             graph: Arc::new(graph),
             frontier: frontier.into(),
             sig,
-        }
+        };
+        (trace, self.analyzer.edges_created)
     }
+}
 
+impl Trace {
     /// Number of captured tasks (bodies a replay must supply).
     pub fn len(&self) -> usize {
         self.deps.len()

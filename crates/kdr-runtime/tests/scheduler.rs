@@ -7,9 +7,14 @@
 //! other, and the time it reports as parked is time it had nothing to
 //! run.
 //!
+//! A trace capture holds back no thread: another thread's submissions,
+//! program runs and fences go on while it is open, and none of its
+//! tasks is recorded.
+//!
 //! The tests run their workload on a spawned thread under a progress
 //! watchdog whose only clock is "no progress for five seconds fails",
-//! so a hang is a failure with a message instead of a stuck test run.
+//! or wait for it with a five-second timeout, so a hang is a failure
+//! with a message instead of a stuck test run.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -17,7 +22,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use kdr_runtime::{Buffer, Runtime, TaskBuilder, TaskErrorKind, TaskMeta};
+use kdr_runtime::{Buffer, Runtime, RuntimeError, TaskBuilder, TaskErrorKind, TaskMeta};
 
 /// Run `work` on its own thread; fail if the counter it is handed
 /// stops advancing for five seconds before it returns.
@@ -526,4 +531,58 @@ fn parked_time_is_time_with_nothing_to_run() {
         assert_eq!(rt.wait_written([s.id()]).unwrap(), Duration::ZERO);
         rt.fence().unwrap();
     });
+}
+
+/// A task named `name` that applies `f` to the one element of `buf`.
+fn update(buf: &Buffer<u64>, name: &'static str, f: fn(u64) -> u64) -> TaskBuilder {
+    TaskBuilder::new(name).write_all(buf).shared_body(move |ctx| {
+        let w = ctx.write::<u64>(0);
+        w.set(0, f(w.get(0)));
+    })
+}
+
+#[test]
+fn another_thread_neither_waits_for_a_capture_nor_is_recorded_in_it() {
+    let inc = |buf: &Buffer<u64>| update(buf, "inc", |v| v + 1);
+    let dbl = |buf: &Buffer<u64>| update(buf, "dbl", |v| v * 2);
+    let rt = Arc::new(Runtime::new(2));
+    let (a, b) = (Buffer::filled(1, 1u64), Buffer::filled(1, 0u64));
+    rt.begin_trace().unwrap();
+    rt.submit(inc(&a)).unwrap();
+    let (tx, rx) = mpsc::channel();
+    {
+        let (rt, b) = (Arc::clone(&rt), b.clone());
+        // Detached: at a runtime that gates on the capture, this
+        // thread never returns, and the test fails at the timeout.
+        std::thread::spawn(move || {
+            let nested = rt.begin_trace();
+            rt.submit(inc(&b)).unwrap();
+            let program = rt.compile_program(vec![inc(&b)]).unwrap();
+            rt.run_program(&program, || {}, [b.id()]).unwrap().unwrap();
+            rt.fence().unwrap();
+            tx.send(nested).unwrap();
+        });
+    }
+    let nested = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the other thread waited for the capture to close");
+    assert_eq!(nested, Err(RuntimeError::NestedTrace));
+    assert_eq!(b.snapshot(), [2]);
+    rt.submit(dbl(&a)).unwrap();
+    let trace = rt.end_trace().unwrap();
+    assert_eq!(a.peek(0), (1 + 1) * 2);
+    // Only this thread's two tasks, in order: a replay runs them again.
+    assert_eq!(trace.len(), 2);
+    assert_eq!(trace.deps_of(1), [0]);
+    rt.replay(&trace, vec![inc(&a), dbl(&a)]).unwrap();
+    rt.fence().unwrap();
+    assert_eq!((a.snapshot(), b.snapshot()), (vec![(4 + 1) * 2], vec![2]));
+    // The capture is closed: another thread may open one.
+    let rt2 = Arc::clone(&rt);
+    std::thread::spawn(move || {
+        rt2.begin_trace().unwrap();
+        rt2.end_trace().unwrap();
+    })
+    .join()
+    .unwrap();
 }

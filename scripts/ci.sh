@@ -457,17 +457,19 @@ fi
 # first run is a compiled program like every later run, and the ops
 # outside a step are a record too, so nothing on the solver path
 # submits task by task. The capture run's node kind, the analysed
-# fallback and the record-by-record submission are gone, and the
-# capture gate is opened by `begin_trace` alone.
+# fallback and the record-by-record submission are gone.
 if grep -rnE 'Runnable::captured|fn captured\b|fn flush_pending|fn submit_recorded' crates tests; then
     echo "ci.sh: crates/ or tests/ names a deleted step route again (see above)" >&2
     exit 1
 fi
-openers=$(grep -rn 'open_capture(' crates --include='*.rs' | grep -v 'fn open_capture(' || true)
-if [ "$(printf '%s\n' "$openers" | grep -c .)" != 1 ] ||
-    ! sed -n '/pub fn begin_trace/,/^    }$/p' crates/kdr-runtime/src/runtime.rs | grep -q 'open_capture('; then
-    printf '%s\n' "$openers" >&2
-    echo "ci.sh: open_capture must have one caller, begin_trace (see above)" >&2
+# One step analysis (DESIGN §6): a `begin_trace` capture analyses its
+# own thread's tasks on a `StepAnalysis` of its own, as
+# `compile_program` does, so no thread waits behind another's capture.
+# The capture gate, the analyzer reset it needed and the submission
+# helper that recorded into it stay gone.
+if grep -rnE 'open_capture|capture_cv|capture_owner|lock_past_foreign_capture|submit_analyzed' crates ||
+    grep -n 'fn clear' crates/kdr-runtime/src/graph.rs; then
+    echo "ci.sh: the runtime's capture gate or Analyzer::clear is back (see above)" >&2
     exit 1
 fi
 
