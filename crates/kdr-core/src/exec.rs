@@ -74,16 +74,16 @@
 //!
 //! An `axpy` and a one-pair `dot_many` recorded right after it that
 //! reads the updated vector — CG's `r −= αq` and `r·r` — lower to one
-//! `axpy+dot_partial` task per lane when the pair's first operand has
-//! the updated vector's lanes. Its body runs `vecops::axpy_dot` per
-//! run, which updates a block of eight and adds it to `dot`'s lanes
-//! before the next, so the dot's latency-bound `mul_add` chain runs
-//! under the update's loads and stores and the vector is not read
-//! back. The update writes `axpy`'s bits and the partials are `dot`'s
-//! of the updated runs, so nothing moves a bit; the reference backend
-//! in `tests/reference/`, which runs every op alone, is what that is
-//! checked against. Any other pair or batch lowers after the `axpy`,
-//! as its own tasks.
+//! `axpy+dot_partial` task per lane of the pair's first operand when
+//! the `axpy`'s source is not its destination (`fuses`). Its body runs
+//! `vecops::axpy_dot` per run, which updates a block of eight and adds
+//! it to `dot`'s lanes before the next, so the dot's latency-bound
+//! `mul_add` chain runs under the update's loads and stores and the
+//! vector is not read back. The update writes `axpy`'s bits and the
+//! partials are `dot`'s of the updated runs, so nothing moves a bit;
+//! the reference backend in `tests/reference/`, which runs every op
+//! alone, is what that is checked against. Any other pair or batch
+//! lowers after the `axpy`, as its own tasks.
 //!
 //! An `axpy(x, α, p)` whose record later holds an `xpay(p, β, r)` is
 //! *deferred* into it — CG's and PCG's `x += αp` and `p = r + βp` —
@@ -620,8 +620,8 @@ impl<T: Scalar> VecIn<T> for RV<'_, T> {
         self.0.get(i)
     }
     #[inline(always)]
-    fn range(&self, lo: usize, n: usize) -> Option<&[T]> {
-        Some(self.0.range(lo, n))
+    fn range(&self, lo: usize, n: usize) -> &[T] {
+        self.0.range(lo, n)
     }
 }
 
@@ -639,8 +639,8 @@ impl<T: Scalar> VecOut<T> for WV<'_, T> {
         self.0.set(i, v);
     }
     #[inline(always)]
-    fn range_mut(&mut self, lo: usize, n: usize) -> Option<&mut [T]> {
-        Some(self.0.range_mut(lo, n))
+    fn range_mut(&mut self, lo: usize, n: usize) -> &mut [T] {
+        self.0.range_mut(lo, n)
     }
 }
 

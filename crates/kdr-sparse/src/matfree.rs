@@ -93,7 +93,7 @@ use std::collections::BTreeSet;
 
 use crate::scalar::Scalar;
 use crate::stencil::Stencil;
-use crate::tile::{BandBuilder, DiaTile, VecIn, VecOut};
+use crate::tile::{BandBuilder, DiaTile};
 
 /// A matrix-free tile over a row slab of a [`Stencil`] operator: the
 /// constant band the descriptor and the slab's global row runs stand
@@ -190,19 +190,6 @@ impl<T: Scalar> StencilTile<T> {
     pub fn nnz(&self) -> usize {
         self.band.nnz()
     }
-
-    /// Execute `y += A x` (or `y += Aᵀ x` when `transpose`): bitwise
-    /// the forced-DIA lowering of the same rows, and the forced-CSR one
-    /// too except in the forward product of a box-stencil band, which
-    /// is within the bound of the module docs ("Bitwise contract").
-    #[inline]
-    pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y, transpose: bool) {
-        if transpose {
-            self.band.apply_t(x, y)
-        } else {
-            self.band.apply(x, y)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,6 +241,8 @@ mod tests {
     fn check(s: Stencil, runs: Vec<(u64, u64)>) {
         let n = s.unknowns() as usize;
         let tile = StencilTile::<f64>::new(s, runs.clone());
+        let boxed = tile.band().box_stencil.is_some();
+        let tile = TileKernel::Stencil(tile);
         let csr = assembled(s, &runs, KernelKind::Csr);
         let dia = assembled(s, &runs, KernelKind::Dia);
         assert_eq!(tile.nnz(), csr.nnz(), "nnz mismatch for {s:?}");
@@ -262,11 +251,8 @@ mod tests {
         for x in [rhs_vector::<f64>(n as u64, 3), rounding] {
             for transpose in [false, true] {
                 let want = product(&x, transpose, |x, y, t| csr.apply_slices(x, y, t));
-                let got = product(&x, transpose, |x, y, t| {
-                    let mut yy = y;
-                    tile.apply(&x, &mut yy, t)
-                });
-                if tile.band().box_stencil.is_none() || transpose {
+                let got = product(&x, transpose, |x, y, t| tile.apply_slices(x, y, t));
+                if !boxed || transpose {
                     assert_eq!(bits(&got), bits(&want), "{s:?} transpose {transpose} differs");
                     continue;
                 }
@@ -337,14 +323,14 @@ mod tests {
         let whole = StencilTile::<f64>::new(s, vec![(0, n)]);
         assert!(whole.band().box_stencil.is_some());
         let x = rhs_vector::<f64>(n, 5).iter().map(|v| v / 3.0).collect::<Vec<_>>();
-        let one = product(&x, false, |x, y, _| whole.apply(&x, &mut &mut *y, false));
+        let one = product(&x, false, |x, y, _| whole.band().apply(&x, &mut &mut *y));
         for pieces in [4, 7] {
             let bound = |p: u64| p * n / pieces;
             let tiles: Vec<_> = (0..pieces)
                 .map(|p| StencilTile::<f64>::new(s, vec![(bound(p), bound(p + 1))]))
                 .collect();
             let cut = product(&x, false, |x, y, _| {
-                tiles.iter().for_each(|t| t.apply(&x, &mut &mut *y, false))
+                tiles.iter().for_each(|t| t.band().apply(&x, &mut &mut *y))
             });
             let boxed = (0..).zip(&tiles).filter(|(_, t)| t.band().box_stencil.is_some());
             for (p, _) in boxed {
@@ -360,7 +346,7 @@ mod tests {
         };
         let box_apply = |x: &[f64]| {
             let mut y = vec![0.0; x.len()];
-            whole.apply(&x, &mut &mut y[..], false);
+            whole.band().apply(&x, &mut &mut y[..]);
             y
         };
         let tol = 1e-10;
@@ -432,10 +418,7 @@ mod tests {
         assert_eq!(tile.nnz(), 0);
         let x = [1.0; 25];
         let mut y = [7.0; 25];
-        {
-            let mut yy = &mut y[..];
-            tile.apply(&(&x[..]), &mut yy, false);
-        }
+        TileKernel::Stencil(tile).apply_slices(&x, &mut y, false);
         assert!(y.iter().all(|&v| v == 7.0));
     }
 

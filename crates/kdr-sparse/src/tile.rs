@@ -249,22 +249,18 @@ const AUTO_ELL_MIN_FILL: f64 = 0.8;
 /// Read access to a conceptual `T`-vector (the SpMV input side).
 ///
 /// Implemented for slices here and for runtime buffer views by the
-/// execution backend, so one monomorphized kernel serves both.
+/// execution backend, so one monomorphized kernel serves both. Both are
+/// contiguous, so every implementor lends a slice of any range.
 pub trait VecIn<T> {
     /// Element `i`.
     fn load(&self, i: usize) -> T;
 
-    /// Borrow the contiguous elements `[lo, lo + n)` as a slice, if
-    /// the backing storage is contiguous. Kernels that take blocks of
-    /// consecutive elements (the banded forward product, hence every
-    /// stencil tile) use this to run over real slices — the compiler
-    /// can then elide per-element bounds checks and vectorize — and
-    /// fall back to [`VecIn::load`] when it returns `None`. The default
-    /// is `None`; the values observed must match `load` exactly.
-    #[inline(always)]
-    fn range(&self, _lo: usize, _n: usize) -> Option<&[T]> {
-        None
-    }
+    /// Borrow the contiguous elements `[lo, lo + n)` as a slice. Kernels
+    /// that take blocks of consecutive elements (the banded forward
+    /// product, hence every stencil tile) run over it — the compiler
+    /// can then elide per-element bounds checks and vectorize. The
+    /// values observed must match `load` exactly.
+    fn range(&self, lo: usize, n: usize) -> &[T];
 }
 
 /// Read-write access to a conceptual `T`-vector (the SpMV output
@@ -276,13 +272,9 @@ pub trait VecOut<T> {
     fn store(&mut self, i: usize, v: T);
 
     /// Borrow the contiguous elements `[lo, lo + n)` as a mutable
-    /// slice, if the backing storage is contiguous — the write-side
-    /// counterpart of [`VecIn::range`], with the same contract
-    /// relative to [`VecOut::load`]/[`VecOut::store`].
-    #[inline(always)]
-    fn range_mut(&mut self, _lo: usize, _n: usize) -> Option<&mut [T]> {
-        None
-    }
+    /// slice — the write-side counterpart of [`VecIn::range`], with the
+    /// same contract relative to [`VecOut::load`]/[`VecOut::store`].
+    fn range_mut(&mut self, lo: usize, n: usize) -> &mut [T];
 }
 
 impl<T: Scalar> VecIn<T> for &[T] {
@@ -291,8 +283,8 @@ impl<T: Scalar> VecIn<T> for &[T] {
         self[i]
     }
     #[inline(always)]
-    fn range(&self, lo: usize, n: usize) -> Option<&[T]> {
-        Some(&self[lo..lo + n])
+    fn range(&self, lo: usize, n: usize) -> &[T] {
+        &self[lo..lo + n]
     }
 }
 
@@ -306,8 +298,8 @@ impl<T: Scalar> VecOut<T> for &mut [T] {
         self[i] = v;
     }
     #[inline(always)]
-    fn range_mut(&mut self, lo: usize, n: usize) -> Option<&mut [T]> {
-        Some(&mut self[lo..lo + n])
+    fn range_mut(&mut self, lo: usize, n: usize) -> &mut [T] {
+        &mut self[lo..lo + n]
     }
 }
 
@@ -1801,37 +1793,18 @@ impl<T: Scalar> TileKernel<T> {
     /// the accessor traits.
     #[inline]
     pub fn apply<X: VecIn<T>, Y: VecOut<T>>(&self, x: &X, y: &mut Y, transpose: bool) {
-        match self {
-            TileKernel::Empty => {}
-            TileKernel::Csr(t) => {
-                if transpose {
-                    t.apply_t(x, y)
-                } else {
-                    t.apply(x, y)
-                }
-            }
-            TileKernel::Dia(t) => {
-                if transpose {
-                    t.apply_t(x, y)
-                } else {
-                    t.apply(x, y)
-                }
-            }
-            TileKernel::Ell(t) => {
-                if transpose {
-                    t.apply_t(x, y)
-                } else {
-                    t.apply(x, y)
-                }
-            }
-            TileKernel::Bcsr(t) => {
-                if transpose {
-                    t.apply_t(x, y)
-                } else {
-                    t.apply(x, y)
-                }
-            }
-            TileKernel::Stencil(t) => t.apply(x, y, transpose),
+        match (self, transpose) {
+            (TileKernel::Empty, _) => {}
+            (TileKernel::Csr(t), false) => t.apply(x, y),
+            (TileKernel::Csr(t), true) => t.apply_t(x, y),
+            (TileKernel::Dia(t), false) => t.apply(x, y),
+            (TileKernel::Dia(t), true) => t.apply_t(x, y),
+            (TileKernel::Ell(t), false) => t.apply(x, y),
+            (TileKernel::Ell(t), true) => t.apply_t(x, y),
+            (TileKernel::Bcsr(t), false) => t.apply(x, y),
+            (TileKernel::Bcsr(t), true) => t.apply_t(x, y),
+            (TileKernel::Stencil(t), false) => t.band().apply(x, y),
+            (TileKernel::Stencil(t), true) => t.band().apply_t(x, y),
         }
     }
 
@@ -1953,14 +1926,10 @@ impl<T: Scalar> CsrTile<T> {
     }
 }
 
-/// `W` consecutive elements of `x` from `lo`: one slice copy when the
-/// view lends slices, element loads otherwise.
+/// `W` consecutive elements of `x` from `lo`, as one slice copy.
 #[inline(always)]
 fn load_block<T: Scalar, X: VecIn<T>, const W: usize>(x: &X, lo: usize) -> [T; W] {
-    match x.range(lo, W) {
-        Some(xs) => xs.try_into().expect("a range of W elements"),
-        None => std::array::from_fn(|k| x.load(lo + k)),
-    }
+    x.range(lo, W).try_into().expect("a range of W elements")
 }
 
 /// One diagonal's term of a row block: `acc[k] += coef(k) · xs[k]`,
@@ -2027,25 +1996,20 @@ fn x_step_sums<T: Scalar, X: VecIn<T>>(
     plane: usize,
     (c_lo, c_hi): (usize, usize),
 ) {
-    let (n, terms) = (t.len(), c_hi - c_lo + 1);
+    let n = t.len();
     // Step `c` reads row `at + c·plane − plane`, added before it is
     // subtracted: step −1 (`c = 0`) is only a plane with one below's.
-    let from = |q: usize| at + (c_lo + q) * plane - plane;
-    let lines = [0, 1, 2].map(|q| if q < terms { x.range(from(q), n) } else { None });
-    match (terms, lines) {
-        (1, [Some(a), ..]) => t.copy_from_slice(a),
-        (2, [Some(a), Some(b), _]) => {
-            t.iter_mut().zip(a.iter().zip(b)).for_each(|(t, (&a, &b))| *t = a + b)
-        }
-        (3, [Some(a), Some(b), Some(c)]) => {
-            t.iter_mut().zip(three(a, b, c)).for_each(|(t, u)| *t = u)
+    let line = |q: usize| x.range(at + (c_lo + q) * plane - plane, n);
+    match c_hi - c_lo + 1 {
+        1 => t.copy_from_slice(line(0)),
+        2 => {
+            for (t, (&a, &b)) in t.iter_mut().zip(line(0).iter().zip(line(1))) {
+                *t = a + b;
+            }
         }
         _ => {
-            for (m, t) in t.iter_mut().enumerate() {
-                *t = x.load(from(0) + m);
-                for q in 1..terms {
-                    *t += x.load(from(q) + m);
-                }
+            for (t, u) in t.iter_mut().zip(three(line(0), line(1), line(2))) {
+                *t = u;
             }
         }
     }
@@ -2172,8 +2136,7 @@ impl<T: Scalar> DiaTile<T> {
     /// Local rows `[lo, hi)` with `diags`, as one row loop over
     /// [`PASS_DIAGS`] constant diagonals, the constants and the slices
     /// of `x` and `y` bound once. `false`, with nothing written, for any
-    /// other pass — another count, a dense column, or views that lend no
-    /// slices.
+    /// other pass — another count, or a dense column.
     #[inline(always)]
     fn pass<X: VecIn<T>, Y: VecOut<T>>(
         &self,
@@ -2194,11 +2157,9 @@ impl<T: Scalar> DiaTile<T> {
                 return false;
             };
             let col0 = (row0 as i64 + self.offsets[d as usize]) as usize;
-            let Some(slice) = x.range(col0, n) else { return false };
-            (*c, *xd) = (v, slice);
+            (*c, *xd) = (v, x.range(col0, n));
         }
-        let Some(ys) = y.range_mut(row0, n) else { return false };
-        fold_rows(consts, xs, ys, zero);
+        fold_rows(consts, xs, y.range_mut(row0, n), zero);
         true
     }
 
@@ -2294,10 +2255,8 @@ impl<T: Scalar> DiaTile<T> {
         y: &mut Y,
     ) {
         let row0 = self.row_lo as usize + lr;
-        let mut acc: [T; W] = match y.range_mut(row0, W) {
-            Some(ys) => (&*ys).try_into().expect("a range of W elements"),
-            None => std::array::from_fn(|k| y.load(row0 + k)),
-        };
+        let ys = y.range_mut(row0, W);
+        let mut acc: [T; W] = (&*ys).try_into().expect("a range of W elements");
         let xs = |d: u32| {
             let col0 = (row0 as i64 + self.offsets[d as usize]) as usize;
             load_block::<T, X, W>(x, col0)
@@ -2316,16 +2275,17 @@ impl<T: Scalar> DiaTile<T> {
                 rest = tail;
             }
         }
-        match y.range_mut(row0, keep) {
-            Some(ys) if keep == W => ys.copy_from_slice(&acc),
-            Some(ys) => {
-                // More than half a block, as two fixed-length copies:
-                // its first half, and the half that ends where it ends.
-                let (out, half) = (acc, W / 2);
-                ys[..half].copy_from_slice(&out[..half]);
-                ys[keep - half..].copy_from_slice(&out[keep - half..keep]);
-            }
-            None => (0..keep).for_each(|k| y.store(row0 + k, acc[k])),
+        let ys = y.range_mut(row0, keep);
+        if keep == W {
+            ys.copy_from_slice(&acc);
+        } else {
+            // More than half a block, as two fixed-length copies: its
+            // first half, and the half that ends where it ends. From a
+            // copy of `acc`: slicing `acc` itself here made LLVM leave
+            // `block::<32>`'s accumulators scalar (32 `vfmadd231sd`).
+            let (out, half) = (acc, W / 2);
+            ys[..half].copy_from_slice(&out[..half]);
+            ys[keep - half..].copy_from_slice(&out[keep - half..keep]);
         }
     }
 
@@ -2484,21 +2444,14 @@ impl<T: Scalar> DiaTile<T> {
         let (m0, m1) = (r0 + usize::from(r0 % n_z == 0), r1 - usize::from(r1 % n_z == 0));
         let (q, n) = (m0 - lo_s, m1 - m0);
         let zs = three(&s[q - 1..][..n], &s[q..][..n], &s[q + 1..][..n]);
-        match (x.range(base + m0, n), y.range_mut(base + m0, n)) {
-            (Some(xs), Some(ys)) if zero => {
-                for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
-                    *y = c1.mul_add(z, centre.mul_add(x, T::ZERO));
-                }
+        let (xs, ys) = (x.range(base + m0, n), y.range_mut(base + m0, n));
+        if zero {
+            for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
+                *y = c1.mul_add(z, centre.mul_add(x, T::ZERO));
             }
-            (Some(xs), Some(ys)) => {
-                for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
-                    *y = c1.mul_add(z, centre.mul_add(x, *y));
-                }
-            }
-            _ => {
-                for (r, z) in (base + m0..).zip(zs) {
-                    y.store(r, c1.mul_add(z, centre.mul_add(x.load(r), start(y, r))));
-                }
+        } else {
+            for ((y, &x), z) in ys.iter_mut().zip(xs).zip(zs) {
+                *y = c1.mul_add(z, centre.mul_add(x, *y));
             }
         }
         for &(r, v) in &held[..h] {

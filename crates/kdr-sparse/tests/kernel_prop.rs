@@ -8,38 +8,11 @@
 //! agree with the reference *to the bit*, not merely to a tolerance,
 //! on every structure the generators can produce: random scatter
 //! (with duplicates), banded, blocked, uniform-row, empty, singleton.
-//! Each kernel runs twice, over slices and over views that lend none,
-//! so a kernel's slice path and its elementwise path are both held to
-//! the reference.
 
 use kdr_sparse::tile::BOX_STENCIL_EPS_BOUND;
 use kdr_sparse::triples::xorshift;
-use kdr_sparse::{
-    KernelChoice, KernelKind, Stencil, StencilTile, TileKernel, TileStructure, VecIn, VecOut,
-};
+use kdr_sparse::{KernelChoice, KernelKind, Stencil, StencilTile, TileKernel, TileStructure};
 use proptest::prelude::*;
-
-/// A read view that lends no slices: [`VecIn::range`] keeps its
-/// default, so kernels take their elementwise path.
-struct Elementwise<'a>(&'a [f64]);
-
-impl VecIn<f64> for Elementwise<'_> {
-    fn load(&self, i: usize) -> f64 {
-        self.0[i]
-    }
-}
-
-/// The write-side counterpart of [`Elementwise`].
-struct ElementwiseMut<'a>(&'a mut [f64]);
-
-impl VecOut<f64> for ElementwiseMut<'_> {
-    fn load(&self, i: usize) -> f64 {
-        self.0[i]
-    }
-    fn store(&mut self, i: usize, v: f64) {
-        self.0[i] = v;
-    }
-}
 
 /// The accumulation-order reference every kernel must reproduce
 /// bitwise: entries sorted by `(row, col)` (stable), each applied via
@@ -101,17 +74,6 @@ fn check_all_lowerings_onto(rows: &[u64], cols: &[u64], vals: &[f64], fill: f64)
                 got_bits,
                 want_bits,
                 "{:?} (lowered to {:?}) transpose {} diverges from reference order",
-                choice,
-                k.kind(),
-                transpose
-            );
-            let mut got = vec![fill; span];
-            k.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), transpose);
-            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got_bits,
-                want_bits,
-                "{:?} (lowered to {:?}) transpose {} diverges on views that lend no slices",
                 choice,
                 k.kind(),
                 transpose
@@ -327,13 +289,12 @@ fn stencil_triplets(s: Stencil, rows: &[(u64, u64)]) -> Trip {
 }
 
 /// Check a [`StencilTile`] against the forced-CSR lowering of the same
-/// rows' generated entries, both directions, over slices and over views
-/// that lend none; and hold its band, field for field, to the
-/// forced-DIA lowering of those entries wherever that lowering is
-/// representable (rows scattered too far apart fall back to CSR). A
-/// box-stencil band's forward product is held to the CSR chain within
-/// the box bound, on dyadic and on random inputs, and bitwise to the
-/// forced-DIA lowering's; every other product, bitwise to CSR.
+/// rows' generated entries, both directions; and hold its band, field
+/// for field, to the forced-DIA lowering of those entries wherever that
+/// lowering is representable (rows scattered too far apart fall back to
+/// CSR). A box-stencil band's forward product is held to the CSR chain
+/// within the box bound, on dyadic and on random inputs, and bitwise to
+/// the forced-DIA lowering's; every other product, bitwise to CSR.
 fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
     let n = s.unknowns() as usize;
     let (tr, tc, tv) = stencil_triplets(s, rows);
@@ -368,9 +329,6 @@ fn check_stencil_tile(s: Stencil, rows: &[(u64, u64)]) {
             csr.apply_slices(&x, &mut want, transpose);
             let mut got = vec![0.125; n];
             matfree.apply_slices(&x, &mut got, transpose);
-            let mut by_element = vec![0.125; n];
-            matfree.apply(&Elementwise(&x), &mut ElementwiseMut(&mut by_element), transpose);
-            assert_eq!(bits(&by_element), bits(&got), "{what}: views that lend no slices differ");
             if is_box && !transpose {
                 let mut forced_dia = vec![0.125; n];
                 dia.apply_slices(&x, &mut forced_dia, false);
@@ -856,9 +814,8 @@ proptest! {
 
     /// (b) A row the box path computes has the same bits whichever tile
     /// computes it — the whole operator, 4 or 7 equal pieces, or random
-    /// runs that start and end mid-line, lowered or matrix-free, over
-    /// slices or views that lend none — and the same bits in a second
-    /// run.
+    /// runs that start and end mid-line, lowered or matrix-free — and
+    /// the same bits in a second run.
     #[test]
     fn box_rows_keep_their_bits_under_every_tiling((s, runs) in arb_box_grid()) {
         let n = s.unknowns() as usize;
@@ -885,13 +842,6 @@ proptest! {
         if s.nx >= 3 {
             prop_assert!(whole_boxed.iter().all(|&b| b), "{:?} whole is not a box", s);
         }
-        // Views that lend no slices sum the lines element by element:
-        // the same bits.
-        let whole_tile = TileKernel::Stencil(StencilTile::new(s, tilings[0][0].clone()));
-        let mut by_element = y0.clone();
-        whole_tile.apply(&Elementwise(&x), &mut ElementwiseMut(&mut by_element), false);
-        let by_slices = product(&whole_tile, &x, &y0);
-        prop_assert_eq!(bits(&by_element), bits(&by_slices), "{:?} on views that lend no slices", s);
         for tiling in &tilings {
             for matrix_free in [false, true] {
                 let (y, boxed) = tiled_product(s, tiling, matrix_free, &x, &y0);
@@ -1158,8 +1108,7 @@ fn arb_grid_band() -> impl Strategy<Value = (GridBand, u64)> {
 }
 
 /// The forward product of a grid band's tile, lowered `Auto` and
-/// `Force(Dia)`, over slices and over views that lend none, equals the
-/// forced-CSR chain bit for bit; and so does its product started from
+/// `Force(Dia)`, equals the forced-CSR chain bit for bit; and so does its product started from
 /// `+0` ([`TileKernel::apply_from_zero`]) over what a fill of `+0` and
 /// the CSR chain give, whatever `y` held.
 fn check_grid_band(band: &GridBand, seed: u64) {
@@ -1187,9 +1136,6 @@ fn check_grid_band(band: &GridBand, seed: u64) {
         let mut got = y0.clone();
         k.apply_slices(&x, &mut got, false);
         assert_eq!(bits(&got), bits(&want), "{what}: differs from CSR");
-        let mut got = y0.clone();
-        k.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), false);
-        assert_eq!(bits(&got), bits(&want), "{what}: differs from CSR on views that lend no slices");
         let mut got = y0.clone();
         if k.apply_from_zero(&x.as_slice(), &mut got.as_mut_slice(), false) {
             assert_eq!(bits(&got), bits(&from_zero), "{what}: from +0, differs from a fill and CSR");
@@ -1225,7 +1171,20 @@ fn box_coefficients(s: Stencil) -> (f64, f64) {
 /// then those over its `z`-steps, each left to right from the lowest
 /// step with the steps the grid's faces clip left out; then
 /// `c1.mul_add(z, (c0 − c1).mul_add(x[r], y))`.
-fn box_row(s: Stencil, (c0, c1): (f64, f64), x: &[f64], r: u64, y: f64) -> f64 {
+fn box_row(s: Stencil, coefs: (f64, f64), x: &[f64], r: u64, y: f64) -> f64 {
+    box_row_of(s, coefs, x, r, y, |_, _| true)
+}
+
+/// [`box_row`] for the operator that keeps, of the entries of `s`, those
+/// whose row's plane `i` and `x`-step `dx` pass `x_step(i, dx)`.
+fn box_row_of(
+    s: Stencil,
+    (c0, c1): (f64, f64),
+    x: &[f64],
+    r: u64,
+    y: f64,
+    x_step: impl Fn(i64, i64) -> bool,
+) -> f64 {
     let (nx, ny, nz) = (s.nx as i64, s.ny as i64, s.nz as i64);
     let (i, j, k) = (r as i64 / (ny * nz), r as i64 / nz % ny, r as i64 % nz);
     let steps = |at: i64, n: i64| (-1..=1).filter(move |d| (0..n).contains(&(at + d)));
@@ -1234,7 +1193,7 @@ fn box_row(s: Stencil, (c0, c1): (f64, f64), x: &[f64], r: u64, y: f64) -> f64 {
         let mut s_y = None;
         for dy in steps(j, ny) {
             let mut t_x = None;
-            for dx in steps(i, nx) {
+            for dx in steps(i, nx).filter(|&dx| x_step(i, dx)) {
                 let v = x[(((i + dx) * ny + j + dy) * nz + k + dz) as usize];
                 t_x = Some(t_x.map_or(v, |t: f64| t + v));
             }
@@ -1301,11 +1260,10 @@ fn box_inputs(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// The forward product of one tile of `s`, matrix-free and lowered
-/// `Force(Dia)`, over slices and over views that lend none: when the
-/// tile is a box band, `apply` over `y0` and `apply_from_zero` over a
-/// garbage `y` each equal the per-row spec ([`box_row`]) bit for bit
-/// on the tile's rows and leave every other row as it was; a tile that
-/// is not a box is the CSR chain bit for bit.
+/// `Force(Dia)`: when the tile is a box band, `apply` over `y0` and
+/// `apply_from_zero` over a garbage `y` each equal the per-row spec
+/// ([`box_row`]) bit for bit on the tile's rows and leave every other
+/// row as it was; a tile that is not a box is the CSR chain bit for bit.
 fn check_box_spec(s: Stencil, (lo, hi): (u64, u64), seed: u64) {
     let n = s.unknowns() as usize;
     let coefs = box_coefficients(s);
@@ -1333,15 +1291,9 @@ fn check_box_spec(s: Stencil, (lo, hi): (u64, u64), seed: u64) {
             continue;
         }
         assert_eq!(bits(&product(kernel, &x, &y0)), bits(&want), "{what}: apply over slices");
-        let mut got = y0.clone();
-        kernel.apply(&Elementwise(&x), &mut ElementwiseMut(&mut got), false);
-        assert_eq!(bits(&got), bits(&want), "{what}: apply over views that lend no slices");
         let mut got = garbage.clone();
         assert!(kernel.apply_from_zero(&x.as_slice(), &mut got.as_mut_slice(), false), "{what}");
         assert_eq!(bits(&got), bits(&want_from_zero), "{what}: from +0 over slices");
-        let mut got = garbage.clone();
-        assert!(kernel.apply_from_zero(&Elementwise(&x), &mut ElementwiseMut(&mut got), false));
-        assert_eq!(bits(&got), bits(&want_from_zero), "{what}: from +0 over views that lend none");
     }
 }
 
@@ -1356,5 +1308,48 @@ proptest! {
     #[test]
     fn box_bands_are_the_stated_sums_bit_for_bit((s, rows, seed) in arb_box_spec_case()) {
         check_box_spec(s, rows, seed);
+    }
+}
+
+/// A box band's plane may hold one `x`-step. Of lap3d27 3 × 5 × 6
+/// assembled, keep every entry of the middle plane's rows and only the
+/// in-plane entries of the outer planes' rows: the middle plane still
+/// reaches both neighbours, so the band has the 27 box offsets and is a
+/// box band, whole or cut into a tile across two planes, and the outer
+/// planes' rows sum their one `x`-step — the stated sums bit for bit,
+/// from `y` and from `+0`.
+#[test]
+fn a_box_plane_of_one_x_step_is_the_stated_sums_bit_for_bit() {
+    let (s, plane) = (Stencil::lap3d27(3, 5, 6), 30);
+    let n = s.unknowns() as usize;
+    let x_step = |i: i64, dx: i64| i == 1 || dx == 0;
+    let coefs = box_coefficients(s);
+    let (x, y0, garbage) = (box_inputs(n, 7), box_inputs(n, 9), box_inputs(n, 11));
+    for (lo, hi) in [(0, n as u64), (plane / 2 + 2, 2 * plane - 3)] {
+        let (tr, tc, tv) = stencil_triplets(s, &[(lo, hi)]);
+        let (mut r, mut c, mut v) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..tv.len() {
+            let (i, j) = ((tr[k] / plane) as i64, (tc[k] / plane) as i64);
+            if x_step(i, j - i) {
+                r.push(tr[k]);
+                c.push(tc[k]);
+                v.push(tv[k]);
+            }
+        }
+        let kernel = TileKernel::lower(&r, &c, &v, KernelChoice::Force(KernelKind::Dia));
+        let what = format!("rows {lo}..{hi}");
+        assert!(takes_box_path(&kernel), "{what}: not a box band");
+        let spec = |y: &[f64], zero: bool| -> Vec<f64> {
+            let mut want = y.to_vec();
+            for r in lo as usize..hi as usize {
+                let y = if zero { 0.0 } else { y[r] };
+                want[r] = box_row_of(s, coefs, &x, r as u64, y, x_step);
+            }
+            want
+        };
+        assert_eq!(bits(&product(&kernel, &x, &y0)), bits(&spec(&y0, false)), "{what}");
+        let mut got = garbage.clone();
+        assert!(kernel.apply_from_zero(&x.as_slice(), &mut got.as_mut_slice(), false), "{what}");
+        assert_eq!(bits(&got), bits(&spec(&garbage, true)), "{what}: from +0");
     }
 }

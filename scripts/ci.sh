@@ -153,6 +153,18 @@ if [ "$(grep -rE 'fn apply_box\b' crates | wc -l)" != 1 ]; then
     exit 1
 fi
 
+# A tile kernel reads its vectors one way (DESIGN §7, "A pass"): every
+# `VecIn` / `VecOut` lends a slice, so no kernel keeps an element-by-
+# element fallback for a view that lends none, no test adapter lends
+# none, and a matrix-free tile has no `apply` of its own beside
+# `TileKernel::apply`.
+if grep -nF -e 'Option<&[T]>' -e 'Option<&mut [T]>' "$tile_rs" ||
+    grep -rn 'struct Elementwise' crates/kdr-sparse/tests ||
+    grep -n 'pub fn apply' crates/kdr-sparse/src/matfree.rs; then
+    echo "ci.sh: a tile kernel's element-by-element vector path is back (see above)" >&2
+    exit 1
+fi
+
 # `is_subset_of` is a search over the side with fewer runs (DESIGN §6):
 # it builds no set. It must not go back to testing a built
 # `difference` for emptiness, which cost the analyzer a `Vec` per
