@@ -8,11 +8,12 @@
 //! call into data — one [`StepOp`] — before any backend sees it.
 //!
 //! **One op stream, two lowerings.** The per-op entry points (`copy` …
-//! `xpay`, `dot_many`, the scalar operations, `apply`, and scalar
-//! retain/release) are provided methods, written once here: they check
-//! operand structure against [`Handles`], take result slots from its
-//! one scalar slot arena, build the `StepOp` and hand it
-//! to [`Backend::emit`]. A backend lowers that stream and nothing else:
+//! `xpay`, `dot_many`, the scalar operations and `apply`) are provided
+//! methods, written once here: they check operand structure against
+//! [`Handles`], take result slots from its one scalar slot arena, build
+//! the `StepOp` and hand it to [`Backend::emit`]. A slot's owners count
+//! themselves in and out of it without the backend ([`Handles`]). A
+//! backend lowers that stream and nothing else:
 //!
 //! * [`ExecBackend`](crate::exec::ExecBackend) records each op and
 //!   lowers it into `kdr-runtime` tasks (shared-memory threads stand in
@@ -32,7 +33,7 @@
 //! solver iteration therefore never blocks the driving thread — the
 //! same property Legion futures give the paper's CG in Figure 7.
 
-use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kdr_index::{IntervalSet, Partition};
@@ -211,32 +212,31 @@ pub enum StepOp {
 /// vector's component lengths, for the operand checks, and the scalar
 /// slot arena.
 ///
-/// A slot is refcounted by the handles that own it and belongs to one
-/// *bank*, which reuses its released slots lowest-first. A step takes
-/// its results from the lowest-numbered bank that held no live scalar
-/// when it began (`Handles::begin_step`); anything allocated outside
-/// a step comes from bank 0. So the slots a step's results land on
-/// depend on what the step records, not on how many steps came before:
-/// a step that retains nothing stays on one bank, and a solver that
-/// carries scalars `d` steps ahead rotates through `d + 1` banks. The
-/// arena is as large as the sum of each bank's peak number of live
-/// scalars.
+/// A slot is owned by the handles that hold it, and belongs to one
+/// *bank*. Its owner count lives in a cell of its own, shared with
+/// those handles (`Handles::owners`): a handle counts itself in when
+/// it is cloned and out when it drops, without the backend. The arena
+/// reads the counts only when it allocates: a slot with none is free,
+/// and a bank hands out its lowest free slot. A step takes its
+/// results from the lowest-numbered bank that held no live scalar when
+/// it began (`Handles::begin_step`); anything allocated outside a step
+/// comes from bank 0. So the slots a step's results land on depend on
+/// what the step records, not on how many steps came before: a step
+/// that retains nothing stays on one bank, and a solver that carries
+/// scalars `d` steps ahead rotates through `d + 1` banks. The arena is
+/// as large as the sum of each bank's peak number of live scalars.
 #[derive(Default, Debug)]
 pub struct Handles {
     vectors: Vec<Vec<u64>>,
-    refs: Vec<usize>,
-    /// The bank each slot belongs to.
-    bank_of: Vec<usize>,
-    banks: Vec<Bank>,
+    /// Each slot's owner count.
+    owners: Vec<Arc<AtomicUsize>>,
+    /// Each bank's slots, ascending.
+    banks: Vec<Vec<SRef>>,
     /// The bank new slots are taken from.
     current: usize,
-}
-
-/// One bank of scalar slots: the free ones, and how many have an owner.
-#[derive(Default, Debug)]
-struct Bank {
-    free: BTreeSet<SRef>,
-    live: usize,
+    /// The `(a, b, result slot)` triples of the `dot_many` being
+    /// emitted, kept from call to call.
+    dots: Vec<(BVec, BVec, SRef)>,
 }
 
 impl Handles {
@@ -249,12 +249,34 @@ impl Handles {
 
     /// Scalar slots ever made (the arena's size).
     pub fn slots(&self) -> usize {
-        self.refs.len()
+        self.owners.len()
+    }
+
+    /// Whether slot `s` has no owner left.
+    fn is_free(&self, s: SRef) -> bool {
+        self.owners[s].load(Ordering::Acquire) == 0
     }
 
     /// Scalar slots currently free (no owner left).
     pub(crate) fn free_slots(&self) -> usize {
-        self.banks.iter().map(|b| b.free.len()).sum()
+        (0..self.slots()).filter(|&s| self.is_free(s)).count()
+    }
+
+    /// The owner count of slot `s`, which every handle owning the slot
+    /// shares: a slot returned by an op has one owner, for the handle
+    /// that adopts it.
+    pub(crate) fn owners(&self, s: SRef) -> Arc<AtomicUsize> {
+        Arc::clone(&self.owners[s])
+    }
+
+    /// Drop one owner of slot `s`: for code that holds slots by
+    /// number, as the backend tests do. A
+    /// [`ScalarHandle`](crate::ScalarHandle) drops its share through
+    /// its own cell instead. At zero the slot is free for its bank's
+    /// next allocation.
+    pub fn release(&self, s: SRef) {
+        let before = self.owners[s].fetch_sub(1, Ordering::Release);
+        debug_assert!(before > 0, "double release of scalar {s}");
     }
 
     /// Enter a step: its results come from the lowest-numbered bank
@@ -264,7 +286,7 @@ impl Handles {
         self.current = self
             .banks
             .iter()
-            .position(|b| b.live == 0)
+            .position(|bank| bank.iter().all(|&s| self.is_free(s)))
             .unwrap_or(self.banks.len());
     }
 
@@ -278,28 +300,20 @@ impl Handles {
     fn alloc_slot(&mut self) -> SRef {
         let b = self.current;
         if b == self.banks.len() {
-            self.banks.push(Bank::default());
+            self.banks.push(Vec::new());
         }
-        let bank = &mut self.banks[b];
-        bank.live += 1;
-        if let Some(slot) = bank.free.pop_first() {
-            self.refs[slot] = 1;
-            slot
-        } else {
-            self.refs.push(1);
-            self.bank_of.push(b);
-            self.refs.len() - 1
-        }
-    }
-
-    /// Drop one owner of slot `s`, returning it to its bank at zero.
-    fn release(&mut self, s: SRef) {
-        debug_assert!(self.refs[s] > 0, "double release of scalar {s}");
-        self.refs[s] -= 1;
-        if self.refs[s] == 0 {
-            let bank = &mut self.banks[self.bank_of[s]];
-            bank.live -= 1;
-            bank.free.insert(s);
+        let free = self.banks[b].iter().copied().find(|&s| self.is_free(s));
+        match free {
+            Some(slot) => {
+                self.owners[slot].store(1, Ordering::Relaxed);
+                slot
+            }
+            None => {
+                let slot = self.owners.len();
+                self.owners.push(Arc::new(AtomicUsize::new(1)));
+                self.banks[b].push(slot);
+                slot
+            }
         }
     }
 
@@ -524,32 +538,44 @@ pub trait Backend<T: Scalar>: Send {
     }
 
     /// Inner product across all components: the one-pair case of
-    /// [`Backend::dot_many`], so both share one partial order and one
-    /// combine task.
+    /// [`Backend::dot_many_into`], so both share one partial order and
+    /// one combine task.
     fn dot(&mut self, a: BVec, b: BVec) -> SRef {
-        self.dot_many(&[(a, b)])[0]
+        let mut out = [0];
+        self.dot_many_into(&[(a, b)], &mut out);
+        out[0]
     }
 
     /// Fused multi-reduction: all pairs' inner products launched as
-    /// one DAG stage with a single combine, returning one scalar per
-    /// pair (in order). The whole batch counts as one reduction
-    /// stage, and a pair's partials are accumulated in the same order
-    /// whatever else is in the batch, so each result is bitwise
-    /// independent of its batch-mates.
-    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
+    /// one DAG stage with a single combine, one scalar per pair
+    /// written to `out` (in order; `out` is as long as `pairs`). The
+    /// whole batch counts as one reduction stage, and a pair's partials
+    /// are accumulated in the same order whatever else is in the
+    /// batch, so each result is bitwise independent of its batch-mates.
+    fn dot_many_into(&mut self, pairs: &[(BVec, BVec)], out: &mut [SRef]) {
+        assert_eq!(pairs.len(), out.len(), "one result slot per pair");
         if pairs.is_empty() {
-            return Vec::new();
+            return;
         }
         let handles = self.handles();
-        let dots: Vec<(BVec, BVec, SRef)> = pairs
-            .iter()
-            .map(|&(a, b)| {
-                handles.check_same_shape(a, b, "dot");
-                (a, b, handles.alloc_slot())
-            })
-            .collect();
+        let mut dots = std::mem::take(&mut handles.dots);
+        dots.clear();
+        for &(a, b) in pairs {
+            handles.check_same_shape(a, b, "dot");
+            dots.push((a, b, handles.alloc_slot()));
+        }
         self.emit(StepOp::Dots { pairs: dots.len() }, &dots, None);
-        dots.iter().map(|&(_, _, s)| s).collect()
+        for (o, &(_, _, s)) in out.iter_mut().zip(&dots) {
+            *o = s;
+        }
+        self.handles().dots = dots;
+    }
+
+    /// [`Backend::dot_many_into`], the results in a new `Vec`.
+    fn dot_many(&mut self, pairs: &[(BVec, BVec)]) -> Vec<SRef> {
+        let mut out = vec![0; pairs.len()];
+        self.dot_many_into(pairs, &mut out);
+        out
     }
 
     /// Materialize a scalar constant.
@@ -565,17 +591,6 @@ pub trait Backend<T: Scalar>: Send {
     /// Deferred unary scalar arithmetic.
     fn scalar_unop(&mut self, op: ScalarUnop, a: SRef) -> SRef {
         emit_scalar(self, |out| StepOp::Unop { op, a, out }, None)
-    }
-
-    /// Note an additional owner of scalar `s`.
-    fn scalar_retain(&mut self, s: SRef) {
-        self.handles().refs[s] += 1;
-    }
-
-    /// Drop one owner of scalar `s`; the slot is reused once the count
-    /// reaches zero.
-    fn scalar_release(&mut self, s: SRef) {
-        self.handles().release(s);
     }
 
     /// `dst ← A(src)` (or `Aᵀ` when `transpose`), where `A` is the
@@ -594,12 +609,23 @@ pub trait Backend<T: Scalar>: Send {
         self.emit(op, &[], None);
     }
 
-    /// Force several scalars at once, values in argument order. The
-    /// default forces them one by one; the execution backend waits
-    /// once for the tasks writing any of them and reads them where
-    /// they are, however many it is asked for.
+    /// Force several scalars at once, values written to `values` in
+    /// argument order (`values` is as long as `scalars`). The default
+    /// forces them one by one; the execution backend waits once for
+    /// the tasks writing any of them and reads them where they are,
+    /// however many it is asked for.
+    fn scalar_get_into(&mut self, scalars: &[SRef], values: &mut [T]) {
+        assert_eq!(scalars.len(), values.len(), "one value per scalar");
+        for (v, &s) in values.iter_mut().zip(scalars) {
+            *v = self.scalar_get(s);
+        }
+    }
+
+    /// [`Backend::scalar_get_into`], the values in a new `Vec`.
     fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
-        scalars.iter().map(|&s| self.scalar_get(s)).collect()
+        let mut values = vec![T::ZERO; scalars.len()];
+        self.scalar_get_into(scalars, &mut values);
+        values
     }
 
     /// Mark the start of one solver iteration. Backends that trace may
@@ -609,13 +635,15 @@ pub trait Backend<T: Scalar>: Send {
     fn step_begin(&mut self) {}
 
     /// Mark the end of one solver iteration; reports how the
-    /// iteration's tasks were executed, with the values of `reads` —
-    /// the scalars the caller reads next, forced with the step, in
-    /// argument order. Default: [`StepOutcome::Analyzed`] and
-    /// [`Backend::scalar_get_many`] of `reads`; the execution backend
+    /// iteration's tasks were executed, and writes to `values` the
+    /// values of `reads` — the scalars the caller reads next, forced
+    /// with the step, in argument order (`values` is as long as
+    /// `reads`). Default: [`StepOutcome::Analyzed`] and
+    /// [`Backend::scalar_get_into`] of `reads`; the execution backend
     /// runs a replayed step and waits for it in one call.
-    fn step_end(&mut self, reads: &[SRef]) -> (StepOutcome, Vec<T>) {
-        (StepOutcome::Analyzed, self.scalar_get_many(reads))
+    fn step_end(&mut self, reads: &[SRef], values: &mut [T]) -> StepOutcome {
+        self.scalar_get_into(reads, values);
+        StepOutcome::Analyzed
     }
 
     /// Remove and return the first task failure absorbed since the

@@ -181,7 +181,7 @@
 //! counts, per-name execute time and spans stay per body.
 //!
 //! Record stability across iterations is what makes the cache hit:
-//! scalars live in the refcounted slot arena of [`Handles`] (a step
+//! scalars live in the owner-counted slot arena of [`Handles`] (a step
 //! takes its results from the lowest bank of slots no live scalar
 //! holds, reused lowest-first, so a solver that carries scalars one
 //! step ahead alternates between two records), a `dot` partials
@@ -1060,13 +1060,18 @@ impl<T: Scalar> ExecBackend<T> {
         out
     }
 
-    /// The values of `scalars` once `waited`, a wait for the tasks
-    /// writing their slots, has returned: each slot read where it is,
-    /// the time parked timed as one reduction stall. If a writer (or a
-    /// predecessor of one) failed, the failure is recorded and the
-    /// driver gets NaN placeholders — its health checks turn that into
-    /// a structured error.
-    fn read_slots(&mut self, scalars: &[SRef], waited: Result<Duration, TaskError>) -> Vec<T> {
+    /// Write to `values` the values of `scalars` once `waited`, a wait
+    /// for the tasks writing their slots, has returned: each slot read
+    /// where it is, the time parked timed as one reduction stall. If a
+    /// writer (or a predecessor of one) failed, the failure is recorded
+    /// and the driver gets NaN placeholders — its health checks turn
+    /// that into a structured error.
+    fn read_slots(
+        &mut self,
+        scalars: &[SRef],
+        waited: Result<Duration, TaskError>,
+        values: &mut [T],
+    ) {
         match waited {
             Ok(parked) => {
                 let stall = parked.as_nanos() as u64;
@@ -1074,12 +1079,14 @@ impl<T: Scalar> ExecBackend<T> {
                 self.rt.record_reduction_stall_ns(stall);
                 // Only this backend submits writers of its slots, and
                 // it is in here: nothing writes them until it returns.
-                scalars.iter().map(|&s| self.scalars[s].peek(0)).collect()
+                for (v, &s) in values.iter_mut().zip(scalars) {
+                    *v = self.scalars[s].peek(0);
+                }
             }
             Err(_) => {
                 let _ = self.rt.fence();
                 absorb_failure(&self.rt, &mut self.fault);
-                vec![T::from_f64(f64::NAN); scalars.len()]
+                values.fill(T::from_f64(f64::NAN));
             }
         }
     }
@@ -1739,7 +1746,9 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     }
 
     fn scalar_get(&mut self, s: SRef) -> T {
-        self.scalar_get_many(&[s])[0]
+        let mut value = [T::ZERO];
+        self.scalar_get_into(&[s], &mut value);
+        value[0]
     }
 
     /// No task, no channel: the open record closes with the slots as
@@ -1750,16 +1759,17 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// Then every slot is read where it is. The part of the wait spent
     /// parked is timed as one reduction stall, whatever
     /// `scalars.len()` is.
-    fn scalar_get_many(&mut self, scalars: &[SRef]) -> Vec<T> {
+    fn scalar_get_into(&mut self, scalars: &[SRef], values: &mut [T]) {
+        assert_eq!(scalars.len(), values.len(), "one value per scalar");
         let waited = self.close_record(scalars);
         if scalars.is_empty() {
-            return Vec::new();
+            return;
         }
         let waited = waited.unwrap_or_else(|| {
             self.rt
                 .wait_written(scalars.iter().map(|&s| self.scalars[s].id()))
         });
-        self.read_slots(scalars, waited)
+        self.read_slots(scalars, waited, values);
     }
 
     /// The ops recorded before the step run first, as a record of
@@ -1777,18 +1787,17 @@ impl<T: Scalar> Backend<T> for ExecBackend<T> {
     /// thread that waits runs the step instead of waking a worker for
     /// it. The step is captured if one of its records was compiled
     /// here, and replayed otherwise.
-    fn step_end(&mut self, reads: &[SRef]) -> (StepOutcome, Vec<T>) {
-        let values = self.scalar_get_many(reads);
+    fn step_end(&mut self, reads: &[SRef], values: &mut [T]) -> StepOutcome {
+        self.scalar_get_into(reads, values);
         self.handles.end_step();
         self.in_step = false;
-        let outcome = if std::mem::take(&mut self.step_compiled) {
+        if std::mem::take(&mut self.step_compiled) {
             self.steps_captured += 1;
             StepOutcome::Captured
         } else {
             self.steps_replayed += 1;
             StepOutcome::Replayed
-        };
-        (outcome, values)
+        }
     }
 
     fn fence(&mut self) {
@@ -1908,7 +1917,7 @@ mod tests {
         let y = b.scalar_const(2.0);
         assert_eq!((x, y), (0, 1));
         assert_eq!(b.scalar_slots(), 2);
-        b.scalar_release(x);
+        b.handles().release(x);
         let z = b.scalar_const(3.0);
         assert_eq!(z, x, "freed slot must be reused");
         assert_eq!(b.scalar_slots(), 2, "arena must not grow");
@@ -1989,8 +1998,8 @@ mod tests {
                     b.scalar_get(r);
                     let after = b.metrics().runtime.task_counts.get("axpy+dot_partial").copied();
                     assert_eq!(before != after, fused, "({p}, {q}) on {workers} workers");
-                    b.scalar_release(alpha);
-                    b.scalar_release(r);
+                    b.handles().release(alpha);
+                    b.handles().release(r);
                 }
             }
         }
@@ -2036,8 +2045,8 @@ mod tests {
                 b.axpy(d, alpha, s);
                 let r = b.dot(d, q);
                 b.scalar_get(r);
-                b.scalar_release(alpha);
-                b.scalar_release(r);
+                b.handles().release(alpha);
+                b.handles().release(r);
             }
             let what = format!("{workers} workers");
             let lanes = &b.vectors[d].comps[0].lanes;
@@ -2102,15 +2111,15 @@ mod tests {
                     Between::DotsX => _ = b.dot(w, x),
                     Between::ScalesP => b.scal(p, one),
                     Between::AlphaSlotConst => {
-                        b.scalar_release(alpha);
+                        b.handles().release(alpha);
                         assert_eq!(b.scalar_const(2.0), alpha, "the released slot is taken again");
                     }
                     Between::AlphaSlotBinop => {
-                        b.scalar_release(alpha);
+                        b.handles().release(alpha);
                         assert_eq!(b.scalar_binop(ScalarOp::Add, one, one), alpha);
                     }
                     Between::AlphaSlotDots => {
-                        b.scalar_release(alpha);
+                        b.handles().release(alpha);
                         assert_eq!(b.dot(w, w), alpha);
                     }
                 }
@@ -2133,7 +2142,7 @@ mod tests {
         let base = b.metrics().reduction_stages;
         b.step_begin();
         let d = b.dot_many(&[(x, y), (x, x), (y, y)]);
-        b.step_end(&[]);
+        b.step_end(&[], &mut []);
         let m = b.metrics();
         assert_eq!(m.reduction_stages - base, 1, "one stage for three dots");
         assert_eq!(m.fences_per_iteration, 1.0);
@@ -2145,7 +2154,7 @@ mod tests {
         let m = b.metrics();
         assert_eq!(m.reduction_stall_ns, m.runtime.reduction_stall_ns);
         for s in d {
-            b.scalar_release(s);
+            b.handles().release(s);
         }
     }
 
@@ -2161,13 +2170,13 @@ mod tests {
             b.step_begin();
             let d = b.dot_many(&[(x, y), (y, y)]);
             // Forced with the step: what a later read returns too.
-            let (outcome, values) = b.step_end(&d);
-            outcomes.push(outcome);
+            let mut values = [0.0; 2];
+            outcomes.push(b.step_end(&d, &mut values));
             assert_eq!(values, [32.0, 64.0]);
             assert_eq!(b.scalar_get(d[0]), 32.0);
             assert_eq!(b.scalar_get(d[1]), 64.0);
             for s in d {
-                b.scalar_release(s);
+                b.handles().release(s);
             }
         }
         assert_eq!(outcomes[0], StepOutcome::Captured);
@@ -2385,8 +2394,8 @@ mod tests {
             b.step_begin();
             let c = b.scalar_const(1.0 + i as f64);
             b.axpy(v, c, w);
-            b.scalar_release(c);
-            outcomes.push(b.step_end(&[]).0);
+            b.handles().release(c);
+            outcomes.push(b.step_end(&[], &mut []));
         }
         assert_eq!(outcomes[0], StepOutcome::Captured);
         assert!(
@@ -2413,9 +2422,9 @@ mod tests {
             assert_eq!(got, 32.0);
             let c = b.scalar_const(1.0);
             b.scal(v, c);
-            b.scalar_release(c);
-            b.scalar_release(d);
-            outcomes.push(b.step_end(&[]).0);
+            b.handles().release(c);
+            b.handles().release(d);
+            outcomes.push(b.step_end(&[], &mut []));
         }
         use StepOutcome::{Captured, Replayed};
         assert_eq!(outcomes, [Captured, Replayed, Replayed]);

@@ -24,7 +24,9 @@ use parking_lot::Mutex;
 use kdr_index::Partition;
 use kdr_sparse::{KernelChoice, Scalar, SparseMatrix, Stencil, StencilOperator};
 
-use crate::backend::{BVec, Backend, CompSpec, OpComponentSpec, OpHandle, OpSetSpec, StepOutcome};
+use crate::backend::{
+    BVec, Backend, CompSpec, OpComponentSpec, OpHandle, OpSetSpec, SRef, StepOutcome,
+};
 use crate::partitioning::compute_tiles;
 use crate::scalar_handle::{ScalarHandle, SharedBackend};
 
@@ -80,6 +82,8 @@ pub struct Planner<T: Scalar> {
     /// re-analyzing).
     ws_free_sol: Vec<VecId>,
     ws_free_rhs: Vec<VecId>,
+    /// The slots a `step_end` forces, kept from step to step.
+    reads: Vec<SRef>,
 }
 
 /// The operator set of `ops`, each component tiled from its input
@@ -128,6 +132,7 @@ impl<T: Scalar> Planner<T> {
             finalized: false,
             ws_free_sol: Vec::new(),
             ws_free_rhs: Vec::new(),
+            reads: Vec::new(),
         }
     }
 
@@ -463,22 +468,34 @@ impl<T: Scalar> Planner<T> {
         self.backend.lock().xpay(d, alpha.sref(), s);
     }
 
-    /// Deferred inner product `v · w`.
+    /// Deferred inner product `v · w`: the one-pair [`Planner::dots`].
     pub fn dot(&mut self, v: VecId, w: VecId) -> ScalarHandle<T> {
-        self.ensure_finalized();
-        self.check_compatible(v, w);
-        let (a, b) = (self.bvec(v), self.bvec(w));
-        let sref = self.backend.lock().dot(a, b);
-        ScalarHandle::new(Arc::clone(&self.backend), sref)
+        let [d] = self.dots(&[(v, w)]);
+        d
     }
 
-    /// Fused multi-reduction: all pairs' inner products as one DAG
-    /// stage with a single combine task — one global fence for the
-    /// whole batch instead of one per dot. Results come back in pair
-    /// order and are bitwise identical to separate [`Planner::dot`]
-    /// calls; only the synchronization count changes. Solvers batch
-    /// their per-iteration algorithmic and residual dots through this
-    /// to halve (or better) their fences per iteration.
+    /// Fused multi-reduction of a fixed number of pairs: all pairs'
+    /// inner products as one DAG stage with a single combine task — one
+    /// global fence for the whole batch instead of one per dot. Results
+    /// come back in pair order and are bitwise identical to separate
+    /// [`Planner::dot`] calls; only the synchronization count changes.
+    /// Solvers batch their per-iteration algorithmic and residual dots
+    /// through this to halve (or better) their fences per iteration:
+    /// `let [ts, tt] = planner.dots(&[(t, s), (t, t)]);`.
+    pub fn dots<const N: usize>(&mut self, pairs: &[(VecId, VecId); N]) -> [ScalarHandle<T>; N] {
+        self.ensure_finalized();
+        let bpairs = pairs.map(|(v, w)| {
+            self.check_compatible(v, w);
+            (self.bvec(v), self.bvec(w))
+        });
+        let mut srefs = [0; N];
+        let mut b = self.backend.lock();
+        b.dot_many_into(&bpairs, &mut srefs);
+        srefs.map(|s| ScalarHandle::adopt(&self.backend, &mut **b, s))
+    }
+
+    /// [`Planner::dots`] of a batch whose size is known only at run
+    /// time (s-step CG's Gram matrix), the results in a new `Vec`.
     pub fn dot_many(&mut self, pairs: &[(VecId, VecId)]) -> Vec<ScalarHandle<T>> {
         self.ensure_finalized();
         for &(v, w) in pairs {
@@ -486,18 +503,20 @@ impl<T: Scalar> Planner<T> {
         }
         let bpairs: Vec<(usize, usize)> =
             pairs.iter().map(|&(v, w)| (self.bvec(v), self.bvec(w))).collect();
-        let srefs = self.backend.lock().dot_many(&bpairs);
+        let mut b = self.backend.lock();
+        let srefs = b.dot_many(&bpairs);
         srefs
             .into_iter()
-            .map(|s| ScalarHandle::new(Arc::clone(&self.backend), s))
+            .map(|s| ScalarHandle::adopt(&self.backend, &mut **b, s))
             .collect()
     }
 
     /// Materialize a scalar constant as a deferred scalar.
     pub fn scalar(&mut self, v: T) -> ScalarHandle<T> {
         self.ensure_finalized();
-        let sref = self.backend.lock().scalar_const(v);
-        ScalarHandle::new(Arc::clone(&self.backend), sref)
+        let mut b = self.backend.lock();
+        let sref = b.scalar_const(v);
+        ScalarHandle::adopt(&self.backend, &mut **b, sref)
     }
 
     /// `dst ← A_total(src)`.
@@ -542,13 +561,29 @@ impl<T: Scalar> Planner<T> {
     }
 
     /// Mark the end of one solver iteration and report how its tasks
-    /// were executed, with the values of `reads` forced with the step,
-    /// in argument order; see [`Backend::step_end`]. Panics if one of
-    /// `reads` is a scalar of another planner.
-    pub fn step_end(&mut self, reads: &[&ScalarHandle<T>]) -> (StepOutcome, Vec<T>) {
+    /// were executed; `values` (cleared first) receives the values of
+    /// `reads` forced with the step, in order; see
+    /// [`Backend::step_end`]. Panics if one of `reads` is a scalar of
+    /// another planner. It allocates nothing once `values` and the
+    /// planner's list of slots have grown to the step's reads, so the
+    /// solve loop keeps `values` from step to step.
+    pub fn step_end<'a>(
+        &mut self,
+        reads: impl IntoIterator<Item = &'a ScalarHandle<T>>,
+        values: &mut Vec<T>,
+    ) -> StepOutcome
+    where
+        T: 'a,
+    {
         self.ensure_finalized();
-        let srefs = ScalarHandle::srefs_in(&self.backend, reads);
-        self.backend.lock().step_end(&srefs)
+        let mut srefs = std::mem::take(&mut self.reads);
+        srefs.clear();
+        srefs.extend(reads.into_iter().map(|h| h.sref_in(&self.backend)));
+        values.clear();
+        values.resize(srefs.len(), T::ZERO);
+        let outcome = self.backend.lock().step_end(&srefs, values);
+        self.reads = srefs;
+        outcome
     }
 
     /// Number of solution components.

@@ -695,11 +695,10 @@ mod tests {
             b.step_begin();
             let reads = [b.dot(x, y), b.dot(x, x)];
             let (outcome, values) = if with_step {
-                b.step_end(&reads)
+                let mut values = vec![0.0; 2];
+                (b.step_end(&reads, &mut values), values)
             } else {
-                let (outcome, none) = b.step_end(&[]);
-                assert!(none.is_empty());
-                (outcome, b.scalar_get_many(&reads))
+                (b.step_end(&[], &mut []), b.scalar_get_many(&reads))
             };
             let labels: Vec<&str> = b.graph().nodes().iter().map(|n| n.label).collect();
             (outcome, values, labels)

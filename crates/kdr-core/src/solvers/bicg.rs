@@ -67,15 +67,14 @@ impl<T: Scalar> Solver<T> for BiCgSolver<T> {
         planner.matmul_transpose(self.qt, self.pt);
         let ptq = planner.dot(self.pt, self.q);
         self.last_ptq = Some(ptq.clone());
-        let alpha = self.rho.clone() / ptq;
+        let alpha = &self.rho / &ptq;
         planner.axpy(SOL, &alpha, self.p);
         planner.axpy(self.r, &(-&alpha), self.q);
         planner.axpy(self.rt, &(-&alpha), self.qt);
         // Both dots read the updated residual: one fused reduction.
-        let mut d = planner.dot_many(&[(self.rt, self.r), (self.r, self.r)]);
-        self.res = d.pop().expect("two results");
-        let new_rho = d.pop().expect("two results");
-        let beta = new_rho.clone() / self.rho.clone();
+        let [new_rho, res] = planner.dots(&[(self.rt, self.r), (self.r, self.r)]);
+        self.res = res;
+        let beta = &new_rho / &self.rho;
         planner.xpay(self.p, &beta, self.r);
         planner.xpay(self.pt, &beta, self.rt);
         self.rho = new_rho;
@@ -89,9 +88,9 @@ impl<T: Scalar> Solver<T> for BiCgSolver<T> {
         "bicg"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_ptq {
-            Some(ptq) => vec![
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(ptq) = &self.last_ptq {
+            guards.extend([
                 BreakdownGuard {
                     kind: BreakdownKind::RhoZero,
                     value: self.rho.clone(),
@@ -102,8 +101,7 @@ impl<T: Scalar> Solver<T> for BiCgSolver<T> {
                     value: ptq.clone(),
                     trigger: GuardTrigger::NearZero,
                 },
-            ],
-            None => Vec::new(),
+            ]);
         }
     }
 }

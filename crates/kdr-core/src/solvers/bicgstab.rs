@@ -81,7 +81,7 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
         planner.matmul(self.v, phat);
         let r0v = planner.dot(self.r0hat, self.v);
         self.last_r0v = Some(r0v.clone());
-        let alpha = self.rho.clone() / r0v;
+        let alpha = &self.rho / &r0v;
         // s = r - alpha v ; ŝ = P s.
         planner.copy(self.s, self.r);
         planner.axpy(self.s, &(-&alpha), self.v);
@@ -89,9 +89,7 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
         // t = A ŝ ; omega = (t · s) / (t · t) — both dots read t and
         // s, so they fuse into one reduction stage.
         planner.matmul(self.t, shat);
-        let mut d = planner.dot_many(&[(self.t, self.s), (self.t, self.t)]);
-        let tt = d.pop().expect("two results");
-        let ts = d.pop().expect("two results");
+        let [ts, tt] = planner.dots(&[(self.t, self.s), (self.t, self.t)]);
         // The `tiny` guard turns the exact lucky-breakdown 0/0 (s = 0
         // after the first half-step) into omega = 0 instead of NaN.
         let tiny = planner.scalar(T::tiny());
@@ -105,10 +103,9 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
         planner.axpy(self.r, &(-&omega), self.t);
         // beta = (rho' / rho) (alpha / omega) ; p = r + beta (p - omega v).
         // The new rho and the residual measure fuse likewise.
-        let mut d = planner.dot_many(&[(self.r0hat, self.r), (self.r, self.r)]);
-        self.res = d.pop().expect("two results");
-        let new_rho = d.pop().expect("two results");
-        let beta = (new_rho.clone() / self.rho.clone()) * (alpha / omega.clone());
+        let [new_rho, res] = planner.dots(&[(self.r0hat, self.r), (self.r, self.r)]);
+        self.res = res;
+        let beta = (&new_rho / &self.rho) * (alpha / &omega);
         planner.axpy(self.p, &(-&omega), self.v);
         planner.xpay(self.p, &beta, self.r);
         self.rho = new_rho;
@@ -128,22 +125,20 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
     /// Lanczos breakdown (`ρ ≈ 0`), a vanishing step denominator
     /// (`(r̂₀, v) ≈ 0`), and a vanishing stabilization parameter
     /// (`ω ≈ 0`).
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
         let Some(r0v) = &self.last_r0v else {
-            return Vec::new();
+            return;
         };
-        let mut guards = vec![
-            BreakdownGuard {
-                kind: BreakdownKind::RhoZero,
-                value: self.rho.clone(),
-                trigger: GuardTrigger::NearZero,
-            },
-            BreakdownGuard {
-                kind: BreakdownKind::AlphaZero,
-                value: r0v.clone(),
-                trigger: GuardTrigger::NearZero,
-            },
-        ];
+        guards.push(BreakdownGuard {
+            kind: BreakdownKind::RhoZero,
+            value: self.rho.clone(),
+            trigger: GuardTrigger::NearZero,
+        });
+        guards.push(BreakdownGuard {
+            kind: BreakdownKind::AlphaZero,
+            value: r0v.clone(),
+            trigger: GuardTrigger::NearZero,
+        });
         if let Some(omega) = &self.last_omega {
             guards.push(BreakdownGuard {
                 kind: BreakdownKind::OmegaZero,
@@ -151,6 +146,5 @@ impl<T: Scalar> Solver<T> for BiCgStabSolver<T> {
                 trigger: GuardTrigger::NearZero,
             });
         }
-        guards
     }
 }

@@ -75,7 +75,7 @@ impl<T: Scalar> Solver<T> for CgSolver<T> {
         planner.matmul(self.q, self.p);
         let pq = planner.dot(self.p, self.q);
         self.last_pq = Some(pq.clone());
-        let alpha = self.rz.clone() / pq;
+        let alpha = &self.rz / &pq;
         planner.axpy(SOL, &alpha, self.p);
         planner.axpy(self.r, &(-&alpha), self.q);
         let new_rz = match self.z {
@@ -84,16 +84,16 @@ impl<T: Scalar> Solver<T> for CgSolver<T> {
                 // The algorithmic dot and the residual measure read
                 // the same updated r: one fused reduction stage
                 // instead of two fences.
-                let mut d = planner.dot_many(&[(self.r, z), (self.r, self.r)]);
-                self.res = d.pop().expect("two results");
-                d.pop().expect("two results")
+                let [rz, res] = planner.dots(&[(self.r, z), (self.r, self.r)]);
+                self.res = res;
+                rz
             }
             None => {
                 self.res = planner.dot(self.r, self.r);
                 self.res.clone()
             }
         };
-        let beta = new_rz.clone() / self.rz.clone();
+        let beta = &new_rz / &self.rz;
         planner.xpay(self.p, &beta, self.z.unwrap_or(self.r));
         self.rz = new_rz;
     }
@@ -109,15 +109,15 @@ impl<T: Scalar> Solver<T> for CgSolver<T> {
         }
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
         let Some(pq) = &self.last_pq else {
-            return Vec::new();
+            return;
         };
-        let mut guards = vec![BreakdownGuard {
+        guards.push(BreakdownGuard {
             kind: BreakdownKind::IndefiniteOperator,
             value: pq.clone(),
             trigger: GuardTrigger::NonPositive,
-        }];
+        });
         if self.z.is_some() {
             guards.push(BreakdownGuard {
                 kind: BreakdownKind::RhoZero,
@@ -125,6 +125,5 @@ impl<T: Scalar> Solver<T> for CgSolver<T> {
                 trigger: GuardTrigger::NearZero,
             });
         }
-        guards
     }
 }

@@ -68,7 +68,7 @@ impl<T: Scalar> Solver<T> for CgsSolver<T> {
         planner.matmul(self.v, self.p);
         let rtv = planner.dot(self.rt, self.v);
         self.last_rtv = Some(rtv.clone());
-        let alpha = self.rho.clone() / rtv;
+        let alpha = &self.rho / &rtv;
         // q = u - alpha v.
         planner.copy(self.q, self.u);
         planner.axpy(self.q, &(-&alpha), self.v);
@@ -81,10 +81,9 @@ impl<T: Scalar> Solver<T> for CgsSolver<T> {
         planner.axpy(self.r, &(-&alpha), self.v);
         // beta = rho' / rho ; u = r + beta q ; p = u + beta (q + beta p).
         // Both dots read the final r: one fused reduction stage.
-        let mut d = planner.dot_many(&[(self.rt, self.r), (self.r, self.r)]);
-        self.res = d.pop().expect("two results");
-        let new_rho = d.pop().expect("two results");
-        let beta = new_rho.clone() / self.rho.clone();
+        let [new_rho, res] = planner.dots(&[(self.rt, self.r), (self.r, self.r)]);
+        self.res = res;
+        let beta = &new_rho / &self.rho;
         planner.copy(self.u, self.r);
         planner.axpy(self.u, &beta, self.q);
         planner.xpay(self.p, &beta, self.q);
@@ -100,9 +99,9 @@ impl<T: Scalar> Solver<T> for CgsSolver<T> {
         "cgs"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_rtv {
-            Some(rtv) => vec![
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(rtv) = &self.last_rtv {
+            guards.extend([
                 BreakdownGuard {
                     kind: BreakdownKind::RhoZero,
                     value: self.rho.clone(),
@@ -113,8 +112,7 @@ impl<T: Scalar> Solver<T> for CgsSolver<T> {
                     value: rtv.clone(),
                     trigger: GuardTrigger::NearZero,
                 },
-            ],
-            None => Vec::new(),
+            ]);
         }
     }
 }

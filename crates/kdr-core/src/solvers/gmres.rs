@@ -88,7 +88,7 @@ impl<T: Scalar> GmresSolver<T> {
         let minus_one = planner.scalar(-T::ONE);
         planner.axpy(self.v[0], &minus_one, self.w);
         let beta2 = planner.dot(self.v[0], self.v[0]);
-        let beta = beta2.clone().sqrt();
+        let beta = beta2.sqrt();
         planner.scal(self.v[0], &beta.recip());
         let zero = planner.scalar(T::ZERO);
         self.g = vec![zero.clone(); self.restart + 1];
@@ -109,9 +109,9 @@ impl<T: Scalar> GmresSolver<T> {
             let mut acc = self.g[i].clone();
             for (yj, col) in y.iter().zip(self.r_cols[i + 1..m].iter().rev()) {
                 // y is stored reversed: y[0] corresponds to index m-1.
-                acc = acc - col[i].clone() * yj.clone();
+                acc = acc - &col[i] * yj;
             }
-            acc = acc / self.r_cols[i][i].clone();
+            acc = acc / &self.r_cols[i][i];
             y.push(acc);
         }
         y.reverse();
@@ -154,22 +154,22 @@ impl<T: Scalar> Solver<T> for GmresSolver<T> {
 
         // Apply the stored Givens rotations to the new column.
         for i in 0..k {
-            let t1 = self.cs[i].clone() * h[i].clone() + self.sn[i].clone() * h[i + 1].clone();
-            let t2 = -(self.sn[i].clone() * h[i].clone()) + self.cs[i].clone() * h[i + 1].clone();
+            let t1 = &self.cs[i] * &h[i] + &self.sn[i] * &h[i + 1];
+            let t2 = -(&self.sn[i] * &h[i]) + &self.cs[i] * &h[i + 1];
             h[i] = t1;
             h[i + 1] = t2;
         }
         // Form the new rotation from (h_k, h_{k+1}).
-        let denom = (h[k].clone() * h[k].clone() + h[k + 1].clone() * h[k + 1].clone()).sqrt();
+        let denom = (&h[k] * &h[k] + &h[k + 1] * &h[k + 1]).sqrt();
         self.last_denom = Some(denom.clone());
-        let c = h[k].clone() / denom.clone();
-        let s = h[k + 1].clone() / denom.clone();
+        let c = &h[k] / &denom;
+        let s = &h[k + 1] / &denom;
         h[k] = denom;
-        self.g[k + 1] = -(s.clone() * self.g[k].clone());
-        self.g[k] = c.clone() * self.g[k].clone();
+        self.g[k + 1] = -(&s * &self.g[k]);
+        self.g[k] = &c * &self.g[k];
         self.cs.push(c);
         self.sn.push(s);
-        self.res2 = self.g[k + 1].clone() * self.g[k + 1].clone();
+        self.res2 = &self.g[k + 1] * &self.g[k + 1];
         h.truncate(k + 1);
         self.r_cols.push(h);
         self.k += 1;
@@ -195,14 +195,13 @@ impl<T: Scalar> Solver<T> for GmresSolver<T> {
         }
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_denom {
-            Some(d) => vec![BreakdownGuard {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(d) = &self.last_denom {
+            guards.push(BreakdownGuard {
                 kind: BreakdownKind::AlphaZero,
                 value: d.clone(),
                 trigger: GuardTrigger::NearZero,
-            }],
-            None => Vec::new(),
+            });
         }
     }
 }

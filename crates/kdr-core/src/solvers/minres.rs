@@ -53,7 +53,7 @@ impl<T: Scalar> MinresSolver<T> {
         let minus_one = planner.scalar(-T::ONE);
         planner.axpy(v, &minus_one, p);
         let beta2 = planner.dot(v, v);
-        let beta1 = beta2.clone().sqrt();
+        let beta1 = beta2.sqrt();
         planner.scal(v, &beta1.recip());
         let one = planner.scalar(T::ONE);
         let zero = planner.scalar(T::ZERO);
@@ -86,24 +86,23 @@ impl<T: Scalar> Solver<T> for MinresSolver<T> {
         let beta_new = planner.dot(self.p, self.p).sqrt();
 
         // QR update (two old rotations folded into the new column).
-        let delta = self.c.clone() * alpha.clone()
-            - self.c_old.clone() * self.s.clone() * self.beta.clone();
-        let rho1 = (delta.clone() * delta.clone() + beta_new.clone() * beta_new.clone()).sqrt();
+        let delta = &self.c * &alpha - &self.c_old * &self.s * &self.beta;
+        let rho1 = (&delta * &delta + &beta_new * &beta_new).sqrt();
         self.last_rho1 = Some(rho1.clone());
-        let rho2 = self.s.clone() * alpha + self.c_old.clone() * self.c.clone() * self.beta.clone();
-        let rho3 = self.s_old.clone() * self.beta.clone();
-        let c_new = delta / rho1.clone();
-        let s_new = beta_new.clone() / rho1.clone();
+        let rho2 = &self.s * alpha + &self.c_old * &self.c * &self.beta;
+        let rho3 = &self.s_old * &self.beta;
+        let c_new = delta / &rho1;
+        let s_new = &beta_new / &rho1;
 
         // Direction: wt = (v − rho3 w2 − rho2 w1) / rho1 ; x += c η wt.
         planner.copy(self.wt, self.v);
         planner.axpy(self.wt, &(-&rho3), self.w2);
         planner.axpy(self.wt, &(-&rho2), self.w1);
         planner.scal(self.wt, &rho1.recip());
-        let step = c_new.clone() * self.eta.clone();
+        let step = &c_new * &self.eta;
         planner.axpy(SOL, &step, self.wt);
-        self.eta = -(s_new.clone() * self.eta.clone());
-        self.res2 = self.eta.clone() * self.eta.clone();
+        self.eta = -(&s_new * &self.eta);
+        self.res2 = &self.eta * &self.eta;
 
         // Advance the Lanczos basis: normalize p into the next v.
         planner.scal(self.p, &beta_new.recip());
@@ -132,14 +131,13 @@ impl<T: Scalar> Solver<T> for MinresSolver<T> {
         "minres"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_rho1 {
-            Some(rho1) => vec![BreakdownGuard {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(rho1) = &self.last_rho1 {
+            guards.push(BreakdownGuard {
                 kind: BreakdownKind::AlphaZero,
                 value: rho1.clone(),
                 trigger: GuardTrigger::NearZero,
-            }],
-            None => Vec::new(),
+            });
         }
     }
 }

@@ -262,7 +262,7 @@ pub enum GuardTrigger {
 /// One method-specific breakdown detector: a deferred scalar the
 /// driver forces at convergence-check cadence, and how to interpret
 /// it. Produced by [`Solver::breakdown_guards`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct BreakdownGuard<T: Scalar> {
     /// What a trigger means for this method.
     pub kind: BreakdownKind,
@@ -295,12 +295,14 @@ pub trait Solver<T: Scalar>: Send {
         let _ = planner;
     }
 
-    /// Scalars from the most recent step whose collapse signals a
-    /// method breakdown. Checked by the driver at convergence-check
-    /// cadence, *after* the convergence test (quantities legitimately
-    /// vanish as the residual does). Default: no guards.
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        Vec::new()
+    /// Append to `guards` the scalars from the most recent step whose
+    /// collapse signals a method breakdown. Checked by the driver at
+    /// convergence-check cadence, *after* the convergence test
+    /// (quantities legitimately vanish as the residual does). The
+    /// driver keeps `guards` from check to check, so a check allocates
+    /// nothing. Default: no guards.
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        let _ = guards;
     }
 }
 
@@ -321,8 +323,8 @@ impl<T: Scalar> Solver<T> for Box<dyn Solver<T>> {
         (**self).finalize_solution(planner)
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        (**self).breakdown_guards()
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        (**self).breakdown_guards(guards)
     }
 }
 
@@ -518,16 +520,25 @@ const DIVERGENCE_FACTOR: f64 = 1e8;
 /// the backend substituted), then non-finite residuals, breakdown
 /// guards and divergence. The cancellation token, when present, is
 /// polled at the top of every iteration.
+///
+/// The guards and values of a check are kept in buffers the driver
+/// owns, so once the first check has sized them an iteration allocates
+/// nothing here.
 #[derive(Debug)]
-pub struct StepDriver {
+pub struct StepDriver<T: Scalar> {
     control: SolveControl,
     started: bool,
     iters: usize,
     final_residual: f64,
     baseline: f64,
+    /// The breakdown guards of the check in progress; empty between
+    /// calls.
+    guards: Vec<BreakdownGuard<T>>,
+    /// The values forced with a check's step.
+    forced: Vec<T>,
 }
 
-impl StepDriver {
+impl<T: Scalar> StepDriver<T> {
     /// A fresh driver at iteration zero, stopping as `control` says.
     pub fn new(control: SolveControl) -> Self {
         StepDriver {
@@ -536,6 +547,8 @@ impl StepDriver {
             iters: 0,
             final_residual: f64::NAN,
             baseline: f64::NAN,
+            guards: Vec::new(),
+            forced: Vec::new(),
         }
     }
 
@@ -547,7 +560,7 @@ impl StepDriver {
     /// One call of the solve loop (see the type docs): `Ok(None)`
     /// while the solve runs, the report or the error once it has
     /// ended. Once it has answered, the driver is spent: drop it.
-    pub fn step<T: Scalar>(
+    pub fn step(
         &mut self,
         planner: &mut Planner<T>,
         solver: &mut dyn Solver<T>,
@@ -605,14 +618,16 @@ impl StepDriver {
         // step, and runs it meanwhile; the checks below then run on
         // the values in the documented order.
         let checking = control.check_every > 0 && iters % control.check_every == 0;
-        let (measure, guards) = if checking {
-            (solver.convergence_measure(), solver.breakdown_guards())
+        let mut guards = std::mem::take(&mut self.guards);
+        let mut forced = std::mem::take(&mut self.forced);
+        let measure = if checking {
+            solver.breakdown_guards(&mut guards);
+            solver.convergence_measure()
         } else {
-            (None, Vec::new())
+            None
         };
-        let reads: Vec<&ScalarHandle<T>> =
-            measure.iter().chain(guards.iter().map(|g| &g.value)).collect();
-        let (outcome, forced) = planner.step_end(&reads);
+        let reads = measure.iter().chain(guards.iter().map(|g| &g.value));
+        let outcome = planner.step_end(reads, &mut forced);
         self.iters = iters;
         if let (Some(t), Some(t0)) = (trace.as_deref_mut(), t0) {
             t.iterations.push(IterationRecord {
@@ -621,12 +636,35 @@ impl StepDriver {
                 outcome,
             });
         }
-        if !checking {
-            return Ok(None);
-        }
-        let (measured, guard_values) = forced.split_at(measure.iter().count());
+        let checked = if checking {
+            self.check(planner, solver, trace, measure.is_some(), &guards, &forced)
+        } else {
+            Ok(None)
+        };
+        // The guards' handles go now, as they would with a list made
+        // for this call.
+        drop(measure);
+        guards.clear();
+        (self.guards, self.forced) = (guards, forced);
+        checked
+    }
+
+    /// The checks of a check iteration, in the documented order, on
+    /// the values forced with its step: the convergence measure's
+    /// first when `measured`, then one per guard.
+    fn check(
+        &mut self,
+        planner: &mut Planner<T>,
+        solver: &mut dyn Solver<T>,
+        mut trace: Option<&mut SolveTrace>,
+        measured: bool,
+        guards: &[BreakdownGuard<T>],
+        forced: &[T],
+    ) -> Result<Option<SolveReport>, SolveError> {
+        let (control, iters) = (&self.control, self.iters);
+        let (measure, guard_values) = forced.split_at(usize::from(measured));
         let mut r = f64::NAN;
-        if let Some(m) = measured.first() {
+        if let Some(m) = measure.first() {
             r = m.to_f64().abs().sqrt();
             self.final_residual = r;
             if let Some(t) = trace.as_deref_mut() {
@@ -639,7 +677,7 @@ impl StepDriver {
         // A failed task surfaces as NaN scalars; report the absorbed
         // root cause rather than the symptom.
         take_fault(planner, iters)?;
-        if measure.is_some() && !r.is_finite() {
+        if measured && !r.is_finite() {
             return Err(SolveError::NonFinite { iteration: iters });
         }
         for (g, v) in guards.iter().zip(guard_values) {
@@ -674,7 +712,7 @@ impl StepDriver {
     /// The end of a solve that `converged` at a check or reached its
     /// cap: apply deferred solution updates, take (or force) the final
     /// residual, fence, and build the report.
-    fn finish<T: Scalar>(
+    fn finish(
         &self,
         planner: &mut Planner<T>,
         solver: &mut dyn Solver<T>,

@@ -4,7 +4,7 @@
 //! before the solution update and `(r, r)` after it — and each stage
 //! is a global synchronization point. The solvers here restructure
 //! the recurrences so that every iteration issues exactly **one**
-//! fused reduction ([`Planner::dot_many`]):
+//! fused reduction ([`Planner::dots`]):
 //!
 //! * [`FusedCgSolver`] — the Chronopoulos–Gear three-term form
 //!   (Chronopoulos & Gear 1989): both dots `γ = (r, r)` and
@@ -21,7 +21,7 @@
 //!   iteration executes concurrently with this iteration's product —
 //!   the reduction latency hides behind the SpMV.
 //!
-//! All three preserve the bitwise-determinism contract: `dot_many`
+//! All three preserve the bitwise-determinism contract: `dots`
 //! accumulates each pair over the same contiguous partial-slot range,
 //! in the same order, as a standalone `dot` would.
 
@@ -70,9 +70,7 @@ impl<T: Scalar> FusedCgSolver<T> {
         let minus_one = planner.scalar(-T::ONE);
         planner.axpy(r, &minus_one, w);
         planner.matmul(w, r);
-        let mut d = planner.dot_many(&[(r, r), (w, r)]);
-        let delta = d.pop().expect("two results");
-        let gamma = d.pop().expect("two results");
+        let [gamma, delta] = planner.dots(&[(r, r), (w, r)]);
         FusedCgSolver {
             p,
             q,
@@ -93,14 +91,14 @@ impl<T: Scalar> Solver<T> for FusedCgSolver<T> {
         // denom = δ.
         let (beta, denom) = match self.prev.take() {
             Some((gamma_prev, alpha_prev)) => {
-                let beta = self.gamma.clone() / gamma_prev;
+                let beta = &self.gamma / gamma_prev;
                 let denom =
-                    self.delta.clone() - beta.clone() * self.gamma.clone() / alpha_prev;
+                    &self.delta - &beta * &self.gamma / alpha_prev;
                 (beta, denom)
             }
             None => (planner.scalar(T::ZERO), self.delta.clone()),
         };
-        let alpha = self.gamma.clone() / denom.clone();
+        let alpha = &self.gamma / &denom;
         self.last_denom = Some(denom);
         // p = r + β p ; q = w + β q (q tracks Ap by linearity).
         planner.xpay(self.p, &beta, self.r);
@@ -111,9 +109,7 @@ impl<T: Scalar> Solver<T> for FusedCgSolver<T> {
         planner.matmul(self.w, self.r);
         // γ' = (r, r) and δ' = (w, r): the iteration's single fused
         // reduction stage.
-        let mut d = planner.dot_many(&[(self.r, self.r), (self.w, self.r)]);
-        let delta_new = d.pop().expect("two results");
-        let gamma_new = d.pop().expect("two results");
+        let [gamma_new, delta_new] = planner.dots(&[(self.r, self.r), (self.w, self.r)]);
         let gamma_old = std::mem::replace(&mut self.gamma, gamma_new);
         self.prev = Some((gamma_old, alpha));
         self.delta = delta_new;
@@ -127,14 +123,13 @@ impl<T: Scalar> Solver<T> for FusedCgSolver<T> {
         "fusedcg"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_denom {
-            Some(denom) => vec![BreakdownGuard {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(denom) = &self.last_denom {
+            guards.push(BreakdownGuard {
                 kind: BreakdownKind::IndefiniteOperator,
                 value: denom.clone(),
                 trigger: GuardTrigger::NonPositive,
-            }],
-            None => Vec::new(),
+            });
         }
     }
 }
@@ -188,9 +183,7 @@ impl<T: Scalar> PipelinedCgSolver<T> {
         let minus_one = planner.scalar(-T::ONE);
         planner.axpy(r, &minus_one, q);
         planner.matmul(w, r);
-        let mut d = planner.dot_many(&[(r, r), (w, r)]);
-        let delta = d.pop().expect("two results");
-        let gamma = d.pop().expect("two results");
+        let [gamma, delta] = planner.dots(&[(r, r), (w, r)]);
         PipelinedCgSolver {
             r,
             w,
@@ -210,14 +203,14 @@ impl<T: Scalar> Solver<T> for PipelinedCgSolver<T> {
     fn step(&mut self, planner: &mut Planner<T>) {
         let (beta, denom) = match self.prev.take() {
             Some((gamma_prev, alpha_prev)) => {
-                let beta = self.gamma.clone() / gamma_prev;
+                let beta = &self.gamma / gamma_prev;
                 let denom =
-                    self.delta.clone() - beta.clone() * self.gamma.clone() / alpha_prev;
+                    &self.delta - &beta * &self.gamma / alpha_prev;
                 (beta, denom)
             }
             None => (planner.scalar(T::ZERO), self.delta.clone()),
         };
-        let alpha = self.gamma.clone() / denom.clone();
+        let alpha = &self.gamma / &denom;
         self.last_denom = Some(denom);
         // q = A w reads only w, so it overlaps the in-flight fused
         // reduction issued at the end of the previous iteration.
@@ -231,9 +224,7 @@ impl<T: Scalar> Solver<T> for PipelinedCgSolver<T> {
         planner.axpy(self.r, &(-&alpha), self.s);
         planner.axpy(self.w, &(-&alpha), self.z);
         // The iteration's single reduction stage.
-        let mut d = planner.dot_many(&[(self.r, self.r), (self.w, self.r)]);
-        let delta_new = d.pop().expect("two results");
-        let gamma_new = d.pop().expect("two results");
+        let [gamma_new, delta_new] = planner.dots(&[(self.r, self.r), (self.w, self.r)]);
         let gamma_old = std::mem::replace(&mut self.gamma, gamma_new);
         self.prev = Some((gamma_old, alpha));
         self.delta = delta_new;
@@ -247,14 +238,13 @@ impl<T: Scalar> Solver<T> for PipelinedCgSolver<T> {
         "pipelinedcg"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_denom {
-            Some(denom) => vec![BreakdownGuard {
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(denom) = &self.last_denom {
+            guards.push(BreakdownGuard {
                 kind: BreakdownKind::IndefiniteOperator,
                 value: denom.clone(),
                 trigger: GuardTrigger::NonPositive,
-            }],
-            None => Vec::new(),
+            });
         }
     }
 }
@@ -303,10 +293,7 @@ impl<T: Scalar> PipelinedCrSolver<T> {
         let minus_one = planner.scalar(-T::ONE);
         planner.axpy(r, &minus_one, q);
         planner.matmul(w, r);
-        let mut d = planner.dot_many(&[(r, w), (w, w), (r, r)]);
-        let res = d.pop().expect("three results");
-        let delta = d.pop().expect("three results");
-        let gamma = d.pop().expect("three results");
+        let [gamma, delta, res] = planner.dots(&[(r, w), (w, w), (r, r)]);
         PipelinedCrSolver {
             r,
             w,
@@ -327,14 +314,14 @@ impl<T: Scalar> Solver<T> for PipelinedCrSolver<T> {
     fn step(&mut self, planner: &mut Planner<T>) {
         let (beta, denom) = match self.prev.take() {
             Some((gamma_prev, alpha_prev)) => {
-                let beta = self.gamma.clone() / gamma_prev;
+                let beta = &self.gamma / gamma_prev;
                 let denom =
-                    self.delta.clone() - beta.clone() * self.gamma.clone() / alpha_prev;
+                    &self.delta - &beta * &self.gamma / alpha_prev;
                 (beta, denom)
             }
             None => (planner.scalar(T::ZERO), self.delta.clone()),
         };
-        let alpha = self.gamma.clone() / denom.clone();
+        let alpha = &self.gamma / &denom;
         self.last_denom = Some(denom);
         planner.matmul(self.q, self.w);
         planner.xpay(self.z, &beta, self.q);
@@ -343,10 +330,9 @@ impl<T: Scalar> Solver<T> for PipelinedCrSolver<T> {
         planner.axpy(SOL, &alpha, self.p);
         planner.axpy(self.r, &(-&alpha), self.s);
         planner.axpy(self.w, &(-&alpha), self.z);
-        let mut d = planner.dot_many(&[(self.r, self.w), (self.w, self.w), (self.r, self.r)]);
-        self.res = d.pop().expect("three results");
-        let delta_new = d.pop().expect("three results");
-        let gamma_new = d.pop().expect("three results");
+        let [gamma_new, delta_new, res] =
+            planner.dots(&[(self.r, self.w), (self.w, self.w), (self.r, self.r)]);
+        self.res = res;
         let gamma_old = std::mem::replace(&mut self.gamma, gamma_new);
         self.prev = Some((gamma_old, alpha));
         self.delta = delta_new;
@@ -360,8 +346,7 @@ impl<T: Scalar> Solver<T> for PipelinedCrSolver<T> {
         "pipelinedcr"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        let mut guards = Vec::new();
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
         if let Some(denom) = &self.last_denom {
             guards.push(BreakdownGuard {
                 kind: BreakdownKind::AlphaZero,
@@ -369,6 +354,5 @@ impl<T: Scalar> Solver<T> for PipelinedCrSolver<T> {
                 trigger: GuardTrigger::NearZero,
             });
         }
-        guards
     }
 }

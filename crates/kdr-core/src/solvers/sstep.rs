@@ -276,10 +276,9 @@ impl<T: Scalar> Solver<T> for SStepCgSolver<T> {
         "sstepcg"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.fallback {
-            Some(fb) => fb.breakdown_guards(),
-            None => Vec::new(),
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(fb) = &self.fallback {
+            fb.breakdown_guards(guards);
         }
     }
 }

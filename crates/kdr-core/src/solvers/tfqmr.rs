@@ -100,10 +100,10 @@ impl<T: Scalar> Solver<T> for TfqmrSolver<T> {
             }
             let vr = planner.dot(self.v, self.rstar);
             self.last_vr = Some(vr.clone());
-            self.alpha = self.rho.clone() / vr;
+            self.alpha = &self.rho / &vr;
         }
         // d = u + (θ² η / α) d ; w = w − α A u.
-        let coeff = self.theta.clone() * self.theta.clone() * self.eta.clone() / self.alpha.clone();
+        let coeff = &self.theta * &self.theta * &self.eta / &self.alpha;
         planner.xpay(self.d, &coeff, self.u);
         planner.axpy(self.w, &(-&self.alpha), self.au);
         // Quasi-residual rotation. On odd half-steps the upcoming
@@ -112,16 +112,15 @@ impl<T: Scalar> Solver<T> for TfqmrSolver<T> {
         let (wnorm2, rho_new) = if self.m_even {
             (planner.dot(self.w, self.w), None)
         } else {
-            let mut d = planner.dot_many(&[(self.w, self.w), (self.w, self.rstar)]);
-            let rho_new = d.pop().expect("two results");
-            (d.pop().expect("two results"), Some(rho_new))
+            let [wnorm2, rho_new] = planner.dots(&[(self.w, self.w), (self.w, self.rstar)]);
+            (wnorm2, Some(rho_new))
         };
         let wnorm = wnorm2.sqrt();
-        let theta_new = wnorm / self.tau.clone();
+        let theta_new = wnorm / &self.tau;
         let one = planner.scalar(T::ONE);
-        let c2 = one.clone() / (one + theta_new.clone() * theta_new.clone());
-        self.tau = self.tau.clone() * theta_new.clone() * c2.clone().sqrt();
-        self.eta = c2 * self.alpha.clone();
+        let c2 = one.clone() / (one + &theta_new * &theta_new);
+        self.tau = &self.tau * &theta_new * c2.sqrt();
+        self.eta = c2 * &self.alpha;
         self.theta = theta_new;
         // x += η d.
         planner.axpy(SOL, &self.eta, self.d);
@@ -133,7 +132,7 @@ impl<T: Scalar> Solver<T> for TfqmrSolver<T> {
             // β = ρ'/ρ ; u = w + β u ; v deferred (ρ' was fused into
             // the rotation's reduction above).
             let rho_new = rho_new.expect("odd half-steps compute rho'");
-            let beta = rho_new.clone() / self.rho.clone();
+            let beta = &rho_new / &self.rho;
             planner.xpay(self.u, &beta, self.w);
             self.pending_beta = Some(beta);
             self.rho = rho_new;
@@ -149,9 +148,9 @@ impl<T: Scalar> Solver<T> for TfqmrSolver<T> {
         "tfqmr"
     }
 
-    fn breakdown_guards(&self) -> Vec<BreakdownGuard<T>> {
-        match &self.last_vr {
-            Some(vr) => vec![
+    fn breakdown_guards(&self, guards: &mut Vec<BreakdownGuard<T>>) {
+        if let Some(vr) = &self.last_vr {
+            guards.extend([
                 BreakdownGuard {
                     kind: BreakdownKind::RhoZero,
                     value: self.rho.clone(),
@@ -162,8 +161,7 @@ impl<T: Scalar> Solver<T> for TfqmrSolver<T> {
                     value: vr.clone(),
                     trigger: GuardTrigger::NearZero,
                 },
-            ],
-            None => Vec::new(),
+            ]);
         }
     }
 }

@@ -287,7 +287,7 @@ fn panic_in_a_replayed_program_surfaces_once_and_the_program_survives() {
         let mut step = |planner: &mut Planner<f64>| {
             planner.step_begin();
             solver.step(planner);
-            planner.step_end(&[]).0
+            planner.step_end([], &mut Vec::new())
         };
         let mut outcomes: Vec<StepOutcome> = (0..7).map(|_| step(&mut planner)).collect();
         assert_eq!(outcomes[6], StepOutcome::Replayed, "{outcomes:?}");
@@ -497,7 +497,8 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         let healthy = planner.scalar(3.0);
         let failed = planner.dot(RHS, RHS);
         let got = if in_step {
-            let (outcome, got) = planner.step_end(&[&healthy, &failed]);
+            let mut got = Vec::new();
+            let outcome = planner.step_end([&healthy, &failed], &mut got);
             assert_eq!(outcome, StepOutcome::Captured, "a first run");
             got
         } else {
@@ -541,7 +542,7 @@ fn a_failed_reduction_reads_as_nan_and_a_fault_never_a_hang() {
         let one = planner.scalar(1.0);
         planner.step_begin();
         planner.axpy(SOL, &one, RHS);
-        planner.step_end(&[]);
+        planner.step_end([], &mut Vec::new());
         let d = planner.dot(RHS, RHS);
         assert!((d.get() - expect).abs() <= 1e-12 * expect, "an unrelated failure is not the read's");
         planner.fence();

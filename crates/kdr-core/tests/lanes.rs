@@ -137,7 +137,7 @@ fn on_one_worker_a_step_runs_one_body_per_lane() {
         let mut step = |planner: &mut Planner<f64>| {
             planner.step_begin();
             solver.step(planner);
-            planner.step_end(&[]).0
+            planner.step_end([], &mut Vec::new())
         };
         let spans = |planner: &mut Planner<f64>| {
             planner.fence();

@@ -167,8 +167,8 @@ fn an_axpy_and_the_dot_after_it_match_the_oracle_bitwise() {
                 let r = b.dot(p, q);
                 seen.push((format!("({p}, {q})"), scalar(b, r)));
                 seen.push((format!("d after ({p}, {q})"), bits(&b.read_component(d, 0))));
-                b.scalar_release(alpha);
-                b.scalar_release(r);
+                b.handles().release(alpha);
+                b.handles().release(r);
             }
             seen
         });
@@ -198,7 +198,7 @@ fn four_chain_partials_match_the_per_piece_oracle_bitwise() {
         for (p, q) in [(x, y), (x, x)] {
             let r = b.dot(p, q);
             seen.push((format!("({p}, {q})"), scalar(b, r)));
-            b.scalar_release(r);
+            b.handles().release(r);
         }
         for q in [d, y] {
             b.fill_component(d, 0, &dv);
@@ -207,8 +207,8 @@ fn four_chain_partials_match_the_per_piece_oracle_bitwise() {
             let r = b.dot(d, q);
             seen.push((format!("(d, {q})"), scalar(b, r)));
             seen.push((format!("d after (d, {q})"), bits(&b.read_component(d, 0))));
-            b.scalar_release(alpha);
-            b.scalar_release(r);
+            b.handles().release(alpha);
+            b.handles().release(r);
         }
         seen
     });
@@ -267,7 +267,7 @@ fn an_axpy_lowered_into_the_xpay_matches_the_oracle_bitwise() {
                 Between::DotsX => read = Some(b.dot(w, x)),
                 Between::ScalesP => b.scal(p, one),
                 Between::AlphaSlotConst => {
-                    b.scalar_release(alpha);
+                    b.handles().release(alpha);
                     assert_eq!(
                         b.scalar_const(2.0),
                         alpha,
@@ -275,11 +275,11 @@ fn an_axpy_lowered_into_the_xpay_matches_the_oracle_bitwise() {
                     );
                 }
                 Between::AlphaSlotBinop => {
-                    b.scalar_release(alpha);
+                    b.handles().release(alpha);
                     assert_eq!(b.scalar_binop(ScalarOp::Add, one, one), alpha);
                 }
                 Between::AlphaSlotDots => {
-                    b.scalar_release(alpha);
+                    b.handles().release(alpha);
                     assert_eq!(b.dot(w, w), alpha);
                 }
             }

@@ -167,7 +167,7 @@ fn a_step_end_refuses_a_scalar_of_another_planner() {
     let foreign = q.scalar(1.0);
     p.step_begin();
     let _ = p.scalar(2.0);
-    let _ = p.step_end(&[&foreign]);
+    let _ = p.step_end([&foreign], &mut Vec::new());
 }
 
 #[test]

@@ -281,7 +281,7 @@ fn run(seed: u64, how: How) -> Run {
             Between::WiderDot => {
                 p.step_begin();
                 let wide = p.dot_many(&[(vecs[0], vecs[1]), (vecs[2], vecs[2])]);
-                p.step_end(&[]);
+                p.step_end([], &mut Vec::new());
                 drop(wide);
             }
             Between::Workspace => {
@@ -333,8 +333,8 @@ fn run(seed: u64, how: How) -> Run {
         // Force the step's scalars with the step, then let every
         // handle go: each step starts with every slot free, so one body
         // records one op list.
-        let handles: Vec<&ScalarHandle<f64>> = scalars.iter().collect();
-        let (_, forced) = p.step_end(&handles);
+        let mut forced = Vec::new();
+        p.step_end(&scalars, &mut forced);
         if let How::Exec { .. } = how {
             out.replayed
                 .push(with_exec(&mut p, |b| b.step_counters().1));
@@ -462,7 +462,7 @@ fn chebyshev_replays_with_fresh_constants_each_step() {
     for _ in 0..4 {
         p.step_begin();
         solver.step(&mut p);
-        assert_eq!(p.step_end(&[]).0, StepOutcome::Replayed);
+        assert_eq!(p.step_end([], &mut Vec::new()), StepOutcome::Replayed);
     }
     assert_eq!(
         with_exec(&mut p, |b| b.metrics().step_tasks_lowered),
@@ -787,7 +787,7 @@ fn run_script(seed: u64, how: How) -> ScriptRun {
                     let denom = b.scalar_binop(ScalarOp::Add, abs, one);
                     scalars.push(Some(b.scalar_binop(ScalarOp::Div, x, denom)));
                     for s in [abs, one, denom] {
-                        b.scalar_release(s);
+                        b.handles().release(s);
                     }
                 }
                 Call::Bin(kind, x, y) => {
@@ -806,14 +806,15 @@ fn run_script(seed: u64, how: How) -> ScriptRun {
                     let s = b.scalar_unop(op, get(&scalars, x));
                     scalars.push(Some(s));
                 }
-                Call::Release(k) => b.scalar_release(scalars[k].take().expect("released once")),
+                Call::Release(k) => b.handles().release(scalars[k].take().expect("released once")),
             }
         }
         let live: Vec<usize> = scalars.into_iter().flatten().collect();
-        let (_, values) = b.step_end(&live);
+        let mut values = vec![0.0; live.len()];
+        b.step_end(&live, &mut values);
         forced.push(values.into_iter().map(f64::to_bits).collect());
         for s in live {
-            b.scalar_release(s);
+            b.handles().release(s);
         }
     }
     let vectors = vecs

@@ -129,6 +129,7 @@
 //! since a fused body starts where the one before it ended. With
 //! logging off no body is stamped and the clock is not read.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -158,11 +159,13 @@ pub(crate) struct Member {
     pub fault: Option<FaultKind>,
 }
 
-/// One run of a step program's bodies, scheduled as its compiled
-/// graph. The nodes of the run share it, so scheduling the step builds
-/// nothing per body.
+/// What the nodes of one run of a step program share beside its
+/// bodies: the compiled graph the run is scheduled as, its ids and the
+/// injector's decisions. The executor keeps the latest run's
+/// (`DepState::batch`) and refills it for the next run once every node
+/// that shared it has gone, so scheduling a step builds nothing per
+/// body and, while the injector is disarmed, allocates nothing.
 pub(crate) struct ProgramRun {
-    bodies: Arc<[ProgramBody]>,
     /// Id of body 0; body `i` runs as task `base + i`.
     base: TaskId,
     /// The compiled step the run is scheduled as.
@@ -172,17 +175,25 @@ pub(crate) struct ProgramRun {
     faults: Vec<Option<FaultKind>>,
 }
 
-impl ProgramRun {
-    /// The bodies of node `at` of the graph, in running order.
-    fn locals(&self, at: u32) -> &[u32] {
-        &self.graph.nodes[at as usize].members
+/// Node `at` of a program run: the program's bodies (the last node to
+/// go drops them, whatever the run record's fate) and the run.
+struct ProgramNode {
+    bodies: Arc<[ProgramBody]>,
+    run: Arc<ProgramRun>,
+    at: u32,
+}
+
+impl ProgramNode {
+    /// The bodies of the node, in running order.
+    fn locals(&self) -> &[u32] {
+        &self.run.graph.nodes[self.at as usize].members
     }
 
     /// Body `local` of the program: the id it runs under in this run,
     /// the body, and the fault planted in it.
     fn body(&self, local: u32) -> (TaskId, &ProgramBody, Option<FaultKind>) {
-        let fault = self.faults.get(local as usize).copied().flatten();
-        let id = self.base + TaskId::from(local);
+        let fault = self.run.faults.get(local as usize).copied().flatten();
+        let id = self.run.base + TaskId::from(local);
         (id, &self.bodies[local as usize], fault)
     }
 }
@@ -192,8 +203,8 @@ enum Work {
     /// One analyzed task, its body consumed by its run. Boxed, so a
     /// node stays a few words wide in the queues and the window.
     Single(Box<Member>),
-    /// Node `at` of a program run ([`ProgramRun::locals`]).
-    Program { run: Arc<ProgramRun>, at: u32 },
+    /// A node of a program run.
+    Program(ProgramNode),
 }
 
 /// A scheduled node: member bodies run in order on one worker.
@@ -227,8 +238,8 @@ impl Runnable {
     fn head(&self) -> (TaskId, &TaskMeta) {
         match &self.work {
             Work::Single(m) => (m.id, &m.meta),
-            Work::Program { run, at } => {
-                let (id, first, _) = run.body(run.locals(*at)[0]);
+            Work::Program(node) => {
+                let (id, first, _) = node.body(node.locals()[0]);
                 (id, &first.meta)
             }
         }
@@ -242,9 +253,9 @@ impl Runnable {
     fn for_each_body(&self, mut f: impl FnMut(TaskId, &'static str)) {
         match &self.work {
             Work::Single(m) => f(m.id, m.meta.name),
-            Work::Program { run, at } => {
-                for &l in run.locals(*at) {
-                    let (id, body, _) = run.body(l);
+            Work::Program(node) => {
+                for &l in node.locals() {
+                    let (id, body, _) = node.body(l);
                     f(id, body.meta.name);
                 }
             }
@@ -398,10 +409,10 @@ struct DepState {
     base: TaskId,
     /// The in-flight window.
     slots: VecDeque<Slot>,
-    /// The compiled step most recently replayed and the id of its
-    /// first task. Slots with a `graph_node` index into it; they are
-    /// all retired before the next replay replaces it.
-    batch: Option<(TaskId, Arc<StepGraph>)>,
+    /// The program run most recently submitted: its compiled step and
+    /// the id of its first task. Slots with a `graph_node` index into
+    /// it; they are all retired before the next run refills it.
+    batch: Option<Arc<ProgramRun>>,
     /// Nodes whose dependences are met and that no worker has taken.
     ready: ReadyQueues,
     /// Workers parked on `ExecShared::wake_cv` (one that has been
@@ -700,27 +711,40 @@ impl Executor {
                 deps: deps.iter().map(|&l| base + l as TaskId).collect(),
             }));
         }
-        let program = Arc::new(ProgramRun {
-            faults: shared.faults.decide_all(bodies.iter().map(|b| b.meta.name)),
-            bodies,
-            base,
-            graph: Arc::clone(graph),
-        });
+        let faults = shared.faults.decide_all(bodies.iter().map(|b| b.meta.name));
         let mut st = shared.state.lock();
         assert_eq!(
             st.outstanding, 0,
             "a program run needs a quiescent executor"
         );
+        let fresh = ProgramRun {
+            base,
+            graph: Arc::clone(graph),
+            faults,
+        };
+        // Every node of the last run has retired and gone, so its
+        // record is this thread's to refill.
+        let program = match st.batch.take() {
+            Some(mut last) => match Arc::get_mut(&mut last) {
+                Some(run) => {
+                    *run = fresh;
+                    last
+                }
+                None => Arc::new(fresh),
+            },
+            None => Arc::new(fresh),
+        };
         st.spans.record_submits(submits);
         st.base = base;
         st.slots.clear();
         st.slots.resize_with(graph.node_of.len(), Slot::vacant);
         let mut ready = 0usize;
         for (k, node) in graph.nodes.iter().enumerate() {
-            let run = Runnable::new(Work::Program {
+            let run = Runnable::new(Work::Program(ProgramNode {
+                bodies: Arc::clone(&bodies),
                 run: Arc::clone(&program),
                 at: k as u32,
-            });
+            }));
             let slot = &mut st.slots[node.leader() as usize];
             slot.live = true;
             slot.graph_node = k as u32;
@@ -734,9 +758,9 @@ impl Executor {
         }
         // Before any node can run: the nodes hold the bodies, and the
         // last to go drops them.
-        drop(program);
+        drop(bodies);
         st.outstanding = graph.nodes.len();
-        st.batch = Some((base, Arc::clone(graph)));
+        st.batch = Some(program);
         let mut owed = Wakes::default();
         owed.queued(&st, ready.saturating_sub(usize::from(waits)));
         drop(st);
@@ -845,6 +869,12 @@ impl Executor {
         t
     }
 
+    /// [`Executor::tallies`] without the per-name table:
+    /// `task_counts` is empty.
+    pub fn counters(&self) -> Tallies {
+        self.shared.state.lock().tallies.clone()
+    }
+
     /// Bodies the watchdog flagged for exceeding the stall budget.
     pub fn tasks_stalled(&self) -> u64 {
         self.shared.tasks_stalled.load(Ordering::Relaxed)
@@ -861,12 +891,19 @@ impl Executor {
         self.workers.len()
     }
 
-    /// Nodes submitted but not yet retired. A snapshot: racing
-    /// submitters can change it immediately, so callers needing a
-    /// stable answer must hold their own serialization (the runtime's
-    /// state lock serializes submissions).
-    pub fn outstanding(&self) -> usize {
-        self.shared.state.lock().outstanding
+    /// Whether no node is in flight — then, as a fence would, with the
+    /// failure recorded since the last [`Executor::take_failure`] as
+    /// the error. One acquisition, and no wait: what a program run
+    /// checks before it goes in. A snapshot: racing submitters can
+    /// change it immediately, so callers needing a stable answer must
+    /// hold their own serialization (the runtime's state lock
+    /// serializes submissions).
+    pub fn quiescent(&self) -> Result<bool, TaskError> {
+        let st = self.shared.state.lock();
+        if st.outstanding > 0 {
+            return Ok(false);
+        }
+        st.failure.clone().map_or(Ok(true), Err)
     }
 
     /// The event layer's enable flag and clock.
@@ -1026,8 +1063,8 @@ fn retire_one(
     let succs = std::mem::take(&mut slot.succs);
     let graph_succs = match (slot.graph_node, batch.as_ref()) {
         (NO_NODE, _) | (_, None) => None,
-        (node, Some((first, graph))) => {
-            let first = *first;
+        (node, Some(run)) => {
+            let (first, graph) = (run.base, &run.graph);
             Some(
                 graph.nodes[node as usize]
                     .succs
@@ -1194,14 +1231,21 @@ fn run_node(
             let m = *m;
             run.body(m.id, m.meta.name, m.fault, &m.ctx, |ctx| m.body.run(ctx))
         }
-        Work::Program { run: program, at } => {
-            for &l in program.locals(at) {
-                let (id, b, fault) = program.body(l);
+        Work::Program(node) => {
+            for &l in node.locals() {
+                let (id, b, fault) = node.body(l);
                 run.body(id, b.meta.name, fault, &b.ctx, |ctx| (b.body)(ctx));
             }
         }
     }
     run.failure
+}
+
+thread_local! {
+    /// The body records `run_nodes` fills, kept on the thread between
+    /// its calls: a driver enters the loop once per wait. A nested
+    /// call (a body that waits) takes an empty list.
+    static RECORDS: Cell<Vec<BodyRecord>> = const { Cell::new(Vec::new()) };
 }
 
 /// Who is in the scheduling loop: decides the lane its bodies are
@@ -1233,8 +1277,9 @@ fn run_nodes<'a>(
         Role::Worker(w) => (w, false),
         Role::Driver(_) => (shared.driver_lane(), true),
     };
-    // The bodies of the node in hand, reused from node to node.
-    let mut records: Vec<BodyRecord> = Vec::new();
+    // The bodies of the node in hand, reused from node to node and,
+    // through `RECORDS`, from one wait of this thread to the next.
+    let mut records = RECORDS.take();
     // Successors this thread queued in the critical section it is
     // still in.
     let mut released = 0usize;
@@ -1244,6 +1289,7 @@ fn run_nodes<'a>(
     loop {
         if matches!(role, Role::Driver(done) if done(&st)) {
             owed.queued(&st, released);
+            RECORDS.set(records);
             return (st, parked, owed);
         }
         let next = st.ready.pop(me);
@@ -1263,7 +1309,10 @@ fn run_nodes<'a>(
             // in `idle` and wakes it, and whoever retires one next
             // sees a driver in `drivers_parked` and wakes it.
             match role {
-                Role::Worker(_) if st.shutdown => return (st, parked, Wakes::default()),
+                Role::Worker(_) if st.shutdown => {
+                    RECORDS.set(records);
+                    return (st, parked, Wakes::default());
+                }
                 Role::Worker(_) => {
                     st.idle += 1;
                     shared.wake_cv.wait(&mut st);

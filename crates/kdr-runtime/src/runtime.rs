@@ -16,6 +16,7 @@
 //! stall watchdog are armed through [`Runtime::set_fault_plan`] and
 //! [`Runtime::set_stall_budget`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,6 +30,13 @@ use crate::graph::Analyzer;
 use crate::metrics::MetricsSnapshot;
 use crate::task::{req_lites, TaskBuilder, TaskContext, TaskId};
 use crate::trace::{ProgramBody, ShapeSig, StepAnalysis, StepProgram, Trace};
+
+thread_local! {
+    /// The writers a thread waits for in [`Runtime::run_program`] or
+    /// [`Runtime::wait_written`], kept on the thread from one wait to
+    /// the next. A nested wait (a body that waits) takes an empty list.
+    static AWAITED: Cell<Vec<TaskId>> = const { Cell::new(Vec::new()) };
+}
 
 /// A capture in progress: the tasks its owner has submitted since
 /// `begin_trace`, analyzed as a step of their own.
@@ -202,14 +210,17 @@ impl Runtime {
         &self,
         buffers: impl IntoIterator<Item = u64>,
     ) -> Result<Duration, TaskError> {
-        let mut writers = Vec::new();
+        let mut writers = AWAITED.take();
         {
             let st = self.state.lock();
             for buffer in buffers {
                 st.analyzer.writers(buffer, &mut writers);
             }
         }
-        self.exec.wait_retired(&writers)
+        let waited = self.exec.wait_retired(&writers);
+        writers.clear();
+        AWAITED.set(writers);
+        waited
     }
 
     /// Remove and return the recorded task failure, if any, re-arming
@@ -300,7 +311,8 @@ impl Runtime {
             .into_iter()
             .map(ProgramBody::replayed)
             .collect::<Result<Arc<[ProgramBody]>, _>>()?;
-        let (base, _) = self.submit_step(trace, || (bodies, Provenance::Replayed), [])?;
+        let bodies = || (bodies, Provenance::Replayed);
+        let base = self.submit_step(trace, bodies, [], &mut Vec::new())?;
         Ok((base..base + trace.len() as TaskId).collect())
     }
 
@@ -374,11 +386,16 @@ impl Runtime {
             };
             (Arc::clone(&program.bodies), provenance)
         };
-        let (_, writers) = self.submit_step(&program.trace, bodies, reads)?;
-        if writers.is_empty() {
-            return Ok(Ok(Duration::ZERO));
-        }
-        Ok(self.exec.wait_retired(&writers))
+        let mut writers = AWAITED.take();
+        let submitted = self.submit_step(&program.trace, bodies, reads, &mut writers);
+        let waited = match submitted {
+            Err(e) => Err(e),
+            Ok(_) if writers.is_empty() => Ok(Ok(Duration::ZERO)),
+            Ok(_) => Ok(self.exec.wait_retired(&writers)),
+        };
+        writers.clear();
+        AWAITED.set(writers);
+        waited
     }
 
     /// The one step routine behind [`Runtime::run_program`] and
@@ -387,28 +404,32 @@ impl Runtime {
     /// analyzer and hand the compiled graph and `bodies()` — its
     /// tasks' bodies, and where their dependences came from — to the
     /// executor, telling it whether the caller waits for the step's
-    /// writers of `reads` next. Returns the first id and those writers.
+    /// writers of `reads` next. Returns the first id, and appends those
+    /// writers to `writers`.
     fn submit_step(
         &self,
         trace: &Trace,
         bodies: impl FnOnce() -> (Arc<[ProgramBody]>, Provenance),
         reads: impl IntoIterator<Item = u64>,
-    ) -> Result<(TaskId, Vec<TaskId>), RuntimeError> {
+        writers: &mut Vec<TaskId>,
+    ) -> Result<TaskId, RuntimeError> {
         // The recorded graph has no edges to anything outside it and
         // the recorded frontier replaces the analyzer's, so the step
         // must start from a quiescent runtime. Submissions hold the
         // state lock, so quiescence observed under it holds until the
-        // step is in.
+        // step is in; the check is one look at the executor, and only
+        // a runtime with work in flight is fenced and looked at again.
         let mut st = loop {
-            self.exec.fence().map_err(RuntimeError::TaskFailed)?;
             let st = self.state.lock();
-            if st.capture.as_ref().is_some_and(TraceCapture::is_ours) {
-                // A step is not a task the capture could record.
-                return Err(RuntimeError::NestedTrace);
-            }
-            if self.exec.outstanding() == 0 {
+            if self.exec.quiescent().map_err(RuntimeError::TaskFailed)? {
+                if st.capture.as_ref().is_some_and(TraceCapture::is_ours) {
+                    // A step is not a task the capture could record.
+                    return Err(RuntimeError::NestedTrace);
+                }
                 break st;
             }
+            drop(st);
+            self.exec.fence().map_err(RuntimeError::TaskFailed)?;
         };
         let (bodies, provenance) = bodies();
         let base = st.next_id;
@@ -421,14 +442,14 @@ impl Runtime {
         }
         st.tasks_fused += tasks - nodes;
         st.analyzer.set_pending(&trace.frontier, base);
-        let mut writers = Vec::new();
+        let before = writers.len();
         for buffer in reads {
-            st.analyzer.writers(buffer, &mut writers);
+            st.analyzer.writers(buffer, writers);
         }
-        let waits = !writers.is_empty();
+        let waits = writers.len() > before;
         self.exec
             .submit_graph(base, trace, bodies, waits, provenance);
-        Ok((base, writers))
+        Ok(base)
     }
 
     /// Enable or disable structured event logging. Off by default;
@@ -461,8 +482,26 @@ impl Runtime {
     /// counters, per-kernel execution tallies, and event-log health.
     /// Safe to call at any time (no fence).
     pub fn metrics(&self) -> MetricsSnapshot {
+        self.snapshot(true)
+    }
+
+    /// [`Runtime::metrics`] without the per-kernel tallies:
+    /// `task_counts` is empty, every counter is there. It builds no
+    /// table, so it is what a caller that reads only counters — a
+    /// scheduler taking a delta around each slice of work — should
+    /// take.
+    pub fn counters(&self) -> MetricsSnapshot {
+        self.snapshot(false)
+    }
+
+    /// A metrics snapshot, with the per-kernel tallies if `names`.
+    fn snapshot(&self, names: bool) -> MetricsSnapshot {
         let st = self.state.lock();
-        let exec = self.exec.tallies();
+        let exec = if names {
+            self.exec.tallies()
+        } else {
+            self.exec.counters()
+        };
         MetricsSnapshot {
             tasks_submitted: st.tasks_submitted,
             tasks_executed: exec.executed,

@@ -124,7 +124,7 @@ struct ActiveJob {
     /// Index of the RHS currently being solved.
     rhs_idx: usize,
     /// Driver + solver for the in-flight RHS (`None` between RHS).
-    driver: Option<StepDriver>,
+    driver: Option<StepDriver<f64>>,
     solver: Option<Box<dyn Solver<f64>>>,
     ws_mark: usize,
     iterations: u64,
@@ -575,7 +575,7 @@ impl ShardEngine {
     /// active job, step it, then attribute the slice.
     fn run_slice(&self, st: &mut EngineState, tenant: TenantId) {
         let slice_start = Instant::now();
-        let before = self.rt.metrics();
+        let before = self.rt.counters();
         st.metrics.tenant_mut(tenant).slices += 1;
 
         let idx = match st.active.iter().position(|a| a.tenant == tenant) {
@@ -668,7 +668,7 @@ impl ShardEngine {
         if self.cfg.capture_events {
             let _ = self.rt.fence();
         }
-        let after = self.rt.metrics();
+        let after = self.rt.counters();
         st.metrics.record_slice_delta(tenant, &before, &after);
         if self.cfg.capture_events {
             let spans = self.rt.take_spans();

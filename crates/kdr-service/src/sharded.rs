@@ -60,6 +60,7 @@
 //! `queue_wait + turnaround` covers the failed attempt and the backoff.
 
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -996,10 +997,12 @@ impl ShardedService {
         front.slots.iter().filter_map(|s| s.live()).cloned().collect()
     }
 
-    /// One scheduling round: `drive` every shard that has work, each
-    /// on its own thread, then run a supervision tick. Returns `false`, having done nothing, once the whole
-    /// fleet is idle *and* no retry that a tick could release is
-    /// waiting out its backoff.
+    /// One scheduling round: `drive` every shard that has work — the
+    /// first on the calling thread, each other on a thread of its own —
+    /// then run a supervision tick. Returns `false`, having done
+    /// nothing, once the whole fleet is idle *and* no retry that a tick
+    /// could release is waiting out its backoff. A panic in any `drive`
+    /// propagates once every driver thread has been joined.
     ///
     /// The driver threads are joined by handle, not left to the scope:
     /// a scope returns when its count of *running* threads reaches
@@ -1016,18 +1019,24 @@ impl ShardedService {
         if busy.is_empty() && !self.front.lock().retry_releasable() {
             return false;
         }
-        std::thread::scope(|scope| {
-            let drive = &drive;
-            let drivers: Vec<_> = busy
-                .iter()
-                .map(|svc| scope.spawn(move || drive(svc)))
-                .collect();
-            for driver in drivers {
-                if let Err(panic) = driver.join() {
+        if let Some((first, rest)) = busy.split_first() {
+            std::thread::scope(|scope| {
+                let drive = &drive;
+                let drivers: Vec<_> = rest
+                    .iter()
+                    .map(|svc| scope.spawn(move || drive(svc)))
+                    .collect();
+                let here = std::panic::catch_unwind(AssertUnwindSafe(|| drive(first)));
+                for driver in drivers {
+                    if let Err(panic) = driver.join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                }
+                if let Err(panic) = here {
                     std::panic::resume_unwind(panic);
                 }
-            }
-        });
+            });
+        }
         self.supervise();
         true
     }

@@ -373,6 +373,18 @@ if grep -rnwE 'append_rows|push_row' crates tests; then
     echo "ci.sh: crates/ or tests/ names the deleted row hand-off again (see above)" >&2
     exit 1
 fi
+# A warm iteration's host path (EXPERIMENTS.md "What a warm
+# iteration's host path costs"): a replayed CG or BiCGStab iteration
+# allocates nothing, counted by the test's own global allocator. Dev
+# builds re-lower each replayed step to check it, so the leg is
+# --release only. A scalar handle counts its slot's owners without the
+# backend (DESIGN §6, "Record stability"), so the per-handle backend
+# calls stay gone.
+cargo test -q --release -p kdr-core --test host_path
+if grep -rnwE 'scalar_retain|scalar_release' crates tests; then
+    echo "ci.sh: crates/ or tests/ names the per-handle backend calls again (see above)" >&2
+    exit 1
+fi
 # One registration route (DESIGN §7b): a stencil operator lowers its
 # own tiles (`SparseMatrix::lower_tile`), so the descriptor side
 # channel — a `stencil` field on the planner's pending operator and on

@@ -140,7 +140,7 @@ fn traced_cg_analysis_count_is_flat_in_steady_state() {
     for _ in 0..12 {
         planner.step_begin();
         solver.step(&mut planner);
-        planner.step_end(&[]);
+        planner.step_end([], &mut Vec::new());
         analyzed_after.push(planner.with_backend(|b| {
             b.as_any()
                 .downcast_mut::<ExecBackend<f64>>()
@@ -216,13 +216,13 @@ fn scalar_arena_stays_bounded_over_thousand_steps() {
         for _ in 0..10 {
             planner.step_begin();
             solver.step(&mut planner);
-            planner.step_end(&[]);
+            planner.step_end([], &mut Vec::new());
         }
         let after_warmup = slots(&mut planner);
         for _ in 0..990 {
             planner.step_begin();
             solver.step(&mut planner);
-            planner.step_end(&[]);
+            planner.step_end([], &mut Vec::new());
         }
         planner.fence();
         let after = slots(&mut planner);
